@@ -491,7 +491,7 @@ def run_move_differential(
         defended += shielded.move == reference
         undefended += exposed.move == reference
         quarantines += len(
-            shielded.integrity.get("quarantined_trees", ())
+            shielded.extras.get("integrity.quarantined", ())
         )
     return DifferentialOutcome(
         matches_defended=defended,

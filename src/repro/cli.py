@@ -98,102 +98,74 @@ def _cmd_devices(_args) -> int:
     return 0
 
 
-def _budget_scale(args, default: float) -> float:
-    """--budget-scale with a per-mode default (the retry-storm
-    operating point is calibrated at 0.25; everything else at 1.0)."""
-    return default if args.budget_scale is None else args.budget_scale
+#: serve-bench defaults for flags whose default depends on the mode;
+#: the closed-workload modes (single service, --cluster) use this row.
+_CLOSED_PRESET = dict(budget_scale=1.0, devices=4, max_active=64)
 
-
-def _devices(args, default: int) -> int:
-    """--devices with a per-mode default (the retry-storm operating
-    point is calibrated at 2 devices; everything else at 4)."""
-    return default if args.devices is None else args.devices
-
-
-def _max_active(args, default: int) -> int:
-    """--max-active with a per-mode default (the retry-storm
-    operating point is calibrated at 16; everything else at 64)."""
-    return default if args.max_active is None else args.max_active
-
-
-def _cmd_serve_bench_storm(args) -> int:
-    from repro.serve import (
-        FlashCrowd,
-        StormConfig,
-        TraceConfig,
-        WorkloadConfig,
-        run_storm,
-    )
-
-    t0 = time.perf_counter()
-    horizon = (
-        0.6 if args.storm_horizon is None else args.storm_horizon
-    )
-    rate = 450.0 if args.storm_rate is None else args.storm_rate
-    crowd = 4.0 if args.storm_crowd is None else args.storm_crowd
-    workload = WorkloadConfig(
-        seed=args.seed,
-        engines=("sequential", "root:2"),
-        budget_scale=_budget_scale(args, 1.0),
-        backend=args.backend,
-        playout=args.playout,
-        position_skew=args.skew,
-        position_pool=args.position_pool,
-    )
-    trace = TraceConfig(
-        base_rate=rate,
-        horizon_s=horizon,
-        seed=args.seed,
-        components=(
-            FlashCrowd(
-                start_s=horizon * 0.15,
-                duration_s=horizon * 0.5,
-                multiplier=crowd,
-            ),
+#: The two storm operating points, keyed by mode flag (docs/overload.md;
+#: the retry-storm row is the one benchmarks/REPORT_retrystorm.md
+#: calibrates: base load sustainable, crowd 10x, deadlines just above
+#: the healthy tail).  ``crowd_window`` is (start, duration) as
+#: fractions of the horizon; ``deadlines`` are per class, interactive
+#: first.
+_STORM_PRESETS = {
+    "storm": dict(
+        _CLOSED_PRESET,
+        title="storm",
+        table="storm run",
+        storm_horizon=0.6,
+        storm_rate=450.0,
+        storm_crowd=4.0,
+        crowd_window=(0.15, 0.5),
+        deadlines=(0.1, 0.3, 1.0),
+        max_queue=128,
+        overload=True,
+    ),
+    "retry_storm": dict(
+        title="retry storm",
+        table="retry storm",
+        storm_horizon=1.0,
+        storm_rate=150.0,
+        storm_crowd=10.0,
+        crowd_window=(0.1, 0.3),
+        deadlines=(0.1, 0.2, 0.4),
+        budget_scale=0.25,
+        devices=2,
+        max_active=16,
+        max_queue=64,
+        overload=dict(
+            max_level=3, window=16, release=0.6, deescalate_after=3
         ),
-        class_deadline_s=(
-            ("interactive", 0.1),
-            ("standard", 0.3),
-            ("batch", 1.0),
-        ),
-        workload=workload,
-    )
-    autoscale = (
-        {"max_devices": args.autoscale_max, "scaleup_lag_s": 0.03}
-        if args.autoscale_max
-        else None
-    )
-    outcome = run_storm(
-        StormConfig(
-            trace=trace,
-            n_devices=_devices(args, 4),
-            max_active=_max_active(args, 64),
-            seed=args.seed,
-            overload=None if args.no_overload else True,
-            autoscale=autoscale,
-            faults=args.faults,
-            journal=args.journal,
-        )
-    )
-    defended = "undefended" if args.no_overload else "defended"
-    print(
-        f"--- storm: {len(outcome.requests)} arrivals over "
-        f"{horizon:.2f}s, {crowd:.0f}x flash crowd, "
-        f"{defended} ---"
-    )
-    print(outcome.report.render(f"storm run ({defended})"))
-    if outcome.crashes:
-        print(
-            f"crashes: {outcome.crashes}  recoveries: "
-            f"{outcome.recoveries}  MTTR: {outcome.mttr_s:.4f}s"
-        )
-    print(
-        f"[serve-bench took {time.perf_counter() - t0:.1f}s wall]"
-    )
-    return 0
+    ),
+}
+
+#: Flags each serve-bench mode cannot honour, by mode flag (argparse
+#: attribute names); the first mode flag set, in this order, wins.
+_UNSUPPORTED = {
+    "retry_storm": (
+        "resume",
+        "trace_out",
+        "profile",
+        "no_defenses",
+        "cluster",
+        "storm",
+        "faults",
+        "journal",
+    ),
+    "storm": ("resume", "trace_out", "profile", "no_defenses", "cluster"),
+    "cluster": ("resume", "trace_out", "profile", "no_defenses"),
+}
 
 
-def _cmd_serve_bench_retry_storm(args) -> int:
+def _flag(args, name: str, preset: dict = _CLOSED_PRESET):
+    """A mode-dependent flag: its value, or ``preset``'s when unset."""
+    value = getattr(args, name)
+    return preset[name] if value is None else value
+
+
+def _cmd_serve_bench_storm(args, mode: str) -> int:
+    """``--storm`` (open loop) and ``--retry-storm`` (the same storm
+    with closed-loop retrying clients and their defenses)."""
     from repro.serve import (
         FlashCrowd,
         StormConfig,
@@ -204,18 +176,15 @@ def _cmd_serve_bench_retry_storm(args) -> int:
     )
 
     t0 = time.perf_counter()
-    # Calibrated retry-storm operating point (see
-    # benchmarks/REPORT_retrystorm.md): base load sustainable, crowd
-    # 10x, deadlines just above the healthy tail.
-    horizon = (
-        1.0 if args.storm_horizon is None else args.storm_horizon
+    preset = _STORM_PRESETS[mode]
+    closed_loop = mode == "retry_storm"
+    horizon = _flag(args, "storm_horizon", preset)
+    crowd = _flag(args, "storm_crowd", preset)
+    crowd_start, crowd_duration = (
+        horizon * frac for frac in preset["crowd_window"]
     )
-    rate = 150.0 if args.storm_rate is None else args.storm_rate
-    crowd = 10.0 if args.storm_crowd is None else args.storm_crowd
-    crowd_start = horizon * 0.1
-    crowd_duration = horizon * 0.3
     trace = TraceConfig(
-        base_rate=rate,
+        base_rate=_flag(args, "storm_rate", preset),
         horizon_s=horizon,
         seed=args.seed,
         components=(
@@ -225,65 +194,53 @@ def _cmd_serve_bench_retry_storm(args) -> int:
                 multiplier=crowd,
             ),
         ),
-        class_deadline_s=(
-            ("interactive", 0.1),
-            ("standard", 0.2),
-            ("batch", 0.4),
+        class_deadline_s=tuple(
+            zip(("interactive", "standard", "batch"), preset["deadlines"])
         ),
         workload=WorkloadConfig(
             seed=args.seed,
             engines=("sequential", "root:2"),
-            budget_scale=_budget_scale(args, 0.25),
+            budget_scale=_flag(args, "budget_scale", preset),
             backend=args.backend,
             playout=args.playout,
+            position_skew=args.skew,
+            position_pool=args.position_pool,
         ),
     )
-    clients = dict(
-        retry=dict(
-            kind=args.retry_kind,
-            base_s=args.retry_base,
-            cap_s=max(args.retry_base * 8, args.retry_base),
-            jitter=0.3,
-            max_attempts=args.retry_attempts,
-            give_up_s=(
-                ("interactive", 2.0),
-                ("standard", 3.0),
-                ("batch", 4.0),
+    closed_loop_kwargs = {}
+    if closed_loop:
+        clients = dict(
+            retry=dict(
+                kind=args.retry_kind,
+                base_s=args.retry_base,
+                cap_s=max(args.retry_base * 8, args.retry_base),
+                jitter=0.3,
+                max_attempts=args.retry_attempts,
+                give_up_s=(
+                    ("interactive", 2.0),
+                    ("standard", 3.0),
+                    ("batch", 4.0),
+                ),
             ),
-        ),
-        seed=args.seed if args.client_seed is None else args.client_seed,
-    )
-    if not args.no_breaker:
-        clients["breaker"] = dict(
-            failure_threshold=5, reset_timeout_s=0.1
+            seed=(
+                args.seed
+                if args.client_seed is None
+                else args.client_seed
+            ),
         )
-    if not args.no_throttle:
-        clients["throttle"] = dict(k=1.5, window=64)
-    outcome = run_storm(
-        StormConfig(
-            trace=trace,
-            n_devices=_devices(args, 2),
-            max_active=_max_active(args, 16),
-            max_queue=64,
-            seed=args.seed,
-            overload=(
-                None
-                if args.no_overload
-                else dict(
-                    max_level=3,
-                    window=16,
-                    release=0.6,
-                    deescalate_after=3,
-                )
-            ),
+        if not args.no_breaker:
+            clients["breaker"] = dict(
+                failure_threshold=5, reset_timeout_s=0.1
+            )
+        if not args.no_throttle:
+            clients["throttle"] = dict(k=1.5, window=64)
+        closed_loop_kwargs = dict(
+            clients=clients,
             retry_budget=(
                 None
                 if args.no_budget
-                else dict(
-                    fill_per_first_try=0.1, cap=10.0, initial=2.0
-                )
+                else dict(fill_per_first_try=0.1, cap=10.0, initial=2.0)
             ),
-            clients=clients,
             detector=dict(
                 bin_s=0.05,
                 settle_s=0.1,
@@ -291,56 +248,96 @@ def _cmd_serve_bench_retry_storm(args) -> int:
                 min_offered_rate=40.0,
             ),
         )
+    outcome = run_storm(
+        StormConfig(
+            trace=trace,
+            n_devices=_flag(args, "devices", preset),
+            max_active=_flag(args, "max_active", preset),
+            max_queue=preset["max_queue"],
+            seed=args.seed,
+            overload=None if args.no_overload else preset["overload"],
+            autoscale=(
+                {
+                    "max_devices": args.autoscale_max,
+                    "scaleup_lag_s": 0.03,
+                }
+                if args.autoscale_max
+                else None
+            ),
+            faults=args.faults,
+            journal=args.journal,
+            **closed_loop_kwargs,
+        )
     )
     report = outcome.report
     defended = "undefended" if args.no_overload else "defended"
+    offered = (
+        f"{report.first_tries} first tries + "
+        f"{report.retries_offered} retries"
+        if closed_loop
+        else f"{len(outcome.requests)} arrivals"
+    )
     print(
-        f"--- retry storm: {report.first_tries} first tries + "
-        f"{report.retries_offered} retries over {horizon:.2f}s, "
+        f"--- {preset['title']}: {offered} over {horizon:.2f}s, "
         f"{crowd:.0f}x flash crowd, {defended} ---"
     )
-    print(report.render(f"retry storm ({defended})"))
-    verdict = outcome.metastability
-    clear_s = crowd_start + crowd_duration + 0.1
-    attainment = post_crowd_attainment(outcome.records, clear_s)
-    state = "TRAPPED" if verdict.trapped else "recovered"
-    print(
-        f"metastability: {state} "
-        f"({verdict.trapped_bins} consecutive trapped bins, "
-        f"post-crowd goodput/offered {verdict.goodput_ratio:.2f}, "
-        f"post-crowd interactive SLO {attainment:.0%})"
-    )
+    print(report.render(f"{preset['table']} ({defended})"))
+    if outcome.crashes:
+        print(
+            f"crashes: {outcome.crashes}  recoveries: "
+            f"{outcome.recoveries}  MTTR: {outcome.mttr_s:.4f}s"
+        )
+    if closed_loop:
+        verdict = outcome.metastability
+        attainment = post_crowd_attainment(
+            outcome.records, crowd_start + crowd_duration + 0.1
+        )
+        state = "TRAPPED" if verdict.trapped else "recovered"
+        print(
+            f"metastability: {state} "
+            f"({verdict.trapped_bins} consecutive trapped bins, "
+            f"post-crowd goodput/offered {verdict.goodput_ratio:.2f}, "
+            f"post-crowd interactive SLO {attainment:.0%})"
+        )
     print(
         f"[serve-bench took {time.perf_counter() - t0:.1f}s wall]"
     )
     return 0
 
 
+def _closed_workload(args, load: int) -> list:
+    """The closed batch of ``load`` mixed requests the single-service
+    and --cluster modes serve."""
+    from repro.serve import WorkloadConfig, make_workload
+
+    return make_workload(
+        WorkloadConfig(
+            n_requests=load,
+            seed=args.seed,
+            budget_scale=_flag(args, "budget_scale"),
+            deadline_s=args.deadline,
+            backend=args.backend,
+            playout=args.playout,
+            position_skew=args.skew,
+            position_pool=args.position_pool,
+        )
+    )
+
+
 def _cmd_serve_bench_cluster(args) -> int:
-    from repro.serve import ClusterRouter, WorkloadConfig, make_workload
+    from repro.serve import ClusterRouter
 
     t0 = time.perf_counter()
     for load in args.loads:
-        workload = make_workload(
-            WorkloadConfig(
-                n_requests=load,
-                seed=args.seed,
-                budget_scale=_budget_scale(args, 1.0),
-                deadline_s=args.deadline,
-                backend=args.backend,
-                playout=args.playout,
-                position_skew=args.skew,
-                position_pool=args.position_pool,
-            )
-        )
+        workload = _closed_workload(args, load)
         cluster = ClusterRouter(
             n_shards=args.cluster,
             replicas=args.replicas,
             seed=args.seed,
             cache=not args.no_cache,
             journal_dir=args.journal,
-            n_devices=_devices(args, 4),
-            max_active=_max_active(args, 64),
+            n_devices=_flag(args, "devices"),
+            max_active=_flag(args, "max_active"),
             faults=args.faults,
             backend=args.backend,
             playout=args.playout,
@@ -359,65 +356,23 @@ def _cmd_serve_bench_cluster(args) -> int:
 
 def _cmd_serve_bench(args) -> int:
     from repro.gpu.trace import Tracer
-    from repro.serve import (
-        SearchService,
-        ServiceCrash,
-        WorkloadConfig,
-        make_workload,
-    )
+    from repro.serve import SearchService, ServiceCrash
 
     from repro.util.profile import NULL_PROFILER, Profiler
 
-    if args.retry_storm:
-        for flag, name in (
-            (args.resume, "--resume"),
-            (args.trace_out, "--trace-out"),
-            (args.profile, "--profile"),
-            (args.no_defenses, "--no-defenses"),
-            (args.cluster, "--cluster"),
-            (args.storm, "--storm"),
-            (args.faults, "--faults"),
-            (args.journal, "--journal"),
-        ):
-            if flag:
+    mode = next((m for m in _UNSUPPORTED if getattr(args, m)), None)
+    if mode is not None:
+        for name in _UNSUPPORTED[mode]:
+            if getattr(args, name):
                 print(
-                    f"serve-bench: {name} is not supported with "
-                    f"--retry-storm",
+                    f"serve-bench: --{name.replace('_', '-')} is not "
+                    f"supported with --{mode.replace('_', '-')}",
                     file=sys.stderr,
                 )
                 return 2
-        return _cmd_serve_bench_retry_storm(args)
-    if args.storm:
-        for flag, name in (
-            (args.resume, "--resume"),
-            (args.trace_out, "--trace-out"),
-            (args.profile, "--profile"),
-            (args.no_defenses, "--no-defenses"),
-            (args.cluster, "--cluster"),
-        ):
-            if flag:
-                print(
-                    f"serve-bench: {name} is not supported with "
-                    f"--storm",
-                    file=sys.stderr,
-                )
-                return 2
-        return _cmd_serve_bench_storm(args)
-    if args.cluster:
-        for flag, name in (
-            (args.resume, "--resume"),
-            (args.trace_out, "--trace-out"),
-            (args.profile, "--profile"),
-            (args.no_defenses, "--no-defenses"),
-        ):
-            if flag:
-                print(
-                    f"serve-bench: {name} is not supported with "
-                    f"--cluster",
-                    file=sys.stderr,
-                )
-                return 2
-        return _cmd_serve_bench_cluster(args)
+        if mode == "cluster":
+            return _cmd_serve_bench_cluster(args)
+        return _cmd_serve_bench_storm(args, mode)
     if args.resume and not args.journal:
         print("serve-bench: --resume requires --journal", file=sys.stderr)
         return 2
@@ -438,8 +393,8 @@ def _cmd_serve_bench(args) -> int:
 
                 integrity = IntegrityPolicy.disabled()
             service_kwargs = dict(
-                n_devices=_devices(args, 4),
-                max_active=_max_active(args, 64),
+                n_devices=_flag(args, "devices"),
+                max_active=_flag(args, "max_active"),
                 seed=args.seed,
                 tracer=tracer,
                 faults=args.faults,
@@ -462,20 +417,7 @@ def _cmd_serve_bench(args) -> int:
                     checkpoint_every=args.checkpoint_every,
                     **service_kwargs,
                 )
-                service.submit_all(
-                    make_workload(
-                        WorkloadConfig(
-                            n_requests=load,
-                            seed=args.seed,
-                            budget_scale=_budget_scale(args, 1.0),
-                            deadline_s=args.deadline,
-                            backend=args.backend,
-                            playout=args.playout,
-                            position_skew=args.skew,
-                            position_pool=args.position_pool,
-                        )
-                    )
-                )
+                service.submit_all(_closed_workload(args, load))
         with profiler.phase("service_run"):
             try:
                 service.run()

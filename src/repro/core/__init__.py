@@ -71,7 +71,6 @@ from repro.core.policy import (
 from repro.core.results import (
     EXTRA_KEYS,
     INTEGRITY_EXTRA_KEYS,
-    LEGACY_EXTRA_KEYS,
     SearchResult,
     extras_schema,
     register_extra_keys,
@@ -115,7 +114,6 @@ __all__ = [
     "SearchResult",
     "EXTRA_KEYS",
     "INTEGRITY_EXTRA_KEYS",
-    "LEGACY_EXTRA_KEYS",
     "extras_schema",
     "register_extra_keys",
     "PARALLEL_MODES",

@@ -6,15 +6,11 @@ naming convention (``tree.depth``, ``gpu.kernels``,
 declares its extras schema in the :data:`EXTRA_KEYS` registry via
 :func:`register_extra_keys`; :meth:`SearchResult.extras_schema` looks
 the declaration up, and the test suite asserts every emitted key is
-declared with the declared type.  The pre-rename key spellings
-(``per_tree_depth``, ``kernels``, the nested ``integrity`` dict, ...)
-remain readable through :meth:`SearchResult.extra` and the
-:attr:`SearchResult.integrity` property.
+declared with the declared type.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -34,29 +30,6 @@ INTEGRITY_EXTRA_KEYS: dict[str, type] = {
     "integrity.violations": int,
     "integrity.quarantined": list,
 }
-
-#: Legacy extras key -> canonical ``family.metric`` key.
-LEGACY_EXTRA_KEYS: dict[str, str] = {
-    "per_tree_depth": "tree.depth",
-    "per_tree_nodes": "tree.nodes",
-    "kernels": "gpu.kernels",
-    "cpu_iterations": "cpu.iterations",
-    "ranks": "mpi.ranks",
-    "per_rank_simulations": "mpi.rank_simulations",
-    "dropped_messages": "mpi.dropped_messages",
-}
-
-#: Legacy nested-``integrity``-dict key -> flat canonical key.
-_INTEGRITY_LEGACY: dict[str, str] = {
-    "corrupt_detected": "integrity.detected",
-    "corrupt_escaped": "integrity.escaped",
-    "dropped_batches": "integrity.dropped_batches",
-    "poison_applied": "integrity.poisoned",
-    "audits": "integrity.audits",
-    "audit_violations": "integrity.violations",
-    "quarantined_trees": "integrity.quarantined",
-}
-
 
 def register_extra_keys(
     engine: str, schema: Mapping[str, type]
@@ -99,39 +72,13 @@ class SearchResult:
     def root_visits(self) -> float:
         return sum(v for v, _ in self.stats.values())
 
-    @property
-    def integrity(self) -> dict:
-        """Integrity-defense counters (corruption detection /
-        quarantine / escapes), present when the engine searched under
-        fault injection; empty otherwise.  Returned under the
-        historical key names (``corrupt_detected``, ...) whichever
-        spelling the extras carry."""
-        if any(k.startswith("integrity.") for k in self.extras):
-            return {
-                old: self.extras[new]
-                for old, new in _INTEGRITY_LEGACY.items()
-                if new in self.extras
-            }
-        return self.extras.get("integrity", {})
-
     def extras_schema(self) -> dict[str, type]:
         """The declared extras schema for this result's engine kind."""
         return extras_schema(self.engine)
 
     def extra(self, key: str, default=None):
-        """Extras lookup accepting both canonical and legacy keys;
-        legacy spellings resolve with a ``DeprecationWarning``."""
-        if key in self.extras:
-            return self.extras[key]
-        canonical = LEGACY_EXTRA_KEYS.get(key)
-        if canonical is not None and canonical in self.extras:
-            warnings.warn(
-                f"extras key {key!r} is deprecated; use {canonical!r}",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            return self.extras[canonical]
-        return default
+        """Extras lookup by canonical ``family.metric`` key."""
+        return self.extras.get(key, default)
 
     def visit_share(self, move: int) -> float:
         """Fraction of root visits that went to ``move``."""

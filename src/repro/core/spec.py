@@ -45,7 +45,6 @@ every engine through this factory.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
@@ -293,15 +292,6 @@ class EngineSpec:
                 str(self.params[p]) for p in kind.positional
             )
         return head + _emit_modifiers(self.kind, self.params)
-
-    def to_string(self) -> str:
-        """Deprecated alias of :meth:`canonical`."""
-        warnings.warn(
-            "EngineSpec.to_string() is deprecated; use canonical()",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.canonical()
 
     def build(self, game: Game, seed: int, **overrides) -> Engine:
         """Construct the engine (``overrides`` win over spec params)."""

@@ -87,8 +87,8 @@ from repro.serve.request import (
 )
 from repro.serve.service import (
     SearchService,
-    ServiceCrash,
     ServiceError,
+    run_recovering,
 )
 from repro.util.seeding import derive_seed
 from repro.util.tables import format_series
@@ -272,7 +272,8 @@ class ShardHandle:
     The handle owns the shard's construction kwargs and (optionally)
     its write-ahead journal path, runs each wave of requests on a
     fresh :class:`SearchService` incarnation, and absorbs a planned
-    :class:`ServiceCrash` by recovering from its own journal --
+    :class:`~repro.serve.service.ServiceCrash` by recovering from
+    its own journal (:func:`~repro.serve.service.run_recovering`) --
     scoped to its own request ids via ``rid_filter`` so a journal
     polluted with another shard's records recovers cleanly.
 
@@ -321,27 +322,22 @@ class ShardHandle:
                 kwargs["faults"] = plan.without_crash()
         service = SearchService(journal=journal, **kwargs)
         service.submit_all(requests)
-        try:
-            records = service.run()
-        except ServiceCrash:
-            if journal is None:
-                raise
+        service, records, crashed = run_recovering(
+            service,
+            journal,
+            rid_filter={r.request_id for r in requests}.__contains__,
+            **kwargs,
+        )
+        report = service.report()
+        if crashed is not None:
             self.crashes += 1
+            self.recoveries += 1
             first_arrival = min(r.arrival_s for r in requests)
             self.elapsed_s += max(
-                0.0, service.clock.now - first_arrival
+                0.0, crashed.clock.now - first_arrival
             )
-            rids = {r.request_id for r in requests}
-            service = SearchService.recover(
-                journal, rid_filter=rids.__contains__, **kwargs
-            )
-            records = service.run()
-            self.recoveries += 1
             self.foreign_records += service.foreign_records
-            report = service.report()
             self.mttr_s.append(report.elapsed_s)
-        else:
-            report = service.report()
         self.reports.append(report)
         self.elapsed_s += max(0.0, report.elapsed_s)
         return {r.request.request_id: r for r in records}
@@ -585,6 +581,7 @@ class ClusterRouter:
         #: Per-request domain-collision counts from ring placement.
         self._collisions: "dict[str, int]" = {}
         self._requests: "list[SearchRequest]" = []
+        self._request_ids: set[str] = set()
         self._final: "dict[str, RequestRecord]" = {}
         self._games: "dict[str, Game]" = {}
         self._ran = False
@@ -595,14 +592,12 @@ class ClusterRouter:
         """Register a request for the next :meth:`run`."""
         if self._ran:
             raise ServiceError("cluster already ran; build a new one")
-        if any(
-            r.request_id == request.request_id
-            for r in self._requests
-        ):
+        if request.request_id in self._request_ids:
             raise ServiceError(
                 f"duplicate request id {request.request_id!r}"
             )
         self._requests.append(request)
+        self._request_ids.add(request.request_id)
 
     def submit_all(self, requests: "list[SearchRequest]") -> None:
         for request in requests:

@@ -228,8 +228,8 @@ class ServiceReport:
     p95_latency_s: float
     mean_latency_s: float
     p95_queue_wait_s: float
-    kernel_launches: int
-    mean_lanes_per_launch: float
+    kernel_launches: int = 0
+    mean_lanes_per_launch: float = 0.0
     #: Overload-survival accounting (docs/overload.md): requests the
     #: controller load-shed with an explicit rejection, per-class
     #: outcome stats, and the highest degradation-ladder rung the
@@ -462,50 +462,15 @@ class ServiceReport:
 
 
 def summarize(
-    records: Sequence[RequestRecord],
-    elapsed_s: float,
-    kernel_launches: int = 0,
-    mean_lanes_per_launch: float = 0.0,
-    fused_launches: int = 0,
-    fusion_pad_lanes: int = 0,
-    mean_tenants_per_launch: float = 0.0,
-    device_utilization: dict[str, float] | None = None,
-    retries: int = 0,
-    lost_launches: int = 0,
-    retry_overhead_s: float = 0.0,
-    faults_injected: dict[str, int] | None = None,
-    recovered: int = 0,
-    resumed: int = 0,
-    restarted: int = 0,
-    recovered_iterations: int = 0,
-    corrupt_detected: int = 0,
-    corrupt_escaped: int = 0,
-    rejected_results: int = 0,
-    dropped_batches: int = 0,
-    quarantined_trees: int = 0,
-    journal_corrupt: int = 0,
-    checkpoint_corrupt: int = 0,
-    peak_overload_level: int = 0,
-    scale_ups: int = 0,
-    scale_downs: int = 0,
-    peak_devices: int = 0,
-    client_suppressed_breaker: int = 0,
-    client_suppressed_throttle: int = 0,
-    retry_exhausted: int = 0,
-    retry_give_ups: int = 0,
-    breaker_opens: int = 0,
-    breaker_closes: int = 0,
-    budget_granted: int = 0,
-    budget_rejected: int = 0,
-    fairness_evictions: int = 0,
-    cache_hits: int = 0,
-    cache_misses: int = 0,
-    cache_evictions: int = 0,
-    cache_expirations: int = 0,
-    cache_stale_hits: int = 0,
-    cache_sweeps: int = 0,
+    records: Sequence[RequestRecord], elapsed_s: float, **counters
 ) -> ServiceReport:
-    """Fold a run's request records into a :class:`ServiceReport`."""
+    """Fold a run's request records into a :class:`ServiceReport`.
+
+    The record-derived fields are computed here; ``counters`` are the
+    component-owned :class:`ServiceReport` fields the records cannot
+    tell (launch, fault, recovery, client, cache accounting ...),
+    forwarded by name -- one left out keeps the report's default.
+    """
     latencies = [
         r.latency_s for r in records if r.status == COMPLETED
     ]
@@ -519,66 +484,27 @@ def summarize(
     ]
     p50, p95, mean = latency_summary(latencies)
     return ServiceReport(
+        offered=len(records),
+        completed=len(latencies),
+        rejected=sum(1 for r in records if r.status == REJECTED),
+        missed=sum(1 for r in records if r.status == MISSED),
+        shed=sum(1 for r in records if r.status == SHED),
         degraded=sum(
             1
             for r in records
             if r.status == COMPLETED and r.degraded
         ),
         lost_lanes=sum(r.lost_lanes for r in records),
-        retries=retries,
-        lost_launches=lost_launches,
-        retry_overhead_s=retry_overhead_s,
-        faults_injected=dict(faults_injected or {}),
-        recovered=recovered,
-        resumed=resumed,
-        restarted=restarted,
-        recovered_iterations=recovered_iterations,
-        corrupt_detected=corrupt_detected,
-        corrupt_escaped=corrupt_escaped,
-        rejected_results=rejected_results,
-        dropped_batches=dropped_batches,
-        quarantined_trees=quarantined_trees,
-        journal_corrupt=journal_corrupt,
-        checkpoint_corrupt=checkpoint_corrupt,
-        offered=len(records),
-        completed=len(latencies),
-        rejected=sum(1 for r in records if r.status == REJECTED),
-        missed=sum(1 for r in records if r.status == MISSED),
-        shed=sum(1 for r in records if r.status == SHED),
         per_class=class_summary(records),
-        peak_overload_level=peak_overload_level,
-        scale_ups=scale_ups,
-        scale_downs=scale_downs,
-        peak_devices=peak_devices,
         first_tries=len(records) - len(retry_records),
         retries_offered=len(retry_records),
         retries_completed=sum(
             1 for r in retry_records if r.status == COMPLETED
         ),
-        client_suppressed_breaker=client_suppressed_breaker,
-        client_suppressed_throttle=client_suppressed_throttle,
-        retry_exhausted=retry_exhausted,
-        retry_give_ups=retry_give_ups,
-        breaker_opens=breaker_opens,
-        breaker_closes=breaker_closes,
-        budget_granted=budget_granted,
-        budget_rejected=budget_rejected,
-        fairness_evictions=fairness_evictions,
-        cache_hits=cache_hits,
-        cache_misses=cache_misses,
-        cache_evictions=cache_evictions,
-        cache_expirations=cache_expirations,
-        cache_stale_hits=cache_stale_hits,
-        cache_sweeps=cache_sweeps,
         elapsed_s=elapsed_s,
         p50_latency_s=p50,
         p95_latency_s=p95,
         mean_latency_s=mean,
         p95_queue_wait_s=percentile(waits, 95) if waits else 0.0,
-        kernel_launches=kernel_launches,
-        mean_lanes_per_launch=mean_lanes_per_launch,
-        fused_launches=fused_launches,
-        fusion_pad_lanes=fusion_pad_lanes,
-        mean_tenants_per_launch=mean_tenants_per_launch,
-        device_utilization=dict(device_utilization or {}),
+        **counters,
     )

@@ -29,7 +29,7 @@ readback latencies once per tick instead of once per game.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Hashable, Mapping, Sequence
 
 from repro.core.base import PlayoutBatch, PlayoutResults
@@ -143,38 +143,26 @@ class LaunchRecord:
 
     game: str
     lanes: int
-    #: The successful placement; None when the launch chain was lost
-    #: (resilient path only -- its lanes' results were dropped).
-    lease: DeviceLease | None
-    #: Full retry-chain outcome (resilient path only).
-    outcome: LaunchOutcome | None = None
-    #: Lane span ``[lo, hi)`` of the merged per-game batch this launch
-    #: covered.
-    lo: int = 0
-    hi: int = 0
-    #: Fused launches cover several per-game spans at once; each entry
-    #: is ``(game, lo, hi)`` into that game's merged batch.  Empty for
-    #: ordinary single-game launches (use ``game``/``lo``/``hi``).
-    segments: tuple[tuple[str, int, int], ...] = field(
-        default_factory=tuple
-    )
+    #: Full retry-chain outcome; its lease is the successful placement
+    #: (None when the chain was lost and its lanes' results dropped).
+    outcome: LaunchOutcome
+    #: Every ``(game, lo, hi)`` span of the merged per-game batches
+    #: this launch covered (one for a single-game launch, several for a
+    #: fused one).
+    segments: tuple[tuple[str, int, int], ...]
 
-    def spans(self) -> tuple[tuple[str, int, int], ...]:
-        """Every ``(game, lo, hi)`` span this launch covered."""
-        if self.segments:
-            return self.segments
-        return ((self.game, self.lo, self.hi),)
+    @property
+    def lease(self) -> DeviceLease | None:
+        return self.outcome.lease
 
     @property
     def delivered(self) -> bool:
-        return self.lease is not None
+        return self.outcome.delivered
 
     @property
     def ready_s(self) -> float:
         """When the host has (or gives up on) this launch's results."""
-        if self.outcome is not None:
-            return self.outcome.ready_s
-        return self.lease.end_s
+        return self.outcome.ready_s
 
 
 def launch_config_for(lanes: int, warp_size: int = 32) -> LaunchConfig:
@@ -210,12 +198,15 @@ class LaneBatcher:
     ) -> None:
         self.pool = pool
         self.seed = derive_seed(seed, "lane_batcher")
-        self.launcher = launcher
+        #: Every merged launch goes through a resilient launch chain;
+        #: without an injector the chain is one clean attempt on the
+        #: least-busy device.
+        self.launcher = launcher or ResilientLauncher(pool)
         #: Host-boundary result screening for merged launches.  When
         #: set (the service attaches one per run under fault
         #: injection), every delivered readback is corrupted per the
         #: injector's decision and validated; rejects retry through the
-        #: resilient launcher.  Requires ``launcher``.
+        #: resilient launcher.
         self.integrity = integrity
         #: Playout executor ("numpy" or "compiled") running the merged
         #: batches; bit-identical by contract, so this never changes
@@ -299,13 +290,14 @@ class LaneBatcher:
 
         return duration
 
-    def _make_screen(self, chunk_answers):
-        """Build the host-boundary validation closure for one chunk.
+    def _make_screen(self, slices, answers_by_game):
+        """Build the host-boundary validation closure for one launch.
 
-        Each call to the closure models one readback of the chunk's
-        results: the injector decides whether *this* delivery is
-        corrupted (fresh draw per attempt), the integrity state applies
-        and validates it, and an accepted batch -- clean or carrying an
+        Each call to the closure models one readback of the launch's
+        results: for every ``(game, lo, hi)`` slice the injector
+        decides whether *this* delivery is corrupted (fresh draw per
+        attempt), the integrity state applies and validates it, and a
+        delivery whose every slice is accepted -- clean or carrying an
         escaped corruption -- lands in the returned cell for the caller
         to adopt.  Returns ``(None, None)`` when no integrity state is
         attached, so fault-free service runs stay draw-for-draw
@@ -317,12 +309,75 @@ class LaneBatcher:
         cell: dict = {}
 
         def screen() -> bool:
-            screened, ok = guard.screen_answers(chunk_answers)
-            if ok:
-                cell["answers"] = screened
-            return ok
+            parts = []
+            ok_all = True
+            for game, lo, hi in slices:
+                screened, ok = guard.screen_answers(
+                    answers_by_game[game][lo:hi]
+                )
+                parts.append((game, lo, hi, screened))
+                ok_all = ok_all and ok
+            if ok_all:
+                cell["parts"] = parts
+            return ok_all
 
         return screen, cell
+
+    def _launch_group(
+        self,
+        holder: str,
+        label: str,
+        game: str,
+        duration_for,
+        segments: Sequence[tuple[str, int, int]],
+        slices: Sequence[tuple[str, int, int]],
+        answers_by_game: dict[str, list],
+        **trace_args,
+    ) -> LaunchRecord:
+        """Launch one group of lanes through the resilient chain and
+        settle its answers in place.
+
+        ``segments`` are the ``(game, lo, hi)`` lane spans riding the
+        launch, ``slices`` the units the integrity screen validates
+        (one per tenant under fusion).  A delivered launch adopts the
+        screened slices of the accepted readback (possibly carrying an
+        escaped corruption); a chain that exhausted its retries yields
+        neutral ``(0, 0)`` answers for every lane -- the
+        dropped-playout-batch degradation contract.
+        """
+        lanes = sum(hi - lo for _, lo, hi in segments)
+        screen, cell = self._make_screen(slices, answers_by_game)
+        outcome = self.launcher.launch(
+            holder,
+            duration_for,
+            label=label,
+            screen=screen,
+            lanes=lanes,
+            game=game,
+            **trace_args,
+        )
+        if not outcome.delivered:
+            for sgame, lo, hi in segments:
+                answers_by_game[sgame][lo:hi] = [(0, 0)] * (hi - lo)
+            self.lost_lanes += lanes
+            if (
+                self.integrity is not None
+                and outcome.attempts
+                and outcome.attempts[-1].fault == KIND_CORRUPT_RESULT
+            ):
+                # The chain died rejecting corrupt readbacks, not
+                # launching -- that is a dropped batch in the
+                # integrity accounting.
+                self.integrity.give_up()
+        elif cell is not None:
+            for sgame, lo, hi, part in cell["parts"]:
+                answers_by_game[sgame][lo:hi] = part
+        return LaunchRecord(
+            game=game,
+            lanes=lanes,
+            outcome=outcome,
+            segments=tuple(segments),
+        )
 
     def execute(
         self, game: str, states: Sequence, holder: str = "merged"
@@ -331,9 +386,7 @@ class LaneBatcher:
 
         Returns per-lane ``(winner, plies)`` aligned with ``states``
         and the launch records (wait on their ``ready_s`` / leases to
-        charge the kernel time to the clock).  A chunk whose resilient
-        launch chain was lost yields neutral ``(0, 0)`` answers for its
-        lanes -- the dropped-playout-batch degradation contract.
+        charge the kernel time to the clock).
         """
         if not states:
             return [], []
@@ -352,67 +405,24 @@ class LaneBatcher:
             rng = BatchXorShift128Plus.for_lanes(round_seed, lo, hi)
             batch = bg.make_batch(chunk, 1)
             tracked = self._run_tracked(bg, batch, rng)
-            chunk_answers = list(
+            answers.extend(
                 zip(
                     (int(w) for w in tracked.winners),
                     (int(p) for p in tracked.finish_steps),
                 )
             )
-            duration_for = self._duration_for(game, tracked, lanes)
-            if self.launcher is not None:
-                screen, cell = self._make_screen(chunk_answers)
-                outcome = self.launcher.launch(
+            chunk_span = ((game, lo, hi),)
+            records.append(
+                self._launch_group(
                     holder,
-                    duration_for,
-                    label=f"{game}_playouts",
-                    screen=screen,
-                    lanes=lanes,
-                    game=game,
+                    f"{game}_playouts",
+                    game,
+                    self._duration_for(game, tracked, lanes),
+                    chunk_span,
+                    chunk_span,
+                    {game: answers},
                 )
-                if not outcome.delivered:
-                    chunk_answers = [(0, 0)] * lanes
-                    self.lost_lanes += lanes
-                    if (
-                        self.integrity is not None
-                        and outcome.attempts
-                        and outcome.attempts[-1].fault
-                        == KIND_CORRUPT_RESULT
-                    ):
-                        # The chain died rejecting corrupt readbacks,
-                        # not launching -- that is a dropped batch in
-                        # the integrity accounting.
-                        self.integrity.give_up()
-                elif cell is not None:
-                    # The accepted readback (possibly carrying an
-                    # escaped corruption) is whatever the last screen
-                    # call stored.
-                    chunk_answers = cell["answers"]
-                records.append(
-                    LaunchRecord(
-                        game=game,
-                        lanes=lanes,
-                        lease=outcome.lease,
-                        outcome=outcome,
-                        lo=lo,
-                        hi=hi,
-                    )
-                )
-            else:
-                device_id = self.pool.least_busy()
-                lease = self.pool.launch(
-                    holder,
-                    duration_for(self.pool.spec_of(device_id)),
-                    device_id=device_id,
-                    label=f"{game}_playouts",
-                    lanes=lanes,
-                    game=game,
-                )
-                records.append(
-                    LaunchRecord(
-                        game=game, lanes=lanes, lease=lease, lo=lo, hi=hi
-                    )
-                )
-            answers.extend(chunk_answers)
+            )
         return answers, records
 
     def execute_demand(
@@ -657,30 +667,6 @@ class FusedBatcher(LaneBatcher):
                 slices.append((game, olo, ohi))
         return slices
 
-    def _make_fused_screen(self, tenant_slices, answers_by_game):
-        """Host-boundary validation for one fused readback: every
-        tenant's slice is screened exactly once per delivery attempt,
-        and the delivery is accepted only if every slice validates.
-        Returns ``(None, None)`` with no integrity state attached."""
-        guard = self.integrity
-        if guard is None:
-            return None, None
-        cell: dict = {}
-
-        def screen() -> bool:
-            parts = []
-            ok_all = True
-            for game, lo, hi in tenant_slices:
-                part = answers_by_game[game][lo:hi]
-                screened, ok = guard.screen_answers(part)
-                parts.append((game, lo, hi, screened))
-                ok_all = ok_all and ok
-            if ok_all:
-                cell["parts"] = parts
-            return ok_all
-
-        return screen, cell
-
     # -- execution ---------------------------------------------------------
 
     def execute_demand(
@@ -730,67 +716,17 @@ class FusedBatcher(LaneBatcher):
             self.pad_lanes += padded_blocks * self.FUSED_TPB - real_lanes
             tenant_slices = self._tenant_slices(segments, spans)
             self.tenant_slices += len(tenant_slices)
-            duration_for = self._fused_duration(
-                segments, tracked_by_game
-            )
             games_label = "+".join(dict.fromkeys(g for g, _, _ in segments))
-            if self.launcher is not None:
-                screen, cell = self._make_fused_screen(
-                    tenant_slices, answers_by_game
-                )
-                outcome = self.launcher.launch(
+            records.append(
+                self._launch_group(
                     holder,
-                    duration_for,
-                    label=f"fused_{games_label}_playouts",
-                    screen=screen,
-                    lanes=real_lanes,
-                    game=games_label,
+                    f"fused_{games_label}_playouts",
+                    games_label,
+                    self._fused_duration(segments, tracked_by_game),
+                    segments,
+                    tenant_slices,
+                    answers_by_game,
                     fused_tenants=len(tenant_slices),
                 )
-                if not outcome.delivered:
-                    for game, lo, hi in segments:
-                        answers_by_game[game][lo:hi] = [(0, 0)] * (
-                            hi - lo
-                        )
-                    self.lost_lanes += real_lanes
-                    if (
-                        self.integrity is not None
-                        and outcome.attempts
-                        and outcome.attempts[-1].fault
-                        == KIND_CORRUPT_RESULT
-                    ):
-                        self.integrity.give_up()
-                elif cell is not None:
-                    # Adopt the accepted (possibly escaped-corrupt)
-                    # screened slices from the last screen call.
-                    for game, lo, hi, part in cell["parts"]:
-                        answers_by_game[game][lo:hi] = part
-                records.append(
-                    LaunchRecord(
-                        game=games_label,
-                        lanes=real_lanes,
-                        lease=outcome.lease,
-                        outcome=outcome,
-                        segments=tuple(segments),
-                    )
-                )
-            else:
-                device_id = self.pool.least_busy()
-                lease = self.pool.launch(
-                    holder,
-                    duration_for(self.pool.spec_of(device_id)),
-                    device_id=device_id,
-                    label=f"fused_{games_label}_playouts",
-                    lanes=real_lanes,
-                    game=games_label,
-                    fused_tenants=len(tenant_slices),
-                )
-                records.append(
-                    LaunchRecord(
-                        game=games_label,
-                        lanes=real_lanes,
-                        lease=lease,
-                        segments=tuple(segments),
-                    )
-                )
+            )
         return answers_by_game, records

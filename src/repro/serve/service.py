@@ -5,7 +5,8 @@
 specs, budgets and deadlines -- and multiplexes them over a shared
 :class:`~repro.gpu.lease.DevicePool` of virtual GPUs.
 
-Execution model (all times virtual; see docs/serving.md):
+Execution model (all times virtual; ``SearchService._run_loop`` is a
+flat sequence of step methods, listed in order in docs/serving.md):
 
 * **Admission.**  A request arriving when an active slot is free
   starts immediately; otherwise it waits in a bounded FIFO queue; if
@@ -106,13 +107,32 @@ def supports_search_steps(engine: Engine) -> bool:
     return type(engine).search_steps is not Engine.search_steps
 
 
+def _deadline_key(record: RequestRecord) -> tuple[float, float]:
+    """Earliest-deadline-first order within a class queue: absolute
+    deadline (none sorts last), then arrival."""
+    deadline = record.request.absolute_deadline_s
+    return (
+        deadline if deadline is not None else float("inf"),
+        record.request.arrival_s,
+    )
+
+
+def _pop_by_deadline(q: "deque[RequestRecord]", pick) -> RequestRecord:
+    """Remove and return ``q``'s earliest-deadline (``pick=min``) or
+    latest-deadline (``pick=max``) member; ties break toward the same
+    end of the queue."""
+    k = pick(range(len(q)), key=lambda k: (_deadline_key(q[k]), k))
+    record = q[k]
+    del q[k]
+    return record
+
+
 @dataclass
 class _Active:
     """Bookkeeping for one request holding an active slot."""
 
     record: RequestRecord
     engine: Engine
-    game: Game
     #: CPU time charged by the engine but not yet billed to a tick
     #: (priming the generator happens at activation).
     pending_cpu_s: float = 0.0
@@ -221,22 +241,52 @@ class SearchService:
         #: Queued requests shed by the per-tenant in-class fairness
         #: cap (``OverloadPolicy.tenant_queue_frac``).
         self.fairness_evictions = 0
-        #: Mid-run arrival heap of ``(arrival_s, record_index)``; live
-        #: only while :meth:`run` executes (retry injection target).
+        #: Run state, live only while :meth:`run` executes (a service
+        #: runs once).  Mid-run arrival heap of ``(arrival_s,
+        #: record_index)`` -- a heap, keyed exactly like a sorted
+        #: arrival list, because closed-loop clients inject retries
+        #: into the arrival stream mid-run.
         self._arrivals: "list[tuple[float, int]] | None" = None
+        #: Per-priority-class wait queues.  With every request in the
+        #: default ``standard`` class this is exactly one FIFO; with
+        #: classes, dequeue order is strict priority (interactive
+        #: first), FIFO within class -- or earliest deadline first
+        #: within class when an overload policy is on.
+        self._queues: "dict[str, deque[RequestRecord]]" = {
+            name: deque() for name in PRIORITY_CLASSES
+        }
+        #: Requests holding an active slot, by id, and the generators
+        #: of those that advance through merged ticks.
+        self._active: dict[str, _Active] = {}
+        self._gen_pool = GeneratorPool()
+        #: Periodic cache age-out on the virtual clock (the cluster
+        #: sweeps at wave boundaries; a standalone service sweeps on
+        #: its own cadence -- default one TTL -- so idle lulls actually
+        #: empty the cache instead of leaving corpses to expire lazily
+        #: at lookup).  ``None`` never sweeps.
+        self._sweep_every: float | None = None
+        if self.cache is not None:
+            self._sweep_every = (
+                cache_sweep_every_s
+                if cache_sweep_every_s is not None
+                else self.cache.ttl_s
+            )
+        self._next_sweep = (
+            self._sweep_every
+            if self._sweep_every is not None
+            else float("inf")
+        )
         #: Sliding window of completed latency/deadline ratios (and
         #: miss penalties) feeding controller and autoscaler.
-        self._ratio_window: "deque[float] | None" = (
-            deque(
+        self._ratio_window: "deque[float] | None" = None
+        if self.overload is not None or self.autoscaler is not None:
+            self._ratio_window = deque(
                 maxlen=(
                     self.overload.window
                     if self.overload is not None
                     else 64
                 )
             )
-            if self.overload is not None or self.autoscaler is not None
-            else None
-        )
         self.fault_plan = FaultPlan.coerce(faults)
         self.injector = (
             FaultInjector(self.fault_plan)
@@ -260,22 +310,22 @@ class SearchService:
         #: per-request results either way); without it, one launch per
         #: game per tick.
         self.fusion = fusion
+        batcher_seed = derive_seed(seed, "serve")
+        batcher_kwargs = dict(
+            launcher=self.launcher,
+            integrity=self.integrity_state,
+            playout=playout,
+        )
         if fusion:
             self.batcher: LaneBatcher = FusedBatcher(
                 self.pool,
-                derive_seed(seed, "serve"),
-                launcher=self.launcher,
-                integrity=self.integrity_state,
-                playout=playout,
+                batcher_seed,
                 max_fused_lanes=max_fused_lanes,
+                **batcher_kwargs,
             )
         else:
             self.batcher = LaneBatcher(
-                self.pool,
-                derive_seed(seed, "serve"),
-                launcher=self.launcher,
-                integrity=self.integrity_state,
-                playout=playout,
+                self.pool, batcher_seed, **batcher_kwargs
             )
         #: Fusion-aware admission (opt-in because it changes outcomes):
         #: at each tick boundary, requests whose deadline cannot even
@@ -332,14 +382,9 @@ class SearchService:
 
     # -- submission --------------------------------------------------------
 
-    def submit(self, request: SearchRequest) -> RequestRecord:
-        """Register a request for the next :meth:`run`."""
-        if self._ran:
-            raise ServiceError("service already ran; build a new one")
-        if request.request_id in self._record_ids:
-            raise ServiceError(
-                f"duplicate request id {request.request_id!r}"
-            )
+    def _register(self, request: SearchRequest) -> RequestRecord:
+        """Record (and journal, unless the journal already holds it) a
+        request this run will serve."""
         record = RequestRecord(request=request, status=PENDING)
         self._records.append(record)
         self._record_ids.add(request.request_id)
@@ -350,6 +395,16 @@ class SearchService:
             self.journal.submit(request)
             self._journal_known.add(request.request_id)
         return record
+
+    def submit(self, request: SearchRequest) -> RequestRecord:
+        """Register a request for the next :meth:`run`."""
+        if self._ran:
+            raise ServiceError("service already ran; build a new one")
+        if request.request_id in self._record_ids:
+            raise ServiceError(
+                f"duplicate request id {request.request_id!r}"
+            )
+        return self._register(request)
 
     def submit_all(
         self, requests: list[SearchRequest]
@@ -365,38 +420,37 @@ class SearchService:
             self._games[name] = game
         return game
 
-    def _activate(
-        self,
-        record: RequestRecord,
-        active: dict[str, _Active],
-        gen_pool: GeneratorPool,
-    ) -> None:
+    def _root_state(self, req: SearchRequest):
+        """The position ``req`` searches (default: the initial one)."""
+        if req.state is not None:
+            return req.state
+        return self._game(req.game).initial_state()
+
+    def _activate(self, record: RequestRecord) -> None:
         """Give ``record`` an active slot and start its search."""
         req = record.request
         record.status = RUNNING
         record.start_s = self.clock.now
         game = self._game(req.game)
+        state = self._root_state(req)
         # Degradation ladder (docs/overload.md): the controller's
         # current rung decides, per class, whether this activation
         # runs at full fidelity, with a squeezed budget, or on the
         # cheap engine spec.  Interactive traffic always runs whole.
         budget_s = req.budget_s
         engine_source = req.engine
-        rung = 0
-        if self.overload is not None and self.controller is not None:
+        if self.overload is not None:
             level = self.controller.level
-            rung = self.overload.degrade_level_for(
-                level, req.priority
-            )
+            rung = self.overload.degrade_level_for(level, req.priority)
             budget_s *= self.overload.budget_scale_for(
                 level, req.priority
             )
             engine_source = self.overload.spec_for(
                 level, req.priority, req.engine
             )
-        if rung:
-            record.degrade_level = rung
-            record.degraded = True
+            if rung:
+                record.degrade_level = rung
+                record.degraded = True
         spec = EngineSpec.coerce(engine_source)
         overrides = {}
         if self.backend != "node" and "backend" not in spec.params:
@@ -420,9 +474,8 @@ class SearchService:
             spec, game, req.seed, clock=Clock(), **overrides
         )
         self._install_iteration_hook(req.request_id, engine)
-        state = req.state if req.state is not None else game.initial_state()
-        slot = _Active(record=record, engine=engine, game=game)
-        active[req.request_id] = slot
+        slot = _Active(record=record, engine=engine)
+        self._active[req.request_id] = slot
         resume_from = self._resume_snapshots.pop(req.request_id, None)
         if resume_from is not None:
             engine.restore(resume_from)
@@ -433,14 +486,12 @@ class SearchService:
                 if resume_from is not None
                 else engine.search_steps(state, budget_s)
             )
-            still_running = gen_pool.add(req.request_id, gen)
+            still_running = self._gen_pool.add(req.request_id, gen)
             slot.pending_cpu_s = engine.clock.now - before
             if not still_running:
                 # Degenerate zero-playout search: done at activation.
                 self._finish(
-                    record,
-                    active,
-                    result=gen_pool.results.pop(req.request_id),
+                    record, self._gen_pool.results.pop(req.request_id)
                 )
         else:
             # Direct path: the whole search runs pinned to one pooled
@@ -495,97 +546,27 @@ class SearchService:
 
         engine.iteration_hook = hook
 
-    def _journal_terminal(self, record: RequestRecord) -> None:
-        if self.journal is not None:
-            self.journal.complete(
-                record.request.request_id,
-                record.status,
-                record.result,
-                record.finish_s,
-            )
+    # -- terminal outcomes -------------------------------------------------
 
-    def _finish(
+    def _terminate(
         self,
         record: RequestRecord,
-        active: dict[str, _Active],
-        result: SearchResult | None,
-        status: str = COMPLETED,
+        status: str,
+        result: SearchResult | None = None,
+        finish_s: float | None = None,
     ) -> None:
+        """The one way a request ends, with or without ever holding a
+        slot: stamp the terminal outcome, then show it to the pressure
+        window, the journal and the closed-loop clients, in that
+        order."""
         record.status = status
         record.result = result
-        record.finish_s = self.clock.now
-        active.pop(record.request.request_id, None)
-        if (
-            status == COMPLETED
-            and result is not None
-            and self.cache is not None
-            and not record.extras.get("cache_hit")
-        ):
-            req = record.request
-            game = self._game(req.game)
-            state = (
-                req.state
-                if req.state is not None
-                else game.initial_state()
-            )
-            self.cache.insert(
-                self.cache.key_for(req), state, result, self.clock.now
-            )
+        record.finish_s = (
+            self.clock.now if finish_s is None else finish_s
+        )
         self._observe_outcome(record)
         self._journal_terminal(record)
         self._client_outcome(record)
-
-    def _serve_cache_hit(self, record: RequestRecord, entry) -> None:
-        """Answer a request straight from the result cache at
-        admission: no slot, no queue, no device time -- just the
-        modelled lookup/serialisation cost.  A hit whose deadline
-        cannot even cover that cost is still a miss (stale deadlines
-        do not resurrect)."""
-        req = record.request
-        now = self.clock.now
-        finish = now + CACHE_HIT_COST_S
-        record.extras["cache_hit"] = True
-        deadline = req.absolute_deadline_s
-        if (
-            self.enforce_deadlines
-            and deadline is not None
-            and finish > deadline
-        ):
-            record.status = MISSED
-            record.finish_s = finish
-        else:
-            record.status = COMPLETED
-            record.result = entry.result
-            record.start_s = now
-            record.finish_s = finish
-        self.cache_served += 1
-        self._observe_outcome(record)
-        self._journal_terminal(record)
-        self._client_outcome(record)
-
-    def _client_outcome(self, record: RequestRecord) -> None:
-        """Offer one terminal outcome to the closed-loop clients; a
-        returned retry joins the arrival stream mid-run.  Retry ids
-        already present (a crash-recovered run resubmits journalled
-        pre-crash retries) are never injected twice -- the client
-        population still observes the outcome, the arrival already
-        exists."""
-        if self.clients is None or self._arrivals is None:
-            return
-        retry = self.clients.on_outcome(record, self.clock.now)
-        if retry is None or retry.request_id in self._record_ids:
-            return
-        new_record = RequestRecord(request=retry, status=PENDING)
-        idx = len(self._records)
-        self._records.append(new_record)
-        self._record_ids.add(retry.request_id)
-        if (
-            self.journal is not None
-            and retry.request_id not in self._journal_known
-        ):
-            self.journal.submit(retry)
-            self._journal_known.add(retry.request_id)
-        heapq.heappush(self._arrivals, (retry.arrival_s, idx))
 
     def _observe_outcome(self, record: RequestRecord) -> None:
         """Feed one terminal outcome into the pressure window the
@@ -605,23 +586,79 @@ class SearchService:
             )
             self._ratio_window.append(penalty)
 
-    def _cancel(
-        self,
-        record: RequestRecord,
-        active: dict[str, _Active],
-        gen_pool: GeneratorPool,
-        status: str,
-    ) -> None:
-        """Terminate an admitted request without a result (deadline
-        miss or load shed), resolving everything it holds: its
+    def _journal_terminal(self, record: RequestRecord) -> None:
+        if self.journal is not None:
+            self.journal.complete(
+                record.request.request_id,
+                record.status,
+                record.result,
+                record.finish_s,
+            )
+
+    def _client_outcome(self, record: RequestRecord) -> None:
+        """Offer one terminal outcome to the closed-loop clients; a
+        returned retry joins the arrival stream mid-run.  Retry ids
+        already present (a crash-recovered run resubmits journalled
+        pre-crash retries) are never injected twice -- the client
+        population still observes the outcome, the arrival already
+        exists."""
+        if self.clients is None or self._arrivals is None:
+            return
+        retry = self.clients.on_outcome(record, self.clock.now)
+        if retry is None or retry.request_id in self._record_ids:
+            return
+        self._register(retry)
+        heapq.heappush(
+            self._arrivals, (retry.arrival_s, len(self._records) - 1)
+        )
+
+    def _finish(self, record: RequestRecord, result: SearchResult) -> None:
+        """Complete an active request with its search result."""
+        req = record.request
+        self._active.pop(req.request_id, None)
+        if self.cache is not None:
+            self.cache.insert(
+                self.cache.key_for(req),
+                self._root_state(req),
+                result,
+                self.clock.now,
+            )
+        self._terminate(record, COMPLETED, result)
+
+    def _serve_cache_hit(self, record: RequestRecord, entry) -> None:
+        """Answer a request straight from the result cache at
+        admission: no slot, no queue, no device time -- just the
+        modelled lookup/serialisation cost.  A hit whose deadline
+        cannot even cover that cost is still a miss (stale deadlines
+        do not resurrect)."""
+        now = self.clock.now
+        finish = now + CACHE_HIT_COST_S
+        record.extras["cache_hit"] = True
+        self.cache_served += 1
+        deadline = record.request.absolute_deadline_s
+        if (
+            self.enforce_deadlines
+            and deadline is not None
+            and finish > deadline
+        ):
+            self._terminate(record, MISSED, finish_s=finish)
+        else:
+            record.start_s = now
+            self._terminate(
+                record, COMPLETED, entry.result, finish_s=finish
+            )
+
+    def _cancel(self, record: RequestRecord, status: str) -> None:
+        """Terminate an admitted request without a result (``MISSED``
+        deadline or ``SHED`` load), resolving everything it holds: its
         generator leaves the pool and any in-flight direct-path lease
         is abandoned, so :meth:`DevicePool.assert_drained` holds even
         for requests cancelled after admission but before (or between)
         launches."""
         rid = record.request.request_id
-        if rid in gen_pool.pending:
-            gen_pool.cancel(rid)
-        slot = active.get(rid)
+        if rid in self._gen_pool.pending:
+            self._gen_pool.cancel(rid)
+        slot = self._active.pop(rid, None)
         if (
             slot is not None
             and slot.outcome is not None
@@ -630,32 +667,92 @@ class SearchService:
             # The host will never wait on a cancelled request's device
             # work; resolve the lease so busy-time accounting drains.
             self.pool.abandon(slot.outcome.lease)
-        self._finish(record, active, result=None, status=status)
+        self._terminate(record, status)
 
-    def _miss(
-        self,
-        record: RequestRecord,
-        active: dict[str, _Active],
-        gen_pool: GeneratorPool,
-    ) -> None:
-        self._cancel(record, active, gen_pool, MISSED)
+    # -- class queues ------------------------------------------------------
 
-    def _shed(
-        self,
-        record: RequestRecord,
-        active: dict[str, _Active],
-        gen_pool: GeneratorPool,
-    ) -> None:
-        self._cancel(record, active, gen_pool, SHED)
+    def _queued_total(self) -> int:
+        return sum(len(q) for q in self._queues.values())
 
-    def _reject(self, record: RequestRecord, status: str) -> None:
-        """Terminate a request that never got a slot (queue-full
-        rejection, shed at admission, or missed while queued)."""
-        record.status = status
-        record.finish_s = self.clock.now
-        self._observe_outcome(record)
-        self._journal_terminal(record)
-        self._client_outcome(record)
+    def _enqueue(self, record: RequestRecord) -> None:
+        """Admit ``record`` into its class queue, enforcing the
+        per-tenant in-class fairness cap: a tenant already holding
+        its configured fraction of the queue sheds its worst
+        (latest-deadline) member -- possibly the arrival itself --
+        to stay under the cap."""
+        q = self._queues[record.request.priority]
+        frac = (
+            self.overload.tenant_queue_frac
+            if self.overload is not None
+            else None
+        )
+        tenant = (
+            tenant_of(record.request.request_id)
+            if frac is not None
+            else None
+        )
+        if tenant is not None:
+            members = [
+                r for r in q if tenant_of(r.request.request_id) == tenant
+            ]
+            if len(members) >= max(1, int(frac * self.max_queue)):
+                victim = max(members + [record], key=_deadline_key)
+                victim.extras["fairness_evicted"] = True
+                self.fairness_evictions += 1
+                if victim is not record:
+                    # Identity scan: RequestRecord equality is by
+                    # value, eviction must remove this exact object.
+                    for k in range(len(q)):
+                        if q[k] is victim:
+                            del q[k]
+                            break
+                self._terminate(victim, SHED)
+                if victim is record:
+                    return
+        record.status = QUEUED
+        q.append(record)
+
+    def _pop_next(self) -> RequestRecord | None:
+        """The next queued request to start: strict class priority,
+        then FIFO -- or earliest deadline first under a policy."""
+        for name in PRIORITY_CLASSES:
+            q = self._queues[name]
+            if q:
+                if self.overload is None:
+                    return q.popleft()
+                return _pop_by_deadline(q, min)
+        return None
+
+    def _evict_for(self, priority: str) -> RequestRecord | None:
+        """The queued request a full queue sacrifices to admit a
+        higher-priority arrival: the worst (latest-deadline) member
+        of the lowest-priority non-empty class strictly below
+        ``priority``."""
+        rank = CLASS_RANK[priority]
+        for name in reversed(PRIORITY_CLASSES):
+            if CLASS_RANK[name] <= rank:
+                return None
+            q = self._queues[name]
+            if q:
+                return _pop_by_deadline(q, max)
+        return None
+
+    def _drain(self, now: float) -> None:
+        """Start queued requests while active slots are free; one
+        whose deadline passed while it waited is missed unstarted."""
+        while self._queued_total() and len(self._active) < self.max_active:
+            record = self._pop_next()
+            deadline = record.request.absolute_deadline_s
+            if (
+                self.enforce_deadlines
+                and deadline is not None
+                and now >= deadline
+            ):
+                self._terminate(record, MISSED)
+            else:
+                self._activate(record)
+
+    # -- the control loop --------------------------------------------------
 
     def run(self) -> list[RequestRecord]:
         """Serve every submitted request to a terminal status."""
@@ -677,441 +774,291 @@ class SearchService:
     def _run_loop(self) -> list[RequestRecord]:
         # Adopted (already-complete) records from a recovered journal
         # are terminal before the run starts; only pending ones arrive.
-        # A heap (keyed exactly like the old sorted deque, so the
-        # open-loop pop order is bit-identical) because closed-loop
-        # clients inject retries into the arrival stream mid-run.
-        arrivals: "list[tuple[float, int]]" = [
-            (self._records[i].request.arrival_s, i)
-            for i in range(len(self._records))
-            if self._records[i].status == PENDING
+        self._arrivals = [
+            (record.request.arrival_s, i)
+            for i, record in enumerate(self._records)
+            if record.status == PENDING
         ]
-        heapq.heapify(arrivals)
-        self._arrivals = arrivals
-        # Per-priority-class wait queues.  With every request in the
-        # default ``standard`` class this is exactly the legacy
-        # single FIFO; with classes, dequeue order is strict priority
-        # (interactive first), FIFO within class -- or earliest
-        # deadline first within class when an overload policy is on.
-        queues: "dict[str, deque[RequestRecord]]" = {
-            name: deque() for name in PRIORITY_CLASSES
-        }
-        active: dict[str, _Active] = {}
-        gen_pool = GeneratorPool()
-        policy = self.overload
-
-        def queued_total() -> int:
-            return sum(len(q) for q in queues.values())
-
-        def enqueue(record: RequestRecord) -> None:
-            """Admit ``record`` into its class queue, enforcing the
-            per-tenant in-class fairness cap: a tenant already holding
-            its configured fraction of the queue sheds its worst
-            (latest-deadline) member -- possibly the arrival itself --
-            to stay under the cap."""
-            q = queues[record.request.priority]
-            frac = (
-                policy.tenant_queue_frac
-                if policy is not None
-                else None
-            )
-            tenant = (
-                tenant_of(record.request.request_id)
-                if frac is not None
-                else None
-            )
-            if tenant is not None:
-                cap = max(1, int(frac * self.max_queue))
-                members = [
-                    r
-                    for r in q
-                    if tenant_of(r.request.request_id) == tenant
-                ]
-                if len(members) >= cap:
-                    victim = max(
-                        members + [record],
-                        key=lambda r: (
-                            r.request.absolute_deadline_s
-                            if r.request.absolute_deadline_s
-                            is not None
-                            else float("inf"),
-                            r.request.arrival_s,
-                        ),
-                    )
-                    victim.extras["fairness_evicted"] = True
-                    self.fairness_evictions += 1
-                    if victim is record:
-                        self._reject(record, SHED)
-                        return
-                    # Identity scan: RequestRecord equality is by
-                    # value, eviction must remove this exact object.
-                    for k in range(len(q)):
-                        if q[k] is victim:
-                            del q[k]
-                            break
-                    self._reject(victim, SHED)
-            record.status = QUEUED
-            q.append(record)
-
-        def pop_next() -> RequestRecord | None:
-            for name in PRIORITY_CLASSES:
-                q = queues[name]
-                if not q:
-                    continue
-                if policy is None:
-                    return q.popleft()
-                best = min(
-                    range(len(q)),
-                    key=lambda k: (
-                        q[k].request.absolute_deadline_s
-                        if q[k].request.absolute_deadline_s
-                        is not None
-                        else float("inf"),
-                        q[k].request.arrival_s,
-                        k,
-                    ),
-                )
-                record = q[best]
-                del q[best]
-                return record
-            return None
-
-        def evict_for(priority: str) -> RequestRecord | None:
-            """The queued request a full queue sacrifices to admit a
-            higher-priority arrival: the worst (latest-deadline)
-            member of the lowest-priority non-empty class strictly
-            below ``priority``."""
-            rank = CLASS_RANK[priority]
-            for name in reversed(PRIORITY_CLASSES):
-                if CLASS_RANK[name] <= rank:
-                    return None
-                q = queues[name]
-                if not q:
-                    continue
-                worst = max(
-                    range(len(q)),
-                    key=lambda k: (
-                        q[k].request.absolute_deadline_s
-                        if q[k].request.absolute_deadline_s
-                        is not None
-                        else float("inf"),
-                        q[k].request.arrival_s,
-                        k,
-                    ),
-                )
-                record = q[worst]
-                del q[worst]
-                return record
-            return None
-
-        def drain(now: float) -> None:
-            while queued_total() and len(active) < self.max_active:
-                record = pop_next()
-                deadline = record.request.absolute_deadline_s
-                if (
-                    self.enforce_deadlines
-                    and deadline is not None
-                    and now >= deadline
-                ):
-                    self._reject(record, MISSED)
-                    continue
-                self._activate(record, active, gen_pool)
-
-        # Periodic cache age-out on the virtual clock (the cluster
-        # sweeps at wave boundaries; a standalone service sweeps on
-        # its own cadence -- default one TTL -- so idle lulls actually
-        # empty the cache instead of leaving corpses to expire lazily
-        # at lookup).
-        sweep_every = None
-        if self.cache is not None:
-            sweep_every = (
-                self.cache_sweep_every_s
-                if self.cache_sweep_every_s is not None
-                else self.cache.ttl_s
-            )
-        next_sweep = (
-            sweep_every if sweep_every is not None else float("inf")
-        )
-
-        while arrivals or queued_total() or active:
-            now = self.clock.now
-            # Idle service: jump to the next arrival.
-            if not active and not queued_total() and arrivals:
-                next_arrival = arrivals[0][0]
-                if next_arrival > now:
-                    self.clock.advance_to(next_arrival)
-                    now = self.clock.now
-            if now >= next_sweep:
-                self.cache.sweep(now)
-                self.cache_sweeps += 1
-                next_sweep = now + sweep_every
-
-            # Admission: activate, queue, shed, or reject in arrival
-            # order.  Under a policy every arrival goes through the
-            # class queues (no queue-jumping past waiting tenants);
-            # without one, arrivals grab free slots directly -- the
-            # legacy path, bit-for-bit.
-            while arrivals and arrivals[0][0] <= now:
-                record = self._records[heapq.heappop(arrivals)[1]]
-                priority = record.request.priority
-                rid = record.request.request_id
-                # Result cache consult: a duplicate position is
-                # answered on the spot -- no slot, no queue, no
-                # device time.
-                if self.cache is not None:
-                    entry = self.cache.lookup(
-                        self.cache.key_for(record.request), now
-                    )
-                    if entry is not None:
-                        self._serve_cache_hit(record, entry)
-                        continue
-                # Server-side retry budget: a retry (attempt lineage
-                # on the id) must win a token at the front door;
-                # first-tries are never charged and refill the bucket.
-                if self.retry_budget is not None:
-                    if attempt_of(rid) > 0:
-                        if not self.retry_budget.spend():
-                            record.extras["budget_rejected"] = True
-                            self._reject(record, REJECTED)
-                            continue
-                    else:
-                        self.retry_budget.on_first_try()
-                level = (
-                    self.controller.level
-                    if self.controller is not None
-                    else 0
-                )
-                if policy is not None and policy.sheds(
-                    level, priority
-                ):
-                    self._reject(record, SHED)
-                elif policy is None and len(active) < self.max_active:
-                    self._activate(record, active, gen_pool)
-                elif queued_total() < self.max_queue:
-                    enqueue(record)
-                elif policy is not None:
-                    victim = evict_for(priority)
-                    if victim is not None:
-                        # A full queue sheds its worst lower-class
-                        # member to admit the better arrival.
-                        self._reject(victim, SHED)
-                        enqueue(record)
-                    else:
-                        self._reject(record, SHED)
-                else:
-                    self._reject(record, REJECTED)
-            drain(now)
-
-            # Deadline enforcement at the tick boundary.
-            if self.enforce_deadlines:
-                for slot in list(active.values()):
-                    deadline = slot.record.request.absolute_deadline_s
-                    if deadline is not None and now >= deadline:
-                        self._miss(slot.record, active, gen_pool)
-
-            # Direct-path completions: delivered work finishes with its
-            # lease; a lost launch chain finishes (degraded) once the
-            # host has given up waiting on it.
-            for slot in list(active.values()):
-                if slot.outcome is None:
-                    continue
-                lease = slot.outcome.lease
-                if lease is not None:
-                    if self.pool.complete(lease):
-                        self._finish(
-                            slot.record, active, result=slot.result
-                        )
-                elif now >= slot.outcome.ready_s:
-                    self._finish(slot.record, active, result=slot.result)
-
-            # Overload control: one pressure observation per
-            # scheduling round drives the hysteresis ladder; at the
-            # shedding rungs, waiting and not-yet-launched work of
-            # sheddable classes is dropped with an explicit SHED (a
-            # cancelled generator leaves the pool, an in-flight lease
-            # is abandoned -- lease accounting always drains).  The
-            # autoscaler watches the same signals on its own cadence.
-            if self._ratio_window is not None:
-                ratio_p99 = (
-                    percentile(list(self._ratio_window), 99)
-                    if self._ratio_window
-                    else 0.0
-                )
-                queue_frac = (
-                    queued_total() / self.max_queue
-                    if self.max_queue > 0
-                    else (1.0 if queued_total() else 0.0)
-                )
-                if self.controller is not None:
-                    pressure = max(
-                        queue_frac / policy.queue_high,
-                        ratio_p99 / policy.headroom_high,
-                    )
-                    level = self.controller.observe(pressure)
-                    shed_rank = policy.shed_rank(level)
-                    if shed_rank is not None:
-                        for name in PRIORITY_CLASSES:
-                            if CLASS_RANK[name] < shed_rank:
-                                continue
-                            q = queues[name]
-                            while q:
-                                self._reject(q.popleft(), SHED)
-                        for slot in list(active.values()):
-                            req = slot.record.request
-                            if (
-                                CLASS_RANK[req.priority] >= shed_rank
-                                and slot.outcome is None
-                                and slot.result is None
-                            ):
-                                self._shed(
-                                    slot.record, active, gen_pool
-                                )
-                        drain(now)
-                if self.autoscaler is not None:
-                    self.autoscaler.step(now, ratio_p99, queue_frac)
-
-            # Fusion-aware admission (opt-in): a request whose deadline
-            # is inside even the cheapest possible merged tick cannot
-            # finish this tick -- miss it now instead of packing its
-            # lanes into the fused launch.
-            if (
-                self.fusion_admission
-                and self.enforce_deadlines
-                and gen_pool.pending
-            ):
-                floor = (
-                    self.batcher.tick_floor_s() + self.tick_overhead_s
-                )
-                for rid in gen_pool.pending:
-                    record = active[rid].record
-                    deadline = record.request.absolute_deadline_s
-                    if deadline is not None and now + floor > deadline:
-                        # Under an escalated overload policy a doomed
-                        # non-interactive request is an explicit shed
-                        # (the controller chose to drop it mid-tick,
-                        # before its lanes hit the fused launch), not
-                        # a silent miss.
-                        if (
-                            policy is not None
-                            and self.controller.level >= 1
-                            and record.request.priority
-                            != "interactive"
-                        ):
-                            self._shed(record, active, gen_pool)
-                        else:
-                            self._miss(record, active, gen_pool)
-
-            pending = gen_pool.pending
-            if not pending:
-                if active:
-                    # Only direct-path work in flight: wait for the
-                    # earliest ready time (or next arrival if sooner).
-                    ready = [
-                        slot.outcome.ready_s
-                        for slot in active.values()
-                        if slot.outcome is not None
-                    ]
-                    target = min(ready) if ready else None
-                    if arrivals:
-                        next_arrival = arrivals[0][0]
-                        target = (
-                            next_arrival
-                            if target is None
-                            else min(target, next_arrival)
-                        )
-                    if target is not None:
-                        self.clock.advance_to(target)
-                    else:  # pragma: no cover - defensive
-                        self.clock.advance(self.tick_overhead_s)
-                continue
-
-            # --- one merged tick over all generator-driven requests ---
-            self.ticks += 1
-            if self.injector is not None and self.injector.crash_due(
-                "tick", self.ticks
-            ):
-                raise ServiceCrash(
-                    f"planned crash at service tick {self.ticks}"
-                )
-            per_game_states: dict[str, list] = {}
-            spans: dict[str, tuple[str, int, int]] = {}
-            for rid in pending:
-                reqs = gen_pool.requests_for(rid)
-                game_name = active[rid].record.request.game
-                states = per_game_states.setdefault(game_name, [])
-                lo = len(states)
-                states.extend(reqs)
-                spans[rid] = (game_name, lo, len(states))
-                active[rid].record.ticks += 1
-                active[rid].record.lanes += len(reqs)
-
-            # Kernel phase: merged launches, one lane per leaf (one
-            # fused padded launch for the whole tick under fusion);
-            # the tick waits for every launch it issued.
-            answers_by_game, tick_launches = self.batcher.execute_demand(
-                per_game_states, spans
-            )
-            for launch in tick_launches:
-                if launch.lease is not None:
-                    self.pool.synchronize(launch.lease)
-                elif launch.ready_s > self.clock.now:
-                    # Lost chain: the host still waited out the retry
-                    # storm before giving up on this launch's lanes.
-                    self.clock.advance_to(launch.ready_s)
-
-            # Attribute lost lanes to the requests whose leaf spans
-            # overlapped the dropped launch chunks; those requests
-            # complete with a reduced effective budget.
-            lost_spans = [
-                span
-                for l in tick_launches
-                if not l.delivered
-                for span in l.spans()
-            ]
-            if lost_spans:
-                for rid in pending:
-                    game_name, lo, hi = spans[rid]
-                    overlap = sum(
-                        min(hi, shi) - max(lo, slo)
-                        for sgame, slo, shi in lost_spans
-                        if sgame == game_name
-                        and min(hi, shi) > max(lo, slo)
-                    )
-                    if overlap:
-                        record = active[rid].record
-                        record.lost_lanes += overlap
-                        record.degraded = True
-
-            # CPU phase: deliver results; tenants' tree work runs on
-            # private cores, so the tick charges the slowest one.
-            cpu_s = 0.0
-            for rid in pending:
-                slot = active[rid]
-                game_name, lo, hi = spans[rid]
-                before = slot.engine.clock.now
-                finished = gen_pool.step(
-                    rid, answers_by_game[game_name][lo:hi]
-                )
-                delta = slot.engine.clock.now - before
-                cpu_s = max(cpu_s, slot.pending_cpu_s + delta)
-                slot.pending_cpu_s = 0.0
-                if finished:
-                    slot.result = gen_pool.results.pop(rid)
-            self.clock.advance(cpu_s + self.tick_overhead_s)
-
-            # Completions land at the post-tick timestamp.
-            for rid in list(active):
-                slot = active[rid]
-                if slot.outcome is None and slot.result is not None:
-                    self._finish(slot.record, active, result=slot.result)
-
+        heapq.heapify(self._arrivals)
+        while self._arrivals or self._queued_total() or self._active:
+            now = self._skip_idle()
+            self._sweep_cache(now)
+            self._admit_arrivals(now)
+            self._drain(now)
+            self._enforce_deadlines(now)
+            self._complete_direct(now)
+            self._control_overload(now)
+            self._cancel_doomed(now)
+            if self._gen_pool.pending:
+                self._merged_tick()
+            else:
+                self._wait_for_direct()
         # Lease-resolution invariant: every launch issued during the
         # run must have been synchronized, completed, or abandoned.
         self.pool.assert_drained()
         self._arrivals = None
-        if self.cache is not None and sweep_every is not None:
+        if self._sweep_every is not None:
             self.cache.sweep(self.clock.now)
             self.cache_sweeps += 1
         return list(self._records)
+
+    def _skip_idle(self) -> float:
+        """An idle service jumps to its next arrival; returns the
+        round's timestamp."""
+        if (
+            self._arrivals
+            and not self._active
+            and not self._queued_total()
+            and self._arrivals[0][0] > self.clock.now
+        ):
+            self.clock.advance_to(self._arrivals[0][0])
+        return self.clock.now
+
+    def _sweep_cache(self, now: float) -> None:
+        if now >= self._next_sweep:
+            self.cache.sweep(now)
+            self.cache_sweeps += 1
+            self._next_sweep = now + self._sweep_every
+
+    def _admit_arrivals(self, now: float) -> None:
+        """Activate, queue, shed, or reject every due arrival, in
+        arrival order.  Under a policy every arrival goes through the
+        class queues (no queue-jumping past waiting tenants); without
+        one, arrivals grab free slots directly."""
+        arrivals = self._arrivals
+        policy = self.overload
+        while arrivals and arrivals[0][0] <= now:
+            record = self._records[heapq.heappop(arrivals)[1]]
+            priority = record.request.priority
+            # Result cache consult: a duplicate position is answered
+            # on the spot -- no slot, no queue, no device time.
+            if self.cache is not None:
+                entry = self.cache.lookup(
+                    self.cache.key_for(record.request), now
+                )
+                if entry is not None:
+                    self._serve_cache_hit(record, entry)
+                    continue
+            # Server-side retry budget: a retry (attempt lineage on
+            # the id) must win a token at the front door; first-tries
+            # are never charged and refill the bucket.
+            if self.retry_budget is not None:
+                if attempt_of(record.request.request_id) == 0:
+                    self.retry_budget.on_first_try()
+                elif not self.retry_budget.spend():
+                    record.extras["budget_rejected"] = True
+                    self._terminate(record, REJECTED)
+                    continue
+            if policy is not None and policy.sheds(
+                self.controller.level, priority
+            ):
+                self._terminate(record, SHED)
+            elif policy is None and len(self._active) < self.max_active:
+                self._activate(record)
+            elif self._queued_total() < self.max_queue:
+                self._enqueue(record)
+            elif policy is None:
+                self._terminate(record, REJECTED)
+            else:
+                # A full queue sheds its worst lower-class member to
+                # admit the better arrival.
+                victim = self._evict_for(priority)
+                if victim is not None:
+                    self._terminate(victim, SHED)
+                    self._enqueue(record)
+                else:
+                    self._terminate(record, SHED)
+
+    def _enforce_deadlines(self, now: float) -> None:
+        """Cancel active requests past their deadline at the tick
+        boundary."""
+        if not self.enforce_deadlines:
+            return
+        for slot in list(self._active.values()):
+            deadline = slot.record.request.absolute_deadline_s
+            if deadline is not None and now >= deadline:
+                self._cancel(slot.record, MISSED)
+
+    def _complete_direct(self, now: float) -> None:
+        """Direct-path completions: delivered work finishes with its
+        lease; a lost launch chain finishes (degraded) once the host
+        has given up waiting on it."""
+        for slot in list(self._active.values()):
+            if slot.outcome is None:
+                continue
+            lease = slot.outcome.lease
+            if lease is not None:
+                if self.pool.complete(lease):
+                    self._finish(slot.record, slot.result)
+            elif now >= slot.outcome.ready_s:
+                self._finish(slot.record, slot.result)
+
+    def _control_overload(self, now: float) -> None:
+        """One pressure observation per scheduling round drives the
+        hysteresis ladder; at the shedding rungs, waiting and
+        not-yet-launched work of sheddable classes is dropped with an
+        explicit SHED.  The autoscaler watches the same signals on its
+        own cadence."""
+        if self._ratio_window is None:
+            return
+        ratio_p99 = (
+            percentile(list(self._ratio_window), 99)
+            if self._ratio_window
+            else 0.0
+        )
+        queued = self._queued_total()
+        queue_frac = (
+            queued / self.max_queue
+            if self.max_queue > 0
+            else (1.0 if queued else 0.0)
+        )
+        if self.controller is not None:
+            policy = self.overload
+            level = self.controller.observe(
+                max(
+                    queue_frac / policy.queue_high,
+                    ratio_p99 / policy.headroom_high,
+                )
+            )
+            shed_rank = policy.shed_rank(level)
+            if shed_rank is not None:
+                for name in PRIORITY_CLASSES:
+                    if CLASS_RANK[name] >= shed_rank:
+                        q = self._queues[name]
+                        while q:
+                            self._terminate(q.popleft(), SHED)
+                for slot in list(self._active.values()):
+                    if (
+                        CLASS_RANK[slot.record.request.priority]
+                        >= shed_rank
+                        and slot.outcome is None
+                        and slot.result is None
+                    ):
+                        self._cancel(slot.record, SHED)
+                self._drain(now)
+        if self.autoscaler is not None:
+            self.autoscaler.step(now, ratio_p99, queue_frac)
+
+    def _cancel_doomed(self, now: float) -> None:
+        """Fusion-aware admission (opt-in): a request whose deadline
+        is inside even the cheapest possible merged tick cannot finish
+        this tick -- cancel it now instead of packing its lanes into
+        the fused launch."""
+        if not (self.fusion_admission and self.enforce_deadlines):
+            return
+        floor = self.batcher.tick_floor_s() + self.tick_overhead_s
+        for rid in self._gen_pool.pending:
+            record = self._active[rid].record
+            deadline = record.request.absolute_deadline_s
+            if deadline is not None and now + floor > deadline:
+                # Under an escalated overload policy a doomed
+                # non-interactive request is an explicit shed (the
+                # controller chose to drop it mid-tick, before its
+                # lanes hit the fused launch), not a silent miss.
+                escalated = (
+                    self.overload is not None
+                    and self.controller.level >= 1
+                    and record.request.priority != "interactive"
+                )
+                self._cancel(record, SHED if escalated else MISSED)
+
+    def _wait_for_direct(self) -> None:
+        """Only direct-path work in flight: wait for the earliest
+        ready time (or next arrival if sooner)."""
+        targets = [
+            slot.outcome.ready_s
+            for slot in self._active.values()
+            if slot.outcome is not None
+        ]
+        if self._active and self._arrivals:
+            targets.append(self._arrivals[0][0])
+        if targets:
+            self.clock.advance_to(min(targets))
+        elif self._active:  # pragma: no cover - defensive
+            self.clock.advance(self.tick_overhead_s)
+
+    def _merged_tick(self) -> None:
+        """One merged tick over all generator-driven requests."""
+        active = self._active
+        gen_pool = self._gen_pool
+        pending = gen_pool.pending
+        self.ticks += 1
+        if self.injector is not None and self.injector.crash_due(
+            "tick", self.ticks
+        ):
+            raise ServiceCrash(
+                f"planned crash at service tick {self.ticks}"
+            )
+        per_game_states: dict[str, list] = {}
+        spans: dict[str, tuple[str, int, int]] = {}
+        for rid in pending:
+            reqs = gen_pool.requests_for(rid)
+            record = active[rid].record
+            states = per_game_states.setdefault(record.request.game, [])
+            lo = len(states)
+            states.extend(reqs)
+            spans[rid] = (record.request.game, lo, len(states))
+            record.ticks += 1
+            record.lanes += len(reqs)
+
+        # Kernel phase: merged launches, one lane per leaf (one
+        # fused padded launch for the whole tick under fusion);
+        # the tick waits for every launch it issued.
+        answers_by_game, tick_launches = self.batcher.execute_demand(
+            per_game_states, spans
+        )
+        for launch in tick_launches:
+            if launch.lease is not None:
+                self.pool.synchronize(launch.lease)
+            elif launch.ready_s > self.clock.now:
+                # Lost chain: the host still waited out the retry
+                # storm before giving up on this launch's lanes.
+                self.clock.advance_to(launch.ready_s)
+
+        # Attribute lost lanes to the requests whose leaf spans
+        # overlapped the dropped launch chunks; those requests
+        # complete with a reduced effective budget.
+        lost_spans = [
+            span
+            for launch in tick_launches
+            if not launch.delivered
+            for span in launch.segments
+        ]
+        if lost_spans:
+            for rid in pending:
+                game_name, lo, hi = spans[rid]
+                overlap = sum(
+                    min(hi, shi) - max(lo, slo)
+                    for sgame, slo, shi in lost_spans
+                    if sgame == game_name
+                    and min(hi, shi) > max(lo, slo)
+                )
+                if overlap:
+                    record = active[rid].record
+                    record.lost_lanes += overlap
+                    record.degraded = True
+
+        # CPU phase: deliver results; tenants' tree work runs on
+        # private cores, so the tick charges the slowest one.
+        cpu_s = 0.0
+        for rid in pending:
+            slot = active[rid]
+            game_name, lo, hi = spans[rid]
+            before = slot.engine.clock.now
+            finished = gen_pool.step(
+                rid, answers_by_game[game_name][lo:hi]
+            )
+            delta = slot.engine.clock.now - before
+            cpu_s = max(cpu_s, slot.pending_cpu_s + delta)
+            slot.pending_cpu_s = 0.0
+            if finished:
+                slot.result = gen_pool.results.pop(rid)
+        self.clock.advance(cpu_s + self.tick_overhead_s)
+
+        # Completions land at the post-tick timestamp.
+        for slot in list(active.values()):
+            if slot.outcome is None and slot.result is not None:
+                self._finish(slot.record, slot.result)
 
     # -- crash recovery ----------------------------------------------------
 
@@ -1214,7 +1161,7 @@ class SearchService:
         elapsed = self.clock.now - first_arrival
         # Integrity counters: merged-launch screening lives on the
         # service's own state; engine-side defenses surface in each
-        # result's integrity extras.
+        # result's ``integrity.*`` extras.
         detected = escaped = dropped = quarantined = 0
         if self.integrity_state is not None:
             detected += self.integrity_state.detected
@@ -1223,14 +1170,12 @@ class SearchService:
         for record in self._records:
             if record.result is None:
                 continue
-            info = record.result.integrity
-            detected += info.get("corrupt_detected", 0)
-            escaped += info.get("corrupt_escaped", 0)
-            dropped += info.get("dropped_batches", 0)
-            quarantined += len(info.get("quarantined_trees", ()))
-        return summarize(
-            self._records,
-            elapsed_s=elapsed,
+            extras = record.result.extras
+            detected += extras.get("integrity.detected", 0)
+            escaped += extras.get("integrity.escaped", 0)
+            dropped += extras.get("integrity.dropped_batches", 0)
+            quarantined += len(extras.get("integrity.quarantined", ()))
+        counters = dict(
             kernel_launches=self.batcher.launch_count,
             mean_lanes_per_launch=self.batcher.mean_lanes_per_launch,
             fused_launches=self.batcher.fused_launches,
@@ -1242,104 +1187,57 @@ class SearchService:
             retries=self.launcher.retries,
             lost_launches=self.launcher.lost_launches,
             retry_overhead_s=self.launcher.wasted_wait_s,
-            faults_injected=(
-                self.injector.injected()
-                if self.injector is not None
-                else {}
-            ),
+            rejected_results=self.launcher.rejected_results,
             recovered=self.recovered_requests,
             resumed=self.resumed_requests,
             restarted=self.restarted_requests,
             recovered_iterations=self.recovered_iterations,
             corrupt_detected=detected,
             corrupt_escaped=escaped,
-            rejected_results=self.launcher.rejected_results,
             dropped_batches=dropped,
             quarantined_trees=quarantined,
             journal_corrupt=self.journal_corrupt_records,
             checkpoint_corrupt=self.corrupt_checkpoints,
-            peak_overload_level=(
-                self.controller.peak_level
-                if self.controller is not None
-                else 0
-            ),
-            scale_ups=(
-                self.autoscaler.scale_ups
-                if self.autoscaler is not None
-                else 0
-            ),
-            scale_downs=(
-                self.autoscaler.scale_downs
-                if self.autoscaler is not None
-                else 0
-            ),
-            peak_devices=(
-                self.autoscaler.peak_devices
-                if self.autoscaler is not None
-                else 0
-            ),
-            client_suppressed_breaker=(
-                self.clients.suppressed_breaker
-                if self.clients is not None
-                else 0
-            ),
-            client_suppressed_throttle=(
-                self.clients.suppressed_throttle
-                if self.clients is not None
-                else 0
-            ),
-            retry_exhausted=(
-                self.clients.exhausted_attempts
-                if self.clients is not None
-                else 0
-            ),
-            retry_give_ups=(
-                self.clients.gave_up
-                if self.clients is not None
-                else 0
-            ),
-            breaker_opens=(
-                self.clients.breaker_opens
-                if self.clients is not None
-                else 0
-            ),
-            breaker_closes=(
-                self.clients.breaker_closes
-                if self.clients is not None
-                else 0
-            ),
-            budget_granted=(
-                self.retry_budget.granted
-                if self.retry_budget is not None
-                else 0
-            ),
-            budget_rejected=(
-                self.retry_budget.rejected
-                if self.retry_budget is not None
-                else 0
-            ),
             fairness_evictions=self.fairness_evictions,
-            cache_hits=(
-                self.cache.hits if self.cache is not None else 0
-            ),
-            cache_misses=(
-                self.cache.misses if self.cache is not None else 0
-            ),
-            cache_evictions=(
-                self.cache.evictions if self.cache is not None else 0
-            ),
-            cache_expirations=(
-                self.cache.expirations
-                if self.cache is not None
-                else 0
-            ),
-            cache_stale_hits=(
-                self.cache.stale_hits
-                if self.cache is not None
-                else 0
-            ),
             cache_sweeps=self.cache_sweeps,
         )
+        # Optional components report only when they exist; the
+        # report's own defaults cover the rest.
+        if self.injector is not None:
+            counters["faults_injected"] = self.injector.injected()
+        if self.controller is not None:
+            counters["peak_overload_level"] = self.controller.peak_level
+        if self.autoscaler is not None:
+            counters.update(
+                scale_ups=self.autoscaler.scale_ups,
+                scale_downs=self.autoscaler.scale_downs,
+                peak_devices=self.autoscaler.peak_devices,
+            )
+        if self.clients is not None:
+            counters.update(
+                client_suppressed_breaker=self.clients.suppressed_breaker,
+                client_suppressed_throttle=(
+                    self.clients.suppressed_throttle
+                ),
+                retry_exhausted=self.clients.exhausted_attempts,
+                retry_give_ups=self.clients.gave_up,
+                breaker_opens=self.clients.breaker_opens,
+                breaker_closes=self.clients.breaker_closes,
+            )
+        if self.retry_budget is not None:
+            counters.update(
+                budget_granted=self.retry_budget.granted,
+                budget_rejected=self.retry_budget.rejected,
+            )
+        if self.cache is not None:
+            counters.update(
+                cache_hits=self.cache.hits,
+                cache_misses=self.cache.misses,
+                cache_evictions=self.cache.evictions,
+                cache_expirations=self.cache.expirations,
+                cache_stale_hits=self.cache.stale_hits,
+            )
+        return summarize(self._records, elapsed, **counters)
 
 
 def serve(
@@ -1350,3 +1248,31 @@ def serve(
     service.submit_all(requests)
     records = service.run()
     return records, service.report()
+
+
+def run_recovering(
+    service: SearchService,
+    journal: "str | Path | None",
+    rid_filter=None,
+    **service_kwargs,
+) -> "tuple[SearchService, list[RequestRecord], SearchService | None]":
+    """Run ``service``, absorbing one planned :class:`ServiceCrash` by
+    recovering from ``journal`` (journalled completions are adopted
+    verbatim -- exactly-once -- and incomplete requests resume from
+    their checkpoints; :meth:`SearchService.recover` strips the plan's
+    crash so the run cannot crash-loop).  Without a journal the crash
+    propagates.
+
+    Returns ``(final service, its records, crashed service or None)``;
+    after a recovery the final service's ``report().elapsed_s`` is the
+    time to repair (restart until the backlog drained).
+    """
+    try:
+        return service, service.run(), None
+    except ServiceCrash:
+        if journal is None:
+            raise
+    recovered = SearchService.recover(
+        journal, rid_filter=rid_filter, **service_kwargs
+    )
+    return recovered, recovered.run(), service

@@ -62,7 +62,7 @@ from repro.serve.request import (
     SearchRequest,
     TERMINAL_STATUSES,
 )
-from repro.serve.service import SearchService, ServiceCrash
+from repro.serve.service import SearchService, run_recovering
 
 
 class SilentOutcomeError(AssertionError):
@@ -173,22 +173,11 @@ def run_storm(config: StormConfig) -> StormOutcome:
     kwargs.update(dict(config.service_kwargs))
     service = SearchService(journal=config.journal, **kwargs)
     service.submit_all(requests)
-    crashes = recoveries = 0
-    mttr_s = 0.0
-    try:
-        records = service.run()
-    except ServiceCrash:
-        if config.journal is None:
-            raise
-        crashes += 1
-        # Journalled completions are adopted verbatim (exactly-once);
-        # incomplete requests resume from their checkpoints.  recover
-        # strips the plan's crash so the storm cannot crash-loop.
-        service = SearchService.recover(config.journal, **kwargs)
-        records = service.run()
-        recoveries += 1
-        mttr_s = service.report().elapsed_s
+    service, records, crashed = run_recovering(
+        service, config.journal, **kwargs
+    )
     report = service.report()
+    recoveries = int(crashed is not None)
     assert_explicit_outcomes(records)
     detector = MetastabilityDetector.coerce(config.detector)
     verdict = None
@@ -215,9 +204,9 @@ def run_storm(config: StormConfig) -> StormOutcome:
         requests=requests,
         records=records,
         report=report,
-        crashes=crashes,
+        crashes=recoveries,
         recoveries=recoveries,
-        mttr_s=mttr_s,
+        mttr_s=report.elapsed_s if recoveries else 0.0,
         metastability=verdict,
     )
 

@@ -8,13 +8,11 @@ wrongly-typed values, no legacy spellings leaking back in.
 """
 
 import re
-import warnings
 
 import pytest
 
 from repro.core import (
     EXTRA_KEYS,
-    LEGACY_EXTRA_KEYS,
     extras_schema,
     make_engine,
 )
@@ -76,24 +74,3 @@ def test_guarded_engines_emit_declared_integrity_keys():
             assert key in schema, (spec, key)
             assert isinstance(value, schema[key]), (spec, key)
         assert "integrity.detected" in res.extras
-        # The legacy-named view is assembled from the flat keys.
-        assert res.integrity["corrupt_detected"] == res.extras[
-            "integrity.detected"
-        ]
-
-
-def test_legacy_key_lookup_warns_and_resolves():
-    res = _result("block:2x8")
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert res.extra("gpu.kernels") == res.extras["gpu.kernels"]
-        assert res.extra("missing", 42) == 42
-    with pytest.warns(DeprecationWarning, match="gpu.kernels"):
-        assert res.extra("kernels") == res.extras["gpu.kernels"]
-    with pytest.warns(DeprecationWarning):
-        assert res.extra("per_tree_depth") == res.extras["tree.depth"]
-
-
-def test_legacy_map_targets_are_declared_somewhere():
-    declared = {k for schema in EXTRA_KEYS.values() for k in schema}
-    assert set(LEGACY_EXTRA_KEYS.values()) <= declared

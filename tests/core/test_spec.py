@@ -92,12 +92,6 @@ def test_string_round_trip(kind):
     assert EngineSpec.parse(spec.canonical()) == spec
 
 
-def test_to_string_is_deprecated_alias_of_canonical():
-    spec = EngineSpec.parse("block:2x8@arena")
-    with pytest.warns(DeprecationWarning, match="canonical"):
-        assert spec.to_string() == spec.canonical()
-
-
 def test_dict_form_equivalent_to_string_form():
     game = TicTacToe()
     a = make_engine("block:2x32", game, 3)

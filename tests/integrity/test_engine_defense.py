@@ -20,6 +20,15 @@ def injector(text):
     return FaultInjector(FaultPlan.parse(text))
 
 
+def integrity_of(result) -> dict:
+    """The result's ``integrity.*`` extras, family prefix stripped."""
+    return {
+        key.split(".", 1)[1]: value
+        for key, value in result.extras.items()
+        if key.startswith("integrity.")
+    }
+
+
 def block_engine(inj=None, **kwargs):
     return BlockParallelMcts(
         GAME, seed=11, blocks=4, threads_per_block=32,
@@ -46,17 +55,17 @@ class TestZeroRateBitIdentity:
         assert defended.simulations == baseline.simulations
         assert defended.elapsed_s == baseline.elapsed_s
         # ... and the defenses report a clean run.
-        info = defended.integrity
-        assert info["corrupt_detected"] == 0
-        assert info["corrupt_escaped"] == 0
-        assert info["quarantined_trees"] == []
+        info = integrity_of(defended)
+        assert info["detected"] == 0
+        assert info["escaped"] == 0
+        assert info["quarantined"] == []
 
     def test_no_injector_result_has_no_integrity_extras(self):
         result = block_engine(None).search(GAME.initial_state(), BUDGET)
         assert not any(
             k.startswith("integrity.") for k in result.extras
         )
-        assert result.integrity == {}
+        assert integrity_of(result) == {}
 
 
 class TestBlockScreening:
@@ -64,9 +73,9 @@ class TestBlockScreening:
         result = block_engine(
             injector("corrupt=0.3:nan,seed=3")
         ).search(GAME.initial_state(), BUDGET)
-        info = result.integrity
-        assert info["corrupt_detected"] > 0
-        assert info["corrupt_escaped"] == 0
+        info = integrity_of(result)
+        assert info["detected"] > 0
+        assert info["escaped"] == 0
         # Retries re-run the kernel: every attempt's playouts charged.
         assert result.simulations > result.iterations * 4 * 32
 
@@ -76,18 +85,18 @@ class TestBlockScreening:
         result = block_engine(
             injector("corrupt=1.0:negative,seed=3")
         ).search(GAME.initial_state(), BUDGET)
-        info = result.integrity
+        info = integrity_of(result)
         assert info["dropped_batches"] == result.iterations
-        assert info["corrupt_detected"] >= result.iterations
+        assert info["detected"] >= result.iterations
         assert result.move in GAME.legal_moves(GAME.initial_state())
 
     def test_moveswap_escapes_value_validation(self):
         result = block_engine(
             injector("corrupt=1.0:moveswap,seed=3")
         ).search(GAME.initial_state(), BUDGET)
-        info = result.integrity
-        assert info["corrupt_detected"] == 0
-        assert info["corrupt_escaped"] > 0
+        info = integrity_of(result)
+        assert info["detected"] == 0
+        assert info["escaped"] > 0
         assert info["dropped_batches"] == 0
 
     def test_defenses_off_lets_corruption_through(self):
@@ -95,9 +104,9 @@ class TestBlockScreening:
             injector("corrupt=0.5:nan,seed=3"),
             integrity=IntegrityPolicy.disabled(),
         ).search(GAME.initial_state(), BUDGET)
-        info = result.integrity
-        assert info["corrupt_detected"] == 0
-        assert info["corrupt_escaped"] > 0
+        info = integrity_of(result)
+        assert info["detected"] == 0
+        assert info["escaped"] > 0
 
 
 class TestPoisonAndQuarantine:
@@ -105,34 +114,34 @@ class TestPoisonAndQuarantine:
         result = block_engine(injector("poison=tree:2")).search(
             GAME.initial_state(), BUDGET
         )
-        info = result.integrity
-        assert info["poison_applied"] > 0
-        assert info["audit_violations"] > 0
-        assert info["quarantined_trees"] == [2]
+        info = integrity_of(result)
+        assert info["poisoned"] > 0
+        assert info["violations"] > 0
+        assert info["quarantined"] == [2]
 
     def test_quarantine_respects_policy(self):
         result = block_engine(
             injector("poison=tree:2"),
             integrity={"quarantine": False},
         ).search(GAME.initial_state(), BUDGET)
-        info = result.integrity
-        assert info["audit_violations"] > 0
-        assert info["quarantined_trees"] == []
+        info = integrity_of(result)
+        assert info["violations"] > 0
+        assert info["quarantined"] == []
 
     def test_audit_disabled_never_fires(self):
         result = block_engine(
             injector("poison=tree:2"),
             integrity={"audit_every": 0},
         ).search(GAME.initial_state(), BUDGET)
-        info = result.integrity
+        info = integrity_of(result)
         assert info["audits"] == 0
-        assert info["quarantined_trees"] == []
+        assert info["quarantined"] == []
 
     def test_out_of_range_poison_index_ignored(self):
         result = block_engine(injector("poison=tree:99")).search(
             GAME.initial_state(), BUDGET
         )
-        assert result.integrity["poison_applied"] == 0
+        assert integrity_of(result)["poisoned"] == 0
 
     @pytest.mark.parametrize("backend", ["node", "arena"])
     def test_both_backends_quarantine(self, backend):
@@ -144,13 +153,13 @@ class TestPoisonAndQuarantine:
             injector=injector("poison=tree:1"),
             backend=backend,
         ).search(GAME.initial_state(), BUDGET)
-        assert result.integrity["quarantined_trees"] == [1]
+        assert integrity_of(result)["quarantined"] == [1]
 
     def test_root_engine_quarantines_poison(self):
         result = root_engine(injector("poison=tree:0")).search(
             GAME.initial_state(), BUDGET
         )
-        assert result.integrity["quarantined_trees"] == [0]
+        assert integrity_of(result)["quarantined"] == [0]
 
 
 class TestRootScreening:
@@ -158,15 +167,15 @@ class TestRootScreening:
         result = root_engine(
             injector("corrupt=0.3:overflow,seed=3")
         ).search(GAME.initial_state(), BUDGET)
-        info = result.integrity
-        assert info["corrupt_detected"] > 0
-        assert info["corrupt_escaped"] == 0
+        info = integrity_of(result)
+        assert info["detected"] > 0
+        assert info["escaped"] == 0
 
     def test_saturated_corruption_degrades_not_crashes(self):
         result = root_engine(
             injector("corrupt=1.0:nan,seed=3")
         ).search(GAME.initial_state(), BUDGET)
-        info = result.integrity
+        info = integrity_of(result)
         assert info["dropped_batches"] > 0
         assert result.move in GAME.legal_moves(GAME.initial_state())
 
@@ -204,7 +213,7 @@ class TestVoteModes:
             GAME, seed=11, blocks=8, threads_per_block=32
         ).search(GAME.initial_state(), BUDGET)
         poisoned = search("trimmed")
-        assert poisoned.integrity["poison_applied"] > 0
+        assert integrity_of(poisoned)["poisoned"] > 0
         assert poisoned.move == clean.move
 
 
@@ -216,11 +225,11 @@ class TestCheckpointCarriesIntegrityState:
             eng.snapshot()
         )
         result = engine.search(GAME.initial_state(), BUDGET)
-        assert result.integrity["corrupt_detected"] > 0
+        assert integrity_of(result)["detected"] > 0
 
         resumed = block_engine(injector("corrupt=0.4:nan,seed=3"))
         resumed.restore(snaps[-1])
         final = resumed.resume()
-        assert final.integrity == result.integrity
+        assert integrity_of(final) == integrity_of(result)
         assert final.move == result.move
         assert final.stats == result.stats

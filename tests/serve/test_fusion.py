@@ -177,14 +177,14 @@ class TestFusionPackingProperties:
         assert sum(r.lanes for r in records) == total
         for r in records:
             assert 0 < r.lanes <= max_fused_lanes
-            covered = sum(hi - lo for _, lo, hi in r.spans())
+            covered = sum(hi - lo for _, lo, hi in r.segments)
             assert covered == r.lanes
         # Every tenant's span is covered by exactly one launch's
         # segments (lanes appear once across all launches).
         for game, merged in demand.items():
             seen = np.zeros(len(merged), dtype=np.int64)
             for r in records:
-                for sgame, lo, hi in r.spans():
+                for sgame, lo, hi in r.segments:
                     if sgame == game:
                         seen[lo:hi] += 1
             assert (seen == 1).all()

@@ -152,3 +152,95 @@ class TestCommands:
         )
         assert code == 2
         assert "single" in capsys.readouterr().err
+
+
+#: How to spell each serve-bench flag on the command line.
+FLAG_ARGS = {
+    "--resume": ["--resume"],
+    "--trace-out": ["--trace-out", "trace.json"],
+    "--profile": ["--profile"],
+    "--no-defenses": ["--no-defenses"],
+    "--cluster": ["--cluster", "2"],
+    "--storm": ["--storm"],
+    "--retry-storm": ["--retry-storm"],
+    "--faults": ["--faults", "launch=0.1"],
+    "--journal": ["--journal", "journal.jsonl"],
+}
+
+#: Every (mode, flag the mode cannot honour) pair, spelled out rather
+#: than read from the CLI's own table.
+UNSUPPORTED = (
+    [
+        ("--retry-storm", flag)
+        for flag in (
+            "--resume",
+            "--trace-out",
+            "--profile",
+            "--no-defenses",
+            "--cluster",
+            "--storm",
+            "--faults",
+            "--journal",
+        )
+    ]
+    + [
+        ("--storm", flag)
+        for flag in (
+            "--resume",
+            "--trace-out",
+            "--profile",
+            "--no-defenses",
+            "--cluster",
+        )
+    ]
+    + [
+        ("--cluster", flag)
+        for flag in (
+            "--resume",
+            "--trace-out",
+            "--profile",
+            "--no-defenses",
+        )
+    ]
+)
+
+
+class TestServeBenchModes:
+    @pytest.mark.parametrize("mode,flag", UNSUPPORTED)
+    def test_unsupported_flag_exits_2(self, mode, flag, capsys):
+        code = main(["serve-bench", *FLAG_ARGS[mode], *FLAG_ARGS[flag]])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"serve-bench: {flag} is not supported with {mode}\n"
+        )
+
+    def test_storm_smoke(self, capsys):
+        code = main(
+            [
+                "serve-bench",
+                "--storm",
+                "--storm-horizon",
+                "0.1",
+                "--storm-rate",
+                "200",
+            ]
+        )
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "--- storm: " in out
+        assert "4x flash crowd, defended ---" in out
+        assert "storm run (defended)" in out
+        assert "interactive: attainment" in out
+
+    def test_retry_storm_smoke(self, capsys):
+        code = main(
+            ["serve-bench", "--retry-storm", "--storm-horizon", "0.1"]
+        )
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "--- retry storm: " in out
+        assert "10x flash crowd, defended ---" in out
+        assert "retry storm (defended)" in out
+        assert "metastability: " in out
