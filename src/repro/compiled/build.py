@@ -121,27 +121,24 @@ def build_library() -> Path | None:
 
 
 def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
-    u64p = ctypes.POINTER(ctypes.c_uint64)
-    i8p = ctypes.POINTER(ctypes.c_int8)
-    u8p = ctypes.POINTER(ctypes.c_uint8)
-    i16p = ctypes.POINTER(ctypes.c_int16)
-    i64p = ctypes.POINTER(ctypes.c_int64)
+    # Array arguments are raw addresses (``ndarray.ctypes.data``): the
+    # runner owns dtype and contiguity, and a typed POINTER cast per
+    # argument costs more than a small launch's playouts.
+    ptr = ctypes.c_void_p
     i64 = ctypes.c_int64
     f64 = ctypes.c_double
     lib.repro_reversi_playouts.restype = ctypes.c_int
-    lib.repro_reversi_playouts.argtypes = [
-        i64, u64p, u64p, i8p, u8p, u8p, u64p, u64p,
-        i8p, i16p, i64p, i64, i64, f64,
-    ]
+    lib.repro_reversi_playouts.argtypes = [i64] + [ptr] * 10 + [i64, i64, f64]
     for name in ("repro_tictactoe_playouts", "repro_connect4_playouts"):
         fn = getattr(lib, name)
         fn.restype = ctypes.c_int
-        fn.argtypes = [
-            i64, u64p, u64p, i8p, u8p, u64p, u64p,
-            i8p, i16p, i64p, i64, i64, f64,
-        ]
+        fn.argtypes = [i64] + [ptr] * 9 + [i64, i64, f64]
     lib.repro_rng_advance.restype = None
-    lib.repro_rng_advance.argtypes = [i64, u64p, u64p, i64]
+    lib.repro_rng_advance.argtypes = [i64, ptr, ptr, i64]
+    lib.repro_reversi_mobility.restype = None
+    lib.repro_reversi_mobility.argtypes = [i64, ptr, ptr, ptr]
+    lib.repro_reversi_flips.restype = None
+    lib.repro_reversi_flips.argtypes = [i64, ptr, ptr, ptr, ptr]
     return lib
 
 

@@ -1,11 +1,19 @@
 /* Compiled per-lane playout kernels for the `playout="compiled"` executor.
  *
  * Each function replays the exact per-lane semantics of the vectorised
- * NumPy batch games (repro/games/*_batch.py) one lane at a time:
- * xorshift128+ draws in the same order, the same multiply-shift
- * `randbelow` reduction, the same n-th-set-bit move pick.  A lane's
- * outcome depends only on its private RNG stream, so sequential
- * replication is bit-identical to the lockstep kernel.
+ * NumPy batch games (the `<game>_batch.py` modules of repro/games) one
+ * lane at a time: xorshift128+ draws in the same order, the same
+ * multiply-shift `randbelow` reduction, the same n-th-set-bit move
+ * pick.  A lane's outcome depends only on its private RNG stream, so
+ * sequential replication is bit-identical to the lockstep kernel.
+ *
+ * Same results, different algorithm: the Reversi move generator is a
+ * parallel-prefix (Kogge-Stone) fill, three doubling steps per
+ * direction where reversi_batch.py walks five single steps, so the
+ * NumPy driver is an independent oracle for it (docs/fusion.md, "How
+ * the kernels generate moves").  Plain C only -- no ISA-specific
+ * flags or intrinsics: the built library is cached by content and the
+ * cache may be shared between hosts.
  *
  * RNG side-effect contract: the NumPy driver (`run_playouts_tracked`)
  * advances the *caller's* generator in lockstep until the batch first
@@ -23,6 +31,10 @@
 #include <stdlib.h>
 
 #define POPCOUNT(x) ((int64_t)__builtin_popcountll(x))
+/* The move generator has two call sites each (the playout loop and a
+ * test helper), which stops -O2 inlining it on its own; out of line it
+ * costs the playout loop 5-8%. */
+#define FORCE_INLINE static inline __attribute__((always_inline))
 
 /* -- xorshift128+ (must match repro/rng/batch.py) ----------------------- */
 
@@ -46,14 +58,9 @@ static inline uint64_t draw_below(uint64_t *s0, uint64_t *s1, int64_t bound)
 /* The k-th (0-based) set bit of m, as a one-bit mask (k < popcount). */
 static inline uint64_t nth_bit(uint64_t m, uint64_t k)
 {
-    for (int p = 0; p < 64; p++) {
-        if ((m >> p) & 1ULL) {
-            if (k == 0)
-                return 1ULL << p;
-            k--;
-        }
-    }
-    return 0;
+    while (k--)
+        m &= m - 1;
+    return m & -m;
 }
 
 /* -- first-compaction step (must match run_playouts_tracked) ------------ */
@@ -61,7 +68,8 @@ static inline uint64_t nth_bit(uint64_t m, uint64_t k)
 /* The lockstep driver compacts after step k when the live count A_k
  * (= lanes with finish_step > k) first satisfies 0 < A_k < thr * n for
  * an n >= min_compact batch; the caller's generator stops advancing
- * there.  Returns the number of steps the caller's generator ran. */
+ * there.  Returns the number of steps the caller's generator ran, or
+ * -1 when the finish-step histogram cannot be allocated. */
 static int64_t first_compact_step(int64_t n, const int64_t *finish,
                                   int64_t min_compact, double thr)
 {
@@ -69,18 +77,23 @@ static int64_t first_compact_step(int64_t n, const int64_t *finish,
     for (int64_t i = 0; i < n; i++)
         if (finish[i] > K)
             K = finish[i];
-    if (K == 0)
-        return 0;
-    if (n < min_compact)
+    if (K == 0 || n < min_compact)
         return K;
+    int64_t *ended = calloc((size_t)K + 1, sizeof(int64_t));
+    if (!ended)
+        return -1;
+    for (int64_t i = 0; i < n; i++)
+        ended[finish[i]]++;
+    int64_t alive = n - ended[0], steps = K;
     for (int64_t k = 1; k < K; k++) {
-        int64_t a = 0;
-        for (int64_t i = 0; i < n; i++)
-            a += finish[i] > k;
-        if (a > 0 && (double)a < thr * (double)n)
-            return k;
+        alive -= ended[k];
+        if (alive > 0 && (double)alive < thr * (double)n) {
+            steps = k;
+            break;
+        }
     }
-    return K;
+    free(ended);
+    return steps;
 }
 
 /* Rewrite (s0, s1) to the initial states advanced `steps` times. */
@@ -102,13 +115,17 @@ static int finalize(int64_t n, uint64_t *s0, uint64_t *s1,
                     const int64_t *finish, int64_t min_compact,
                     double thr, int err)
 {
+    int rc = err ? -1 : 0;
     if (!err) {
         int64_t steps = first_compact_step(n, finish, min_compact, thr);
-        settle_rng(n, s0, s1, init_s0, init_s1, steps);
+        if (steps < 0)
+            rc = -2;
+        else
+            settle_rng(n, s0, s1, init_s0, init_s1, steps);
     }
     free(init_s0);
     free(init_s1);
-    return err ? -1 : 0;
+    return rc;
 }
 
 static uint64_t *copy_u64(const uint64_t *src, int64_t n)
@@ -122,51 +139,70 @@ static uint64_t *copy_u64(const uint64_t *src, int64_t n)
 
 /* -- Reversi (must match repro/games/reversi_batch.py) ------------------ */
 
-#define NOT_COL_0 0xFEFEFEFEFEFEFEFEULL
-#define NOT_COL_7 0x7F7F7F7F7F7F7F7FULL
-#define FULL64 0xFFFFFFFFFFFFFFFFULL
+/* Opponent discs a horizontal or diagonal run may pass through.  A
+ * run cannot continue past column 0 or 7, so dropping the edge columns
+ * from the opponent board up front stops every wrap-around that
+ * reversi_batch.py stops with a mask after each shift. */
+#define INNER_COLS 0x7E7E7E7E7E7E7E7EULL
 
-static const int REV_SHIFT[4] = {1, 8, 9, 7};
-static const uint64_t REV_L_MASK[4] = {NOT_COL_0, FULL64, NOT_COL_0, NOT_COL_7};
-static const uint64_t REV_R_MASK[4] = {NOT_COL_7, FULL64, NOT_COL_7, NOT_COL_0};
-
-static inline uint64_t rev_mobility(uint64_t own, uint64_t opp)
+/* Discs of `o` in an unbroken run starting next to a disc of `p`, in
+ * the direction of a left (fill_up) or right (fill_down) shift by `s`.
+ * Runs of 1, 2, 4 and 6 are reached in turn -- 6 is the longest an 8x8
+ * board can bracket, and what the NumPy driver's 5-step fill reaches.
+ * `pre` marks discs whose predecessor along the run is also in `o`. */
+FORCE_INLINE uint64_t fill_up(uint64_t p, uint64_t o, int s)
 {
-    uint64_t empty = ~(own | opp);
-    uint64_t moves = 0;
-    for (int d = 0; d < 4; d++) {
-        int s = REV_SHIFT[d];
-        uint64_t ml = REV_L_MASK[d], mr = REV_R_MASK[d];
-        uint64_t x = ((own << s) & ml) & opp;
-        for (int it = 0; it < 5; it++)
-            x |= ((x << s) & ml) & opp;
-        moves |= (x << s) & ml;
-        x = ((own >> s) & mr) & opp;
-        for (int it = 0; it < 5; it++)
-            x |= ((x >> s) & mr) & opp;
-        moves |= (x >> s) & mr;
-    }
-    return moves & empty;
+    uint64_t x = o & (p << s);
+    x |= o & (x << s);
+    uint64_t pre = o & (o << s);
+    x |= pre & (x << 2 * s);
+    x |= pre & (x << 2 * s);
+    return x;
 }
 
-static inline uint64_t rev_flips(uint64_t own, uint64_t opp, uint64_t move)
+FORCE_INLINE uint64_t fill_down(uint64_t p, uint64_t o, int s)
 {
-    uint64_t flips = 0;
-    for (int d = 0; d < 4; d++) {
-        int s = REV_SHIFT[d];
-        uint64_t ml = REV_L_MASK[d], mr = REV_R_MASK[d];
-        uint64_t x = ((move << s) & ml) & opp;
-        for (int it = 0; it < 5; it++)
-            x |= ((x << s) & ml) & opp;
-        if ((((x << s) & ml) & own) != 0)
-            flips |= x;
-        x = ((move >> s) & mr) & opp;
-        for (int it = 0; it < 5; it++)
-            x |= ((x >> s) & mr) & opp;
-        if ((((x >> s) & mr) & own) != 0)
-            flips |= x;
-    }
-    return flips;
+    uint64_t x = o & (p >> s);
+    x |= o & (x >> s);
+    uint64_t pre = o & (o >> s);
+    x |= pre & (x >> 2 * s);
+    x |= pre & (x >> 2 * s);
+    return x;
+}
+
+FORCE_INLINE uint64_t rev_mobility(uint64_t own, uint64_t opp)
+{
+    uint64_t mo = opp & INNER_COLS;
+    /* Eight independent chains: the compiler interleaves them. */
+    uint64_t moves = fill_up(own, mo, 1) << 1 | fill_down(own, mo, 1) >> 1
+                   | fill_up(own, mo, 7) << 7 | fill_down(own, mo, 7) >> 7
+                   | fill_up(own, mo, 9) << 9 | fill_down(own, mo, 9) >> 9
+                   | fill_up(own, opp, 8) << 8 | fill_down(own, opp, 8) >> 8;
+    return moves & ~(own | opp);
+}
+
+/* The run, kept only when the square after it holds an own disc. */
+FORCE_INLINE uint64_t bracketed_up(uint64_t own, uint64_t move,
+                                   uint64_t o, int s)
+{
+    uint64_t x = fill_up(move, o, s);
+    return x & -(uint64_t)(((x << s) & own) != 0);
+}
+
+FORCE_INLINE uint64_t bracketed_down(uint64_t own, uint64_t move,
+                                     uint64_t o, int s)
+{
+    uint64_t x = fill_down(move, o, s);
+    return x & -(uint64_t)(((x >> s) & own) != 0);
+}
+
+FORCE_INLINE uint64_t rev_flips(uint64_t own, uint64_t opp, uint64_t move)
+{
+    uint64_t mo = opp & INNER_COLS;
+    return bracketed_up(own, move, mo, 1) | bracketed_down(own, move, mo, 1)
+         | bracketed_up(own, move, mo, 7) | bracketed_down(own, move, mo, 7)
+         | bracketed_up(own, move, mo, 9) | bracketed_down(own, move, mo, 9)
+         | bracketed_up(own, move, opp, 8) | bracketed_down(own, move, opp, 8);
 }
 
 int repro_reversi_playouts(
@@ -370,4 +406,19 @@ void repro_rng_advance(int64_t n, uint64_t *s0, uint64_t *s1, int64_t steps)
         s0[i] = a;
         s1[i] = b;
     }
+}
+
+/* Test helpers: the Reversi move generator on arbitrary board pairs. */
+void repro_reversi_mobility(int64_t n, const uint64_t *own,
+                            const uint64_t *opp, uint64_t *out)
+{
+    for (int64_t i = 0; i < n; i++)
+        out[i] = rev_mobility(own[i], opp[i]);
+}
+
+void repro_reversi_flips(int64_t n, const uint64_t *own, const uint64_t *opp,
+                         const uint64_t *move, uint64_t *out)
+{
+    for (int64_t i = 0; i < n; i++)
+        out[i] = rev_flips(own[i], opp[i], move[i]);
 }

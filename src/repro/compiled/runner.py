@@ -14,7 +14,6 @@ The differential suite pins the equivalence either way.
 
 from __future__ import annotations
 
-import ctypes
 import warnings
 
 import numpy as np
@@ -38,10 +37,6 @@ _WARNED_GAMES: set[str] = set()
 def compiled_available() -> bool:
     """Is the compiled kernel library loadable right now?"""
     return load_library() is not None
-
-
-def _ptr(arr: np.ndarray, ctype):
-    return arr.ctypes.data_as(ctypes.POINTER(ctype))
 
 
 def run_playouts_tracked_compiled(
@@ -86,18 +81,21 @@ def run_playouts_tracked_compiled(
         raise ValueError(
             f"rng has {n_rng} lanes for a {n}-lane batch"
         )
-    winners = np.zeros(n, dtype=np.int8)
-    scores = np.zeros(n, dtype=np.int16)
-    finish = np.zeros(n, dtype=np.int64)
+    # The kernels write every lane of the three outputs.
+    winners = np.empty(n, dtype=np.int8)
+    scores = np.empty(n, dtype=np.int16)
+    finish = np.empty(n, dtype=np.int64)
     to_move = np.ascontiguousarray(batch.to_move, dtype=np.int8)
+    done = np.ascontiguousarray(batch.done, dtype=np.uint8)
 
-    u64 = ctypes.c_uint64
+    # Arrays cross as raw addresses (argtypes are c_void_p); the locals
+    # above and below keep every converted copy alive across the call.
     common = (
-        _ptr(s0, u64),
-        _ptr(s1, u64),
-        _ptr(winners, ctypes.c_int8),
-        _ptr(scores, ctypes.c_int16),
-        _ptr(finish, ctypes.c_int64),
+        s0.ctypes.data,
+        s1.ctypes.data,
+        winners.ctypes.data,
+        scores.ctypes.data,
+        finish.ctypes.data,
         game.max_game_length,
         min_compact_size,
         compact_threshold,
@@ -106,29 +104,23 @@ def run_playouts_tracked_compiled(
         own = np.ascontiguousarray(batch.own, dtype=np.uint64)
         opp = np.ascontiguousarray(batch.opp, dtype=np.uint64)
         passed = np.ascontiguousarray(batch.passed, dtype=np.uint8)
-        done = np.ascontiguousarray(batch.done, dtype=np.uint8)
         rc = lib.repro_reversi_playouts(
-            n, _ptr(own, u64), _ptr(opp, u64),
-            _ptr(to_move, ctypes.c_int8), _ptr(passed, ctypes.c_uint8),
-            _ptr(done, ctypes.c_uint8), *common,
+            n, own.ctypes.data, opp.ctypes.data, to_move.ctypes.data,
+            passed.ctypes.data, done.ctypes.data, *common,
         )
     elif game.name == "tictactoe":
         x = np.ascontiguousarray(batch.x, dtype=np.uint64)
         o = np.ascontiguousarray(batch.o, dtype=np.uint64)
-        done = np.ascontiguousarray(batch.done, dtype=np.uint8)
         rc = lib.repro_tictactoe_playouts(
-            n, _ptr(x, u64), _ptr(o, u64),
-            _ptr(to_move, ctypes.c_int8), _ptr(done, ctypes.c_uint8),
-            *common,
+            n, x.ctypes.data, o.ctypes.data, to_move.ctypes.data,
+            done.ctypes.data, *common,
         )
     else:  # connect4
         p1 = np.ascontiguousarray(batch.p1, dtype=np.uint64)
         p2 = np.ascontiguousarray(batch.p2, dtype=np.uint64)
-        done = np.ascontiguousarray(batch.done, dtype=np.uint8)
         rc = lib.repro_connect4_playouts(
-            n, _ptr(p1, u64), _ptr(p2, u64),
-            _ptr(to_move, ctypes.c_int8), _ptr(done, ctypes.c_uint8),
-            *common,
+            n, p1.ctypes.data, p2.ctypes.data, to_move.ctypes.data,
+            done.ctypes.data, *common,
         )
     if rc == -1:
         raise RuntimeError(

@@ -5,8 +5,13 @@ Each NumPy row is one SIMT lane playing an independent random game.
 Boards are stored from the side-to-move's perspective (``own``/``opp``)
 so one code path serves both colours; a lane terminates after two
 consecutive passes, exactly like the scalar rules.  The flip/mobility
-logic is the same Kogge-Stone propagation as the scalar engine and the
-two are cross-checked property-style in the tests.
+logic floods runs one square per step with an edge mask after every
+shift.  The scalar engine and the C kernel reach the same answers with
+a parallel-prefix fill over an edge-masked opponent board instead, so
+this module is their independent oracle: keep its fill as it is (the
+three are cross-checked property-style on arbitrary boards in
+``tests/games/test_reversi_movegen.py``; docs/fusion.md has the
+argument for why the two forms agree).
 """
 
 from __future__ import annotations
@@ -68,7 +73,7 @@ def _propagate(
 
 
 def mobility_batch(own: np.ndarray, opp: np.ndarray) -> np.ndarray:
-    """Vectorised legal-move bitboards (same algorithm as the scalar
+    """Vectorised legal-move bitboards (same answers as the scalar
     :func:`repro.games.reversi.mobility`)."""
     empty = ~(own | opp)
     xl, xr = _propagate(own, opp)

@@ -9,8 +9,9 @@ relies on, and the reason a whole batch of boards can be advanced in
 lockstep with NumPy.
 
 Every ``shift_*`` function accepts either a Python ``int`` or a NumPy
-``uint64`` array and returns the same kind, so the scalar game engine
-and the batched "GPU" kernel share one implementation.
+``uint64`` array and returns the same kind, so scalar and array callers
+share one implementation.  (The Reversi engines inline their own
+shifts: the type dispatch here costs more than the shift.)
 """
 
 from __future__ import annotations
