@@ -39,9 +39,7 @@ from repro.core.base import (
     BatchExecutor,
     Engine,
     ScalarExecutor,
-    batch_executor,
     drive_search,
-    scalar_executor,
     tally,
 )
 from repro.core.checkpoint import (
@@ -149,8 +147,6 @@ __all__ = [
     "PipelineMcts",
     "MultiGpuMcts",
     "drive_search",
-    "scalar_executor",
-    "batch_executor",
     "ScalarExecutor",
     "BatchExecutor",
     "tally",

@@ -21,7 +21,6 @@ the serving layer.
 
 from __future__ import annotations
 
-import math
 from typing import Sequence
 
 import numpy as np
@@ -48,6 +47,19 @@ def validate_backend(backend: str) -> str:
             f"unknown tree backend {backend!r}; available: {BACKENDS}"
         )
     return backend
+
+
+def _audit_arena_tree(
+    arena: TreeArena, i: int, legal_moves=None
+) -> str | None:
+    """Audit tree ``i`` of an arena: the full structural validation
+    (visit conservation, win bounds, span bookkeeping) restricted to
+    that tree, plus the backend-neutral root-stats checks."""
+    try:
+        arena.validate(trees=(i,))
+    except ArenaInvariantError as exc:
+        return str(exc)
+    return audit_root_stats(arena.root_stats(i), legal_moves)
 
 
 class ArenaTree:
@@ -128,6 +140,13 @@ class ArenaTree:
     def ref_from_token(self, token: int) -> int:
         return int(token)
 
+    def poison_root(self, i: int, bonus: float) -> bool:
+        """See :meth:`SearchTree.poison_root`."""
+        return i == 0 and self.arena.poison_root(0, bonus)
+
+    def audit_tree(self, i: int, legal_moves=None) -> str | None:
+        return _audit_arena_tree(self.arena, 0, legal_moves)
+
     def snapshot(self) -> dict:
         return {"kind": "arena_tree", "arena": self.arena.snapshot()}
 
@@ -158,74 +177,6 @@ def make_tree(
         selection_rule,
         parallel_mode=parallel_mode,
     )
-
-
-def audit_search_tree(tree: SearchTree, legal_moves=None) -> str | None:
-    """Walk one pointer tree checking the statistics invariants every
-    clean tree satisfies: finite, non-negative visits; wins within
-    ``[0, visits]``; parent visits at least the sum of child visits
-    (visit conservation).  Returns a violation description, or None.
-
-    In-flight selections are accounted in ``vloss`` (both modes), not
-    ``visits``/``wins``, so the audit holds at any point of a
-    shared-tree round, not just at quiescence.
-    """
-    for node in tree.iter_nodes():
-        v, w = node.visits, node.wins
-        if not (math.isfinite(v) and math.isfinite(w)):
-            return f"node for move {node.move}: non-finite statistics"
-        if v < 0:
-            return f"node for move {node.move}: negative visits {v}"
-        if w < -1e-9 or w > v + 1e-9:
-            return (
-                f"node for move {node.move}: wins {w} outside "
-                f"[0, visits={v}]"
-            )
-        if node.children:
-            child_visits = sum(c.visits for c in node.children)
-            if v + 1e-9 < child_visits:
-                return (
-                    f"node for move {node.move}: visits {v} < sum "
-                    f"of child visits {child_visits}"
-                )
-    return audit_root_stats(tree.root_stats(), legal_moves)
-
-
-class SingleTreeForest:
-    """Adapter: one shared tree behind the forest surface
-    :class:`~repro.integrity.engine.IntegrityState` audits and poisons
-    (tree index 0).  Lets the shared-tree engines reuse the ensemble
-    defenses unchanged."""
-
-    def __init__(self, tree) -> None:
-        self.tree = tree
-
-    def poison_root(self, i: int, bonus: float) -> bool:
-        """See :meth:`NodeForest.poison_root` (single tree, index 0)."""
-        if i != 0:
-            return False
-        if isinstance(self.tree, ArenaTree):
-            return self.tree.arena.poison_root(0, bonus)
-        root = self.tree.root
-        if not root.children:
-            return False
-        victim = max(
-            root.children,
-            key=lambda c: (c.visits, c.wins, -c.move),
-        )
-        victim.wins += bonus
-        return True
-
-    def audit_tree(self, i: int, legal_moves=None) -> str | None:
-        if isinstance(self.tree, ArenaTree):
-            try:
-                self.tree.arena.validate(trees=(0,))
-            except ArenaInvariantError as exc:
-                return str(exc)
-            return audit_root_stats(
-                self.tree.root_stats(), legal_moves
-            )
-        return audit_search_tree(self.tree, legal_moves)
 
 
 class NodeForest:
@@ -316,29 +267,12 @@ class NodeForest:
         )
 
     def poison_root(self, i: int, bonus: float) -> bool:
-        """Write ``bonus`` phantom wins straight into tree ``i``'s
-        most-visited root child, *bypassing backprop* -- the
-        ``poison=tree:K`` fault.  Backprop-mediated corruption always
-        leaves a tree self-consistent; only a direct write like this
-        can break the win-bound invariant the audit checks.  Returns
-        False before the root has any children."""
-        root = self.trees[i].root
-        if not root.children:
-            return False
-        victim = max(
-            root.children,
-            key=lambda c: (c.visits, c.wins, -c.move),
-        )
-        victim.wins += bonus
-        return True
+        """See :meth:`SearchTree.poison_root` (applied to tree ``i``)."""
+        return self.trees[i].poison_root(0, bonus)
 
     def audit_tree(self, i: int, legal_moves=None) -> str | None:
-        """Walk tree ``i`` checking the statistics invariants every
-        clean tree satisfies: finite, non-negative visits; wins within
-        ``[0, visits]``; parent visits at least the sum of child visits
-        (visit conservation).  Returns a violation description, or
-        None."""
-        return audit_search_tree(self.trees[i], legal_moves)
+        """See :meth:`SearchTree.audit_tree` (applied to tree ``i``)."""
+        return self.trees[i].audit_tree(0, legal_moves)
 
     def max_depth(self) -> int:
         return max(t.max_depth for t in self.trees)
@@ -452,18 +386,11 @@ class ArenaForest:
         )
 
     def poison_root(self, i: int, bonus: float) -> bool:
-        """See :meth:`NodeForest.poison_root`."""
+        """See :meth:`SearchTree.poison_root`."""
         return self.arena.poison_root(i, bonus)
 
     def audit_tree(self, i: int, legal_moves=None) -> str | None:
-        """Audit tree ``i``: the arena's full structural validation
-        (visit conservation, win bounds, span bookkeeping) restricted
-        to that tree, plus the backend-neutral root-stats checks."""
-        try:
-            self.arena.validate(trees=(i,))
-        except ArenaInvariantError as exc:
-            return str(exc)
-        return audit_root_stats(self.arena.root_stats(i), legal_moves)
+        return _audit_arena_tree(self.arena, i, legal_moves)
 
     def max_depth(self) -> int:
         return int(self.arena.tree_max_depth.max())

@@ -23,7 +23,13 @@ import numpy as np
 from repro.cpu import XEON_X5670, CpuCostModel
 from repro.games.base import Game, GameState
 from repro.games.batch import run_playouts_tracked
-from repro.core.backend import make_forest, make_tree, validate_backend
+from repro.core.backend import (
+    make_forest,
+    make_tree,
+    restore_forest,
+    restore_tree,
+    validate_backend,
+)
 from repro.core.executors import tracked_runner, validate_playout
 from repro.core.checkpoint import (
     CHECKPOINT_FORMAT_VERSION,
@@ -33,6 +39,8 @@ from repro.core.checkpoint import (
 from repro.core.policy import MAX_VISITS, validate_selection_rule
 from repro.core.results import SearchResult
 from repro.games import make_batch_game
+from repro.gpu import LaunchConfig, VirtualGpu
+from repro.integrity.engine import IntegrityState
 from repro.rng import BatchXorShift128Plus, XorShift64Star
 from repro.util.clock import Clock
 from repro.util.profile import NULL_PROFILER, Profiler
@@ -45,12 +53,30 @@ PlayoutResults = Sequence[tuple[int, int]]
 
 SearchGenerator = Generator[PlayoutBatch, PlayoutResults, SearchResult]
 
+#: Root-vote modes of the multi-tree engines (``vote=`` / ``@vote=``).
+VOTE_MODES = ("sum", "majority", "trimmed")
+
+
+def validate_vote(vote: str) -> str:
+    """Return ``vote`` if supported, raise ``ValueError`` otherwise."""
+    if vote not in VOTE_MODES:
+        raise ValueError(
+            f"unknown vote mode {vote!r}; available: {VOTE_MODES}"
+        )
+    return vote
+
 
 class Engine(abc.ABC):
     """Common engine state: game, clock, RNG, cost model, UCB constant."""
 
     #: Short identifier used in reports ("sequential", "block", ...).
     name: str = "engine"
+    #: Fault injector and integrity policy; the engines that take
+    #: ``injector=`` / ``integrity=`` set them, the rest run unguarded.
+    injector = None
+    integrity = None
+    #: The engine's private virtual device (GPU engines only).
+    gpu: "VirtualGpu | None" = None
 
     def __init__(
         self,
@@ -103,6 +129,19 @@ class Engine(abc.ABC):
     @abc.abstractmethod
     def search(self, state: GameState, budget_s: float) -> SearchResult:
         """Run an anytime search for ``budget_s`` *virtual* seconds."""
+
+    def _search_batched(
+        self, state: GameState, budget_s: float
+    ) -> SearchResult:
+        """``search()`` of the multi-request generator engines: drive
+        ``search_steps`` with a private :class:`BatchExecutor`."""
+        executor = BatchExecutor(
+            self.game.name,
+            derive_seed(self.seed, "exec"),
+            playout=self.playout,
+        )
+        self._pending_executor = executor
+        return drive_search(self.search_steps(state, budget_s), executor)
 
     def search_steps(
         self, state: GameState, budget_s: float
@@ -211,14 +250,121 @@ class Engine(abc.ABC):
         )
 
     def _snapshot_payload(self) -> dict:
-        raise NotImplementedError(
-            f"{self.name} engine does not support checkpointing"
-        )
+        """The session dict as plain data, key for key: scalars pass
+        through, lists are copied, and the stateful parts freeze via
+        their own ``snapshot()`` / ``getstate()``.  An absent guard is
+        omitted; the engine's private device state rides as ``gpu``."""
+        payload = {}
+        for key, value in self._live.items():
+            if key == "integrity" and value is None:
+                continue
+            if key in ("tree", "forest"):
+                value = value.snapshot()
+            elif key in ("executor", "integrity", "playout_rng"):
+                # A None executor (session driven externally) stays None.
+                value = value.getstate() if value is not None else None
+            elif isinstance(value, list):
+                value = list(value)
+            payload[key] = value
+        if self.gpu is not None:
+            payload["gpu"] = self.gpu.getstate()
+        return payload
 
     def _restore_payload(self, payload: dict) -> dict:
-        raise NotImplementedError(
-            f"{self.name} engine does not support checkpointing"
+        """Inverse of :meth:`_snapshot_payload`.  The guard is rebuilt
+        from the engine's own injector (a snapshot never carries one),
+        then adopts the stored counters."""
+        live = {}
+        for key, value in payload.items():
+            if key in ("engine_rng", "integrity"):
+                continue
+            if key == "gpu":
+                self.gpu.setstate(value)
+                continue
+            if key == "tree":
+                value = restore_tree(self.game, value)
+            elif key == "forest":
+                value = restore_forest(self.game, value)
+            elif key == "executor":
+                value = self._restore_executor(value)
+            elif key == "playout_rng":
+                value = XorShift64Star.from_state(value)
+            elif isinstance(value, list):
+                value = list(value)
+            live[key] = value
+        forest = live.get("forest")
+        live["integrity"] = self._make_guard(
+            forest.n_trees if forest is not None else 1,
+            payload.get("integrity"),
         )
+        return live
+
+    def _make_guard(
+        self, n_trees: int, state: "dict | None" = None
+    ) -> "IntegrityState | None":
+        """The session's integrity guard over ``n_trees`` trees (a
+        shared tree counts as one): None without an injector, so an
+        unguarded engine never enters an integrity code path."""
+        if self.injector is None:
+            return None
+        guard = IntegrityState(self.integrity, self.injector, n_trees)
+        if state is not None:
+            guard.setstate(state)
+        return guard
+
+    def _screen_results(self, requests, results, guard):
+        """Screen one round's playout answers; rejected batches are
+        re-requested from the driver (fresh executor draws) up to the
+        policy's retry budget, then degraded to neutral ``(0, 0)``
+        answers -- the dropped-playout-batch model."""
+        for attempt in range(guard.policy.max_result_retries + 1):
+            results, ok = guard.screen_answers(list(results))
+            if ok:
+                return results
+            if attempt < guard.policy.max_result_retries:
+                results = yield requests
+        guard.give_up()
+        return [(0, 0)] * len(requests)
+
+    def _vote_stats(self, forest, keep, stats):
+        """The root statistics the move is chosen from under the
+        engine's ``vote`` mode (``sum`` reuses the aggregate)."""
+        if self.vote == "majority":
+            return forest.majority_vote_stats(keep)
+        if self.vote == "trimmed":
+            return forest.trimmed_vote_stats(keep)
+        return stats
+
+    def _attach_gpu(
+        self, blocks: int, threads_per_block: int, device
+    ) -> None:
+        """Validate the launch shape and give the engine its private
+        virtual device on the engine clock."""
+        self.config = LaunchConfig(blocks, threads_per_block)
+        self.config.validate(device)
+        self.gpu = VirtualGpu(
+            device,
+            self.clock,
+            self.game.name,
+            derive_seed(self.seed, "gpu"),
+            playout=self.playout,
+        )
+        self._control_time: dict[int, float] = {}
+
+    def _charge_tree_control(self, depths) -> None:
+        """Charge the controlling CPU's per-tree share of one GPU
+        iteration (either backend's ``select_expand_all`` depths).
+        ``tree_control_time`` is a pure function of depth; memoising it
+        repeats the exact same floats, so clock accumulation (and every
+        budget decision) is unchanged -- including across a checkpoint
+        / restore boundary, where the cache refills identically."""
+        cache = self._control_time
+        advance = self.clock.advance
+        for depth in np.asarray(depths).tolist():
+            t = cache.get(depth)
+            if t is None:
+                t = cache[depth] = self.cost.tree_control_time(depth)
+            advance(t)
 
     def _after_iteration(self, iterations: int) -> None:
         """Fire the iteration hook at a clean boundary."""
@@ -230,9 +376,6 @@ class Engine(abc.ABC):
         """The executor ``search()`` parked for the session (None when
         the generator is driven externally, e.g. by the service)."""
         return self.__dict__.pop("_pending_executor", None)
-
-    def _executor_state(self, executor) -> "dict | None":
-        return executor.getstate() if executor is not None else None
 
     def _restore_executor(self, state: "dict | None"):
         if state is None:
@@ -367,21 +510,6 @@ class BatchExecutor:
     def setstate(self, state: dict) -> None:
         self.call_count = state["call_count"]
         self.scalar_rng.setstate(state["scalar_rng"])
-
-
-def scalar_executor(
-    game: Game, rng: XorShift64Star
-) -> Callable[[PlayoutBatch], PlayoutResults]:
-    """Factory form of :class:`ScalarExecutor` (kept for callers that
-    predate the checkpointable executor classes)."""
-    return ScalarExecutor(game, rng)
-
-
-def batch_executor(
-    game_name: str, seed: int, playout: str = "numpy"
-) -> Callable[[PlayoutBatch], PlayoutResults]:
-    """Factory form of :class:`BatchExecutor`."""
-    return BatchExecutor(game_name, seed, playout=playout)
 
 
 def drive_search(

@@ -26,8 +26,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.backend import restore_forest
-from repro.core.base import Engine
+from repro.core.base import Engine, validate_vote
 from repro.core.policy import select_move
 from repro.core.results import (
     INTEGRITY_EXTRA_KEYS,
@@ -36,12 +35,7 @@ from repro.core.results import (
 )
 from repro.cpu import XEON_X5670
 from repro.games.base import GameState
-from repro.gpu import TESLA_C2050, LaunchConfig, VirtualGpu
-from repro.integrity.engine import IntegrityState
-from repro.util.seeding import derive_seed
-
-#: Root-vote modes shared by the multi-tree engines.
-VOTE_MODES = ("sum", "majority", "trimmed")
+from repro.gpu import TESLA_C2050
 
 
 class BlockParallelMcts(Engine):
@@ -62,21 +56,11 @@ class BlockParallelMcts(Engine):
         integrity=None,
         **kwargs,
     ) -> None:
-        if vote not in VOTE_MODES:
-            raise ValueError(f"unknown vote mode {vote!r}")
+        self.vote = validate_vote(vote)
         super().__init__(game, seed, cost_model=cost_model, **kwargs)
-        self.vote = vote
         self.injector = injector
         self.integrity = integrity
-        self.config = LaunchConfig(blocks, threads_per_block)
-        self.config.validate(device)
-        self.gpu = VirtualGpu(
-            device,
-            self.clock,
-            game.name,
-            derive_seed(seed, "gpu"),
-            playout=self.playout,
-        )
+        self._attach_gpu(blocks, threads_per_block, device)
 
     def search(self, state: GameState, budget_s: float) -> SearchResult:
         self._check_budget(budget_s, state)
@@ -89,21 +73,9 @@ class BlockParallelMcts(Engine):
             "budget_s": budget_s,
             "iterations": 0,
             "simulations": 0,
-            "integrity": self._make_integrity(blocks),
+            "integrity": self._make_guard(blocks),
         }
         return self._session_run()
-
-    def _make_integrity(self, n_trees: int) -> "IntegrityState | None":
-        if self.injector is None:
-            return None
-        return IntegrityState(self.integrity, self.injector, n_trees)
-
-    def _vote_stats(self, forest, keep):
-        if self.vote == "majority":
-            return forest.majority_vote_stats(keep)
-        if self.vote == "trimmed":
-            return forest.trimmed_vote_stats(keep)
-        return None  # sum: reuse the aggregate
 
     def _session_run(self) -> SearchResult:
         live = self._live
@@ -113,14 +85,6 @@ class BlockParallelMcts(Engine):
         tpb = self.config.threads_per_block
         prof = self.profiler
         guard = live["integrity"]
-        # tree_control_time is a pure function of depth; memoising it
-        # repeats the exact same floats, so clock accumulation (and
-        # therefore every budget decision) is unchanged -- including
-        # across a checkpoint/restore boundary, where the cache simply
-        # refills with identical values.
-        control_time = self.cost.tree_control_time
-        control_cache: dict[int, float] = {}
-        advance = self.clock.advance
         cap = self._iteration_cap()
         while (
             self.clock.now - live["start_s"] < budget_s
@@ -130,13 +94,7 @@ class BlockParallelMcts(Engine):
             # (lockstep-vectorised on the arena backend).
             with prof.phase("select"):
                 leaves, depths = forest.select_expand_all()
-                for depth in (
-                    depths.tolist() if hasattr(depths, "tolist") else depths
-                ):
-                    t = control_cache.get(depth)
-                    if t is None:
-                        t = control_cache[depth] = control_time(depth)
-                    advance(t)
+                self._charge_tree_control(depths)
             with prof.phase("playout"):
                 states = [forest.state_of(leaf) for leaf in leaves]
                 if guard is None:
@@ -157,7 +115,7 @@ class BlockParallelMcts(Engine):
             guard.final_sweep(forest)
         keep = guard.keep_indices() if guard is not None else None
         stats = forest.aggregate_stats(keep)
-        voted = self._vote_stats(forest, keep) or stats
+        voted = self._vote_stats(forest, keep, stats)
         extras = {
             "gpu.kernels": self.gpu.stats.kernels_launched,
             "tree.depth": forest.per_tree_depth(),
@@ -181,7 +139,7 @@ class BlockParallelMcts(Engine):
         return result
 
     def _screened_winners(
-        self, states, live: dict, guard: IntegrityState
+        self, states, live: dict, guard
     ) -> np.ndarray:
         """Run the kernel, screen its readback, and retry rejects.
 
@@ -201,37 +159,6 @@ class BlockParallelMcts(Engine):
                 return winners
         guard.give_up()
         return np.zeros(blocks * tpb, dtype=np.int8)
-
-    # -- checkpointing -------------------------------------------------------
-
-    def _snapshot_payload(self) -> dict:
-        live = self._live
-        payload = {
-            "forest": live["forest"].snapshot(),
-            "start_s": live["start_s"],
-            "budget_s": live["budget_s"],
-            "iterations": live["iterations"],
-            "simulations": live["simulations"],
-            "gpu": self.gpu.getstate(),
-        }
-        if live.get("integrity") is not None:
-            payload["integrity"] = live["integrity"].getstate()
-        return payload
-
-    def _restore_payload(self, payload: dict) -> dict:
-        self.gpu.setstate(payload["gpu"])
-        guard = self._make_integrity(self.config.blocks)
-        if guard is not None and "integrity" in payload:
-            guard.setstate(payload["integrity"])
-        return {
-            "forest": restore_forest(self.game, payload["forest"]),
-            "start_s": payload["start_s"],
-            "budget_s": payload["budget_s"],
-            "iterations": payload["iterations"],
-            "simulations": payload["simulations"],
-            "integrity": guard,
-        }
-
 
 register_extra_keys(
     BlockParallelMcts.name,

@@ -11,15 +11,12 @@ its telemetry (``max_depth``, ``extras['cpu_iterations']``).
 
 from __future__ import annotations
 
-from repro.core.backend import restore_forest
 from repro.core.base import Engine
 from repro.core.policy import select_move
 from repro.core.results import SearchResult, register_extra_keys
 from repro.cpu import XEON_X5670
 from repro.games.base import GameState
-from repro.gpu import TESLA_C2050, LaunchConfig, VirtualGpu
-from repro.rng import XorShift64Star
-from repro.util.seeding import derive_seed
+from repro.gpu import TESLA_C2050
 
 
 class HybridMcts(Engine):
@@ -38,15 +35,7 @@ class HybridMcts(Engine):
         **kwargs,
     ) -> None:
         super().__init__(game, seed, cost_model=cost_model, **kwargs)
-        self.config = LaunchConfig(blocks, threads_per_block)
-        self.config.validate(device)
-        self.gpu = VirtualGpu(
-            device,
-            self.clock,
-            game.name,
-            derive_seed(seed, "gpu"),
-            playout=self.playout,
-        )
+        self._attach_gpu(blocks, threads_per_block, device)
 
     def search(self, state: GameState, budget_s: float) -> SearchResult:
         self._check_budget(budget_s, state)
@@ -85,8 +74,7 @@ class HybridMcts(Engine):
         ) or gpu_iterations == 0:
             with prof.phase("select"):
                 leaves, depths = forest.select_expand_all()
-                for depth in depths:
-                    self.clock.advance(self.cost.tree_control_time(depth))
+                self._charge_tree_control(depths)
             event = self.gpu.launch_async(
                 [forest.state_of(leaf) for leaf in leaves], self.config
             )
@@ -147,38 +135,6 @@ class HybridMcts(Engine):
         )
         self._live = None
         return result
-
-    # -- checkpointing -------------------------------------------------------
-
-    def _snapshot_payload(self) -> dict:
-        live = self._live
-        return {
-            "forest": live["forest"].snapshot(),
-            "playout_rng": live["playout_rng"].getstate(),
-            "start_s": live["start_s"],
-            "budget_s": live["budget_s"],
-            "next_tree": live["next_tree"],
-            "iterations": live["iterations"],
-            "cpu_iterations": live["cpu_iterations"],
-            "simulations": live["simulations"],
-            "gpu": self.gpu.getstate(),
-        }
-
-    def _restore_payload(self, payload: dict) -> dict:
-        self.gpu.setstate(payload["gpu"])
-        return {
-            "forest": restore_forest(self.game, payload["forest"]),
-            "playout_rng": XorShift64Star.from_state(
-                payload["playout_rng"]
-            ),
-            "start_s": payload["start_s"],
-            "budget_s": payload["budget_s"],
-            "next_tree": payload["next_tree"],
-            "iterations": payload["iterations"],
-            "cpu_iterations": payload["cpu_iterations"],
-            "simulations": payload["simulations"],
-        }
-
 
 register_extra_keys(
     HybridMcts.name,

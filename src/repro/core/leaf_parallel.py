@@ -11,14 +11,12 @@ parallelism keeps climbing.
 
 from __future__ import annotations
 
-from repro.core.backend import restore_tree
 from repro.core.base import Engine, tally
 from repro.core.policy import select_move
 from repro.core.results import SearchResult, register_extra_keys
 from repro.cpu import XEON_X5670
 from repro.games.base import GameState
-from repro.gpu import TESLA_C2050, LaunchConfig, VirtualGpu
-from repro.util.seeding import derive_seed
+from repro.gpu import TESLA_C2050
 
 
 class LeafParallelMcts(Engine):
@@ -37,15 +35,7 @@ class LeafParallelMcts(Engine):
         **kwargs,
     ) -> None:
         super().__init__(game, seed, cost_model=cost_model, **kwargs)
-        self.config = LaunchConfig(blocks, threads_per_block)
-        self.config.validate(device)
-        self.gpu = VirtualGpu(
-            device,
-            self.clock,
-            game.name,
-            derive_seed(seed, "gpu"),
-            playout=self.playout,
-        )
+        self._attach_gpu(blocks, threads_per_block, device)
 
     def search(self, state: GameState, budget_s: float) -> SearchResult:
         self._check_budget(budget_s, state)
@@ -102,30 +92,6 @@ class LeafParallelMcts(Engine):
         )
         self._live = None
         return result
-
-    # -- checkpointing -------------------------------------------------------
-
-    def _snapshot_payload(self) -> dict:
-        live = self._live
-        return {
-            "tree": live["tree"].snapshot(),
-            "start_s": live["start_s"],
-            "budget_s": live["budget_s"],
-            "iterations": live["iterations"],
-            "simulations": live["simulations"],
-            "gpu": self.gpu.getstate(),
-        }
-
-    def _restore_payload(self, payload: dict) -> dict:
-        self.gpu.setstate(payload["gpu"])
-        return {
-            "tree": restore_tree(self.game, payload["tree"]),
-            "start_s": payload["start_s"],
-            "budget_s": payload["budget_s"],
-            "iterations": payload["iterations"],
-            "simulations": payload["simulations"],
-        }
-
 
 register_extra_keys(
     LeafParallelMcts.name,

@@ -60,7 +60,6 @@ class MultiGpuMcts(Engine):
         #: kernel-readback corruption / poison / audits apply there too.
         self.injector = injector
         self.integrity = integrity
-        self._engine_kwargs = kwargs
 
     def _make_cluster(self) -> MpiCluster:
         return MpiCluster(
@@ -85,6 +84,7 @@ class MultiGpuMcts(Engine):
             selection_rule=self.selection_rule,
             backend=self.backend,
             playout=self.playout,
+            profiler=self.profiler,
             injector=self.injector,
             integrity=self.integrity,
         )

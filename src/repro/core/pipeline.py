@@ -32,18 +32,18 @@ with a full pipeline.
 
 from __future__ import annotations
 
-from repro.core.backend import SingleTreeForest, restore_tree
-from repro.core.base import BatchExecutor, Engine, SearchGenerator, drive_search
+from repro.core.base import Engine, SearchGenerator
 from repro.core.policy import select_move
 from repro.core.results import (
     INTEGRITY_EXTRA_KEYS,
     SearchResult,
     register_extra_keys,
 )
-from repro.core.tree_parallel import resolve_shared_tree_mode
+from repro.core.tree_parallel import (
+    check_snapshot_mode,
+    resolve_shared_tree_mode,
+)
 from repro.games.base import GameState
-from repro.integrity.engine import IntegrityState
-from repro.util.seeding import derive_seed
 
 
 class PipelineMcts(Engine):
@@ -71,20 +71,14 @@ class PipelineMcts(Engine):
         self.injector = injector
         self.integrity = integrity
 
-    def search(self, state: GameState, budget_s: float) -> SearchResult:
-        executor = BatchExecutor(
-            self.game.name,
-            derive_seed(self.seed, "exec"),
-            playout=self.playout,
-        )
-        self._pending_executor = executor
-        return drive_search(self.search_steps(state, budget_s), executor)
+    search = Engine._search_batched
 
     def search_steps(
         self, state: GameState, budget_s: float
     ) -> SearchGenerator:
         self._check_budget(budget_s, state)
         self._live = {
+            "mode": self.mode,
             "tree": self._make_tree(
                 state, self.rng.fork("tree"), parallel_mode=self.mode
             ),
@@ -100,11 +94,7 @@ class PipelineMcts(Engine):
             "iterations": 0,
             "simulations": 0,
             "executor": self._take_pending_executor(),
-            "integrity": (
-                IntegrityState(self.integrity, self.injector, 1)
-                if self.injector is not None
-                else None
-            ),
+            "integrity": self._make_guard(1),
         }
         return self._session_steps()
 
@@ -115,7 +105,6 @@ class PipelineMcts(Engine):
         cap = self._iteration_cap()
         guard = live.get("integrity")
         screen = guard if live.get("executor") is not None else None
-        view = SingleTreeForest(tree) if guard is not None else None
 
         while (
             max(live["cpu_t"], live["dev_done"]) < budget_s
@@ -196,8 +185,8 @@ class PipelineMcts(Engine):
                 live["held"] = []
             live["rounds"] += 1
             if guard is not None:
-                guard.poison(view, 1.0)
-                guard.audit(view, live["iterations"])
+                guard.poison(tree, 1.0)
+                guard.audit(tree, live["iterations"])
             # Round boundary: the new batch is in flight (its markers
             # outstanding), everything else is consistent -- snapshots
             # here encode the in-flight refs as stable tokens.
@@ -224,7 +213,7 @@ class PipelineMcts(Engine):
         elapsed = max(live["cpu_t"], live["dev_done"])
         self.clock.advance(elapsed)
         if guard is not None:
-            guard.final_sweep(view)
+            guard.final_sweep(tree)
         stats = tree.root_stats()
         cpu_busy = live["select_s"] + live["backprop_s"]
         extras = {
@@ -257,77 +246,27 @@ class PipelineMcts(Engine):
         self._live = None
         return result
 
-    def _screen_results(self, requests, results, guard):
-        """Screen one round's playout answers (see RootParallelMcts)."""
-        for attempt in range(guard.policy.max_result_retries + 1):
-            results, ok = guard.screen_answers(list(results))
-            if ok:
-                return results
-            if attempt < guard.policy.max_result_retries:
-                results = yield requests
-        guard.give_up()
-        return [(0, 0)] * len(requests)
-
     # -- checkpointing -------------------------------------------------------
 
-    _SCALARS = (
-        "cpu_t",
-        "dev_done",
-        "select_s",
-        "backprop_s",
-        "playout_s",
-        "rounds",
-        "budget_s",
-        "iterations",
-        "simulations",
-    )
+    # In-flight refs cross the snapshot boundary as the tree's stable
+    # tokens (arena slots / BFS indices); the rest is the generic codec.
 
     def _snapshot_payload(self) -> dict:
-        live = self._live
-        tree = live["tree"]
-        payload = {
-            "mode": self.mode,
-            "tree": tree.snapshot(),
-            "pending": [
-                (tree.ref_token(ref), depth)
-                for ref, depth in live["pending"]
-            ],
-            "held": [tuple(r) for r in live["held"]],
-            "executor": self._executor_state(live["executor"]),
-        }
-        for key in self._SCALARS:
-            payload[key] = live[key]
-        if live.get("integrity") is not None:
-            payload["integrity"] = live["integrity"].getstate()
+        payload = super()._snapshot_payload()
+        tree = self._live["tree"]
+        payload["pending"] = [
+            (tree.ref_token(ref), depth) for ref, depth in payload["pending"]
+        ]
         return payload
 
     def _restore_payload(self, payload: dict) -> dict:
-        from repro.core.checkpoint import CheckpointError
-
-        snap_mode = payload.get("mode", "vloss")
-        if snap_mode != self.mode:
-            raise CheckpointError(
-                f"snapshot parallel mode mismatch: snapshot has "
-                f"{snap_mode!r}, engine has {self.mode!r}"
-            )
-        tree = restore_tree(self.game, payload["tree"])
-        guard = None
-        if self.injector is not None:
-            guard = IntegrityState(self.integrity, self.injector, 1)
-            if "integrity" in payload:
-                guard.setstate(payload["integrity"])
-        live = {
-            "tree": tree,
-            "pending": [
-                (tree.ref_from_token(token), depth)
-                for token, depth in payload["pending"]
-            ],
-            "held": [tuple(r) for r in payload["held"]],
-            "executor": self._restore_executor(payload["executor"]),
-            "integrity": guard,
-        }
-        for key in self._SCALARS:
-            live[key] = payload[key]
+        check_snapshot_mode(payload, self.mode)
+        live = super()._restore_payload(payload)
+        tree = live["tree"]
+        live["pending"] = [
+            (tree.ref_from_token(token), depth)
+            for token, depth in live["pending"]
+        ]
         return live
 
 

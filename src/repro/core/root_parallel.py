@@ -15,8 +15,7 @@ interact.
 
 from __future__ import annotations
 
-from repro.core.backend import restore_forest
-from repro.core.base import BatchExecutor, Engine, SearchGenerator, drive_search
+from repro.core.base import Engine, SearchGenerator, validate_vote
 from repro.core.policy import select_move
 from repro.core.results import (
     INTEGRITY_EXTRA_KEYS,
@@ -24,10 +23,6 @@ from repro.core.results import (
     register_extra_keys,
 )
 from repro.games.base import GameState
-from repro.integrity.engine import IntegrityState
-from repro.util.seeding import derive_seed
-
-VOTE_MODES = ("sum", "majority", "trimmed")
 
 
 class RootParallelMcts(Engine):
@@ -47,22 +42,13 @@ class RootParallelMcts(Engine):
     ) -> None:
         if n_trees <= 0:
             raise ValueError(f"n_trees must be positive: {n_trees}")
-        if vote not in VOTE_MODES:
-            raise ValueError(f"unknown vote mode {vote!r}")
+        self.vote = validate_vote(vote)
         super().__init__(game, seed, **kwargs)
         self.n_trees = n_trees
-        self.vote = vote
         self.injector = injector
         self.integrity = integrity
 
-    def search(self, state: GameState, budget_s: float) -> SearchResult:
-        executor = BatchExecutor(
-            self.game.name,
-            derive_seed(self.seed, "exec"),
-            playout=self.playout,
-        )
-        self._pending_executor = executor
-        return drive_search(self.search_steps(state, budget_s), executor)
+    search = Engine._search_batched
 
     def search_steps(
         self, state: GameState, budget_s: float
@@ -79,11 +65,7 @@ class RootParallelMcts(Engine):
             "iterations": 0,
             "simulations": 0,
             "executor": self._take_pending_executor(),
-            "integrity": (
-                IntegrityState(self.integrity, self.injector, self.n_trees)
-                if self.injector is not None
-                else None
-            ),
+            "integrity": self._make_guard(self.n_trees),
         }
         return self._session_steps()
 
@@ -156,12 +138,7 @@ class RootParallelMcts(Engine):
             guard.final_sweep(forest)
         keep = guard.keep_indices() if guard is not None else None
         stats = forest.aggregate_stats(keep)
-        if self.vote == "majority":
-            voted = forest.majority_vote_stats(keep)
-        elif self.vote == "trimmed":
-            voted = forest.trimmed_vote_stats(keep)
-        else:
-            voted = stats
+        voted = self._vote_stats(forest, keep, stats)
         extras = {
             "tree.depth": forest.per_tree_depth(),
             "tree.nodes": forest.per_tree_nodes(),
@@ -182,56 +159,6 @@ class RootParallelMcts(Engine):
         )
         self._live = None
         return result
-
-    def _screen_results(self, requests, results, guard):
-        """Screen one round's playout answers; rejected batches are
-        re-requested from the driver (fresh executor draws) up to the
-        policy's retry budget, then degraded to neutral ``(0, 0)``
-        answers -- the dropped-playout-batch model."""
-        for attempt in range(guard.policy.max_result_retries + 1):
-            results, ok = guard.screen_answers(list(results))
-            if ok:
-                return results
-            if attempt < guard.policy.max_result_retries:
-                results = yield requests
-        guard.give_up()
-        return [(0, 0)] * len(requests)
-
-    # -- checkpointing -------------------------------------------------------
-
-    def _snapshot_payload(self) -> dict:
-        live = self._live
-        payload = {
-            "forest": live["forest"].snapshot(),
-            "core_time": list(live["core_time"]),
-            "per_tree_iters": list(live["per_tree_iters"]),
-            "budget_s": live["budget_s"],
-            "iterations": live["iterations"],
-            "simulations": live["simulations"],
-            "executor": self._executor_state(live["executor"]),
-        }
-        if live.get("integrity") is not None:
-            payload["integrity"] = live["integrity"].getstate()
-        return payload
-
-    def _restore_payload(self, payload: dict) -> dict:
-        guard = None
-        if self.injector is not None:
-            guard = IntegrityState(
-                self.integrity, self.injector, self.n_trees
-            )
-            if "integrity" in payload:
-                guard.setstate(payload["integrity"])
-        return {
-            "forest": restore_forest(self.game, payload["forest"]),
-            "core_time": list(payload["core_time"]),
-            "per_tree_iters": list(payload["per_tree_iters"]),
-            "budget_s": payload["budget_s"],
-            "iterations": payload["iterations"],
-            "simulations": payload["simulations"],
-            "executor": self._restore_executor(payload["executor"]),
-            "integrity": guard,
-        }
 
 
 register_extra_keys(

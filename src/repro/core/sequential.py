@@ -8,7 +8,6 @@ in the paper's Figures 6 and 7.
 
 from __future__ import annotations
 
-from repro.core.backend import restore_tree
 from repro.core.base import Engine, ScalarExecutor, SearchGenerator, drive_search
 from repro.core.policy import select_move
 from repro.core.results import SearchResult, register_extra_keys
@@ -78,30 +77,6 @@ class SequentialMcts(Engine):
         )
         self._live = None
         return result
-
-    # -- checkpointing -------------------------------------------------------
-
-    def _snapshot_payload(self) -> dict:
-        live = self._live
-        return {
-            "tree": live["tree"].snapshot(),
-            "start_s": live["start_s"],
-            "budget_s": live["budget_s"],
-            "iterations": live["iterations"],
-            "simulations": live["simulations"],
-            "executor": self._executor_state(live["executor"]),
-        }
-
-    def _restore_payload(self, payload: dict) -> dict:
-        return {
-            "tree": restore_tree(self.game, payload["tree"]),
-            "start_s": payload["start_s"],
-            "budget_s": payload["budget_s"],
-            "iterations": payload["iterations"],
-            "simulations": payload["simulations"],
-            "executor": self._restore_executor(payload["executor"]),
-        }
-
 
 register_extra_keys(
     SequentialMcts.name,

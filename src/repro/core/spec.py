@@ -49,13 +49,13 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
 from repro.core.backend import validate_backend
-from repro.core.base import Engine
+from repro.core.base import Engine, validate_vote
 from repro.core.block_parallel import BlockParallelMcts
 from repro.core.hybrid import HybridMcts
 from repro.core.leaf_parallel import LeafParallelMcts
 from repro.core.multigpu import MultiGpuMcts
 from repro.core.pipeline import PipelineMcts
-from repro.core.root_parallel import VOTE_MODES, RootParallelMcts
+from repro.core.root_parallel import RootParallelMcts
 from repro.core.sequential import SequentialMcts
 from repro.core.tree_parallel import TreeParallelMcts
 from repro.games.base import Game
@@ -157,14 +157,6 @@ def _modifiers_for(kind: str) -> list[str]:
     return [
         f"@{m.name}" for m in _MODIFIERS.values() if m.applies_to(kind)
     ]
-
-
-def _parse_vote(token: str) -> str:
-    if token not in VOTE_MODES:
-        raise ValueError(
-            f"unknown vote mode {token!r}; available: {VOTE_MODES}"
-        )
-    return token
 
 
 def _parse_virtual_loss(token: str) -> float:
@@ -501,7 +493,7 @@ register_modifier(
         name="vote",
         group="root vote",
         value_param="vote",
-        value_parse=_parse_vote,
+        value_parse=validate_vote,
         kinds=frozenset({"root", "block"}),
     )
 )

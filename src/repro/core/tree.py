@@ -25,6 +25,7 @@ from repro.core.policy import (
     validate_selection_rule,
 )
 from repro.games.base import Game, GameState
+from repro.integrity.audit import audit_root_stats
 from repro.rng import XorShift64Star
 
 
@@ -279,6 +280,57 @@ class SearchTree:
             n = stack.pop()
             yield n
             stack.extend(n.children)
+
+    # -- integrity surface (shared with the forests) -------------------------
+
+    # A single tree answers the forest calls the integrity guard makes
+    # as tree index 0, so shared-tree engines hand it the tree itself.
+
+    def poison_root(self, i: int, bonus: float) -> bool:
+        """Write ``bonus`` phantom wins straight into the most-visited
+        root child, *bypassing backprop* -- the ``poison=tree:K``
+        fault.  Backprop-mediated corruption always leaves a tree
+        self-consistent; only a direct write like this can break the
+        win-bound invariant the audit checks.  Returns False for any
+        index but 0 and before the root has any children."""
+        if i != 0 or not self.root.children:
+            return False
+        victim = max(
+            self.root.children,
+            key=lambda c: (c.visits, c.wins, -c.move),
+        )
+        victim.wins += bonus
+        return True
+
+    def audit_tree(self, i: int, legal_moves=None) -> str | None:
+        """Walk the tree checking the statistics invariants every
+        clean tree satisfies: finite, non-negative visits; wins within
+        ``[0, visits]``; parent visits at least the sum of child visits
+        (visit conservation).  Returns a violation description, or None.
+
+        In-flight selections are accounted in ``vloss`` (both modes),
+        not ``visits``/``wins``, so the audit holds at any point of a
+        shared-tree round, not just at quiescence.
+        """
+        for node in self.iter_nodes():
+            v, w = node.visits, node.wins
+            if not (math.isfinite(v) and math.isfinite(w)):
+                return f"node for move {node.move}: non-finite statistics"
+            if v < 0:
+                return f"node for move {node.move}: negative visits {v}"
+            if w < -1e-9 or w > v + 1e-9:
+                return (
+                    f"node for move {node.move}: wins {w} outside "
+                    f"[0, visits={v}]"
+                )
+            if node.children:
+                child_visits = sum(c.visits for c in node.children)
+                if v + 1e-9 < child_visits:
+                    return (
+                        f"node for move {node.move}: visits {v} < sum "
+                        f"of child visits {child_visits}"
+                    )
+        return audit_root_stats(self.root_stats(), legal_moves)
 
     # -- stable ref tokens ---------------------------------------------------
 

@@ -22,8 +22,8 @@ later selections in the same round:
 
 from __future__ import annotations
 
-from repro.core.backend import SingleTreeForest, restore_tree
-from repro.core.base import BatchExecutor, Engine, SearchGenerator, drive_search
+from repro.core.base import Engine, SearchGenerator
+from repro.core.checkpoint import CheckpointError
 from repro.core.policy import select_move, validate_parallel_mode
 from repro.core.results import (
     INTEGRITY_EXTRA_KEYS,
@@ -31,8 +31,6 @@ from repro.core.results import (
     register_extra_keys,
 )
 from repro.games.base import GameState
-from repro.integrity.engine import IntegrityState
-from repro.util.seeding import derive_seed
 
 
 def resolve_shared_tree_mode(
@@ -66,6 +64,17 @@ def resolve_shared_tree_mode(
     return mode, amount
 
 
+def check_snapshot_mode(payload: dict, mode: str) -> None:
+    """Refuse a shared-tree session payload written under the other
+    in-flight accounting mode (its tree carries that mode's markers)."""
+    snap_mode = payload.get("mode", "vloss")
+    if snap_mode != mode:
+        raise CheckpointError(
+            f"snapshot parallel mode mismatch: snapshot has "
+            f"{snap_mode!r}, engine has {mode!r}"
+        )
+
+
 class TreeParallelMcts(Engine):
     """One shared tree, ``n_workers`` concurrent selectors."""
 
@@ -93,20 +102,14 @@ class TreeParallelMcts(Engine):
         self.injector = injector
         self.integrity = integrity
 
-    def search(self, state: GameState, budget_s: float) -> SearchResult:
-        executor = BatchExecutor(
-            self.game.name,
-            derive_seed(self.seed, "exec"),
-            playout=self.playout,
-        )
-        self._pending_executor = executor
-        return drive_search(self.search_steps(state, budget_s), executor)
+    search = Engine._search_batched
 
     def search_steps(
         self, state: GameState, budget_s: float
     ) -> SearchGenerator:
         self._check_budget(budget_s, state)
         self._live = {
+            "mode": self.mode,
             "tree": self._make_tree(
                 state, self.rng.fork("tree"), parallel_mode=self.mode
             ),
@@ -115,11 +118,7 @@ class TreeParallelMcts(Engine):
             "iterations": 0,
             "simulations": 0,
             "executor": self._take_pending_executor(),
-            "integrity": (
-                IntegrityState(self.integrity, self.injector, 1)
-                if self.injector is not None
-                else None
-            ),
+            "integrity": self._make_guard(1),
         }
         return self._session_steps()
 
@@ -133,7 +132,6 @@ class TreeParallelMcts(Engine):
         simulations = live["simulations"]
         guard = live.get("integrity")
         screen = guard if live.get("executor") is not None else None
-        view = SingleTreeForest(tree) if guard is not None else None
 
         while min(worker_time) < budget_s and iterations < cap:
             requests = []
@@ -171,15 +169,15 @@ class TreeParallelMcts(Engine):
             live["iterations"] = iterations
             live["simulations"] = simulations
             if guard is not None:
-                guard.poison(view, 1.0)
-                guard.audit(view, iterations)
+                guard.poison(tree, 1.0)
+                guard.audit(tree, iterations)
             # Round end: every in-flight marker reverted -- a clean
             # checkpoint boundary.
             self._after_iteration(iterations)
 
         self.clock.advance(max(worker_time))
         if guard is not None:
-            guard.final_sweep(view)
+            guard.final_sweep(tree)
         stats = tree.root_stats()
         extras = {
             "tree.depth": [tree.depth()],
@@ -201,59 +199,11 @@ class TreeParallelMcts(Engine):
         self._live = None
         return result
 
-    def _screen_results(self, requests, results, guard):
-        """Screen one round's playout answers; rejected batches are
-        re-requested (fresh executor draws) up to the policy's retry
-        budget, then degraded to neutral ``(0, 0)`` answers."""
-        for attempt in range(guard.policy.max_result_retries + 1):
-            results, ok = guard.screen_answers(list(results))
-            if ok:
-                return results
-            if attempt < guard.policy.max_result_retries:
-                results = yield requests
-        guard.give_up()
-        return [(0, 0)] * len(requests)
-
     # -- checkpointing -------------------------------------------------------
 
-    def _snapshot_payload(self) -> dict:
-        live = self._live
-        payload = {
-            "mode": self.mode,
-            "tree": live["tree"].snapshot(),
-            "worker_time": list(live["worker_time"]),
-            "budget_s": live["budget_s"],
-            "iterations": live["iterations"],
-            "simulations": live["simulations"],
-            "executor": self._executor_state(live["executor"]),
-        }
-        if live.get("integrity") is not None:
-            payload["integrity"] = live["integrity"].getstate()
-        return payload
-
     def _restore_payload(self, payload: dict) -> dict:
-        from repro.core.checkpoint import CheckpointError
-
-        snap_mode = payload.get("mode", "vloss")
-        if snap_mode != self.mode:
-            raise CheckpointError(
-                f"snapshot parallel mode mismatch: snapshot has "
-                f"{snap_mode!r}, engine has {self.mode!r}"
-            )
-        guard = None
-        if self.injector is not None:
-            guard = IntegrityState(self.integrity, self.injector, 1)
-            if "integrity" in payload:
-                guard.setstate(payload["integrity"])
-        return {
-            "tree": restore_tree(self.game, payload["tree"]),
-            "worker_time": list(payload["worker_time"]),
-            "budget_s": payload["budget_s"],
-            "iterations": payload["iterations"],
-            "simulations": payload["simulations"],
-            "executor": self._restore_executor(payload["executor"]),
-            "integrity": guard,
-        }
+        check_snapshot_mode(payload, self.mode)
+        return super()._restore_payload(payload)
 
 
 register_extra_keys(

@@ -54,13 +54,6 @@ def _targets(own, opp, up_mask):
     return left, straight, right
 
 
-def _origin_of(target, direction_shift, up_mask):
-    """Invert a forward shift to find the moved pawn's origin."""
-    return np.where(
-        up_mask, target >> direction_shift, target << direction_shift
-    )
-
-
 @dataclass
 class BreakthroughBatch:
     own: np.ndarray  # pawns of the side to move

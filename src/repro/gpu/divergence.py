@@ -34,10 +34,6 @@ class DivergenceReport:
         return float(self.warp_efficiency.mean())
 
     @property
-    def worst_warp(self) -> float:
-        return float(self.warp_efficiency.min())
-
-    @property
     def utilisation(self) -> float:
         """Useful / (useful + wasted) over the whole grid."""
         total = self.useful_lane_steps + self.wasted_lane_steps

@@ -58,15 +58,6 @@ class PlayoutResult:
         )
         return (per_block == 0).sum(axis=1)
 
-    def invalid_reason(self) -> str | None:
-        """Host-boundary readback check: why this result violates the
-        kernel contract (non-finite or out-of-domain winners), or None
-        for a clean result.  The integrity layer screens every readback
-        with exactly this predicate before it can touch a tree."""
-        from repro.integrity.corruption import validate_winners
-
-        return validate_winners(self.winners)
-
 
 @dataclass
 class GpuStats:

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 from repro.arena.cohort import play_games_cohort
 from repro.core import make_engine
-from repro.core.base import batch_executor
+from repro.core.base import BatchExecutor
 from repro.core.policy import MAX_RATIO, MAX_VISITS, MAX_WINS
 from repro.games import Reversi
 from repro.gpu import TESLA_C2050, LaunchConfig, playout_kernel_spec
@@ -110,7 +110,7 @@ def run_block_size_ablation(
             matchups.append((subj, opp) if colour == 1 else (opp, subj))
             keys.append((bs, colour))
     records = play_games_cohort(
-        game, matchups, batch_executor("reversi", derive_seed(cfg.seed, "x"))
+        game, matchups, BatchExecutor("reversi", derive_seed(cfg.seed, "x"))
     )
     out = BlockSizeResult(config=cfg)
     for bs in cfg.block_sizes:
@@ -326,7 +326,7 @@ def run_vote_policy_ablation(
             matchups.append((subj, opp) if colour == 1 else (opp, subj))
             keys.append((policy, colour))
     records = play_games_cohort(
-        game, matchups, batch_executor("reversi", derive_seed(cfg.seed, "x"))
+        game, matchups, BatchExecutor("reversi", derive_seed(cfg.seed, "x"))
     )
     out = VotePolicyResult(config=cfg)
     for policy in cfg.policies:
@@ -516,7 +516,7 @@ def run_ucb_ablation(config: UcbConfig | None = None) -> UcbResult:
             matchups.append((subj, opp) if colour == 1 else (opp, subj))
             keys.append((c, colour))
     records = play_games_cohort(
-        game, matchups, batch_executor("reversi", derive_seed(cfg.seed, "x"))
+        game, matchups, BatchExecutor("reversi", derive_seed(cfg.seed, "x"))
     )
     out = UcbResult(config=cfg)
     for c in cfg.c_values:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from repro.arena.cohort import play_games_cohort
 from repro.arena.metrics import wilson_interval
 from repro.core import make_engine
-from repro.core.base import batch_executor
+from repro.core.base import BatchExecutor
 from repro.games import Reversi
 from repro.gpu import TESLA_C2050, DeviceSpec
 from repro.harness.common import PAPER_SCHEMES, Scheme, resolve_tier
@@ -132,7 +132,7 @@ def run_fig6(config: Fig6Config | None = None) -> Fig6Result:
     records = play_games_cohort(
         game,
         matchups,
-        batch_executor("reversi", derive_seed(cfg.seed, "executor")),
+        BatchExecutor("reversi", derive_seed(cfg.seed, "executor")),
     )
 
     out = Fig6Result(config=cfg)

@@ -16,7 +16,7 @@ import numpy as np
 from repro.arena.cohort import play_games_cohort
 from repro.arena.metrics import mean_score_series
 from repro.core import make_engine
-from repro.core.base import batch_executor
+from repro.core.base import BatchExecutor
 from repro.games import Reversi
 from repro.gpu import TESLA_C2050, DeviceSpec
 from repro.harness.common import resolve_tier
@@ -177,7 +177,7 @@ def run_fig7(config: Fig7Config | None = None) -> Fig7Result:
     records = play_games_cohort(
         game,
         matchups,
-        batch_executor("reversi", derive_seed(cfg.seed, "executor")),
+        BatchExecutor("reversi", derive_seed(cfg.seed, "executor")),
     )
 
     out = Fig7Result(config=cfg)

@@ -16,7 +16,7 @@ import numpy as np
 from repro.arena.cohort import play_games_cohort
 from repro.arena.metrics import mean_depth_series, mean_score_series
 from repro.core import make_engine
-from repro.core.base import batch_executor
+from repro.core.base import BatchExecutor
 from repro.games import Reversi
 from repro.gpu import TESLA_C2050, DeviceSpec
 from repro.harness.common import resolve_tier
@@ -122,7 +122,7 @@ def run_fig8(config: Fig8Config | None = None) -> Fig8Result:
     records = play_games_cohort(
         game,
         matchups,
-        batch_executor("reversi", derive_seed(cfg.seed, "executor")),
+        BatchExecutor("reversi", derive_seed(cfg.seed, "executor")),
     )
 
     out = Fig8Result(config=cfg)

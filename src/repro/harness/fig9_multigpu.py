@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 from repro.arena.cohort import play_games_cohort
 from repro.core import make_engine
-from repro.core.base import batch_executor
+from repro.core.base import BatchExecutor
 from repro.games import Reversi
 from repro.gpu import TESLA_C2050, DeviceSpec
 from repro.harness.common import resolve_tier
@@ -144,7 +144,7 @@ def run_fig9(config: Fig9Config | None = None) -> Fig9Result:
     records = play_games_cohort(
         game,
         matchups,
-        batch_executor("reversi", derive_seed(cfg.seed, "executor")),
+        BatchExecutor("reversi", derive_seed(cfg.seed, "executor")),
     )
     for n in cfg.gpu_counts:
         scores = [

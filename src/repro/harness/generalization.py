@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from repro.arena.cohort import play_games_cohort
 from repro.arena.metrics import wilson_interval
 from repro.core import make_engine
-from repro.core.base import batch_executor
+from repro.core.base import BatchExecutor
 from repro.games import make_game
 from repro.gpu import TESLA_C2050, DeviceSpec
 from repro.harness.common import resolve_tier
@@ -116,7 +116,7 @@ def run_generalization(
         records = play_games_cohort(
             game,
             matchups,
-            batch_executor(
+            BatchExecutor(
                 game_name, derive_seed(cfg.seed, game_name, "x")
             ),
         )

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from repro.arena.cohort import play_games_cohort
 from repro.arena.metrics import wilson_interval
 from repro.core import make_engine
-from repro.core.base import batch_executor
+from repro.core.base import BatchExecutor
 from repro.games import make_game
 from repro.harness.common import resolve_tier
 from repro.players import MctsPlayer
@@ -173,7 +173,7 @@ def run_shootout(config: ShootoutConfig | None = None) -> ShootoutResult:
         records = play_games_cohort(
             game,
             matchups,
-            batch_executor(
+            BatchExecutor(
                 game_name, derive_seed(cfg.seed, game_name, "executor")
             ),
             max_plies=cfg.max_plies,

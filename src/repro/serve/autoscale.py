@@ -29,6 +29,7 @@ from dataclasses import dataclass
 
 from repro.gpu.device import DeviceSpec
 from repro.gpu.lease import DevicePool
+from repro.util.coerce import coerce_optional
 
 
 @dataclass(frozen=True)
@@ -85,23 +86,7 @@ class AutoscalerConfig:
         if self.step <= 0:
             raise ValueError(f"step must be positive: {self.step}")
 
-    @classmethod
-    def coerce(
-        cls, value: "AutoscalerConfig | dict | bool | None"
-    ) -> "AutoscalerConfig | None":
-        """``None``/``False`` -> no autoscaler; ``True`` -> defaults;
-        a dict -> kwargs; a config -> itself."""
-        if value is None or value is False:
-            return None
-        if value is True:
-            return cls()
-        if isinstance(value, dict):
-            return cls(**value)
-        if isinstance(value, cls):
-            return value
-        raise TypeError(
-            f"cannot coerce {value!r} into an AutoscalerConfig"
-        )
+    coerce = classmethod(coerce_optional)
 
 
 class Autoscaler:

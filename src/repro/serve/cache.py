@@ -41,6 +41,7 @@ from repro.core.results import SearchResult
 from repro.core.spec import EngineSpec
 from repro.games import make_game
 from repro.games.base import Game, GameState
+from repro.util.coerce import coerce_optional
 
 #: Virtual cost of answering a request from the result cache (lookup
 #: + response serialisation; no search, no device time).  Shared by
@@ -252,20 +253,4 @@ class ResultCache:
             return 0.0
         return self.hits / total
 
-    @classmethod
-    def coerce(
-        cls, value: "ResultCache | dict | bool | None"
-    ) -> "ResultCache | None":
-        """``None``/``False`` -> no cache; ``True`` -> defaults; a
-        dict -> kwargs; a cache -> itself."""
-        if value is None or value is False:
-            return None
-        if value is True:
-            return cls()
-        if isinstance(value, dict):
-            return cls(**value)
-        if isinstance(value, cls):
-            return value
-        raise TypeError(
-            f"cannot coerce {value!r} into a ResultCache"
-        )
+    coerce = classmethod(coerce_optional)

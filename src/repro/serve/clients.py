@@ -66,6 +66,7 @@ from repro.serve.request import (
     retry_id,
     tenant_of,
 )
+from repro.util.coerce import coerce_optional
 from repro.util.seeding import derive_seed
 
 
@@ -215,21 +216,7 @@ class BreakerConfig:
                 f"{self.half_open_probes}"
             )
 
-    @classmethod
-    def coerce(
-        cls, value: "BreakerConfig | dict | bool | None"
-    ) -> "BreakerConfig | None":
-        if value is None or value is False:
-            return None
-        if value is True:
-            return cls()
-        if isinstance(value, dict):
-            return cls(**value)
-        if isinstance(value, cls):
-            return value
-        raise TypeError(
-            f"cannot coerce {value!r} into a BreakerConfig"
-        )
+    coerce = classmethod(coerce_optional)
 
 
 #: Circuit-breaker states.
@@ -319,21 +306,7 @@ class ThrottleConfig:
                 f"window must be >= 1: {self.window}"
             )
 
-    @classmethod
-    def coerce(
-        cls, value: "ThrottleConfig | dict | bool | None"
-    ) -> "ThrottleConfig | None":
-        if value is None or value is False:
-            return None
-        if value is True:
-            return cls()
-        if isinstance(value, dict):
-            return cls(**value)
-        if isinstance(value, cls):
-            return value
-        raise TypeError(
-            f"cannot coerce {value!r} into a ThrottleConfig"
-        )
+    coerce = classmethod(coerce_optional)
 
 
 class AdaptiveThrottle:
@@ -402,21 +375,7 @@ class RetryBudget:
             )
         self.tokens = min(self.initial, self.cap)
 
-    @classmethod
-    def coerce(
-        cls, value: "RetryBudget | dict | bool | None"
-    ) -> "RetryBudget | None":
-        if value is None or value is False:
-            return None
-        if value is True:
-            return cls()
-        if isinstance(value, dict):
-            return cls(**value)
-        if isinstance(value, cls):
-            return value
-        raise TypeError(
-            f"cannot coerce {value!r} into a RetryBudget"
-        )
+    coerce = classmethod(coerce_optional)
 
     def on_first_try(self) -> None:
         self.tokens = min(
@@ -712,21 +671,7 @@ class MetastabilityDetector:
                 f"sustain_bins must be >= 1: {self.sustain_bins}"
             )
 
-    @classmethod
-    def coerce(
-        cls, value: "MetastabilityDetector | dict | bool | None"
-    ) -> "MetastabilityDetector | None":
-        if value is None or value is False:
-            return None
-        if value is True:
-            return cls()
-        if isinstance(value, dict):
-            return cls(**value)
-        if isinstance(value, cls):
-            return value
-        raise TypeError(
-            f"cannot coerce {value!r} into a MetastabilityDetector"
-        )
+    coerce = classmethod(coerce_optional)
 
     def analyze(
         self,

@@ -90,6 +90,7 @@ from repro.serve.service import (
     ServiceError,
     run_recovering,
 )
+from repro.util.coerce import coerce_optional
 from repro.util.seeding import derive_seed
 from repro.util.tables import format_series
 
@@ -247,23 +248,7 @@ class HedgePolicy:
                 f"min_delay_s cannot be negative: {self.min_delay_s}"
             )
 
-    @classmethod
-    def coerce(
-        cls, value: "HedgePolicy | dict | bool | None"
-    ) -> "HedgePolicy | None":
-        """``None``/``False`` -> no hedging; ``True`` -> defaults; a
-        dict -> kwargs; a policy -> itself."""
-        if value is None or value is False:
-            return None
-        if value is True:
-            return cls()
-        if isinstance(value, dict):
-            return cls(**value)
-        if isinstance(value, cls):
-            return value
-        raise TypeError(
-            f"cannot coerce {value!r} into a HedgePolicy"
-        )
+    coerce = classmethod(coerce_optional)
 
 
 class ShardHandle:

@@ -61,6 +61,7 @@ from repro.serve.workload import (
     shape_request,
     shape_tables,
 )
+from repro.util.coerce import coerce_optional
 from repro.util.seeding import derive_seed
 
 
@@ -416,23 +417,7 @@ class OverloadPolicy:
 
         EngineSpec.coerce(self.cheap_engine)
 
-    @classmethod
-    def coerce(
-        cls, value: "OverloadPolicy | dict | bool | None"
-    ) -> "OverloadPolicy | None":
-        """``None``/``False`` -> no policy; ``True`` -> defaults; a
-        dict -> kwargs; a policy -> itself."""
-        if value is None or value is False:
-            return None
-        if value is True:
-            return cls()
-        if isinstance(value, dict):
-            return cls(**value)
-        if isinstance(value, cls):
-            return value
-        raise TypeError(
-            f"cannot coerce {value!r} into an OverloadPolicy"
-        )
+    coerce = classmethod(coerce_optional)
 
     # -- ladder semantics --------------------------------------------------
 

@@ -5,7 +5,7 @@ import pytest
 from repro.arena import play_game
 from repro.arena.cohort import drive_merged, play_games_cohort
 from repro.core import BlockParallelMcts, SequentialMcts
-from repro.core.base import batch_executor
+from repro.core.base import BatchExecutor
 from repro.games import TicTacToe
 from repro.players import MctsPlayer, RandomPlayer
 
@@ -26,7 +26,7 @@ def gpu_player(seed, budget=0.002):
 
 @pytest.fixture
 def executor():
-    return batch_executor("tictactoe", seed=99)
+    return BatchExecutor("tictactoe", seed=99)
 
 
 class TestDriveMerged:

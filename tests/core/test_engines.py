@@ -158,6 +158,17 @@ class TestEngineSpecifics:
         assert four.simulations > one.simulations
         assert four.extras["mpi.ranks"] == 4
 
+    def test_multigpu_forwards_profiler_to_rank_engines(self):
+        from repro.core.spec import make_engine
+        from repro.util.profile import Profiler
+
+        prof = Profiler()
+        make_engine("multigpu:2x2x8", TTT, 1, profiler=prof).search(
+            TTT.initial_state(), 0.002
+        )
+        for phase in ("select", "playout", "backprop"):
+            assert prof.total_s(phase) > 0
+
     def test_hybrid_overlaps_cpu_work(self):
         res = HybridMcts(
             TTT, seed=1, blocks=2, threads_per_block=32

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.base import batch_executor, drive_search, scalar_executor, tally
+from repro.core.base import BatchExecutor, drive_search, ScalarExecutor, tally
 from repro.games import Reversi, TicTacToe
 from repro.rng import XorShift64Star
 
@@ -12,7 +12,7 @@ import numpy as np
 class TestScalarExecutor:
     def test_one_result_per_state(self):
         game = TicTacToe()
-        run = scalar_executor(game, XorShift64Star(1))
+        run = ScalarExecutor(game, XorShift64Star(1))
         states = [game.initial_state()] * 5
         results = run(states)
         assert len(results) == 5
@@ -22,13 +22,13 @@ class TestScalarExecutor:
 
     def test_empty(self):
         game = TicTacToe()
-        run = scalar_executor(game, XorShift64Star(1))
+        run = ScalarExecutor(game, XorShift64Star(1))
         assert run([]) == []
 
 
 class TestBatchExecutor:
     def test_small_batches_use_scalar_fallback(self):
-        run = batch_executor("reversi", seed=3)
+        run = BatchExecutor("reversi", seed=3)
         game = Reversi()
         results = run([game.initial_state()] * 3)
         assert len(results) == 3
@@ -37,7 +37,7 @@ class TestBatchExecutor:
             assert plies > 0
 
     def test_large_batches_go_vectorised(self):
-        run = batch_executor("reversi", seed=3)
+        run = BatchExecutor("reversi", seed=3)
         game = Reversi()
         results = run([game.initial_state()] * 64)
         assert len(results) == 64
@@ -48,8 +48,8 @@ class TestBatchExecutor:
         assert 10 < b < 54
 
     def test_deterministic_per_call_sequence(self):
-        a = batch_executor("reversi", seed=9)
-        b = batch_executor("reversi", seed=9)
+        a = BatchExecutor("reversi", seed=9)
+        b = BatchExecutor("reversi", seed=9)
         game = Reversi()
         states = [game.initial_state()] * 32
         assert a(states) == b(states)
@@ -58,12 +58,12 @@ class TestBatchExecutor:
     def test_seed_changes_results(self):
         game = Reversi()
         states = [game.initial_state()] * 32
-        a = batch_executor("reversi", seed=1)(states)
-        b = batch_executor("reversi", seed=2)(states)
+        a = BatchExecutor("reversi", seed=1)(states)
+        b = BatchExecutor("reversi", seed=2)(states)
         assert a != b
 
     def test_empty(self):
-        run = batch_executor("tictactoe", seed=1)
+        run = BatchExecutor("tictactoe", seed=1)
         assert run([]) == []
 
 
@@ -73,8 +73,8 @@ class TestStatisticalAgreement:
         their black-win rates must agree within noise."""
         game = Reversi()
         state = game.initial_state()
-        scalar = scalar_executor(game, XorShift64Star(5))
-        batch = batch_executor("reversi", seed=5)
+        scalar = ScalarExecutor(game, XorShift64Star(5))
+        batch = BatchExecutor("reversi", seed=5)
         n = 300
         s_wins = sum(
             1 for w, _ in scalar([state] * n) if w == 1

@@ -218,6 +218,57 @@ class TestStats:
         assert max(tree.depth_of(n) for n in nodes) == tree.max_depth
 
 
+def _single_trees(game):
+    from repro.core.backend import ArenaTree
+
+    return [
+        cls(game, game.initial_state(), XorShift64Star(5))
+        for cls in (SearchTree, ArenaTree)
+    ]
+
+
+class TestIntegritySurface:
+    """A single tree (either backend) answers the audit/poison calls
+    the integrity guard makes on forests, as tree index 0."""
+
+    def grown(self, ttt):
+        trees = _single_trees(ttt)
+        for tree in trees:
+            for _ in range(20):
+                ref, _ = tree.select_expand()
+                tree.backprop_winner(ref, 1)
+        return trees
+
+    def test_clean_tree_audits_none(self, ttt):
+        for tree in self.grown(ttt):
+            assert tree.audit_tree(0) is None
+            assert tree.audit_tree(0, legal_moves=range(9)) is None
+
+    def test_poisoned_root_is_reported(self, ttt):
+        for tree in self.grown(ttt):
+            before = tree.root_stats()
+            assert tree.poison_root(0, 1000.0) is True
+            after = tree.root_stats()
+            # Phantom wins land on the most-visited root child only.
+            victim = max(
+                before, key=lambda m: (before[m][0], before[m][1], -m)
+            )
+            assert after[victim][1] == before[victim][1] + 1000.0
+            assert {m: s for m, s in after.items() if m != victim} == {
+                m: s for m, s in before.items() if m != victim
+            }
+            assert tree.audit_tree(0) is not None
+
+    def test_only_tree_zero_exists(self, ttt):
+        for tree in self.grown(ttt):
+            assert tree.poison_root(1, 1000.0) is False
+            assert tree.audit_tree(0) is None
+
+    def test_childless_root_cannot_be_poisoned(self, ttt):
+        for tree in _single_trees(ttt):
+            assert tree.poison_root(0, 1.0) is False
+
+
 class TestReversiTree:
     def test_pass_moves_enter_the_tree(self):
         # Position where white must pass: tree must branch through it.

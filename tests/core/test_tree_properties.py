@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import SequentialMcts
-from repro.core.base import drive_search, scalar_executor
+from repro.core.base import drive_search, ScalarExecutor
 from repro.cpu.costmodel import FREE_CPU
 from repro.games import TicTacToe
 from repro.rng import XorShift64Star
@@ -24,7 +24,7 @@ def run_search(seed, iterations):
     # Reach inside: drive the generator but keep the tree by rebuilding
     # through the public engine (stats suffice for the invariants).
     result = drive_search(
-        gen, scalar_executor(GAME, XorShift64Star(seed))
+        gen, ScalarExecutor(GAME, XorShift64Star(seed))
     )
     return result
 

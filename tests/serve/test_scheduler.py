@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core import make_engine
-from repro.core.base import batch_executor
+from repro.core.base import BatchExecutor
 from repro.games import TicTacToe
 from repro.gpu import TESLA_C2050, DevicePool
 from repro.serve import (
@@ -78,7 +78,7 @@ class TestDriveGenerators:
                 for i in range(3)
             }
             return drive_generators(
-                gens, batch_executor("tictactoe", 5)
+                gens, BatchExecutor("tictactoe", 5)
             )
 
         first, second = run(), run()
