@@ -6,6 +6,9 @@ Public surface:
 * :func:`run_playouts_tracked_compiled` -- bit-identical drop-in for
   :func:`repro.games.batch.run_playouts_tracked`.
 * :data:`COMPILED_GAMES` -- games with a compiled kernel.
+* :func:`expand_kernel` / :func:`expand_compiled` / :class:`ArenaColumns`
+  -- the tree arena's batch expansion kernels (one C call per
+  ``TreeArena._expand_many``).
 """
 
 from repro.compiled.build import (
@@ -17,15 +20,21 @@ from repro.compiled.build import (
 )
 from repro.compiled.runner import (
     COMPILED_GAMES,
+    ArenaColumns,
     compiled_available,
+    expand_compiled,
+    expand_kernel,
     run_playouts_tracked_compiled,
 )
 
 __all__ = [
+    "ArenaColumns",
     "COMPILED_GAMES",
     "build_library",
     "compiled_available",
     "compiled_disabled",
+    "expand_compiled",
+    "expand_kernel",
     "load_library",
     "reset_cache",
     "run_playouts_tracked_compiled",

@@ -142,6 +142,17 @@ def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
     return lib
 
 
+def expand_export(lib: ctypes.CDLL, game_name: str):
+    """``lib``'s ``repro_<game>_expand``.  Its signature is declared on
+    first use, not in :func:`_bind`: a process that never expands a
+    tree of that game does not pay for the binding at load."""
+    fn = getattr(lib, f"repro_{game_name}_expand")
+    if fn.argtypes is None:
+        fn.restype = ctypes.c_int
+        fn.argtypes = [ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p]
+    return fn
+
+
 def load_library() -> ctypes.CDLL | None:
     """The bound kernel library, building it on first call; ``None``
     when the compiled path is disabled or unavailable."""

@@ -1,4 +1,5 @@
-/* Compiled per-lane playout kernels for the `playout="compiled"` executor.
+/* Compiled per-lane playout kernels for the `playout="compiled"` executor,
+ * and the batch expansion kernels of the tree arena (last section).
  *
  * Each function replays the exact per-lane semantics of the vectorised
  * NumPy batch games (the `<game>_batch.py` modules of repro/games) one
@@ -31,9 +32,9 @@
 #include <stdlib.h>
 
 #define POPCOUNT(x) ((int64_t)__builtin_popcountll(x))
-/* The move generator has two call sites each (the playout loop and a
- * test helper), which stops -O2 inlining it on its own; out of line it
- * costs the playout loop 5-8%. */
+/* The move generator has several call sites each (the playout loop,
+ * the expansion kernel and a test helper), which stops -O2 inlining it
+ * on its own; out of line it costs the playout loop 5-8%. */
 #define FORCE_INLINE static inline __attribute__((always_inline))
 
 /* -- xorshift128+ (must match repro/rng/batch.py) ----------------------- */
@@ -393,6 +394,231 @@ int repro_connect4_playouts(
     }
     return finalize(n, s0, s1, init_s0, init_s1, finish, min_compact,
                     thr, err);
+}
+
+/* -- Batch node expansion (must match repro/core/arena.py) --------------- */
+
+/* The tree arena's columns by address; repro.compiled.runner.ArenaColumns
+ * mirrors this struct field for field.  Per-node columns have `capacity`
+ * rows, the three per-tree ones `n_trees`. */
+typedef struct {
+    int64_t *parent;
+    int32_t *move;
+    int8_t *mover;
+    int8_t *to_move;
+    uint8_t *terminal;
+    int8_t *winner;
+    int32_t *child_count;
+    int32_t *n_legal;
+    int32_t *untried_count;
+    uint64_t *untried_mask;  /* capacity x mask_words */
+    uint64_t *plane1;
+    uint64_t *plane2;
+    uint8_t *untried_order;  /* capacity x order_width */
+    uint64_t *rng_state;
+    int64_t *tree_node_count;
+    int64_t *tree_max_depth;
+    int64_t capacity, n_trees, mask_words, order_width;
+} arena_t;
+
+/* What a game's `*_play` reports about the position after a move. */
+typedef struct {
+    uint64_t p1, p2;    /* absolute occupancy planes */
+    uint64_t legal[2];  /* `legal_mask` words */
+    int over;           /* terminal? */
+    int winner;         /* +1 / -1 / 0 when over */
+} child_t;
+
+#define XS64_MULT 0x2545F4914F6CDD1DULL
+
+/* High word of r * bound, the `(next_u64() * n) >> 64` reduction of
+ * repro/rng/scalar.py, in 32-bit halves (bound < 2^32: no carry). */
+static inline uint64_t mul_shift64(uint64_t r, uint64_t bound)
+{
+    return ((r >> 32) * bound + (((r & 0xFFFFFFFFULL) * bound) >> 32)) >> 32;
+}
+
+/* Fill the virgin slot `child` the way `TreeArena._init_node` does --
+ * links, position, mask words, terminal / winner, and the untried order:
+ * mask bits ascending (`bits_of`), then `XorShift64Star.shuffle` on tree
+ * `t`'s generator word -- and pop `mv` from `node` the way
+ * `TreeArena._expand` does. */
+static void link_child(const arena_t *a, int64_t node, int64_t child,
+                       int64_t t, int64_t depth, int mv, const child_t *c)
+{
+    int tm = a->to_move[node];
+    a->parent[child] = node;
+    a->move[child] = mv;
+    a->mover[child] = (int8_t)tm;
+    a->to_move[child] = (int8_t)-tm;
+    a->plane1[child] = c->p1;
+    a->plane2[child] = c->p2;
+    a->terminal[child] = (uint8_t)c->over;
+    a->winner[child] = (int8_t)(c->over ? c->winner : 0);
+
+    uint64_t *mask = a->untried_mask + a->mask_words * child;
+    uint8_t *order = a->untried_order + a->order_width * child;
+    int32_t n = 0;
+    for (int64_t w = 0; w < a->mask_words; w++) {
+        mask[w] = c->legal[w];
+        for (uint64_t m = mask[w]; m; m &= m - 1)
+            order[n++] = (uint8_t)(64 * w + __builtin_ctzll(m));
+    }
+    a->n_legal[child] = n;
+    a->untried_count[child] = n;
+    uint64_t x = a->rng_state[t];
+    for (int32_t i = n - 1; i > 0; i--) {
+        x ^= x >> 12;
+        x ^= x << 25;
+        x ^= x >> 27;
+        uint64_t j = mul_shift64(x * XS64_MULT, (uint64_t)i + 1);
+        uint8_t tmp = order[i];
+        order[i] = order[j];
+        order[j] = tmp;
+    }
+    a->rng_state[t] = x;
+
+    a->untried_count[node]--;
+    a->untried_mask[a->mask_words * node + (mv >> 6)] &= ~(1ULL << (mv & 63));
+    a->child_count[node]++;
+    a->tree_node_count[t]++;
+    if (depth > a->tree_max_depth[t])
+        a->tree_max_depth[t] = depth;
+}
+
+/* `rows` is a 4 x k matrix: row i of the call expands node rows[0][i]
+ * into slot rows[1][i], for tree rows[2][i], at depth rows[3][i],
+ * playing the last move of the node's untried order.  Returns 0; i + 1
+ * when row i's move is one the scalar game's `apply` rejects (earlier
+ * rows are done, row i and later untouched); -1 when the arena's row
+ * widths do not fit the game; -2 when a row's indices or untried count
+ * fall outside the arena. */
+FORCE_INLINE int expand_rows(
+    int64_t k, const int64_t *rows, const arena_t *a, int num_moves,
+    int (*play)(uint64_t, uint64_t, int, int, child_t *))
+{
+    const int64_t *nodes = rows, *children = rows + k;
+    const int64_t *ts = rows + 2 * k, *depths = rows + 3 * k;
+    if (a->mask_words != (num_moves + 63) / 64 || a->order_width < num_moves)
+        return -1;
+    for (int64_t i = 0; i < k; i++) {
+        int64_t node = nodes[i], child = children[i], t = ts[i];
+        if (node < 0 || node >= a->capacity || child < 0
+            || child >= a->capacity || t < 0 || t >= a->n_trees)
+            return -2;
+        int32_t left = a->untried_count[node];
+        if (left < 1 || left > a->order_width)
+            return -2;
+        int mv = a->untried_order[a->order_width * node + left - 1];
+        child_t c;
+        if (!play(a->plane1[node], a->plane2[node], a->to_move[node], mv, &c))
+            return (int)(i + 1);
+        link_child(a, node, child, t, depths[i], mv, &c);
+    }
+    return 0;
+}
+
+#define REV_PASS 64
+
+static inline int rev_play(uint64_t black, uint64_t white, int tm, int mv,
+                           child_t *c)
+{
+    uint64_t own = tm == 1 ? black : white;
+    uint64_t opp = tm == 1 ? white : black;
+    if (mv == REV_PASS) {
+        if (rev_mobility(own, opp))
+            return 0;
+    } else {
+        if (mv > REV_PASS)
+            return 0;
+        uint64_t bit = 1ULL << mv;
+        uint64_t fl = bit & (own | opp) ? 0 : rev_flips(own, opp, bit);
+        if (!fl)
+            return 0;
+        own |= bit | fl;
+        opp &= ~fl;
+    }
+    /* `opp` moves next: it must pass (move id 64, second mask word)
+     * when only `own` has a move; the game is over when neither has. */
+    c->legal[0] = rev_mobility(opp, own);
+    c->legal[1] = 0;
+    c->over = 0;
+    if (!c->legal[0]) {
+        if (rev_mobility(own, opp))
+            c->legal[1] = 1;
+        else
+            c->over = 1;
+    }
+    c->p1 = tm == 1 ? own : opp;
+    c->p2 = tm == 1 ? opp : own;
+    int64_t diff = POPCOUNT(c->p1) - POPCOUNT(c->p2);
+    c->winner = (diff > 0) - (diff < 0);
+    return 1;
+}
+
+static inline int ttt_play(uint64_t x, uint64_t o, int tm, int mv,
+                           child_t *c)
+{
+    uint64_t bit = mv < 9 ? (1ULL << mv) & ~(x | o) : 0;
+    if (!bit)
+        return 0;
+    if (tm == 1)
+        x |= bit;
+    else
+        o |= bit;
+    int x_wins = ttt_has_line(x), o_wins = ttt_has_line(o);
+    c->p1 = x;
+    c->p2 = o;
+    c->over = x_wins || o_wins || (x | o) == TTT_FULL;
+    c->winner = x_wins ? 1 : o_wins ? -1 : 0;
+    c->legal[0] = c->over ? 0 : ~(x | o) & TTT_FULL;
+    c->legal[1] = 0;
+    return 1;
+}
+
+static inline int c4_play(uint64_t p1, uint64_t p2, int tm, int mv,
+                          child_t *c)
+{
+    if (mv >= 7)
+        return 0;
+    /* The lowest empty cell of column mv; none when it is full. */
+    uint64_t occ = p1 | p2;
+    uint64_t bit = (occ + (1ULL << (7 * mv))) & ~occ & C4_BOARD
+                 & (0x7FULL << (7 * mv));
+    if (!bit)
+        return 0;
+    if (tm == 1)
+        p1 |= bit;
+    else
+        p2 |= bit;
+    occ |= bit;
+    int p1_wins = c4_has_four(p1), p2_wins = c4_has_four(p2);
+    c->p1 = p1;
+    c->p2 = p2;
+    c->over = p1_wins || p2_wins || occ == C4_BOARD;
+    c->winner = p1_wins ? 1 : p2_wins ? -1 : 0;
+    /* Column col is open iff its top playable cell (7 col + 5) is empty. */
+    c->legal[0] = 0;
+    c->legal[1] = 0;
+    if (!c->over)
+        for (int col = 0; col < 7; col++)
+            c->legal[0] |= (~occ >> (7 * col + 5) & 1) << col;
+    return 1;
+}
+
+int repro_reversi_expand(int64_t k, const int64_t *rows, const arena_t *a)
+{
+    return expand_rows(k, rows, a, 65, rev_play);
+}
+
+int repro_tictactoe_expand(int64_t k, const int64_t *rows, const arena_t *a)
+{
+    return expand_rows(k, rows, a, 9, ttt_play);
+}
+
+int repro_connect4_expand(int64_t k, const int64_t *rows, const arena_t *a)
+{
+    return expand_rows(k, rows, a, 7, c4_play);
 }
 
 /* Advance each lane's generator `steps` times in place (shared helper

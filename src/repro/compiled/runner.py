@@ -10,15 +10,21 @@ act on); a game *without a compiled kernel* (breakthrough -- see the
 known-gaps note in docs/fusion.md) also falls back, but warns once per
 game so an ``@compiled`` spec never silently runs slower than asked.
 The differential suite pins the equivalence either way.
+
+The same library carries the tree arena's batch *expansion* kernels
+(:func:`expand_kernel`, :func:`expand_compiled`).  Nobody asks for those --
+the arena uses one whenever it exists -- so a game without one falls
+back silently.
 """
 
 from __future__ import annotations
 
+import ctypes
 import warnings
 
 import numpy as np
 
-from repro.compiled.build import load_library
+from repro.compiled.build import expand_export, load_library
 from repro.games.batch import (
     BatchGame,
     TrackedPlayouts,
@@ -133,3 +139,95 @@ def run_playouts_tracked_compiled(
     return TrackedPlayouts(
         winners=winners, scores=scores, finish_steps=finish
     )
+
+
+def expand_kernel(game_name: str):
+    """The library's ``repro_<game>_expand`` export, or ``None`` when
+    the library is unavailable or the game has no kernel (never warns:
+    compiled expansion is not something a spec requests)."""
+    lib = load_library()
+    if lib is None or game_name not in COMPILED_GAMES:
+        return None
+    return expand_export(lib, game_name)
+
+
+class ArenaColumns(ctypes.Structure):
+    """``arena_t`` of ``playout.c``: the addresses of the tree arena's
+    columns, taken once per (re)allocation.  :meth:`of` checks every
+    array's dtype, shape and contiguity against what the C side reads,
+    so the kernel never sees a layout it was not compiled for."""
+
+    #: ``(attribute, dtype, row-count attribute, row-width attribute)``
+    #: in ``arena_t`` field order.
+    _LAYOUT = (
+        ("parent", np.int64, "capacity", None),
+        ("move", np.int32, "capacity", None),
+        ("mover", np.int8, "capacity", None),
+        ("to_move", np.int8, "capacity", None),
+        ("terminal", np.bool_, "capacity", None),
+        ("winner", np.int8, "capacity", None),
+        ("child_count", np.int32, "capacity", None),
+        ("n_legal", np.int32, "capacity", None),
+        ("untried_count", np.int32, "capacity", None),
+        ("untried_mask", np.uint64, "capacity", "mask_words"),
+        ("plane1", np.uint64, "capacity", None),
+        ("plane2", np.uint64, "capacity", None),
+        ("untried_order", np.uint8, "capacity", "order_width"),
+        ("rng_state", np.uint64, "n_trees", None),
+        ("tree_node_count", np.int64, "n_trees", None),
+        ("tree_max_depth", np.int64, "n_trees", None),
+    )
+    _SIZES = ("capacity", "n_trees", "mask_words", "order_width")
+    _fields_ = [(name, ctypes.c_void_p) for name, *_ in _LAYOUT] + [
+        (name, ctypes.c_int64) for name in _SIZES
+    ]
+
+    @classmethod
+    def of(cls, arena) -> "ArenaColumns":
+        cols = cls()
+        # The struct holds bare addresses: keep the arrays alive with it.
+        cols.arrays = []
+        for name in cls._SIZES:
+            setattr(cols, name, getattr(arena, name))
+        for name, dtype, rows, width in cls._LAYOUT:
+            array = getattr(arena, name)
+            cols.arrays.append(array)
+            shape = (getattr(arena, rows),)
+            if width is not None:
+                shape += (getattr(arena, width),)
+            if (
+                array.dtype != dtype
+                or array.shape != shape
+                or not array.flags.c_contiguous
+            ):
+                raise TypeError(
+                    f"arena column {name}: {array.dtype}{array.shape} is "
+                    f"not the contiguous {np.dtype(dtype)}{shape} the "
+                    f"expansion kernel reads"
+                )
+            setattr(cols, name, array.ctypes.data)
+        return cols
+
+
+def expand_compiled(kernel, cols: ArenaColumns, rows: np.ndarray) -> int:
+    """One kernel call over ``rows``, an int64 ``4 x k`` matrix: row
+    ``i`` expands node ``rows[0, i]`` into slot ``rows[1, i]`` for tree
+    ``rows[2, i]`` at depth ``rows[3, i]`` (``expand_rows`` in
+    ``playout.c``).  Returns 0, or ``i + 1`` when row ``i`` holds a
+    move the scalar game's ``apply`` rejects."""
+    if (
+        rows.dtype != np.int64
+        or rows.ndim != 2
+        or rows.shape[0] != 4
+        or not rows.flags.c_contiguous
+    ):
+        raise TypeError("expansion rows must be a contiguous int64 4 x k")
+    rc = kernel(rows.shape[1], rows.ctypes.data, ctypes.byref(cols))
+    if rc == -1:
+        raise ValueError("arena row widths do not fit the game's moves")
+    if rc < 0:
+        raise ValueError(
+            "an expansion row's node, child slot, tree or untried count "
+            "is outside the arena"
+        )
+    return rc

@@ -4,11 +4,13 @@ The pointer tree in :mod:`repro.core.tree` stores one Python object per
 node, so walking ``B`` block-parallel trees costs ``B`` pointer-chasing
 UCB descents per iteration -- the *sequential part* that bends the
 paper's Figure 5 curves.  :class:`TreeArena` stores one or many trees
-in a single preallocated, growable struct-of-arrays: numpy arrays for
-parent, move, mover, visits, wins, virtual loss, child spans,
-untried-move bitmasks and terminal flags, plus a Python list of states
-(immutable game positions are cold data -- they are touched once per
-expansion, never during selection).
+in a single preallocated, growable struct-of-arrays -- every per-node
+fact is a numpy column (``_COLUMNS``): parent, move, mover, visits,
+wins, virtual loss, child spans, untried-move bitmasks and shuffled
+orders, terminal flags, and the position itself as two occupancy planes
+beside ``to_move``.  The per-tree RNG words are one ``uint64`` array.
+No node owns a Python object; :meth:`TreeArena.state_of` builds the
+game's state tuple on demand.
 
 Layout invariants
 -----------------
@@ -18,9 +20,12 @@ Layout invariants
   children are expanded; ``child_count`` tracks the filled prefix.
 * Trees never share nodes: each tree's slots form a disjoint set, so
   batched backpropagation can use plain fancy indexing.
-* ``untried_order[i]`` holds node ``i``'s not-yet-expanded moves in
-  the same shuffled order the pointer backend would use, popped from
-  the end; ``untried_mask`` mirrors it as a bitmask.
+* ``untried_order[i, :untried_count[i]]`` holds node ``i``'s
+  not-yet-expanded moves in the same shuffled order the pointer backend
+  would use, popped from the end; ``untried_mask`` mirrors it as a
+  bitmask.
+* ``to_move`` is +1/-1 for every initialised node and 0 for a
+  reserved-but-unfilled span slot.
 
 Bit-for-bit equivalence with the pointer backend
 ------------------------------------------------
@@ -36,7 +41,10 @@ the differential test suite enforces this for every engine kind.
 The payoff is :meth:`select_expand_all`: one lockstep descent of all
 ``B`` trees per iteration, scoring every active tree's child span in a
 handful of vectorised numpy passes instead of ``B`` independent Python
-walks.
+walks, then expanding all of them in one compiled call
+(``repro/compiled/playout.c``, "Batch node expansion") when the game
+has a kernel and a C toolchain exists -- same draws, same order; the
+Python body (:meth:`TreeArena._expand` + ``_init_node``) otherwise.
 """
 
 from __future__ import annotations
@@ -45,6 +53,7 @@ import math
 
 import numpy as np
 
+from repro.compiled import ArenaColumns, expand_compiled, expand_kernel
 from repro.core.policy import (
     validate_parallel_mode,
     validate_selection_rule,
@@ -80,14 +89,16 @@ class TreeArena:
         validate_parallel_mode(parallel_mode)
         if not rngs:
             raise ValueError("arena needs at least one tree RNG")
-        self.game = game
-        self.rngs = list(rngs)
-        self.n_trees = len(self.rngs)
+        self._attach(game)
+        #: Each tree's xorshift64* word, adopted from ``rngs`` (the
+        #: generator objects themselves are not advanced).
+        self.rng_state = np.array(
+            [rng.getstate() for rng in rngs], dtype=np.uint64
+        )
+        self.n_trees = len(rngs)
         self.ucb_c = ucb_c
         self.selection_rule = selection_rule
         self.parallel_mode = parallel_mode
-        #: uint64 words per untried-move bitmask row.
-        self.mask_words = (game.num_moves + 63) // 64
 
         cap = capacity if capacity else max(256, 8 * self.n_trees)
         self._cap = 0
@@ -105,73 +116,68 @@ class TreeArena:
         self.tree_max_depth = np.zeros(self.n_trees, dtype=np.int64)
         for t in range(self.n_trees):
             root = self._alloc_span(1)
-            self._init_node(root, -1, -1, root_state, self.rngs[t])
+            self._init_node(root, -1, -1, root_state, t)
             if self.terminal[root]:
                 raise ValueError("cannot search a terminal position")
             self.roots[t] = root
 
     # -- storage ------------------------------------------------------------
 
-    def _make_arrays(self, cap: int) -> None:
-        self.parent = np.full(cap, -1, dtype=np.int64)
-        self.move = np.full(cap, -1, dtype=np.int32)
-        self.mover = np.zeros(cap, dtype=np.int8)
-        self.to_move = np.zeros(cap, dtype=np.int8)
-        self.visits = np.zeros(cap, dtype=np.float64)
-        self.wins = np.zeros(cap, dtype=np.float64)
-        self.vloss = np.zeros(cap, dtype=np.float64)
-        self.terminal = np.zeros(cap, dtype=bool)
-        self.winner = np.zeros(cap, dtype=np.int8)
-        self.child_start = np.full(cap, -1, dtype=np.int64)
-        self.child_count = np.zeros(cap, dtype=np.int32)
-        self.n_legal = np.zeros(cap, dtype=np.int32)
-        self.untried_count = np.zeros(cap, dtype=np.int32)
-        self.untried_mask = np.zeros(
-            (cap, self.mask_words), dtype=np.uint64
-        )
-        self.states: list = [None] * cap
-        self.untried_order: list = [None] * cap
+    #: Every per-node column, declared once: ``(name, dtype, default,
+    #: attribute naming the row width or None)``.  Allocation, growth,
+    #: compaction and snapshots all walk this table.
+    _COLUMNS = (
+        ("parent", np.int64, -1, None),
+        ("move", np.int32, -1, None),
+        ("mover", np.int8, 0, None),
+        ("to_move", np.int8, 0, None),
+        ("visits", np.float64, 0, None),
+        ("wins", np.float64, 0, None),
+        ("vloss", np.float64, 0, None),
+        ("terminal", bool, 0, None),
+        ("winner", np.int8, 0, None),
+        ("child_start", np.int64, -1, None),
+        ("child_count", np.int32, 0, None),
+        ("n_legal", np.int32, 0, None),
+        ("untried_count", np.int32, 0, None),
+        ("untried_mask", np.uint64, 0, "mask_words"),
+        ("plane1", np.uint64, 0, None),
+        ("plane2", np.uint64, 0, None),
+        ("untried_order", np.uint8, 0, "order_width"),
+    )
+
+    def _attach(self, game: Game) -> None:
+        if game.num_moves > 256:
+            raise ValueError(
+                f"{game.name}: move ids up to {game.num_moves} do not "
+                f"fit the arena's uint8 untried-order rows"
+            )
+        self.game = game
+        #: uint64 words per untried-move bitmask row.
+        self.mask_words = (game.num_moves + 63) // 64
+        #: Slots per untried-order row (no node has more legal moves).
+        self.order_width = game.num_moves
+        #: Tree-RNG adapter for the Python expansion body.
+        self._shuffler = XorShift64Star.from_state(1)
+
+    def _make_arrays(self, cap: int, keep: int = 0) -> None:
+        """(Re)allocate every column at ``cap`` rows: the first
+        ``keep`` rows carry over, the rest hold the defaults."""
+        for name, dtype, default, width in self._COLUMNS:
+            shape = (cap,) if width is None else (cap, getattr(self, width))
+            column = np.zeros(shape, dtype=dtype)
+            if default:
+                column.fill(default)
+            if keep:
+                column[:keep] = getattr(self, name)[:keep]
+            setattr(self, name, column)
         self._cap = cap
+        #: Column addresses for the compiled body, taken on first use.
+        self._cols: ArenaColumns | None = None
 
     def _grow(self, min_cap: int) -> None:
-        new_cap = max(2 * self._cap, min_cap)
-        pad = new_cap - self._cap
-        self.parent = np.concatenate(
-            [self.parent, np.full(pad, -1, dtype=np.int64)]
-        )
-        self.move = np.concatenate(
-            [self.move, np.full(pad, -1, dtype=np.int32)]
-        )
-        for name in ("mover", "to_move", "winner"):
-            arr = getattr(self, name)
-            setattr(
-                self, name, np.concatenate([arr, np.zeros(pad, arr.dtype)])
-            )
-        for name in ("visits", "wins", "vloss"):
-            arr = getattr(self, name)
-            setattr(
-                self, name, np.concatenate([arr, np.zeros(pad, arr.dtype)])
-            )
-        self.terminal = np.concatenate(
-            [self.terminal, np.zeros(pad, dtype=bool)]
-        )
-        self.child_start = np.concatenate(
-            [self.child_start, np.full(pad, -1, dtype=np.int64)]
-        )
-        for name in ("child_count", "n_legal", "untried_count"):
-            arr = getattr(self, name)
-            setattr(
-                self, name, np.concatenate([arr, np.zeros(pad, arr.dtype)])
-            )
-        self.untried_mask = np.concatenate(
-            [
-                self.untried_mask,
-                np.zeros((pad, self.mask_words), dtype=np.uint64),
-            ]
-        )
-        self.states.extend([None] * pad)
-        self.untried_order.extend([None] * pad)
-        self._cap = new_cap
+        # Slots past ``_allocated`` are virgin: nothing to carry over.
+        self._make_arrays(max(2 * self._cap, min_cap), self._allocated)
 
     def _alloc_span(self, n: int) -> int:
         """Reserve ``n`` contiguous slots; returns the span start."""
@@ -197,39 +203,38 @@ class TreeArena:
     # -- node construction --------------------------------------------------
 
     def _init_node(
-        self,
-        idx: int,
-        parent: int,
-        move: int,
-        state: GameState,
-        rng: XorShift64Star,
+        self, idx: int, parent: int, move: int, state: GameState, t: int
     ) -> None:
+        """The Python expansion body: describe ``state`` in slot
+        ``idx``, shuffling its legal moves on tree ``t``'s generator.
+        The compiled kernels replicate exactly this, row by row."""
         # Slots arrive virgin (fresh allocations and compact() both
         # leave defaults in place), so default-valued fields -- visits,
         # wins, vloss, child_start, child_count, terminal, winner --
         # are only written when they differ from the default.
-        self.states[idx] = state
+        game = self.game
         self.parent[idx] = parent
         self.move[idx] = move
-        tm = self.game.to_move(state)
+        tm = game.to_move(state)
         self.to_move[idx] = tm
         self.mover[idx] = self.to_move[parent] if parent >= 0 else -tm
-        mask = self.game.legal_mask(state)
-        if mask:
-            legal = list(bits_of(mask))
-        else:
-            legal = []
+        self.plane1[idx], self.plane2[idx] = game.zobrist_planes(state)
+        mask = game.legal_mask(state)
+        legal = list(bits_of(mask))
+        if not legal:
             self.terminal[idx] = True
-            self.winner[idx] = self.game.winner(state)
+            self.winner[idx] = game.winner(state)
+        rng = self._shuffler
+        rng.setstate(self.rng_state.item(t))
         rng.shuffle(legal)
-        self.untried_order[idx] = legal
+        self.rng_state[t] = rng.getstate()
         n = len(legal)
+        self.untried_order[idx, :n] = legal
         self.n_legal[idx] = n
         self.untried_count[idx] = n
-        m = mask
         for w in range(self.mask_words):
-            self.untried_mask[idx, w] = m & _U64_MASK
-            m >>= 64
+            self.untried_mask[idx, w] = mask & _U64_MASK
+            mask >>= 64
 
     def _expand(self, node: int, t: int, child_depth: int) -> int:
         """Pop one untried move of ``node`` and create its child."""
@@ -237,16 +242,23 @@ class TreeArena:
             self.child_start[node] = self._alloc_span(
                 int(self.n_legal[node])
             )
-        mv = self.untried_order[node].pop()
-        self.untried_count[node] -= 1
+        child = int(self.child_start[node]) + int(self.child_count[node])
+        kernel = expand_kernel(self.game.name)
+        if kernel is not None:
+            row = [[node], [child], [t], [child_depth]]
+            self._expand_compiled(kernel, np.array(row, dtype=np.int64))
+            return child
+        left = self.untried_count.item(node) - 1
+        mv = self.untried_order.item(node, left)
+        # An illegal move raises here, before anything is stored.
+        state = self.game.apply(self.state_of(node), mv)
+        self.untried_count[node] = left
         word, bit = divmod(mv, 64)
         self.untried_mask[node, word] = np.uint64(
             int(self.untried_mask[node, word]) & ~(1 << bit)
         )
-        child = int(self.child_start[node]) + int(self.child_count[node])
         self.child_count[node] += 1
-        state = self.game.apply(self.states[node], mv)
-        self._init_node(child, node, mv, state, self.rngs[t])
+        self._init_node(child, node, mv, state, t)
         self.tree_node_count[t] += 1
         if child_depth > self.tree_max_depth[t]:
             self.tree_max_depth[t] = child_depth
@@ -258,78 +270,48 @@ class TreeArena:
         ts: np.ndarray,
         child_depths: np.ndarray,
     ) -> np.ndarray:
-        """Batched :meth:`_expand` over several *distinct* nodes.
+        """Batched :meth:`_expand` over *distinct* nodes of *distinct*
+        trees, rows in the order the per-tree loop would visit them (so
+        span allocation and RNG consumption are identical).
 
-        The per-node work that must stay scalar (game calls, the
-        tree's own RNG shuffle, span allocation) runs in row order --
-        the same order the per-tree loop would use, so RNG consumption
-        is identical -- but every array field is then written with one
-        fancy-indexed store instead of ``len(nodes)`` scalar stores.
+        One compiled call does the whole batch when the game has an
+        expansion kernel and a toolchain exists -- same moves, same
+        draws; otherwise the rows go through :meth:`_expand`.
         """
-        k = len(nodes)
-        children = np.empty(k, dtype=np.int64)
-        moves = np.empty(k, dtype=np.int32)
-        to_moves = np.empty(k, dtype=np.int8)
-        n_legals = np.empty(k, dtype=np.int32)
-        terminals = np.zeros(k, dtype=bool)
-        winners = np.zeros(k, dtype=np.int8)
-        mask_rows = np.zeros((k, self.mask_words), dtype=np.uint64)
-        game = self.game
-        states = self.states
-        orders = self.untried_order
-        counts = self.child_count[nodes]
+        kernel = expand_kernel(self.game.name)
+        if kernel is None:
+            rows = zip(nodes.tolist(), ts.tolist(), child_depths.tolist())
+            return np.array(
+                [self._expand(*row) for row in rows], dtype=np.int64
+            )
+        rows = np.empty((4, len(nodes)), dtype=np.int64)
+        rows[0], rows[2], rows[3] = nodes, ts, child_depths
         starts = self.child_start[nodes]
-        for i in range(k):
-            node = int(nodes[i])
-            start = int(starts[i])
-            if start < 0:
-                start = self._alloc_span(int(self.n_legal[node]))
-                self.child_start[node] = start
-            mv = orders[node].pop()
-            child = start + int(counts[i])
-            state = game.apply(states[node], mv)
-            mask = game.legal_mask(state)
-            if mask:
-                legal = list(bits_of(mask))
-            else:
-                legal = []
-                terminals[i] = True
-                winners[i] = game.winner(state)
-            self.rngs[int(ts[i])].shuffle(legal)
-            states[child] = state
-            orders[child] = legal
-            children[i] = child
-            moves[i] = mv
-            to_moves[i] = game.to_move(state)
-            n_legals[i] = len(legal)
-            m = mask
-            for w in range(self.mask_words):
-                mask_rows[i, w] = m & _U64_MASK
-                m >>= 64
-        # Parents: pop the tried move's mask bit, bump the fill count.
-        mv64 = moves.astype(np.uint64)
-        words = (mv64 >> np.uint64(6)).astype(np.int64)
-        bits = mv64 & np.uint64(63)
-        self.untried_mask[nodes, words] &= ~(np.uint64(1) << bits)
-        self.untried_count[nodes] -= 1
-        self.child_count[nodes] += 1
-        # Children: all slots are virgin, so default-valued fields
-        # (visits, wins, vloss, child_start, child_count) stay as-is.
-        self.parent[children] = nodes
-        self.move[children] = moves
-        self.to_move[children] = to_moves
-        self.mover[children] = self.to_move[nodes]
-        self.n_legal[children] = n_legals
-        self.untried_count[children] = n_legals
-        if terminals.any():
-            self.terminal[children] = terminals
-            self.winner[children] = winners
-        self.untried_mask[children] = mask_rows
-        self.tree_node_count[ts] += 1
-        self.tree_max_depth[ts] = np.maximum(
-            self.tree_max_depth[ts], child_depths
-        )
-        return children
+        fresh = starts < 0
+        if np.count_nonzero(fresh):
+            # First expansion: reserve each node's span, in row order.
+            sizes = self.n_legal[nodes[fresh]]
+            ends = np.cumsum(sizes, dtype=np.int64)
+            starts[fresh] = self._alloc_span(int(ends[-1])) + ends - sizes
+            self.child_start[nodes[fresh]] = starts[fresh]
+        np.add(starts, self.child_count[nodes], out=rows[1])
+        self._expand_compiled(kernel, rows)
+        return rows[1]
+
+    def _expand_compiled(self, kernel, rows: np.ndarray) -> None:
+        """The compiled expansion body: one kernel call pops, creates
+        and links every ``(node, child slot, tree, depth)`` row."""
+        if self._cols is None:
+            self._cols = ArenaColumns.of(self)
+        bad = expand_compiled(kernel, self._cols, rows)
+        if bad:
+            # Same error as the scalar path: let the game word it.
+            node = int(rows[0, bad - 1])
+            mv = self.untried_order.item(node, self.untried_count[node] - 1)
+            self.game.apply(self.state_of(node), mv)
+            raise ValueError(
+                f"{self.game.name} kernel rejected move {mv} at node {node}"
+            )
 
     # -- selection + expansion ---------------------------------------------
 
@@ -352,10 +334,9 @@ class TreeArena:
 
         Returns ``(leaves, depths)`` aligned with ``indices`` (all
         trees when ``None``).  Per level, every still-descending tree's
-        child span is scored in one vectorised pass; expansions (one
-        per tree per call, exactly like the scalar walk) drop back to
-        per-tree code because they touch the game and the tree's own
-        RNG.
+        child span is scored in one vectorised pass and every tree
+        that reached a node with untried moves expands one child
+        (exactly like the scalar walk) in one :meth:`_expand_many`.
         """
         idx = (
             np.arange(self.n_trees, dtype=np.int64)
@@ -567,7 +548,10 @@ class TreeArena:
     # -- ref accessors ------------------------------------------------------
 
     def state_of(self, ref: int) -> GameState:
-        return self.states[int(ref)]
+        i = int(ref)
+        return self.game.state_from_planes(
+            self.plane1.item(i), self.plane2.item(i), self.to_move.item(i)
+        )
 
     def terminal_of(self, ref: int) -> bool:
         return bool(self.terminal[int(ref)])
@@ -630,35 +614,31 @@ class TreeArena:
 
     # -- checkpointing ------------------------------------------------------
 
-    #: Array fields captured verbatim (``[:allocated]``) by snapshots.
-    _SNAPSHOT_ARRAYS = (
-        "parent",
-        "move",
-        "mover",
-        "to_move",
-        "visits",
-        "wins",
-        "vloss",
-        "terminal",
-        "winner",
-        "child_start",
-        "child_count",
-        "n_legal",
-        "untried_count",
-        "untried_mask",
+    #: Columns snapshots copy verbatim (``[:allocated]``) into
+    #: ``arrays``; the rest travel as Python values -- planes as the
+    #: game's state tuples, untried orders as lists.
+    _SNAPSHOT_ARRAYS = tuple(
+        name
+        for name, *_ in _COLUMNS
+        if name not in ("plane1", "plane2", "untried_order")
     )
 
     def snapshot(self) -> dict:
         """A picklable copy of all live arena state.
 
-        Cheap by construction: every struct-of-arrays field is one
-        ``ndarray[:allocated].copy()``.  Per-node Python data (states,
-        shuffled untried orders) is copied shallowly -- states are
-        immutable, but untried orders are popped in place, so each
-        list is duplicated.  The per-tree RNG states ride along; the
-        log table is omitted (it regrows to identical values).
+        Every ``_SNAPSHOT_ARRAYS`` column is one
+        ``ndarray[:allocated].copy()``.  Positions, the untried part of
+        each order row and the per-tree RNG words are rendered as the
+        Python values the payload has always carried (state tuples,
+        lists, ints; ``None`` for a reserved-but-unfilled slot), so
+        the checkpoint format does not depend on the column layout.
+        The log table is omitted (it regrows to identical values).
         """
         n = self._allocated
+        live = self.to_move[:n].tolist()
+        counts = self.untried_count[:n]
+        widest = int(counts.max(initial=0))
+        make_state = self.game.state_from_planes
         return {
             "kind": "arena",
             "ucb_c": self.ucb_c,
@@ -667,7 +647,7 @@ class TreeArena:
             "n_trees": self.n_trees,
             "mask_words": self.mask_words,
             "allocated": n,
-            "rng_states": [rng.getstate() for rng in self.rngs],
+            "rng_states": self.rng_state.tolist(),
             "vloss_active": self._vloss_active,
             "roots": self.roots.copy(),
             "tree_node_count": self.tree_node_count.copy(),
@@ -676,27 +656,33 @@ class TreeArena:
                 name: getattr(self, name)[:n].copy()
                 for name in self._SNAPSHOT_ARRAYS
             },
-            "states": self.states[:n],
+            "states": [
+                make_state(p1, p2, tm) if tm else None
+                for p1, p2, tm in zip(
+                    self.plane1[:n].tolist(), self.plane2[:n].tolist(), live
+                )
+            ],
             "untried_order": [
-                list(order) if order is not None else None
-                for order in self.untried_order[:n]
+                row[:count] if tm else None
+                for row, count, tm in zip(
+                    self.untried_order[:n, :widest].tolist(),
+                    counts.tolist(),
+                    live,
+                )
             ],
         }
 
     @classmethod
     def from_snapshot(cls, game: Game, snap: dict) -> "TreeArena":
         """Rebuild an arena from :meth:`snapshot`; consumes no RNG
-        draws and calls no game logic."""
+        draws and generates no moves."""
         arena = object.__new__(cls)
-        arena.game = game
+        arena._attach(game)
         arena.ucb_c = snap["ucb_c"]
         arena.selection_rule = snap["selection_rule"]
         arena.parallel_mode = snap.get("parallel_mode", "vloss")
         arena.n_trees = snap["n_trees"]
-        arena.mask_words = snap["mask_words"]
-        arena.rngs = [
-            XorShift64Star.from_state(s) for s in snap["rng_states"]
-        ]
+        arena.rng_state = np.array(snap["rng_states"], dtype=np.uint64)
         arena._log_table = np.zeros(2, dtype=np.float64)
         arena._vloss_active = snap["vloss_active"]
         n = snap["allocated"]
@@ -704,11 +690,11 @@ class TreeArena:
         arena._allocated = n
         for name in cls._SNAPSHOT_ARRAYS:
             getattr(arena, name)[:n] = snap["arrays"][name]
-        arena.states[:n] = snap["states"]
-        arena.untried_order[:n] = [
-            list(order) if order is not None else None
-            for order in snap["untried_order"]
-        ]
+        for i, state in enumerate(snap["states"]):
+            if state is not None:
+                arena.plane1[i], arena.plane2[i] = game.zobrist_planes(state)
+                order = snap["untried_order"][i]
+                arena.untried_order[i, : len(order)] = order
         arena.roots = np.asarray(snap["roots"], dtype=np.int64).copy()
         arena.tree_node_count = np.asarray(
             snap["tree_node_count"], dtype=np.int64
@@ -776,11 +762,9 @@ class TreeArena:
                 f"node {node}: children({filled}) + untried({untried}) "
                 f"!= n_legal({n_legal})"
             )
-        order = self.untried_order[node]
-        order_set = set(order) if order is not None else set()
-        if len(order_set) != untried or (
-            order is not None and len(order) != untried
-        ):
+        order = self.untried_order[node, : max(untried, 0)].tolist()
+        order_set = set(order)
+        if len(order_set) != untried:
             raise ArenaInvariantError(
                 f"node {node}: untried_order {order!r} disagrees with "
                 f"untried_count {untried}"
@@ -868,34 +852,15 @@ class TreeArena:
                 mapping[child] = new_span_start[node] + k
                 queue.append(child)
 
-        copied = (
-            "move",
-            "mover",
-            "to_move",
-            "visits",
-            "wins",
-            "vloss",
-            "terminal",
-            "winner",
-            "child_count",
-            "n_legal",
-            "untried_count",
-            "untried_mask",
-        )
-        old_arrays = {name: getattr(self, name) for name in copied}
-        old_parent = self.parent
-        old_states = self.states
-        old_orders = self.untried_order
+        old = {name: getattr(self, name) for name, *_ in self._COLUMNS}
         olds = np.nonzero(mapping >= 0)[0]
         news = mapping[olds]
         self._make_arrays(new_alloc)
         self._allocated = new_alloc
-        for name in copied:
-            getattr(self, name)[news] = old_arrays[name][olds]
-        parents = old_parent[olds]
+        for name, column in old.items():
+            if name not in ("parent", "child_start"):  # links: remapped
+                getattr(self, name)[news] = column[olds]
+        parents = old["parent"][olds]
         self.parent[news] = np.where(parents >= 0, mapping[parents], -1)
         self.child_start[news] = new_span_start[olds]
-        for o, n in zip(olds.tolist(), news.tolist()):
-            self.states[n] = old_states[o]
-            self.untried_order[n] = old_orders[o]
         self.roots = mapping[self.roots]

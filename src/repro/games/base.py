@@ -92,6 +92,17 @@ class Game(abc.ABC):
             f"{self.name} does not define Zobrist occupancy planes"
         )
 
+    def state_from_planes(
+        self, p1: int, p2: int, to_move: int
+    ) -> GameState:
+        """Inverse of :meth:`zobrist_planes` + :meth:`to_move`: the
+        position with those occupancy planes and that side to move.
+        The tree arena stores positions as plane columns and rebuilds
+        the state object on demand."""
+        raise NotImplementedError(
+            f"{self.name} does not define Zobrist occupancy planes"
+        )
+
     def zobrist_key(self, state: GameState) -> int:
         """Canonical 64-bit Zobrist key of ``state`` (full recompute).
 

@@ -218,6 +218,11 @@ class Breakthrough(Game):
     ) -> tuple[int, int]:
         return state.p1, state.p2
 
+    def state_from_planes(
+        self, p1: int, p2: int, to_move: int
+    ) -> BreakthroughState:
+        return BreakthroughState(p1, p2, to_move)
+
     def playout(self, state: BreakthroughState, rng) -> tuple[int, int]:
         return fast_playout(state, rng)
 

@@ -119,6 +119,11 @@ class Connect4(Game):
     def zobrist_planes(self, state: Connect4State) -> tuple[int, int]:
         return state.p1, state.p2
 
+    def state_from_planes(
+        self, p1: int, p2: int, to_move: int
+    ) -> Connect4State:
+        return Connect4State(p1, p2, to_move)
+
     def render(self, state: Connect4State) -> str:
         rows = []
         for r in range(NUM_ROWS - 1, -1, -1):

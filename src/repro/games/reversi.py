@@ -248,6 +248,11 @@ class Reversi(Game):
     def zobrist_planes(self, state: ReversiState) -> tuple[int, int]:
         return state.black, state.white
 
+    def state_from_planes(
+        self, p1: int, p2: int, to_move: int
+    ) -> ReversiState:
+        return ReversiState(p1, p2, to_move)
+
     def playout(self, state: ReversiState, rng) -> tuple[int, int]:
         return fast_playout(state, rng)
 

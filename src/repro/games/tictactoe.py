@@ -109,3 +109,8 @@ class TicTacToe(Game):
 
     def zobrist_planes(self, state: TicTacToeState) -> tuple[int, int]:
         return state.x, state.o
+
+    def state_from_planes(
+        self, p1: int, p2: int, to_move: int
+    ) -> TicTacToeState:
+        return TicTacToeState(p1, p2, to_move)

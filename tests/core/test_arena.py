@@ -1,6 +1,6 @@
 """Unit and property tests for the struct-of-arrays tree arena.
 
-Three layers:
+Four layers:
 
 * structural invariants after real (tiny) searches -- child spans,
   parent links, visit accounting -- swept directly over the arrays;
@@ -8,9 +8,14 @@ Three layers:
   times must match a comfortably pre-sized one bit for bit;
 * ``compact()`` round trips (hypothesis over seeds): compacting
   mid-search and searching on yields exactly the search that never
-  compacted.
+  compacted;
+* the two expansion bodies: the compiled kernel and the Python body
+  leave every column, every snapshot and every error identical.
 """
 
+import warnings
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -45,6 +50,50 @@ def make_arena(seed: int, capacity: int | None = None) -> TreeArena:
         1.0,
         capacity=capacity,
     )
+
+
+def columns(arena: TreeArena) -> dict:
+    """Every array the arena owns, cut to what is allocated."""
+    n = arena._allocated
+    out = {
+        name: getattr(arena, name)[:n].tolist()
+        for name, *_ in arena._COLUMNS
+    }
+    for name in ("rng_state", "roots", "tree_node_count", "tree_max_depth"):
+        out[name] = getattr(arena, name).tolist()
+    return out
+
+
+def payload(arena: TreeArena) -> dict:
+    """``snapshot()`` with its arrays as lists, so ``==`` compares."""
+    snap = arena.snapshot()
+    snap["arrays"] = {k: v.tolist() for k, v in snap["arrays"].items()}
+    for name in ("roots", "tree_node_count", "tree_max_depth"):
+        snap[name] = snap[name].tolist()
+    return snap
+
+
+def logical(arena: TreeArena) -> list:
+    """The trees' content in breadth-first order, free of node ids:
+    what must survive ``compact()``."""
+    out = []
+    for t in range(arena.n_trees):
+        queue = [int(arena.roots[t])]
+        for node in queue:
+            left = int(arena.untried_count[node])
+            out.append(
+                (
+                    arena.state_of(node),
+                    int(arena.move[node]),
+                    arena.untried_order[node, :left].tolist(),
+                    arena.untried_mask[node].tolist(),
+                    float(arena.visits[node]),
+                    float(arena.wins[node]),
+                )
+            )
+            start = int(arena.child_start[node])
+            queue.extend(range(start, start + int(arena.child_count[node])))
+    return out + arena.rng_state.tolist()
 
 
 def sweep_invariants(arena: TreeArena) -> None:
@@ -134,6 +183,10 @@ def test_growth_is_transparent(seed, iterations):
     assert tiny.root_stats(0) == big.root_stats(0)
     assert tiny.node_count(0) == big.node_count(0)
     assert tiny.max_depth(0) == big.max_depth(0)
+    # Same allocation sequence, so the same slots: planes, order rows
+    # and generator words all survived every regrow.
+    assert columns(tiny) == columns(big)
+    assert payload(tiny) == payload(big)
 
 
 @settings(max_examples=12, deadline=None)
@@ -149,8 +202,11 @@ def test_compact_round_trip(seed, before, after):
     compacted = make_arena(seed)
     drive(plain, before + after, seed)
     drive(compacted, before, seed)
+    before_compact = logical(compacted)
     compacted.compact()
     sweep_invariants(compacted)
+    compacted.validate()
+    assert logical(compacted) == before_compact
     # The playout RNG stream must continue where it left off, so
     # recreate its position by re-running the first ``before`` rounds
     # on a throwaway arena (same seed => same draws consumed).
@@ -175,6 +231,7 @@ def test_compact_round_trip(seed, before, after):
     assert compacted.root_stats(0) == plain.root_stats(0)
     assert compacted.node_count(0) == plain.node_count(0)
     assert compacted.max_depth(0) == plain.max_depth(0)
+    assert logical(compacted) == logical(plain)
 
 
 def test_compact_trims_capacity():
@@ -274,3 +331,123 @@ class TestValidateAudit:
         arena.untried_mask[node, :] = 0
         with pytest.raises(ArenaInvariantError, match="bitmask"):
             arena.validate()
+
+
+# -- the two expansion bodies ------------------------------------------------
+
+ALL_GAMES = ["reversi", "tictactoe", "connect4", "breakthrough"]
+
+#: These drive the C kernels through a growing arena (column addresses
+#: change under them), so the sanitizer job should see them too.
+uses_kernel = pytest.mark.compiled
+
+
+@pytest.fixture(params=["kernel", "python"])
+def body(request, monkeypatch):
+    """Run a test under each expansion body: the compiled kernel (where
+    the host has one) and the Python body (loader patched to None)."""
+    if request.param == "python":
+        monkeypatch.setattr("repro.compiled.runner.load_library", lambda: None)
+    return request.param
+
+
+def forest(game, seed: int, n_trees: int = 6, state=None) -> TreeArena:
+    return TreeArena(
+        game,
+        game.initial_state() if state is None else state,
+        [XorShift64Star(seed + t) for t in range(n_trees)],
+        capacity=4,
+    )
+
+
+def drive_all(arena: TreeArena, rounds: int, offset: int = 0) -> None:
+    """Lockstep rounds with a deterministic stand-in for the playout;
+    every third round goes tree by tree through ``select_expand``."""
+    trees = np.arange(arena.n_trees)
+    for r in range(offset, offset + rounds):
+        if r % 3 == 2:
+            walks = [arena.select_expand(t) for t in trees.tolist()]
+            leaves = np.array([leaf for leaf, _ in walks])
+            depths = np.array([depth for _, depth in walks])
+        else:
+            leaves, depths = arena.select_expand_all()
+        winners = (trees + r + depths) % 3 - 1
+        arena.backprop_many(
+            leaves, 1.0, winners == 1, winners == -1, winners == 0
+        )
+
+
+@uses_kernel
+@pytest.mark.parametrize("game_name", ALL_GAMES)
+def test_kernel_and_python_bodies_agree(game_name, monkeypatch):
+    """Same seeds, one arena expanded by the compiled kernel and one by
+    the Python body: every column, the snapshot payload and the audit
+    stay equal.  (Without a toolchain both runs take the Python body;
+    breakthrough has no kernel and must fall back without a word.)"""
+    game = make_game(game_name)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        compiled = forest(game, seed=41)
+        drive_all(compiled, 60)
+    with monkeypatch.context() as patch:
+        patch.setattr("repro.compiled.runner.load_library", lambda: None)
+        python = forest(game, seed=41)
+        drive_all(python, 60)
+    assert columns(compiled) == columns(python)
+    assert payload(compiled) == payload(python)
+    compiled.validate()
+    python.validate()
+    sweep_invariants(python)
+    assert len(compiled) == 6 * 61
+
+
+@uses_kernel
+@pytest.mark.parametrize("game_name", ALL_GAMES)
+def test_mid_search_snapshot_continues_identically(game_name, body):
+    """A snapshot taken mid-search restores and continues bit for bit,
+    under either expansion body."""
+    game = make_game(game_name)
+    arena = forest(game, seed=7)
+    drive_all(arena, 25)
+    rebuilt = TreeArena.from_snapshot(game, arena.snapshot())
+    rebuilt.validate()
+    assert payload(rebuilt) == payload(arena)
+    drive_all(arena, 25, offset=25)
+    drive_all(rebuilt, 25, offset=25)
+    assert payload(rebuilt) == payload(arena)
+    assert logical(rebuilt) == logical(arena)
+
+
+@uses_kernel
+@pytest.mark.parametrize(
+    "game_name,bad_move",
+    [("reversi", 27), ("reversi", 0), ("tictactoe", 4), ("connect4", 3)],
+)
+@pytest.mark.parametrize("lockstep", [True, False])
+def test_corrupted_order_raises_the_games_error(
+    game_name, bad_move, lockstep, body
+):
+    """An untried order that holds an illegal move (occupied square,
+    non-flipping square, full column) fails expansion with exactly the
+    scalar game's ``ValueError`` under either body, and nothing is
+    stored for the bad row."""
+    game = make_game(game_name)
+    state = game.initial_state()
+    if game_name == "tictactoe":
+        state = game.apply(state, bad_move)
+    if game_name == "connect4":
+        for _ in range(6):
+            state = game.apply(state, bad_move)
+    with pytest.raises(ValueError) as scalar:
+        game.apply(state, bad_move)
+    arena = forest(game, seed=3, n_trees=3, state=state)
+    root = int(arena.roots[1])
+    arena.untried_order[root, arena.untried_count[root] - 1] = bad_move
+    with pytest.raises(ValueError) as raised:
+        if lockstep:
+            arena.select_expand_all()
+        else:
+            arena.select_expand(1)
+    assert str(raised.value) == str(scalar.value)
+    assert arena.node_count(1) == 1
+    assert arena.child_count[root] == 0
