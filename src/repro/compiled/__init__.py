@@ -6,9 +6,11 @@ Public surface:
 * :func:`run_playouts_tracked_compiled` -- bit-identical drop-in for
   :func:`repro.games.batch.run_playouts_tracked`.
 * :data:`COMPILED_GAMES` -- games with a compiled kernel.
-* :func:`expand_kernel` / :func:`expand_compiled` / :class:`ArenaColumns`
-  -- the tree arena's batch expansion kernels (one C call per
-  ``TreeArena._expand_many``).
+* :class:`ArenaColumns` / :func:`select_expand_compiled` /
+  :func:`backprop_compiled` -- the tree arena's kernels (one C call per
+  ``TreeArena.select_expand[_all]`` / ``backprop_many``);
+  :func:`expand_kernel` / :func:`expand_compiled` -- the expansion step
+  alone, for its differential tests.
 """
 
 from repro.compiled.build import (
@@ -21,15 +23,18 @@ from repro.compiled.build import (
 from repro.compiled.runner import (
     COMPILED_GAMES,
     ArenaColumns,
+    backprop_compiled,
     compiled_available,
     expand_compiled,
     expand_kernel,
     run_playouts_tracked_compiled,
+    select_expand_compiled,
 )
 
 __all__ = [
     "ArenaColumns",
     "COMPILED_GAMES",
+    "backprop_compiled",
     "build_library",
     "compiled_available",
     "compiled_disabled",
@@ -38,5 +43,6 @@ __all__ = [
     "load_library",
     "reset_cache",
     "run_playouts_tracked_compiled",
+    "select_expand_compiled",
     "unavailable_reason",
 ]

@@ -31,7 +31,15 @@ import tempfile
 from pathlib import Path
 
 _SOURCE = Path(__file__).with_name("playout.c")
-_CFLAGS = ("-O2", "-shared", "-fPIC")
+#: ``-ffp-contract=off``: the tree kernels score children with
+#: ``p + c * sqrt(log_total / n_i)`` and must agree with the Python body
+#: bit for bit; on FMA targets (aarch64, ``-march=native``) GCC's default
+#: contraction would fuse the multiply-add and round once instead of
+#: twice.  Everything else in ``playout.c`` is integer arithmetic.
+_CFLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
+#: After the source on the command line: ``log`` / ``sqrt`` for the same
+#: scores -- the libm ``math.log`` itself calls.
+_LDLIBS = ("-lm",)
 
 #: Load-once cache: ``False`` = not attempted, ``None`` = unavailable.
 _LIB: "ctypes.CDLL | None | bool" = False
@@ -70,7 +78,7 @@ def _cache_key(compiler: str, source: bytes) -> str:
     digest = hashlib.sha256()
     digest.update(compiler.encode())
     digest.update(b"\0")
-    digest.update(" ".join(_CFLAGS).encode())
+    digest.update(" ".join(_CFLAGS + _LDLIBS).encode())
     digest.update(b"\0")
     digest.update(source)
     return digest.hexdigest()[:16]
@@ -102,7 +110,7 @@ def build_library() -> Path | None:
         )
         os.close(fd)
         proc = subprocess.run(
-            [compiler, *_CFLAGS, "-o", tmp, str(_SOURCE)],
+            [compiler, *_CFLAGS, "-o", tmp, str(_SOURCE), *_LDLIBS],
             capture_output=True,
             text=True,
             timeout=120,
@@ -139,17 +147,37 @@ def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
     lib.repro_reversi_mobility.argtypes = [i64, ptr, ptr, ptr]
     lib.repro_reversi_flips.restype = None
     lib.repro_reversi_flips.argtypes = [i64, ptr, ptr, ptr, ptr]
+    lib.repro_log.restype = None
+    lib.repro_log.argtypes = [i64, ptr, ptr]
     return lib
 
 
-def expand_export(lib: ctypes.CDLL, game_name: str):
-    """``lib``'s ``repro_<game>_expand``.  Its signature is declared on
-    first use, not in :func:`_bind`: a process that never expands a
-    tree of that game does not pay for the binding at load."""
-    fn = getattr(lib, f"repro_{game_name}_expand")
+#: Tree-kernel signatures by kind: ``(restype, argtypes)``; arrays cross as
+#: raw addresses, as in :func:`_bind`.
+_TREE_SIGNATURES = {
+    # (k, rows, arena_t*)
+    "expand": (ctypes.c_int, [ctypes.c_int64] + [ctypes.c_void_p] * 2),
+    # (k, trees, arena_t*, leaves, depths) -> 0 | capacity needed | error
+    "select_expand": (
+        ctypes.c_int64, [ctypes.c_int64] + [ctypes.c_void_p] * 4
+    ),
+    # (k, leaves, sims, wins_b, wins_w, draws, arena_t*)
+    "backprop": (
+        ctypes.c_int,
+        [ctypes.c_int64, ctypes.c_void_p, ctypes.c_double]
+        + [ctypes.c_void_p] * 4,
+    ),
+}
+
+
+def tree_export(lib: ctypes.CDLL, kind: str, game_name: str | None = None):
+    """``lib``'s tree kernel ``repro_[<game>_]<kind>``.  Signatures are
+    declared on first use, not in :func:`_bind`: a process that never
+    searches a tree of that game does not pay for the binding at load."""
+    prefix = f"repro_{game_name}_" if game_name else "repro_"
+    fn = getattr(lib, prefix + kind)
     if fn.argtypes is None:
-        fn.restype = ctypes.c_int
-        fn.argtypes = [ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p]
+        fn.restype, fn.argtypes = _TREE_SIGNATURES[kind]
     return fn
 
 

@@ -1,5 +1,6 @@
 /* Compiled per-lane playout kernels for the `playout="compiled"` executor,
- * and the batch expansion kernels of the tree arena (last section).
+ * and the tree arena's kernels: descent + expansion and backprop (last
+ * two sections).
  *
  * Each function replays the exact per-lane semantics of the vectorised
  * NumPy batch games (the `<game>_batch.py` modules of repro/games) one
@@ -28,6 +29,7 @@
  * absence of a toolchain falls back to the NumPy path.
  */
 
+#include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
 
@@ -400,7 +402,7 @@ int repro_connect4_playouts(
 
 /* The tree arena's columns by address; repro.compiled.runner.ArenaColumns
  * mirrors this struct field for field.  Per-node columns have `capacity`
- * rows, the three per-tree ones `n_trees`. */
+ * rows, the four per-tree ones `n_trees`. */
 typedef struct {
     int64_t *parent;
     int32_t *move;
@@ -418,7 +420,18 @@ typedef struct {
     uint64_t *rng_state;
     int64_t *tree_node_count;
     int64_t *tree_max_depth;
+    int64_t *roots;
+    double *visits;
+    double *wins;
+    double *vloss;
+    int64_t *child_start;
     int64_t capacity, n_trees, mask_words, order_width;
+    /* Slots handed out: set by the caller before `*_select_expand`,
+     * which advances it past the spans it reserves. */
+    int64_t allocated;
+    /* The selection policy: UCB constant, `ucb1_tuned`?, `wuct`? */
+    double ucb_c;
+    int64_t tuned, wuct;
 } arena_t;
 
 /* What a game's `*_play` reports about the position after a move. */
@@ -486,34 +499,54 @@ static void link_child(const arena_t *a, int64_t node, int64_t child,
         a->tree_max_depth[t] = depth;
 }
 
+typedef int (*play_fn)(uint64_t, uint64_t, int, int, child_t *);
+
+static inline int fits_game(const arena_t *a, int num_moves)
+{
+    return a->mask_words == (num_moves + 63) / 64
+        && a->order_width >= num_moves;
+}
+
+/* Expand `node` (of tree `t`) into the virgin slot `child` at `depth`,
+ * playing the last move of the node's untried order.  Returns 0; 1 when
+ * that move is one the scalar game's `apply` rejects; -2 when the
+ * untried count is outside the order row.  Nothing is written unless
+ * it returns 0. */
+FORCE_INLINE int expand_one(const arena_t *a, int64_t node, int64_t child,
+                            int64_t t, int64_t depth, play_fn play)
+{
+    int32_t left = a->untried_count[node];
+    if (left < 1 || left > a->order_width)
+        return -2;
+    int mv = a->untried_order[a->order_width * node + left - 1];
+    child_t c;
+    if (!play(a->plane1[node], a->plane2[node], a->to_move[node], mv, &c))
+        return 1;
+    link_child(a, node, child, t, depth, mv, &c);
+    return 0;
+}
+
 /* `rows` is a 4 x k matrix: row i of the call expands node rows[0][i]
- * into slot rows[1][i], for tree rows[2][i], at depth rows[3][i],
- * playing the last move of the node's untried order.  Returns 0; i + 1
- * when row i's move is one the scalar game's `apply` rejects (earlier
- * rows are done, row i and later untouched); -1 when the arena's row
- * widths do not fit the game; -2 when a row's indices or untried count
- * fall outside the arena. */
-FORCE_INLINE int expand_rows(
-    int64_t k, const int64_t *rows, const arena_t *a, int num_moves,
-    int (*play)(uint64_t, uint64_t, int, int, child_t *))
+ * into slot rows[1][i], for tree rows[2][i], at depth rows[3][i].
+ * Returns 0; i + 1 when row i's move is one the scalar game's `apply`
+ * rejects (earlier rows are done, row i and later untouched); -1 when
+ * the arena's row widths do not fit the game; -2 when a row's indices
+ * or untried count fall outside the arena. */
+FORCE_INLINE int expand_rows(int64_t k, const int64_t *rows,
+                             const arena_t *a, int num_moves, play_fn play)
 {
     const int64_t *nodes = rows, *children = rows + k;
     const int64_t *ts = rows + 2 * k, *depths = rows + 3 * k;
-    if (a->mask_words != (num_moves + 63) / 64 || a->order_width < num_moves)
+    if (!fits_game(a, num_moves))
         return -1;
     for (int64_t i = 0; i < k; i++) {
         int64_t node = nodes[i], child = children[i], t = ts[i];
         if (node < 0 || node >= a->capacity || child < 0
             || child >= a->capacity || t < 0 || t >= a->n_trees)
             return -2;
-        int32_t left = a->untried_count[node];
-        if (left < 1 || left > a->order_width)
-            return -2;
-        int mv = a->untried_order[a->order_width * node + left - 1];
-        child_t c;
-        if (!play(a->plane1[node], a->plane2[node], a->to_move[node], mv, &c))
-            return (int)(i + 1);
-        link_child(a, node, child, t, depths[i], mv, &c);
+        int rc = expand_one(a, node, child, t, depths[i], play);
+        if (rc)
+            return rc < 0 ? rc : (int)(i + 1);
     }
     return 0;
 }
@@ -619,6 +652,207 @@ int repro_tictactoe_expand(int64_t k, const int64_t *rows, const arena_t *a)
 int repro_connect4_expand(int64_t k, const int64_t *rows, const arena_t *a)
 {
     return expand_rows(k, rows, a, 7, c4_play);
+}
+
+/* -- Tree descent + expansion (must match repro/core/arena.py) ----------- */
+
+/* `TreeArena._best_child`: the selection-rule argmax over `node`'s
+ * filled child span -- the first unvisited child if there is one, else
+ * the first maximum of the UCB score.  Every expression is evaluated
+ * in the Python body's operation order on IEEE doubles (the build
+ * passes -ffp-contract=off so no multiply-add is fused), `sqrt` is
+ * correctly rounded everywhere and `log` is the libm function
+ * `math.log` itself calls, so both bodies pick the same child bit for
+ * bit.  Returns -2 when the span is not inside the allocation. */
+static inline int64_t best_child(const arena_t *a, int64_t node)
+{
+    int64_t start = a->child_start[node], count = a->child_count[node];
+    /* Spans are reserved after their parent: one at or below `node` is
+     * corrupt (and following it could loop for ever). */
+    if (start <= node || start >= a->allocated || count < 1
+        || count > a->allocated - start)
+        return -2;
+    double total = a->visits[node] + a->vloss[node];
+    double log_total = total > 1.0 ? log(total) : 0.0;
+    double c = a->ucb_c;
+    int64_t best = start;
+    double best_score = 0.0;
+    for (int64_t i = start; i < start + count; i++) {
+        double completed = a->visits[i];
+        double n_i = completed + a->vloss[i];
+        if (n_i <= 0.0)
+            return i;
+        /* vloss: in-flight visits count as losses in the mean.  WU-UCT:
+         * the mean is over completed visits only; the in-flight counts
+         * widen just the exploration denominator. */
+        double p = !a->wuct        ? a->wins[i] / n_i
+                 : completed > 0.0 ? a->wins[i] / completed
+                                   : 0.5;
+        double score;
+        if (a->tuned) {
+            double variance = p * (1.0 - p) + sqrt(2.0 * log_total / n_i);
+            double width = variance < 0.25 ? variance : 0.25;
+            score = p + c * sqrt(log_total / n_i * width);
+        } else {
+            score = p + c * sqrt(log_total / n_i);
+        }
+        if (i == start || score > best_score) {
+            best = i;
+            best_score = score;
+        }
+    }
+    return best;
+}
+
+/* One lockstep round of `TreeArena.select_expand_all` over the k trees
+ * `trees[]`: per tree, descend from the root to a terminal node or one
+ * with untried moves, then expand one child of every such node.
+ * leaves[i] / depths[i] receive tree trees[i]'s leaf and its depth.
+ *
+ * Child spans are reserved in the order the lockstep Python walk
+ * reserves them -- expansion depth ascending, then row -- so node ids
+ * do not depend on which body ran.  Descents only read and trees share
+ * no nodes, so all of them run before the first write.
+ *
+ * Returns 0; the capacity needed, when a level's spans would overrun
+ * `capacity` -- nothing is written to the arena, the caller grows it
+ * and calls again; -1 when the row widths do not fit the game; -2 when
+ * a tree, node or child span lies outside the arena (arena untouched);
+ * -3 - i when row i's move is one the scalar game's `apply` rejects
+ * (rows before it in span order are done, leaves[i] holds ~node). */
+FORCE_INLINE int64_t select_expand_rows(
+    int64_t k, const int64_t *trees, arena_t *a, int64_t *leaves,
+    int64_t *depths, int num_moves, play_fn play)
+{
+    if (!fits_game(a, num_moves))
+        return -1;
+    if (a->allocated < 0 || a->allocated > a->capacity)
+        return -2;
+    for (int64_t i = 0; i < k; i++)
+        if (trees[i] < 0 || trees[i] >= a->n_trees)
+            return -2;
+
+    /* 1. Descend.  A row that will expand parks as ~node (negative). */
+    int64_t lo = INT64_MAX, hi = -1;
+    for (int64_t i = 0; i < k; i++) {
+        int64_t node = a->roots[trees[i]], depth = 0;
+        if (node < 0 || node >= a->allocated)
+            return -2;
+        while (!a->terminal[node] && a->untried_count[node] <= 0) {
+            node = best_child(a, node);
+            if (node < 0)
+                return -2;
+            depth++;
+        }
+        depths[i] = depth;
+        leaves[i] = node;
+        if (a->terminal[node])
+            continue;
+        /* The child lands at start + filled, inside the node's span. */
+        int64_t start = a->child_start[node];
+        int32_t width = a->n_legal[node], filled = a->child_count[node];
+        if (filled < 0 || filled + a->untried_count[node] != width
+            || width > a->order_width)
+            return -2;
+        if (start < 0 ? filled != 0
+                      : start <= node || start >= a->allocated
+                            || width > a->allocated - start)
+            return -2;
+        leaves[i] = ~node;
+        if (depth < lo)
+            lo = depth;
+        if (depth > hi)
+            hi = depth;
+    }
+
+    /* 2. Plan: would every level's fresh spans fit? */
+    int64_t cursor = a->allocated;
+    for (int64_t d = lo; d <= hi; d++) {
+        for (int64_t i = 0; i < k; i++)
+            if (leaves[i] < 0 && depths[i] == d
+                && a->child_start[~leaves[i]] < 0)
+                cursor += a->n_legal[~leaves[i]];
+        if (cursor > a->capacity)
+            return cursor;
+    }
+
+    /* 3. Commit, level by level. */
+    for (int64_t d = lo; d <= hi; d++)
+        for (int64_t i = 0; i < k; i++) {
+            if (leaves[i] >= 0 || depths[i] != d)
+                continue;
+            int64_t node = ~leaves[i];
+            if (a->child_start[node] < 0) {
+                a->child_start[node] = a->allocated;
+                a->allocated += a->n_legal[node];
+            }
+            int64_t child = a->child_start[node] + a->child_count[node];
+            int rc = expand_one(a, node, child, trees[i], d + 1, play);
+            if (rc)
+                return rc < 0 ? rc : -3 - i;
+            leaves[i] = child;
+            depths[i] = d + 1;
+        }
+    return 0;
+}
+
+int64_t repro_reversi_select_expand(int64_t k, const int64_t *trees,
+                                    arena_t *a, int64_t *leaves,
+                                    int64_t *depths)
+{
+    return select_expand_rows(k, trees, a, leaves, depths, 65, rev_play);
+}
+
+int64_t repro_tictactoe_select_expand(int64_t k, const int64_t *trees,
+                                      arena_t *a, int64_t *leaves,
+                                      int64_t *depths)
+{
+    return select_expand_rows(k, trees, a, leaves, depths, 9, ttt_play);
+}
+
+int64_t repro_connect4_select_expand(int64_t k, const int64_t *trees,
+                                     arena_t *a, int64_t *leaves,
+                                     int64_t *depths)
+{
+    return select_expand_rows(k, trees, a, leaves, depths, 7, c4_play);
+}
+
+/* `TreeArena.backprop` along the path from leaves[i] to its root, for
+ * k leaves of distinct trees: `sims` visits per node, and for the
+ * node's mover its side's wins plus half the draws.  A negative leaf
+ * is a row with nothing to add.  Returns 0; -2 when a leaf lies outside
+ * the allocation (nothing written) or a parent link does not point
+ * below its child (parents are allocated first; the check also bounds
+ * the walk). */
+int repro_backprop(int64_t k, const int64_t *leaves, double sims,
+                   const double *wins_b, const double *wins_w,
+                   const double *draws, const arena_t *a)
+{
+    if (a->allocated < 0 || a->allocated > a->capacity)
+        return -2;
+    for (int64_t i = 0; i < k; i++)
+        if (leaves[i] >= a->allocated)
+            return -2;
+    for (int64_t i = 0; i < k; i++) {
+        double half = 0.5 * draws[i];
+        double black = wins_b[i] + half, white = wins_w[i] + half;
+        for (int64_t node = leaves[i]; node >= 0;) {
+            a->visits[node] += sims;
+            a->wins[node] += a->mover[node] == 1 ? black : white;
+            int64_t up = a->parent[node];
+            if (up >= node)
+                return -2;
+            node = up;
+        }
+    }
+    return 0;
+}
+
+/* Test helper: libm's `log`, to pin it against `math.log`. */
+void repro_log(int64_t n, const double *x, double *out)
+{
+    for (int64_t i = 0; i < n; i++)
+        out[i] = log(x[i]);
 }
 
 /* Advance each lane's generator `steps` times in place (shared helper

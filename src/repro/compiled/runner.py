@@ -11,10 +11,12 @@ known-gaps note in docs/fusion.md) also falls back, but warns once per
 game so an ``@compiled`` spec never silently runs slower than asked.
 The differential suite pins the equivalence either way.
 
-The same library carries the tree arena's batch *expansion* kernels
-(:func:`expand_kernel`, :func:`expand_compiled`).  Nobody asks for those --
-the arena uses one whenever it exists -- so a game without one falls
-back silently.
+The same library carries the tree arena's kernels: descent + expansion
+and backprop over :class:`ArenaColumns` (:func:`select_expand_compiled`,
+:func:`backprop_compiled`), and the bare expansion step they share
+(:func:`expand_kernel`, :func:`expand_compiled`).  Nobody asks for
+those -- the arena uses them whenever they exist -- so a game without
+them falls back silently.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import warnings
 
 import numpy as np
 
-from repro.compiled.build import expand_export, load_library
+from repro.compiled.build import load_library, tree_export
 from repro.games.batch import (
     BatchGame,
     TrackedPlayouts,
@@ -141,21 +143,35 @@ def run_playouts_tracked_compiled(
     )
 
 
-def expand_kernel(game_name: str):
-    """The library's ``repro_<game>_expand`` export, or ``None`` when
-    the library is unavailable or the game has no kernel (never warns:
-    compiled expansion is not something a spec requests)."""
+def _tree_library(game_name: str):
+    """The library when it holds tree kernels for ``game_name``, else
+    ``None`` (never warns: compiled tree work is not something a spec
+    requests)."""
     lib = load_library()
     if lib is None or game_name not in COMPILED_GAMES:
         return None
-    return expand_export(lib, game_name)
+    return lib
+
+
+def expand_kernel(game_name: str):
+    """The library's ``repro_<game>_expand`` export -- one expansion
+    step per row, the part of a round ``tests/compiled/test_expand.py``
+    checks on hand-built columns -- or ``None`` without a library or a
+    kernel for the game."""
+    lib = _tree_library(game_name)
+    return None if lib is None else tree_export(lib, "expand", game_name)
 
 
 class ArenaColumns(ctypes.Structure):
     """``arena_t`` of ``playout.c``: the addresses of the tree arena's
     columns, taken once per (re)allocation.  :meth:`of` checks every
     array's dtype, shape and contiguity against what the C side reads,
-    so the kernel never sees a layout it was not compiled for."""
+    so the kernel never sees a layout it was not compiled for.
+
+    It also owns the per-call buffers of the tree kernels -- ``trees``,
+    ``leaves``, ``depths`` (int64) and ``stats`` (float64, 3 rows), one
+    slot per tree -- so a round builds no array and takes no address.
+    """
 
     #: ``(attribute, dtype, row-count attribute, row-width attribute)``
     #: in ``arena_t`` field order.
@@ -176,11 +192,24 @@ class ArenaColumns(ctypes.Structure):
         ("rng_state", np.uint64, "n_trees", None),
         ("tree_node_count", np.int64, "n_trees", None),
         ("tree_max_depth", np.int64, "n_trees", None),
+        ("roots", np.int64, "n_trees", None),
+        ("visits", np.float64, "capacity", None),
+        ("wins", np.float64, "capacity", None),
+        ("vloss", np.float64, "capacity", None),
+        ("child_start", np.int64, "capacity", None),
     )
     _SIZES = ("capacity", "n_trees", "mask_words", "order_width")
-    _fields_ = [(name, ctypes.c_void_p) for name, *_ in _LAYOUT] + [
-        (name, ctypes.c_int64) for name in _SIZES
-    ]
+    _fields_ = (
+        [(name, ctypes.c_void_p) for name, *_ in _LAYOUT]
+        + [(name, ctypes.c_int64) for name in _SIZES]
+        + [
+            # Set per call / per arena by the tree kernels' caller.
+            ("allocated", ctypes.c_int64),
+            ("ucb_c", ctypes.c_double),
+            ("tuned", ctypes.c_int64),
+            ("wuct", ctypes.c_int64),
+        ]
+    )
 
     @classmethod
     def of(cls, arena) -> "ArenaColumns":
@@ -203,9 +232,35 @@ class ArenaColumns(ctypes.Structure):
                 raise TypeError(
                     f"arena column {name}: {array.dtype}{array.shape} is "
                     f"not the contiguous {np.dtype(dtype)}{shape} the "
-                    f"expansion kernel reads"
+                    f"tree kernels read"
                 )
             setattr(cols, name, array.ctypes.data)
+        cols.trees, cols.leaves, cols.depths = np.zeros(
+            (3, cols.n_trees), dtype=np.int64
+        )
+        cols.stats = np.zeros((3, cols.n_trees), dtype=np.float64)
+        cols._at = ctypes.addressof(cols)
+        cols._trees_at = cols.trees.ctypes.data
+        cols._leaves_at = cols.leaves.ctypes.data
+        cols._depths_at = cols.depths.ctypes.data
+        cols._stats_at = tuple(row.ctypes.data for row in cols.stats)
+        return cols
+
+    @classmethod
+    def bind(cls, arena) -> "ArenaColumns | None":
+        """:meth:`of` ``arena``, plus its selection policy and its
+        game's tree kernels: everything a compiled round needs,
+        resolved once.  ``None`` without a library or kernels for the
+        game."""
+        lib = _tree_library(arena.game.name)
+        if lib is None:
+            return None
+        cols = cls.of(arena)
+        cols.ucb_c = arena.ucb_c
+        cols.tuned = arena.selection_rule == "ucb1_tuned"
+        cols.wuct = arena.parallel_mode == "wuct"
+        cols.select_expand = tree_export(lib, "select_expand", arena.game.name)
+        cols.backprop = tree_export(lib, "backprop")
         return cols
 
 
@@ -222,12 +277,53 @@ def expand_compiled(kernel, cols: ArenaColumns, rows: np.ndarray) -> int:
         or not rows.flags.c_contiguous
     ):
         raise TypeError("expansion rows must be a contiguous int64 4 x k")
-    rc = kernel(rows.shape[1], rows.ctypes.data, ctypes.byref(cols))
+    return _checked(kernel(rows.shape[1], rows.ctypes.data, cols._at))
+
+
+def _checked(rc: int) -> int:
     if rc == -1:
         raise ValueError("arena row widths do not fit the game's moves")
-    if rc < 0:
+    if rc == -2:
         raise ValueError(
-            "an expansion row's node, child slot, tree or untried count "
+            "a row's tree, node, child slot, child span or untried count "
             "is outside the arena"
         )
     return rc
+
+
+def _check_rows(cols: ArenaColumns, k: int) -> None:
+    if not 0 <= k <= len(cols.trees):
+        raise ValueError(
+            f"{k} rows do not fit the {len(cols.trees)}-tree call buffers "
+            f"(one row per distinct tree)"
+        )
+
+
+def select_expand_compiled(cols: ArenaColumns, k: int) -> int:
+    """One descent + expansion round (``select_expand_rows`` in
+    ``playout.c``) over the trees ``cols.trees[:k]``, with
+    ``cols.allocated`` the arena's allocation cursor.  Returns 0 --
+    ``cols.leaves[:k]`` / ``cols.depths[:k]`` hold each tree's leaf and
+    depth, ``cols.allocated`` has moved past the reserved spans; or the
+    capacity the round needs, with the arena untouched (grow it and call
+    again); or ``-3 - i`` when row ``i`` pops a move the scalar game's
+    ``apply`` rejects (``cols.leaves[i]`` is then ``~node``)."""
+    _check_rows(cols, k)
+    return _checked(
+        cols.select_expand(
+            k, cols._trees_at, cols._at, cols._leaves_at, cols._depths_at
+        )
+    )
+
+
+def backprop_compiled(cols: ArenaColumns, k: int, simulations: float) -> None:
+    """Add ``simulations`` visits, and ``cols.stats[:, i]`` (black wins,
+    white wins, draws), along the path from each ``cols.leaves[i]``,
+    ``i < k``, to its root (``repro_backprop``); negative leaves are
+    skipped."""
+    _check_rows(cols, k)
+    _checked(
+        cols.backprop(
+            k, cols._leaves_at, simulations, *cols._stats_at, cols._at
+        )
+    )

@@ -1,4 +1,4 @@
-"""Array-backed MCTS tree arena with vectorised selection.
+"""Array-backed MCTS tree arena with compiled selection and backprop.
 
 The pointer tree in :mod:`repro.core.tree` stores one Python object per
 node, so walking ``B`` block-parallel trees costs ``B`` pointer-chasing
@@ -19,7 +19,7 @@ Layout invariants
   node's branching factor), and filled left to right as further
   children are expanded; ``child_count`` tracks the filled prefix.
 * Trees never share nodes: each tree's slots form a disjoint set, so
-  batched backpropagation can use plain fancy indexing.
+  batched backpropagation walks disjoint paths.
 * ``untried_order[i, :untried_count[i]]`` holds node ``i``'s
   not-yet-expanded moves in the same shuffled order the pointer backend
   would use, popped from the end; ``untried_mask`` mirrors it as a
@@ -32,19 +32,22 @@ Bit-for-bit equivalence with the pointer backend
 The arena replicates the pointer tree's arithmetic exactly: the same
 RNG consumption (one Fisher-Yates shuffle per created node, on the
 move list ``Game.legal_mask`` extracts in ``legal_moves`` order), the
-same UCB expression evaluation order, first-max argmax tie-breaking,
-and ``math.log`` (not ``np.log``, which differs in the last ulp on
-some inputs) for the per-node visit logarithm.  Same seeds therefore
+same UCB expression evaluation order, first-max tie-breaking, and
+``math.log`` (libm's ``log`` in the kernels, which is what ``math.log``
+calls; not ``np.log``, which differs in the last ulp on some inputs)
+for the per-node visit logarithm.  Same seeds therefore
 produce identical root statistics and chosen moves on both backends --
 the differential test suite enforces this for every engine kind.
 
-The payoff is :meth:`select_expand_all`: one lockstep descent of all
-``B`` trees per iteration, scoring every active tree's child span in a
-handful of vectorised numpy passes instead of ``B`` independent Python
-walks, then expanding all of them in one compiled call
-(``repro/compiled/playout.c``, "Batch node expansion") when the game
-has a kernel and a C toolchain exists -- same draws, same order; the
-Python body (:meth:`TreeArena._expand` + ``_init_node``) otherwise.
+The payoff is that a round of tree work is one compiled call working in
+place on the columns (``repro/compiled/playout.c``, "Tree descent +
+expansion"): :meth:`select_expand_all` descends all ``B`` trees and
+expands one child of each, :meth:`backprop_many` walks all ``B`` paths,
+:meth:`select_expand` is the same kernel on one tree.  That needs a
+kernel for the game and a C toolchain; without them the Python bodies
+(:meth:`TreeArena._descend`, ``_expand``, ``backprop``) do the same
+work tree by tree -- same draws, same node ids (docs/tree_arena.md,
+"Compiled descent and backprop").
 """
 
 from __future__ import annotations
@@ -53,7 +56,11 @@ import math
 
 import numpy as np
 
-from repro.compiled import ArenaColumns, expand_compiled, expand_kernel
+from repro.compiled import (
+    ArenaColumns,
+    backprop_compiled,
+    select_expand_compiled,
+)
 from repro.core.policy import (
     validate_parallel_mode,
     validate_selection_rule,
@@ -103,11 +110,7 @@ class TreeArena:
         cap = capacity if capacity else max(256, 8 * self.n_trees)
         self._cap = 0
         self._allocated = 0
-        #: ``_log_table[n] == math.log(n)`` for integer visit totals
-        #: (the common case -- whole playout counts); grown on demand.
-        self._log_table = np.zeros(2, dtype=np.float64)
-        #: Any virtual loss outstanding?  While False, ``n_i`` and the
-        #: totals reduce to plain visit reads (fewer vector ops).
+        #: Was virtual loss ever applied?  (Checkpoint payload field.)
         self._vloss_active = False
         self._make_arrays(cap)
 
@@ -172,8 +175,18 @@ class TreeArena:
                 column[:keep] = getattr(self, name)[:keep]
             setattr(self, name, column)
         self._cap = cap
-        #: Column addresses for the compiled body, taken on first use.
-        self._cols: ArenaColumns | None = None
+        #: Column addresses and kernels for the compiled bodies, bound
+        #: on first use: ``False`` = not yet, ``None`` = there are none.
+        self._cols: "ArenaColumns | None | bool" = False
+
+    def _compiled(self) -> "ArenaColumns | None":
+        """The compiled bodies' handle on this arena, or ``None`` when
+        the Python bodies run (no toolchain, ``REPRO_COMPILED=0``, no
+        kernel for the game).  Resolved once per (re)allocation, so a
+        steady-state round looks nothing up."""
+        if self._cols is False:
+            self._cols = ArenaColumns.bind(self)
+        return self._cols
 
     def _grow(self, min_cap: int) -> None:
         # Slots past ``_allocated`` are virgin: nothing to carry over.
@@ -243,11 +256,6 @@ class TreeArena:
                 int(self.n_legal[node])
             )
         child = int(self.child_start[node]) + int(self.child_count[node])
-        kernel = expand_kernel(self.game.name)
-        if kernel is not None:
-            row = [[node], [child], [t], [child_depth]]
-            self._expand_compiled(kernel, np.array(row, dtype=np.int64))
-            return child
         left = self.untried_count.item(node) - 1
         mv = self.untried_order.item(node, left)
         # An illegal move raises here, before anything is stored.
@@ -264,221 +272,135 @@ class TreeArena:
             self.tree_max_depth[t] = child_depth
         return child
 
-    def _expand_many(
-        self,
-        nodes: np.ndarray,
-        ts: np.ndarray,
-        child_depths: np.ndarray,
-    ) -> np.ndarray:
-        """Batched :meth:`_expand` over *distinct* nodes of *distinct*
-        trees, rows in the order the per-tree loop would visit them (so
-        span allocation and RNG consumption are identical).
-
-        One compiled call does the whole batch when the game has an
-        expansion kernel and a toolchain exists -- same moves, same
-        draws; otherwise the rows go through :meth:`_expand`.
-        """
-        kernel = expand_kernel(self.game.name)
-        if kernel is None:
-            rows = zip(nodes.tolist(), ts.tolist(), child_depths.tolist())
-            return np.array(
-                [self._expand(*row) for row in rows], dtype=np.int64
-            )
-        rows = np.empty((4, len(nodes)), dtype=np.int64)
-        rows[0], rows[2], rows[3] = nodes, ts, child_depths
-        starts = self.child_start[nodes]
-        fresh = starts < 0
-        if np.count_nonzero(fresh):
-            # First expansion: reserve each node's span, in row order.
-            sizes = self.n_legal[nodes[fresh]]
-            ends = np.cumsum(sizes, dtype=np.int64)
-            starts[fresh] = self._alloc_span(int(ends[-1])) + ends - sizes
-            self.child_start[nodes[fresh]] = starts[fresh]
-        np.add(starts, self.child_count[nodes], out=rows[1])
-        self._expand_compiled(kernel, rows)
-        return rows[1]
-
-    def _expand_compiled(self, kernel, rows: np.ndarray) -> None:
-        """The compiled expansion body: one kernel call pops, creates
-        and links every ``(node, child slot, tree, depth)`` row."""
-        if self._cols is None:
-            self._cols = ArenaColumns.of(self)
-        bad = expand_compiled(kernel, self._cols, rows)
-        if bad:
-            # Same error as the scalar path: let the game word it.
-            node = int(rows[0, bad - 1])
-            mv = self.untried_order.item(node, self.untried_count[node] - 1)
-            self.game.apply(self.state_of(node), mv)
-            raise ValueError(
-                f"{self.game.name} kernel rejected move {mv} at node {node}"
-            )
-
     # -- selection + expansion ---------------------------------------------
 
     def select_expand(self, t: int) -> tuple[int, int]:
         """Single-tree descent; mirrors ``SearchTree.select_expand``."""
-        node = int(self.roots[t])
-        depth = 0
-        while True:
-            if self.terminal[node]:
-                return node, depth
-            if self.untried_count[node] > 0:
-                return self._expand(node, t, depth + 1), depth + 1
-            node = self._best_child(node)
-            depth += 1
+        cols = self._compiled()
+        if cols is not None:
+            cols.trees[0] = t
+            need = self._select_expand_compiled(cols, 1)
+            if need:
+                self._grow(need)
+                return self.select_expand(t)
+            return cols.leaves.item(0), cols.depths.item(0)
+        node, depth = self._descend(t)
+        if self.terminal[node]:
+            return node, depth
+        return self._expand(node, t, depth + 1), depth + 1
 
     def select_expand_all(
         self, indices: "np.ndarray | list[int] | None" = None
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Lockstep descent of several trees at once.
+        """Lockstep descent of several distinct trees at once.
 
         Returns ``(leaves, depths)`` aligned with ``indices`` (all
-        trees when ``None``).  Per level, every still-descending tree's
-        child span is scored in one vectorised pass and every tree
-        that reached a node with untried moves expands one child
-        (exactly like the scalar walk) in one :meth:`_expand_many`.
+        trees when ``None``).  Every tree descends to a terminal node
+        or one with untried moves and expands one child there (exactly
+        like the scalar walk).  Child spans are reserved in *lockstep
+        order* -- expansion depth ascending, then position in
+        ``indices`` -- under either body, so node ids depend on
+        neither.
         """
         idx = (
             np.arange(self.n_trees, dtype=np.int64)
             if indices is None
             else np.asarray(indices, dtype=np.int64)
         )
-        cur = self.roots[idx].copy()
-        depths = np.zeros(len(idx), dtype=np.int64)
-        leaves = np.full(len(idx), -1, dtype=np.int64)
-        active = np.ones(len(idx), dtype=bool)
-        while True:
-            rows = np.nonzero(active)[0]
-            if not len(rows):
-                break
-            nodes = cur[rows]
-            # Trees parked on a terminal node stop here.
-            term = self.terminal[nodes]
-            if term.any():
-                stop = rows[term]
-                leaves[stop] = cur[stop]
-                active[stop] = False
-                rows = rows[~term]
-                nodes = cur[rows]
-                if not len(rows):
-                    continue
-            # Trees at a node with untried moves expand one child.
-            expandable = self.untried_count[nodes] > 0
-            if expandable.any():
-                erows = rows[expandable]
-                leaves[erows] = self._expand_many(
-                    cur[erows], idx[erows], depths[erows] + 1
-                )
-                depths[erows] += 1
-                active[erows] = False
-                rows = rows[~expandable]
-                nodes = cur[rows]
-                if not len(rows):
-                    continue
-            # Everyone else descends one level, scored in one batch.
-            cur[rows] = self._best_children(nodes)
-            depths[rows] += 1
+        k = len(idx)
+        if k > self.n_trees:
+            raise ValueError(
+                f"{k} rows for {self.n_trees} trees: a round takes "
+                f"distinct trees"
+            )
+        cols = self._compiled()
+        if cols is not None:
+            cols.trees[:k] = idx
+            need = self._select_expand_compiled(cols, k)
+            if need:
+                self._grow(need)
+                return self.select_expand_all(idx)
+            return cols.leaves[:k].copy(), cols.depths[:k].copy()
+        trees = idx.tolist()
+        stops = [self._descend(t) for t in trees]
+        leaves = np.array([node for node, _ in stops], dtype=np.int64)
+        depths = np.array([depth for _, depth in stops], dtype=np.int64)
+        for i in np.argsort(depths, kind="stable").tolist():
+            node, depth = stops[i]
+            if not self.terminal[node]:
+                leaves[i] = self._expand(node, trees[i], depth + 1)
+                depths[i] = depth + 1
         return leaves, depths
 
-    def _log_totals(self, totals: np.ndarray) -> np.ndarray:
-        # math.log, not np.log: the vectorised log differs from libm's
-        # in the last ulp for some inputs, which would break the
-        # bit-for-bit backend equivalence the differential tests pin.
-        # Integral totals (every whole-playout engine) go through a
-        # lazily grown lookup table of math.log values instead of a
-        # Python loop; math.log(float(n)) == table[n] exactly.
-        as_int = totals.astype(np.int64)
-        if np.array_equal(as_int, totals):
-            hi = int(as_int.max(initial=0))
-            table = self._log_table
-            if hi >= len(table):
-                old = len(table)
-                table = np.resize(table, max(hi + 1, 2 * old))
-                for n in range(old, len(table)):
-                    table[n] = math.log(n)
-                self._log_table = table
-            out = table[as_int]
-            out[totals <= 1.0] = 0.0
-            return out
-        log = math.log
-        return np.fromiter(
-            (log(tv) if tv > 1.0 else 0.0 for tv in totals.tolist()),
-            dtype=np.float64,
-            count=len(totals),
-        )
+    def _select_expand_compiled(self, cols: ArenaColumns, k: int) -> int:
+        """The compiled round over ``cols.trees[:k]``.  Returns 0 with
+        the answers in ``cols.leaves`` / ``cols.depths``, or the
+        capacity the round needs -- nothing has changed then; grow and
+        ask again."""
+        cols.allocated = self._allocated
+        rc = select_expand_compiled(cols, k)
+        if rc > 0:
+            return rc
+        self._allocated = cols.allocated
+        if rc:
+            # Same error as the Python body: let the game word it.
+            node = ~cols.leaves.item(-3 - rc)
+            mv = self.untried_order.item(node, self.untried_count[node] - 1)
+            self.game.apply(self.state_of(node), mv)
+            raise ValueError(
+                f"{self.game.name} kernel rejected move {mv} at node {node}"
+            )
+        return 0
+
+    def _descend(self, t: int) -> tuple[int, int]:
+        """Walk tree ``t`` from its root to a terminal node or one with
+        untried moves; read-only.  Returns ``(node, depth)``."""
+        node = int(self.roots[t])
+        depth = 0
+        while not self.terminal[node] and self.untried_count[node] <= 0:
+            node = self._best_child(node)
+            depth += 1
+        return node, depth
 
     def _best_child(self, node: int) -> int:
-        """Selection-rule argmax over ``node``'s child span."""
-        start = int(self.child_start[node])
-        span = slice(start, start + int(self.child_count[node]))
-        n_i = self.visits[span] + self.vloss[span]
-        unvisited = n_i <= 0.0
-        if unvisited.any():
-            return start + int(np.argmax(unvisited))
-        total = self.visits[node] + self.vloss[node]
+        """Selection-rule argmax over ``node``'s child span: the first
+        unvisited child if there is one, else the first maximum of the
+        score -- ``SearchTree.best_child`` on columns.  ``best_child``
+        in ``playout.c`` repeats it operation for operation."""
+        start = self.child_start.item(node)
+        span = slice(start, start + self.child_count.item(node))
+        total = self.visits.item(node) + self.vloss.item(node)
         log_total = math.log(total) if total > 1.0 else 0.0
-        if self.parallel_mode == "wuct":
-            # WU-UCT: mean over completed visits only; the in-flight
-            # counts widen just the exploration denominator (n_i).
-            completed = self.visits[span]
-            safe_c = np.where(completed > 0.0, completed, 1.0)
-            p = np.where(
-                completed > 0.0, self.wins[span] / safe_c, 0.5
-            )
-        else:
-            p = self.wins[span] / n_i
         c = self.ucb_c
-        if self.selection_rule == "ucb1_tuned":
-            variance = p * (1.0 - p) + np.sqrt(2.0 * log_total / n_i)
-            width = np.minimum(0.25, variance)
-            score = p + c * np.sqrt(log_total / n_i * width)
-        else:
-            score = p + c * np.sqrt(log_total / n_i)
-        return start + int(np.argmax(score))
-
-    def _best_children(self, nodes: np.ndarray) -> np.ndarray:
-        """Vectorised ``_best_child`` over many nodes' child spans."""
-        starts = self.child_start[nodes]
-        counts = self.child_count[nodes].astype(np.int64)
-        width = int(counts.max())
-        cols = np.arange(width, dtype=np.int64)
-        uniform = width == int(counts.min())
-        if uniform:
-            # Every span has the same width: no padding machinery.
-            valid = None
-            cids = starts[:, None] + cols[None, :]
-        else:
-            valid = cols[None, :] < counts[:, None]
-            cids = np.where(valid, starts[:, None] + cols[None, :], 0)
-        if self._vloss_active:
-            n_i = self.visits[cids] + self.vloss[cids]
-            totals = self.visits[nodes] + self.vloss[nodes]
-        else:
-            n_i = self.visits[cids]
-            totals = self.visits[nodes]
-        log_tot = self._log_totals(totals)[:, None]
-        safe = np.where(n_i > 0.0, n_i, 1.0)
-        if self.parallel_mode == "wuct":
-            completed = self.visits[cids]
-            safe_c = np.where(completed > 0.0, completed, 1.0)
-            p = np.where(
-                completed > 0.0, self.wins[cids] / safe_c, 0.5
-            )
-        else:
-            p = self.wins[cids] / safe
-        c = self.ucb_c
-        if self.selection_rule == "ucb1_tuned":
-            variance = p * (1.0 - p) + np.sqrt(2.0 * log_tot / safe)
-            width_term = np.minimum(0.25, variance)
-            score = p + c * np.sqrt(log_tot / safe * width_term)
-        else:
-            score = p + c * np.sqrt(log_tot / safe)
-        # Unvisited children outrank everything (the scalar walk
-        # returns the first one immediately); padding never wins.
-        score = np.where(n_i <= 0.0, np.inf, score)
-        if not uniform:
-            score = np.where(valid, score, -np.inf)
-        return starts + np.argmax(score, axis=1)
+        tuned = self.selection_rule == "ucb1_tuned"
+        wuct = self.parallel_mode == "wuct"
+        best = best_score = None
+        for child, (completed, in_flight, wins) in enumerate(
+            zip(
+                self.visits[span].tolist(),
+                self.vloss[span].tolist(),
+                self.wins[span].tolist(),
+            ),
+            start,
+        ):
+            n_i = completed + in_flight
+            if n_i <= 0.0:
+                return child
+            if wuct:
+                # WU-UCT: mean over completed visits only; the in-flight
+                # counts widen just the exploration denominator (n_i).
+                p = wins / completed if completed > 0.0 else 0.5
+            else:
+                p = wins / n_i
+            if tuned:
+                variance = p * (1.0 - p) + math.sqrt(2.0 * log_total / n_i)
+                width = min(0.25, variance)
+                score = p + c * math.sqrt(log_total / n_i * width)
+            else:
+                score = p + c * math.sqrt(log_total / n_i)
+            if best is None or score > best_score:
+                best, best_score = child, score
+        return best
 
     # -- statistics updates -------------------------------------------------
 
@@ -517,23 +439,33 @@ class TreeArena:
         wins_white: np.ndarray,
         draws: np.ndarray,
     ) -> None:
-        """Vectorised backprop of one leaf per tree.
+        """:meth:`backprop` of one leaf per tree (negative = none), in
+        one compiled call where there is a kernel.
 
-        Requires at most one leaf per tree (paths in distinct trees
-        are disjoint, so fancy-indexed ``+=`` never collides).
+        Requires at most one leaf per tree: paths in distinct trees
+        are disjoint.
         """
-        cur = np.asarray(leaves, dtype=np.int64).copy()
-        wb = np.asarray(wins_black, dtype=np.float64)
-        ww = np.asarray(wins_white, dtype=np.float64)
-        dr = np.asarray(draws, dtype=np.float64)
-        act = cur >= 0
-        while act.any():
-            nodes = cur[act]
-            self.visits[nodes] += simulations
-            side = np.where(self.mover[nodes] == 1, wb[act], ww[act])
-            self.wins[nodes] += side + 0.5 * dr[act]
-            cur[act] = self.parent[nodes]
-            act = cur >= 0
+        k = len(leaves)
+        if k > self.n_trees:
+            raise ValueError(
+                f"{k} leaves for {self.n_trees} trees: one leaf per tree"
+            )
+        cols = self._compiled()
+        if cols is None:
+            for leaf, *outcome in zip(
+                np.asarray(leaves).tolist(),
+                np.asarray(wins_black).tolist(),
+                np.asarray(wins_white).tolist(),
+                np.asarray(draws).tolist(),
+            ):
+                self.backprop(leaf, simulations, *outcome)
+            return
+        cols.leaves[:k] = leaves
+        cols.stats[0, :k] = wins_black
+        cols.stats[1, :k] = wins_white
+        cols.stats[2, :k] = draws
+        cols.allocated = self._allocated
+        backprop_compiled(cols, k, simulations)
 
     def apply_virtual_loss(self, leaf: int, amount: float = 1.0) -> None:
         self._vloss_active = True
@@ -683,7 +615,6 @@ class TreeArena:
         arena.parallel_mode = snap.get("parallel_mode", "vloss")
         arena.n_trees = snap["n_trees"]
         arena.rng_state = np.array(snap["rng_states"], dtype=np.uint64)
-        arena._log_table = np.zeros(2, dtype=np.float64)
         arena._vloss_active = snap["vloss_active"]
         n = snap["allocated"]
         arena._make_arrays(max(n, 2))
@@ -824,7 +755,7 @@ class TreeArena:
         Child spans keep their reserved ``n_legal`` width (unfilled
         slots are future children), but the capacity tail beyond the
         last allocation is dropped and nodes land in BFS order, which
-        improves gather locality for the vectorised selection.  Node
+        puts a node's children next to its siblings' for the descent.  Node
         ids change: outstanding refs from before the call are invalid.
         Logical structure and statistics are untouched -- searching on
         after a compact yields bit-identical results.

@@ -7,9 +7,9 @@ Every engine stores its search state behind one of two interchangeable
   one Python object per node).  The reference implementation: simple,
   debuggable, and the differential-testing oracle.
 * ``"arena"`` -- the struct-of-arrays
-  :class:`repro.core.arena.TreeArena` with vectorised selection; same
-  seeds give bit-identical results, multi-tree engines get a lockstep
-  ``select_expand_all`` over all trees per iteration.
+  :class:`repro.core.arena.TreeArena` with compiled selection and
+  backprop; same seeds give bit-identical results, multi-tree engines
+  get a lockstep ``select_expand_all`` over all trees per iteration.
 
 Engines address tree positions through opaque *refs* (``Node`` objects
 or integer slots) and never look inside them, so the same engine code
@@ -230,6 +230,12 @@ class NodeForest:
     def backprop_winner(self, i, ref, winner, simulations=1) -> None:
         self.trees[i].backprop_winner(ref, winner, simulations)
 
+    def backprop_winners(self, indices, refs, winners) -> None:
+        """One playout result per tree: ``winners[j]`` at ``refs[j]``
+        of tree ``indices[j]`` (distinct trees)."""
+        for i, ref, winner in zip(indices, refs, winners):
+            self.trees[i].backprop_winner(ref, winner)
+
     def backprop_block(self, refs, simulations, winners_2d) -> None:
         """Per-tree playout tallies: row ``b`` of ``winners_2d`` holds
         tree ``b``'s playout outcomes."""
@@ -302,7 +308,7 @@ class NodeForest:
 
 
 class ArenaForest:
-    """Many trees in one arena with lockstep vectorised selection."""
+    """Many trees in one arena with lockstep selection."""
 
     def __init__(
         self,
@@ -344,6 +350,12 @@ class ArenaForest:
 
     def backprop_winner(self, i, ref, winner, simulations=1) -> None:
         self.arena.backprop_winner(ref, winner, simulations)
+
+    def backprop_winners(self, indices, refs, winners) -> None:
+        winners = np.asarray(winners)
+        self.arena.backprop_many(
+            refs, 1, winners == 1, winners == -1, winners == 0
+        )
 
     def backprop_block(self, refs, simulations, winners_2d) -> None:
         winners = np.asarray(winners_2d)

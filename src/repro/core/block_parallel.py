@@ -91,7 +91,7 @@ class BlockParallelMcts(Engine):
             and live["iterations"] < cap
         ) or live["iterations"] == 0:
             # Sequential part: the one controlling CPU walks each tree
-            # (lockstep-vectorised on the arena backend).
+            # (one lockstep round on the arena backend).
             with prof.phase("select"):
                 leaves, depths = forest.select_expand_all()
                 self._charge_tree_control(depths)

@@ -117,10 +117,11 @@ class RootParallelMcts(Engine):
                     results = yield from self._screen_results(
                         requests, results, screen
                     )
-                for (i, node, depth), (winner, plies) in zip(
-                    pending, results
-                ):
-                    forest.backprop_winner(i, node, winner)
+                trees, nodes, _ = zip(*pending)
+                forest.backprop_winners(
+                    trees, nodes, [winner for winner, _ in results]
+                )
+                for (i, _, depth), (_, plies) in zip(pending, results):
                     core_time[i] += self.cost.iteration_time(depth, plies)
                     per_tree_iters[i] += 1
                     iterations += 1

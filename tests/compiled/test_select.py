@@ -1,0 +1,527 @@
+"""Differential wall for the compiled descent + expansion and backprop
+kernels (``repro_<game>_select_expand``, ``repro_backprop``).
+
+One random *plan* -- which trees a round selects and in what order,
+lockstep or one at a time, what virtual loss is applied and for how
+long, what every playout returned -- is replayed on three
+implementations:
+
+* a :class:`TreeArena` on the compiled kernels,
+* a :class:`TreeArena` on the Python bodies (loader patched to None),
+* one pointer :class:`SearchTree` per tree, the oracle.
+
+All three must select the same positions at the same depths every
+round and end with the same statistics; the two arenas must also agree
+on every node id, column and snapshot byte.  Without a C toolchain
+there is no kernel to compare and the tests skip.
+"""
+
+import math
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from repro.compiled import (
+    COMPILED_GAMES,
+    backprop_compiled,
+    compiled_available,
+    load_library,
+    select_expand_compiled,
+)
+from repro.core.arena import TreeArena
+from repro.core.tree import SearchTree
+from repro.games import make_game
+from repro.rng import XorShift64Star
+from tests.core.test_arena import columns, payload
+
+pytestmark = pytest.mark.compiled
+
+GAMES = sorted(COMPILED_GAMES)
+
+
+if not compiled_available():
+    pytest.skip(
+        "no compiled kernel library on this host", allow_module_level=True
+    )
+
+
+def python_bodies():
+    """Arenas built and driven inside run on the Python bodies."""
+    return mock.patch("repro.compiled.runner.load_library", lambda: None)
+
+
+# -- the plan ----------------------------------------------------------------
+
+
+def make_plan(seed: int, n_trees: int, iterations: int) -> list[dict]:
+    """Rounds until ``iterations`` selections are spent.  A *lockstep*
+    round is one ``select_expand_all`` (every tree, or a shuffled
+    subset) answered by one ``backprop_many``; a *scalar* round is a
+    few ``select_expand(t)`` calls -- trees may repeat -- each under
+    its own virtual loss, the way the shared-tree engines run."""
+    rng = np.random.default_rng(seed)
+    plan = []
+    spent = 0
+    while spent < iterations:
+        kind = rng.choice(["all", "subset", "scalar"], p=[0.4, 0.35, 0.25])
+        if kind == "all":
+            trees = None
+            k = n_trees
+        elif kind == "subset":
+            k = int(rng.integers(1, n_trees + 1))
+            trees = rng.permutation(n_trees)[:k].tolist()
+        else:
+            k = int(rng.integers(1, 5))
+            trees = rng.integers(0, n_trees, size=k).tolist()
+        sims = int(rng.choice([1, 2, 5]))
+        # Each row's sims split into black wins / white wins / draws.
+        black = rng.integers(0, sims + 1, size=k)
+        white = np.array([rng.integers(0, sims - b + 1) for b in black])
+        plan.append(
+            {
+                "kind": kind,
+                "trees": trees,
+                "sims": sims,
+                "black": black.tolist(),
+                "white": white.tolist(),
+                "draws": (sims - black - white).tolist(),
+                # Rows whose answer is lost: nothing is backpropagated.
+                "lost": (rng.random(k) < 0.05).tolist(),
+                "vloss": float(rng.choice([0.0, 0.25, 0.5, 1.0, 3.0])),
+                # Rounds the virtual loss stays on after this one.
+                "hold": int(rng.integers(0, 3)),
+            }
+        )
+        spent += k
+    return plan
+
+
+# -- the three implementations ----------------------------------------------
+
+
+def walk(game, plies: int, seed: int):
+    """The last non-terminal position of a random walk of ``plies``."""
+    rng = np.random.default_rng(seed)
+    state = game.initial_state()
+    for _ in range(plies):
+        nxt = game.apply(state, int(rng.choice(game.legal_moves(state))))
+        if game.is_terminal(nxt):
+            break
+        state = nxt
+    return state
+
+
+class ArenaUnderTest:
+    def __init__(self, game, root, n_trees, seed, **policy):
+        self.arena = TreeArena(
+            game,
+            root,
+            [XorShift64Star(seed + t) for t in range(n_trees)],
+            capacity=2,  # every few rounds grow the columns
+            **policy,
+        )
+
+    def select_all(self, trees):
+        leaves, depths = self.arena.select_expand_all(trees)
+        return leaves.tolist(), depths.tolist()
+
+    def select_one(self, t):
+        return self.arena.select_expand(t)
+
+    def describe(self, ref):
+        return self.arena.state_of(ref), self.arena.terminal_of(ref)
+
+    def virtual_loss(self, t, ref, amount):
+        self.arena.apply_virtual_loss(ref, amount)
+
+    def backprop_rows(self, trees, refs, sims, black, white, draws):
+        self.arena.backprop_many(refs, sims, black, white, draws)
+
+    def backprop_one(self, t, ref, sims, black, white, draws):
+        self.arena.backprop(ref, sims, black, white, draws)
+
+
+class PointerTrees:
+    def __init__(self, game, root, n_trees, seed, **policy):
+        self.trees = [
+            SearchTree(game, root, XorShift64Star(seed + t), **policy)
+            for t in range(n_trees)
+        ]
+
+    def select_all(self, trees):
+        which = range(len(self.trees)) if trees is None else trees
+        walks = [self.trees[t].select_expand() for t in which]
+        return [node for node, _ in walks], [depth for _, depth in walks]
+
+    def select_one(self, t):
+        return self.trees[t].select_expand()
+
+    def describe(self, ref):
+        return ref.state, ref.terminal
+
+    def virtual_loss(self, t, ref, amount):
+        self.trees[t].apply_virtual_loss(ref, amount)
+
+    def backprop_rows(self, trees, refs, sims, black, white, draws):
+        for row in zip(trees, refs, black, white, draws):
+            if row[1] is not None:
+                self.backprop_one(row[0], row[1], sims, *row[2:])
+
+    def backprop_one(self, t, ref, sims, black, white, draws):
+        self.trees[t].backprop(ref, sims, black, white, draws)
+
+
+def replay(impl, plan, n_trees) -> list:
+    """Run ``plan`` on ``impl``; returns what every selection found:
+    ``(tree, state, terminal, depth)`` in call order."""
+    seen = []
+    held = []  # (round to revert at, tree, ref, amount)
+    none = -1 if isinstance(impl, ArenaUnderTest) else None
+    for r, step in enumerate(plan):
+        for _, t, ref, amount in [h for h in held if h[0] <= r]:
+            impl.virtual_loss(t, ref, -amount)
+        held = [h for h in held if h[0] > r]
+        outcome = step["black"], step["white"], step["draws"]
+        if step["kind"] == "scalar":
+            walks = []
+            for t in step["trees"]:
+                ref, depth = impl.select_one(t)
+                seen.append((t, *impl.describe(ref), depth))
+                impl.virtual_loss(t, ref, step["vloss"])
+                walks.append((t, ref))
+            for (t, ref), lost, *row in zip(walks, step["lost"], *outcome):
+                impl.virtual_loss(t, ref, -step["vloss"])
+                if not lost:
+                    impl.backprop_one(t, ref, step["sims"], *row)
+            continue
+        trees = step["trees"]
+        if trees is not None and r % 2:
+            trees = np.array(trees)  # lists and arrays both
+        refs, depths = impl.select_all(trees)
+        trees = list(range(n_trees)) if trees is None else list(trees)
+        for t, ref, depth in zip(trees, refs, depths):
+            seen.append((t, *impl.describe(ref), depth))
+            if step["vloss"]:
+                impl.virtual_loss(t, ref, step["vloss"])
+                held.append((r + 1 + step["hold"], t, ref, step["vloss"]))
+        refs = [none if lost else ref for ref, lost in zip(refs, step["lost"])]
+        impl.backprop_rows(trees, refs, step["sims"], *outcome)
+    return seen
+
+
+# -- comparisons -------------------------------------------------------------
+
+
+def assert_same_tree(arena: TreeArena, t: int, tree: SearchTree) -> None:
+    """Tree ``t`` of the arena and the pointer tree hold the same
+    nodes, children in the same order, with the same numbers."""
+    pairs = [(int(arena.roots[t]), tree.root)]
+    count = 0
+    while pairs:
+        slot, node = pairs.pop()
+        count += 1
+        assert arena.state_of(slot) == node.state
+        assert arena.visits[slot] == node.visits
+        assert arena.wins[slot] == node.wins  # IEEE-exact
+        assert arena.vloss[slot] == node.vloss
+        left = int(arena.untried_count[slot])
+        assert arena.untried_order[slot, :left].tolist() == node.untried
+        filled = int(arena.child_count[slot])
+        assert filled == len(node.children)
+        start = int(arena.child_start[slot])
+        pairs.extend(zip(range(start, start + filled), node.children))
+    assert count == tree.node_count == arena.node_count(t)
+    assert tree.max_depth == arena.max_depth(t)
+
+
+def check_plan(
+    game_name, root_plies, n_trees, plan_seed, iterations, tree_seed, policy
+):
+    game = make_game(game_name)
+    root = walk(game, root_plies, plan_seed)
+    plan = make_plan(plan_seed, n_trees, iterations)
+    kernel = ArenaUnderTest(game, root, n_trees, tree_seed, **policy)
+    assert kernel.arena._compiled() is not None
+    seen = replay(kernel, plan, n_trees)
+    with python_bodies():
+        python = ArenaUnderTest(game, root, n_trees, tree_seed, **policy)
+        assert python.arena._compiled() is None
+        assert replay(python, plan, n_trees) == seen
+    assert kernel.arena.allocated == python.arena.allocated
+    assert columns(kernel.arena) == columns(python.arena)
+    assert payload(kernel.arena) == payload(python.arena)
+    kernel.arena.validate()
+    pointer = PointerTrees(game, root, n_trees, tree_seed, **policy)
+    assert replay(pointer, plan, n_trees) == seen
+    for t, tree in enumerate(pointer.trees):
+        assert_same_tree(kernel.arena, t, tree)
+    return kernel.arena
+
+
+POLICIES = st.fixed_dictionaries(
+    {
+        "ucb_c": st.sampled_from([0.0, 0.35, 1.0, 1.4142135623730951]),
+        "selection_rule": st.sampled_from(["ucb1", "ucb1_tuned"]),
+        "parallel_mode": st.sampled_from(["vloss", "wuct"]),
+    }
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    game_name=st.sampled_from(GAMES),
+    root_plies=st.integers(0, 60),  # openings to the last few plies
+    n_trees=st.sampled_from([1, 2, 8, 97]),
+    plan_seed=st.integers(0, 2**32 - 1),
+    iterations=st.integers(0, 400),
+    tree_seed=st.integers(1, 2**32),
+    policy=POLICIES,
+)
+def test_kernel_python_body_and_pointer_trees_agree(
+    game_name, root_plies, n_trees, plan_seed, iterations, tree_seed, policy
+):
+    check_plan(
+        game_name, root_plies, n_trees, plan_seed, iterations, tree_seed,
+        policy,
+    )
+
+
+@pytest.mark.parametrize("game_name", GAMES)
+@pytest.mark.parametrize("mode", ["vloss", "wuct"])
+@pytest.mark.parametrize("rule", ["ucb1", "ucb1_tuned"])
+def test_long_searches_reach_every_branch(game_name, mode, rule):
+    """Fixed seeds, long enough that terminal leaves, score ties,
+    mixed expansion depths in one round, held virtual loss under both
+    modes and several column growths all occur (asserted, not hoped)."""
+    policy = {"ucb_c": 0.9, "selection_rule": rule, "parallel_mode": mode}
+    plies = {"tictactoe": 2, "connect4": 24, "reversi": 57}[game_name]
+    # Plan 9 ends on a lockstep round that leaves 0.25 on every path.
+    arena = check_plan(game_name, plies, 5, 9, 1500, 23, policy)
+    n = arena.allocated
+    assert arena.capacity >= 32  # grew from capacity=2 several times
+    assert arena.vloss[:n].any()
+    assert arena.tree_max_depth.min() >= 3
+    assert arena.terminal[:n].any()
+
+
+# -- the score on arbitrary statistics ---------------------------------------
+
+CHILD_STATS = st.tuples(
+    st.sampled_from([0.0, 1.0, 2.0, 3.0, 50.0, 1000.0, 1e6]),  # completed
+    st.sampled_from([0.0, 0.25, 1.0, 3.0]),  # in flight
+    st.sampled_from([0.0, 0.05, 0.5, 0.95, 1.0]),  # wins / completed
+)
+
+
+@settings(max_examples=300, deadline=None)
+@example(
+    # The tuned rule's clip decides: child 0's variance bound is 0.18,
+    # so it scores 1.33 and loses to child 1's 1.35 -- with the width
+    # left at 1/4 it would score 1.41 and win.
+    children=[(1000.0, 0.0, 0.95), (287.0, 0.0, 0.5)] + [(1e6, 0.0, 0.0)] * 7,
+    total=4000.0,
+    policy={
+        "ucb_c": 10.0, "selection_rule": "ucb1_tuned", "parallel_mode": "vloss"
+    },
+)
+@given(
+    children=st.lists(CHILD_STATS, min_size=9, max_size=9),
+    total=st.sampled_from([0.25, 1.0, 1.5, 7.0, 4000.0, 1e7]),
+    policy=POLICIES,
+)
+def test_one_level_choice_matches_python_body_on_any_statistics(
+    children, total, policy
+):
+    """Statistics no short search reaches -- totals at and below 1
+    (the logarithm is cut to 0 there), thousands of visits (the tuned
+    rule's variance bound drops under 1/4), exact ties, unvisited
+    children behind visited ones: the kernel descends into the child
+    ``_best_child`` names."""
+    game = make_game("tictactoe")
+    arena = TreeArena(game, game.initial_state(), [XorShift64Star(3)], **policy)
+    for _ in range(9):  # expand every root child
+        arena.backprop_winner(arena.select_expand(0)[0], 0)
+    root = int(arena.roots[0])
+    start = int(arena.child_start[root])
+    assert arena.untried_count[root] == 0 and arena.child_count[root] == 9
+    arena.visits[root], arena.vloss[root] = total, 0.0
+    for child, (completed, in_flight, rate) in enumerate(children, start):
+        arena.visits[child] = completed
+        arena.vloss[child] = in_flight
+        arena.wins[child] = rate * completed
+    chosen = arena._best_child(root)
+    leaf, depth = arena.select_expand(0)
+    assert (int(arena.parent[leaf]), depth) == (chosen, 2)
+
+
+# -- refusals ----------------------------------------------------------------
+
+
+def searched(game_name="tictactoe", n_trees=3, rounds=40) -> TreeArena:
+    game = make_game(game_name)
+    arena = TreeArena(
+        game,
+        game.initial_state(),
+        [XorShift64Star(5 + t) for t in range(n_trees)],
+    )
+    trees = np.arange(n_trees)
+    for r in range(rounds):
+        leaves, depths = arena.select_expand_all()
+        winners = (trees + r + depths) % 3 - 1
+        arena.backprop_many(
+            leaves, 1, winners == 1, winners == -1, winners == 0
+        )
+    return arena
+
+
+def call_buffers(cols) -> list:
+    return [
+        buffer.tolist()
+        for buffer in (cols.trees, cols.leaves, cols.depths, cols.stats)
+    ]
+
+
+@pytest.mark.parametrize("game_name", GAMES)
+def test_rows_outside_the_arena_are_refused_with_nothing_written(game_name):
+    """A tree, root, child span or bookkeeping row that does not lie
+    inside the allocation makes the round fail before the first write:
+    a read-only descent is all that has happened."""
+    # After 40 rounds every descent crosses tree 1's root; after one,
+    # the root is where it stops, its child span already reserved.
+    for rounds, name, row, value in [
+        (40, "trees", 0, 3),
+        (40, "trees", 2, -1),
+        (40, "roots", 1, "n"),
+        (40, "roots", 1, -1),
+        (40, "child_start", "root", 0),  # a span below its parent...
+        (40, "child_start", "root", "root"),  # ...at it...
+        (40, "child_start", "root", "n"),  # ...past the allocation
+        (40, "child_count", "root", "n"),
+        (40, "child_count", "root", 0),
+        (1, "child_start", "root", "root"),
+        (1, "child_start", "root", "n"),
+        (1, "child_start", "root", "n - 1"),  # the span's end overruns
+        (1, "n_legal", "root", 70),  # filled + untried != width
+        (1, "child_count", "root", -1),
+        (0, "child_count", "root", 1),  # filled, but no span
+    ]:
+        arena = searched(game_name, rounds=rounds)
+        names = {"root": int(arena.roots[1]), "n": arena.allocated}
+        row = names.get(row, row)
+        value = eval(value, names) if isinstance(value, str) else value
+        cols = arena._compiled()
+        cols.trees[:3] = [0, 1, 2]
+        cols.leaves[:] = cols.depths[:] = -7
+        target = cols.trees if name == "trees" else getattr(arena, name)
+        target[row] = value
+        before = columns(arena), call_buffers(cols)
+        cols.allocated = arena.allocated
+        with pytest.raises(ValueError, match="outside the arena"):
+            select_expand_compiled(cols, 3)
+        assert cols.allocated == arena.allocated
+        after = columns(arena), call_buffers(cols)
+        assert after[0] == before[0], (rounds, name, row, value)
+        if name == "trees":
+            # Refused before any descent: no answer was written either.
+            assert after[1] == before[1]
+
+
+def test_more_rows_than_call_buffers_are_refused():
+    arena = searched()
+    cols = arena._compiled()
+    before = columns(arena), call_buffers(cols)
+    cols.allocated = arena.allocated
+    for k in (4, -1, 1 << 40):
+        with pytest.raises(ValueError, match="do not fit"):
+            select_expand_compiled(cols, k)
+        with pytest.raises(ValueError, match="do not fit"):
+            backprop_compiled(cols, k, 1.0)
+    assert (columns(arena), call_buffers(cols)) == before
+    with pytest.raises(ValueError, match="distinct trees"):
+        arena.select_expand_all([0, 1, 2, 0])
+    with pytest.raises(ValueError, match="one leaf per tree"):
+        arena.backprop_many([3, 4, 5, 6], 1, [1] * 4, [0] * 4, [0] * 4)
+    assert (columns(arena), call_buffers(cols)) == before
+
+
+@pytest.mark.parametrize("game_name", GAMES)
+def test_a_full_arena_reports_its_need_and_changes_nothing(game_name):
+    """The grow-and-retry protocol: a round whose fresh spans do not
+    fit returns the capacity it needs, the arena is exactly as it was,
+    and the same call succeeds after growing to that capacity."""
+    game = make_game(game_name)
+    arena = TreeArena(
+        game, game.initial_state(), [XorShift64Star(9), XorShift64Star(10)]
+    )
+    arena.compact()  # capacity == allocated == 2: no room for any span
+    assert arena.capacity == arena.allocated == 2
+    cols = arena._compiled()
+    cols.trees[:2] = [1, 0]
+    cols.allocated = 2
+    before = columns(arena)
+    need = select_expand_compiled(cols, 2)
+    assert need == 2 + 2 * arena.n_legal[0]
+    assert cols.allocated == 2 and columns(arena) == before
+    arena._grow(need)
+    assert arena.capacity == need  # more than double: the need wins
+    cols = arena._compiled()
+    cols.trees[:2] = [1, 0]
+    cols.allocated = 2
+    assert select_expand_compiled(cols, 2) == 0
+    assert cols.allocated == need
+    # Spans in row order: tree 1's first.
+    assert cols.leaves[:2].tolist() == [2, 2 + arena.n_legal[0]]
+    assert cols.depths[:2].tolist() == [1, 1]
+
+
+def test_backprop_refuses_leaves_outside_the_allocation():
+    arena = searched()
+    cols = arena._compiled()
+    n = arena.allocated
+    cols.allocated = n
+    cols.stats[:] = 1.0
+    for leaves in ([3, n, 4], [n + 5, -1, -1]):
+        cols.leaves[:3] = leaves
+        before = columns(arena)
+        with pytest.raises(ValueError, match="outside the arena"):
+            backprop_compiled(cols, 3, 1.0)
+        assert columns(arena) == before
+    # A parent link that does not point below its child stops the walk.
+    leaf = int(arena.child_start[int(arena.roots[0])])
+    arena.parent[leaf] = leaf
+    cols.leaves[:3] = [leaf, -1, -1]
+    with pytest.raises(ValueError, match="outside the arena"):
+        backprop_compiled(cols, 3, 1.0)
+
+
+def test_negative_leaves_are_rows_with_no_answer():
+    arena = searched()
+    before = columns(arena)
+    arena.backprop_many([-1, -1, -1], 4, [1, 1, 1], [2, 2, 2], [1, 1, 1])
+    assert columns(arena) == before
+
+
+# -- the logarithm -----------------------------------------------------------
+
+
+def test_libm_log_is_math_log():
+    """The kernels call libm's ``log`` where the Python body calls
+    ``math.log``; the scores agree bit for bit only if those are the
+    same function.  Whole visit totals (what every engine produces) and
+    fractional ones (virtual loss) both."""
+    log = load_library().repro_log
+    rng = np.random.default_rng(2011)
+    x = np.concatenate(
+        [
+            np.arange(2, 20000, dtype=np.float64),
+            rng.integers(2, 2**40, size=20000).astype(np.float64),
+            rng.random(20000) * 1e6 + 1.0,
+            np.arange(2, 4000, dtype=np.float64) + 0.25,
+        ]
+    )
+    out = np.empty_like(x)
+    log(len(x), x.ctypes.data, out.ctypes.data)
+    assert out.tolist() == [math.log(v) for v in x.tolist()]

@@ -9,7 +9,7 @@ Four layers:
 * ``compact()`` round trips (hypothesis over seeds): compacting
   mid-search and searching on yields exactly the search that never
   compacted;
-* the two expansion bodies: the compiled kernel and the Python body
+* the two sets of bodies: the compiled kernels and the Python bodies
   leave every column, every snapshot and every error identical.
 """
 
@@ -333,7 +333,7 @@ class TestValidateAudit:
             arena.validate()
 
 
-# -- the two expansion bodies ------------------------------------------------
+# -- the compiled and the Python bodies --------------------------------------
 
 ALL_GAMES = ["reversi", "tictactoe", "connect4", "breakthrough"]
 
@@ -344,8 +344,9 @@ uses_kernel = pytest.mark.compiled
 
 @pytest.fixture(params=["kernel", "python"])
 def body(request, monkeypatch):
-    """Run a test under each expansion body: the compiled kernel (where
-    the host has one) and the Python body (loader patched to None)."""
+    """Run a test under each set of bodies: the compiled kernels (where
+    the host has them) and the Python bodies (loader patched to None
+    before the arena is built -- an arena binds its kernels once)."""
     if request.param == "python":
         monkeypatch.setattr("repro.compiled.runner.load_library", lambda: None)
     return request.param
@@ -362,7 +363,9 @@ def forest(game, seed: int, n_trees: int = 6, state=None) -> TreeArena:
 
 def drive_all(arena: TreeArena, rounds: int, offset: int = 0) -> None:
     """Lockstep rounds with a deterministic stand-in for the playout;
-    every third round goes tree by tree through ``select_expand``."""
+    every third round goes tree by tree through ``select_expand``, and
+    every other lockstep round one tree runs a whole iteration of its
+    own between the selection and its backprop, as ``hybrid`` does."""
     trees = np.arange(arena.n_trees)
     for r in range(offset, offset + rounds):
         if r % 3 == 2:
@@ -371,6 +374,9 @@ def drive_all(arena: TreeArena, rounds: int, offset: int = 0) -> None:
             depths = np.array([depth for _, depth in walks])
         else:
             leaves, depths = arena.select_expand_all()
+            if r % 2:
+                leaf, depth = arena.select_expand(r % arena.n_trees)
+                arena.backprop_winner(leaf, (r + depth) % 3 - 1)
         winners = (trees + r + depths) % 3 - 1
         arena.backprop_many(
             leaves, 1.0, winners == 1, winners == -1, winners == 0
@@ -380,25 +386,32 @@ def drive_all(arena: TreeArena, rounds: int, offset: int = 0) -> None:
 @uses_kernel
 @pytest.mark.parametrize("game_name", ALL_GAMES)
 def test_kernel_and_python_bodies_agree(game_name, monkeypatch):
-    """Same seeds, one arena expanded by the compiled kernel and one by
-    the Python body: every column, the snapshot payload and the audit
-    stay equal.  (Without a toolchain both runs take the Python body;
-    breakthrough has no kernel and must fall back without a word.)"""
+    """Same seeds, one arena on the compiled bodies (descent +
+    expansion and backprop kernels) and one on the Python bodies, 240
+    rounds each: every column, the allocation cursor, the snapshot
+    payload and the audit stay equal.  (Without a toolchain both runs
+    take the Python bodies; breakthrough has no kernels and must fall
+    back without a word.)"""
     game = make_game(game_name)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         compiled = forest(game, seed=41)
-        drive_all(compiled, 60)
+        drive_all(compiled, 240)
     with monkeypatch.context() as patch:
         patch.setattr("repro.compiled.runner.load_library", lambda: None)
         python = forest(game, seed=41)
-        drive_all(python, 60)
+        drive_all(python, 240)
+        assert python._compiled() is None
+    assert compiled.allocated == python.allocated
     assert columns(compiled) == columns(python)
     assert payload(compiled) == payload(python)
     compiled.validate()
     python.validate()
     sweep_invariants(python)
-    assert len(compiled) == 6 * 61
+    # One node per tree per round, plus the interleaved iterations.
+    assert len(compiled) == 6 * 241 + sum(
+        1 for r in range(240) if r % 3 != 2 and r % 2
+    )
 
 
 @uses_kernel

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core import SequentialMcts
+from repro.core.backend import make_tree as make_backend_tree
 from repro.core.tree import SearchTree
 from repro.games import TicTacToe
 from repro.rng import XorShift64Star
@@ -84,3 +85,24 @@ class TestTunedRule:
         # but at minimum the tuned pick's score computation ran.
         assert plain_pick in range(9)
         assert tuned_pick in range(9)
+
+
+@pytest.mark.parametrize("rule", ["ucb1", "ucb1_tuned"])
+@pytest.mark.parametrize("ucb_c", [0.0, 0.5, 1.4])
+def test_arena_walks_like_the_pointer_tree_under_either_rule(rule, ucb_c):
+    """The arena's descent (compiled, or the Python body under
+    ``REPRO_COMPILED=0``) picks the pointer tree's child at every
+    level under both rules, ties and unvisited children included."""
+    trees = [
+        make_backend_tree(
+            backend, GAME, GAME.initial_state(), XorShift64Star(7), ucb_c, rule
+        )
+        for backend in ("node", "arena")
+    ]
+    for i in range(400):
+        leaves = [tree.select_expand() for tree in trees]
+        (node, depth), (slot, arena_depth) = leaves
+        assert (node.state, depth) == (trees[1].state_of(slot), arena_depth)
+        for tree, (ref, _) in zip(trees, leaves):
+            tree.backprop(ref, 3, i % 3, (i + depth) % 2, 0)
+    assert trees[0].root_stats() == trees[1].root_stats()

@@ -146,3 +146,20 @@ class TestPipeline:
         assert all(
             not math.isnan(w) for _, w in res.stats.values()
         )
+
+
+@pytest.mark.parametrize(
+    "spec", ["tree:8@vloss=0.5", "tree:8@wuct", "pipeline:4@wuct"]
+)
+def test_arena_backend_reproduces_the_pointer_tree(spec):
+    """In-flight markers -- fractional virtual loss, WU-UCT counts --
+    enter the arena's descent (compiled, or the Python body under
+    ``REPRO_COMPILED=0``) exactly as they enter the pointer tree's."""
+    node, arena = (
+        make_engine(f"{spec}@{backend}", GAME, seed=5).search(
+            GAME.initial_state(), BUDGET
+        )
+        for backend in ("node", "arena")
+    )
+    assert (arena.move, arena.stats) == (node.move, node.stats)
+    assert arena.tree_nodes == node.tree_nodes > 9
