@@ -100,12 +100,12 @@ def test_micro_arena_forest_lockstep(benchmark):
         )
         for _ in range(100):
             leaves, _ = forest.select_expand_all()
-            for i, leaf in enumerate(leaves):
-                forest.backprop_winner(i, leaf, 1)
+            for leaf in leaves:
+                forest.backprop_winner(leaf, 1)
         return forest
 
     forest = benchmark.pedantic(lockstep_rounds, iterations=1, rounds=3)
-    assert forest.node_count() == 64 * 101
+    assert forest.node_count == 64 * 101
 
 
 def test_micro_rng_batch(benchmark):

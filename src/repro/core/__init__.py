@@ -26,8 +26,6 @@ order-independent ``@modifier`` suffixes (``tree:8@wuct@arena``); see
 from repro.core.arena import ArenaInvariantError, TreeArena
 from repro.core.backend import (
     BACKENDS,
-    ArenaForest,
-    ArenaTree,
     NodeForest,
     make_forest,
     make_tree,
@@ -90,11 +88,8 @@ from repro.core.tree import (
     Node,
     SearchTree,
     aggregate_stat_dicts,
-    aggregate_stats,
     majority_vote_stat_dicts,
-    majority_vote_stats,
     trimmed_vote_stat_dicts,
-    trimmed_vote_stats,
 )
 from repro.core.tree_parallel import TreeParallelMcts
 
@@ -118,19 +113,14 @@ __all__ = [
     "validate_parallel_mode",
     "SearchTree",
     "TreeArena",
-    "ArenaTree",
-    "ArenaForest",
     "NodeForest",
     "BACKENDS",
     "make_tree",
     "make_forest",
     "validate_backend",
     "Node",
-    "aggregate_stats",
     "aggregate_stat_dicts",
-    "majority_vote_stats",
     "majority_vote_stat_dicts",
-    "trimmed_vote_stats",
     "trimmed_vote_stat_dicts",
     "select_move",
     "SELECTION_RULES",

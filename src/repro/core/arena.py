@@ -65,8 +65,8 @@ from repro.core.policy import (
     validate_parallel_mode,
     validate_selection_rule,
 )
-from repro.core.tree import aggregate_stat_dicts, majority_vote_stat_dicts
 from repro.games.base import Game, GameState
+from repro.integrity.audit import audit_root_stats
 from repro.rng import XorShift64Star
 from repro.util.bitops import bits_of
 
@@ -211,7 +211,7 @@ class TreeArena:
 
     def __len__(self) -> int:
         """Initialised (live) nodes across all trees."""
-        return int(self.tree_node_count.sum())
+        return self.node_count
 
     # -- node construction --------------------------------------------------
 
@@ -274,7 +274,7 @@ class TreeArena:
 
     # -- selection + expansion ---------------------------------------------
 
-    def select_expand(self, t: int) -> tuple[int, int]:
+    def select_expand(self, t: int = 0) -> tuple[int, int]:
         """Single-tree descent; mirrors ``SearchTree.select_expand``."""
         cols = self._compiled()
         if cols is not None:
@@ -295,24 +295,29 @@ class TreeArena:
         """Lockstep descent of several distinct trees at once.
 
         Returns ``(leaves, depths)`` aligned with ``indices`` (all
-        trees when ``None``).  Every tree descends to a terminal node
-        or one with untried moves and expands one child there (exactly
-        like the scalar walk).  Child spans are reserved in *lockstep
-        order* -- expansion depth ascending, then position in
-        ``indices`` -- under either body, so node ids depend on
-        neither.
+        trees when ``None``); a repeated or out-of-range index is a
+        ``ValueError`` and changes nothing.  Every tree descends to a
+        terminal node or one with untried moves and expands one child
+        there (exactly like the scalar walk).  Child spans are
+        reserved in *lockstep order* -- expansion depth ascending,
+        then position in ``indices`` -- under either body, so node ids
+        depend on neither.
         """
-        idx = (
-            np.arange(self.n_trees, dtype=np.int64)
-            if indices is None
-            else np.asarray(indices, dtype=np.int64)
-        )
+        if indices is None:
+            idx = np.arange(self.n_trees, dtype=np.int64)
+        else:
+            idx = np.asarray(indices, dtype=np.int64)
+            # Checked here, before either body writes anything: a tree
+            # walked twice in one round overruns its reserved span.
+            rows = idx.tolist()
+            if len(set(rows)) != len(rows) or not all(
+                0 <= t < self.n_trees for t in rows
+            ):
+                raise ValueError(
+                    f"rows {rows} for {self.n_trees} trees: a round "
+                    f"takes distinct trees"
+                )
         k = len(idx)
-        if k > self.n_trees:
-            raise ValueError(
-                f"{k} rows for {self.n_trees} trees: a round takes "
-                f"distinct trees"
-            )
         cols = self._compiled()
         if cols is not None:
             cols.trees[:k] = idx
@@ -467,6 +472,27 @@ class TreeArena:
         cols.allocated = self._allocated
         backprop_compiled(cols, k, simulations)
 
+    def backprop_winners(self, leaves, winners) -> None:
+        """One playout result per tree: ``winners[j]`` at
+        ``leaves[j]`` (distinct trees)."""
+        winners = np.asarray(winners)
+        self.backprop_many(
+            leaves, 1, winners == 1, winners == -1, winners == 0
+        )
+
+    def backprop_block(self, leaves, simulations, winners_2d) -> None:
+        """Per-tree playout tallies: row ``b`` of ``winners_2d`` holds
+        the outcomes of the ``simulations`` playouts from
+        ``leaves[b]``."""
+        winners = np.asarray(winners_2d)
+        self.backprop_many(
+            np.asarray(leaves, dtype=np.int64),
+            simulations,
+            (winners == 1).sum(axis=1),
+            (winners == -1).sum(axis=1),
+            (winners == 0).sum(axis=1),
+        )
+
     def apply_virtual_loss(self, leaf: int, amount: float = 1.0) -> None:
         self._vloss_active = True
         node = int(leaf)
@@ -504,15 +530,13 @@ class TreeArena:
             for c in range(start, start + count)
         }
 
-    def aggregate_stats(self) -> dict[int, tuple[float, float]]:
-        return aggregate_stat_dicts(
-            [self.root_stats(t) for t in range(self.n_trees)]
-        )
-
-    def majority_vote_stats(self) -> dict[int, tuple[float, float]]:
-        return majority_vote_stat_dicts(
-            [self.root_stats(t) for t in range(self.n_trees)]
-        )
+    def root_stats_of(
+        self, indices=None
+    ) -> list[dict[int, tuple[float, float]]]:
+        """:meth:`root_stats` of the given trees (all when ``None``),
+        in the order given -- what the root vote is taken over."""
+        which = range(self.n_trees) if indices is None else indices
+        return [self.root_stats(t) for t in which]
 
     def poison_root(self, t: int, bonus: float) -> bool:
         """Write ``bonus`` phantom wins straight into tree ``t``'s
@@ -520,8 +544,10 @@ class TreeArena:
         ``poison=tree:K`` corruption fault.  Only a direct write like
         this can break the win-bound invariant :meth:`validate`
         checks; anything routed through backprop stays
-        self-consistent.  Returns False before the root has
-        children."""
+        self-consistent.  Returns False for a tree the arena does not
+        hold and before the root has children."""
+        if t >= self.n_trees:
+            return False
         root = int(self.roots[t])
         start = int(self.child_start[root])
         if start < 0:
@@ -538,11 +564,39 @@ class TreeArena:
         self.wins[victim] += bonus
         return True
 
-    def node_count(self, t: int) -> int:
-        return int(self.tree_node_count[t])
+    def audit_tree(self, t: int = 0, legal_moves=None) -> str | None:
+        """Audit tree ``t``: the full structural validation (visit
+        conservation, win bounds, span bookkeeping) restricted to that
+        tree, plus the backend-neutral root-stats checks.  Returns a
+        violation description, or None."""
+        try:
+            self.validate(trees=(t,))
+        except ArenaInvariantError as exc:
+            return str(exc)
+        return audit_root_stats(self.root_stats(t), legal_moves)
 
-    def max_depth(self, t: int) -> int:
-        return int(self.tree_max_depth[t])
+    @property
+    def node_count(self) -> int:
+        """Live nodes across all trees."""
+        return int(self.tree_node_count.sum())
+
+    @property
+    def max_depth(self) -> int:
+        """Deepest expanded path of any tree."""
+        return int(self.tree_max_depth.max())
+
+    def per_tree_nodes(self) -> list[int]:
+        return self.tree_node_count.tolist()
+
+    def per_tree_depth(self) -> list[int]:
+        return self.tree_max_depth.tolist()
+
+    def ref_token(self, ref: int, t: int = 0) -> int:
+        """Refs are stable slot numbers: the token is the ref."""
+        return int(ref)
+
+    def ref_from_token(self, token: int, t: int = 0) -> int:
+        return int(token)
 
     # -- checkpointing ------------------------------------------------------
 
@@ -564,7 +618,6 @@ class TreeArena:
         Python values the payload has always carried (state tuples,
         lists, ints; ``None`` for a reserved-but-unfilled slot), so
         the checkpoint format does not depend on the column layout.
-        The log table is omitted (it regrows to identical values).
         """
         n = self._allocated
         live = self.to_move[:n].tolist()

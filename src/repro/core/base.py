@@ -25,9 +25,8 @@ from repro.games.base import Game, GameState
 from repro.games.batch import run_playouts_tracked
 from repro.core.backend import (
     make_forest,
-    make_tree,
     restore_forest,
-    restore_tree,
+    snapshot_forest,
     validate_backend,
 )
 from repro.core.executors import tracked_runner, validate_playout
@@ -36,8 +35,17 @@ from repro.core.checkpoint import (
     CheckpointError,
     EngineSnapshot,
 )
-from repro.core.policy import MAX_VISITS, validate_selection_rule
+from repro.core.policy import (
+    MAX_VISITS,
+    select_move,
+    validate_selection_rule,
+)
 from repro.core.results import SearchResult
+from repro.core.tree import (
+    aggregate_stat_dicts,
+    majority_vote_stat_dicts,
+    trimmed_vote_stat_dicts,
+)
 from repro.games import make_batch_game
 from repro.gpu import LaunchConfig, VirtualGpu
 from repro.integrity.engine import IntegrityState
@@ -77,6 +85,8 @@ class Engine(abc.ABC):
     integrity = None
     #: The engine's private virtual device (GPU engines only).
     gpu: "VirtualGpu | None" = None
+    #: Root-vote mode; the engines that take ``vote=`` set it.
+    vote: str = "sum"
 
     def __init__(
         self,
@@ -259,7 +269,7 @@ class Engine(abc.ABC):
             if key == "integrity" and value is None:
                 continue
             if key in ("tree", "forest"):
-                value = value.snapshot()
+                value = snapshot_forest(value, key)
             elif key in ("executor", "integrity", "playout_rng"):
                 # A None executor (session driven externally) stays None.
                 value = value.getstate() if value is not None else None
@@ -281,10 +291,8 @@ class Engine(abc.ABC):
             if key == "gpu":
                 self.gpu.setstate(value)
                 continue
-            if key == "tree":
-                value = restore_tree(self.game, value)
-            elif key == "forest":
-                value = restore_forest(self.game, value)
+            if key in ("tree", "forest"):
+                value = restore_forest(self.game, value, key)
             elif key == "executor":
                 value = self._restore_executor(value)
             elif key == "playout_rng":
@@ -326,14 +334,55 @@ class Engine(abc.ABC):
         guard.give_up()
         return [(0, 0)] * len(requests)
 
-    def _vote_stats(self, forest, keep, stats):
-        """The root statistics the move is chosen from under the
-        engine's ``vote`` mode (``sum`` reuses the aggregate)."""
+    def _vote_stats(self, store, keep=None):
+        """The root vote over trees ``keep`` of ``store`` (all when
+        None), in tree order: ``(stats, voted)`` -- the summed
+        per-move statistics a result reports, and the statistics the
+        move is chosen from under the engine's ``vote`` mode (``sum``
+        reuses the aggregate)."""
+        per_tree = store.root_stats_of(keep)
+        stats = aggregate_stat_dicts(per_tree)
         if self.vote == "majority":
-            return forest.majority_vote_stats(keep)
+            return stats, majority_vote_stat_dicts(per_tree)
         if self.vote == "trimmed":
-            return forest.trimmed_vote_stats(keep)
-        return stats
+            return stats, trimmed_vote_stat_dicts(per_tree)
+        return stats, stats
+
+    def _finish(
+        self, store, elapsed_s: float, extras: "dict | None" = None
+    ) -> SearchResult:
+        """End the live session over ``store``: the guard's final
+        sweep, the vote over the trees it admits, and the result.
+        ``extras`` are the engine's own keys; every engine reports
+        per-tree depth and node counts, guarded ones the integrity
+        counters."""
+        live = self._live
+        guard = live.get("integrity")
+        keep = None
+        if guard is not None:
+            guard.final_sweep(store)
+            keep = guard.keep_indices()
+        stats, voted = self._vote_stats(store, keep)
+        extras = {
+            **(extras or {}),
+            "tree.depth": store.per_tree_depth(),
+            "tree.nodes": store.per_tree_nodes(),
+        }
+        if guard is not None:
+            extras.update(guard.extras())
+        self._live = None
+        return SearchResult(
+            move=select_move(voted, self.final_policy),
+            stats=stats,
+            iterations=live["iterations"],
+            simulations=live["simulations"],
+            max_depth=store.max_depth,
+            tree_nodes=store.node_count,
+            elapsed_s=elapsed_s,
+            trees=store.n_trees,
+            extras=extras,
+            engine=self.name,
+        )
 
     def _attach_gpu(
         self, blocks: int, threads_per_block: int, device
@@ -366,8 +415,18 @@ class Engine(abc.ABC):
                 t = cache[depth] = self.cost.tree_control_time(depth)
             advance(t)
 
-    def _after_iteration(self, iterations: int) -> None:
-        """Fire the iteration hook at a clean boundary."""
+    def _after_iteration(
+        self, iterations: int, store=None, bonus: float = 1.0
+    ) -> None:
+        """A clean iteration boundary.  The guarded engines pass their
+        ``store``: the scheduled ``poison=tree:K`` fault (``bonus`` =
+        one iteration's worth of visits) and the amortised audit run
+        here; then the iteration hook fires."""
+        if store is not None:
+            guard = self._live["integrity"]
+            if guard is not None:
+                guard.poison(store, bonus)
+                guard.audit(store, iterations)
         hook = self.iteration_hook
         if hook is not None:
             hook(self, iterations)
@@ -394,25 +453,11 @@ class Engine(abc.ABC):
             f"unknown executor state kind: {state.get('kind')!r}"
         )
 
-    def _make_tree(
-        self,
-        state: GameState,
-        rng: XorShift64Star,
-        parallel_mode: str = "vloss",
+    def _make_forest(
+        self, state: GameState, rngs, parallel_mode: str = "vloss"
     ):
-        """One tree on the engine's configured backend."""
-        return make_tree(
-            self.backend,
-            self.game,
-            state,
-            rng,
-            self.ucb_c,
-            self.selection_rule,
-            parallel_mode=parallel_mode,
-        )
-
-    def _make_forest(self, state: GameState, rngs):
-        """``len(rngs)`` trees on the engine's configured backend."""
+        """``len(rngs)`` trees on the engine's configured backend (a
+        single-tree engine's store is a forest of one)."""
         return make_forest(
             self.backend,
             self.game,
@@ -420,6 +465,7 @@ class Engine(abc.ABC):
             rngs,
             self.ucb_c,
             self.selection_rule,
+            parallel_mode,
         )
 
     def _check_budget(self, budget_s: float, state: GameState) -> None:

@@ -27,7 +27,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.base import Engine, validate_vote
-from repro.core.policy import select_move
 from repro.core.results import (
     INTEGRITY_EXTRA_KEYS,
     SearchResult,
@@ -107,36 +106,12 @@ class BlockParallelMcts(Engine):
                 per_block = winners.reshape(blocks, tpb)
                 forest.backprop_block(leaves, tpb, per_block)
             live["iterations"] += 1
-            if guard is not None:
-                guard.poison(forest, float(tpb))
-                guard.audit(forest, live["iterations"])
-            self._after_iteration(live["iterations"])
-        if guard is not None:
-            guard.final_sweep(forest)
-        keep = guard.keep_indices() if guard is not None else None
-        stats = forest.aggregate_stats(keep)
-        voted = self._vote_stats(forest, keep, stats)
-        extras = {
-            "gpu.kernels": self.gpu.stats.kernels_launched,
-            "tree.depth": forest.per_tree_depth(),
-            "tree.nodes": forest.per_tree_nodes(),
-        }
-        if guard is not None:
-            extras.update(guard.extras())
-        result = SearchResult(
-            move=select_move(voted, self.final_policy),
-            stats=stats,
-            iterations=live["iterations"],
-            simulations=live["simulations"],
-            max_depth=forest.max_depth(),
-            tree_nodes=forest.node_count(),
-            elapsed_s=self.clock.now - live["start_s"],
-            trees=blocks,
-            extras=extras,
-            engine=self.name,
+            self._after_iteration(live["iterations"], forest, float(tpb))
+        return self._finish(
+            forest,
+            self.clock.now - live["start_s"],
+            {"gpu.kernels": self.gpu.stats.kernels_launched},
         )
-        self._live = None
-        return result
 
     def _screened_winners(
         self, states, live: dict, guard

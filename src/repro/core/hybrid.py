@@ -6,13 +6,12 @@ MCTS iterations over the same trees (round-robin), deepening them.
 The paper observes GPU-only trees are shallow (each iteration waits a
 whole kernel); the hybrid recovers depth and improves the endgame
 (Figure 8) -- both effects this engine reproduces, and both visible in
-its telemetry (``max_depth``, ``extras['cpu_iterations']``).
+its telemetry (``max_depth``, ``extras['cpu.iterations']``).
 """
 
 from __future__ import annotations
 
 from repro.core.base import Engine
-from repro.core.policy import select_move
 from repro.core.results import SearchResult, register_extra_keys
 from repro.cpu import XEON_X5670
 from repro.games.base import GameState
@@ -87,15 +86,13 @@ class HybridMcts(Engine):
                     next_tree = (next_tree + 1) % blocks
                     node, depth = forest.select_expand(t)
                     if forest.terminal_of(node):
-                        forest.backprop_winner(
-                            t, node, forest.winner_of(node)
-                        )
+                        forest.backprop_winner(node, forest.winner_of(node))
                         plies = 0
                     else:
                         winner, plies = self.game.playout(
                             forest.state_of(node), playout_rng
                         )
-                        forest.backprop_winner(t, node, winner)
+                        forest.backprop_winner(node, winner)
                     self.clock.advance(
                         self.cost.iteration_time(depth, plies)
                     )
@@ -115,26 +112,14 @@ class HybridMcts(Engine):
             # a clean checkpoint boundary.
             self._after_iteration(gpu_iterations)
 
-        stats = forest.aggregate_stats()
-        result = SearchResult(
-            move=select_move(stats, self.final_policy),
-            stats=stats,
-            iterations=gpu_iterations,
-            simulations=simulations,
-            max_depth=forest.max_depth(),
-            tree_nodes=forest.node_count(),
-            elapsed_s=self.clock.now - live["start_s"],
-            trees=blocks,
-            extras={
+        return self._finish(
+            forest,
+            self.clock.now - live["start_s"],
+            {
                 "cpu.iterations": cpu_iterations,
                 "gpu.kernels": self.gpu.stats.kernels_launched,
-                "tree.depth": forest.per_tree_depth(),
-                "tree.nodes": forest.per_tree_nodes(),
             },
-            engine=self.name,
         )
-        self._live = None
-        return result
 
 register_extra_keys(
     HybridMcts.name,

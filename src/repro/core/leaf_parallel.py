@@ -12,7 +12,6 @@ parallelism keeps climbing.
 from __future__ import annotations
 
 from repro.core.base import Engine, tally
-from repro.core.policy import select_move
 from repro.core.results import SearchResult, register_extra_keys
 from repro.cpu import XEON_X5670
 from repro.games.base import GameState
@@ -40,7 +39,7 @@ class LeafParallelMcts(Engine):
     def search(self, state: GameState, budget_s: float) -> SearchResult:
         self._check_budget(budget_s, state)
         self._live = {
-            "tree": self._make_tree(state, self.rng.fork("tree")),
+            "tree": self._make_forest(state, [self.rng.fork("tree")]),
             "start_s": self.clock.now,
             "budget_s": budget_s,
             "iterations": 0,
@@ -74,24 +73,11 @@ class LeafParallelMcts(Engine):
             live["iterations"] += 1
             live["simulations"] += grid
             self._after_iteration(live["iterations"])
-        stats = tree.root_stats()
-        result = SearchResult(
-            move=select_move(stats, self.final_policy),
-            stats=stats,
-            iterations=live["iterations"],
-            simulations=live["simulations"],
-            max_depth=tree.max_depth,
-            tree_nodes=tree.node_count,
-            elapsed_s=self.clock.now - live["start_s"],
-            extras={
-                "gpu.kernels": self.gpu.stats.kernels_launched,
-                "tree.depth": [tree.depth()],
-                "tree.nodes": [tree.node_count],
-            },
-            engine=self.name,
+        return self._finish(
+            tree,
+            self.clock.now - live["start_s"],
+            {"gpu.kernels": self.gpu.stats.kernels_launched},
         )
-        self._live = None
-        return result
 
 register_extra_keys(
     LeafParallelMcts.name,

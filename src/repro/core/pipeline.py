@@ -33,12 +33,7 @@ with a full pipeline.
 from __future__ import annotations
 
 from repro.core.base import Engine, SearchGenerator
-from repro.core.policy import select_move
-from repro.core.results import (
-    INTEGRITY_EXTRA_KEYS,
-    SearchResult,
-    register_extra_keys,
-)
+from repro.core.results import INTEGRITY_EXTRA_KEYS, register_extra_keys
 from repro.core.tree_parallel import (
     check_snapshot_mode,
     resolve_shared_tree_mode,
@@ -79,8 +74,8 @@ class PipelineMcts(Engine):
         self._check_budget(budget_s, state)
         self._live = {
             "mode": self.mode,
-            "tree": self._make_tree(
-                state, self.rng.fork("tree"), parallel_mode=self.mode
+            "tree": self._make_forest(
+                state, [self.rng.fork("tree")], parallel_mode=self.mode
             ),
             "pending": [],  # in-flight (ref, depth) from last round
             "held": [],  # their (winner, plies), held for backprop
@@ -184,13 +179,10 @@ class PipelineMcts(Engine):
                 live["pending"] = []
                 live["held"] = []
             live["rounds"] += 1
-            if guard is not None:
-                guard.poison(tree, 1.0)
-                guard.audit(tree, live["iterations"])
             # Round boundary: the new batch is in flight (its markers
             # outstanding), everything else is consistent -- snapshots
             # here encode the in-flight refs as stable tokens.
-            self._after_iteration(live["iterations"])
+            self._after_iteration(live["iterations"], tree)
 
         # Drain: retire the final in-flight batch.
         bp_t = 0.0
@@ -212,13 +204,8 @@ class PipelineMcts(Engine):
 
         elapsed = max(live["cpu_t"], live["dev_done"])
         self.clock.advance(elapsed)
-        if guard is not None:
-            guard.final_sweep(tree)
-        stats = tree.root_stats()
         cpu_busy = live["select_s"] + live["backprop_s"]
         extras = {
-            "tree.depth": [tree.depth()],
-            "tree.nodes": [tree.node_count],
             "pipeline.rounds": live["rounds"],
             "pipeline.select_s": live["select_s"],
             "pipeline.backprop_s": live["backprop_s"],
@@ -230,21 +217,7 @@ class PipelineMcts(Engine):
                 live["playout_s"] / elapsed if elapsed > 0 else 0.0
             ),
         }
-        if guard is not None:
-            extras.update(guard.extras())
-        result = SearchResult(
-            move=select_move(stats, self.final_policy),
-            stats=stats,
-            iterations=live["iterations"],
-            simulations=live["simulations"],
-            max_depth=tree.max_depth,
-            tree_nodes=tree.node_count,
-            elapsed_s=elapsed,
-            extras=extras,
-            engine=self.name,
-        )
-        self._live = None
-        return result
+        return self._finish(tree, elapsed, extras)
 
     # -- checkpointing -------------------------------------------------------
 

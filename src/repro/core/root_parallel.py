@@ -16,12 +16,7 @@ interact.
 from __future__ import annotations
 
 from repro.core.base import Engine, SearchGenerator, validate_vote
-from repro.core.policy import select_move
-from repro.core.results import (
-    INTEGRITY_EXTRA_KEYS,
-    SearchResult,
-    register_extra_keys,
-)
+from repro.core.results import INTEGRITY_EXTRA_KEYS, register_extra_keys
 from repro.games.base import GameState
 
 
@@ -101,9 +96,7 @@ class RootParallelMcts(Engine):
             pending = []  # (tree index, node, depth)
             for i, node, depth in zip(active, refs, depths):
                 if forest.terminal_of(node):
-                    forest.backprop_winner(
-                        i, node, forest.winner_of(node)
-                    )
+                    forest.backprop_winner(node, forest.winner_of(node))
                     core_time[i] += self.cost.iteration_time(depth, 0)
                     per_tree_iters[i] += 1
                     iterations += 1
@@ -117,9 +110,9 @@ class RootParallelMcts(Engine):
                     results = yield from self._screen_results(
                         requests, results, screen
                     )
-                trees, nodes, _ = zip(*pending)
                 forest.backprop_winners(
-                    trees, nodes, [winner for winner, _ in results]
+                    [node for _, node, _ in pending],
+                    [winner for winner, _ in results],
                 )
                 for (i, _, depth), (_, plies) in zip(pending, results):
                     core_time[i] += self.cost.iteration_time(depth, plies)
@@ -128,38 +121,11 @@ class RootParallelMcts(Engine):
                     simulations += 1
             live["iterations"] = iterations
             live["simulations"] = simulations
-            if guard is not None:
-                guard.poison(forest, 1.0)
-                guard.audit(forest, iterations)
-            self._after_iteration(iterations)
+            self._after_iteration(iterations, forest)
 
         # Wall time of the parallel search = the slowest core.
         self.clock.advance(max(core_time))
-        if guard is not None:
-            guard.final_sweep(forest)
-        keep = guard.keep_indices() if guard is not None else None
-        stats = forest.aggregate_stats(keep)
-        voted = self._vote_stats(forest, keep, stats)
-        extras = {
-            "tree.depth": forest.per_tree_depth(),
-            "tree.nodes": forest.per_tree_nodes(),
-        }
-        if guard is not None:
-            extras.update(guard.extras())
-        result = SearchResult(
-            move=select_move(voted, self.final_policy),
-            stats=stats,
-            iterations=iterations,
-            simulations=simulations,
-            max_depth=forest.max_depth(),
-            tree_nodes=forest.node_count(),
-            elapsed_s=max(core_time),
-            trees=self.n_trees,
-            extras=extras,
-            engine=self.name,
-        )
-        self._live = None
-        return result
+        return self._finish(forest, max(core_time))
 
 
 register_extra_keys(

@@ -9,7 +9,6 @@ in the paper's Figures 6 and 7.
 from __future__ import annotations
 
 from repro.core.base import Engine, ScalarExecutor, SearchGenerator, drive_search
-from repro.core.policy import select_move
 from repro.core.results import SearchResult, register_extra_keys
 from repro.games.base import GameState
 
@@ -31,7 +30,7 @@ class SequentialMcts(Engine):
     ) -> SearchGenerator:
         self._check_budget(budget_s, state)
         self._live = {
-            "tree": self._make_tree(state, self.rng.fork("tree")),
+            "tree": self._make_forest(state, [self.rng.fork("tree")]),
             "start_s": self.clock.now,
             "budget_s": budget_s,
             "iterations": 0,
@@ -60,23 +59,7 @@ class SequentialMcts(Engine):
             live["iterations"] += 1
             live["simulations"] += 1
             self._after_iteration(live["iterations"])
-        stats = tree.root_stats()
-        result = SearchResult(
-            move=select_move(stats, self.final_policy),
-            stats=stats,
-            iterations=live["iterations"],
-            simulations=live["simulations"],
-            max_depth=tree.max_depth,
-            tree_nodes=tree.node_count,
-            elapsed_s=self.clock.now - live["start_s"],
-            extras={
-                "tree.depth": [tree.depth()],
-                "tree.nodes": [tree.node_count],
-            },
-            engine=self.name,
-        )
-        self._live = None
-        return result
+        return self._finish(tree, self.clock.now - live["start_s"])
 
 register_extra_keys(
     SequentialMcts.name,

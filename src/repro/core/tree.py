@@ -255,10 +255,6 @@ class SearchTree:
 
     # -- reporting -----------------------------------------------------------------
 
-    def depth(self) -> int:
-        """Deepest expanded path (same quantity as ``max_depth``)."""
-        return self.max_depth
-
     def root_stats(self) -> dict[int, tuple[float, float]]:
         """Per root move: ``(visits, wins)`` of the corresponding child
         (wins from the root player's perspective)."""
@@ -281,19 +277,16 @@ class SearchTree:
             yield n
             stack.extend(n.children)
 
-    # -- integrity surface (shared with the forests) -------------------------
+    # -- integrity surface ---------------------------------------------------
 
-    # A single tree answers the forest calls the integrity guard makes
-    # as tree index 0, so shared-tree engines hand it the tree itself.
-
-    def poison_root(self, i: int, bonus: float) -> bool:
+    def poison_root(self, bonus: float) -> bool:
         """Write ``bonus`` phantom wins straight into the most-visited
         root child, *bypassing backprop* -- the ``poison=tree:K``
         fault.  Backprop-mediated corruption always leaves a tree
         self-consistent; only a direct write like this can break the
-        win-bound invariant the audit checks.  Returns False for any
-        index but 0 and before the root has any children."""
-        if i != 0 or not self.root.children:
+        win-bound invariant the audit checks.  Returns False before
+        the root has any children."""
+        if not self.root.children:
             return False
         victim = max(
             self.root.children,
@@ -302,7 +295,7 @@ class SearchTree:
         victim.wins += bonus
         return True
 
-    def audit_tree(self, i: int, legal_moves=None) -> str | None:
+    def audit_tree(self, legal_moves=None) -> str | None:
         """Walk the tree checking the statistics invariants every
         clean tree satisfies: finite, non-negative visits; wins within
         ``[0, visits]``; parent visits at least the sum of child visits
@@ -455,7 +448,9 @@ class SearchTree:
 def aggregate_stat_dicts(
     per_tree: "list[dict[int, tuple[float, float]]]",
 ) -> dict[int, tuple[float, float]]:
-    """Sum per-move ``(visits, wins)`` dicts in tree order.
+    """Sum per-move ``(visits, wins)`` dicts in tree order -- the
+    root-parallel vote, how the paper merges block / root-parallel
+    results at the root.
 
     Shared by both tree backends so the float accumulation order -- and
     therefore the aggregate, bit for bit -- is identical whichever
@@ -473,8 +468,11 @@ def aggregate_stat_dicts(
 def majority_vote_stat_dicts(
     per_tree: "list[dict[int, tuple[float, float]]]",
 ) -> dict[int, tuple[float, float]]:
-    """Chaslot-style plurality ballot over per-tree root stats; see
-    :func:`majority_vote_stats`."""
+    """Chaslot-style plurality ballot over per-tree root stats: each
+    tree casts one ballot for its own most-visited move; the returned
+    "stats" count ballots as visits (wins carry the voting trees' win
+    mass for tie-breaks).  Feeding this through
+    ``select_move(..., MAX_VISITS)`` implements plurality voting."""
     ballots: dict[int, list[float]] = {}
     for stats in per_tree:
         if not stats:
@@ -542,35 +540,3 @@ def trimmed_vote_stat_dicts(
             sum(ws[lo:hi]) / span * total_visits,
         )
     return out
-
-
-def aggregate_stats(
-    trees: "list[SearchTree]",
-) -> dict[int, tuple[float, float]]:
-    """Root-parallel vote: sum per-move visits and wins over trees
-    (how the paper merges block/root-parallel results at the root)."""
-    return aggregate_stat_dicts([tree.root_stats() for tree in trees])
-
-
-def majority_vote_stats(
-    trees: "list[SearchTree]",
-) -> dict[int, tuple[float, float]]:
-    """Chaslot-style alternative: each tree casts one ballot for its
-    own most-visited move; the returned "stats" count ballots as
-    visits (wins carry the voting trees' win mass for tie-breaks).
-    Feeding this through ``select_move(..., MAX_VISITS)`` implements
-    plurality voting."""
-    return majority_vote_stat_dicts(
-        [tree.root_stats() for tree in trees]
-    )
-
-
-def trimmed_vote_stats(
-    trees: "list[SearchTree]",
-    trim: float = 0.2,
-) -> dict[int, tuple[float, float]]:
-    """Byzantine-tolerant root vote over whole trees; see
-    :func:`trimmed_vote_stat_dicts`."""
-    return trimmed_vote_stat_dicts(
-        [tree.root_stats() for tree in trees], trim=trim
-    )

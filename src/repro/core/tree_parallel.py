@@ -24,12 +24,8 @@ from __future__ import annotations
 
 from repro.core.base import Engine, SearchGenerator
 from repro.core.checkpoint import CheckpointError
-from repro.core.policy import select_move, validate_parallel_mode
-from repro.core.results import (
-    INTEGRITY_EXTRA_KEYS,
-    SearchResult,
-    register_extra_keys,
-)
+from repro.core.policy import validate_parallel_mode
+from repro.core.results import INTEGRITY_EXTRA_KEYS, register_extra_keys
 from repro.games.base import GameState
 
 
@@ -110,8 +106,8 @@ class TreeParallelMcts(Engine):
         self._check_budget(budget_s, state)
         self._live = {
             "mode": self.mode,
-            "tree": self._make_tree(
-                state, self.rng.fork("tree"), parallel_mode=self.mode
+            "tree": self._make_forest(
+                state, [self.rng.fork("tree")], parallel_mode=self.mode
             ),
             "worker_time": [0.0] * self.n_workers,
             "budget_s": budget_s,
@@ -168,36 +164,12 @@ class TreeParallelMcts(Engine):
                 simulations += 1
             live["iterations"] = iterations
             live["simulations"] = simulations
-            if guard is not None:
-                guard.poison(tree, 1.0)
-                guard.audit(tree, iterations)
             # Round end: every in-flight marker reverted -- a clean
             # checkpoint boundary.
-            self._after_iteration(iterations)
+            self._after_iteration(iterations, tree)
 
         self.clock.advance(max(worker_time))
-        if guard is not None:
-            guard.final_sweep(tree)
-        stats = tree.root_stats()
-        extras = {
-            "tree.depth": [tree.depth()],
-            "tree.nodes": [tree.node_count],
-        }
-        if guard is not None:
-            extras.update(guard.extras())
-        result = SearchResult(
-            move=select_move(stats, self.final_policy),
-            stats=stats,
-            iterations=iterations,
-            simulations=simulations,
-            max_depth=tree.max_depth,
-            tree_nodes=tree.node_count,
-            elapsed_s=max(worker_time),
-            extras=extras,
-            engine=self.name,
-        )
-        self._live = None
-        return result
+        return self._finish(tree, max(worker_time))
 
     # -- checkpointing -------------------------------------------------------
 

@@ -126,10 +126,8 @@ class VirtualGpu:
         }
 
     def setstate(self, state: dict) -> None:
-        from repro.rng import BatchXorShift128Plus as _Batch
-
         self._rng_cache = {
-            int(lanes): _Batch.from_state(s)
+            int(lanes): BatchXorShift128Plus.from_state(s)
             for lanes, s in state["rngs"].items()
         }
         kernels, playouts, busy = state["stats"]

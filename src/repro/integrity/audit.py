@@ -14,7 +14,7 @@ cheap invariants every clean tree satisfies regardless of backend
 drawn from the legal set).  The structural half (visit conservation,
 child-span bookkeeping) lives with the backends: ``TreeArena.validate``
 for the arena, a one-level walk for the pointer tree -- see
-``audit_tree`` on the forests in :mod:`repro.core.backend`.
+``audit_tree`` on ``TreeArena`` and ``SearchTree``.
 """
 
 from __future__ import annotations

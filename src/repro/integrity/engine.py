@@ -141,8 +141,8 @@ class IntegrityState:
 
     def extras(self) -> dict:
         """Counters for the engine's result extras (flat canonical
-        ``integrity.*`` keys; ``SearchResult.integrity`` re-exposes
-        them under the historical names)."""
+        ``integrity.*`` keys, declared in
+        ``repro.core.results.INTEGRITY_EXTRA_KEYS``)."""
         return {
             "integrity.detected": self.detected,
             "integrity.escaped": self.escaped,

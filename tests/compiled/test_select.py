@@ -8,7 +8,10 @@ implementations:
 
 * a :class:`TreeArena` on the compiled kernels,
 * a :class:`TreeArena` on the Python bodies (loader patched to None),
-* one pointer :class:`SearchTree` per tree, the oracle.
+* a :class:`NodeForest` of pointer trees (:class:`SearchTree`), the
+  oracle,
+
+each driven through the one store protocol.
 
 All three must select the same positions at the same depths every
 round and end with the same statistics; the two arenas must also agree
@@ -32,6 +35,7 @@ from repro.compiled import (
     select_expand_compiled,
 )
 from repro.core.arena import TreeArena
+from repro.core.backend import NodeForest
 from repro.core.tree import SearchTree
 from repro.games import make_game
 from repro.rng import XorShift64Star
@@ -114,101 +118,77 @@ def walk(game, plies: int, seed: int):
     return state
 
 
-class ArenaUnderTest:
-    def __init__(self, game, root, n_trees, seed, **policy):
-        self.arena = TreeArena(
-            game,
-            root,
-            [XorShift64Star(seed + t) for t in range(n_trees)],
-            capacity=2,  # every few rounds grow the columns
-            **policy,
-        )
-
-    def select_all(self, trees):
-        leaves, depths = self.arena.select_expand_all(trees)
-        return leaves.tolist(), depths.tolist()
-
-    def select_one(self, t):
-        return self.arena.select_expand(t)
-
-    def describe(self, ref):
-        return self.arena.state_of(ref), self.arena.terminal_of(ref)
-
-    def virtual_loss(self, t, ref, amount):
-        self.arena.apply_virtual_loss(ref, amount)
-
-    def backprop_rows(self, trees, refs, sims, black, white, draws):
-        self.arena.backprop_many(refs, sims, black, white, draws)
-
-    def backprop_one(self, t, ref, sims, black, white, draws):
-        self.arena.backprop(ref, sims, black, white, draws)
+def arena_under_test(game, root, n_trees, seed, **policy) -> TreeArena:
+    return TreeArena(
+        game,
+        root,
+        [XorShift64Star(seed + t) for t in range(n_trees)],
+        capacity=2,  # every few rounds grow the columns
+        **policy,
+    )
 
 
-class PointerTrees:
-    def __init__(self, game, root, n_trees, seed, **policy):
-        self.trees = [
+def pointer_trees(game, root, n_trees, seed, **policy) -> NodeForest:
+    return NodeForest(
+        [
             SearchTree(game, root, XorShift64Star(seed + t), **policy)
             for t in range(n_trees)
         ]
-
-    def select_all(self, trees):
-        which = range(len(self.trees)) if trees is None else trees
-        walks = [self.trees[t].select_expand() for t in which]
-        return [node for node, _ in walks], [depth for _, depth in walks]
-
-    def select_one(self, t):
-        return self.trees[t].select_expand()
-
-    def describe(self, ref):
-        return ref.state, ref.terminal
-
-    def virtual_loss(self, t, ref, amount):
-        self.trees[t].apply_virtual_loss(ref, amount)
-
-    def backprop_rows(self, trees, refs, sims, black, white, draws):
-        for row in zip(trees, refs, black, white, draws):
-            if row[1] is not None:
-                self.backprop_one(row[0], row[1], sims, *row[2:])
-
-    def backprop_one(self, t, ref, sims, black, white, draws):
-        self.trees[t].backprop(ref, sims, black, white, draws)
+    )
 
 
-def replay(impl, plan, n_trees) -> list:
-    """Run ``plan`` on ``impl``; returns what every selection found:
-    ``(tree, state, terminal, depth)`` in call order."""
+def backprop_rows(store, refs, sims, black, white, draws) -> None:
+    """One ``backprop_many`` on an arena (a lost row's leaf is -1);
+    row by row on the pointer trees."""
+    if isinstance(store, TreeArena):
+        leaves = [-1 if ref is None else ref for ref in refs]
+        store.backprop_many(leaves, sims, black, white, draws)
+        return
+    for ref, *row in zip(refs, black, white, draws):
+        if ref is not None:
+            store.backprop(ref, sims, *row)
+
+
+def replay(store, plan) -> list:
+    """Run ``plan`` on ``store`` through the one store protocol;
+    returns what every selection found: ``(tree, state, terminal,
+    depth)`` in call order."""
     seen = []
-    held = []  # (round to revert at, tree, ref, amount)
-    none = -1 if isinstance(impl, ArenaUnderTest) else None
+    held = []  # (round to revert at, ref, amount)
     for r, step in enumerate(plan):
-        for _, t, ref, amount in [h for h in held if h[0] <= r]:
-            impl.virtual_loss(t, ref, -amount)
+        for _, ref, amount in [h for h in held if h[0] <= r]:
+            store.revert_virtual_loss(ref, amount)
         held = [h for h in held if h[0] > r]
         outcome = step["black"], step["white"], step["draws"]
         if step["kind"] == "scalar":
             walks = []
             for t in step["trees"]:
-                ref, depth = impl.select_one(t)
-                seen.append((t, *impl.describe(ref), depth))
-                impl.virtual_loss(t, ref, step["vloss"])
-                walks.append((t, ref))
-            for (t, ref), lost, *row in zip(walks, step["lost"], *outcome):
-                impl.virtual_loss(t, ref, -step["vloss"])
+                ref, depth = store.select_expand(t)
+                seen.append(
+                    (t, store.state_of(ref), store.terminal_of(ref), depth)
+                )
+                store.apply_virtual_loss(ref, step["vloss"])
+                walks.append(ref)
+            for ref, lost, *row in zip(walks, step["lost"], *outcome):
+                store.revert_virtual_loss(ref, step["vloss"])
                 if not lost:
-                    impl.backprop_one(t, ref, step["sims"], *row)
+                    store.backprop(ref, step["sims"], *row)
             continue
         trees = step["trees"]
         if trees is not None and r % 2:
             trees = np.array(trees)  # lists and arrays both
-        refs, depths = impl.select_all(trees)
-        trees = list(range(n_trees)) if trees is None else list(trees)
+        refs, depths = store.select_expand_all(trees)
+        refs, depths = list(refs), list(depths)
+        trees = range(store.n_trees) if trees is None else trees
         for t, ref, depth in zip(trees, refs, depths):
-            seen.append((t, *impl.describe(ref), depth))
+            seen.append(
+                (int(t), store.state_of(ref), store.terminal_of(ref), depth)
+            )
             if step["vloss"]:
-                impl.virtual_loss(t, ref, step["vloss"])
-                held.append((r + 1 + step["hold"], t, ref, step["vloss"]))
-        refs = [none if lost else ref for ref, lost in zip(refs, step["lost"])]
-        impl.backprop_rows(trees, refs, step["sims"], *outcome)
+                store.apply_virtual_loss(ref, step["vloss"])
+                held.append((r + 1 + step["hold"], ref, step["vloss"]))
+        refs = [None if lost else ref for ref, lost in zip(refs, step["lost"])]
+        backprop_rows(store, refs, step["sims"], *outcome)
     return seen
 
 
@@ -233,8 +213,8 @@ def assert_same_tree(arena: TreeArena, t: int, tree: SearchTree) -> None:
         assert filled == len(node.children)
         start = int(arena.child_start[slot])
         pairs.extend(zip(range(start, start + filled), node.children))
-    assert count == tree.node_count == arena.node_count(t)
-    assert tree.max_depth == arena.max_depth(t)
+    assert count == tree.node_count == arena.tree_node_count[t]
+    assert tree.max_depth == arena.tree_max_depth[t]
 
 
 def check_plan(
@@ -243,22 +223,22 @@ def check_plan(
     game = make_game(game_name)
     root = walk(game, root_plies, plan_seed)
     plan = make_plan(plan_seed, n_trees, iterations)
-    kernel = ArenaUnderTest(game, root, n_trees, tree_seed, **policy)
-    assert kernel.arena._compiled() is not None
-    seen = replay(kernel, plan, n_trees)
+    kernel = arena_under_test(game, root, n_trees, tree_seed, **policy)
+    assert kernel._compiled() is not None
+    seen = replay(kernel, plan)
     with python_bodies():
-        python = ArenaUnderTest(game, root, n_trees, tree_seed, **policy)
-        assert python.arena._compiled() is None
-        assert replay(python, plan, n_trees) == seen
-    assert kernel.arena.allocated == python.arena.allocated
-    assert columns(kernel.arena) == columns(python.arena)
-    assert payload(kernel.arena) == payload(python.arena)
-    kernel.arena.validate()
-    pointer = PointerTrees(game, root, n_trees, tree_seed, **policy)
-    assert replay(pointer, plan, n_trees) == seen
+        python = arena_under_test(game, root, n_trees, tree_seed, **policy)
+        assert python._compiled() is None
+        assert replay(python, plan) == seen
+    assert kernel.allocated == python.allocated
+    assert columns(kernel) == columns(python)
+    assert payload(kernel) == payload(python)
+    kernel.validate()
+    pointer = pointer_trees(game, root, n_trees, tree_seed, **policy)
+    assert replay(pointer, plan) == seen
     for t, tree in enumerate(pointer.trees):
-        assert_same_tree(kernel.arena, t, tree)
-    return kernel.arena
+        assert_same_tree(kernel, t, tree)
+    return kernel
 
 
 POLICIES = st.fixed_dictionaries(

@@ -124,7 +124,7 @@ def test_invariants_after_search():
     arena = make_arena(seed=11)
     drive(arena, 200, seed=11)
     sweep_invariants(arena)
-    assert arena.node_count(0) == 201
+    assert arena.tree_node_count[0] == 201
     assert arena.visits[int(arena.roots[0])] == 200
 
 
@@ -142,7 +142,7 @@ def test_moves_unique_within_span():
 
 def test_arena_tree_matches_pointer_tree():
     """Identical RNG seed and playout stream => identical root stats on
-    the SearchTree and the arena-backed adapter."""
+    the SearchTree and a one-tree arena."""
     iterations = 120
     seed = 31
 
@@ -181,8 +181,8 @@ def test_growth_is_transparent(seed, iterations):
     drive(tiny, iterations, seed)
     drive(big, iterations, seed)
     assert tiny.root_stats(0) == big.root_stats(0)
-    assert tiny.node_count(0) == big.node_count(0)
-    assert tiny.max_depth(0) == big.max_depth(0)
+    assert tiny.tree_node_count[0] == big.tree_node_count[0]
+    assert tiny.tree_max_depth[0] == big.tree_max_depth[0]
     # Same allocation sequence, so the same slots: planes, order rows
     # and generator words all survived every regrow.
     assert columns(tiny) == columns(big)
@@ -229,8 +229,8 @@ def test_compact_round_trip(seed, before, after):
             )
             compacted.backprop_winner(node, winner)
     assert compacted.root_stats(0) == plain.root_stats(0)
-    assert compacted.node_count(0) == plain.node_count(0)
-    assert compacted.max_depth(0) == plain.max_depth(0)
+    assert compacted.tree_node_count[0] == plain.tree_node_count[0]
+    assert compacted.tree_max_depth[0] == plain.tree_max_depth[0]
     assert logical(compacted) == logical(plain)
 
 
@@ -462,5 +462,5 @@ def test_corrupted_order_raises_the_games_error(
         else:
             arena.select_expand(1)
     assert str(raised.value) == str(scalar.value)
-    assert arena.node_count(1) == 1
+    assert arena.tree_node_count[1] == 1
     assert arena.child_count[root] == 0

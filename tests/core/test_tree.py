@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.core.tree import Node, SearchTree, aggregate_stats
+from repro.core.backend import BACKENDS, make_tree as make_backend_tree
+from repro.core.tree import Node, SearchTree, aggregate_stat_dicts
 from repro.games import Reversi, TicTacToe
 from repro.rng import XorShift64Star
 
@@ -203,7 +204,7 @@ class TestStats:
             for _ in range(9):
                 node, _ = tree.select_expand()
                 tree.backprop_winner(node, 1)
-        agg = aggregate_stats(trees)
+        agg = aggregate_stat_dicts([t.root_stats() for t in trees])
         assert set(agg) == set(range(9))
         for visits, _ in agg.values():
             assert visits == 2
@@ -219,11 +220,11 @@ class TestStats:
 
 
 def _single_trees(game):
-    from repro.core.backend import ArenaTree
-
     return [
-        cls(game, game.initial_state(), XorShift64Star(5))
-        for cls in (SearchTree, ArenaTree)
+        make_backend_tree(
+            backend, game, game.initial_state(), XorShift64Star(5)
+        )
+        for backend in BACKENDS
     ]
 
 

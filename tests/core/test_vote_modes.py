@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core import BlockParallelMcts, RootParallelMcts
-from repro.core.tree import SearchTree, majority_vote_stats
+from repro.core.tree import SearchTree, majority_vote_stat_dicts
 from repro.games import TicTacToe
 from repro.rng import XorShift64Star
 
@@ -28,7 +28,7 @@ class TestMajorityVoteStats:
             self.make_tree_with_preference(4, seed=2),
             self.make_tree_with_preference(0, seed=3),
         ]
-        ballots = majority_vote_stats(trees)
+        ballots = majority_vote_stat_dicts([t.root_stats() for t in trees])
         assert ballots[4][0] == 2.0
         assert ballots[0][0] == 1.0
 
@@ -45,7 +45,8 @@ class TestMajorityVoteStats:
                 tree0.backprop(child, 1000, 600, 400, 0)
         from repro.core import select_move
 
-        assert select_move(majority_vote_stats(trees)) == 4
+        ballots = majority_vote_stat_dicts([t.root_stats() for t in trees])
+        assert select_move(ballots) == 4
 
 
 class TestEngineVoteModes:

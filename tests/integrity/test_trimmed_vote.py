@@ -3,9 +3,11 @@
 import pytest
 
 from repro.core import (
+    NodeForest,
+    RootParallelMcts,
+    aggregate_stat_dicts,
     select_move,
     trimmed_vote_stat_dicts,
-    trimmed_vote_stats,
 )
 from repro.core.tree import SearchTree
 from repro.games import TicTacToe
@@ -107,9 +109,16 @@ class TestTrimmedVoteOverTrees:
         return tree
 
     def test_matches_stat_dict_form(self):
+        # The engines' one vote dispatch over a store of whole trees.
         trees = [self.make_tree(s) for s in range(1, 5)]
-        assert trimmed_vote_stats(trees) == trimmed_vote_stat_dicts(
-            [t.root_stats() for t in trees]
+        engine = RootParallelMcts(GAME, seed=1, n_trees=4, vote="trimmed")
+        stats, voted = engine._vote_stats(NodeForest(trees))
+        per_tree = [t.root_stats() for t in trees]
+        assert voted == trimmed_vote_stat_dicts(per_tree)
+        assert stats == aggregate_stat_dicts(per_tree)
+        _, kept = engine._vote_stats(NodeForest(trees), [0, 2, 3])
+        assert kept == trimmed_vote_stat_dicts(
+            [per_tree[0], per_tree[2], per_tree[3]]
         )
 
 
