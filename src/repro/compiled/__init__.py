@@ -5,6 +5,8 @@ Public surface:
 * :func:`compiled_available` -- is the toolchain-built library usable?
 * :func:`run_playouts_tracked_compiled` -- bit-identical drop-in for
   :func:`repro.games.batch.run_playouts_tracked`.
+* :func:`launch_compiled` -- the one-call launch entry: states and a
+  lane-seed range in, winners / finish steps out.
 * :data:`COMPILED_GAMES` -- games with a compiled kernel.
 * :class:`ArenaColumns` / :func:`select_expand_compiled` /
   :func:`backprop_compiled` -- the tree arena's kernels (one C call per
@@ -27,6 +29,7 @@ from repro.compiled.runner import (
     compiled_available,
     expand_compiled,
     expand_kernel,
+    launch_compiled,
     run_playouts_tracked_compiled,
     select_expand_compiled,
 )
@@ -40,6 +43,7 @@ __all__ = [
     "compiled_disabled",
     "expand_compiled",
     "expand_kernel",
+    "launch_compiled",
     "load_library",
     "reset_cache",
     "run_playouts_tracked_compiled",

@@ -152,9 +152,24 @@ def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
     return lib
 
 
-#: Tree-kernel signatures by kind: ``(restype, argtypes)``; arrays cross as
-#: raw addresses, as in :func:`_bind`.
-_TREE_SIGNATURES = {
+#: Signatures declared on first use, by kind: ``(restype, argtypes)``;
+#: arrays cross as raw addresses, as in :func:`_bind`.
+_LAZY_SIGNATURES = {
+    # (n, p1, p2, to_move, base, lo, winners, finish, max_steps)
+    "launch": (
+        ctypes.c_int,
+        [ctypes.c_int64]
+        + [ctypes.c_void_p] * 3
+        + [ctypes.c_uint64, ctypes.c_int64]
+        + [ctypes.c_void_p] * 2
+        + [ctypes.c_int64],
+    ),
+    # (n, base, lo, s0, s1)
+    "lane_states": (
+        None,
+        [ctypes.c_int64, ctypes.c_uint64, ctypes.c_int64]
+        + [ctypes.c_void_p] * 2,
+    ),
     # (k, rows, arena_t*)
     "expand": (ctypes.c_int, [ctypes.c_int64] + [ctypes.c_void_p] * 2),
     # (k, trees, arena_t*, leaves, depths) -> 0 | capacity needed | error
@@ -170,14 +185,15 @@ _TREE_SIGNATURES = {
 }
 
 
-def tree_export(lib: ctypes.CDLL, kind: str, game_name: str | None = None):
-    """``lib``'s tree kernel ``repro_[<game>_]<kind>``.  Signatures are
-    declared on first use, not in :func:`_bind`: a process that never
-    searches a tree of that game does not pay for the binding at load."""
+def lazy_export(lib: ctypes.CDLL, kind: str, game_name: str | None = None):
+    """``lib``'s export ``repro_[<game>_]<kind>`` -- a tree kernel, a
+    launch entry or a test helper.  Signatures are declared on first
+    use, not in :func:`_bind`: a process that never launches or searches
+    a tree of that game does not pay for the binding at load."""
     prefix = f"repro_{game_name}_" if game_name else "repro_"
     fn = getattr(lib, prefix + kind)
     if fn.argtypes is None:
-        fn.restype, fn.argtypes = _TREE_SIGNATURES[kind]
+        fn.restype, fn.argtypes = _LAZY_SIGNATURES[kind]
     return fn
 
 

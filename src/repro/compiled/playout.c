@@ -2,6 +2,12 @@
  * and the tree arena's kernels: descent + expansion and backprop (last
  * two sections).
  *
+ * Each game has one move loop (`<game>_lane`) behind two exports:
+ * `repro_<game>_playouts` takes a NumPy batch object's fields and the
+ * caller's generator (the virtual GPU's launches), `repro_<game>_launch`
+ * takes absolute planes and a lane-seed range and derives the rest here
+ * (the serving batchers' and `BatchExecutor`'s launches).
+ *
  * Each function replays the exact per-lane semantics of the vectorised
  * NumPy batch games (the `<game>_batch.py` modules of repro/games) one
  * lane at a time: xorshift128+ draws in the same order, the same
@@ -20,10 +26,12 @@
  * RNG side-effect contract: the NumPy driver (`run_playouts_tracked`)
  * advances the *caller's* generator in lockstep until the batch first
  * compacts (after which a selected child generator advances instead).
- * These kernels reproduce that observable state: after playing, every
- * lane's (s0, s1) is rewritten to its initial state advanced by the
- * step at which the first compaction would have fired (or by the full
- * playout length when no compaction triggers).
+ * The `*_playouts` exports reproduce that observable state: after
+ * playing, every lane's (s0, s1) is rewritten to its initial state
+ * advanced by the step at which the first compaction would have fired
+ * (or by the full playout length when no compaction triggers).  The
+ * `*_launch` exports seed their own lanes and have no caller generator
+ * to settle.
  *
  * Built at runtime by repro.compiled.build via the system C compiler;
  * absence of a toolchain falls back to the NumPy path.
@@ -64,6 +72,67 @@ static inline uint64_t nth_bit(uint64_t m, uint64_t k)
     while (k--)
         m &= m - 1;
     return m & -m;
+}
+
+static inline int8_t sign_of(int score)
+{
+    return (int8_t)((score > 0) - (score < 0));
+}
+
+/* -- lane seeding (must match repro/rng/batch.py::_lane_states) --------- */
+
+#define GOLDEN 0x9E3779B97F4A7C15ULL
+
+static inline uint64_t splitmix64(uint64_t x)
+{
+    uint64_t z = x + GOLDEN;
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
+    return z ^ (z >> 31);
+}
+
+/* Lane `lane` of the stream family whose derived seed is `base`; all
+ * arithmetic wraps at 64 bits, as the uint64 arrays do. */
+static inline void lane_state(uint64_t base, uint64_t lane, uint64_t *s0,
+                              uint64_t *s1)
+{
+    *s0 = splitmix64(base + 2 * lane);
+    *s1 = splitmix64(base + 2 * lane + 1);
+    /* xorshift128+ must never start at the all-zero state.  (It cannot:
+     * the finaliser is a bijection, zero only at one argument, and the
+     * two arguments differ.  Kept because `_lane_states` has the rule.) */
+    if (*s0 == 0 && *s1 == 0)
+        *s1 = GOLDEN;
+}
+
+/* -- launch entry (must match repro/core/executors.py::launch_numpy) ---- */
+
+/* A game's playout from one absolute position with a freshly seeded
+ * generator: the side to move's perspective, terminal-at-entry as the
+ * game's `make_batch` decides it, then the game's `*_lane`. */
+typedef int64_t (*start_fn)(uint64_t p1, uint64_t p2, int tm, uint64_t s0,
+                            uint64_t s1, int64_t max_steps, int *score);
+
+/* One playout per position (p1[i], p2[i], to_move[i]) on lane lo + i of
+ * the family `base`; writes winners[i] and finish[i], allocates
+ * nothing.  Returns 0, or -1 when a lane exceeds `max_steps`. */
+FORCE_INLINE int launch_lanes(int64_t n, const uint64_t *p1,
+                              const uint64_t *p2, const int8_t *to_move,
+                              uint64_t base, int64_t lo, int8_t *winners,
+                              int64_t *finish, int64_t max_steps,
+                              start_fn start)
+{
+    for (int64_t i = 0; i < n; i++) {
+        uint64_t s0, s1;
+        lane_state(base, (uint64_t)lo + (uint64_t)i, &s0, &s1);
+        int score;
+        finish[i] = start(p1[i], p2[i], to_move[i], s0, s1, max_steps,
+                          &score);
+        if (finish[i] < 0)
+            return -1;
+        winners[i] = sign_of(score);
+    }
+    return 0;
 }
 
 /* -- first-compaction step (must match run_playouts_tracked) ------------ */
@@ -208,6 +277,41 @@ FORCE_INLINE uint64_t rev_flips(uint64_t own, uint64_t opp, uint64_t move)
          | bracketed_up(own, move, opp, 8) | bracketed_down(own, move, opp, 8);
 }
 
+/* One lane played to the end from the mover's perspective: the finish
+ * step (0 when `over` at entry), or -1 past `max_steps`; *score gets
+ * black's discs minus white's. */
+FORCE_INLINE int64_t rev_lane(uint64_t ow, uint64_t op, int tm, int pa,
+                              int over, uint64_t a, uint64_t b,
+                              int64_t max_steps, int *score)
+{
+    int64_t steps = 0;
+    if (!over) {
+        for (;;) {
+            if (steps >= max_steps)
+                return -1;
+            uint64_t moves = rev_mobility(ow, op);
+            int64_t pop = POPCOUNT(moves);
+            uint64_t pick = draw_below(&a, &b, pop);
+            uint64_t move = pop ? nth_bit(moves, pick) : 0;
+            steps++;
+            uint64_t fl = move ? rev_flips(ow, op, move) : 0;
+            uint64_t new_own = ow | move | fl;
+            uint64_t new_opp = op & ~fl;
+            ow = new_opp;
+            op = new_own;
+            tm = -tm;
+            int pass_now = move == 0;
+            if (pass_now && pa)
+                break;
+            pa = pass_now;
+        }
+    }
+    uint64_t black = tm == 1 ? ow : op;
+    uint64_t white = tm == 1 ? op : ow;
+    *score = (int)(POPCOUNT(black) - POPCOUNT(white));
+    return steps;
+}
+
 int repro_reversi_playouts(
     int64_t n, uint64_t *own, uint64_t *opp, int8_t *to_move,
     uint8_t *passed, uint8_t *done, uint64_t *s0, uint64_t *s1,
@@ -222,43 +326,41 @@ int repro_reversi_playouts(
     }
     int err = 0;
     for (int64_t i = 0; i < n; i++) {
-        uint64_t a = s0[i], b = s1[i];
-        uint64_t ow = own[i], op = opp[i];
-        int tm = to_move[i];
-        int pa = passed[i] != 0;
-        int64_t steps = 0;
-        if (!done[i]) {
-            for (;;) {
-                if (steps >= max_steps) {
-                    err = 1;
-                    break;
-                }
-                uint64_t moves = rev_mobility(ow, op);
-                int64_t pop = POPCOUNT(moves);
-                uint64_t pick = draw_below(&a, &b, pop);
-                uint64_t move = pop ? nth_bit(moves, pick) : 0;
-                steps++;
-                uint64_t fl = move ? rev_flips(ow, op, move) : 0;
-                uint64_t new_own = ow | move | fl;
-                uint64_t new_opp = op & ~fl;
-                ow = new_opp;
-                op = new_own;
-                tm = -tm;
-                int pass_now = move == 0;
-                if (pass_now && pa)
-                    break;
-                pa = pass_now;
-            }
+        int score;
+        int64_t steps = rev_lane(own[i], opp[i], to_move[i],
+                                 passed[i] != 0, done[i] != 0, s0[i], s1[i],
+                                 max_steps, &score);
+        if (steps < 0) {
+            err = 1;
+            break;
         }
         finish[i] = steps;
-        uint64_t black = tm == 1 ? ow : op;
-        uint64_t white = tm == 1 ? op : ow;
-        int16_t diff = (int16_t)(POPCOUNT(black) - POPCOUNT(white));
-        scores[i] = diff;
-        winners[i] = diff > 0 ? 1 : diff < 0 ? -1 : 0;
+        scores[i] = (int16_t)score;
+        winners[i] = sign_of(score);
     }
     return finalize(n, s0, s1, init_s0, init_s1, finish, min_compact,
                     thr, err);
+}
+
+/* Over at entry when neither side has a move (finish step 0, not two
+ * passes), as `BatchReversi.make_batch` sets `done`. */
+static inline int64_t rev_start(uint64_t black, uint64_t white, int tm,
+                                uint64_t s0, uint64_t s1, int64_t max_steps,
+                                int *score)
+{
+    uint64_t own = tm == 1 ? black : white;
+    uint64_t opp = tm == 1 ? white : black;
+    int over = !rev_mobility(own, opp) && !rev_mobility(opp, own);
+    return rev_lane(own, opp, tm, 0, over, s0, s1, max_steps, score);
+}
+
+int repro_reversi_launch(
+    int64_t n, const uint64_t *p1, const uint64_t *p2, const int8_t *to_move,
+    uint64_t base, int64_t lo, int8_t *winners, int64_t *finish,
+    int64_t max_steps)
+{
+    return launch_lanes(n, p1, p2, to_move, base, lo, winners, finish,
+                        max_steps, rev_start);
 }
 
 /* -- TicTacToe (must match repro/games/tictactoe_batch.py) -------------- */
@@ -277,6 +379,40 @@ static inline int ttt_has_line(uint64_t m)
     return 0;
 }
 
+static inline int ttt_over(uint64_t x, uint64_t o)
+{
+    return ttt_has_line(x) || ttt_has_line(o) || (x | o) == TTT_FULL;
+}
+
+/* One lane played to the end: the finish step (0 when `over` at
+ * entry), or -1 past `max_steps`; *score gets the winner. */
+FORCE_INLINE int64_t ttt_lane(uint64_t bx, uint64_t bo, int tm, int over,
+                              uint64_t a, uint64_t b, int64_t max_steps,
+                              int *score)
+{
+    int64_t steps = 0;
+    if (!over) {
+        for (;;) {
+            if (steps >= max_steps)
+                return -1;
+            uint64_t empty = ~(bx | bo) & TTT_FULL;
+            int64_t pop = POPCOUNT(empty);
+            uint64_t pick = draw_below(&a, &b, pop);
+            uint64_t bit = pop ? nth_bit(empty, pick) : 0;
+            steps++;
+            if (tm == 1)
+                bx |= bit;
+            else
+                bo |= bit;
+            tm = -tm;
+            if (ttt_over(bx, bo))
+                break;
+        }
+    }
+    *score = ttt_has_line(bo) ? -1 : ttt_has_line(bx);
+    return steps;
+}
+
 int repro_tictactoe_playouts(
     int64_t n, uint64_t *x, uint64_t *o, int8_t *to_move, uint8_t *done,
     uint64_t *s0, uint64_t *s1, int8_t *winners, int16_t *scores,
@@ -290,42 +426,34 @@ int repro_tictactoe_playouts(
     }
     int err = 0;
     for (int64_t i = 0; i < n; i++) {
-        uint64_t a = s0[i], b = s1[i];
-        uint64_t bx = x[i], bo = o[i];
-        int tm = to_move[i];
-        int64_t steps = 0;
-        if (!done[i]) {
-            for (;;) {
-                if (steps >= max_steps) {
-                    err = 1;
-                    break;
-                }
-                uint64_t empty = ~(bx | bo) & TTT_FULL;
-                int64_t pop = POPCOUNT(empty);
-                uint64_t pick = draw_below(&a, &b, pop);
-                uint64_t bit = pop ? nth_bit(empty, pick) : 0;
-                steps++;
-                if (tm == 1)
-                    bx |= bit;
-                else
-                    bo |= bit;
-                tm = -tm;
-                if (ttt_has_line(bx) || ttt_has_line(bo)
-                    || (bx | bo) == TTT_FULL)
-                    break;
-            }
+        int score;
+        int64_t steps = ttt_lane(x[i], o[i], to_move[i], done[i] != 0,
+                                 s0[i], s1[i], max_steps, &score);
+        if (steps < 0) {
+            err = 1;
+            break;
         }
         finish[i] = steps;
-        int8_t w = 0;
-        if (ttt_has_line(bx))
-            w = 1;
-        if (ttt_has_line(bo))
-            w = -1;
-        winners[i] = w;
-        scores[i] = w;
+        scores[i] = (int16_t)score;
+        winners[i] = sign_of(score);
     }
     return finalize(n, s0, s1, init_s0, init_s1, finish, min_compact,
                     thr, err);
+}
+
+static inline int64_t ttt_start(uint64_t x, uint64_t o, int tm, uint64_t s0,
+                                uint64_t s1, int64_t max_steps, int *score)
+{
+    return ttt_lane(x, o, tm, ttt_over(x, o), s0, s1, max_steps, score);
+}
+
+int repro_tictactoe_launch(
+    int64_t n, const uint64_t *p1, const uint64_t *p2, const int8_t *to_move,
+    uint64_t base, int64_t lo, int8_t *winners, int64_t *finish,
+    int64_t max_steps)
+{
+    return launch_lanes(n, p1, p2, to_move, base, lo, winners, finish,
+                        max_steps, ttt_start);
 }
 
 /* -- Connect-4 (must match repro/games/connect4_batch.py) --------------- */
@@ -346,6 +474,41 @@ static inline int c4_has_four(uint64_t m)
     return 0;
 }
 
+static inline int c4_over(uint64_t p1, uint64_t p2)
+{
+    return c4_has_four(p1) || c4_has_four(p2) || (p1 | p2) == C4_BOARD;
+}
+
+/* One lane played to the end: the finish step (0 when `over` at
+ * entry), or -1 past `max_steps`; *score gets the winner. */
+FORCE_INLINE int64_t c4_lane(uint64_t b1, uint64_t b2, int tm, int over,
+                             uint64_t a, uint64_t b, int64_t max_steps,
+                             int *score)
+{
+    int64_t steps = 0;
+    if (!over) {
+        for (;;) {
+            if (steps >= max_steps)
+                return -1;
+            uint64_t mask = b1 | b2;
+            uint64_t landings = (mask + C4_BOTTOM) & ~mask & C4_BOARD;
+            int64_t pop = POPCOUNT(landings);
+            uint64_t pick = draw_below(&a, &b, pop);
+            uint64_t bit = pop ? nth_bit(landings, pick) : 0;
+            steps++;
+            if (tm == 1)
+                b1 |= bit;
+            else
+                b2 |= bit;
+            tm = -tm;
+            if (c4_over(b1, b2))
+                break;
+        }
+    }
+    *score = c4_has_four(b2) ? -1 : c4_has_four(b1);
+    return steps;
+}
+
 int repro_connect4_playouts(
     int64_t n, uint64_t *p1, uint64_t *p2, int8_t *to_move, uint8_t *done,
     uint64_t *s0, uint64_t *s1, int8_t *winners, int16_t *scores,
@@ -359,43 +522,34 @@ int repro_connect4_playouts(
     }
     int err = 0;
     for (int64_t i = 0; i < n; i++) {
-        uint64_t a = s0[i], b = s1[i];
-        uint64_t b1 = p1[i], b2 = p2[i];
-        int tm = to_move[i];
-        int64_t steps = 0;
-        if (!done[i]) {
-            for (;;) {
-                if (steps >= max_steps) {
-                    err = 1;
-                    break;
-                }
-                uint64_t mask = b1 | b2;
-                uint64_t landings = (mask + C4_BOTTOM) & ~mask & C4_BOARD;
-                int64_t pop = POPCOUNT(landings);
-                uint64_t pick = draw_below(&a, &b, pop);
-                uint64_t bit = pop ? nth_bit(landings, pick) : 0;
-                steps++;
-                if (tm == 1)
-                    b1 |= bit;
-                else
-                    b2 |= bit;
-                tm = -tm;
-                if (c4_has_four(b1) || c4_has_four(b2)
-                    || (b1 | b2) == C4_BOARD)
-                    break;
-            }
+        int score;
+        int64_t steps = c4_lane(p1[i], p2[i], to_move[i], done[i] != 0,
+                                s0[i], s1[i], max_steps, &score);
+        if (steps < 0) {
+            err = 1;
+            break;
         }
         finish[i] = steps;
-        int8_t w = 0;
-        if (c4_has_four(b1))
-            w = 1;
-        if (c4_has_four(b2))
-            w = -1;
-        winners[i] = w;
-        scores[i] = w;
+        scores[i] = (int16_t)score;
+        winners[i] = sign_of(score);
     }
     return finalize(n, s0, s1, init_s0, init_s1, finish, min_compact,
                     thr, err);
+}
+
+static inline int64_t c4_start(uint64_t p1, uint64_t p2, int tm, uint64_t s0,
+                               uint64_t s1, int64_t max_steps, int *score)
+{
+    return c4_lane(p1, p2, tm, c4_over(p1, p2), s0, s1, max_steps, score);
+}
+
+int repro_connect4_launch(
+    int64_t n, const uint64_t *p1, const uint64_t *p2, const int8_t *to_move,
+    uint64_t base, int64_t lo, int8_t *winners, int64_t *finish,
+    int64_t max_steps)
+{
+    return launch_lanes(n, p1, p2, to_move, base, lo, winners, finish,
+                        max_steps, c4_start);
 }
 
 /* -- Batch node expansion (must match repro/core/arena.py) --------------- */
@@ -866,6 +1020,14 @@ void repro_rng_advance(int64_t n, uint64_t *s0, uint64_t *s1, int64_t steps)
         s0[i] = a;
         s1[i] = b;
     }
+}
+
+/* Test helper: the initial states `*_launch` gives lanes lo .. lo + n. */
+void repro_lane_states(int64_t n, uint64_t base, int64_t lo, uint64_t *s0,
+                       uint64_t *s1)
+{
+    for (int64_t i = 0; i < n; i++)
+        lane_state(base, (uint64_t)lo + (uint64_t)i, &s0[i], &s1[i]);
 }
 
 /* Test helpers: the Reversi move generator on arbitrary board pairs. */

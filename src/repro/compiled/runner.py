@@ -11,6 +11,13 @@ known-gaps note in docs/fusion.md) also falls back, but warns once per
 game so an ``@compiled`` spec never silently runs slower than asked.
 The differential suite pins the equivalence either way.
 
+:func:`launch_compiled` is the one-call entry for a *fresh* lane family
+over a list of states (docs/fusion.md, "Launch entry"): positions and a
+lane-seed range in, winners and finish steps out, with the lane seeding,
+the terminal-at-entry test and the perspective swap done in C.  Same
+fallback rules; the NumPy composition
+(:func:`repro.core.executors.launch_numpy`) is its oracle.
+
 The same library carries the tree arena's kernels: descent + expansion
 and backprop over :class:`ArenaColumns` (:func:`select_expand_compiled`,
 :func:`backprop_compiled`), and the bare expansion step they share
@@ -26,13 +33,14 @@ import warnings
 
 import numpy as np
 
-from repro.compiled.build import load_library, tree_export
+from repro.compiled.build import load_library, lazy_export
 from repro.games.batch import (
     BatchGame,
     TrackedPlayouts,
     run_playouts_tracked,
 )
 from repro.rng import BatchXorShift128Plus
+from repro.util.seeding import derive_seed
 
 #: Games with a compiled kernel; everything else uses the NumPy path.
 COMPILED_GAMES = frozenset({"reversi", "tictactoe", "connect4"})
@@ -47,6 +55,35 @@ def compiled_available() -> bool:
     return load_library() is not None
 
 
+def _playout_library(game_name: str):
+    """The library when it can play ``game_name``, else ``None``:
+    silently without a toolchain, with a warning (once per game) for a
+    game without a kernel -- the caller asked for ``@compiled`` and is
+    getting the NumPy driver instead.  Looked up per call: tests toggle
+    ``REPRO_COMPILED`` at runtime."""
+    lib = load_library()
+    if game_name in COMPILED_GAMES:
+        return lib
+    if game_name not in _WARNED_GAMES:
+        _WARNED_GAMES.add(game_name)
+        warnings.warn(
+            f"no compiled playout kernel for {game_name!r}; "
+            f"@compiled degrades to the NumPy driver "
+            f"(bit-identical results, no speedup -- see "
+            f"docs/fusion.md)",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+    return None
+
+
+def _too_long(game: BatchGame) -> RuntimeError:
+    return RuntimeError(
+        f"{game.name} playout exceeded max_game_length="
+        f"{game.max_game_length}; engine bug"
+    )
+
+
 def run_playouts_tracked_compiled(
     game: BatchGame,
     batch,
@@ -58,22 +95,9 @@ def run_playouts_tracked_compiled(
 
     Falls back to :func:`run_playouts_tracked` (identical results by
     contract) when the library is unavailable or the game has no
-    kernel.  The no-kernel case warns (once per game): the caller
-    asked for ``@compiled`` and is getting the NumPy driver instead.
+    kernel (:func:`_playout_library`).
     """
-    lib = load_library()
-    if game.name not in COMPILED_GAMES:
-        if game.name not in _WARNED_GAMES:
-            _WARNED_GAMES.add(game.name)
-            warnings.warn(
-                f"no compiled playout kernel for {game.name!r}; "
-                f"@compiled degrades to the NumPy driver "
-                f"(bit-identical results, no speedup -- see "
-                f"docs/fusion.md)",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        lib = None
+    lib = _playout_library(game.name)
     if lib is None:
         return run_playouts_tracked(
             game,
@@ -131,15 +155,100 @@ def run_playouts_tracked_compiled(
             done.ctypes.data, *common,
         )
     if rc == -1:
-        raise RuntimeError(
-            f"{game.name} playout exceeded max_game_length="
-            f"{game.max_game_length}; engine bug"
-        )
+        raise _too_long(game)
     if rc != 0:
         raise MemoryError("compiled playout kernel allocation failed")
     rng.setstate((n, s0, s1))
     return TrackedPlayouts(
         winners=winners, scores=scores, finish_steps=finish
+    )
+
+
+#: ``launch_compiled``'s input columns -- the states' two planes and
+#: sides to move -- written and read inside one call, so launches (of
+#: any game) can share them; grown geometrically, never per launch.
+_staged_planes = np.zeros((2, 0), dtype=np.uint64)
+_staged_to_move = np.zeros(0, dtype=np.int8)
+
+
+def launch_columns(
+    kernel,
+    game: BatchGame,
+    plane1: np.ndarray,
+    plane2: np.ndarray,
+    to_move: np.ndarray,
+    family_seed: int,
+    lo: int = 0,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The kernel half of :func:`launch_compiled`: one playout per
+    position ``(plane1[i], plane2[i], to_move[i])`` (absolute colours,
+    as the tree arena's columns hold them) on lane ``lo + i`` of
+    ``family_seed``'s stream family, through ``kernel``, the game's
+    ``repro_<game>_launch`` export.  The lane count is the columns' own
+    length, so the kernel cannot be told to read past them; the two
+    outputs are fresh arrays."""
+    n = to_move.shape[0]
+    for column, dtype in (
+        (plane1, np.uint64), (plane2, np.uint64), (to_move, np.int8)
+    ):
+        if (
+            column.dtype != dtype
+            or column.shape != (n,)
+            or not column.flags.c_contiguous
+        ):
+            raise TypeError(
+                f"launch column {column.dtype}{column.shape} is not the "
+                f"contiguous {np.dtype(dtype)}({n},) the kernel reads"
+            )
+    # Lane indices cross into C as ``int64``: refuse what would wrap.
+    if lo < 0 or lo + n > 2**63:
+        raise ValueError(
+            f"need a lane range inside [0, 2**63), got [{lo}, {lo + n})"
+        )
+    # The kernel writes every lane of both outputs.
+    winners = np.empty(n, dtype=np.int8)
+    finish = np.empty(n, dtype=np.int64)
+    rc = kernel(
+        n, plane1.ctypes.data, plane2.ctypes.data, to_move.ctypes.data,
+        derive_seed(family_seed), lo, winners.ctypes.data,
+        finish.ctypes.data, game.max_game_length,
+    )
+    if rc:
+        raise _too_long(game)
+    return winners, finish
+
+
+def launch_compiled(
+    game: BatchGame, states, family_seed: int, lo: int = 0
+) -> tuple[np.ndarray, np.ndarray]:
+    """One playout per state on lanes ``[lo, lo + len(states))`` of
+    ``family_seed``'s stream family: ``(winners, finish_steps)``, equal
+    lane for lane to :func:`repro.core.executors.launch_numpy` -- which
+    also runs when there is nothing to launch, no library or no kernel
+    for the game.
+
+    The three compiled games' states *are* their ``(plane1, plane2,
+    to_move)`` triples (what ``Game.state_from_planes`` builds), so
+    staging them is three column copies.
+    """
+    global _staged_planes, _staged_to_move
+    n = len(states)
+    lib = _playout_library(game.name) if n else None
+    if lib is None:
+        # Imported here: ``repro.core`` imports this module.
+        from repro.core.executors import launch_numpy
+
+        return launch_numpy(game, states, family_seed, lo)
+    if _staged_to_move.shape[0] < n:
+        room = max(n, 2 * _staged_to_move.shape[0])
+        _staged_planes = np.zeros((2, room), dtype=np.uint64)
+        _staged_to_move = np.zeros(room, dtype=np.int8)
+    plane1, plane2 = _staged_planes[:, :n]
+    to_move = _staged_to_move[:n]
+    plane1[:], plane2[:], to_move[:] = zip(*states)
+    kernel = lazy_export(lib, "launch", game.name)
+    return launch_columns(
+        kernel, game, plane1, plane2, to_move, family_seed, lo
     )
 
 
@@ -159,7 +268,7 @@ def expand_kernel(game_name: str):
     checks on hand-built columns -- or ``None`` without a library or a
     kernel for the game."""
     lib = _tree_library(game_name)
-    return None if lib is None else tree_export(lib, "expand", game_name)
+    return None if lib is None else lazy_export(lib, "expand", game_name)
 
 
 class ArenaColumns(ctypes.Structure):
@@ -259,8 +368,8 @@ class ArenaColumns(ctypes.Structure):
         cols.ucb_c = arena.ucb_c
         cols.tuned = arena.selection_rule == "ucb1_tuned"
         cols.wuct = arena.parallel_mode == "wuct"
-        cols.select_expand = tree_export(lib, "select_expand", arena.game.name)
-        cols.backprop = tree_export(lib, "backprop")
+        cols.select_expand = lazy_export(lib, "select_expand", arena.game.name)
+        cols.backprop = lazy_export(lib, "backprop")
         return cols
 
 

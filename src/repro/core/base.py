@@ -29,7 +29,7 @@ from repro.core.backend import (
     snapshot_forest,
     validate_backend,
 )
-from repro.core.executors import tracked_runner, validate_playout
+from repro.core.executors import playout_launcher, validate_playout
 from repro.core.checkpoint import (
     CHECKPOINT_FORMAT_VERSION,
     CheckpointError,
@@ -49,7 +49,7 @@ from repro.core.tree import (
 from repro.games import make_batch_game
 from repro.gpu import LaunchConfig, VirtualGpu
 from repro.integrity.engine import IntegrityState
-from repro.rng import BatchXorShift128Plus, XorShift64Star
+from repro.rng import XorShift64Star
 from repro.util.clock import Clock
 from repro.util.profile import NULL_PROFILER, Profiler
 from repro.util.seeding import derive_seed
@@ -533,17 +533,10 @@ class BatchExecutor:
         if len(states) < self.SCALAR_CUTOFF:
             return [self.game.playout(s, self.scalar_rng) for s in states]
         self.call_count += 1
-        rng = BatchXorShift128Plus(
-            len(states), derive_seed(self.ladder_seed, self.call_count)
+        winners, finish_steps = playout_launcher(self.playout)(
+            self.bg, states, derive_seed(self.ladder_seed, self.call_count)
         )
-        batch = self.bg.make_batch(list(states), 1)
-        tracked = tracked_runner(self.playout)(self.bg, batch, rng)
-        return list(
-            zip(
-                (int(w) for w in tracked.winners),
-                (int(p) for p in tracked.finish_steps),
-            )
-        )
+        return list(zip(winners.tolist(), finish_steps.tolist()))
 
     def getstate(self) -> dict:
         return {

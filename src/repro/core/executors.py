@@ -1,25 +1,44 @@
-"""Playout executor selection: the ``playout="numpy"|"compiled"`` seam.
+"""Playout executor selection: the ``playout="numpy"|"compiled"`` seams.
 
-Every spot that drives a lockstep playout batch to completion -- the
-engines' :class:`~repro.core.base.BatchExecutor`, the virtual GPU, the
-serving lane batcher -- routes through :func:`tracked_runner`, so one
-constructor argument (or the ``@compiled`` spec modifier) switches the
-whole stack onto the compiled kernels.  The two executors are
-bit-identical by contract (same winners/scores/finish steps, same RNG
-side effects), which the differential wall pins; ``"compiled"``
-degrades gracefully to the NumPy path when no C toolchain is present.
+One constructor argument (or the ``@compiled`` spec modifier) switches
+the whole stack onto the compiled kernels, through two seams:
+
+* :func:`tracked_runner` -- drive a *batch object* to completion on the
+  *caller's* generator.  The virtual GPU launches this way: its
+  per-width generator persists across launches, so where a launch
+  leaves it is observable.
+* :func:`playout_launcher` -- one playout per state on a *fresh* lane
+  family: ``launch(bg, states, family_seed, lo=0) -> (winners,
+  finish_steps)``.  The serving batchers and
+  :class:`~repro.core.base.BatchExecutor` launch this way; their
+  generators never outlive the call, so the compiled body seeds the
+  lanes in C and takes positions, not a batch.
+
+Both pairs of bodies are bit-identical by contract (same winners and
+finish steps; for the runner also scores and RNG side effects), which
+the differential walls pin (``tests/compiled/test_runner.py``,
+``tests/compiled/test_launch.py``); ``"compiled"`` degrades gracefully
+to the NumPy bodies when no C toolchain is present.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Sequence
 
-from repro.games.batch import TrackedPlayouts, run_playouts_tracked
+import numpy as np
+
+from repro.games.batch import (
+    BatchGame,
+    TrackedPlayouts,
+    run_playouts_tracked,
+)
+from repro.rng import BatchXorShift128Plus
 
 #: Registered playout executors, in canonical order.
 PLAYOUT_EXECUTORS = ("numpy", "compiled")
 
 TrackedRunner = Callable[..., TrackedPlayouts]
+Launch = Callable[..., tuple[np.ndarray, np.ndarray]]
 
 
 def validate_playout(playout: str) -> str:
@@ -47,6 +66,44 @@ def tracked_runner(playout: str) -> TrackedRunner:
     return run_playouts_tracked
 
 
+def launch_numpy(
+    bg: BatchGame, states: Sequence, family_seed: int, lo: int = 0
+) -> tuple[np.ndarray, np.ndarray]:
+    """One playout per state on lanes ``[lo, lo + len(states))`` of
+    ``family_seed``'s stream family: ``(winners int8[n], finish_steps
+    int64[n])``.  Lane ``lo + i`` draws what it draws in a full-width
+    generator, so any chunking of a batch gives the same answers.  The
+    NumPy body of :func:`playout_launcher` and the oracle of the
+    compiled one.
+    """
+    n = len(states)
+    # Past 2**63 the compiled body's ``int64`` lane argument would wrap;
+    # both bodies refuse, so they stay interchangeable.
+    if lo < 0 or lo + n > 2**63:
+        raise ValueError(
+            f"need a lane range inside [0, 2**63), got [{lo}, {lo + n})"
+        )
+    if n == 0:
+        return np.empty(0, dtype=np.int8), np.empty(0, dtype=np.int64)
+    rng = BatchXorShift128Plus.for_lanes(family_seed, lo, lo + n)
+    batch = bg.make_batch(list(states), 1)
+    tracked = run_playouts_tracked(bg, batch, rng)
+    return tracked.winners, tracked.finish_steps
+
+
+def playout_launcher(playout: str) -> Launch:
+    """The ``launch(bg, states, family_seed, lo=0)`` body for
+    ``playout``.  Like :func:`tracked_runner`, ``"compiled"`` consults
+    the library on every launch and falls back to :func:`launch_numpy`
+    by itself."""
+    validate_playout(playout)
+    if playout == "compiled":
+        from repro.compiled import launch_compiled
+
+        return launch_compiled
+    return launch_numpy
+
+
 def playout_active(playout: str) -> str:
     """The executor that will actually run: ``"compiled"`` reports
     ``"numpy"`` when the kernel library is unavailable (fallback)."""
@@ -62,6 +119,8 @@ def playout_active(playout: str) -> str:
 
 __all__ = [
     "PLAYOUT_EXECUTORS",
+    "launch_numpy",
+    "playout_launcher",
     "playout_active",
     "tracked_runner",
     "validate_playout",

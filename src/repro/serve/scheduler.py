@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from typing import Callable, Hashable, Mapping, Sequence
 
 from repro.core.base import PlayoutBatch, PlayoutResults
-from repro.core.executors import tracked_runner
+from repro.core.executors import playout_launcher
 from repro.games import make_batch_game
 from repro.gpu.kernel import (
     KernelSpec,
@@ -44,9 +44,8 @@ from repro.gpu.lease import DeviceLease, DevicePool
 from repro.gpu.timing import kernel_time
 from repro.faults import KIND_CORRUPT_RESULT
 from repro.integrity import IntegrityState
-from repro.rng import BatchXorShift128Plus
 from repro.serve.resilience import LaunchOutcome, ResilientLauncher
-from repro.util.seeding import derive_seed
+from repro.util.seeding import SeedLadder, derive_seed
 
 import numpy as np
 
@@ -212,7 +211,7 @@ class LaneBatcher:
         #: batches; bit-identical by contract, so this never changes
         #: which results tenants see.
         self.playout = playout
-        self._run_tracked = tracked_runner(playout)
+        self._launch = playout_launcher(playout)
         self.launch_count = 0
         self.lanes_total = 0
         #: Lanes whose launch chain exhausted its retries (results
@@ -227,6 +226,9 @@ class LaneBatcher:
         #: lane stream family ``derive_seed(seed, g, r)``, independent
         #: of how many launches (or which fusion geometry) served it.
         self._rounds: dict[str, int] = {}
+        #: ``SeedLadder(seed, g)`` per game: the ``(seed, g)`` prefix of
+        #: that derivation is folded once, not once per round.
+        self._round_ladders: dict[str, SeedLadder] = {}
         self._batch_games: dict[str, object] = {}
         #: Reusable pad scratch for block-step padding (grown
         #: geometrically, never re-allocated per launch).
@@ -244,7 +246,10 @@ class LaneBatcher:
         stream family seed."""
         r = self._rounds.get(game, 0) + 1
         self._rounds[game] = r
-        return derive_seed(self.seed, game, r)
+        ladder = self._round_ladders.get(game)
+        if ladder is None:
+            ladder = self._round_ladders[game] = SeedLadder(self.seed, game)
+        return ladder.seed(r)
 
     def _scratch(self, total: int) -> np.ndarray:
         """A reusable int64 scratch view of length ``total`` (contents
@@ -267,7 +272,7 @@ class LaneBatcher:
             lo = hi
         return spans
 
-    def _duration_for(self, game: str, tracked, lanes: int):
+    def _duration_for(self, game: str, finish_steps, lanes: int):
         """Closure mapping a device spec to this chunk's modelled
         kernel time there (re-placement may land on any device)."""
         kernel = playout_kernel_spec(game)
@@ -275,7 +280,7 @@ class LaneBatcher:
         def duration(spec) -> float:
             config = launch_config_for(lanes, spec.warp_size)
             padded = self._scratch(config.total_threads)
-            padded[:lanes] = tracked.finish_steps
+            padded[:lanes] = finish_steps
             padded[lanes:] = 0
             block_steps = padded.reshape(
                 config.blocks, config.threads_per_block
@@ -395,29 +400,23 @@ class LaneBatcher:
         answers: list[tuple[int, int]] = []
         records: list[LaunchRecord] = []
         for lo, hi in self._chunks(len(states)):
-            chunk = list(states[lo:hi])
-            lanes = len(chunk)
+            lanes = hi - lo
             self.launch_count += 1
             self.lanes_total += lanes
             # Geometry-independent streams: chunk lane j is merged lane
             # lo + j, and always gets that lane's stream of this
             # round's family regardless of the chunking.
-            rng = BatchXorShift128Plus.for_lanes(round_seed, lo, hi)
-            batch = bg.make_batch(chunk, 1)
-            tracked = self._run_tracked(bg, batch, rng)
-            answers.extend(
-                zip(
-                    (int(w) for w in tracked.winners),
-                    (int(p) for p in tracked.finish_steps),
-                )
+            winners, finish_steps = self._launch(
+                bg, states[lo:hi], round_seed, lo
             )
+            answers.extend(zip(winners.tolist(), finish_steps.tolist()))
             chunk_span = ((game, lo, hi),)
             records.append(
                 self._launch_group(
                     holder,
                     f"{game}_playouts",
                     game,
-                    self._duration_for(game, tracked, lanes),
+                    self._duration_for(game, finish_steps, lanes),
                     chunk_span,
                     chunk_span,
                     {game: answers},
@@ -603,7 +602,7 @@ class FusedBatcher(LaneBatcher):
     def _fused_duration(
         self,
         segments: list[tuple[str, int, int]],
-        tracked_by_game: Mapping[str, object],
+        finish_steps_by_game: Mapping[str, np.ndarray],
     ):
         """Closure mapping a device spec to the fused launch's modelled
         kernel time (re-placement may land on any pooled device)."""
@@ -622,9 +621,9 @@ class FusedBatcher(LaneBatcher):
             offset = 0
             for game, lo, hi in segments:
                 lanes = hi - lo
-                steps[offset : offset + lanes] = tracked_by_game[
+                steps[offset : offset + lanes] = finish_steps_by_game[
                     game
-                ].finish_steps[lo:hi]
+                ][lo:hi]
                 offset += -(-lanes // tpb) * tpb
             block_steps = steps.reshape(padded_blocks, tpb).max(axis=1)
             return kernel_time(
@@ -654,16 +653,18 @@ class FusedBatcher(LaneBatcher):
         """
         if spans is None:
             return list(segments)
+        # One game's pieces inside one group are consecutive and
+        # contiguous (`_segments` cuts [0, cap), [cap, 2 cap), ... and
+        # packs in order), so they cover one lane range per game.
+        covered: dict[str, tuple[int, int]] = {}
+        for game, lo, hi in segments:
+            first_lo, _ = covered.get(game, (lo, hi))
+            covered[game] = (first_lo, hi)
         slices = []
         for game, lo, hi in spans.values():
-            overlap = [
-                (game, max(lo, slo), min(hi, shi))
-                for sgame, slo, shi in segments
-                if sgame == game and min(hi, shi) > max(lo, slo)
-            ]
-            if overlap:
-                olo = min(o[1] for o in overlap)
-                ohi = max(o[2] for o in overlap)
+            glo, ghi = covered.get(game, (0, 0))
+            olo, ohi = max(lo, glo), min(hi, ghi)
+            if ohi > olo:
                 slices.append((game, olo, ohi))
         return slices
 
@@ -687,21 +688,14 @@ class FusedBatcher(LaneBatcher):
         if not demand:
             return {}, []
         answers_by_game: dict[str, list] = {}
-        tracked_by_game: dict[str, object] = {}
+        finish_steps_by_game: dict[str, np.ndarray] = {}
         for game, states in demand.items():
-            bg = self._batch_game(game)
-            round_seed = self._round_seed(game)
-            rng = BatchXorShift128Plus.for_lanes(
-                round_seed, 0, len(states)
+            winners, finish_steps = self._launch(
+                self._batch_game(game), states, self._round_seed(game)
             )
-            batch = bg.make_batch(list(states), 1)
-            tracked = self._run_tracked(bg, batch, rng)
-            tracked_by_game[game] = tracked
+            finish_steps_by_game[game] = finish_steps
             answers_by_game[game] = list(
-                zip(
-                    (int(w) for w in tracked.winners),
-                    (int(p) for p in tracked.finish_steps),
-                )
+                zip(winners.tolist(), finish_steps.tolist())
             )
 
         records: list[LaunchRecord] = []
@@ -722,7 +716,7 @@ class FusedBatcher(LaneBatcher):
                     holder,
                     f"fused_{games_label}_playouts",
                     games_label,
-                    self._fused_duration(segments, tracked_by_game),
+                    self._fused_duration(segments, finish_steps_by_game),
                     segments,
                     tenant_slices,
                     answers_by_game,

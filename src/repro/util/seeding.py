@@ -24,21 +24,32 @@ def splitmix64(x: int) -> int:
     return z ^ (z >> 31)
 
 
-def derive_seed(root: int, *path: int | str) -> int:
-    """Derive a 64-bit child seed from a root seed and a coordinate path.
-
-    Distinct paths give (with overwhelming probability) distinct,
-    decorrelated seeds; the same path always gives the same seed.
+def fold_seed(state: int, path: Iterable[int | str]) -> int:
+    """Fold further coordinates onto a partially folded derivation:
+    ``state`` is ``splitmix64(root)`` or an earlier ``fold_seed``, and
+    ``derive_seed(root, *a, *b) == fold_seed(fold_seed(splitmix64(root),
+    a), b) or _GOLDEN`` -- a caller that derives many seeds under one
+    prefix folds the prefix once (:class:`SeedLadder` does).  ``path``
+    is one argument so that :func:`derive_seed` hands its own tuple on
+    (re-packing it costs a quarter of a microsecond per seed).
     """
-    state = splitmix64(root & _MASK)
     for part in path:
         if isinstance(part, str):
             for byte in part.encode("utf-8"):
                 state = splitmix64(state ^ byte)
         else:
             state = splitmix64(state ^ (part & _MASK))
+    return state
+
+
+def derive_seed(root: int, *path: int | str) -> int:
+    """Derive a 64-bit child seed from a root seed and a coordinate path.
+
+    Distinct paths give (with overwhelming probability) distinct,
+    decorrelated seeds; the same path always gives the same seed.
+    """
     # Avoid the all-zero state some xorshift generators cannot accept.
-    return state or _GOLDEN
+    return fold_seed(splitmix64(root & _MASK), path) or _GOLDEN
 
 
 class SeedLadder:
@@ -56,13 +67,16 @@ class SeedLadder:
     def __init__(self, root: int, *prefix: int | str) -> None:
         self._root = root
         self._prefix: tuple[int | str, ...] = tuple(prefix)
+        #: The derivation folded as far as the prefix reaches.
+        self._state = fold_seed(splitmix64(root & _MASK), prefix)
 
     @property
     def root(self) -> int:
         return self._root
 
     def seed(self, *path: int | str) -> int:
-        return derive_seed(self._root, *self._prefix, *path)
+        """``derive_seed(root, *prefix, *path)``."""
+        return fold_seed(self._state, path) or _GOLDEN
 
     def child(self, *path: int | str) -> "SeedLadder":
         return SeedLadder(self._root, *self._prefix, *path)

@@ -263,6 +263,75 @@ class TestFusedGeometry:
             )
 
 
+def reference_tenant_slices(segments, spans):
+    """`_tenant_slices` as it was written first: every span against
+    every segment of the group."""
+    slices = []
+    for game, lo, hi in spans.values():
+        overlap = [
+            (game, max(lo, slo), min(hi, shi))
+            for sgame, slo, shi in segments
+            if sgame == game and min(hi, shi) > max(lo, slo)
+        ]
+        if overlap:
+            olo = min(o[1] for o in overlap)
+            ohi = max(o[2] for o in overlap)
+            slices.append((game, olo, ohi))
+    return slices
+
+
+class TestTenantSlices:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        lane_counts=st.lists(st.integers(1, 700), min_size=1, max_size=4),
+        cuts=st.lists(st.integers(0, 700), max_size=12),
+        # 300: pieces are cut at 256, so two of them can share a group.
+        max_fused_lanes=st.sampled_from([128, 300, 512, 1 << 16]),
+    )
+    def test_matches_reference_on_generated_layouts(
+        self, lane_counts, cuts, max_fused_lanes
+    ):
+        """Several games, demand rolling over into further groups,
+        tenant spans straddling piece and group boundaries, spans of
+        games outside the group: same slices in the same tenant order
+        as the all-pairs reference."""
+        games = ["tictactoe", "connect4", "reversi", "breakthrough"]
+        lane_counts = dict(zip(games, lane_counts))
+        # Tenants: each game's lanes cut at the drawn points.
+        spans = {}
+        for game, n in lane_counts.items():
+            bounds = sorted({0, n, *(c for c in cuts if c < n)})
+            for lo, hi in zip(bounds, bounds[1:]):
+                spans[game, lo] = (game, lo, hi)
+        batcher = FusedBatcher(
+            make_pool(), SEED, max_fused_lanes=max_fused_lanes
+        )
+        groups = batcher._segments(lane_counts)
+        if max_fused_lanes < max(lane_counts.values()):
+            assert len(groups) > 1
+        for segments in groups:
+            assert batcher._tenant_slices(
+                segments, spans
+            ) == reference_tenant_slices(segments, spans)
+
+    def test_span_straddling_two_pieces_of_one_group(self):
+        # Pieces are cut at 256 lanes, groups hold 300: reversi's
+        # [0, 256) and [256, 290) share one, and the tenant on
+        # [250, 270) gets one slice across them.
+        batcher = FusedBatcher(make_pool(), SEED, max_fused_lanes=300)
+        (segments,) = batcher._segments({"reversi": 290})
+        assert len(segments) == 2
+        spans = {"a": ("reversi", 0, 250), "b": ("reversi", 250, 270)}
+        assert batcher._tenant_slices(segments, spans) == [
+            ("reversi", 0, 250), ("reversi", 250, 270)
+        ]
+
+    def test_without_spans_each_segment_is_a_slice(self):
+        batcher = FusedBatcher(make_pool(), SEED)
+        segments = [("tictactoe", 0, 5), ("connect4", 0, 3)]
+        assert batcher._tenant_slices(segments, None) == segments
+
+
 # ---------------------------------------------------------------------------
 # Integrity: fused readbacks screened exactly once per tenant
 # ---------------------------------------------------------------------------

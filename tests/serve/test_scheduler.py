@@ -147,3 +147,14 @@ class TestLaneBatcher:
         assert batcher.execute("tictactoe", []) == ([], [])
         assert batcher.launch_count == 0
         assert batcher.mean_lanes_per_launch == 0.0
+
+    def test_round_seeds_are_the_documented_derivation(self):
+        """The per-game prefix is folded once; the seeds are still
+        ``derive_seed(batcher.seed, game, round)``, rounds counted per
+        game."""
+        batcher, _, _ = self.make()
+        for r in (1, 2, 3):
+            for game in ("tictactoe", "connect4"):
+                assert batcher._round_seed(game) == derive_seed(
+                    batcher.seed, game, r
+                )

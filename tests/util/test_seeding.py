@@ -3,7 +3,14 @@
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.util.seeding import SeedLadder, derive_seed, splitmix64, spread_seeds
+from repro.util.seeding import (
+    SeedLadder,
+    derive_seed,
+    fold_seed,
+    splitmix64,
+    spread_seeds,
+)
+from repro.util.seeding import _GOLDEN as GOLDEN
 
 seeds = st.integers(min_value=0, max_value=2**64 - 1)
 
@@ -59,3 +66,44 @@ def test_spread_seeds_keys():
     out = spread_seeds(3, ["a", "b", 4])
     assert set(out) == {"a", "b", 4}
     assert len(set(out.values())) == 3
+
+
+paths = st.lists(
+    st.one_of(st.text(max_size=6), st.integers(-(2**70), 2**70)), max_size=4
+)
+
+
+@given(seeds, paths, paths)
+def test_folding_a_prefix_once_equals_deriving_whole(root, prefix, rest):
+    """The continuation spellings against `derive_seed` on the whole
+    path: `fold_seed` by hand, and `SeedLadder`, which caches the fold
+    of its prefix."""
+    whole = derive_seed(root, *prefix, *rest)
+    state = fold_seed(splitmix64(root), prefix)
+    assert (fold_seed(state, rest) or GOLDEN) == whole
+    ladder = SeedLadder(root, *prefix)
+    assert ladder.seed(*rest) == whole
+    assert ladder.child(*rest).seed() == whole
+
+
+def _unmix(z):
+    """Inverse of `splitmix64` (a bijection of 64-bit words)."""
+    mask = 2**64 - 1
+    z ^= z >> 31 ^ z >> 62
+    z = z * pow(0x94D0_49BB_1331_11EB, -1, 2**64) & mask
+    z ^= z >> 27 ^ z >> 54
+    z = z * pow(0xBF58_476D_1CE4_E5B9, -1, 2**64) & mask
+    z ^= z >> 30 ^ z >> 60
+    return (z - GOLDEN) & mask
+
+
+@given(seeds, st.integers(0, 2**64 - 1))
+def test_zero_fold_becomes_golden_in_every_spelling(x, part):
+    """Roots built so the fold ends on the all-zero word, which every
+    spelling must replace."""
+    assert splitmix64(_unmix(x)) == x
+    root = _unmix(_unmix(0) ^ part)
+    assert fold_seed(splitmix64(root), [part]) == 0
+    assert derive_seed(root, part) == GOLDEN
+    assert SeedLadder(root).seed(part) == GOLDEN
+    assert SeedLadder(root, part).seed() == GOLDEN
