@@ -108,6 +108,28 @@ def test_micro_arena_forest_lockstep(benchmark):
     assert forest.node_count == 64 * 101
 
 
+def test_micro_arena_forest_root_round(benchmark):
+    """The two store calls of a ``root:8`` round, on plain data."""
+    game = make_game("connect4")
+
+    def root_rounds():
+        rngs = [XorShift64Star(b) for b in range(8)]
+        forest = make_forest("arena", game, game.initial_state(), rngs, 1.0)
+        trees = list(range(8))
+        for r in range(200):
+            refs, depths, states, terminal = forest.select_round(trees)
+            forest.backprop_winners(refs, [(r + t) % 3 - 1 for t in trees])
+        return forest, (refs, depths, states, terminal)
+
+    forest, round_ = benchmark.pedantic(root_rounds, iterations=1, rounds=3)
+    assert forest.node_count == 8 * 201
+    refs, depths, states, terminal = round_
+    assert all(type(column) is list for column in round_)
+    assert {type(x) for x in refs + depths} == {int}
+    assert {type(x) for x in terminal} == {bool}
+    assert states == [forest.state_of(ref) for ref in refs]
+
+
 def test_micro_rng_batch(benchmark):
     rng = BatchXorShift128Plus(4096, 9)
     out = benchmark(rng.next_u64)

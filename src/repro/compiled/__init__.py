@@ -9,8 +9,9 @@ Public surface:
   lane-seed range in, winners / finish steps out.
 * :data:`COMPILED_GAMES` -- games with a compiled kernel.
 * :class:`ArenaColumns` / :func:`select_expand_compiled` /
-  :func:`backprop_compiled` -- the tree arena's kernels (one C call per
-  ``TreeArena.select_expand[_all]`` / ``backprop_many``);
+  :func:`backprop_compiled` / :func:`backprop_winners_compiled` -- the
+  tree arena's kernels (one C call per ``TreeArena.select_expand`` /
+  ``select_round`` / ``backprop_many`` / ``backprop_winners``);
   :func:`expand_kernel` / :func:`expand_compiled` -- the expansion step
   alone, for its differential tests.
 """
@@ -26,7 +27,9 @@ from repro.compiled.runner import (
     COMPILED_GAMES,
     ArenaColumns,
     backprop_compiled,
+    backprop_winners_compiled,
     compiled_available,
+    distinct_trees_error,
     expand_compiled,
     expand_kernel,
     launch_compiled,
@@ -38,9 +41,11 @@ __all__ = [
     "ArenaColumns",
     "COMPILED_GAMES",
     "backprop_compiled",
+    "backprop_winners_compiled",
     "build_library",
     "compiled_available",
     "compiled_disabled",
+    "distinct_trees_error",
     "expand_compiled",
     "expand_kernel",
     "launch_compiled",

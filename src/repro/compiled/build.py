@@ -182,6 +182,10 @@ _LAZY_SIGNATURES = {
         [ctypes.c_int64, ctypes.c_void_p, ctypes.c_double]
         + [ctypes.c_void_p] * 4,
     ),
+    # (k, leaves, winners, arena_t*)
+    "backprop_winners": (
+        ctypes.c_int, [ctypes.c_int64] + [ctypes.c_void_p] * 3
+    ),
 }
 
 

@@ -556,7 +556,7 @@ int repro_connect4_launch(
 
 /* The tree arena's columns by address; repro.compiled.runner.ArenaColumns
  * mirrors this struct field for field.  Per-node columns have `capacity`
- * rows, the four per-tree ones `n_trees`. */
+ * rows, the four per-tree ones and the per-call rows `n_trees`. */
 typedef struct {
     int64_t *parent;
     int32_t *move;
@@ -586,6 +586,14 @@ typedef struct {
     /* The selection policy: UCB constant, `ucb1_tuned`?, `wuct`? */
     double ucb_c;
     int64_t tuned, wuct;
+    /* Per-call rows of `*_select_expand`, `n_trees` slots each: row i's
+     * leaf position and terminal flag, written with leaves[i]. */
+    uint64_t *leaf_plane1;
+    uint64_t *leaf_plane2;
+    int8_t *leaf_to_move;
+    uint8_t *leaf_terminal;
+    /* Scratch of its distinct-trees check; all zero between calls. */
+    uint8_t *seen;
 } arena_t;
 
 /* What a game's `*_play` reports about the position after a move. */
@@ -858,10 +866,34 @@ static inline int64_t best_child(const arena_t *a, int64_t node)
     return best;
 }
 
-/* One lockstep round of `TreeArena.select_expand_all` over the k trees
+/* Are trees[0 .. k) distinct trees of the arena?  A tree walked twice
+ * in one round would overrun the span its first walk reserves.  Marks
+ * `seen` and clears it again: nothing the caller can read changes. */
+static inline int distinct_trees(const arena_t *a, int64_t k,
+                                 const int64_t *trees)
+{
+    int64_t i = 0;
+    for (; i < k; i++) {
+        int64_t t = trees[i];
+        if (t < 0 || t >= a->n_trees || a->seen[t])
+            break;
+        a->seen[t] = 1;
+    }
+    for (int64_t j = 0; j < i; j++)
+        a->seen[trees[j]] = 0;
+    return i == k;
+}
+
+/* `*_select_expand`'s answer to rows that are not distinct trees of the
+ * arena; no row number i makes -3 - i reach it. */
+#define BAD_TREES INT64_MIN
+
+/* One lockstep round of `TreeArena.select_round` over the k trees
  * `trees[]`: per tree, descend from the root to a terminal node or one
  * with untried moves, then expand one child of every such node.
- * leaves[i] / depths[i] receive tree trees[i]'s leaf and its depth.
+ * leaves[i] / depths[i] receive tree trees[i]'s leaf and its depth, and
+ * row i of the arena's `leaf_*` rows the leaf's position and terminal
+ * flag -- what the caller's playout of it starts from.
  *
  * Child spans are reserved in the order the lockstep Python walk
  * reserves them -- expansion depth ascending, then row -- so node ids
@@ -870,10 +902,12 @@ static inline int64_t best_child(const arena_t *a, int64_t node)
  *
  * Returns 0; the capacity needed, when a level's spans would overrun
  * `capacity` -- nothing is written to the arena, the caller grows it
- * and calls again; -1 when the row widths do not fit the game; -2 when
- * a tree, node or child span lies outside the arena (arena untouched);
- * -3 - i when row i's move is one the scalar game's `apply` rejects
- * (rows before it in span order are done, leaves[i] holds ~node). */
+ * and calls again; -1 when the row widths do not fit the game;
+ * BAD_TREES when a tree is repeated or not one of the arena's (nothing
+ * at all written); -2 when a node or child span lies outside the arena
+ * (arena untouched); -3 - i when row i's move is one the scalar game's
+ * `apply` rejects (rows before it in span order are done, leaves[i]
+ * holds ~node). */
 FORCE_INLINE int64_t select_expand_rows(
     int64_t k, const int64_t *trees, arena_t *a, int64_t *leaves,
     int64_t *depths, int num_moves, play_fn play)
@@ -882,9 +916,8 @@ FORCE_INLINE int64_t select_expand_rows(
         return -1;
     if (a->allocated < 0 || a->allocated > a->capacity)
         return -2;
-    for (int64_t i = 0; i < k; i++)
-        if (trees[i] < 0 || trees[i] >= a->n_trees)
-            return -2;
+    if (!distinct_trees(a, k, trees))
+        return BAD_TREES;
 
     /* 1. Descend.  A row that will expand parks as ~node (negative). */
     int64_t lo = INT64_MAX, hi = -1;
@@ -947,6 +980,15 @@ FORCE_INLINE int64_t select_expand_rows(
             leaves[i] = child;
             depths[i] = d + 1;
         }
+
+    /* 4. Hand back what each row found, for its playout. */
+    for (int64_t i = 0; i < k; i++) {
+        int64_t leaf = leaves[i];
+        a->leaf_plane1[i] = a->plane1[leaf];
+        a->leaf_plane2[i] = a->plane2[leaf];
+        a->leaf_to_move[i] = a->to_move[leaf];
+        a->leaf_terminal[i] = a->terminal[leaf];
+    }
     return 0;
 }
 
@@ -971,33 +1013,71 @@ int64_t repro_connect4_select_expand(int64_t k, const int64_t *trees,
     return select_expand_rows(k, trees, a, leaves, depths, 7, c4_play);
 }
 
-/* `TreeArena.backprop` along the path from leaves[i] to its root, for
- * k leaves of distinct trees: `sims` visits per node, and for the
- * node's mover its side's wins plus half the draws.  A negative leaf
- * is a row with nothing to add.  Returns 0; -2 when a leaf lies outside
- * the allocation (nothing written) or a parent link does not point
- * below its child (parents are allocated first; the check also bounds
- * the walk). */
+/* Do the k leaves lie inside the allocation?  (Negative ones are rows
+ * with nothing to add.) */
+static inline int leaves_inside(const arena_t *a, int64_t k,
+                                const int64_t *leaves)
+{
+    if (a->allocated < 0 || a->allocated > a->capacity)
+        return 0;
+    for (int64_t i = 0; i < k; i++)
+        if (leaves[i] >= a->allocated)
+            return 0;
+    return 1;
+}
+
+/* `TreeArena.backprop` along the path from `leaf` to its root: `sims`
+ * visits per node, `black` or `white` wins by the node's mover.
+ * Returns 0; -2 when a parent link does not point below its child
+ * (parents are allocated first; the check also bounds the walk). */
+static inline int credit_path(const arena_t *a, int64_t leaf, double sims,
+                              double black, double white)
+{
+    for (int64_t node = leaf; node >= 0;) {
+        a->visits[node] += sims;
+        a->wins[node] += a->mover[node] == 1 ? black : white;
+        int64_t up = a->parent[node];
+        if (up >= node)
+            return -2;
+        node = up;
+    }
+    return 0;
+}
+
+/* `TreeArena.backprop_many`: for k leaves of distinct trees, `sims`
+ * visits along each path and, for a node's mover, its side's wins plus
+ * half the draws.  Returns 0; -2 when a leaf lies outside the
+ * allocation (nothing written) or a walk meets a bad parent link. */
 int repro_backprop(int64_t k, const int64_t *leaves, double sims,
                    const double *wins_b, const double *wins_w,
                    const double *draws, const arena_t *a)
 {
-    if (a->allocated < 0 || a->allocated > a->capacity)
+    if (!leaves_inside(a, k, leaves))
         return -2;
-    for (int64_t i = 0; i < k; i++)
-        if (leaves[i] >= a->allocated)
-            return -2;
     for (int64_t i = 0; i < k; i++) {
         double half = 0.5 * draws[i];
-        double black = wins_b[i] + half, white = wins_w[i] + half;
-        for (int64_t node = leaves[i]; node >= 0;) {
-            a->visits[node] += sims;
-            a->wins[node] += a->mover[node] == 1 ? black : white;
-            int64_t up = a->parent[node];
-            if (up >= node)
-                return -2;
-            node = up;
-        }
+        if (credit_path(a, leaves[i], sims, wins_b[i] + half,
+                        wins_w[i] + half))
+            return -2;
+    }
+    return 0;
+}
+
+/* `TreeArena.backprop_winners`: one playout per leaf, winners[i] its
+ * outcome -- a visit along the path, a win for the winner's side, half
+ * a win each for a draw (0).  Anything else -- NaN, a bit-flipped byte
+ * -- compares false three times: a visit and no win, as the Python
+ * body credits it.  Returns as `repro_backprop`. */
+int repro_backprop_winners(int64_t k, const int64_t *leaves,
+                           const double *winners, const arena_t *a)
+{
+    if (!leaves_inside(a, k, leaves))
+        return -2;
+    for (int64_t i = 0; i < k; i++) {
+        double w = winners[i], half = 0.5 * (w == 0.0);
+        if (credit_path(a, leaves[i], 1.0, (w == 1.0) + half,
+                        (w == -1.0) + half))
+            return -2;
     }
     return 0;
 }

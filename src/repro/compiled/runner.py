@@ -20,10 +20,10 @@ fallback rules; the NumPy composition
 
 The same library carries the tree arena's kernels: descent + expansion
 and backprop over :class:`ArenaColumns` (:func:`select_expand_compiled`,
-:func:`backprop_compiled`), and the bare expansion step they share
-(:func:`expand_kernel`, :func:`expand_compiled`).  Nobody asks for
-those -- the arena uses them whenever they exist -- so a game without
-them falls back silently.
+:func:`backprop_compiled`, :func:`backprop_winners_compiled`), and the
+bare expansion step they share (:func:`expand_kernel`,
+:func:`expand_compiled`).  Nobody asks for those -- the arena uses them
+whenever they exist -- so a game without them falls back silently.
 """
 
 from __future__ import annotations
@@ -75,6 +75,28 @@ def _playout_library(game_name: str):
             stacklevel=3,
         )
     return None
+
+
+_addressof = ctypes.addressof
+_from_buffer = ctypes.c_char.from_buffer
+
+
+def _address(array: np.ndarray, written: bool = True) -> int:
+    """The address of ``array``'s first byte, to hand a kernel.
+
+    ``addressof(c_char.from_buffer(array))`` costs a third of
+    ``array.ctypes.data`` (0.40 vs 1.33 us) and raises ``TypeError`` on a
+    read-only array -- the right answer for a buffer a kernel *writes*:
+    the arena's columns, the tree kernels' per-call rows, a launch's two
+    outputs.  With ``written=False`` -- a launch's three input columns,
+    which a caller may hand in read-only -- such an array keeps
+    ``ctypes.data`` instead.  The array must not be empty."""
+    try:
+        return _addressof(_from_buffer(array))
+    except TypeError:
+        if written:
+            raise
+        return array.ctypes.data
 
 
 def _too_long(game: BatchGame) -> RuntimeError:
@@ -208,10 +230,12 @@ def launch_columns(
     # The kernel writes every lane of both outputs.
     winners = np.empty(n, dtype=np.int8)
     finish = np.empty(n, dtype=np.int64)
+    if n == 0:
+        return winners, finish
     rc = kernel(
-        n, plane1.ctypes.data, plane2.ctypes.data, to_move.ctypes.data,
-        derive_seed(family_seed), lo, winners.ctypes.data,
-        finish.ctypes.data, game.max_game_length,
+        n, _address(plane1, False), _address(plane2, False),
+        _address(to_move, False), derive_seed(family_seed), lo,
+        _address(winners), _address(finish), game.max_game_length,
     )
     if rc:
         raise _too_long(game)
@@ -277,9 +301,12 @@ class ArenaColumns(ctypes.Structure):
     array's dtype, shape and contiguity against what the C side reads,
     so the kernel never sees a layout it was not compiled for.
 
-    It also owns the per-call buffers of the tree kernels -- ``trees``,
-    ``leaves``, ``depths`` (int64) and ``stats`` (float64, 3 rows), one
-    slot per tree -- so a round builds no array and takes no address.
+    It also owns the per-call buffers of the tree kernels, one slot per
+    tree, each beside its address ``<name>_at``, so a round builds no
+    array and takes no address: the ``_ARGUMENT_ROWS`` and ``stats``
+    (float64, 3 rows) cross as call arguments; the ``_ROUND_ROWS`` a
+    select round fills beside ``leaves`` / ``depths`` ride in the
+    struct.
     """
 
     #: ``(attribute, dtype, row-count attribute, row-width attribute)``
@@ -308,6 +335,23 @@ class ArenaColumns(ctypes.Structure):
         ("child_start", np.int64, "capacity", None),
     )
     _SIZES = ("capacity", "n_trees", "mask_words", "order_width")
+    #: ``(attribute, dtype)`` of the rows that cross as call arguments.
+    _ARGUMENT_ROWS = (
+        ("trees", np.int64),
+        ("leaves", np.int64),
+        ("depths", np.int64),
+        ("winners", np.float64),
+    )
+    #: ``(attribute, dtype)`` of the rows a select round writes for the
+    #: caller -- row ``i``'s leaf position and terminal flag -- and its
+    #: ``seen`` scratch, in ``arena_t`` field order (fields ``<name>_at``).
+    _ROUND_ROWS = (
+        ("leaf_plane1", np.uint64),
+        ("leaf_plane2", np.uint64),
+        ("leaf_to_move", np.int8),
+        ("leaf_terminal", np.bool_),
+        ("seen", np.uint8),
+    )
     _fields_ = (
         [(name, ctypes.c_void_p) for name, *_ in _LAYOUT]
         + [(name, ctypes.c_int64) for name in _SIZES]
@@ -318,21 +362,22 @@ class ArenaColumns(ctypes.Structure):
             ("tuned", ctypes.c_int64),
             ("wuct", ctypes.c_int64),
         ]
+        + [(name + "_at", ctypes.c_void_p) for name, _ in _ROUND_ROWS]
     )
 
     @classmethod
     def of(cls, arena) -> "ArenaColumns":
         cols = cls()
+        sizes = {name: getattr(arena, name) for name in cls._SIZES}
+        for name, size in sizes.items():
+            setattr(cols, name, size)
         # The struct holds bare addresses: keep the arrays alive with it.
-        cols.arrays = []
-        for name in cls._SIZES:
-            setattr(cols, name, getattr(arena, name))
+        cols.arrays = arrays = []
         for name, dtype, rows, width in cls._LAYOUT:
             array = getattr(arena, name)
-            cols.arrays.append(array)
-            shape = (getattr(arena, rows),)
+            shape = (sizes[rows],)
             if width is not None:
-                shape += (getattr(arena, width),)
+                shape += (sizes[width],)
             if (
                 array.dtype != dtype
                 or array.shape != shape
@@ -343,16 +388,16 @@ class ArenaColumns(ctypes.Structure):
                     f"not the contiguous {np.dtype(dtype)}{shape} the "
                     f"tree kernels read"
                 )
-            setattr(cols, name, array.ctypes.data)
-        cols.trees, cols.leaves, cols.depths = np.zeros(
-            (3, cols.n_trees), dtype=np.int64
-        )
-        cols.stats = np.zeros((3, cols.n_trees), dtype=np.float64)
+            arrays.append(array)
+            setattr(cols, name, _address(array))
+        n = sizes["n_trees"]
+        for name, dtype in cls._ARGUMENT_ROWS + cls._ROUND_ROWS:
+            row = np.zeros(n, dtype=dtype)
+            setattr(cols, name, row)
+            setattr(cols, name + "_at", _address(row))
+        cols.stats = np.zeros((3, n), dtype=np.float64)
+        cols.stats_at = tuple(_address(row) for row in cols.stats)
         cols._at = ctypes.addressof(cols)
-        cols._trees_at = cols.trees.ctypes.data
-        cols._leaves_at = cols.leaves.ctypes.data
-        cols._depths_at = cols.depths.ctypes.data
-        cols._stats_at = tuple(row.ctypes.data for row in cols.stats)
         return cols
 
     @classmethod
@@ -370,6 +415,7 @@ class ArenaColumns(ctypes.Structure):
         cols.wuct = arena.parallel_mode == "wuct"
         cols.select_expand = lazy_export(lib, "select_expand", arena.game.name)
         cols.backprop = lazy_export(lib, "backprop")
+        cols.backprop_winners = lazy_export(lib, "backprop_winners")
         return cols
 
 
@@ -408,21 +454,39 @@ def _check_rows(cols: ArenaColumns, k: int) -> None:
         )
 
 
+def distinct_trees_error(rows, n_trees: int) -> ValueError:
+    """What a round over ``rows`` -- a repeated tree, or one outside
+    the arena -- is refused with, by the kernel and by the Python body
+    alike."""
+    return ValueError(
+        f"rows {np.asarray(rows).tolist()} for {n_trees} trees: a round "
+        f"takes distinct trees, none outside the arena"
+    )
+
+
+#: ``BAD_TREES`` of ``playout.c``.
+_BAD_TREES = -(2**63)
+
+
 def select_expand_compiled(cols: ArenaColumns, k: int) -> int:
     """One descent + expansion round (``select_expand_rows`` in
     ``playout.c``) over the trees ``cols.trees[:k]``, with
     ``cols.allocated`` the arena's allocation cursor.  Returns 0 --
     ``cols.leaves[:k]`` / ``cols.depths[:k]`` hold each tree's leaf and
-    depth, ``cols.allocated`` has moved past the reserved spans; or the
+    depth, the ``cols.leaf_*`` rows the leaf's position and terminal
+    flag, ``cols.allocated`` has moved past the reserved spans; or the
     capacity the round needs, with the arena untouched (grow it and call
     again); or ``-3 - i`` when row ``i`` pops a move the scalar game's
-    ``apply`` rejects (``cols.leaves[i]`` is then ``~node``)."""
+    ``apply`` rejects (``cols.leaves[i]`` is then ``~node``).  Trees
+    that are not distinct trees of the arena are a ``ValueError`` with
+    nothing written."""
     _check_rows(cols, k)
-    return _checked(
-        cols.select_expand(
-            k, cols._trees_at, cols._at, cols._leaves_at, cols._depths_at
-        )
+    rc = cols.select_expand(
+        k, cols.trees_at, cols._at, cols.leaves_at, cols.depths_at
     )
+    if rc == _BAD_TREES:
+        raise distinct_trees_error(cols.trees[:k], cols.n_trees)
+    return _checked(rc)
 
 
 def backprop_compiled(cols: ArenaColumns, k: int, simulations: float) -> None:
@@ -433,6 +497,19 @@ def backprop_compiled(cols: ArenaColumns, k: int, simulations: float) -> None:
     _check_rows(cols, k)
     _checked(
         cols.backprop(
-            k, cols._leaves_at, simulations, *cols._stats_at, cols._at
+            k, cols.leaves_at, simulations, *cols.stats_at, cols._at
+        )
+    )
+
+
+def backprop_winners_compiled(cols: ArenaColumns, k: int) -> None:
+    """One playout's outcome per leaf (``repro_backprop_winners``): a
+    visit along the path from each ``cols.leaves[i]``, ``i < k``, and the
+    win ``cols.winners[i]`` names -- 1 black's, -1 white's, 0 half a win
+    each, anything else none."""
+    _check_rows(cols, k)
+    _checked(
+        cols.backprop_winners(
+            k, cols.leaves_at, cols.winners_at, cols._at
         )
     )

@@ -39,15 +39,17 @@ for the per-node visit logarithm.  Same seeds therefore
 produce identical root statistics and chosen moves on both backends --
 the differential test suite enforces this for every engine kind.
 
-The payoff is that a round of tree work is one compiled call working in
-place on the columns (``repro/compiled/playout.c``, "Tree descent +
-expansion"): :meth:`select_expand_all` descends all ``B`` trees and
-expands one child of each, :meth:`backprop_many` walks all ``B`` paths,
-:meth:`select_expand` is the same kernel on one tree.  That needs a
-kernel for the game and a C toolchain; without them the Python bodies
-(:meth:`TreeArena._descend`, ``_expand``, ``backprop``) do the same
-work tree by tree -- same draws, same node ids (docs/tree_arena.md,
-"Compiled descent and backprop").
+The payoff is that a round of tree work is two compiled calls working
+in place on the columns (``repro/compiled/playout.c``, "Tree descent +
+expansion"): :meth:`select_round` descends all ``B`` trees, expands one
+child of each and hands back the leaves' states and terminal flags as
+plain lists (:meth:`select_expand_all` is the same call read as two
+arrays), :meth:`backprop_winners` / :meth:`backprop_many` walk all
+``B`` paths, :meth:`select_expand` is the same kernel on one tree.
+That needs a kernel for the game and a C toolchain; without them the
+Python bodies (:meth:`TreeArena._descend`, ``_expand``, ``backprop``)
+do the same work tree by tree -- same draws, same node ids
+(docs/tree_arena.md, "Compiled descent and backprop").
 """
 
 from __future__ import annotations
@@ -59,6 +61,8 @@ import numpy as np
 from repro.compiled import (
     ArenaColumns,
     backprop_compiled,
+    backprop_winners_compiled,
+    distinct_trees_error,
     select_expand_compiled,
 )
 from repro.core.policy import (
@@ -289,53 +293,102 @@ class TreeArena:
             return node, depth
         return self._expand(node, t, depth + 1), depth + 1
 
+    def select_round(
+        self, indices: "np.ndarray | list[int] | None" = None
+    ) -> tuple[list[int], list[int], list[GameState], list[bool]]:
+        """One lockstep round over several distinct trees: descend each
+        to a terminal node or one with untried moves and expand one
+        child there (exactly like the scalar walk).
+
+        Returns ``(refs, depths, states, terminal)``, four plain lists
+        aligned with ``indices`` (all trees when ``None``): each tree's
+        leaf, its depth, its position (what ``state_of`` gives) and
+        whether it is terminal.  A repeated or out-of-range index is a
+        ``ValueError`` and changes nothing.  Child spans are reserved
+        in *lockstep order* -- expansion depth ascending, then position
+        in ``indices`` -- under either body, so node ids depend on
+        neither.
+        """
+        cols = self._compiled()
+        if cols is None:
+            return self._select_round_python(indices)
+        cols, k = self._select_round_compiled(cols, indices)
+        return (
+            cols.leaves[:k].tolist(),
+            cols.depths[:k].tolist(),
+            list(
+                map(
+                    self.game.state_from_planes,
+                    cols.leaf_plane1[:k].tolist(),
+                    cols.leaf_plane2[:k].tolist(),
+                    cols.leaf_to_move[:k].tolist(),
+                )
+            ),
+            cols.leaf_terminal[:k].tolist(),
+        )
+
     def select_expand_all(
         self, indices: "np.ndarray | list[int] | None" = None
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Lockstep descent of several distinct trees at once.
-
-        Returns ``(leaves, depths)`` aligned with ``indices`` (all
-        trees when ``None``); a repeated or out-of-range index is a
-        ``ValueError`` and changes nothing.  Every tree descends to a
-        terminal node or one with untried moves and expands one child
-        there (exactly like the scalar walk).  Child spans are
-        reserved in *lockstep order* -- expansion depth ascending,
-        then position in ``indices`` -- under either body, so node ids
-        depend on neither.
-        """
-        if indices is None:
-            idx = np.arange(self.n_trees, dtype=np.int64)
-        else:
-            idx = np.asarray(indices, dtype=np.int64)
-            # Checked here, before either body writes anything: a tree
-            # walked twice in one round overruns its reserved span.
-            rows = idx.tolist()
-            if len(set(rows)) != len(rows) or not all(
-                0 <= t < self.n_trees for t in rows
-            ):
-                raise ValueError(
-                    f"rows {rows} for {self.n_trees} trees: a round "
-                    f"takes distinct trees"
-                )
-        k = len(idx)
+        """The ``(leaves, depths)`` of :meth:`select_round`, as int64
+        arrays -- the same round, for a caller that reads the leaves'
+        columns itself."""
         cols = self._compiled()
-        if cols is not None:
-            cols.trees[:k] = idx
-            need = self._select_expand_compiled(cols, k)
-            if need:
-                self._grow(need)
-                return self.select_expand_all(idx)
-            return cols.leaves[:k].copy(), cols.depths[:k].copy()
-        trees = idx.tolist()
+        if cols is None:
+            leaves, depths, _, _ = self._select_round_python(indices)
+            return (
+                np.array(leaves, dtype=np.int64),
+                np.array(depths, dtype=np.int64),
+            )
+        cols, k = self._select_round_compiled(cols, indices)
+        return cols.leaves[:k].copy(), cols.depths[:k].copy()
+
+    def _select_round_python(self, indices):
+        """The Python body of :meth:`select_round`."""
+        if indices is None:
+            trees = list(range(self.n_trees))
+        else:
+            trees = np.asarray(indices, dtype=np.int64).tolist()
+            # Checked before anything is written: a tree walked twice
+            # in one round overruns its reserved span.
+            if len(set(trees)) != len(trees) or not all(
+                0 <= t < self.n_trees for t in trees
+            ):
+                raise distinct_trees_error(trees, self.n_trees)
         stops = [self._descend(t) for t in trees]
-        leaves = np.array([node for node, _ in stops], dtype=np.int64)
-        depths = np.array([depth for _, depth in stops], dtype=np.int64)
-        for i in np.argsort(depths, kind="stable").tolist():
+        leaves = [node for node, _ in stops]
+        depths = [depth for _, depth in stops]
+        for i in sorted(range(len(stops)), key=depths.__getitem__):
             node, depth = stops[i]
             if not self.terminal[node]:
                 leaves[i] = self._expand(node, trees[i], depth + 1)
                 depths[i] = depth + 1
-        return leaves, depths
+        return (
+            leaves,
+            depths,
+            [self.state_of(leaf) for leaf in leaves],
+            [self.terminal_of(leaf) for leaf in leaves],
+        )
+
+    def _select_round_compiled(
+        self, cols: ArenaColumns, indices
+    ) -> tuple[ArenaColumns, int]:
+        """The compiled round over ``indices``: their number, and the
+        columns -- rebound if the arena grew -- whose per-call rows
+        hold the answers."""
+        if indices is None:
+            k = self.n_trees
+            cols.trees[:] = np.arange(k)
+        else:
+            k = len(indices)
+            if k > self.n_trees:  # more rows than trees: one repeats
+                raise distinct_trees_error(indices, self.n_trees)
+            cols.trees[:k] = indices
+        need = self._select_expand_compiled(cols, k)
+        if need:
+            self._grow(need)
+            return self._select_round_compiled(self._compiled(), indices)
+        return cols, k
 
     def _select_expand_compiled(self, cols: ArenaColumns, k: int) -> int:
         """The compiled round over ``cols.trees[:k]``.  Returns 0 with
@@ -436,6 +489,15 @@ class TreeArena:
             simulations if winner == 0 else 0,
         )
 
+    def _one_leaf_per_tree(self, leaves) -> int:
+        """``len(leaves)``, which the per-call rows must hold."""
+        k = len(leaves)
+        if k > self.n_trees:
+            raise ValueError(
+                f"{k} leaves for {self.n_trees} trees: one leaf per tree"
+            )
+        return k
+
     def backprop_many(
         self,
         leaves: np.ndarray,
@@ -450,11 +512,7 @@ class TreeArena:
         Requires at most one leaf per tree: paths in distinct trees
         are disjoint.
         """
-        k = len(leaves)
-        if k > self.n_trees:
-            raise ValueError(
-                f"{k} leaves for {self.n_trees} trees: one leaf per tree"
-            )
+        k = self._one_leaf_per_tree(leaves)
         cols = self._compiled()
         if cols is None:
             for leaf, *outcome in zip(
@@ -474,11 +532,21 @@ class TreeArena:
 
     def backprop_winners(self, leaves, winners) -> None:
         """One playout result per tree: ``winners[j]`` at
-        ``leaves[j]`` (distinct trees)."""
-        winners = np.asarray(winners)
-        self.backprop_many(
-            leaves, 1, winners == 1, winners == -1, winners == 0
-        )
+        ``leaves[j]`` (distinct trees, as many winners as leaves).  A
+        winner that is none of 1 / -1 / 0 -- a corrupted answer --
+        counts a visit and no win."""
+        k = self._one_leaf_per_tree(leaves)
+        if len(winners) != k:
+            raise ValueError(f"{len(winners)} winners for {k} leaves")
+        cols = self._compiled()
+        if cols is None:
+            for leaf, winner in zip(leaves, winners):
+                self.backprop_winner(leaf, winner)
+            return
+        cols.leaves[:k] = leaves
+        cols.winners[:k] = winners
+        cols.allocated = self._allocated
+        backprop_winners_compiled(cols, k)
 
     def backprop_block(self, leaves, simulations, winners_2d) -> None:
         """Per-tree playout tallies: row ``b`` of ``winners_2d`` holds
@@ -486,7 +554,7 @@ class TreeArena:
         ``leaves[b]``."""
         winners = np.asarray(winners_2d)
         self.backprop_many(
-            np.asarray(leaves, dtype=np.int64),
+            leaves,
             simulations,
             (winners == 1).sum(axis=1),
             (winners == -1).sum(axis=1),

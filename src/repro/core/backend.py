@@ -7,7 +7,7 @@ Every engine keeps its search state in a *store* of ``n_trees`` trees
 * ``"arena"`` -- the struct-of-arrays
   :class:`repro.core.arena.TreeArena`, which implements the protocol
   itself: compiled selection and backprop, a lockstep
-  ``select_expand_all`` over all trees per iteration.
+  ``select_round`` over all trees per iteration.
 * ``"node"`` -- :class:`NodeForest`, a list of pointer trees
   (:class:`repro.core.tree.SearchTree`, one Python object per node).
   The reference implementation: simple, debuggable, and the
@@ -59,14 +59,24 @@ class NodeForest:
     def select_expand(self, t: int = 0):
         return self.trees[t].select_expand()
 
-    def select_expand_all(self, indices=None):
+    def select_round(self, indices=None):
+        """One ``select_expand`` per tree of ``indices`` (all when
+        ``None``): ``(refs, depths, states, terminal)``, four lists."""
         which = range(self.n_trees) if indices is None else indices
         refs, depths = [], []
         for t in which:
             node, depth = self.trees[t].select_expand()
             refs.append(node)
             depths.append(depth)
-        return refs, depths
+        return (
+            refs,
+            depths,
+            [node.state for node in refs],
+            [node.terminal for node in refs],
+        )
+
+    def select_expand_all(self, indices=None):
+        return self.select_round(indices)[:2]
 
     # Path updates walk parent links from the ref and read nothing of
     # the tree they are called on: the first tree serves them all.
@@ -83,7 +93,11 @@ class NodeForest:
 
     def backprop_winners(self, leaves, winners) -> None:
         """One playout result per tree: ``winners[j]`` at
-        ``leaves[j]`` (distinct trees)."""
+        ``leaves[j]`` (distinct trees, as many winners as leaves)."""
+        if len(winners) != len(leaves):
+            raise ValueError(
+                f"{len(winners)} winners for {len(leaves)} leaves"
+            )
         backprop_winner = self.trees[0].backprop_winner
         for leaf, winner in zip(leaves, winners):
             backprop_winner(leaf, winner)

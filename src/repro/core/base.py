@@ -334,6 +334,17 @@ class Engine(abc.ABC):
         guard.give_up()
         return [(0, 0)] * len(requests)
 
+    @staticmethod
+    def _answers(requests, results):
+        """``results``, once they answer ``requests`` one for one (a
+        ``zip`` would drop the rows a short batch leaves out)."""
+        if len(results) != len(requests):
+            raise ValueError(
+                f"{len(results)} playout answers for "
+                f"{len(requests)} requests"
+            )
+        return results
+
     def _vote_stats(self, store, keep=None):
         """The root vote over trees ``keep`` of ``store`` (all when
         None), in tree order: ``(stats, voted)`` -- the summed
@@ -402,14 +413,14 @@ class Engine(abc.ABC):
 
     def _charge_tree_control(self, depths) -> None:
         """Charge the controlling CPU's per-tree share of one GPU
-        iteration (either backend's ``select_expand_all`` depths).
+        iteration (``select_round``'s depths, plain ints).
         ``tree_control_time`` is a pure function of depth; memoising it
         repeats the exact same floats, so clock accumulation (and every
         budget decision) is unchanged -- including across a checkpoint
         / restore boundary, where the cache refills identically."""
         cache = self._control_time
         advance = self.clock.advance
-        for depth in np.asarray(depths).tolist():
+        for depth in depths:
             t = cache.get(depth)
             if t is None:
                 t = cache[depth] = self.cost.tree_control_time(depth)

@@ -92,10 +92,9 @@ class BlockParallelMcts(Engine):
             # Sequential part: the one controlling CPU walks each tree
             # (one lockstep round on the arena backend).
             with prof.phase("select"):
-                leaves, depths = forest.select_expand_all()
+                leaves, depths, states, _ = forest.select_round()
                 self._charge_tree_control(depths)
             with prof.phase("playout"):
-                states = [forest.state_of(leaf) for leaf in leaves]
                 if guard is None:
                     result = self.gpu.run_playouts(states, self.config)
                     winners = result.winners

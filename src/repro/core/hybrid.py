@@ -72,11 +72,9 @@ class HybridMcts(Engine):
             and gpu_iterations < cap
         ) or gpu_iterations == 0:
             with prof.phase("select"):
-                leaves, depths = forest.select_expand_all()
+                leaves, depths, states, _ = forest.select_round()
                 self._charge_tree_control(depths)
-            event = self.gpu.launch_async(
-                [forest.state_of(leaf) for leaf in leaves], self.config
-            )
+            event = self.gpu.launch_async(states, self.config)
             # The GPU is busy; the CPU keeps deepening the same trees
             # (round-robin; the shared playout RNG makes this order
             # part of the engine's deterministic contract).

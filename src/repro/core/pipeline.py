@@ -169,7 +169,7 @@ class PipelineMcts(Engine):
                     )
                 play_t = max(
                     self.cost.playout_time(plies)
-                    for _, plies in results
+                    for _, plies in self._answers(requests, results)
                 )
                 live["dev_done"] = launch + play_t
                 live["playout_s"] += play_t

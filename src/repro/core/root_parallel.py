@@ -80,6 +80,7 @@ class RootParallelMcts(Engine):
         # batcher -- screening here too would double-draw corruption.
         screen = guard if live.get("executor") is not None else None
 
+        iteration_time = self.cost.iteration_time
         while True:
             active = [
                 i
@@ -91,34 +92,34 @@ class RootParallelMcts(Engine):
             # Independent trees: selecting them all first, then
             # resolving terminals, is identical to the interleaved
             # order (no tree ever observes another's statistics).
-            refs, depths = forest.select_expand_all(active)
-            requests = []
-            pending = []  # (tree index, node, depth)
-            for i, node, depth in zip(active, refs, depths):
-                if forest.terminal_of(node):
-                    forest.backprop_winner(node, forest.winner_of(node))
-                    core_time[i] += self.cost.iteration_time(depth, 0)
-                    per_tree_iters[i] += 1
-                    iterations += 1
-                    simulations += 1
-                else:
-                    requests.append(forest.state_of(node))
-                    pending.append((i, node, depth))
-            if requests:
-                results = yield requests
+            refs, depths, states, terminal = forest.select_round(active)
+            iterations += len(active)
+            simulations += len(active)
+            for i in active:
+                per_tree_iters[i] += 1
+            if any(terminal):
+                # A terminal leaf is its own answer; the other rows go
+                # on to a playout.
+                for i, node, depth, over in zip(
+                    active, refs, depths, terminal
+                ):
+                    if over:
+                        forest.backprop_winner(node, forest.winner_of(node))
+                        core_time[i] += iteration_time(depth, 0)
+                active, refs, depths, states = (
+                    [x for x, over in zip(column, terminal) if not over]
+                    for column in (active, refs, depths, states)
+                )
+            if states:
+                results = yield states
                 if screen is not None:
                     results = yield from self._screen_results(
-                        requests, results, screen
+                        states, results, screen
                     )
-                forest.backprop_winners(
-                    [node for _, node, _ in pending],
-                    [winner for winner, _ in results],
-                )
-                for (i, _, depth), (_, plies) in zip(pending, results):
-                    core_time[i] += self.cost.iteration_time(depth, plies)
-                    per_tree_iters[i] += 1
-                    iterations += 1
-                    simulations += 1
+                winners, plies = zip(*self._answers(states, results))
+                forest.backprop_winners(refs, winners)
+                for i, depth, n in zip(active, depths, plies):
+                    core_time[i] += iteration_time(depth, n)
             live["iterations"] = iterations
             live["simulations"] = simulations
             self._after_iteration(iterations, forest)

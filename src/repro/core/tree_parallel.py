@@ -155,7 +155,7 @@ class TreeParallelMcts(Engine):
                 iterations += 1
                 simulations += 1
             for (w, node, depth), (winner, plies) in zip(
-                pending, results
+                pending, self._answers(pending, results)
             ):
                 tree.revert_virtual_loss(node, self.virtual_loss)
                 tree.backprop_winner(node, winner)

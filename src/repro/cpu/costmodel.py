@@ -59,13 +59,17 @@ class CpuCostModel:
         return self.playout_per_ply_s * max(plies, 0)
 
     def iteration_time(self, depth: int, playout_plies: int) -> float:
-        """One full sequential MCTS iteration."""
+        """One full sequential MCTS iteration: fixed overhead +
+        :meth:`selection_time` + expansion + :meth:`playout_time` +
+        :meth:`backprop_time`, written out in that order (the same
+        floats; every generator engine charges it once per playout)."""
+        levels = max(depth, 0)
         return (
             self.fixed_per_iteration_s
-            + self.selection_time(depth)
+            + self.select_per_node_s * levels
             + self.expand_s
-            + self.playout_time(playout_plies)
-            + self.backprop_time(depth)
+            + self.playout_per_ply_s * max(playout_plies, 0)
+            + self.backprop_per_node_s * levels
         )
 
     def tree_control_time(self, depth: int) -> float:

@@ -328,3 +328,8 @@ def test_out_of_range_rows_are_refused(game_name):
     cols.plane1 = cols.plane1.astype(np.int64)
     with pytest.raises(TypeError, match="plane1"):
         ArenaColumns.of(cols)
+    # A column the kernels could not write is refused too.
+    cols = _columns(game, [parent], [9])
+    cols.visits.setflags(write=False)
+    with pytest.raises(TypeError, match="not writable"):
+        ArenaColumns.of(cols)

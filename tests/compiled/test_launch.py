@@ -303,6 +303,31 @@ def test_columns_must_be_what_the_kernel_reads():
     ):
         with pytest.raises(TypeError, match="launch column"):
             runner.launch_columns(kernel, bg, *bad, 1)
+    # The kernel only reads the columns: read-only ones launch alike.
+    want = runner.launch_columns(kernel, bg, planes[0], planes[1], to_move, 1)
+    planes.setflags(write=False)
+    to_move.setflags(write=False)
+    got = runner.launch_columns(kernel, bg, planes[0], planes[1], to_move, 1)
+    assert [a.tolist() for a in got] == [a.tolist() for a in want]
+    # No lanes, nothing to address: two empty outputs.
+    none = runner.launch_columns(
+        kernel, bg, planes[0, :0], planes[1, :0], to_move[:0], 1
+    )
+    assert [(a.dtype, a.shape) for a in none] == [
+        (np.int8, (0,)), (np.int64, (0,))
+    ]
+
+
+def test_address_refuses_a_buffer_the_kernel_could_not_write():
+    """``_address`` is for buffers a kernel writes: a read-only array
+    is a ``TypeError`` unless the caller says it is only read."""
+    array = np.arange(4, dtype=np.int64)
+    assert runner._address(array) == array.ctypes.data
+    assert runner._address(array[1:]) == array.ctypes.data + 8
+    array.setflags(write=False)
+    with pytest.raises(TypeError, match="not writable"):
+        runner._address(array)
+    assert runner._address(array, written=False) == array.ctypes.data
 
 
 @needs_kernel

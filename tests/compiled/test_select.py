@@ -1,5 +1,6 @@
 """Differential wall for the compiled descent + expansion and backprop
-kernels (``repro_<game>_select_expand``, ``repro_backprop``).
+kernels (``repro_<game>_select_expand``, ``repro_backprop``,
+``repro_backprop_winners``).
 
 One random *plan* -- which trees a round selects and in what order,
 lockstep or one at a time, what virtual loss is applied and for how
@@ -15,7 +16,10 @@ each driven through the one store protocol.
 
 All three must select the same positions at the same depths every
 round and end with the same statistics; the two arenas must also agree
-on every node id, column and snapshot byte.  Without a C toolchain
+on every node id, column and snapshot byte.  A lockstep round of one
+playout per tree goes through the two round halves the engines use,
+``select_round`` / ``backprop_winners``; one with several through
+``select_expand_all`` / ``backprop_many``.  Without a C toolchain
 there is no kernel to compare and the tests skip.
 """
 
@@ -30,12 +34,14 @@ from hypothesis import strategies as st
 from repro.compiled import (
     COMPILED_GAMES,
     backprop_compiled,
+    backprop_winners_compiled,
     compiled_available,
     load_library,
     select_expand_compiled,
 )
 from repro.core.arena import TreeArena
 from repro.core.backend import NodeForest
+from repro.core.spec import make_engine
 from repro.core.tree import SearchTree
 from repro.games import make_game
 from repro.rng import XorShift64Star
@@ -62,10 +68,11 @@ def python_bodies():
 
 def make_plan(seed: int, n_trees: int, iterations: int) -> list[dict]:
     """Rounds until ``iterations`` selections are spent.  A *lockstep*
-    round is one ``select_expand_all`` (every tree, or a shuffled
-    subset) answered by one ``backprop_many``; a *scalar* round is a
-    few ``select_expand(t)`` calls -- trees may repeat -- each under
-    its own virtual loss, the way the shared-tree engines run."""
+    round is one ``select_round`` / ``select_expand_all`` (every tree,
+    or a shuffled subset) answered by one ``backprop_winners`` /
+    ``backprop_many``; a *scalar* round is a few ``select_expand(t)``
+    calls -- trees may repeat -- each under its own virtual loss, the
+    way the shared-tree engines run."""
     rng = np.random.default_rng(seed)
     plan = []
     spent = 0
@@ -149,6 +156,21 @@ def backprop_rows(store, refs, sims, black, white, draws) -> None:
             store.backprop(ref, sims, *row)
 
 
+def selected_round(store, trees) -> tuple[list, list]:
+    """``select_round``'s refs and depths, once its four columns are
+    plain lists that agree with the per-leaf accessors."""
+    refs, depths, states, terminal = store.select_round(trees)
+    for column in (refs, depths, states, terminal):
+        assert type(column) is list and len(column) == len(refs)
+    assert {type(depth) for depth in depths} <= {int}
+    assert {type(over) for over in terminal} <= {bool}
+    if isinstance(store, TreeArena):
+        assert {type(ref) for ref in refs} <= {int}
+    assert states == [store.state_of(ref) for ref in refs]
+    assert terminal == [store.terminal_of(ref) for ref in refs]
+    return refs, depths
+
+
 def replay(store, plan) -> list:
     """Run ``plan`` on ``store`` through the one store protocol;
     returns what every selection found: ``(tree, state, terminal,
@@ -177,8 +199,11 @@ def replay(store, plan) -> list:
         trees = step["trees"]
         if trees is not None and r % 2:
             trees = np.array(trees)  # lists and arrays both
-        refs, depths = store.select_expand_all(trees)
-        refs, depths = list(refs), list(depths)
+        if step["sims"] == 1:
+            refs, depths = selected_round(store, trees)
+        else:
+            refs, depths = store.select_expand_all(trees)
+            refs, depths = list(refs), list(depths)
         trees = range(store.n_trees) if trees is None else trees
         for t, ref, depth in zip(trees, refs, depths):
             seen.append(
@@ -187,6 +212,14 @@ def replay(store, plan) -> list:
             if step["vloss"]:
                 store.apply_virtual_loss(ref, step["vloss"])
                 held.append((r + 1 + step["hold"], ref, step["vloss"]))
+        if step["sims"] == 1:
+            # One playout per tree: black - white is its winner.
+            kept = [i for i, lost in enumerate(step["lost"]) if not lost]
+            store.backprop_winners(
+                [refs[i] for i in kept],
+                [step["black"][i] - step["white"][i] for i in kept],
+            )
+            continue
         refs = [None if lost else ref for ref, lost in zip(refs, step["lost"])]
         backprop_rows(store, refs, step["sims"], *outcome)
     return seen
@@ -238,7 +271,7 @@ def check_plan(
     assert replay(pointer, plan) == seen
     for t, tree in enumerate(pointer.trees):
         assert_same_tree(kernel, t, tree)
-    return kernel
+    return kernel, seen
 
 
 POLICIES = st.fixed_dictionaries(
@@ -279,12 +312,100 @@ def test_long_searches_reach_every_branch(game_name, mode, rule):
     policy = {"ucb_c": 0.9, "selection_rule": rule, "parallel_mode": mode}
     plies = {"tictactoe": 2, "connect4": 24, "reversi": 57}[game_name]
     # Plan 9 ends on a lockstep round that leaves 0.25 on every path.
-    arena = check_plan(game_name, plies, 5, 9, 1500, 23, policy)
+    arena, _ = check_plan(game_name, plies, 5, 9, 1500, 23, policy)
     n = arena.allocated
     assert arena.capacity >= 32  # grew from capacity=2 several times
     assert arena.vloss[:n].any()
     assert arena.tree_max_depth.min() >= 3
     assert arena.terminal[:n].any()
+
+
+# -- rounds that carry terminal leaves ---------------------------------------
+
+#: ``(game, plies, seed)`` of ``walk``s that stop two to four plies
+#: from the end: every tree is expanded to its terminal nodes within a
+#: few rounds, and from then on a round's leaves are terminal.
+ENDGAMES = [("tictactoe", 7, 0), ("connect4", 40, 40), ("connect4", 40, 59)]
+
+
+@pytest.mark.parametrize("game_name, plies, seed", ENDGAMES)
+@pytest.mark.parametrize("n_trees", [1, 2, 8, 97])
+@pytest.mark.parametrize("mode", ["vloss", "wuct"])
+@pytest.mark.parametrize("rule", ["ucb1", "ucb1_tuned"])
+def test_rounds_from_the_last_plies_carry_terminal_leaves(
+    game_name, plies, seed, n_trees, mode, rule
+):
+    game = make_game(game_name)
+    cells = {"tictactoe": 9, "connect4": 42}[game_name]
+    planes = game.zobrist_planes(walk(game, plies, seed))
+    assert cells - sum(bin(plane).count("1") for plane in planes) in (2, 4)
+    policy = {"ucb_c": 0.9, "selection_rule": rule, "parallel_mode": mode}
+    arena, seen = check_plan(
+        game_name, plies, n_trees, seed, 12 * n_trees + 20, 23, policy
+    )
+    over = [terminal for _, _, terminal, _ in seen]
+    assert any(over) and not all(over)
+    assert arena.capacity > 2
+
+
+@pytest.mark.parametrize("game_name, plies, seed", ENDGAMES)
+def test_root_search_from_the_last_plies_is_one_search_on_every_store(
+    game_name, plies, seed
+):
+    """``root:8`` resolves terminal leaves itself and sends the rest
+    out for playouts: the same search whichever store holds its trees."""
+    game = make_game(game_name)
+    root = walk(game, plies, seed)
+
+    def search(spec):
+        return make_engine(spec, game, 2011).search(root, 2e-3)
+
+    kernel = search("root:8@arena")
+    with python_bodies():
+        python = search("root:8@arena")
+    assert kernel.iterations > 8 * 40
+    assert python == kernel
+    assert search("root:8") == kernel
+
+
+# -- winners a corrupted launch delivers -------------------------------------
+
+#: What ``apply_answer_corruption``'s ``bitflip`` / ``nan`` modes turn a
+#: winner into, beside the three real ones.
+WINNERS = [-1, 0, 1, 2, -65, float("nan")]
+
+
+@pytest.mark.parametrize("game_name", GAMES)
+def test_a_winner_outside_the_domain_is_a_visit_and_no_win(game_name):
+    """An undefended run backpropagates whatever the launch handed
+    back: all three stores credit it alike and none raises."""
+    game = make_game(game_name)
+    root = game.initial_state()
+    kernel = arena_under_test(game, root, 6, 31)
+    with python_bodies():
+        python = arena_under_test(game, root, 6, 31)
+    pointer = pointer_trees(game, root, 6, 31)
+    rng = np.random.default_rng(5)
+    wins = 0.0
+    for r in range(40):
+        winners = [WINNERS[i] for i in rng.integers(0, len(WINNERS), size=6)]
+        if r == 0:
+            winners = WINNERS[:]  # each of them at least once
+        wins += sum(w == game.to_move(root) for w in winners)
+        wins += 0.5 * sum(w == 0 for w in winners)
+        for store in (kernel, python, pointer):
+            refs, *_ = store.select_round()
+            store.backprop_winners(refs, winners)
+    assert columns(kernel) == columns(python)
+    assert payload(kernel) == payload(python)
+    for t, tree in enumerate(pointer.trees):
+        assert_same_tree(kernel, t, tree)
+    # Every answer was a visit; only the real winners were wins.
+    roots = kernel.roots
+    assert kernel.visits[roots].tolist() == [40.0] * 6
+    depth_one = kernel.parent[: kernel.allocated] >= 0
+    depth_one &= np.isin(kernel.parent[: kernel.allocated], roots)
+    assert kernel.wins[: kernel.allocated][depth_one].sum() == wins
 
 
 # -- the score on arbitrary statistics ---------------------------------------
@@ -358,10 +479,10 @@ def searched(game_name="tictactoe", n_trees=3, rounds=40) -> TreeArena:
 
 
 def call_buffers(cols) -> list:
-    return [
-        buffer.tolist()
-        for buffer in (cols.trees, cols.leaves, cols.depths, cols.stats)
-    ]
+    """Every per-call row: the arguments and ``_ROUND_ROWS``."""
+    names = ["trees", "leaves", "depths", "stats", "winners"]
+    names += [name for name, _ in cols._ROUND_ROWS]
+    return [getattr(cols, name).tolist() for name in names]
 
 
 @pytest.mark.parametrize("game_name", GAMES)
@@ -374,6 +495,8 @@ def test_rows_outside_the_arena_are_refused_with_nothing_written(game_name):
     for rounds, name, row, value in [
         (40, "trees", 0, 3),
         (40, "trees", 2, -1),
+        (40, "trees", 2, 0),  # a tree twice: its span would overrun
+        (40, "trees", 0, 1),
         (40, "roots", 1, "n"),
         (40, "roots", 1, -1),
         (40, "child_start", "root", 0),  # a span below its parent...
@@ -395,6 +518,7 @@ def test_rows_outside_the_arena_are_refused_with_nothing_written(game_name):
         cols = arena._compiled()
         cols.trees[:3] = [0, 1, 2]
         cols.leaves[:] = cols.depths[:] = -7
+        cols.leaf_plane1[:] = cols.leaf_to_move[:] = 7
         target = cols.trees if name == "trees" else getattr(arena, name)
         target[row] = value
         before = columns(arena), call_buffers(cols)
@@ -419,11 +543,19 @@ def test_more_rows_than_call_buffers_are_refused():
             select_expand_compiled(cols, k)
         with pytest.raises(ValueError, match="do not fit"):
             backprop_compiled(cols, k, 1.0)
+        with pytest.raises(ValueError, match="do not fit"):
+            backprop_winners_compiled(cols, k)
     assert (columns(arena), call_buffers(cols)) == before
     with pytest.raises(ValueError, match="distinct trees"):
         arena.select_expand_all([0, 1, 2, 0])
+    with pytest.raises(ValueError, match="distinct trees"):
+        arena.select_round([0, 1, 2, 0])
     with pytest.raises(ValueError, match="one leaf per tree"):
         arena.backprop_many([3, 4, 5, 6], 1, [1] * 4, [0] * 4, [0] * 4)
+    with pytest.raises(ValueError, match="one leaf per tree"):
+        arena.backprop_winners([3, 4, 5, 6], [1] * 4)
+    with pytest.raises(ValueError, match="2 winners for 3 leaves"):
+        arena.backprop_winners([3, 4, 5], [1, 0])
     assert (columns(arena), call_buffers(cols)) == before
 
 
@@ -458,29 +590,36 @@ def test_a_full_arena_reports_its_need_and_changes_nothing(game_name):
 
 
 def test_backprop_refuses_leaves_outside_the_allocation():
-    arena = searched()
-    cols = arena._compiled()
-    n = arena.allocated
-    cols.allocated = n
-    cols.stats[:] = 1.0
-    for leaves in ([3, n, 4], [n + 5, -1, -1]):
-        cols.leaves[:3] = leaves
-        before = columns(arena)
+    """Both backprop entries share the checks and the parent walk."""
+    for backprop in (
+        lambda cols, k: backprop_compiled(cols, k, 1.0),
+        backprop_winners_compiled,
+    ):
+        arena = searched()
+        cols = arena._compiled()
+        n = arena.allocated
+        cols.allocated = n
+        cols.stats[:] = cols.winners[:] = 1.0
+        for leaves in ([3, n, 4], [n + 5, -1, -1]):
+            cols.leaves[:3] = leaves
+            before = columns(arena)
+            with pytest.raises(ValueError, match="outside the arena"):
+                backprop(cols, 3)
+            assert columns(arena) == before
+        # A parent link that does not point below its child stops the
+        # walk.
+        leaf = int(arena.child_start[int(arena.roots[0])])
+        arena.parent[leaf] = leaf
+        cols.leaves[:3] = [leaf, -1, -1]
         with pytest.raises(ValueError, match="outside the arena"):
-            backprop_compiled(cols, 3, 1.0)
-        assert columns(arena) == before
-    # A parent link that does not point below its child stops the walk.
-    leaf = int(arena.child_start[int(arena.roots[0])])
-    arena.parent[leaf] = leaf
-    cols.leaves[:3] = [leaf, -1, -1]
-    with pytest.raises(ValueError, match="outside the arena"):
-        backprop_compiled(cols, 3, 1.0)
+            backprop(cols, 3)
 
 
 def test_negative_leaves_are_rows_with_no_answer():
     arena = searched()
     before = columns(arena)
     arena.backprop_many([-1, -1, -1], 4, [1, 1, 1], [2, 2, 2], [1, 1, 1])
+    arena.backprop_winners([-1, -1, -1], [1, 0, -1])
     assert columns(arena) == before
 
 

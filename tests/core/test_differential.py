@@ -100,6 +100,36 @@ def test_arena_backend_matches_node_backend_other_games(game_name):
     assert arena.simulations == node.simulations
 
 
+@pytest.mark.parametrize("backend_suffix", ["", "@arena"])
+@pytest.mark.parametrize("spec", sorted(SMALL_SPECS.values()))
+def test_results_and_payloads_hold_builtin_numbers(spec, backend_suffix):
+    """No NumPy scalar leaves a store: what a search reports, and the
+    per-tree / per-worker clocks a mid-search snapshot carries, are
+    builtin ``int`` / ``float`` on both backends (an arena depth that
+    stays ``np.int64`` turns ``root:N@arena``'s clocks, and so its
+    ``elapsed_s``, into ``np.float64``)."""
+    game = make_game("tictactoe")
+    engine = make_engine(f"{spec}{backend_suffix}", game, SEED)
+    payloads = []
+
+    def hook(eng, iterations):
+        if not payloads:
+            payloads.append(eng.snapshot().payload)
+
+    engine.iteration_hook = hook
+    result = engine.search(game.initial_state(), BUDGET_S)
+    assert type(result.elapsed_s) is float
+    for name in ("iterations", "simulations", "max_depth", "move"):
+        assert type(getattr(result, name)) is int, name
+    for move, (visits, wins) in result.stats.items():
+        assert (type(move), type(visits), type(wins)) == (int, float, float)
+    (payload,) = payloads
+    clocks = payload.get("core_time", []) + payload.get("worker_time", [])
+    assert {type(t) for t in clocks} <= {float}
+    assert ("core_time" in payload) == spec.startswith("root")
+    assert ("worker_time" in payload) == spec.startswith("tree")
+
+
 def _assert_identical(a, b):
     assert a.move == b.move
     assert a.stats == b.stats

@@ -11,6 +11,7 @@ from repro.core import (
     SequentialMcts,
     TreeParallelMcts,
 )
+from repro.core.spec import make_engine
 from repro.games import TicTacToe
 
 TTT = TicTacToe()
@@ -185,3 +186,19 @@ class TestEngineSpecifics:
             TTT, seed=7, blocks=2, threads_per_block=32
         ).search(TTT.initial_state(), 0.004)
         assert hybrid.max_depth >= block.max_depth
+
+
+@pytest.mark.parametrize("backend", ["node", "arena"])
+@pytest.mark.parametrize("spec", ["root:3", "tree:3", "pipeline:3"])
+def test_answers_must_match_the_requests_one_for_one(spec, backend):
+    """The generator engines pair a round's answers with its pending
+    leaves; a driver that hands back too few or too many is refused
+    instead of ``zip``-ped short."""
+    for answers in ([(1, 5), (0, 5)], [(1, 5)] * 4, []):
+        engine = make_engine(f"{spec}@{backend}", TTT, 5)
+        gen = engine.search_steps(TTT.initial_state(), 1e-3)
+        assert len(next(gen)) == 3
+        with pytest.raises(
+            ValueError, match=f"{len(answers)} playout answers for 3 requests"
+        ):
+            gen.send(answers)

@@ -10,8 +10,10 @@ single tree is a forest of one.  This file holds
   ``make_forest`` gives the same answers on both backends;
 * forest-of-one: ``make_tree`` and ``make_forest(..., [rng])`` are the
   same store, down to the checkpoint payload (up to its ``kind``);
-* the repeated-index rejection of ``select_expand_all`` on both arena
-  bodies (run under ``REPRO_COMPILED=0`` too by the ``compiled`` job).
+* the refusals of a round on both arena bodies (run under
+  ``REPRO_COMPILED=0`` too by the ``compiled`` job): a repeated or
+  out-of-range tree index, and -- on both backends -- answers that do
+  not match the round's requests one for one.
 """
 
 import inspect
@@ -53,6 +55,7 @@ PROTOCOL_METHODS = (
     "terminal_of",
     "winner_of",
     # rounds over the forest
+    "select_round",
     "select_expand_all",
     "backprop_winners",
     "backprop_block",
@@ -123,13 +126,26 @@ def drive_everything(store, n_trees: int) -> list:
 
     # Rounds: every tree, a subset, per-tree tallies.
     for r in range(12):
+        refs, depths, states, terminal = store.select_round()
+        for column in (refs, depths, states, terminal):
+            assert type(column) is list and len(column) == n_trees
+        assert {type(d) for d in depths} == {int}
+        assert {type(over) for over in terminal} == {bool}
+        assert states == [store.state_of(ref) for ref in refs]
+        assert terminal == [store.terminal_of(ref) for ref in refs]
+        seen += [states, depths, terminal]
+        store.backprop_winners(
+            refs, [(r + t) % 3 - 1 for t in range(n_trees)]
+        )
+        refs, depths, states, _ = store.select_round([last])
+        assert states == [store.state_of(refs[0])]
+        seen += [states, depths]
+        store.backprop_winners(refs, (float("nan"),))  # a visit, no win
         refs, depths = store.select_expand_all()
         assert len(refs) == len(depths) == n_trees
         seen.append([store.state_of(ref) for ref in refs])
         seen.append([int(d) for d in depths])
-        store.backprop_winners(
-            refs, [(r + t) % 3 - 1 for t in range(n_trees)]
-        )
+        store.backprop_winners(refs, [1] * n_trees)
         refs, depths = store.select_expand_all([last])
         assert len(refs) == len(depths) == 1
         store.backprop_winner(refs[0], 0, 3)
@@ -253,3 +269,36 @@ def test_repeated_tree_index_is_rejected_before_any_write(
         arena.backprop_winners(leaves, [1, -1])
     arena.validate()
     assert arena.per_tree_nodes() == [13, 7, 13]
+
+
+# -- a round's answers match its requests ------------------------------------
+
+
+@pytest.mark.parametrize("body", ["default", "python"])
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_winners_must_answer_the_leaves_one_for_one(
+    backend, body, monkeypatch
+):
+    """Both stores refuse winners that do not match the leaves in
+    number, changing nothing -- not one winner broadcast to every leaf
+    (NumPy assignment), not the round cut short (``zip``)."""
+    if body == "python":
+        monkeypatch.setenv("REPRO_COMPILED", "0")
+    store = forest(backend, 3)
+    for r in range(4):
+        leaves, *_ = store.select_round()
+        before = store.root_stats_of(), store.node_count
+        if backend == "arena":
+            before += (columns(store), payload(store))
+        for winners in ([1], [], [1, 0], (1, 0, -1, 1), np.array([1, 0])):
+            with pytest.raises(ValueError, match="winners for 3 leaves"):
+                store.backprop_winners(leaves, winners)
+        after = store.root_stats_of(), store.node_count
+        if backend == "arena":
+            after += (columns(store), payload(store))
+        assert after == before
+        store.backprop_winners(leaves, [1, 0, -1])
+    assert [
+        sum(visits for visits, _ in stats.values())
+        for stats in store.root_stats_of()
+    ] == [4, 4, 4]

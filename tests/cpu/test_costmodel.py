@@ -32,6 +32,21 @@ class TestCosts:
             + m.backprop_time(10)
         )
 
+    def test_iteration_is_its_parts_to_the_last_bit(self):
+        """``iteration_time`` writes the sum out; virtual clocks (and
+        every golden trace) need it equal to the composed methods
+        exactly, clamped negatives included."""
+        m = XEON_X5670
+        for depth in range(-2, 40):
+            for plies in (-3, 0, 1, 9, 31, 60, 61, 1 << 31):
+                assert m.iteration_time(depth, plies) == (
+                    m.fixed_per_iteration_s
+                    + m.selection_time(depth)
+                    + m.expand_s
+                    + m.playout_time(plies)
+                    + m.backprop_time(depth)
+                )
+
     def test_negative_depth_clamped(self):
         assert XEON_X5670.selection_time(-5) == 0.0
         assert XEON_X5670.backprop_time(-1) == 0.0
