@@ -21,13 +21,16 @@ import sys
 import time
 
 import numpy as np
+import pytest
 
 from repro.core.backend import make_forest, make_tree
 from repro.core.tree import SearchTree
 from repro.games import BatchReversi, Reversi, make_game
 from repro.games.batch import run_playouts_tracked, select_random_bit
+from repro.gpu import TESLA_C2050, LaunchConfig, VirtualGpu
 from repro.mpi import MpiCluster, TSUBAME_IB
 from repro.rng import BatchXorShift128Plus, XorShift64Star
+from repro.util.clock import Clock
 
 
 def test_micro_batch_playout_1024(benchmark):
@@ -128,6 +131,39 @@ def test_micro_arena_forest_root_round(benchmark):
     assert {type(x) for x in refs + depths} == {int}
     assert {type(x) for x in terminal} == {bool}
     assert states == [forest.state_of(ref) for ref in refs]
+
+
+@pytest.mark.parametrize("blocks,tpb", [(256, 1), (112, 64)])
+def test_micro_gpu_block_launch(benchmark, blocks, tpb):
+    """One kernel launch from an arena's leaves -- columns in, no state
+    built -- at ``search_tree``'s and ``search_block``'s shapes; equal to
+    the list-of-states launch on a twin device."""
+    game = make_game("reversi")
+    state = game.initial_state()
+    for ply in range(20):  # a mid-game root
+        state = game.apply(state, game.legal_moves(state)[ply % 3 - 1])
+    rngs = [XorShift64Star(b) for b in range(blocks)]
+    forest = make_forest("arena", game, state, rngs, 1.0)
+    for r in range(6):
+        leaves, _ = forest.select_expand_all()
+        forest.backprop_winners(leaves, [(r + b) % 3 - 1 for b in range(blocks)])
+    config = LaunchConfig(blocks, tpb)
+    gpu, twin = (
+        VirtualGpu(TESLA_C2050, Clock(), "reversi", 3, playout="compiled")
+        for _ in range(2)
+    )
+
+    def launch():
+        return gpu.run_playouts(forest.positions_of(leaves), config)
+
+    result = benchmark.pedantic(launch, iterations=1, rounds=5)
+    states = [forest.state_of(leaf) for leaf in leaves]
+    for _ in range(gpu.stats.kernels_launched):
+        want = twin.run_playouts(states, config)
+    assert result.winners.tolist() == want.winners.tolist()
+    assert result.scores.tolist() == want.scores.tolist()
+    assert result.block_steps.tolist() == want.block_steps.tolist()
+    assert result.timing == want.timing and gpu.clock.now == twin.clock.now
 
 
 def test_micro_rng_batch(benchmark):

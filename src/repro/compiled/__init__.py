@@ -3,10 +3,14 @@
 Public surface:
 
 * :func:`compiled_available` -- is the toolchain-built library usable?
-* :func:`run_playouts_tracked_compiled` -- bit-identical drop-in for
-  :func:`repro.games.batch.run_playouts_tracked`.
+* :func:`block_compiled` -- the virtual GPU's entry: positions x lanes
+  per position on the caller's generator, winners / scores / finish
+  steps out.
 * :func:`launch_compiled` -- the one-call launch entry: states and a
   lane-seed range in, winners / finish steps out.
+* :func:`run_playouts_tracked_compiled` -- bit-identical drop-in for
+  :func:`repro.games.batch.run_playouts_tracked` (benchmark ladder and
+  tests).
 * :data:`COMPILED_GAMES` -- games with a compiled kernel.
 * :class:`ArenaColumns` / :func:`select_expand_compiled` /
   :func:`backprop_compiled` / :func:`backprop_winners_compiled` -- the
@@ -28,7 +32,9 @@ from repro.compiled.runner import (
     ArenaColumns,
     backprop_compiled,
     backprop_winners_compiled,
+    block_compiled,
     compiled_available,
+    distinct_trees,
     distinct_trees_error,
     expand_compiled,
     expand_kernel,
@@ -42,9 +48,11 @@ __all__ = [
     "COMPILED_GAMES",
     "backprop_compiled",
     "backprop_winners_compiled",
+    "block_compiled",
     "build_library",
     "compiled_available",
     "compiled_disabled",
+    "distinct_trees",
     "distinct_trees_error",
     "expand_compiled",
     "expand_kernel",

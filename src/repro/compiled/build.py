@@ -164,6 +164,16 @@ _LAZY_SIGNATURES = {
         + [ctypes.c_void_p] * 2
         + [ctypes.c_int64],
     ),
+    # (k, p1, p2, to_move, lanes, s0, s1, winners, scores, finish,
+    #  max_steps, min_compact, thr)
+    "block": (
+        ctypes.c_int,
+        [ctypes.c_int64]
+        + [ctypes.c_void_p] * 3
+        + [ctypes.c_int64]
+        + [ctypes.c_void_p] * 5
+        + [ctypes.c_int64, ctypes.c_int64, ctypes.c_double],
+    ),
     # (n, base, lo, s0, s1)
     "lane_states": (
         None,

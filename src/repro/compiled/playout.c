@@ -2,11 +2,15 @@
  * and the tree arena's kernels: descent + expansion and backprop (last
  * two sections).
  *
- * Each game has one move loop (`<game>_lane`) behind two exports:
- * `repro_<game>_playouts` takes a NumPy batch object's fields and the
- * caller's generator (the virtual GPU's launches), `repro_<game>_launch`
- * takes absolute planes and a lane-seed range and derives the rest here
- * (the serving batchers' and `BatchExecutor`'s launches).
+ * Each game has one move loop (`<game>_lane`) behind three exports.
+ * `repro_<game>_launch` takes absolute planes and a lane-seed range (the
+ * serving batchers' and `BatchExecutor`'s launches); `repro_<game>_block`
+ * takes absolute planes, a lane count per position and the caller's
+ * generator (the virtual GPU's launches: block b plays from position b).
+ * Both derive what a playout starts from -- the mover's perspective,
+ * over at entry -- here, once per position (`<game>_entry`).
+ * `repro_<game>_playouts` takes a NumPy batch object's fields, already
+ * derived, and the caller's generator (benchmark ladder and tests).
  *
  * Each function replays the exact per-lane semantics of the vectorised
  * NumPy batch games (the `<game>_batch.py` modules of repro/games) one
@@ -26,12 +30,12 @@
  * RNG side-effect contract: the NumPy driver (`run_playouts_tracked`)
  * advances the *caller's* generator in lockstep until the batch first
  * compacts (after which a selected child generator advances instead).
- * The `*_playouts` exports reproduce that observable state: after
- * playing, every lane's (s0, s1) is rewritten to its initial state
- * advanced by the step at which the first compaction would have fired
- * (or by the full playout length when no compaction triggers).  The
- * `*_launch` exports seed their own lanes and have no caller generator
- * to settle.
+ * The `*_block` and `*_playouts` exports reproduce that observable
+ * state: after playing, every lane's (s0, s1) is rewritten to its
+ * initial state advanced by the step at which the first compaction
+ * would have fired (or by the full playout length when no compaction
+ * triggers).  The `*_launch` exports seed their own lanes and have no
+ * caller generator to settle.
  *
  * Built at runtime by repro.compiled.build via the system C compiler;
  * absence of a toolchain falls back to the NumPy path.
@@ -103,36 +107,6 @@ static inline void lane_state(uint64_t base, uint64_t lane, uint64_t *s0,
      * two arguments differ.  Kept because `_lane_states` has the rule.) */
     if (*s0 == 0 && *s1 == 0)
         *s1 = GOLDEN;
-}
-
-/* -- launch entry (must match repro/core/executors.py::launch_numpy) ---- */
-
-/* A game's playout from one absolute position with a freshly seeded
- * generator: the side to move's perspective, terminal-at-entry as the
- * game's `make_batch` decides it, then the game's `*_lane`. */
-typedef int64_t (*start_fn)(uint64_t p1, uint64_t p2, int tm, uint64_t s0,
-                            uint64_t s1, int64_t max_steps, int *score);
-
-/* One playout per position (p1[i], p2[i], to_move[i]) on lane lo + i of
- * the family `base`; writes winners[i] and finish[i], allocates
- * nothing.  Returns 0, or -1 when a lane exceeds `max_steps`. */
-FORCE_INLINE int launch_lanes(int64_t n, const uint64_t *p1,
-                              const uint64_t *p2, const int8_t *to_move,
-                              uint64_t base, int64_t lo, int8_t *winners,
-                              int64_t *finish, int64_t max_steps,
-                              start_fn start)
-{
-    for (int64_t i = 0; i < n; i++) {
-        uint64_t s0, s1;
-        lane_state(base, (uint64_t)lo + (uint64_t)i, &s0, &s1);
-        int score;
-        finish[i] = start(p1[i], p2[i], to_move[i], s0, s1, max_steps,
-                          &score);
-        if (finish[i] < 0)
-            return -1;
-        winners[i] = sign_of(score);
-    }
-    return 0;
 }
 
 /* -- first-compaction step (must match run_playouts_tracked) ------------ */
@@ -207,6 +181,89 @@ static uint64_t *copy_u64(const uint64_t *src, int64_t n)
         for (int64_t i = 0; i < n; i++)
             out[i] = src[i];
     return out;
+}
+
+/* -- entries from absolute positions ------------------------------------ */
+
+/* What a game's playouts from one absolute position (p1, p2, side to
+ * move) start from: the two boards as its `*_lane` takes them --
+ * Reversi's from the mover's perspective -- and whether the game is over
+ * before the first ply, as the game's `make_batch` decides it.
+ * `<game>_entry` derives it, once per position; `<game>_from` plays one
+ * lane from it. */
+typedef struct {
+    uint64_t a, b;
+    int over;
+} entry_t;
+
+typedef entry_t (*entry_fn)(uint64_t p1, uint64_t p2, int tm);
+typedef int64_t (*from_fn)(entry_t e, int tm, uint64_t s0, uint64_t s1,
+                           int64_t max_steps, int *score);
+
+/* The launch entry (must match repro/core/executors.py::launch_numpy):
+ * one playout per position (p1[i], p2[i], to_move[i]) on lane lo + i of
+ * the family `base`; writes winners[i] and finish[i], allocates
+ * nothing.  Returns 0, or -1 when a lane exceeds `max_steps`. */
+FORCE_INLINE int launch_lanes(int64_t n, const uint64_t *p1,
+                              const uint64_t *p2, const int8_t *to_move,
+                              uint64_t base, int64_t lo, int8_t *winners,
+                              int64_t *finish, int64_t max_steps,
+                              entry_fn entry, from_fn from)
+{
+    for (int64_t i = 0; i < n; i++) {
+        uint64_t s0, s1;
+        lane_state(base, (uint64_t)lo + (uint64_t)i, &s0, &s1);
+        int score;
+        finish[i] = from(entry(p1[i], p2[i], to_move[i]), to_move[i], s0,
+                         s1, max_steps, &score);
+        if (finish[i] < 0)
+            return -1;
+        winners[i] = sign_of(score);
+    }
+    return 0;
+}
+
+/* The block entry (must match
+ * repro/core/executors.py::launch_block_numpy): `lanes` playouts per
+ * position, lanes [i * lanes, (i + 1) * lanes) of the caller's k * lanes
+ * wide generator (s0, s1) playing from position i -- a kernel launch in
+ * which block i's threads play from tree i's leaf.  Writes every lane
+ * of winners / scores / finish and settles the generator where the
+ * lockstep driver would leave it.  Returns 0; -1 when a lane exceeds
+ * `max_steps`; -2 when an allocation fails (generator untouched). */
+FORCE_INLINE int block_lanes(int64_t k, const uint64_t *p1,
+                             const uint64_t *p2, const int8_t *to_move,
+                             int64_t lanes, uint64_t *s0, uint64_t *s1,
+                             int8_t *winners, int16_t *scores,
+                             int64_t *finish, int64_t max_steps,
+                             int64_t min_compact, double thr,
+                             entry_fn entry, from_fn from)
+{
+    int64_t n = k * lanes;
+    uint64_t *init_s0 = copy_u64(s0, n), *init_s1 = copy_u64(s1, n);
+    if (!init_s0 || !init_s1) {
+        free(init_s0);
+        free(init_s1);
+        return -2;
+    }
+    int err = 0;
+    for (int64_t i = 0; i < k && !err; i++) {
+        entry_t e = entry(p1[i], p2[i], to_move[i]);
+        for (int64_t j = i * lanes; j < (i + 1) * lanes; j++) {
+            int score;
+            int64_t steps = from(e, to_move[i], s0[j], s1[j], max_steps,
+                                 &score);
+            if (steps < 0) {
+                err = 1;
+                break;
+            }
+            finish[j] = steps;
+            scores[j] = (int16_t)score;
+            winners[j] = sign_of(score);
+        }
+    }
+    return finalize(n, s0, s1, init_s0, init_s1, finish, min_compact,
+                    thr, err);
 }
 
 /* -- Reversi (must match repro/games/reversi_batch.py) ------------------ */
@@ -342,16 +399,20 @@ int repro_reversi_playouts(
                     thr, err);
 }
 
-/* Over at entry when neither side has a move (finish step 0, not two
- * passes), as `BatchReversi.make_batch` sets `done`. */
-static inline int64_t rev_start(uint64_t black, uint64_t white, int tm,
-                                uint64_t s0, uint64_t s1, int64_t max_steps,
-                                int *score)
+/* The mover's perspective; over at entry when neither side has a move
+ * (finish step 0, not two passes), as `BatchReversi.make_batch` sets
+ * `done`. */
+static inline entry_t rev_entry(uint64_t black, uint64_t white, int tm)
 {
-    uint64_t own = tm == 1 ? black : white;
-    uint64_t opp = tm == 1 ? white : black;
-    int over = !rev_mobility(own, opp) && !rev_mobility(opp, own);
-    return rev_lane(own, opp, tm, 0, over, s0, s1, max_steps, score);
+    entry_t e = {tm == 1 ? black : white, tm == 1 ? white : black, 0};
+    e.over = !rev_mobility(e.a, e.b) && !rev_mobility(e.b, e.a);
+    return e;
+}
+
+static inline int64_t rev_from(entry_t e, int tm, uint64_t s0, uint64_t s1,
+                               int64_t max_steps, int *score)
+{
+    return rev_lane(e.a, e.b, tm, 0, e.over, s0, s1, max_steps, score);
 }
 
 int repro_reversi_launch(
@@ -360,7 +421,18 @@ int repro_reversi_launch(
     int64_t max_steps)
 {
     return launch_lanes(n, p1, p2, to_move, base, lo, winners, finish,
-                        max_steps, rev_start);
+                        max_steps, rev_entry, rev_from);
+}
+
+int repro_reversi_block(
+    int64_t k, const uint64_t *p1, const uint64_t *p2, const int8_t *to_move,
+    int64_t lanes, uint64_t *s0, uint64_t *s1, int8_t *winners,
+    int16_t *scores, int64_t *finish, int64_t max_steps,
+    int64_t min_compact, double thr)
+{
+    return block_lanes(k, p1, p2, to_move, lanes, s0, s1, winners, scores,
+                       finish, max_steps, min_compact, thr, rev_entry,
+                       rev_from);
 }
 
 /* -- TicTacToe (must match repro/games/tictactoe_batch.py) -------------- */
@@ -441,10 +513,17 @@ int repro_tictactoe_playouts(
                     thr, err);
 }
 
-static inline int64_t ttt_start(uint64_t x, uint64_t o, int tm, uint64_t s0,
-                                uint64_t s1, int64_t max_steps, int *score)
+static inline entry_t ttt_entry(uint64_t x, uint64_t o, int tm)
 {
-    return ttt_lane(x, o, tm, ttt_over(x, o), s0, s1, max_steps, score);
+    (void)tm;
+    entry_t e = {x, o, ttt_over(x, o)};
+    return e;
+}
+
+static inline int64_t ttt_from(entry_t e, int tm, uint64_t s0, uint64_t s1,
+                               int64_t max_steps, int *score)
+{
+    return ttt_lane(e.a, e.b, tm, e.over, s0, s1, max_steps, score);
 }
 
 int repro_tictactoe_launch(
@@ -453,7 +532,18 @@ int repro_tictactoe_launch(
     int64_t max_steps)
 {
     return launch_lanes(n, p1, p2, to_move, base, lo, winners, finish,
-                        max_steps, ttt_start);
+                        max_steps, ttt_entry, ttt_from);
+}
+
+int repro_tictactoe_block(
+    int64_t k, const uint64_t *p1, const uint64_t *p2, const int8_t *to_move,
+    int64_t lanes, uint64_t *s0, uint64_t *s1, int8_t *winners,
+    int16_t *scores, int64_t *finish, int64_t max_steps,
+    int64_t min_compact, double thr)
+{
+    return block_lanes(k, p1, p2, to_move, lanes, s0, s1, winners, scores,
+                       finish, max_steps, min_compact, thr, ttt_entry,
+                       ttt_from);
 }
 
 /* -- Connect-4 (must match repro/games/connect4_batch.py) --------------- */
@@ -537,10 +627,17 @@ int repro_connect4_playouts(
                     thr, err);
 }
 
-static inline int64_t c4_start(uint64_t p1, uint64_t p2, int tm, uint64_t s0,
-                               uint64_t s1, int64_t max_steps, int *score)
+static inline entry_t c4_entry(uint64_t p1, uint64_t p2, int tm)
 {
-    return c4_lane(p1, p2, tm, c4_over(p1, p2), s0, s1, max_steps, score);
+    (void)tm;
+    entry_t e = {p1, p2, c4_over(p1, p2)};
+    return e;
+}
+
+static inline int64_t c4_from(entry_t e, int tm, uint64_t s0, uint64_t s1,
+                              int64_t max_steps, int *score)
+{
+    return c4_lane(e.a, e.b, tm, e.over, s0, s1, max_steps, score);
 }
 
 int repro_connect4_launch(
@@ -549,7 +646,18 @@ int repro_connect4_launch(
     int64_t max_steps)
 {
     return launch_lanes(n, p1, p2, to_move, base, lo, winners, finish,
-                        max_steps, c4_start);
+                        max_steps, c4_entry, c4_from);
+}
+
+int repro_connect4_block(
+    int64_t k, const uint64_t *p1, const uint64_t *p2, const int8_t *to_move,
+    int64_t lanes, uint64_t *s0, uint64_t *s1, int8_t *winners,
+    int16_t *scores, int64_t *finish, int64_t max_steps,
+    int64_t min_compact, double thr)
+{
+    return block_lanes(k, p1, p2, to_move, lanes, s0, s1, winners, scores,
+                       finish, max_steps, min_compact, thr, c4_entry,
+                       c4_from);
 }
 
 /* -- Batch node expansion (must match repro/core/arena.py) --------------- */

@@ -1,22 +1,32 @@
-"""Compiled drop-in for :func:`repro.games.batch.run_playouts_tracked`.
+"""The compiled playout executor's three entries (docs/fusion.md,
+"Launch entry"), and the tree arena's kernels.
 
-``run_playouts_tracked_compiled`` produces bit-identical results to the
-NumPy lockstep driver -- same winners, scores and finish steps, and the
-same side effect on the caller's :class:`BatchXorShift128Plus` (its
+:func:`block_compiled` is the virtual GPU's entry: ``k`` positions x
+``lanes_per_state`` lanes each on the *caller's* generator -- winners,
+scores and finish steps out, and the same side effect on the caller's
+:class:`BatchXorShift128Plus` as the NumPy lockstep driver has (its
 lanes end advanced exactly as far as the lockstep loop would have
-advanced them before the first compaction).  Environments without a C
-toolchain silently fall back to the NumPy path (nothing the user can
-act on); a game *without a compiled kernel* (breakthrough -- see the
-known-gaps note in docs/fusion.md) also falls back, but warns once per
-game so an ``@compiled`` spec never silently runs slower than asked.
-The differential suite pins the equivalence either way.
+advanced them before the first compaction) -- with the perspective swap
+and the terminal-at-entry test done in C, once per position.  The NumPy
+composition (:func:`repro.core.executors.launch_block_numpy`) is its
+oracle.
 
 :func:`launch_compiled` is the one-call entry for a *fresh* lane family
-over a list of states (docs/fusion.md, "Launch entry"): positions and a
-lane-seed range in, winners and finish steps out, with the lane seeding,
-the terminal-at-entry test and the perspective swap done in C.  Same
-fallback rules; the NumPy composition
-(:func:`repro.core.executors.launch_numpy`) is its oracle.
+over a list of states: positions and a lane-seed range in, winners and
+finish steps out, with the lane seeding done in C as well.  Its oracle
+is :func:`repro.core.executors.launch_numpy`.
+
+:func:`run_playouts_tracked_compiled` is the bit-identical drop-in for
+:func:`repro.games.batch.run_playouts_tracked` on an already built
+batch object; the benchmark ladder and ``tests/compiled/test_runner.py``
+call it, the product no longer does.
+
+Environments without a C toolchain silently fall back to the NumPy path
+(nothing the user can act on); a game *without a compiled kernel*
+(breakthrough -- see the known-gaps note in docs/fusion.md) also falls
+back, but warns once per game so an ``@compiled`` spec never silently
+runs slower than asked.  The differential suites pin the equivalence
+either way.
 
 The same library carries the tree arena's kernels: descent + expansion
 and backprop over :class:`ArenaColumns` (:func:`select_expand_compiled`,
@@ -35,7 +45,10 @@ import numpy as np
 
 from repro.compiled.build import load_library, lazy_export
 from repro.games.batch import (
+    COMPACT_THRESHOLD,
+    MIN_COMPACT_SIZE,
     BatchGame,
+    Positions,
     TrackedPlayouts,
     run_playouts_tracked,
 )
@@ -110,8 +123,8 @@ def run_playouts_tracked_compiled(
     game: BatchGame,
     batch,
     rng: BatchXorShift128Plus,
-    compact_threshold: float = 0.5,
-    min_compact_size: int = 64,
+    compact_threshold: float = COMPACT_THRESHOLD,
+    min_compact_size: int = MIN_COMPACT_SIZE,
 ) -> TrackedPlayouts:
     """Drive a batch to completion through the compiled kernel.
 
@@ -145,37 +158,41 @@ def run_playouts_tracked_compiled(
     # Arrays cross as raw addresses (argtypes are c_void_p); the locals
     # above and below keep every converted copy alive across the call.
     common = (
-        s0.ctypes.data,
-        s1.ctypes.data,
-        winners.ctypes.data,
-        scores.ctypes.data,
-        finish.ctypes.data,
+        _address(s0),
+        _address(s1),
+        _address(winners),
+        _address(scores),
+        _address(finish),
         game.max_game_length,
         min_compact_size,
         compact_threshold,
     )
     if game.name == "reversi":
-        own = np.ascontiguousarray(batch.own, dtype=np.uint64)
-        opp = np.ascontiguousarray(batch.opp, dtype=np.uint64)
-        passed = np.ascontiguousarray(batch.passed, dtype=np.uint8)
-        rc = lib.repro_reversi_playouts(
-            n, own.ctypes.data, opp.ctypes.data, to_move.ctypes.data,
-            passed.ctypes.data, done.ctypes.data, *common,
+        kernel = lib.repro_reversi_playouts
+        fields = (
+            np.ascontiguousarray(batch.own, dtype=np.uint64),
+            np.ascontiguousarray(batch.opp, dtype=np.uint64),
+            to_move,
+            np.ascontiguousarray(batch.passed, dtype=np.uint8),
+            done,
         )
     elif game.name == "tictactoe":
-        x = np.ascontiguousarray(batch.x, dtype=np.uint64)
-        o = np.ascontiguousarray(batch.o, dtype=np.uint64)
-        rc = lib.repro_tictactoe_playouts(
-            n, x.ctypes.data, o.ctypes.data, to_move.ctypes.data,
-            done.ctypes.data, *common,
+        kernel = lib.repro_tictactoe_playouts
+        fields = (
+            np.ascontiguousarray(batch.x, dtype=np.uint64),
+            np.ascontiguousarray(batch.o, dtype=np.uint64),
+            to_move,
+            done,
         )
     else:  # connect4
-        p1 = np.ascontiguousarray(batch.p1, dtype=np.uint64)
-        p2 = np.ascontiguousarray(batch.p2, dtype=np.uint64)
-        rc = lib.repro_connect4_playouts(
-            n, p1.ctypes.data, p2.ctypes.data, to_move.ctypes.data,
-            done.ctypes.data, *common,
+        kernel = lib.repro_connect4_playouts
+        fields = (
+            np.ascontiguousarray(batch.p1, dtype=np.uint64),
+            np.ascontiguousarray(batch.p2, dtype=np.uint64),
+            to_move,
+            done,
         )
+    rc = kernel(n, *(_address(field, False) for field in fields), *common)
     if rc == -1:
         raise _too_long(game)
     if rc != 0:
@@ -193,22 +210,12 @@ _staged_planes = np.zeros((2, 0), dtype=np.uint64)
 _staged_to_move = np.zeros(0, dtype=np.int8)
 
 
-def launch_columns(
-    kernel,
-    game: BatchGame,
-    plane1: np.ndarray,
-    plane2: np.ndarray,
-    to_move: np.ndarray,
-    family_seed: int,
-    lo: int = 0,
-) -> tuple[np.ndarray, np.ndarray]:
-    """The kernel half of :func:`launch_compiled`: one playout per
-    position ``(plane1[i], plane2[i], to_move[i])`` (absolute colours,
-    as the tree arena's columns hold them) on lane ``lo + i`` of
-    ``family_seed``'s stream family, through ``kernel``, the game's
-    ``repro_<game>_launch`` export.  The lane count is the columns' own
-    length, so the kernel cannot be told to read past them; the two
-    outputs are fresh arrays."""
+def _position_count(
+    plane1: np.ndarray, plane2: np.ndarray, to_move: np.ndarray
+) -> int:
+    """How many positions a launch's three input columns hold: the
+    columns' own length, so a kernel cannot be told to read past them.
+    Refuses any that is not the array the kernels read."""
     n = to_move.shape[0]
     for column, dtype in (
         (plane1, np.uint64), (plane2, np.uint64), (to_move, np.int8)
@@ -222,6 +229,24 @@ def launch_columns(
                 f"launch column {column.dtype}{column.shape} is not the "
                 f"contiguous {np.dtype(dtype)}({n},) the kernel reads"
             )
+    return n
+
+
+def launch_columns(
+    kernel,
+    game: BatchGame,
+    plane1: np.ndarray,
+    plane2: np.ndarray,
+    to_move: np.ndarray,
+    family_seed: int,
+    lo: int = 0,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The kernel half of :func:`launch_compiled`: one playout per
+    position ``(plane1[i], plane2[i], to_move[i])`` (absolute colours,
+    as the tree arena's columns hold them) on lane ``lo + i`` of
+    ``family_seed``'s stream family, through ``kernel``, the game's
+    ``repro_<game>_launch`` export.  The two outputs are fresh arrays."""
+    n = _position_count(plane1, plane2, to_move)
     # Lane indices cross into C as ``int64``: refuse what would wrap.
     if lo < 0 or lo + n > 2**63:
         raise ValueError(
@@ -251,9 +276,11 @@ def launch_compiled(
     also runs when there is nothing to launch, no library or no kernel
     for the game.
 
-    The three compiled games' states *are* their ``(plane1, plane2,
+    ``states`` is a sequence of states or a :class:`Positions`.  The
+    three compiled games' states *are* their ``(plane1, plane2,
     to_move)`` triples (what ``Game.state_from_planes`` builds), so
-    staging them is three column copies.
+    staging a sequence is three column copies into buffers the call
+    does not keep; a :class:`Positions` brings (and keeps) its own.
     """
     global _staged_planes, _staged_to_move
     n = len(states)
@@ -263,16 +290,96 @@ def launch_compiled(
         from repro.core.executors import launch_numpy
 
         return launch_numpy(game, states, family_seed, lo)
-    if _staged_to_move.shape[0] < n:
-        room = max(n, 2 * _staged_to_move.shape[0])
-        _staged_planes = np.zeros((2, room), dtype=np.uint64)
-        _staged_to_move = np.zeros(room, dtype=np.int8)
-    plane1, plane2 = _staged_planes[:, :n]
-    to_move = _staged_to_move[:n]
-    plane1[:], plane2[:], to_move[:] = zip(*states)
+    if isinstance(states, Positions):
+        plane1, plane2, to_move = states.columns()
+    else:
+        if _staged_to_move.shape[0] < n:
+            room = max(n, 2 * _staged_to_move.shape[0])
+            _staged_planes = np.zeros((2, room), dtype=np.uint64)
+            _staged_to_move = np.zeros(room, dtype=np.int8)
+        plane1, plane2 = _staged_planes[:, :n]
+        to_move = _staged_to_move[:n]
+        plane1[:], plane2[:], to_move[:] = zip(*states)
     kernel = lazy_export(lib, "launch", game.name)
     return launch_columns(
         kernel, game, plane1, plane2, to_move, family_seed, lo
+    )
+
+
+def block_columns(
+    kernel,
+    game: BatchGame,
+    plane1: np.ndarray,
+    plane2: np.ndarray,
+    to_move: np.ndarray,
+    lanes_per_state: int,
+    rng: BatchXorShift128Plus,
+) -> TrackedPlayouts:
+    """The kernel half of :func:`block_compiled`: ``lanes_per_state``
+    playouts per position ``(plane1[i], plane2[i], to_move[i])``
+    (absolute colours), lanes ``[i * lanes_per_state, (i + 1) *
+    lanes_per_state)`` of ``rng`` playing position ``i``, through
+    ``kernel``, the game's ``repro_<game>_block`` export.  ``rng`` is
+    left where :func:`run_playouts_tracked` would leave it -- or
+    untouched, when the launch is refused or fails."""
+    k = _position_count(plane1, plane2, to_move)
+    if lanes_per_state <= 0:
+        raise ValueError(
+            f"lanes_per_state must be positive, got {lanes_per_state}"
+        )
+    # Lane counts cross into C as ``int64``: refuse what would wrap.
+    n = k * lanes_per_state
+    if n >= 2**63:
+        raise ValueError(
+            f"{k} positions x {lanes_per_state} lanes do not fit int64"
+        )
+    n_rng, s0, s1 = rng.getstate()
+    if n_rng != n:
+        raise ValueError(
+            f"rng has {n_rng} lanes for a {k} x {lanes_per_state}-lane "
+            f"launch"
+        )
+    # The kernel writes every lane of the three outputs.
+    winners = np.empty(n, dtype=np.int8)
+    scores = np.empty(n, dtype=np.int16)
+    finish = np.empty(n, dtype=np.int64)
+    rc = kernel(
+        k, _address(plane1, False), _address(plane2, False),
+        _address(to_move, False), lanes_per_state, _address(s0),
+        _address(s1), _address(winners), _address(scores),
+        _address(finish), game.max_game_length, MIN_COMPACT_SIZE,
+        COMPACT_THRESHOLD,
+    )
+    if rc == -1:
+        raise _too_long(game)
+    if rc != 0:
+        raise MemoryError("compiled playout kernel allocation failed")
+    rng.setstate((n, s0, s1))
+    return TrackedPlayouts(
+        winners=winners, scores=scores, finish_steps=finish
+    )
+
+
+def block_compiled(
+    game: BatchGame,
+    positions: Positions,
+    lanes_per_state: int,
+    rng: BatchXorShift128Plus,
+) -> TrackedPlayouts:
+    """``lanes_per_state`` playouts per position on the caller's
+    ``len(positions) * lanes_per_state`` wide generator: outcomes and
+    generator state equal lane for lane to
+    :func:`repro.core.executors.launch_block_numpy` -- which also runs
+    when there is no library or no kernel for the game."""
+    lib = _playout_library(game.name)
+    if lib is None:
+        # Imported here: ``repro.core`` imports this module.
+        from repro.core.executors import launch_block_numpy
+
+        return launch_block_numpy(game, positions, lanes_per_state, rng)
+    kernel = lazy_export(lib, "block", game.name)
+    return block_columns(
+        kernel, game, *positions.columns(), lanes_per_state, rng
     )
 
 
@@ -456,12 +563,23 @@ def _check_rows(cols: ArenaColumns, k: int) -> None:
 
 def distinct_trees_error(rows, n_trees: int) -> ValueError:
     """What a round over ``rows`` -- a repeated tree, or one outside
-    the arena -- is refused with, by the kernel and by the Python body
-    alike."""
+    the arena -- is refused with, by the kernel and by the Python
+    bodies of both stores alike."""
     return ValueError(
         f"rows {np.asarray(rows).tolist()} for {n_trees} trees: a round "
         f"takes distinct trees, none outside the arena"
     )
+
+
+def distinct_trees(indices, n_trees: int) -> list[int]:
+    """``indices`` as a list of ints, after the check the select kernel
+    makes on its rows: distinct trees, none outside ``[0, n_trees)``."""
+    trees = np.asarray(indices, dtype=np.int64).tolist()
+    if len(set(trees)) != len(trees) or not all(
+        0 <= t < n_trees for t in trees
+    ):
+        raise distinct_trees_error(trees, n_trees)
+    return trees
 
 
 #: ``BAD_TREES`` of ``playout.c``.

@@ -44,7 +44,9 @@ in place on the columns (``repro/compiled/playout.c``, "Tree descent +
 expansion"): :meth:`select_round` descends all ``B`` trees, expands one
 child of each and hands back the leaves' states and terminal flags as
 plain lists (:meth:`select_expand_all` is the same call read as two
-arrays), :meth:`backprop_winners` / :meth:`backprop_many` walk all
+arrays, and :meth:`positions_of` gathers the leaves' positions as the
+columns a kernel launch reads -- what the GPU engines step through),
+:meth:`backprop_winners` / :meth:`backprop_many` walk all
 ``B`` paths, :meth:`select_expand` is the same kernel on one tree.
 That needs a kernel for the game and a C toolchain; without them the
 Python bodies (:meth:`TreeArena._descend`, ``_expand``, ``backprop``)
@@ -62,6 +64,7 @@ from repro.compiled import (
     ArenaColumns,
     backprop_compiled,
     backprop_winners_compiled,
+    distinct_trees,
     distinct_trees_error,
     select_expand_compiled,
 )
@@ -70,6 +73,7 @@ from repro.core.policy import (
     validate_selection_rule,
 )
 from repro.games.base import Game, GameState
+from repro.games.batch import Positions
 from repro.integrity.audit import audit_root_stats
 from repro.rng import XorShift64Star
 from repro.util.bitops import bits_of
@@ -348,13 +352,9 @@ class TreeArena:
         if indices is None:
             trees = list(range(self.n_trees))
         else:
-            trees = np.asarray(indices, dtype=np.int64).tolist()
             # Checked before anything is written: a tree walked twice
             # in one round overruns its reserved span.
-            if len(set(trees)) != len(trees) or not all(
-                0 <= t < self.n_trees for t in trees
-            ):
-                raise distinct_trees_error(trees, self.n_trees)
+            trees = distinct_trees(indices, self.n_trees)
         stops = [self._descend(t) for t in trees]
         leaves = [node for node, _ in stops]
         depths = [depth for _, depth in stops]
@@ -577,6 +577,31 @@ class TreeArena:
         i = int(ref)
         return self.game.state_from_planes(
             self.plane1.item(i), self.plane2.item(i), self.to_move.item(i)
+        )
+
+    def positions_of(self, refs) -> Positions:
+        """The positions of ``refs`` as the input of one kernel launch:
+        :meth:`state_of` of each, held as three gathered columns -- no
+        state is built unless somebody iterates.  A ref that is not an
+        initialised slot is a ``ValueError``."""
+        refs = np.asarray(refs, dtype=np.int64)
+        # One bound check for both ends: a negative ref (which NumPy
+        # would wrap to the arena's tail) reads as a huge unsigned one.
+        if refs.ndim != 1 or (
+            refs.size and refs.view(np.uint64).max() >= self._allocated
+        ):
+            raise ValueError(
+                f"refs {refs.tolist()} are not all slots of the "
+                f"{self._allocated} allocated"
+            )
+        to_move = self.to_move[refs]
+        if not to_move.all():
+            raise ValueError(
+                f"refs {refs[to_move == 0].tolist()} are reserved slots "
+                f"that hold no position yet"
+            )
+        return Positions.from_columns(
+            self.game, self.plane1[refs], self.plane2[refs], to_move
         )
 
     def terminal_of(self, ref: int) -> bool:

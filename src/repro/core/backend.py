@@ -27,9 +27,11 @@ from __future__ import annotations
 
 from typing import Sequence
 
+from repro.compiled import distinct_trees
 from repro.core.arena import TreeArena
 from repro.core.tree import SearchTree
 from repro.games.base import Game, GameState
+from repro.games.batch import Positions
 from repro.rng import XorShift64Star
 
 #: Supported tree backends.
@@ -61,8 +63,13 @@ class NodeForest:
 
     def select_round(self, indices=None):
         """One ``select_expand`` per tree of ``indices`` (all when
-        ``None``): ``(refs, depths, states, terminal)``, four lists."""
-        which = range(self.n_trees) if indices is None else indices
+        ``None``): ``(refs, depths, states, terminal)``, four lists.
+        A repeated or out-of-range index is the arena's ``ValueError``,
+        raised before any tree is walked."""
+        if indices is None:
+            which = range(self.n_trees)
+        else:
+            which = distinct_trees(indices, self.n_trees)
         refs, depths = [], []
         for t in which:
             node, depth = self.trees[t].select_expand()
@@ -119,6 +126,9 @@ class NodeForest:
 
     def state_of(self, ref) -> GameState:
         return ref.state
+
+    def positions_of(self, refs) -> Positions:
+        return Positions([ref.state for ref in refs])
 
     def terminal_of(self, ref) -> bool:
         return ref.terminal

@@ -413,13 +413,16 @@ class Engine(abc.ABC):
 
     def _charge_tree_control(self, depths) -> None:
         """Charge the controlling CPU's per-tree share of one GPU
-        iteration (``select_round``'s depths, plain ints).
+        iteration (``select_expand_all``'s depths).
         ``tree_control_time`` is a pure function of depth; memoising it
         repeats the exact same floats, so clock accumulation (and every
         budget decision) is unchanged -- including across a checkpoint
         / restore boundary, where the cache refills identically."""
         cache = self._control_time
         advance = self.clock.advance
+        # Plain ints: an ``np.int64`` key costs the look-up 3-4x.
+        if isinstance(depths, np.ndarray):
+            depths = depths.tolist()
         for depth in depths:
             t = cache.get(depth)
             if t is None:

@@ -90,17 +90,19 @@ class BlockParallelMcts(Engine):
             and live["iterations"] < cap
         ) or live["iterations"] == 0:
             # Sequential part: the one controlling CPU walks each tree
-            # (one lockstep round on the arena backend).
+            # (one lockstep round on the arena backend) and hands the
+            # kernel the leaves' positions (there, three columns).
             with prof.phase("select"):
-                leaves, depths, states, _ = forest.select_round()
+                leaves, depths = forest.select_expand_all()
+                positions = forest.positions_of(leaves)
                 self._charge_tree_control(depths)
             with prof.phase("playout"):
                 if guard is None:
-                    result = self.gpu.run_playouts(states, self.config)
+                    result = self.gpu.run_playouts(positions, self.config)
                     winners = result.winners
                     live["simulations"] += result.playouts
                 else:
-                    winners = self._screened_winners(states, live, guard)
+                    winners = self._screened_winners(positions, live, guard)
             with prof.phase("backprop"):
                 per_block = winners.reshape(blocks, tpb)
                 forest.backprop_block(leaves, tpb, per_block)
@@ -113,7 +115,7 @@ class BlockParallelMcts(Engine):
         )
 
     def _screened_winners(
-        self, states, live: dict, guard
+        self, positions, live: dict, guard
     ) -> np.ndarray:
         """Run the kernel, screen its readback, and retry rejects.
 
@@ -126,7 +128,7 @@ class BlockParallelMcts(Engine):
         blocks = self.config.blocks
         tpb = self.config.threads_per_block
         for attempt in range(guard.policy.max_result_retries + 1):
-            result = self.gpu.run_playouts(states, self.config)
+            result = self.gpu.run_playouts(positions, self.config)
             live["simulations"] += result.playouts
             winners, ok = guard.screen_block(result.winners, blocks, tpb)
             if ok:

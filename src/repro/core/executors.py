@@ -3,8 +3,10 @@
 One constructor argument (or the ``@compiled`` spec modifier) switches
 the whole stack onto the compiled kernels, through two seams:
 
-* :func:`tracked_runner` -- drive a *batch object* to completion on the
-  *caller's* generator.  The virtual GPU launches this way: its
+* :func:`block_launcher` -- ``lanes_per_state`` playouts per position
+  on the *caller's* generator: ``launch_block(bg, positions,
+  lanes_per_state, rng) -> TrackedPlayouts``.  The virtual GPU launches
+  this way -- block ``b``'s lanes play from position ``b`` -- and its
   per-width generator persists across launches, so where a launch
   leaves it is observable.
 * :func:`playout_launcher` -- one playout per state on a *fresh* lane
@@ -12,13 +14,15 @@ the whole stack onto the compiled kernels, through two seams:
   finish_steps)``.  The serving batchers and
   :class:`~repro.core.base.BatchExecutor` launch this way; their
   generators never outlive the call, so the compiled body seeds the
-  lanes in C and takes positions, not a batch.
+  lanes in C.
 
-Both pairs of bodies are bit-identical by contract (same winners and
-finish steps; for the runner also scores and RNG side effects), which
-the differential walls pin (``tests/compiled/test_runner.py``,
-``tests/compiled/test_launch.py``); ``"compiled"`` degrades gracefully
-to the NumPy bodies when no C toolchain is present.
+The compiled bodies take positions (:class:`~repro.games.batch.Positions`
+columns), not a batch object.  Both pairs of bodies are bit-identical
+by contract (same winners and finish steps; for the block seam also
+scores and RNG side effects), which the differential walls pin
+(``tests/compiled/test_block.py``, ``tests/compiled/test_launch.py``);
+``"compiled"`` degrades gracefully to the NumPy bodies when no C
+toolchain is present.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ import numpy as np
 
 from repro.games.batch import (
     BatchGame,
+    Positions,
     TrackedPlayouts,
     run_playouts_tracked,
 )
@@ -37,7 +42,7 @@ from repro.rng import BatchXorShift128Plus
 #: Registered playout executors, in canonical order.
 PLAYOUT_EXECUTORS = ("numpy", "compiled")
 
-TrackedRunner = Callable[..., TrackedPlayouts]
+LaunchBlock = Callable[..., TrackedPlayouts]
 Launch = Callable[..., tuple[np.ndarray, np.ndarray]]
 
 
@@ -51,19 +56,35 @@ def validate_playout(playout: str) -> str:
     return playout
 
 
-def tracked_runner(playout: str) -> TrackedRunner:
-    """The ``run_playouts_tracked``-compatible driver for ``playout``.
+def launch_block_numpy(
+    bg: BatchGame,
+    positions: Positions | Sequence,
+    lanes_per_state: int,
+    rng: BatchXorShift128Plus,
+) -> TrackedPlayouts:
+    """``lanes_per_state`` playouts per position, lanes ``[i *
+    lanes_per_state, (i + 1) * lanes_per_state)`` of ``rng`` playing
+    position ``i``; ``rng`` ends advanced as far as the lockstep loop
+    ran before its first compaction.  The NumPy body of
+    :func:`block_launcher` and the oracle of the compiled one."""
+    batch = bg.make_batch(list(positions), lanes_per_state)
+    return run_playouts_tracked(bg, batch, rng)
 
-    ``"compiled"`` resolves lazily on every batch, so availability is
-    re-checked after environment changes and the fallback needs no
-    caller-side handling.
+
+def block_launcher(playout: str) -> LaunchBlock:
+    """The ``launch_block(bg, positions, lanes_per_state, rng)`` body
+    for ``playout``.
+
+    ``"compiled"`` consults the library on every launch, so
+    availability is re-checked after environment changes, and falls
+    back to :func:`launch_block_numpy` by itself.
     """
     validate_playout(playout)
     if playout == "compiled":
-        from repro.compiled import run_playouts_tracked_compiled
+        from repro.compiled import block_compiled
 
-        return run_playouts_tracked_compiled
-    return run_playouts_tracked
+        return block_compiled
+    return launch_block_numpy
 
 
 def launch_numpy(
@@ -93,7 +114,7 @@ def launch_numpy(
 
 def playout_launcher(playout: str) -> Launch:
     """The ``launch(bg, states, family_seed, lo=0)`` body for
-    ``playout``.  Like :func:`tracked_runner`, ``"compiled"`` consults
+    ``playout``.  Like :func:`block_launcher`, ``"compiled"`` consults
     the library on every launch and falls back to :func:`launch_numpy`
     by itself."""
     validate_playout(playout)
@@ -119,9 +140,10 @@ def playout_active(playout: str) -> str:
 
 __all__ = [
     "PLAYOUT_EXECUTORS",
+    "block_launcher",
+    "launch_block_numpy",
     "launch_numpy",
     "playout_launcher",
     "playout_active",
-    "tracked_runner",
     "validate_playout",
 ]

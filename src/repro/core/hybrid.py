@@ -72,9 +72,10 @@ class HybridMcts(Engine):
             and gpu_iterations < cap
         ) or gpu_iterations == 0:
             with prof.phase("select"):
-                leaves, depths, states, _ = forest.select_round()
+                leaves, depths = forest.select_expand_all()
+                positions = forest.positions_of(leaves)
                 self._charge_tree_control(depths)
-            event = self.gpu.launch_async(states, self.config)
+            event = self.gpu.launch_async(positions, self.config)
             # The GPU is busy; the CPU keeps deepening the same trees
             # (round-robin; the shared playout RNG makes this order
             # part of the engine's deterministic contract).

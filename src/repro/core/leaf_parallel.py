@@ -66,7 +66,7 @@ class LeafParallelMcts(Engine):
                 tree.backprop_winner(node, tree.winner_of(node), grid)
             else:
                 result = self.gpu.run_playouts(
-                    [tree.state_of(node)], self.config
+                    tree.positions_of([node]), self.config
                 )
                 wins_b, wins_w, draws = tally(result.winners)
                 tree.backprop(node, grid, wins_b, wins_w, draws)

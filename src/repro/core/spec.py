@@ -45,6 +45,7 @@ every engine through this factory.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
@@ -99,6 +100,7 @@ def register_engine(
         or (name if not positional else f"{name}:" + "x".join("8" * len(positional))),
     )
     _KINDS[name] = kind
+    canonical_spec.cache_clear()
     return kind
 
 
@@ -145,6 +147,7 @@ def register_modifier(modifier: SpecModifier) -> SpecModifier:
             "flag_params, a value_param, or both"
         )
     _MODIFIERS[modifier.name] = modifier
+    canonical_spec.cache_clear()
     return modifier
 
 
@@ -291,6 +294,15 @@ class EngineSpec:
         kwargs = _resolve_params(self.params)
         kwargs.update(overrides)
         return kind.cls(game, seed, **kwargs)
+
+
+@functools.lru_cache(maxsize=256)
+def canonical_spec(text: str) -> str:
+    """``EngineSpec.parse(text).canonical()``, remembered per string: a
+    stream of requests spells a handful of specs thousands of times
+    (the cache and routing key of each carries the canonical form).
+    Registering an engine kind or a modifier forgets every answer."""
+    return EngineSpec.parse(text).canonical()
 
 
 def _parse_modifiers(

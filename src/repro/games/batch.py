@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import abc
 import dataclasses
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from repro.games.base import GameState
+from repro.games.base import Game, GameState
 from repro.rng import BatchXorShift128Plus
 
 # ---------------------------------------------------------------------------
@@ -83,6 +83,73 @@ def select_random_bit(
     idx = select_nth_bit(masks, picks)
     bits = np.uint64(1) << idx.astype(np.uint64)
     return np.where(pop > 0, bits, np.uint64(0))
+
+
+# ---------------------------------------------------------------------------
+# The positions of a launch
+# ---------------------------------------------------------------------------
+
+class Positions:
+    """The positions one kernel launch plays from, in whichever of two
+    forms its caller holds them: a sequence of game states, or the
+    ``(plane1, plane2, to_move)`` columns a tree arena stores (absolute
+    colours, ``uint64`` / ``uint64`` / ``int8``, one row per position).
+    Each consumer reads the form it plays from -- ``make_batch`` the
+    states, the compiled kernels the columns -- and the other form is
+    built on demand, once.
+    """
+
+    __slots__ = ("_states", "_columns", "_game")
+
+    def __init__(self, states: Sequence[GameState]) -> None:
+        #: ``None`` until somebody iterates a column-built value.
+        self._states = states
+        #: ``None`` until somebody asks a state-built value for them.
+        self._columns = None
+        self._game = None
+
+    @classmethod
+    def from_columns(
+        cls,
+        game: Game,
+        plane1: np.ndarray,
+        plane2: np.ndarray,
+        to_move: np.ndarray,
+    ) -> "Positions":
+        """Row ``i`` is the position ``game.state_from_planes`` builds
+        from ``(plane1[i], plane2[i], to_move[i])``."""
+        positions = cls(None)
+        positions._columns = (plane1, plane2, to_move)
+        positions._game = game
+        return positions
+
+    def __len__(self) -> int:
+        if self._states is None:
+            return len(self._columns[2])
+        return len(self._states)
+
+    def __iter__(self) -> Iterator[GameState]:
+        if self._states is None:
+            self._states = list(
+                map(
+                    self._game.state_from_planes,
+                    *(column.tolist() for column in self._columns),
+                )
+            )
+        return iter(self._states)
+
+    def columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(plane1, plane2, to_move)``, contiguous.  Every game's
+        state *is* that triple (what ``Game.state_from_planes``
+        builds), so staging states is a transpose."""
+        if self._columns is None:
+            plane1, plane2, to_move = tuple(zip(*self._states)) or ((),) * 3
+            self._columns = (
+                np.array(plane1, dtype=np.uint64),
+                np.array(plane2, dtype=np.uint64),
+                np.array(to_move, dtype=np.int8),
+            )
+        return self._columns
 
 
 # ---------------------------------------------------------------------------
@@ -191,12 +258,21 @@ class TrackedPlayouts:
     finish_steps: np.ndarray  # int64 (n,), lockstep ply each lane ended
 
 
+#: When the lockstep driver compacts finished lanes away: a batch of at
+#: least ``MIN_COMPACT_SIZE`` lanes whose active fraction drops below
+#: ``COMPACT_THRESHOLD``.  Where the first compaction fires decides how
+#: far the *caller's* generator advances, so the compiled entries play
+#: by the same two numbers.
+COMPACT_THRESHOLD = 0.5
+MIN_COMPACT_SIZE = 64
+
+
 def run_playouts_tracked(
     game: BatchGame,
     batch,
     rng: BatchXorShift128Plus,
-    compact_threshold: float = 0.5,
-    min_compact_size: int = 64,
+    compact_threshold: float = COMPACT_THRESHOLD,
+    min_compact_size: int = MIN_COMPACT_SIZE,
 ) -> TrackedPlayouts:
     """Drive a batch to completion, recording each lane's finish step.
 

@@ -13,8 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.executors import tracked_runner
+from repro.core.executors import block_launcher
 from repro.games import make_batch_game
+from repro.games.batch import Positions
 from repro.gpu.device import DeviceSpec
 from repro.gpu.kernel import KernelSpec, LaunchConfig, playout_kernel_spec
 from repro.gpu.memory import DeviceMemory
@@ -87,7 +88,7 @@ class VirtualGpu:
         self.clock = clock
         self.game_name = game_name
         self.playout = playout
-        self._run_tracked = tracked_runner(playout)
+        self._launch_block = block_launcher(playout)
         self.kernel = kernel or playout_kernel_spec(game_name)
         self.batch_game = make_batch_game(game_name)
         self.memory = DeviceMemory(spec)
@@ -144,7 +145,8 @@ class VirtualGpu:
     def _execute(
         self, states, config: LaunchConfig
     ) -> PlayoutResult:
-        """Actually play the batched games and model their cost."""
+        """Actually play the batched games and model their cost.
+        ``states`` is a :class:`Positions` or a sequence of states."""
         config.validate(self.spec)
         if len(states) not in (1, config.blocks):
             raise ValueError(
@@ -152,6 +154,8 @@ class VirtualGpu:
                 "blocks; pass 1 (leaf parallel) or one per block "
                 "(block parallel)"
             )
+        if not isinstance(states, Positions):
+            states = Positions(states)
         lanes_per_state = config.total_threads // len(states)
         bg = self.batch_game
         n = config.total_threads
@@ -166,8 +170,9 @@ class VirtualGpu:
                 (n * self.RESULT_BYTES_PER_LANE, "results"),
             ):
                 buffers.append(self.memory.alloc(nbytes, label))
-            batch = bg.make_batch(states, lanes_per_state)
-            tracked = self._run_tracked(bg, batch, self._rng(n))
+            tracked = self._launch_block(
+                bg, states, lanes_per_state, self._rng(n)
+            )
         finally:
             for buf in buffers:
                 self.memory.free(buf)
@@ -195,8 +200,10 @@ class VirtualGpu:
         )
 
     def run_playouts(self, states, config: LaunchConfig) -> PlayoutResult:
-        """Synchronous launch: the host blocks, the clock advances by
-        the kernel's full modelled duration."""
+        """Synchronous launch from ``states`` -- a sequence of states
+        or a :class:`~repro.games.batch.Positions`, one per block or
+        one for the grid: the host blocks, the clock advances by the
+        kernel's full modelled duration."""
         result = self._execute(states, config)
         self.stream.launch(result.timing.total_s, payload=result)
         self.stream.synchronize_all()

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from repro.core.results import SearchResult
-from repro.core.spec import EngineSpec
+from repro.core.spec import EngineSpec, canonical_spec
 from repro.games import make_game
 from repro.games.base import Game, GameState
 from repro.util.coerce import coerce_optional
@@ -63,7 +63,10 @@ def cache_key_for(
     game: Game, state: GameState, engine, budget_s: float
 ) -> CacheKey:
     """The cache/routing key of one request against ``game``."""
-    spec = EngineSpec.coerce(engine).canonical()
+    if isinstance(engine, str):
+        spec = canonical_spec(engine)
+    else:
+        spec = EngineSpec.coerce(engine).canonical()
     return CacheKey(
         game=game.name,
         zobrist=game.zobrist_key(state),

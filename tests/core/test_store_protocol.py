@@ -10,10 +10,11 @@ single tree is a forest of one.  This file holds
   ``make_forest`` gives the same answers on both backends;
 * forest-of-one: ``make_tree`` and ``make_forest(..., [rng])`` are the
   same store, down to the checkpoint payload (up to its ``kind``);
-* the refusals of a round on both arena bodies (run under
-  ``REPRO_COMPILED=0`` too by the ``compiled`` job): a repeated or
-  out-of-range tree index, and -- on both backends -- answers that do
-  not match the round's requests one for one.
+* the refusals of a round on both backends and both arena bodies (run
+  under ``REPRO_COMPILED=0`` too by the ``compiled`` job): a repeated or
+  out-of-range tree index, answers that do not match the round's
+  requests one for one, and ``positions_of`` a ref that holds no
+  position.
 """
 
 import inspect
@@ -32,6 +33,7 @@ from repro.core.backend import (
     snapshot_forest,
 )
 from repro.games import TicTacToe
+from repro.games.batch import Positions
 from repro.rng import XorShift64Star
 from tests.core.test_arena import columns, drive, payload
 from tests.core.test_checkpoint_golden import canonical
@@ -54,6 +56,8 @@ PROTOCOL_METHODS = (
     "state_of",
     "terminal_of",
     "winner_of",
+    # the launch-shaped sibling of ``state_of``: many refs, one value
+    "positions_of",
     # rounds over the forest
     "select_round",
     "select_expand_all",
@@ -143,11 +147,19 @@ def drive_everything(store, n_trees: int) -> list:
         store.backprop_winners(refs, (float("nan"),))  # a visit, no win
         refs, depths = store.select_expand_all()
         assert len(refs) == len(depths) == n_trees
-        seen.append([store.state_of(ref) for ref in refs])
+        positions = store.positions_of(refs)
+        assert type(positions) is Positions and len(positions) == n_trees
+        assert list(positions) == [store.state_of(ref) for ref in refs]
+        assert [column.tolist() for column in positions.columns()] == [
+            list(column) for column in zip(*positions)
+        ]
+        seen.append(list(positions))
         seen.append([int(d) for d in depths])
         store.backprop_winners(refs, [1] * n_trees)
         refs, depths = store.select_expand_all([last])
         assert len(refs) == len(depths) == 1
+        assert list(store.positions_of(refs)) == [store.state_of(refs[0])]
+        assert len(store.positions_of(refs[:0])) == 0
         store.backprop_winner(refs[0], 0, 3)
         refs, _ = store.select_expand_all(indices=None)
         winners = np.array(
@@ -239,36 +251,90 @@ def test_make_tree_is_make_forest_with_one_rng(backend):
 # -- select_expand_all takes distinct trees ----------------------------------
 
 
-@pytest.mark.parametrize("body", ["default", "python"])
+def unchanged(store, backend):
+    """What a refused call must leave as it was."""
+    seen = store.root_stats_of(), store.node_count, store.per_tree_depth()
+    if backend == "arena":
+        seen += (columns(store), payload(store))
+    return seen
+
+
+#: Every body that walks a round: the arena's two, and the reference
+#: store (which has one).
+ROUND_BODIES = [
+    pytest.param("arena", "default", id="default"),
+    pytest.param("arena", "python", id="python"),
+    pytest.param("node", "default", id="node"),
+]
+
+
+@pytest.mark.parametrize("backend,body", ROUND_BODIES)
 @pytest.mark.parametrize(
     "rows",
-    [[0, 0], [1, 0, 1], np.array([2, 2]), [0, 3], [-1, 2], [0, 1, 2, 0]],
+    [[0, 0], [1, 0, 1], np.array([2, 2]), [0, 3], [-1, 2], [0, 1, 2, 0], [3],
+     [-1]],
     ids=str,
 )
 def test_repeated_tree_index_is_rejected_before_any_write(
-    body, rows, monkeypatch
+    backend, body, rows, monkeypatch
 ):
     """A tree walked twice in one round used to overrun its root's
     reserved span on the Python body (and commit half a round on the
-    C body before noticing).  Both bodies now refuse the call with the
-    arena byte-identical, and the search goes on."""
+    C body before noticing); the reference store used to walk it twice,
+    take ``-1`` for the last tree and answer ``IndexError`` past it.
+    Every body of both stores now refuses the call with the store
+    unchanged (the arena byte-identical), and the search goes on."""
+    if body == "python":
+        monkeypatch.setenv("REPRO_COMPILED", "0")
+    store = forest(backend, 3)
+    if body == "python" and backend == "arena":
+        assert store._compiled() is None
+    for r in range(6):  # tictactoe: the roots fill up in round 9
+        leaves, _ = store.select_expand_all()
+        store.backprop_winners(leaves, [1, 0, -1])
+        before = unchanged(store, backend)
+        for select in (store.select_expand_all, store.select_round):
+            with pytest.raises(ValueError, match="distinct trees"):
+                select(rows)
+        assert unchanged(store, backend) == before
+    for r in range(6):
+        leaves, _ = store.select_expand_all([2, 0])
+        store.backprop_winners(leaves, [1, -1])
+    if backend == "arena":
+        store.validate()
+    assert store.per_tree_nodes() == [13, 7, 13]
+
+
+# -- positions_of takes refs that hold a position ----------------------------
+
+
+@pytest.mark.parametrize("body", ["default", "python"])
+def test_positions_of_refuses_a_ref_that_holds_no_position(body, monkeypatch):
+    """Outside the allocation, negative (NumPy would wrap it to the
+    arena's tail) or reserved but not yet filled: a ``ValueError``, the
+    arena byte-identical."""
     if body == "python":
         monkeypatch.setenv("REPRO_COMPILED", "0")
     arena = forest("arena", 3)
-    if body == "python":
-        assert arena._compiled() is None
-    for r in range(6):  # tictactoe: the roots fill up in round 9
-        leaves, _ = arena.select_expand_all()
-        arena.backprop_winners(leaves, [1, 0, -1])
-        before = columns(arena), payload(arena)
-        with pytest.raises(ValueError, match="distinct trees"):
-            arena.select_expand_all(rows)
-        assert (columns(arena), payload(arena)) == before
-    for r in range(6):
-        leaves, _ = arena.select_expand_all([2, 0])
-        arena.backprop_winners(leaves, [1, -1])
-    arena.validate()
-    assert arena.per_tree_nodes() == [13, 7, 13]
+    leaves, _ = arena.select_expand_all()
+    # The root's child span is reserved whole and filled one by one.
+    reserved = int(leaves[0]) + 1
+    assert reserved < arena.allocated and arena.to_move[reserved] == 0
+    before = columns(arena), payload(arena)
+    for refs, match in (
+        ([arena.allocated], "not all slots"),
+        ([0, arena.capacity + 5], "not all slots"),
+        ([-1], "not all slots"),
+        (np.array([0, -2**63]), "not all slots"),
+        (np.array([[0, 1]]), "not all slots"),
+        ([reserved], "reserved slots"),
+        ([0, reserved, 1], rf"refs \[{reserved}\] are reserved"),
+    ):
+        with pytest.raises(ValueError, match=match):
+            arena.positions_of(refs)
+    assert (columns(arena), payload(arena)) == before
+    roots = arena.positions_of(arena.roots)
+    assert list(roots) == [GAME.initial_state()] * 3
 
 
 # -- a round's answers match its requests ------------------------------------

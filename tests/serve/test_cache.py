@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.core import spec
 from repro.core.results import SearchResult
+from repro.core.spec import EngineSpec
 from repro.games import make_game
 from repro.serve.cache import (
     CacheKey,
@@ -71,6 +73,49 @@ def test_spec_canonicalisation_shares_entries(game, state):
     assert key_of(game, state, spec="tree:2@vloss") == key_of(
         game, state, spec="tree:2"
     )
+
+
+def test_spec_spellings_share_a_key_cold_and_warm(game, state):
+    """The canonical string is remembered per spelling: equivalent
+    spellings meet in one key on the first look-up and on later ones,
+    and a non-string spec takes the unmemoised path to the same key."""
+    spec.canonical_spec.cache_clear()
+    spellings = ("block:4x32@compiled@arena", "block:4x32@arena@compiled")
+    cold = [key_of(game, state, spec=s) for s in spellings]
+    assert spec.canonical_spec.cache_info().misses == 2
+    warm = [key_of(game, state, spec=s) for s in spellings]
+    assert spec.canonical_spec.cache_info().hits == 2
+    assert len(set(cold + warm)) == 1
+    assert cold[0].spec == "block:4x32@arena@compiled"
+    assert key_of(game, state, spec=EngineSpec.parse(spellings[0])) == cold[0]
+    as_dict = {
+        "kind": "block", "blocks": 4, "threads_per_block": 32,
+        "backend": "arena", "playout": "compiled",
+    }
+    assert key_of(game, state, spec=as_dict) == cold[0]
+    with pytest.raises(ValueError, match="unknown engine kind"):
+        key_of(game, state, spec="nonesuch:2")
+
+
+def test_registering_a_modifier_forgets_remembered_specs(
+    game, state, monkeypatch
+):
+    """A modifier registered after a look-up changes what the grammar
+    accepts: the next look-up is answered by the parser, not the memo."""
+    monkeypatch.setattr(spec, "_MODIFIERS", dict(spec._MODIFIERS))
+    try:
+        with pytest.raises(ValueError, match="deep"):
+            key_of(game, state, spec="root:2@deep")
+        before = key_of(game, state, spec="root:2")
+        spec.register_modifier(
+            spec.SpecModifier("deep", "depth", flag_params={"ucb_c": 0.25})
+        )
+        assert spec.canonical_spec.cache_info().currsize == 0
+        assert key_of(game, state, spec="root:2") == before
+        assert key_of(game, state, spec="root:2@deep") != before
+    finally:
+        # The table is restored on teardown; forget what it answered.
+        spec.canonical_spec.cache_clear()
 
 
 def test_hit_miss_and_lru_eviction(game, state):
