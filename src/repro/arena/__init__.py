@@ -5,7 +5,7 @@ The paper's strength results are all arena outputs: win ratios
 (Figure 8).
 """
 
-from repro.arena.cohort import drive_merged, play_games_cohort
+from repro.arena.cohort import play_games_cohort, play_matchups
 from repro.arena.elo import elo_from_matchups, elo_ratings, expected_score
 from repro.arena.match import GameRecord, MoveRecord, play_game
 from repro.arena.metrics import (
@@ -28,7 +28,7 @@ __all__ = [
     "mean_score_series",
     "mean_depth_series",
     "play_games_cohort",
-    "drive_merged",
+    "play_matchups",
     "elo_ratings",
     "elo_from_matchups",
     "expected_score",

@@ -14,6 +14,11 @@ GPU-backed players (leaf/block/hybrid/multi-GPU engines) do not join
 the merge; their playouts already run as wide kernels and are executed
 directly when their game's turn comes.
 
+:func:`play_matchups` is the match protocol on top of it -- several
+subjects, one opponent, colours alternated, one
+:class:`~repro.arena.tournament.MatchupResult` per subject -- and what
+every strength figure of the harness calls.
+
 The generator-merging machinery itself lives in
 :mod:`repro.serve.scheduler` -- the serving layer generalised it into
 a tick-based multi-tenant scheduler, and the cohort driver is now one
@@ -22,14 +27,20 @@ client of it.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from itertools import islice
+from typing import Callable, Hashable, Mapping, Sequence
 
 from repro.arena.match import GameRecord, MoveRecord
+from repro.arena.tournament import MatchupResult, PlayerFactory
+from repro.core.base import (
+    PlayoutBatch,
+    PlayoutResults,
+    supports_search_steps,
+)
 from repro.games.base import Game
 from repro.players.base import Player
 from repro.players.mcts import MctsPlayer
 from repro.serve.scheduler import drive_generators
-from repro.serve.service import supports_search_steps
 
 
 def _cohort_generator(player: Player, state):
@@ -40,16 +51,6 @@ def _cohort_generator(player: Player, state):
     if not supports_search_steps(engine):
         return None  # not overridden: the engine cannot be merged
     return engine.search_steps(state, player.move_budget_s)
-
-
-def drive_merged(
-    generators: dict[int, object],
-    executor: Callable,
-) -> dict[int, object]:
-    """Drive several search generators to completion, merging their
-    playout requests into shared executor calls.  Returns each key's
-    SearchResult.  (Delegates to the serving layer's scheduler.)"""
-    return drive_generators(generators, executor)
 
 
 def play_games_cohort(
@@ -80,7 +81,7 @@ def play_games_cohort(
             gen = _cohort_generator(player, states[i])
             if gen is not None:
                 generators[i] = gen
-        merged = drive_merged(generators, executor)
+        merged = drive_generators(generators, executor)
 
         still_alive = []
         for i in alive:
@@ -120,3 +121,48 @@ def play_games_cohort(
                 still_alive.append(i)
         alive = still_alive
     return records
+
+
+def play_matchups(
+    game: Game,
+    subjects: Mapping[Hashable, PlayerFactory],
+    opponent: PlayerFactory,
+    n_games: int,
+    seeds: Callable[[Hashable, int, str], int],
+    executor: Callable[[PlayoutBatch], PlayoutResults],
+    max_plies: int | None = None,
+) -> dict[Hashable, MatchupResult]:
+    """The cohort form of :func:`~repro.arena.tournament.play_match`:
+    every subject plays ``n_games`` against ``opponent``, all games of
+    all subjects in one :func:`play_games_cohort`.
+
+    ``subjects`` maps a point key to its player factory; the result has
+    the same keys in the same order.  Game ``g`` of a point gives the
+    subject black when ``g`` is even, and builds its two players from
+    ``seeds(key, g, "subject")`` and ``seeds(key, g, "opponent")`` --
+    the caller owns the seed path, so a figure keeps drawing the seeds
+    it always drew.  Games are laid out points-outer, games-inner; the
+    layout fixes which lanes of the merged playout batches a game gets,
+    so it is part of what makes a figure replay exactly.
+    """
+    if not subjects:
+        raise ValueError("no subjects to play")
+    if n_games <= 0:
+        raise ValueError(f"n_games must be positive: {n_games}")
+    matchups, colours = [], []
+    for key, subject in subjects.items():
+        for g in range(n_games):
+            subj = subject(seeds(key, g, "subject"))
+            opp = opponent(seeds(key, g, "opponent"))
+            colour = 1 if g % 2 == 0 else -1
+            matchups.append((subj, opp) if colour == 1 else (opp, subj))
+            colours.append(colour)
+    played = zip(
+        play_games_cohort(game, matchups, executor, max_plies), colours
+    )
+    out = {}
+    for key in subjects:
+        out[key] = result = MatchupResult()
+        for record, colour in islice(played, n_games):
+            result.add(record, colour)
+    return out

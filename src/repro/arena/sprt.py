@@ -12,6 +12,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from repro.arena.match import play_game
+from repro.arena.tournament import MatchupResult
+from repro.util.seeding import SeedLadder
+
 #: Possible verdicts.
 CONTINUE = "continue"
 ACCEPT_H1 = "accept_h1"  # subject is at least as strong as p1
@@ -103,10 +107,6 @@ def sprt_match(
     Returns ``(verdict, matchup_result)``; the verdict is ``continue``
     if the budget ran out undecided.
     """
-    from repro.arena.match import play_game
-    from repro.arena.tournament import MatchupResult
-    from repro.util.seeding import SeedLadder
-
     ladder = SeedLadder(seed, "sprt")
     out = MatchupResult()
     verdict = CONTINUE
@@ -119,19 +119,7 @@ def sprt_match(
             if colour == 1
             else play_game(game, opp, subj)
         )
-        outcome = record.winner * colour
-        if outcome > 0:
-            out.wins += 1
-            score = 1.0
-        elif outcome < 0:
-            out.losses += 1
-            score = 0.0
-        else:
-            out.draws += 1
-            score = 0.5
-        out.records.append(record)
-        out.subject_colours.append(colour)
-        verdict = sprt.record(score)
+        verdict = sprt.record(out.add(record, colour))
         if verdict != CONTINUE:
             break
     return verdict, out

@@ -34,6 +34,21 @@ class MatchupResult:
     records: list[GameRecord] = field(default_factory=list)
     subject_colours: list[int] = field(default_factory=list)
 
+    def add(self, record: GameRecord, subject_colour: int) -> float:
+        """Tally one finished game; returns the subject's score for it
+        (1 win, 0.5 draw, 0 loss)."""
+        self.records.append(record)
+        self.subject_colours.append(subject_colour)
+        outcome = record.winner * subject_colour
+        if outcome > 0:
+            self.wins += 1
+            return 1.0
+        if outcome < 0:
+            self.losses += 1
+            return 0.0
+        self.draws += 1
+        return 0.5
+
     @property
     def games(self) -> int:
         return self.wins + self.losses + self.draws
@@ -96,15 +111,7 @@ def play_match(
             record = play_game(game, subj, opp, max_plies=max_plies)
         else:
             record = play_game(game, opp, subj, max_plies=max_plies)
-        outcome = record.winner * subject_colour
-        if outcome > 0:
-            out.wins += 1
-        elif outcome < 0:
-            out.losses += 1
-        else:
-            out.draws += 1
-        out.records.append(record)
-        out.subject_colours.append(subject_colour)
+        out.add(record, subject_colour)
     return out
 
 

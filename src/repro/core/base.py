@@ -222,7 +222,7 @@ class Engine(abc.ABC):
     def resume(self) -> SearchResult:
         """Run a restored (or interrupted) session to completion."""
         session = self._require_session()
-        if type(self).search_steps is not Engine.search_steps:
+        if supports_search_steps(self):
             executor = session.get("executor")
             if executor is None:
                 raise CheckpointError(
@@ -490,6 +490,11 @@ class Engine(abc.ABC):
 
     def _iteration_cap(self) -> float:
         return self.max_iterations if self.max_iterations else float("inf")
+
+
+def supports_search_steps(engine: Engine) -> bool:
+    """Can this engine be driven through the merged generator seam?"""
+    return type(engine).search_steps is not Engine.search_steps
 
 
 class ScalarExecutor:

@@ -41,7 +41,9 @@ from repro.harness.shared_tree import (
     run_shootout,
 )
 
-#: Experiment id (DESIGN.md section 4) -> (config factory, runner).
+#: Experiment id (DESIGN.md section 4) -> (config factory, runner).  The
+#: two model-based ablations have no tier presets: their config is the
+#: tier's name, which they ignore.
 EXPERIMENTS = {
     "fig5_speed": (Fig5Config.for_tier, run_fig5),
     "fig6_winratio": (Fig6Config.for_tier, run_fig6),
@@ -52,18 +54,12 @@ EXPERIMENTS = {
         BlockSizeConfig.for_tier,
         run_block_size_ablation,
     ),
-    "abl_sequential_part": (
-        lambda tier=None: None,
-        lambda cfg=None: run_seq_part_ablation(),
-    ),
+    "abl_sequential_part": (resolve_tier, run_seq_part_ablation),
     "abl_vote_policy": (
         VotePolicyConfig.for_tier,
         run_vote_policy_ablation,
     ),
-    "abl_divergence": (
-        lambda tier=None: None,
-        lambda cfg=None: run_divergence_ablation(),
-    ),
+    "abl_divergence": (resolve_tier, run_divergence_ablation),
     "abl_ucb_c": (UcbConfig.for_tier, run_ucb_ablation),
     "abl_tree_backend": (BackendConfig.for_tier, run_backend_ablation),
     "exp_generalization": (
@@ -83,8 +79,7 @@ def run_experiment(name: str, tier: str | None = None):
             f"unknown experiment {name!r}; available: "
             f"{sorted(EXPERIMENTS)}"
         ) from None
-    config = config_factory(tier)
-    return runner(config) if config is not None else runner()
+    return runner(config_factory(tier))
 
 
 __all__ = [

@@ -10,15 +10,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.arena.cohort import play_games_cohort
+from repro.arena.cohort import play_matchups
 from repro.core import make_engine
-from repro.core.base import BatchExecutor
 from repro.core.policy import MAX_RATIO, MAX_VISITS, MAX_WINS
 from repro.games import Reversi
 from repro.gpu import TESLA_C2050, LaunchConfig, playout_kernel_spec
 from repro.gpu.timing import kernel_time
-from repro.harness.common import resolve_tier
-from repro.players import MctsPlayer
+from repro.harness.common import cohort_executor, mcts_player, resolve_tier
 from repro.util.seeding import derive_seed
 from repro.util.tables import format_series, format_table
 
@@ -85,41 +83,25 @@ def run_block_size_ablation(
 ) -> BlockSizeResult:
     cfg = config or BlockSizeConfig.for_tier()
     game = Reversi()
-    matchups, keys = [], []
-    for bs in cfg.block_sizes:
+
+    def spec(bs: int) -> str:
         blocks = max(1, cfg.total_threads // bs)
-        for g in range(cfg.games_per_point):
-            tpb = min(bs, cfg.total_threads)
-            subj = MctsPlayer(
-                game,
-                make_engine(
-                    f"block:{blocks}x{tpb}",
-                    game,
-                    derive_seed(cfg.seed, bs, g, "s"),
-                ),
-                cfg.move_budget_s,
-            )
-            opp = MctsPlayer(
-                game,
-                make_engine(
-                    "sequential", game, derive_seed(cfg.seed, bs, g, "o")
-                ),
-                cfg.move_budget_s,
-            )
-            colour = 1 if g % 2 == 0 else -1
-            matchups.append((subj, opp) if colour == 1 else (opp, subj))
-            keys.append((bs, colour))
-    records = play_games_cohort(
-        game, matchups, BatchExecutor("reversi", derive_seed(cfg.seed, "x"))
+        return f"block:{blocks}x{min(bs, cfg.total_threads)}"
+
+    results = play_matchups(
+        game,
+        {
+            bs: mcts_player(game, spec(bs), cfg.move_budget_s)
+            for bs in cfg.block_sizes
+        },
+        mcts_player(game, "sequential", cfg.move_budget_s),
+        cfg.games_per_point,
+        lambda bs, g, role: derive_seed(cfg.seed, bs, g, role[0]),
+        cohort_executor(game, derive_seed(cfg.seed, "x")),
     )
     out = BlockSizeResult(config=cfg)
-    for bs in cfg.block_sizes:
-        score = sum(
-            1.0 if rec.winner * colour > 0 else 0.5 if rec.winner == 0 else 0.0
-            for rec, (k, colour) in zip(records, keys)
-            if k == bs
-        )
-        out.win_ratio[bs] = score / cfg.games_per_point
+    for bs, result in results.items():
+        out.win_ratio[bs] = result.win_ratio
     return out
 
 
@@ -149,20 +131,23 @@ class SeqPartResult:
 
 
 def run_seq_part_ablation(
+    config: object = None,
     block_counts: tuple[int, ...] = (1, 4, 16, 64, 112, 224, 448),
     tpb: int = 32,
     mean_depth: int = 8,
     mean_steps: float = 65.0,
 ) -> SeqPartResult:
+    """Model-based, so no tier presets: ``config`` is there because
+    every registered runner takes one, and is ignored."""
     from repro.cpu import XEON_X5670
 
     spec = TESLA_C2050
     kernel = playout_kernel_spec("reversi")
     fractions = []
     for blocks in block_counts:
-        config = LaunchConfig(blocks, tpb)
+        launch = LaunchConfig(blocks, tpb)
         timing = kernel_time(
-            spec, kernel, config, np.full(blocks, mean_steps)
+            spec, kernel, launch, np.full(blocks, mean_steps)
         )
         t_seq = blocks * XEON_X5670.tree_control_time(mean_depth)
         fractions.append(t_seq / (t_seq + timing.total_s))
@@ -200,13 +185,15 @@ class DivergenceAblationResult:
 
 
 def run_divergence_ablation(
+    config: object = None,
     plies_per_stage: tuple[int, ...] = (0, 20, 40, 52),
     lanes: int = 256,
     seed: int = 84_2011,
 ) -> DivergenceAblationResult:
     """Warp efficiency of playout kernels launched from positions of
     increasing depth: later positions have shorter, more variable
-    playouts, so divergence grows toward the endgame."""
+    playouts, so divergence grows toward the endgame.  No tier presets:
+    ``config`` is ignored, as in :func:`run_seq_part_ablation`."""
     from repro.games import BatchReversi
     from repro.games.batch import run_playouts_tracked
     from repro.gpu.divergence import analyze_divergence
@@ -214,7 +201,7 @@ def run_divergence_ablation(
 
     game = Reversi()
     bg = BatchReversi()
-    config = LaunchConfig(lanes // 32, 32)
+    launch = LaunchConfig(lanes // 32, 32)
     labels, eff, util = [], [], []
     for plies in plies_per_stage:
         rng = XorShift64Star(derive_seed(seed, plies))
@@ -228,7 +215,7 @@ def run_divergence_ablation(
         tracked = run_playouts_tracked(
             bg, batch, BatchXorShift128Plus(lanes, derive_seed(seed, plies, 1))
         )
-        report = analyze_divergence(tracked.finish_steps, config)
+        report = analyze_divergence(tracked.finish_steps, launch)
         labels.append(f"ply {plies}")
         eff.append(report.mean_efficiency)
         util.append(report.utilisation)
@@ -296,46 +283,29 @@ def run_vote_policy_ablation(
 ) -> VotePolicyResult:
     cfg = config or VotePolicyConfig.for_tier()
     game = Reversi()
-    matchups, keys = [], []
-    for policy in cfg.policies:
-        if policy == MAJORITY_VOTE:
-            engine_kwargs = {"vote": "majority"}
-        else:
-            engine_kwargs = {"final_policy": policy}
-        for g in range(cfg.games_per_point):
-            subj = MctsPlayer(
+    results = play_matchups(
+        game,
+        {
+            policy: mcts_player(
                 game,
-                make_engine(
-                    f"block:{cfg.blocks}x{cfg.tpb}",
-                    game,
-                    derive_seed(cfg.seed, policy, g, "s"),
-                    **engine_kwargs,
-                ),
+                f"block:{cfg.blocks}x{cfg.tpb}",
                 cfg.move_budget_s,
-            )
-            opp = MctsPlayer(
-                game,
-                make_engine(
-                    "sequential",
-                    game,
-                    derive_seed(cfg.seed, policy, g, "o"),
+                **(
+                    {"vote": "majority"}
+                    if policy == MAJORITY_VOTE
+                    else {"final_policy": policy}
                 ),
-                cfg.move_budget_s,
             )
-            colour = 1 if g % 2 == 0 else -1
-            matchups.append((subj, opp) if colour == 1 else (opp, subj))
-            keys.append((policy, colour))
-    records = play_games_cohort(
-        game, matchups, BatchExecutor("reversi", derive_seed(cfg.seed, "x"))
+            for policy in cfg.policies
+        },
+        mcts_player(game, "sequential", cfg.move_budget_s),
+        cfg.games_per_point,
+        lambda policy, g, role: derive_seed(cfg.seed, policy, g, role[0]),
+        cohort_executor(game, derive_seed(cfg.seed, "x")),
     )
     out = VotePolicyResult(config=cfg)
-    for policy in cfg.policies:
-        score = sum(
-            1.0 if rec.winner * colour > 0 else 0.5 if rec.winner == 0 else 0.0
-            for rec, (k, colour) in zip(records, keys)
-            if k == policy
-        )
-        out.win_ratio[policy] = score / cfg.games_per_point
+    for policy, result in results.items():
+        out.win_ratio[policy] = result.win_ratio
     return out
 
 
@@ -489,41 +459,18 @@ class UcbResult:
 def run_ucb_ablation(config: UcbConfig | None = None) -> UcbResult:
     cfg = config or UcbConfig.for_tier()
     game = Reversi()
-    matchups, keys = [], []
-    for c in cfg.c_values:
-        for g in range(cfg.games_per_point):
-            subj = MctsPlayer(
-                game,
-                make_engine(
-                    "sequential",
-                    game,
-                    derive_seed(cfg.seed, str(c), g, "s"),
-                    ucb_c=c,
-                ),
-                cfg.move_budget_s,
-            )
-            opp = MctsPlayer(
-                game,
-                make_engine(
-                    "sequential",
-                    game,
-                    derive_seed(cfg.seed, str(c), g, "o"),
-                    ucb_c=1.0,
-                ),
-                cfg.move_budget_s,
-            )
-            colour = 1 if g % 2 == 0 else -1
-            matchups.append((subj, opp) if colour == 1 else (opp, subj))
-            keys.append((c, colour))
-    records = play_games_cohort(
-        game, matchups, BatchExecutor("reversi", derive_seed(cfg.seed, "x"))
+    results = play_matchups(
+        game,
+        {
+            c: mcts_player(game, "sequential", cfg.move_budget_s, ucb_c=c)
+            for c in cfg.c_values
+        },
+        mcts_player(game, "sequential", cfg.move_budget_s, ucb_c=1.0),
+        cfg.games_per_point,
+        lambda c, g, role: derive_seed(cfg.seed, str(c), g, role[0]),
+        cohort_executor(game, derive_seed(cfg.seed, "x")),
     )
     out = UcbResult(config=cfg)
-    for c in cfg.c_values:
-        score = sum(
-            1.0 if rec.winner * colour > 0 else 0.5 if rec.winner == 0 else 0.0
-            for rec, (k, colour) in zip(records, keys)
-            if k == c
-        )
-        out.win_ratio[c] = score / cfg.games_per_point
+    for c, result in results.items():
+        out.win_ratio[c] = result.win_ratio
     return out

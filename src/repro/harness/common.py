@@ -9,12 +9,23 @@ Every experiment comes in three tiers:
 
 The tier is chosen per-call or via the ``REPRO_TIER`` environment
 variable.
+
+Every engine, player and cohort executor an experiment runs is built
+here (:func:`engine`, :func:`mcts_player`, :func:`cohort_executor`), so
+this module is the one place that names the stack the figures run on.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+
+from repro.arena.tournament import PlayerFactory
+from repro.compiled import COMPILED_GAMES, compiled_available
+from repro.core.base import BatchExecutor, Engine
+from repro.core.spec import make_engine, with_backend, with_playout
+from repro.games.base import Game
+from repro.players import MctsPlayer
 
 TIERS = ("quick", "default", "full")
 
@@ -82,3 +93,49 @@ PAPER_THREAD_SWEEP = (
 #: The paper's multi-GPU configuration (Figure 9).
 PAPER_MULTIGPU_BLOCKS = 112
 PAPER_MULTIGPU_TPB = 64
+
+
+def _stack(game: Game) -> tuple[str, str]:
+    """``(tree backend, playout executor)`` for ``game``: the stack the
+    benchmark of record measures wherever its C kernels exist, the
+    reference stack elsewhere.  The two play the same games seed for
+    seed (``tests/harness/test_golden_tables.py``), so which one ran
+    changes how long a figure takes, never what it shows."""
+    if compiled_available() and game.name in COMPILED_GAMES:
+        return "arena", "compiled"
+    return "node", "numpy"
+
+
+def engine(game: Game, spec, seed: int, **engine_kwargs) -> Engine:
+    """``make_engine`` on the harness stack; a backend or playout the
+    spec spells itself wins."""
+    backend, playout = _stack(game)
+    return make_engine(
+        with_playout(with_backend(spec, backend), playout),
+        game,
+        seed,
+        **engine_kwargs,
+    )
+
+
+def mcts_player(
+    game: Game,
+    spec,
+    budget_s: float,
+    name: str | None = None,
+    **engine_kwargs,
+) -> PlayerFactory:
+    """The arena's ``seed -> player`` factory for a player that
+    searches ``budget_s`` virtual seconds per move on :func:`engine`'s
+    engine."""
+
+    def build(seed: int) -> MctsPlayer:
+        subject = engine(game, spec, seed, **engine_kwargs)
+        return MctsPlayer(game, subject, budget_s, name=name)
+
+    return build
+
+
+def cohort_executor(game: Game, seed: int) -> BatchExecutor:
+    """The merged-playout executor of one cohort of ``game`` matches."""
+    return BatchExecutor(game.name, seed, playout=_stack(game)[1])

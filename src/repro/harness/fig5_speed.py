@@ -13,13 +13,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core import make_engine
 from repro.games import Reversi
 from repro.gpu import TESLA_C2050, DeviceSpec
 from repro.harness.common import (
     PAPER_SCHEMES,
     PAPER_THREAD_SWEEP,
     Scheme,
+    engine,
     resolve_tier,
 )
 from repro.util.seeding import derive_seed
@@ -67,9 +67,9 @@ class Fig5Result:
 
 def _engine_for(scheme: Scheme, threads: int, cfg: Fig5Config):
     blocks, tpb = scheme.grid_for(threads)
-    return make_engine(
-        f"{scheme.kind}:{blocks}x{tpb}",
+    return engine(
         Reversi(),
+        f"{scheme.kind}:{blocks}x{tpb}",
         derive_seed(cfg.seed, scheme.label, threads),
         device=cfg.device,
         max_iterations=cfg.iterations_per_point,
@@ -80,9 +80,9 @@ def measure_point(
     scheme: Scheme, threads: int, cfg: Fig5Config
 ) -> float:
     """Sustained playouts/second for one configuration."""
-    engine = _engine_for(scheme, threads, cfg)
-    game = engine.game
-    result = engine.search(game.initial_state(), budget_s=1e9)
+    subject = _engine_for(scheme, threads, cfg)
+    game = subject.game
+    result = subject.search(game.initial_state(), budget_s=1e9)
     return result.simulations / result.elapsed_s
 
 

@@ -15,14 +15,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.arena.cohort import play_games_cohort
-from repro.arena.metrics import wilson_interval
-from repro.core import make_engine
-from repro.core.base import BatchExecutor
+from repro.arena.cohort import play_matchups
 from repro.games import Reversi
 from repro.gpu import TESLA_C2050, DeviceSpec
-from repro.harness.common import PAPER_SCHEMES, Scheme, resolve_tier
-from repro.players import MctsPlayer
+from repro.harness.common import (
+    PAPER_SCHEMES,
+    Scheme,
+    cohort_executor,
+    mcts_player,
+    resolve_tier,
+)
 from repro.util.seeding import derive_seed
 from repro.util.tables import format_series
 
@@ -84,71 +86,40 @@ class Fig6Result:
         )
 
 
-def _gpu_player(
-    scheme: Scheme, threads: int, seed: int, cfg: Fig6Config
-) -> MctsPlayer:
-    game = Reversi()
-    blocks, tpb = scheme.grid_for(threads)
-    engine = make_engine(
-        f"{scheme.kind}:{blocks}x{tpb}", game, seed, device=cfg.device
-    )
-    return MctsPlayer(game, engine, cfg.move_budget_s, name=scheme.label)
-
-
-def _cpu_player(seed: int, cfg: Fig6Config) -> MctsPlayer:
-    game = Reversi()
-    return MctsPlayer(
-        game,
-        make_engine("sequential", game, seed),
-        cfg.move_budget_s,
-        name="cpu-1",
-    )
-
-
 def run_fig6(config: Fig6Config | None = None) -> Fig6Result:
     cfg = config or Fig6Config.for_tier()
     game = Reversi()
 
-    matchups = []
-    keys = []  # (scheme label, threads, subject colour)
-    for scheme in cfg.schemes:
-        for threads in cfg.thread_counts:
-            for g in range(cfg.games_per_point):
-                seed_g = derive_seed(
-                    cfg.seed, scheme.label, threads, g, "gpu"
-                )
-                seed_c = derive_seed(
-                    cfg.seed, scheme.label, threads, g, "cpu"
-                )
-                gpu = _gpu_player(scheme, threads, seed_g, cfg)
-                cpu = _cpu_player(seed_c, cfg)
-                colour = 1 if g % 2 == 0 else -1
-                if colour == 1:
-                    matchups.append((gpu, cpu))
-                else:
-                    matchups.append((cpu, gpu))
-                keys.append((scheme.label, threads, colour))
+    def gpu_player(scheme: Scheme, threads: int):
+        blocks, tpb = scheme.grid_for(threads)
+        return mcts_player(
+            game,
+            f"{scheme.kind}:{blocks}x{tpb}",
+            cfg.move_budget_s,
+            name=scheme.label,
+            device=cfg.device,
+        )
 
-    records = play_games_cohort(
+    results = play_matchups(
         game,
-        matchups,
-        BatchExecutor("reversi", derive_seed(cfg.seed, "executor")),
+        {
+            (scheme.label, threads): gpu_player(scheme, threads)
+            for scheme in cfg.schemes
+            for threads in cfg.thread_counts
+        },
+        mcts_player(game, "sequential", cfg.move_budget_s, name="cpu-1"),
+        cfg.games_per_point,
+        lambda key, g, role: derive_seed(
+            cfg.seed, *key, g, "gpu" if role == "subject" else "cpu"
+        ),
+        cohort_executor(game, derive_seed(cfg.seed, "executor")),
     )
 
     out = Fig6Result(config=cfg)
     for scheme in cfg.schemes:
-        ratios, cis = [], []
-        for threads in cfg.thread_counts:
-            score = 0.0
-            n = 0
-            for rec, (label, t, colour) in zip(records, keys):
-                if label != scheme.label or t != threads:
-                    continue
-                outcome = rec.winner * colour
-                score += 1.0 if outcome > 0 else 0.5 if outcome == 0 else 0.0
-                n += 1
-            ratios.append(score / n)
-            cis.append(wilson_interval(score, n))
-        out.win_ratio[scheme.label] = ratios
-        out.intervals[scheme.label] = cis
+        points = [
+            results[scheme.label, threads] for threads in cfg.thread_counts
+        ]
+        out.win_ratio[scheme.label] = [p.win_ratio for p in points]
+        out.intervals[scheme.label] = [p.win_ratio_ci() for p in points]
     return out

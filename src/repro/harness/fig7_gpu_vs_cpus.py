@@ -13,14 +13,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.arena.cohort import play_games_cohort
-from repro.arena.metrics import mean_score_series
-from repro.core import make_engine
-from repro.core.base import BatchExecutor
+from repro.arena.cohort import play_matchups
 from repro.games import Reversi
 from repro.gpu import TESLA_C2050, DeviceSpec
-from repro.harness.common import resolve_tier
-from repro.players import MctsPlayer
+from repro.harness.common import cohort_executor, mcts_player, resolve_tier
 from repro.util.seeding import derive_seed
 from repro.util.tables import ascii_chart, format_series
 
@@ -132,57 +128,30 @@ def run_fig7(config: Fig7Config | None = None) -> Fig7Result:
     cfg = config or Fig7Config.for_tier()
     game = Reversi()
 
-    def cpu_subject(n_cpus: int, seed: int) -> MctsPlayer:
-        return MctsPlayer(
-            game,
-            make_engine(f"root:{n_cpus}", game, seed),
-            cfg.move_budget_s,
-            name=f"{n_cpus} cpus",
+    subjects = {
+        f"{n} cpus": mcts_player(
+            game, f"root:{n}", cfg.move_budget_s, name=f"{n} cpus"
         )
-
-    def gpu_subject(seed: int) -> MctsPlayer:
-        return MctsPlayer(
-            game,
-            make_engine(
-                f"block:{cfg.gpu_blocks}x{cfg.gpu_tpb}",
-                game,
-                seed,
-                device=cfg.device,
-            ),
-            cfg.move_budget_s,
-            name="1 GPU",
-        )
-
-    def opponent(seed: int) -> MctsPlayer:
-        return MctsPlayer(
-            game, make_engine("sequential", game, seed), cfg.move_budget_s
-        )
-
-    subjects: list[tuple[str, object]] = [
-        (f"{n} cpus", lambda s, n=n: cpu_subject(n, s))
         for n in cfg.cpu_counts
-    ]
-    subjects.append(("1 GPU", gpu_subject))
-
-    matchups = []
-    keys = []  # (label, colour)
-    for label, factory in subjects:
-        for g in range(cfg.games_per_point):
-            subj = factory(derive_seed(cfg.seed, label, g, "subject"))
-            opp = opponent(derive_seed(cfg.seed, label, g, "opponent"))
-            colour = 1 if g % 2 == 0 else -1
-            matchups.append((subj, opp) if colour == 1 else (opp, subj))
-            keys.append((label, colour))
-
-    records = play_games_cohort(
+    }
+    subjects["1 GPU"] = mcts_player(
         game,
-        matchups,
-        BatchExecutor("reversi", derive_seed(cfg.seed, "executor")),
+        f"block:{cfg.gpu_blocks}x{cfg.gpu_tpb}",
+        cfg.move_budget_s,
+        name="1 GPU",
+        device=cfg.device,
+    )
+
+    results = play_matchups(
+        game,
+        subjects,
+        mcts_player(game, "sequential", cfg.move_budget_s),
+        cfg.games_per_point,
+        lambda label, g, role: derive_seed(cfg.seed, label, g, role),
+        cohort_executor(game, derive_seed(cfg.seed, "executor")),
     )
 
     out = Fig7Result(config=cfg)
-    for label, _ in subjects:
-        recs = [r for r, (k, _) in zip(records, keys) if k == label]
-        colours = [c for _, (k, c) in zip(records, keys) if k == label]
-        out.series[label] = mean_score_series(recs, colours, cfg.steps)
+    for label, result in results.items():
+        out.series[label] = result.score_series(cfg.steps)
     return out

@@ -13,14 +13,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.arena.cohort import play_games_cohort
-from repro.arena.metrics import mean_depth_series, mean_score_series
-from repro.core import make_engine
-from repro.core.base import BatchExecutor
+from repro.arena.cohort import play_matchups
 from repro.games import Reversi
 from repro.gpu import TESLA_C2050, DeviceSpec
-from repro.harness.common import resolve_tier
-from repro.players import MctsPlayer
+from repro.harness.common import cohort_executor, mcts_player, resolve_tier
 from repro.util.seeding import derive_seed
 from repro.util.tables import ascii_chart, format_series
 
@@ -90,45 +86,26 @@ def run_fig8(config: Fig8Config | None = None) -> Fig8Result:
     cfg = config or Fig8Config.for_tier()
     game = Reversi()
 
-    def subject(kind: str, seed: int) -> MctsPlayer:
-        family = "hybrid" if kind == "GPU + CPU" else "block"
-        return MctsPlayer(
-            game,
-            make_engine(
-                f"{family}:{cfg.blocks}x{cfg.tpb}",
-                game,
-                seed,
-                device=cfg.device,
-            ),
-            cfg.move_budget_s,
-            name=kind,
-        )
-
-    def opponent(seed: int) -> MctsPlayer:
-        return MctsPlayer(
-            game, make_engine("sequential", game, seed), cfg.move_budget_s
-        )
-
-    matchups = []
-    keys = []
-    for kind in ("GPU", "GPU + CPU"):
-        for g in range(cfg.games_per_series):
-            subj = subject(kind, derive_seed(cfg.seed, kind, g, "s"))
-            opp = opponent(derive_seed(cfg.seed, kind, g, "o"))
-            colour = 1 if g % 2 == 0 else -1
-            matchups.append((subj, opp) if colour == 1 else (opp, subj))
-            keys.append((kind, colour))
-
-    records = play_games_cohort(
+    results = play_matchups(
         game,
-        matchups,
-        BatchExecutor("reversi", derive_seed(cfg.seed, "executor")),
+        {
+            kind: mcts_player(
+                game,
+                f"{family}:{cfg.blocks}x{cfg.tpb}",
+                cfg.move_budget_s,
+                name=kind,
+                device=cfg.device,
+            )
+            for kind, family in (("GPU", "block"), ("GPU + CPU", "hybrid"))
+        },
+        mcts_player(game, "sequential", cfg.move_budget_s),
+        cfg.games_per_series,
+        lambda kind, g, role: derive_seed(cfg.seed, kind, g, role[0]),
+        cohort_executor(game, derive_seed(cfg.seed, "executor")),
     )
 
     out = Fig8Result(config=cfg)
-    for kind in ("GPU", "GPU + CPU"):
-        recs = [r for r, (k, _) in zip(records, keys) if k == kind]
-        colours = [c for _, (k, c) in zip(records, keys) if k == kind]
-        out.points[kind] = mean_score_series(recs, colours, cfg.steps)
-        out.depth[kind] = mean_depth_series(recs, colours, cfg.steps)
+    for kind, result in results.items():
+        out.points[kind] = result.score_series(cfg.steps)
+        out.depth[kind] = result.depth_series(cfg.steps)
     return out

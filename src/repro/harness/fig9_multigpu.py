@@ -14,14 +14,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.arena.cohort import play_games_cohort
-from repro.core import make_engine
-from repro.core.base import BatchExecutor
+from repro.arena.cohort import play_matchups
 from repro.games import Reversi
 from repro.gpu import TESLA_C2050, DeviceSpec
-from repro.harness.common import resolve_tier
+from repro.harness.common import (
+    cohort_executor,
+    engine,
+    mcts_player,
+    resolve_tier,
+)
 from repro.mpi import TSUBAME_IB, NetworkModel
-from repro.players import MctsPlayer
 from repro.util.seeding import derive_seed
 from repro.util.tables import format_series
 
@@ -88,23 +90,21 @@ class Fig9Result:
         )
 
 
-def _multigpu_engine(n_gpus: int, seed: int, cfg: Fig9Config):
-    return make_engine(
-        f"multigpu:{n_gpus}x{cfg.blocks}x{cfg.tpb}",
-        Reversi(),
-        seed,
-        device=cfg.device,
-        network=cfg.network,
-    )
+def _spec(n_gpus: int, cfg: Fig9Config) -> str:
+    return f"multigpu:{n_gpus}x{cfg.blocks}x{cfg.tpb}"
 
 
 def measure_throughput(n_gpus: int, cfg: Fig9Config) -> float:
-    engine = _multigpu_engine(
-        n_gpus, derive_seed(cfg.seed, "thr", n_gpus), cfg
+    game = Reversi()
+    subject = engine(
+        game,
+        _spec(n_gpus, cfg),
+        derive_seed(cfg.seed, "thr", n_gpus),
+        device=cfg.device,
+        network=cfg.network,
+        max_iterations=cfg.throughput_iterations,
     )
-    engine.max_iterations = cfg.throughput_iterations
-    game = engine.game
-    result = engine.search(game.initial_state(), budget_s=1e9)
+    result = subject.search(game.initial_state(), budget_s=1e9)
     return result.simulations / result.elapsed_s
 
 
@@ -116,41 +116,24 @@ def run_fig9(config: Fig9Config | None = None) -> Fig9Result:
     for n in cfg.gpu_counts:
         out.throughput[n] = measure_throughput(n, cfg)
 
-    matchups = []
-    keys = []
-    for n in cfg.gpu_counts:
-        for g in range(cfg.games_per_point):
-            subj = MctsPlayer(
+    results = play_matchups(
+        game,
+        {
+            n: mcts_player(
                 game,
-                _multigpu_engine(
-                    n, derive_seed(cfg.seed, "game", n, g, "s"), cfg
-                ),
+                _spec(n, cfg),
                 cfg.move_budget_s,
                 name=f"{n} GPUs",
+                device=cfg.device,
+                network=cfg.network,
             )
-            opp = MctsPlayer(
-                game,
-                make_engine(
-                    "sequential",
-                    game,
-                    derive_seed(cfg.seed, "game", n, g, "o"),
-                ),
-                cfg.move_budget_s,
-            )
-            colour = 1 if g % 2 == 0 else -1
-            matchups.append((subj, opp) if colour == 1 else (opp, subj))
-            keys.append((n, colour))
-
-    records = play_games_cohort(
-        game,
-        matchups,
-        BatchExecutor("reversi", derive_seed(cfg.seed, "executor")),
+            for n in cfg.gpu_counts
+        },
+        mcts_player(game, "sequential", cfg.move_budget_s),
+        cfg.games_per_point,
+        lambda n, g, role: derive_seed(cfg.seed, "game", n, g, role[0]),
+        cohort_executor(game, derive_seed(cfg.seed, "executor")),
     )
-    for n in cfg.gpu_counts:
-        scores = [
-            rec.final_score * colour
-            for rec, (k, colour) in zip(records, keys)
-            if k == n
-        ]
-        out.point_difference[n] = sum(scores) / len(scores)
+    for n, result in results.items():
+        out.point_difference[n] = result.mean_final_score
     return out

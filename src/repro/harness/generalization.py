@@ -13,14 +13,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.arena.cohort import play_games_cohort
-from repro.arena.metrics import wilson_interval
-from repro.core import make_engine
-from repro.core.base import BatchExecutor
+from repro.arena.cohort import play_matchups
 from repro.games import make_game
 from repro.gpu import TESLA_C2050, DeviceSpec
-from repro.harness.common import resolve_tier
-from repro.players import MctsPlayer
+from repro.harness.common import cohort_executor, mcts_player, resolve_tier
 from repro.util.seeding import derive_seed
 from repro.util.tables import format_table
 
@@ -86,52 +82,25 @@ def run_generalization(
     out = GeneralizationResult(config=cfg)
     for game_name in cfg.games:
         game = make_game(game_name)
-        matchups, keys = [], []
-        for scheme in ("block", "leaf"):
-            for g in range(cfg.games_per_point):
-                subj = MctsPlayer(
-                    game,
-                    make_engine(
-                        f"{scheme}:{cfg.blocks}x{cfg.tpb}",
-                        game,
-                        derive_seed(cfg.seed, game_name, scheme, g, "s"),
-                        device=cfg.device,
-                    ),
-                    cfg.move_budget_s,
-                )
-                opp = MctsPlayer(
-                    game,
-                    make_engine(
-                        "sequential",
-                        game,
-                        derive_seed(cfg.seed, game_name, scheme, g, "o"),
-                    ),
-                    cfg.move_budget_s,
-                )
-                colour = 1 if g % 2 == 0 else -1
-                matchups.append(
-                    (subj, opp) if colour == 1 else (opp, subj)
-                )
-                keys.append((scheme, colour))
-        records = play_games_cohort(
+        results = play_matchups(
             game,
-            matchups,
-            BatchExecutor(
-                game_name, derive_seed(cfg.seed, game_name, "x")
+            {
+                scheme: mcts_player(
+                    game,
+                    f"{scheme}:{cfg.blocks}x{cfg.tpb}",
+                    cfg.move_budget_s,
+                    device=cfg.device,
+                )
+                for scheme in ("block", "leaf")
+            },
+            mcts_player(game, "sequential", cfg.move_budget_s),
+            cfg.games_per_point,
+            lambda scheme, g, role: derive_seed(
+                cfg.seed, game_name, scheme, g, role[0]
             ),
+            cohort_executor(game, derive_seed(cfg.seed, game_name, "x")),
         )
-        for scheme in ("block", "leaf"):
-            score = sum(
-                1.0 if rec.winner * colour > 0
-                else 0.5 if rec.winner == 0
-                else 0.0
-                for rec, (k, colour) in zip(records, keys)
-                if k == scheme
-            )
-            out.win_ratio[(game_name, scheme)] = (
-                score / cfg.games_per_point
-            )
-            out.intervals[(game_name, scheme)] = wilson_interval(
-                score, cfg.games_per_point
-            )
+        for scheme, result in results.items():
+            out.win_ratio[(game_name, scheme)] = result.win_ratio
+            out.intervals[(game_name, scheme)] = result.win_ratio_ci()
     return out

@@ -20,13 +20,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.arena.cohort import play_games_cohort
-from repro.arena.metrics import wilson_interval
-from repro.core import make_engine
-from repro.core.base import BatchExecutor
+from repro.arena.cohort import play_matchups
 from repro.games import make_game
-from repro.harness.common import resolve_tier
-from repro.players import MctsPlayer
+from repro.harness.common import cohort_executor, mcts_player, resolve_tier
 from repro.util.seeding import derive_seed
 from repro.util.tables import format_series
 
@@ -133,68 +129,42 @@ class ShootoutResult:
         return "\n\n".join(blocks)
 
 
-def _subject(label: str, n: int, game, seed: int, cfg) -> MctsPlayer:
-    spec = CONTENDERS[label].format(n=n)
-    engine = make_engine(spec, game, seed)
-    return MctsPlayer(game, engine, cfg.move_budget_s, name=label)
-
-
 def run_shootout(config: ShootoutConfig | None = None) -> ShootoutResult:
     cfg = config or ShootoutConfig.for_tier()
     out = ShootoutResult(config=cfg)
 
     for game_name in cfg.games:
         game = make_game(game_name)
-        matchups = []
-        keys = []  # (label, n_workers, subject colour)
-        for label in cfg.contenders:
-            for n in cfg.worker_counts:
-                for g in range(cfg.games_per_point):
-                    seed_s = derive_seed(
-                        cfg.seed, game_name, label, n, g, "subject"
-                    )
-                    seed_o = derive_seed(
-                        cfg.seed, game_name, label, n, g, "opponent"
-                    )
-                    subject = _subject(label, n, game, seed_s, cfg)
-                    opponent = MctsPlayer(
-                        game,
-                        make_engine("sequential", game, seed_o),
-                        cfg.move_budget_s,
-                        name="cpu-1",
-                    )
-                    colour = 1 if g % 2 == 0 else -1
-                    if colour == 1:
-                        matchups.append((subject, opponent))
-                    else:
-                        matchups.append((opponent, subject))
-                    keys.append((label, n, colour))
-
-        records = play_games_cohort(
+        results = play_matchups(
             game,
-            matchups,
-            BatchExecutor(
-                game_name, derive_seed(cfg.seed, game_name, "executor")
+            {
+                (label, n): mcts_player(
+                    game,
+                    CONTENDERS[label].format(n=n),
+                    cfg.move_budget_s,
+                    name=label,
+                )
+                for label in cfg.contenders
+                for n in cfg.worker_counts
+            },
+            mcts_player(
+                game, "sequential", cfg.move_budget_s, name="cpu-1"
+            ),
+            cfg.games_per_point,
+            lambda key, g, role: derive_seed(
+                cfg.seed, game_name, *key, g, role
+            ),
+            cohort_executor(
+                game, derive_seed(cfg.seed, game_name, "executor")
             ),
             max_plies=cfg.max_plies,
         )
-
         for label in cfg.contenders:
-            ratios, cis = [], []
-            for n in cfg.worker_counts:
-                score, count = 0.0, 0
-                for rec, (lab, workers, colour) in zip(records, keys):
-                    if lab != label or workers != n:
-                        continue
-                    outcome = rec.winner * colour
-                    score += (
-                        1.0 if outcome > 0
-                        else 0.5 if outcome == 0
-                        else 0.0
-                    )
-                    count += 1
-                ratios.append(score / count)
-                cis.append(wilson_interval(score, count))
-            out.win_ratio[(game_name, label)] = ratios
-            out.intervals[(game_name, label)] = cis
+            points = [results[label, n] for n in cfg.worker_counts]
+            out.win_ratio[(game_name, label)] = [
+                p.win_ratio for p in points
+            ]
+            out.intervals[(game_name, label)] = [
+                p.win_ratio_ci() for p in points
+            ]
     return out

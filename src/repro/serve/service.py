@@ -48,7 +48,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from repro.core.backend import validate_backend
-from repro.core.base import Engine
+from repro.core.base import Engine, supports_search_steps
 from repro.core.executors import validate_playout
 from repro.core.checkpoint import (
     CheckpointError,
@@ -100,11 +100,6 @@ from repro.serve.scheduler import (
 )
 from repro.util.clock import Clock
 from repro.util.seeding import derive_seed
-
-
-def supports_search_steps(engine: Engine) -> bool:
-    """Can this engine be driven through the merged generator seam?"""
-    return type(engine).search_steps is not Engine.search_steps
 
 
 def _deadline_key(record: RequestRecord) -> tuple[float, float]:

@@ -3,11 +3,14 @@
 import pytest
 
 from repro.arena import play_game
-from repro.arena.cohort import drive_merged, play_games_cohort
+from repro.arena.cohort import play_games_cohort, play_matchups
+from repro.arena.tournament import MatchupResult
 from repro.core import BlockParallelMcts, SequentialMcts
 from repro.core.base import BatchExecutor
 from repro.games import TicTacToe
 from repro.players import MctsPlayer, RandomPlayer
+from repro.serve.scheduler import drive_generators
+from repro.util.seeding import derive_seed
 
 GAME = TicTacToe()
 
@@ -33,7 +36,7 @@ class TestDriveMerged:
     def test_single_generator_matches_engine_result(self, executor):
         engine = SequentialMcts(GAME, seed=4)
         gen = engine.search_steps(GAME.initial_state(), 0.002)
-        results = drive_merged({0: gen}, executor)
+        results = drive_generators({0: gen}, executor)
         assert 0 in results
         assert results[0].simulations > 0
 
@@ -44,13 +47,13 @@ class TestDriveMerged:
             )
             for i in range(5)
         }
-        results = drive_merged(gens, executor)
+        results = drive_generators(gens, executor)
         assert set(results) == set(range(5))
         for res in results.values():
             assert res.move in range(9)
 
     def test_empty_input(self, executor):
-        assert drive_merged({}, executor) == {}
+        assert drive_generators({}, executor) == {}
 
 
 class TestPlayGamesCohort:
@@ -110,3 +113,64 @@ class TestPlayGamesCohort:
         # differ; the contract is structural validity, not identity.
         assert rec_cohort.winner in (-1, 0, 1)
         assert rec_direct.winner in (-1, 0, 1)
+
+
+class TestPlayMatchups:
+    SUBJECTS = {"gpu": gpu_player, "cpu": seq_player}
+
+    @staticmethod
+    def seeds(key, g, role):
+        return derive_seed(7, key, g, role)
+
+    def test_equals_folding_the_cohort_by_hand(self, executor):
+        results = play_matchups(
+            GAME, self.SUBJECTS, seq_player, 3, self.seeds, executor
+        )
+
+        matchups, colours = [], []
+        for key, subject in self.SUBJECTS.items():
+            for g in range(3):
+                subj = subject(self.seeds(key, g, "subject"))
+                opp = seq_player(self.seeds(key, g, "opponent"))
+                colours.append(1 if g % 2 == 0 else -1)
+                matchups.append(
+                    (subj, opp) if colours[-1] == 1 else (opp, subj)
+                )
+        records = play_games_cohort(
+            GAME, matchups, BatchExecutor("tictactoe", seed=99)
+        )
+        by_hand = {"gpu": MatchupResult(), "cpu": MatchupResult()}
+        for i, (record, colour) in enumerate(zip(records, colours)):
+            by_hand["gpu" if i < 3 else "cpu"].add(record, colour)
+
+        assert results == by_hand
+        for result in results.values():
+            assert result.games == 3
+            assert result.win_ratio == (
+                result.wins + 0.5 * result.draws
+            ) / 3
+
+    def test_colours_alternate_from_black(self, executor):
+        results = play_matchups(
+            GAME, self.SUBJECTS, seq_player, 3, self.seeds, executor
+        )
+        for result in results.values():
+            assert result.subject_colours == [1, -1, 1]
+
+    def test_keys_keep_insertion_order(self, executor):
+        subjects = {key: seq_player for key in ("b", "a", "c")}
+        results = play_matchups(
+            GAME, subjects, seq_player, 1, self.seeds, executor
+        )
+        assert list(results) == ["b", "a", "c"]
+
+    def test_rejects_no_subjects(self, executor):
+        with pytest.raises(ValueError, match="subjects"):
+            play_matchups(GAME, {}, seq_player, 2, self.seeds, executor)
+
+    @pytest.mark.parametrize("n_games", [0, -1])
+    def test_rejects_no_games(self, executor, n_games):
+        with pytest.raises(ValueError, match="n_games"):
+            play_matchups(
+                GAME, self.SUBJECTS, seq_player, n_games, self.seeds, executor
+            )
