@@ -19,31 +19,27 @@ recovered, and MTTR (the recovered run's virtual time to finish the
 interrupted work) is reported against the checkpoint interval --
 denser checkpoints salvage more iterations and shrink MTTR.
 
-Run standalone with ``python benchmarks/bench_faults.py`` (or
-``--smoke`` for the seconds-scale CI gate); under pytest the quick
-tier scales budgets down (REPRO_TIER=default restores full budgets).
+``python benchmarks/bench_faults.py`` runs this file's tests through
+pytest (``--smoke``: the quick tier, the seconds-scale CI gate -- also
+pytest's own default here; REPRO_TIER=default restores full budgets).
+The serving runs are the ``mixed`` row of ``repro.serve.scenarios`` at
+bench_serve.py's tier budgets.
 """
 
 import sys
 import tempfile
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import pytest
 
 from repro.faults import FaultPlan
 from repro.harness.common import resolve_tier
-from repro.serve import (
-    SearchService,
-    ServiceCrash,
-    WorkloadConfig,
-    make_workload,
-)
 
 try:
-    from benchmarks.bench_serve import fingerprint
+    from benchmarks.bench_serve import fingerprint, main, run_mixed
 except ImportError:  # standalone `python benchmarks/bench_faults.py`
-    from bench_serve import fingerprint
+    from bench_serve import fingerprint, main, run_mixed
 
 #: The canonical 10% per-launch fault mix: failed launches dominate,
 #: with lost results and absorbed latency spikes riding along.
@@ -57,57 +53,23 @@ FAULT_MIX = FaultPlan(
 )
 
 
-@dataclass(frozen=True)
-class FaultBenchConfig:
-    n_requests: int = 64
-    #: Scale factors applied to FAULT_MIX's 10% total per-launch rate.
-    fault_scales: tuple[float, ...] = (0.0, 0.5, 1.0, 2.0)
-    budget_scale: float = 1.0
-    n_devices: int = 4
-    max_active: int = 64
-    seed: int = 2011
-
-    @staticmethod
-    def for_tier(tier: str | None = None) -> "FaultBenchConfig":
-        tier = resolve_tier(tier)
-        if tier == "quick":
-            return FaultBenchConfig(budget_scale=0.25)
-        if tier == "full":
-            return FaultBenchConfig(
-                budget_scale=2.0,
-                fault_scales=(0.0, 0.25, 0.5, 1.0, 2.0, 4.0),
-            )
-        return FaultBenchConfig()
+def fault_scales() -> tuple[float, ...]:
+    """Scale factors applied to FAULT_MIX's 10% total per-launch rate."""
+    if resolve_tier() == "full":
+        return (0.0, 0.25, 0.5, 1.0, 2.0, 4.0)
+    return (0.0, 0.5, 1.0, 2.0)
 
 
-def run_with_faults(
-    cfg: FaultBenchConfig, plan: FaultPlan | None = FAULT_MIX
-):
+def run_with_faults(plan: FaultPlan | None = FAULT_MIX):
     """Serve the mixed workload under ``plan`` (None = no fault layer)."""
-    workload = make_workload(
-        WorkloadConfig(
-            n_requests=cfg.n_requests,
-            seed=cfg.seed,
-            budget_scale=cfg.budget_scale,
-            deadline_s=None,
-        )
-    )
-    service = SearchService(
-        n_devices=cfg.n_devices,
-        max_active=cfg.max_active,
-        seed=cfg.seed,
-        faults=plan,
-    )
-    service.submit_all(workload)
-    records = service.run()
-    return records, service.report()
+    return run_mixed(deadlines=False, faults=plan)
 
 
-def run_fault_sweep(cfg: FaultBenchConfig):
-    """Fault-rate scale -> ServiceReport, over ``cfg.fault_scales``."""
+def run_fault_sweep():
+    """Fault-rate scale -> ServiceReport, over the tier's scales."""
     return {
-        scale: run_with_faults(cfg, FAULT_MIX.scaled(scale))[1]
-        for scale in cfg.fault_scales
+        scale: run_with_faults(FAULT_MIX.scaled(scale)).report
+        for scale in fault_scales()
     }
 
 
@@ -150,24 +112,17 @@ class CrashBenchConfig:
     crash_tick: int = 30
     #: Checkpoint intervals (iterations) swept for the MTTR curve.
     checkpoint_intervals: tuple[int, ...] = (5, 20, 80, 0)
-    budget_scale: float = 1.0
-    n_devices: int = 4
-    max_active: int = 64
-    seed: int = 2011
 
     @staticmethod
     def for_tier(tier: str | None = None) -> "CrashBenchConfig":
         tier = resolve_tier(tier)
         if tier == "quick":
-            return CrashBenchConfig(
-                n_requests=12, crash_tick=12, budget_scale=0.25
-            )
+            return CrashBenchConfig(n_requests=12, crash_tick=12)
         if tier == "full":
             return CrashBenchConfig(
                 n_requests=64,
                 crash_tick=60,
                 checkpoint_intervals=(2, 5, 10, 20, 40, 80, 0),
-                budget_scale=2.0,
             )
         return CrashBenchConfig()
 
@@ -176,7 +131,6 @@ class CrashBenchConfig:
 class RecoveryOutcome:
     """One crash/recover cycle, folded for the MTTR table."""
 
-    crashed_at_s: float
     mttr_s: float
     adopted: int
     resumed: int
@@ -189,44 +143,19 @@ def run_crash_recovery(
     cfg: CrashBenchConfig, checkpoint_every: int, journal_dir=None
 ) -> RecoveryOutcome:
     """Kill a journalled run at ``cfg.crash_tick``, recover, report."""
-    workload = make_workload(
-        WorkloadConfig(
-            n_requests=cfg.n_requests,
-            seed=cfg.seed,
-            budget_scale=cfg.budget_scale,
-            deadline_s=None,
-        )
-    )
     if journal_dir is None:
         with tempfile.TemporaryDirectory() as tmp:
             return run_crash_recovery(cfg, checkpoint_every, tmp)
-    path = Path(journal_dir) / f"crash_{checkpoint_every}.jsonl"
-    service = SearchService(
-        n_devices=cfg.n_devices,
-        max_active=cfg.max_active,
-        seed=cfg.seed,
-        journal=path,
+    served = run_mixed(
+        cfg.n_requests,
+        deadlines=False,
+        journal=Path(journal_dir) / f"crash_{checkpoint_every}.jsonl",
         checkpoint_every=checkpoint_every,
         faults=FaultPlan.parse(f"crash=tick:{cfg.crash_tick}"),
     )
-    service.submit_all(workload)
-    try:
-        service.run()
-        raise AssertionError("planned crash never fired")
-    except ServiceCrash:
-        crashed_at_s = service.clock.now
-
-    recovered = SearchService.recover(
-        path,
-        n_devices=cfg.n_devices,
-        max_active=cfg.max_active,
-        seed=cfg.seed,
-        checkpoint_every=checkpoint_every,
-    )
-    recovered.run()
-    report = recovered.report()
+    assert served.crashed is not None, "planned crash never fired"
+    report = served.report
     return RecoveryOutcome(
-        crashed_at_s=crashed_at_s,
         # MTTR: virtual time the recovered service needs to finish the
         # work the crash interrupted.
         mttr_s=report.elapsed_s,
@@ -281,22 +210,15 @@ class CorruptBenchConfig:
     n_requests: int = 48
     corrupt_rates: tuple[float, ...] = (0.01, 0.05, 0.2)
     mode: str = "bitflip"
-    budget_scale: float = 1.0
-    n_devices: int = 4
-    max_active: int = 64
-    seed: int = 2011
 
     @staticmethod
     def for_tier(tier: str | None = None) -> "CorruptBenchConfig":
         tier = resolve_tier(tier)
         if tier == "quick":
-            return CorruptBenchConfig(
-                n_requests=24, budget_scale=0.25
-            )
+            return CorruptBenchConfig(n_requests=24)
         if tier == "full":
             return CorruptBenchConfig(
-                budget_scale=2.0,
-                corrupt_rates=(0.01, 0.02, 0.05, 0.1, 0.2, 0.4),
+                corrupt_rates=(0.01, 0.02, 0.05, 0.1, 0.2, 0.4)
             )
         return CorruptBenchConfig()
 
@@ -307,24 +229,12 @@ def run_with_corruption(
     """Serve the mixed workload under a ``corrupt=rate:mode`` plan."""
     from repro.integrity import IntegrityPolicy
 
-    workload = make_workload(
-        WorkloadConfig(
-            n_requests=cfg.n_requests,
-            seed=cfg.seed,
-            budget_scale=cfg.budget_scale,
-            deadline_s=None,
-        )
-    )
-    service = SearchService(
-        n_devices=cfg.n_devices,
-        max_active=cfg.max_active,
-        seed=cfg.seed,
+    return run_mixed(
+        cfg.n_requests,
+        deadlines=False,
         faults=f"corrupt={rate}:{cfg.mode},seed=7",
         integrity=None if defenses else IntegrityPolicy.disabled(),
     )
-    service.submit_all(workload)
-    records = service.run()
-    return records, service.report()
 
 
 def detection_rate(report) -> float:
@@ -338,7 +248,7 @@ def detection_rate(report) -> float:
 def run_corrupt_sweep(cfg: CorruptBenchConfig):
     """Corruption rate -> ServiceReport, over ``cfg.corrupt_rates``."""
     return {
-        rate: run_with_corruption(cfg, rate)[1]
+        rate: run_with_corruption(cfg, rate).report
         for rate in cfg.corrupt_rates
     }
 
@@ -527,11 +437,11 @@ def render_differential(
 
 
 def test_ten_percent_faults_complete_without_errors(run_once):
-    cfg = FaultBenchConfig.for_tier()
-    _, report = run_once(run_with_faults, cfg)
+    _, report = run_once(run_with_faults)
     print()
+    print("10% per-launch fault mix:")
     print(report.render())
-    assert report.completed == cfg.n_requests
+    assert report.completed == report.offered == 64
     assert report.completion_rate == 1.0
     assert report.missed == 0
     assert report.rejected == 0
@@ -540,11 +450,9 @@ def test_ten_percent_faults_complete_without_errors(run_once):
 
 
 def test_zero_fault_rate_is_a_noop(run_once):
-    cfg = FaultBenchConfig.for_tier()
-
     def compare():
-        baseline = run_with_faults(cfg, plan=None)
-        zero_rate = run_with_faults(cfg, FAULT_MIX.scaled(0.0))
+        baseline = run_with_faults(plan=None)
+        zero_rate = run_with_faults(FAULT_MIX.scaled(0.0))
         return baseline, zero_rate
 
     (base_records, base_report), (zero_records, zero_report) = (
@@ -557,9 +465,8 @@ def test_zero_fault_rate_is_a_noop(run_once):
 
 
 def test_fault_injection_deterministic(run_once):
-    cfg = FaultBenchConfig.for_tier()
-    records, report = run_once(run_with_faults, cfg)
-    again, report2 = run_with_faults(cfg)
+    records, report = run_once(run_with_faults)
+    again, report2 = run_with_faults()
     assert fingerprint(records) == fingerprint(again)
     assert report == report2
     assert [r.lost_lanes for r in records] == [
@@ -569,11 +476,10 @@ def test_fault_injection_deterministic(run_once):
 
 
 def test_fault_sweep_degrades_gracefully(run_once):
-    cfg = FaultBenchConfig.for_tier()
-    reports = run_once(run_fault_sweep, cfg)
+    reports = run_once(run_fault_sweep)
     print()
     print(render_sweep(reports))
-    assert set(reports) == set(cfg.fault_scales)
+    assert set(reports) == set(fault_scales())
     for scale, report in reports.items():
         assert report.completion_rate == 1.0, (
             f"errors at fault scale {scale}"
@@ -586,7 +492,7 @@ def test_fault_sweep_degrades_gracefully(run_once):
 
 
 @pytest.mark.integrity
-def test_corrupt_bitflips_always_detected(run_once):
+def test_corrupt_bitflips_always_detected(run_once, headline):
     cfg = CorruptBenchConfig.for_tier()
     reports = run_once(run_corrupt_sweep, cfg)
     print()
@@ -599,6 +505,10 @@ def test_corrupt_bitflips_always_detected(run_once):
             f"detection below gate at corrupt rate {rate}"
         )
     assert reports[0.05].corrupt_detected > 0
+    headline.append(
+        f"corruption detection {detection_rate(reports[0.05]):.1%} "
+        "at corrupt=0.05:bitflip"
+    )
 
 
 @pytest.mark.integrity
@@ -636,7 +546,7 @@ def test_crash_recovery_completes_every_request(run_once, tmp_path):
     assert outcome.iterations_salvaged > 0
 
 
-def test_denser_checkpoints_salvage_no_less_work(run_once):
+def test_denser_checkpoints_salvage_no_less_work(run_once, headline):
     cfg = CrashBenchConfig.for_tier()
     outcomes = run_once(run_mttr_sweep, cfg)
     print()
@@ -651,64 +561,8 @@ def test_denser_checkpoints_salvage_no_less_work(run_once):
     assert outcomes[densest].iterations_salvaged == max(
         o.iterations_salvaged for o in outcomes.values()
     )
-
-
-def _main(argv) -> int:  # pragma: no cover
-    smoke = "--smoke" in argv
-    if smoke:
-        fault_cfg = FaultBenchConfig.for_tier("quick")
-        crash_cfg = CrashBenchConfig.for_tier("quick")
-        corrupt_cfg = CorruptBenchConfig.for_tier("quick")
-        diff_cfg = DifferentialConfig.for_tier("quick")
-    else:
-        fault_cfg = replace(
-            FaultBenchConfig.for_tier(), budget_scale=1.0
-        )
-        crash_cfg = CrashBenchConfig.for_tier()
-        corrupt_cfg = CorruptBenchConfig.for_tier()
-        diff_cfg = DifferentialConfig.for_tier()
-    _, report = run_with_faults(fault_cfg)
-    print("10% per-launch fault mix:")
-    print(report.render())
-    print()
-    print(render_sweep(run_fault_sweep(fault_cfg)))
-    print()
-    outcomes = run_mttr_sweep(crash_cfg)
-    print(render_mttr_sweep(outcomes))
-    incomplete = [
-        every
-        for every, outcome in outcomes.items()
-        if outcome.completed != crash_cfg.n_requests
-    ]
-    if incomplete:
-        print(f"FAIL: requests lost at intervals {incomplete}")
-        return 1
-
-    print()
-    corrupt_reports = run_corrupt_sweep(corrupt_cfg)
-    print(render_corrupt_sweep(corrupt_reports))
-    gate = detection_rate(corrupt_reports[0.05])
-    if gate < 0.99:
-        print(
-            f"FAIL: detection {gate:.3f} < 0.99 at corrupt=0.05:bitflip"
-        )
-        return 1
-    print()
-    differential = run_move_differential(diff_cfg)
-    print(render_differential(diff_cfg, differential))
-    if differential.defended_rate < diff_cfg.match_floor:
-        print(
-            f"FAIL: defended move match {differential.defended_rate:.2f}"
-            f" below the {diff_cfg.match_floor:.0%} floor"
-        )
-        return 1
-    if smoke:
-        print(
-            "smoke OK: crash recovery completed every request; "
-            f"corruption detection {gate:.1%} at corrupt=0.05:bitflip"
-        )
-    return 0
+    headline.append("crash recovery completed every request")
 
 
 if __name__ == "__main__":  # pragma: no cover
-    sys.exit(_main(sys.argv[1:]))
+    sys.exit(main(__file__, sys.argv[1:]))

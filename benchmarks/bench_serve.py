@@ -11,9 +11,14 @@ budgets) served concurrently over a shared 4-GPU pool must complete
   a single device.
 
 A load sweep (offered loads 1..256) reports requests/s and p50/p95
-latency at each point.  Run standalone with
-``python benchmarks/bench_serve.py``; under pytest the quick tier
-scales budgets down (REPRO_TIER=default restores the full budgets).
+latency at each point.  Every operating point is a row of
+``repro.serve.scenarios`` (docs/serving.md, "Scenarios"); this file
+lays the tiers over the rows and holds the gates, each written once as
+a test.  ``python benchmarks/bench_serve.py [--cluster | --storm |
+--retry-storm] [--smoke]`` runs a group of them through pytest
+(``--smoke`` pins the quick tier, which pytest defaults to as well;
+REPRO_TIER=default restores the full budgets) and ends with one
+``headline:`` line of what they measured.
 
 The cluster tier (``--cluster``, CI gate ``--cluster --smoke``)
 measures the sharded stack from docs/cluster.md: shard-count
@@ -45,160 +50,83 @@ crash still serves every request exactly once.  Measured numbers are
 recorded in ``benchmarks/REPORT_retrystorm.md``.
 """
 
+import os
 import sys
 import tempfile
-from dataclasses import dataclass, replace
+from dataclasses import replace
+
+import pytest
 
 from repro.harness.common import resolve_tier
 from repro.serve import (
     ClusterRouter,
     ClusterStormConfig,
-    FlashCrowd,
-    SearchService,
-    StormConfig,
-    TraceConfig,
-    WorkloadConfig,
     make_workload,
-    post_crowd_attainment,
     run_cluster_storm,
     run_storm,
+    scenarios,
+    serve,
 )
 
-
-@dataclass(frozen=True)
-class ServeBenchConfig:
-    n_requests: int = 64
-    loads: tuple[int, ...] = (1, 4, 16, 64, 256)
-    budget_scale: float = 1.0
-    n_devices: int = 4
-    max_active: int = 64
-    deadline_s: float = 2.0
-    seed: int = 2011
-
-    @staticmethod
-    def for_tier(tier: str | None = None) -> "ServeBenchConfig":
-        tier = resolve_tier(tier)
-        if tier == "quick":
-            return ServeBenchConfig(
-                budget_scale=0.25, loads=(1, 16, 64, 256)
-            )
-        if tier == "full":
-            return ServeBenchConfig(
-                loads=(1, 4, 16, 64, 128, 256), budget_scale=2.0
-            )
-        return ServeBenchConfig()
+#: Tier -> (budget scale, offered loads of the sweep) laid over the
+#: ``mixed`` row by :func:`run_mixed`, which bench_faults.py serves too.
+MIXED_TIERS = {
+    "quick": (0.25, (1, 16, 64, 256)),
+    "default": (1.0, (1, 4, 16, 64, 256)),
+    "full": (2.0, (1, 4, 16, 64, 128, 256)),
+}
 
 
-@dataclass(frozen=True)
-class ClusterBenchConfig:
-    """Shape of the sharded-cluster benchmark runs.
-
-    Shards are deliberately *contended* (2 devices, 4 active slots
-    each): sharding pays off when one node saturates, and a virtual
-    node with a huge admission window never does.
-    """
-
-    n_requests: int = 64
-    shard_counts: tuple[int, ...] = (1, 2, 4, 8)
-    budget_scale: float = 0.25
-    n_devices: int = 2
-    max_active: int = 4
-    seed: int = 2011
-    #: Independent traffic: candidate positions per game (several per
-    #: request, so duplicates -- and cache hits -- are rare).
-    position_pool: int = 256
-    #: Zipf-skewed traffic: a small hot pool under this exponent.
-    skew: float = 1.1
-    skew_pool: int = 12
-
-    @staticmethod
-    def for_tier(tier: str | None = None) -> "ClusterBenchConfig":
-        tier = resolve_tier(tier)
-        if tier == "quick":
-            # Keep the full 64-request workload and position pool:
-            # the scaling and cache-collapse effects need enough
-            # offered load (and shard balance) to show; trim the
-            # sweep to its gated endpoints instead.
-            return ClusterBenchConfig(shard_counts=(1, 4))
-        if tier == "full":
-            return ClusterBenchConfig(
-                n_requests=128,
-                budget_scale=0.5,
-                position_pool=512,
-            )
-        return ClusterBenchConfig()
-
-
-def run_cluster(
-    cfg: ClusterBenchConfig,
-    n_shards: int,
-    cache=None,
-    position_skew: float = 0.0,
-    position_pool: int | None = None,
-    journal_dir=None,
-    shard_overrides=None,
-):
-    """One cluster run over a generated workload."""
-    workload = make_workload(
-        WorkloadConfig(
-            n_requests=cfg.n_requests,
-            seed=cfg.seed,
-            budget_scale=cfg.budget_scale,
-            deadline_s=None,
-            position_skew=position_skew,
-            position_pool=(
-                cfg.position_pool
-                if position_pool is None
-                else position_pool
-            ),
+def cluster_row(skewed: bool = False):
+    """``scenarios.cluster_contended()``: ``(workload, router
+    kwargs)``.  The quick tier keeps the full 64 requests and position
+    pool -- scaling and cache collapse need enough offered load (and
+    shard balance) to show -- and trims the sweep to its gated
+    endpoints instead (:func:`shard_counts`)."""
+    workload, router = scenarios.cluster_contended(skewed=skewed)
+    if resolve_tier() == "full":
+        workload = replace(
+            workload,
+            n_requests=128,
+            budget_scale=0.5,
+            position_pool=workload.position_pool if skewed else 512,
         )
-    )
+    return workload, router
+
+
+def shard_counts() -> tuple[int, ...]:
+    return (1, 4) if resolve_tier() == "quick" else (1, 2, 4, 8)
+
+
+def run_cluster(workload, router, n_shards: int, **router_kwargs):
+    """One cluster run over a generated workload."""
     cluster = ClusterRouter(
-        n_shards=n_shards,
-        seed=cfg.seed,
-        cache=cache,
-        journal_dir=journal_dir,
-        shard_overrides=shard_overrides,
-        n_devices=cfg.n_devices,
-        max_active=cfg.max_active,
-        enforce_deadlines=False,
+        n_shards=n_shards, **{**router, **router_kwargs}
     )
-    cluster.submit_all(workload)
+    cluster.submit_all(make_workload(workload))
     records = cluster.run()
     return records, cluster.report()
 
 
-def run_scaling_sweep(cfg: ClusterBenchConfig):
+def run_scaling_sweep():
     """Shard count -> ClusterReport on independent traffic."""
-    return {
-        n: run_cluster(cfg, n)[1] for n in cfg.shard_counts
-    }
+    row = cluster_row()
+    return {n: run_cluster(*row, n)[1] for n in shard_counts()}
 
 
-def run_skew_comparison(cfg: ClusterBenchConfig):
+def run_skew_comparison():
     """(cache-off report, cache-on report) on Zipf-skewed traffic."""
-    off = run_cluster(
-        cfg,
-        4,
-        cache=None,
-        position_skew=cfg.skew,
-        position_pool=cfg.skew_pool,
-    )[1]
-    on = run_cluster(
-        cfg,
-        4,
-        cache=True,
-        position_skew=cfg.skew,
-        position_pool=cfg.skew_pool,
-    )[1]
-    return off, on
+    row = cluster_row(skewed=True)
+    return tuple(
+        run_cluster(*row, 4, cache=cache)[1] for cache in (None, True)
+    )
 
 
-def run_shard_kill(cfg: ClusterBenchConfig):
+def run_shard_kill():
     """Kill shard 0 mid-run; the journal must recover exactly-once."""
     with tempfile.TemporaryDirectory() as journal_dir:
         records, report = run_cluster(
-            cfg,
+            *cluster_row(),
             4,
             journal_dir=journal_dir,
             shard_overrides={0: {"faults": "crash=tick:4"}},
@@ -271,95 +199,6 @@ def render_skew_comparison(off, on) -> str:
     )
 
 
-@dataclass(frozen=True)
-class StormBenchConfig:
-    """Operating point for the overload-survival gate.
-
-    Calibrated so the flash crowd peaks ~4x beyond the 2-device
-    sustainable rate: undefended, interactive attainment collapses
-    below 50% as the queue backs up through every deadline;
-    defended (admission ladder + autoscaler), interactive must hold
-    >= 95% while standard/batch absorb the shedding.  The gate
-    thresholds are tied to this exact operating point, so tiers
-    share it.
-    """
-
-    base_rate: float = 450.0
-    horizon_s: float = 0.6
-    crowd_start_s: float = 0.1
-    crowd_duration_s: float = 0.4
-    crowd: float = 4.0
-    budget_scale: float = 0.25
-    n_devices: int = 2
-    max_active: int = 32
-    autoscale_max: int = 8
-    scaleup_lag_s: float = 0.03
-    seed: int = 11
-
-    def trace(self, **overrides) -> TraceConfig:
-        horizon = overrides.pop("horizon_s", self.horizon_s)
-        base_rate = overrides.pop("base_rate", self.base_rate)
-        return TraceConfig(
-            base_rate=base_rate,
-            horizon_s=horizon,
-            seed=self.seed,
-            components=(
-                FlashCrowd(
-                    start_s=self.crowd_start_s,
-                    duration_s=self.crowd_duration_s,
-                    multiplier=self.crowd,
-                ),
-            ),
-            class_deadline_s=(
-                ("interactive", 0.1),
-                ("standard", 0.3),
-                ("batch", 1.0),
-            ),
-            workload=WorkloadConfig(
-                seed=self.seed,
-                engines=("sequential", "root:2"),
-                budget_scale=self.budget_scale,
-            ),
-            **overrides,
-        )
-
-    @staticmethod
-    def for_tier(tier: str | None = None) -> "StormBenchConfig":
-        resolve_tier(tier)
-        return StormBenchConfig()
-
-
-def run_storm_defended(cfg: StormBenchConfig):
-    """The full defense stack: ladder + hysteresis + autoscaler."""
-    return run_storm(
-        StormConfig(
-            trace=cfg.trace(),
-            n_devices=cfg.n_devices,
-            max_active=cfg.max_active,
-            seed=cfg.seed,
-            overload=True,
-            autoscale={
-                "max_devices": cfg.autoscale_max,
-                "scaleup_lag_s": cfg.scaleup_lag_s,
-            },
-        )
-    )
-
-
-def run_storm_undefended(cfg: StormBenchConfig):
-    """Same trace, no admission control, fixed fleet."""
-    return run_storm(
-        StormConfig(
-            trace=cfg.trace(),
-            n_devices=cfg.n_devices,
-            max_active=cfg.max_active,
-            seed=cfg.seed,
-            overload=None,
-            autoscale=None,
-        )
-    )
-
-
 def storm_fingerprint(outcome):
     """Bit-level identity of one storm: every arrival and every
     per-request terminal outcome."""
@@ -383,26 +222,35 @@ def storm_fingerprint(outcome):
     return arrivals, outcomes
 
 
-def run_storm_cluster_kill(cfg: StormBenchConfig):
-    """A cluster storm whose second epoch kills shard 0 mid-crowd;
-    the per-epoch journals must recover it exactly-once."""
-    trace = cfg.trace(base_rate=150.0, horizon_s=0.3)
+def run_cluster_kill(trace, **cluster_kwargs):
+    """A two-epoch cluster storm over ``trace`` whose second epoch
+    kills shard 0 mid-crowd; the per-epoch journals must recover it
+    exactly-once."""
     with tempfile.TemporaryDirectory() as journal_dir:
         return run_cluster_storm(
             ClusterStormConfig(
                 trace=trace,
                 epochs=2,
                 initial_shards=2,
-                seed=cfg.seed,
+                seed=trace.seed,
                 journal_dir=journal_dir,
                 crash_epoch=1,
                 service_kwargs=(
-                    ("n_devices", cfg.n_devices),
+                    ("n_devices", 2),
                     ("max_active", 8),
                     ("overload", True),
                 ),
+                **cluster_kwargs,
             )
         )
+
+
+def run_storm_cluster_kill():
+    """The storm row's crowd at a third of the rate and half the
+    horizon, over two shards."""
+    return run_cluster_kill(
+        replace(scenarios.storm().trace, base_rate=150.0, horizon_s=0.3)
+    )
 
 
 def render_storm_comparison(defended, undefended) -> str:
@@ -440,184 +288,23 @@ def render_storm_comparison(defended, undefended) -> str:
     )
 
 
-@dataclass(frozen=True)
-class RetryStormBenchConfig:
-    """Operating point for the retry-storm (metastability) gate.
-
-    Calibrated so the *base* load is comfortably sustainable (all
-    classes at 100% attainment with no crowd -- the healthy
-    equilibrium exists) while a 10x flash crowd plus aggressive
-    client retries tips the undefended node into the bad
-    equilibrium: queue wait blows every deadline, each miss mints a
-    retry, and offered load stays pinned above goodput long after
-    the crowd has cleared.  Deadlines sit just above the healthy
-    p99, so the trap is queue delay -- not an unmeetable SLO.
-    """
-
-    base_rate: float = 150.0
-    horizon_s: float = 1.0
-    crowd_start_s: float = 0.1
-    crowd_duration_s: float = 0.3
-    crowd: float = 10.0
-    budget_scale: float = 0.25
-    n_devices: int = 2
-    max_active: int = 16
-    max_queue: int = 64
-    #: Detector grace after crowd end before the post-crowd window.
-    settle_s: float = 0.1
-    seed: int = 11
-
-    def clear_s(self) -> float:
-        return self.crowd_start_s + self.crowd_duration_s
-
-    def trace(self, crowd: bool = True) -> TraceConfig:
-        components = (
-            (
-                FlashCrowd(
-                    start_s=self.crowd_start_s,
-                    duration_s=self.crowd_duration_s,
-                    multiplier=self.crowd,
-                ),
-            )
-            if crowd
-            else ()
-        )
-        return TraceConfig(
-            base_rate=self.base_rate,
-            horizon_s=self.horizon_s,
-            seed=self.seed,
-            components=components,
-            class_deadline_s=(
-                ("interactive", 0.1),
-                ("standard", 0.2),
-                ("batch", 0.4),
-            ),
-            workload=WorkloadConfig(
-                seed=self.seed,
-                engines=("sequential", "root:2"),
-                budget_scale=self.budget_scale,
-            ),
-        )
-
-    def retry_policy(self) -> dict:
-        """Aggressive-but-bounded client retries: short exponential
-        backoff, 10 attempts, multi-second patience -- enough
-        feedback gain to sustain the trap."""
-        return dict(
-            kind="exponential",
-            base_s=0.02,
-            cap_s=0.16,
-            jitter=0.3,
-            max_attempts=10,
-            give_up_s=(
-                ("interactive", 2.0),
-                ("standard", 3.0),
-                ("batch", 4.0),
-            ),
-        )
-
-    def clients(self, defended: bool) -> dict:
-        clients = dict(retry=self.retry_policy(), seed=self.seed)
-        if defended:
-            clients["breaker"] = dict(
-                failure_threshold=5, reset_timeout_s=0.1
-            )
-            clients["throttle"] = dict(k=1.5, window=64)
-        return clients
-
-    def detector(self) -> dict:
-        return dict(
-            bin_s=0.05,
-            settle_s=self.settle_s,
-            goodput_frac=0.5,
-            min_offered_rate=40.0,
-        )
-
-    def storm_config(
-        self, defended: bool, crowd: bool = True
-    ) -> StormConfig:
-        return StormConfig(
-            trace=self.trace(crowd=crowd),
-            n_devices=self.n_devices,
-            max_active=self.max_active,
-            max_queue=self.max_queue,
-            seed=self.seed,
-            # The ladder is tuned to *let go* quickly once pressure
-            # clears (small window, early release) -- a sticky ladder
-            # is itself a metastable state.
-            overload=(
-                dict(
-                    max_level=3,
-                    window=16,
-                    release=0.6,
-                    deescalate_after=3,
-                )
-                if defended
-                else None
-            ),
-            clients=self.clients(defended),
-            retry_budget=(
-                dict(fill_per_first_try=0.1, cap=10.0, initial=2.0)
-                if defended
-                else None
-            ),
-            detector=self.detector(),
-        )
-
-    @staticmethod
-    def for_tier(tier: str | None = None) -> "RetryStormBenchConfig":
-        resolve_tier(tier)
-        return RetryStormBenchConfig()
+def run_retry_storm_hedged_kill():
+    """The retry-storm trace over a hedged two-shard cluster: hedged
+    backups and journal recovery must compose -- every request served
+    exactly once, all leases drained."""
+    return run_cluster_kill(
+        scenarios.retry_storm().trace,
+        hedge=dict(trigger_percentile=90.0),
+    )
 
 
-def run_retry_storm_defended(cfg: RetryStormBenchConfig):
-    """Closed-loop crowd vs the full defense stack: degradation
-    ladder + retry budget + circuit breakers + adaptive throttle."""
-    return run_storm(cfg.storm_config(defended=True))
-
-
-def run_retry_storm_undefended(cfg: RetryStormBenchConfig):
-    """Same trace and clients, no admission control or defenses."""
-    return run_storm(cfg.storm_config(defended=False))
-
-
-def run_retry_storm_healthy(cfg: RetryStormBenchConfig):
-    """The base load alone (no crowd, no defenses): must be healthy,
-    proving the trap is metastability and not plain overload."""
-    return run_storm(cfg.storm_config(defended=False, crowd=False))
-
-
-def run_retry_storm_hedged_kill(cfg: RetryStormBenchConfig):
-    """A hedged cluster storm whose second epoch kills shard 0
-    mid-crowd: hedged backups and journal recovery must compose --
-    every request served exactly once, all leases drained."""
-    trace = cfg.trace()
-    with tempfile.TemporaryDirectory() as journal_dir:
-        return run_cluster_storm(
-            ClusterStormConfig(
-                trace=trace,
-                epochs=2,
-                initial_shards=2,
-                seed=cfg.seed,
-                journal_dir=journal_dir,
-                crash_epoch=1,
-                hedge=dict(trigger_percentile=90.0),
-                service_kwargs=(
-                    ("n_devices", cfg.n_devices),
-                    ("max_active", 8),
-                    ("overload", True),
-                ),
-            )
-        )
-
-
-def render_retry_storm(healthy, undefended, defended, clear_s) -> str:
+def render_retry_storm(healthy, undefended, defended) -> str:
     from repro.util.tables import format_series
 
     def column(out):
         rep = out.report
         verdict = out.metastability
-        pc = post_crowd_attainment(out.records, clear_s)
+        pc = out.post_crowd_attainment
         return [
             str(rep.first_tries),
             str(rep.retries_offered),
@@ -667,45 +354,23 @@ def render_retry_storm(healthy, undefended, defended, clear_s) -> str:
     )
 
 
-def run_concurrent(cfg: ServeBenchConfig, n_requests: int | None = None):
-    """Serve ``n_requests`` concurrently over the shared pool."""
-    workload = make_workload(
-        WorkloadConfig(
-            n_requests=n_requests or cfg.n_requests,
-            seed=cfg.seed,
-            budget_scale=cfg.budget_scale,
-            deadline_s=cfg.deadline_s,
-        )
-    )
-    service = SearchService(
-        n_devices=cfg.n_devices,
-        max_active=cfg.max_active,
-        seed=cfg.seed,
-    )
-    service.submit_all(workload)
-    records = service.run()
-    return records, service.report()
-
-
-def run_serial_baseline(cfg: ServeBenchConfig):
-    """The same workload, one request at a time on one device."""
-    workload = make_workload(
-        WorkloadConfig(
-            n_requests=cfg.n_requests,
-            seed=cfg.seed,
-            budget_scale=cfg.budget_scale,
-            deadline_s=None,
-        )
-    )
-    service = SearchService(
-        n_devices=1,
-        max_active=1,
-        seed=cfg.seed,
-        enforce_deadlines=False,
-    )
-    service.submit_all(workload)
-    records = service.run()
-    return records, service.report()
+def run_mixed(
+    n_requests: int = 64, deadlines: bool = True, **service_overrides
+):
+    """Serve ``n_requests`` of the mixed row at the tier's budgets on
+    its service plus ``service_overrides``.  ``deadlines=False`` drops
+    them (from the requests and from the service): for runs that
+    squeeze the node -- the serial baseline, the one-device fusion
+    pool -- or, in bench_faults.py, test resilience rather than
+    deadline pressure, so nothing is cut short while it queues."""
+    workload, service = scenarios.mixed()
+    scale, _ = MIXED_TIERS[resolve_tier()]
+    workload = replace(workload, n_requests=n_requests, budget_scale=scale)
+    if not deadlines:
+        workload = replace(workload, deadline_s=None)
+        service["enforce_deadlines"] = False
+    service.update(service_overrides)
+    return serve(make_workload(workload), **service)
 
 
 def fingerprint(records):
@@ -722,45 +387,19 @@ def fingerprint(records):
     ]
 
 
-def run_load_sweep(cfg: ServeBenchConfig):
-    """Offered load -> ServiceReport, over ``cfg.loads``."""
+def run_load_sweep():
+    """Offered load -> ServiceReport, over the tier's loads."""
+    _, loads = MIXED_TIERS[resolve_tier()]
+    return {load: run_mixed(load).report for load in loads}
+
+
+def run_fusion_sweep(loads=(8, 16, 32)):
+    """Tenant count -> (unfused run, fused run) on one contended
+    device."""
     return {
-        load: run_concurrent(cfg, n_requests=load)[1]
-        for load in cfg.loads
-    }
-
-
-def run_fusion_comparison(
-    cfg: ServeBenchConfig, n_requests: int, fusion: bool
-):
-    """One contended-pool run (single device, ``n_requests`` tenants)
-    with cross-tenant fusion on or off."""
-    workload = make_workload(
-        WorkloadConfig(
-            n_requests=n_requests,
-            seed=cfg.seed,
-            budget_scale=cfg.budget_scale,
-            deadline_s=None,
-        )
-    )
-    service = SearchService(
-        n_devices=1,
-        max_active=cfg.max_active,
-        seed=cfg.seed,
-        enforce_deadlines=False,
-        fusion=fusion,
-    )
-    service.submit_all(workload)
-    records = service.run()
-    return records, service.report()
-
-
-def run_fusion_sweep(cfg: ServeBenchConfig, loads=(8, 16, 32)):
-    """Tenant count -> (unfused report, fused report) on one device."""
-    return {
-        n: (
-            run_fusion_comparison(cfg, n, fusion=False),
-            run_fusion_comparison(cfg, n, fusion=True),
+        n: tuple(
+            run_mixed(n, deadlines=False, n_devices=1, fusion=fusion)
+            for fusion in (False, True)
         )
         for n in loads
     }
@@ -824,22 +463,19 @@ def render_sweep(reports) -> str:
 
 
 def test_serve_64_deterministic_no_misses(run_once):
-    cfg = ServeBenchConfig.for_tier()
-    records, report = run_once(run_concurrent, cfg)
-    again, _ = run_concurrent(cfg)
+    records, report = run_once(run_mixed)
+    again, _ = run_mixed()
     assert fingerprint(records) == fingerprint(again)
-    assert report.completed == cfg.n_requests
+    assert report.completed == 64
     assert report.missed == 0
     assert report.rejected == 0
 
 
 def test_serve_speedup_vs_serial_baseline(run_once):
-    cfg = ServeBenchConfig.for_tier()
-
     def compare():
-        _, concurrent = run_concurrent(cfg)
-        _, serial = run_serial_baseline(cfg)
-        return concurrent, serial
+        concurrent = run_mixed()
+        serial = run_mixed(deadlines=False, n_devices=1, max_active=1)
+        return concurrent.report, serial.report
 
     concurrent, serial = run_once(compare)
     print()
@@ -848,7 +484,7 @@ def test_serve_speedup_vs_serial_baseline(run_once):
     print()
     print("serial baseline (1 device, 1 active slot):")
     print(serial.render())
-    assert concurrent.completed == serial.completed == cfg.n_requests
+    assert concurrent.completed == serial.completed == 64
     assert concurrent.missed == 0
     speedup = concurrent.requests_per_s / serial.requests_per_s
     print(f"\nspeedup: {speedup:.2f}x requests/s")
@@ -860,10 +496,6 @@ def test_serve_fusion_p50_win_on_contended_pool(run_once):
     on a contended single-device pool, fused launches cut p50 latency
     (launch + readback latency paid once per tick, not once per game)
     while returning bit-identical per-request results."""
-    cfg = ServeBenchConfig.for_tier()
-
-    def compare():
-        return run_fusion_sweep(cfg, loads=(8, 16, 32))
 
     def results_only(records):
         # Latency is exactly what fusion improves; what must not
@@ -873,7 +505,7 @@ def test_serve_fusion_p50_win_on_contended_pool(run_once):
             for rid, status, _, move, sims in fingerprint(records)
         ]
 
-    results = run_once(compare)
+    results = run_once(run_fusion_sweep)
     print()
     print(render_fusion_sweep(results))
     for n, ((plain_recs, plain), (fused_recs, fused)) in (
@@ -886,11 +518,10 @@ def test_serve_fusion_p50_win_on_contended_pool(run_once):
 
 
 def test_serve_load_sweep(run_once):
-    cfg = ServeBenchConfig.for_tier()
-    reports = run_once(run_load_sweep, cfg)
+    reports = run_once(run_load_sweep)
     print()
     print(render_sweep(reports))
-    assert set(reports) == set(cfg.loads)
+    assert set(reports) == set(MIXED_TIERS[resolve_tier()][1])
     for report in reports.values():
         assert report.completed + report.missed + report.rejected == (
             report.offered
@@ -898,123 +529,150 @@ def test_serve_load_sweep(run_once):
         assert report.p95_latency_s >= report.p50_latency_s
 
 
-def test_cluster_throughput_scales_with_shards(run_once):
-    cfg = ClusterBenchConfig.for_tier()
-    reports = run_once(run_scaling_sweep, cfg)
+def test_cluster_throughput_scales_with_shards(run_once, headline):
+    reports = run_once(run_scaling_sweep)
     print()
     print(render_scaling_sweep(reports))
     counts = sorted(reports)
+    n_requests = cluster_row()[0].n_requests
     for report in reports.values():
-        assert report.completed == cfg.n_requests
-    if 4 in reports:
-        scaling = (
-            reports[4].requests_per_s / reports[1].requests_per_s
-        )
-        assert scaling >= 3.0
+        assert report.completed == n_requests
+    scaling = reports[4].requests_per_s / reports[1].requests_per_s
+    assert scaling >= 3.0
     # More shards never hurts throughput across the sweep.
     assert (
         reports[counts[-1]].requests_per_s
         >= reports[counts[0]].requests_per_s
     )
+    headline.append(f"4-shard scaling {scaling:.2f}x")
 
 
-def test_cluster_cache_collapses_skewed_p50(run_once):
-    cfg = ClusterBenchConfig.for_tier()
-    off, on = run_once(run_skew_comparison, cfg)
+def test_cluster_cache_collapses_skewed_p50(run_once, headline):
+    off, on = run_once(run_skew_comparison)
     print()
     print(render_skew_comparison(off, on))
-    assert off.completed == on.completed == cfg.n_requests
+    n_requests = cluster_row(skewed=True)[0].n_requests
+    assert off.completed == on.completed == n_requests
     assert on.cache_hit_rate > 0
     # The measured collapse (>= 2x at the default tier) is recorded
     # in REPORT_cluster.md; keep slack here for the quick tier.
     assert on.p50_latency_s * 1.5 <= off.p50_latency_s
+    headline.append(
+        f"cache hit rate {on.cache_hit_rate:.0%} (p50 collapse "
+        f"{off.p50_latency_s / on.p50_latency_s:.2f}x) under skew"
+    )
 
 
-def test_cluster_shard_kill_recovers_exactly_once(run_once):
-    cfg = ClusterBenchConfig.for_tier()
-    records, report = run_once(run_shard_kill, cfg)
-    assert report.completed == cfg.n_requests
+def test_cluster_shard_kill_recovers_exactly_once(run_once, headline):
+    records, report = run_once(run_shard_kill)
+    print(
+        f"\nshard kill: {report.completed}/{report.offered} completed, "
+        f"{report.shard_crashes} crash, MTTR {report.mean_mttr_s:.4f}s"
+    )
+    assert report.completed == cluster_row()[0].n_requests
     assert report.shard_crashes == 1
     assert report.shard_recoveries == 1
     assert report.mean_mttr_s > 0
+    headline.append("shard kill recovered exactly-once")
 
 
-def test_storm_interactive_slo_defended_vs_undefended(run_once):
+def assert_outcomes_partition(outcome):
+    """Every class's offered requests split into the five explicit
+    terminal outcomes, none left over."""
+    for stats in outcome.per_class.values():
+        assert stats.offered == (
+            stats.met + stats.degraded + stats.shed
+            + stats.rejected + stats.missed
+        )
+
+
+def test_storm_interactive_slo_defended_vs_undefended(run_once, headline):
     """The overload tentpole's headline: under a 4x flash crowd the
     defense ladder keeps the interactive SLO while the undefended
     node collapses -- and every request ends in an explicit
     terminal outcome either way."""
-    cfg = StormBenchConfig.for_tier()
 
     def compare():
-        return run_storm_defended(cfg), run_storm_undefended(cfg)
+        return (
+            run_storm(scenarios.storm()),
+            run_storm(scenarios.storm(defended=False)),
+        )
 
     defended, undefended = run_once(compare)
     print()
     print(render_storm_comparison(defended, undefended))
-    assert defended.attainment("interactive") >= 0.95
-    assert undefended.attainment("interactive") < 0.50
+    d_int = defended.attainment("interactive")
+    u_int = undefended.attainment("interactive")
+    assert d_int >= 0.95
+    assert u_int < 0.50, "storm is not overloading"
     for outcome in (defended, undefended):
         assert len(outcome.records) == len(outcome.requests)
-        for stats in outcome.per_class.values():
-            assert stats.offered == (
-                stats.met + stats.degraded + stats.shed
-                + stats.rejected + stats.missed
-            )
+        assert_outcomes_partition(outcome)
     # The ladder protects interactive by shedding lower classes, not
     # by degrading or dropping interactive work.
     interactive = defended.per_class["interactive"]
     assert interactive.shed == 0
     assert defended.report.shed > 0
-    assert defended.report.peak_devices > cfg.n_devices
+    assert defended.report.peak_devices > scenarios.storm().n_devices
+    headline.append(
+        f"interactive attainment {d_int:.0%} defended vs "
+        f"{u_int:.0%} undefended"
+    )
 
 
-def test_storm_replay_bit_identical(run_once):
+def test_storm_replay_bit_identical(run_once, headline):
     """Identical seeds give identical arrivals and identical
     per-request outcomes across two full storm replays."""
-    cfg = StormBenchConfig.for_tier()
 
     def replay():
-        return run_storm_defended(cfg), run_storm_defended(cfg)
+        return tuple(run_storm(scenarios.storm()) for _ in range(2))
 
     first, second = run_once(replay)
     assert storm_fingerprint(first) == storm_fingerprint(second)
+    headline.append("replay bit-identical")
 
 
-def test_storm_cluster_shard_crash_exactly_once(run_once):
-    """A shard crash mid-storm is recovered from its journal; no
-    request is lost and none is served twice."""
-    cfg = StormBenchConfig.for_tier()
-    outcome = run_once(run_storm_cluster_kill, cfg)
+def assert_exactly_once(outcome):
+    """A cluster storm with one mid-storm shard crash served every
+    request exactly once."""
     rids = [r.request.request_id for r in outcome.records]
     assert len(rids) == len(set(rids)), "request served twice"
     assert len(rids) == len(outcome.requests), "request lost"
     assert outcome.crashes == 1
     assert outcome.recoveries == 1
+
+
+def test_storm_cluster_shard_crash_exactly_once(run_once, headline):
+    """A shard crash mid-storm is recovered from its journal; no
+    request is lost and none is served twice."""
+    outcome = run_once(run_storm_cluster_kill)
+    print(
+        f"\ncluster storm: {len(outcome.records)} requests over "
+        f"{outcome.shard_counts} shards, {outcome.crashes} crash, "
+        f"MTTR {outcome.mean_mttr_s:.4f}s"
+    )
+    assert_exactly_once(outcome)
     assert outcome.mean_mttr_s > 0
+    headline.append("mid-storm shard crash recovered exactly-once")
 
 
-def test_retry_storm_metastable_differential(run_once):
+def test_retry_storm_metastable_differential(run_once, headline):
     """The closed-loop tentpole's headline: with retrying clients the
     undefended node stays trapped after the crowd clears, while the
     defended stack recovers post-crowd interactive attainment -- and
     the base load alone is provably healthy, so the trap is
     metastability, not plain overload."""
-    cfg = RetryStormBenchConfig.for_tier()
 
     def compare():
         return (
-            run_retry_storm_healthy(cfg),
-            run_retry_storm_undefended(cfg),
-            run_retry_storm_defended(cfg),
+            run_storm(scenarios.retry_storm(defended=False, crowd=False)),
+            run_storm(scenarios.retry_storm(defended=False)),
+            run_storm(scenarios.retry_storm()),
         )
 
     healthy, undefended, defended = run_once(compare)
-    clear_s = cfg.clear_s() + cfg.settle_s
     print()
-    print(
-        render_retry_storm(healthy, undefended, defended, clear_s)
-    )
+    print(render_retry_storm(healthy, undefended, defended))
     # The healthy equilibrium exists: base load alone meets every SLO
     # and generates no retries.
     assert healthy.attainment("interactive") >= 0.99
@@ -1023,13 +681,13 @@ def test_retry_storm_metastable_differential(run_once):
     # Undefended: the trigger is gone but the bad equilibrium
     # remains -- sustained trapped bins, goodput pinned below
     # offered, fresh post-crowd interactive work still failing.
-    assert undefended.metastability.trapped
+    assert undefended.metastability.trapped, "the storm is not igniting"
     assert undefended.report.retries_offered > 1000
-    assert post_crowd_attainment(undefended.records, clear_s) < 0.50
+    assert undefended.post_crowd_attainment < 0.50
     # Defended: same trace, same clients -- the budget + breakers +
     # throttle collapse the retry flood and the node escapes.
     assert not defended.metastability.trapped
-    assert post_crowd_attainment(defended.records, clear_s) >= 0.95
+    assert defended.post_crowd_attainment >= 0.95
     assert defended.report.retries_offered < (
         undefended.report.retries_offered // 4
     )
@@ -1039,219 +697,75 @@ def test_retry_storm_metastable_differential(run_once):
     assert defended.report.client_suppressed_breaker > 0
     assert defended.report.client_suppressed_throttle > 0
     for outcome in (healthy, undefended, defended):
-        for stats in outcome.per_class.values():
-            assert stats.offered == (
-                stats.met + stats.degraded + stats.shed
-                + stats.rejected + stats.missed
-            )
+        assert_outcomes_partition(outcome)
+    headline.append(
+        f"post-crowd interactive {defended.post_crowd_attainment:.0%} "
+        f"defended vs {undefended.post_crowd_attainment:.0%} undefended "
+        f"(trapped {undefended.metastability.trapped_bins} bins)"
+    )
 
 
-def test_retry_storm_replay_bit_identical(run_once):
+def test_retry_storm_replay_bit_identical(run_once, headline):
     """Closed-loop storms -- retries, breakers, jitter and all --
     replay bit-identically from one seed, on both sides of the
     differential."""
-    cfg = RetryStormBenchConfig.for_tier()
 
     def replay():
-        return (
-            run_retry_storm_undefended(cfg),
-            run_retry_storm_undefended(cfg),
-            run_retry_storm_defended(cfg),
-            run_retry_storm_defended(cfg),
+        return tuple(
+            run_storm(scenarios.retry_storm(defended=defended))
+            for defended in (False, False, True, True)
         )
 
     u1, u2, d1, d2 = run_once(replay)
     assert storm_fingerprint(u1) == storm_fingerprint(u2)
     assert storm_fingerprint(d1) == storm_fingerprint(d2)
     assert storm_fingerprint(u1) != storm_fingerprint(d1)
+    headline.append("replay bit-identical")
 
 
-def test_retry_storm_hedged_cluster_crash_exactly_once(run_once):
+def test_retry_storm_hedged_cluster_crash_exactly_once(run_once, headline):
     """Hedged backups compose with mid-storm crash recovery: every
     request ends in exactly one explicit terminal outcome (the
     run_cluster_storm harness asserts explicit outcomes and each
     shard asserts its leases drained)."""
-    cfg = RetryStormBenchConfig.for_tier()
-    outcome = run_once(run_retry_storm_hedged_kill, cfg)
-    rids = [r.request.request_id for r in outcome.records]
-    assert len(rids) == len(set(rids)), "request served twice"
-    assert len(rids) == len(outcome.requests), "request lost"
-    assert outcome.crashes == 1
-    assert outcome.recoveries == 1
-    assert sum(r.hedges_fired for r in outcome.reports) > 0
-
-
-def _retry_storm_main(smoke: bool) -> int:  # pragma: no cover
-    cfg = RetryStormBenchConfig.for_tier("quick" if smoke else None)
-    healthy = run_retry_storm_healthy(cfg)
-    undefended = run_retry_storm_undefended(cfg)
-    defended = run_retry_storm_defended(cfg)
-    clear_s = cfg.clear_s() + cfg.settle_s
-    print(render_retry_storm(healthy, undefended, defended, clear_s))
-    if healthy.attainment("interactive") < 0.99:
-        print("FAIL: base load alone is not healthy")
-        return 1
-    if not undefended.metastability.trapped:
-        print(
-            "FAIL: undefended node is not metastably trapped -- "
-            "the storm is not igniting"
-        )
-        return 1
-    u_pc = post_crowd_attainment(undefended.records, clear_s)
-    if u_pc >= 0.50:
-        print(
-            f"FAIL: undefended post-crowd interactive {u_pc:.1%} "
-            f">= 50%"
-        )
-        return 1
-    if defended.metastability.trapped:
-        print("FAIL: defended node is still trapped post-crowd")
-        return 1
-    d_pc = post_crowd_attainment(defended.records, clear_s)
-    if d_pc < 0.95:
-        print(
-            f"FAIL: defended post-crowd interactive {d_pc:.1%} "
-            f"< 95%"
-        )
-        return 1
-    replay = run_retry_storm_undefended(cfg)
-    if storm_fingerprint(replay) != storm_fingerprint(undefended):
-        print("FAIL: retry storm replay is not bit-identical")
-        return 1
-    kill = run_retry_storm_hedged_kill(cfg)
-    rids = [r.request.request_id for r in kill.records]
-    if len(rids) != len(set(rids)) or len(rids) != len(kill.requests):
-        print("FAIL: hedged shard crash lost or duplicated requests")
-        return 1
-    if kill.crashes != 1 or kill.recoveries != 1:
-        print(
-            f"FAIL: expected one crash+recovery, got "
-            f"{kill.crashes}/{kill.recoveries}"
-        )
-        return 1
-    hedges = sum(r.hedges_fired for r in kill.reports)
+    outcome = run_once(run_retry_storm_hedged_kill)
+    hedges = sum(r.hedges_fired for r in outcome.reports)
     print(
-        f"hedged cluster storm: {len(kill.records)} requests, "
-        f"{hedges} hedges fired, {kill.crashes} crash, "
-        f"MTTR {kill.mean_mttr_s:.4f}s"
+        f"\nhedged cluster storm: {len(outcome.records)} requests, "
+        f"{hedges} hedges fired, {outcome.crashes} crash, "
+        f"MTTR {outcome.mean_mttr_s:.4f}s"
     )
-    if smoke:
-        print(
-            f"smoke OK: post-crowd interactive {d_pc:.0%} defended "
-            f"vs {u_pc:.0%} undefended (trapped "
-            f"{undefended.metastability.trapped_bins} bins); replay "
-            f"bit-identical; hedged mid-storm shard crash recovered "
-            f"exactly-once"
-        )
-    return 0
-
-
-def _storm_main(smoke: bool) -> int:  # pragma: no cover
-    cfg = StormBenchConfig.for_tier("quick" if smoke else None)
-    defended = run_storm_defended(cfg)
-    undefended = run_storm_undefended(cfg)
-    print(render_storm_comparison(defended, undefended))
-    d_int = defended.attainment("interactive")
-    u_int = undefended.attainment("interactive")
-    if d_int < 0.95:
-        print(
-            f"FAIL: defended interactive attainment "
-            f"{d_int:.1%} < 95%"
-        )
-        return 1
-    if u_int >= 0.50:
-        print(
-            f"FAIL: undefended interactive attainment "
-            f"{u_int:.1%} >= 50% -- storm is not overloading"
-        )
-        return 1
-    replay = run_storm_defended(cfg)
-    if storm_fingerprint(replay) != storm_fingerprint(defended):
-        print("FAIL: storm replay is not bit-identical")
-        return 1
-    kill = run_storm_cluster_kill(cfg)
-    rids = [r.request.request_id for r in kill.records]
-    if len(rids) != len(set(rids)) or len(rids) != len(kill.requests):
-        print("FAIL: shard crash lost or duplicated requests")
-        return 1
-    if kill.crashes != 1 or kill.recoveries != 1:
-        print(
-            f"FAIL: expected one crash+recovery, got "
-            f"{kill.crashes}/{kill.recoveries}"
-        )
-        return 1
-    print(
-        f"cluster storm: {len(kill.records)} requests over "
-        f"{kill.shard_counts} shards, {kill.crashes} crash, "
-        f"MTTR {kill.mean_mttr_s:.4f}s"
+    assert_exactly_once(outcome)
+    assert hedges > 0
+    headline.append(
+        "hedged mid-storm shard crash recovered exactly-once"
     )
-    if smoke:
-        print(
-            f"smoke OK: interactive attainment {d_int:.0%} defended "
-            f"vs {u_int:.0%} undefended; replay bit-identical; "
-            f"mid-storm shard crash recovered exactly-once"
-        )
-    return 0
 
 
-def _cluster_main(smoke: bool) -> int:  # pragma: no cover
-    cfg = ClusterBenchConfig.for_tier("quick" if smoke else None)
-    reports = run_scaling_sweep(cfg)
-    print(render_scaling_sweep(reports))
-    scaling = reports[4].requests_per_s / reports[1].requests_per_s
-    if scaling < 3.0:
-        print(
-            f"FAIL: 4-shard throughput scaling {scaling:.2f}x < 3x"
+def main(path: str, argv: list[str], modes: tuple[str, ...] = ()) -> int:
+    """Run ``path``'s gates as pytest runs them -- every gate is
+    written once, as a test.  The first of ``modes`` flagged in
+    ``argv`` (``--retry-storm`` -> ``test_retry_storm_*``) picks the
+    group, the last is the default; ``--smoke`` pins the quick tier
+    (the CI gates), otherwise ``REPRO_TIER`` or the default tier."""
+    if "--smoke" in argv:
+        os.environ["REPRO_TIER"] = "quick"
+    os.environ.setdefault("REPRO_TIER", "default")
+    args = [path, "--benchmark-disable", "-s"]
+    if modes:
+        mode = next(
+            (m for m in modes if "--" + m.replace("_", "-") in argv),
+            modes[-1],
         )
-        return 1
-    print()
-    off, on = run_skew_comparison(cfg)
-    print(render_skew_comparison(off, on))
-    if not on.cache_hit_rate > 0:
-        print("FAIL: no cache hits under Zipf-skewed traffic")
-        return 1
-    collapse = off.p50_latency_s / on.p50_latency_s
-    print()
-    _, kill = run_shard_kill(cfg)
-    print(
-        f"shard kill: {kill.completed}/{kill.offered} completed, "
-        f"{kill.shard_crashes} crash, "
-        f"MTTR {kill.mean_mttr_s:.4f}s"
-    )
-    if kill.completed != cfg.n_requests:
-        print("FAIL: shard kill lost requests")
-        return 1
-    if smoke:
-        print(
-            f"smoke OK: 4-shard scaling {scaling:.2f}x; cache hit "
-            f"rate {on.cache_hit_rate:.0%} (p50 collapse "
-            f"{collapse:.2f}x) under skew; shard kill recovered "
-            f"exactly-once"
-        )
-    return 0
+        args += ["-k", f"test_{mode}_"]
+    return pytest.main(args)
 
 
 if __name__ == "__main__":  # pragma: no cover
-    if "--retry-storm" in sys.argv[1:]:
-        sys.exit(
-            _retry_storm_main(smoke="--smoke" in sys.argv[1:])
+    sys.exit(
+        main(
+            __file__,
+            sys.argv[1:],
+            ("retry_storm", "storm", "cluster", "serve"),
         )
-    if "--storm" in sys.argv[1:]:
-        sys.exit(_storm_main(smoke="--smoke" in sys.argv[1:]))
-    if "--cluster" in sys.argv[1:]:
-        sys.exit(_cluster_main(smoke="--smoke" in sys.argv[1:]))
-    cfg = replace(ServeBenchConfig.for_tier(), loads=(1, 4, 16, 64, 256))
-    _, concurrent = run_concurrent(cfg)
-    _, serial = run_serial_baseline(cfg)
-    print("concurrent:")
-    print(concurrent.render())
-    print("\nserial baseline:")
-    print(serial.render())
-    print(
-        f"\nspeedup: "
-        f"{concurrent.requests_per_s / serial.requests_per_s:.2f}x"
     )
-    print()
-    print(render_sweep(run_load_sweep(cfg)))
-    print()
-    print(render_fusion_sweep(run_fusion_sweep(cfg)))

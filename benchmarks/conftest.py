@@ -28,3 +28,14 @@ def run_once(benchmark):
         )
 
     return _run
+
+
+@pytest.fixture(scope="session")
+def headline():
+    """Each gate appends what it measured; the session ends by printing
+    them as one line (visible under ``-s``), so a CI log states the
+    numbers its gates passed at."""
+    parts: list[str] = []
+    yield parts
+    if parts:
+        print("\nheadline: " + "; ".join(parts))

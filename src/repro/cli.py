@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from dataclasses import replace
 
 
 def _cmd_experiments(_args) -> int:
@@ -98,47 +99,6 @@ def _cmd_devices(_args) -> int:
     return 0
 
 
-#: serve-bench defaults for flags whose default depends on the mode;
-#: the closed-workload modes (single service, --cluster) use this row.
-_CLOSED_PRESET = dict(budget_scale=1.0, devices=4, max_active=64)
-
-#: The two storm operating points, keyed by mode flag (docs/overload.md;
-#: the retry-storm row is the one benchmarks/REPORT_retrystorm.md
-#: calibrates: base load sustainable, crowd 10x, deadlines just above
-#: the healthy tail).  ``crowd_window`` is (start, duration) as
-#: fractions of the horizon; ``deadlines`` are per class, interactive
-#: first.
-_STORM_PRESETS = {
-    "storm": dict(
-        _CLOSED_PRESET,
-        title="storm",
-        table="storm run",
-        storm_horizon=0.6,
-        storm_rate=450.0,
-        storm_crowd=4.0,
-        crowd_window=(0.15, 0.5),
-        deadlines=(0.1, 0.3, 1.0),
-        max_queue=128,
-        overload=True,
-    ),
-    "retry_storm": dict(
-        title="retry storm",
-        table="retry storm",
-        storm_horizon=1.0,
-        storm_rate=150.0,
-        storm_crowd=10.0,
-        crowd_window=(0.1, 0.3),
-        deadlines=(0.1, 0.2, 0.4),
-        budget_scale=0.25,
-        devices=2,
-        max_active=16,
-        max_queue=64,
-        overload=dict(
-            max_level=3, window=16, release=0.6, deescalate_after=3
-        ),
-    ),
-}
-
 #: Flags each serve-bench mode cannot honour, by mode flag (argparse
 #: attribute names); the first mode flag set, in this order, wins.
 _UNSUPPORTED = {
@@ -157,119 +117,87 @@ _UNSUPPORTED = {
 }
 
 
-def _flag(args, name: str, preset: dict = _CLOSED_PRESET):
-    """A mode-dependent flag: its value, or ``preset``'s when unset."""
-    value = getattr(args, name)
-    return preset[name] if value is None else value
+def _set(row, **flags):
+    """``row`` (a dataclass or a kwargs dict) with the flags the user
+    gave; ``None`` -- a mode-dependent flag left unset -- keeps the
+    row's value."""
+    given = {k: v for k, v in flags.items() if v is not None}
+    return {**row, **given} if isinstance(row, dict) else replace(row, **given)
 
 
 def _cmd_serve_bench_storm(args, mode: str) -> int:
     """``--storm`` (open loop) and ``--retry-storm`` (the same storm
-    with closed-loop retrying clients and their defenses)."""
-    from repro.serve import (
-        FlashCrowd,
-        StormConfig,
-        TraceConfig,
-        WorkloadConfig,
-        post_crowd_attainment,
-        run_storm,
-    )
+    with closed-loop retrying clients and their defenses): the
+    calibrated row of ``repro.serve.scenarios`` at ``--seed``, moved
+    by whatever flags were given."""
+    from repro.serve import run_storm, scenarios
 
     t0 = time.perf_counter()
-    preset = _STORM_PRESETS[mode]
     closed_loop = mode == "retry_storm"
-    horizon = _flag(args, "storm_horizon", preset)
-    crowd = _flag(args, "storm_crowd", preset)
-    crowd_start, crowd_duration = (
-        horizon * frac for frac in preset["crowd_window"]
+    row = getattr(scenarios, mode)(args.seed)
+    # The crowd keeps its place in the horizon when --storm-horizon
+    # stretches or shrinks it.
+    trace = _set(row.trace, horizon_s=args.storm_horizon)
+    stretch = trace.horizon_s / row.trace.horizon_s
+    (crowd,) = trace.components
+    crowd = _set(
+        crowd,
+        start_s=crowd.start_s * stretch,
+        duration_s=crowd.duration_s * stretch,
+        multiplier=args.storm_crowd,
     )
-    trace = TraceConfig(
-        base_rate=_flag(args, "storm_rate", preset),
-        horizon_s=horizon,
-        seed=args.seed,
-        components=(
-            FlashCrowd(
-                start_s=crowd_start,
-                duration_s=crowd_duration,
-                multiplier=crowd,
-            ),
-        ),
-        class_deadline_s=tuple(
-            zip(("interactive", "standard", "batch"), preset["deadlines"])
-        ),
-        workload=WorkloadConfig(
-            seed=args.seed,
-            engines=("sequential", "root:2"),
-            budget_scale=_flag(args, "budget_scale", preset),
+    trace = _set(
+        trace,
+        base_rate=args.storm_rate,
+        components=(crowd,),
+        workload=_set(
+            trace.workload,
+            budget_scale=args.budget_scale,
             backend=args.backend,
             playout=args.playout,
             position_skew=args.skew,
             position_pool=args.position_pool,
         ),
     )
-    closed_loop_kwargs = {}
+    row = replace(
+        _set(row, n_devices=args.devices, max_active=args.max_active),
+        trace=trace,
+        overload=None if args.no_overload else row.overload,
+        autoscale=(
+            # The storm row's autoscaler, under the flag's ceiling.
+            dict(scenarios.storm().autoscale, max_devices=args.autoscale_max)
+            if args.autoscale_max
+            else None
+        ),
+        faults=args.faults,
+        journal=args.journal,
+    )
     if closed_loop:
         clients = dict(
+            row.clients,
             retry=dict(
+                row.clients["retry"],
                 kind=args.retry_kind,
                 base_s=args.retry_base,
-                cap_s=max(args.retry_base * 8, args.retry_base),
-                jitter=0.3,
+                cap_s=args.retry_base * 8,
                 max_attempts=args.retry_attempts,
-                give_up_s=(
-                    ("interactive", 2.0),
-                    ("standard", 3.0),
-                    ("batch", 4.0),
-                ),
-            ),
-            seed=(
-                args.seed
-                if args.client_seed is None
-                else args.client_seed
             ),
         )
-        if not args.no_breaker:
-            clients["breaker"] = dict(
-                failure_threshold=5, reset_timeout_s=0.1
-            )
-        if not args.no_throttle:
-            clients["throttle"] = dict(k=1.5, window=64)
-        closed_loop_kwargs = dict(
+        if args.client_seed is not None:
+            clients["seed"] = args.client_seed
+        if args.no_breaker:
+            del clients["breaker"]
+        if args.no_throttle:
+            del clients["throttle"]
+        row = replace(
+            row,
             clients=clients,
-            retry_budget=(
-                None
-                if args.no_budget
-                else dict(fill_per_first_try=0.1, cap=10.0, initial=2.0)
-            ),
-            detector=dict(
-                bin_s=0.05,
-                settle_s=0.1,
-                goodput_frac=0.5,
-                min_offered_rate=40.0,
-            ),
+            retry_budget=None if args.no_budget else row.retry_budget,
         )
-    outcome = run_storm(
-        StormConfig(
-            trace=trace,
-            n_devices=_flag(args, "devices", preset),
-            max_active=_flag(args, "max_active", preset),
-            max_queue=preset["max_queue"],
-            seed=args.seed,
-            overload=None if args.no_overload else preset["overload"],
-            autoscale=(
-                {
-                    "max_devices": args.autoscale_max,
-                    "scaleup_lag_s": 0.03,
-                }
-                if args.autoscale_max
-                else None
-            ),
-            faults=args.faults,
-            journal=args.journal,
-            **closed_loop_kwargs,
-        )
-    )
+    outcome = run_storm(row)
     report = outcome.report
+    title = "retry storm" if closed_loop else "storm"
+    table = "retry storm" if closed_loop else "storm run"
     defended = "undefended" if args.no_overload else "defended"
     offered = (
         f"{report.first_tries} first tries + "
@@ -278,10 +206,10 @@ def _cmd_serve_bench_storm(args, mode: str) -> int:
         else f"{len(outcome.requests)} arrivals"
     )
     print(
-        f"--- {preset['title']}: {offered} over {horizon:.2f}s, "
-        f"{crowd:.0f}x flash crowd, {defended} ---"
+        f"--- {title}: {offered} over {trace.horizon_s:.2f}s, "
+        f"{crowd.multiplier:.0f}x flash crowd, {defended} ---"
     )
-    print(report.render(f"{preset['table']} ({defended})"))
+    print(report.render(f"{table} ({defended})"))
     if outcome.crashes:
         print(
             f"crashes: {outcome.crashes}  recoveries: "
@@ -289,15 +217,13 @@ def _cmd_serve_bench_storm(args, mode: str) -> int:
         )
     if closed_loop:
         verdict = outcome.metastability
-        attainment = post_crowd_attainment(
-            outcome.records, crowd_start + crowd_duration + 0.1
-        )
         state = "TRAPPED" if verdict.trapped else "recovered"
         print(
             f"metastability: {state} "
             f"({verdict.trapped_bins} consecutive trapped bins, "
             f"post-crowd goodput/offered {verdict.goodput_ratio:.2f}, "
-            f"post-crowd interactive SLO {attainment:.0%})"
+            f"post-crowd interactive SLO "
+            f"{outcome.post_crowd_attainment:.0%})"
         )
     print(
         f"[serve-bench took {time.perf_counter() - t0:.1f}s wall]"
@@ -305,45 +231,49 @@ def _cmd_serve_bench_storm(args, mode: str) -> int:
     return 0
 
 
-def _closed_workload(args, load: int) -> list:
-    """The closed batch of ``load`` mixed requests the single-service
-    and --cluster modes serve."""
-    from repro.serve import WorkloadConfig, make_workload
+def _closed_row(args, load: int) -> tuple:
+    """The ``mixed`` row at ``--seed`` under the closed-workload flags
+    (the single-service and --cluster modes): ``(workload, service
+    kwargs)``."""
+    from repro.serve import scenarios
 
-    return make_workload(
-        WorkloadConfig(
-            n_requests=load,
-            seed=args.seed,
-            budget_scale=_flag(args, "budget_scale"),
-            deadline_s=args.deadline,
-            backend=args.backend,
-            playout=args.playout,
-            position_skew=args.skew,
-            position_pool=args.position_pool,
-        )
+    workload, service = scenarios.mixed(args.seed)
+    workload = _set(
+        workload,
+        n_requests=load,
+        budget_scale=args.budget_scale,
+        deadline_s=args.deadline,
+        backend=args.backend,
+        playout=args.playout,
+        position_skew=args.skew,
+        position_pool=args.position_pool,
     )
+    service = _set(
+        service,
+        n_devices=args.devices,
+        max_active=args.max_active,
+        faults=args.faults,
+        backend=args.backend,
+        playout=args.playout,
+        fusion=not args.no_fusion,
+    )
+    return workload, service
 
 
 def _cmd_serve_bench_cluster(args) -> int:
-    from repro.serve import ClusterRouter
+    from repro.serve import ClusterRouter, make_workload
 
     t0 = time.perf_counter()
     for load in args.loads:
-        workload = _closed_workload(args, load)
+        workload, service = _closed_row(args, load)
         cluster = ClusterRouter(
             n_shards=args.cluster,
             replicas=args.replicas,
-            seed=args.seed,
             cache=not args.no_cache,
             journal_dir=args.journal,
-            n_devices=_flag(args, "devices"),
-            max_active=_flag(args, "max_active"),
-            faults=args.faults,
-            backend=args.backend,
-            playout=args.playout,
-            fusion=not args.no_fusion,
+            **service,
         )
-        cluster.submit_all(workload)
+        cluster.submit_all(make_workload(workload))
         cluster.run()
         print(f"--- offered load: {load} requests ---")
         print(cluster.report().render())
@@ -356,7 +286,7 @@ def _cmd_serve_bench_cluster(args) -> int:
 
 def _cmd_serve_bench(args) -> int:
     from repro.gpu.trace import Tracer
-    from repro.serve import SearchService, ServiceCrash
+    from repro.serve import SearchService, ServiceCrash, make_workload, serve
 
     from repro.util.profile import NULL_PROFILER, Profiler
 
@@ -387,40 +317,36 @@ def _cmd_serve_bench(args) -> int:
     for load in args.loads:
         profiler = Profiler() if args.profile else NULL_PROFILER
         with profiler.phase("build_workload"):
-            integrity = None
+            workload, service_kwargs = _closed_row(args, load)
+            service_kwargs.update(
+                tracer=tracer, checkpoint_every=args.checkpoint_every
+            )
             if args.no_defenses:
                 from repro.integrity import IntegrityPolicy
 
-                integrity = IntegrityPolicy.disabled()
-            service_kwargs = dict(
-                n_devices=_flag(args, "devices"),
-                max_active=_flag(args, "max_active"),
-                seed=args.seed,
-                tracer=tracer,
-                faults=args.faults,
-                backend=args.backend,
-                playout=args.playout,
-                fusion=not args.no_fusion,
-                integrity=integrity,
-            )
-            if args.resume:
-                # Requests (and any checkpoints) come from the journal;
-                # planned crashes are stripped so recovery completes.
-                service = SearchService.recover(
-                    args.journal,
-                    checkpoint_every=args.checkpoint_every,
-                    **service_kwargs,
-                )
-            else:
-                service = SearchService(
-                    journal=args.journal,
-                    checkpoint_every=args.checkpoint_every,
-                    **service_kwargs,
-                )
-                service.submit_all(_closed_workload(args, load))
+                service_kwargs["integrity"] = IntegrityPolicy.disabled()
+            requests = [] if args.resume else make_workload(workload)
         with profiler.phase("service_run"):
             try:
-                service.run()
+                if args.resume:
+                    # Requests (and any checkpoints) come from the
+                    # journal; planned crashes are stripped so
+                    # recovery completes.
+                    service = SearchService.recover(
+                        args.journal, **service_kwargs
+                    )
+                    service.run()
+                    report = service.report()
+                else:
+                    # A planned crash stops here: the journal is the
+                    # hand-over to --resume.
+                    served = serve(
+                        requests,
+                        journal=args.journal,
+                        recover=False,
+                        **service_kwargs,
+                    )
+                    service, report = served.service, served.report
             except ServiceCrash as crash:
                 print(f"--- offered load: {load} requests ---")
                 print(f"service crashed: {crash}")
@@ -432,7 +358,7 @@ def _cmd_serve_bench(args) -> int:
         profiler.count("requests", load)
         profiler.count("ticks", service.ticks)
         print(f"--- offered load: {load} requests ---")
-        print(service.report().render())
+        print(report.render())
         if profiler.enabled:
             print()
             print(profiler.render(title=f"serve-bench load={load}"))
@@ -553,9 +479,9 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         help=(
-            "scale per-request search budgets (default 1.0; "
-            "0.25 with --retry-storm, its calibrated operating "
-            "point)"
+            "scale per-request search budgets (default: the mode's "
+            "calibrated row, like --devices and --max-active -- 1.0, "
+            "or 0.25 with --storm / --retry-storm)"
         ),
     )
     bench.add_argument(

@@ -85,11 +85,7 @@ from repro.serve.request import (
     RequestRecord,
     SearchRequest,
 )
-from repro.serve.service import (
-    SearchService,
-    ServiceError,
-    run_recovering,
-)
+from repro.serve.service import ServiceError, serve
 from repro.util.coerce import coerce_optional
 from repro.util.seeding import derive_seed
 from repro.util.tables import format_series
@@ -258,7 +254,7 @@ class ShardHandle:
     its write-ahead journal path, runs each wave of requests on a
     fresh :class:`SearchService` incarnation, and absorbs a planned
     :class:`~repro.serve.service.ServiceCrash` by recovering from
-    its own journal (:func:`~repro.serve.service.run_recovering`) --
+    its own journal (:func:`~repro.serve.service.serve`) --
     scoped to its own request ids via ``rid_filter`` so a journal
     polluted with another shard's records recovers cleanly.
 
@@ -305,23 +301,21 @@ class ShardHandle:
             plan = FaultPlan.coerce(kwargs.get("faults"))
             if plan is not None:
                 kwargs["faults"] = plan.without_crash()
-        service = SearchService(journal=journal, **kwargs)
-        service.submit_all(requests)
-        service, records, crashed = run_recovering(
-            service,
+        served = serve(
+            requests,
             journal,
             rid_filter={r.request_id for r in requests}.__contains__,
             **kwargs,
         )
-        report = service.report()
-        if crashed is not None:
+        records, report = served
+        if served.crashed is not None:
             self.crashes += 1
             self.recoveries += 1
             first_arrival = min(r.arrival_s for r in requests)
             self.elapsed_s += max(
-                0.0, crashed.clock.now - first_arrival
+                0.0, served.crashed.clock.now - first_arrival
             )
-            self.foreign_records += service.foreign_records
+            self.foreign_records += served.service.foreign_records
             self.mttr_s.append(report.elapsed_s)
         self.reports.append(report)
         self.elapsed_s += max(0.0, report.elapsed_s)

@@ -60,7 +60,7 @@ from repro.core.spec import EngineSpec, make_engine
 from repro.faults import FaultInjector, FaultPlan
 from repro.games import make_game
 from repro.games.base import Game
-from repro.gpu.device import TESLA_C2050, DeviceSpec
+from repro.gpu.device import TESLA_C2050
 from repro.gpu.lease import DevicePool
 from repro.gpu.trace import Tracer
 from repro.integrity import IntegrityPolicy, IntegrityState
@@ -100,6 +100,11 @@ from repro.serve.scheduler import (
 )
 from repro.util.clock import Clock
 from repro.util.seeding import derive_seed
+
+
+#: Fixed host cost of one scheduler tick (virtual seconds), charged on
+#: top of the slowest tenant's CPU time.
+TICK_OVERHEAD_S = 2e-6
 
 
 def _deadline_key(record: RequestRecord) -> tuple[float, float]:
@@ -152,13 +157,11 @@ class SearchService:
 
     def __init__(
         self,
-        devices: tuple[DeviceSpec, ...] | None = None,
         n_devices: int = 4,
         max_active: int = 64,
         max_queue: int = 256,
         seed: int = 0,
         tracer: Tracer | None = None,
-        tick_overhead_s: float = 2e-6,
         enforce_deadlines: bool = True,
         faults: FaultPlan | str | None = None,
         retry: RetryPolicy | None = None,
@@ -187,11 +190,11 @@ class SearchService:
             )
         validate_backend(backend)
         validate_playout(playout)
-        if devices is None:
-            devices = (TESLA_C2050,) * n_devices
         self.clock = Clock()
         self.tracer = tracer if tracer is not None else Tracer()
-        self.pool = DevicePool(devices, self.clock, self.tracer)
+        self.pool = DevicePool(
+            (TESLA_C2050,) * n_devices, self.clock, self.tracer
+        )
         #: Overload-survival controls (docs/overload.md).  With no
         #: policy and no autoscaler, every code path below is
         #: bit-identical to the legacy FIFO service -- the overload
@@ -204,7 +207,7 @@ class SearchService:
         )
         autoscale_cfg = AutoscalerConfig.coerce(autoscale)
         self.autoscaler = (
-            Autoscaler(self.pool, autoscale_cfg, devices[0])
+            Autoscaler(self.pool, autoscale_cfg, TESLA_C2050)
             if autoscale_cfg is not None
             else None
         )
@@ -338,7 +341,6 @@ class SearchService:
         self.max_active = max_active
         self.max_queue = max_queue
         self.seed = seed
-        self.tick_overhead_s = tick_overhead_s
         self.enforce_deadlines = enforce_deadlines
         self.ticks = 0
         self._records: list[RequestRecord] = []
@@ -941,7 +943,7 @@ class SearchService:
         the fused launch."""
         if not (self.fusion_admission and self.enforce_deadlines):
             return
-        floor = self.batcher.tick_floor_s() + self.tick_overhead_s
+        floor = self.batcher.tick_floor_s() + TICK_OVERHEAD_S
         for rid in self._gen_pool.pending:
             record = self._active[rid].record
             deadline = record.request.absolute_deadline_s
@@ -970,7 +972,7 @@ class SearchService:
         if targets:
             self.clock.advance_to(min(targets))
         elif self._active:  # pragma: no cover - defensive
-            self.clock.advance(self.tick_overhead_s)
+            self.clock.advance(TICK_OVERHEAD_S)
 
     def _merged_tick(self) -> None:
         """One merged tick over all generator-driven requests."""
@@ -1048,7 +1050,7 @@ class SearchService:
             slot.pending_cpu_s = 0.0
             if finished:
                 slot.result = gen_pool.results.pop(rid)
-        self.clock.advance(cpu_s + self.tick_overhead_s)
+        self.clock.advance(cpu_s + TICK_OVERHEAD_S)
 
         # Completions land at the post-tick timestamp.
         for slot in list(active.values()):
@@ -1235,39 +1237,51 @@ class SearchService:
         return summarize(self._records, elapsed, **counters)
 
 
+@dataclass(frozen=True)
+class Served:
+    """What :func:`serve` hands back.  Unpacks as ``records, report``,
+    the pair most callers want; the services behind them go by name."""
+
+    records: "list[RequestRecord]"
+    report: ServiceReport
+    #: The incarnation that finished the run (after a crash, the
+    #: recovered one: ``report.elapsed_s`` is then the time to repair).
+    service: SearchService
+    #: The incarnation a planned crash killed, if one fired.
+    crashed: "SearchService | None" = None
+
+    def __iter__(self):
+        return iter((self.records, self.report))
+
+
 def serve(
-    requests: list[SearchRequest], **service_kwargs
-) -> tuple[list[RequestRecord], ServiceReport]:
-    """One-shot convenience: build, submit, run, report."""
-    service = SearchService(**service_kwargs)
-    service.submit_all(requests)
-    records = service.run()
-    return records, service.report()
-
-
-def run_recovering(
-    service: SearchService,
-    journal: "str | Path | None",
+    requests: list[SearchRequest],
+    journal: "str | Path | None" = None,
+    recover: bool = True,
     rid_filter=None,
     **service_kwargs,
-) -> "tuple[SearchService, list[RequestRecord], SearchService | None]":
-    """Run ``service``, absorbing one planned :class:`ServiceCrash` by
-    recovering from ``journal`` (journalled completions are adopted
-    verbatim -- exactly-once -- and incomplete requests resume from
-    their checkpoints; :meth:`SearchService.recover` strips the plan's
-    crash so the run cannot crash-loop).  Without a journal the crash
-    propagates.
+) -> Served:
+    """Build a service, submit ``requests``, run, report.
 
-    Returns ``(final service, its records, crashed service or None)``;
-    after a recovery the final service's ``report().elapsed_s`` is the
-    time to repair (restart until the backlog drained).
+    With a ``journal``, one planned :class:`ServiceCrash` is absorbed
+    by recovering from it: journalled completions are adopted verbatim
+    -- exactly-once -- and incomplete requests resume from their
+    checkpoints (:meth:`SearchService.recover`, which takes
+    ``rid_filter`` and strips the plan's crash so the run cannot
+    crash-loop).  Without one -- or with ``recover=False``, which
+    journals but leaves recovery to the caller (the CLI's crash ->
+    ``--resume`` walkthrough) -- the crash propagates.
     """
+    service = SearchService(journal=journal, **service_kwargs)
+    service.submit_all(requests)
     try:
-        return service, service.run(), None
+        return Served(service.run(), service.report(), service)
     except ServiceCrash:
-        if journal is None:
+        if journal is None or not recover:
             raise
     recovered = SearchService.recover(
         journal, rid_filter=rid_filter, **service_kwargs
     )
-    return recovered, recovered.run(), service
+    return Served(
+        recovered.run(), recovered.report(), recovered, crashed=service
+    )

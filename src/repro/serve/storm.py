@@ -40,6 +40,7 @@ from repro.serve.clients import (
     MetastabilityDetector,
     MetastabilityVerdict,
     RetryBudget,
+    post_crowd_attainment,
 )
 from repro.serve.cluster import (
     ClusterReport,
@@ -62,7 +63,7 @@ from repro.serve.request import (
     SearchRequest,
     TERMINAL_STATUSES,
 )
-from repro.serve.service import SearchService, run_recovering
+from repro.serve.service import serve
 
 
 class SilentOutcomeError(AssertionError):
@@ -154,6 +155,15 @@ class StormOutcome:
         stats = self.report.per_class.get(priority)
         return stats.attainment if stats is not None else 0.0
 
+    @property
+    def post_crowd_attainment(self) -> float:
+        """Interactive SLO attainment of the requests that arrived
+        once the detector's observation window had opened (crowd end +
+        settle) -- the recovery gate; needs a ``detector``."""
+        return post_crowd_attainment(
+            self.records, self.metastability.window_start_s
+        )
+
 
 def run_storm(config: StormConfig) -> StormOutcome:
     """Fire one storm at a single service node, recovering a planned
@@ -171,13 +181,9 @@ def run_storm(config: StormConfig) -> StormOutcome:
         retry_budget=config.retry_budget,
     )
     kwargs.update(dict(config.service_kwargs))
-    service = SearchService(journal=config.journal, **kwargs)
-    service.submit_all(requests)
-    service, records, crashed = run_recovering(
-        service, config.journal, **kwargs
-    )
-    report = service.report()
-    recoveries = int(crashed is not None)
+    served = serve(requests, journal=config.journal, **kwargs)
+    records, report = served
+    recoveries = int(served.crashed is not None)
     assert_explicit_outcomes(records)
     detector = MetastabilityDetector.coerce(config.detector)
     verdict = None

@@ -1,8 +1,11 @@
 """Tests for the command-line interface."""
 
+import re
+
 import pytest
 
 from repro.cli import build_parser, main
+from repro.serve import run_storm, scenarios
 
 
 class TestParser:
@@ -244,3 +247,46 @@ class TestServeBenchModes:
         assert "10x flash crowd, defended ---" in out
         assert "retry storm (defended)" in out
         assert "metastability: " in out
+
+
+#: serve-bench storm flags -> the scenario row they must run (at the
+#: seed the rows were calibrated at), the table title they print, and
+#: the interactive SLO attainment (%) the docs promise there.
+CALIBRATED = [
+    pytest.param(
+        ["--storm", "--autoscale-max", "8"],
+        scenarios.storm,
+        "storm run (defended)",
+        lambda attained: attained >= 95.0,
+        id="storm",
+    ),
+    pytest.param(
+        ["--storm", "--no-overload"],
+        lambda seed: scenarios.storm(seed, defended=False),
+        "storm run (undefended)",
+        lambda attained: attained < 50.0,
+        id="storm-undefended",
+    ),
+    pytest.param(
+        ["--retry-storm"],
+        scenarios.retry_storm,
+        "retry storm (defended)",
+        lambda attained: attained >= 90.0,
+        id="retry-storm",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv,row,title,promised", CALIBRATED)
+def test_serve_bench_storm_modes_run_the_calibrated_rows(
+    argv, row, title, promised, capsys
+):
+    """The documented commands print the documented numbers: with no
+    flag moving it, a storm mode *is* its ``repro.serve.scenarios``
+    row (the --storm defaults were once a guessed copy that printed 2%
+    where README and REPORT_overload.md promise 100%)."""
+    assert main(["serve-bench", *argv, "--seed", "11"]) == 0
+    out = capsys.readouterr().out
+    assert run_storm(row(11)).report.render(title) in out
+    attained = re.search(r"interactive: attainment +([0-9.]+)%", out)
+    assert promised(float(attained.group(1)))
