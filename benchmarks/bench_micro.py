@@ -5,32 +5,54 @@ playout throughput, the scalar playout fast path, tree operations (on
 both the pointer-tree and arena backends), the RNG, and simulated-MPI
 collectives.
 
-Run directly (``python benchmarks/bench_micro.py [--quick]``) it
-compares block-parallel iterations/sec on the ``node`` vs ``arena``
-tree backends and exits non-zero if the arena is not faster -- the CI
-benchmark-smoke gate.  ``--compare executors`` times the full backend
-x playout-executor grid (gate: compiled beats NumPy, bit-identically).
-``--compare fused`` gates the combined serving stack -- fused
-cross-tenant launches + compiled playouts must clear ``--threshold``
-(default 5x) round throughput over the unfused NumPy baseline with
-bit-identical per-lane answers.
+The three stack gates at the end are the CI benchmark-smoke gates,
+each written once as a test; ``python benchmarks/bench_micro.py
+[--backends | --executors | --fused] [--smoke]`` runs one through
+pytest (bench_serve.py's ``main``: ``--smoke`` pins the quick tier, no
+flag means ``--backends``) and ends with a ``headline:`` line of what
+it measured.  ``--backends``: block-parallel iterations/s, ``arena``
+faster than ``node``.  ``--executors``: the full backend x playout
+grid, compiled faster than NumPy.  ``--fused``: the combined serving
+stack -- fused cross-tenant launches + compiled playouts -- against
+the unfused NumPy baseline.  Every gate asserts bit-identical answers
+before any speed; without a C toolchain the compiled cells run the
+NumPy fallback, identity is still asserted and the speed halves skip.
 """
 
-import argparse
 import sys
 import time
 
 import numpy as np
 import pytest
 
+from repro.compiled import compiled_available, unavailable_reason
 from repro.core.backend import make_forest, make_tree
 from repro.core.tree import SearchTree
 from repro.games import BatchReversi, Reversi, make_game
 from repro.games.batch import run_playouts_tracked, select_random_bit
-from repro.gpu import TESLA_C2050, LaunchConfig, VirtualGpu
+from repro.gpu import TESLA_C2050, DevicePool, LaunchConfig, VirtualGpu
+from repro.harness.ablations import BackendConfig, run_backend_ablation
+from repro.harness.common import resolve_tier
 from repro.mpi import MpiCluster, TSUBAME_IB
 from repro.rng import BatchXorShift128Plus, XorShift64Star
+from repro.serve import FusedBatcher, LaneBatcher
 from repro.util.clock import Clock
+from repro.util.tables import format_table
+
+try:
+    from benchmarks.bench_serve import main
+except ImportError:  # standalone `python benchmarks/bench_micro.py`
+    from bench_serve import main
+
+#: node+compiled must clear this multiple of node+numpy's iterations/s.
+EXECUTORS_THRESHOLD = 1.5
+#: fused+compiled must clear this multiple of unfused+numpy's rounds/s.
+FUSED_THRESHOLD = 5.0
+#: The fused gate's demand: this many lanes per game per scheduler
+#: round -- the widths real service ticks carry.
+FUSED_GAMES = ("reversi", "connect4", "tictactoe")
+FUSED_LANES = 128
+FUSED_SEED = 85_2011
 
 
 def test_micro_batch_playout_1024(benchmark):
@@ -191,336 +213,102 @@ def test_micro_mpi_allreduce(benchmark):
 
 
 # --------------------------------------------------------------------
-# Direct invocation: node-vs-arena backend comparison (CI smoke gate).
+# Stack gates (CI benchmark-smoke): identity first, speed second.
 # --------------------------------------------------------------------
 
 
-def bench_backends(args) -> int:
-    """Time block-parallel search on both tree backends and report.
-
-    Returns 0 when the arena backend is faster (iterations/sec) and
-    produced bit-identical results, 1 otherwise.
-    """
-    from repro.core import make_engine
-    from repro.util.profile import Profiler
-    from repro.util.tables import format_table
-
-    game = make_game(args.game)
-    state = game.initial_state()
-    spec = {
-        "kind": "block",
-        "blocks": args.blocks,
-        "threads_per_block": args.tpb,
-        "max_iterations": args.iterations,
-    }
-    runs = {}
-    for backend in ("node", "arena"):
-        engine = make_engine(dict(spec, backend=backend), game, args.seed)
-        engine.profiler = prof = Profiler()
-        t0 = time.perf_counter()
-        result = engine.search(state, 1e9)
-        wall = time.perf_counter() - t0
-        runs[backend] = (result, result.iterations / wall, prof)
-
-    (res_n, ips_n, prof_n), (res_a, ips_a, prof_a) = (
-        runs["node"],
-        runs["arena"],
-    )
-    identical = (
-        res_n.move == res_a.move
-        and res_n.stats == res_a.stats
-        and res_n.iterations == res_a.iterations
-        and res_n.simulations == res_a.simulations
-    )
-    rows = [
-        (
-            backend,
-            f"{ips:.1f}",
-            res.iterations,
-            res.simulations,
-            res.tree_nodes,
-            res.move,
+def print_grid(result) -> None:
+    """The ablation's table, then what each cell's search returned."""
+    print()
+    print(result.render())
+    for cell, res in result.results.items():
+        print(
+            f"{cell}: iters {res.iterations}, sims {res.simulations}, "
+            f"nodes {res.tree_nodes}, move {res.move}"
         )
-        for backend, (res, ips, _) in runs.items()
-    ]
-    print(
-        format_table(
-            ("backend", "iters/s", "iters", "sims", "nodes", "move"),
-            rows,
-            title=(
-                f"block-parallel {args.game} "
-                f"{args.blocks}x{args.tpb}, seed {args.seed}"
-            ),
-        )
-    )
-    print(
-        f"\nspeedup (arena/node): {ips_a / ips_n:.2f}x"
-        f"   identical results: {identical}"
-    )
-    if args.profile:
-        for backend, (_, _, prof) in runs.items():
-            print()
-            print(prof.render(title=f"{backend} phases"))
-    if not identical:
-        print("FAIL: backends disagree", file=sys.stderr)
-        return 1
-    if ips_a <= ips_n:
-        print("FAIL: arena backend not faster than node", file=sys.stderr)
-        return 1
-    return 0
 
 
-def bench_executors(args) -> int:
-    """Time block-parallel search across the full backend x executor
-    grid.
-
-    Returns 0 when the compiled executor clears ``args.threshold`` x
-    the NumPy baseline's iterations/sec (same node backend) with every
-    cell bit-identical, 1 otherwise.  With no C toolchain the compiled
-    cells silently run NumPy, so the gate cannot pass -- CI only runs
-    this mode on toolchain images.
-    """
-    from repro.compiled import compiled_available, unavailable_reason
-    from repro.core import make_engine
-    from repro.util.tables import format_table
-
-    game = make_game(args.game)
-    state = game.initial_state()
-    spec = {
-        "kind": "block",
-        "blocks": args.blocks,
-        "threads_per_block": args.tpb,
-        "max_iterations": args.iterations,
-    }
+def require_compiled() -> None:
+    """Skip a speed gate no NumPy fallback can pass."""
     if not compiled_available():
-        print(
-            f"note: compiled executor unavailable "
-            f"({unavailable_reason()}); cells fall back to NumPy"
-        )
-    cells = [
-        ("node", "numpy"),
-        ("arena", "numpy"),
-        ("node", "compiled"),
-        ("arena", "compiled"),
-    ]
-    runs = {}
-    for backend, playout in cells:
-        engine = make_engine(
-            dict(spec, backend=backend, playout=playout),
-            game,
-            args.seed,
-        )
-        t0 = time.perf_counter()
-        result = engine.search(state, 1e9)
-        wall = time.perf_counter() - t0
-        runs[(backend, playout)] = (result, result.iterations / wall)
+        pytest.skip(unavailable_reason())
 
-    base_res, base_ips = runs[("node", "numpy")]
-    rows = []
-    identical = True
-    for backend, playout in cells:
-        res, ips = runs[(backend, playout)]
-        same = (
-            res.move == base_res.move
-            and res.stats == base_res.stats
-            and res.iterations == base_res.iterations
-            and res.simulations == base_res.simulations
-        )
-        identical = identical and same
-        rows.append(
-            (
-                f"{backend}+{playout}",
-                f"{ips:.1f}",
-                f"{ips / base_ips:.2f}x",
-                res.iterations,
-                res.move,
-                "yes" if same else "NO",
-            )
-        )
-    print(
-        format_table(
-            ("stack", "iters/s", "speedup", "iters", "move", "identical"),
-            rows,
-            title=(
-                f"backend x executor grid: block-parallel {args.game} "
-                f"{args.blocks}x{args.tpb}, seed {args.seed}"
-            ),
-        )
+
+def test_backends_arena_faster_than_node(headline):
+    result = run_backend_ablation(BackendConfig.for_tier())
+    print_grid(result)
+    for cell, prof in result.phases.items():
+        print()
+        print(prof.render(title=f"{cell} phases"))
+    assert result.identical, "backends disagree"
+    headline.append(f"arena/node {result.speedup:.2f}x")
+    assert result.speedup > 1.0, "arena backend not faster than node"
+
+
+def test_executors_compiled_faster_than_numpy(headline):
+    result = run_backend_ablation(BackendConfig.playout_heavy())
+    print_grid(result)
+    assert result.identical, "executor grid disagrees"
+    headline.append("four stack cells identical")
+    require_compiled()
+    gated = result.speedup_of("node+compiled")
+    headline.append(f"node+compiled/node+numpy {gated:.2f}x")
+    assert gated >= EXECUTORS_THRESHOLD
+
+
+def run_fused_rounds(cls, playout: str, rounds: int):
+    """``rounds`` merged scheduler rounds of the fixed multi-tenant
+    demand on one batcher: (per-round answers, wall seconds, batcher)."""
+    states = {g: make_game(g).initial_state() for g in FUSED_GAMES}
+    pool = DevicePool((TESLA_C2050,) * 2, Clock())
+    batcher = cls(pool, FUSED_SEED, playout=playout)
+    per_round = []
+    t0 = time.perf_counter()
+    for _ in range(rounds):
+        demand = {g: [states[g]] * FUSED_LANES for g in FUSED_GAMES}
+        answers, _ = batcher.execute_demand(demand)
+        per_round.append(answers)
+    return per_round, time.perf_counter() - t0, batcher
+
+
+def test_fused_compiled_stack_faster_than_unfused_numpy(headline):
+    """The combined serving stack: fused launches + compiled playouts
+    vs one NumPy launch per game, on wall-clock round throughput."""
+    rounds = 8 if resolve_tier() == "quick" else 20
+    base_answers, base_wall, base = run_fused_rounds(
+        LaneBatcher, "numpy", rounds
     )
-    gated = runs[("node", "compiled")][1] / base_ips
-    print(
-        f"\ncompiled speedup (node+compiled / node+numpy): "
-        f"{gated:.2f}x   threshold: {args.threshold:.1f}x"
+    fused_answers, fused_wall, fused = run_fused_rounds(
+        FusedBatcher, "compiled", rounds
     )
-    if not identical:
-        print("FAIL: executor grid disagrees", file=sys.stderr)
-        return 1
-    if gated < args.threshold:
-        print(
-            f"FAIL: compiled executor below {args.threshold:.1f}x",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
-
-
-def bench_fused(args) -> int:
-    """Gate the combined serving stack: fused launches + compiled
-    playouts vs the unfused NumPy node baseline.
-
-    Runs ``--rounds`` merged scheduler rounds of a fixed multi-tenant
-    demand (``--lanes`` lanes per game per round -- the widths real
-    ticks carry) through both stacks and compares wall-clock round
-    throughput.  Returns 0 when the combined stack clears
-    ``args.threshold`` (default 5x) with bit-identical per-lane
-    answers, 1 otherwise.
-    """
-    from repro.compiled import compiled_available, unavailable_reason
-    from repro.gpu import TESLA_C2050, DevicePool
-    from repro.serve import FusedBatcher, LaneBatcher
-    from repro.util.clock import Clock
-    from repro.util.tables import format_table
-
-    games = args.games.split(",")
-    states = {g: make_game(g).initial_state() for g in games}
-    lanes_per_round = args.lanes * len(games)
-
-    if not compiled_available():
-        print(
-            f"note: compiled executor unavailable "
-            f"({unavailable_reason()}); fused cell falls back to NumPy"
-        )
-
-    def run(cls, playout):
-        pool = DevicePool((TESLA_C2050,) * 2, Clock())
-        batcher = cls(pool, args.seed, playout=playout)
-        per_round = []
-        t0 = time.perf_counter()
-        for _ in range(args.rounds):
-            demand = {g: [states[g]] * args.lanes for g in games}
-            answers, _ = batcher.execute_demand(demand)
-            per_round.append(answers)
-        wall = time.perf_counter() - t0
-        return per_round, wall, batcher
-
-    base_answers, base_wall, base = run(LaneBatcher, "numpy")
-    fused_answers, fused_wall, fused = run(FusedBatcher, "compiled")
-    identical = base_answers == fused_answers
+    speedup = base_wall / fused_wall
     rows = [
-        (
-            "unfused+numpy",
-            f"{args.rounds / base_wall:.1f}",
-            f"{args.rounds * lanes_per_round / base_wall:,.0f}",
-            "1.00x",
-            base.launch_count,
-        ),
-        (
-            "fused+compiled",
-            f"{args.rounds / fused_wall:.1f}",
-            f"{args.rounds * lanes_per_round / fused_wall:,.0f}",
-            f"{base_wall / fused_wall:.2f}x",
-            fused.launch_count,
-        ),
+        (stack, f"{rounds / wall:.1f}", batcher.launch_count)
+        for stack, wall, batcher in (
+            ("unfused+numpy", base_wall, base),
+            ("fused+compiled", fused_wall, fused),
+        )
     ]
+    print()
     print(
         format_table(
-            ("stack", "rounds/s", "lanes/s", "speedup", "launches"),
+            ("stack", "rounds/s", "launches"),
             rows,
             title=(
-                f"combined serving stack: {args.rounds} rounds x "
-                f"{args.lanes} lanes x {len(games)} games "
-                f"({args.games}), seed {args.seed}"
+                f"combined serving stack: {rounds} rounds x "
+                f"{FUSED_LANES} lanes x {len(FUSED_GAMES)} games, "
+                f"pad waste {fused.pad_lanes} lanes"
             ),
         )
     )
-    combined = base_wall / fused_wall
-    print(
-        f"\ncombined speedup (fused+compiled / unfused numpy): "
-        f"{combined:.2f}x   threshold: {args.threshold:.1f}x"
-        f"   identical answers: {identical}"
-        f"   pad waste: {fused.pad_lanes} lanes"
-    )
-    if not identical:
-        print("FAIL: fused+compiled answers differ", file=sys.stderr)
-        return 1
-    if combined < args.threshold:
-        print(
-            f"FAIL: combined stack below {args.threshold:.1f}x",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
+    assert base_answers == fused_answers, "fused+compiled answers differ"
+    headline.append("fused answers identical")
+    require_compiled()
+    headline.append(f"fused+compiled/unfused+numpy {speedup:.2f}x")
+    assert speedup >= FUSED_THRESHOLD
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        description="block-parallel backend / executor benchmark gates"
+if __name__ == "__main__":  # pragma: no cover
+    sys.exit(
+        main(__file__, sys.argv[1:], ("fused", "executors", "backends"))
     )
-    parser.add_argument(
-        "--quick",
-        action="store_true",
-        help="small shape for CI smoke (128 trees, 120 iterations)",
-    )
-    parser.add_argument(
-        "--compare",
-        choices=("backends", "executors", "fused"),
-        default="backends",
-        help=(
-            "backends: node vs arena (gate: arena faster); executors: "
-            "backend x playout grid (gate: compiled beats numpy); "
-            "fused: fused+compiled serving stack vs unfused numpy "
-            "(gate: --threshold speedup, default 5x)"
-        ),
-    )
-    parser.add_argument("--game", default="tictactoe")
-    parser.add_argument("--blocks", type=int, default=256)
-    parser.add_argument("--tpb", type=int, default=1)
-    parser.add_argument("--iterations", type=int, default=400)
-    parser.add_argument("--seed", type=int, default=85_2011)
-    parser.add_argument(
-        "--threshold",
-        type=float,
-        default=None,
-        help=(
-            "minimum gated speedup (default: 5.0 for --compare fused, "
-            "1.5 for --compare executors)"
-        ),
-    )
-    parser.add_argument(
-        "--games",
-        default="reversi,connect4,tictactoe",
-        help="comma-separated games for --compare fused",
-    )
-    parser.add_argument(
-        "--lanes",
-        type=int,
-        default=128,
-        help="lanes per game per round for --compare fused",
-    )
-    parser.add_argument(
-        "--rounds",
-        type=int,
-        default=20,
-        help="scheduler rounds for --compare fused",
-    )
-    parser.add_argument(
-        "--profile",
-        action="store_true",
-        help="print per-phase wall-clock breakdown for both backends",
-    )
-    args = parser.parse_args(argv)
-    if args.threshold is None:
-        args.threshold = 5.0 if args.compare == "fused" else 1.5
-    if args.quick:
-        args.blocks = min(args.blocks, 128)
-        args.iterations = min(args.iterations, 120)
-        args.rounds = min(args.rounds, 8)
-    if args.compare == "fused":
-        return bench_fused(args)
-    if args.compare == "executors":
-        return bench_executors(args)
-    return bench_backends(args)
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -5,15 +5,21 @@ has too few games for statistical claims; richer tiers additionally
 require WU-UCT to hold its own against virtual loss at the largest
 worker count).
 
-Standalone ``python benchmarks/bench_shared_tree.py --smoke`` is the
-seconds-scale CI gate: a wuct-vs-vloss head-to-head at N=16 on
-connect4 where WU-UCT's win ratio must stay within tolerance of -- or
-beat -- virtual loss.
+``python benchmarks/bench_shared_tree.py --smoke`` runs only the
+seconds-scale CI gate, through bench_serve.py's ``main``: a
+wuct-vs-vloss head-to-head at N=16 on connect4 where WU-UCT's win
+ratio must stay within tolerance of -- or beat -- virtual loss.
+Without the flag it runs every test here at ``REPRO_TIER``.
 """
 
 import sys
 
 from repro.harness.shared_tree import ShootoutConfig, run_shootout
+
+try:
+    from benchmarks.bench_serve import main
+except ImportError:  # standalone `python benchmarks/bench_shared_tree.py`
+    from bench_serve import main
 
 #: The smoke gate's slack: wuct may trail vloss by at most this much.
 SMOKE_TOLERANCE = 0.25
@@ -43,30 +49,18 @@ def test_shared_tree_shootout(run_once):
         )
 
 
-def _main(argv) -> int:
-    smoke = "--smoke" in argv
-    cfg = ShootoutConfig.smoke() if smoke else ShootoutConfig.for_tier()
+def test_shared_tree_smoke_wuct_within_tolerance_of_vloss(headline):
+    cfg = ShootoutConfig.smoke()
     result = run_shootout(cfg)
+    print()
     print(result.render())
-
-    if smoke:
-        game = cfg.games[0]
-        n = cfg.worker_counts[0]
-        wuct = result.ratio(game, "tree@wuct", n)
-        vloss = result.ratio(game, "tree@vloss", n)
-        if wuct < vloss - SMOKE_TOLERANCE:
-            print(
-                f"FAIL: wuct win ratio {wuct:.2f} trails vloss "
-                f"{vloss:.2f} by more than {SMOKE_TOLERANCE} at "
-                f"N={n} on {game}"
-            )
-            return 1
-        print(
-            f"smoke OK: wuct {wuct:.2f} vs vloss {vloss:.2f} at "
-            f"N={n} on {game} (tolerance {SMOKE_TOLERANCE})"
-        )
-    return 0
+    game, n = cfg.games[0], cfg.worker_counts[0]
+    wuct = result.ratio(game, "tree@wuct", n)
+    vloss = result.ratio(game, "tree@vloss", n)
+    headline.append(f"wuct {wuct:.2f} vs vloss {vloss:.2f} at N={n} on {game}")
+    assert wuct >= vloss - SMOKE_TOLERANCE
 
 
 if __name__ == "__main__":  # pragma: no cover
-    sys.exit(_main(sys.argv[1:]))
+    modes = ("shared_tree_smoke",) if "--smoke" in sys.argv else ()
+    sys.exit(main(__file__, sys.argv[1:], modes))

@@ -16,6 +16,9 @@ import sys
 import time
 from dataclasses import replace
 
+from repro.core.backend import BACKENDS, DEFAULT_BACKEND
+from repro.core.executors import DEFAULT_PLAYOUT, PLAYOUT_EXECUTORS
+
 
 def _cmd_experiments(_args) -> int:
     from repro.harness import EXPERIMENTS
@@ -43,14 +46,14 @@ def _cmd_play(args) -> int:
 
     game = make_game(args.game)
     spec = args.engine or f"block:{args.blocks}x{args.tpb}"
-    if args.backend != "node" or args.playout != "numpy":
+    if args.backend != DEFAULT_BACKEND or args.playout != DEFAULT_PLAYOUT:
         from repro.core import EngineSpec, with_backend
         from repro.core.spec import with_playout
 
         parsed = EngineSpec.coerce(spec)
-        if args.backend != "node" and "backend" not in parsed.params:
+        if args.backend != DEFAULT_BACKEND and "backend" not in parsed.params:
             parsed = with_backend(parsed, args.backend)
-        if args.playout != "numpy" and "playout" not in parsed.params:
+        if args.playout != DEFAULT_PLAYOUT and "playout" not in parsed.params:
             parsed = with_playout(parsed, args.playout)
         spec = parsed.canonical()
     mcts = MctsPlayer(
@@ -443,14 +446,14 @@ def build_parser() -> argparse.ArgumentParser:
     play.add_argument("--seed", type=int, default=2011)
     play.add_argument(
         "--backend",
-        choices=("node", "arena"),
-        default="node",
+        choices=BACKENDS,
+        default=DEFAULT_BACKEND,
         help="tree backend for the engine (@suffix in a spec wins)",
     )
     play.add_argument(
         "--playout",
-        choices=("numpy", "compiled"),
-        default="numpy",
+        choices=PLAYOUT_EXECUTORS,
+        default=DEFAULT_PLAYOUT,
         help=(
             "playout executor (@compiled in a spec wins); 'compiled' "
             "falls back to numpy without a C toolchain"
@@ -542,14 +545,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench.add_argument(
         "--backend",
-        choices=("node", "arena"),
-        default="node",
+        choices=BACKENDS,
+        default=DEFAULT_BACKEND,
         help="tree backend applied to every engine in the workload",
     )
     bench.add_argument(
         "--playout",
-        choices=("numpy", "compiled"),
-        default="numpy",
+        choices=PLAYOUT_EXECUTORS,
+        default=DEFAULT_PLAYOUT,
         help="playout executor applied to every engine in the workload",
     )
     bench.add_argument(

@@ -37,6 +37,9 @@ from repro.rng import XorShift64Star
 #: Supported tree backends.
 BACKENDS = ("node", "arena")
 
+#: The backend every constructor, spec and CLI flag defaults to.
+DEFAULT_BACKEND = "node"
+
 
 def validate_backend(backend: str) -> str:
     """Return ``backend`` if supported, raise ``ValueError`` otherwise."""

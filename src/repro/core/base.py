@@ -24,12 +24,17 @@ from repro.cpu import XEON_X5670, CpuCostModel
 from repro.games.base import Game, GameState
 from repro.games.batch import run_playouts_tracked
 from repro.core.backend import (
+    DEFAULT_BACKEND,
     make_forest,
     restore_forest,
     snapshot_forest,
     validate_backend,
 )
-from repro.core.executors import playout_launcher, validate_playout
+from repro.core.executors import (
+    DEFAULT_PLAYOUT,
+    playout_launcher,
+    validate_playout,
+)
 from repro.core.checkpoint import (
     CHECKPOINT_FORMAT_VERSION,
     CheckpointError,
@@ -98,8 +103,8 @@ class Engine(abc.ABC):
         final_policy: str = MAX_VISITS,
         max_iterations: int | None = None,
         selection_rule: str = "ucb1",
-        backend: str = "node",
-        playout: str = "numpy",
+        backend: str = DEFAULT_BACKEND,
+        playout: str = DEFAULT_PLAYOUT,
         profiler: Profiler | None = None,
     ) -> None:
         if max_iterations is not None and max_iterations <= 0:
@@ -531,7 +536,7 @@ class BatchExecutor:
     SCALAR_CUTOFF = 10
 
     def __init__(
-        self, game_name: str, seed: int, playout: str = "numpy"
+        self, game_name: str, seed: int, playout: str = DEFAULT_PLAYOUT
     ) -> None:
         from repro.games import make_game
 

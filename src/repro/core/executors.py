@@ -42,6 +42,9 @@ from repro.rng import BatchXorShift128Plus
 #: Registered playout executors, in canonical order.
 PLAYOUT_EXECUTORS = ("numpy", "compiled")
 
+#: The executor every constructor, spec and CLI flag defaults to.
+DEFAULT_PLAYOUT = "numpy"
+
 LaunchBlock = Callable[..., TrackedPlayouts]
 Launch = Callable[..., tuple[np.ndarray, np.ndarray]]
 

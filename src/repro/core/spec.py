@@ -49,9 +49,10 @@ import functools
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
-from repro.core.backend import validate_backend
+from repro.core.backend import DEFAULT_BACKEND, validate_backend
 from repro.core.base import Engine, validate_vote
 from repro.core.block_parallel import BlockParallelMcts
+from repro.core.executors import DEFAULT_PLAYOUT, validate_playout
 from repro.core.hybrid import HybridMcts
 from repro.core.leaf_parallel import LeafParallelMcts
 from repro.core.multigpu import MultiGpuMcts
@@ -365,10 +366,10 @@ def _parse_modifiers(
 
 #: Default parameter values the canonical form omits.
 _CANONICAL_DEFAULTS = {
-    "backend": "node",
+    "backend": DEFAULT_BACKEND,
     "mode": "vloss",
     "vote": "sum",
-    "playout": "numpy",
+    "playout": DEFAULT_PLAYOUT,
 }
 
 
@@ -423,7 +424,7 @@ def with_backend(
     strings."""
     validate_backend(backend)
     parsed = EngineSpec.coerce(spec)
-    if backend == "node" or "backend" in parsed.params:
+    if backend == DEFAULT_BACKEND or "backend" in parsed.params:
         return parsed
     return EngineSpec(parsed.kind, {**parsed.params, "backend": backend})
 
@@ -434,11 +435,9 @@ def with_playout(
     """Apply a default playout executor to a spec: the spec's own
     ``@compiled``/param wins; ``"numpy"`` (the global default) is a
     no-op.  Mirrors :func:`with_backend`."""
-    from repro.core.executors import validate_playout
-
     validate_playout(playout)
     parsed = EngineSpec.coerce(spec)
-    if playout == "numpy" or "playout" in parsed.params:
+    if playout == DEFAULT_PLAYOUT or "playout" in parsed.params:
         return parsed
     return EngineSpec(parsed.kind, {**parsed.params, "playout": playout})
 

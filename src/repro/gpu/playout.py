@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.executors import block_launcher
+from repro.core.executors import DEFAULT_PLAYOUT, block_launcher
 from repro.games import make_batch_game
 from repro.games.batch import Positions
 from repro.gpu.device import DeviceSpec
@@ -82,7 +82,7 @@ class VirtualGpu:
         game_name: str,
         seed: int,
         kernel: KernelSpec | None = None,
-        playout: str = "numpy",
+        playout: str = DEFAULT_PLAYOUT,
     ) -> None:
         self.spec = spec
         self.clock = clock

@@ -8,15 +8,19 @@ sensitivity.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 
 from repro.arena.cohort import play_matchups
 from repro.core import make_engine
+from repro.core.executors import DEFAULT_PLAYOUT
 from repro.core.policy import MAX_RATIO, MAX_VISITS, MAX_WINS
-from repro.games import Reversi
+from repro.core.results import SearchResult
+from repro.games import Reversi, make_game
 from repro.gpu import TESLA_C2050, LaunchConfig, playout_kernel_spec
 from repro.gpu.timing import kernel_time
 from repro.harness.common import cohort_executor, mcts_player, resolve_tier
+from repro.util.profile import Profiler
 from repro.util.seeding import derive_seed
 from repro.util.tables import format_series, format_table
 
@@ -310,12 +314,21 @@ def run_vote_policy_ablation(
 
 
 # ---------------------------------------------------------------------------
-# Tree backend: pointer nodes vs struct-of-arrays arena
+# Stack grid: tree backend x playout executor on block-parallel search
 # ---------------------------------------------------------------------------
+
+#: Every stack the differential walls hold equal, baseline first.
+STACK_GRID = (
+    "node+numpy",
+    "arena+numpy",
+    "node+compiled",
+    "arena+compiled",
+)
+
 
 @dataclass(frozen=True)
 class BackendConfig:
-    """Node-vs-arena wall-clock comparison on block-parallel search.
+    """Wall-clock comparison of stack cells on block-parallel search.
 
     The default shape (many narrow trees on a small-branching game) is
     where the lockstep descent pays off; expansion-dominated shapes
@@ -328,9 +341,15 @@ class BackendConfig:
     iterations: int = 400
     game: str = "tictactoe"
     seed: int = 85_2011
+    #: The stacks to time, baseline first, each ``backend`` or
+    #: ``backend+playout`` (a bare backend runs the default executor);
+    #: the default is ``abl_tree_backend``'s pair.
+    cells: tuple[str, ...] = ("node", "arena")
 
     @staticmethod
     def for_tier(tier: str | None = None) -> "BackendConfig":
+        """The tree-heavy point: one lane a tree, so the CPU
+        sequential part is the iteration."""
         tier = resolve_tier(tier)
         if tier == "quick":
             return BackendConfig(blocks=128, iterations=120)
@@ -338,27 +357,57 @@ class BackendConfig:
             return BackendConfig(blocks=512, iterations=600)
         return BackendConfig()
 
+    @staticmethod
+    def playout_heavy() -> "BackendConfig":
+        """The opposite point: four wide blocks, so the playout kernel
+        is the iteration and the executor axis shows.  Seconds at every
+        tier, hence no presets."""
+        return BackendConfig(
+            blocks=4,
+            tpb=256,
+            iterations=60,
+            game="connect4",
+            cells=STACK_GRID,
+        )
+
 
 @dataclass
 class BackendResult:
     config: BackendConfig
-    #: backend -> wall-clock iterations per second.
+    #: cell -> wall-clock iterations per second.
     iters_per_s: dict[str, float] = field(default_factory=dict)
-    #: Same seed produced the same move and root stats on both?
-    identical: bool = False
+    #: cell -> what the search returned.
+    results: dict[str, SearchResult] = field(default_factory=dict)
+    #: cell -> select / playout / backprop wall-clock phases.
+    phases: dict[str, Profiler] = field(default_factory=dict)
+
+    @property
+    def identical(self) -> bool:
+        """Same seed, same answer: every cell equals the first."""
+        first, *rest = (
+            (r.move, r.stats, r.iterations, r.simulations)
+            for r in self.results.values()
+        )
+        return all(answer == first for answer in rest)
+
+    def speedup_of(self, cell: str) -> float:
+        """``cell``'s iterations/s over the first cell's."""
+        return self.iters_per_s[cell] / self.iters_per_s[self.config.cells[0]]
 
     @property
     def speedup(self) -> float:
-        node = self.iters_per_s.get("node", 0.0)
-        arena = self.iters_per_s.get("arena", 0.0)
-        return arena / node if node > 0 else float("nan")
+        return self.speedup_of(self.config.cells[-1])
 
     def render(self) -> str:
+        base, *others = self.config.cells
         rows = [
-            [backend, f"{self.iters_per_s[backend]:.1f}"]
-            for backend in sorted(self.iters_per_s)
+            [cell, f"{self.iters_per_s[cell]:.1f}"]
+            for cell in sorted(self.iters_per_s)
         ]
-        rows.append(["arena/node speedup", f"{self.speedup:.2f}x"])
+        rows += [
+            [f"{cell}/{base} speedup", f"{self.speedup_of(cell):.2f}x"]
+            for cell in others
+        ]
         rows.append(["identical results", str(self.identical)])
         return format_table(
             ["tree backend", "iterations/s (wall)"],
@@ -375,16 +424,14 @@ class BackendResult:
 def run_backend_ablation(
     config: BackendConfig | None = None,
 ) -> BackendResult:
-    import time
-
-    from repro.games import make_game
-
+    """Time one block spec on every cell of ``config.cells`` -- the one
+    stack-grid loop outside ``perfbench/``."""
     cfg = config or BackendConfig.for_tier()
     game = make_game(cfg.game)
     state = game.initial_state()
     out = BackendResult(config=cfg)
-    results = {}
-    for backend in ("node", "arena"):
+    for cell in cfg.cells:
+        backend, _, playout = cell.partition("+")
         engine = make_engine(
             {
                 "kind": "block",
@@ -392,20 +439,16 @@ def run_backend_ablation(
                 "threads_per_block": cfg.tpb,
                 "max_iterations": cfg.iterations,
                 "backend": backend,
+                "playout": playout or DEFAULT_PLAYOUT,
             },
             game,
             cfg.seed,
         )
+        engine.profiler = out.phases[cell] = Profiler()
         t0 = time.perf_counter()
-        results[backend] = engine.search(state, budget_s=1e9)
+        out.results[cell] = engine.search(state, budget_s=1e9)
         wall = time.perf_counter() - t0
-        out.iters_per_s[backend] = results[backend].iterations / wall
-    node, arena = results["node"], results["arena"]
-    out.identical = (
-        node.move == arena.move
-        and node.stats == arena.stats
-        and node.iterations == arena.iterations
-    )
+        out.iters_per_s[cell] = out.results[cell].iterations / wall
     return out
 
 

@@ -22,7 +22,9 @@ from dataclasses import dataclass
 
 from repro.arena.tournament import PlayerFactory
 from repro.compiled import COMPILED_GAMES, compiled_available
+from repro.core.backend import DEFAULT_BACKEND
 from repro.core.base import BatchExecutor, Engine
+from repro.core.executors import DEFAULT_PLAYOUT
 from repro.core.spec import make_engine, with_backend, with_playout
 from repro.games.base import Game
 from repro.players import MctsPlayer
@@ -103,7 +105,7 @@ def _stack(game: Game) -> tuple[str, str]:
     changes how long a figure takes, never what it shows."""
     if compiled_available() and game.name in COMPILED_GAMES:
         return "arena", "compiled"
-    return "node", "numpy"
+    return DEFAULT_BACKEND, DEFAULT_PLAYOUT
 
 
 def engine(game: Game, spec, seed: int, **engine_kwargs) -> Engine:

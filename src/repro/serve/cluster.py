@@ -492,13 +492,15 @@ class ClusterRouter:
     recovers its own planned crashes.
     """
 
+    #: Virtual cost of serving a request from the router's cache.
+    cache_hit_cost_s = CACHE_HIT_COST_S
+
     def __init__(
         self,
         n_shards: int = 4,
         replicas: int = 1,
         seed: int = 0,
         cache: "ResultCache | dict | bool | None" = None,
-        cache_hit_cost_s: float = CACHE_HIT_COST_S,
         journal_dir: "str | Path | None" = None,
         vote_trim: float = 0.34,
         vnodes: int = 64,
@@ -520,7 +522,6 @@ class ClusterRouter:
         self.seed = seed
         self.vote_trim = vote_trim
         self.cache = ResultCache.coerce(cache)
-        self.cache_hit_cost_s = cache_hit_cost_s
         self.ring = HashRing(
             n_shards,
             vnodes=vnodes,

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from typing import Callable, Hashable, Mapping, Sequence
 
 from repro.core.base import PlayoutBatch, PlayoutResults
-from repro.core.executors import playout_launcher
+from repro.core.executors import DEFAULT_PLAYOUT, playout_launcher
 from repro.games import make_batch_game
 from repro.gpu.kernel import (
     KernelSpec,
@@ -193,7 +193,7 @@ class LaneBatcher:
         seed: int,
         launcher: ResilientLauncher | None = None,
         integrity: IntegrityState | None = None,
-        playout: str = "numpy",
+        playout: str = DEFAULT_PLAYOUT,
     ) -> None:
         self.pool = pool
         self.seed = derive_seed(seed, "lane_batcher")
@@ -532,7 +532,7 @@ class FusedBatcher(LaneBatcher):
         seed: int,
         launcher: ResilientLauncher | None = None,
         integrity: IntegrityState | None = None,
-        playout: str = "numpy",
+        playout: str = DEFAULT_PLAYOUT,
         max_fused_lanes: int = 1 << 16,
     ) -> None:
         super().__init__(

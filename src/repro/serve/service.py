@@ -47,9 +47,9 @@ from dataclasses import dataclass
 
 from pathlib import Path
 
-from repro.core.backend import validate_backend
+from repro.core.backend import DEFAULT_BACKEND, validate_backend
 from repro.core.base import Engine, supports_search_steps
-from repro.core.executors import validate_playout
+from repro.core.executors import DEFAULT_PLAYOUT, validate_playout
 from repro.core.checkpoint import (
     CheckpointError,
     EngineSnapshot,
@@ -165,11 +165,10 @@ class SearchService:
         enforce_deadlines: bool = True,
         faults: FaultPlan | str | None = None,
         retry: RetryPolicy | None = None,
-        backend: str = "node",
-        playout: str = "numpy",
+        backend: str = DEFAULT_BACKEND,
+        playout: str = DEFAULT_PLAYOUT,
         fusion: bool = True,
         fusion_admission: bool = False,
-        max_fused_lanes: int = 1 << 16,
         journal: "str | Path | JournalWriter | None" = None,
         checkpoint_every: int = 50,
         integrity: "IntegrityPolicy | dict | None" = None,
@@ -316,10 +315,7 @@ class SearchService:
         )
         if fusion:
             self.batcher: LaneBatcher = FusedBatcher(
-                self.pool,
-                batcher_seed,
-                max_fused_lanes=max_fused_lanes,
-                **batcher_kwargs,
+                self.pool, batcher_seed, **batcher_kwargs
             )
         else:
             self.batcher = LaneBatcher(
@@ -450,9 +446,9 @@ class SearchService:
                 record.degraded = True
         spec = EngineSpec.coerce(engine_source)
         overrides = {}
-        if self.backend != "node" and "backend" not in spec.params:
+        if self.backend != DEFAULT_BACKEND and "backend" not in spec.params:
             overrides["backend"] = self.backend
-        if self.playout != "numpy" and "playout" not in spec.params:
+        if self.playout != DEFAULT_PLAYOUT and "playout" not in spec.params:
             overrides["playout"] = self.playout
         if self.injector is not None and spec.kind in (
             "block",

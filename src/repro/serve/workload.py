@@ -11,6 +11,8 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass
 
+from repro.core.backend import DEFAULT_BACKEND
+from repro.core.executors import DEFAULT_PLAYOUT
 from repro.core.spec import EngineSpec, with_backend, with_playout
 from repro.serve.request import SearchRequest
 from repro.util.seeding import derive_seed
@@ -57,10 +59,10 @@ class WorkloadConfig:
     id_prefix: str = "r"
     #: Tree backend suffixed onto every engine spec (``@arena``);
     #: ``"node"`` leaves the spec strings untouched.
-    backend: str = "node"
+    backend: str = DEFAULT_BACKEND
     #: Playout executor suffixed onto every engine spec
     #: (``@compiled``); ``"numpy"`` leaves the spec strings untouched.
-    playout: str = "numpy"
+    playout: str = DEFAULT_PLAYOUT
     #: Zipf exponent for duplicate-position traffic.  ``0.0`` with no
     #: :attr:`position_pool` keeps the legacy workload (every request
     #: searches its game's initial position).  With a pool, request
@@ -190,7 +192,7 @@ def shape_request(
         u = derive_seed(config.seed, "zipf", i) / 2.0**64
         rank = min(bisect.bisect_left(cdf, u), pool - 1)
         state = positions[game][rank]
-    if config.backend != "node" or config.playout != "numpy":
+    if config.backend != DEFAULT_BACKEND or config.playout != DEFAULT_PLAYOUT:
         # An explicit @node/@arena/@compiled in the spec wins --
         # and is kept verbatim so request strings stay stable.
         spec = EngineSpec.coerce(engine)

@@ -8,9 +8,10 @@ argument defaulting to :data:`NULL_PROFILER`, whose phase context is a
 reused constant and whose counters are dropped -- the disabled cost is
 one attribute check per phase.
 
-Used by ``python -m repro serve-bench --profile`` and
-``benchmarks/bench_micro.py`` so future performance PRs have baseline
-phase breakdowns to compare against.
+Used by ``python -m repro serve-bench --profile`` and the stack-grid
+runner (``repro.harness.ablations.run_backend_ablation``, printed by
+``benchmarks/bench_micro.py --backends``) so future performance PRs
+have baseline phase breakdowns to compare against.
 """
 
 from __future__ import annotations

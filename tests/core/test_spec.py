@@ -344,3 +344,43 @@ class TestSpecGrammarLint:
             # @vloss or @node may be dropped on the first pass).
             canonical = EngineSpec.parse(text).canonical()
             assert EngineSpec.parse(canonical).canonical() == canonical
+
+
+def test_the_default_stack_is_named_once():
+    """Every constructor, config and CLI flag that takes a backend or a
+    playout executor defaults to the two constants, so flipping the
+    product's stack is an edit to them alone."""
+    import inspect
+
+    from repro.cli import build_parser
+    from repro.core.backend import DEFAULT_BACKEND
+    from repro.core.base import BatchExecutor, Engine
+    from repro.core.executors import DEFAULT_PLAYOUT
+    from repro.gpu import VirtualGpu
+    from repro.serve import (
+        FusedBatcher,
+        LaneBatcher,
+        SearchService,
+        WorkloadConfig,
+    )
+
+    want = {"backend": DEFAULT_BACKEND, "playout": DEFAULT_PLAYOUT}
+    for owner in (
+        Engine,
+        BatchExecutor,
+        VirtualGpu,
+        LaneBatcher,
+        FusedBatcher,
+        SearchService,
+        WorkloadConfig,
+    ):
+        params = inspect.signature(owner).parameters
+        taken = want.keys() & params.keys()
+        assert taken, owner
+        for name in taken:
+            assert params[name].default == want[name], (owner, name)
+    for command in (["play"], ["serve-bench"]):
+        args = build_parser().parse_args(command)
+        assert (args.backend, args.playout) == tuple(want.values())
+    spec = {"kind": "block", "blocks": 2, "threads_per_block": 2, **want}
+    assert EngineSpec.coerce(spec).canonical() == "block:2x2"
