@@ -25,10 +25,16 @@ import time
 import numpy as np
 import pytest
 
-from repro.compiled import compiled_available, unavailable_reason
+from repro.compiled import (
+    block_compiled,
+    compiled_available,
+    kernel_body,
+    unavailable_reason,
+)
+from repro.compiled.build import KERNEL_BODIES, pinned_kernel_body
 from repro.core.backend import make_forest, make_tree
 from repro.core.tree import SearchTree
-from repro.games import BatchReversi, Reversi, make_game
+from repro.games import BatchReversi, Reversi, make_batch_game, make_game
 from repro.games.batch import run_playouts_tracked, select_random_bit
 from repro.gpu import TESLA_C2050, DevicePool, LaunchConfig, VirtualGpu
 from repro.harness.ablations import BackendConfig, run_backend_ablation
@@ -53,6 +59,9 @@ FUSED_THRESHOLD = 5.0
 FUSED_GAMES = ("reversi", "connect4", "tictactoe")
 FUSED_LANES = 128
 FUSED_SEED = 85_2011
+#: The popcnt + BMI2 kernel body must clear this multiple of the
+#: portable one's speed on ``search_block``'s launch.
+BODIES_THRESHOLD = 1.3
 
 
 def test_micro_batch_playout_1024(benchmark):
@@ -155,11 +164,9 @@ def test_micro_arena_forest_root_round(benchmark):
     assert states == [forest.state_of(ref) for ref in refs]
 
 
-@pytest.mark.parametrize("blocks,tpb", [(256, 1), (112, 64)])
-def test_micro_gpu_block_launch(benchmark, blocks, tpb):
-    """One kernel launch from an arena's leaves -- columns in, no state
-    built -- at ``search_tree``'s and ``search_block``'s shapes; equal to
-    the list-of-states launch on a twin device."""
+def arena_leaves(blocks):
+    """A Reversi arena of ``blocks`` trees six rounds into a search from
+    a mid-game root, and the leaves of its next round."""
     game = make_game("reversi")
     state = game.initial_state()
     for ply in range(20):  # a mid-game root
@@ -169,6 +176,15 @@ def test_micro_gpu_block_launch(benchmark, blocks, tpb):
     for r in range(6):
         leaves, _ = forest.select_expand_all()
         forest.backprop_winners(leaves, [(r + b) % 3 - 1 for b in range(blocks)])
+    return forest, leaves
+
+
+@pytest.mark.parametrize("blocks,tpb", [(256, 1), (112, 64)])
+def test_micro_gpu_block_launch(benchmark, blocks, tpb):
+    """One kernel launch from an arena's leaves -- columns in, no state
+    built -- at ``search_tree``'s and ``search_block``'s shapes; equal to
+    the list-of-states launch on a twin device."""
+    forest, leaves = arena_leaves(blocks)
     config = LaunchConfig(blocks, tpb)
     gpu, twin = (
         VirtualGpu(TESLA_C2050, Clock(), "reversi", 3, playout="compiled")
@@ -186,6 +202,42 @@ def test_micro_gpu_block_launch(benchmark, blocks, tpb):
     assert result.scores.tolist() == want.scores.tolist()
     assert result.block_steps.tolist() == want.block_steps.tolist()
     assert result.timing == want.timing and gpu.clock.now == twin.clock.now
+
+
+def test_micro_gpu_block_launch_bodies(headline):
+    """``search_block``'s launch -- Reversi 112 x 64 from an arena's
+    leaves -- on each kernel body in turn: byte-identical winners,
+    scores, finish steps and generator, and the popcnt + BMI2 body at
+    least ``BODIES_THRESHOLD`` times the portable one's speed (fastest
+    of interleaved launches: a shared host only ever adds time).  Skips
+    where the loading CPU does not pick the fast body."""
+    portable, fast = KERNEL_BODIES
+    if kernel_body() != fast:
+        pytest.skip(f"the loading CPU runs the {kernel_body()} kernel body")
+    forest, leaves = arena_leaves(112)
+    positions = forest.positions_of(leaves)
+    bg = make_batch_game("reversi")
+    seconds = {portable: [], fast: []}
+    for r in range(15 if resolve_tier() == "quick" else 31):
+        outputs = []
+        for body in (portable, fast) if r % 2 else (fast, portable):
+            rng = BatchXorShift128Plus(112 * 64, r)
+            with pinned_kernel_body(body):
+                t0 = time.perf_counter()
+                out = block_compiled(bg, positions, 64, rng)
+                seconds[body].append(time.perf_counter() - t0)
+            _, s0, s1 = rng.getstate()
+            columns = (out.winners, out.scores, out.finish_steps, s0, s1)
+            outputs.append([column.tobytes() for column in columns])
+        assert outputs[0] == outputs[1], "the kernel bodies disagree"
+    ms = {body: 1e3 * min(v) for body, v in seconds.items()}
+    speedup = ms[portable] / ms[fast]
+    print(
+        f"\nReversi 112x64 launch: {portable} {ms[portable]:.2f} ms, "
+        f"{fast} {ms[fast]:.2f} ms, {speedup:.2f}x"
+    )
+    headline.append(f"{fast}/{portable} launch {speedup:.2f}x")
+    assert speedup >= BODIES_THRESHOLD
 
 
 def test_micro_rng_batch(benchmark):

@@ -3,6 +3,8 @@
 Public surface:
 
 * :func:`compiled_available` -- is the toolchain-built library usable?
+* :func:`kernel_body` -- which body of the playout exports it runs
+  (``"portable"`` or ``"popcnt+bmi2"``, picked when it loads).
 * :func:`block_compiled` -- the virtual GPU's entry: positions x lanes
   per position on the caller's generator, winners / scores / finish
   steps out.
@@ -23,6 +25,7 @@ Public surface:
 from repro.compiled.build import (
     build_library,
     compiled_disabled,
+    kernel_body,
     load_library,
     reset_cache,
     unavailable_reason,
@@ -56,6 +59,7 @@ __all__ = [
     "distinct_trees_error",
     "expand_compiled",
     "expand_kernel",
+    "kernel_body",
     "launch_compiled",
     "load_library",
     "reset_cache",

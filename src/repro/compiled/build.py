@@ -5,6 +5,11 @@ on first use with the system C compiler into a content-addressed shared
 library under a cache directory.  No build step, no new dependency:
 when no toolchain is available (or ``REPRO_COMPILED=0``), loading
 reports unavailable and callers fall back to the pure-NumPy path.
+A cold build takes ≈ 2.8 s (GCC 12 on an Intel Xeon; ≈ 1.4 s when the
+playout exports had one body -- ``playout.c`` now compiles them twice,
+portable and popcnt + BMI2).  The flags carry no ``-m`` option: the
+library picks its body on the CPU that loads it (:func:`kernel_body`),
+so one cache can serve different hosts.
 
 Environment knobs:
 
@@ -22,6 +27,7 @@ Environment knobs:
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import hashlib
 import os
@@ -196,6 +202,14 @@ _LAZY_SIGNATURES = {
     "backprop_winners": (
         ctypes.c_int, [ctypes.c_int64] + [ctypes.c_void_p] * 3
     ),
+    # () -> the playout exports' body, by name
+    "kernel_body": (ctypes.c_char_p, []),
+    # () -> how many of KERNEL_BODIES this CPU can run
+    "kernel_bodies": (ctypes.c_int, []),
+    # (index into KERNEL_BODIES, or -1: the loading CPU's) -> 0 | -1
+    "pin_kernel_body": (ctypes.c_int, [ctypes.c_int64]),
+    # (n, masks, ranks, out)
+    "nth_bits": (None, [ctypes.c_int64] + [ctypes.c_void_p] * 3),
 }
 
 
@@ -240,6 +254,45 @@ def unavailable_reason() -> str | None:
     """Why :func:`load_library` returned ``None`` (``None`` = it
     didn't)."""
     return _UNAVAILABLE_REASON
+
+
+#: The two bodies of the playout exports (``playout.c``, "The two
+#: bodies"), in the library's order: a CPU runs the first, or both.
+KERNEL_BODIES = ("portable", "popcnt+bmi2")
+
+
+def kernel_body() -> str | None:
+    """Which of :data:`KERNEL_BODIES` the playout exports run -- picked
+    once, when the library loads, from the CPU that loads it; ``None``
+    without a library.  A diagnostic, like :func:`unavailable_reason`."""
+    lib = load_library()
+    if lib is None:
+        return None
+    return lazy_export(lib, "kernel_body")().decode()
+
+
+def kernel_bodies() -> tuple[str, ...]:
+    """The bodies this CPU can run (none without a library)."""
+    lib = load_library()
+    if lib is None:
+        return ()
+    return KERNEL_BODIES[: lazy_export(lib, "kernel_bodies")()]
+
+
+@contextlib.contextmanager
+def pinned_kernel_body(body: str):
+    """Test hook: the playout exports run ``body`` inside the block,
+    and the loading CPU's body again after it.  Nothing else reaches the
+    pin -- no environment variable, argument or flag.  Raises
+    ``LookupError`` when this host cannot run ``body``."""
+    if body not in kernel_bodies():
+        raise LookupError(f"this host cannot run the {body!r} kernel body")
+    pin = lazy_export(load_library(), "pin_kernel_body")
+    pin(KERNEL_BODIES.index(body))
+    try:
+        yield
+    finally:
+        pin(-1)
 
 
 def reset_cache() -> None:

@@ -23,9 +23,15 @@
  * parallel-prefix (Kogge-Stone) fill, three doubling steps per
  * direction where reversi_batch.py walks five single steps, so the
  * NumPy driver is an independent oracle for it (docs/fusion.md, "How
- * the kernels generate moves").  Plain C only -- no ISA-specific
- * flags or intrinsics: the built library is cached by content and the
- * cache may be shared between hosts.
+ * the kernels generate moves").
+ *
+ * The nine playout exports have two bodies, the same move loops
+ * compiled twice: portable C, and one under a `popcnt,bmi,bmi2` target
+ * attribute with `POPCOUNT` one instruction and the n-th-set-bit pick
+ * one `pdep` (section "The two bodies").  A constructor picks one when
+ * the library loads, from the CPU that loads it, so the build flags
+ * carry no `-m` option and a library from a cache shared between hosts
+ * runs on each of them.  The tree kernels have one body.
  *
  * RNG side-effect contract: the NumPy driver (`run_playouts_tracked`)
  * advances the *caller's* generator in lockstep until the batch first
@@ -45,6 +51,14 @@
 #include <stdint.h>
 #include <stdlib.h>
 
+#if defined(__x86_64__) && defined(__GNUC__)
+#include <immintrin.h>
+/* The second body of the playout exports exists on x86-64 only. */
+#define FAST_BODY 1
+#define FAST_TARGET __attribute__((target("popcnt,bmi,bmi2")))
+#endif
+
+/* One `popcnt` inside the fast body; a libgcc call in the portable one. */
 #define POPCOUNT(x) ((int64_t)__builtin_popcountll(x))
 /* The move generator has several call sites each (the playout loop,
  * the expansion kernel and a test helper), which stops -O2 inlining it
@@ -70,13 +84,27 @@ static inline uint64_t draw_below(uint64_t *s0, uint64_t *s1, int64_t bound)
     return (r32 * (uint64_t)bound) >> 32;
 }
 
-/* The k-th (0-based) set bit of m, as a one-bit mask (k < popcount). */
+/* The k-th (0-based) set bit of m, as a one-bit mask (k < popcount):
+ * the portable body's pick, one loop trip per skipped bit. */
 static inline uint64_t nth_bit(uint64_t m, uint64_t k)
 {
     while (k--)
         m &= m - 1;
     return m & -m;
 }
+
+#ifdef FAST_BODY
+/* The same bit in one instruction: deposit 1 << k into m's set bits. */
+FAST_TARGET static inline uint64_t nth_bit_pdep(uint64_t m, uint64_t k)
+{
+    return _pdep_u64(1ULL << k, m);
+}
+#endif
+
+/* A body's n-th-set-bit pick, handed down the FORCE_INLINE chain to the
+ * move loops (as `entry_fn` / `from_fn` are) so each body inlines its
+ * own. */
+typedef uint64_t (*nth_fn)(uint64_t m, uint64_t k);
 
 static inline int8_t sign_of(int score)
 {
@@ -190,15 +218,16 @@ static uint64_t *copy_u64(const uint64_t *src, int64_t n)
  * Reversi's from the mover's perspective -- and whether the game is over
  * before the first ply, as the game's `make_batch` decides it.
  * `<game>_entry` derives it, once per position; `<game>_from` plays one
- * lane from it. */
+ * lane from it.  `passed` (Reversi: the last ply was a pass) is only
+ * ever set by a batch object's lane. */
 typedef struct {
     uint64_t a, b;
-    int over;
+    int over, passed;
 } entry_t;
 
 typedef entry_t (*entry_fn)(uint64_t p1, uint64_t p2, int tm);
 typedef int64_t (*from_fn)(entry_t e, int tm, uint64_t s0, uint64_t s1,
-                           int64_t max_steps, int *score);
+                           int64_t max_steps, int *score, nth_fn nth);
 
 /* The launch entry (must match repro/core/executors.py::launch_numpy):
  * one playout per position (p1[i], p2[i], to_move[i]) on lane lo + i of
@@ -208,14 +237,14 @@ FORCE_INLINE int launch_lanes(int64_t n, const uint64_t *p1,
                               const uint64_t *p2, const int8_t *to_move,
                               uint64_t base, int64_t lo, int8_t *winners,
                               int64_t *finish, int64_t max_steps,
-                              entry_fn entry, from_fn from)
+                              entry_fn entry, from_fn from, nth_fn nth)
 {
     for (int64_t i = 0; i < n; i++) {
         uint64_t s0, s1;
         lane_state(base, (uint64_t)lo + (uint64_t)i, &s0, &s1);
         int score;
         finish[i] = from(entry(p1[i], p2[i], to_move[i]), to_move[i], s0,
-                         s1, max_steps, &score);
+                         s1, max_steps, &score, nth);
         if (finish[i] < 0)
             return -1;
         winners[i] = sign_of(score);
@@ -237,7 +266,7 @@ FORCE_INLINE int block_lanes(int64_t k, const uint64_t *p1,
                              int8_t *winners, int16_t *scores,
                              int64_t *finish, int64_t max_steps,
                              int64_t min_compact, double thr,
-                             entry_fn entry, from_fn from)
+                             entry_fn entry, from_fn from, nth_fn nth)
 {
     int64_t n = k * lanes;
     uint64_t *init_s0 = copy_u64(s0, n), *init_s1 = copy_u64(s1, n);
@@ -252,7 +281,7 @@ FORCE_INLINE int block_lanes(int64_t k, const uint64_t *p1,
         for (int64_t j = i * lanes; j < (i + 1) * lanes; j++) {
             int score;
             int64_t steps = from(e, to_move[i], s0[j], s1[j], max_steps,
-                                 &score);
+                                 &score, nth);
             if (steps < 0) {
                 err = 1;
                 break;
@@ -261,6 +290,43 @@ FORCE_INLINE int block_lanes(int64_t k, const uint64_t *p1,
             scores[j] = (int16_t)score;
             winners[j] = sign_of(score);
         }
+    }
+    return finalize(n, s0, s1, init_s0, init_s1, finish, min_compact,
+                    thr, err);
+}
+
+/* The batch-object entry (must match repro/games/batch.py::
+ * run_playouts_tracked): lane i of a batch the game's `make_batch`
+ * already derived -- boards (a[i], b[i]) as its `*_lane` takes them,
+ * `done[i]`, and Reversi's `passed[i]` (NULL for the other games) -- on
+ * the caller's generator.  Writes and returns as `block_lanes`. */
+FORCE_INLINE int batch_lanes(int64_t n, const uint64_t *a, const uint64_t *b,
+                             const int8_t *to_move, const uint8_t *passed,
+                             const uint8_t *done, uint64_t *s0, uint64_t *s1,
+                             int8_t *winners, int16_t *scores,
+                             int64_t *finish, int64_t max_steps,
+                             int64_t min_compact, double thr, from_fn from,
+                             nth_fn nth)
+{
+    uint64_t *init_s0 = copy_u64(s0, n), *init_s1 = copy_u64(s1, n);
+    if (!init_s0 || !init_s1) {
+        free(init_s0);
+        free(init_s1);
+        return -2;
+    }
+    int err = 0;
+    for (int64_t i = 0; i < n; i++) {
+        entry_t e = {a[i], b[i], done[i] != 0, passed && passed[i] != 0};
+        int score;
+        int64_t steps = from(e, to_move[i], s0[i], s1[i], max_steps, &score,
+                             nth);
+        if (steps < 0) {
+            err = 1;
+            break;
+        }
+        finish[i] = steps;
+        scores[i] = (int16_t)score;
+        winners[i] = sign_of(score);
     }
     return finalize(n, s0, s1, init_s0, init_s1, finish, min_compact,
                     thr, err);
@@ -339,7 +405,7 @@ FORCE_INLINE uint64_t rev_flips(uint64_t own, uint64_t opp, uint64_t move)
  * black's discs minus white's. */
 FORCE_INLINE int64_t rev_lane(uint64_t ow, uint64_t op, int tm, int pa,
                               int over, uint64_t a, uint64_t b,
-                              int64_t max_steps, int *score)
+                              int64_t max_steps, int *score, nth_fn nth)
 {
     int64_t steps = 0;
     if (!over) {
@@ -349,7 +415,7 @@ FORCE_INLINE int64_t rev_lane(uint64_t ow, uint64_t op, int tm, int pa,
             uint64_t moves = rev_mobility(ow, op);
             int64_t pop = POPCOUNT(moves);
             uint64_t pick = draw_below(&a, &b, pop);
-            uint64_t move = pop ? nth_bit(moves, pick) : 0;
+            uint64_t move = pop ? nth(moves, pick) : 0;
             steps++;
             uint64_t fl = move ? rev_flips(ow, op, move) : 0;
             uint64_t new_own = ow | move | fl;
@@ -369,70 +435,21 @@ FORCE_INLINE int64_t rev_lane(uint64_t ow, uint64_t op, int tm, int pa,
     return steps;
 }
 
-int repro_reversi_playouts(
-    int64_t n, uint64_t *own, uint64_t *opp, int8_t *to_move,
-    uint8_t *passed, uint8_t *done, uint64_t *s0, uint64_t *s1,
-    int8_t *winners, int16_t *scores, int64_t *finish,
-    int64_t max_steps, int64_t min_compact, double thr)
-{
-    uint64_t *init_s0 = copy_u64(s0, n), *init_s1 = copy_u64(s1, n);
-    if (!init_s0 || !init_s1) {
-        free(init_s0);
-        free(init_s1);
-        return -2;
-    }
-    int err = 0;
-    for (int64_t i = 0; i < n; i++) {
-        int score;
-        int64_t steps = rev_lane(own[i], opp[i], to_move[i],
-                                 passed[i] != 0, done[i] != 0, s0[i], s1[i],
-                                 max_steps, &score);
-        if (steps < 0) {
-            err = 1;
-            break;
-        }
-        finish[i] = steps;
-        scores[i] = (int16_t)score;
-        winners[i] = sign_of(score);
-    }
-    return finalize(n, s0, s1, init_s0, init_s1, finish, min_compact,
-                    thr, err);
-}
-
 /* The mover's perspective; over at entry when neither side has a move
  * (finish step 0, not two passes), as `BatchReversi.make_batch` sets
  * `done`. */
 static inline entry_t rev_entry(uint64_t black, uint64_t white, int tm)
 {
-    entry_t e = {tm == 1 ? black : white, tm == 1 ? white : black, 0};
+    entry_t e = {tm == 1 ? black : white, tm == 1 ? white : black, 0, 0};
     e.over = !rev_mobility(e.a, e.b) && !rev_mobility(e.b, e.a);
     return e;
 }
 
-static inline int64_t rev_from(entry_t e, int tm, uint64_t s0, uint64_t s1,
-                               int64_t max_steps, int *score)
+FORCE_INLINE int64_t rev_from(entry_t e, int tm, uint64_t s0, uint64_t s1,
+                              int64_t max_steps, int *score, nth_fn nth)
 {
-    return rev_lane(e.a, e.b, tm, 0, e.over, s0, s1, max_steps, score);
-}
-
-int repro_reversi_launch(
-    int64_t n, const uint64_t *p1, const uint64_t *p2, const int8_t *to_move,
-    uint64_t base, int64_t lo, int8_t *winners, int64_t *finish,
-    int64_t max_steps)
-{
-    return launch_lanes(n, p1, p2, to_move, base, lo, winners, finish,
-                        max_steps, rev_entry, rev_from);
-}
-
-int repro_reversi_block(
-    int64_t k, const uint64_t *p1, const uint64_t *p2, const int8_t *to_move,
-    int64_t lanes, uint64_t *s0, uint64_t *s1, int8_t *winners,
-    int16_t *scores, int64_t *finish, int64_t max_steps,
-    int64_t min_compact, double thr)
-{
-    return block_lanes(k, p1, p2, to_move, lanes, s0, s1, winners, scores,
-                       finish, max_steps, min_compact, thr, rev_entry,
-                       rev_from);
+    return rev_lane(e.a, e.b, tm, e.passed, e.over, s0, s1, max_steps, score,
+                    nth);
 }
 
 /* -- TicTacToe (must match repro/games/tictactoe_batch.py) -------------- */
@@ -460,7 +477,7 @@ static inline int ttt_over(uint64_t x, uint64_t o)
  * entry), or -1 past `max_steps`; *score gets the winner. */
 FORCE_INLINE int64_t ttt_lane(uint64_t bx, uint64_t bo, int tm, int over,
                               uint64_t a, uint64_t b, int64_t max_steps,
-                              int *score)
+                              int *score, nth_fn nth)
 {
     int64_t steps = 0;
     if (!over) {
@@ -470,7 +487,7 @@ FORCE_INLINE int64_t ttt_lane(uint64_t bx, uint64_t bo, int tm, int over,
             uint64_t empty = ~(bx | bo) & TTT_FULL;
             int64_t pop = POPCOUNT(empty);
             uint64_t pick = draw_below(&a, &b, pop);
-            uint64_t bit = pop ? nth_bit(empty, pick) : 0;
+            uint64_t bit = pop ? nth(empty, pick) : 0;
             steps++;
             if (tm == 1)
                 bx |= bit;
@@ -485,65 +502,17 @@ FORCE_INLINE int64_t ttt_lane(uint64_t bx, uint64_t bo, int tm, int over,
     return steps;
 }
 
-int repro_tictactoe_playouts(
-    int64_t n, uint64_t *x, uint64_t *o, int8_t *to_move, uint8_t *done,
-    uint64_t *s0, uint64_t *s1, int8_t *winners, int16_t *scores,
-    int64_t *finish, int64_t max_steps, int64_t min_compact, double thr)
-{
-    uint64_t *init_s0 = copy_u64(s0, n), *init_s1 = copy_u64(s1, n);
-    if (!init_s0 || !init_s1) {
-        free(init_s0);
-        free(init_s1);
-        return -2;
-    }
-    int err = 0;
-    for (int64_t i = 0; i < n; i++) {
-        int score;
-        int64_t steps = ttt_lane(x[i], o[i], to_move[i], done[i] != 0,
-                                 s0[i], s1[i], max_steps, &score);
-        if (steps < 0) {
-            err = 1;
-            break;
-        }
-        finish[i] = steps;
-        scores[i] = (int16_t)score;
-        winners[i] = sign_of(score);
-    }
-    return finalize(n, s0, s1, init_s0, init_s1, finish, min_compact,
-                    thr, err);
-}
-
 static inline entry_t ttt_entry(uint64_t x, uint64_t o, int tm)
 {
     (void)tm;
-    entry_t e = {x, o, ttt_over(x, o)};
+    entry_t e = {x, o, ttt_over(x, o), 0};
     return e;
 }
 
-static inline int64_t ttt_from(entry_t e, int tm, uint64_t s0, uint64_t s1,
-                               int64_t max_steps, int *score)
+FORCE_INLINE int64_t ttt_from(entry_t e, int tm, uint64_t s0, uint64_t s1,
+                              int64_t max_steps, int *score, nth_fn nth)
 {
-    return ttt_lane(e.a, e.b, tm, e.over, s0, s1, max_steps, score);
-}
-
-int repro_tictactoe_launch(
-    int64_t n, const uint64_t *p1, const uint64_t *p2, const int8_t *to_move,
-    uint64_t base, int64_t lo, int8_t *winners, int64_t *finish,
-    int64_t max_steps)
-{
-    return launch_lanes(n, p1, p2, to_move, base, lo, winners, finish,
-                        max_steps, ttt_entry, ttt_from);
-}
-
-int repro_tictactoe_block(
-    int64_t k, const uint64_t *p1, const uint64_t *p2, const int8_t *to_move,
-    int64_t lanes, uint64_t *s0, uint64_t *s1, int8_t *winners,
-    int16_t *scores, int64_t *finish, int64_t max_steps,
-    int64_t min_compact, double thr)
-{
-    return block_lanes(k, p1, p2, to_move, lanes, s0, s1, winners, scores,
-                       finish, max_steps, min_compact, thr, ttt_entry,
-                       ttt_from);
+    return ttt_lane(e.a, e.b, tm, e.over, s0, s1, max_steps, score, nth);
 }
 
 /* -- Connect-4 (must match repro/games/connect4_batch.py) --------------- */
@@ -573,7 +542,7 @@ static inline int c4_over(uint64_t p1, uint64_t p2)
  * entry), or -1 past `max_steps`; *score gets the winner. */
 FORCE_INLINE int64_t c4_lane(uint64_t b1, uint64_t b2, int tm, int over,
                              uint64_t a, uint64_t b, int64_t max_steps,
-                             int *score)
+                             int *score, nth_fn nth)
 {
     int64_t steps = 0;
     if (!over) {
@@ -584,7 +553,7 @@ FORCE_INLINE int64_t c4_lane(uint64_t b1, uint64_t b2, int tm, int over,
             uint64_t landings = (mask + C4_BOTTOM) & ~mask & C4_BOARD;
             int64_t pop = POPCOUNT(landings);
             uint64_t pick = draw_below(&a, &b, pop);
-            uint64_t bit = pop ? nth_bit(landings, pick) : 0;
+            uint64_t bit = pop ? nth(landings, pick) : 0;
             steps++;
             if (tm == 1)
                 b1 |= bit;
@@ -599,65 +568,241 @@ FORCE_INLINE int64_t c4_lane(uint64_t b1, uint64_t b2, int tm, int over,
     return steps;
 }
 
-int repro_connect4_playouts(
-    int64_t n, uint64_t *p1, uint64_t *p2, int8_t *to_move, uint8_t *done,
-    uint64_t *s0, uint64_t *s1, int8_t *winners, int16_t *scores,
-    int64_t *finish, int64_t max_steps, int64_t min_compact, double thr)
-{
-    uint64_t *init_s0 = copy_u64(s0, n), *init_s1 = copy_u64(s1, n);
-    if (!init_s0 || !init_s1) {
-        free(init_s0);
-        free(init_s1);
-        return -2;
-    }
-    int err = 0;
-    for (int64_t i = 0; i < n; i++) {
-        int score;
-        int64_t steps = c4_lane(p1[i], p2[i], to_move[i], done[i] != 0,
-                                s0[i], s1[i], max_steps, &score);
-        if (steps < 0) {
-            err = 1;
-            break;
-        }
-        finish[i] = steps;
-        scores[i] = (int16_t)score;
-        winners[i] = sign_of(score);
-    }
-    return finalize(n, s0, s1, init_s0, init_s1, finish, min_compact,
-                    thr, err);
-}
-
 static inline entry_t c4_entry(uint64_t p1, uint64_t p2, int tm)
 {
     (void)tm;
-    entry_t e = {p1, p2, c4_over(p1, p2)};
+    entry_t e = {p1, p2, c4_over(p1, p2), 0};
     return e;
 }
 
-static inline int64_t c4_from(entry_t e, int tm, uint64_t s0, uint64_t s1,
-                              int64_t max_steps, int *score)
+FORCE_INLINE int64_t c4_from(entry_t e, int tm, uint64_t s0, uint64_t s1,
+                             int64_t max_steps, int *score, nth_fn nth)
 {
-    return c4_lane(e.a, e.b, tm, e.over, s0, s1, max_steps, score);
+    return c4_lane(e.a, e.b, tm, e.over, s0, s1, max_steps, score, nth);
 }
 
-int repro_connect4_launch(
-    int64_t n, const uint64_t *p1, const uint64_t *p2, const int8_t *to_move,
-    uint64_t base, int64_t lo, int8_t *winners, int64_t *finish,
-    int64_t max_steps)
+/* -- The two bodies ------------------------------------------------------ */
+
+/* Every export above the tree kernels is the FORCE_INLINE chain
+ * entry -> `*_from` -> `*_lane` under one of two bodies: `portable`, and
+ * on x86-64 `fast`, compiled under FAST_TARGET.  Inlined there, the move
+ * loops pick up the target's ISA -- `POPCOUNT` is one `popcnt` -- and
+ * take `nth_bit_pdep` for their pick; nothing else differs, so both
+ * bodies play every lane alike, draw for draw.  `body` is picked once,
+ * when the library loads (`pick_body`); the exports call through it. */
+
+#define REV_PLAYOUTS_PARAMS                                                  \
+    int64_t n, uint64_t *own, uint64_t *opp, int8_t *to_move,                \
+        uint8_t *passed, uint8_t *done, uint64_t *s0, uint64_t *s1,          \
+        int8_t *winners, int16_t *scores, int64_t *finish,                   \
+        int64_t max_steps, int64_t min_compact, double thr
+#define REV_PLAYOUTS_ARGS                                                    \
+    n, own, opp, to_move, passed, done, s0, s1, winners, scores, finish,     \
+        max_steps, min_compact, thr
+#define PLAYOUTS_PARAMS                                                      \
+    int64_t n, uint64_t *p1, uint64_t *p2, int8_t *to_move, uint8_t *done,   \
+        uint64_t *s0, uint64_t *s1, int8_t *winners, int16_t *scores,        \
+        int64_t *finish, int64_t max_steps, int64_t min_compact, double thr
+#define PLAYOUTS_ARGS                                                        \
+    n, p1, p2, to_move, done, s0, s1, winners, scores, finish, max_steps,    \
+        min_compact, thr
+#define LAUNCH_PARAMS                                                        \
+    int64_t n, const uint64_t *p1, const uint64_t *p2,                       \
+        const int8_t *to_move, uint64_t base, int64_t lo, int8_t *winners,   \
+        int64_t *finish, int64_t max_steps
+#define LAUNCH_ARGS n, p1, p2, to_move, base, lo, winners, finish, max_steps
+#define BLOCK_PARAMS                                                         \
+    int64_t k, const uint64_t *p1, const uint64_t *p2,                       \
+        const int8_t *to_move, int64_t lanes, uint64_t *s0, uint64_t *s1,    \
+        int8_t *winners, int16_t *scores, int64_t *finish,                   \
+        int64_t max_steps, int64_t min_compact, double thr
+#define BLOCK_ARGS                                                           \
+    k, p1, p2, to_move, lanes, s0, s1, winners, scores, finish, max_steps,   \
+        min_compact, thr
+#define NTH_PARAMS                                                           \
+    int64_t n, const uint64_t *masks, const uint64_t *ranks, uint64_t *out
+#define NTH_ARGS n, masks, ranks, out
+
+typedef struct {
+    const char *name;
+    int (*reversi_playouts)(REV_PLAYOUTS_PARAMS);
+    int (*tictactoe_playouts)(PLAYOUTS_PARAMS);
+    int (*connect4_playouts)(PLAYOUTS_PARAMS);
+    int (*reversi_launch)(LAUNCH_PARAMS);
+    int (*tictactoe_launch)(LAUNCH_PARAMS);
+    int (*connect4_launch)(LAUNCH_PARAMS);
+    int (*reversi_block)(BLOCK_PARAMS);
+    int (*tictactoe_block)(BLOCK_PARAMS);
+    int (*connect4_block)(BLOCK_PARAMS);
+    void (*nth_bits)(NTH_PARAMS);
+} body_t;
+
+/* One game's launch and block exports in body B. */
+#define GAME_BODY(B, TARGET, NTH, GAME, ENTRY, FROM)                         \
+    TARGET static int B##_##GAME##_launch(LAUNCH_PARAMS)                     \
+    {                                                                        \
+        return launch_lanes(LAUNCH_ARGS, ENTRY, FROM, NTH);                  \
+    }                                                                        \
+    TARGET static int B##_##GAME##_block(BLOCK_PARAMS)                       \
+    {                                                                        \
+        return block_lanes(BLOCK_ARGS, ENTRY, FROM, NTH);                    \
+    }
+
+/* Body B, named NAME: the nine playout exports, and the pick alone on
+ * (mask, rank) rows for its tests, compiled with TARGET and picking
+ * moves with NTH. */
+#define BODY(B, NAME, TARGET, NTH)                                           \
+    GAME_BODY(B, TARGET, NTH, reversi, rev_entry, rev_from)                  \
+    GAME_BODY(B, TARGET, NTH, tictactoe, ttt_entry, ttt_from)                \
+    GAME_BODY(B, TARGET, NTH, connect4, c4_entry, c4_from)                   \
+    TARGET static int B##_reversi_playouts(REV_PLAYOUTS_PARAMS)              \
+    {                                                                        \
+        return batch_lanes(n, own, opp, to_move, passed, done, s0, s1,       \
+                           winners, scores, finish, max_steps, min_compact,  \
+                           thr, rev_from, NTH);                              \
+    }                                                                        \
+    TARGET static int B##_tictactoe_playouts(PLAYOUTS_PARAMS)                \
+    {                                                                        \
+        return batch_lanes(n, p1, p2, to_move, NULL, done, s0, s1, winners,  \
+                           scores, finish, max_steps, min_compact, thr,      \
+                           ttt_from, NTH);                                   \
+    }                                                                        \
+    TARGET static int B##_connect4_playouts(PLAYOUTS_PARAMS)                 \
+    {                                                                        \
+        return batch_lanes(n, p1, p2, to_move, NULL, done, s0, s1, winners,  \
+                           scores, finish, max_steps, min_compact, thr,      \
+                           c4_from, NTH);                                    \
+    }                                                                        \
+    TARGET static void B##_nth_bits(NTH_PARAMS)                              \
+    {                                                                        \
+        for (int64_t i = 0; i < n; i++)                                      \
+            out[i] = NTH(masks[i], ranks[i]);                                \
+    }                                                                        \
+    static const body_t B##_body = {                                         \
+        NAME,                                                                \
+        B##_reversi_playouts, B##_tictactoe_playouts, B##_connect4_playouts, \
+        B##_reversi_launch, B##_tictactoe_launch, B##_connect4_launch,       \
+        B##_reversi_block, B##_tictactoe_block, B##_connect4_block,          \
+        B##_nth_bits,                                                        \
+    };
+
+BODY(portable, "portable", , nth_bit)
+#ifdef FAST_BODY
+BODY(fast, "popcnt+bmi2", FAST_TARGET, nth_bit_pdep)
+#endif
+
+static const body_t *body = &portable_body;
+
+/* Can this CPU run the fast body?  BMI1 as well as popcnt and BMI2:
+ * under FAST_TARGET the compiler may emit `blsr` / `tzcnt`. */
+static int can_run_fast(void)
 {
-    return launch_lanes(n, p1, p2, to_move, base, lo, winners, finish,
-                        max_steps, c4_entry, c4_from);
+#ifdef FAST_BODY
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("popcnt") && __builtin_cpu_supports("bmi")
+        && __builtin_cpu_supports("bmi2");
+#else
+    return 0;
+#endif
 }
 
-int repro_connect4_block(
-    int64_t k, const uint64_t *p1, const uint64_t *p2, const int8_t *to_move,
-    int64_t lanes, uint64_t *s0, uint64_t *s1, int8_t *winners,
-    int16_t *scores, int64_t *finish, int64_t max_steps,
-    int64_t min_compact, double thr)
+/* The loading CPU's body: the fast one wherever it runs, except on AMD
+ * Zen 1 / Zen 2, where `pdep` is microcoded -- tens of cycles, slower
+ * than the loop it replaces. */
+static const body_t *loading_cpu_body(void)
 {
-    return block_lanes(k, p1, p2, to_move, lanes, s0, s1, winners, scores,
-                       finish, max_steps, min_compact, thr, c4_entry,
-                       c4_from);
+#ifdef FAST_BODY
+    if (can_run_fast() && !__builtin_cpu_is("znver1")
+        && !__builtin_cpu_is("znver2"))
+        return &fast_body;
+#endif
+    return &portable_body;
+}
+
+__attribute__((constructor)) static void pick_body(void)
+{
+    body = loading_cpu_body();
+}
+
+int repro_reversi_playouts(REV_PLAYOUTS_PARAMS)
+{
+    return body->reversi_playouts(REV_PLAYOUTS_ARGS);
+}
+
+int repro_tictactoe_playouts(PLAYOUTS_PARAMS)
+{
+    return body->tictactoe_playouts(PLAYOUTS_ARGS);
+}
+
+int repro_connect4_playouts(PLAYOUTS_PARAMS)
+{
+    return body->connect4_playouts(PLAYOUTS_ARGS);
+}
+
+int repro_reversi_launch(LAUNCH_PARAMS)
+{
+    return body->reversi_launch(LAUNCH_ARGS);
+}
+
+int repro_tictactoe_launch(LAUNCH_PARAMS)
+{
+    return body->tictactoe_launch(LAUNCH_ARGS);
+}
+
+int repro_connect4_launch(LAUNCH_PARAMS)
+{
+    return body->connect4_launch(LAUNCH_ARGS);
+}
+
+int repro_reversi_block(BLOCK_PARAMS)
+{
+    return body->reversi_block(BLOCK_ARGS);
+}
+
+int repro_tictactoe_block(BLOCK_PARAMS)
+{
+    return body->tictactoe_block(BLOCK_ARGS);
+}
+
+int repro_connect4_block(BLOCK_PARAMS)
+{
+    return body->connect4_block(BLOCK_ARGS);
+}
+
+/* Diagnostic: the name of the body the playout exports run. */
+const char *repro_kernel_body(void)
+{
+    return body->name;
+}
+
+/* How many bodies this CPU can run: 1 (portable) or 2 (and fast). */
+int repro_kernel_bodies(void)
+{
+    return 1 + can_run_fast();
+}
+
+/* Test helpers.  Pin body i (0 portable, 1 fast) for every later call,
+ * or the loading CPU's again (i < 0); -1, pinning nothing, when this CPU
+ * cannot run body i.  And the body's pick alone: out[i] = the
+ * ranks[i]-th set bit of masks[i] (ranks[i] < popcount(masks[i])). */
+int repro_pin_kernel_body(int64_t i)
+{
+    if (i < 0)
+        body = loading_cpu_body();
+    else if (i == 0)
+        body = &portable_body;
+#ifdef FAST_BODY
+    else if (i == 1 && can_run_fast())
+        body = &fast_body;
+#endif
+    else
+        return -1;
+    return 0;
+}
+
+void repro_nth_bits(NTH_PARAMS)
+{
+    body->nth_bits(NTH_ARGS);
 }
 
 /* -- Batch node expansion (must match repro/core/arena.py) --------------- */
