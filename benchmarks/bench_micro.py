@@ -32,6 +32,7 @@ from repro.compiled import (
     unavailable_reason,
 )
 from repro.compiled.build import KERNEL_BODIES, pinned_kernel_body
+from repro.core.arena import backprop_winners_many, select_round_many
 from repro.core.backend import make_forest, make_tree
 from repro.core.tree import SearchTree
 from repro.games import BatchReversi, Reversi, make_batch_game, make_game
@@ -62,6 +63,11 @@ FUSED_SEED = 85_2011
 #: The popcnt + BMI2 kernel body must clear this multiple of the
 #: portable one's speed on ``search_block``'s launch.
 BODIES_THRESHOLD = 1.3
+#: A service tick's batched tree work must clear this multiple of the
+#: per-tenant loop's speed, over ``TICK_TENANTS`` ``root:8`` tenants
+#: of each of ``FUSED_GAMES``.
+TICK_THRESHOLD = 1.3
+TICK_TENANTS = 50
 
 
 def test_micro_batch_playout_1024(benchmark):
@@ -162,6 +168,64 @@ def test_micro_arena_forest_root_round(benchmark):
     assert {type(x) for x in refs + depths} == {int}
     assert {type(x) for x in terminal} == {bool}
     assert states == [forest.state_of(ref) for ref in refs]
+
+
+def tenant_forests(seed):
+    """``TICK_TENANTS`` ``root:8`` arenas of each of ``FUSED_GAMES``,
+    each from its game's opening: one service tick's tenants."""
+    return [
+        make_forest(
+            "arena",
+            game,
+            game.initial_state(),
+            [XorShift64Star(seed + 8 * j + t) for t in range(8)],
+            1.0,
+        )
+        for game in map(make_game, FUSED_GAMES)
+        for j in range(TICK_TENANTS)
+    ]
+
+
+def test_micro_tenant_forest_tick_batched(headline):
+    """The tree work of a service tick over 150 ``root:8`` tenants, two
+    ways: batched -- one ``select_round_many`` (a kernel call per game)
+    and one ``backprop_winners_many``, what the tick runs -- and as a
+    loop of each tenant's own ``select_round`` / ``backprop_winners``.
+    Identical leaves, depths and root statistics; the batched tick at
+    least ``TICK_THRESHOLD`` times as fast (fastest of interleaved
+    ticks).  Without the kernels both run the per-tenant bodies:
+    identity only."""
+    trees = list(range(8))
+    loop, batched = tenant_forests(1), tenant_forests(1)
+    seconds = {"loop": [], "batched": []}
+    for r in range(30 if resolve_tier() == "quick" else 60):
+        winners = [(r + t) % 3 - 1 for t in trees]
+        t0 = time.perf_counter()
+        want = [forest.select_round(trees)[:2] for forest in loop]
+        for forest, (refs, _) in zip(loop, want):
+            forest.backprop_winners(refs, winners)
+        t1 = time.perf_counter()
+        answers = select_round_many(batched, [trees] * len(batched))
+        got = [answer[:2] for answer in answers]
+        backprop_winners_many(
+            batched, [refs for refs, _ in got], [winners] * len(got)
+        )
+        t2 = time.perf_counter()
+        seconds["loop"].append(t1 - t0)
+        seconds["batched"].append(t2 - t1)
+        assert got == want, "the batched tick selects other leaves"
+    assert [f.root_stats_of() for f in batched] == [
+        f.root_stats_of() for f in loop
+    ]
+    ms = {way: 1e3 * min(v) for way, v in seconds.items()}
+    speedup = ms["loop"] / ms["batched"]
+    print(
+        f"\n{len(loop)}-tenant tick: loop {ms['loop']:.2f} ms, "
+        f"batched {ms['batched']:.2f} ms, {speedup:.2f}x"
+    )
+    require_compiled()
+    headline.append(f"batched/per-tenant tick {speedup:.2f}x")
+    assert speedup >= TICK_THRESHOLD
 
 
 def arena_leaves(blocks):

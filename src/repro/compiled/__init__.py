@@ -18,6 +18,10 @@ Public surface:
   :func:`backprop_compiled` / :func:`backprop_winners_compiled` -- the
   tree arena's kernels (one C call per ``TreeArena.select_expand`` /
   ``select_round`` / ``backprop_many`` / ``backprop_winners``);
+  :class:`TenantRows` / :func:`select_expand_many_compiled` /
+  :func:`backprop_winners_many_compiled` -- the same over many arenas
+  in one call (``repro.core.arena.select_round_many`` /
+  ``backprop_winners_many``);
   :func:`expand_kernel` / :func:`expand_compiled` -- the expansion step
   alone, for its differential tests.
 """
@@ -33,8 +37,10 @@ from repro.compiled.build import (
 from repro.compiled.runner import (
     COMPILED_GAMES,
     ArenaColumns,
+    TenantRows,
     backprop_compiled,
     backprop_winners_compiled,
+    backprop_winners_many_compiled,
     block_compiled,
     compiled_available,
     distinct_trees,
@@ -44,13 +50,16 @@ from repro.compiled.runner import (
     launch_compiled,
     run_playouts_tracked_compiled,
     select_expand_compiled,
+    select_expand_many_compiled,
 )
 
 __all__ = [
     "ArenaColumns",
     "COMPILED_GAMES",
+    "TenantRows",
     "backprop_compiled",
     "backprop_winners_compiled",
+    "backprop_winners_many_compiled",
     "block_compiled",
     "build_library",
     "compiled_available",
@@ -65,5 +74,6 @@ __all__ = [
     "reset_cache",
     "run_playouts_tracked_compiled",
     "select_expand_compiled",
+    "select_expand_many_compiled",
     "unavailable_reason",
 ]

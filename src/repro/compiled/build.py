@@ -202,6 +202,17 @@ _LAZY_SIGNATURES = {
     "backprop_winners": (
         ctypes.c_int, [ctypes.c_int64] + [ctypes.c_void_p] * 3
     ),
+    # (n, arena_t**, bounds, trees, leaves, depths, plane1, plane2,
+    #  to_move, terminal, at) -> 0 | capacity needed | error; *at the
+    #  first tenant not done
+    "select_expand_many": (
+        ctypes.c_int64, [ctypes.c_int64] + [ctypes.c_void_p] * 10
+    ),
+    # (n, arena_t**, bounds, leaves, winners, at) -> 0 | -2; *at the
+    #  first tenant not done
+    "backprop_winners_many": (
+        ctypes.c_int, [ctypes.c_int64] + [ctypes.c_void_p] * 5
+    ),
     # () -> the playout exports' body, by name
     "kernel_body": (ctypes.c_char_p, []),
     # () -> how many of KERNEL_BODIES this CPU can run

@@ -1141,37 +1141,50 @@ static inline int distinct_trees(const arena_t *a, int64_t k,
  * arena; no row number i makes -3 - i reach it. */
 #define BAD_TREES INT64_MIN
 
+/* Can a round run on this arena at all?  0; -1 when the row widths do
+ * not fit the game; -2 when the allocation cursor lies outside it. */
+static inline int64_t check_arena(const arena_t *a, int num_moves)
+{
+    if (!fits_game(a, num_moves))
+        return -1;
+    if (a->allocated < 0 || a->allocated > a->capacity)
+        return -2;
+    return 0;
+}
+
+/* Where a round hands back row i's leaf position and terminal flag: the
+ * arena's own per-call rows (`*_select_expand`), or a caller's tick-wide
+ * columns (`*_select_expand_many`). */
+typedef struct {
+    uint64_t *plane1;
+    uint64_t *plane2;
+    int8_t *to_move;
+    uint8_t *terminal;
+} leaf_rows_t;
+
 /* One lockstep round of `TreeArena.select_round` over the k trees
  * `trees[]`: per tree, descend from the root to a terminal node or one
  * with untried moves, then expand one child of every such node.
  * leaves[i] / depths[i] receive tree trees[i]'s leaf and its depth, and
- * row i of the arena's `leaf_*` rows the leaf's position and terminal
- * flag -- what the caller's playout of it starts from.
+ * row i of `out` the leaf's position and terminal flag -- what the
+ * caller's playout of it starts from.
  *
  * Child spans are reserved in the order the lockstep Python walk
  * reserves them -- expansion depth ascending, then row -- so node ids
  * do not depend on which body ran.  Descents only read and trees share
  * no nodes, so all of them run before the first write.
  *
- * Returns 0; the capacity needed, when a level's spans would overrun
- * `capacity` -- nothing is written to the arena, the caller grows it
- * and calls again; -1 when the row widths do not fit the game;
- * BAD_TREES when a tree is repeated or not one of the arena's (nothing
- * at all written); -2 when a node or child span lies outside the arena
- * (arena untouched); -3 - i when row i's move is one the scalar game's
- * `apply` rejects (rows before it in span order are done, leaves[i]
- * holds ~node). */
+ * The caller has checked the arena (check_arena) and that the rows are
+ * distinct trees of it.  Returns 0; the capacity needed, when a level's
+ * spans would overrun `capacity` -- nothing is written to the arena, the
+ * caller grows it and calls again; -2 when a node or child span lies
+ * outside the arena (arena untouched); -3 - i when row i's move is one
+ * the scalar game's `apply` rejects (rows before it in span order are
+ * done, leaves[i] holds ~node). */
 FORCE_INLINE int64_t select_expand_rows(
     int64_t k, const int64_t *trees, arena_t *a, int64_t *leaves,
-    int64_t *depths, int num_moves, play_fn play)
+    int64_t *depths, const leaf_rows_t *out, play_fn play)
 {
-    if (!fits_game(a, num_moves))
-        return -1;
-    if (a->allocated < 0 || a->allocated > a->capacity)
-        return -2;
-    if (!distinct_trees(a, k, trees))
-        return BAD_TREES;
-
     /* 1. Descend.  A row that will expand parks as ~node (negative). */
     int64_t lo = INT64_MAX, hi = -1;
     for (int64_t i = 0; i < k; i++) {
@@ -1237,33 +1250,149 @@ FORCE_INLINE int64_t select_expand_rows(
     /* 4. Hand back what each row found, for its playout. */
     for (int64_t i = 0; i < k; i++) {
         int64_t leaf = leaves[i];
-        a->leaf_plane1[i] = a->plane1[leaf];
-        a->leaf_plane2[i] = a->plane2[leaf];
-        a->leaf_to_move[i] = a->to_move[leaf];
-        a->leaf_terminal[i] = a->terminal[leaf];
+        out->plane1[i] = a->plane1[leaf];
+        out->plane2[i] = a->plane2[leaf];
+        out->to_move[i] = a->to_move[leaf];
+        out->terminal[i] = a->terminal[leaf];
     }
     return 0;
+}
+
+/* One arena's round into its own per-call rows: `select_expand_rows`
+ * after the checks, which answer -1 / -2 as check_arena and BAD_TREES
+ * when a tree is repeated or not one of the arena's (nothing at all
+ * written). */
+FORCE_INLINE int64_t select_expand_own(
+    int64_t k, const int64_t *trees, arena_t *a, int64_t *leaves,
+    int64_t *depths, int num_moves, play_fn play)
+{
+    int64_t rc = check_arena(a, num_moves);
+    if (rc)
+        return rc;
+    if (!distinct_trees(a, k, trees))
+        return BAD_TREES;
+    leaf_rows_t out = {a->leaf_plane1, a->leaf_plane2, a->leaf_to_move,
+                       a->leaf_terminal};
+    return select_expand_rows(k, trees, a, leaves, depths, &out, play);
 }
 
 int64_t repro_reversi_select_expand(int64_t k, const int64_t *trees,
                                     arena_t *a, int64_t *leaves,
                                     int64_t *depths)
 {
-    return select_expand_rows(k, trees, a, leaves, depths, 65, rev_play);
+    return select_expand_own(k, trees, a, leaves, depths, 65, rev_play);
 }
 
 int64_t repro_tictactoe_select_expand(int64_t k, const int64_t *trees,
                                       arena_t *a, int64_t *leaves,
                                       int64_t *depths)
 {
-    return select_expand_rows(k, trees, a, leaves, depths, 9, ttt_play);
+    return select_expand_own(k, trees, a, leaves, depths, 9, ttt_play);
 }
 
 int64_t repro_connect4_select_expand(int64_t k, const int64_t *trees,
                                      arena_t *a, int64_t *leaves,
                                      int64_t *depths)
 {
-    return select_expand_rows(k, trees, a, leaves, depths, 7, c4_play);
+    return select_expand_own(k, trees, a, leaves, depths, 7, c4_play);
+}
+
+/* -- Many arenas, one call (`select_round_many` in repro/core/arena.py) -- */
+
+/* Tenant j of a many-arena call owns rows [bounds[j], bounds[j + 1]) and
+ * the arena arenas[j].  Are the bounds ascending, every arena there and
+ * fit for a round, and every row's tree a distinct tree of its arena --
+ * across tenants too, so an arena listed twice cannot walk one tree
+ * twice?  Returns 0; else *at is the first tenant that fails and the
+ * code says why: -2 for a bound or a missing arena, check_arena's code,
+ * BAD_TREES for a tree.  Marks `seen` and clears it again: nothing the
+ * caller can read changes. */
+static int64_t check_tenants(int64_t n, arena_t *const *arenas,
+                             const int64_t *bounds, const int64_t *trees,
+                             int num_moves, int64_t *at)
+{
+    for (int64_t j = 0; j < n; j++) {
+        *at = j;
+        if (!arenas[j] || bounds[j] < 0 || bounds[j + 1] < bounds[j])
+            return -2;
+        int64_t rc = check_arena(arenas[j], num_moves);
+        if (rc)
+            return rc;
+    }
+    int64_t j = 0, i = 0;
+    for (; j < n; j++)
+        for (i = bounds[j]; i < bounds[j + 1]; i++) {
+            int64_t t = trees[i];
+            if (t < 0 || t >= arenas[j]->n_trees || arenas[j]->seen[t])
+                goto clear;
+            arenas[j]->seen[t] = 1;
+        }
+clear:
+    *at = j;
+    for (int64_t c = 0; c < n && c <= j; c++)
+        for (int64_t r = bounds[c]; r < (c == j ? i : bounds[c + 1]); r++)
+            arenas[c]->seen[trees[r]] = 0;
+    return j == n ? 0 : BAD_TREES;
+}
+
+/* `*_select_expand` over n tenants' arenas in one call: tenant j's round
+ * walks trees[bounds[j] .. bounds[j + 1]) of arenas[j], and row i's leaf,
+ * depth, position and terminal flag land in row i of the caller's
+ * columns.  Tenants run in order.  Returns 0 with *at = n when every
+ * round is done.  Otherwise *at = j, the first tenant that stopped, and
+ * the code is `*_select_expand`'s for its round (-3 - i names its own
+ * row i): tenants before j are done and tenants after it untouched -- a
+ * positive code is the capacity arenas[j] needs, with tenant j untouched
+ * too, so the caller grows that arena and calls again from tenant j.
+ * A bad bound or arena and rows that are not distinct trees of their
+ * arenas are refused for every tenant before anything is written
+ * (check_tenants). */
+FORCE_INLINE int64_t select_expand_many(
+    int64_t n, arena_t *const *arenas, const int64_t *bounds,
+    const int64_t *trees, int64_t *leaves, int64_t *depths,
+    uint64_t *plane1, uint64_t *plane2, int8_t *to_move, uint8_t *terminal,
+    int64_t *at, int num_moves, play_fn play)
+{
+    int64_t rc = check_tenants(n, arenas, bounds, trees, num_moves, at);
+    if (rc)
+        return rc;
+    for (int64_t j = 0; j < n; j++) {
+        int64_t lo = bounds[j];
+        leaf_rows_t out = {plane1 + lo, plane2 + lo, to_move + lo,
+                           terminal + lo};
+        rc = select_expand_rows(bounds[j + 1] - lo, trees + lo, arenas[j],
+                                leaves + lo, depths + lo, &out, play);
+        if (rc) {
+            *at = j;
+            return rc;
+        }
+    }
+    *at = n;
+    return 0;
+}
+
+#define SELECT_MANY_PARAMS                                                   \
+    int64_t n, arena_t *const *arenas, const int64_t *bounds,                \
+        const int64_t *trees, int64_t *leaves, int64_t *depths,              \
+        uint64_t *plane1, uint64_t *plane2, int8_t *to_move,                 \
+        uint8_t *terminal, int64_t *at
+#define SELECT_MANY_ARGS                                                     \
+    n, arenas, bounds, trees, leaves, depths, plane1, plane2, to_move,       \
+        terminal, at
+
+int64_t repro_reversi_select_expand_many(SELECT_MANY_PARAMS)
+{
+    return select_expand_many(SELECT_MANY_ARGS, 65, rev_play);
+}
+
+int64_t repro_tictactoe_select_expand_many(SELECT_MANY_PARAMS)
+{
+    return select_expand_many(SELECT_MANY_ARGS, 9, ttt_play);
+}
+
+int64_t repro_connect4_select_expand_many(SELECT_MANY_PARAMS)
+{
+    return select_expand_many(SELECT_MANY_ARGS, 7, c4_play);
 }
 
 /* Do the k leaves lie inside the allocation?  (Negative ones are rows
@@ -1321,17 +1450,54 @@ int repro_backprop(int64_t k, const int64_t *leaves, double sims,
  * a win each for a draw (0).  Anything else -- NaN, a bit-flipped byte
  * -- compares false three times: a visit and no win, as the Python
  * body credits it.  Returns as `repro_backprop`. */
-int repro_backprop_winners(int64_t k, const int64_t *leaves,
-                           const double *winners, const arena_t *a)
+static inline int credit_winners(int64_t k, const int64_t *leaves,
+                                 const double *winners, const arena_t *a)
 {
-    if (!leaves_inside(a, k, leaves))
-        return -2;
     for (int64_t i = 0; i < k; i++) {
         double w = winners[i], half = 0.5 * (w == 0.0);
         if (credit_path(a, leaves[i], 1.0, (w == 1.0) + half,
                         (w == -1.0) + half))
             return -2;
     }
+    return 0;
+}
+
+int repro_backprop_winners(int64_t k, const int64_t *leaves,
+                           const double *winners, const arena_t *a)
+{
+    if (!leaves_inside(a, k, leaves))
+        return -2;
+    return credit_winners(k, leaves, winners, a);
+}
+
+/* `repro_backprop_winners` over n tenants' arenas in one call: tenant j's
+ * rows are leaves[bounds[j] .. bounds[j + 1]) of arenas[j] -- any number,
+ * several on one tree too: credits only add -- and winners[i] is row
+ * i's outcome.  Returns 0 with *at = n.  -2 with *at = j when tenant j's
+ * arena is missing, its bounds are bad or its leaves lie outside its
+ * allocation -- checked for every tenant first, nothing written -- or
+ * when one of its walks meets a bad parent link (tenants before it
+ * done). */
+int repro_backprop_winners_many(int64_t n, const arena_t *const *arenas,
+                                const int64_t *bounds, const int64_t *leaves,
+                                const double *winners, int64_t *at)
+{
+    for (int64_t j = 0; j < n; j++) {
+        *at = j;
+        int64_t lo = bounds[j], k = bounds[j + 1] - bounds[j];
+        if (!arenas[j] || lo < 0 || k < 0
+            || !leaves_inside(arenas[j], k, leaves + lo))
+            return -2;
+    }
+    for (int64_t j = 0; j < n; j++) {
+        int64_t lo = bounds[j];
+        if (credit_winners(bounds[j + 1] - lo, leaves + lo, winners + lo,
+                           arenas[j])) {
+            *at = j;
+            return -2;
+        }
+    }
+    *at = n;
     return 0;
 }
 

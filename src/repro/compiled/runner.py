@@ -475,12 +475,27 @@ class ArenaColumns(ctypes.Structure):
     @classmethod
     def of(cls, arena) -> "ArenaColumns":
         cols = cls()
-        sizes = {name: getattr(arena, name) for name in cls._SIZES}
+        cols.take_columns(arena)
+        n = arena.n_trees
+        for name, dtype in cls._ARGUMENT_ROWS + cls._ROUND_ROWS:
+            row = np.zeros(n, dtype=dtype)
+            setattr(cols, name, row)
+            setattr(cols, name + "_at", _address(row))
+        cols.stats = np.zeros((3, n), dtype=np.float64)
+        cols.stats_at = tuple(_address(row) for row in cols.stats)
+        cols._at = ctypes.addressof(cols)
+        return cols
+
+    def take_columns(self, arena) -> None:
+        """Check ``arena``'s columns and take their addresses -- again
+        when the arena regrew: the per-call rows and everything
+        :meth:`bind` resolved stay as they are."""
+        sizes = {name: getattr(arena, name) for name in self._SIZES}
         for name, size in sizes.items():
-            setattr(cols, name, size)
+            setattr(self, name, size)
         # The struct holds bare addresses: keep the arrays alive with it.
-        cols.arrays = arrays = []
-        for name, dtype, rows, width in cls._LAYOUT:
+        self.arrays = arrays = []
+        for name, dtype, rows, width in self._LAYOUT:
             array = getattr(arena, name)
             shape = (sizes[rows],)
             if width is not None:
@@ -496,16 +511,7 @@ class ArenaColumns(ctypes.Structure):
                     f"tree kernels read"
                 )
             arrays.append(array)
-            setattr(cols, name, _address(array))
-        n = sizes["n_trees"]
-        for name, dtype in cls._ARGUMENT_ROWS + cls._ROUND_ROWS:
-            row = np.zeros(n, dtype=dtype)
-            setattr(cols, name, row)
-            setattr(cols, name + "_at", _address(row))
-        cols.stats = np.zeros((3, n), dtype=np.float64)
-        cols.stats_at = tuple(_address(row) for row in cols.stats)
-        cols._at = ctypes.addressof(cols)
-        return cols
+            setattr(self, name, _address(array))
 
     @classmethod
     def bind(cls, arena) -> "ArenaColumns | None":
@@ -521,6 +527,9 @@ class ArenaColumns(ctypes.Structure):
         cols.tuned = arena.selection_rule == "ucb1_tuned"
         cols.wuct = arena.parallel_mode == "wuct"
         cols.select_expand = lazy_export(lib, "select_expand", arena.game.name)
+        cols.select_expand_many = lazy_export(
+            lib, "select_expand_many", arena.game.name
+        )
         cols.backprop = lazy_export(lib, "backprop")
         cols.backprop_winners = lazy_export(lib, "backprop_winners")
         return cols
@@ -629,5 +638,99 @@ def backprop_winners_compiled(cols: ArenaColumns, k: int) -> None:
     _checked(
         cols.backprop_winners(
             k, cols.leaves_at, cols.winners_at, cols._at
+        )
+    )
+
+
+class TenantRows:
+    """The rows of the many-arena tree kernels
+    (``repro_<game>_select_expand_many``, ``repro_backprop_winners_many``):
+    per tenant its arena's ``arena_t`` address and its first row
+    (``bounds``, one entry more than tenants), per row its tree, leaf,
+    depth, leaf position, terminal flag and winner.  Grown
+    geometrically and reused -- a call allocates nothing -- with every
+    address taken when (re)allocated, beside it as ``<name>_at``."""
+
+    _TENANT_ROWS = (("arenas", np.uint64), ("bounds", np.int64))
+    _ROWS = (
+        ("trees", np.int64),
+        ("leaves", np.int64),
+        ("depths", np.int64),
+        ("plane1", np.uint64),
+        ("plane2", np.uint64),
+        ("to_move", np.int8),
+        ("terminal", np.bool_),
+        ("winners", np.float64),
+    )
+
+    def __init__(self) -> None:
+        #: The kernels' answer slot: the first tenant not done.
+        self.at = np.zeros(1, dtype=np.int64)
+        self.at_at = _address(self.at)
+        self._allocate(16, 64)
+
+    def _allocate(self, tenants: int, rows: int) -> None:
+        self.tenants, self.rows = tenants, rows
+        for name, dtype in self._TENANT_ROWS:
+            array = np.zeros(tenants + 1, dtype=dtype)
+            setattr(self, name, array)
+            setattr(self, name + "_at", _address(array))
+        for name, dtype in self._ROWS:
+            array = np.zeros(rows, dtype=dtype)
+            setattr(self, name, array)
+            setattr(self, name + "_at", _address(array))
+
+    def reserve(self, tenants: int, rows: int) -> None:
+        """Room for ``tenants`` tenants and ``rows`` rows."""
+        if tenants > self.tenants or rows > self.rows:
+            self._allocate(
+                max(tenants, 2 * self.tenants), max(rows, 2 * self.rows)
+            )
+
+
+def select_expand_many_compiled(
+    kernel, rows: TenantRows, first: int, n: int
+) -> tuple[int, int]:
+    """``*_select_expand_many`` over tenants ``[first, n)`` of ``rows``:
+    tenant ``j``'s round walks ``rows.trees[bounds[j]:bounds[j + 1]]`` of
+    the arena at ``rows.arenas[j]``, each arena's ``allocated`` set.
+    Returns ``(code, at)``: ``(0, n)`` with every tenant's leaf, depth,
+    leaf position and terminal flag in its rows; otherwise tenants before
+    ``at`` are done and the code is ``select_expand_compiled``'s for
+    tenant ``at``'s round (a positive one: grow that arena, call again
+    from ``at``).  Bad bounds or arenas, or rows that are not distinct
+    trees of their arenas, refuse every tenant from ``first`` on before
+    anything is written."""
+    rc = kernel(
+        n - first,
+        rows.arenas_at + 8 * first,
+        rows.bounds_at + 8 * first,
+        rows.trees_at,
+        rows.leaves_at,
+        rows.depths_at,
+        rows.plane1_at,
+        rows.plane2_at,
+        rows.to_move_at,
+        rows.terminal_at,
+        rows.at_at,
+    )
+    return rc, first + rows.at.item(0)
+
+
+def backprop_winners_many_compiled(rows: TenantRows, n: int) -> None:
+    """``repro_backprop_winners_many`` over the first ``n`` tenants of
+    ``rows``: tenant ``j``'s leaves ``rows.leaves[bounds[j]:bounds[j +
+    1]]`` of the arena at ``rows.arenas[j]`` (each arena's
+    ``allocated`` set), each credited the outcome in ``rows.winners``.
+    A missing arena, a bad bound or a leaf outside its allocation is a
+    ``ValueError`` with nothing written."""
+    _checked(
+        lazy_export(load_library(), "backprop_winners_many")(
+            n,
+            rows.arenas_at,
+            rows.bounds_at,
+            rows.leaves_at,
+            rows.winners_at,
+            rows.at_at,
         )
     )

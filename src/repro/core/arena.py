@@ -57,16 +57,20 @@ do the same work tree by tree -- same draws, same node ids
 from __future__ import annotations
 
 import math
+from itertools import accumulate, chain
 
 import numpy as np
 
 from repro.compiled import (
     ArenaColumns,
+    TenantRows,
     backprop_compiled,
     backprop_winners_compiled,
+    backprop_winners_many_compiled,
     distinct_trees,
     distinct_trees_error,
     select_expand_compiled,
+    select_expand_many_compiled,
 )
 from repro.core.policy import (
     validate_parallel_mode,
@@ -122,15 +126,13 @@ class TreeArena:
         self._vloss_active = False
         self._make_arrays(cap)
 
-        self.roots = np.empty(self.n_trees, dtype=np.int64)
+        self.roots = np.array(
+            [self._alloc_span(1) for _ in range(self.n_trees)],
+            dtype=np.int64,
+        )
         self.tree_node_count = np.ones(self.n_trees, dtype=np.int64)
         self.tree_max_depth = np.zeros(self.n_trees, dtype=np.int64)
-        for t in range(self.n_trees):
-            root = self._alloc_span(1)
-            self._init_node(root, -1, -1, root_state, t)
-            if self.terminal[root]:
-                raise ValueError("cannot search a terminal position")
-            self.roots[t] = root
+        self._init_roots(root_state)
 
     # -- storage ------------------------------------------------------------
 
@@ -197,8 +199,13 @@ class TreeArena:
         return self._cols
 
     def _grow(self, min_cap: int) -> None:
+        cols = self._cols
         # Slots past ``_allocated`` are virgin: nothing to carry over.
         self._make_arrays(max(2 * self._cap, min_cap), self._allocated)
+        if cols:
+            # Bound before: only the columns moved.
+            cols.take_columns(self)
+            self._cols = cols
 
     def _alloc_span(self, n: int) -> int:
         """Reserve ``n`` contiguous slots; returns the span start."""
@@ -256,6 +263,32 @@ class TreeArena:
         for w in range(self.mask_words):
             self.untried_mask[idx, w] = mask & _U64_MASK
             mask >>= 64
+
+    def _init_roots(self, state: GameState) -> None:
+        """:meth:`_init_node` of every tree's root -- slots ``0 .. n -
+        1`` -- with ``state``: the position described once, then each
+        tree's own shuffle of its moves, in tree order."""
+        game = self.game
+        mask = game.legal_mask(state)
+        legal = list(bits_of(mask))
+        if not legal:
+            raise ValueError("cannot search a terminal position")
+        n, k = self.n_trees, len(legal)
+        tm = game.to_move(state)
+        self.to_move[:n] = tm
+        self.mover[:n] = -tm
+        self.plane1[:n], self.plane2[:n] = game.zobrist_planes(state)
+        self.n_legal[:n] = k
+        self.untried_count[:n] = k
+        for w in range(self.mask_words):
+            self.untried_mask[:n, w] = (mask >> (64 * w)) & _U64_MASK
+        rng = self._shuffler
+        for t in range(n):
+            order = legal[:]
+            rng.setstate(self.rng_state.item(t))
+            rng.shuffle(order)
+            self.rng_state[t] = rng.getstate()
+            self.untried_order[t, :k] = order
 
     def _expand(self, node: int, t: int, child_depth: int) -> int:
         """Pop one untried move of ``node`` and create its child."""
@@ -401,14 +434,17 @@ class TreeArena:
             return rc
         self._allocated = cols.allocated
         if rc:
-            # Same error as the Python body: let the game word it.
-            node = ~cols.leaves.item(-3 - rc)
-            mv = self.untried_order.item(node, self.untried_count[node] - 1)
-            self.game.apply(self.state_of(node), mv)
-            raise ValueError(
-                f"{self.game.name} kernel rejected move {mv} at node {node}"
-            )
+            self._rejected(~cols.leaves.item(-3 - rc))
         return 0
+
+    def _rejected(self, node: int) -> None:
+        """Raise what the select kernel's refusal of ``node``'s next
+        move is: the Python body's error, worded by the game."""
+        mv = self.untried_order.item(node, self.untried_count[node] - 1)
+        self.game.apply(self.state_of(node), mv)
+        raise ValueError(
+            f"{self.game.name} kernel rejected move {mv} at node {node}"
+        )
 
     def _descend(self, t: int) -> tuple[int, int]:
         """Walk tree ``t`` from its root to a terminal node or one with
@@ -941,3 +977,150 @@ class TreeArena:
         self.parent[news] = np.where(parents >= 0, mapping[parents], -1)
         self.child_start[news] = new_span_start[olds]
         self.roots = mapping[self.roots]
+
+
+#: The rows of the many-arena calls, shared by every caller (one
+#: thread drives the kernels).
+_TENANT_ROWS: "TenantRows | None" = None
+
+#: Fewest arenas :func:`select_round_many` walks in one call: below it
+#: the call's fixed cost outweighs the per-arena calls it replaces
+#: (measured on one-tree TicTacToe arenas).
+MANY_SELECT_MIN = 3
+
+
+def _tenant_rows(tenants: int, rows: int) -> TenantRows:
+    global _TENANT_ROWS
+    if _TENANT_ROWS is None:
+        _TENANT_ROWS = TenantRows()
+    _TENANT_ROWS.reserve(tenants, rows)
+    return _TENANT_ROWS
+
+
+def compiled_arena(store) -> bool:
+    """Is ``store`` an arena on the compiled bodies -- one the
+    many-arena calls take?"""
+    return isinstance(store, TreeArena) and store._compiled() is not None
+
+
+def select_round_many(stores, indices) -> list[tuple[list, list, list, list]]:
+    """:meth:`TreeArena.select_round` of every ``stores[j]`` over
+    ``indices[j]``: their answers, in order.  The stores are distinct
+    and share no node, so each tree changes exactly as its own round
+    would change it.  Arenas of one game on the compiled bodies go in
+    one kernel call (``*_select_expand_many``); every other store -- a
+    pointer forest, an arena on its Python bodies, an arena of a game
+    with fewer than :data:`MANY_SELECT_MIN` -- runs its own
+    ``select_round``."""
+    answers: list = [None] * len(stores)
+    groups: dict[str, list[int]] = {}
+    for j, store in enumerate(stores):
+        if compiled_arena(store):
+            groups.setdefault(store.game.name, []).append(j)
+        else:
+            answers[j] = store.select_round(indices[j])
+    for js in groups.values():
+        if len(js) < MANY_SELECT_MIN:
+            for j in js:
+                answers[j] = stores[j].select_round(indices[j])
+            continue
+        group = _select_group(
+            [stores[j] for j in js], [indices[j] for j in js]
+        )
+        for j, answer in zip(js, group):
+            answers[j] = answer
+    return answers
+
+
+def _select_group(arenas: "list[TreeArena]", indices) -> list:
+    """One ``*_select_expand_many`` round over compiled arenas of one
+    game, growing an arena and calling again from it when it runs out
+    of room."""
+    n = len(arenas)
+    counts = [len(trees) for trees in indices]
+    k = sum(counts)
+    rows = _tenant_rows(n, k)
+    rows.trees[:k] = list(chain.from_iterable(indices))
+    rows.bounds[0] = 0
+    rows.bounds[1 : n + 1] = list(accumulate(counts))
+    kernel = arenas[0]._compiled().select_expand_many
+    first = 0
+    while True:
+        columns = [arena._compiled() for arena in arenas[first:]]
+        for arena, cols in zip(arenas[first:], columns):
+            cols.allocated = arena._allocated
+        rows.arenas[first:n] = [cols._at for cols in columns]
+        rc, at = select_expand_many_compiled(kernel, rows, first, n)
+        # Tenants the call did not reach left their cursor as it was.
+        for arena, cols in zip(arenas[first:], columns):
+            arena._allocated = cols.allocated
+        if rc == 0:
+            break
+        if rc > 0:
+            arenas[at]._grow(rc)
+            first = at
+            continue
+        if rc == -(2**63):
+            raise distinct_trees_error(indices[at], arenas[at].n_trees)
+        if rc <= -3:
+            arenas[at]._rejected(~rows.leaves.item(rows.bounds[at] - 3 - rc))
+        raise ValueError(
+            "arena row widths do not fit the game's moves"
+            if rc == -1
+            else "an arena's allocation cursor lies outside it"
+        )
+    game = arenas[0].game
+    leaves = rows.leaves[:k].tolist()
+    depths = rows.depths[:k].tolist()
+    states = list(
+        map(
+            game.state_from_planes,
+            rows.plane1[:k].tolist(),
+            rows.plane2[:k].tolist(),
+            rows.to_move[:k].tolist(),
+        )
+    )
+    terminal = rows.terminal[:k].tolist()
+    answers = []
+    lo = 0
+    for hi in accumulate(counts):
+        answers.append(
+            (leaves[lo:hi], depths[lo:hi], states[lo:hi], terminal[lo:hi])
+        )
+        lo = hi
+    return answers
+
+
+def backprop_winners_many(stores, leaves, winners) -> None:
+    """``winners[j][i]`` credited at ``leaves[j][i]`` of every
+    ``stores[j]``: a visit along each path and the winner's win -- what
+    ``backprop_winner`` adds, row by row.  Any number of rows per store,
+    several on one tree too: credits only add.  The arenas on the
+    compiled bodies go in one kernel call
+    (``repro_backprop_winners_many``); every other store credits its
+    rows one by one."""
+    arenas = []
+    for store, rows, outcomes in zip(stores, leaves, winners):
+        if compiled_arena(store):
+            arenas.append((store, rows, outcomes))
+        else:
+            for leaf, winner in zip(rows, outcomes):
+                store.backprop_winner(leaf, winner)
+    arenas, leaves, winners = (
+        [row[i] for row in arenas] for i in range(3)
+    )
+    n = len(arenas)
+    counts = [len(rows) for rows in leaves]
+    k = sum(counts)
+    if not k:
+        return
+    rows = _tenant_rows(n, k)
+    rows.leaves[:k] = list(chain.from_iterable(leaves))
+    rows.winners[:k] = list(chain.from_iterable(winners))
+    rows.bounds[0] = 0
+    rows.bounds[1 : n + 1] = list(accumulate(counts))
+    columns = [arena._compiled() for arena in arenas]
+    for arena, cols in zip(arenas, columns):
+        cols.allocated = arena._allocated
+    rows.arenas[:n] = [cols._at for cols in columns]
+    backprop_winners_many_compiled(rows, n)

@@ -1,13 +1,18 @@
 """Engine base class and the playout-executor seam.
 
-CPU-side engines are written as *generators* (``search_steps``): they
-yield lists of leaf states whose playouts they need, and receive the
-``(winner, plies)`` results back via ``send``.  That seam lets
+CPU-side engines are written as *round policies*
+(:mod:`repro.core.rounds`, one per engine kind), driven as *generators*
+(``search_steps``): they yield lists of leaf states whose playouts they
+need, and receive the ``(winner, plies)`` results back via ``send``.
+That seam lets
 
 * ``search()`` run standalone with a local executor, and
 * the arena drive many engines' generators in lockstep, merging their
   playout requests into one vectorised batch (how a 1-core-per-player
-  tournament stays tractable on this machine).
+  tournament stays tractable on one machine).
+
+The search service drives the same policies without a generator
+(:meth:`Engine.open_round`).
 
 GPU engines implement ``search`` directly (their playouts already run
 as wide kernels on the virtual device).
@@ -46,6 +51,7 @@ from repro.core.policy import (
     validate_selection_rule,
 )
 from repro.core.results import SearchResult
+from repro.core.rounds import Round
 from repro.core.tree import (
     aggregate_stat_dicts,
     majority_vote_stat_dicts,
@@ -92,6 +98,9 @@ class Engine(abc.ABC):
     gpu: "VirtualGpu | None" = None
     #: Root-vote mode; the engines that take ``vote=`` set it.
     vote: str = "sum"
+    #: The kind's round logic (:mod:`repro.core.rounds`); the CPU
+    #: generator engines set it, the GPU engines search directly.
+    round_policy: "type[Round] | None" = None
 
     def __init__(
         self,
@@ -162,9 +171,22 @@ class Engine(abc.ABC):
         self, state: GameState, budget_s: float
     ) -> SearchGenerator:
         """Generator protocol (CPU engines only); see module docstring."""
-        raise NotImplementedError(
-            f"{self.name} engine does not support cohort driving"
-        )
+        if self.round_policy is None:
+            raise NotImplementedError(
+                f"{self.name} engine does not support cohort driving"
+            )
+        self._begin_session(state, budget_s)
+        return self._session_steps()
+
+    def _begin_session(self, state: GameState, budget_s: float) -> None:
+        """Engine-specific: set up ``self._live`` for a new search."""
+        raise NotImplementedError
+
+    def open_round(self) -> "Round":
+        """The live session's round policy, for a driver that runs it
+        without a generator (the search service's tick)."""
+        self._require_session()
+        return self.round_policy(self)
 
     # -- checkpoint / resume -------------------------------------------------
 
@@ -253,10 +275,27 @@ class Engine(abc.ABC):
         return self._live
 
     def _session_steps(self) -> SearchGenerator:
-        """Engine-specific continuation generator over ``self._live``."""
-        raise NotImplementedError(
-            f"{self.name} engine has no generator session"
-        )
+        """Continuation generator over ``self._live``."""
+        if self.round_policy is None:
+            raise NotImplementedError(
+                f"{self.name} engine has no generator session"
+            )
+        return self._round_steps()
+
+    def _round_steps(self) -> SearchGenerator:
+        """The round policy as a generator: one yield per playout
+        demand, answers screened when the engine drives its own
+        executor."""
+        rnd = self.round_policy(self)
+        while rnd.select():
+            requests = rnd.requests
+            results = yield requests
+            if rnd.screen is not None:
+                results = yield from self._screen_results(
+                    requests, results, rnd.screen
+                )
+            rnd.deliver(self._answers(requests, results))
+        return rnd.finish()
 
     def _session_run(self) -> SearchResult:
         """Engine-specific direct continuation over ``self._live``."""
@@ -499,7 +538,7 @@ class Engine(abc.ABC):
 
 def supports_search_steps(engine: Engine) -> bool:
     """Can this engine be driven through the merged generator seam?"""
-    return type(engine).search_steps is not Engine.search_steps
+    return engine.round_policy is not None
 
 
 class ScalarExecutor:

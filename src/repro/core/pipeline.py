@@ -32,8 +32,9 @@ with a full pipeline.
 
 from __future__ import annotations
 
-from repro.core.base import Engine, SearchGenerator
+from repro.core.base import Engine
 from repro.core.results import INTEGRITY_EXTRA_KEYS, register_extra_keys
+from repro.core.rounds import PipelineRound
 from repro.core.tree_parallel import (
     check_snapshot_mode,
     resolve_shared_tree_mode,
@@ -45,6 +46,7 @@ class PipelineMcts(Engine):
     """Shared-tree MCTS with select(k+1) overlapping playout(k)."""
 
     name = "pipeline"
+    round_policy = PipelineRound
 
     def __init__(
         self,
@@ -68,9 +70,7 @@ class PipelineMcts(Engine):
 
     search = Engine._search_batched
 
-    def search_steps(
-        self, state: GameState, budget_s: float
-    ) -> SearchGenerator:
+    def _begin_session(self, state: GameState, budget_s: float) -> None:
         self._check_budget(budget_s, state)
         self._live = {
             "mode": self.mode,
@@ -91,133 +91,6 @@ class PipelineMcts(Engine):
             "executor": self._take_pending_executor(),
             "integrity": self._make_guard(1),
         }
-        return self._session_steps()
-
-    def _session_steps(self) -> SearchGenerator:
-        live = self._live
-        tree = live["tree"]
-        budget_s = live["budget_s"]
-        cap = self._iteration_cap()
-        guard = live.get("integrity")
-        screen = guard if live.get("executor") is not None else None
-
-        while (
-            max(live["cpu_t"], live["dev_done"]) < budget_s
-            and live["iterations"] < cap
-        ):
-            # Stage 1 -- select+expand round k's leaves from the stale
-            # tree (round k-1's results are still in flight), charging
-            # CPU time that overlaps the in-flight device batch.
-            requests = []
-            fresh = []  # (ref, depth) awaiting playout
-            instant = []  # terminal selections retire this round
-            sel_t = 0.0
-            for _ in range(self.n_workers):
-                ref, depth = tree.select_expand()
-                tree.apply_virtual_loss(ref, self.virtual_loss)
-                sel_t += self.cost.selection_time(depth)
-                if tree.terminal_of(ref):
-                    instant.append((ref, depth))
-                else:
-                    sel_t += self.cost.expand_s
-                    requests.append(tree.state_of(ref))
-                    fresh.append((ref, depth))
-            sel_done = live["cpu_t"] + sel_t
-            live["select_s"] += sel_t
-
-            # Stage 2 -- backprop: round k-1's held results (gated on
-            # the device finishing their batch) plus round k's
-            # terminal selections.
-            bp_t = 0.0
-            for (ref, depth), (winner, plies) in zip(
-                live["pending"], live["held"]
-            ):
-                tree.revert_virtual_loss(ref, self.virtual_loss)
-                tree.backprop_winner(ref, winner)
-                bp_t += (
-                    self.cost.backprop_time(depth)
-                    + self.cost.fixed_per_iteration_s
-                )
-                live["iterations"] += 1
-                live["simulations"] += 1
-            for ref, depth in instant:
-                tree.revert_virtual_loss(ref, self.virtual_loss)
-                tree.backprop_winner(ref, tree.winner_of(ref))
-                bp_t += (
-                    self.cost.backprop_time(depth)
-                    + self.cost.fixed_per_iteration_s
-                )
-                live["iterations"] += 1
-                live["simulations"] += 1
-            bp_start = (
-                max(sel_done, live["dev_done"])
-                if live["pending"]
-                else sel_done
-            )
-            live["cpu_t"] = bp_start + bp_t
-            live["backprop_s"] += bp_t
-
-            # Stage 3 -- issue round k's playouts; the device starts
-            # once it is free and the selections exist.  Results are
-            # *held*: they backprop at round k+1's stage 2.
-            if requests:
-                launch = max(sel_done, live["dev_done"])
-                results = yield requests
-                if screen is not None:
-                    results = yield from self._screen_results(
-                        requests, results, screen
-                    )
-                play_t = max(
-                    self.cost.playout_time(plies)
-                    for _, plies in self._answers(requests, results)
-                )
-                live["dev_done"] = launch + play_t
-                live["playout_s"] += play_t
-                live["pending"] = fresh
-                live["held"] = list(results)
-            else:
-                live["pending"] = []
-                live["held"] = []
-            live["rounds"] += 1
-            # Round boundary: the new batch is in flight (its markers
-            # outstanding), everything else is consistent -- snapshots
-            # here encode the in-flight refs as stable tokens.
-            self._after_iteration(live["iterations"], tree)
-
-        # Drain: retire the final in-flight batch.
-        bp_t = 0.0
-        for (ref, depth), (winner, plies) in zip(
-            live["pending"], live["held"]
-        ):
-            tree.revert_virtual_loss(ref, self.virtual_loss)
-            tree.backprop_winner(ref, winner)
-            bp_t += (
-                self.cost.backprop_time(depth)
-                + self.cost.fixed_per_iteration_s
-            )
-            live["iterations"] += 1
-            live["simulations"] += 1
-        live["pending"] = []
-        live["held"] = []
-        live["cpu_t"] = max(live["cpu_t"], live["dev_done"]) + bp_t
-        live["backprop_s"] += bp_t
-
-        elapsed = max(live["cpu_t"], live["dev_done"])
-        self.clock.advance(elapsed)
-        cpu_busy = live["select_s"] + live["backprop_s"]
-        extras = {
-            "pipeline.rounds": live["rounds"],
-            "pipeline.select_s": live["select_s"],
-            "pipeline.backprop_s": live["backprop_s"],
-            "pipeline.playout_s": live["playout_s"],
-            "pipeline.cpu_occupancy": (
-                cpu_busy / elapsed if elapsed > 0 else 0.0
-            ),
-            "pipeline.device_occupancy": (
-                live["playout_s"] / elapsed if elapsed > 0 else 0.0
-            ),
-        }
-        return self._finish(tree, elapsed, extras)
 
     # -- checkpointing -------------------------------------------------------
 

@@ -8,8 +8,9 @@ in the paper's Figures 6 and 7.
 
 from __future__ import annotations
 
-from repro.core.base import Engine, ScalarExecutor, SearchGenerator, drive_search
+from repro.core.base import Engine, ScalarExecutor, drive_search
 from repro.core.results import SearchResult, register_extra_keys
+from repro.core.rounds import SequentialRound
 from repro.games.base import GameState
 
 
@@ -17,6 +18,7 @@ class SequentialMcts(Engine):
     """Plain UCT on one virtual CPU core."""
 
     name = "sequential"
+    round_policy = SequentialRound
 
     def search(self, state: GameState, budget_s: float) -> SearchResult:
         # Executor before session setup: preserves the historical fork
@@ -25,9 +27,7 @@ class SequentialMcts(Engine):
         self._pending_executor = executor
         return drive_search(self.search_steps(state, budget_s), executor)
 
-    def search_steps(
-        self, state: GameState, budget_s: float
-    ) -> SearchGenerator:
+    def _begin_session(self, state: GameState, budget_s: float) -> None:
         self._check_budget(budget_s, state)
         self._live = {
             "tree": self._make_forest(state, [self.rng.fork("tree")]),
@@ -37,29 +37,7 @@ class SequentialMcts(Engine):
             "simulations": 0,
             "executor": self._take_pending_executor(),
         }
-        return self._session_steps()
 
-    def _session_steps(self) -> SearchGenerator:
-        live = self._live
-        tree = live["tree"]
-        cap = self._iteration_cap()
-        while (
-            self.clock.now - live["start_s"] < live["budget_s"]
-            and live["iterations"] < cap
-        ):
-            node, depth = tree.select_expand()
-            if tree.terminal_of(node):
-                tree.backprop_winner(node, tree.winner_of(node))
-                plies = 0
-            else:
-                (result,) = yield (tree.state_of(node),)
-                winner, plies = result
-                tree.backprop_winner(node, winner)
-            self.clock.advance(self.cost.iteration_time(depth, plies))
-            live["iterations"] += 1
-            live["simulations"] += 1
-            self._after_iteration(live["iterations"])
-        return self._finish(tree, self.clock.now - live["start_s"])
 
 register_extra_keys(
     SequentialMcts.name,

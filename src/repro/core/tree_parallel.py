@@ -22,10 +22,11 @@ later selections in the same round:
 
 from __future__ import annotations
 
-from repro.core.base import Engine, SearchGenerator
+from repro.core.base import Engine
 from repro.core.checkpoint import CheckpointError
 from repro.core.policy import validate_parallel_mode
 from repro.core.results import INTEGRITY_EXTRA_KEYS, register_extra_keys
+from repro.core.rounds import TreeRound
 from repro.games.base import GameState
 
 
@@ -75,6 +76,7 @@ class TreeParallelMcts(Engine):
     """One shared tree, ``n_workers`` concurrent selectors."""
 
     name = "tree_parallel"
+    round_policy = TreeRound
 
     def __init__(
         self,
@@ -100,9 +102,7 @@ class TreeParallelMcts(Engine):
 
     search = Engine._search_batched
 
-    def search_steps(
-        self, state: GameState, budget_s: float
-    ) -> SearchGenerator:
+    def _begin_session(self, state: GameState, budget_s: float) -> None:
         self._check_budget(budget_s, state)
         self._live = {
             "mode": self.mode,
@@ -116,60 +116,6 @@ class TreeParallelMcts(Engine):
             "executor": self._take_pending_executor(),
             "integrity": self._make_guard(1),
         }
-        return self._session_steps()
-
-    def _session_steps(self) -> SearchGenerator:
-        live = self._live
-        tree = live["tree"]
-        worker_time = live["worker_time"]
-        budget_s = live["budget_s"]
-        cap = self._iteration_cap()
-        iterations = live["iterations"]
-        simulations = live["simulations"]
-        guard = live.get("integrity")
-        screen = guard if live.get("executor") is not None else None
-
-        while min(worker_time) < budget_s and iterations < cap:
-            requests = []
-            pending = []  # (worker, node, depth)
-            instant = []  # terminal selections: (worker, node, depth)
-            for w in range(self.n_workers):
-                if worker_time[w] >= budget_s:
-                    continue
-                node, depth = tree.select_expand()
-                tree.apply_virtual_loss(node, self.virtual_loss)
-                if tree.terminal_of(node):
-                    instant.append((w, node, depth))
-                else:
-                    requests.append(tree.state_of(node))
-                    pending.append((w, node, depth))
-            results = (yield requests) if requests else []
-            if screen is not None and requests:
-                results = yield from self._screen_results(
-                    requests, results, screen
-                )
-            for w, node, depth in instant:
-                tree.revert_virtual_loss(node, self.virtual_loss)
-                tree.backprop_winner(node, tree.winner_of(node))
-                worker_time[w] += self.cost.iteration_time(depth, 0)
-                iterations += 1
-                simulations += 1
-            for (w, node, depth), (winner, plies) in zip(
-                pending, self._answers(pending, results)
-            ):
-                tree.revert_virtual_loss(node, self.virtual_loss)
-                tree.backprop_winner(node, winner)
-                worker_time[w] += self.cost.iteration_time(depth, plies)
-                iterations += 1
-                simulations += 1
-            live["iterations"] = iterations
-            live["simulations"] = simulations
-            # Round end: every in-flight marker reverted -- a clean
-            # checkpoint boundary.
-            self._after_iteration(iterations, tree)
-
-        self.clock.advance(max(worker_time))
-        return self._finish(tree, max(worker_time))
 
     # -- checkpointing -------------------------------------------------------
 

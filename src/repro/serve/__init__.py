@@ -2,9 +2,10 @@
 
 The ROADMAP's "serve heavy traffic" layer: many concurrent search
 requests (mixed games, engines, budgets, deadlines) multiplexed over a
-shared pool of virtual GPUs.  CPU-engine requests run as
-``search_steps`` generators whose playout demand is merged each tick
-into wide vectorised kernel launches -- the serving-scale
+shared pool of virtual GPUs.  CPU-engine requests run as round
+policies (``repro.core.rounds``) whose playout demand is merged each
+tick into wide vectorised kernel launches, and whose tree work is
+batched across tenants -- the serving-scale
 generalisation of the paper's block-parallel idea that one wide SIMT
 device should be fed from many independent trees.
 

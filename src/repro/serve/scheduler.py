@@ -5,8 +5,8 @@ Two layers, both reused outside the service:
 * :class:`GeneratorPool` steps many ``search_steps`` generators in
   merged rounds -- the arena's cohort driver
   (:func:`repro.arena.cohort.play_games_cohort`) runs each round of
-  moves through :func:`drive_generators`, and the service advances the
-  pool one round per scheduler tick.
+  moves through :func:`drive_generators`.  The service drives the
+  engines' round policies directly instead (``repro.core.rounds``).
 * :class:`LaneBatcher` converts one tick's merged playout demand (all
   outstanding leaf states, one lane per leaf, grouped per game) into
   wide vectorised kernel launches placed on a shared

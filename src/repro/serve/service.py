@@ -14,11 +14,13 @@ flat sequence of step methods, listed in order in docs/serving.md):
   gets its own engine, built from its spec by
   :func:`repro.core.make_engine` with a private engine clock (its own
   virtual CPU core).
-* **Merged ticks.**  Engines that expose the ``search_steps``
-  generator protocol are advanced in lockstep rounds: every tick, all
-  outstanding playout requests are concatenated per game and executed
-  as wide vectorised kernel launches (one SIMT lane per leaf) placed
-  on the least-busy pooled device.  The tick costs the slowest
+* **Merged ticks.**  Engines with a round policy
+  (:mod:`repro.core.rounds`: sequential / root / tree / pipeline) are
+  advanced in lockstep rounds: every tick, all outstanding playout
+  requests are concatenated per game and executed as wide vectorised
+  kernel launches (one SIMT lane per leaf) placed on the least-busy
+  pooled device; then each tenant, in admission order, backs its
+  answers up and selects its next round.  The tick costs the slowest
   kernel's modelled time plus the *maximum* per-request CPU charge --
   tenants' tree work overlaps, the shared accelerators are the
   contended resource.
@@ -56,6 +58,7 @@ from repro.core.checkpoint import (
     snapshot_bytes,
 )
 from repro.core.results import SearchResult
+from repro.core.rounds import Round, credit_rounds, select_rounds
 from repro.core.spec import EngineSpec, make_engine
 from repro.faults import FaultInjector, FaultPlan
 from repro.games import make_game
@@ -93,11 +96,7 @@ from repro.serve.request import (
     attempt_of,
     tenant_of,
 )
-from repro.serve.scheduler import (
-    FusedBatcher,
-    GeneratorPool,
-    LaneBatcher,
-)
+from repro.serve.scheduler import FusedBatcher, LaneBatcher
 from repro.util.clock import Clock
 from repro.util.seeding import derive_seed
 
@@ -134,7 +133,7 @@ class _Active:
     record: RequestRecord
     engine: Engine
     #: CPU time charged by the engine but not yet billed to a tick
-    #: (priming the generator happens at activation).
+    #: (the first round is selected at activation).
     pending_cpu_s: float = 0.0
     #: Direct-path (non-generator) engines: the finished result and
     #: the launch-chain outcome its modelled execution occupies.
@@ -252,10 +251,11 @@ class SearchService:
         self._queues: "dict[str, deque[RequestRecord]]" = {
             name: deque() for name in PRIORITY_CLASSES
         }
-        #: Requests holding an active slot, by id, and the generators
-        #: of those that advance through merged ticks.
+        #: Requests holding an active slot, by id, and the round
+        #: policies of those that advance through merged ticks -- in
+        #: admission order, the order of their lanes in a tick.
         self._active: dict[str, _Active] = {}
-        self._gen_pool = GeneratorPool()
+        self._tenants: dict[str, Round] = {}
         #: Periodic cache age-out on the virtual clock (the cluster
         #: sweeps at wave boundaries; a standalone service sweeps on
         #: its own cadence -- default one TTL -- so idle lulls actually
@@ -474,18 +474,13 @@ class SearchService:
             engine.restore(resume_from)
         if supports_search_steps(engine):
             before = engine.clock.now
-            gen = (
-                engine.resume_steps()
-                if resume_from is not None
-                else engine.search_steps(state, budget_s)
-            )
-            still_running = self._gen_pool.add(req.request_id, gen)
+            if resume_from is None:
+                engine._begin_session(state, budget_s)
+            result = self._open_tenant(req.request_id, engine)
             slot.pending_cpu_s = engine.clock.now - before
-            if not still_running:
+            if result is not None:
                 # Degenerate zero-playout search: done at activation.
-                self._finish(
-                    record, self._gen_pool.results.pop(req.request_id)
-                )
+                self._finish(record, result)
         else:
             # Direct path: the whole search runs pinned to one pooled
             # device, occupying its stream for the modelled duration
@@ -509,6 +504,16 @@ class SearchService:
                 # Retry budget exhausted: salvage the computed result,
                 # report the request degraded instead of failing it.
                 record.degraded = True
+
+    def _open_tenant(self, rid: str, engine: Engine) -> SearchResult | None:
+        """Select the first round of ``engine``'s live session and
+        enrol it in the merged ticks; the result instead when the
+        session ends before it needs a playout."""
+        rnd = engine.open_round()
+        if rnd.select():
+            self._tenants[rid] = rnd
+            return None
+        return rnd.finish()
 
     def _install_iteration_hook(self, rid: str, engine: Engine) -> None:
         """Journal periodic checkpoints and fire the planned crash,
@@ -649,8 +654,7 @@ class SearchService:
         for requests cancelled after admission but before (or between)
         launches."""
         rid = record.request.request_id
-        if rid in self._gen_pool.pending:
-            self._gen_pool.cancel(rid)
+        self._tenants.pop(rid, None)
         slot = self._active.pop(rid, None)
         if (
             slot is not None
@@ -782,7 +786,7 @@ class SearchService:
             self._complete_direct(now)
             self._control_overload(now)
             self._cancel_doomed(now)
-            if self._gen_pool.pending:
+            if self._tenants:
                 self._merged_tick()
             else:
                 self._wait_for_direct()
@@ -940,7 +944,7 @@ class SearchService:
         if not (self.fusion_admission and self.enforce_deadlines):
             return
         floor = self.batcher.tick_floor_s() + TICK_OVERHEAD_S
-        for rid in self._gen_pool.pending:
+        for rid in tuple(self._tenants):
             record = self._active[rid].record
             deadline = record.request.absolute_deadline_s
             if deadline is not None and now + floor > deadline:
@@ -971,10 +975,58 @@ class SearchService:
             self.clock.advance(TICK_OVERHEAD_S)
 
     def _merged_tick(self) -> None:
-        """One merged tick over all generator-driven requests."""
+        """One merged tick over every round-policy tenant: their
+        selected rounds' playouts in one launch per game (one fused
+        launch under fusion), then each tenant's backprop and next
+        selection, in admission order."""
+        tenants = self._tenants
+        answers_by_game, spans = self._launch_tick(
+            (rid, rnd.requests) for rid, rnd in tenants.items()
+        )
+
+        # CPU phase: every tenant's leaves are credited in one call,
+        # then each settles its round, in admission order, and selects
+        # its next.  A tenant with an iteration hook (journal
+        # checkpoints, a planned crash) selects at its turn, so hooks
+        # fire in the order one tenant after the other would fire
+        # them; the rest select together after the loop -- no other
+        # tenant can see when they do.
         active = self._active
-        gen_pool = self._gen_pool
-        pending = gen_pool.pending
+        rounds = [tenants[rid] for rid in spans]
+        answers = [
+            answers_by_game[game_name][lo:hi]
+            for game_name, lo, hi in spans.values()
+        ]
+        before = [rnd.engine.clock.now for rnd in rounds]
+        credit_rounds(rounds, answers)
+        together = []
+        for rnd, answer in zip(rounds, answers):
+            rnd.settle(answer)
+            if rnd.engine.iteration_hook is None:
+                together.append(rnd)
+            else:
+                rnd.select()
+        select_rounds(together)
+        # Tenants' tree work runs on private cores, so the tick charges
+        # the slowest one.
+        cpu_s = 0.0
+        for rid, rnd, start in zip(spans, rounds, before):
+            slot = active[rid]
+            if not rnd.requests:
+                del tenants[rid]
+                slot.result = rnd.finish()
+            delta = rnd.engine.clock.now - start
+            cpu_s = max(cpu_s, slot.pending_cpu_s + delta)
+            slot.pending_cpu_s = 0.0
+        self._end_tick(cpu_s)
+
+    def _launch_tick(self, demand):
+        """The kernel phase of a tick over ``demand``, ``(request id,
+        playout requests)`` pairs in admission order: the merged
+        launches, one lane per request, waited for.  Returns the
+        answers per game and each request's ``(game, lo, hi)`` span of
+        them; lanes a lost launch dropped degrade their requests."""
+        active = self._active
         self.ticks += 1
         if self.injector is not None and self.injector.crash_due(
             "tick", self.ticks
@@ -984,8 +1036,7 @@ class SearchService:
             )
         per_game_states: dict[str, list] = {}
         spans: dict[str, tuple[str, int, int]] = {}
-        for rid in pending:
-            reqs = gen_pool.requests_for(rid)
+        for rid, reqs in demand:
             record = active[rid].record
             states = per_game_states.setdefault(record.request.game, [])
             lo = len(states)
@@ -994,9 +1045,9 @@ class SearchService:
             record.ticks += 1
             record.lanes += len(reqs)
 
-        # Kernel phase: merged launches, one lane per leaf (one
-        # fused padded launch for the whole tick under fusion);
-        # the tick waits for every launch it issued.
+        # Merged launches, one lane per leaf (one fused padded launch
+        # for the whole tick under fusion); the tick waits for every
+        # launch it issued.
         answers_by_game, tick_launches = self.batcher.execute_demand(
             per_game_states, spans
         )
@@ -1018,8 +1069,7 @@ class SearchService:
             for span in launch.segments
         ]
         if lost_spans:
-            for rid in pending:
-                game_name, lo, hi = spans[rid]
+            for rid, (game_name, lo, hi) in spans.items():
                 overlap = sum(
                     min(hi, shi) - max(lo, slo)
                     for sgame, slo, shi in lost_spans
@@ -1030,26 +1080,13 @@ class SearchService:
                     record = active[rid].record
                     record.lost_lanes += overlap
                     record.degraded = True
+        return answers_by_game, spans
 
-        # CPU phase: deliver results; tenants' tree work runs on
-        # private cores, so the tick charges the slowest one.
-        cpu_s = 0.0
-        for rid in pending:
-            slot = active[rid]
-            game_name, lo, hi = spans[rid]
-            before = slot.engine.clock.now
-            finished = gen_pool.step(
-                rid, answers_by_game[game_name][lo:hi]
-            )
-            delta = slot.engine.clock.now - before
-            cpu_s = max(cpu_s, slot.pending_cpu_s + delta)
-            slot.pending_cpu_s = 0.0
-            if finished:
-                slot.result = gen_pool.results.pop(rid)
+    def _end_tick(self, cpu_s: float) -> None:
+        """Charge the tick's CPU phase; completions land at the
+        post-tick timestamp."""
         self.clock.advance(cpu_s + TICK_OVERHEAD_S)
-
-        # Completions land at the post-tick timestamp.
-        for slot in list(active.values()):
+        for slot in list(self._active.values()):
             if slot.outcome is None and slot.result is not None:
                 self._finish(slot.record, slot.result)
 
