@@ -6,7 +6,6 @@ The paper's strength results are all arena outputs: win ratios
 """
 
 from repro.arena.cohort import play_games_cohort, play_matchups
-from repro.arena.elo import elo_from_matchups, elo_ratings, expected_score
 from repro.arena.match import GameRecord, MoveRecord, play_game
 from repro.arena.metrics import (
     mean_score_series,
@@ -15,7 +14,7 @@ from repro.arena.metrics import (
     win_ratio,
 )
 from repro.arena.sprt import Sprt, sprt_match
-from repro.arena.tournament import MatchupResult, play_match, round_robin
+from repro.arena.tournament import MatchupResult, play_match
 
 __all__ = [
     "play_game",
@@ -29,10 +28,6 @@ __all__ = [
     "mean_depth_series",
     "play_games_cohort",
     "play_matchups",
-    "elo_ratings",
-    "elo_from_matchups",
-    "expected_score",
     "Sprt",
     "sprt_match",
-    "round_robin",
 ]

@@ -114,26 +114,3 @@ def play_match(
         out.add(record, subject_colour)
     return out
 
-
-def round_robin(
-    game: Game,
-    factories: dict[str, PlayerFactory],
-    n_games: int,
-    seed: int,
-) -> dict[tuple[str, str], MatchupResult]:
-    """Every ordered pair of distinct players plays a matchup; used by
-    the ablation benches to rank schemes."""
-    results = {}
-    ladder = SeedLadder(seed, "round_robin")
-    for a in factories:
-        for b in factories:
-            if a == b:
-                continue
-            results[(a, b)] = play_match(
-                game,
-                factories[a],
-                factories[b],
-                n_games,
-                ladder.seed(a, b),
-            )
-    return results

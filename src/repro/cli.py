@@ -6,7 +6,7 @@
     python -m repro run fig5_speed --tier quick # run one, print table
     python -m repro play --engine block:16x32   # GPU MCTS vs greedy
     python -m repro devices                     # virtual device specs
-    python -m repro serve-bench --requests 64   # batched service bench
+    python -m repro serve-bench --loads 64      # batched service bench
 """
 
 from __future__ import annotations

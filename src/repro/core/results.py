@@ -79,10 +79,3 @@ class SearchResult:
     def extra(self, key: str, default=None):
         """Extras lookup by canonical ``family.metric`` key."""
         return self.extras.get(key, default)
-
-    def visit_share(self, move: int) -> float:
-        """Fraction of root visits that went to ``move``."""
-        total = self.root_visits
-        if total <= 0:
-            return 0.0
-        return self.stats.get(move, (0.0, 0.0))[0] / total

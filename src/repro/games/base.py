@@ -14,7 +14,7 @@ Conventions
 from __future__ import annotations
 
 import abc
-from typing import Hashable, Sequence
+from typing import Hashable
 
 from repro.rng import XorShift64Star
 
@@ -173,40 +173,3 @@ def random_playout(
         plies += 1
     return game.winner(state), plies
 
-
-def playout_with_policy(
-    game: Game,
-    state: GameState,
-    rng: XorShift64Star,
-    policy,
-) -> tuple[int, int]:
-    """Like :func:`random_playout` but moves are chosen by ``policy``,
-    a callable ``(game, state, moves, rng) -> move``.  Used by the
-    greedy baseline player and by tests that need directed playouts."""
-    plies = 0
-    while not game.is_terminal(state):
-        moves = game.legal_moves(state)
-        state = game.apply(state, policy(game, state, moves, rng))
-        plies += 1
-    return game.winner(state), plies
-
-
-def enumerate_states(game: Game, max_depth: int) -> Sequence[GameState]:
-    """Breadth-first enumeration of all states up to ``max_depth`` plies.
-
-    Only feasible for tiny games (TicTacToe); used by exhaustive tests.
-    """
-    frontier = [game.initial_state()]
-    seen = list(frontier)
-    for _ in range(max_depth):
-        nxt = []
-        for s in frontier:
-            if game.is_terminal(s):
-                continue
-            for m in game.legal_moves(s):
-                nxt.append(game.apply(s, m))
-        seen.extend(nxt)
-        frontier = nxt
-        if not frontier:
-            break
-    return seen

@@ -46,19 +46,6 @@ class PlayoutResult:
     def playouts(self) -> int:
         return int(self.winners.shape[0])
 
-    def block_wins(self, for_player: int) -> np.ndarray:
-        """Per-block count of playouts won by ``for_player`` (+1/-1)."""
-        per_block = self.winners.reshape(
-            self.config.blocks, self.config.threads_per_block
-        )
-        return (per_block == for_player).sum(axis=1)
-
-    def block_draws(self) -> np.ndarray:
-        per_block = self.winners.reshape(
-            self.config.blocks, self.config.threads_per_block
-        )
-        return (per_block == 0).sum(axis=1)
-
 
 @dataclass
 class GpuStats:

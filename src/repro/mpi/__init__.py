@@ -4,8 +4,8 @@ The paper's multi-GPU runs use MPI root-style aggregation: every rank
 owns one GPU, searches independently, and the root statistics are
 reduced at the end of the move budget.  We reproduce that with an
 in-process cluster: every rank has its own virtual clock, collectives
-charge alpha-beta network costs along binomial trees, and a barrier
-synchronises rank clocks -- the mpi4py call shapes are mirrored so the
+charge alpha-beta network costs along binomial trees and leave rank
+clocks synchronised -- the mpi4py call shapes are mirrored so the
 engine code would port to real MPI unchanged.
 """
 

@@ -103,17 +103,6 @@ class MpiCluster:
         clock inside ``fn``.  Returns the per-rank results."""
         return [fn(ctx) for ctx in self._contexts]
 
-    # -- synchronisation -----------------------------------------------------
-
-    def barrier(self) -> float:
-        """Block every rank until all arrive; clocks align at the max
-        (plus a tree of latency-only messages)."""
-        latest = max(c.now for c in self.clocks)
-        cost = self.network.tree_collective_time(0, self.size)
-        for c in self.clocks:
-            c.advance_to(latest + cost)
-        return latest + cost
-
     # -- collectives -----------------------------------------------------------
 
     def bcast(self, value: object, root: int = 0) -> list:
@@ -145,84 +134,6 @@ class MpiCluster:
         for c in self.clocks:
             c.advance_to(done)
         return [result for _ in range(self.size)]
-
-    def gather(self, values: Sequence, root: int = 0) -> list:
-        """Gather one value per rank at ``root``."""
-        self._check_rank(root)
-        done = self._collective_done(_payload_bytes(values[0]))
-        for c in self.clocks:
-            c.advance_to(done)
-        return list(values)
-
-    def scatter(self, values: Sequence, root: int = 0) -> list:
-        """Distribute one value per rank from ``root``."""
-        self._check_rank(root)
-        if len(values) != self.size:
-            raise MpiError(
-                f"scatter needs one value per rank ({self.size}), "
-                f"got {len(values)}"
-            )
-        done = self._collective_done(_payload_bytes(values[0]))
-        for c in self.clocks:
-            c.advance_to(done)
-        return list(values)
-
-    def allgather(self, values: Sequence) -> list:
-        """Every rank receives every rank's value.
-
-        Costed as gather + broadcast of the concatenated payload.
-        """
-        if len(values) != self.size:
-            raise MpiError(
-                f"allgather needs one value per rank ({self.size}), "
-                f"got {len(values)}"
-            )
-        total_bytes = sum(_payload_bytes(v) for v in values)
-        latest = max(c.now for c in self.clocks)
-        done = latest + self.network.tree_collective_time(
-            _payload_bytes(values[0]), self.size
-        ) + self.network.tree_collective_time(total_bytes, self.size)
-        for c in self.clocks:
-            c.advance_to(done)
-        return [list(values) for _ in range(self.size)]
-
-    def alltoall(self, matrix: Sequence[Sequence]) -> list:
-        """``matrix[src][dst]`` goes to rank ``dst``; returns per-rank
-        inboxes.  Costed as ``size - 1`` message rounds (a ring
-        exchange), the standard lower-order model."""
-        if len(matrix) != self.size or any(
-            len(row) != self.size for row in matrix
-        ):
-            raise MpiError(
-                f"alltoall needs a {self.size}x{self.size} matrix"
-            )
-        nbytes = max(
-            _payload_bytes(cell) for row in matrix for cell in row
-        )
-        latest = max(c.now for c in self.clocks)
-        done = latest + max(self.size - 1, 0) * self.network.message_time(
-            nbytes
-        )
-        for c in self.clocks:
-            c.advance_to(done)
-        return [
-            [matrix[src][dst] for src in range(self.size)]
-            for dst in range(self.size)
-        ]
-
-    # -- point-to-point --------------------------------------------------------
-
-    def send(self, src: int, dst: int, value: object) -> object:
-        """Blocking send/recv pair between two ranks."""
-        self._check_rank(src)
-        self._check_rank(dst)
-        if src == dst:
-            raise MpiError(f"rank {src} cannot send to itself")
-        t = self.network.message_time(_payload_bytes(value))
-        arrive = self.clocks[src].now + t
-        self.clocks[dst].advance_to(arrive)
-        self.clocks[src].advance(t)
-        return value
 
     # -- helpers ---------------------------------------------------------------
 

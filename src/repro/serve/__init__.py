@@ -75,8 +75,6 @@ from repro.serve.metrics import (
     summarize,
 )
 from repro.serve.overload import (
-    AdversarialBurst,
-    DiurnalCycle,
     FlashCrowd,
     HysteresisController,
     OverloadPolicy,
@@ -194,9 +192,7 @@ __all__ = [
     "class_summary",
     "TraceConfig",
     "make_trace",
-    "DiurnalCycle",
     "FlashCrowd",
-    "AdversarialBurst",
     "OverloadPolicy",
     "HysteresisController",
     "Autoscaler",

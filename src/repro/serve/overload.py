@@ -11,8 +11,7 @@ overload studies, where arrivals must *not* slow down because the
 service is drowning.  :func:`make_trace` generates a non-homogeneous
 Poisson arrival process on the virtual clock via deterministic
 thinning: the intensity is a base rate modulated by composable
-components (:class:`DiurnalCycle`, :class:`FlashCrowd`,
-:class:`AdversarialBurst`), every uniform comes from
+components (:class:`FlashCrowd`), every uniform comes from
 :func:`~repro.util.seeding.derive_seed`, and the same
 :class:`TraceConfig` therefore always produces the same arrivals,
 priority classes, tenants and positions -- storms replay
@@ -76,34 +75,6 @@ def trace_uniform(seed: int, *path) -> float:
 
 
 @dataclass(frozen=True)
-class DiurnalCycle:
-    """Sinusoidal day/night swing: ``1 + amplitude*sin(...)``."""
-
-    period_s: float = 1.0
-    amplitude: float = 0.5
-    #: Phase offset in cycles (0.25 starts at the peak).
-    phase: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.period_s <= 0:
-            raise ValueError(
-                f"period_s must be positive: {self.period_s}"
-            )
-        if not 0.0 <= self.amplitude < 1.0:
-            raise ValueError(
-                f"amplitude must be in [0, 1): {self.amplitude}"
-            )
-
-    def factor(self, t: float) -> float:
-        return 1.0 + self.amplitude * math.sin(
-            2.0 * math.pi * (t / self.period_s + self.phase)
-        )
-
-    def peak(self) -> float:
-        return 1.0 + self.amplitude
-
-
-@dataclass(frozen=True)
 class FlashCrowd:
     """A one-off rate spike: ``multiplier`` inside the window."""
 
@@ -123,41 +94,6 @@ class FlashCrowd:
 
     def factor(self, t: float) -> float:
         if self.start_s <= t < self.start_s + self.duration_s:
-            return self.multiplier
-        return 1.0
-
-    def peak(self) -> float:
-        return max(1.0, self.multiplier)
-
-
-@dataclass(frozen=True)
-class AdversarialBurst:
-    """Periodic short bursts -- the pattern an attacker (or a retry
-    storm) produces: ``multiplier`` for ``duration_s`` out of every
-    ``period_s``."""
-
-    period_s: float
-    duration_s: float
-    multiplier: float
-    phase_s: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.period_s <= 0:
-            raise ValueError(
-                f"period_s must be positive: {self.period_s}"
-            )
-        if not 0 < self.duration_s <= self.period_s:
-            raise ValueError(
-                f"duration_s must be in (0, period_s]: "
-                f"{self.duration_s}"
-            )
-        if self.multiplier <= 0:
-            raise ValueError(
-                f"multiplier must be positive: {self.multiplier}"
-            )
-
-    def factor(self, t: float) -> float:
-        if ((t - self.phase_s) % self.period_s) < self.duration_s:
             return self.multiplier
         return 1.0
 

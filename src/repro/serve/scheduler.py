@@ -447,16 +447,6 @@ class LaneBatcher:
             records.extend(launches)
         return answers_by_game, records
 
-    def tick_floor_s(self) -> float:
-        """The cheapest possible merged tick on this pool: one launch
-        plus one readback with zero compute.  Fusion-aware admission
-        uses this as the lower bound no request can finish under."""
-        return min(
-            self.pool.spec_of(d).kernel_launch_latency_s
-            + self.pool.spec_of(d).transfer_latency_s
-            for d in range(len(self.pool))
-        )
-
     @property
     def mean_lanes_per_launch(self) -> float:
         if self.launch_count == 0:

@@ -167,7 +167,6 @@ class SearchService:
         backend: str = DEFAULT_BACKEND,
         playout: str = DEFAULT_PLAYOUT,
         fusion: bool = True,
-        fusion_admission: bool = False,
         journal: "str | Path | JournalWriter | None" = None,
         checkpoint_every: int = 50,
         integrity: "IntegrityPolicy | dict | None" = None,
@@ -321,12 +320,6 @@ class SearchService:
             self.batcher = LaneBatcher(
                 self.pool, batcher_seed, **batcher_kwargs
             )
-        #: Fusion-aware admission (opt-in because it changes outcomes):
-        #: at each tick boundary, requests whose deadline cannot even
-        #: cover the pool's minimum launch+readback floor are missed
-        #: before they are packed into the fused launch, so doomed
-        #: tenants never widen (or delay) the batch.
-        self.fusion_admission = fusion_admission
         #: Default tree backend for requests whose spec does not pick
         #: one explicitly (an ``@backend`` suffix always wins).
         self.backend = backend
@@ -785,7 +778,6 @@ class SearchService:
             self._enforce_deadlines(now)
             self._complete_direct(now)
             self._control_overload(now)
-            self._cancel_doomed(now)
             if self._tenants:
                 self._merged_tick()
             else:
@@ -935,29 +927,6 @@ class SearchService:
                 self._drain(now)
         if self.autoscaler is not None:
             self.autoscaler.step(now, ratio_p99, queue_frac)
-
-    def _cancel_doomed(self, now: float) -> None:
-        """Fusion-aware admission (opt-in): a request whose deadline
-        is inside even the cheapest possible merged tick cannot finish
-        this tick -- cancel it now instead of packing its lanes into
-        the fused launch."""
-        if not (self.fusion_admission and self.enforce_deadlines):
-            return
-        floor = self.batcher.tick_floor_s() + TICK_OVERHEAD_S
-        for rid in tuple(self._tenants):
-            record = self._active[rid].record
-            deadline = record.request.absolute_deadline_s
-            if deadline is not None and now + floor > deadline:
-                # Under an escalated overload policy a doomed
-                # non-interactive request is an explicit shed (the
-                # controller chose to drop it mid-tick, before its
-                # lanes hit the fused launch), not a silent miss.
-                escalated = (
-                    self.overload is not None
-                    and self.controller.level >= 1
-                    and record.request.priority != "interactive"
-                )
-                self._cancel(record, SHED if escalated else MISSED)
 
     def _wait_for_direct(self) -> None:
         """Only direct-path work in flight: wait for the earliest

@@ -8,17 +8,7 @@ from repro.util.bitops import (
     U64,
     bit_count,
     bit_count_u64,
-    bit_index,
     bits_of,
-    lsb,
-    shift_east,
-    shift_north,
-    shift_northeast,
-    shift_northwest,
-    shift_south,
-    shift_southeast,
-    shift_southwest,
-    shift_west,
 )
 from repro.util.clock import Clock, ClockError
 from repro.util.profile import NULL_PROFILER, PhaseStats, Profiler
@@ -29,17 +19,7 @@ __all__ = [
     "U64",
     "bit_count",
     "bit_count_u64",
-    "bit_index",
     "bits_of",
-    "lsb",
-    "shift_east",
-    "shift_north",
-    "shift_northeast",
-    "shift_northwest",
-    "shift_south",
-    "shift_southeast",
-    "shift_southwest",
-    "shift_west",
     "Clock",
     "ClockError",
     "NULL_PROFILER",

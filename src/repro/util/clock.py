@@ -57,27 +57,3 @@ class Clock:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Clock(now={self._now:.9f})"
-
-
-class Stopwatch:
-    """Measure an interval on a :class:`Clock`.
-
-    >>> clock = Clock()
-    >>> sw = Stopwatch(clock)
-    >>> _ = clock.advance(1.5)
-    >>> sw.elapsed
-    1.5
-    """
-
-    __slots__ = ("_clock", "_start")
-
-    def __init__(self, clock: Clock) -> None:
-        self._clock = clock
-        self._start = clock.now
-
-    @property
-    def elapsed(self) -> float:
-        return self._clock.now - self._start
-
-    def restart(self) -> None:
-        self._start = self._clock.now

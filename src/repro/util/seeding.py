@@ -84,8 +84,3 @@ class SeedLadder:
     def seeds(self, label: str, count: int) -> list[int]:
         """A batch of ``count`` sibling seeds under ``label``."""
         return [self.seed(label, i) for i in range(count)]
-
-
-def spread_seeds(root: int, labels: Iterable[int | str]) -> dict:
-    """Map each label to its derived seed (convenience for dict configs)."""
-    return {label: derive_seed(root, label) for label in labels}

@@ -102,21 +102,6 @@ def ascii_chart(
     return "\n".join(lines)
 
 
-def sparkline(values: Sequence[float], width: int = 60) -> str:
-    """A crude one-line trend plot, for quick eyeballing in terminals."""
-    if not values:
-        return ""
-    glyphs = " .:-=+*#%@"
-    lo, hi = min(values), max(values)
-    span = (hi - lo) or 1.0
-    step = max(1, len(values) // width)
-    picked = list(values)[::step]
-    return "".join(
-        glyphs[min(int((v - lo) / span * (len(glyphs) - 1)), len(glyphs) - 1)]
-        for v in picked
-    )
-
-
 def _fmt(v: object) -> str:
     if isinstance(v, float):
         if v == 0:

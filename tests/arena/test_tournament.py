@@ -3,7 +3,6 @@
 import pytest
 
 from repro.arena import play_match
-from repro.arena.tournament import round_robin
 from repro.core import SequentialMcts
 from repro.games import TicTacToe
 from repro.players import GreedyPlayer, MctsPlayer, RandomPlayer
@@ -81,11 +80,3 @@ class TestStrengthOrdering:
         lo, hi = res.win_ratio_ci()
         assert lo <= res.win_ratio <= hi
 
-
-class TestRoundRobin:
-    def test_all_ordered_pairs(self):
-        factories = {"r1": random_factory, "r2": random_factory}
-        out = round_robin(GAME, factories, 2, seed=1)
-        assert set(out) == {("r1", "r2"), ("r2", "r1")}
-        for res in out.values():
-            assert res.games == 2

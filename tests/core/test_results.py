@@ -20,19 +20,6 @@ class TestSearchResult:
         res = make_result({0: (30, 10), 1: (70, 40)})
         assert res.root_visits == 100
 
-    def test_visit_share(self):
-        res = make_result({0: (30, 10), 1: (70, 40)})
-        assert res.visit_share(1) == 0.7
-        assert res.visit_share(0) == 0.3
-
-    def test_visit_share_unknown_move(self):
-        res = make_result({0: (30, 10)})
-        assert res.visit_share(5) == 0.0
-
-    def test_visit_share_empty_stats(self):
-        res = make_result({})
-        assert res.visit_share(0) == 0.0
-
     def test_defaults(self):
         res = make_result({0: (1, 1)})
         assert res.trees == 1

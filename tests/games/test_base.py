@@ -3,8 +3,6 @@
 import pytest
 
 from repro.games import make_batch_game, make_game
-from repro.games.base import enumerate_states, playout_with_policy
-from repro.rng import XorShift64Star
 
 
 class TestRegistry:
@@ -36,32 +34,3 @@ class TestValidateMove:
         with pytest.raises(ValueError, match="illegal move"):
             game.validate_move(s, 0)
 
-
-class TestPlayoutWithPolicy:
-    def test_first_move_policy(self):
-        game = make_game("tictactoe")
-
-        def first_move(game, state, moves, rng):
-            return moves[0]
-
-        winner, plies = playout_with_policy(
-            game, game.initial_state(), XorShift64Star(1), first_move
-        )
-        # Moves alternate over the lowest empty cell: X gets 0,2,4,6 and
-        # completes the 2-4-6 anti-diagonal on ply 7.
-        assert winner == 1
-        assert plies == 7
-
-
-class TestEnumerateStates:
-    def test_depth_zero(self):
-        game = make_game("tictactoe")
-        assert len(enumerate_states(game, 0)) == 1
-
-    def test_depth_one(self):
-        game = make_game("tictactoe")
-        assert len(enumerate_states(game, 1)) == 10  # root + 9 children
-
-    def test_depth_two_counts_paths(self):
-        game = make_game("tictactoe")
-        assert len(enumerate_states(game, 2)) == 10 + 72

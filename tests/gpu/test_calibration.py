@@ -1,8 +1,16 @@
-"""Tests for kernel calibration fitting."""
+"""Tests for kernel calibration fitting, and a pin of the anchor it fits.
 
+The Reversi kernel constants were fitted so that the paper's largest
+leaf launch, 224 blocks x 64 threads, sustains about the 8.5e5
+playouts/s the paper measured on a Tesla C2050 (Figure 5).  The pin
+goes through the product's ``kernel_time``: a saturating stream of
+identical launches of mean length 65 steps.
+"""
+
+import numpy as np
 import pytest
 
-from repro.gpu import TESLA_C2050, LaunchConfig, playout_kernel_spec
+from repro.gpu import TESLA_C2050, LaunchConfig, kernel_time, playout_kernel_spec
 from repro.gpu.calibration import (
     CalibrationError,
     calibrated_kernel,
@@ -12,6 +20,7 @@ from repro.gpu.timing import peak_playout_rate
 
 KERNEL = playout_kernel_spec("reversi")
 CONFIG = LaunchConfig(224, 64)  # the paper's largest leaf launch
+PAPER_RATE = 8.5e5
 
 
 class TestFit:
@@ -66,3 +75,22 @@ class TestErrors:
             fit_cycles_per_step(
                 TESLA_C2050, KERNEL, CONFIG, 1e5, latency_ratio=0.5
             )
+
+
+class TestAnchorPin:
+    @staticmethod
+    def sustained_rate(mean_steps: float = 65.0) -> float:
+        steps = np.full(CONFIG.blocks, mean_steps)
+        timing = kernel_time(TESLA_C2050, KERNEL, CONFIG, steps)
+        return CONFIG.total_threads / timing.total_s
+
+    def test_reversi_kernel_constants(self):
+        assert KERNEL.cycles_per_step == 7500.0
+        assert KERNEL.latency_cycles_per_step == 30000.0
+
+    def test_c2050_sustained_rate(self):
+        assert self.sustained_rate() == pytest.approx(918_386, rel=1e-5)
+
+    def test_rate_within_ten_percent_of_paper(self):
+        rate = self.sustained_rate()
+        assert abs(rate - PAPER_RATE) / PAPER_RATE < 0.10

@@ -84,18 +84,6 @@ class TestRunPlayouts:
         assert not np.array_equal(a.winners, b.winners)
 
 
-class TestBlockWins:
-    def test_block_wins_sum(self, game):
-        gpu = make_gpu(Clock())
-        res = gpu.run_playouts([game.initial_state()], LaunchConfig(4, 32))
-        wins_black = res.block_wins(1)
-        wins_white = res.block_wins(-1)
-        draws = res.block_draws()
-        np.testing.assert_array_equal(
-            wins_black + wins_white + draws, np.full(4, 32)
-        )
-
-
 class TestAsyncLaunch:
     def test_async_returns_immediately(self, game):
         clock = Clock()

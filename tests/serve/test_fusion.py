@@ -25,7 +25,6 @@ from repro.gpu.kernel import playout_kernel_spec
 from repro.integrity import IntegrityPolicy, IntegrityState
 from repro.serve import (
     COMPLETED,
-    MISSED,
     FusedBatcher,
     LaneBatcher,
     ResilientLauncher,
@@ -550,63 +549,3 @@ class TestScratchReuse:
         buf = batcher._steps_scratch
         batcher.execute_demand({g: list(s) for g, s in demand.items()})
         assert batcher._steps_scratch is buf
-
-
-# ---------------------------------------------------------------------------
-# Fusion-aware admission
-# ---------------------------------------------------------------------------
-
-class TestFusionAdmission:
-    def hopeless_request(self):
-        # The pool's tick floor (launch + readback latency) is ~18us;
-        # a 1us deadline can never be met.
-        return SearchRequest(
-            request_id="r0",
-            game="tictactoe",
-            engine="root:2",
-            budget_s=1e-3,
-            seed=1,
-            deadline_s=1e-6,
-        )
-
-    def test_admission_rejects_hopeless_deadline_before_launching(self):
-        service = SearchService(
-            seed=7, n_devices=1, fusion_admission=True
-        )
-        service.submit(self.hopeless_request())
-        (record,) = service.run()
-        assert record.status == MISSED
-        assert service.batcher.launch_count == 0
-
-    def test_without_admission_the_launch_is_wasted(self):
-        service = SearchService(
-            seed=7, n_devices=1, fusion_admission=False
-        )
-        service.submit(self.hopeless_request())
-        (record,) = service.run()
-        assert record.status == MISSED
-        assert service.batcher.launch_count >= 1
-
-    def test_admission_floor_is_positive_and_cheap(self):
-        batcher = FusedBatcher(make_pool(), SEED)
-        floor = batcher.tick_floor_s()
-        spec = TESLA_C2050
-        assert floor == pytest.approx(
-            spec.kernel_launch_latency_s + spec.transfer_latency_s
-        )
-
-    def test_admission_never_touches_meetable_deadlines(self):
-        reqs = make_workload(
-            WorkloadConfig(n_requests=12, seed=3, deadline_s=5.0)
-        )
-        on = SearchService(seed=7, n_devices=2, fusion_admission=True)
-        on.submit_all(reqs)
-        off = SearchService(seed=7, n_devices=2, fusion_admission=False)
-        off.submit_all(
-            make_workload(
-                WorkloadConfig(n_requests=12, seed=3, deadline_s=5.0)
-            )
-        )
-        got = [record_key(r) for r in on.run()]
-        want = [record_key(r) for r in off.run()]
-        assert got == want

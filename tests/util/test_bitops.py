@@ -11,66 +11,6 @@ U64_MAX = 0xFFFF_FFFF_FFFF_FFFF
 boards = st.integers(min_value=0, max_value=U64_MAX)
 
 
-class TestScalarShifts:
-    def test_east_moves_one_column(self):
-        b = bo.square_mask(3, 4)
-        assert bo.shift_east(b) == bo.square_mask(3, 5)
-
-    def test_west_moves_one_column(self):
-        b = bo.square_mask(3, 4)
-        assert bo.shift_west(b) == bo.square_mask(3, 3)
-
-    def test_south_moves_one_row(self):
-        b = bo.square_mask(3, 4)
-        assert bo.shift_south(b) == bo.square_mask(4, 4)
-
-    def test_north_moves_one_row(self):
-        b = bo.square_mask(3, 4)
-        assert bo.shift_north(b) == bo.square_mask(2, 4)
-
-    def test_east_does_not_wrap(self):
-        assert bo.shift_east(bo.square_mask(2, 7)) == 0
-
-    def test_west_does_not_wrap(self):
-        assert bo.shift_west(bo.square_mask(2, 0)) == 0
-
-    def test_south_falls_off_bottom(self):
-        assert bo.shift_south(bo.square_mask(7, 3)) == 0
-
-    def test_north_falls_off_top(self):
-        assert bo.shift_north(bo.square_mask(0, 3)) == 0
-
-    def test_diagonals(self):
-        b = bo.square_mask(3, 3)
-        assert bo.shift_northeast(b) == bo.square_mask(2, 4)
-        assert bo.shift_northwest(b) == bo.square_mask(2, 2)
-        assert bo.shift_southeast(b) == bo.square_mask(4, 4)
-        assert bo.shift_southwest(b) == bo.square_mask(4, 2)
-
-    def test_corner_diagonals_vanish(self):
-        assert bo.shift_northwest(bo.square_mask(0, 0)) == 0
-        assert bo.shift_southeast(bo.square_mask(7, 7)) == 0
-
-
-@given(boards)
-def test_scalar_and_vector_shifts_agree(b):
-    arr = np.array([b], dtype=bo.U64)
-    for fn in bo.ALL_SHIFTS:
-        assert int(fn(arr)[0]) == fn(b)
-
-
-@given(boards)
-def test_shift_preserves_popcount_bound(b):
-    for fn in bo.ALL_SHIFTS:
-        assert bo.bit_count(fn(b)) <= bo.bit_count(b)
-
-
-@given(boards)
-def test_east_then_west_is_identity_off_edges(b):
-    interior = b & bo.NOT_COL_0 & bo.NOT_COL_7
-    assert bo.shift_west(bo.shift_east(interior)) == interior
-
-
 @given(boards)
 def test_popcount_matches_python(b):
     assert bo.bit_count(b) == bin(b).count("1")
@@ -78,39 +18,15 @@ def test_popcount_matches_python(b):
     assert int(bo.bit_count_u64(arr)[0]) == bo.bit_count(b)
 
 
-@given(boards.filter(lambda b: b != 0))
-def test_lsb_is_lowest_set_bit(b):
-    low = bo.lsb(b)
-    assert low & b == low
-    assert bo.bit_count(low) == 1
-    assert (low - 1) & b == 0
-
-
-def test_lsb_of_zero():
-    assert bo.lsb(0) == 0
-
-
 @given(boards)
 def test_bits_of_reconstructs(b):
     assert sum(1 << i for i in bo.bits_of(b)) == b
 
 
-def test_bit_index_round_trip():
-    for i in range(64):
-        assert bo.bit_index(1 << i) == i
-
-
-def test_bit_index_rejects_multibit():
-    with pytest.raises(ValueError):
-        bo.bit_index(0b11)
-    with pytest.raises(ValueError):
-        bo.bit_index(0)
-
-
 def test_square_mask_round_trip():
     for r in range(8):
         for c in range(8):
-            assert bo.mask_to_square(bo.square_mask(r, c)) == (r, c)
+            assert list(bo.bits_of(bo.square_mask(r, c))) == [r * 8 + c]
 
 
 def test_square_mask_bounds():
@@ -119,11 +35,3 @@ def test_square_mask_bounds():
     with pytest.raises(ValueError):
         bo.square_mask(0, -1)
 
-
-def test_render_bitboard():
-    art = bo.render_bitboard(bo.square_mask(0, 0) | bo.square_mask(7, 7))
-    lines = art.split("\n")
-    assert len(lines) == 8
-    assert lines[0][0] == "x"
-    assert lines[7][7] == "x"
-    assert art.count("x") == 2

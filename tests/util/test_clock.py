@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.util.clock import Clock, ClockError, Stopwatch
+from repro.util.clock import Clock, ClockError
 
 
 class TestClock:
@@ -60,19 +60,3 @@ def test_clock_is_monotone_under_any_advances(steps):
         c.advance(dt)
         assert c.now >= last
         last = c.now
-
-
-class TestStopwatch:
-    def test_measures_interval(self):
-        c = Clock()
-        sw = Stopwatch(c)
-        c.advance(2.0)
-        assert sw.elapsed == 2.0
-
-    def test_restart(self):
-        c = Clock()
-        sw = Stopwatch(c)
-        c.advance(2.0)
-        sw.restart()
-        c.advance(1.0)
-        assert sw.elapsed == 1.0

@@ -8,7 +8,6 @@ from repro.util.seeding import (
     derive_seed,
     fold_seed,
     splitmix64,
-    spread_seeds,
 )
 from repro.util.seeding import _GOLDEN as GOLDEN
 
@@ -60,12 +59,6 @@ def test_seed_ladder_batch():
     batch = ladder.seeds("game", 16)
     assert len(batch) == 16
     assert len(set(batch)) == 16
-
-
-def test_spread_seeds_keys():
-    out = spread_seeds(3, ["a", "b", 4])
-    assert set(out) == {"a", "b", 4}
-    assert len(set(out.values())) == 3
 
 
 paths = st.lists(

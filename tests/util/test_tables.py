@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.util.tables import ascii_chart, format_series, format_table, sparkline
+from repro.util.tables import ascii_chart, format_series, format_table
 
 
 class TestFormatTable:
@@ -73,16 +73,3 @@ class TestAsciiChart:
     def test_constant_series(self):
         out = ascii_chart({"a": [5, 5, 5]}, height=3, width=6)
         assert "*" in out
-
-
-class TestSparkline:
-    def test_empty(self):
-        assert sparkline([]) == ""
-
-    def test_constant_series(self):
-        assert len(sparkline([1.0, 1.0, 1.0])) == 3
-
-    def test_monotone_series_ends_high(self):
-        line = sparkline([0, 1, 2, 3, 4, 5])
-        assert line[-1] == "@"
-        assert line[0] == " "
