@@ -2,11 +2,12 @@
 
 Strength experiments pit dozens of independent games against each
 other; their CPU-side MCTS searches (sequential, root-parallel,
-tree-parallel) are generators that yield playout requests.  The cohort
-driver advances all games one *move* per round: every CPU search active
-in that round contributes its leaf states to one merged vectorised
-playout batch, so a 1-core machine simulates a whole tournament at
-near-batch throughput.  Virtual-time semantics are untouched -- each
+tree-parallel, pipeline) are round policies that request playouts.  The
+cohort driver advances all games one *move* per step: every CPU search
+of that move runs under one :func:`repro.core.rounds.run_rounds`, each
+round's leaf states from all of them merged into one vectorised playout
+batch, so a 1-core machine simulates a whole tournament at near-batch
+throughput.  Virtual-time semantics are untouched -- each
 engine still charges its own clock -- and outcomes are deterministic
 given the full cohort configuration.
 
@@ -19,10 +20,9 @@ subjects, one opponent, colours alternated, one
 :class:`~repro.arena.tournament.MatchupResult` per subject -- and what
 every strength figure of the harness calls.
 
-The generator-merging machinery itself lives in
-:mod:`repro.serve.scheduler` -- the serving layer generalised it into
-a tick-based multi-tenant scheduler, and the cohort driver is now one
-client of it.
+The round loop itself lives in :mod:`repro.core.rounds`; the search
+service's tick advances its tenants through the same
+:func:`~repro.core.rounds.advance_rounds`.
 """
 
 from __future__ import annotations
@@ -32,25 +32,11 @@ from typing import Callable, Hashable, Mapping, Sequence
 
 from repro.arena.match import GameRecord, MoveRecord
 from repro.arena.tournament import MatchupResult, PlayerFactory
-from repro.core.base import (
-    PlayoutBatch,
-    PlayoutResults,
-    supports_search_steps,
-)
+from repro.core.base import PlayoutBatch, PlayoutResults
+from repro.core.rounds import run_rounds
 from repro.games.base import Game
 from repro.players.base import Player
 from repro.players.mcts import MctsPlayer
-from repro.serve.scheduler import drive_generators
-
-
-def _cohort_generator(player: Player, state):
-    """The player's search generator, or None if not cohort-capable."""
-    if not isinstance(player, MctsPlayer):
-        return None
-    engine = player.engine
-    if not supports_search_steps(engine):
-        return None  # not overridden: the engine cannot be merged
-    return engine.search_steps(state, player.move_budget_s)
 
 
 def play_games_cohort(
@@ -71,17 +57,27 @@ def play_games_cohort(
     alive = [i for i in range(n) if not game.is_terminal(states[i])]
 
     while alive:
-        generators: dict[int, object] = {}
+        rounds = {}
         movers: dict[int, Player] = {}
         for i in alive:
             mover = game.to_move(states[i])
             black, white = matchups[i]
             player = black if mover == 1 else white
             movers[i] = player
-            gen = _cohort_generator(player, states[i])
-            if gen is not None:
-                generators[i] = gen
-        merged = drive_generators(generators, executor)
+            # A CPU search joins the merged rounds; the rest (GPU
+            # engines, non-MCTS players) move on their own below.
+            if (
+                isinstance(player, MctsPlayer)
+                and player.engine.round_policy is not None
+            ):
+                engine = player.engine
+                engine._begin_session(
+                    states[i], player.move_budget_s, None
+                )
+                rounds[i] = engine.open_round()
+        merged = dict(
+            zip(rounds, run_rounds(list(rounds.values()), executor))
+        )
 
         still_alive = []
         for i in alive:

@@ -37,7 +37,6 @@ from repro.core.base import (
     BatchExecutor,
     Engine,
     ScalarExecutor,
-    drive_search,
     tally,
 )
 from repro.core.checkpoint import (
@@ -136,7 +135,6 @@ __all__ = [
     "TreeParallelMcts",
     "PipelineMcts",
     "MultiGpuMcts",
-    "drive_search",
     "ScalarExecutor",
     "BatchExecutor",
     "tally",

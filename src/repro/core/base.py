@@ -1,18 +1,17 @@
 """Engine base class and the playout-executor seam.
 
 CPU-side engines are written as *round policies*
-(:mod:`repro.core.rounds`, one per engine kind), driven as *generators*
-(``search_steps``): they yield lists of leaf states whose playouts they
-need, and receive the ``(winner, plies)`` results back via ``send``.
-That seam lets
+(:mod:`repro.core.rounds`, one per engine kind): a round selects the
+leaf states whose playouts it needs, an *executor* answers them with
+``(winner, plies)`` pairs, and the round backs those up.  That seam
+lets
 
-* ``search()`` run standalone with a local executor, and
-* the arena drive many engines' generators in lockstep, merging their
-  playout requests into one vectorised batch (how a 1-core-per-player
-  tournament stays tractable on one machine).
-
-The search service drives the same policies without a generator
-(:meth:`Engine.open_round`).
+* ``search()`` run standalone with a local executor (``run_rounds``
+  over the one session), and
+* the arena and the search service advance many engines' rounds in
+  lockstep (:meth:`Engine.open_round`), merging their playout requests
+  into one vectorised batch (how a 1-core-per-player tournament stays
+  tractable on one machine).
 
 GPU engines implement ``search`` directly (their playouts already run
 as wide kernels on the virtual device).
@@ -20,14 +19,12 @@ as wide kernels on the virtual device).
 
 from __future__ import annotations
 
-import abc
-from typing import Callable, Generator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from repro.cpu import XEON_X5670, CpuCostModel
 from repro.games.base import Game, GameState
-from repro.games.batch import run_playouts_tracked
 from repro.core.backend import (
     DEFAULT_BACKEND,
     make_forest,
@@ -51,7 +48,7 @@ from repro.core.policy import (
     validate_selection_rule,
 )
 from repro.core.results import SearchResult
-from repro.core.rounds import Round
+from repro.core.rounds import Round, run_rounds
 from repro.core.tree import (
     aggregate_stat_dicts,
     majority_vote_stat_dicts,
@@ -65,12 +62,10 @@ from repro.util.clock import Clock
 from repro.util.profile import NULL_PROFILER, Profiler
 from repro.util.seeding import derive_seed
 
-#: What engines yield: leaf states needing one playout each.
+#: What a round requests: leaf states needing one playout each.
 PlayoutBatch = Sequence[GameState]
-#: What they receive back: per-state ``(absolute winner, plies)``.
+#: What it is answered: per-state ``(absolute winner, plies)``.
 PlayoutResults = Sequence[tuple[int, int]]
-
-SearchGenerator = Generator[PlayoutBatch, PlayoutResults, SearchResult]
 
 #: Root-vote modes of the multi-tree engines (``vote=`` / ``@vote=``).
 VOTE_MODES = ("sum", "majority", "trimmed")
@@ -85,7 +80,7 @@ def validate_vote(vote: str) -> str:
     return vote
 
 
-class Engine(abc.ABC):
+class Engine:
     """Common engine state: game, clock, RNG, cost model, UCB constant."""
 
     #: Short identifier used in reports ("sequential", "block", ...).
@@ -99,7 +94,7 @@ class Engine(abc.ABC):
     #: Root-vote mode; the engines that take ``vote=`` set it.
     vote: str = "sum"
     #: The kind's round logic (:mod:`repro.core.rounds`); the CPU
-    #: generator engines set it, the GPU engines search directly.
+    #: round engines set it, the GPU engines search directly.
     round_policy: "type[Round] | None" = None
 
     def __init__(
@@ -150,41 +145,36 @@ class Engine(abc.ABC):
         #: first iteration and the final result; ``None`` when idle.
         self._live: dict | None = None
 
-    @abc.abstractmethod
     def search(self, state: GameState, budget_s: float) -> SearchResult:
-        """Run an anytime search for ``budget_s`` *virtual* seconds."""
+        """Run an anytime search for ``budget_s`` *virtual* seconds:
+        the round policy over a private executor (the GPU engines
+        override this)."""
+        # Executor before session setup: an executor that forks the
+        # engine RNG draws before the session's trees do.
+        executor = self._own_executor()
+        self._begin_session(state, budget_s, executor)
+        return run_rounds([self.open_round()], executor)[0]
 
-    def _search_batched(
-        self, state: GameState, budget_s: float
-    ) -> SearchResult:
-        """``search()`` of the multi-request generator engines: drive
-        ``search_steps`` with a private :class:`BatchExecutor`."""
-        executor = BatchExecutor(
+    def _own_executor(self):
+        """The executor ``search()`` answers the session with: one
+        vectorised lane per request, on the engine's own seed."""
+        return BatchExecutor(
             self.game.name,
             derive_seed(self.seed, "exec"),
             playout=self.playout,
         )
-        self._pending_executor = executor
-        return drive_search(self.search_steps(state, budget_s), executor)
 
-    def search_steps(
-        self, state: GameState, budget_s: float
-    ) -> SearchGenerator:
-        """Generator protocol (CPU engines only); see module docstring."""
-        if self.round_policy is None:
-            raise NotImplementedError(
-                f"{self.name} engine does not support cohort driving"
-            )
-        self._begin_session(state, budget_s)
-        return self._session_steps()
-
-    def _begin_session(self, state: GameState, budget_s: float) -> None:
-        """Engine-specific: set up ``self._live`` for a new search."""
+    def _begin_session(
+        self, state: GameState, budget_s: float, executor
+    ) -> None:
+        """Engine-specific: set up ``self._live`` for a new search,
+        answered by ``executor`` (None: the driver answers it --
+        the arena cohort, the search service)."""
         raise NotImplementedError
 
     def open_round(self) -> "Round":
-        """The live session's round policy, for a driver that runs it
-        without a generator (the search service's tick)."""
+        """The live session's round policy, for a driver that advances
+        it (:mod:`repro.core.rounds`)."""
         self._require_session()
         return self.round_policy(self)
 
@@ -249,22 +239,15 @@ class Engine(abc.ABC):
     def resume(self) -> SearchResult:
         """Run a restored (or interrupted) session to completion."""
         session = self._require_session()
-        if supports_search_steps(self):
-            executor = session.get("executor")
-            if executor is None:
-                raise CheckpointError(
-                    f"{self.name}: session was driven externally; "
-                    "drive resume_steps() with your executor instead"
-                )
-            return drive_search(self.resume_steps(), executor)
-        return self._session_run()
-
-    def resume_steps(self) -> SearchGenerator:
-        """Generator-protocol counterpart of :meth:`resume` (CPU
-        engines only): continue the restored session, yielding playout
-        batches exactly like ``search_steps``."""
-        self._require_session()
-        return self._session_steps()
+        if self.round_policy is None:
+            return self._session_run()
+        executor = session.get("executor")
+        if executor is None:
+            raise CheckpointError(
+                f"{self.name}: session was driven externally; advance "
+                "its open_round() with your executor instead"
+            )
+        return run_rounds([self.open_round()], executor)[0]
 
     def _require_session(self) -> dict:
         if self._live is None:
@@ -273,29 +256,6 @@ class Engine(abc.ABC):
                 "or interrupt a search first)"
             )
         return self._live
-
-    def _session_steps(self) -> SearchGenerator:
-        """Continuation generator over ``self._live``."""
-        if self.round_policy is None:
-            raise NotImplementedError(
-                f"{self.name} engine has no generator session"
-            )
-        return self._round_steps()
-
-    def _round_steps(self) -> SearchGenerator:
-        """The round policy as a generator: one yield per playout
-        demand, answers screened when the engine drives its own
-        executor."""
-        rnd = self.round_policy(self)
-        while rnd.select():
-            requests = rnd.requests
-            results = yield requests
-            if rnd.screen is not None:
-                results = yield from self._screen_results(
-                    requests, results, rnd.screen
-                )
-            rnd.deliver(self._answers(requests, results))
-        return rnd.finish()
 
     def _session_run(self) -> SearchResult:
         """Engine-specific direct continuation over ``self._live``."""
@@ -363,31 +323,6 @@ class Engine(abc.ABC):
         if state is not None:
             guard.setstate(state)
         return guard
-
-    def _screen_results(self, requests, results, guard):
-        """Screen one round's playout answers; rejected batches are
-        re-requested from the driver (fresh executor draws) up to the
-        policy's retry budget, then degraded to neutral ``(0, 0)``
-        answers -- the dropped-playout-batch model."""
-        for attempt in range(guard.policy.max_result_retries + 1):
-            results, ok = guard.screen_answers(list(results))
-            if ok:
-                return results
-            if attempt < guard.policy.max_result_retries:
-                results = yield requests
-        guard.give_up()
-        return [(0, 0)] * len(requests)
-
-    @staticmethod
-    def _answers(requests, results):
-        """``results``, once they answer ``requests`` one for one (a
-        ``zip`` would drop the rows a short batch leaves out)."""
-        if len(results) != len(requests):
-            raise ValueError(
-                f"{len(results)} playout answers for "
-                f"{len(requests)} requests"
-            )
-        return results
 
     def _vote_stats(self, store, keep=None):
         """The root vote over trees ``keep`` of ``store`` (all when
@@ -489,11 +424,6 @@ class Engine(abc.ABC):
         if hook is not None:
             hook(self, iterations)
 
-    def _take_pending_executor(self):
-        """The executor ``search()`` parked for the session (None when
-        the generator is driven externally, e.g. by the service)."""
-        return self.__dict__.pop("_pending_executor", None)
-
     def _restore_executor(self, state: "dict | None"):
         if state is None:
             return None
@@ -534,11 +464,6 @@ class Engine(abc.ABC):
 
     def _iteration_cap(self) -> float:
         return self.max_iterations if self.max_iterations else float("inf")
-
-
-def supports_search_steps(engine: Engine) -> bool:
-    """Can this engine be driven through the merged generator seam?"""
-    return engine.round_policy is not None
 
 
 class ScalarExecutor:
@@ -612,23 +537,6 @@ class BatchExecutor:
     def setstate(self, state: dict) -> None:
         self.call_count = state["call_count"]
         self.scalar_rng.setstate(state["scalar_rng"])
-
-
-def drive_search(
-    gen: SearchGenerator,
-    executor: Callable[[PlayoutBatch], PlayoutResults],
-) -> SearchResult:
-    """Run a search generator to completion with ``executor`` supplying
-    playout results."""
-    try:
-        requests = next(gen)
-        while True:
-            requests = gen.send(executor(requests))
-    except StopIteration as stop:
-        result = stop.value
-        if result is None:  # pragma: no cover - engine bug guard
-            raise RuntimeError("search generator returned no result")
-        return result
 
 
 def tally(winners: np.ndarray) -> tuple[int, int, int]:

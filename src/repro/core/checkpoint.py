@@ -2,10 +2,11 @@
 
 Every engine exposes ``snapshot()`` (a cheap, picklable
 :class:`EngineSnapshot` of the live search: trees, RNG states, virtual
-clock, iteration counters) and ``restore()`` + ``resume()`` /
-``resume_steps()`` to continue the search *bit-identically* -- same
-chosen move, same root statistics, same virtual elapsed time -- as if
-the interruption never happened.  The determinism contract that makes
+clock, iteration counters) and ``restore()`` + ``resume()`` (or, for
+a session a driver answers, ``open_round()`` advanced through
+``repro.core.rounds``) to continue the search *bit-identically* --
+same chosen move, same root statistics, same virtual elapsed time --
+as if the interruption never happened.  The determinism contract that makes
 this testable is the same one behind the node/arena backend
 equivalence: fixed RNG consumption order and explicit state
 everywhere.

@@ -68,9 +68,9 @@ class PipelineMcts(Engine):
         self.injector = injector
         self.integrity = integrity
 
-    search = Engine._search_batched
-
-    def _begin_session(self, state: GameState, budget_s: float) -> None:
+    def _begin_session(
+        self, state: GameState, budget_s: float, executor
+    ) -> None:
         self._check_budget(budget_s, state)
         self._live = {
             "mode": self.mode,
@@ -88,7 +88,7 @@ class PipelineMcts(Engine):
             "budget_s": budget_s,
             "iterations": 0,
             "simulations": 0,
-            "executor": self._take_pending_executor(),
+            "executor": executor,
             "integrity": self._make_guard(1),
         }
 

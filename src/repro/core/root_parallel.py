@@ -45,9 +45,9 @@ class RootParallelMcts(Engine):
         self.injector = injector
         self.integrity = integrity
 
-    search = Engine._search_batched
-
-    def _begin_session(self, state: GameState, budget_s: float) -> None:
+    def _begin_session(
+        self, state: GameState, budget_s: float, executor
+    ) -> None:
         self._check_budget(budget_s, state)
         self._live = {
             "forest": self._make_forest(
@@ -59,7 +59,7 @@ class RootParallelMcts(Engine):
             "budget_s": budget_s,
             "iterations": 0,
             "simulations": 0,
-            "executor": self._take_pending_executor(),
+            "executor": executor,
             "integrity": self._make_guard(self.n_trees),
         }
 

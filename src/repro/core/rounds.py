@@ -1,4 +1,4 @@
-"""One round of a generator engine's search, written once per kind.
+"""One round of a CPU engine's search, written once per kind.
 
 A CPU engine's search is a loop of rounds: select leaves, have their
 playouts run, back the answers up, charge the round's virtual time.
@@ -27,12 +27,15 @@ select this way lets :func:`select_rounds` run the sub-rounds of many
 sessions together: one ``select_round_many`` per sub-round, which
 walks every compiled arena of a game in one kernel call.
 
-Two drivers run the same policies: an engine's own generator
-(``search_steps`` / ``resume_steps``; :meth:`Engine._round_steps`
-yields :attr:`Round.requests` and delivers what comes back), and the
-search service's tick, which delivers every tenant's answers and
-selects their next rounds with :func:`select_rounds`, all tenants'
-requests riding one launch per tick (docs/serving.md, step 9).
+One driver runs every policy.  :func:`advance_rounds` delivers a
+tick's answers to many rounds at once -- one credit call, each round
+settled in order, the next rounds selected together -- and
+:func:`run_rounds` loops it: one executor call over every session's
+requests per round, until each session is out of budget.  An engine's
+``search()`` / ``resume()`` is ``run_rounds`` over a set of one, the
+arena cohort runs it over every CPU mover of a move, and the search
+service's tick calls ``advance_rounds`` itself, all tenants' requests
+riding one launch per tick (docs/serving.md, step 8).
 
 A policy keeps nothing a checkpoint needs: the session lives in the
 engine's ``_live`` dict, which the policy reads and writes, so a
@@ -42,7 +45,7 @@ snapshot taken at any iteration hook restores into a fresh policy.
 from __future__ import annotations
 
 from itertools import chain, repeat
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.core.arena import (
     MANY_SELECT_MIN,
@@ -52,8 +55,10 @@ from repro.core.arena import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.core.base import Engine, PlayoutResults
+    from repro.core.base import Engine, PlayoutBatch, PlayoutResults
     from repro.core.results import SearchResult
+
+    Executor = Callable[[PlayoutBatch], PlayoutResults]
 
 #: The one-row sub-round of a single-tree session.
 _TREE0 = (0,)
@@ -121,6 +126,91 @@ def credit_rounds(rounds: "Sequence[Round]", answers) -> None:
         [rows for rows, _ in credits],
         [outcomes for _, outcomes in credits],
     )
+
+
+def advance_rounds(rounds: "Sequence[Round]", answers) -> None:
+    """Deliver ``answers[j]`` to round ``j`` and select every round's
+    next: all their leaves credited in one call, then each round
+    settled, in order.  A round whose engine has an iteration hook
+    (journal checkpoints, a planned crash) selects at its turn, so
+    hooks fire in the order one round after the other would fire
+    them; the rest select together after the loop -- no other round
+    can see when they do."""
+    credit_rounds(rounds, answers)
+    together = []
+    for rnd, answer in zip(rounds, answers):
+        rnd.settle(answer)
+        if rnd.engine.iteration_hook is None:
+            together.append(rnd)
+        else:
+            rnd.select()
+    select_rounds(together)
+
+
+def run_rounds(
+    rounds: "Sequence[Round]", executor: "Executor"
+) -> "list[SearchResult]":
+    """Run every round's session to its end, ``executor`` answering
+    all their requests in one call per round; each session's result,
+    in order.  A session finishes once it selects no requests.  A
+    self-driven round (:attr:`Round.screen` set) has its answers
+    screened before they are delivered."""
+    for rnd in rounds:
+        if rnd.engine.iteration_hook is not None:
+            rnd.select()
+    select_rounds(
+        [rnd for rnd in rounds if rnd.engine.iteration_hook is None]
+    )
+    results: list = [None] * len(rounds)
+    running = list(enumerate(rounds))
+    while True:
+        for j, rnd in running:
+            if not rnd.requests:
+                results[j] = rnd.finish()
+        running = [(j, rnd) for j, rnd in running if rnd.requests]
+        if not running:
+            return results
+        asking = [rnd for _, rnd in running]
+        flat = [state for rnd in asking for state in rnd.requests]
+        answers = _checked(flat, executor(flat))
+        per_round, lo = [], 0
+        for rnd in asking:
+            hi = lo + len(rnd.requests)
+            answer = answers[lo:hi]
+            if rnd.screen is not None:
+                answer = _screen_results(
+                    rnd.requests, answer, rnd.screen, executor
+                )
+            per_round.append(answer)
+            lo = hi
+        advance_rounds(asking, per_round)
+
+
+def _checked(requests, answers):
+    """``answers``, once they answer ``requests`` one for one: a
+    short or long list is refused before any round is credited."""
+    if len(answers) != len(requests):
+        raise ValueError(
+            f"{len(answers)} playout answers for "
+            f"{len(requests)} requests"
+        )
+    return answers
+
+
+def _screen_results(requests, answers, guard, executor):
+    """Screen one round's playout answers; a rejected batch is asked
+    of ``executor`` again (fresh draws) up to the policy's retry
+    budget, then degraded to neutral ``(0, 0)`` answers -- the
+    dropped-playout-batch model."""
+    retries = guard.policy.max_result_retries
+    for attempt in range(retries + 1):
+        answers, ok = guard.screen_answers(list(answers))
+        if ok:
+            return answers
+        if attempt < retries:
+            answers = _checked(requests, executor(requests))
+    guard.give_up()
+    return [(0, 0)] * len(requests)
 
 
 class Round:

@@ -8,8 +8,8 @@ in the paper's Figures 6 and 7.
 
 from __future__ import annotations
 
-from repro.core.base import Engine, ScalarExecutor, drive_search
-from repro.core.results import SearchResult, register_extra_keys
+from repro.core.base import Engine, ScalarExecutor
+from repro.core.results import register_extra_keys
 from repro.core.rounds import SequentialRound
 from repro.games.base import GameState
 
@@ -20,14 +20,14 @@ class SequentialMcts(Engine):
     name = "sequential"
     round_policy = SequentialRound
 
-    def search(self, state: GameState, budget_s: float) -> SearchResult:
-        # Executor before session setup: preserves the historical fork
-        # order (fork("playout") drawn before fork("tree")).
-        executor = ScalarExecutor(self.game, self.rng.fork("playout"))
-        self._pending_executor = executor
-        return drive_search(self.search_steps(state, budget_s), executor)
+    def _own_executor(self) -> ScalarExecutor:
+        # Drawn before the session's tree: fork("playout") comes
+        # before fork("tree").
+        return ScalarExecutor(self.game, self.rng.fork("playout"))
 
-    def _begin_session(self, state: GameState, budget_s: float) -> None:
+    def _begin_session(
+        self, state: GameState, budget_s: float, executor
+    ) -> None:
         self._check_budget(budget_s, state)
         self._live = {
             "tree": self._make_forest(state, [self.rng.fork("tree")]),
@@ -35,7 +35,7 @@ class SequentialMcts(Engine):
             "budget_s": budget_s,
             "iterations": 0,
             "simulations": 0,
-            "executor": self._take_pending_executor(),
+            "executor": executor,
         }
 
 

@@ -62,7 +62,7 @@ class CpuCostModel:
         """One full sequential MCTS iteration: fixed overhead +
         :meth:`selection_time` + expansion + :meth:`playout_time` +
         :meth:`backprop_time`, written out in that order (the same
-        floats; every generator engine charges it once per playout)."""
+        floats; every round engine charges it once per playout)."""
         levels = max(depth, 0)
         return (
             self.fixed_per_iteration_s

@@ -109,7 +109,6 @@ from repro.serve.scheduler import (
     FusedBatcher,
     GeneratorPool,
     LaneBatcher,
-    drive_generators,
     fused_kernel_spec,
     launch_config_for,
 )
@@ -118,7 +117,6 @@ from repro.serve.service import (
     ServiceCrash,
     ServiceError,
     serve,
-    supports_search_steps,
 )
 from repro.serve.storm import (
     ClusterStormConfig,
@@ -163,7 +161,6 @@ __all__ = [
     "serve",
     "summarize",
     "percentile",
-    "supports_search_steps",
     "Attempt",
     "LaunchOutcome",
     "ResilientLauncher",
@@ -171,7 +168,6 @@ __all__ = [
     "GeneratorPool",
     "LaneBatcher",
     "FusedBatcher",
-    "drive_generators",
     "fused_kernel_spec",
     "launch_config_for",
     "WorkloadConfig",

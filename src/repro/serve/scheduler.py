@@ -1,12 +1,9 @@
-"""Merged scheduling primitives: generator pool + lane batcher.
+"""Merged scheduling primitives: the lane batchers.
 
-Two layers, both reused outside the service:
+The service, the arena cohort and every round engine's ``search()``
+advance the engines' round policies through ``repro.core.rounds``;
+this module turns the merged playout demand into launches.
 
-* :class:`GeneratorPool` steps many ``search_steps`` generators in
-  merged rounds -- the arena's cohort driver
-  (:func:`repro.arena.cohort.play_games_cohort`) runs each round of
-  moves through :func:`drive_generators`.  The service drives the
-  engines' round policies directly instead (``repro.core.rounds``).
 * :class:`LaneBatcher` converts one tick's merged playout demand (all
   outstanding leaf states, one lane per leaf, grouped per game) into
   wide vectorised kernel launches placed on a shared
@@ -30,9 +27,9 @@ readback latencies once per tick instead of once per game.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Hashable, Mapping, Sequence
+from typing import Hashable, Mapping, Sequence
 
-from repro.core.base import PlayoutBatch, PlayoutResults
+from repro.core.base import PlayoutResults
 from repro.core.executors import DEFAULT_PLAYOUT, playout_launcher
 from repro.games import make_batch_game
 from repro.gpu.kernel import (
@@ -51,13 +48,16 @@ import numpy as np
 
 
 class GeneratorPool:
-    """A set of keyed ``search_steps`` generators advanced in merged
-    rounds.
+    """A set of keyed search generators advanced in merged rounds.
 
     ``add`` primes each generator to its first playout request; each
     round, callers gather ``requests_for`` every pending key, execute
     the merged batch however they like, and ``step`` each key with its
     slice of answers.  Finished searches land in :attr:`results`.
+
+    No product code calls it: every engine session advances through
+    ``repro.core.rounds``.  It stays only because the benchmark's
+    traced run imports it and wraps ``add`` / ``step``.
     """
 
     def __init__(self) -> None:
@@ -105,31 +105,6 @@ class GeneratorPool:
         gen = self._gens.pop(key)
         self._requests.pop(key)
         gen.close()
-
-
-def drive_generators(
-    generators: Mapping[Hashable, object],
-    executor: Callable[[PlayoutBatch], PlayoutResults],
-) -> dict[Hashable, object]:
-    """Drive several search generators to completion, merging their
-    playout requests into shared executor calls.  Returns each key's
-    ``SearchResult``."""
-    pool = GeneratorPool()
-    for key, gen in generators.items():
-        pool.add(key, gen)
-    while pool.pending:
-        keys = pool.pending
-        flat: list = []
-        offsets: dict[Hashable, tuple[int, int]] = {}
-        for key in keys:
-            start = len(flat)
-            flat.extend(pool.requests_for(key))
-            offsets[key] = (start, len(flat))
-        answers = executor(flat) if flat else []
-        for key in keys:
-            lo, hi = offsets[key]
-            pool.step(key, answers[lo:hi])
-    return dict(pool.results)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ flat sequence of step methods, listed in order in docs/serving.md):
   kernel's modelled time plus the *maximum* per-request CPU charge --
   tenants' tree work overlaps, the shared accelerators are the
   contended resource.
-* **Direct engines.**  GPU engines without ``search_steps`` (block /
+* **Direct engines.**  GPU engines without a round policy (block /
   leaf / hybrid / multigpu) run whole searches pinned to one pooled
   device: the search executes against the request's private clock and
   occupies the device's in-order stream for its full elapsed time.
@@ -50,7 +50,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from repro.core.backend import DEFAULT_BACKEND, validate_backend
-from repro.core.base import Engine, supports_search_steps
+from repro.core.base import Engine
 from repro.core.executors import DEFAULT_PLAYOUT, validate_playout
 from repro.core.checkpoint import (
     CheckpointError,
@@ -58,7 +58,7 @@ from repro.core.checkpoint import (
     snapshot_bytes,
 )
 from repro.core.results import SearchResult
-from repro.core.rounds import Round, credit_rounds, select_rounds
+from repro.core.rounds import Round, advance_rounds
 from repro.core.spec import EngineSpec, make_engine
 from repro.faults import FaultInjector, FaultPlan
 from repro.games import make_game
@@ -465,10 +465,10 @@ class SearchService:
         resume_from = self._resume_snapshots.pop(req.request_id, None)
         if resume_from is not None:
             engine.restore(resume_from)
-        if supports_search_steps(engine):
+        if engine.round_policy is not None:
             before = engine.clock.now
             if resume_from is None:
-                engine._begin_session(state, budget_s)
+                engine._begin_session(state, budget_s, None)
             result = self._open_tenant(req.request_id, engine)
             slot.pending_cpu_s = engine.clock.now - before
             if result is not None:
@@ -953,29 +953,19 @@ class SearchService:
             (rid, rnd.requests) for rid, rnd in tenants.items()
         )
 
-        # CPU phase: every tenant's leaves are credited in one call,
-        # then each settles its round, in admission order, and selects
-        # its next.  A tenant with an iteration hook (journal
-        # checkpoints, a planned crash) selects at its turn, so hooks
-        # fire in the order one tenant after the other would fire
-        # them; the rest select together after the loop -- no other
-        # tenant can see when they do.
+        # CPU phase: every tenant backs its answers up and selects its
+        # next round, in admission order where an iteration hook can
+        # tell.
         active = self._active
         rounds = [tenants[rid] for rid in spans]
-        answers = [
-            answers_by_game[game_name][lo:hi]
-            for game_name, lo, hi in spans.values()
-        ]
         before = [rnd.engine.clock.now for rnd in rounds]
-        credit_rounds(rounds, answers)
-        together = []
-        for rnd, answer in zip(rounds, answers):
-            rnd.settle(answer)
-            if rnd.engine.iteration_hook is None:
-                together.append(rnd)
-            else:
-                rnd.select()
-        select_rounds(together)
+        advance_rounds(
+            rounds,
+            [
+                answers_by_game[game_name][lo:hi]
+                for game_name, lo, hi in spans.values()
+            ],
+        )
         # Tenants' tree work runs on private cores, so the tick charges
         # the slowest one.
         cpu_s = 0.0

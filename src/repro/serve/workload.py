@@ -17,7 +17,7 @@ from repro.core.spec import EngineSpec, with_backend, with_playout
 from repro.serve.request import SearchRequest
 from repro.util.seeding import derive_seed
 
-#: Engine specs a mixed workload cycles through: CPU generator engines
+#: Engine specs a mixed workload cycles through: CPU round engines
 #: (merged into wide launches) plus a direct-path GPU engine.
 MIXED_ENGINES = (
     "sequential",

@@ -5,11 +5,10 @@ import pytest
 from repro.arena import play_game
 from repro.arena.cohort import play_games_cohort, play_matchups
 from repro.arena.tournament import MatchupResult
-from repro.core import BlockParallelMcts, SequentialMcts
+from repro.core import BlockParallelMcts, SequentialMcts, make_engine
 from repro.core.base import BatchExecutor
 from repro.games import TicTacToe
 from repro.players import MctsPlayer, RandomPlayer
-from repro.serve.scheduler import drive_generators
 from repro.util.seeding import derive_seed
 
 GAME = TicTacToe()
@@ -30,30 +29,6 @@ def gpu_player(seed, budget=0.002):
 @pytest.fixture
 def executor():
     return BatchExecutor("tictactoe", seed=99)
-
-
-class TestDriveMerged:
-    def test_single_generator_matches_engine_result(self, executor):
-        engine = SequentialMcts(GAME, seed=4)
-        gen = engine.search_steps(GAME.initial_state(), 0.002)
-        results = drive_generators({0: gen}, executor)
-        assert 0 in results
-        assert results[0].simulations > 0
-
-    def test_many_generators_all_complete(self, executor):
-        gens = {
-            i: SequentialMcts(GAME, seed=i).search_steps(
-                GAME.initial_state(), 0.001 + 0.001 * i
-            )
-            for i in range(5)
-        }
-        results = drive_generators(gens, executor)
-        assert set(results) == set(range(5))
-        for res in results.values():
-            assert res.move in range(9)
-
-    def test_empty_input(self, executor):
-        assert drive_generators({}, executor) == {}
 
 
 class TestPlayGamesCohort:
@@ -84,6 +59,49 @@ class TestPlayGamesCohort:
         assert len(records) == 3
         for rec in records:
             assert rec.winner in (-1, 0, 1)
+
+    @pytest.mark.parametrize("backend", ["node", "arena"])
+    @pytest.mark.parametrize("delta", [-1, 1])
+    def test_wrong_answer_count_is_refused_before_any_game_is_credited(
+        self, backend, delta
+    ):
+        """One executor call answers every mover; a short or long list
+        is refused whole before any game's search backs an answer up:
+        every tree's root statistics stay as they were."""
+        blacks = [
+            MctsPlayer(GAME, make_engine(f"{spec}@{backend}", GAME, i), 0.002)
+            for i, spec in enumerate(
+                ["sequential", "root:3", "root:2", "tree:2", "pipeline:2"]
+            )
+        ]
+        matchups = [
+            (black, seq_player(10 + i)) for i, black in enumerate(blacks)
+        ]
+        inner = BatchExecutor("tictactoe", seed=99)
+        seen = []
+
+        def roots():
+            return [
+                p.engine._live[
+                    "forest" if "forest" in p.engine._live else "tree"
+                ].root_stats_of()
+                for p in blacks
+            ]
+
+        def faulty(requests):
+            answers = inner(requests)
+            seen.append((len(requests), roots()))
+            if len(seen) <= 2:  # two good rounds first
+                return answers
+            return answers[:delta] if delta < 0 else answers + answers[:1]
+
+        with pytest.raises(ValueError) as refused:
+            play_games_cohort(GAME, matchups, faulty)
+        sent, before = seen[-1]
+        assert str(refused.value) == (
+            f"{sent + delta} playout answers for {sent} requests"
+        )
+        assert roots() == before
 
     def test_telemetry_recorded(self, executor):
         records = play_games_cohort(

@@ -103,26 +103,6 @@ def test_crash_restore_resume_is_bit_identical(spec):
     _assert_same_result(fresh.resume(), base)
 
 
-@pytest.mark.faults
-def test_resume_steps_matches_direct_resume():
-    """Generator engines resume through the serving path too: driving
-    ``resume_steps`` by hand with the session's restored executor must
-    equal the uninterrupted search."""
-    from repro.core.base import drive_search
-
-    game = make_game("tictactoe")
-    base = _uninterrupted("sequential", game)
-    snap = _crashed_snapshot("sequential", game, DEFAULT_CRASH_AT)
-
-    fresh = _engine("sequential", game)
-    fresh.restore(snap)
-    executor = fresh._live["executor"]
-    assert executor is not None  # search() parked one pre-crash
-    _assert_same_result(
-        drive_search(fresh.resume_steps(), executor), base
-    )
-
-
 def test_snapshot_mid_search_does_not_perturb_the_run():
     """Taking a snapshot is observationally free: a run that snapshots
     every iteration finishes identical to one that never does."""

@@ -11,6 +11,7 @@ from repro.core import (
     SequentialMcts,
     TreeParallelMcts,
 )
+from repro.core.rounds import run_rounds
 from repro.core.spec import make_engine
 from repro.games import TicTacToe
 
@@ -191,14 +192,20 @@ class TestEngineSpecifics:
 @pytest.mark.parametrize("backend", ["node", "arena"])
 @pytest.mark.parametrize("spec", ["root:3", "tree:3", "pipeline:3"])
 def test_answers_must_match_the_requests_one_for_one(spec, backend):
-    """The generator engines pair a round's answers with its pending
-    leaves; a driver that hands back too few or too many is refused
+    """The round driver pairs a round's answers with its pending
+    leaves; an executor that hands back too few or too many is refused
     instead of ``zip``-ped short."""
     for answers in ([(1, 5), (0, 5)], [(1, 5)] * 4, []):
         engine = make_engine(f"{spec}@{backend}", TTT, 5)
-        gen = engine.search_steps(TTT.initial_state(), 1e-3)
-        assert len(next(gen)) == 3
+        engine._begin_session(TTT.initial_state(), 1e-3, None)
+        asked = []
+
+        def executor(requests):
+            asked.append(len(requests))
+            return answers
+
         with pytest.raises(
             ValueError, match=f"{len(answers)} playout answers for 3 requests"
         ):
-            gen.send(answers)
+            run_rounds([engine.open_round()], executor)
+        assert asked == [3]

@@ -1,8 +1,6 @@
-"""Tests for the playout executors behind the generator seam."""
+"""Tests for the playout executors behind the round seam."""
 
-import pytest
-
-from repro.core.base import BatchExecutor, drive_search, ScalarExecutor, tally
+from repro.core.base import BatchExecutor, ScalarExecutor, tally
 from repro.games import Reversi, TicTacToe
 from repro.rng import XorShift64Star
 
@@ -81,17 +79,6 @@ class TestStatisticalAgreement:
         )
         b_wins = sum(1 for w, _ in batch([state] * n) if w == 1)
         assert abs(s_wins - b_wins) / n < 0.15
-
-
-class TestDriveSearch:
-    def test_raises_on_resultless_generator(self):
-        def broken():
-            yield []
-            return None
-
-        gen = broken()
-        with pytest.raises(RuntimeError, match="no result"):
-            drive_search(gen, lambda reqs: [])
 
 
 class TestTally:

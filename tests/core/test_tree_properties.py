@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import SequentialMcts
-from repro.core.base import drive_search, ScalarExecutor
+from repro.core.base import ScalarExecutor
+from repro.core.rounds import run_rounds
 from repro.cpu.costmodel import FREE_CPU
 from repro.games import TicTacToe
 from repro.rng import XorShift64Star
@@ -20,11 +21,11 @@ def run_search(seed, iterations):
     engine = SequentialMcts(
         GAME, seed=seed, cost_model=FREE_CPU, max_iterations=iterations
     )
-    gen = engine.search_steps(GAME.initial_state(), budget_s=1e9)
-    # Reach inside: drive the generator but keep the tree by rebuilding
-    # through the public engine (stats suffice for the invariants).
-    result = drive_search(
-        gen, ScalarExecutor(GAME, XorShift64Star(seed))
+    engine._begin_session(GAME.initial_state(), 1e9, None)
+    # Drive the session on a playout stream of the test's own (stats
+    # suffice for the invariants).
+    (result,) = run_rounds(
+        [engine.open_round()], ScalarExecutor(GAME, XorShift64Star(seed))
     )
     return result
 

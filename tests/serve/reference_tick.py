@@ -1,27 +1,28 @@
 """The generator-stepping service tick: the oracle of the batched one.
 
 The service once advanced every round-policy tenant by resuming its
-engine's ``search_steps`` generator once per tick: gather every
-tenant's requests, launch, then send each tenant its answers -- the
-generator backs them up and runs on to its next request before the
-next tenant is resumed.  :class:`ReferenceService` keeps that tick:
+engine's search generator (:func:`tests.round_steps.round_steps`) once
+per tick: gather every tenant's requests, launch, then send each
+tenant its answers -- the generator backs them up and runs on to its
+next request before the next tenant is resumed.  :class:`ReferenceService` keeps that tick:
 a :class:`SearchService` whose tenants are generators, its kernel
 phase and completion step shared with the product's.  The product
 tick selects its tenants' next rounds in batched sub-rounds instead
-(``repro.core.rounds.select_rounds``); ``test_batched_tick.py`` holds
+(``repro.core.rounds.advance_rounds``); ``test_batched_tick.py`` holds
 every record it produces equal to this one's.
 """
 
 from __future__ import annotations
 
 from repro.serve import SearchService
+from tests.round_steps import round_steps
 
 
 class ReferenceService(SearchService):
     """A :class:`SearchService` that steps each tenant's generator."""
 
     def _open_tenant(self, rid, engine):
-        gen = engine._session_steps()
+        gen = round_steps(engine)
         try:
             requests = list(next(gen))
         except StopIteration as stop:

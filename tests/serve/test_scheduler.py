@@ -2,14 +2,11 @@
 
 import pytest
 
-from repro.core import make_engine
-from repro.core.base import BatchExecutor
 from repro.games import TicTacToe
 from repro.gpu import TESLA_C2050, DevicePool
 from repro.serve import (
     GeneratorPool,
     LaneBatcher,
-    drive_generators,
     launch_config_for,
 )
 from repro.util.clock import Clock
@@ -64,28 +61,6 @@ class TestGeneratorPool:
         pool.cancel("a")
         assert pool.pending == ()
         assert "a" not in pool.results
-
-
-class TestDriveGenerators:
-    def test_matches_per_key_results_and_is_deterministic(self):
-        game = TicTacToe()
-
-        def run():
-            gens = {
-                f"g{i}": make_engine(
-                    "sequential", game, derive_seed(9, i)
-                ).search_steps(game.initial_state(), 0.002)
-                for i in range(3)
-            }
-            return drive_generators(
-                gens, BatchExecutor("tictactoe", 5)
-            )
-
-        first, second = run(), run()
-        assert set(first) == {"g0", "g1", "g2"}
-        for key in first:
-            assert first[key].move == second[key].move
-            assert first[key].simulations == second[key].simulations
 
 
 class TestLaunchConfig:
