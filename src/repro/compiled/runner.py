@@ -513,6 +513,13 @@ class ArenaColumns(ctypes.Structure):
             arrays.append(array)
             setattr(self, name, _address(array))
 
+    def take_policy(self, arena) -> None:
+        """``arena``'s selection policy, as the kernels read it -- again
+        when a reopened arena starts a session under another one."""
+        self.ucb_c = arena.ucb_c
+        self.tuned = arena.selection_rule == "ucb1_tuned"
+        self.wuct = arena.parallel_mode == "wuct"
+
     @classmethod
     def bind(cls, arena) -> "ArenaColumns | None":
         """:meth:`of` ``arena``, plus its selection policy and its
@@ -523,9 +530,7 @@ class ArenaColumns(ctypes.Structure):
         if lib is None:
             return None
         cols = cls.of(arena)
-        cols.ucb_c = arena.ucb_c
-        cols.tuned = arena.selection_rule == "ucb1_tuned"
-        cols.wuct = arena.parallel_mode == "wuct"
+        cols.take_policy(arena)
         cols.select_expand = lazy_export(lib, "select_expand", arena.game.name)
         cols.select_expand_many = lazy_export(
             lib, "select_expand_many", arena.game.name

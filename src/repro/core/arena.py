@@ -52,6 +52,12 @@ That needs a kernel for the game and a C toolchain; without them the
 Python bodies (:meth:`TreeArena._descend`, ``_expand``, ``backprop``)
 do the same work tree by tree -- same draws, same node ids
 (docs/tree_arena.md, "Compiled descent and backprop").
+
+An arena outlives its session: :meth:`TreeArena.release` resets the
+rows the session used and parks the arena on a free list, and
+:meth:`TreeArena.open` reopens it for the next session of the same
+game and tree count -- columns, capacity and bound kernel columns kept
+(docs/tree_arena.md, "Growth and compaction").
 """
 
 from __future__ import annotations
@@ -72,6 +78,7 @@ from repro.compiled import (
     select_expand_compiled,
     select_expand_many_compiled,
 )
+from repro.compiled.runner import _tree_library
 from repro.core.policy import (
     validate_parallel_mode,
     validate_selection_rule,
@@ -89,6 +96,15 @@ class ArenaInvariantError(RuntimeError):
     """Raised by :meth:`TreeArena.validate` on a corrupted arena."""
 
 
+def _check_session(rngs, ucb_c, selection_rule, parallel_mode) -> None:
+    if ucb_c < 0:
+        raise ValueError(f"ucb_c must be non-negative: {ucb_c}")
+    validate_selection_rule(selection_rule)
+    validate_parallel_mode(parallel_mode)
+    if not rngs:
+        raise ValueError("arena needs at least one tree RNG")
+
+
 class TreeArena:
     """``n_trees`` MCTS trees in one struct-of-arrays node store."""
 
@@ -102,37 +118,93 @@ class TreeArena:
         capacity: int | None = None,
         parallel_mode: str = "vloss",
     ) -> None:
-        if ucb_c < 0:
-            raise ValueError(f"ucb_c must be non-negative: {ucb_c}")
-        validate_selection_rule(selection_rule)
-        validate_parallel_mode(parallel_mode)
-        if not rngs:
-            raise ValueError("arena needs at least one tree RNG")
+        _check_session(rngs, ucb_c, selection_rule, parallel_mode)
         self._attach(game)
+        self.n_trees = n = len(rngs)
+        self._cap = 0
+        self._make_arrays(capacity if capacity else max(256, 8 * n))
         #: Each tree's xorshift64* word, adopted from ``rngs`` (the
         #: generator objects themselves are not advanced).
-        self.rng_state = np.array(
-            [rng.getstate() for rng in rngs], dtype=np.uint64
-        )
-        self.n_trees = len(rngs)
+        self.rng_state = np.zeros(n, dtype=np.uint64)
+        self.roots = np.zeros(n, dtype=np.int64)
+        self.tree_node_count = np.zeros(n, dtype=np.int64)
+        self.tree_max_depth = np.zeros(n, dtype=np.int64)
+        self._start(root_state, rngs, ucb_c, selection_rule, parallel_mode)
+
+    @classmethod
+    def open(
+        cls,
+        game: Game,
+        root_state: GameState,
+        rngs: "list[XorShift64Star]",
+        ucb_c: float = 1.0,
+        selection_rule: str = "ucb1",
+        parallel_mode: str = "vloss",
+    ) -> "TreeArena":
+        """A new session's arena: a released one of the same game and
+        tree count reopened in place -- its columns, its capacity and
+        its bound :class:`ArenaColumns` kept -- or, when none is free,
+        a freshly built one.  Either holds exactly what the
+        constructor's would (node ids depend only on allocation order,
+        never on capacity)."""
+        free = _FREE_ARENAS.get((game.name, len(rngs)))
+        if not free:
+            return cls(
+                game,
+                root_state,
+                rngs,
+                ucb_c,
+                selection_rule,
+                parallel_mode=parallel_mode,
+            )
+        _check_session(rngs, ucb_c, selection_rule, parallel_mode)
+        arena = free.pop()
+        arena.game = game
+        cols = arena._cols
+        if cols is not False and (cols is None) != (
+            _tree_library(game.name) is None
+        ):
+            # The toolchain came or went (REPRO_COMPILED toggled at
+            # run time): resolve the bodies again on first use.
+            arena._cols = False
+        arena._start(root_state, rngs, ucb_c, selection_rule, parallel_mode)
+        return arena
+
+    def _start(
+        self, root_state, rngs, ucb_c, selection_rule, parallel_mode
+    ) -> None:
+        """Begin a session on all-default columns: the selection
+        policy, the trees' generator words, one root per tree in slots
+        ``0 .. n - 1``.  The per-tree arrays are written in place --
+        bound columns hold their addresses."""
         self.ucb_c = ucb_c
         self.selection_rule = selection_rule
         self.parallel_mode = parallel_mode
-
-        cap = capacity if capacity else max(256, 8 * self.n_trees)
-        self._cap = 0
-        self._allocated = 0
+        if self._cols:
+            self._cols.take_policy(self)
+        self.rng_state[:] = [rng.getstate() for rng in rngs]
         #: Was virtual loss ever applied?  (Checkpoint payload field.)
         self._vloss_active = False
-        self._make_arrays(cap)
-
-        self.roots = np.array(
-            [self._alloc_span(1) for _ in range(self.n_trees)],
-            dtype=np.int64,
-        )
-        self.tree_node_count = np.ones(self.n_trees, dtype=np.int64)
-        self.tree_max_depth = np.zeros(self.n_trees, dtype=np.int64)
+        self._allocated = 0
+        self.roots[:] = [self._alloc_span(1) for _ in range(self.n_trees)]
+        self.tree_node_count[:] = 1
+        self.tree_max_depth[:] = 0
         self._init_roots(root_state)
+
+    def release(self) -> None:
+        """End the session: every column back to its default over the
+        rows it used, and the arena onto the free list
+        :meth:`open` reopens from.  The store must not be read again.
+        A second call does nothing."""
+        n = self._allocated
+        if not n:
+            return
+        for name, _, default, _ in self._COLUMNS:
+            getattr(self, name)[:n] = default
+        self._allocated = 0
+        _FREE_ARENAS.setdefault((self.game.name, self.n_trees), []).append(
+            self
+        )
 
     # -- storage ------------------------------------------------------------
 
@@ -192,8 +264,8 @@ class TreeArena:
     def _compiled(self) -> "ArenaColumns | None":
         """The compiled bodies' handle on this arena, or ``None`` when
         the Python bodies run (no toolchain, ``REPRO_COMPILED=0``, no
-        kernel for the game).  Resolved once per (re)allocation, so a
-        steady-state round looks nothing up."""
+        kernel for the game).  Resolved once per arena (again after
+        :meth:`compact`), so a steady-state round looks nothing up."""
         if self._cols is False:
             self._cols = ArenaColumns.bind(self)
         return self._cols
@@ -205,7 +277,7 @@ class TreeArena:
         if cols:
             # Bound before: only the columns moved.
             cols.take_columns(self)
-            self._cols = cols
+        self._cols = cols
 
     def _alloc_span(self, n: int) -> int:
         """Reserve ``n`` contiguous slots; returns the span start."""
@@ -982,6 +1054,11 @@ class TreeArena:
 #: The rows of the many-arena calls, shared by every caller (one
 #: thread drives the kernels).
 _TENANT_ROWS: "TenantRows | None" = None
+
+#: Released arenas by ``(game name, n_trees)``, all columns at their
+#: defaults, waiting for :meth:`TreeArena.open` (one thread drives the
+#: sessions).
+_FREE_ARENAS: "dict[tuple[str, int], list[TreeArena]]" = {}
 
 #: Fewest arenas :func:`select_round_many` walks in one call: below it
 #: the call's fixed cost outweighs the per-arena calls it replaces

@@ -178,6 +178,11 @@ class NodeForest:
     def ref_from_token(self, token: int, t: int = 0):
         return self.trees[t].ref_from_token(token)
 
+    def release(self) -> None:
+        """End the session: the pointer trees are left to the garbage
+        collector (the arena's own ``release`` keeps its columns for
+        the next session)."""
+
 
 def make_forest(
     backend: str,
@@ -191,13 +196,8 @@ def make_forest(
     """``len(rngs)`` trees from one root on the chosen backend."""
     validate_backend(backend)
     if backend == "arena":
-        return TreeArena(
-            game,
-            root_state,
-            list(rngs),
-            ucb_c,
-            selection_rule,
-            parallel_mode=parallel_mode,
+        return TreeArena.open(
+            game, root_state, list(rngs), ucb_c, selection_rule, parallel_mode
         )
     return NodeForest(
         [

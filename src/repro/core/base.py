@@ -342,7 +342,8 @@ class Engine:
         self, store, elapsed_s: float, extras: "dict | None" = None
     ) -> SearchResult:
         """End the live session over ``store``: the guard's final
-        sweep, the vote over the trees it admits, and the result.
+        sweep, the vote over the trees it admits, and the result; then
+        the store is released.
         ``extras`` are the engine's own keys; every engine reports
         per-tree depth and node counts, guarded ones the integrity
         counters."""
@@ -361,7 +362,7 @@ class Engine:
         if guard is not None:
             extras.update(guard.extras())
         self._live = None
-        return SearchResult(
+        result = SearchResult(
             move=select_move(voted, self.final_policy),
             stats=stats,
             iterations=live["iterations"],
@@ -373,6 +374,10 @@ class Engine:
             extras=extras,
             engine=self.name,
         )
+        # The last read of the store: an arena goes back to the free
+        # list for the next session to reopen.
+        store.release()
+        return result
 
     def _attach_gpu(
         self, blocks: int, threads_per_block: int, device

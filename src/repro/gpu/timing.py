@@ -57,6 +57,42 @@ class KernelTiming:
         return self.launch_s + self.compute_s + self.transfer_s
 
 
+#: ``(spec, kernel, slots, sm_step_time)`` of a launch shape, by
+#: ``(id(spec), id(kernel), blocks, threads_per_block)``: occupancy and
+#: the step time are pure functions of the shape, so the memo hands
+#: back the very floats it would compute.  Held by ``id`` beside the
+#: spec and kernel themselves -- hashing the frozen dataclasses costs
+#: more than the memo saves on a short launch.
+_LAUNCH_SHAPES: dict = {}
+#: Shapes the memo holds at most (a caller may build specs per call).
+_SHAPES_CAP = 1 << 12
+
+
+def _launch_shape(
+    spec: DeviceSpec, kernel: KernelSpec, config: LaunchConfig
+) -> tuple[int, float]:
+    """``(slots, t_step)`` of ``config``: the blocks the device runs at
+    once, and the SM step time at the grid's actual residency."""
+    key = (id(spec), id(kernel), config.blocks, config.threads_per_block)
+    entry = _LAUNCH_SHAPES.get(key)
+    if entry is not None and entry[0] is spec and entry[1] is kernel:
+        return entry[2], entry[3]
+    occ = occupancy(spec, kernel, config)
+    slots = occ.blocks_per_sm * spec.sm_count
+    # With fewer blocks than slots, residency per SM is lower and each
+    # step is cheaper (fewer warps competing for issue).
+    blocks_per_sm_actual = min(
+        occ.blocks_per_sm, -(-config.blocks // spec.sm_count)
+    )
+    resident_warps = max(
+        1, blocks_per_sm_actual * config.warps_per_block(spec)
+    )
+    t_step = sm_step_time(spec, kernel, resident_warps)
+    if len(_LAUNCH_SHAPES) < _SHAPES_CAP:
+        _LAUNCH_SHAPES[key] = (spec, kernel, slots, t_step)
+    return slots, t_step
+
+
 def kernel_time(
     spec: DeviceSpec,
     kernel: KernelSpec,
@@ -80,20 +116,19 @@ def kernel_time(
             f"block_steps has shape {steps.shape}, expected "
             f"({config.blocks},)"
         )
-    occ = occupancy(spec, kernel, config)
-    slots = occ.blocks_per_sm * spec.sm_count
-    # With fewer blocks than slots, residency per SM is lower and each
-    # step is cheaper (fewer warps competing for issue).
-    blocks_per_sm_actual = min(
-        occ.blocks_per_sm, -(-config.blocks // spec.sm_count)
-    )
-    resident_warps = max(
-        1, blocks_per_sm_actual * config.warps_per_block(spec)
-    )
-    t_step = sm_step_time(spec, kernel, resident_warps)
+    slots, t_step = _launch_shape(spec, kernel, config)
     # A block's slot is busy for (its steps) x (the SM step time);
-    # greedy reuse of freed slots gives the grid makespan.
-    compute = greedy_makespan(steps * t_step, slots)
+    # greedy reuse of freed slots gives the grid makespan.  A grid
+    # that fits the slots at once takes as long as its slowest block:
+    # ``max(steps) * t_step`` is the same double as the largest
+    # product (rounding is monotone), on Python numbers.
+    if config.blocks <= slots:
+        values = steps.tolist()
+        if min(values) < 0:
+            raise ValueError("block times must be non-negative")
+        compute = max(values) * t_step
+    else:
+        compute = greedy_makespan(steps * t_step, slots)
     transfer = 0.0
     if transfer_bytes > 0:
         transfer = (

@@ -26,6 +26,7 @@ readback latencies once per tick instead of once per game.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Hashable, Mapping, Sequence
 
@@ -139,6 +140,16 @@ class LaunchRecord:
         return self.outcome.ready_s
 
 
+def block_maxima(finish_steps: np.ndarray, tpb: int) -> list:
+    """The slowest lane of each ``tpb``-lane block of ``finish_steps``
+    (the last block may be short): what a launch's blocks cost.  Step
+    counts are non-negative, so this equals the maxima of the lanes
+    zero-padded to whole blocks."""
+    return np.maximum.reduceat(
+        finish_steps, np.arange(0, len(finish_steps), tpb)
+    ).tolist()
+
+
 def launch_config_for(lanes: int, warp_size: int = 32) -> LaunchConfig:
     """The grid a merged launch of ``lanes`` one-playout lanes uses:
     warp-aligned blocks of at most 128 threads (the paper's sweet spot
@@ -205,9 +216,6 @@ class LaneBatcher:
         #: that derivation is folded once, not once per round.
         self._round_ladders: dict[str, SeedLadder] = {}
         self._batch_games: dict[str, object] = {}
-        #: Reusable pad scratch for block-step padding (grown
-        #: geometrically, never re-allocated per launch).
-        self._steps_scratch = np.zeros(0, dtype=np.int64)
 
     def _batch_game(self, game: str):
         bg = self._batch_games.get(game)
@@ -226,16 +234,6 @@ class LaneBatcher:
             ladder = self._round_ladders[game] = SeedLadder(self.seed, game)
         return ladder.seed(r)
 
-    def _scratch(self, total: int) -> np.ndarray:
-        """A reusable int64 scratch view of length ``total`` (contents
-        undefined; callers overwrite every entry)."""
-        if self._steps_scratch.shape[0] < total:
-            self._steps_scratch = np.zeros(
-                max(total, 2 * self._steps_scratch.shape[0]),
-                dtype=np.int64,
-            )
-        return self._steps_scratch[:total]
-
     def _chunks(self, n: int) -> list[tuple[int, int]]:
         """Contiguous (lo, hi) lane spans, one per launch."""
         per_device = max(self.MIN_LANES_PER_DEVICE, -(-n // len(self.pool)))
@@ -249,17 +247,18 @@ class LaneBatcher:
 
     def _duration_for(self, game: str, finish_steps, lanes: int):
         """Closure mapping a device spec to this chunk's modelled
-        kernel time there (re-placement may land on any device)."""
+        kernel time there (re-placement may land on any device).  The
+        per-block maxima are taken once per block width, not once per
+        attempt."""
         kernel = playout_kernel_spec(game)
+        maxima: dict[int, list] = {}
 
         def duration(spec) -> float:
             config = launch_config_for(lanes, spec.warp_size)
-            padded = self._scratch(config.total_threads)
-            padded[:lanes] = finish_steps
-            padded[lanes:] = 0
-            block_steps = padded.reshape(
-                config.blocks, config.threads_per_block
-            ).max(axis=1)
+            tpb = config.threads_per_block
+            block_steps = maxima.get(tpb)
+            if block_steps is None:
+                block_steps = maxima[tpb] = block_maxima(finish_steps, tpb)
             return kernel_time(
                 spec,
                 kernel,
@@ -447,9 +446,16 @@ def fused_kernel_spec(games: Sequence[str]) -> KernelSpec:
     A fused launch runs every game's playout loop in one grid, so its
     per-step cost, dependent-latency floor and per-thread resources
     are the worst case over the fused games -- the occupancy and
-    timing model then never underestimate the fused kernel.
+    timing model then never underestimate the fused kernel.  One spec
+    object per set of games: the timing model's launch-shape memo keys
+    on it.
     """
-    specs = [playout_kernel_spec(g) for g in dict.fromkeys(games)]
+    return _fused_kernel_spec(tuple(dict.fromkeys(games)))
+
+
+@functools.lru_cache(maxsize=None)
+def _fused_kernel_spec(games: tuple[str, ...]) -> KernelSpec:
+    specs = [playout_kernel_spec(g) for g in games]
     if len(specs) == 1:
         return specs[0]
     return KernelSpec(
@@ -567,30 +573,26 @@ class FusedBatcher(LaneBatcher):
     def _fused_duration(
         self,
         segments: list[tuple[str, int, int]],
-        finish_steps_by_game: Mapping[str, np.ndarray],
+        maxima_by_game: Mapping[str, list],
     ):
         """Closure mapping a device spec to the fused launch's modelled
-        kernel time (re-placement may land on any pooled device)."""
-        kernel = fused_kernel_spec([g for g, _, _ in segments])
+        kernel time (re-placement may land on any pooled device).
+
+        ``maxima_by_game`` holds each game's :func:`block_maxima` at
+        :attr:`FUSED_TPB`; a segment starts on a block boundary (what
+        :meth:`_segments` cuts), so its blocks are a slice of its
+        game's, and the pad blocks cost zero steps.  The grid, the
+        kernel spec and the block list are built once per launch."""
         tpb = self.FUSED_TPB
-        real_blocks, padded_blocks, real_lanes = self._group_geometry(
-            segments
-        )
+        _, padded_blocks, real_lanes = self._group_geometry(segments)
+        config = LaunchConfig(blocks=padded_blocks, threads_per_block=tpb)
+        kernel = fused_kernel_spec([g for g, _, _ in segments])
+        block_steps: list = []
+        for game, lo, hi in segments:
+            block_steps += maxima_by_game[game][lo // tpb : -(-hi // tpb)]
+        block_steps += [0] * (padded_blocks - len(block_steps))
 
         def duration(spec) -> float:
-            config = LaunchConfig(
-                blocks=padded_blocks, threads_per_block=tpb
-            )
-            steps = self._scratch(config.total_threads)
-            steps[:] = 0
-            offset = 0
-            for game, lo, hi in segments:
-                lanes = hi - lo
-                steps[offset : offset + lanes] = finish_steps_by_game[
-                    game
-                ][lo:hi]
-                offset += -(-lanes // tpb) * tpb
-            block_steps = steps.reshape(padded_blocks, tpb).max(axis=1)
             return kernel_time(
                 spec,
                 kernel,
@@ -653,12 +655,14 @@ class FusedBatcher(LaneBatcher):
         if not demand:
             return {}, []
         answers_by_game: dict[str, list] = {}
-        finish_steps_by_game: dict[str, np.ndarray] = {}
+        maxima_by_game: dict[str, list] = {}
         for game, states in demand.items():
             winners, finish_steps = self._launch(
                 self._batch_game(game), states, self._round_seed(game)
             )
-            finish_steps_by_game[game] = finish_steps
+            maxima_by_game[game] = block_maxima(
+                finish_steps, self.FUSED_TPB
+            )
             answers_by_game[game] = list(
                 zip(winners.tolist(), finish_steps.tolist())
             )
@@ -681,7 +685,7 @@ class FusedBatcher(LaneBatcher):
                     holder,
                     f"fused_{games_label}_playouts",
                     games_label,
-                    self._fused_duration(segments, finish_steps_by_game),
+                    self._fused_duration(segments, maxima_by_game),
                     segments,
                     tenant_slices,
                     answers_by_game,

@@ -66,6 +66,8 @@ PROTOCOL_METHODS = (
     "root_stats_of",
     "per_tree_nodes",
     "per_tree_depth",
+    # the session's end: the arena goes back to the free list
+    "release",
 )
 PROTOCOL_ATTRIBUTES = ("n_trees", "node_count", "max_depth")
 
@@ -203,6 +205,14 @@ def test_every_protocol_method_through_make_forest(backend, n_trees):
     for name in PROTOCOL_ATTRIBUTES:
         assert type(getattr(store, name)) is int
     assert drive_everything(store, n_trees) == drive_everything(
+        forest("node", n_trees), n_trees
+    )
+    # The session ends; the next store of this shape reopens the arena
+    # (the pointer forest is left to the collector) and drives alike.
+    store.release()
+    again = forest(backend, n_trees)
+    assert (again is store) == (backend == "arena")
+    assert drive_everything(again, n_trees) == drive_everything(
         forest("node", n_trees), n_trees
     )
 

@@ -9,8 +9,7 @@ Fusion is a *launch geometry* optimisation, never a results change:
   lanes, and a drained device pool after every schedule (Hypothesis);
 * the integrity screen must see every fused readback exactly once per
   tenant slice per delivery attempt;
-* crash -> recover with fused compiled runs completes exactly once;
-* the pad scratch buffer is reused, not re-allocated per launch.
+* crash -> recover with fused compiled runs completes exactly once.
 """
 
 import numpy as np
@@ -37,7 +36,6 @@ from repro.serve import (
     make_workload,
     read_journal,
 )
-from repro.serve import scheduler as scheduler_mod
 from repro.util.clock import Clock
 
 SEED = 17
@@ -505,47 +503,3 @@ class TestFusedCompiledRecovery:
         second = recover(copy)
         assert first == second
         assert all(key[0] == COMPLETED for key in first.values())
-
-
-# ---------------------------------------------------------------------------
-# Pad scratch reuse (allocation-count pin)
-# ---------------------------------------------------------------------------
-
-class TestScratchReuse:
-    def test_scratch_allocates_only_on_growth(self, monkeypatch):
-        batcher = LaneBatcher(make_pool(), SEED)
-        allocs = []
-        real_zeros = scheduler_mod.np.zeros
-
-        def counting(shape, *args, **kwargs):
-            allocs.append(shape)
-            return real_zeros(shape, *args, **kwargs)
-
-        monkeypatch.setattr(scheduler_mod.np, "zeros", counting)
-        a = batcher._scratch(256)
-        batcher._scratch(128)
-        b = batcher._scratch(256)
-        assert len(allocs) == 1  # 256 -> 128 -> 256: one allocation
-        assert a.base is b.base
-        batcher._scratch(1024)
-        assert len(allocs) == 2  # growth re-allocates, geometrically
-        assert batcher._steps_scratch.shape[0] >= 1024
-
-    def test_execute_reuses_scratch_across_launches(self):
-        batcher = LaneBatcher(make_pool(), SEED)
-        batcher.execute("tictactoe", states_for("tictactoe", 200))
-        buf = batcher._steps_scratch
-        batcher.execute("tictactoe", states_for("tictactoe", 200))
-        batcher.execute("tictactoe", states_for("tictactoe", 64))
-        assert batcher._steps_scratch is buf
-
-    def test_fused_execute_reuses_scratch(self):
-        batcher = FusedBatcher(make_pool(), SEED)
-        demand = {
-            "tictactoe": states_for("tictactoe", 200),
-            "connect4": states_for("connect4", 100),
-        }
-        batcher.execute_demand({g: list(s) for g, s in demand.items()})
-        buf = batcher._steps_scratch
-        batcher.execute_demand({g: list(s) for g, s in demand.items()})
-        assert batcher._steps_scratch is buf
