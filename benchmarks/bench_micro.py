@@ -19,19 +19,27 @@ before any speed; without a C toolchain the compiled cells run the
 NumPy fallback, identity is still asserted and the speed halves skip.
 """
 
+import os
+import subprocess
 import sys
 import time
+from functools import partial
 
 import numpy as np
 import pytest
 
 from repro.compiled import (
     block_compiled,
+    block_workers,
     compiled_available,
     kernel_body,
     unavailable_reason,
 )
-from repro.compiled.build import KERNEL_BODIES, pinned_kernel_body
+from repro.compiled.build import (
+    KERNEL_BODIES,
+    pinned_block_workers,
+    pinned_kernel_body,
+)
 from repro.core.arena import backprop_winners_many, select_round_many
 from repro.core.backend import make_forest, make_tree
 from repro.core.tree import SearchTree
@@ -63,6 +71,15 @@ FUSED_SEED = 85_2011
 #: The popcnt + BMI2 kernel body must clear this multiple of the
 #: portable one's speed on ``search_block``'s launch.
 BODIES_THRESHOLD = 1.3
+#: Every block worker must clear this multiple of the caller alone's
+#: speed on ``search_block``'s launch ...
+WORKERS_THRESHOLD = 1.5
+#: ... unless two CPU-bound processes side by side take more than this
+#: multiple of one's time: then the host has no second core to give.
+PROBE_LIMIT = 1.3
+#: With every thread on one CPU, a launch may cost at most this multiple
+#: of the caller alone's.
+LOST_CORE_LIMIT = 1.15
 #: A service tick's batched tree work must clear this multiple of the
 #: per-tenant loop's speed, over ``TICK_TENANTS`` ``root:8`` tenants
 #: of each of ``FUSED_GAMES``.
@@ -268,33 +285,44 @@ def test_micro_gpu_block_launch(benchmark, blocks, tpb):
     assert result.timing == want.timing and gpu.clock.now == twin.clock.now
 
 
-def test_micro_gpu_block_launch_bodies(headline):
+def time_search_block_launch(pins, rounds):
     """``search_block``'s launch -- Reversi 112 x 64 from an arena's
-    leaves -- on each kernel body in turn: byte-identical winners,
-    scores, finish steps and generator, and the popcnt + BMI2 body at
-    least ``BODIES_THRESHOLD`` times the portable one's speed (fastest
-    of interleaved launches: a shared host only ever adds time).  Skips
-    where the loading CPU does not pick the fast body."""
-    portable, fast = KERNEL_BODIES
-    if kernel_body() != fast:
-        pytest.skip(f"the loading CPU runs the {kernel_body()} kernel body")
+    leaves -- under each of ``pins`` (label -> context manager factory)
+    in turn, interleaved: the fastest launch of each in ms (a shared
+    host only ever adds time).  Every launch writes the same winners,
+    scores, finish steps and generator bytes."""
     forest, leaves = arena_leaves(112)
     positions = forest.positions_of(leaves)
     bg = make_batch_game("reversi")
-    seconds = {portable: [], fast: []}
-    for r in range(15 if resolve_tier() == "quick" else 31):
+    labels = list(pins)
+    seconds = {label: [] for label in labels}
+    for r in range(rounds):
         outputs = []
-        for body in (portable, fast) if r % 2 else (fast, portable):
+        for label in labels if r % 2 else labels[::-1]:
             rng = BatchXorShift128Plus(112 * 64, r)
-            with pinned_kernel_body(body):
+            with pins[label]():
                 t0 = time.perf_counter()
                 out = block_compiled(bg, positions, 64, rng)
-                seconds[body].append(time.perf_counter() - t0)
+                seconds[label].append(time.perf_counter() - t0)
             _, s0, s1 = rng.getstate()
             columns = (out.winners, out.scores, out.finish_steps, s0, s1)
             outputs.append([column.tobytes() for column in columns])
-        assert outputs[0] == outputs[1], "the kernel bodies disagree"
-    ms = {body: 1e3 * min(v) for body, v in seconds.items()}
+        assert outputs.count(outputs[0]) == len(labels), f"{labels} disagree"
+    return {label: 1e3 * min(v) for label, v in seconds.items()}
+
+
+def test_micro_gpu_block_launch_bodies(headline):
+    """``search_block``'s launch on each kernel body in turn:
+    byte-identical, and the popcnt + BMI2 body at least
+    ``BODIES_THRESHOLD`` times the portable one's speed.  Skips where
+    the loading CPU does not pick the fast body."""
+    portable, fast = KERNEL_BODIES
+    if kernel_body() != fast:
+        pytest.skip(f"the loading CPU runs the {kernel_body()} kernel body")
+    ms = time_search_block_launch(
+        {body: partial(pinned_kernel_body, body) for body in KERNEL_BODIES},
+        15 if resolve_tier() == "quick" else 31,
+    )
     speedup = ms[portable] / ms[fast]
     print(
         f"\nReversi 112x64 launch: {portable} {ms[portable]:.2f} ms, "
@@ -302,6 +330,113 @@ def test_micro_gpu_block_launch_bodies(headline):
     )
     headline.append(f"{fast}/{portable} launch {speedup:.2f}x")
     assert speedup >= BODIES_THRESHOLD
+
+
+def time_worker_counts(counts, rounds):
+    """:func:`time_search_block_launch` at each of ``counts`` block
+    workers."""
+    return time_search_block_launch(
+        {n: partial(pinned_block_workers, n) for n in counts}, rounds
+    )
+
+
+#: One CPU-bound process of :func:`two_process_probe`: prints the
+#: seconds its loop took.
+PROBE_LOOP = (
+    "import time\n"
+    "t0 = time.perf_counter()\n"
+    "x = 0\n"
+    "for i in range(3_000_000):\n"
+    "    x += i\n"
+    "print(time.perf_counter() - t0)\n"
+)
+
+
+def two_process_probe() -> float:
+    """How many times one CPU-bound process's time two of them take
+    side by side (fastest of three interleaved tries each): ≈ 1 where
+    the host gives this process's affinity mask a second core, ≈ 2
+    where it does not."""
+
+    def side_by_side(n):
+        children = [
+            subprocess.Popen(
+                [sys.executable, "-c", PROBE_LOOP],
+                stdout=subprocess.PIPE,
+                text=True,
+            )
+            for _ in range(n)
+        ]
+        return max(
+            float(child.communicate(timeout=120)[0]) for child in children
+        )
+
+    tries = [(side_by_side(1), side_by_side(2)) for _ in range(3)]
+    return min(pair for _, pair in tries) / min(one for one, _ in tries)
+
+
+def require_workers() -> int:
+    """The block workers of this process; skips on a single one."""
+    require_compiled()
+    workers = block_workers()
+    if workers < 2:
+        pytest.skip("one CPU in this process's affinity mask")
+    return workers
+
+
+def test_micro_gpu_block_launch_workers(headline):
+    """``search_block``'s launch on the caller alone and on every block
+    worker: byte-identical, and every worker at least
+    ``WORKERS_THRESHOLD`` times the caller alone's speed (fastest of
+    interleaved launches).  Skips with a single worker; the speed half
+    skips, saying why, where a two-process probe reads above
+    ``PROBE_LIMIT``."""
+    workers = require_workers()
+    rounds = 15 if resolve_tier() == "quick" else 31
+    ms = time_worker_counts((1, workers), rounds)
+    speedup = ms[1] / ms[workers]
+    print(
+        f"\nReversi 112x64 launch: 1 worker {ms[1]:.2f} ms, "
+        f"{workers} workers {ms[workers]:.2f} ms, {speedup:.2f}x"
+    )
+    probe = two_process_probe()
+    print(f"two-process probe {probe:.2f}x")
+    if probe > PROBE_LIMIT:
+        pytest.skip(
+            f"two CPU-bound processes take {probe:.2f}x one's time: this "
+            f"host does not give the second core"
+        )
+    headline.append(
+        f"{workers}-worker/1-worker launch {speedup:.2f}x "
+        f"(probe {probe:.2f}x)"
+    )
+    assert speedup >= WORKERS_THRESHOLD
+
+
+def test_micro_gpu_block_launch_lost_core(headline):
+    """Once the pool has started, every thread of the process is pinned
+    to one CPU -- a host that takes the helpers' cores away.  A launch on
+    every worker then costs at most ``LOST_CORE_LIMIT`` times the caller
+    alone's: the caller never waits on a helper that holds no block.
+    The threads' masks are restored afterwards."""
+    workers = require_workers()  # starts the pool
+    tasks = [int(tid) for tid in os.listdir("/proc/self/task")]
+    masks = {tid: os.sched_getaffinity(tid) for tid in tasks}
+    cpu = min(os.sched_getaffinity(0))
+    try:
+        for tid in tasks:
+            os.sched_setaffinity(tid, {cpu})
+        ms = time_worker_counts((1, workers), 15)
+    finally:
+        for tid, mask in masks.items():
+            os.sched_setaffinity(tid, mask)
+    cost = ms[workers] / ms[1]
+    print(
+        f"\nReversi 112x64 launch on one CPU: 1 worker {ms[1]:.2f} ms, "
+        f"{workers} workers {ms[workers]:.2f} ms, {cost:.2f}x"
+    )
+    headline.append(f"lost-core launch {cost:.2f}x the caller alone")
+    assert cost <= LOST_CORE_LIMIT
 
 
 def test_micro_rng_batch(benchmark):

@@ -99,7 +99,19 @@ def _cmd_devices(_args) -> int:
             f"threads @ {spec.clock_hz / 1e9:.2f} GHz, "
             f"{spec.global_mem_bytes // 1024**2} MiB"
         )
+    print(_host_line())
     return 0
+
+
+def _host_line() -> str:
+    """What plays the playouts on this host: the kernel body and how many
+    block workers a launch uses, or why there is no kernel library."""
+    from repro.compiled import block_workers, kernel_body, unavailable_reason
+
+    body = kernel_body()
+    if body is None:
+        return f"host: no compiled kernels ({unavailable_reason()})"
+    return f"host: kernel body {body}, {block_workers()} block workers"
 
 
 #: Flags each serve-bench mode cannot honour, by mode flag (argparse

@@ -5,6 +5,8 @@ Public surface:
 * :func:`compiled_available` -- is the toolchain-built library usable?
 * :func:`kernel_body` -- which body of the playout exports it runs
   (``"portable"`` or ``"popcnt+bmi2"``, picked when it loads).
+* :func:`block_workers` -- how many host threads a block launch plays
+  its blocks on (one per CPU of the process's affinity mask).
 * :func:`block_compiled` -- the virtual GPU's entry: positions x lanes
   per position on the caller's generator, winners / scores / finish
   steps out.
@@ -27,6 +29,7 @@ Public surface:
 """
 
 from repro.compiled.build import (
+    block_workers,
     build_library,
     compiled_disabled,
     kernel_body,
@@ -61,6 +64,7 @@ __all__ = [
     "backprop_winners_compiled",
     "backprop_winners_many_compiled",
     "block_compiled",
+    "block_workers",
     "build_library",
     "compiled_available",
     "compiled_disabled",

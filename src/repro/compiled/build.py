@@ -42,7 +42,9 @@ _SOURCE = Path(__file__).with_name("playout.c")
 #: bit for bit; on FMA targets (aarch64, ``-march=native``) GCC's default
 #: contraction would fuse the multiply-add and round once instead of
 #: twice.  Everything else in ``playout.c`` is integer arithmetic.
-_CFLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
+#: ``-pthread``: the block exports play on a pool of helper threads
+#: (:func:`block_workers`).
+_CFLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off", "-pthread")
 #: After the source on the command line: ``log`` / ``sqrt`` for the same
 #: scores -- the libm ``math.log`` itself calls.
 _LDLIBS = ("-lm",)
@@ -221,6 +223,10 @@ _LAZY_SIGNATURES = {
     "pin_kernel_body": (ctypes.c_int, [ctypes.c_int64]),
     # (n, masks, ranks, out)
     "nth_bits": (None, [ctypes.c_int64] + [ctypes.c_void_p] * 3),
+    # () -> workers a block launch uses, the caller included
+    "block_workers": (ctypes.c_int64, []),
+    # (at most this many workers, or -1: all of them) -> 0 | -1
+    "pin_block_workers": (ctypes.c_int, [ctypes.c_int64]),
 }
 
 
@@ -300,6 +306,34 @@ def pinned_kernel_body(body: str):
         raise LookupError(f"this host cannot run the {body!r} kernel body")
     pin = lazy_export(load_library(), "pin_kernel_body")
     pin(KERNEL_BODIES.index(body))
+    try:
+        yield
+    finally:
+        pin(-1)
+
+
+def block_workers() -> int | None:
+    """How many workers a block launch (``repro_<game>_block``) plays
+    on: the calling thread and one helper per further CPU of the
+    process's affinity mask, so ``taskset`` is the control.  Starts the
+    pool; ``None`` without a library.  A diagnostic, like
+    :func:`kernel_body`."""
+    lib = load_library()
+    if lib is None:
+        return None
+    return lazy_export(lib, "block_workers")()
+
+
+@contextlib.contextmanager
+def pinned_block_workers(workers: int):
+    """Test hook, the twin of :func:`pinned_kernel_body`: block launches
+    use at most ``workers`` workers inside the block (1: the caller
+    alone), and all of them again after it.  Raises ``LookupError``
+    when this host has fewer."""
+    lib = load_library()
+    pin = None if lib is None else lazy_export(lib, "pin_block_workers")
+    if pin is None or workers < 1 or pin(workers):
+        raise LookupError(f"this host cannot run {workers} block workers")
     try:
         yield
     finally:

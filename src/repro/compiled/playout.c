@@ -6,9 +6,11 @@
  * `repro_<game>_launch` takes absolute planes and a lane-seed range (the
  * serving batchers' and `BatchExecutor`'s launches); `repro_<game>_block`
  * takes absolute planes, a lane count per position and the caller's
- * generator (the virtual GPU's launches: block b plays from position b).
- * Both derive what a playout starts from -- the mover's perspective,
- * over at entry -- here, once per position (`<game>_entry`).
+ * generator (the virtual GPU's launches: block b plays from position b),
+ * and plays its blocks on every CPU of the affinity mask (section "Block
+ * workers"); everything else runs on the calling thread.  Both derive
+ * what a playout starts from -- the mover's perspective, over at entry
+ * -- here, once per position (`<game>_entry`).
  * `repro_<game>_playouts` takes a NumPy batch object's fields, already
  * derived, and the caller's generator (benchmark ladder and tests).
  *
@@ -47,9 +49,15 @@
  * absence of a toolchain falls back to the NumPy path.
  */
 
+#define _GNU_SOURCE /* sched_getaffinity, CPU_COUNT */
 #include <math.h>
+#include <pthread.h>
+#include <sched.h>
+#include <signal.h>
+#include <stdatomic.h>
 #include <stdint.h>
 #include <stdlib.h>
+#include <unistd.h>
 
 #if defined(__x86_64__) && defined(__GNUC__)
 #include <immintrin.h>
@@ -256,17 +264,267 @@ FORCE_INLINE int launch_lanes(int64_t n, const uint64_t *p1,
  * repro/core/executors.py::launch_block_numpy): `lanes` playouts per
  * position, lanes [i * lanes, (i + 1) * lanes) of the caller's k * lanes
  * wide generator (s0, s1) playing from position i -- a kernel launch in
- * which block i's threads play from tree i's leaf.  Writes every lane
- * of winners / scores / finish and settles the generator where the
- * lockstep driver would leave it.  Returns 0; -1 when a lane exceeds
- * `max_steps`; -2 when an allocation fails (generator untouched). */
-FORCE_INLINE int block_lanes(int64_t k, const uint64_t *p1,
-                             const uint64_t *p2, const int8_t *to_move,
-                             int64_t lanes, uint64_t *s0, uint64_t *s1,
-                             int8_t *winners, int16_t *scores,
-                             int64_t *finish, int64_t max_steps,
-                             int64_t min_compact, double thr,
-                             entry_fn entry, from_fn from, nth_fn nth)
+ * which block i's threads play from tree i's leaf.  Blocks are
+ * independent until the generator is settled, so they are played on the
+ * block workers (next section), each written straight into its own lanes
+ * of winners / scores / finish; `finalize` then runs once, on the
+ * caller, after every block has landed.  What a block writes depends
+ * only on its position and its lanes' generator states, and `finalize`
+ * reads only the finish steps, so outputs and generator are the same
+ * bytes for any worker count (docs/block_parallelism.md). */
+typedef struct block_job block_job_t;
+struct block_job {
+    const uint64_t *p1, *p2;
+    const int8_t *to_move;
+    int64_t lanes;
+    const uint64_t *s0, *s1;
+    int8_t *winners;
+    int16_t *scores;
+    int64_t *finish;
+    int64_t max_steps;
+    /* Plays block i of this launch (one per body and game). */
+    int (*play)(const block_job_t *job, int64_t i);
+};
+
+/* Block i of `job`.  Returns 0, or -1 when a lane exceeds `max_steps`. */
+FORCE_INLINE int play_block(const block_job_t *job, int64_t i,
+                            entry_fn entry, from_fn from, nth_fn nth)
+{
+    entry_t e = entry(job->p1[i], job->p2[i], job->to_move[i]);
+    for (int64_t j = i * job->lanes; j < (i + 1) * job->lanes; j++) {
+        int score;
+        int64_t steps = from(e, job->to_move[i], job->s0[j], job->s1[j],
+                             job->max_steps, &score, nth);
+        if (steps < 0)
+            return -1;
+        job->finish[j] = steps;
+        job->scores[j] = (int16_t)score;
+        job->winners[j] = sign_of(score);
+    }
+    return 0;
+}
+
+/* -- Block workers ------------------------------------------------------- */
+
+/* The host's stand-in for a GPU's streaming multiprocessors: the caller
+ * of a block export and one persistent helper thread per further CPU
+ * of the process's affinity mask, started on first use.  A launch of
+ * k >= 2 blocks wakes the helpers once; then every worker, the caller
+ * first, claims the next unplayed block from one shared word and plays
+ * it, until none is left (docs/block_parallelism.md).
+ *
+ * The word packs the open launch's number (high half) and its next
+ * unclaimed block (low half); a claim is one compare-and-swap that
+ * checks both, so a helper that wakes after its launch closed claims
+ * nothing and touches nothing of it.  The caller closes the launch by
+ * swapping the low half to CLOSED, which returns how many blocks were
+ * claimed, and then waits only for claimed blocks to land: a helper
+ * that holds no block is never waited on, and one whose core is taken
+ * away costs at most the block it holds.  One caller at a time uses the
+ * pool; a second concurrent caller, a launch of one block, and a forked
+ * child play alone. */
+
+#define CLOSED 0xFFFFFFFFULL
+
+static struct {
+    pthread_mutex_t mu;
+    pthread_cond_t wake;    /* helpers: a launch opened */
+    pthread_cond_t landed;  /* the caller: a helper's block landed */
+    /* Under mu: launches opened, the open one's job, the workers it
+     * may use (caller included) and the blocks helpers have landed; is
+     * the caller asleep on `landed`? */
+    uint64_t opened;
+    const block_job_t *job;
+    int64_t cap, landed_blocks;
+    int waiting;
+    /* Set once, by start_pool (or by a fork, to 0). */
+    int64_t helpers;
+    _Atomic uint64_t word;     /* (launch << 32) | next unclaimed block */
+    _Atomic int64_t limit;     /* blocks in the open launch */
+    _Atomic int failed;        /* a lane of the open launch ran too long */
+    _Atomic int64_t pinned;    /* workers a launch may use; < 1: all */
+    atomic_flag busy;          /* a caller holds the pool */
+} pool = {
+    .mu = PTHREAD_MUTEX_INITIALIZER,
+    .wake = PTHREAD_COND_INITIALIZER,
+    .landed = PTHREAD_COND_INITIALIZER,
+    .busy = ATOMIC_FLAG_INIT,
+};
+
+static pthread_once_t pool_once = PTHREAD_ONCE_INIT;
+
+/* The next block of launch `launch`, or -1 once that launch is fully
+ * claimed, has failed, is closed, or is no longer the open one.  A
+ * successful claim keeps the launch -- and `pool.job` -- alive until
+ * the block lands. */
+static int64_t claim(uint32_t launch)
+{
+    uint64_t w = atomic_load_explicit(&pool.word, memory_order_acquire);
+    for (;;) {
+        uint64_t next = w & CLOSED;
+        if ((uint32_t)(w >> 32) != launch
+            || (int64_t)next
+                   >= atomic_load_explicit(&pool.limit, memory_order_relaxed)
+            || atomic_load_explicit(&pool.failed, memory_order_relaxed))
+            return -1;
+        if (atomic_compare_exchange_weak_explicit(
+                &pool.word, &w, w + 1, memory_order_acq_rel,
+                memory_order_acquire))
+            return (int64_t)next;
+    }
+}
+
+/* Play one claimed block of the open launch. */
+static void play_claimed(int64_t i)
+{
+    const block_job_t *job = pool.job;
+    if (job->play(job, i))
+        atomic_store_explicit(&pool.failed, 1, memory_order_relaxed);
+}
+
+static void *helper_main(void *arg)
+{
+    int64_t index = (int64_t)(intptr_t)arg;  /* 1 .. helpers */
+    uint64_t seen = 0;
+    pthread_mutex_lock(&pool.mu);
+    for (;;) {
+        while (pool.opened == seen)
+            pthread_cond_wait(&pool.wake, &pool.mu);
+        seen = pool.opened;
+        int plays = index < pool.cap;
+        pthread_mutex_unlock(&pool.mu);
+        int64_t i;
+        while (plays && (i = claim((uint32_t)seen)) >= 0) {
+            play_claimed(i);
+            pthread_mutex_lock(&pool.mu);
+            pool.landed_blocks++;
+            if (pool.waiting)
+                pthread_cond_signal(&pool.landed);
+            pthread_mutex_unlock(&pool.mu);
+        }
+        pthread_mutex_lock(&pool.mu);
+    }
+    return NULL;
+}
+
+/* No helper thread survives a fork: the child plays alone. */
+static void before_fork(void)
+{
+    pthread_mutex_lock(&pool.mu);
+}
+
+static void after_fork_in_parent(void)
+{
+    pthread_mutex_unlock(&pool.mu);
+}
+
+static void after_fork_in_child(void)
+{
+    pthread_mutex_init(&pool.mu, NULL);
+    pthread_cond_init(&pool.wake, NULL);
+    pthread_cond_init(&pool.landed, NULL);
+    pool.helpers = 0;
+    atomic_flag_clear(&pool.busy);
+}
+
+static int64_t affinity_cpus(void)
+{
+#ifdef __linux__
+    cpu_set_t cpus;
+    if (sched_getaffinity(0, sizeof cpus, &cpus) == 0)
+        return CPU_COUNT(&cpus);
+#endif
+    long online = sysconf(_SC_NPROCESSORS_ONLN);
+    return online > 0 ? online : 1;
+}
+
+/* One helper per CPU the process may run on, minus the caller's; with
+ * every signal blocked, so signals reach the interpreter's threads. */
+static void start_pool(void)
+{
+    pthread_attr_t attr;
+    sigset_t all, old;
+    if (pthread_attr_init(&attr))
+        return;
+    pthread_attr_setdetachstate(&attr, PTHREAD_CREATE_DETACHED);
+    sigfillset(&all);
+    pthread_sigmask(SIG_BLOCK, &all, &old);
+    for (int64_t h = 1, n = affinity_cpus(); h < n; h++) {
+        pthread_t thread;
+        if (pthread_create(&thread, &attr, helper_main, (void *)(intptr_t)h))
+            break;
+        pool.helpers++;
+    }
+    pthread_sigmask(SIG_SETMASK, &old, NULL);
+    pthread_attr_destroy(&attr);
+    pthread_atfork(before_fork, after_fork_in_parent, after_fork_in_child);
+}
+
+/* Workers a launch uses, the caller included. */
+static int64_t launch_workers(void)
+{
+    pthread_once(&pool_once, start_pool);
+    int64_t all = pool.helpers + 1;
+    int64_t pin = atomic_load_explicit(&pool.pinned, memory_order_relaxed);
+    return pin >= 1 && pin < all ? pin : all;
+}
+
+/* Play blocks [0, k) of `job` on the block workers.  Returns 0, or 1
+ * when a lane ran past `max_steps` (blocks after it may be skipped). */
+static int run_blocks(const block_job_t *job, int64_t k)
+{
+    int64_t cap = k >= 2 && k < (int64_t)CLOSED ? launch_workers() : 1;
+    if (cap < 2
+        || atomic_flag_test_and_set_explicit(&pool.busy,
+                                             memory_order_acquire)) {
+        for (int64_t i = 0; i < k; i++)
+            if (job->play(job, i))
+                return 1;
+        return 0;
+    }
+    pthread_mutex_lock(&pool.mu);
+    uint32_t launch = (uint32_t)++pool.opened;
+    pool.job = job;
+    pool.cap = cap;
+    pool.landed_blocks = 0;
+    atomic_store_explicit(&pool.failed, 0, memory_order_relaxed);
+    atomic_store_explicit(&pool.limit, k, memory_order_relaxed);
+    atomic_store_explicit(&pool.word, (uint64_t)launch << 32,
+                          memory_order_release);
+    pthread_cond_broadcast(&pool.wake);
+    pthread_mutex_unlock(&pool.mu);
+
+    int64_t mine = 0, i;
+    while ((i = claim(launch)) >= 0) {
+        play_claimed(i);
+        mine++;
+    }
+    uint64_t last = atomic_exchange_explicit(
+        &pool.word, ((uint64_t)launch << 32) | CLOSED, memory_order_acq_rel);
+    int64_t claimed = (int64_t)(last & CLOSED);
+    if (claimed > mine) {
+        pthread_mutex_lock(&pool.mu);
+        pool.waiting = 1;
+        while (pool.landed_blocks < claimed - mine)
+            pthread_cond_wait(&pool.landed, &pool.mu);
+        pool.waiting = 0;
+        pthread_mutex_unlock(&pool.mu);
+    }
+    int failed = atomic_load_explicit(&pool.failed, memory_order_relaxed);
+    atomic_flag_clear_explicit(&pool.busy, memory_order_release);
+    return failed;
+}
+
+/* Every lane of winners / scores / finish, and the generator settled
+ * where the lockstep driver would leave it.  Returns 0; -1 when a lane
+ * exceeds `max_steps`; -2 when an allocation fails (generator untouched
+ * either way). */
+static int block_lanes(int64_t k, const uint64_t *p1, const uint64_t *p2,
+                       const int8_t *to_move, int64_t lanes, uint64_t *s0,
+                       uint64_t *s1, int8_t *winners, int16_t *scores,
+                       int64_t *finish, int64_t max_steps,
+                       int64_t min_compact, double thr,
+                       int (*play)(const block_job_t *, int64_t))
 {
     int64_t n = k * lanes;
     uint64_t *init_s0 = copy_u64(s0, n), *init_s1 = copy_u64(s1, n);
@@ -275,24 +533,11 @@ FORCE_INLINE int block_lanes(int64_t k, const uint64_t *p1,
         free(init_s1);
         return -2;
     }
-    int err = 0;
-    for (int64_t i = 0; i < k && !err; i++) {
-        entry_t e = entry(p1[i], p2[i], to_move[i]);
-        for (int64_t j = i * lanes; j < (i + 1) * lanes; j++) {
-            int score;
-            int64_t steps = from(e, to_move[i], s0[j], s1[j], max_steps,
-                                 &score, nth);
-            if (steps < 0) {
-                err = 1;
-                break;
-            }
-            finish[j] = steps;
-            scores[j] = (int16_t)score;
-            winners[j] = sign_of(score);
-        }
-    }
-    return finalize(n, s0, s1, init_s0, init_s1, finish, min_compact,
-                    thr, err);
+    block_job_t job = {p1,      p2,     to_move, lanes,     s0,  s1,
+                       winners, scores, finish,  max_steps, play};
+    int err = run_blocks(&job, k);
+    return finalize(n, s0, s1, init_s0, init_s1, finish, min_compact, thr,
+                    err);
 }
 
 /* The batch-object entry (must match repro/games/batch.py::
@@ -643,9 +888,13 @@ typedef struct {
     {                                                                        \
         return launch_lanes(LAUNCH_ARGS, ENTRY, FROM, NTH);                  \
     }                                                                        \
-    TARGET static int B##_##GAME##_block(BLOCK_PARAMS)                       \
+    TARGET static int B##_##GAME##_play(const block_job_t *job, int64_t i)   \
     {                                                                        \
-        return block_lanes(BLOCK_ARGS, ENTRY, FROM, NTH);                    \
+        return play_block(job, i, ENTRY, FROM, NTH);                         \
+    }                                                                        \
+    static int B##_##GAME##_block(BLOCK_PARAMS)                              \
+    {                                                                        \
+        return block_lanes(BLOCK_ARGS, B##_##GAME##_play);                   \
     }
 
 /* Body B, named NAME: the nine playout exports, and the pick alone on
@@ -803,6 +1052,26 @@ int repro_pin_kernel_body(int64_t i)
 void repro_nth_bits(NTH_PARAMS)
 {
     body->nth_bits(NTH_ARGS);
+}
+
+/* Diagnostic: how many workers a block launch uses, the caller
+ * included (starts the pool). */
+int64_t repro_block_workers(void)
+{
+    return launch_workers();
+}
+
+/* Test helper, the twin of `repro_pin_kernel_body`: let every later
+ * launch use at most n workers (n = 1: the caller alone), or all of
+ * them again (n < 0); -1, pinning nothing, when n is 0 or more than the
+ * pool has. */
+int repro_pin_block_workers(int64_t n)
+{
+    pthread_once(&pool_once, start_pool);
+    if (n == 0 || n > pool.helpers + 1)
+        return -1;
+    atomic_store_explicit(&pool.pinned, n, memory_order_relaxed);
+    return 0;
 }
 
 /* -- Batch node expansion (must match repro/core/arena.py) --------------- */

@@ -238,14 +238,12 @@ def make_trace(config: TraceConfig) -> list[SearchRequest]:
         i += 1
 
     wl = config.workload
-    positions, pos_cdf = shape_tables(wl)
+    tables = shape_tables(wl)
     names, mix_cdf = _mix_cdf(config.class_mix)
     tenant_cdf = _zipf_cdf(config.n_tenants, config.tenant_skew)
     requests = []
     for j, arrival in enumerate(arrivals):
-        game, engine, budget, state = shape_request(
-            wl, j, positions, pos_cdf
-        )
+        game, engine, budget, state = shape_request(wl, j, *tables)
         priority = names[
             _zipf_draw(
                 trace_uniform(config.seed, "class", j), mix_cdf

@@ -157,11 +157,28 @@ def _zipf_cdf(pool: int, skew: float) -> list[float]:
     return cdf
 
 
-def shape_tables(config: WorkloadConfig) -> tuple[dict, list[float]]:
-    """The per-game position pools and Zipf CDF one workload shape
-    draws from.  Shared with the open-loop trace generator
-    (:mod:`repro.serve.overload`), which reuses this machinery for
-    request *shape* while supplying its own arrival process."""
+def _shaped_engines(config: WorkloadConfig) -> tuple:
+    """``config.engines`` with the workload's backend / playout applied,
+    each entry rewritten once (an explicit @node/@arena/@compiled in
+    the spec wins -- and is kept verbatim so request strings stay
+    stable)."""
+    if config.backend == DEFAULT_BACKEND and config.playout == DEFAULT_PLAYOUT:
+        return config.engines
+    engines = []
+    for engine in config.engines:
+        spec = EngineSpec.coerce(engine)
+        rewritten = with_playout(
+            with_backend(spec, config.backend), config.playout
+        )
+        engines.append(engine if rewritten is spec else rewritten.canonical())
+    return tuple(engines)
+
+
+def shape_tables(config: WorkloadConfig) -> tuple[dict, list[float], tuple]:
+    """The per-game position pools, Zipf CDF and rewritten engine specs
+    one workload shape draws from.  Shared with the open-loop trace
+    generator (:mod:`repro.serve.overload`), which reuses this machinery
+    for request *shape* while supplying its own arrival process."""
     pool = config.effective_position_pool
     positions = (
         {
@@ -172,7 +189,7 @@ def shape_tables(config: WorkloadConfig) -> tuple[dict, list[float]]:
         else {}
     )
     cdf = _zipf_cdf(pool, config.position_skew) if pool else []
-    return positions, cdf
+    return positions, cdf, _shaped_engines(config)
 
 
 def shape_request(
@@ -180,27 +197,19 @@ def shape_request(
     i: int,
     positions: dict,
     cdf: list[float],
+    engines: tuple,
 ) -> tuple:
     """``(game, engine, budget_s, state)`` of request ``i`` under
-    ``config``'s shape machinery (game/engine cycling, Zipf position
-    skew, backend/playout rewriting)."""
+    ``config``'s shape machinery (game/engine cycling over ``engines``,
+    Zipf position skew), from the tables of :func:`shape_tables`."""
     pool = config.effective_position_pool
     game = config.games[i % len(config.games)]
-    engine = config.engines[i % len(config.engines)]
+    engine = engines[i % len(engines)]
     state = None
     if pool:
         u = derive_seed(config.seed, "zipf", i) / 2.0**64
         rank = min(bisect.bisect_left(cdf, u), pool - 1)
         state = positions[game][rank]
-    if config.backend != DEFAULT_BACKEND or config.playout != DEFAULT_PLAYOUT:
-        # An explicit @node/@arena/@compiled in the spec wins --
-        # and is kept verbatim so request strings stay stable.
-        spec = EngineSpec.coerce(engine)
-        rewritten = with_playout(
-            with_backend(spec, config.backend), config.playout
-        )
-        if rewritten is not spec:
-            engine = rewritten.canonical()
     budget = DEFAULT_BUDGETS[game] * config.budget_scale
     return game, engine, budget, state
 
@@ -209,11 +218,9 @@ def make_workload(config: WorkloadConfig) -> list[SearchRequest]:
     """The workload: ``n_requests`` mixed searches, fully determined
     by ``config`` (and therefore by its seed)."""
     requests = []
-    positions, cdf = shape_tables(config)
+    tables = shape_tables(config)
     for i in range(config.n_requests):
-        game, engine, budget, state = shape_request(
-            config, i, positions, cdf
-        )
+        game, engine, budget, state = shape_request(config, i, *tables)
         requests.append(
             SearchRequest(
                 request_id=f"{config.id_prefix}{i:03d}",

@@ -105,3 +105,35 @@ class TestPositionSkew:
             WorkloadConfig(position_skew=-0.1)
         with pytest.raises(ValueError, match="position_pool"):
             WorkloadConfig(position_pool=-1)
+
+    def test_each_engine_entry_is_rewritten_once_per_workload(
+        self, monkeypatch
+    ):
+        """The stack suffix is applied per engine entry, not per request;
+        an explicit modifier in the spec still wins, kept verbatim."""
+        from repro.serve import workload
+
+        calls = []
+        real = workload.with_backend
+
+        def counting(spec, backend):
+            calls.append(spec)
+            return real(spec, backend)
+
+        monkeypatch.setattr(workload, "with_backend", counting)
+        engines = ("sequential", "root:2@node", "block:2x4@compiled")
+        reqs = make_workload(
+            WorkloadConfig(
+                n_requests=60,
+                engines=engines,
+                backend="arena",
+                playout="compiled",
+            )
+        )
+        assert len(calls) == len(engines)
+        assert [r.engine for r in reqs[:3]] == [
+            "sequential@arena@compiled",
+            "root:2@compiled",
+            "block:2x4@arena@compiled",
+        ]
+        assert [r.engine for r in reqs] == [r.engine for r in reqs[:3]] * 20

@@ -32,6 +32,25 @@ class TestCommands:
         assert "tesla_c2050" in out
         assert "14 SMs" in out
 
+    def test_devices_ends_with_the_host_line(self, capsys, monkeypatch):
+        from repro.compiled import block_workers, kernel_body
+
+        assert main(["devices"]) == 0
+        last = capsys.readouterr().out.splitlines()[-1]
+        if kernel_body() is None:
+            assert last.startswith("host: no compiled kernels (")
+        else:
+            assert last == (
+                f"host: kernel body {kernel_body()}, "
+                f"{block_workers()} block workers"
+            )
+        monkeypatch.setenv("REPRO_COMPILED", "0")
+        assert main(["devices"]) == 0
+        last = capsys.readouterr().out.splitlines()[-1]
+        assert last == (
+            "host: no compiled kernels (disabled via REPRO_COMPILED)"
+        )
+
     def test_run_unknown_experiment(self):
         with pytest.raises(ValueError, match="unknown experiment"):
             main(["run", "fig42"])
