@@ -11,9 +11,12 @@ throughput.  Virtual-time semantics are untouched -- each
 engine still charges its own clock -- and outcomes are deterministic
 given the full cohort configuration.
 
-GPU-backed players (leaf/block/hybrid/multi-GPU engines) do not join
-the merge; their playouts already run as wide kernels and are executed
-directly when their game's turn comes.
+Every engine kind but multi-GPU is a round policy, but only the CPU
+kinds join the merge (``engine.gpu is None``).  The GPU kinds
+(leaf/block/hybrid) run their rounds alone on their own virtual
+device, and multi-GPU runs its rank loop; their playouts already run
+as wide kernels, and they search when their game's turn comes, so
+their RNG streams are the ones a standalone ``search()`` draws.
 
 :func:`play_matchups` is the match protocol on top of it -- several
 subjects, one opponent, colours alternated, one
@@ -68,6 +71,7 @@ def play_games_cohort(
             # engines, non-MCTS players) move on their own below.
             if (
                 isinstance(player, MctsPlayer)
+                and player.engine.gpu is None
                 and player.engine.round_policy is not None
             ):
                 engine = player.engine

@@ -1,20 +1,17 @@
 """Engine base class and the playout-executor seam.
 
-CPU-side engines are written as *round policies*
-(:mod:`repro.core.rounds`, one per engine kind): a round selects the
-leaf states whose playouts it needs, an *executor* answers them with
-``(winner, plies)`` pairs, and the round backs those up.  That seam
-lets
+Every engine kind but ``multigpu`` (whose MPI ranks vote over block
+engines) is a *round policy* (:mod:`repro.core.rounds`): a round
+selects the leaves whose playouts it needs, an *executor* answers
+them, and the round backs the answers up.  That seam lets
 
-* ``search()`` run standalone with a local executor (``run_rounds``
-  over the one session), and
-* the arena and the search service advance many engines' rounds in
-  lockstep (:meth:`Engine.open_round`), merging their playout requests
-  into one vectorised batch (how a 1-core-per-player tournament stays
-  tractable on one machine).
-
-GPU engines implement ``search`` directly (their playouts already run
-as wide kernels on the virtual device).
+* ``search()`` / ``resume()`` run standalone (``run_rounds`` over the
+  one session): a CPU kind on a local playout executor, a GPU kind
+  (:class:`GpuEngine`) on its own ``VirtualGpu``; and
+* the arena and the search service advance many CPU engines' rounds
+  in lockstep (:meth:`Engine.open_round`), merging their playout
+  requests into one vectorised batch (how a 1-core-per-player
+  tournament stays tractable on one machine).
 """
 
 from __future__ import annotations
@@ -55,7 +52,7 @@ from repro.core.tree import (
     trimmed_vote_stat_dicts,
 )
 from repro.games import make_batch_game
-from repro.gpu import LaunchConfig, VirtualGpu
+from repro.gpu import TESLA_C2050, LaunchConfig, VirtualGpu
 from repro.integrity.engine import IntegrityState
 from repro.rng import XorShift64Star
 from repro.util.clock import Clock
@@ -93,8 +90,8 @@ class Engine:
     gpu: "VirtualGpu | None" = None
     #: Root-vote mode; the engines that take ``vote=`` set it.
     vote: str = "sum"
-    #: The kind's round logic (:mod:`repro.core.rounds`); the CPU
-    #: round engines set it, the GPU engines search directly.
+    #: The kind's round logic (:mod:`repro.core.rounds`); every kind
+    #: but ``multigpu`` sets it.
     round_policy: "type[Round] | None" = None
 
     def __init__(
@@ -147,13 +144,11 @@ class Engine:
 
     def search(self, state: GameState, budget_s: float) -> SearchResult:
         """Run an anytime search for ``budget_s`` *virtual* seconds:
-        the round policy over a private executor (the GPU engines
-        override this)."""
+        the round policy over the engine's own executor."""
         # Executor before session setup: an executor that forks the
         # engine RNG draws before the session's trees do.
-        executor = self._own_executor()
-        self._begin_session(state, budget_s, executor)
-        return run_rounds([self.open_round()], executor)[0]
+        self._begin_session(state, budget_s, self._own_executor())
+        return self.resume()
 
     def _own_executor(self):
         """The executor ``search()`` answers the session with: one
@@ -169,7 +164,7 @@ class Engine:
     ) -> None:
         """Engine-specific: set up ``self._live`` for a new search,
         answered by ``executor`` (None: the driver answers it --
-        the arena cohort, the search service)."""
+        the arena cohort, the search service; a GPU kind's own device)."""
         raise NotImplementedError
 
     def open_round(self) -> "Round":
@@ -238,16 +233,13 @@ class Engine:
 
     def resume(self) -> SearchResult:
         """Run a restored (or interrupted) session to completion."""
-        session = self._require_session()
-        if self.round_policy is None:
-            return self._session_run()
-        executor = session.get("executor")
-        if executor is None:
+        rnd = self.open_round()
+        if rnd.executor is None:
             raise CheckpointError(
                 f"{self.name}: session was driven externally; advance "
                 "its open_round() with your executor instead"
             )
-        return run_rounds([self.open_round()], executor)[0]
+        return run_rounds([rnd], rnd.executor)[0]
 
     def _require_session(self) -> dict:
         if self._live is None:
@@ -256,12 +248,6 @@ class Engine:
                 "or interrupt a search first)"
             )
         return self._live
-
-    def _session_run(self) -> SearchResult:
-        """Engine-specific direct continuation over ``self._live``."""
-        raise NotImplementedError(
-            f"{self.name} engine has no direct session"
-        )
 
     def _snapshot_payload(self) -> dict:
         """The session dict as plain data, key for key: scalars pass
@@ -379,49 +365,15 @@ class Engine:
         store.release()
         return result
 
-    def _attach_gpu(
-        self, blocks: int, threads_per_block: int, device
-    ) -> None:
-        """Validate the launch shape and give the engine its private
-        virtual device on the engine clock."""
-        self.config = LaunchConfig(blocks, threads_per_block)
-        self.config.validate(device)
-        self.gpu = VirtualGpu(
-            device,
-            self.clock,
-            self.game.name,
-            derive_seed(self.seed, "gpu"),
-            playout=self.playout,
-        )
-        self._control_time: dict[int, float] = {}
-
-    def _charge_tree_control(self, depths) -> None:
-        """Charge the controlling CPU's per-tree share of one GPU
-        iteration (``select_expand_all``'s depths).
-        ``tree_control_time`` is a pure function of depth; memoising it
-        repeats the exact same floats, so clock accumulation (and every
-        budget decision) is unchanged -- including across a checkpoint
-        / restore boundary, where the cache refills identically."""
-        cache = self._control_time
-        advance = self.clock.advance
-        # Plain ints: an ``np.int64`` key costs the look-up 3-4x.
-        if isinstance(depths, np.ndarray):
-            depths = depths.tolist()
-        for depth in depths:
-            t = cache.get(depth)
-            if t is None:
-                t = cache[depth] = self.cost.tree_control_time(depth)
-            advance(t)
-
     def _after_iteration(
         self, iterations: int, store=None, bonus: float = 1.0
     ) -> None:
-        """A clean iteration boundary.  The guarded engines pass their
-        ``store``: the scheduled ``poison=tree:K`` fault (``bonus`` =
-        one iteration's worth of visits) and the amortised audit run
-        here; then the iteration hook fires."""
+        """A clean iteration boundary.  Given the session's ``store``,
+        a guarded session's scheduled ``poison=tree:K`` fault
+        (``bonus`` = one iteration's worth of visits) and amortised
+        audit run here; then the iteration hook fires."""
         if store is not None:
-            guard = self._live["integrity"]
+            guard = self._live.get("integrity")
             if guard is not None:
                 guard.poison(store, bonus)
                 guard.audit(store, iterations)
@@ -469,6 +421,35 @@ class Engine:
 
     def _iteration_cap(self) -> float:
         return self.max_iterations if self.max_iterations else float("inf")
+
+
+class GpuEngine(Engine):
+    """An engine with a private virtual device on its clock (``leaf``,
+    ``block``, ``hybrid``): its round launches one kernel per round
+    there, so a session keeps no executor."""
+
+    def __init__(
+        self,
+        game: Game,
+        seed: int,
+        blocks: int,
+        threads_per_block: int,
+        device=TESLA_C2050,
+        **kwargs,
+    ) -> None:
+        super().__init__(game, seed, **kwargs)
+        self.config = LaunchConfig(blocks, threads_per_block)
+        self.config.validate(device)
+        self.gpu = VirtualGpu(
+            device,
+            self.clock,
+            self.game.name,
+            derive_seed(self.seed, "gpu"),
+            playout=self.playout,
+        )
+
+    def _own_executor(self) -> None:
+        return None
 
 
 class ScalarExecutor:

@@ -11,32 +11,21 @@ its telemetry (``max_depth``, ``extras['cpu.iterations']``).
 
 from __future__ import annotations
 
-from repro.core.base import Engine
-from repro.core.results import SearchResult, register_extra_keys
-from repro.cpu import XEON_X5670
+from repro.core.base import GpuEngine
+from repro.core.results import register_extra_keys
+from repro.core.rounds import HybridRound
 from repro.games.base import GameState
-from repro.gpu import TESLA_C2050
 
 
-class HybridMcts(Engine):
+class HybridMcts(GpuEngine):
     """Asynchronous block-parallel GPU + overlapped CPU iterations."""
 
     name = "hybrid"
+    round_policy = HybridRound
 
-    def __init__(
-        self,
-        game,
-        seed,
-        blocks: int,
-        threads_per_block: int,
-        device=TESLA_C2050,
-        cost_model=XEON_X5670,
-        **kwargs,
+    def _begin_session(
+        self, state: GameState, budget_s: float, executor
     ) -> None:
-        super().__init__(game, seed, cost_model=cost_model, **kwargs)
-        self._attach_gpu(blocks, threads_per_block, device)
-
-    def search(self, state: GameState, budget_s: float) -> SearchResult:
         self._check_budget(budget_s, state)
         blocks = self.config.blocks
         self._live = {
@@ -51,74 +40,7 @@ class HybridMcts(Engine):
             "cpu_iterations": 0,
             "simulations": 0,
         }
-        return self._session_run()
 
-    def _session_run(self) -> SearchResult:
-        live = self._live
-        forest = live["forest"]
-        playout_rng = live["playout_rng"]
-        budget_s = live["budget_s"]
-        blocks = self.config.blocks
-        tpb = self.config.threads_per_block
-        prof = self.profiler
-        cap = self._iteration_cap()
-        gpu_iterations = live["iterations"]
-        cpu_iterations = live["cpu_iterations"]
-        simulations = live["simulations"]
-        next_tree = live["next_tree"]
-
-        while (
-            self.clock.now - live["start_s"] < budget_s
-            and gpu_iterations < cap
-        ) or gpu_iterations == 0:
-            with prof.phase("select"):
-                leaves, depths = forest.select_expand_all()
-                positions = forest.positions_of(leaves)
-                self._charge_tree_control(depths)
-            event = self.gpu.launch_async(positions, self.config)
-            # The GPU is busy; the CPU keeps deepening the same trees
-            # (round-robin; the shared playout RNG makes this order
-            # part of the engine's deterministic contract).
-            with prof.phase("cpu_overlap"):
-                while not self.gpu.stream.query(event):
-                    t = next_tree
-                    next_tree = (next_tree + 1) % blocks
-                    node, depth = forest.select_expand(t)
-                    if forest.terminal_of(node):
-                        forest.backprop_winner(node, forest.winner_of(node))
-                        plies = 0
-                    else:
-                        winner, plies = self.game.playout(
-                            forest.state_of(node), playout_rng
-                        )
-                        forest.backprop_winner(node, winner)
-                    self.clock.advance(
-                        self.cost.iteration_time(depth, plies)
-                    )
-                    cpu_iterations += 1
-                    simulations += 1
-            result = self.gpu.stream.synchronize(event)
-            with prof.phase("backprop"):
-                per_block = result.winners.reshape(blocks, tpb)
-                forest.backprop_block(leaves, tpb, per_block)
-            gpu_iterations += 1
-            simulations += result.playouts
-            live["iterations"] = gpu_iterations
-            live["cpu_iterations"] = cpu_iterations
-            live["simulations"] = simulations
-            live["next_tree"] = next_tree
-            # The kernel was just synchronised, so the stream is idle:
-            # a clean checkpoint boundary.
-            self._after_iteration(gpu_iterations)
-
-        return self._finish(
-            forest,
-            self.clock.now - live["start_s"],
-            {
-                "cpu.iterations": cpu_iterations,
-                "gpu.kernels": self.gpu.stats.kernels_launched,
-            },
-        )
 
 register_extra_keys(
     HybridMcts.name,

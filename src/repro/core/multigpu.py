@@ -101,10 +101,11 @@ class MultiGpuMcts(Engine):
             "rank_results": [],
             "iterations": 0,
         }
-        return self._session_run()
+        return self.resume()
 
-    def _session_run(self) -> SearchResult:
-        live = self._live
+    def resume(self) -> SearchResult:
+        """The rank loop: each remaining rank's search, then the vote."""
+        live = self._require_session()
         cluster = live["cluster"]
         rank_results = live["rank_results"]
         budget_s = live["budget_s"]

@@ -1,6 +1,6 @@
-"""One round of a CPU engine's search, written once per kind.
+"""One round of an engine's search, written once per kind.
 
-A CPU engine's search is a loop of rounds: select leaves, have their
+An engine's search is a loop of rounds: select leaves, have their
 playouts run, back the answers up, charge the round's virtual time.
 A :class:`Round` is that loop's body with the playout cut out, as two
 calls around it:
@@ -10,10 +10,15 @@ calls around it:
   True; or returns False once the session's budget is spent.  A round
   that needs no playout (every selected leaf terminal) is finished
   inside the call, and the next one selected.
-* :meth:`Round.deliver` takes one ``(winner, plies)`` answer per
-  request, backs them up and charges the round.
+* :meth:`Round.deliver` takes one answer per request, backs them up
+  and charges the round.
 
 :meth:`Round.finish` then ends the session with its result.
+
+Every kind but ``multigpu`` is a policy here.  A CPU kind is answered
+``(winner, plies)`` pairs; a GPU kind (:class:`BlockRound`,
+:class:`LeafRound`, :class:`HybridRound`) requests position columns
+and is answered by its own device: one row of lane winners per leaf.
 
 Selecting is itself a loop of *sub-rounds*, each one
 ``select_round`` on the session's store: :meth:`Round.wants` names
@@ -25,7 +30,8 @@ on the shared tree, each path marked in flight before the next; a
 terminal leaf that needs no playout starts another.  Splitting the
 select this way lets :func:`select_rounds` run the sub-rounds of many
 sessions together: one ``select_round_many`` per sub-round, which
-walks every compiled arena of a game in one kernel call.
+walks every compiled arena of a game in one kernel call.  (A GPU round
+selects in one ``select_expand_all``, and alone.)
 
 One driver runs every policy.  :func:`advance_rounds` delivers a
 tick's answers to many rounds at once -- one credit call, each round
@@ -47,12 +53,15 @@ from __future__ import annotations
 from itertools import chain, repeat
 from typing import TYPE_CHECKING, Callable, Sequence
 
+import numpy as np
+
 from repro.core.arena import (
     MANY_SELECT_MIN,
     backprop_winners_many,
     compiled_arena,
     select_round_many,
 )
+from repro.util.profile import NULL_PROFILER
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.base import Engine, PlayoutBatch, PlayoutResults
@@ -63,15 +72,15 @@ if TYPE_CHECKING:  # pragma: no cover
 #: The one-row sub-round of a single-tree session.
 _TREE0 = (0,)
 
-#: ``CpuCostModel.iteration_time`` memoised per cost model, keyed by
-#: ``(depth, plies)``.  A pure function of its arguments: the memo hands
-#: back the very floats it would compute, so every clock sum is
-#: unchanged (as ``Engine._charge_tree_control``'s memo).  Held by
-#: ``id`` beside the model itself -- hashing the frozen dataclass costs
-#: more than the memo saves on a short search.
-_ITERATION_TIMES: dict = {}
-#: Keys one cost model's memo holds at most (corrupted answers can
-#: carry any ply count).
+#: ``(model, iteration_time by (depth, plies), tree_control_time by
+#: depth)`` memos per ``CpuCostModel``.  Pure functions: the memo hands
+#: back the very floats they would compute, so every clock sum is
+#: unchanged, across a checkpoint / restore too.  Held by ``id`` beside
+#: the model itself -- hashing the frozen dataclass costs more than the
+#: memo saves on a short search.
+_COST_MEMOS: dict = {}
+#: Keys one cost model's iteration-time memo holds at most (corrupted
+#: answers can carry any ply count).
 _MEMO_CAP = 1 << 14
 #: Fewest compiled arenas :func:`credit_rounds` credits in one call:
 #: below it the call's fixed cost outweighs the calls it replaces.
@@ -111,14 +120,13 @@ def credit_rounds(rounds: "Sequence[Round]", answers) -> None:
     so each round then settles (:meth:`Round.settle`) as its own
     ``deliver`` would have left it."""
     credits = [rnd.credits(answer) for rnd, answer in zip(rounds, answers)]
-    batched = sum(
+    if len(rounds) < MANY_CREDIT_MIN or sum(
         1
         for rnd, (rows, _) in zip(rounds, credits)
-        if rows and compiled_arena(rnd.store)
-    )
-    if batched < MANY_CREDIT_MIN:
+        if len(rows) and compiled_arena(rnd.store)
+    ) < MANY_CREDIT_MIN:
         for rnd, (rows, outcomes) in zip(rounds, credits):
-            if rows:
+            if len(rows):
                 rnd.credit(rows, outcomes)
         return
     backprop_winners_many(
@@ -154,7 +162,9 @@ def run_rounds(
     all their requests in one call per round; each session's result,
     in order.  A session finishes once it selects no requests.  A
     self-driven round (:attr:`Round.screen` set) has its answers
-    screened before they are delivered."""
+    screened before they are delivered.  A set of one hands the
+    executor its requests as they are (a GPU round's are position
+    columns)."""
     for rnd in rounds:
         if rnd.engine.iteration_hook is not None:
             rnd.select()
@@ -171,16 +181,18 @@ def run_rounds(
         if not running:
             return results
         asking = [rnd for _, rnd in running]
-        flat = [state for rnd in asking for state in rnd.requests]
+        flat = (
+            asking[0].requests
+            if len(asking) == 1
+            else [state for rnd in asking for state in rnd.requests]
+        )
         answers = _checked(flat, executor(flat))
         per_round, lo = [], 0
         for rnd in asking:
             hi = lo + len(rnd.requests)
             answer = answers[lo:hi]
             if rnd.screen is not None:
-                answer = _screen_results(
-                    rnd.requests, answer, rnd.screen, executor
-                )
+                answer = _screen_results(rnd, answer, rnd.screen, executor)
             per_round.append(answer)
             lo = hi
         advance_rounds(asking, per_round)
@@ -197,20 +209,22 @@ def _checked(requests, answers):
     return answers
 
 
-def _screen_results(requests, answers, guard, executor):
-    """Screen one round's playout answers; a rejected batch is asked
-    of ``executor`` again (fresh draws) up to the policy's retry
-    budget, then degraded to neutral ``(0, 0)`` answers -- the
-    dropped-playout-batch model."""
+def _screen_results(rnd, answers, guard, executor):
+    """Screen one batch of ``rnd``'s playout answers with ``guard``
+    (:meth:`Round.screen_answers`); a rejected batch is asked of
+    ``executor`` again (fresh draws) up to the policy's retry budget,
+    then degraded to the round's neutral answers
+    (:meth:`Round.neutral`) -- the dropped-playout-batch model."""
+    requests = rnd.requests
     retries = guard.policy.max_result_retries
     for attempt in range(retries + 1):
-        answers, ok = guard.screen_answers(list(answers))
+        answers, ok = rnd.screen_answers(guard, answers)
         if ok:
             return answers
         if attempt < retries:
             answers = _checked(requests, executor(requests))
     guard.give_up()
-    return [(0, 0)] * len(requests)
+    return rnd.neutral()
 
 
 class Round:
@@ -223,22 +237,24 @@ class Round:
         self.store = store
         self.cost = engine.cost
         self.cap = engine._iteration_cap()
+        #: The executor ``search()`` / ``resume()`` answers the session
+        #: with; None when a driver answers it (the arena cohort, the
+        #: search service).
+        self.executor = live.get("executor")
         #: The integrity guard that screens this session's answers:
         #: only when the engine drives its own executor.  Externally
         #: driven sessions (the service) are screened once at the
         #: merged-launch readback -- screening here too would
         #: double-draw corruption.
         self.screen = (
-            live.get("integrity")
-            if live.get("executor") is not None
-            else None
+            live.get("integrity") if self.executor is not None else None
         )
         #: The positions whose playouts the selected round waits for.
         self.requests: Sequence = ()
-        entry = _ITERATION_TIMES.get(id(self.cost))
+        entry = _COST_MEMOS.get(id(self.cost))
         if entry is None or entry[0] is not self.cost:
-            entry = _ITERATION_TIMES[id(self.cost)] = (self.cost, {})
-        self._times = entry[1]
+            entry = _COST_MEMOS[id(self.cost)] = (self.cost, {}, {})
+        _, self._times, self._control_times = entry
 
     def _iteration_time(self, depth: int, plies: int) -> float:
         """``cost.iteration_time(depth, plies)``, memoised."""
@@ -289,6 +305,15 @@ class Round:
         """The rest of the delivery, once its leaves are credited:
         markers off, the round charged, the iteration hook."""
         raise NotImplementedError
+
+    def screen_answers(self, guard, answers):
+        """``guard``'s verdict on one batch of this round's answers:
+        ``(answers, ok)``."""
+        return guard.screen_answers(list(answers))
+
+    def neutral(self):
+        """The answers of a batch given up on: all draws."""
+        return [(0, 0)] * len(self.requests)
 
     def finish(self) -> "SearchResult":
         """End the session: the engine's search result."""
@@ -644,3 +669,169 @@ class PipelineRound(Round):
             ),
         }
         return self.engine._finish(self.store, elapsed, extras)
+
+
+class BlockRound(Round):
+    """``block:BxT``, the paper's loop: every tree selects in one
+    ``select_expand_all``, the leaves' positions are the requests --
+    one kernel, block ``b``'s threads playing out from tree ``b``'s
+    leaf -- and each tree is credited its block's tally.  The one
+    controlling CPU charges the clock each walk's
+    ``tree_control_time``.  A session runs at least one iteration."""
+
+    #: The ``_live`` key of the session's store.
+    store_key = "forest"
+
+    def __init__(self, engine: "Engine") -> None:
+        super().__init__(engine, engine._live[self.store_key])
+        self.config = engine.config
+        #: Playouts per leaf: a block's threads (the grid for ``leaf``).
+        self.lanes = self.config.total_threads // self.store.n_trees
+        self.prof = engine.profiler
+        self.guard = self.live.get("integrity")
+        # The engine's own device answers; ``screen`` stays None, as
+        # :meth:`launch` screens inside its one ``playout`` phase.
+        self.executor = self.launch
+
+    def select(self) -> bool:
+        live, store, clock = self.live, self.store, self.engine.clock
+        self.requests = ()
+        while live["iterations"] == 0 or (
+            clock.now - live["start_s"] < live["budget_s"]
+            and live["iterations"] < self.cap
+        ):
+            with self.prof.phase("select"):
+                self.leaves, depths = store.select_expand_all()
+                self._charge_control(depths)
+                if self._answered():
+                    continue
+                self.requests = store.positions_of(self.leaves)
+            return True
+        return False
+
+    def _charge_control(self, depths) -> None:
+        times, advance = self._control_times, self.engine.clock.advance
+        # Plain ints: an ``np.int64`` key costs the look-up 3-4x.
+        if isinstance(depths, np.ndarray):
+            depths = depths.tolist()
+        for depth in depths:
+            t = times.get(depth)
+            if t is None:
+                t = times[depth] = self.cost.tree_control_time(depth)
+            advance(t)
+
+    def _answered(self) -> bool:
+        """Whether the selected leaves were answered without a launch
+        (never here: the kernel plays terminal leaves out too)."""
+        return False
+
+    def launch(self, positions) -> np.ndarray:
+        """The session's executor: one kernel from ``positions`` on the
+        engine's device, one row of lane winners per position.  Every
+        attempt is charged; a guarded readback is screened here."""
+        with self.prof.phase("playout"):
+            answers = self._kernel(positions)
+            if self.guard is not None:
+                answers = _screen_results(
+                    self, answers, self.guard, self._kernel
+                )
+        return answers
+
+    def _kernel(self, positions) -> np.ndarray:
+        result = self.engine.gpu.run_playouts(positions, self.config)
+        self.live["simulations"] += result.playouts
+        return result.winners.reshape(len(positions), self.lanes)
+
+    def screen_answers(self, guard, answers):
+        winners, ok = guard.screen_block(answers.ravel(), *answers.shape)
+        return winners.reshape(answers.shape), ok
+
+    def neutral(self) -> np.ndarray:
+        return np.zeros((len(self.requests), self.lanes), dtype=np.int8)
+
+    def credits(self, answers) -> tuple:
+        return self.leaves, answers
+
+    def credit(self, leaves, winners) -> None:
+        with self.prof.phase("backprop"):
+            self.store.backprop_block(leaves, self.lanes, winners)
+
+    def settle(self, answers) -> None:
+        self._end_iteration()
+
+    def _end_iteration(self) -> None:
+        live = self.live
+        live["iterations"] += 1
+        self.engine._after_iteration(
+            live["iterations"], self.store, float(self.lanes)
+        )
+
+    def finish(self) -> "SearchResult":
+        engine = self.engine
+        elapsed = engine.clock.now - self.live["start_s"]
+        return engine._finish(self.store, elapsed, self._extras())
+
+    def _extras(self) -> dict:
+        return {"gpu.kernels": self.engine.gpu.stats.kernels_launched}
+
+
+class LeafRound(BlockRound):
+    """``leaf:BxT``: the block round on a forest of one tree, the whole
+    grid playing out from its leaf.  A terminal leaf is credited the
+    grid's playouts without a launch (every lane would return its
+    winner).  Not profiled."""
+
+    store_key = "tree"
+
+    def __init__(self, engine: "Engine") -> None:
+        super().__init__(engine)
+        self.prof = NULL_PROFILER
+
+    def _answered(self) -> bool:
+        store = self.store
+        (leaf,) = self.leaves
+        if not store.terminal_of(leaf):
+            return False
+        store.backprop_winner(leaf, store.winner_of(leaf), self.lanes)
+        self.live["simulations"] += self.lanes
+        self._end_iteration()
+        return True
+
+
+class HybridRound(BlockRound):
+    """``hybrid:BxT`` (the paper's Figure 4): the block round with its
+    kernel launched asynchronously.  While it flies, the CPU runs plain
+    sequential iterations over the same trees, round-robin on the
+    shared playout RNG, each charged to the engine clock."""
+
+    def launch(self, positions) -> np.ndarray:
+        engine, live, store = self.engine, self.live, self.store
+        gpu = engine.gpu
+        event = gpu.launch_async(positions, self.config)
+        playout, playout_rng = engine.game.playout, live["playout_rng"]
+        iteration_time = self._iteration_time
+        advance = engine.clock.advance
+        t, done = live["next_tree"], 0
+        with self.prof.phase("cpu_overlap"):
+            while not gpu.stream.query(event):
+                node, depth = store.select_expand(t)
+                t = (t + 1) % store.n_trees
+                if store.terminal_of(node):
+                    store.backprop_winner(node, store.winner_of(node))
+                    plies = 0
+                else:
+                    winner, plies = playout(store.state_of(node), playout_rng)
+                    store.backprop_winner(node, winner)
+                advance(iteration_time(depth, plies))
+                done += 1
+        result = gpu.stream.synchronize(event)
+        live["next_tree"] = t
+        live["cpu_iterations"] += done
+        live["simulations"] += done + result.playouts
+        return result.winners.reshape(len(positions), self.lanes)
+
+    def _extras(self) -> dict:
+        return {
+            "cpu.iterations": self.live["cpu_iterations"],
+            **super()._extras(),
+        }

@@ -10,6 +10,7 @@ like ``cudaEventQuery``/``cudaEventSynchronize``.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -34,11 +35,14 @@ class Stream:
 
     One stream runs one kernel at a time (launching while the previous
     kernel is still in flight enqueues after it, like CUDA streams).
+    It keeps only the events not yet complete: in order, completion
+    times only rise, so the complete ones are a prefix, dropped as the
+    clock passes them.
     """
 
     clock: Clock
     _busy_until: float = 0.0
-    _events: list = field(default_factory=list)
+    _events: deque = field(default_factory=deque)
 
     def launch(
         self,
@@ -60,8 +64,14 @@ class Stream:
         start = max(self.clock.now, self._busy_until, not_before_s)
         event = Event(done_at=start + duration_s, payload=payload)
         self._busy_until = event.done_at
+        self._drop_complete()
         self._events.append(event)
         return event
+
+    def _drop_complete(self) -> None:
+        events, now = self._events, self.clock.now
+        while events and now >= events[0].done_at:
+            events.popleft()
 
     def query(self, event: Event) -> bool:
         """Has the event completed at the current virtual time?
@@ -86,4 +96,5 @@ class Stream:
     @property
     def pending(self) -> int:
         """Number of launched events not yet complete."""
-        return sum(1 for e in self._events if not self.query(e))
+        self._drop_complete()
+        return len(self._events)

@@ -4,11 +4,11 @@ Two result shapes cross the host boundary and both are covered here:
 
 * **Block results** -- the flat ``winners`` array of one
   :class:`~repro.gpu.playout.PlayoutResult` (one int8 winner per SIMT
-  lane, grouped by block).  The standalone block-parallel engine
-  validates these before backprop.
-* **Answers** -- the ``(winner, finish_steps)`` tuples the serving
-  stack's merged launches deliver per lane.  The lane batcher screens
-  these before handing them back to the generator-protocol engines.
+  lane, grouped by block).  The standalone block-parallel engine's
+  round validates these before backprop.
+* **Answers** -- the ``(winner, finish_steps)`` tuples, one per lane,
+  that answer a CPU round: screened by a self-driven round itself, or
+  by the serving stack's lane batcher before the tenants' rounds.
 
 The corruption *applicators* mangle a copy (never the original) exactly
 as a :class:`~repro.faults.Corruption` decision dictates; the

@@ -66,7 +66,7 @@ class IntegrityState:
 
     def screen_answers(self, answers):
         """The per-lane ``(winner, plies)`` counterpart of
-        :meth:`screen_block` for generator-protocol playout batches."""
+        :meth:`screen_block` for a CPU round's playout answers."""
         corruption = self.injector.result_corruption(len(answers))
         if corruption is not None:
             answers = apply_answer_corruption(answers, corruption)

@@ -135,8 +135,8 @@ class _Active:
     #: CPU time charged by the engine but not yet billed to a tick
     #: (the first round is selected at activation).
     pending_cpu_s: float = 0.0
-    #: Direct-path (non-generator) engines: the finished result and
-    #: the launch-chain outcome its modelled execution occupies.
+    #: The finished result (a tenant's at its last round, a direct-path
+    #: engine's at activation) and the launch chain the latter occupies.
     result: SearchResult | None = None
     outcome: LaunchOutcome | None = None
 
@@ -465,7 +465,7 @@ class SearchService:
         resume_from = self._resume_snapshots.pop(req.request_id, None)
         if resume_from is not None:
             engine.restore(resume_from)
-        if engine.round_policy is not None:
+        if engine.gpu is None and engine.round_policy is not None:
             before = engine.clock.now
             if resume_from is None:
                 engine._begin_session(state, budget_s, None)
@@ -642,7 +642,7 @@ class SearchService:
     def _cancel(self, record: RequestRecord, status: str) -> None:
         """Terminate an admitted request without a result (``MISSED``
         deadline or ``SHED`` load), resolving everything it holds: its
-        generator leaves the pool and any in-flight direct-path lease
+        round leaves ``_tenants`` and any in-flight direct-path lease
         is abandoned, so :meth:`DevicePool.assert_drained` holds even
         for requests cancelled after admission but before (or between)
         launches."""

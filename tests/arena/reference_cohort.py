@@ -58,6 +58,7 @@ def reference_cohort(game, matchups, executor):
             movers[i] = player
             if (
                 isinstance(player, MctsPlayer)
+                and player.engine.gpu is None
                 and player.engine.round_policy is not None
             ):
                 player.engine._begin_session(

@@ -93,3 +93,54 @@ class TestHybridPattern:
         assert stream.synchronize(ev) == 42
         # Total elapsed = kernel time, not kernel + CPU time.
         assert clock.now == pytest.approx(1.0)
+
+
+class TestRetention:
+    """A stream keeps only its incomplete events: ``pending`` reads as
+    if every event were kept, and memory stays bounded however many
+    kernels a long-lived device launches."""
+
+    def test_pending_matches_every_event_kept(self, clock, stream):
+        kept = []
+        for i in range(1000):
+            kept.append(stream.launch(0.25 * (i % 3), payload=i))
+            clock.advance(0.5 if i % 5 == 0 else 0.25)
+            assert stream.pending == sum(
+                1 for e in kept if not stream.query(e)
+            )
+            assert len(stream._events) == stream.pending <= 3
+        stream.synchronize_all()
+        assert stream.pending == 0
+
+    def test_virtual_gpu_stream_stays_bounded(self):
+        from repro.gpu import TESLA_C2050, LaunchConfig, VirtualGpu
+        from repro.games import TicTacToe
+
+        game = TicTacToe()
+        gpu = VirtualGpu(TESLA_C2050, Clock(), "tictactoe", seed=1)
+        config = LaunchConfig(1, 32)
+        state = game.initial_state()
+        for i in range(1000):
+            if i % 2:
+                gpu.run_playouts([state], config)
+            else:
+                gpu.stream.synchronize(gpu.launch_async([state], config))
+            assert len(gpu.stream._events) <= 1
+        assert gpu.stream.pending == 0
+        assert gpu.stats.kernels_launched == 1000
+
+    def test_device_pool_streams_stay_bounded(self):
+        from repro.gpu import TESLA_C2050, DevicePool
+
+        clock = Clock()
+        pool = DevicePool((TESLA_C2050,) * 2, clock)
+        leases = []
+        for i in range(1000):
+            leases.append(pool.launch(f"r{i}", 1e-3))
+            if i % 4 == 3:
+                clock.advance(2e-3)
+            streams = [slot.stream for slot in pool._slots]
+            assert sum(s.pending for s in streams) == sum(
+                1 for lease in leases if lease.event.done_at > clock.now
+            )
+            assert all(len(s._events) <= 3 for s in streams)
