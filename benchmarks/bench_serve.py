@@ -32,8 +32,8 @@ The storm tier (``--storm``, CI gate ``--storm --smoke``) measures
 the overload-survival layer from docs/overload.md: a 4x flash crowd
 over a 2-device node must hold interactive SLO attainment >= 95%
 with the degradation ladder and autoscaler engaged, versus < 50%
-undefended; seeded storms must replay bit-identically; a cluster
-storm with a mid-storm shard crash must still serve every request
+undefended; seeded storms must replay bit-identically; a two-shard
+cluster whose shard crashes mid-storm must still serve every request
 exactly once.  Measured numbers are recorded in
 ``benchmarks/REPORT_overload.md``.
 
@@ -45,9 +45,8 @@ load stays above goodput long after the crowd clears) while the
 *defended* stack -- degradation ladder + server-side retry budget +
 per-client circuit breakers + adaptive throttling -- recovers
 post-crowd interactive attainment to >= 95%; both runs replay
-bit-identically, and a hedged cluster storm with a mid-storm shard
-crash still serves every request exactly once.  Measured numbers are
-recorded in ``benchmarks/REPORT_retrystorm.md``.
+bit-identically.  Measured numbers are recorded in
+``benchmarks/REPORT_retrystorm.md``.
 """
 
 import os
@@ -60,9 +59,9 @@ import pytest
 from repro.harness.common import resolve_tier
 from repro.serve import (
     ClusterRouter,
-    ClusterStormConfig,
+    assert_explicit_outcomes,
+    make_trace,
     make_workload,
-    run_cluster_storm,
     run_storm,
     scenarios,
     serve,
@@ -222,35 +221,28 @@ def storm_fingerprint(outcome):
     return arrivals, outcomes
 
 
-def run_cluster_kill(trace, **cluster_kwargs):
-    """A two-epoch cluster storm over ``trace`` whose second epoch
-    kills shard 0 mid-crowd; the per-epoch journals must recover it
-    exactly-once."""
-    with tempfile.TemporaryDirectory() as journal_dir:
-        return run_cluster_storm(
-            ClusterStormConfig(
-                trace=trace,
-                epochs=2,
-                initial_shards=2,
-                seed=trace.seed,
-                journal_dir=journal_dir,
-                crash_epoch=1,
-                service_kwargs=(
-                    ("n_devices", 2),
-                    ("max_active", 8),
-                    ("overload", True),
-                ),
-                **cluster_kwargs,
-            )
-        )
-
-
 def run_storm_cluster_kill():
     """The storm row's crowd at a third of the rate and half the
-    horizon, over two shards."""
-    return run_cluster_kill(
-        replace(scenarios.storm().trace, base_rate=150.0, horizon_s=0.3)
+    horizon, over two defended shards; shard 0 crashes mid-crowd and
+    its journal must recover it exactly-once.  Returns the trace's
+    requests, the records and the cluster report."""
+    trace = replace(
+        scenarios.storm().trace, base_rate=150.0, horizon_s=0.3
     )
+    requests = make_trace(trace)
+    with tempfile.TemporaryDirectory() as journal_dir:
+        router = ClusterRouter(
+            n_shards=2,
+            seed=trace.seed,
+            journal_dir=journal_dir,
+            shard_overrides={0: {"faults": "crash=tick:3"}},
+            n_devices=2,
+            max_active=8,
+            overload=True,
+        )
+        router.submit_all(requests)
+        records = router.run()
+    return requests, records, router.report()
 
 
 def render_storm_comparison(defended, undefended) -> str:
@@ -285,16 +277,6 @@ def render_storm_comparison(defended, undefended) -> str:
             "overload storm: 4x flash crowd on a 2-device node "
             "(docs/overload.md)"
         ),
-    )
-
-
-def run_retry_storm_hedged_kill():
-    """The retry-storm trace over a hedged two-shard cluster: hedged
-    backups and journal recovery must compose -- every request served
-    exactly once, all leases drained."""
-    return run_cluster_kill(
-        scenarios.retry_storm().trace,
-        hedge=dict(trigger_percentile=90.0),
     )
 
 
@@ -632,27 +614,22 @@ def test_storm_replay_bit_identical(run_once, headline):
     headline.append("replay bit-identical")
 
 
-def assert_exactly_once(outcome):
-    """A cluster storm with one mid-storm shard crash served every
-    request exactly once."""
-    rids = [r.request.request_id for r in outcome.records]
-    assert len(rids) == len(set(rids)), "request served twice"
-    assert len(rids) == len(outcome.requests), "request lost"
-    assert outcome.crashes == 1
-    assert outcome.recoveries == 1
-
-
 def test_storm_cluster_shard_crash_exactly_once(run_once, headline):
     """A shard crash mid-storm is recovered from its journal; no
-    request is lost and none is served twice."""
-    outcome = run_once(run_storm_cluster_kill)
+    request is lost, none is served twice, and every one ends in an
+    explicit terminal outcome."""
+    requests, records, report = run_once(run_storm_cluster_kill)
     print(
-        f"\ncluster storm: {len(outcome.records)} requests over "
-        f"{outcome.shard_counts} shards, {outcome.crashes} crash, "
-        f"MTTR {outcome.mean_mttr_s:.4f}s"
+        f"\ncluster storm: {len(records)} requests over "
+        f"{report.n_shards} shards, {report.shard_crashes} crash, "
+        f"MTTR {report.mean_mttr_s:.4f}s"
     )
-    assert_exactly_once(outcome)
-    assert outcome.mean_mttr_s > 0
+    assert_explicit_outcomes(records)
+    rids = [r.request.request_id for r in records]
+    assert len(rids) == len(set(rids)), "request served twice"
+    assert len(rids) == len(requests), "request lost"
+    assert report.shard_crashes == report.shard_recoveries == 1
+    assert report.mean_mttr_s > 0
     headline.append("mid-storm shard crash recovered exactly-once")
 
 
@@ -721,25 +698,6 @@ def test_retry_storm_replay_bit_identical(run_once, headline):
     assert storm_fingerprint(d1) == storm_fingerprint(d2)
     assert storm_fingerprint(u1) != storm_fingerprint(d1)
     headline.append("replay bit-identical")
-
-
-def test_retry_storm_hedged_cluster_crash_exactly_once(run_once, headline):
-    """Hedged backups compose with mid-storm crash recovery: every
-    request ends in exactly one explicit terminal outcome (the
-    run_cluster_storm harness asserts explicit outcomes and each
-    shard asserts its leases drained)."""
-    outcome = run_once(run_retry_storm_hedged_kill)
-    hedges = sum(r.hedges_fired for r in outcome.reports)
-    print(
-        f"\nhedged cluster storm: {len(outcome.records)} requests, "
-        f"{hedges} hedges fired, {outcome.crashes} crash, "
-        f"MTTR {outcome.mean_mttr_s:.4f}s"
-    )
-    assert_exactly_once(outcome)
-    assert hedges > 0
-    headline.append(
-        "hedged mid-storm shard crash recovered exactly-once"
-    )
 
 
 def main(path: str, argv: list[str], modes: tuple[str, ...] = ()) -> int:

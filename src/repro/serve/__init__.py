@@ -25,12 +25,7 @@ See docs/serving.md for the scheduler design, deadline semantics and
 metric definitions.
 """
 
-from repro.serve.autoscale import (
-    Autoscaler,
-    AutoscalerConfig,
-    ShardAutoscaler,
-    ShardAutoscalerConfig,
-)
+from repro.serve.autoscale import Autoscaler, AutoscalerConfig
 from repro.serve.cache import (
     CacheEntry,
     CacheKey,
@@ -55,7 +50,6 @@ from repro.serve.cluster import (
     ClusterReport,
     ClusterRouter,
     HashRing,
-    HedgePolicy,
     ShardHandle,
 )
 from repro.serve.journal import (
@@ -119,13 +113,10 @@ from repro.serve.service import (
     serve,
 )
 from repro.serve.storm import (
-    ClusterStormConfig,
-    ClusterStormOutcome,
     SilentOutcomeError,
     StormConfig,
     StormOutcome,
     assert_explicit_outcomes,
-    run_cluster_storm,
     run_storm,
 )
 from repro.serve.workload import (
@@ -193,14 +184,9 @@ __all__ = [
     "HysteresisController",
     "Autoscaler",
     "AutoscalerConfig",
-    "ShardAutoscaler",
-    "ShardAutoscalerConfig",
     "StormConfig",
     "StormOutcome",
-    "ClusterStormConfig",
-    "ClusterStormOutcome",
     "run_storm",
-    "run_cluster_storm",
     "assert_explicit_outcomes",
     "SilentOutcomeError",
     "ClientRetryPolicy",
@@ -214,7 +200,6 @@ __all__ = [
     "MetastabilityDetector",
     "MetastabilityVerdict",
     "post_crowd_attainment",
-    "HedgePolicy",
     "attempt_of",
     "lineage_root",
     "retry_id",

@@ -1,26 +1,18 @@
-"""SLO-driven autoscaling of the virtual device fleet and shard count.
+"""SLO-driven autoscaling of the virtual device fleet.
 
-Two control loops (docs/overload.md):
+:class:`Autoscaler` grows/shrinks one service's
+:class:`~repro.gpu.lease.DevicePool` against a per-class latency SLO
+(docs/overload.md).  Decisions are taken at most once per
+``interval_s`` of virtual time; a scale-up provisions devices that
+only start accepting placements after ``scaleup_lag_s`` (modelled
+bring-up: capacity requested at a flash crowd's onset arrives
+mid-storm, not instantly), and a scale-down retires the
+highest-numbered device (no new placements; its in-flight stream
+drains).  A ``cooldown_s`` after every decision keeps the loop from
+thrashing against its own transient.
 
-* :class:`Autoscaler` grows/shrinks one service's
-  :class:`~repro.gpu.lease.DevicePool` against a per-class latency
-  SLO.  Decisions are taken at most once per ``interval_s`` of
-  virtual time; a scale-up provisions devices that only start
-  accepting placements after ``scaleup_lag_s`` (modelled bring-up:
-  capacity requested at a flash crowd's onset arrives mid-storm, not
-  instantly), and a scale-down retires the highest-numbered device
-  (no new placements; its in-flight stream drains).  A ``cooldown_s``
-  after every decision keeps the loop from thrashing against its own
-  transient.
-* :class:`ShardAutoscaler` makes the epoch-granularity cluster
-  decision: given one epoch's interactive SLO attainment, how many
-  shards should the next epoch run?  The storm harness
-  (:mod:`repro.serve.storm`) rebuilds the
-  :class:`~repro.serve.cluster.ClusterRouter` between epochs;
-  consistent hashing keeps most keys in place across the resize.
-
-Both loops are pure functions of observations on the virtual clock,
-so autoscaled storm runs replay bit-identically.
+The loop is a pure function of observations on the virtual clock, so
+autoscaled storm runs replay bit-identically.
 """
 
 from __future__ import annotations
@@ -159,59 +151,3 @@ class Autoscaler:
             self._cooldown_until_s = now_s + cfg.cooldown_s
             return -removed
         return 0
-
-
-@dataclass(frozen=True)
-class ShardAutoscalerConfig:
-    """Knobs of the epoch-granularity shard-count loop."""
-
-    min_shards: int = 1
-    max_shards: int = 8
-    #: Scale up while interactive attainment is below this.
-    attainment_low: float = 0.95
-    #: Scale down when attainment is at/above this (and above min).
-    attainment_high: float = 0.995
-    step: int = 1
-
-    def __post_init__(self) -> None:
-        if self.min_shards <= 0:
-            raise ValueError(
-                f"min_shards must be positive: {self.min_shards}"
-            )
-        if self.max_shards < self.min_shards:
-            raise ValueError(
-                f"max_shards ({self.max_shards}) below "
-                f"min_shards ({self.min_shards})"
-            )
-        if not 0 < self.attainment_low <= self.attainment_high <= 1.0:
-            raise ValueError(
-                "need 0 < attainment_low <= attainment_high <= 1"
-            )
-        if self.step <= 0:
-            raise ValueError(f"step must be positive: {self.step}")
-
-
-class ShardAutoscaler:
-    """Epoch-wise shard-count decisions from SLO attainment."""
-
-    def __init__(self, config: ShardAutoscalerConfig) -> None:
-        self.config = config
-        self.scale_ups = 0
-        self.scale_downs = 0
-
-    def next_count(self, current: int, attainment: float) -> int:
-        """Shard count for the next epoch, given this epoch's
-        interactive-class SLO attainment."""
-        cfg = self.config
-        current = max(cfg.min_shards, min(current, cfg.max_shards))
-        if attainment < cfg.attainment_low:
-            target = min(cfg.max_shards, current + cfg.step)
-            if target > current:
-                self.scale_ups += 1
-            return target
-        if attainment >= cfg.attainment_high:
-            target = max(cfg.min_shards, current - cfg.step)
-            if target < current:
-                self.scale_downs += 1
-            return target
-        return current

@@ -206,7 +206,7 @@ class ResultCache:
     def sweep(self, now_s: float) -> int:
         """Proactively age out every entry past its TTL at virtual
         time ``now_s`` (no lookup needed -- the cluster sweeps at
-        wave/epoch boundaries so a diurnal lull actually empties the
+        wave boundaries so a diurnal lull actually empties the
         cache instead of leaving corpses to expire lazily).  Returns
         how many entries were removed; each counts as an expiration
         but -- unlike a lazy expiry at lookup -- not as a miss."""

@@ -41,11 +41,9 @@ clock and all seeded (a retry storm replays bit-identically):
   which is the defining signature of a metastable failure state (the
   trigger is gone; the bad equilibrium remains).
 
-Cluster-level hedged requests (fire a backup replica at a latency
-percentile, cancel the loser) live in :mod:`repro.serve.cluster`;
-the storm harness that drives all of this is
-:mod:`repro.serve.storm`, and the measured defended-vs-undefended
-differential is ``benchmarks/REPORT_retrystorm.md``.
+The storm harness that drives all of this is :mod:`repro.serve.storm`,
+and the measured defended-vs-undefended differential is
+``benchmarks/REPORT_retrystorm.md``.
 """
 
 from __future__ import annotations

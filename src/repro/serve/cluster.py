@@ -74,7 +74,6 @@ from repro.serve.metrics import (
     class_summary,
     latency_summary,
     outcome_rows,
-    percentile,
     render_metric_rows,
 )
 from repro.serve.request import (
@@ -86,7 +85,6 @@ from repro.serve.request import (
     SearchRequest,
 )
 from repro.serve.service import ServiceError, serve
-from repro.util.coerce import coerce_optional
 from repro.util.seeding import derive_seed
 from repro.util.tables import format_series
 
@@ -97,9 +95,6 @@ register_extra_keys(
         "cluster.replicas": int,
         # Replicas whose own move differed from the voted move.
         "cluster.dissent": int,
-        # Replica placements that could not get a distinct failure
-        # domain (0 whenever domains outnumber replicas).
-        "cluster.replica_collisions": int,
     },
 )
 
@@ -114,16 +109,6 @@ class HashRing:
     successor-list placement, so adding a shard only moves the keys
     that land in its new arcs.
 
-    ``domains`` optionally maps each shard to a **failure domain**
-    (rack / zone): ``domains[shard]`` is the shard's domain id.
-    Replica placement then skips shards whose domain is already used,
-    so the R replicas of one request never co-locate on a domain that
-    can fail as a unit -- unless there are fewer live domains than
-    replicas, in which case placement falls back to distinct shards
-    and counts each violation in :attr:`replica_collisions`.  With no
-    ``domains`` every shard is its own domain, which reduces exactly
-    to the classic distinct-shard walk.
-
     Keys are used verbatim, so they must already be uniform 64-bit
     values (the router derives them with
     ``derive_seed(zobrist_key, game)``); low-entropy raw keys would
@@ -131,11 +116,7 @@ class HashRing:
     """
 
     def __init__(
-        self,
-        n_shards: int,
-        vnodes: int = 64,
-        seed: int = 0,
-        domains: "tuple[int, ...] | list[int] | None" = None,
+        self, n_shards: int, vnodes: int = 64, seed: int = 0
     ) -> None:
         if n_shards <= 0:
             raise ValueError(
@@ -143,20 +124,7 @@ class HashRing:
             )
         if vnodes <= 0:
             raise ValueError(f"vnodes must be positive: {vnodes}")
-        if domains is None:
-            domains = tuple(range(n_shards))
-        else:
-            domains = tuple(domains)
-            if len(domains) != n_shards:
-                raise ValueError(
-                    f"domains must map every shard: "
-                    f"{len(domains)} != {n_shards}"
-                )
         self.n_shards = n_shards
-        self.domains = domains
-        #: Replica placements that violated domain-distinctness
-        #: because fewer domains than replicas exist.
-        self.replica_collisions = 0
         points = sorted(
             (derive_seed(seed, "ring", shard, v), shard)
             for shard in range(n_shards)
@@ -166,85 +134,21 @@ class HashRing:
         self._owners = [s for _, s in points]
 
     def shards_for(self, key: int, count: int = 1) -> list[int]:
-        """The ``count`` shards owning ``key`` (primary first, then
-        clockwise successors), in distinct failure domains whenever
-        enough domains exist."""
+        """The ``count`` shards owning ``key``: the primary, then its
+        clockwise distinct successors."""
         count = min(count, self.n_shards)
         i = bisect.bisect_right(self._hashes, key & (2**64 - 1))
-        order: list[int] = []
-        seen: set[int] = set()
         n = len(self._owners)
-        while len(order) < self.n_shards:
-            shard = self._owners[i % n]
-            if shard not in seen:
-                seen.add(shard)
-                order.append(shard)
-            i += 1
         owners: list[int] = []
-        used_domains: set[int] = set()
-        for shard in order:
-            if len(owners) == count:
-                break
-            domain = self.domains[shard]
-            if domain in used_domains:
-                continue
-            used_domains.add(domain)
-            owners.append(shard)
-        if len(owners) < count:
-            # Fewer live domains than replicas: fall back to distinct
-            # shards (never fewer replicas) and count the violations.
-            for shard in order:
-                if len(owners) == count:
-                    break
-                if shard in owners:
-                    continue
+        while len(owners) < count:
+            shard = self._owners[i % n]
+            if shard not in owners:
                 owners.append(shard)
-                self.replica_collisions += 1
+            i += 1
         return owners
 
     def shard_for(self, key: int) -> int:
         return self.shards_for(key, 1)[0]
-
-
-@dataclass(frozen=True)
-class HedgePolicy:
-    """Cluster-level hedged requests (tail-latency defense).
-
-    After the dispatch waves settle, requests whose primary answer
-    was *slow* -- completed past the run's ``trigger_percentile`` of
-    completed latencies -- or missed outright get a **backup** clone
-    fired at ``arrival + trigger`` onto the next distinct shard on
-    the ring (a replica-placement successor, so the backup never
-    lands on the shard that was slow).  The faster side wins; the
-    loser is cancelled and its discarded work accounted as
-    ``hedge_wasted_s``.  The backup's relative deadline shrinks by
-    the trigger delay, preserving the request's absolute deadline --
-    a hedge can rescue a tail request, never extend its SLO.
-
-    Requests whose deadline is inside the trigger are not hedged (the
-    backup would be born dead), and cache-served answers never hedge
-    (there is no search to race).
-    """
-
-    #: Latency percentile of completed requests that arms the hedge.
-    trigger_percentile: float = 95.0
-    #: Floor on the trigger delay (guards degenerate tiny runs).
-    min_delay_s: float = 0.0
-    #: Also hedge requests whose primary missed its deadline.
-    include_missed: bool = True
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.trigger_percentile <= 100.0:
-            raise ValueError(
-                f"trigger_percentile must be in (0, 100]: "
-                f"{self.trigger_percentile}"
-            )
-        if self.min_delay_s < 0:
-            raise ValueError(
-                f"min_delay_s cannot be negative: {self.min_delay_s}"
-            )
-
-    coerce = classmethod(coerce_optional)
 
 
 class ShardHandle:
@@ -322,6 +226,43 @@ class ShardHandle:
         return {r.request.request_id: r for r in records}
 
 
+#: Request counts a per-shard report sums over every wave the shard
+#: ran, the way ``ShardHandle.elapsed_s`` sums its elapsed time.
+_SHARD_COUNTS = (
+    "offered",
+    "completed",
+    "rejected",
+    "missed",
+    "shed",
+    "recovered",
+)
+
+
+def _shard_report(reports: "list[ServiceReport]") -> ServiceReport:
+    """One shard's report: its last incarnation's, with the request
+    counts summed over all of them (a shard runs a second wave when
+    followers re-dispatch after their cache leader failed)."""
+    if not reports:
+        return ServiceReport(
+            offered=0,
+            completed=0,
+            rejected=0,
+            missed=0,
+            elapsed_s=0.0,
+            p50_latency_s=0.0,
+            p95_latency_s=0.0,
+            mean_latency_s=0.0,
+            p95_queue_wait_s=0.0,
+        )
+    return replace(
+        reports[-1],
+        **{
+            name: sum(getattr(r, name) for r in reports)
+            for name in _SHARD_COUNTS
+        },
+    )
+
+
 @dataclass
 class ClusterReport:
     """Aggregated outcome of one cluster run."""
@@ -345,9 +286,6 @@ class ClusterReport:
     shed: int = 0
     #: Per-priority-class outcome stats (docs/overload.md).
     per_class: "dict[str, ClassStats]" = field(default_factory=dict)
-    #: Replica placements that violated failure-domain distinctness
-    #: (0 whenever domains outnumber replicas).
-    replica_collisions: int = 0
     #: Cache hits served past the cache's freshness horizon.
     cache_stale_hits: int = 0
     #: Result-cache accounting (zeros when the cache is off).
@@ -362,18 +300,13 @@ class ClusterReport:
     coalesced: int = 0
     #: Replica results whose own move differed from the trimmed vote.
     replica_dissent: int = 0
-    #: Hedged-request accounting (zeros when hedging is off).
-    hedges_fired: int = 0
-    hedge_wins: int = 0
-    hedges_cancelled: int = 0
-    hedge_wasted_s: float = 0.0
-    hedge_trigger_s: float = 0.0
     #: Crash-recovery accounting across shards.
     shard_crashes: int = 0
     shard_recoveries: int = 0
     mean_mttr_s: float = 0.0
     foreign_records: int = 0
-    #: Final per-shard incarnation reports, indexed by shard id.
+    #: Per-shard reports, indexed by shard id (see
+    #: :func:`_shard_report`).
     shard_reports: "list[ServiceReport]" = field(
         default_factory=list
     )
@@ -430,19 +363,6 @@ class ClusterReport:
                 )
         if self.replicas > 1:
             rows["replica dissent"] = str(self.replica_dissent)
-            rows["replica domain collisions"] = str(
-                self.replica_collisions
-            )
-        if self.hedges_fired:
-            rows["hedges fired"] = str(self.hedges_fired)
-            rows["hedge wins"] = str(self.hedge_wins)
-            rows["hedges cancelled"] = str(self.hedges_cancelled)
-            rows["hedge trigger (ms)"] = (
-                f"{self.hedge_trigger_s * 1e3:.2f}"
-            )
-            rows["hedge wasted (ms)"] = (
-                f"{self.hedge_wasted_s * 1e3:.2f}"
-            )
         if self.shard_crashes or self.foreign_records:
             rows["shard crashes"] = str(self.shard_crashes)
             rows["shard recoveries"] = str(self.shard_recoveries)
@@ -505,8 +425,6 @@ class ClusterRouter:
         vote_trim: float = 0.34,
         vnodes: int = 64,
         shard_overrides: "dict[int, dict] | None" = None,
-        failure_domains: "tuple[int, ...] | list[int] | None" = None,
-        hedge: "HedgePolicy | dict | bool | None" = None,
         **service_kwargs,
     ) -> None:
         if replicas <= 0:
@@ -526,7 +444,6 @@ class ClusterRouter:
             n_shards,
             vnodes=vnodes,
             seed=derive_seed(seed, "ring"),
-            domains=failure_domains,
         )
         overrides = shard_overrides or {}
         journal_dir = (
@@ -546,20 +463,9 @@ class ClusterRouter:
             )
             for i in range(n_shards)
         ]
-        self.hedge = HedgePolicy.coerce(hedge)
         self.waves = 0
         self.coalesced = 0
         self.replica_dissent = 0
-        #: Hedging accounting: backups fired, backups that beat their
-        #: primary, completed loser answers cancelled, virtual seconds
-        #: of loser work discarded, and the armed trigger delay.
-        self.hedges_fired = 0
-        self.hedge_wins = 0
-        self.hedges_cancelled = 0
-        self.hedge_wasted_s = 0.0
-        self.hedge_trigger_s = 0.0
-        #: Per-request domain-collision counts from ring placement.
-        self._collisions: "dict[str, int]" = {}
         self._requests: "list[SearchRequest]" = []
         self._request_ids: set[str] = set()
         self._final: "dict[str, RequestRecord]" = {}
@@ -683,9 +589,6 @@ class ClusterRouter:
             extras={
                 "cluster.replicas": len(completed),
                 "cluster.dissent": dissent,
-                "cluster.replica_collisions": (
-                    self._collisions.get(request.request_id, 0)
-                ),
             },
         )
         starts = [
@@ -718,127 +621,9 @@ class ClusterRouter:
                     "cluster dispatch failed to converge"
                 )  # pragma: no cover - defensive
             pending = self._run_wave(pending)
-        if self.hedge is not None:
-            self._run_hedges()
         return [
             self._final[r.request_id] for r in self._requests
         ]
-
-    def _run_hedges(self) -> None:
-        """The hedged-request pass (see :class:`HedgePolicy`): fire
-        backups for tail/missed primaries onto their ring successor,
-        race them against the primaries, keep the winners.  Backups
-        run on fresh shard incarnations whose services drain their own
-        leases, so the cluster-wide lease invariant survives hedging.
-        """
-        latencies = [
-            self._final[r.request_id].latency_s
-            for r in self._requests
-            if self._final[r.request_id].status == COMPLETED
-            and self._final[r.request_id].latency_s is not None
-        ]
-        if not latencies:
-            return
-        trigger = max(
-            percentile(latencies, self.hedge.trigger_percentile),
-            self.hedge.min_delay_s,
-        )
-        self.hedge_trigger_s = trigger
-        by_shard: "dict[int, list[SearchRequest]]" = {}
-        backup_of: "dict[str, str]" = {}
-        for request in self._requests:
-            record = self._final[request.request_id]
-            if record.extras.get("cache_hit"):
-                continue
-            slow = (
-                record.status == COMPLETED
-                and record.latency_s is not None
-                and record.latency_s > trigger
-            )
-            missed = (
-                self.hedge.include_missed
-                and record.status == MISSED
-            )
-            if not slow and not missed:
-                continue
-            deadline = request.deadline_s
-            if deadline is not None and deadline <= trigger:
-                # By the time the hedge fires the deadline is gone.
-                continue
-            # The next distinct shard clockwise from the replica set:
-            # the backup never lands where the slow primary ran.
-            owners = self.ring.shards_for(
-                self._route_key(request), self.replicas + 1
-            )
-            backup_shard = owners[-1]
-            clone = replace(
-                request,
-                request_id=f"{request.request_id}::h",
-                seed=derive_seed(request.seed, "hedge"),
-                arrival_s=request.arrival_s + trigger,
-                deadline_s=(
-                    deadline - trigger
-                    if deadline is not None
-                    else None
-                ),
-            )
-            by_shard.setdefault(backup_shard, []).append(clone)
-            backup_of[request.request_id] = clone.request_id
-            self.hedges_fired += 1
-        if not backup_of:
-            return
-        backup_records: "dict[str, RequestRecord]" = {}
-        for shard_id in sorted(by_shard):
-            backup_records.update(
-                self.shards[shard_id].run(by_shard[shard_id])
-            )
-        for request in self._requests:
-            backup_rid = backup_of.get(request.request_id)
-            if backup_rid is None:
-                continue
-            primary = self._final[request.request_id]
-            backup = backup_records[backup_rid]
-            backup_won = backup.status == COMPLETED and (
-                primary.status != COMPLETED
-                or (
-                    backup.finish_s is not None
-                    and primary.finish_s is not None
-                    and backup.finish_s < primary.finish_s
-                )
-            )
-            loser = primary if backup_won else backup
-            if loser.status == COMPLETED:
-                # The slower side produced a full answer the race
-                # threw away -- the canonical hedging cost.
-                self.hedges_cancelled += 1
-                if (
-                    loser.start_s is not None
-                    and loser.finish_s is not None
-                ):
-                    self.hedge_wasted_s += (
-                        loser.finish_s - loser.start_s
-                    )
-            if not backup_won:
-                primary.extras["hedged"] = True
-                primary.extras["hedge_won"] = False
-                continue
-            self.hedge_wins += 1
-            self._final[request.request_id] = RequestRecord(
-                request=request,
-                status=COMPLETED,
-                result=backup.result,
-                start_s=backup.start_s,
-                finish_s=backup.finish_s,
-                ticks=primary.ticks + backup.ticks,
-                lanes=primary.lanes + backup.lanes,
-                degraded=backup.degraded,
-                lost_lanes=primary.lost_lanes + backup.lost_lanes,
-                extras={
-                    **primary.extras,
-                    "hedged": True,
-                    "hedge_won": True,
-                },
-            )
 
     def _run_wave(
         self, requests: "list[SearchRequest]"
@@ -875,12 +660,8 @@ class ClusterRouter:
         by_shard: "dict[int, list[SearchRequest]]" = {}
         replica_rids: "dict[str, list[str]]" = {}
         for request in dispatch:
-            before = self.ring.replica_collisions
             owners = self.ring.shards_for(
                 self._route_key(request), self.replicas
-            )
-            self._collisions[request.request_id] = (
-                self.ring.replica_collisions - before
             )
             rids = []
             for k, shard_id in enumerate(owners):
@@ -988,7 +769,6 @@ class ClusterRouter:
             missed=sum(1 for r in records if r.status == MISSED),
             shed=sum(1 for r in records if r.status == SHED),
             per_class=class_summary(records),
-            replica_collisions=self.ring.replica_collisions,
             cache_stale_hits=(
                 self.cache.stale_hits if self.cache else 0
             ),
@@ -1013,11 +793,6 @@ class ClusterRouter:
             ),
             coalesced=self.coalesced,
             replica_dissent=self.replica_dissent,
-            hedges_fired=self.hedges_fired,
-            hedge_wins=self.hedge_wins,
-            hedges_cancelled=self.hedges_cancelled,
-            hedge_wasted_s=self.hedge_wasted_s,
-            hedge_trigger_s=self.hedge_trigger_s,
             shard_crashes=sum(s.crashes for s in self.shards),
             shard_recoveries=sum(
                 s.recoveries for s in self.shards
@@ -1029,22 +804,7 @@ class ClusterRouter:
                 s.foreign_records for s in self.shards
             ),
             shard_reports=[
-                s.reports[-1]
-                if s.reports
-                else ServiceReport(
-                    offered=0,
-                    completed=0,
-                    rejected=0,
-                    missed=0,
-                    elapsed_s=0.0,
-                    p50_latency_s=0.0,
-                    p95_latency_s=0.0,
-                    mean_latency_s=0.0,
-                    p95_queue_wait_s=0.0,
-                    kernel_launches=0,
-                    mean_lanes_per_launch=0.0,
-                )
-                for s in self.shards
+                _shard_report(s.reports) for s in self.shards
             ],
             shard_elapsed_s=[s.elapsed_s for s in self.shards],
         )

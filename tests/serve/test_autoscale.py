@@ -1,14 +1,9 @@
-"""The elastic device fleet and both autoscaling control loops."""
+"""The elastic device fleet and the device autoscaling control loop."""
 
 import pytest
 
 from repro.gpu import TESLA_C2050, DevicePool, PoolError
-from repro.serve import (
-    Autoscaler,
-    AutoscalerConfig,
-    ShardAutoscaler,
-    ShardAutoscalerConfig,
-)
+from repro.serve import Autoscaler, AutoscalerConfig
 from repro.util.clock import Clock
 
 
@@ -147,44 +142,3 @@ class TestAutoscaler:
         assert AutoscalerConfig.coerce(cfg) is cfg
         with pytest.raises(TypeError):
             AutoscalerConfig.coerce(3.14)
-
-
-# -- shard-count control loop ------------------------------------------------
-
-
-class TestShardAutoscaler:
-    def test_band_semantics(self):
-        scaler = ShardAutoscaler(
-            ShardAutoscalerConfig(
-                min_shards=1,
-                max_shards=4,
-                attainment_low=0.95,
-                attainment_high=0.995,
-            )
-        )
-        assert scaler.next_count(2, 0.5) == 3  # below band: grow
-        assert scaler.next_count(2, 0.97) == 2  # inside band: hold
-        assert scaler.next_count(2, 1.0) == 1  # above band: shrink
-        assert scaler.next_count(4, 0.0) == 4  # capped at max
-        assert scaler.next_count(1, 1.0) == 1  # floored at min
-        assert scaler.scale_ups == 1
-        assert scaler.scale_downs == 1
-
-    def test_out_of_range_current_clamped(self):
-        scaler = ShardAutoscaler(
-            ShardAutoscalerConfig(min_shards=2, max_shards=4)
-        )
-        assert scaler.next_count(9, 0.97) == 4
-        assert scaler.next_count(1, 0.97) == 2
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            ShardAutoscalerConfig(min_shards=0)
-        with pytest.raises(ValueError):
-            ShardAutoscalerConfig(min_shards=4, max_shards=2)
-        with pytest.raises(ValueError):
-            ShardAutoscalerConfig(
-                attainment_low=0.99, attainment_high=0.95
-            )
-        with pytest.raises(ValueError):
-            ShardAutoscalerConfig(step=0)

@@ -1,15 +1,16 @@
 """The sharded serving cluster: consistent-hash routing, the
-single-shard bit-identity pin, replica voting, cache coalescing, and
-journal-backed shard recovery."""
+single-shard bit-identity pin, replica voting, cache coalescing,
+journal-backed shard recovery, and the per-shard report."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.serve import (
     COMPLETED,
     MISSED,
     ClusterRouter,
     HashRing,
-    HedgePolicy,
     ResultCache,
     SearchRequest,
     SearchService,
@@ -17,6 +18,7 @@ from repro.serve import (
 )
 from repro.util.seeding import derive_seed
 from tests.core.test_differential import SMALL_SPECS
+from tests.serve.reference_ring import ReferenceRing
 
 BUDGET = 4e-4
 
@@ -121,6 +123,34 @@ class TestHashRing:
             HashRing(0)
         with pytest.raises(ValueError):
             HashRing(2, vnodes=0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n_shards=st.integers(1, 16),
+        vnodes=st.sampled_from([1, 2, 7, 64]),
+        seed=st.integers(0, 2**64 - 1),
+        data=st.data(),
+    )
+    def test_placement_matches_the_reference_ring(
+        self, n_shards, vnodes, seed, data
+    ):
+        # The single clockwise walk places every key on the owners the
+        # failure-domain ring gave it with one domain per shard --
+        # random keys, the ring's own points and both ends of the ring.
+        ring = HashRing(n_shards, vnodes=vnodes, seed=seed)
+        reference = ReferenceRing(n_shards, vnodes=vnodes, seed=seed)
+        points = data.draw(
+            st.lists(st.sampled_from(ring._hashes), max_size=4)
+        )
+        keys = data.draw(
+            st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=8)
+        )
+        for key in keys + points + [0, 2**64 - 1]:
+            for count in range(1, n_shards + 3):
+                assert ring.shards_for(key, count) == (
+                    reference.shards_for(key, count)
+                )
+            assert ring.shard_for(key) == reference.shards_for(key)[0]
 
 
 # -- the bit-identity pin ----------------------------------------------------
@@ -288,6 +318,25 @@ class TestClusterCache:
         # The leader's answer landed after the follower's deadline.
         assert records[1].status == MISSED
         assert records[1].extras.get("cache_hit") is True
+
+    def test_per_shard_rows_count_every_wave(self):
+        # The leader misses its 1 us deadline, so its three followers
+        # re-dispatch: the shard serves the failed leader in wave 1
+        # and the new leader in wave 2, and its row counts both.
+        reqs = [request(0, deadline_s=1e-6)] + [
+            request(i, arrival_s=0.0, seed=500 + i) for i in (1, 2, 3)
+        ]
+        cluster = ClusterRouter(n_shards=1, seed=1, cache=True)
+        cluster.submit_all(reqs)
+        cluster.run()
+        report = cluster.report()
+        assert (report.offered, report.missed, report.waves) == (4, 1, 2)
+        (shard,) = report.shard_reports
+        assert (shard.offered, shard.completed, shard.missed) == (2, 1, 1)
+        assert len(cluster.shards[0].reports) == 2
+        per_shard = report.render().split("per-shard")[1]
+        assert "offered      2" in per_shard
+        assert "missed       1" in per_shard
 
 
 # -- replica voting ----------------------------------------------------------
@@ -467,197 +516,3 @@ def test_report_before_run_raises():
     cluster = ClusterRouter(n_shards=1)
     with pytest.raises(ServiceError):
         cluster.report()
-
-
-# -- failure-domain-aware replica placement ----------------------------------
-
-
-class TestFailureDomains:
-    def test_default_domains_are_legacy_identical(self):
-        # domains=None (one domain per shard) must not change a
-        # single placement decision vs the pre-domain ring.
-        legacy = HashRing(8, seed=3)
-        explicit = HashRing(8, seed=3, domains=tuple(range(8)))
-        for key in range(0, 2**64, 2**58):
-            assert legacy.shards_for(key, 3) == explicit.shards_for(
-                key, 3
-            )
-        assert legacy.replica_collisions == 0
-        assert explicit.replica_collisions == 0
-
-    def test_replicas_span_distinct_domains(self):
-        # 8 shards racked into 4 domains: 3 replicas must land in 3
-        # different domains, for every key.
-        domains = tuple(i % 4 for i in range(8))
-        ring = HashRing(8, seed=3, domains=domains)
-        for key in range(0, 2**64, 2**57):
-            owners = ring.shards_for(key, 3)
-            assert len(owners) == len(set(owners)) == 3
-            assert len({domains[s] for s in owners}) == 3
-        assert ring.replica_collisions == 0
-
-    def test_fewer_domains_than_replicas_degrades_and_counts(self):
-        # 4 shards in 2 domains cannot place 3 domain-distinct
-        # replicas: the ring falls back to distinct shards (never
-        # fewer replicas) and counts each violation.
-        ring = HashRing(4, seed=1, domains=(0, 0, 1, 1))
-        owners = ring.shards_for(123, 3)
-        assert len(owners) == len(set(owners)) == 3
-        assert ring.replica_collisions >= 1
-
-    def test_rejects_wrong_domain_length(self):
-        with pytest.raises(ValueError):
-            HashRing(4, domains=(0, 1))
-
-    def test_cluster_pins_zero_collisions_with_enough_domains(self):
-        cluster = ClusterRouter(
-            n_shards=4,
-            replicas=3,
-            seed=2,
-            cache=None,
-            failure_domains=(0, 1, 2, 3),
-        )
-        cluster.submit_all(mixed_requests(6))
-        records = cluster.run()
-        assert cluster.report().replica_collisions == 0
-        for r in records:
-            assert (
-                r.result.extras["cluster.replica_collisions"] == 0
-            )
-
-    def test_cluster_counts_collisions_with_too_few_domains(self):
-        cluster = ClusterRouter(
-            n_shards=4,
-            replicas=3,
-            seed=2,
-            cache=None,
-            failure_domains=(0, 0, 1, 1),
-        )
-        cluster.submit_all(mixed_requests(6))
-        records = cluster.run()
-        report = cluster.report()
-        # Every request needs 3 replicas over 2 domains: at least
-        # one violation each.
-        assert report.replica_collisions >= len(records)
-        assert any(
-            r.result.extras["cluster.replica_collisions"] >= 1
-            for r in records
-        )
-
-
-class TestHedgePolicy:
-    """Validation and coercion of the hedged-request policy."""
-
-    def test_coerce_forms(self):
-        assert HedgePolicy.coerce(None) is None
-        assert HedgePolicy.coerce(False) is None
-        default = HedgePolicy.coerce(True)
-        assert default.trigger_percentile == 95.0
-        assert default.include_missed is True
-        custom = HedgePolicy.coerce(
-            dict(trigger_percentile=50.0, min_delay_s=0.01)
-        )
-        assert custom.trigger_percentile == 50.0
-        assert custom.min_delay_s == 0.01
-        policy = HedgePolicy(trigger_percentile=90.0)
-        assert HedgePolicy.coerce(policy) is policy
-        with pytest.raises(TypeError, match="coerce"):
-            HedgePolicy.coerce(42)
-
-    def test_validation(self):
-        with pytest.raises(ValueError, match="trigger_percentile"):
-            HedgePolicy(trigger_percentile=0.0)
-        with pytest.raises(ValueError, match="trigger_percentile"):
-            HedgePolicy(trigger_percentile=101.0)
-        with pytest.raises(ValueError, match="min_delay_s"):
-            HedgePolicy(min_delay_s=-0.1)
-
-
-class TestHedgedRequests:
-    """Cluster-level hedged requests: tail primaries race a backup on
-    the next distinct shard; the faster side wins."""
-
-    @staticmethod
-    def tail_heavy_requests():
-        # Six quick requests set the latency percentile; two heavies
-        # land firmly in the tail above any p50 trigger.
-        quick = [request(i) for i in range(6)]
-        heavy = [
-            request(6 + i, budget_s=BUDGET * 10, seed=300 + i)
-            for i in range(2)
-        ]
-        return quick + heavy
-
-    def test_tail_requests_get_hedged(self):
-        router = ClusterRouter(
-            n_shards=2,
-            seed=9,
-            n_devices=1,
-            hedge=dict(trigger_percentile=50.0),
-        )
-        router.submit_all(self.tail_heavy_requests())
-        records = router.run()
-        report = router.report()
-        assert all(r.status == COMPLETED for r in records)
-        # The two heavies sit above the p50 trigger, so at least they
-        # fired backups; every hedged race left its mark.
-        assert report.hedges_fired >= 2
-        assert report.hedge_trigger_s > 0
-        hedged = [r for r in records if r.extras.get("hedged")]
-        assert len(hedged) == report.hedges_fired
-        assert (
-            sum(1 for r in hedged if r.extras.get("hedge_won"))
-            == report.hedge_wins
-        )
-        assert report.hedge_wins <= report.hedges_fired
-        # Backup clones never leak into the final records: results
-        # are reported under the original request ids.
-        assert all(
-            "::h" not in r.request.request_id for r in records
-        )
-        # Any completed loser is accounted as cancelled waste.
-        if report.hedges_cancelled:
-            assert report.hedge_wasted_s > 0
-
-    def test_deadline_inside_trigger_never_hedges(self):
-        # min_delay_s pins the trigger far past every deadline: by
-        # the time a backup could fire the SLO is already gone, so
-        # even a missed primary fires no hedge.
-        reqs = [
-            request(i, deadline_s=0.05) for i in range(4)
-        ] + [
-            request(4, budget_s=0.1, deadline_s=0.05, seed=400)
-        ]
-        router = ClusterRouter(
-            n_shards=2,
-            seed=9,
-            n_devices=1,
-            hedge=dict(trigger_percentile=50.0, min_delay_s=10.0),
-        )
-        router.submit_all(reqs)
-        records = router.run()
-        assert any(r.status == MISSED for r in records)
-        assert router.hedges_fired == 0
-        assert all(
-            not r.extras.get("hedged") for r in records
-        )
-
-    def test_hedged_run_replays_bit_identical(self):
-        def run_once():
-            router = ClusterRouter(
-                n_shards=2,
-                seed=9,
-                n_devices=1,
-                hedge=dict(trigger_percentile=50.0),
-            )
-            router.submit_all(self.tail_heavy_requests())
-            records = router.run()
-            return [fingerprint(r) for r in records], (
-                router.hedges_fired,
-                router.hedge_wins,
-                router.hedges_cancelled,
-                router.hedge_wasted_s,
-            )
-
-        first, second = run_once(), run_once()
-        assert first == second
