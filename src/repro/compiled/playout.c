@@ -1105,9 +1105,9 @@ typedef struct {
     /* Slots handed out: set by the caller before `*_select_expand`,
      * which advances it past the spans it reserves. */
     int64_t allocated;
-    /* The selection policy: UCB constant, `ucb1_tuned`?, `wuct`? */
+    /* The selection policy: UCB constant, `wuct`? */
     double ucb_c;
-    int64_t tuned, wuct;
+    int64_t wuct;
     /* Per-call rows of `*_select_expand`, `n_trees` slots each: row i's
      * leaf position and terminal flag, written with leaves[i]. */
     uint64_t *leaf_plane1;
@@ -1340,7 +1340,7 @@ int repro_connect4_expand(int64_t k, const int64_t *rows, const arena_t *a)
 
 /* -- Tree descent + expansion (must match repro/core/arena.py) ----------- */
 
-/* `TreeArena._best_child`: the selection-rule argmax over `node`'s
+/* `TreeArena._best_child`: the UCB1 argmax over `node`'s
  * filled child span -- the first unvisited child if there is one, else
  * the first maximum of the UCB score.  Every expression is evaluated
  * in the Python body's operation order on IEEE doubles (the build
@@ -1372,14 +1372,7 @@ static inline int64_t best_child(const arena_t *a, int64_t node)
         double p = !a->wuct        ? a->wins[i] / n_i
                  : completed > 0.0 ? a->wins[i] / completed
                                    : 0.5;
-        double score;
-        if (a->tuned) {
-            double variance = p * (1.0 - p) + sqrt(2.0 * log_total / n_i);
-            double width = variance < 0.25 ? variance : 0.25;
-            score = p + c * sqrt(log_total / n_i * width);
-        } else {
-            score = p + c * sqrt(log_total / n_i);
-        }
+        double score = p + c * sqrt(log_total / n_i);
         if (i == start || score > best_score) {
             best = i;
             best_score = score;

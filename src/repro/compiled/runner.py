@@ -466,7 +466,6 @@ class ArenaColumns(ctypes.Structure):
             # Set per call / per arena by the tree kernels' caller.
             ("allocated", ctypes.c_int64),
             ("ucb_c", ctypes.c_double),
-            ("tuned", ctypes.c_int64),
             ("wuct", ctypes.c_int64),
         ]
         + [(name + "_at", ctypes.c_void_p) for name, _ in _ROUND_ROWS]
@@ -517,7 +516,6 @@ class ArenaColumns(ctypes.Structure):
         """``arena``'s selection policy, as the kernels read it -- again
         when a reopened arena starts a session under another one."""
         self.ucb_c = arena.ucb_c
-        self.tuned = arena.selection_rule == "ucb1_tuned"
         self.wuct = arena.parallel_mode == "wuct"
 
     @classmethod

@@ -58,10 +58,8 @@ from repro.core.policy import (
     MAX_VISITS,
     MAX_WINS,
     PARALLEL_MODES,
-    SELECTION_RULES,
     select_move,
     validate_parallel_mode,
-    validate_selection_rule,
 )
 from repro.core.results import (
     EXTRA_KEYS,
@@ -122,8 +120,6 @@ __all__ = [
     "majority_vote_stat_dicts",
     "trimmed_vote_stat_dicts",
     "select_move",
-    "SELECTION_RULES",
-    "validate_selection_rule",
     "MAX_VISITS",
     "MAX_RATIO",
     "MAX_WINS",

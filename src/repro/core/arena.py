@@ -79,10 +79,8 @@ from repro.compiled import (
     select_expand_many_compiled,
 )
 from repro.compiled.runner import _tree_library
-from repro.core.policy import (
-    validate_parallel_mode,
-    validate_selection_rule,
-)
+from repro.core.checkpoint import check_selection_rule
+from repro.core.policy import validate_parallel_mode
 from repro.games.base import Game, GameState
 from repro.games.batch import Positions
 from repro.integrity.audit import audit_root_stats
@@ -96,10 +94,9 @@ class ArenaInvariantError(RuntimeError):
     """Raised by :meth:`TreeArena.validate` on a corrupted arena."""
 
 
-def _check_session(rngs, ucb_c, selection_rule, parallel_mode) -> None:
+def _check_session(rngs, ucb_c, parallel_mode) -> None:
     if ucb_c < 0:
         raise ValueError(f"ucb_c must be non-negative: {ucb_c}")
-    validate_selection_rule(selection_rule)
     validate_parallel_mode(parallel_mode)
     if not rngs:
         raise ValueError("arena needs at least one tree RNG")
@@ -114,11 +111,10 @@ class TreeArena:
         root_state: GameState,
         rngs: "list[XorShift64Star]",
         ucb_c: float = 1.0,
-        selection_rule: str = "ucb1",
         capacity: int | None = None,
         parallel_mode: str = "vloss",
     ) -> None:
-        _check_session(rngs, ucb_c, selection_rule, parallel_mode)
+        _check_session(rngs, ucb_c, parallel_mode)
         self._attach(game)
         self.n_trees = n = len(rngs)
         self._cap = 0
@@ -129,7 +125,7 @@ class TreeArena:
         self.roots = np.zeros(n, dtype=np.int64)
         self.tree_node_count = np.zeros(n, dtype=np.int64)
         self.tree_max_depth = np.zeros(n, dtype=np.int64)
-        self._start(root_state, rngs, ucb_c, selection_rule, parallel_mode)
+        self._start(root_state, rngs, ucb_c, parallel_mode)
 
     @classmethod
     def open(
@@ -138,7 +134,6 @@ class TreeArena:
         root_state: GameState,
         rngs: "list[XorShift64Star]",
         ucb_c: float = 1.0,
-        selection_rule: str = "ucb1",
         parallel_mode: str = "vloss",
     ) -> "TreeArena":
         """A new session's arena: a released one of the same game and
@@ -150,14 +145,9 @@ class TreeArena:
         free = _FREE_ARENAS.get((game.name, len(rngs)))
         if not free:
             return cls(
-                game,
-                root_state,
-                rngs,
-                ucb_c,
-                selection_rule,
-                parallel_mode=parallel_mode,
+                game, root_state, rngs, ucb_c, parallel_mode=parallel_mode
             )
-        _check_session(rngs, ucb_c, selection_rule, parallel_mode)
+        _check_session(rngs, ucb_c, parallel_mode)
         arena = free.pop()
         arena.game = game
         cols = arena._cols
@@ -167,18 +157,15 @@ class TreeArena:
             # The toolchain came or went (REPRO_COMPILED toggled at
             # run time): resolve the bodies again on first use.
             arena._cols = False
-        arena._start(root_state, rngs, ucb_c, selection_rule, parallel_mode)
+        arena._start(root_state, rngs, ucb_c, parallel_mode)
         return arena
 
-    def _start(
-        self, root_state, rngs, ucb_c, selection_rule, parallel_mode
-    ) -> None:
+    def _start(self, root_state, rngs, ucb_c, parallel_mode) -> None:
         """Begin a session on all-default columns: the selection
         policy, the trees' generator words, one root per tree in slots
         ``0 .. n - 1``.  The per-tree arrays are written in place --
         bound columns hold their addresses."""
         self.ucb_c = ucb_c
-        self.selection_rule = selection_rule
         self.parallel_mode = parallel_mode
         if self._cols:
             self._cols.take_policy(self)
@@ -529,7 +516,7 @@ class TreeArena:
         return node, depth
 
     def _best_child(self, node: int) -> int:
-        """Selection-rule argmax over ``node``'s child span: the first
+        """UCB1 argmax over ``node``'s child span: the first
         unvisited child if there is one, else the first maximum of the
         score -- ``SearchTree.best_child`` on columns.  ``best_child``
         in ``playout.c`` repeats it operation for operation."""
@@ -538,7 +525,6 @@ class TreeArena:
         total = self.visits.item(node) + self.vloss.item(node)
         log_total = math.log(total) if total > 1.0 else 0.0
         c = self.ucb_c
-        tuned = self.selection_rule == "ucb1_tuned"
         wuct = self.parallel_mode == "wuct"
         best = best_score = None
         for child, (completed, in_flight, wins) in enumerate(
@@ -558,12 +544,7 @@ class TreeArena:
                 p = wins / completed if completed > 0.0 else 0.5
             else:
                 p = wins / n_i
-            if tuned:
-                variance = p * (1.0 - p) + math.sqrt(2.0 * log_total / n_i)
-                width = min(0.25, variance)
-                score = p + c * math.sqrt(log_total / n_i * width)
-            else:
-                score = p + c * math.sqrt(log_total / n_i)
+            score = p + c * math.sqrt(log_total / n_i)
             if best is None or score > best_score:
                 best, best_score = child, score
         return best
@@ -828,7 +809,7 @@ class TreeArena:
         return {
             "kind": "arena",
             "ucb_c": self.ucb_c,
-            "selection_rule": self.selection_rule,
+            "selection_rule": "ucb1",
             "parallel_mode": self.parallel_mode,
             "n_trees": self.n_trees,
             "mask_words": self.mask_words,
@@ -862,10 +843,10 @@ class TreeArena:
     def from_snapshot(cls, game: Game, snap: dict) -> "TreeArena":
         """Rebuild an arena from :meth:`snapshot`; consumes no RNG
         draws and generates no moves."""
+        check_selection_rule(snap)
         arena = object.__new__(cls)
         arena._attach(game)
         arena.ucb_c = snap["ucb_c"]
-        arena.selection_rule = snap["selection_rule"]
         arena.parallel_mode = snap.get("parallel_mode", "vloss")
         arena.n_trees = snap["n_trees"]
         arena.rng_state = np.array(snap["rng_states"], dtype=np.uint64)

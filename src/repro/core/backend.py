@@ -190,20 +190,17 @@ def make_forest(
     root_state: GameState,
     rngs: Sequence[XorShift64Star],
     ucb_c: float = 1.0,
-    selection_rule: str = "ucb1",
     parallel_mode: str = "vloss",
 ):
     """``len(rngs)`` trees from one root on the chosen backend."""
     validate_backend(backend)
     if backend == "arena":
         return TreeArena.open(
-            game, root_state, list(rngs), ucb_c, selection_rule, parallel_mode
+            game, root_state, list(rngs), ucb_c, parallel_mode
         )
     return NodeForest(
         [
-            SearchTree(
-                game, root_state, rng, ucb_c, selection_rule, parallel_mode
-            )
+            SearchTree(game, root_state, rng, ucb_c, parallel_mode)
             for rng in rngs
         ]
     )
@@ -215,13 +212,10 @@ def make_tree(
     root_state: GameState,
     rng: XorShift64Star,
     ucb_c: float = 1.0,
-    selection_rule: str = "ucb1",
     parallel_mode: str = "vloss",
 ):
     """One tree on the chosen backend: a forest of one."""
-    return make_forest(
-        backend, game, root_state, [rng], ucb_c, selection_rule, parallel_mode
-    )
+    return make_forest(backend, game, root_state, [rng], ucb_c, parallel_mode)
 
 
 #: The on-disk ``kind`` of a store's checkpoint form, by the session

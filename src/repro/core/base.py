@@ -39,11 +39,7 @@ from repro.core.checkpoint import (
     CheckpointError,
     EngineSnapshot,
 )
-from repro.core.policy import (
-    MAX_VISITS,
-    select_move,
-    validate_selection_rule,
-)
+from repro.core.policy import MAX_VISITS, select_move
 from repro.core.results import SearchResult
 from repro.core.rounds import Round, run_rounds
 from repro.core.tree import (
@@ -103,7 +99,6 @@ class Engine:
         clock: Clock | None = None,
         final_policy: str = MAX_VISITS,
         max_iterations: int | None = None,
-        selection_rule: str = "ucb1",
         backend: str = DEFAULT_BACKEND,
         playout: str = DEFAULT_PLAYOUT,
         profiler: Profiler | None = None,
@@ -112,7 +107,6 @@ class Engine:
             raise ValueError(
                 f"max_iterations must be positive: {max_iterations}"
             )
-        validate_selection_rule(selection_rule)
         validate_backend(backend)
         validate_playout(playout)
         self.game = game
@@ -122,7 +116,6 @@ class Engine:
         self.clock = clock if clock is not None else Clock()
         self.final_policy = final_policy
         self.max_iterations = max_iterations
-        self.selection_rule = selection_rule
         self.backend = backend
         #: Playout executor for vectorised batches ("numpy" or
         #: "compiled"); bit-identical by contract, so it is a pure
@@ -409,7 +402,6 @@ class Engine:
             state,
             rngs,
             self.ucb_c,
-            self.selection_rule,
             parallel_mode,
         )
 

@@ -53,6 +53,18 @@ class CheckpointError(RuntimeError):
     engine that holds no session."""
 
 
+def check_selection_rule(snap: dict) -> None:
+    """Refuse a tree or arena snapshot selected under any in-tree rule
+    but UCB1, the only one there is.  Snapshots still write the field,
+    so format version 1 payloads read unchanged."""
+    rule = snap.get("selection_rule")
+    if rule != "ucb1":
+        raise CheckpointError(
+            f"snapshot selection rule {rule!r} unsupported "
+            "(trees select with 'ucb1')"
+        )
+
+
 @dataclass(frozen=True)
 class EngineSnapshot:
     """One engine's live search state, frozen mid-iteration.

@@ -81,7 +81,6 @@ class MultiGpuMcts(Engine):
             clock=ctx.clock,
             final_policy=self.final_policy,
             max_iterations=self.max_iterations,
-            selection_rule=self.selection_rule,
             backend=self.backend,
             playout=self.playout,
             profiler=self.profiler,

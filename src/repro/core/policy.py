@@ -1,35 +1,18 @@
-"""Selection-rule and final-move policies shared by trees and engines.
+"""In-flight accounting and final-move policies shared by trees and engines.
 
 This module is the single home for the two policy axes every backend
-must agree on: the *in-tree* child-selection rule (UCB1 or UCB1-tuned)
-and the *final* move-selection policy applied to aggregated root
-statistics.  Both the pointer tree (:mod:`repro.core.tree`) and the
-array arena (:mod:`repro.core.arena`) validate against the same
-constants, so an engine cannot construct a tree with a rule the other
+must agree on: the *in-flight* accounting of shared-tree selections
+(virtual loss or WU-UCT) and the *final* move-selection policy applied
+to aggregated root statistics.  In-tree selection is the paper's UCB1
+on every backend.  Both the pointer tree (:mod:`repro.core.tree`) and
+the array arena (:mod:`repro.core.arena`) validate against the same
+constants, so an engine cannot construct a tree with a mode the other
 backend would reject.
 """
 
 from __future__ import annotations
 
 from typing import Mapping
-
-#: The paper's UCB1 formula.
-UCB1 = "ucb1"
-#: Auer et al.'s variance-bounded variant (UCB ablation).
-UCB1_TUNED = "ucb1_tuned"
-
-#: Supported in-tree child-selection rules.
-SELECTION_RULES = (UCB1, UCB1_TUNED)
-
-
-def validate_selection_rule(rule: str) -> str:
-    """Return ``rule`` if supported, raise ``ValueError`` otherwise."""
-    if rule not in SELECTION_RULES:
-        raise ValueError(
-            f"unknown selection rule {rule!r}; "
-            f"available: {SELECTION_RULES}"
-        )
-    return rule
 
 #: Phantom-loss accounting: in-flight selections add losing visits to
 #: both the mean and the exploration term (Chaslot et al.).

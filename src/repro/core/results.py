@@ -75,7 +75,3 @@ class SearchResult:
     def extras_schema(self) -> dict[str, type]:
         """The declared extras schema for this result's engine kind."""
         return extras_schema(self.engine)
-
-    def extra(self, key: str, default=None):
-        """Extras lookup by canonical ``family.metric`` key."""
-        return self.extras.get(key, default)

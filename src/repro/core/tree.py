@@ -19,11 +19,8 @@ from __future__ import annotations
 import math
 from typing import Iterator
 
-from repro.core.policy import (
-    SELECTION_RULES,
-    validate_parallel_mode,
-    validate_selection_rule,
-)
+from repro.core.checkpoint import check_selection_rule
+from repro.core.policy import validate_parallel_mode
 from repro.games.base import Game, GameState
 from repro.integrity.audit import audit_root_stats
 from repro.rng import XorShift64Star
@@ -89,26 +86,20 @@ class Node:
 class SearchTree:
     """One MCTS tree with UCB1 selection and single-node expansion."""
 
-    #: Supported child-selection rules (shared with the arena backend).
-    SELECTION_RULES = SELECTION_RULES
-
     def __init__(
         self,
         game: Game,
         root_state: GameState,
         rng: XorShift64Star,
         ucb_c: float = 1.0,
-        selection_rule: str = "ucb1",
         parallel_mode: str = "vloss",
     ) -> None:
         if ucb_c < 0:
             raise ValueError(f"ucb_c must be non-negative: {ucb_c}")
-        validate_selection_rule(selection_rule)
         validate_parallel_mode(parallel_mode)
         self.game = game
         self.rng = rng
         self.ucb_c = ucb_c
-        self.selection_rule = selection_rule
         self.parallel_mode = parallel_mode
         self.root = Node(None, None, root_state, game, rng)
         if self.root.terminal:
@@ -146,12 +137,8 @@ class SearchTree:
             depth += 1
 
     def best_child(self, node: Node) -> Node:
-        """Selection-rule argmax over ``node``'s children.
-
-        ``ucb1`` is the paper's formula; ``ucb1_tuned`` replaces the
-        exploration width with the Bernoulli variance bound
-        ``min(1/4, p(1-p) + sqrt(2 ln N / n))`` (Auer et al.), offered
-        for the UCB ablation.
+        """UCB1 argmax over ``node``'s children, the paper's
+        ``p + c * sqrt(ln N / n_i)``.
 
         ``vloss`` counters fold in according to the tree's
         ``parallel_mode``: under ``"vloss"`` they are phantom losing
@@ -161,7 +148,6 @@ class SearchTree:
         mean stays ``wins / completed visits``.
         """
         c = self.ucb_c
-        tuned = self.selection_rule == "ucb1_tuned"
         wuct = self.parallel_mode == "wuct"
         total = node.visits + node.vloss
         log_total = math.log(total) if total > 1.0 else 0.0
@@ -179,14 +165,7 @@ class SearchTree:
                 )
             else:
                 p = child.wins / n_i
-            if tuned:
-                variance = p * (1.0 - p) + math.sqrt(
-                    2.0 * log_total / n_i
-                )
-                width = min(0.25, variance)
-                score = p + c * math.sqrt(log_total / n_i * width)
-            else:
-                score = p + c * math.sqrt(log_total / n_i)
+            score = p + c * math.sqrt(log_total / n_i)
             if score > best_score:
                 best_score = score
                 best = child
@@ -390,7 +369,7 @@ class SearchTree:
         return {
             "kind": "node_tree",
             "ucb_c": self.ucb_c,
-            "selection_rule": self.selection_rule,
+            "selection_rule": "ucb1",
             "parallel_mode": self.parallel_mode,
             "rng_state": self.rng.getstate(),
             "node_count": self.node_count,
@@ -403,10 +382,10 @@ class SearchTree:
         """Rebuild a tree from :meth:`snapshot` without touching game
         logic or consuming RNG draws (``Node.__init__`` shuffles, so
         nodes are reconstructed around it)."""
+        check_selection_rule(snap)
         tree = object.__new__(cls)
         tree.game = game
         tree.ucb_c = snap["ucb_c"]
-        tree.selection_rule = snap["selection_rule"]
         tree.parallel_mode = snap.get("parallel_mode", "vloss")
         tree.rng = XorShift64Star.from_state(snap["rng_state"])
         tree.node_count = snap["node_count"]

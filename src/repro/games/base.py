@@ -104,41 +104,17 @@ class Game(abc.ABC):
         )
 
     def zobrist_key(self, state: GameState) -> int:
-        """Canonical 64-bit Zobrist key of ``state`` (full recompute).
+        """Canonical 64-bit Zobrist key of ``state``: the fold of its
+        occupancy planes and side to move.
 
         The key is a cross-process contract: the cluster router hashes
         it for consistent placement and the shared result cache keys
-        on it (docs/cluster.md).  Use :meth:`zobrist_apply` to advance
-        a key incrementally along a move sequence.
+        on it (docs/cluster.md).
         """
         from repro.games.zobrist import table_for
 
         p1, p2 = self.zobrist_planes(state)
         return table_for(self.name).fold(p1, p2, self.to_move(state))
-
-    def zobrist_apply(
-        self, state: GameState, move: int, key: int
-    ) -> tuple[GameState, int]:
-        """Apply ``move`` and incrementally update the position key.
-
-        Only the *changed* occupancy bits are folded (XOR of keys is
-        self-inverse), so the cost is proportional to the move's
-        footprint -- one bit for a drop, the flip set for Reversi --
-        not the board size.  Equals ``(next, zobrist_key(next))`` by
-        contract, pinned property-style in the test suite.
-        """
-        from repro.games.zobrist import table_for
-
-        nxt = self.apply(state, move)
-        p1, p2 = self.zobrist_planes(state)
-        q1, q2 = self.zobrist_planes(nxt)
-        key = table_for(self.name).fold_update(
-            key,
-            p1 ^ q1,
-            p2 ^ q2,
-            self.to_move(state) != self.to_move(nxt),
-        )
-        return nxt, key
 
     def playout(self, state: GameState, rng) -> tuple[int, int]:
         """One uniformly random playout: ``(absolute winner, plies)``.

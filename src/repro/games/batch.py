@@ -191,28 +191,6 @@ class BatchGame(abc.ABC):
     def scores(self, batch) -> np.ndarray:
         """Per-lane point difference from player +1's perspective."""
 
-    def zobrist_plane_arrays(
-        self, batch
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Per-lane occupancy planes in *absolute* colours plus side
-        to move: ``(player +1 boards, player -1 boards, to_move)``.
-        Batch games that store boards from the side-to-move's
-        perspective un-swap them here so the key matches the scalar
-        :meth:`repro.games.base.Game.zobrist_key` lane by lane."""
-        raise NotImplementedError(
-            f"{self.name} does not define Zobrist occupancy planes"
-        )
-
-    def zobrist_keys(self, batch) -> np.ndarray:
-        """Canonical per-lane Zobrist keys (uint64), equal to the
-        scalar key of each lane's position by contract -- the batch
-        half of the cross-process position identity the cluster
-        router and result cache rely on (docs/cluster.md)."""
-        from repro.games.zobrist import table_for
-
-        p1, p2, to_move = self.zobrist_plane_arrays(batch)
-        return table_for(self.name).fold_arrays(p1, p2, to_move)
-
     def compact(self, batch, keep: np.ndarray):
         """A new batch holding only the lanes where ``keep`` is true.
 

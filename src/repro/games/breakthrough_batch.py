@@ -188,14 +188,6 @@ class BatchBreakthrough(BatchGame):
     def winners(self, batch: BreakthroughBatch) -> np.ndarray:
         return batch.winner.copy()
 
-    def zobrist_plane_arrays(
-        self, batch: BreakthroughBatch
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        up = batch.to_move == 1
-        p1 = np.where(up, batch.own, batch.opp)
-        p2 = np.where(up, batch.opp, batch.own)
-        return p1, p2, batch.to_move
-
     def scores(self, batch: BreakthroughBatch) -> np.ndarray:
         up = batch.to_move == 1
         p1 = np.where(up, batch.own, batch.opp)

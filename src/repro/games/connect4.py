@@ -12,7 +12,6 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from repro.games.base import Game
-from repro.util.bitops import bit_count
 
 NUM_COLS = 7
 NUM_ROWS = 6
@@ -136,6 +135,3 @@ class Connect4(Game):
             rows.append(" ".join(cells))
         rows.append(" ".join(str(c) for c in range(NUM_COLS)))
         return "\n".join(rows)
-
-    def discs(self, state: Connect4State) -> int:
-        return bit_count(state.p1 | state.p2)

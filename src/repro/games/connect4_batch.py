@@ -98,11 +98,6 @@ class BatchConnect4(BatchGame):
         w[has_four_batch(batch.p2)] = -1
         return w
 
-    def zobrist_plane_arrays(
-        self, batch: Connect4Batch
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return batch.p1, batch.p2, batch.to_move
-
     def scores(self, batch: Connect4Batch) -> np.ndarray:
         return self.winners(batch).astype(np.int16)
 

@@ -176,16 +176,6 @@ class BatchReversi(BatchGame):
         diff = self.scores(batch)
         return np.sign(diff).astype(np.int8)
 
-    def zobrist_plane_arrays(
-        self, batch: ReversiBatch
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        # Boards are stored from the side-to-move's perspective;
-        # un-swap to absolute colours so keys match the scalar game.
-        is_black = batch.to_move == 1
-        black = np.where(is_black, batch.own, batch.opp)
-        white = np.where(is_black, batch.opp, batch.own)
-        return black, white, batch.to_move
-
     def scores(self, batch: ReversiBatch) -> np.ndarray:
         is_black = batch.to_move == 1
         black = np.where(is_black, batch.own, batch.opp)

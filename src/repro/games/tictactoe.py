@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from repro.games.base import Game
-from repro.util.bitops import bit_count, bits_of
+from repro.util.bitops import bits_of
 
 FULL_BOARD = 0x1FF
 
@@ -103,9 +103,6 @@ class TicTacToe(Game):
                 )
             rows.append(" ".join(cells))
         return "\n".join(rows)
-
-    def occupancy(self, state: TicTacToeState) -> int:
-        return bit_count(state.x | state.o)
 
     def zobrist_planes(self, state: TicTacToeState) -> tuple[int, int]:
         return state.x, state.o

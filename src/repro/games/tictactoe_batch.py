@@ -89,11 +89,6 @@ class BatchTicTacToe(BatchGame):
     def scores(self, batch: TicTacToeBatch) -> np.ndarray:
         return self.winners(batch).astype(np.int16)
 
-    def zobrist_plane_arrays(
-        self, batch: TicTacToeBatch
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return batch.x, batch.o, batch.to_move
-
     def lane_state(self, batch: TicTacToeBatch, i: int) -> TicTacToeState:
         return TicTacToeState(
             int(batch.x[i]), int(batch.o[i]), int(batch.to_move[i])

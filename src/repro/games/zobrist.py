@@ -9,27 +9,12 @@ router places requests by it, replicas agree on it without
 coordination, and the shared result cache uses it as the canonical
 position identity (see docs/cluster.md).
 
-Two folds are provided:
-
-* a scalar fold over a pair of Python-int bitboards (the
-  :meth:`repro.games.base.Game.zobrist_key` full recompute and the
-  per-move incremental :meth:`~repro.games.base.Game.zobrist_apply`
-  update, which only folds the *changed* bits), and
-* a vectorised fold over ``(n,)`` uint64 plane arrays for the batch
-  games (:meth:`repro.games.batch.BatchGame.zobrist_keys`), built on
-  per-byte XOR lookup tables -- eight table gathers per plane instead
-  of a 64-iteration bit loop.
-
-XOR-of-keys is self-inverse, so the incremental update is simply the
-fold of the XOR-difference of the two positions' planes; the
-Hypothesis suite in ``tests/games/test_zobrist.py`` pins incremental
-== full recompute across random move sequences for all four games,
-and the batch fold against the scalar one lane by lane.
+One fold is provided: :meth:`ZobristTable.fold`, over a pair of
+Python-int bitboards, which :meth:`repro.games.base.Game.zobrist_key`
+calls on a position's planes.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from repro.util.seeding import derive_seed
 
@@ -41,14 +26,11 @@ ZOBRIST_ROOT = 0x20110B1D
 #: every bitboard in the stack (TicTacToe uses 9, Connect-4 49).
 NUM_SQUARES = 64
 
-_U64 = np.uint64
-_MASK64 = 0xFFFF_FFFF_FFFF_FFFF
-
 
 class ZobristTable:
-    """Per-game key material plus scalar and vectorised folds."""
+    """Per-game key material and the fold over it."""
 
-    __slots__ = ("game", "piece_keys", "side_key", "_byte_tables")
+    __slots__ = ("game", "piece_keys", "side_key")
 
     def __init__(self, game: str) -> None:
         self.game = game
@@ -60,22 +42,6 @@ class ZobristTable:
             for plane in (0, 1)
         )
         self.side_key: int = derive_seed(ZOBRIST_ROOT, game, "side")
-        # byte_tables[plane][byte_index, byte_value] = XOR of the keys
-        # of the bits set in `byte_value` at that byte position.
-        tables = []
-        for plane in (0, 1):
-            table = np.zeros((8, 256), dtype=_U64)
-            keys = self.piece_keys[plane]
-            for j in range(8):
-                for value in range(1, 256):
-                    low = value & -value
-                    acc = int(table[j, value ^ low])
-                    acc ^= keys[j * 8 + low.bit_length() - 1]
-                    table[j, value] = acc
-            tables.append(table)
-        self._byte_tables = tuple(tables)
-
-    # -- scalar ------------------------------------------------------------
 
     def fold_plane(self, plane: int, bits: int) -> int:
         """XOR of the plane's keys over the set bits of ``bits``."""
@@ -94,38 +60,6 @@ class ZobristTable:
         if to_move == -1:
             key ^= self.side_key
         return key
-
-    def fold_update(
-        self, key: int, dp1: int, dp2: int, side_flipped: bool
-    ) -> int:
-        """Incremental update: ``dp1``/``dp2`` are the XOR-difference
-        of the planes before and after a move (only *changed* bits are
-        folded -- XOR is self-inverse)."""
-        key ^= self.fold_plane(0, dp1) ^ self.fold_plane(1, dp2)
-        if side_flipped:
-            key ^= self.side_key
-        return key
-
-    # -- vectorised --------------------------------------------------------
-
-    def fold_arrays(
-        self,
-        p1: np.ndarray,
-        p2: np.ndarray,
-        to_move: np.ndarray,
-    ) -> np.ndarray:
-        """Per-lane keys for ``(n,)`` uint64 plane arrays; matches
-        :meth:`fold` lane by lane (pinned by the test suite)."""
-        keys = np.zeros(p1.shape[0], dtype=_U64)
-        for plane, boards in ((0, p1), (1, p2)):
-            table = self._byte_tables[plane]
-            as_bytes = np.ascontiguousarray(boards, dtype=_U64).view(
-                np.uint8
-            ).reshape(-1, 8)
-            for j in range(8):
-                keys ^= table[j, as_bytes[:, j]]
-        keys[np.asarray(to_move) == -1] ^= _U64(self.side_key)
-        return keys
 
 
 _TABLES: dict[str, ZobristTable] = {}

@@ -20,7 +20,6 @@ from repro.gpu.device import (
     DeviceSpec,
     get_device_spec,
     list_devices,
-    register_device,
 )
 from repro.gpu.divergence import DivergenceReport, analyze_divergence
 from repro.gpu.lease import DeviceLease, DevicePool, PoolError
@@ -29,10 +28,14 @@ from repro.gpu.kernel import (
     LaunchConfig,
     playout_kernel_spec,
 )
-from repro.gpu.memory import DeviceMemory, DeviceMemoryError, transfer_time
-from repro.gpu.occupancy import Occupancy, concurrent_blocks, num_waves, occupancy
-from repro.gpu.playout import GpuStats, PlayoutResult, VirtualGpu
-from repro.gpu.scheduler import greedy_makespan, wave_assignment
+from repro.gpu.occupancy import Occupancy, occupancy
+from repro.gpu.playout import (
+    DeviceMemoryError,
+    GpuStats,
+    PlayoutResult,
+    VirtualGpu,
+)
+from repro.gpu.scheduler import greedy_makespan
 from repro.gpu.stream import Event, Stream, StreamError
 from repro.gpu.timing import KernelTiming, kernel_time, peak_playout_rate, sm_step_time
 
@@ -43,7 +46,6 @@ __all__ = [
     "TOY_DEVICE",
     "get_device_spec",
     "list_devices",
-    "register_device",
     "DevicePool",
     "DeviceLease",
     "PoolError",
@@ -52,17 +54,12 @@ __all__ = [
     "playout_kernel_spec",
     "Occupancy",
     "occupancy",
-    "concurrent_blocks",
-    "num_waves",
     "greedy_makespan",
-    "wave_assignment",
     "KernelTiming",
     "kernel_time",
     "peak_playout_rate",
     "sm_step_time",
-    "DeviceMemory",
     "DeviceMemoryError",
-    "transfer_time",
     "Stream",
     "Event",
     "StreamError",

@@ -110,9 +110,3 @@ def list_devices() -> tuple[DeviceSpec, ...]:
     reach into the private registry.
     """
     return tuple(_REGISTRY[name] for name in sorted(_REGISTRY))
-
-
-def register_device(spec: DeviceSpec) -> DeviceSpec:
-    """Add (or replace) a device spec in the registry."""
-    _REGISTRY[spec.name] = spec
-    return spec

@@ -33,9 +33,6 @@ class LaunchConfig:
         ws = spec.warp_size
         return -(-self.threads_per_block // ws)
 
-    def total_warps(self, spec: DeviceSpec) -> int:
-        return self.blocks * self.warps_per_block(spec)
-
     def validate(self, spec: DeviceSpec) -> None:
         """Raise if this grid cannot launch on ``spec`` at all."""
         if self.threads_per_block > spec.max_threads_per_block:

@@ -127,20 +127,13 @@ class DevicePool:
             _DeviceSlot(i, spec, Stream(clock))
             for i, spec in enumerate(specs)
         ]
-        self._leases: list[DeviceLease] = []
-        self._unresolved: set[int] = set()
+        #: Leases no caller has resolved yet, by id, in issue order;
+        #: a resolved lease is forgotten.
+        self._unresolved: dict[int, DeviceLease] = {}
+        self._issued = 0
 
     def __len__(self) -> int:
         return len(self._slots)
-
-    @property
-    def specs(self) -> tuple[DeviceSpec, ...]:
-        return tuple(slot.spec for slot in self._slots)
-
-    @property
-    def leases(self) -> tuple[DeviceLease, ...]:
-        """Every placement made so far, in launch order."""
-        return tuple(self._leases)
 
     def track(self, device_id: int) -> str:
         """Tracer track name for one device."""
@@ -210,10 +203,10 @@ class DevicePool:
             holder=holder,
             start_s=start,
             event=event,
-            lease_id=len(self._leases),
+            lease_id=self._issued,
         )
-        self._leases.append(lease)
-        self._unresolved.add(lease.lease_id)
+        self._issued += 1
+        self._unresolved[lease.lease_id] = lease
         self.tracer.record(
             label,
             self.track(slot.device_id),
@@ -228,13 +221,13 @@ class DevicePool:
         """Block the host (advance the clock) until the lease's work
         completes."""
         self._slot(lease.device_id).stream.synchronize(lease.event)
-        self._unresolved.discard(lease.lease_id)
+        self._unresolved.pop(lease.lease_id, None)
 
     def complete(self, lease: DeviceLease) -> bool:
         """Has the lease's work finished at the current time?"""
         done = self._slot(lease.device_id).stream.query(lease.event)
         if done:
-            self._unresolved.discard(lease.lease_id)
+            self._unresolved.pop(lease.lease_id, None)
         return done
 
     def abandon(self, lease: DeviceLease) -> None:
@@ -242,17 +235,7 @@ class DevicePool:
         failed attempt).  The device span stays on the books -- the
         kernel still occupied the stream -- but the host stops
         tracking it."""
-        self._unresolved.discard(lease.lease_id)
-
-    def next_completion(self) -> float | None:
-        """Earliest future completion across all devices, or ``None``
-        if every stream is idle."""
-        pending = [
-            slot.busy_until
-            for slot in self._slots
-            if slot.busy_until > self.clock.now
-        ]
-        return min(pending) if pending else None
+        self._unresolved.pop(lease.lease_id, None)
 
     # -- health ------------------------------------------------------------
 
@@ -362,12 +345,9 @@ class DevicePool:
 
     @property
     def unresolved_leases(self) -> tuple[DeviceLease, ...]:
-        """Leases no caller has synchronised, completed or abandoned."""
-        return tuple(
-            lease
-            for lease in self._leases
-            if lease.lease_id in self._unresolved
-        )
+        """Leases no caller has synchronised, completed or abandoned,
+        in issue order."""
+        return tuple(self._unresolved.values())
 
     def assert_drained(self) -> None:
         """Raise if any lease was never resolved -- the caller leaked

@@ -63,18 +63,3 @@ def occupancy(
         warp_occupancy=warps_per_sm / spec.max_warps_per_sm,
         limiter=limiter,
     )
-
-
-def concurrent_blocks(
-    spec: DeviceSpec, kernel: KernelSpec, config: LaunchConfig
-) -> int:
-    """Blocks the whole device can run simultaneously."""
-    return occupancy(spec, kernel, config).blocks_per_sm * spec.sm_count
-
-
-def num_waves(
-    spec: DeviceSpec, kernel: KernelSpec, config: LaunchConfig
-) -> int:
-    """Sequential waves needed to run the full grid."""
-    cap = concurrent_blocks(spec, kernel, config)
-    return -(-config.blocks // cap)

@@ -18,12 +18,15 @@ from repro.games import make_batch_game
 from repro.games.batch import Positions
 from repro.gpu.device import DeviceSpec
 from repro.gpu.kernel import KernelSpec, LaunchConfig, playout_kernel_spec
-from repro.gpu.memory import DeviceMemory
 from repro.gpu.stream import Event, Stream
 from repro.gpu.timing import KernelTiming, kernel_time
 from repro.rng import BatchXorShift128Plus
 from repro.util.clock import Clock
 from repro.util.seeding import derive_seed
+
+
+class DeviceMemoryError(RuntimeError):
+    """Raised when a launch's buffers do not fit in global memory."""
 
 
 @dataclass(frozen=True)
@@ -57,10 +60,13 @@ class GpuStats:
 
 
 class VirtualGpu:
-    """One simulated GPU: device spec + stream + memory + RNG lanes."""
+    """One simulated GPU: device spec + stream + RNG lanes."""
 
     #: Bytes per lane copied back after a kernel (win flag + score).
     RESULT_BYTES_PER_LANE = 4
+    #: Device bytes a lane holds for the kernel's duration: its game
+    #: state (own/opp boards + flags), its RNG state and its result.
+    DEVICE_BYTES_PER_LANE = 24 + 16 + RESULT_BYTES_PER_LANE
 
     def __init__(
         self,
@@ -78,7 +84,6 @@ class VirtualGpu:
         self._launch_block = block_launcher(playout)
         self.kernel = kernel or playout_kernel_spec(game_name)
         self.batch_game = make_batch_game(game_name)
-        self.memory = DeviceMemory(spec)
         self.stream = Stream(clock)
         self.stats = GpuStats()
         self._seed = derive_seed(seed, "gpu", spec.name)
@@ -143,27 +148,18 @@ class VirtualGpu:
             )
         if not isinstance(states, Positions):
             states = Positions(states)
-        lanes_per_state = config.total_threads // len(states)
-        bg = self.batch_game
         n = config.total_threads
-        # Device-side buffers live for the kernel's duration: per-lane
-        # game state (own/opp boards + flags), RNG state, results.
-        # Fails like real hardware would on absurd grids.
-        buffers = []
-        try:
-            for nbytes, label in (
-                (n * 24, "lane states"),
-                (n * 16, "rng states"),
-                (n * self.RESULT_BYTES_PER_LANE, "results"),
-            ):
-                buffers.append(self.memory.alloc(nbytes, label))
-            tracked = self._launch_block(
-                bg, states, lanes_per_state, self._rng(n)
+        # Fails like real hardware would on absurd grids, before any
+        # lane draws a random number.
+        nbytes = n * self.DEVICE_BYTES_PER_LANE
+        if nbytes > self.spec.global_mem_bytes:
+            raise DeviceMemoryError(
+                f"out of device memory: {n} lanes need {nbytes} bytes, "
+                f"{self.spec.name} has {self.spec.global_mem_bytes}"
             )
-        finally:
-            for buf in buffers:
-                self.memory.free(buf)
-
+        tracked = self._launch_block(
+            self.batch_game, states, n // len(states), self._rng(n)
+        )
         block_steps = tracked.finish_steps.reshape(
             config.blocks, config.threads_per_block
         ).max(axis=1)

@@ -38,17 +38,3 @@ def greedy_makespan(block_times: Sequence[float], slots: int) -> float:
     for t in times[slots:]:
         heapq.heapreplace(heap, heap[0] + t)
     return max(heap)
-
-
-def wave_assignment(num_blocks: int, slots: int) -> list[range]:
-    """Blocks grouped into strict waves (the coarser model used when all
-    blocks run equally long): wave ``w`` holds blocks
-    ``[w*slots, min((w+1)*slots, num_blocks))``."""
-    if slots <= 0:
-        raise ValueError(f"need at least one slot, got {slots}")
-    if num_blocks < 0:
-        raise ValueError("num_blocks must be non-negative")
-    return [
-        range(start, min(start + slots, num_blocks))
-        for start in range(0, num_blocks, slots)
-    ]

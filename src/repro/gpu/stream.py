@@ -90,10 +90,6 @@ class Stream:
         self.clock.advance_to(self._busy_until)
 
     @property
-    def busy(self) -> bool:
-        return self.clock.now < self._busy_until
-
-    @property
     def pending(self) -> int:
         """Number of launched events not yet complete."""
         self._drop_complete()

@@ -56,11 +56,6 @@ class IntegrityPolicy:
                 f"{self.max_result_retries}"
             )
 
-    @property
-    def active(self) -> bool:
-        """Does this policy do anything at all?"""
-        return bool(self.validate_results or self.audit_every)
-
     @classmethod
     def disabled(cls) -> "IntegrityPolicy":
         """Every defense off -- what the differential benchmark runs to

@@ -49,12 +49,6 @@ class XorShift64Star:
         """Uniform float in ``[0, 1)`` with 53 bits of precision."""
         return (self.next_u64() >> 11) * (1.0 / (1 << 53))
 
-    def choice(self, seq):
-        """A uniformly random element of a non-empty sequence."""
-        if not seq:
-            raise IndexError("choice from an empty sequence")
-        return seq[self.randrange(len(seq))]
-
     def shuffle(self, seq: list) -> None:
         """In-place Fisher-Yates shuffle.
 

@@ -160,10 +160,6 @@ class RequestRecord:
     extras: dict = field(default_factory=dict)
 
     @property
-    def done(self) -> bool:
-        return self.status in TERMINAL_STATUSES
-
-    @property
     def outcome(self) -> str:
         """Coarse overload-accounting outcome: ``met`` (completed at
         full fidelity), ``degraded`` (completed under the ladder or

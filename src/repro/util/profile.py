@@ -105,20 +105,6 @@ class Profiler:
         stats = self.phases.get(name)
         return stats.total_s if stats else 0.0
 
-    def merge(self, other: "Profiler") -> None:
-        """Fold another profiler's phases and counters into this one."""
-        for name, stats in other.phases.items():
-            mine = self.phases.get(name)
-            if mine is None:
-                self.phases[name] = PhaseStats(
-                    name, stats.calls, stats.total_s
-                )
-            else:
-                mine.calls += stats.calls
-                mine.total_s += stats.total_s
-        for name, value in other.counters.items():
-            self.counters[name] = self.counters.get(name, 0) + value
-
     def render(self, title: str = "phase profile") -> str:
         """Human-readable table of phases then counters."""
         wall = sum(s.total_s for s in self.phases.values())

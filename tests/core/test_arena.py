@@ -503,11 +503,10 @@ def every_row(arena: TreeArena, rows: int) -> dict:
 
 def session_of(arena: TreeArena) -> tuple:
     cols = arena._compiled()
-    bound = None if cols is None else (cols.ucb_c, cols.tuned, cols.wuct)
+    bound = None if cols is None else (cols.ucb_c, cols.wuct)
     return (
         arena.allocated,
         arena.ucb_c,
-        arena.selection_rule,
         arena.parallel_mode,
         arena._vloss_active,
         bound,
@@ -548,7 +547,6 @@ def reuse_sessions(draw):
         st.lists(
             st.tuples(
                 st.sampled_from(shapes),
-                st.sampled_from(["ucb1", "ucb1_tuned"]),
                 st.sampled_from(["vloss", "wuct"]),
                 st.sampled_from([0.5, 1.0, 1.4]),
                 st.integers(0, 2**20),
@@ -573,7 +571,7 @@ def test_reopened_arena_equals_a_fresh_one(sessions):
 
 
 def reopen_sessions(free_list, sessions) -> None:
-    for (name, n_trees), rule, mode, c, seed, rounds in sessions:
+    for (name, n_trees), mode, c, seed, rounds in sessions:
         game = make_game(name)
         state = game.initial_state()
 
@@ -582,12 +580,12 @@ def reopen_sessions(free_list, sessions) -> None:
 
         free = free_list.get((name, n_trees), [])
         reused = free[-1] if free else None
-        arena = TreeArena.open(game, state, rngs(), c, rule, mode)
+        arena = TreeArena.open(game, state, rngs(), c, mode)
         assert (arena is reused) == (reused is not None)
-        fresh = TreeArena(game, state, rngs(), c, rule, parallel_mode=mode)
+        fresh = TreeArena(game, state, rngs(), c, parallel_mode=mode)
         assert arena.capacity >= fresh.capacity
         assert every_row(arena, arena.capacity) == every_row(
-            TreeArena(game, state, rngs(), c, rule, arena.capacity, mode),
+            TreeArena(game, state, rngs(), c, arena.capacity, mode),
             arena.capacity,
         )
         assert columns(arena) == columns(fresh)
@@ -630,7 +628,6 @@ def reuse_searches(draw):
         st.lists(
             st.tuples(
                 st.sampled_from(shapes),
-                st.sampled_from(["ucb1", "ucb1_tuned"]),
                 st.integers(0, 2**20),
             ),
             min_size=2,
@@ -650,14 +647,12 @@ def test_search_results_do_not_depend_on_the_free_list(searches):
 
 
 def search_both_ways(searches) -> None:
-    for (name, pattern, n), rule, seed in searches:
+    for (name, pattern, n), seed in searches:
         game = make_game(name)
         spec = pattern.format(n=n) + "@arena@compiled"
 
         def search():
-            engine = make_engine(
-                spec, game, seed, selection_rule=rule, max_iterations=4
-            )
+            engine = make_engine(spec, game, seed, max_iterations=4)
             return engine.search(game.initial_state(), 0.002)
 
         reused = search()

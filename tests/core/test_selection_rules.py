@@ -1,102 +1,24 @@
-"""Tests for the UCB1-Tuned selection variant."""
+"""In-tree selection is UCB1 on both backends, and a snapshot taken
+under any other rule is refused on restore."""
 
 import pytest
 
-from repro.core import SequentialMcts
-from repro.core.backend import make_tree as make_backend_tree
-from repro.core.tree import SearchTree
+from repro.core import CheckpointError, restore_tree
+from repro.core.backend import make_tree, snapshot_forest
 from repro.games import TicTacToe
 from repro.rng import XorShift64Star
 
 GAME = TicTacToe()
 
 
-def make_tree(rule, ucb_c=1.0):
-    return SearchTree(
-        GAME,
-        GAME.initial_state(),
-        XorShift64Star(1),
-        ucb_c,
-        selection_rule=rule,
-    )
-
-
-class TestTunedRule:
-    def test_unknown_rule_rejected(self):
-        with pytest.raises(ValueError, match="unknown selection rule"):
-            make_tree("ucb3")
-
-    def test_tuned_prefers_higher_winrate_at_equal_visits(self):
-        tree = make_tree("ucb1_tuned", ucb_c=0.5)
-        kids = []
-        for _ in range(9):
-            node, _ = tree.select_expand()
-            kids.append(node)
-            tree.backprop_winner(node, 0)
-        star = kids[2]
-        tree.backprop(star, 20, 18, 2, 0)
-        for other in kids:
-            if other is not star:
-                tree.backprop(other, 20, 5, 15, 0)
-        assert tree.best_child(tree.root) is star
-
-    def test_tuned_width_capped_at_quarter(self):
-        """With p=0.5 the tuned width equals the 1/4 cap, so tuned and
-        plain UCB1 with c' = c/2 agree on equal-visit children."""
-        import math
-
-        tuned = make_tree("ucb1_tuned", ucb_c=1.0)
-        for _ in range(9):
-            node, _ = tuned.select_expand()
-            tuned.backprop(node, 10, 5, 5, 0)
-        # Every child identical: selection must still return a child.
-        child = tuned.best_child(tuned.root)
-        n = child.visits
-        p = child.wins / n
-        width = min(0.25, p * (1 - p) + math.sqrt(2 * math.log(90) / n))
-        assert width == 0.25
-
-    def test_engine_accepts_selection_rule(self):
-        engine = SequentialMcts(
-            GAME, seed=5, selection_rule="ucb1_tuned"
-        )
-        result = engine.search(GAME.initial_state(), budget_s=0.002)
-        assert result.move in range(9)
-
-    def test_rules_can_disagree(self):
-        """Craft stats where plain UCB1 explores a rare child but
-        tuned's variance cap keeps it on the exploit child."""
-        plain = make_tree("ucb1", ucb_c=1.0)
-        tuned = make_tree("ucb1_tuned", ucb_c=1.0)
-        for tree in (plain, tuned):
-            kids = []
-            for _ in range(9):
-                node, _ = tree.select_expand()
-                kids.append(node)
-            # strong child: many visits, decent rate
-            tree.backprop(kids[0], 100, 60, 40, 0)
-            # rare child: few visits, low rate (low variance for tuned)
-            tree.backprop(kids[1], 4, 0, 4, 0)
-            for other in kids[2:]:
-                tree.backprop(other, 50, 10, 40, 0)
-        plain_pick = plain.best_child(plain.root).move
-        tuned_pick = tuned.best_child(tuned.root).move
-        # Both must pick a legal child; the interesting cases disagree,
-        # but at minimum the tuned pick's score computation ran.
-        assert plain_pick in range(9)
-        assert tuned_pick in range(9)
-
-
-@pytest.mark.parametrize("rule", ["ucb1", "ucb1_tuned"])
 @pytest.mark.parametrize("ucb_c", [0.0, 0.5, 1.4])
-def test_arena_walks_like_the_pointer_tree_under_either_rule(rule, ucb_c):
+def test_arena_walks_like_the_pointer_tree(ucb_c):
     """The arena's descent (compiled, or the Python body under
     ``REPRO_COMPILED=0``) picks the pointer tree's child at every
-    level under both rules, ties and unvisited children included."""
+    level, ties and unvisited children included."""
+    root = GAME.initial_state()
     trees = [
-        make_backend_tree(
-            backend, GAME, GAME.initial_state(), XorShift64Star(7), ucb_c, rule
-        )
+        make_tree(backend, GAME, root, XorShift64Star(7), ucb_c)
         for backend in ("node", "arena")
     ]
     for i in range(400):
@@ -106,3 +28,18 @@ def test_arena_walks_like_the_pointer_tree_under_either_rule(rule, ucb_c):
         for tree, (ref, _) in zip(trees, leaves):
             tree.backprop(ref, 3, i % 3, (i + depth) % 2, 0)
     assert trees[0].root_stats() == trees[1].root_stats()
+
+
+@pytest.mark.parametrize("backend", ["node", "arena"])
+def test_restore_refuses_a_snapshot_under_another_rule(backend):
+    tree = make_tree(backend, GAME, GAME.initial_state(), XorShift64Star(7))
+    for _ in range(20):
+        node, _ = tree.select_expand()
+        tree.backprop_winner(node, 1)
+    snap = snapshot_forest(tree, "tree")
+    policy = snap["arena"] if backend == "arena" else snap
+    assert policy["selection_rule"] == "ucb1"
+    assert restore_tree(GAME, snap).root_stats() == tree.root_stats()
+    policy["selection_rule"] = "ucb1_tuned"
+    with pytest.raises(CheckpointError, match="selection rule 'ucb1_tuned'"):
+        restore_tree(GAME, snap)

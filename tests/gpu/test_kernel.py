@@ -20,7 +20,6 @@ class TestLaunchConfig:
     def test_warps_round_up(self):
         cfg = LaunchConfig(3, 40)
         assert cfg.warps_per_block(TESLA_C2050) == 2
-        assert cfg.total_warps(TESLA_C2050) == 6
 
     def test_exact_warp_multiple(self):
         assert LaunchConfig(2, 128).warps_per_block(TESLA_C2050) == 4

@@ -1,5 +1,7 @@
 """Tests for the shared device pool (repro.gpu.lease)."""
 
+import weakref
+
 import pytest
 
 from repro.gpu import TESLA_C2050, DevicePool, PoolError
@@ -60,16 +62,6 @@ class TestSynchronisation:
         clock.advance(2e-3)
         assert pool.complete(lease)
 
-    def test_next_completion_is_earliest_pending(self):
-        pool, _, _ = make_pool(2)
-        pool.launch("a", 3e-3, device_id=0)
-        pool.launch("b", 1e-3, device_id=1)
-        assert pool.next_completion() == pytest.approx(1e-3)
-
-    def test_next_completion_none_when_idle(self):
-        pool, _, _ = make_pool(1)
-        assert pool.next_completion() is None
-
 
 class TestAccounting:
     def test_tracer_spans_per_device_track(self):
@@ -94,7 +86,6 @@ class TestAccounting:
         pool.launch("a", 2e-3)
         assert pool.busy_seconds(0) == pytest.approx(3e-3)
         assert pool.launches(0) == 2
-        assert len(pool.leases) == 2
 
 
 class TestHealth:
@@ -201,3 +192,31 @@ class TestNotBefore:
         pool.launch("a", 4e-3)
         lease = pool.launch("b", 1e-3, not_before_s=1e-3)
         assert lease.start_s == pytest.approx(4e-3)
+
+
+class TestRetention:
+    """The pool keeps only the leases still awaiting resolution."""
+
+    def test_resolved_leases_are_forgotten(self):
+        pool, _, _ = make_pool(2)
+        issued = []
+        for _ in range(1000):
+            lease = pool.launch("req", 1e-6)
+            issued.append(weakref.ref(lease))
+            pool.synchronize(lease)
+        del lease
+        assert pool.unresolved_leases == ()
+        assert [ref() for ref in issued] == [None] * 1000
+        assert pool.launch("req", 1e-6).lease_id == 1000
+
+    def test_unresolved_leases_keep_issue_order(self):
+        pool, clock, _ = make_pool(2)
+        leases = [pool.launch(f"r{i}", (i + 1) * 1e-3) for i in range(6)]
+        pool.abandon(leases[1])
+        pool.synchronize(leases[4])
+        assert pool.unresolved_leases == (
+            leases[0], leases[2], leases[3], leases[5]
+        )
+        clock.advance(1.0)
+        assert [pool.complete(lease) for lease in leases[::-1]] == [True] * 6
+        pool.assert_drained()

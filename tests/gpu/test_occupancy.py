@@ -4,11 +4,8 @@ import pytest
 
 from repro.gpu import (
     TESLA_C2050,
-    TOY_DEVICE,
     KernelSpec,
     LaunchConfig,
-    concurrent_blocks,
-    num_waves,
     occupancy,
 )
 
@@ -70,24 +67,3 @@ class TestLimits:
     def test_occupancy_fraction_bounds(self):
         occ = occupancy(TESLA_C2050, LIGHT, LaunchConfig(8, 192))
         assert 0 < occ.warp_occupancy <= 1
-
-
-class TestWaves:
-    def test_small_grid_one_wave(self):
-        assert num_waves(TESLA_C2050, LIGHT, LaunchConfig(14, 64)) == 1
-
-    def test_concurrent_blocks_scales_with_sms(self):
-        cap = concurrent_blocks(TESLA_C2050, LIGHT, LaunchConfig(1, 32))
-        assert cap == 8 * 14
-
-    def test_oversubscribed_grid(self):
-        cap = concurrent_blocks(TESLA_C2050, LIGHT, LaunchConfig(1, 32))
-        assert num_waves(TESLA_C2050, LIGHT, LaunchConfig(cap * 3, 32)) == 3
-        assert (
-            num_waves(TESLA_C2050, LIGHT, LaunchConfig(cap * 3 + 1, 32)) == 4
-        )
-
-    def test_toy_device(self):
-        # toy: 2 SMs x 2 blocks -> 4 concurrent blocks
-        assert concurrent_blocks(TOY_DEVICE, LIGHT, LaunchConfig(1, 32)) == 4
-        assert num_waves(TOY_DEVICE, LIGHT, LaunchConfig(9, 32)) == 3

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from repro.games import Reversi
-from repro.gpu import TESLA_C2050, TOY_DEVICE, LaunchConfig, VirtualGpu
+from repro.gpu import (
+    TESLA_C2050,
+    TOY_DEVICE,
+    DeviceMemoryError,
+    LaunchConfig,
+    VirtualGpu,
+)
 from repro.util.clock import Clock
 
 
@@ -106,21 +112,22 @@ class TestAsyncLaunch:
 
 
 class TestDeviceMemoryAccounting:
-    def test_buffers_freed_after_kernel(self, game):
-        gpu = make_gpu(Clock())
-        gpu.run_playouts([game.initial_state()], LaunchConfig(2, 32))
-        assert gpu.memory.bytes_in_use == 0
-        assert gpu.memory.live_allocations() == []
-
     def test_oom_on_absurd_grid(self, game):
-        from repro.gpu import DeviceMemoryError
-
-        tiny = TESLA_C2050.with_overrides(global_mem_bytes=1024)
-        gpu = VirtualGpu(tiny, Clock(), "reversi", seed=1)
-        with pytest.raises(DeviceMemoryError, match="out of device"):
-            gpu.run_playouts([game.initial_state()], LaunchConfig(2, 32))
-        # a failed launch must not leak partial allocations
-        assert gpu.memory.bytes_in_use == 0
+        """A grid one lane larger than global memory holds (5 x 13 =
+        65) is refused before it draws a random number, times a kernel
+        or moves the clock; one that exactly fits (2 x 32) runs."""
+        lanes = 64
+        spec = TESLA_C2050.with_overrides(
+            global_mem_bytes=lanes * VirtualGpu.DEVICE_BYTES_PER_LANE
+        )
+        clock = Clock()
+        gpu = VirtualGpu(spec, clock, "reversi", seed=1)
+        gpu.run_playouts([game.initial_state()], LaunchConfig(2, lanes // 2))
+        before = repr(gpu.getstate()), clock.now
+        with pytest.raises(DeviceMemoryError, match="out of device memory"):
+            gpu.run_playouts([game.initial_state()], LaunchConfig(5, 13))
+        assert (repr(gpu.getstate()), clock.now) == before
+        assert gpu.stats.kernels_launched == 1
 
 
 class TestToyDevice:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.gpu import greedy_makespan, wave_assignment
+from repro.gpu import greedy_makespan
 
 
 class TestGreedyMakespan:
@@ -84,22 +84,3 @@ def test_makespan_is_the_same_doubles_as_the_numpy_scalar_heap(times, slots):
     got = greedy_makespan(times, slots)
     assert type(got) is float
     assert got == _makespan_on_numpy_scalars(times, slots)
-
-
-class TestWaveAssignment:
-    def test_exact_division(self):
-        waves = wave_assignment(8, 4)
-        assert [list(w) for w in waves] == [[0, 1, 2, 3], [4, 5, 6, 7]]
-
-    def test_remainder_wave(self):
-        waves = wave_assignment(5, 4)
-        assert [list(w) for w in waves] == [[0, 1, 2, 3], [4]]
-
-    def test_zero_blocks(self):
-        assert wave_assignment(0, 4) == []
-
-    def test_rejects_bad_args(self):
-        with pytest.raises(ValueError):
-            wave_assignment(4, 0)
-        with pytest.raises(ValueError):
-            wave_assignment(-1, 2)

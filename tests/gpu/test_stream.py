@@ -67,16 +67,14 @@ class TestQuerySync:
         stream.synchronize_all()
         assert clock.now == 3.0
 
-    def test_busy_and_pending(self, clock, stream):
-        assert not stream.busy
+    def test_pending_counts_incomplete_events(self, clock, stream):
+        assert stream.pending == 0
         stream.launch(1.0)
         stream.launch(1.0)
-        assert stream.busy
         assert stream.pending == 2
         clock.advance(1.5)
         assert stream.pending == 1
         clock.advance(1.0)
-        assert not stream.busy
         assert stream.pending == 0
 
 

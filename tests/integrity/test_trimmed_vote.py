@@ -128,14 +128,12 @@ class TestIntegrityPolicy:
         assert policy.validate_results
         assert policy.audit_every > 0
         assert policy.quarantine
-        assert policy.active
 
     def test_disabled_turns_everything_off(self):
         policy = IntegrityPolicy.disabled()
         assert not policy.validate_results
         assert not policy.audit_every
         assert not policy.quarantine
-        assert not policy.active
 
     def test_coerce_accepts_dict_none_and_policy(self):
         assert IntegrityPolicy.coerce(None) == IntegrityPolicy()

@@ -78,13 +78,6 @@ class TestRandomFloat:
 
 
 class TestHelpers:
-    def test_choice_empty_raises(self):
-        with pytest.raises(IndexError):
-            XorShift64Star(1).choice([])
-
-    def test_choice_singleton(self):
-        assert XorShift64Star(1).choice([42]) == 42
-
     def test_shuffle_is_permutation(self):
         rng = XorShift64Star(9)
         xs = list(range(20))

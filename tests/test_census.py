@@ -3,7 +3,9 @@
 The toy has a called function, one that is never called, a list
 comprehension (inside the never-called function, so a census that
 counted comprehensions would report it too) and a decorator that runs
-at import time.  Exactly the never-called function must be reported.
+at import time.  Exactly the never-called function must be reported,
+and the kept-list ratchet must refuse it unlisted and refuse a listed
+function that is entered or gone.
 """
 
 import importlib
@@ -81,3 +83,44 @@ def test_record_restores_the_previous_tracer(census):
     with census.record():
         pass
     assert sys.gettrace() is before
+
+
+def toy_census(census, toy_package):
+    with census.record() as entered:
+        importlib.import_module("census_toy.mod").called(1)
+    functions = census.walk(toy_package)
+    return functions, census.never_entered(functions, entered)
+
+
+def test_ratchet_refuses_an_unlisted_function(census, toy_package):
+    functions, missed = toy_census(census, toy_package)
+    root = toy_package.parent
+    listed = ("census_toy/mod.py", "never_called")
+    assert census.ratchet(functions, missed, {listed}, root) == ([], [])
+    assert census.ratchet(functions, missed, set(), root) == ([listed], [])
+
+
+def test_ratchet_refuses_a_stale_entry(census, toy_package):
+    functions, missed = toy_census(census, toy_package)
+    kept = {
+        ("census_toy/mod.py", "never_called"),
+        ("census_toy/mod.py", "called"),
+        ("census_toy/mod.py", "deleted_since"),
+    }
+    assert census.ratchet(functions, missed, kept, toy_package.parent) == (
+        [],
+        [
+            ("census_toy/mod.py", "called", "entered"),
+            ("census_toy/mod.py", "deleted_since", "gone"),
+        ],
+    )
+
+
+def test_every_kept_entry_names_a_function_in_src(census):
+    """The cheap half of the ratchet: a cut that leaves its kept-list
+    line behind fails here, without running the flows."""
+    functions = census.walk(ROOT / "src" / "repro")
+    kept = census.read_kept(census.KEPT)
+    # As if no flow entered anything: only a missing function is stale.
+    _, gone = census.ratchet(functions, functions, kept, ROOT)
+    assert gone == []

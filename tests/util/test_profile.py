@@ -40,23 +40,6 @@ def test_null_profiler_is_disabled_and_reuses_timer():
     assert NULL_PROFILER.phase("a") is NULL_PROFILER.phase("b")
 
 
-def test_merge_folds_phases_and_counters():
-    a, b = Profiler(), Profiler()
-    with a.phase("select"):
-        pass
-    with b.phase("select"):
-        pass
-    with b.phase("backprop"):
-        pass
-    b.count("ticks", 2)
-    a.merge(b)
-    assert a.phases["select"].calls == 2
-    assert a.phases["backprop"].calls == 1
-    assert a.counters["ticks"] == 2
-    # The source is not mutated.
-    assert b.phases["select"].calls == 1
-
-
 def test_render_lists_phases_and_counters():
     prof = Profiler()
     with prof.phase("select"):

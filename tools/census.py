@@ -9,6 +9,11 @@ grouped by file.  A flow that raises still counts as run.  Flow and
 example output is discarded; journals and trace files go to a temporary
 directory (``{tmp}`` in a flow line).
 
+The census is a ratchet: every never-entered function must be listed,
+with the reason it is kept, in ``tools/census_kept.txt``, and every
+listed one must still exist and still be entered by no flow.  It exits
+1 otherwise, naming each function to list, cut or unlist.
+
     python tools/census.py
 """
 
@@ -30,6 +35,7 @@ from types import CodeType
 
 ROOT = Path(__file__).resolve().parent.parent
 FLOWS = Path(__file__).resolve().parent / "census_flows.txt"
+KEPT = Path(__file__).resolve().parent / "census_kept.txt"
 SKIPPED = {"<listcomp>", "<dictcomp>", "<setcomp>", "<genexpr>"}
 
 
@@ -66,6 +72,47 @@ def never_entered(
 ) -> list[CodeType]:
     seen = {key(code) for code in entered}
     return [code for code in functions if key(code) not in seen]
+
+
+def qualname(code: CodeType) -> str:
+    return getattr(code, "co_qualname", code.co_name)
+
+
+def read_kept(path: Path) -> set[tuple[str, str]]:
+    """The ``(path, qualname)`` pairs of a kept list: one pair per
+    line, under ``#`` reason lines that group them."""
+    kept = set()
+    for line in path.read_text().splitlines():
+        line = line.strip()
+        if line and not line.startswith("#"):
+            file, name = line.split()
+            kept.add((file, name))
+    return kept
+
+
+def ratchet(
+    functions: list[CodeType],
+    missed: list[CodeType],
+    kept: set[tuple[str, str]],
+    root: Path,
+) -> tuple[list[tuple[str, str]], list[tuple[str, str, str]]]:
+    """``(unlisted, stale)``: the never-entered functions ``kept``
+    lacks, and the kept entries that a flow now enters or that no
+    longer exist (each with ``"entered"`` or ``"gone"``)."""
+
+    def names(codes):
+        return {
+            (os.path.relpath(code.co_filename, root), qualname(code))
+            for code in codes
+        }
+
+    missed_names, existing = names(missed), names(functions)
+    unlisted = sorted(missed_names - kept)
+    stale = sorted(
+        (file, name, "entered" if (file, name) in existing else "gone")
+        for file, name in kept - missed_names
+    )
+    return unlisted, stale
 
 
 @contextlib.contextmanager
@@ -135,10 +182,14 @@ def main() -> int:
     for path in sorted(by_file):
         print(path)
         for code in by_file[path]:
-            name = getattr(code, "co_qualname", code.co_name)
-            print(f"  {code.co_firstlineno:5d}  {name}")
+            print(f"  {code.co_firstlineno:5d}  {qualname(code)}")
+    unlisted, stale = ratchet(functions, missed, read_kept(KEPT), ROOT)
+    for file, name in unlisted:
+        print(f"never entered and not on {KEPT.name}: {file}  {name}")
+    for file, name, why in stale:
+        print(f"on {KEPT.name} but {why}: {file}  {name}")
     print(f"took {time.perf_counter() - t0:.0f}s wall", file=sys.stderr)
-    return 0
+    return 1 if unlisted or stale else 0
 
 
 if __name__ == "__main__":
