@@ -40,22 +40,18 @@ def _cmd_run(args) -> int:
 
 def _cmd_play(args) -> int:
     from repro.arena import play_game
-    from repro.core import make_engine
+    from repro.core import make_engine, with_stack
     from repro.games import make_game
     from repro.players import GreedyPlayer, MctsPlayer, RandomPlayer
 
     game = make_game(args.game)
-    spec = args.engine or f"block:{args.blocks}x{args.tpb}"
-    if args.backend != DEFAULT_BACKEND or args.playout != DEFAULT_PLAYOUT:
-        from repro.core import EngineSpec, with_backend
-        from repro.core.spec import with_playout
-
-        parsed = EngineSpec.coerce(spec)
-        if args.backend != DEFAULT_BACKEND and "backend" not in parsed.params:
-            parsed = with_backend(parsed, args.backend)
-        if args.playout != DEFAULT_PLAYOUT and "playout" not in parsed.params:
-            parsed = with_playout(parsed, args.playout)
-        spec = parsed.canonical()
+    spec = with_stack(
+        args.engine or f"block:{args.blocks}x{args.tpb}",
+        args.backend,
+        args.playout,
+    )
+    if not isinstance(spec, str):
+        spec = spec.canonical()
     mcts = MctsPlayer(
         game,
         make_engine(spec, game, args.seed),

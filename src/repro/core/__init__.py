@@ -76,10 +76,8 @@ from repro.core.spec import (
     SpecModifier,
     engine_kinds,
     make_engine,
-    register_engine,
-    register_modifier,
     spec_modifiers,
-    with_backend,
+    with_stack,
 )
 from repro.core.tree import (
     Node,
@@ -97,10 +95,8 @@ __all__ = [
     "SpecModifier",
     "engine_kinds",
     "make_engine",
-    "register_engine",
-    "register_modifier",
     "spec_modifiers",
-    "with_backend",
+    "with_stack",
     "SearchResult",
     "EXTRA_KEYS",
     "INTEGRITY_EXTRA_KEYS",

@@ -61,6 +61,7 @@ from repro.core.arena import (
     compiled_arena,
     select_round_many,
 )
+from repro.integrity.audit import MAX_RESULT_RETRIES
 from repro.util.profile import NULL_PROFILER
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -216,12 +217,11 @@ def _screen_results(rnd, answers, guard, executor):
     then degraded to the round's neutral answers
     (:meth:`Round.neutral`) -- the dropped-playout-batch model."""
     requests = rnd.requests
-    retries = guard.policy.max_result_retries
-    for attempt in range(retries + 1):
+    for attempt in range(MAX_RESULT_RETRIES + 1):
         answers, ok = rnd.screen_answers(guard, answers)
         if ok:
             return answers
-        if attempt < retries:
+        if attempt < MAX_RESULT_RETRIES:
             answers = _checked(requests, executor(requests))
     guard.give_up()
     return rnd.neutral()

@@ -11,11 +11,11 @@ parameters, and can be written three ways::
 The string grammar is ``kind[:AxBxC][@mod[=value]]*`` -- the colon
 suffix holds the kind's positional integers joined with ``x``
 (``block:16x32`` is 16 blocks of 32 threads) and each ``@`` token is a
-registered *modifier*.  Modifiers are order-independent and composable
+*modifier*.  Modifiers are order-independent and composable
 (``tree:8@wuct@arena`` == ``tree:8@arena@wuct``); unknown modifiers,
 duplicates, and two modifiers fighting over the same slot (``@node``
-plus ``@arena``) are errors naming the offending token.  The built-in
-modifier table:
+plus ``@arena``) are errors naming the offending token.  The modifier
+table:
 
 ========== ============================ ==========================
 modifier   sets                          applies to
@@ -65,7 +65,7 @@ from repro.games.base import Game
 
 @dataclass(frozen=True)
 class EngineKind:
-    """One registered engine family: class + positional grammar."""
+    """One engine family: class + positional grammar."""
 
     name: str
     cls: type
@@ -76,43 +76,43 @@ class EngineKind:
     example: str
 
 
-_KINDS: dict[str, EngineKind] = {}
-
-
-def register_engine(
-    name: str,
-    cls: type,
-    positional: tuple[str, ...] = (),
-    example: str | None = None,
-) -> EngineKind:
-    """Register an engine kind so specs can name it.
-
-    Extension point: downstream code can register its own engine class
-    and immediately construct it through :func:`make_engine`, the CLI
-    ``--engine`` flag, and the serving layer.
-    """
-    if not issubclass(cls, Engine):
-        raise TypeError(f"{cls.__name__} is not an Engine subclass")
-    kind = EngineKind(
-        name=name,
-        cls=cls,
-        positional=tuple(positional),
-        example=example
-        or (name if not positional else f"{name}:" + "x".join("8" * len(positional))),
+_KINDS: dict[str, EngineKind] = {
+    kind.name: kind
+    for kind in (
+        EngineKind("sequential", SequentialMcts, (), "sequential"),
+        EngineKind(
+            "leaf", LeafParallelMcts, ("blocks", "threads_per_block"),
+            "leaf:2x64",
+        ),
+        EngineKind(
+            "block", BlockParallelMcts, ("blocks", "threads_per_block"),
+            "block:16x32",
+        ),
+        EngineKind(
+            "hybrid", HybridMcts, ("blocks", "threads_per_block"),
+            "hybrid:16x32",
+        ),
+        EngineKind("root", RootParallelMcts, ("n_trees",), "root:64"),
+        EngineKind("tree", TreeParallelMcts, ("n_workers",), "tree:8"),
+        EngineKind("pipeline", PipelineMcts, ("n_workers",), "pipeline:8"),
+        EngineKind(
+            "multigpu",
+            MultiGpuMcts,
+            ("n_gpus", "blocks", "threads_per_block"),
+            "multigpu:4x112x64",
+        ),
     )
-    _KINDS[name] = kind
-    canonical_spec.cache_clear()
-    return kind
+}
 
 
 def engine_kinds() -> tuple[EngineKind, ...]:
-    """All registered engine kinds, sorted by name."""
+    """All engine kinds, sorted by name."""
     return tuple(_KINDS[k] for k in sorted(_KINDS))
 
 
 @dataclass(frozen=True)
 class SpecModifier:
-    """One registered ``@`` token of the spec grammar."""
+    """One ``@`` token of the spec grammar."""
 
     name: str
     #: Modifiers sharing a group fight over the same engine slot; a
@@ -135,34 +135,6 @@ class SpecModifier:
         return self.kinds is None or kind in self.kinds
 
 
-#: Registration-ordered modifier table; canonical strings emit
-#: modifiers in this order.
-_MODIFIERS: dict[str, SpecModifier] = {}
-
-
-def register_modifier(modifier: SpecModifier) -> SpecModifier:
-    """Register a spec modifier (extension point, like engine kinds)."""
-    if modifier.flag_params is None and modifier.value_param is None:
-        raise ValueError(
-            f"modifier @{modifier.name} sets nothing: give it "
-            "flag_params, a value_param, or both"
-        )
-    _MODIFIERS[modifier.name] = modifier
-    canonical_spec.cache_clear()
-    return modifier
-
-
-def spec_modifiers() -> tuple[SpecModifier, ...]:
-    """All registered modifiers, in registration (= canonical) order."""
-    return tuple(_MODIFIERS.values())
-
-
-def _modifiers_for(kind: str) -> list[str]:
-    return [
-        f"@{m.name}" for m in _MODIFIERS.values() if m.applies_to(kind)
-    ]
-
-
 def _parse_virtual_loss(token: str) -> float:
     try:
         return float(token)
@@ -170,6 +142,65 @@ def _parse_virtual_loss(token: str) -> float:
         raise ValueError(
             f"invalid virtual-loss value {token!r} (expected a number)"
         ) from None
+
+
+#: Kinds sharing one search tree among concurrent selectors; only
+#: these take the in-flight accounting (@vloss/@wuct) modifiers.
+_SHARED_TREE_KINDS = frozenset({"tree", "pipeline"})
+
+#: The modifier table; canonical strings emit modifiers in this order.
+_MODIFIERS: dict[str, SpecModifier] = {
+    mod.name: mod
+    for mod in (
+        SpecModifier(
+            name="vloss",
+            group="in-flight accounting mode",
+            flag_params={"mode": "vloss"},
+            value_param="virtual_loss",
+            value_parse=_parse_virtual_loss,
+            kinds=_SHARED_TREE_KINDS,
+        ),
+        SpecModifier(
+            name="wuct",
+            group="in-flight accounting mode",
+            flag_params={"mode": "wuct"},
+            kinds=_SHARED_TREE_KINDS,
+        ),
+        SpecModifier(
+            name="vote",
+            group="root vote",
+            value_param="vote",
+            value_parse=validate_vote,
+            kinds=frozenset({"root", "block"}),
+        ),
+        SpecModifier(
+            name="node",
+            group="tree backend",
+            flag_params={"backend": "node"},
+        ),
+        SpecModifier(
+            name="arena",
+            group="tree backend",
+            flag_params={"backend": "arena"},
+        ),
+        SpecModifier(
+            name="compiled",
+            group="playout executor",
+            flag_params={"playout": "compiled"},
+        ),
+    )
+}
+
+
+def spec_modifiers() -> tuple[SpecModifier, ...]:
+    """All modifiers, in table (= canonical) order."""
+    return tuple(_MODIFIERS.values())
+
+
+def _modifiers_for(kind: str) -> list[str]:
+    return [
+        f"@{m.name}" for m in _MODIFIERS.values() if m.applies_to(kind)
+    ]
 
 
 def _fmt_value(value: object) -> str:
@@ -415,31 +446,28 @@ def _resolve_params(params: Mapping[str, object]) -> dict:
     return out
 
 
-def with_backend(
-    spec: "EngineSpec | str | Mapping", backend: str
-) -> EngineSpec:
-    """Apply a default tree backend to a spec: the spec's own backend
-    modifier/param wins; ``"node"`` (the global default) is a no-op.
-    The spec-aware replacement for suffixing ``@backend`` onto spec
-    strings."""
+def with_stack(
+    spec: "EngineSpec | str | Mapping", backend: str, playout: str
+) -> "EngineSpec | str | Mapping":
+    """Apply a default tree backend and playout executor to ``spec``;
+    a backend or playout the spec names itself wins, and ``"node"`` /
+    ``"numpy"`` (the global defaults) apply nothing.  When nothing
+    applies, ``spec`` itself comes back -- a string stays that very
+    string, so printed names and request strings keep their spelling;
+    otherwise a new :class:`EngineSpec`."""
     validate_backend(backend)
-    parsed = EngineSpec.coerce(spec)
-    if backend == DEFAULT_BACKEND or "backend" in parsed.params:
-        return parsed
-    return EngineSpec(parsed.kind, {**parsed.params, "backend": backend})
-
-
-def with_playout(
-    spec: "EngineSpec | str | Mapping", playout: str
-) -> EngineSpec:
-    """Apply a default playout executor to a spec: the spec's own
-    ``@compiled``/param wins; ``"numpy"`` (the global default) is a
-    no-op.  Mirrors :func:`with_backend`."""
     validate_playout(playout)
+    if backend == DEFAULT_BACKEND and playout == DEFAULT_PLAYOUT:
+        return spec
     parsed = EngineSpec.coerce(spec)
-    if playout == DEFAULT_PLAYOUT or "playout" in parsed.params:
-        return parsed
-    return EngineSpec(parsed.kind, {**parsed.params, "playout": playout})
+    params = dict(parsed.params)
+    if backend != DEFAULT_BACKEND:
+        params.setdefault("backend", backend)
+    if playout != DEFAULT_PLAYOUT:
+        params.setdefault("playout", playout)
+    if len(params) == len(parsed.params):
+        return spec
+    return EngineSpec(parsed.kind, params)
 
 
 def make_engine(
@@ -455,77 +483,3 @@ def make_engine(
     seed and budget.
     """
     return EngineSpec.coerce(spec).build(game, seed, **overrides)
-
-
-register_engine("sequential", SequentialMcts, (), "sequential")
-register_engine(
-    "leaf", LeafParallelMcts, ("blocks", "threads_per_block"), "leaf:2x64"
-)
-register_engine(
-    "block", BlockParallelMcts, ("blocks", "threads_per_block"), "block:16x32"
-)
-register_engine(
-    "hybrid", HybridMcts, ("blocks", "threads_per_block"), "hybrid:16x32"
-)
-register_engine("root", RootParallelMcts, ("n_trees",), "root:64")
-register_engine("tree", TreeParallelMcts, ("n_workers",), "tree:8")
-register_engine("pipeline", PipelineMcts, ("n_workers",), "pipeline:8")
-register_engine(
-    "multigpu",
-    MultiGpuMcts,
-    ("n_gpus", "blocks", "threads_per_block"),
-    "multigpu:4x112x64",
-)
-
-#: Kinds sharing one search tree among concurrent selectors; only
-#: these take the in-flight accounting (@vloss/@wuct) modifiers.
-_SHARED_TREE_KINDS = frozenset({"tree", "pipeline"})
-
-register_modifier(
-    SpecModifier(
-        name="vloss",
-        group="in-flight accounting mode",
-        flag_params={"mode": "vloss"},
-        value_param="virtual_loss",
-        value_parse=_parse_virtual_loss,
-        kinds=_SHARED_TREE_KINDS,
-    )
-)
-register_modifier(
-    SpecModifier(
-        name="wuct",
-        group="in-flight accounting mode",
-        flag_params={"mode": "wuct"},
-        kinds=_SHARED_TREE_KINDS,
-    )
-)
-register_modifier(
-    SpecModifier(
-        name="vote",
-        group="root vote",
-        value_param="vote",
-        value_parse=validate_vote,
-        kinds=frozenset({"root", "block"}),
-    )
-)
-register_modifier(
-    SpecModifier(
-        name="node",
-        group="tree backend",
-        flag_params={"backend": "node"},
-    )
-)
-register_modifier(
-    SpecModifier(
-        name="arena",
-        group="tree backend",
-        flag_params={"backend": "arena"},
-    )
-)
-register_modifier(
-    SpecModifier(
-        name="compiled",
-        group="playout executor",
-        flag_params={"playout": "compiled"},
-    )
-)

@@ -39,6 +39,12 @@ from repro.gpu.trace import Tracer
 from repro.util.clock import Clock
 
 
+#: Consecutive launch failures that put a device in quarantine.
+QUARANTINE_AFTER = 3
+#: Virtual seconds a quarantined device is skipped by placement.
+QUARANTINE_S = 1e-3
+
+
 class PoolError(RuntimeError):
     """Raised on invalid pool use (empty pool, foreign lease, ...)."""
 
@@ -94,8 +100,8 @@ class _DeviceSlot:
 class DevicePool:
     """A fixed set of virtual GPUs shared by many requests.
 
-    ``quarantine_after`` consecutive launch failures on one device put
-    it in quarantine for ``quarantine_s`` virtual seconds; quarantined
+    ``QUARANTINE_AFTER`` consecutive launch failures on one device put
+    it in quarantine for ``QUARANTINE_S`` virtual seconds; quarantined
     devices are skipped by default placement until the window expires
     (or every device is quarantined, in which case placement falls
     back to the full pool rather than deadlocking).
@@ -106,23 +112,11 @@ class DevicePool:
         specs: Sequence[DeviceSpec],
         clock: Clock,
         tracer: Tracer | None = None,
-        quarantine_after: int = 3,
-        quarantine_s: float = 1e-3,
     ) -> None:
         if not specs:
             raise PoolError("device pool needs at least one device")
-        if quarantine_after <= 0:
-            raise PoolError(
-                f"quarantine_after must be positive: {quarantine_after}"
-            )
-        if quarantine_s < 0:
-            raise PoolError(
-                f"quarantine_s cannot be negative: {quarantine_s}"
-            )
         self.clock = clock
         self.tracer = tracer if tracer is not None else Tracer()
-        self.quarantine_after = quarantine_after
-        self.quarantine_s = quarantine_s
         self._slots = [
             _DeviceSlot(i, spec, Stream(clock))
             for i, spec in enumerate(specs)
@@ -246,10 +240,10 @@ class DevicePool:
         slot.failures += 1
         slot.consecutive_failures += 1
         if (
-            slot.consecutive_failures >= self.quarantine_after
+            slot.consecutive_failures >= QUARANTINE_AFTER
             and not self.is_quarantined(device_id)
         ):
-            slot.quarantined_until = self.clock.now + self.quarantine_s
+            slot.quarantined_until = self.clock.now + QUARANTINE_S
             slot.quarantines += 1
             slot.consecutive_failures = 0
             return True

@@ -25,7 +25,7 @@ from repro.compiled import COMPILED_GAMES, compiled_available
 from repro.core.backend import DEFAULT_BACKEND
 from repro.core.base import BatchExecutor, Engine
 from repro.core.executors import DEFAULT_PLAYOUT
-from repro.core.spec import make_engine, with_backend, with_playout
+from repro.core.spec import make_engine, with_stack
 from repro.games.base import Game
 from repro.players import MctsPlayer
 
@@ -111,12 +111,8 @@ def _stack(game: Game) -> tuple[str, str]:
 def engine(game: Game, spec, seed: int, **engine_kwargs) -> Engine:
     """``make_engine`` on the harness stack; a backend or playout the
     spec spells itself wins."""
-    backend, playout = _stack(game)
     return make_engine(
-        with_playout(with_backend(spec, backend), playout),
-        game,
-        seed,
-        **engine_kwargs,
+        with_stack(spec, *_stack(game)), game, seed, **engine_kwargs
     )
 
 

@@ -24,6 +24,9 @@ from dataclasses import dataclass, replace
 
 #: Slack for float statistics comparisons (draws add 0.5 per playout).
 _EPS = 1e-9
+#: How many times a rejected kernel result is retried before the
+#: engine degrades to a neutral (all-draws) batch.
+MAX_RESULT_RETRIES = 3
 
 
 @dataclass(frozen=True)
@@ -41,19 +44,11 @@ class IntegrityPolicy:
     #: Exclude trees that failed an audit from the root-vote
     #: aggregation.
     quarantine: bool = True
-    #: How many times a rejected kernel result is retried before the
-    #: engine degrades to a neutral (all-draws) batch.
-    max_result_retries: int = 3
 
     def __post_init__(self) -> None:
         if self.audit_every < 0:
             raise ValueError(
                 f"audit_every cannot be negative: {self.audit_every}"
-            )
-        if self.max_result_retries < 0:
-            raise ValueError(
-                f"max_result_retries cannot be negative: "
-                f"{self.max_result_retries}"
             )
 
     @classmethod

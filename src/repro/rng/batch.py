@@ -16,7 +16,6 @@ from repro.util.seeding import derive_seed
 _S23 = U64(23)
 _S17 = U64(17)
 _S26 = U64(26)
-_S53 = U64(11)  # top 53 bits for float conversion: shift right by 11
 
 
 def _splitmix64_vec(x: np.ndarray) -> np.ndarray:
@@ -102,10 +101,6 @@ class BatchXorShift128Plus:
         self._s0 = s0
         self._s1 = s1 ^ s0 ^ (s1 >> _S17) ^ (s0 >> _S26)
         return result
-
-    def random(self) -> np.ndarray:
-        """One uniform float64 in ``[0, 1)`` per lane."""
-        return (self.next_u64() >> _S53) * (1.0 / (1 << 53))
 
     def randbelow(self, bounds: np.ndarray) -> np.ndarray:
         """Per-lane uniform integer in ``[0, bounds[i])``.

@@ -45,10 +45,6 @@ class XorShift64Star:
             raise ValueError(f"randrange needs a positive bound, got {n}")
         return (self.next_u64() * n) >> 64
 
-    def random(self) -> float:
-        """Uniform float in ``[0, 1)`` with 53 bits of precision."""
-        return (self.next_u64() >> 11) * (1.0 / (1 << 53))
-
     def shuffle(self, seq: list) -> None:
         """In-place Fisher-Yates shuffle.
 

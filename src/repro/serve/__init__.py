@@ -79,7 +79,6 @@ from repro.serve.resilience import (
     Attempt,
     LaunchOutcome,
     ResilientLauncher,
-    RetryPolicy,
 )
 from repro.serve.request import (
     CLASS_RANK,
@@ -155,7 +154,6 @@ __all__ = [
     "Attempt",
     "LaunchOutcome",
     "ResilientLauncher",
-    "RetryPolicy",
     "GeneratorPool",
     "LaneBatcher",
     "FusedBatcher",

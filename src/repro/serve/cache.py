@@ -11,7 +11,7 @@ a hit is exactly "the same search of the same position".
 Semantics (all deterministic, on the cluster's virtual arrival
 timeline -- see docs/cluster.md):
 
-* **Bounded LRU.**  At most ``capacity`` entries; inserting past the
+* **Bounded LRU.**  At most ``CACHE_CAPACITY`` entries; inserting past the
   bound evicts the least-recently *used* key (hits refresh recency).
 * **TTL.**  An entry older than ``ttl_s`` virtual seconds at lookup
   time is expired and removed -- replicas re-search stale positions
@@ -48,6 +48,9 @@ from repro.util.coerce import coerce_optional
 #: the cluster router and the single-service cache path so a hit
 #: costs the same wherever it is served.
 CACHE_HIT_COST_S = 2e-5
+#: Entries one cache holds; inserting past it evicts the least
+#: recently used key.
+CACHE_CAPACITY = 4096
 
 
 class CacheKey(NamedTuple):
@@ -117,26 +120,16 @@ class CacheEntry:
 class ResultCache:
     """Bounded-LRU, TTL'd, screened result cache.
 
-    ``capacity <= 0`` means unbounded; ``ttl_s = None`` disables
-    expiry.  All counters are cumulative over the cache's lifetime so
-    a cluster run can report hit rates and screening refusals.
+    ``ttl_s = None`` disables expiry.  All counters are cumulative
+    over the cache's lifetime so a cluster run can report hit rates
+    and screening refusals.
     """
 
-    capacity: int = 4096
     ttl_s: float | None = None
-    #: Freshness horizon for *non-stationary* traffic: a hit on an
-    #: entry older than this is still served (it has not expired) but
-    #: counted in :attr:`stale_hits`, so diurnal-trace cache numbers
-    #: stay honest -- a "56% hit rate" where half the hits are
-    #: half-a-day old is a different claim than one of fresh hits.
-    #: ``None`` disables stale accounting.
-    stale_after_s: float | None = None
     hits: int = 0
     misses: int = 0
     evictions: int = 0
     expirations: int = 0
-    #: Hits served past :attr:`stale_after_s` (subset of ``hits``).
-    stale_hits: int = 0
     #: Results refused by the integrity screen at insert.
     screened_out: int = 0
     _entries: "OrderedDict[CacheKey, CacheEntry]" = field(
@@ -147,10 +140,6 @@ class ResultCache:
     def __post_init__(self) -> None:
         if self.ttl_s is not None and self.ttl_s <= 0:
             raise ValueError(f"ttl_s must be positive: {self.ttl_s}")
-        if self.stale_after_s is not None and self.stale_after_s <= 0:
-            raise ValueError(
-                f"stale_after_s must be positive: {self.stale_after_s}"
-            )
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -196,11 +185,6 @@ class ResultCache:
         self._entries.move_to_end(key)
         self.hits += 1
         entry.hits += 1
-        if (
-            self.stale_after_s is not None
-            and now_s - entry.inserted_s > self.stale_after_s
-        ):
-            self.stale_hits += 1
         return entry
 
     def sweep(self, now_s: float) -> int:
@@ -233,7 +217,7 @@ class ResultCache:
 
         Returns whether the result was admitted.  Inserting over an
         existing key replaces it (freshest search wins) and refreshes
-        recency; growing past ``capacity`` evicts LRU keys.
+        recency; growing past ``CACHE_CAPACITY`` evicts LRU keys.
         """
         if not screen_result(self._game(key.game), state, result):
             self.screened_out += 1
@@ -242,10 +226,9 @@ class ResultCache:
             result=result, inserted_s=now_s
         )
         self._entries.move_to_end(key)
-        if self.capacity > 0:
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
-                self.evictions += 1
+        while len(self._entries) > CACHE_CAPACITY:
+            self._entries.popitem(last=False)
+            self.evictions += 1
         return True
 
     @property

@@ -81,6 +81,9 @@ RETRY_KINDS = ("none", "immediate", "fixed", "exponential")
 #: Outcomes a client retries (completions never come back).
 RETRIABLE_STATUSES = frozenset({SHED, REJECTED, MISSED})
 
+#: Exponential backoff growth per retry (``exponential`` only).
+BACKOFF_FACTOR = 2.0
+
 
 @dataclass(frozen=True)
 class ClientRetryPolicy:
@@ -97,8 +100,6 @@ class ClientRetryPolicy:
     kind: str = "exponential"
     #: Base delay for ``fixed`` / ``exponential``.
     base_s: float = 0.01
-    #: Exponential growth per retry (``exponential`` only).
-    factor: float = 2.0
     #: Backoff ceiling.
     cap_s: float = 0.16
     #: Jitter half-width as a fraction of the delay, in [0, 1).
@@ -121,10 +122,6 @@ class ClientRetryPolicy:
             )
         if self.base_s < 0 or self.cap_s < 0:
             raise ValueError("backoff times cannot be negative")
-        if self.factor < 1.0:
-            raise ValueError(
-                f"backoff factor must be >= 1: {self.factor}"
-            )
         if not 0.0 <= self.jitter < 1.0:
             raise ValueError(
                 f"jitter must be in [0, 1): {self.jitter}"
@@ -174,7 +171,7 @@ class ClientRetryPolicy:
         else:
             delay = min(
                 self.cap_s,
-                self.base_s * self.factor ** (attempt - 1),
+                self.base_s * BACKOFF_FACTOR ** (attempt - 1),
             )
         if self.jitter:
             u = client_uniform(seed, "jitter", root, attempt)
@@ -183,6 +180,10 @@ class ClientRetryPolicy:
 
 
 # -- client-side defenses ---------------------------------------------------
+
+#: Probes a half-open breaker admits (success closes, failure
+#: re-opens).
+HALF_OPEN_PROBES = 1
 
 
 @dataclass(frozen=True)
@@ -193,9 +194,6 @@ class BreakerConfig:
     failure_threshold: int = 5
     #: Open dwell before the breaker half-opens.
     reset_timeout_s: float = 0.1
-    #: Probes admitted while half-open (success closes, failure
-    #: re-opens).
-    half_open_probes: int = 1
 
     def __post_init__(self) -> None:
         if self.failure_threshold < 1:
@@ -207,11 +205,6 @@ class BreakerConfig:
             raise ValueError(
                 f"reset_timeout_s must be positive: "
                 f"{self.reset_timeout_s}"
-            )
-        if self.half_open_probes < 1:
-            raise ValueError(
-                f"half_open_probes must be >= 1: "
-                f"{self.half_open_probes}"
             )
 
     coerce = classmethod(coerce_optional)
@@ -231,7 +224,7 @@ class CircuitBreaker:
     failures) but only *gates* retries: first-tries are the trace's
     open-loop arrivals and always reach the server.  While open, a
     retry fails fast client-side; after ``reset_timeout_s`` the
-    breaker half-opens and admits ``half_open_probes`` probes -- one
+    breaker half-opens and admits ``HALF_OPEN_PROBES`` probes -- one
     success closes it, one failure re-opens it.
     """
 
@@ -255,7 +248,7 @@ class CircuitBreaker:
                 return False
             self.state = BREAKER_HALF_OPEN
             self._probes = 0
-        if self._probes < self.config.half_open_probes:
+        if self._probes < HALF_OPEN_PROBES:
             self._probes += 1
             return True
         return False
@@ -601,6 +594,9 @@ class ClientPopulation:
 
 # -- the metastability instrument -------------------------------------------
 
+#: Consecutive trapped bins that make a trap.
+SUSTAIN_BINS = 3
+
 
 @dataclass(frozen=True)
 class MetastabilityVerdict:
@@ -636,7 +632,7 @@ class MetastabilityDetector:
     The window ``[clear_s + settle_s, horizon_s]`` is binned; a bin is
     *trapped* when its offered arrivals exceed ``min_offered_rate``
     while completions-within-deadline stay below ``goodput_frac`` of
-    them.  ``sustain_bins`` consecutive trapped bins is a trap -- one
+    them.  ``SUSTAIN_BINS`` consecutive trapped bins is a trap -- one
     bad bin is a draining backlog, a sustained run is the bad
     equilibrium.
     """
@@ -648,7 +644,6 @@ class MetastabilityDetector:
     goodput_frac: float = 0.5
     #: Offered arrivals/s below which a bin is idle, not trapped.
     min_offered_rate: float = 40.0
-    sustain_bins: int = 3
 
     def __post_init__(self) -> None:
         if self.bin_s <= 0:
@@ -663,10 +658,6 @@ class MetastabilityDetector:
             raise ValueError(
                 f"goodput_frac must be in (0, 1]: "
                 f"{self.goodput_frac}"
-            )
-        if self.sustain_bins < 1:
-            raise ValueError(
-                f"sustain_bins must be >= 1: {self.sustain_bins}"
             )
 
     coerce = classmethod(coerce_optional)
@@ -702,15 +693,7 @@ class MetastabilityDetector:
             b = bin_of(record.request.arrival_s)
             if b is not None:
                 offered[b] += 1
-            if record.status != COMPLETED:
-                continue
-            deadline = record.request.deadline_s
-            latency = record.latency_s
-            if deadline is not None and (
-                latency is None or latency > deadline + 1e-12
-            ):
-                continue
-            if record.finish_s is None:
+            if not record.attained or record.finish_s is None:
                 continue
             b = bin_of(record.finish_s)
             if b is not None:
@@ -725,7 +708,7 @@ class MetastabilityDetector:
             else:
                 run = 0
         return MetastabilityVerdict(
-            trapped=best_run >= self.sustain_bins,
+            trapped=best_run >= SUSTAIN_BINS,
             window_start_s=start,
             window_end_s=end,
             offered=sum(offered),
@@ -753,12 +736,6 @@ def post_crowd_attainment(
         if request.arrival_s < clear_s:
             continue
         total += 1
-        if record.status != COMPLETED or record.degraded:
-            continue
-        deadline = request.deadline_s
-        if deadline is None or (
-            record.latency_s is not None
-            and record.latency_s <= deadline + 1e-12
-        ):
+        if record.attained:
             met += 1
     return met / total if total else 1.0

@@ -48,6 +48,7 @@ that shard's MTTR.
 from __future__ import annotations
 
 import bisect
+import inspect
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -84,7 +85,7 @@ from repro.serve.request import (
     RequestRecord,
     SearchRequest,
 )
-from repro.serve.service import ServiceError, serve
+from repro.serve.service import SearchService, ServiceError, serve
 from repro.util.seeding import derive_seed
 from repro.util.tables import format_series
 
@@ -99,10 +100,16 @@ register_extra_keys(
 )
 
 
+#: Virtual nodes per shard on the hash ring (ring smoothness).
+VNODES = 64
+#: Trim fraction of the replica vote (0.34 -> the median at R=3).
+VOTE_TRIM = 0.34
+
+
 class HashRing:
     """Consistent-hash ring over ``n_shards`` with virtual nodes.
 
-    Each shard owns ``vnodes`` deterministic points
+    Each shard owns ``VNODES`` deterministic points
     (``derive_seed(seed, "ring", shard, vnode)``) on the 64-bit ring;
     a key is placed on the first point at or after it.  Replicas are
     the next *distinct* shards walking clockwise -- the classic
@@ -115,20 +122,16 @@ class HashRing:
     cluster on one arc.
     """
 
-    def __init__(
-        self, n_shards: int, vnodes: int = 64, seed: int = 0
-    ) -> None:
+    def __init__(self, n_shards: int, seed: int = 0) -> None:
         if n_shards <= 0:
             raise ValueError(
                 f"n_shards must be positive: {n_shards}"
             )
-        if vnodes <= 0:
-            raise ValueError(f"vnodes must be positive: {vnodes}")
         self.n_shards = n_shards
         points = sorted(
             (derive_seed(seed, "ring", shard, v), shard)
             for shard in range(n_shards)
-            for v in range(vnodes)
+            for v in range(VNODES)
         )
         self._hashes = [h for h, _ in points]
         self._owners = [s for _, s in points]
@@ -286,8 +289,6 @@ class ClusterReport:
     shed: int = 0
     #: Per-priority-class outcome stats (docs/overload.md).
     per_class: "dict[str, ClassStats]" = field(default_factory=dict)
-    #: Cache hits served past the cache's freshness horizon.
-    cache_stale_hits: int = 0
     #: Result-cache accounting (zeros when the cache is off).
     cache_hits: int = 0
     cache_misses: int = 0
@@ -357,10 +358,6 @@ class ClusterReport:
             rows["cache screened out"] = str(
                 self.cache_screened_out
             )
-            if self.cache_stale_hits:
-                rows["cache stale hits"] = str(
-                    self.cache_stale_hits
-                )
         if self.replicas > 1:
             rows["replica dissent"] = str(self.replica_dissent)
         if self.shard_crashes or self.foreign_records:
@@ -422,8 +419,6 @@ class ClusterRouter:
         seed: int = 0,
         cache: "ResultCache | dict | bool | None" = None,
         journal_dir: "str | Path | None" = None,
-        vote_trim: float = 0.34,
-        vnodes: int = 64,
         shard_overrides: "dict[int, dict] | None" = None,
         **service_kwargs,
     ) -> None:
@@ -431,20 +426,14 @@ class ClusterRouter:
             raise ValueError(
                 f"replicas must be positive: {replicas}"
             )
-        if not 0.0 <= vote_trim < 0.5:
-            raise ValueError(
-                f"vote_trim must be in [0, 0.5): {vote_trim}"
-            )
+        # A kwarg no shard service takes fails here, not at the first
+        # wave.
+        inspect.signature(SearchService).bind_partial(**service_kwargs)
         self.n_shards = n_shards
         self.replicas = replicas
         self.seed = seed
-        self.vote_trim = vote_trim
         self.cache = ResultCache.coerce(cache)
-        self.ring = HashRing(
-            n_shards,
-            vnodes=vnodes,
-            seed=derive_seed(seed, "ring"),
-        )
+        self.ring = HashRing(n_shards, seed=derive_seed(seed, "ring"))
         overrides = shard_overrides or {}
         journal_dir = (
             Path(journal_dir) if journal_dir is not None else None
@@ -566,7 +555,7 @@ class ClusterRouter:
             return primary
         voted = trimmed_vote_stat_dicts(
             [dict(r.result.stats) for r in completed],
-            trim=self.vote_trim,
+            trim=VOTE_TRIM,
         )
         if not voted:
             return primary
@@ -769,9 +758,6 @@ class ClusterRouter:
             missed=sum(1 for r in records if r.status == MISSED),
             shed=sum(1 for r in records if r.status == SHED),
             per_class=class_summary(records),
-            cache_stale_hits=(
-                self.cache.stale_hits if self.cache else 0
-            ),
             elapsed_s=elapsed,
             p50_latency_s=p50,
             p95_latency_s=p95,

@@ -123,14 +123,6 @@ class ClassStats:
         return self.attained / self.offered
 
 
-def _within_deadline(record: RequestRecord) -> bool:
-    deadline = record.request.deadline_s
-    if deadline is None:
-        return True
-    latency = record.latency_s
-    return latency is not None and latency <= deadline + 1e-12
-
-
 def class_summary(
     records: Sequence[RequestRecord],
 ) -> "dict[str, ClassStats]":
@@ -151,11 +143,7 @@ def class_summary(
             for r in subset
             if r.status == COMPLETED and r.latency_s is not None
         )
-        attained = [
-            r
-            for r in subset
-            if r.status == COMPLETED and _within_deadline(r)
-        ]
+        attained = [r for r in subset if r.attained]
         out[name] = ClassStats(
             offered=len(subset),
             met=sum(1 for r in attained if not r.degraded),
@@ -168,10 +156,7 @@ def class_summary(
                 1 for r in subset if r.status == MISSED
             )
             + sum(
-                1
-                for r in subset
-                if r.status == COMPLETED
-                and not _within_deadline(r)
+                1 for r in subset if r.status == COMPLETED and not r.attained
             ),
             p50_latency_s=(
                 percentile(latencies, 50) if latencies else 0.0
@@ -310,7 +295,6 @@ class ServiceReport:
     cache_misses: int = 0
     cache_evictions: int = 0
     cache_expirations: int = 0
-    cache_stale_hits: int = 0
     cache_sweeps: int = 0
 
     @property
@@ -444,8 +428,6 @@ class ServiceReport:
             rows["cache misses"] = str(self.cache_misses)
             rows["cache evictions"] = str(self.cache_evictions)
             rows["cache expirations"] = str(self.cache_expirations)
-            if self.cache_stale_hits:
-                rows["cache stale hits"] = str(self.cache_stale_hits)
             rows["cache sweeps"] = str(self.cache_sweeps)
         if self.recovered or self.resumed or self.restarted:
             rows["recovered (adopted)"] = str(self.recovered)

@@ -5,8 +5,8 @@ here; the storm harness that combines them with fault plans is in
 :mod:`repro.serve.storm`.
 
 **Open-loop arrival traces.**  The closed-loop
-:func:`~repro.serve.workload.make_workload` paces request ``i`` at
-``i * arrival_period_s`` -- fine for throughput benchmarks, wrong for
+:func:`~repro.serve.workload.make_workload` releases every request at
+once, as a closed batch -- fine for throughput benchmarks, wrong for
 overload studies, where arrivals must *not* slow down because the
 service is drowning.  :func:`make_trace` generates a non-homogeneous
 Poisson arrival process on the virtual clock via deterministic
@@ -28,8 +28,8 @@ ladder inside :class:`~repro.serve.service.SearchService`:
 level  behaviour
 ====== ==========================================================
 0      full fidelity for every class
-1      ``standard``/``batch`` budgets scaled by ``budget_factor``
-2      ``standard``/``batch`` rewritten to the cheap engine spec
+1      ``standard``/``batch`` budgets scaled by ``BUDGET_FACTOR``
+2      ``standard``/``batch`` rewritten to ``CHEAP_ENGINE``
 3      ``batch`` load-shed (explicit rejection, never silent)
 4      ``standard`` load-shed too; only ``interactive`` runs
 ====== ==========================================================
@@ -103,41 +103,40 @@ class FlashCrowd:
 
 # -- the trace --------------------------------------------------------------
 
+#: Share of arrivals in each priority class, as ``(class, weight)``.
+CLASS_MIX = (("interactive", 0.2), ("standard", 0.5), ("batch", 0.3))
+#: Zipf exponent of the tenant draw (rank 0 hottest).
+TENANT_SKEW = 1.1
+#: Hard cap on generated arrivals (a runaway-intensity guard):
+#: :func:`make_trace` refuses a trace that would pass it.
+MAX_REQUESTS = 100_000
+
 
 @dataclass(frozen=True)
 class TraceConfig:
     """Shape of one open-loop arrival trace.
 
-    ``class_mix`` and ``class_deadline_s`` are tuples of
-    ``(class, value)`` pairs (kept immutable so configs hash and
-    compare); ``tenant_skew`` draws each request's tenant from a
-    Zipfian over ``n_tenants`` (rank 0 hottest), encoded into the
-    request id as ``t<tenant>-`` so routing and journals see it.
-    Request shape comes from :attr:`workload` -- its own
-    ``n_requests``/``arrival_period_s``/``deadline_s`` are ignored
-    (the trace owns arrivals and deadlines).
+    ``class_deadline_s`` is a tuple of ``(class, deadline)`` pairs
+    (kept immutable so configs hash and compare); each request's
+    class is drawn from :data:`CLASS_MIX` and its tenant from a
+    Zipfian over ``n_tenants``, encoded into the request id as
+    ``t<tenant>-`` so routing and journals see it.  Request shape
+    comes from :attr:`workload` -- its own ``n_requests`` /
+    ``deadline_s`` are ignored (the trace owns arrivals and
+    deadlines).
     """
 
     base_rate: float = 400.0
     horizon_s: float = 1.0
     seed: int = 7001
     components: tuple = ()
-    class_mix: tuple = (
-        ("interactive", 0.2),
-        ("standard", 0.5),
-        ("batch", 0.3),
-    )
     class_deadline_s: tuple = (
         ("interactive", 0.05),
         ("standard", 0.25),
         ("batch", 1.0),
     )
-    tenant_skew: float = 1.1
     n_tenants: int = 16
     workload: WorkloadConfig = field(default_factory=WorkloadConfig)
-    #: Hard cap on generated arrivals (a runaway-intensity guard, not
-    #: a tuning knob).
-    max_requests: int = 100_000
 
     def __post_init__(self) -> None:
         if self.base_rate <= 0:
@@ -151,27 +150,6 @@ class TraceConfig:
         if self.n_tenants <= 0:
             raise ValueError(
                 f"n_tenants must be positive: {self.n_tenants}"
-            )
-        if self.tenant_skew < 0:
-            raise ValueError(
-                f"tenant_skew cannot be negative: {self.tenant_skew}"
-            )
-        mix = dict(self.class_mix)
-        for name in mix:
-            if name not in CLASS_RANK:
-                raise ValueError(
-                    f"unknown priority class {name!r}; "
-                    f"known: {PRIORITY_CLASSES}"
-                )
-        if not mix or any(w < 0 for w in mix.values()):
-            raise ValueError(
-                f"class_mix weights must be non-negative and "
-                f"non-empty: {self.class_mix}"
-            )
-        if sum(mix.values()) <= 0:
-            raise ValueError(
-                f"class_mix must have positive total weight: "
-                f"{self.class_mix}"
             )
         for name, deadline in self.class_deadline_s:
             if name not in CLASS_RANK:
@@ -222,25 +200,34 @@ def make_trace(config: TraceConfig) -> list[SearchRequest]:
     """The open-loop trace: arrivals by thinning a Poisson process at
     the peak rate, fully determined by ``config`` (and therefore by
     its seed).  Arrival times never depend on service behaviour --
-    the defining property of open-loop load."""
+    the defining property of open-loop load.  A trace with more than
+    :data:`MAX_REQUESTS` arrivals inside its horizon is refused
+    (``ValueError``), never cut short."""
     lam_max = config.peak_rate()
     arrivals: list[float] = []
     t = 0.0
     i = 0
-    while len(arrivals) < config.max_requests:
+    while True:
         u = trace_uniform(config.seed, "gap", i)
         t += -math.log(u) / lam_max
         if t >= config.horizon_s:
             break
         accept = trace_uniform(config.seed, "thin", i)
         if accept * lam_max <= config.intensity(t):
+            if len(arrivals) == MAX_REQUESTS:
+                raise ValueError(
+                    f"trace at base rate {config.base_rate}/s (peak "
+                    f"{lam_max}/s) over a {config.horizon_s} s horizon "
+                    f"passes the {MAX_REQUESTS}-arrival cap at "
+                    f"t={t:.6f} s; lower the rate or the horizon"
+                )
             arrivals.append(t)
         i += 1
 
     wl = config.workload
     tables = shape_tables(wl)
-    names, mix_cdf = _mix_cdf(config.class_mix)
-    tenant_cdf = _zipf_cdf(config.n_tenants, config.tenant_skew)
+    names, mix_cdf = _mix_cdf(CLASS_MIX)
+    tenant_cdf = _zipf_cdf(config.n_tenants, TENANT_SKEW)
     requests = []
     for j, arrival in enumerate(arrivals):
         game, engine, budget, state = shape_request(wl, j, *tables)
@@ -254,9 +241,7 @@ def make_trace(config: TraceConfig) -> list[SearchRequest]:
         )
         requests.append(
             SearchRequest(
-                request_id=(
-                    f"t{tenant:02d}-{wl.id_prefix}{j:04d}"
-                ),
+                request_id=f"t{tenant:02d}-r{j:04d}",
                 game=game,
                 engine=engine,
                 budget_s=budget,
@@ -272,39 +257,46 @@ def make_trace(config: TraceConfig) -> list[SearchRequest]:
 
 # -- the overload policy ----------------------------------------------------
 
+#: Queue-depth fraction of ``max_queue`` treated as pressure 1.0.
+QUEUE_HIGH = 0.5
+#: Latency/deadline p99 ratio treated as pressure 1.0 (0.9 means
+#: "p99 is eating 90% of its deadline budget").
+HEADROOM_HIGH = 0.9
+#: Consecutive observations at or above pressure 1.0 that escalate.
+ESCALATE_AFTER = 2
+#: Level-1 budget multiplier for ``standard``/``batch``.
+BUDGET_FACTOR = 0.5
+#: Level-2 engine spec for ``standard``/``batch``.
+CHEAP_ENGINE = "sequential"
+#: Ratio a deadline miss contributes to the headroom window.
+MISS_PENALTY = 2.0
+
+
+def pressure(queue_frac: float, ratio_p99: float) -> float:
+    """Normalised overload pressure (1.0 = at the watermark)."""
+    return max(queue_frac / QUEUE_HIGH, ratio_p99 / HEADROOM_HIGH)
+
 
 @dataclass(frozen=True)
 class OverloadPolicy:
     """Knobs of the graceful-degradation ladder (module docstring).
 
-    Normalised *pressure* is ``max(queue_frac / queue_high,
-    ratio_p99 / headroom_high)`` where ``ratio_p99`` is the p99 of
+    Normalised :func:`pressure` is ``max(queue_frac / QUEUE_HIGH,
+    ratio_p99 / HEADROOM_HIGH)`` where ``ratio_p99`` is the p99 of
     completed requests' latency/deadline ratios over the last
-    ``window`` completions (a miss contributes ``miss_penalty``).
-    The controller escalates after ``escalate_after`` consecutive
+    ``window`` completions (a miss contributes ``MISS_PENALTY``).
+    The controller escalates after ``ESCALATE_AFTER`` consecutive
     observations at or above 1.0 and de-escalates after
     ``deescalate_after`` consecutive observations at or below
     ``release``.
     """
 
-    #: Queue-depth fraction of ``max_queue`` treated as pressure 1.0.
-    queue_high: float = 0.5
-    #: Latency/deadline p99 ratio treated as pressure 1.0 (0.9 means
-    #: "p99 is eating 90% of its deadline budget").
-    headroom_high: float = 0.9
     #: Pressure at or below which an observation counts as calm.
     release: float = 0.4
-    escalate_after: int = 2
     deescalate_after: int = 8
     max_level: int = 4
-    #: Level-1 budget multiplier for ``standard``/``batch``.
-    budget_factor: float = 0.5
-    #: Level-2 engine spec for ``standard``/``batch``.
-    cheap_engine: str = "sequential"
     #: Sliding-window size (completions) for the headroom p99.
     window: int = 64
-    #: Ratio a deadline miss contributes to the headroom window.
-    miss_penalty: float = 2.0
     #: Per-tenant in-class fairness cap: no tenant may occupy more
     #: than this fraction of one class's wait queue (``max_queue``
     #: scaled).  When a tenant is over its cap, its worst-deadline
@@ -315,26 +307,18 @@ class OverloadPolicy:
     tenant_queue_frac: float | None = None
 
     def __post_init__(self) -> None:
-        if self.queue_high <= 0 or self.headroom_high <= 0:
-            raise ValueError(
-                "queue_high and headroom_high must be positive"
-            )
         if not 0 <= self.release < 1.0:
             raise ValueError(
                 f"release must be in [0, 1): {self.release}"
             )
-        if self.escalate_after <= 0 or self.deescalate_after <= 0:
+        if self.deescalate_after <= 0:
             raise ValueError(
-                "escalation streak lengths must be positive"
+                f"deescalate_after must be positive: "
+                f"{self.deescalate_after}"
             )
         if not 1 <= self.max_level <= 4:
             raise ValueError(
                 f"max_level must be in [1, 4]: {self.max_level}"
-            )
-        if not 0 < self.budget_factor <= 1.0:
-            raise ValueError(
-                f"budget_factor must be in (0, 1]: "
-                f"{self.budget_factor}"
             )
         if self.window <= 0:
             raise ValueError(
@@ -347,9 +331,6 @@ class OverloadPolicy:
                 f"tenant_queue_frac must be in (0, 1]: "
                 f"{self.tenant_queue_frac}"
             )
-        from repro.core.spec import EngineSpec
-
-        EngineSpec.coerce(self.cheap_engine)
 
     coerce = classmethod(coerce_optional)
 
@@ -357,17 +338,17 @@ class OverloadPolicy:
 
     def budget_scale_for(self, level: int, priority: str) -> float:
         """Budget multiplier at activation: interactive is never
-        squeezed; other classes take ``budget_factor`` from rung 1."""
+        squeezed; other classes take ``BUDGET_FACTOR`` from rung 1."""
         if priority == "interactive" or level < 1:
             return 1.0
-        return self.budget_factor
+        return BUDGET_FACTOR
 
     def spec_for(self, level: int, priority: str, engine):
         """Engine spec at activation: rung 2 rewrites non-interactive
         requests onto the cheap spec."""
         if priority == "interactive" or level < 2:
             return engine
-        return self.cheap_engine
+        return CHEAP_ENGINE
 
     def degrade_level_for(self, level: int, priority: str) -> int:
         """The ladder rung actually applied to one activation."""
@@ -420,7 +401,7 @@ class HysteresisController:
             self._high_streak = 0
             self._calm_streak = 0
         if (
-            self._high_streak >= self.policy.escalate_after
+            self._high_streak >= ESCALATE_AFTER
             and self.level < self.policy.max_level
         ):
             self.level += 1

@@ -170,6 +170,20 @@ class RequestRecord:
         return self.status
 
     @property
+    def attained(self) -> bool:
+        """Completed within its deadline: the one SLO predicate every
+        attainment figure counts (docs/overload.md).  A request
+        without a deadline counts as within, and a degraded
+        completion inside its deadline attains."""
+        if self.status != COMPLETED:
+            return False
+        deadline = self.request.deadline_s
+        if deadline is None:
+            return True
+        latency = self.latency_s
+        return latency is not None and latency <= deadline + 1e-12
+
+    @property
     def latency_s(self) -> float | None:
         """Arrival-to-finish time on the service clock."""
         if self.finish_s is None:

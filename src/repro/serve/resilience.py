@@ -51,47 +51,28 @@ DurationFor = Callable[[DeviceSpec], float]
 KIND_TIMEOUT = "timeout"
 
 
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Timeout / retry / backoff knobs for resilient launching."""
+#: Retries after the first attempt (total attempts = 1 + retries).
+MAX_RETRIES = 3
+#: First backoff delay; doubles (``BACKOFF_FACTOR``) per retry.
+BACKOFF_BASE_S = 5e-6
+BACKOFF_FACTOR = 2.0
+BACKOFF_CAP_S = 1e-3
+#: Per-launch timeout = max(MIN_TIMEOUT_S, duration * TIMEOUT_FACTOR).
+TIMEOUT_FACTOR = 3.0
+MIN_TIMEOUT_S = 1e-6
+#: Host-side time to observe an immediate launch failure (the
+#: failing driver call / unreachable device probe).
+FAIL_DETECT_S = 2e-6
 
-    #: Retries after the first attempt (total attempts = 1 + retries).
-    max_retries: int = 3
-    #: First backoff delay; doubles (``backoff_factor``) per retry.
-    backoff_base_s: float = 5e-6
-    backoff_factor: float = 2.0
-    backoff_cap_s: float = 1e-3
-    #: Per-launch timeout = max(min_timeout_s, duration * factor).
-    timeout_factor: float = 3.0
-    min_timeout_s: float = 1e-6
-    #: Host-side time to observe an immediate launch failure (the
-    #: failing driver call / unreachable device probe).
-    fail_detect_s: float = 2e-6
 
-    def __post_init__(self) -> None:
-        if self.max_retries < 0:
-            raise ValueError(
-                f"max_retries cannot be negative: {self.max_retries}"
-            )
-        if self.timeout_factor < 1.0:
-            raise ValueError(
-                f"timeout factor must be >= 1: {self.timeout_factor}"
-            )
-        if self.backoff_base_s < 0 or self.backoff_cap_s < 0:
-            raise ValueError("backoff times cannot be negative")
-        if self.backoff_factor < 1.0:
-            raise ValueError(
-                f"backoff factor must be >= 1: {self.backoff_factor}"
-            )
+def timeout_s(duration_s: float) -> float:
+    """When the host abandons a launch of modelled ``duration_s``."""
+    return max(MIN_TIMEOUT_S, duration_s * TIMEOUT_FACTOR)
 
-    def timeout_s(self, duration_s: float) -> float:
-        return max(self.min_timeout_s, duration_s * self.timeout_factor)
 
-    def backoff_s(self, retry_index: int) -> float:
-        return min(
-            self.backoff_cap_s,
-            self.backoff_base_s * self.backoff_factor**retry_index,
-        )
+def backoff_s(retry_index: int) -> float:
+    """Delay before retry ``retry_index + 1`` of one launch chain."""
+    return min(BACKOFF_CAP_S, BACKOFF_BASE_S * BACKOFF_FACTOR**retry_index)
 
 
 @dataclass(frozen=True)
@@ -144,11 +125,9 @@ class ResilientLauncher:
     def __init__(
         self,
         pool: DevicePool,
-        policy: RetryPolicy | None = None,
         injector: FaultInjector | None = None,
     ) -> None:
         self.pool = pool
-        self.policy = policy if policy is not None else RetryPolicy()
         self.injector = injector
         #: Chain-level aggregates for service metrics.
         self.retries = 0
@@ -186,15 +165,14 @@ class ResilientLauncher:
         at delivery time: the lease is abandoned, the device is marked
         failed, and the chain retries with backoff on another device.
         """
-        policy = self.policy
         attempts: list[Attempt] = []
         avoid: set[int] = set()
         not_before = 0.0
-        for attempt_idx in range(policy.max_retries + 1):
+        for attempt_idx in range(MAX_RETRIES + 1):
             device_id = self._pick_device(avoid)
             spec = self.pool.spec_of(device_id)
             duration = duration_for(spec)
-            timeout = policy.timeout_s(duration)
+            timeout = timeout_s(duration)
             issue = max(self.pool.clock.now, not_before)
             fault = (
                 self.injector.launch_fault(device_id, issue)
@@ -211,7 +189,7 @@ class ResilientLauncher:
             ):
                 # Immediate failure at the launch API: no device span,
                 # just the host-side detection marker.
-                detect = issue + policy.fail_detect_s
+                detect = issue + FAIL_DETECT_S
                 self.pool.tracer.record(
                     f"{label}!{fault.kind}",
                     self.pool.track(device_id),
@@ -328,10 +306,8 @@ class ResilientLauncher:
             self.pool.mark_failure(device_id)
             self.failed_attempts += 1
             avoid.add(device_id)
-            not_before = attempts[-1].detect_s + policy.backoff_s(
-                attempt_idx
-            )
-            if attempt_idx < policy.max_retries:
+            not_before = attempts[-1].detect_s + backoff_s(attempt_idx)
+            if attempt_idx < MAX_RETRIES:
                 self.retries += 1
 
         self.lost_launches += 1

@@ -476,6 +476,11 @@ def _fused_kernel_spec(games: tuple[str, ...]) -> KernelSpec:
     )
 
 
+#: Real-lane capacity of one fused launch; wider demand rolls over
+#: into additional fused launches.
+MAX_FUSED_LANES = 1 << 16
+
+
 class FusedBatcher(LaneBatcher):
     """Cross-tenant kernel fusion: one padded megakernel per tick.
 
@@ -504,7 +509,6 @@ class FusedBatcher(LaneBatcher):
         launcher: ResilientLauncher | None = None,
         integrity: IntegrityState | None = None,
         playout: str = DEFAULT_PLAYOUT,
-        max_fused_lanes: int = 1 << 16,
     ) -> None:
         super().__init__(
             pool,
@@ -513,14 +517,6 @@ class FusedBatcher(LaneBatcher):
             integrity=integrity,
             playout=playout,
         )
-        if max_fused_lanes < self.FUSED_TPB:
-            raise ValueError(
-                f"max_fused_lanes must be at least {self.FUSED_TPB}: "
-                f"{max_fused_lanes}"
-            )
-        #: Real-lane capacity of one fused launch; wider demand rolls
-        #: over into additional fused launches.
-        self.max_fused_lanes = max_fused_lanes
 
     # -- packing -----------------------------------------------------------
 
@@ -531,10 +527,10 @@ class FusedBatcher(LaneBatcher):
 
         Each game is cut into block-capacity pieces, then pieces are
         packed greedily (in game insertion order) into groups of at
-        most ``max_fused_lanes`` real lanes -- one group per fused
+        most ``MAX_FUSED_LANES`` real lanes -- one group per fused
         launch.
         """
-        cap = (self.max_fused_lanes // self.FUSED_TPB) * self.FUSED_TPB
+        cap = (MAX_FUSED_LANES // self.FUSED_TPB) * self.FUSED_TPB
         pieces: list[tuple[str, int, int]] = []
         for game, n in lane_counts.items():
             lo = 0
@@ -547,7 +543,7 @@ class FusedBatcher(LaneBatcher):
         current_lanes = 0
         for piece in pieces:
             lanes = piece[2] - piece[1]
-            if current and current_lanes + lanes > self.max_fused_lanes:
+            if current and current_lanes + lanes > MAX_FUSED_LANES:
                 groups.append(current)
                 current = []
                 current_lanes = 0

@@ -59,7 +59,7 @@ from repro.core.checkpoint import (
 )
 from repro.core.results import SearchResult
 from repro.core.rounds import Round, advance_rounds
-from repro.core.spec import EngineSpec, make_engine
+from repro.core.spec import EngineSpec, make_engine, with_stack
 from repro.faults import FaultInjector, FaultPlan
 from repro.games import make_game
 from repro.games.base import Game
@@ -73,14 +73,12 @@ from repro.serve.clients import ClientPopulation, RetryBudget
 from repro.serve.journal import JournalWriter, read_journal
 from repro.serve.metrics import ServiceReport, percentile, summarize
 from repro.serve.overload import (
+    MISS_PENALTY,
     HysteresisController,
     OverloadPolicy,
+    pressure,
 )
-from repro.serve.resilience import (
-    LaunchOutcome,
-    ResilientLauncher,
-    RetryPolicy,
-)
+from repro.serve.resilience import LaunchOutcome, ResilientLauncher
 from repro.serve.request import (
     CLASS_RANK,
     COMPLETED,
@@ -163,7 +161,6 @@ class SearchService:
         tracer: Tracer | None = None,
         enforce_deadlines: bool = True,
         faults: FaultPlan | str | None = None,
-        retry: RetryPolicy | None = None,
         backend: str = DEFAULT_BACKEND,
         playout: str = DEFAULT_PLAYOUT,
         fusion: bool = True,
@@ -289,9 +286,7 @@ class SearchService:
             if self.fault_plan is not None
             else None
         )
-        self.launcher = ResilientLauncher(
-            self.pool, policy=retry, injector=self.injector
-        )
+        self.launcher = ResilientLauncher(self.pool, injector=self.injector)
         #: Integrity-defense policy (validation / audit / quarantine
         #: knobs); the state is created only under fault injection so
         #: fault-free runs take zero integrity code paths.
@@ -437,12 +432,10 @@ class SearchService:
             if rung:
                 record.degrade_level = rung
                 record.degraded = True
-        spec = EngineSpec.coerce(engine_source)
+        spec = with_stack(
+            EngineSpec.coerce(engine_source), self.backend, self.playout
+        )
         overrides = {}
-        if self.backend != DEFAULT_BACKEND and "backend" not in spec.params:
-            overrides["backend"] = self.backend
-        if self.playout != DEFAULT_PLAYOUT and "playout" not in spec.params:
-            overrides["playout"] = self.playout
         if self.injector is not None and spec.kind in (
             "block",
             "root",
@@ -570,12 +563,7 @@ class SearchService:
             if latency is not None:
                 self._ratio_window.append(latency / deadline)
         elif record.status == MISSED:
-            penalty = (
-                self.overload.miss_penalty
-                if self.overload is not None
-                else 2.0
-            )
-            self._ratio_window.append(penalty)
+            self._ratio_window.append(MISS_PENALTY)
 
     def _journal_terminal(self, record: RequestRecord) -> None:
         if self.journal is not None:
@@ -903,12 +891,7 @@ class SearchService:
         )
         if self.controller is not None:
             policy = self.overload
-            level = self.controller.observe(
-                max(
-                    queue_frac / policy.queue_high,
-                    ratio_p99 / policy.headroom_high,
-                )
-            )
+            level = self.controller.observe(pressure(queue_frac, ratio_p99))
             shed_rank = policy.shed_rank(level)
             if shed_rank is not None:
                 for name in PRIORITY_CLASSES:
@@ -1224,7 +1207,6 @@ class SearchService:
                 cache_misses=self.cache.misses,
                 cache_evictions=self.cache.evictions,
                 cache_expirations=self.cache.expirations,
-                cache_stale_hits=self.cache.stale_hits,
             )
         return summarize(self._records, elapsed, **counters)
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from repro.core.backend import DEFAULT_BACKEND
 from repro.core.executors import DEFAULT_PLAYOUT
-from repro.core.spec import EngineSpec, with_backend, with_playout
+from repro.core.spec import with_stack
 from repro.serve.request import SearchRequest
 from repro.util.seeding import derive_seed
 
@@ -40,7 +40,8 @@ DEFAULT_BUDGETS = {
 
 @dataclass(frozen=True)
 class WorkloadConfig:
-    """Shape of one generated workload."""
+    """Shape of one generated workload: a closed batch, every request
+    arriving at 0 with id ``f"r{i:03d}"``."""
 
     n_requests: int = 64
     seed: int = 2011
@@ -48,15 +49,9 @@ class WorkloadConfig:
     engines: tuple[str, ...] = MIXED_ENGINES
     #: Scale factor on the per-game default budgets.
     budget_scale: float = 1.0
-    #: Request ``i`` arrives at ``i * arrival_period_s`` (0 = all at
-    #: once, a closed batch).
-    arrival_period_s: float = 0.0
     #: Relative completion deadline on the service clock (None = no
     #: deadline).
     deadline_s: float | None = 2.0
-    #: Request-id prefix; ids are ``f"{id_prefix}{i:03d}"`` so several
-    #: workloads can share one service without id collisions.
-    id_prefix: str = "r"
     #: Tree backend suffixed onto every engine spec (``@arena``);
     #: ``"node"`` leaves the spec strings untouched.
     backend: str = DEFAULT_BACKEND
@@ -89,8 +84,6 @@ class WorkloadConfig:
             raise ValueError(
                 f"budget_scale must be positive: {self.budget_scale}"
             )
-        if not self.id_prefix:
-            raise ValueError("id_prefix cannot be empty")
         if self.position_skew < 0:
             raise ValueError(
                 f"position_skew cannot be negative: "
@@ -162,15 +155,12 @@ def _shaped_engines(config: WorkloadConfig) -> tuple:
     each entry rewritten once (an explicit @node/@arena/@compiled in
     the spec wins -- and is kept verbatim so request strings stay
     stable)."""
-    if config.backend == DEFAULT_BACKEND and config.playout == DEFAULT_PLAYOUT:
-        return config.engines
     engines = []
     for engine in config.engines:
-        spec = EngineSpec.coerce(engine)
-        rewritten = with_playout(
-            with_backend(spec, config.backend), config.playout
+        rewritten = with_stack(engine, config.backend, config.playout)
+        engines.append(
+            engine if rewritten is engine else rewritten.canonical()
         )
-        engines.append(engine if rewritten is spec else rewritten.canonical())
     return tuple(engines)
 
 
@@ -223,12 +213,11 @@ def make_workload(config: WorkloadConfig) -> list[SearchRequest]:
         game, engine, budget, state = shape_request(config, i, *tables)
         requests.append(
             SearchRequest(
-                request_id=f"{config.id_prefix}{i:03d}",
+                request_id=f"r{i:03d}",
                 game=game,
                 engine=engine,
                 budget_s=budget,
                 seed=derive_seed(config.seed, "request", i),
-                arrival_s=i * config.arrival_period_s,
                 deadline_s=config.deadline_s,
                 state=state,
             )

@@ -53,7 +53,8 @@ def derive_seed(root: int, *path: int | str) -> int:
 
 
 class SeedLadder:
-    """A root seed plus a fixed prefix path; children extend the path.
+    """A root seed plus a fixed prefix path, folded once; each
+    :meth:`seed` extends the path.
 
     >>> ladder = SeedLadder(42, "fig6")
     >>> a = ladder.seed("game", 0)
@@ -65,22 +66,9 @@ class SeedLadder:
     """
 
     def __init__(self, root: int, *prefix: int | str) -> None:
-        self._root = root
-        self._prefix: tuple[int | str, ...] = tuple(prefix)
         #: The derivation folded as far as the prefix reaches.
         self._state = fold_seed(splitmix64(root & _MASK), prefix)
-
-    @property
-    def root(self) -> int:
-        return self._root
 
     def seed(self, *path: int | str) -> int:
         """``derive_seed(root, *prefix, *path)``."""
         return fold_seed(self._state, path) or _GOLDEN
-
-    def child(self, *path: int | str) -> "SeedLadder":
-        return SeedLadder(self._root, *self._prefix, *path)
-
-    def seeds(self, label: str, count: int) -> list[int]:
-        """A batch of ``count`` sibling seeds under ``label``."""
-        return [self.seed(label, i) for i in range(count)]

@@ -20,6 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.base import tally
+from repro.integrity.audit import MAX_RESULT_RETRIES
 
 
 def reference_search(engine, state, budget_s):
@@ -152,7 +153,7 @@ def _screened_winners(engine, positions, live, guard):
     to all-draws once the retry budget runs out."""
     blocks = engine.config.blocks
     tpb = engine.config.threads_per_block
-    for _ in range(guard.policy.max_result_retries + 1):
+    for _ in range(MAX_RESULT_RETRIES + 1):
         result = engine.gpu.run_playouts(positions, engine.config)
         live["simulations"] += result.playouts
         winners, ok = guard.screen_block(result.winners, blocks, tpb)

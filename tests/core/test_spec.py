@@ -17,7 +17,7 @@ from repro.core import (
     engine_kinds,
     make_engine,
     spec_modifiers,
-    with_backend,
+    with_stack,
 )
 from repro.games import TicTacToe
 
@@ -172,13 +172,20 @@ class TestBackendSuffix:
         assert spec.params["backend"] == "node"
         assert spec.canonical() == "block:2x8"
 
-    def test_with_backend_helper(self):
-        assert with_backend("root:4", "arena").canonical() == "root:4@arena"
-        # The spec's own explicit backend wins over the override.
+    def test_with_stack_helper(self):
         assert (
-            with_backend("root:4@node", "arena").params["backend"] == "node"
+            with_stack("root:4", "arena", "compiled").canonical()
+            == "root:4@arena@compiled"
         )
-        assert with_backend("root:4", "node").canonical() == "root:4"
+        # The spec's own explicit backend wins over the default.
+        kept = with_stack("root:4@node", "arena", "compiled")
+        assert kept.params["backend"] == "node"
+        assert kept.canonical() == "root:4@compiled"
+        # Nothing applies: the very same object comes back.
+        for spec in ("root:4", "root:4@node@compiled"):
+            assert with_stack(spec, "node", "numpy") is spec
+        spelled = "tree:2@arena@wuct"
+        assert with_stack(spelled, "arena", "numpy") is spelled
 
     def test_built_engine_carries_backend(self):
         game = TicTacToe()

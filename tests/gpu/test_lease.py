@@ -5,6 +5,7 @@ import weakref
 import pytest
 
 from repro.gpu import TESLA_C2050, DevicePool, PoolError
+from repro.gpu.lease import QUARANTINE_S
 from repro.gpu.trace import Tracer
 from repro.util.clock import Clock
 
@@ -111,7 +112,7 @@ class TestHealth:
         for _ in range(3):
             pool.mark_failure(0)
         assert pool.is_quarantined(0)
-        clock.advance(pool.quarantine_s)
+        clock.advance(QUARANTINE_S)
         assert not pool.is_quarantined(0)
         assert pool.healthy_ids() == [0]
 

@@ -22,6 +22,7 @@ from repro.gpu import (
     sm_step_time,
 )
 from repro.serve import FusedBatcher, LaneBatcher, fused_kernel_spec
+from repro.serve import scheduler
 from repro.serve.scheduler import block_maxima
 from repro.util.clock import Clock
 from tests.gpu.reference_timing import (
@@ -236,9 +237,8 @@ class TestReferenceIdentity:
 
 @st.composite
 def fused_demands(draw):
-    """``(max_fused_lanes, finish steps by game)``: one to three games'
-    lane demand, wide enough that some games split at
-    ``max_fused_lanes``."""
+    """``(lane cap, finish steps by game)``: one to three games' lane
+    demand, wide enough that some games split at the cap."""
     tpb = FusedBatcher.FUSED_TPB
     cap = draw(st.integers(tpb, 6 * tpb))
     games = draw(
@@ -262,11 +262,12 @@ class TestFusedDuration:
     def test_per_block_maxima_equal_the_padded_grid(self, demand, spec):
         cap, steps = demand
         tpb = FusedBatcher.FUSED_TPB
-        batcher = FusedBatcher(
-            DevicePool((TESLA_C2050,), Clock()), 5, max_fused_lanes=cap
-        )
+        batcher = FusedBatcher(DevicePool((TESLA_C2050,), Clock()), 5)
         maxima = {game: block_maxima(s, tpb) for game, s in steps.items()}
-        groups = batcher._segments({g: len(s) for g, s in steps.items()})
+        # Rollover at test size: a cap of a few blocks, not 65 536.
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(scheduler, "MAX_FUSED_LANES", cap)
+            groups = batcher._segments({g: len(s) for g, s in steps.items()})
         for segments in groups:
             kernel = fused_kernel_spec([g for g, _, _ in segments])
             want = reference_fused_seconds(spec, kernel, segments, steps, tpb)

@@ -150,8 +150,6 @@ class TestIntegrityPolicy:
     def test_negative_knobs_rejected(self):
         with pytest.raises(ValueError, match="audit_every"):
             IntegrityPolicy(audit_every=-1)
-        with pytest.raises(ValueError, match="max_result_retries"):
-            IntegrityPolicy(max_result_retries=-1)
 
 
 class TestAuditRootStats:

@@ -45,21 +45,6 @@ class TestLaneIndependence:
         )
 
 
-class TestRandom:
-    def test_unit_interval(self):
-        rng = BatchXorShift128Plus(32, seed=3)
-        for _ in range(10):
-            x = rng.random()
-            assert np.all(x >= 0.0) and np.all(x < 1.0)
-
-    def test_mean_near_half(self):
-        rng = BatchXorShift128Plus(512, seed=3)
-        total = np.zeros(512)
-        for _ in range(40):
-            total += rng.random()
-        assert abs(total.mean() / 40 - 0.5) < 0.02
-
-
 class TestRandbelow:
     def test_zero_bound_gives_zero(self):
         rng = BatchXorShift128Plus(4, seed=1)
@@ -94,18 +79,18 @@ class TestRandbelow:
 class TestCheckpointState:
     def test_getstate_setstate_round_trip(self):
         rng = BatchXorShift128Plus(16, seed=21)
-        rng.random()
+        rng.next_u64()
         state = rng.getstate()
-        ahead = rng.random().tolist()
+        ahead = rng.next_u64().tolist()
         rng.setstate(state)
-        assert rng.random().tolist() == ahead
+        assert rng.next_u64().tolist() == ahead
 
     def test_from_state_resumes_every_lane(self):
         rng = BatchXorShift128Plus(8, seed=4)
-        rng.random()
+        rng.next_u64()
         clone = BatchXorShift128Plus.from_state(rng.getstate())
         assert clone.n == rng.n
-        assert clone.random().tolist() == rng.random().tolist()
+        assert clone.next_u64().tolist() == rng.next_u64().tolist()
         assert clone.state_digest() == rng.state_digest()
 
     def test_state_arrays_are_copies(self):

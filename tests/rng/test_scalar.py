@@ -63,20 +63,6 @@ class TestRandrange:
             assert abs(c - trials / 8) < 5 * (trials / 8) ** 0.5
 
 
-class TestRandomFloat:
-    def test_in_unit_interval(self):
-        rng = XorShift64Star(3)
-        for _ in range(100):
-            x = rng.random()
-            assert 0.0 <= x < 1.0
-
-    def test_mean_near_half(self):
-        rng = XorShift64Star(11)
-        n = 4000
-        mean = sum(rng.random() for _ in range(n)) / n
-        assert abs(mean - 0.5) < 0.05
-
-
 class TestHelpers:
     def test_shuffle_is_permutation(self):
         rng = XorShift64Star(9)
@@ -104,7 +90,7 @@ class TestCheckpointState:
 
     def test_from_state_resumes_the_stream(self):
         rng = XorShift64Star(8)
-        rng.random()
+        rng.next_u64()
         clone = XorShift64Star.from_state(rng.getstate())
         assert [clone.next_u64() for _ in range(8)] == [
             rng.next_u64() for _ in range(8)

@@ -18,7 +18,8 @@ from repro.util.seeding import derive_seed
 
 
 class ReferenceRing:
-    """``HashRing(n_shards, vnodes, seed)`` with one domain per shard."""
+    """``HashRing(n_shards, seed)`` (``vnodes`` points per shard) with
+    one domain per shard."""
 
     def __init__(self, n_shards: int, vnodes: int = 64, seed: int = 0):
         self.n_shards = n_shards

@@ -4,6 +4,7 @@ import pytest
 
 from repro.gpu import TESLA_C2050, DevicePool, PoolError
 from repro.serve import Autoscaler, AutoscalerConfig
+from repro.serve.autoscale import COOLDOWN_S, INTERVAL_S
 from repro.util.clock import Clock
 
 
@@ -62,13 +63,7 @@ class TestElasticPool:
 
 class TestAutoscaler:
     def cfg(self, **kw):
-        base = dict(
-            min_devices=1,
-            max_devices=4,
-            interval_s=0.01,
-            scaleup_lag_s=0.05,
-            cooldown_s=0.0,
-        )
+        base = dict(max_devices=4, scaleup_lag_s=0.05)
         base.update(kw)
         return AutoscalerConfig(**base)
 
@@ -82,15 +77,14 @@ class TestAutoscaler:
 
     def test_interval_and_cooldown_gate_decisions(self):
         pool, clock = make_pool(1)
-        scaler = Autoscaler(
-            pool, self.cfg(cooldown_s=0.1), TESLA_C2050
-        )
+        scaler = Autoscaler(pool, self.cfg(), TESLA_C2050)
+        assert INTERVAL_S < COOLDOWN_S
         assert scaler.step(0.0, 2.0, 1.0) == 1
         # Too soon (interval), then inside the cooldown.
-        assert scaler.step(0.005, 2.0, 1.0) == 0
-        assert scaler.step(0.05, 2.0, 1.0) == 0
+        assert scaler.step(INTERVAL_S / 2, 2.0, 1.0) == 0
+        assert scaler.step(INTERVAL_S, 2.0, 1.0) == 0
         # Past the cooldown: acts again.
-        assert scaler.step(0.11, 2.0, 1.0) == 1
+        assert scaler.step(COOLDOWN_S, 2.0, 1.0) == 1
         assert scaler.scale_ups == 2
 
     def test_scale_up_capped_at_max_devices(self):
@@ -104,8 +98,8 @@ class TestAutoscaler:
         scaler = Autoscaler(pool, self.cfg(), TESLA_C2050)
         assert scaler.step(0.0, 0.0, 0.0) == -1
         assert pool.is_retired(2)  # highest-numbered goes first
-        assert scaler.step(0.02, 0.0, 0.0) == -1
-        assert scaler.step(0.04, 0.0, 0.0) == 0  # at min_devices
+        assert scaler.step(COOLDOWN_S, 0.0, 0.0) == -1
+        assert scaler.step(2 * COOLDOWN_S, 0.0, 0.0) == 0  # at the floor
         assert scaler.scale_downs == 2
 
     def test_queue_pressure_alone_triggers_scale_up(self):
@@ -117,20 +111,16 @@ class TestAutoscaler:
         pool, clock = make_pool(1)
         scaler = Autoscaler(pool, self.cfg(), TESLA_C2050)
         scaler.step(0.0, 2.0, 1.0)
-        scaler.step(0.02, 2.0, 1.0)
+        scaler.step(COOLDOWN_S, 2.0, 1.0)
         assert scaler.peak_devices == 3
-        scaler.step(0.04, 0.0, 0.0)
+        scaler.step(2 * COOLDOWN_S, 0.0, 0.0)
         assert scaler.peak_devices == 3
 
     def test_config_validation_and_coerce(self):
         with pytest.raises(ValueError):
-            AutoscalerConfig(min_devices=0)
+            AutoscalerConfig(max_devices=0)
         with pytest.raises(ValueError):
-            AutoscalerConfig(min_devices=4, max_devices=2)
-        with pytest.raises(ValueError):
-            AutoscalerConfig(scale_down_frac=1.0)
-        with pytest.raises(ValueError):
-            AutoscalerConfig(interval_s=0.0)
+            AutoscalerConfig(scaleup_lag_s=-1.0)
         assert AutoscalerConfig.coerce(None) is None
         assert AutoscalerConfig.coerce(False) is None
         assert AutoscalerConfig.coerce(True) == AutoscalerConfig()

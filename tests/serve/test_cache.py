@@ -6,6 +6,7 @@ from repro.core import spec
 from repro.core.results import SearchResult
 from repro.core.spec import EngineSpec
 from repro.games import make_game
+from repro.serve import cache as cache_module
 from repro.serve.cache import (
     CacheKey,
     ResultCache,
@@ -97,29 +98,10 @@ def test_spec_spellings_share_a_key_cold_and_warm(game, state):
         key_of(game, state, spec="nonesuch:2")
 
 
-def test_registering_a_modifier_forgets_remembered_specs(
-    game, state, monkeypatch
-):
-    """A modifier registered after a look-up changes what the grammar
-    accepts: the next look-up is answered by the parser, not the memo."""
-    monkeypatch.setattr(spec, "_MODIFIERS", dict(spec._MODIFIERS))
-    try:
-        with pytest.raises(ValueError, match="deep"):
-            key_of(game, state, spec="root:2@deep")
-        before = key_of(game, state, spec="root:2")
-        spec.register_modifier(
-            spec.SpecModifier("deep", "depth", flag_params={"ucb_c": 0.25})
-        )
-        assert spec.canonical_spec.cache_info().currsize == 0
-        assert key_of(game, state, spec="root:2") == before
-        assert key_of(game, state, spec="root:2@deep") != before
-    finally:
-        # The table is restored on teardown; forget what it answered.
-        spec.canonical_spec.cache_clear()
-
-
-def test_hit_miss_and_lru_eviction(game, state):
-    cache = ResultCache(capacity=2)
+def test_hit_miss_and_lru_eviction(game, state, monkeypatch):
+    # Eviction at test size: a two-entry bound instead of 4 096.
+    monkeypatch.setattr(cache_module, "CACHE_CAPACITY", 2)
+    cache = ResultCache()
     states = [state, game.apply(state, 0), game.apply(state, 4)]
     keys = [key_of(game, s) for s in states]
     for k, s in zip(keys[:2], states[:2]):
@@ -190,31 +172,12 @@ def test_hit_rate_and_coerce(game, state):
     assert ResultCache.coerce(None) is None
     assert ResultCache.coerce(False) is None
     assert isinstance(ResultCache.coerce(True), ResultCache)
-    assert ResultCache.coerce({"capacity": 7}).capacity == 7
+    assert ResultCache.coerce({"ttl_s": 7.0}).ttl_s == 7.0
     assert ResultCache.coerce(cache) is cache
     with pytest.raises(TypeError):
         ResultCache.coerce(3.14)
     with pytest.raises(ValueError):
         ResultCache(ttl_s=0.0)
-
-
-def test_stale_hits_counted_not_refused(game, state):
-    # Non-stationary traffic: a hit past stale_after_s is still
-    # served (it has not expired) but counted, so hit-rate claims
-    # on diurnal traces stay honest.
-    cache = ResultCache(ttl_s=10.0, stale_after_s=0.5)
-    key = key_of(game, state)
-    cache.insert(key, state, result_for(game, state), now_s=0.0)
-    fresh = cache.lookup(key, 0.4)
-    assert fresh is not None
-    assert cache.stale_hits == 0
-    stale = cache.lookup(key, 0.9)
-    assert stale is not None
-    assert stale.result is fresh.result
-    assert cache.stale_hits == 1
-    assert cache.hits == 2
-    with pytest.raises(ValueError):
-        ResultCache(stale_after_s=0.0)
 
 
 def test_sweep_ages_out_without_counting_misses(game, state):

@@ -32,6 +32,7 @@ from repro.serve import (
     TraceConfig,
     WorkloadConfig,
     attempt_of,
+    class_summary,
     lineage_root,
     post_crowd_attainment,
     retry_id,
@@ -107,8 +108,6 @@ class TestClientRetryPolicy:
         with pytest.raises(ValueError):
             ClientRetryPolicy(base_s=-0.1)
         with pytest.raises(ValueError):
-            ClientRetryPolicy(factor=0.5)
-        with pytest.raises(ValueError):
             ClientRetryPolicy(jitter=1.0)
         with pytest.raises(ValueError):
             ClientRetryPolicy(max_attempts=0)
@@ -144,7 +143,6 @@ class TestClientRetryPolicy:
         policy = ClientRetryPolicy(
             kind="exponential",
             base_s=0.01,
-            factor=2.0,
             cap_s=0.05,
             jitter=0.0,
         )
@@ -206,7 +204,6 @@ class TestCircuitBreaker:
         defaults = dict(
             failure_threshold=3,
             reset_timeout_s=0.1,
-            half_open_probes=1,
         )
         defaults.update(kwargs)
         return CircuitBreaker(BreakerConfig(**defaults))
@@ -216,8 +213,6 @@ class TestCircuitBreaker:
             BreakerConfig(failure_threshold=0)
         with pytest.raises(ValueError):
             BreakerConfig(reset_timeout_s=0.0)
-        with pytest.raises(ValueError):
-            BreakerConfig(half_open_probes=0)
 
     def test_trips_on_consecutive_failures_only(self):
         breaker = self.make()
@@ -495,7 +490,6 @@ class TestMetastabilityDetector:
             settle_s=0.0,
             goodput_frac=0.5,
             min_offered_rate=40.0,
-            sustain_bins=3,
         )
         defaults.update(kwargs)
         return MetastabilityDetector(**defaults)
@@ -507,8 +501,6 @@ class TestMetastabilityDetector:
             MetastabilityDetector(settle_s=-0.1)
         with pytest.raises(ValueError):
             MetastabilityDetector(goodput_frac=0.0)
-        with pytest.raises(ValueError):
-            MetastabilityDetector(sustain_bins=0)
 
     def test_sustained_low_goodput_is_a_trap(self):
         records = synthetic_records([5, 1, 1, 1, 5])
@@ -584,6 +576,19 @@ class TestPostCrowdAttainment:
         assert post_crowd_attainment(records, 0.5) == pytest.approx(
             0.5
         )
+
+    def test_degraded_completion_in_deadline_attains(self):
+        # One predicate: the per-class table and the recovery gate
+        # both count a degraded completion inside its deadline.
+        rec = record(
+            COMPLETED, rid="t00-a", arrival_s=0.6, priority="interactive"
+        )
+        rec.start_s = 0.6
+        rec.finish_s = 0.61
+        rec.degraded = True
+        stats = class_summary([rec])["interactive"]
+        assert (stats.degraded, stats.attainment) == (1, 1.0)
+        assert post_crowd_attainment([rec], 0.5) == 1.0
 
     def test_no_post_crowd_work_is_vacuous_success(self):
         assert post_crowd_attainment([], 0.5) == 1.0

@@ -16,13 +16,14 @@ from repro.faults import (
 )
 from repro.gpu import TESLA_C2050, DevicePool
 from repro.gpu.trace import Tracer
+from repro.gpu.lease import QUARANTINE_AFTER
 from repro.serve import (
     ResilientLauncher,
-    RetryPolicy,
     SearchRequest,
     SearchService,
 )
-from repro.serve.resilience import KIND_TIMEOUT
+from repro.serve import resilience
+from repro.serve.resilience import KIND_TIMEOUT, MAX_RETRIES, timeout_s
 from repro.util.clock import Clock
 
 pytestmark = pytest.mark.faults
@@ -177,14 +178,12 @@ class TestFaultInjector:
         assert drops_a == drops_b
 
 
-def make_launcher(plan=None, n=2, policy=None, **pool_kwargs):
+def make_launcher(plan=None, n=2):
     clock = Clock()
-    pool = DevicePool(
-        (TESLA_C2050,) * n, clock, Tracer(), **pool_kwargs
-    )
+    pool = DevicePool((TESLA_C2050,) * n, clock, Tracer())
     injector = FaultInjector(plan) if plan is not None else None
     return (
-        ResilientLauncher(pool, policy=policy, injector=injector),
+        ResilientLauncher(pool, injector=injector),
         pool,
         clock,
     )
@@ -223,8 +222,7 @@ class TestResilientLauncher:
                 DeviceOutage(1, 0.0, 1.0),
             )
         )
-        policy = RetryPolicy(max_retries=3, backoff_base_s=1e-4)
-        launcher, _, _ = make_launcher(plan, policy=policy)
+        launcher, _, _ = make_launcher(plan)
         outcome = launcher.launch("req", lambda spec: 1e-3)
         assert not outcome.delivered
         starts = [a.start_s for a in outcome.attempts]
@@ -244,14 +242,14 @@ class TestResilientLauncher:
         outcome = launcher.launch("req", lambda spec: 1e-3)
         assert not outcome.delivered
         assert outcome.lease is None
-        assert outcome.retries == launcher.policy.max_retries
+        assert outcome.retries == MAX_RETRIES
         assert launcher.lost_launches == 1
         pool.assert_drained()  # failed attempts left nothing unresolved
 
     def test_short_stall_absorbed_within_timeout(self):
+        # A 2x stall sits inside the 3x timeout.
         plan = FaultPlan(stall_rate=1.0, stall_factor=2.0)
-        policy = RetryPolicy(timeout_factor=3.0)
-        launcher, pool, _ = make_launcher(plan, policy=policy)
+        launcher, pool, _ = make_launcher(plan)
         outcome = launcher.launch("req", lambda spec: 1e-3)
         assert outcome.delivered
         assert outcome.retries == 0
@@ -270,7 +268,7 @@ class TestResilientLauncher:
         first = outcome.attempts[0]
         assert first.fault == KIND_TIMEOUT
         assert first.detect_s == pytest.approx(
-            first.start_s + launcher.policy.timeout_s(1e-3)
+            first.start_s + timeout_s(1e-3)
         )
         # The stalled kernel still occupied its stream to the full 8ms.
         assert pool.busy_seconds(first.device_id) >= 8e-3
@@ -278,25 +276,24 @@ class TestResilientLauncher:
             pool.synchronize(outcome.lease)
         pool.assert_drained()
 
-    def test_lost_result_detected_at_timeout(self):
+    def test_lost_result_detected_at_timeout(self, monkeypatch):
+        # A single attempt: the chain ends at the first detection.
+        monkeypatch.setattr(resilience, "MAX_RETRIES", 0)
         plan = FaultPlan(lost_result_rate=1.0)
-        policy = RetryPolicy(max_retries=0)
-        launcher, pool, _ = make_launcher(plan, policy=policy)
+        launcher, pool, _ = make_launcher(plan)
         outcome = launcher.launch("req", lambda spec: 1e-3)
         assert not outcome.delivered
         attempt = outcome.attempts[0]
         assert attempt.fault == KIND_LOST_RESULT
         assert attempt.detect_s == pytest.approx(
-            attempt.start_s + policy.timeout_s(1e-3)
+            attempt.start_s + timeout_s(1e-3)
         )
         pool.assert_drained()
 
     def test_repeated_failures_quarantine_the_device(self):
         plan = FaultPlan(outages=(DeviceOutage(0, 0.0, 10.0),))
-        launcher, pool, _ = make_launcher(
-            plan, quarantine_after=2, quarantine_s=1.0
-        )
-        for _ in range(2):
+        launcher, pool, _ = make_launcher(plan)
+        for _ in range(QUARANTINE_AFTER):
             outcome = launcher.launch("req", lambda spec: 1e-4)
             pool.synchronize(outcome.lease)
         assert pool.is_quarantined(0)
@@ -308,14 +305,6 @@ class TestResilientLauncher:
         assert outcome.attempts[0].device_id == 1
         pool.synchronize(outcome.lease)
         pool.assert_drained()
-
-    def test_policy_validation(self):
-        with pytest.raises(ValueError, match="max_retries"):
-            RetryPolicy(max_retries=-1)
-        with pytest.raises(ValueError, match="timeout factor"):
-            RetryPolicy(timeout_factor=0.5)
-        with pytest.raises(ValueError, match="backoff factor"):
-            RetryPolicy(backoff_factor=0.9)
 
     def test_no_injector_is_pure_passthrough(self):
         launcher, pool, _ = make_launcher(None)
@@ -427,8 +416,9 @@ class TestServiceUnderFaults:
         service = SearchService(
             n_devices=1,
             seed=0,
-            faults="stall=1.0x16,seed=5",
-            retry=RetryPolicy(max_retries=0, timeout_factor=100.0),
+            # A 2x stall is absorbed inside the 3x launch timeout and
+            # delivers past the deadline.
+            faults="stall=1.0x2,seed=5",
         )
         service.submit(_request(engine="block:2x32", deadline=1e-5))
         records = service.run()

@@ -12,13 +12,15 @@ Fusion is a *launch geometry* optimisation, never a results change:
 * crash -> recover with fused compiled runs completes exactly once.
 """
 
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.faults import FaultInjector, FaultPlan
-from repro.games import TicTacToe, make_game
+from repro.games import make_game
 from repro.gpu import TESLA_C2050, DevicePool
 from repro.gpu.kernel import playout_kernel_spec
 from repro.integrity import IntegrityPolicy, IntegrityState
@@ -36,6 +38,7 @@ from repro.serve import (
     make_workload,
     read_journal,
 )
+from repro.serve import scheduler
 from repro.util.clock import Clock
 
 SEED = 17
@@ -43,6 +46,15 @@ SEED = 17
 
 def make_pool(n_devices=2):
     return DevicePool((TESLA_C2050,) * n_devices, Clock())
+
+
+@contextmanager
+def lane_cap(cap):
+    """Rollover at test size: the fused-launch lane cap set to
+    ``cap`` instead of 65 536 for the ``with`` block."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(scheduler, "MAX_FUSED_LANES", cap)
+        yield
 
 
 def states_for(game_name, n):
@@ -146,10 +158,10 @@ class TestFusionPackingProperties:
     @settings(max_examples=25, deadline=None)
     @given(
         tenants=tenants_strategy,
-        max_fused_lanes=st.sampled_from([128, 256, 1 << 16]),
+        cap=st.sampled_from([128, 256, 1 << 16]),
     )
     def test_pack_fuse_scatter_round_trips(
-        self, tenants, max_fused_lanes
+        self, tenants, cap
     ):
         """Arbitrary tenant interleavings: fused answers equal the
         unfused batcher's bit for bit (no cross-tenant leakage, no
@@ -157,12 +169,11 @@ class TestFusionPackingProperties:
         cap, and the pool drains after synchronising every lease."""
         demand, spans = build_demand(tenants)
         pool = make_pool()
-        fused = FusedBatcher(
-            pool, SEED, max_fused_lanes=max_fused_lanes
-        )
-        got, records = fused.execute_demand(
-            {g: list(s) for g, s in demand.items()}, spans
-        )
+        fused = FusedBatcher(pool, SEED)
+        with lane_cap(cap):
+            got, records = fused.execute_demand(
+                {g: list(s) for g, s in demand.items()}, spans
+            )
         ref, _ = LaneBatcher(make_pool(), SEED).execute_demand(
             {g: list(s) for g, s in demand.items()}
         )
@@ -173,7 +184,7 @@ class TestFusionPackingProperties:
         total = sum(len(s) for s in demand.values())
         assert sum(r.lanes for r in records) == total
         for r in records:
-            assert 0 < r.lanes <= max_fused_lanes
+            assert 0 < r.lanes <= cap
             covered = sum(hi - lo for _, lo, hi in r.segments)
             assert covered == r.lanes
         # Every tenant's span is covered by exactly one launch's
@@ -227,18 +238,15 @@ class TestFusedGeometry:
             "tictactoe": states_for("tictactoe", 300),
             "connect4": states_for("connect4", 100),
         }
-        capped = FusedBatcher(make_pool(), SEED, max_fused_lanes=128)
-        got, records = capped.execute_demand(
-            {g: list(s) for g, s in demand.items()}
-        )
+        capped = FusedBatcher(make_pool(), SEED)
+        with lane_cap(128):
+            got, records = capped.execute_demand(
+                {g: list(s) for g, s in demand.items()}
+            )
         assert len(records) == 4  # 128 + 128 + 44 | 100 lanes
         assert all(r.lanes <= 128 for r in records)
         ref, _ = LaneBatcher(make_pool(), SEED).execute_demand(demand)
         assert got == ref
-
-    def test_lane_cap_below_block_width_rejected(self):
-        with pytest.raises(ValueError, match="max_fused_lanes"):
-            FusedBatcher(make_pool(), SEED, max_fused_lanes=100)
 
     def test_fused_kernel_spec_single_game_is_exact(self):
         assert fused_kernel_spec(["reversi"]) == playout_kernel_spec(
@@ -283,10 +291,10 @@ class TestTenantSlices:
         lane_counts=st.lists(st.integers(1, 700), min_size=1, max_size=4),
         cuts=st.lists(st.integers(0, 700), max_size=12),
         # 300: pieces are cut at 256, so two of them can share a group.
-        max_fused_lanes=st.sampled_from([128, 300, 512, 1 << 16]),
+        cap=st.sampled_from([128, 300, 512, 1 << 16]),
     )
     def test_matches_reference_on_generated_layouts(
-        self, lane_counts, cuts, max_fused_lanes
+        self, lane_counts, cuts, cap
     ):
         """Several games, demand rolling over into further groups,
         tenant spans straddling piece and group boundaries, spans of
@@ -300,11 +308,10 @@ class TestTenantSlices:
             bounds = sorted({0, n, *(c for c in cuts if c < n)})
             for lo, hi in zip(bounds, bounds[1:]):
                 spans[game, lo] = (game, lo, hi)
-        batcher = FusedBatcher(
-            make_pool(), SEED, max_fused_lanes=max_fused_lanes
-        )
-        groups = batcher._segments(lane_counts)
-        if max_fused_lanes < max(lane_counts.values()):
+        batcher = FusedBatcher(make_pool(), SEED)
+        with lane_cap(cap):
+            groups = batcher._segments(lane_counts)
+        if cap < max(lane_counts.values()):
             assert len(groups) > 1
         for segments in groups:
             assert batcher._tenant_slices(
@@ -315,8 +322,9 @@ class TestTenantSlices:
         # Pieces are cut at 256 lanes, groups hold 300: reversi's
         # [0, 256) and [256, 290) share one, and the tenant on
         # [250, 270) gets one slice across them.
-        batcher = FusedBatcher(make_pool(), SEED, max_fused_lanes=300)
-        (segments,) = batcher._segments({"reversi": 290})
+        batcher = FusedBatcher(make_pool(), SEED)
+        with lane_cap(300):
+            (segments,) = batcher._segments({"reversi": 290})
         assert len(segments) == 2
         spans = {"a": ("reversi", 0, 250), "b": ("reversi", 250, 270)}
         assert batcher._tenant_slices(segments, spans) == [

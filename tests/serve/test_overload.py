@@ -27,7 +27,8 @@ from repro.serve import (
     make_trace,
     run_storm,
 )
-from repro.serve.overload import _mix_cdf
+from repro.serve import overload
+from repro.serve.overload import ESCALATE_AFTER, _mix_cdf
 from repro.serve.storm import SilentOutcomeError
 
 
@@ -128,15 +129,24 @@ class TestTrace:
         states = [str(r.state) for r in trace]
         assert len(set(states)) <= 4
 
+    def test_trace_past_the_cap_is_refused(self, monkeypatch):
+        cfg = small_trace()
+        n = len(make_trace(cfg))
+        # Exactly at the cap the trace is whole...
+        monkeypatch.setattr(overload, "MAX_REQUESTS", n)
+        assert len(make_trace(cfg)) == n
+        # ...one arrival past it, it is refused rather than cut short.
+        monkeypatch.setattr(overload, "MAX_REQUESTS", n - 1)
+        with pytest.raises(
+            ValueError, match=r"base rate 150\.0/s .* 0\.2 s horizon"
+        ):
+            make_trace(cfg)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             small_trace(base_rate=0.0)
         with pytest.raises(ValueError):
             small_trace(horizon_s=-1.0)
-        with pytest.raises(ValueError):
-            small_trace(class_mix=(("warp", 1.0),))
-        with pytest.raises(ValueError):
-            small_trace(class_mix=(("batch", 0.0),))
         with pytest.raises(ValueError):
             small_trace(class_deadline_s=(("batch", 0.0),))
         with pytest.raises(ValueError):
@@ -230,9 +240,7 @@ class TestLadder:
             assert not policy.sheds(level, "interactive")
 
     def test_rung_table_for_lower_classes(self):
-        policy = OverloadPolicy(
-            budget_factor=0.5, cheap_engine="sequential"
-        )
+        policy = OverloadPolicy()
         for priority in ("standard", "batch"):
             assert policy.budget_scale_for(0, priority) == 1.0
             assert policy.budget_scale_for(1, priority) == 0.5
@@ -262,34 +270,32 @@ class TestLadder:
         with pytest.raises(TypeError):
             OverloadPolicy.coerce("defended")
         with pytest.raises(ValueError):
-            OverloadPolicy(queue_high=0.0)
+            OverloadPolicy(deescalate_after=0)
         with pytest.raises(ValueError):
-            OverloadPolicy(escalate_after=0)
-        with pytest.raises(ValueError):
-            OverloadPolicy(cheap_engine="warp_drive")
+            OverloadPolicy(max_level=0)
 
 
 class TestHysteresis:
     def test_escalates_on_streak_not_on_spike(self):
         controller = HysteresisController(
-            OverloadPolicy(escalate_after=3, deescalate_after=2)
+            OverloadPolicy(deescalate_after=2)
         )
-        assert controller.observe(2.0) == 0
-        assert controller.observe(2.0) == 0
+        assert ESCALATE_AFTER > 1
+        for _ in range(ESCALATE_AFTER - 1):
+            assert controller.observe(2.0) == 0
         # A calm sample resets the streak: no escalation.
         assert controller.observe(0.0) == 0
-        assert controller.observe(2.0) == 0
-        assert controller.observe(2.0) == 0
+        for _ in range(ESCALATE_AFTER - 1):
+            assert controller.observe(2.0) == 0
         assert controller.observe(2.0) == 1
         assert controller.escalations == 1
         assert controller.peak_level == 1
 
     def test_deescalates_slowly_and_only_when_calm(self):
-        policy = OverloadPolicy(
-            escalate_after=1, deescalate_after=3, release=0.4
-        )
+        policy = OverloadPolicy(deescalate_after=3, release=0.4)
         controller = HysteresisController(policy)
-        controller.observe(2.0)
+        for _ in range(ESCALATE_AFTER):
+            controller.observe(2.0)
         assert controller.level == 1
         # Mid-band pressure (between release and 1.0) holds level.
         for _ in range(10):
@@ -300,9 +306,7 @@ class TestHysteresis:
         assert controller.deescalations == 1
 
     def test_level_capped_at_max(self):
-        controller = HysteresisController(
-            OverloadPolicy(escalate_after=1, max_level=2)
-        )
+        controller = HysteresisController(OverloadPolicy(max_level=2))
         for _ in range(10):
             controller.observe(5.0)
         assert controller.level == 2
@@ -322,16 +326,14 @@ class TestHysteresisProperties:
             min_size=1,
             max_size=100,
         ),
-        escalate_after=st.integers(min_value=1, max_value=4),
         deescalate_after=st.integers(min_value=1, max_value=8),
         max_level=st.integers(min_value=1, max_value=4),
     )
     def test_level_bounded_and_moves_one_rung_at_a_time(
-        self, pressures, escalate_after, deescalate_after, max_level
+        self, pressures, deescalate_after, max_level
     ):
         controller = HysteresisController(
             OverloadPolicy(
-                escalate_after=escalate_after,
                 deescalate_after=deescalate_after,
                 max_level=max_level,
             )
@@ -361,9 +363,7 @@ class TestHysteresisProperties:
     def test_mid_band_pressure_never_moves_the_level(
         self, pressures, start_high
     ):
-        policy = OverloadPolicy(
-            escalate_after=1, deescalate_after=1, release=0.4
-        )
+        policy = OverloadPolicy(deescalate_after=1, release=0.4)
         controller = HysteresisController(policy)
         for _ in range(start_high):
             controller.observe(2.0)
@@ -380,17 +380,16 @@ class TestHysteresisProperties:
         """Pressure exactly at 1.0 escalates; exactly at release
         de-escalates -- the boundaries belong to the active side, so
         a plateau sitting on one cannot oscillate."""
-        policy = OverloadPolicy(
-            escalate_after=1, deescalate_after=1, release=0.4
-        )
+        policy = OverloadPolicy(deescalate_after=1, release=0.4)
         controller = HysteresisController(policy)
         if threshold == 1.0:
             for i in range(n):
                 assert controller.observe(1.0) == min(
-                    i + 1, policy.max_level
+                    (i + 1) // ESCALATE_AFTER, policy.max_level
                 )
         else:
-            controller.observe(2.0)
+            for _ in range(ESCALATE_AFTER):
+                controller.observe(2.0)
             assert controller.level == 1
             controller.observe(0.4)
             assert controller.level == 0
@@ -466,15 +465,16 @@ class TestShedding:
         service.pool.assert_drained()
         assert service.report().shed > 0
 
-    def test_full_queue_evicts_lower_class_for_higher(self):
+    def test_full_queue_evicts_lower_class_for_higher(self, monkeypatch):
+        # Eviction is admission-path logic, independent of the ladder
+        # level: an escalation streak too long to ever complete keeps
+        # the controller at level 0 so the shed pass never interferes.
+        monkeypatch.setattr(overload, "ESCALATE_AFTER", 10**6)
         service = SearchService(
             n_devices=1,
             max_active=1,
             max_queue=1,
-            # Eviction is admission-path logic, independent of the
-            # ladder level: keep the controller at level 0 so the
-            # shed pass never interferes.
-            overload={"escalate_after": 10**6},
+            overload=True,
             enforce_deadlines=False,
         )
         from repro.serve import SearchRequest

@@ -34,11 +34,10 @@ class TestWorkload:
                 DEFAULT_BUDGETS[req.game] * 0.5
             )
 
-    def test_arrival_period_spaces_requests(self):
-        reqs = make_workload(
-            WorkloadConfig(n_requests=3, arrival_period_s=0.1)
-        )
-        assert [r.arrival_s for r in reqs] == [0.0, 0.1, 0.2]
+    def test_closed_batch_arrives_at_once(self):
+        reqs = make_workload(WorkloadConfig(n_requests=3))
+        assert [r.arrival_s for r in reqs] == [0.0, 0.0, 0.0]
+        assert [r.request_id for r in reqs] == ["r000", "r001", "r002"]
 
     def test_unique_request_ids(self):
         reqs = make_workload(WorkloadConfig(n_requests=64))
@@ -114,13 +113,13 @@ class TestPositionSkew:
         from repro.serve import workload
 
         calls = []
-        real = workload.with_backend
+        real = workload.with_stack
 
-        def counting(spec, backend):
+        def counting(spec, backend, playout):
             calls.append(spec)
-            return real(spec, backend)
+            return real(spec, backend, playout)
 
-        monkeypatch.setattr(workload, "with_backend", counting)
+        monkeypatch.setattr(workload, "with_stack", counting)
         engines = ("sequential", "root:2@node", "block:2x4@compiled")
         reqs = make_workload(
             WorkloadConfig(

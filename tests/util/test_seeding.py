@@ -50,14 +50,13 @@ def test_seed_ladder_prefix_isolation():
 
 def test_seed_ladder_child_extends_path():
     ladder = SeedLadder(7, "exp")
-    child = ladder.child("rank", 3)
+    child = SeedLadder(7, "exp", "rank", 3)
     assert child.seed("x") == ladder.seed("rank", 3, "x")
 
 
 def test_seed_ladder_batch():
     ladder = SeedLadder(11)
-    batch = ladder.seeds("game", 16)
-    assert len(batch) == 16
+    batch = [ladder.seed("game", i) for i in range(16)]
     assert len(set(batch)) == 16
 
 
@@ -76,7 +75,7 @@ def test_folding_a_prefix_once_equals_deriving_whole(root, prefix, rest):
     assert (fold_seed(state, rest) or GOLDEN) == whole
     ladder = SeedLadder(root, *prefix)
     assert ladder.seed(*rest) == whole
-    assert ladder.child(*rest).seed() == whole
+    assert SeedLadder(root, *prefix, *rest).seed() == whole
 
 
 def _unmix(z):
