@@ -44,14 +44,13 @@ def _cmd_play(args) -> int:
     from repro.games import make_game
     from repro.players import GreedyPlayer, MctsPlayer, RandomPlayer
 
+    def stacked(text: str) -> str:
+        """``text`` on the ``--backend`` / ``--playout`` stack."""
+        spec = with_stack(text, args.backend, args.playout)
+        return spec if isinstance(spec, str) else spec.canonical()
+
     game = make_game(args.game)
-    spec = with_stack(
-        args.engine or f"block:{args.blocks}x{args.tpb}",
-        args.backend,
-        args.playout,
-    )
-    if not isinstance(spec, str):
-        spec = spec.canonical()
+    spec = stacked(args.engine or f"block:{args.blocks}x{args.tpb}")
     mcts = MctsPlayer(
         game,
         make_engine(spec, game, args.seed),
@@ -59,10 +58,10 @@ def _cmd_play(args) -> int:
         name=spec,
     )
     if args.opponent_engine:
-        opp_name = args.opponent_engine
+        opp_name = stacked(args.opponent_engine)
         opponent = MctsPlayer(
             game,
-            make_engine(args.opponent_engine, game, args.seed + 1),
+            make_engine(opp_name, game, args.seed + 1),
             move_budget_s=args.budget,
             name=opp_name,
         )
@@ -296,6 +295,16 @@ def _cmd_serve_bench_cluster(args) -> int:
 
 
 def _cmd_serve_bench(args) -> int:
+    """``serve-bench``; a flag value a serving config refuses -- its
+    ``ValueError``, from building the config or the trace -- is a usage
+    error (exit 2 with the usage line), not a traceback."""
+    try:
+        return _serve_bench(args)
+    except ValueError as exc:
+        args.usage_error(str(exc))
+
+
+def _serve_bench(args) -> int:
     from repro.gpu.trace import Tracer
     from repro.serve import SearchService, ServiceCrash, make_workload, serve
 
@@ -744,7 +753,7 @@ def build_parser() -> argparse.ArgumentParser:
             "up to N devices (0 = fixed fleet)"
         ),
     )
-    bench.set_defaults(func=_cmd_serve_bench)
+    bench.set_defaults(func=_cmd_serve_bench, usage_error=bench.error)
     return parser
 
 

@@ -23,7 +23,9 @@ Public surface:
   :class:`TenantRows` / :func:`select_expand_many_compiled` /
   :func:`backprop_winners_many_compiled` -- the same over many arenas
   in one call (``repro.core.arena.select_round_many`` /
-  ``backprop_winners_many``);
+  ``backprop_winners_many``); :class:`RootLoop` -- a ``root:N``
+  session's select loop, which either select kernel runs to the
+  session's next playout demand (``TreeArena.select_loop``);
   :func:`expand_kernel` / :func:`expand_compiled` -- the expansion step
   alone, for its differential tests.
 """
@@ -40,6 +42,7 @@ from repro.compiled.build import (
 from repro.compiled.runner import (
     COMPILED_GAMES,
     ArenaColumns,
+    RootLoop,
     TenantRows,
     backprop_compiled,
     backprop_winners_compiled,
@@ -59,6 +62,7 @@ from repro.compiled.runner import (
 __all__ = [
     "ArenaColumns",
     "COMPILED_GAMES",
+    "RootLoop",
     "TenantRows",
     "backprop_compiled",
     "backprop_winners_compiled",

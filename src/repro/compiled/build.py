@@ -190,9 +190,10 @@ _LAZY_SIGNATURES = {
     ),
     # (k, rows, arena_t*)
     "expand": (ctypes.c_int, [ctypes.c_int64] + [ctypes.c_void_p] * 2),
-    # (k, trees, arena_t*, leaves, depths) -> 0 | capacity needed | error
+    # (k, trees, arena_t*, leaves, depths, root_loop_t* or NULL) -> 0 |
+    #  capacity needed | error
     "select_expand": (
-        ctypes.c_int64, [ctypes.c_int64] + [ctypes.c_void_p] * 4
+        ctypes.c_int64, [ctypes.c_int64] + [ctypes.c_void_p] * 5
     ),
     # (k, leaves, sims, wins_b, wins_w, draws, arena_t*)
     "backprop": (
@@ -205,10 +206,10 @@ _LAZY_SIGNATURES = {
         ctypes.c_int, [ctypes.c_int64] + [ctypes.c_void_p] * 3
     ),
     # (n, arena_t**, bounds, trees, leaves, depths, plane1, plane2,
-    #  to_move, terminal, at) -> 0 | capacity needed | error; *at the
-    #  first tenant not done
+    #  to_move, terminal, root_loop_t** (entries may be NULL), at) -> 0 |
+    #  capacity needed | error; *at the first tenant not done
     "select_expand_many": (
-        ctypes.c_int64, [ctypes.c_int64] + [ctypes.c_void_p] * 10
+        ctypes.c_int64, [ctypes.c_int64] + [ctypes.c_void_p] * 11
     ),
     # (n, arena_t**, bounds, leaves, winners, at) -> 0 | -2; *at the
     #  first tenant not done

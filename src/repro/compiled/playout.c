@@ -1,6 +1,6 @@
 /* Compiled per-lane playout kernels for the `playout="compiled"` executor,
- * and the tree arena's kernels: descent + expansion and backprop (last
- * two sections).
+ * and the tree arena's kernels: expansion, descent + expansion, a
+ * `root:N` session's select loop, and backprop (the last four sections).
  *
  * Each game has one move loop (`<game>_lane`) behind three exports.
  * `repro_<game>_launch` takes absolute planes and a lane-seed range (the
@@ -1520,43 +1520,163 @@ FORCE_INLINE int64_t select_expand_rows(
     return 0;
 }
 
-/* One arena's round into its own per-call rows: `select_expand_rows`
- * after the checks, which answer -1 / -2 as check_arena and BAD_TREES
- * when a tree is repeated or not one of the arena's (nothing at all
- * written). */
+/* -- The root select loop (`RootRound` in repro/core/rounds.py) --------- */
+
+/* `TreeArena.backprop` along the path from `leaf` to its root: `sims`
+ * visits per node, `black` or `white` wins by the node's mover.
+ * Returns 0; -2 when a parent link does not point below its child
+ * (parents are allocated first; the check also bounds the walk). */
+static inline int credit_path(const arena_t *a, int64_t leaf, double sims,
+                              double black, double white)
+{
+    for (int64_t node = leaf; node >= 0;) {
+        a->visits[node] += sims;
+        a->wins[node] += a->mover[node] == 1 ? black : white;
+        int64_t up = a->parent[node];
+        if (up >= node)
+            return -2;
+        node = up;
+    }
+    return 0;
+}
+
+/* A `root:N` session's select loop, handed to a select kernel so that one
+ * call runs the session to its next playout demand.  repro.compiled.runner
+ * .RootLoop mirrors this struct field for field. */
+typedef struct {
+    double *clock;               /* the trees' core clocks, n_trees */
+    int64_t *iters;              /* the trees' iteration counts, n_trees */
+    int64_t n_trees;             /* rows of clock and iters */
+    const double *terminal_time; /* `iteration_time(d, 0)` at row d */
+    int64_t depths;              /* rows of terminal_time */
+    double budget, cap;          /* a tree selects while clock < budget
+                                  * and iters < cap */
+    int64_t once;                /* stop after one sub-round */
+    int64_t sub_rounds, iterations; /* added to by every call */
+    int64_t rows;                /* the call's playout rows */
+} root_loop_t;
+
+/* `RootRound.select` on arena `a`, rows [0, room) its room: sub-rounds of
+ * `select_expand_rows` over the trees with budget left, in tree order,
+ * each selected tree's iteration counted; a terminal leaf is its own
+ * answer -- credited its winner, its tree's clock charged
+ * `iteration_time(depth, 0)` -- and the other rows go on to a playout.
+ * Repeats while every leaf was terminal and `once` is not set.  The
+ * playout rows end compacted to the front, in row order, trees[] naming
+ * their trees, and r->rows counts them.
+ *
+ * Returns 0 (no tree left with budget: no rows); else the code of the
+ * sub-round that stopped, the ones before it done and counted: a
+ * positive one is the capacity it needs -- grow the arena, call again,
+ * and the loop resumes where it stopped, as it reads its trees from the
+ * clocks and counts; -2 also when the loop's trees are not the arena's,
+ * when more trees have budget left than there is room or a tree could
+ * grow past the table's depths. */
+FORCE_INLINE int64_t root_loop(int64_t room, int64_t *trees, arena_t *a,
+                               int64_t *leaves, int64_t *depths,
+                               const leaf_rows_t *out, root_loop_t *r,
+                               play_fn play)
+{
+    r->rows = 0;
+    if (r->n_trees != a->n_trees)
+        return -2;
+    for (;;) {
+        /* `RootRound.wants`.  A leaf lies at most one level below its
+         * tree's deepest node. */
+        int64_t k = 0;
+        for (int64_t t = 0; t < a->n_trees; t++) {
+            if (!(r->clock[t] < r->budget && (double)r->iters[t] < r->cap))
+                continue;
+            if (k == room || a->tree_max_depth[t] + 1 >= r->depths)
+                return -2;
+            trees[k++] = t;
+        }
+        if (!k)
+            return 0;
+        int64_t rc = select_expand_rows(k, trees, a, leaves, depths, out,
+                                        play);
+        if (rc)
+            return rc;
+        /* `RootRound.took`. */
+        r->sub_rounds++;
+        r->iterations += k;
+        int64_t m = 0;
+        for (int64_t i = 0; i < k; i++) {
+            int64_t t = trees[i], leaf = leaves[i];
+            r->iters[t]++;
+            if (out->terminal[i]) {
+                int w = a->winner[leaf];
+                double half = 0.5 * (w == 0);
+                if (credit_path(a, leaf, 1.0, (w == 1) + half,
+                                (w == -1) + half))
+                    return -2;
+                r->clock[t] += r->terminal_time[depths[i]];
+                continue;
+            }
+            trees[m] = t;
+            leaves[m] = leaf;
+            depths[m] = depths[i];
+            out->plane1[m] = out->plane1[i];
+            out->plane2[m] = out->plane2[i];
+            out->to_move[m] = out->to_move[i];
+            out->terminal[m] = 0;
+            m++;
+        }
+        if (m || r->once) {
+            r->rows = m;
+            return 0;
+        }
+    }
+}
+
+/* A tenant's round: `root_loop` when it has a loop, else one sub-round. */
+FORCE_INLINE int64_t select_tenant(int64_t k, int64_t *trees, arena_t *a,
+                                   int64_t *leaves, int64_t *depths,
+                                   const leaf_rows_t *out, root_loop_t *r,
+                                   play_fn play)
+{
+    if (r)
+        return root_loop(k, trees, a, leaves, depths, out, r, play);
+    return select_expand_rows(k, trees, a, leaves, depths, out, play);
+}
+
+/* One arena's round into its own per-call rows: `select_tenant` after the
+ * checks, which answer -1 / -2 as check_arena and BAD_TREES when a tree
+ * is repeated or not one of the arena's (nothing at all written).  With
+ * a loop, trees[0 .. k) are only its room: each sub-round writes its
+ * trees there. */
 FORCE_INLINE int64_t select_expand_own(
-    int64_t k, const int64_t *trees, arena_t *a, int64_t *leaves,
-    int64_t *depths, int num_moves, play_fn play)
+    int64_t k, int64_t *trees, arena_t *a, int64_t *leaves,
+    int64_t *depths, root_loop_t *loop, int num_moves, play_fn play)
 {
     int64_t rc = check_arena(a, num_moves);
     if (rc)
         return rc;
-    if (!distinct_trees(a, k, trees))
+    if (!loop && !distinct_trees(a, k, trees))
         return BAD_TREES;
     leaf_rows_t out = {a->leaf_plane1, a->leaf_plane2, a->leaf_to_move,
                        a->leaf_terminal};
-    return select_expand_rows(k, trees, a, leaves, depths, &out, play);
+    return select_tenant(k, trees, a, leaves, depths, &out, loop, play);
 }
 
-int64_t repro_reversi_select_expand(int64_t k, const int64_t *trees,
-                                    arena_t *a, int64_t *leaves,
-                                    int64_t *depths)
+#define SELECT_PARAMS                                                        \
+    int64_t k, int64_t *trees, arena_t *a, int64_t *leaves,                  \
+        int64_t *depths, root_loop_t *loop
+#define SELECT_ARGS k, trees, a, leaves, depths, loop
+
+int64_t repro_reversi_select_expand(SELECT_PARAMS)
 {
-    return select_expand_own(k, trees, a, leaves, depths, 65, rev_play);
+    return select_expand_own(SELECT_ARGS, 65, rev_play);
 }
 
-int64_t repro_tictactoe_select_expand(int64_t k, const int64_t *trees,
-                                      arena_t *a, int64_t *leaves,
-                                      int64_t *depths)
+int64_t repro_tictactoe_select_expand(SELECT_PARAMS)
 {
-    return select_expand_own(k, trees, a, leaves, depths, 9, ttt_play);
+    return select_expand_own(SELECT_ARGS, 9, ttt_play);
 }
 
-int64_t repro_connect4_select_expand(int64_t k, const int64_t *trees,
-                                     arena_t *a, int64_t *leaves,
-                                     int64_t *depths)
+int64_t repro_connect4_select_expand(SELECT_PARAMS)
 {
-    return select_expand_own(k, trees, a, leaves, depths, 7, c4_play);
+    return select_expand_own(SELECT_ARGS, 7, c4_play);
 }
 
 /* -- Many arenas, one call (`select_round_many` in repro/core/arena.py) -- */
@@ -1565,13 +1685,15 @@ int64_t repro_connect4_select_expand(int64_t k, const int64_t *trees,
  * the arena arenas[j].  Are the bounds ascending, every arena there and
  * fit for a round, and every row's tree a distinct tree of its arena --
  * across tenants too, so an arena listed twice cannot walk one tree
- * twice?  Returns 0; else *at is the first tenant that fails and the
+ * twice?  (A tenant with a loop has rows only as room, and no trees to
+ * check.)  Returns 0; else *at is the first tenant that fails and the
  * code says why: -2 for a bound or a missing arena, check_arena's code,
  * BAD_TREES for a tree.  Marks `seen` and clears it again: nothing the
  * caller can read changes. */
 static int64_t check_tenants(int64_t n, arena_t *const *arenas,
                              const int64_t *bounds, const int64_t *trees,
-                             int num_moves, int64_t *at)
+                             root_loop_t *const *loops, int num_moves,
+                             int64_t *at)
 {
     for (int64_t j = 0; j < n; j++) {
         *at = j;
@@ -1583,7 +1705,7 @@ static int64_t check_tenants(int64_t n, arena_t *const *arenas,
     }
     int64_t j = 0, i = 0;
     for (; j < n; j++)
-        for (i = bounds[j]; i < bounds[j + 1]; i++) {
+        for (i = bounds[j]; !loops[j] && i < bounds[j + 1]; i++) {
             int64_t t = trees[i];
             if (t < 0 || t >= arenas[j]->n_trees || arenas[j]->seen[t])
                 goto clear;
@@ -1592,38 +1714,42 @@ static int64_t check_tenants(int64_t n, arena_t *const *arenas,
 clear:
     *at = j;
     for (int64_t c = 0; c < n && c <= j; c++)
-        for (int64_t r = bounds[c]; r < (c == j ? i : bounds[c + 1]); r++)
+        for (int64_t r = bounds[c];
+             !loops[c] && r < (c == j ? i : bounds[c + 1]); r++)
             arenas[c]->seen[trees[r]] = 0;
     return j == n ? 0 : BAD_TREES;
 }
 
 /* `*_select_expand` over n tenants' arenas in one call: tenant j's round
- * walks trees[bounds[j] .. bounds[j + 1]) of arenas[j], and row i's leaf,
- * depth, position and terminal flag land in row i of the caller's
- * columns.  Tenants run in order.  Returns 0 with *at = n when every
- * round is done.  Otherwise *at = j, the first tenant that stopped, and
- * the code is `*_select_expand`'s for its round (-3 - i names its own
- * row i): tenants before j are done and tenants after it untouched -- a
- * positive code is the capacity arenas[j] needs, with tenant j untouched
- * too, so the caller grows that arena and calls again from tenant j.
- * A bad bound or arena and rows that are not distinct trees of their
- * arenas are refused for every tenant before anything is written
+ * walks trees[bounds[j] .. bounds[j + 1]) of arenas[j] -- or, when
+ * loops[j] is set, runs that select loop in those rows (`root_loop`) --
+ * and row i's leaf, depth, position and terminal flag land in row i of
+ * the caller's columns.  Tenants run in order.  Returns 0 with *at = n
+ * when every round is done.  Otherwise *at = j, the first tenant that
+ * stopped, and the code is `*_select_expand`'s for its round (-3 - i
+ * names its own row i): tenants before j are done and tenants after it
+ * untouched -- a positive code is the capacity arenas[j] needs, with
+ * tenant j untouched too (or its loop stopped between sub-rounds), so
+ * the caller grows that arena and calls again from tenant j.  A bad
+ * bound or arena and rows that are not distinct trees of their arenas
+ * are refused for every tenant before anything is written
  * (check_tenants). */
 FORCE_INLINE int64_t select_expand_many(
     int64_t n, arena_t *const *arenas, const int64_t *bounds,
-    const int64_t *trees, int64_t *leaves, int64_t *depths,
-    uint64_t *plane1, uint64_t *plane2, int8_t *to_move, uint8_t *terminal,
-    int64_t *at, int num_moves, play_fn play)
+    int64_t *trees, int64_t *leaves, int64_t *depths, uint64_t *plane1,
+    uint64_t *plane2, int8_t *to_move, uint8_t *terminal,
+    root_loop_t *const *loops, int64_t *at, int num_moves, play_fn play)
 {
-    int64_t rc = check_tenants(n, arenas, bounds, trees, num_moves, at);
+    int64_t rc =
+        check_tenants(n, arenas, bounds, trees, loops, num_moves, at);
     if (rc)
         return rc;
     for (int64_t j = 0; j < n; j++) {
         int64_t lo = bounds[j];
         leaf_rows_t out = {plane1 + lo, plane2 + lo, to_move + lo,
                            terminal + lo};
-        rc = select_expand_rows(bounds[j + 1] - lo, trees + lo, arenas[j],
-                                leaves + lo, depths + lo, &out, play);
+        rc = select_tenant(bounds[j + 1] - lo, trees + lo, arenas[j],
+                           leaves + lo, depths + lo, &out, loops[j], play);
         if (rc) {
             *at = j;
             return rc;
@@ -1635,12 +1761,12 @@ FORCE_INLINE int64_t select_expand_many(
 
 #define SELECT_MANY_PARAMS                                                   \
     int64_t n, arena_t *const *arenas, const int64_t *bounds,                \
-        const int64_t *trees, int64_t *leaves, int64_t *depths,              \
-        uint64_t *plane1, uint64_t *plane2, int8_t *to_move,                 \
-        uint8_t *terminal, int64_t *at
+        int64_t *trees, int64_t *leaves, int64_t *depths, uint64_t *plane1,  \
+        uint64_t *plane2, int8_t *to_move, uint8_t *terminal,                \
+        root_loop_t *const *loops, int64_t *at
 #define SELECT_MANY_ARGS                                                     \
     n, arenas, bounds, trees, leaves, depths, plane1, plane2, to_move,       \
-        terminal, at
+        terminal, loops, at
 
 int64_t repro_reversi_select_expand_many(SELECT_MANY_PARAMS)
 {
@@ -1668,24 +1794,6 @@ static inline int leaves_inside(const arena_t *a, int64_t k,
         if (leaves[i] >= a->allocated)
             return 0;
     return 1;
-}
-
-/* `TreeArena.backprop` along the path from `leaf` to its root: `sims`
- * visits per node, `black` or `white` wins by the node's mover.
- * Returns 0; -2 when a parent link does not point below its child
- * (parents are allocated first; the check also bounds the walk). */
-static inline int credit_path(const arena_t *a, int64_t leaf, double sims,
-                              double black, double white)
-{
-    for (int64_t node = leaf; node >= 0;) {
-        a->visits[node] += sims;
-        a->wins[node] += a->mover[node] == 1 ? black : white;
-        int64_t up = a->parent[node];
-        if (up >= node)
-            return -2;
-        node = up;
-    }
-    return 0;
 }
 
 /* `TreeArena.backprop_many`: for k leaves of distinct trees, `sims`

@@ -598,7 +598,9 @@ def distinct_trees(indices, n_trees: int) -> list[int]:
 _BAD_TREES = -(2**63)
 
 
-def select_expand_compiled(cols: ArenaColumns, k: int) -> int:
+def select_expand_compiled(
+    cols: ArenaColumns, k: int, loop: "RootLoop | None" = None
+) -> int:
     """One descent + expansion round (``select_expand_rows`` in
     ``playout.c``) over the trees ``cols.trees[:k]``, with
     ``cols.allocated`` the arena's allocation cursor.  Returns 0 --
@@ -609,14 +611,76 @@ def select_expand_compiled(cols: ArenaColumns, k: int) -> int:
     again); or ``-3 - i`` when row ``i`` pops a move the scalar game's
     ``apply`` rejects (``cols.leaves[i]`` is then ``~node``).  Trees
     that are not distinct trees of the arena are a ``ValueError`` with
-    nothing written."""
+    nothing written.
+
+    Given a ``loop``, the call runs that select loop instead
+    (``root_loop`` in ``playout.c``), ``k`` rows its room: 0 leaves its
+    ``loop.rows`` playout rows first in ``cols.trees`` / ``leaves`` /
+    ``depths`` / ``leaf_*``; a capacity need leaves the sub-rounds before
+    it done, and the same call after growing resumes the loop."""
     _check_rows(cols, k)
     rc = cols.select_expand(
-        k, cols.trees_at, cols._at, cols.leaves_at, cols.depths_at
+        k, cols.trees_at, cols._at, cols.leaves_at, cols.depths_at,
+        None if loop is None else loop._at,
     )
     if rc == _BAD_TREES:
         raise distinct_trees_error(cols.trees[:k], cols.n_trees)
     return _checked(rc)
+
+
+class RootLoop(ctypes.Structure):
+    """``root_loop_t`` of ``playout.c``: a ``root:N`` session's select
+    loop, which a select kernel runs to the session's next playout
+    demand (``RootRound`` in :mod:`repro.core.rounds` is its Python
+    body).  It owns the trees' core clocks and iteration counts as
+    columns (``clock``, ``iters``) and holds the table of
+    ``iteration_time(depth, 0)`` a terminal leaf is charged, by depth
+    (``terminal_time``), each beside its address ``<name>_at``.
+    The caller sets ``once`` and zeroes ``sub_rounds`` / ``iterations``;
+    the kernel adds to them and sets ``rows``."""
+
+    _fields_ = (
+        ("clock_at", ctypes.c_void_p),
+        ("iters_at", ctypes.c_void_p),
+        ("n_trees", ctypes.c_int64),
+        ("terminal_time_at", ctypes.c_void_p),
+        ("depths", ctypes.c_int64),
+        ("budget", ctypes.c_double),
+        ("cap", ctypes.c_double),
+        ("once", ctypes.c_int64),
+        ("sub_rounds", ctypes.c_int64),
+        ("iterations", ctypes.c_int64),
+        ("rows", ctypes.c_int64),
+    )
+
+    @classmethod
+    def of(
+        cls,
+        n_trees: int,
+        budget: float,
+        cap: float,
+        terminal_time: np.ndarray,
+    ) -> "RootLoop":
+        if (
+            terminal_time.dtype != np.float64
+            or terminal_time.ndim != 1
+            or not terminal_time.flags.c_contiguous
+        ):
+            raise TypeError("the terminal-time table must be float64 rows")
+        loop = cls()
+        loop.clock = np.zeros(n_trees, dtype=np.float64)
+        loop.iters = np.zeros(n_trees, dtype=np.int64)
+        # The struct holds bare addresses: keep the arrays alive with it.
+        loop.terminal_time = terminal_time
+        loop.clock_at = _address(loop.clock)
+        loop.iters_at = _address(loop.iters)
+        loop.n_trees = n_trees
+        loop.terminal_time_at = terminal_time.ctypes.data
+        loop.depths = len(terminal_time)
+        loop.budget = budget
+        loop.cap = cap
+        loop._at = ctypes.addressof(loop)
+        return loop
 
 
 def backprop_compiled(cols: ArenaColumns, k: int, simulations: float) -> None:
@@ -648,13 +712,18 @@ def backprop_winners_compiled(cols: ArenaColumns, k: int) -> None:
 class TenantRows:
     """The rows of the many-arena tree kernels
     (``repro_<game>_select_expand_many``, ``repro_backprop_winners_many``):
-    per tenant its arena's ``arena_t`` address and its first row
-    (``bounds``, one entry more than tenants), per row its tree, leaf,
+    per tenant its arena's ``arena_t`` address, its first row
+    (``bounds``, one entry more than tenants) and its select loop's
+    ``root_loop_t`` address (``loops``, 0 for none), per row its tree, leaf,
     depth, leaf position, terminal flag and winner.  Grown
     geometrically and reused -- a call allocates nothing -- with every
     address taken when (re)allocated, beside it as ``<name>_at``."""
 
-    _TENANT_ROWS = (("arenas", np.uint64), ("bounds", np.int64))
+    _TENANT_ROWS = (
+        ("arenas", np.uint64),
+        ("bounds", np.int64),
+        ("loops", np.uint64),
+    )
     _ROWS = (
         ("trees", np.int64),
         ("leaves", np.int64),
@@ -696,7 +765,9 @@ def select_expand_many_compiled(
 ) -> tuple[int, int]:
     """``*_select_expand_many`` over tenants ``[first, n)`` of ``rows``:
     tenant ``j``'s round walks ``rows.trees[bounds[j]:bounds[j + 1]]`` of
-    the arena at ``rows.arenas[j]``, each arena's ``allocated`` set.
+    the arena at ``rows.arenas[j]``, each arena's ``allocated`` set --
+    or runs the select loop at ``rows.loops[j]`` in those rows, as
+    :func:`select_expand_compiled` runs one.
     Returns ``(code, at)``: ``(0, n)`` with every tenant's leaf, depth,
     leaf position and terminal flag in its rows; otherwise tenants before
     ``at`` are done and the code is ``select_expand_compiled``'s for
@@ -715,6 +786,7 @@ def select_expand_many_compiled(
         rows.plane2_at,
         rows.to_move_at,
         rows.terminal_at,
+        rows.loops_at + 8 * first,
         rows.at_at,
     )
     return rc, first + rows.at.item(0)

@@ -69,6 +69,7 @@ import numpy as np
 
 from repro.compiled import (
     ArenaColumns,
+    RootLoop,
     TenantRows,
     backprop_compiled,
     backprop_winners_compiled,
@@ -412,15 +413,42 @@ class TreeArena:
         return (
             cols.leaves[:k].tolist(),
             cols.depths[:k].tolist(),
-            list(
-                map(
-                    self.game.state_from_planes,
-                    cols.leaf_plane1[:k].tolist(),
-                    cols.leaf_plane2[:k].tolist(),
-                    cols.leaf_to_move[:k].tolist(),
-                )
+            _leaf_states(
+                self.game,
+                cols.leaf_plane1[:k],
+                cols.leaf_plane2[:k],
+                cols.leaf_to_move[:k],
             ),
             cols.leaf_terminal[:k].tolist(),
+        )
+
+    def select_loop(
+        self, indices, loop: RootLoop
+    ) -> tuple[list[int], list[int], list[GameState], list[int]]:
+        """A ``root:N`` session's select loop in one compiled call
+        (``root_loop`` in ``playout.c``): sub-rounds of
+        :meth:`select_round` over the trees ``loop``'s clocks and counts
+        leave budget, each terminal leaf credited its winner and its
+        tree's clock charged there, until one selects a leaf that needs a
+        playout (or, ``loop.once`` set, after one).  ``indices`` only
+        size the call -- one row per tree that may select: the kernel
+        reads off the loop which trees have budget left.  Returns
+        ``(refs, depths, states, trees)`` of the playout rows alone -- no
+        state is built for a terminal leaf; ``loop.sub_rounds`` /
+        ``loop.iterations``, zeroed by the caller, count what the call
+        ran.  Compiled arenas only (:func:`compiled_arena`)."""
+        cols, _ = self._select_round_compiled(self._compiled(), indices, loop)
+        m = loop.rows
+        return (
+            cols.leaves[:m].tolist(),
+            cols.depths[:m].tolist(),
+            _leaf_states(
+                self.game,
+                cols.leaf_plane1[:m],
+                cols.leaf_plane2[:m],
+                cols.leaf_to_move[:m],
+            ),
+            cols.trees[:m].tolist(),
         )
 
     def select_expand_all(
@@ -463,11 +491,11 @@ class TreeArena:
         )
 
     def _select_round_compiled(
-        self, cols: ArenaColumns, indices
+        self, cols: ArenaColumns, indices, loop: "RootLoop | None" = None
     ) -> tuple[ArenaColumns, int]:
-        """The compiled round over ``indices``: their number, and the
-        columns -- rebound if the arena grew -- whose per-call rows
-        hold the answers."""
+        """The compiled round over ``indices`` (or ``loop`` in as many
+        rows): their number, and the columns -- rebound if the arena
+        grew -- whose per-call rows hold the answers."""
         if indices is None:
             k = self.n_trees
             cols.trees[:] = np.arange(k)
@@ -475,23 +503,28 @@ class TreeArena:
             k = len(indices)
             if k > self.n_trees:  # more rows than trees: one repeats
                 raise distinct_trees_error(indices, self.n_trees)
-            cols.trees[:k] = indices
-        need = self._select_expand_compiled(cols, k)
+            if loop is None:  # a loop writes its own trees
+                cols.trees[:k] = indices
+        need = self._select_expand_compiled(cols, k, loop)
         if need:
             self._grow(need)
-            return self._select_round_compiled(self._compiled(), indices)
+            return self._select_round_compiled(
+                self._compiled(), indices, loop
+            )
         return cols, k
 
-    def _select_expand_compiled(self, cols: ArenaColumns, k: int) -> int:
+    def _select_expand_compiled(
+        self, cols: ArenaColumns, k: int, loop: "RootLoop | None" = None
+    ) -> int:
         """The compiled round over ``cols.trees[:k]``.  Returns 0 with
         the answers in ``cols.leaves`` / ``cols.depths``, or the
-        capacity the round needs -- nothing has changed then; grow and
-        ask again."""
+        capacity the round needs -- nothing has changed then (a loop
+        keeps the sub-rounds it finished); grow and ask again."""
         cols.allocated = self._allocated
-        rc = select_expand_compiled(cols, k)
+        rc = select_expand_compiled(cols, k, loop)
+        self._allocated = cols.allocated
         if rc > 0:
             return rc
-        self._allocated = cols.allocated
         if rc:
             self._rejected(~cols.leaves.item(-3 - rc))
         return 0
@@ -1061,15 +1094,33 @@ def compiled_arena(store) -> bool:
     return isinstance(store, TreeArena) and store._compiled() is not None
 
 
-def select_round_many(stores, indices) -> list[tuple[list, list, list, list]]:
+def _leaf_states(game: Game, plane1, plane2, to_move) -> list[GameState]:
+    """The positions a select kernel handed back as columns, as
+    states."""
+    return list(
+        map(
+            game.state_from_planes,
+            plane1.tolist(),
+            plane2.tolist(),
+            to_move.tolist(),
+        )
+    )
+
+
+def select_round_many(
+    stores, indices, loops=None
+) -> list[tuple[list, list, list, list]]:
     """:meth:`TreeArena.select_round` of every ``stores[j]`` over
-    ``indices[j]``: their answers, in order.  The stores are distinct
-    and share no node, so each tree changes exactly as its own round
-    would change it.  Arenas of one game on the compiled bodies go in
-    one kernel call (``*_select_expand_many``); every other store -- a
+    ``indices[j]`` -- :meth:`TreeArena.select_loop` where ``loops[j]``
+    is set -- their answers, in order.  The stores are distinct and
+    share no node, so each tree changes exactly as its own round would
+    change it.  Arenas of one game on the compiled bodies go in one
+    kernel call (``*_select_expand_many``); every other store -- a
     pointer forest, an arena on its Python bodies, an arena of a game
-    with fewer than :data:`MANY_SELECT_MIN` -- runs its own
-    ``select_round``."""
+    with fewer than :data:`MANY_SELECT_MIN` -- runs its own round.  A
+    loop needs a compiled arena."""
+    if loops is None:
+        loops = [None] * len(stores)
     answers: list = [None] * len(stores)
     groups: dict[str, list[int]] = {}
     for j, store in enumerate(stores):
@@ -1080,27 +1131,34 @@ def select_round_many(stores, indices) -> list[tuple[list, list, list, list]]:
     for js in groups.values():
         if len(js) < MANY_SELECT_MIN:
             for j in js:
-                answers[j] = stores[j].select_round(indices[j])
+                answers[j] = (
+                    stores[j].select_round(indices[j])
+                    if loops[j] is None
+                    else stores[j].select_loop(indices[j], loops[j])
+                )
             continue
         group = _select_group(
-            [stores[j] for j in js], [indices[j] for j in js]
+            [stores[j] for j in js],
+            [indices[j] for j in js],
+            [loops[j] for j in js],
         )
         for j, answer in zip(js, group):
             answers[j] = answer
     return answers
 
 
-def _select_group(arenas: "list[TreeArena]", indices) -> list:
+def _select_group(arenas: "list[TreeArena]", indices, loops) -> list:
     """One ``*_select_expand_many`` round over compiled arenas of one
     game, growing an arena and calling again from it when it runs out
-    of room."""
+    of room -- a tenant's loop resuming from its own clocks."""
     n = len(arenas)
     counts = [len(trees) for trees in indices]
     k = sum(counts)
     rows = _tenant_rows(n, k)
     rows.trees[:k] = list(chain.from_iterable(indices))
     rows.bounds[0] = 0
-    rows.bounds[1 : n + 1] = list(accumulate(counts))
+    rows.bounds[1 : n + 1] = bounds = list(accumulate(counts))
+    rows.loops[:n] = [0 if loop is None else loop._at for loop in loops]
     kernel = arenas[0]._compiled().select_expand_many
     first = 0
     while True:
@@ -1127,25 +1185,25 @@ def _select_group(arenas: "list[TreeArena]", indices) -> list:
             if rc == -1
             else "an arena's allocation cursor lies outside it"
         )
-    game = arenas[0].game
-    leaves = rows.leaves[:k].tolist()
-    depths = rows.depths[:k].tolist()
-    states = list(
-        map(
-            game.state_from_planes,
-            rows.plane1[:k].tolist(),
-            rows.plane2[:k].tolist(),
-            rows.to_move[:k].tolist(),
-        )
+    leaves, depths, trees, terminal = (
+        column[:k].tolist()
+        for column in (rows.leaves, rows.depths, rows.trees, rows.terminal)
     )
-    terminal = rows.terminal[:k].tolist()
+    # One map over every row, stale ones included -- the rows behind a
+    # loop's playout rows, which held its terminal leaves or trees out
+    # of budget: cheaper than one map per tenant.
+    states = _leaf_states(
+        arenas[0].game, rows.plane1[:k], rows.plane2[:k], rows.to_move[:k]
+    )
     answers = []
-    lo = 0
-    for hi in accumulate(counts):
-        answers.append(
-            (leaves[lo:hi], depths[lo:hi], states[lo:hi], terminal[lo:hi])
-        )
-        lo = hi
+    for lo, hi, loop in zip([0, *bounds], bounds, loops):
+        if loop is None:
+            last = terminal[lo:hi]
+        else:
+            # A loop hands back its playout rows alone, and their trees.
+            hi = lo + loop.rows
+            last = trees[lo:hi]
+        answers.append((leaves[lo:hi], depths[lo:hi], states[lo:hi], last))
     return answers
 
 

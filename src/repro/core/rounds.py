@@ -30,8 +30,11 @@ on the shared tree, each path marked in flight before the next; a
 terminal leaf that needs no playout starts another.  Splitting the
 select this way lets :func:`select_rounds` run the sub-rounds of many
 sessions together: one ``select_round_many`` per sub-round, which
-walks every compiled arena of a game in one kernel call.  (A GPU round
-selects in one ``select_expand_all``, and alone.)
+walks every compiled arena of a game in one kernel call.  A root round
+on a compiled arena hands the kernel its whole loop instead, once its
+session has met a terminal leaf (:attr:`Round.loop`): one call runs it
+to the next playout demand.  (A GPU round selects in one
+``select_expand_all``, and alone.)
 
 One driver runs every policy.  :func:`advance_rounds` delivers a
 tick's answers to many rounds at once -- one credit call, each round
@@ -55,6 +58,7 @@ from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
+from repro.compiled import RootLoop
 from repro.core.arena import (
     MANY_SELECT_MIN,
     backprop_winners_many,
@@ -73,12 +77,13 @@ if TYPE_CHECKING:  # pragma: no cover
 #: The one-row sub-round of a single-tree session.
 _TREE0 = (0,)
 
-#: ``(model, iteration_time by (depth, plies), tree_control_time by
-#: depth)`` memos per ``CpuCostModel``.  Pure functions: the memo hands
-#: back the very floats they would compute, so every clock sum is
-#: unchanged, across a checkpoint / restore too.  Held by ``id`` beside
-#: the model itself -- hashing the frozen dataclass costs more than the
-#: memo saves on a short search.
+#: ``[model, iteration_time by (depth, plies), tree_control_time by
+#: depth, iteration_time(depth, 0) as float64 rows by depth]`` memos per
+#: ``CpuCostModel``.  Pure functions: the memo hands back the very floats
+#: they would compute, so every clock sum is unchanged, across a
+#: checkpoint / restore too, and in the C select loop, which reads the
+#: rows.  Held by ``id`` beside the model itself -- hashing the frozen
+#: dataclass costs more than the memo saves on a short search.
 _COST_MEMOS: dict = {}
 #: Keys one cost model's iteration-time memo holds at most (corrupted
 #: answers can carry any ply count).
@@ -107,6 +112,7 @@ def select_rounds(rounds: "Sequence[Round]") -> None:
         answers = select_round_many(
             [rnd.store for rnd in asking],
             [ts for ts in trees if ts is not None],
+            [rnd.loop for rnd in asking],
         )
         for rnd, answer in zip(asking, answers):
             rnd.took(*answer)
@@ -230,6 +236,10 @@ def _screen_results(rnd, answers, guard, executor):
 class Round:
     """The round logic of one live engine session (base class)."""
 
+    #: The select loop a kernel runs in one call (:class:`RootLoop`),
+    #: or None: the store runs one sub-round per :meth:`wants`.
+    loop: "RootLoop | None" = None
+
     def __init__(self, engine: "Engine", store) -> None:
         self.engine = engine
         self.live = live = engine._live
@@ -253,8 +263,9 @@ class Round:
         self.requests: Sequence = ()
         entry = _COST_MEMOS.get(id(self.cost))
         if entry is None or entry[0] is not self.cost:
-            entry = _COST_MEMOS[id(self.cost)] = (self.cost, {}, {})
-        _, self._times, self._control_times = entry
+            entry = _COST_MEMOS[id(self.cost)] = [self.cost, {}, {}, None]
+        self._memo = entry
+        _, self._times, self._control_times, _ = entry
 
     def _iteration_time(self, depth: int, plies: int) -> float:
         """``cost.iteration_time(depth, plies)``, memoised."""
@@ -266,13 +277,33 @@ class Round:
                 times[depth, plies] = t
         return t
 
+    def _terminal_times(self, depths: int) -> np.ndarray:
+        """``iteration_time(d, 0)`` for every ``d < depths`` (at least),
+        as float64 rows -- the memo's own floats, built once per cost
+        model and again only to grow."""
+        table = self._memo[3]
+        if table is None or len(table) < depths:
+            table = self._memo[3] = np.array(
+                [self._iteration_time(d, 0) for d in range(depths)],
+                dtype=np.float64,
+            )
+        return table
+
     def select(self) -> bool:
         """Run the session to its next playout demand; False when the
         session is over (call :meth:`finish`)."""
         self.requests = ()
         store = self.store
         while (trees := self.wants()) is not None:
-            self.took(*store.select_round(trees))
+            # A sub-round can hand the rest to a loop (RootRound).
+            loop = self.loop
+            self.took(
+                *(
+                    store.select_round(trees)
+                    if loop is None
+                    else store.select_loop(trees, loop)
+                )
+            )
         return bool(self.requests)
 
     def wants(self) -> "Sequence[int] | None":
@@ -281,7 +312,8 @@ class Round:
         raise NotImplementedError
 
     def took(self, refs, depths, states, terminal) -> None:
-        """Read one sub-round's answer: ``select_round``'s four lists."""
+        """Read one sub-round's answer: ``select_round``'s four lists
+        (``select_loop``'s, with a :attr:`loop`)."""
         raise NotImplementedError
 
     def deliver(self, answers: "PlayoutResults") -> None:
@@ -372,7 +404,22 @@ class SequentialRound(Round):
 class RootRound(Round):
     """``root:N``: every tree with budget left selects in one lockstep
     sub-round; each tree's core clock is charged its own iterations,
-    and the search takes as long as the slowest core."""
+    and the search takes as long as the slowest core.
+
+    On a compiled arena, from the first terminal leaf on, the select
+    kernel runs the loop of sub-rounds (:attr:`loop`, ``root_loop`` in
+    ``playout.c``): it picks the trees with budget left itself, credits
+    and charges terminal leaves in C with the same doubles, and hands
+    back only the rows that need a playout.  (Until a tree is solved
+    every sub-round's rows all go to a playout, and the Python round
+    costs less than the loop's column copies.)  The loop's columns hold
+    the trees' iteration counts; the clocks go in before each call
+    (``settle`` charges the session's list) and both come back to the
+    session's lists after it, so a hook or a snapshot reads them
+    current.  A guard or an iteration hook must see every sub-round, so
+    with either the kernel stops after each one.  :meth:`wants` /
+    :meth:`took` are the Python body: everywhere else, and before the
+    loop."""
 
     def __init__(self, engine: "Engine") -> None:
         live = engine._live
@@ -381,10 +428,40 @@ class RootRound(Round):
         self.per_tree_iters = live["per_tree_iters"]
         self.budget_s = live["budget_s"]
         self.trees = range(engine.n_trees)
+        #: Can the select kernel take the loop over?
+        self.loopable = compiled_arena(self.store)
+
+    def _start_loop(self) -> None:
+        """Hand the select loop to the kernel for the rest of the
+        session."""
+        engine = self.engine
+        self.guarded = self.live.get("integrity") is not None
+        #: No tree has budget left (the kernel's loop found none).
+        self.spent = False
+        # No tree is deeper than the game is long.
+        self.loop = loop = RootLoop.of(
+            engine.n_trees,
+            self.budget_s,
+            self.cap,
+            self._terminal_times(engine.game.max_game_length + 2),
+        )
+        loop.iters[:] = self.per_tree_iters
 
     def wants(self) -> "Sequence[int] | None":
         if self.requests:
             return None
+        loop = self.loop
+        if loop is not None:
+            if self.spent:
+                return None
+            loop.clock[:] = self.core_time
+            loop.sub_rounds = loop.iterations = 0
+            loop.once = (
+                self.guarded or self.engine.iteration_hook is not None
+            )
+            # Room for every tree: the kernel reads off the loop which
+            # ones have budget left.
+            return self.trees
         core_time, per_tree_iters = self.core_time, self.per_tree_iters
         budget_s, cap = self.budget_s, self.cap
         self.active = active = [
@@ -395,6 +472,11 @@ class RootRound(Round):
         return active or None
 
     def took(self, refs, depths, states, terminal) -> None:
+        if self.loop is not None:
+            # ``select_loop``'s answer: the fourth list holds the rows'
+            # trees.
+            self._looped(refs, depths, states, terminal)
+            return
         # Independent trees: selecting them all first, then resolving
         # terminals, is identical to the interleaved order (no tree
         # ever observes another's statistics).
@@ -416,11 +498,35 @@ class RootRound(Round):
                 [x for x, over in zip(column, terminal) if not over]
                 for column in (active, refs, depths, states)
             )
+            if self.loopable:
+                self._start_loop()
         if states:
             self.active, self.refs, self.depths = active, refs, depths
             self.requests = states
         else:
             self.engine._after_iteration(live["iterations"], forest)
+
+    def _looped(self, refs, depths, states, trees) -> None:
+        """:meth:`took` of the kernel's loop: the sub-rounds it ran are
+        counted, credited and charged already; only the playout rows
+        are here."""
+        live, loop = self.live, self.loop
+        self.per_tree_iters[:] = loop.iters.tolist()
+        iterations = loop.iterations
+        if iterations != len(states):
+            # Terminal leaves were charged.
+            self.core_time[:] = loop.clock.tolist()
+        live["iterations"] += iterations
+        live["simulations"] += iterations
+        if states:
+            self.active, self.refs, self.depths = trees, refs, depths
+            self.requests = states
+            return
+        if loop.sub_rounds:
+            # An all-terminal sub-round under a guard or hook -- the
+            # boundary it must see -- or the loop ran the budget out.
+            self.engine._after_iteration(live["iterations"], self.store)
+        self.spent = not loop.once or not loop.sub_rounds
 
     def credits(self, answers: "PlayoutResults") -> tuple[list, list]:
         return self.refs, [winner for winner, _ in answers]

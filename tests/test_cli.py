@@ -99,6 +99,41 @@ class TestCommands:
         assert code in (0, 1)
         assert "wins" in out or "draw" in out
 
+    def test_play_opponent_engine_runs_on_the_stack_flags(self, monkeypatch):
+        """``--backend`` / ``--playout`` reach the ``--opponent-engine``
+        as they reach ``--engine``."""
+        import repro.core
+
+        make_engine, built = repro.core.make_engine, []
+
+        def spy(spec, game, seed, **overrides):
+            built.append(make_engine(spec, game, seed, **overrides))
+            return built[-1]
+
+        monkeypatch.setattr(repro.core, "make_engine", spy)
+        code = main(
+            [
+                "play",
+                "--game",
+                "tictactoe",
+                "--engine",
+                "root:2",
+                "--opponent-engine",
+                "sequential",
+                "--backend",
+                "arena",
+                "--playout",
+                "compiled",
+                "--budget",
+                "0.002",
+            ]
+        )
+        assert code in (0, 1)
+        subject, opponent = built
+        assert (subject.name, opponent.name) == ("root_parallel", "sequential")
+        for engine in built:
+            assert (engine.backend, engine.playout) == ("arena", "compiled")
+
     def test_play_rejects_bad_engine_spec(self):
         with pytest.raises(ValueError, match="warp_drive"):
             main(
@@ -237,6 +272,31 @@ class TestServeBenchModes:
         assert captured.err == (
             f"serve-bench: {flag} is not supported with {mode}\n"
         )
+
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (("--storm-rate", "0"), "base_rate must be positive: 0.0"),
+            (
+                ("--storm-rate", "200000", "--storm-horizon", "1"),
+                "passes the 100000-arrival cap",
+            ),
+        ],
+        ids=["zero_rate", "past_the_arrival_cap"],
+    )
+    def test_refused_storm_config_is_a_usage_error(
+        self, flags, message, capsys
+    ):
+        """A value the serving configs refuse exits 2 with the usage
+        line and the config's message, not a traceback."""
+        with pytest.raises(SystemExit) as exited:
+            main(["serve-bench", "--storm", *flags])
+        assert exited.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: repro serve-bench ")
+        assert "repro serve-bench: error: " in captured.err
+        assert message in captured.err
 
     def test_storm_smoke(self, capsys):
         code = main(
