@@ -16,8 +16,8 @@ import sys
 import time
 from dataclasses import replace
 
-from repro.core.backend import BACKENDS, DEFAULT_BACKEND
-from repro.core.executors import DEFAULT_PLAYOUT, PLAYOUT_EXECUTORS
+from repro.core.backend import BACKENDS
+from repro.core.executors import PLAYOUT_EXECUTORS
 
 
 def _cmd_experiments(_args) -> int:
@@ -464,16 +464,21 @@ def build_parser() -> argparse.ArgumentParser:
     play.add_argument(
         "--backend",
         choices=BACKENDS,
-        default=DEFAULT_BACKEND,
-        help="tree backend for the engine (@suffix in a spec wins)",
+        default=None,
+        help=(
+            "tree backend for both engines (@suffix in a spec wins); "
+            "default: arena where the game has C kernels and they "
+            "load, else node"
+        ),
     )
     play.add_argument(
         "--playout",
         choices=PLAYOUT_EXECUTORS,
-        default=DEFAULT_PLAYOUT,
+        default=None,
         help=(
-            "playout executor (@compiled in a spec wins); 'compiled' "
-            "falls back to numpy without a C toolchain"
+            "playout executor for both engines (@suffix in a spec "
+            "wins); default: compiled on an arena with C kernels, else "
+            "numpy; 'compiled' falls back to numpy without a C toolchain"
         ),
     )
     play.set_defaults(func=_cmd_play)
@@ -563,14 +568,22 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument(
         "--backend",
         choices=BACKENDS,
-        default=DEFAULT_BACKEND,
-        help="tree backend applied to every engine in the workload",
+        default=None,
+        help=(
+            "tree backend applied to every engine in the workload; "
+            "default: each game's (arena where it has C kernels and "
+            "they load, else node)"
+        ),
     )
     bench.add_argument(
         "--playout",
         choices=PLAYOUT_EXECUTORS,
-        default=DEFAULT_PLAYOUT,
-        help="playout executor applied to every engine in the workload",
+        default=None,
+        help=(
+            "playout executor applied to every engine in the workload "
+            "and the tick launches; default: each game's (compiled on "
+            "an arena with C kernels, else numpy)"
+        ),
     )
     bench.add_argument(
         "--no-fusion",

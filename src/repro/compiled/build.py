@@ -16,7 +16,8 @@ Environment knobs:
 ``REPRO_COMPILED``
     ``0``/``never`` disables the compiled path entirely (forces the
     NumPy fallback -- what CI uses to prove the fallback leg);
-    anything else (or unset) means auto-detect.
+    anything else (or unset) means auto-detect.  Read by the first
+    :func:`load_library` after start-up or :func:`reset_cache`.
 ``REPRO_COMPILED_CACHE``
     Cache directory for built libraries (default
     ``~/.cache/repro-compiled``).
@@ -247,12 +248,14 @@ def load_library() -> ctypes.CDLL | None:
     """The bound kernel library, building it on first call; ``None``
     when the compiled path is disabled or unavailable."""
     global _LIB, _UNAVAILABLE_REASON
-    if compiled_disabled():
-        # Re-check every call: tests toggle REPRO_COMPILED at runtime.
-        _UNAVAILABLE_REASON = "disabled via REPRO_COMPILED"
-        return None
     if _LIB is False:
-        path = build_library()
+        # ``REPRO_COMPILED`` is read here, once per :func:`reset_cache`.
+        _UNAVAILABLE_REASON = None
+        path = None
+        if compiled_disabled():
+            _UNAVAILABLE_REASON = "disabled via REPRO_COMPILED"
+        else:
+            path = build_library()
         if path is None:
             _LIB = None
         else:
@@ -261,11 +264,7 @@ def load_library() -> ctypes.CDLL | None:
             except OSError as exc:
                 _UNAVAILABLE_REASON = f"dlopen failed: {exc}"
                 _LIB = None
-    lib = _LIB or None
-    if lib is not None:
-        # A prior disabled/failed probe may have left a stale reason.
-        _UNAVAILABLE_REASON = None
-    return lib
+    return _LIB
 
 
 def unavailable_reason() -> str | None:
@@ -342,6 +341,8 @@ def pinned_block_workers(workers: int):
 
 
 def reset_cache() -> None:
-    """Forget the loaded library so the next call re-resolves (tests)."""
+    """Forget the loaded library so the next :func:`load_library`
+    re-resolves it, ``REPRO_COMPILED`` included (tests set the variable
+    and then call this)."""
     global _LIB
     _LIB = False

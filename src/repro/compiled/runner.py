@@ -72,8 +72,8 @@ def _playout_library(game_name: str):
     """The library when it can play ``game_name``, else ``None``:
     silently without a toolchain, with a warning (once per game) for a
     game without a kernel -- the caller asked for ``@compiled`` and is
-    getting the NumPy driver instead.  Looked up per call: tests toggle
-    ``REPRO_COMPILED`` at runtime."""
+    getting the NumPy driver instead.  Looked up per call: a test that
+    sets ``REPRO_COMPILED`` resets the library cache."""
     lib = load_library()
     if game_name in COMPILED_GAMES:
         return lib

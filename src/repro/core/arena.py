@@ -155,8 +155,9 @@ class TreeArena:
         if cols is not False and (cols is None) != (
             _tree_library(game.name) is None
         ):
-            # The toolchain came or went (REPRO_COMPILED toggled at
-            # run time): resolve the bodies again on first use.
+            # The toolchain came or went (REPRO_COMPILED set and the
+            # library cache reset at run time): resolve the bodies
+            # again on first use.
             arena._cols = False
         arena._start(root_state, rngs, ucb_c, parallel_mode)
         return arena

@@ -21,14 +21,20 @@ and :func:`restore_forest` / :func:`restore_tree` are the only
 construction points; the backend string travels through ``EngineSpec``
 (``block:16x32@arena``), the CLI ``--backend`` flag and the serving
 layer.
+
+Which backend and playout executor run when nobody names them is
+decided here and nowhere else, by :func:`default_stack`: the arena and
+the compiled kernels for a game that has kernels on a host whose C
+library loads, the reference stack (``node`` + ``numpy``) otherwise.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from repro.compiled import distinct_trees
+from repro.compiled import COMPILED_GAMES, compiled_available, distinct_trees
 from repro.core.arena import TreeArena
+from repro.core.executors import validate_playout
 from repro.core.tree import SearchTree
 from repro.games.base import Game, GameState
 from repro.games.batch import Positions
@@ -36,9 +42,6 @@ from repro.rng import XorShift64Star
 
 #: Supported tree backends.
 BACKENDS = ("node", "arena")
-
-#: The backend every constructor, spec and CLI flag defaults to.
-DEFAULT_BACKEND = "node"
 
 
 def validate_backend(backend: str) -> str:
@@ -48,6 +51,33 @@ def validate_backend(backend: str) -> str:
             f"unknown tree backend {backend!r}; available: {BACKENDS}"
         )
     return backend
+
+
+def default_stack(
+    game_name: str, backend: str | None = None, playout: str | None = None
+) -> tuple[str, str]:
+    """``(tree backend, playout executor)`` for a search of
+    ``game_name``; a value the caller names wins.
+
+    Every constructor, config and CLI flag that takes ``backend=`` or
+    ``playout=`` defaults to ``None`` and resolves here.  An unnamed
+    backend is ``"arena"`` where the game has C kernels and the library
+    loads, else ``"node"`` -- on a game without kernels the arena runs
+    its Python bodies, which are slower than pointer trees.  An unnamed
+    playout follows the backend: ``"compiled"`` on an arena with
+    kernels, else ``"numpy"``; so ``@node`` alone still names the
+    reference stack.  Every cell plays the same games seed for seed,
+    so the answer changes how fast a search runs, never what it finds.
+    """
+    if backend is None or playout is None:
+        kernels = game_name in COMPILED_GAMES and compiled_available()
+        if backend is None:
+            backend = "arena" if kernels else "node"
+        if playout is None:
+            playout = (
+                "compiled" if kernels and backend == "arena" else "numpy"
+            )
+    return validate_backend(backend), validate_playout(playout)
 
 
 class NodeForest:

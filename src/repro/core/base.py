@@ -23,17 +23,12 @@ import numpy as np
 from repro.cpu import XEON_X5670, CpuCostModel
 from repro.games.base import Game, GameState
 from repro.core.backend import (
-    DEFAULT_BACKEND,
+    default_stack,
     make_forest,
     restore_forest,
     snapshot_forest,
-    validate_backend,
 )
-from repro.core.executors import (
-    DEFAULT_PLAYOUT,
-    playout_launcher,
-    validate_playout,
-)
+from repro.core.executors import playout_launcher
 from repro.core.checkpoint import (
     CHECKPOINT_FORMAT_VERSION,
     CheckpointError,
@@ -99,16 +94,15 @@ class Engine:
         clock: Clock | None = None,
         final_policy: str = MAX_VISITS,
         max_iterations: int | None = None,
-        backend: str = DEFAULT_BACKEND,
-        playout: str = DEFAULT_PLAYOUT,
+        backend: str | None = None,
+        playout: str | None = None,
         profiler: Profiler | None = None,
     ) -> None:
         if max_iterations is not None and max_iterations <= 0:
             raise ValueError(
                 f"max_iterations must be positive: {max_iterations}"
             )
-        validate_backend(backend)
-        validate_playout(playout)
+        backend, playout = default_stack(game.name, backend, playout)
         self.game = game
         self.seed = seed
         self.ucb_c = ucb_c
@@ -478,13 +472,13 @@ class BatchExecutor:
     SCALAR_CUTOFF = 10
 
     def __init__(
-        self, game_name: str, seed: int, playout: str = DEFAULT_PLAYOUT
+        self, game_name: str, seed: int, playout: str | None = None
     ) -> None:
         from repro.games import make_game
 
         self.game_name = game_name
         self.seed = seed
-        self.playout = validate_playout(playout)
+        self.playout = default_stack(game_name, playout=playout)[1]
         self.bg = make_batch_game(game_name)
         self.game = make_game(game_name)
         self.ladder_seed = derive_seed(seed, "batch_executor")

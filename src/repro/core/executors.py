@@ -1,7 +1,10 @@
 """Playout executor selection: the ``playout="numpy"|"compiled"`` seams.
 
-One constructor argument (or the ``@compiled`` spec modifier) switches
-the whole stack onto the compiled kernels, through two seams:
+One constructor argument (or the ``@compiled`` / ``@numpy`` spec
+modifier) picks the executor; left unnamed, it is the one
+:func:`repro.core.backend.default_stack` picks -- the compiled kernels
+on an arena for a game that has them.  Either way it runs through two
+seams:
 
 * :func:`block_launcher` -- ``lanes_per_state`` playouts per position
   on the *caller's* generator: ``launch_block(bg, positions,
@@ -42,9 +45,6 @@ from repro.rng import BatchXorShift128Plus
 #: Registered playout executors, in canonical order.
 PLAYOUT_EXECUTORS = ("numpy", "compiled")
 
-#: The executor every constructor, spec and CLI flag defaults to.
-DEFAULT_PLAYOUT = "numpy"
-
 LaunchBlock = Callable[..., TrackedPlayouts]
 Launch = Callable[..., tuple[np.ndarray, np.ndarray]]
 
@@ -78,9 +78,9 @@ def block_launcher(playout: str) -> LaunchBlock:
     """The ``launch_block(bg, positions, lanes_per_state, rng)`` body
     for ``playout``.
 
-    ``"compiled"`` consults the library on every launch, so
-    availability is re-checked after environment changes, and falls
-    back to :func:`launch_block_numpy` by itself.
+    ``"compiled"`` consults the library on every launch, so a
+    :func:`repro.compiled.reset_cache` takes effect at the next one,
+    and falls back to :func:`launch_block_numpy` by itself.
     """
     validate_playout(playout)
     if playout == "compiled":

@@ -436,8 +436,6 @@ class RootRound(Round):
         session."""
         engine = self.engine
         self.guarded = self.live.get("integrity") is not None
-        #: No tree has budget left (the kernel's loop found none).
-        self.spent = False
         # No tree is deeper than the game is long.
         self.loop = loop = RootLoop.of(
             engine.n_trees,
@@ -450,26 +448,26 @@ class RootRound(Round):
     def wants(self) -> "Sequence[int] | None":
         if self.requests:
             return None
-        loop = self.loop
-        if loop is not None:
-            if self.spent:
-                return None
-            loop.clock[:] = self.core_time
-            loop.sub_rounds = loop.iterations = 0
-            loop.once = (
-                self.guarded or self.engine.iteration_hook is not None
-            )
-            # Room for every tree: the kernel reads off the loop which
-            # ones have budget left.
-            return self.trees
         core_time, per_tree_iters = self.core_time, self.per_tree_iters
         budget_s, cap = self.budget_s, self.cap
-        self.active = active = [
+        active = [
             i
             for i in self.trees
             if core_time[i] < budget_s and per_tree_iters[i] < cap
         ]
-        return active or None
+        if not active:
+            # The session is over: no kernel call to find that out.
+            return None
+        loop = self.loop
+        if loop is None:
+            self.active = active
+            return active
+        loop.clock[:] = core_time
+        loop.sub_rounds = loop.iterations = 0
+        loop.once = self.guarded or self.engine.iteration_hook is not None
+        # Room for every tree: the kernel reads off the loop which ones
+        # have budget left.
+        return self.trees
 
     def took(self, refs, depths, states, terminal) -> None:
         if self.loop is not None:
@@ -522,11 +520,9 @@ class RootRound(Round):
             self.active, self.refs, self.depths = trees, refs, depths
             self.requests = states
             return
-        if loop.sub_rounds:
-            # An all-terminal sub-round under a guard or hook -- the
-            # boundary it must see -- or the loop ran the budget out.
-            self.engine._after_iteration(live["iterations"], self.store)
-        self.spent = not loop.once or not loop.sub_rounds
+        # An all-terminal sub-round under a guard or hook -- the
+        # boundary it must see -- or the loop ran the budget out.
+        self.engine._after_iteration(live["iterations"], self.store)
 
     def credits(self, answers: "PlayoutResults") -> tuple[list, list]:
         return self.refs, [winner for winner, _ in answers]

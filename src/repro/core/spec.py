@@ -20,21 +20,29 @@ table:
 ========== ============================ ==========================
 modifier   sets                          applies to
 ========== ============================ ==========================
-``@node``   ``backend="node"``           every kind (the default)
+``@node``   ``backend="node"``           every kind
 ``@arena``  ``backend="arena"``          every kind
 ``@vloss``  ``mode="vloss"`` (optional   ``tree``, ``pipeline``
             ``=X`` sets ``virtual_loss``)
 ``@wuct``   ``mode="wuct"``              ``tree``, ``pipeline``
 ``@vote``   ``=sum|majority|trimmed``    ``root``, ``block``
+``@numpy``  ``playout="numpy"``          every kind
 ``@compiled`` ``playout="compiled"``     every kind
 ========== ============================ ==========================
 
+A spec that names no backend or playout runs the default stack of the
+game it is built for (:func:`repro.core.backend.default_stack`): arena
++ compiled where the game has C kernels and the library loads, node +
+numpy elsewhere.  An unnamed playout follows the backend, so
+``@node`` alone is the reference stack (node + numpy) on every game.
+
 :meth:`EngineSpec.canonical` renders the unique canonical string --
-positional args, then modifiers in table order with defaults omitted
--- and round-trips through :meth:`EngineSpec.parse` for every
-registered kind.  Every spec string the old positional-suffix grammar
-accepted (``kind[:AxB][@backend]``) is a strict subset of this grammar
-and still parses to the same engine.
+positional args, then modifiers in table order with the ``@vloss`` /
+``@vote=sum`` defaults omitted and every stack modifier the spec
+carries kept -- and round-trips through :meth:`EngineSpec.parse` for
+every registered kind.  Every spec string the old positional-suffix
+grammar accepted (``kind[:AxB][@backend]``) is a strict subset of this
+grammar and still parses to the same engine.
 
 Construction through a spec is *exactly equivalent* to calling the
 engine class directly: same constructor arguments, same RNG streams,
@@ -49,10 +57,10 @@ import functools
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
-from repro.core.backend import DEFAULT_BACKEND, validate_backend
+from repro.core.backend import validate_backend
 from repro.core.base import Engine, validate_vote
 from repro.core.block_parallel import BlockParallelMcts
-from repro.core.executors import DEFAULT_PLAYOUT, validate_playout
+from repro.core.executors import validate_playout
 from repro.core.hybrid import HybridMcts
 from repro.core.leaf_parallel import LeafParallelMcts
 from repro.core.multigpu import MultiGpuMcts
@@ -184,6 +192,11 @@ _MODIFIERS: dict[str, SpecModifier] = {
             flag_params={"backend": "arena"},
         ),
         SpecModifier(
+            name="numpy",
+            group="playout executor",
+            flag_params={"playout": "numpy"},
+        ),
+        SpecModifier(
             name="compiled",
             group="playout executor",
             flag_params={"playout": "compiled"},
@@ -286,9 +299,10 @@ class EngineSpec:
 
     def canonical(self) -> str:
         """The unique canonical string form: positional parameters,
-        then modifiers in table order with defaults omitted
-        (``canonical(parse(s))`` is a fixed point for every string
-        ``s`` the grammar accepts).
+        then modifiers in table order with the ``mode`` / ``vote``
+        defaults omitted and exactly the stack modifiers the spec
+        carries (``canonical(parse(s))`` is a fixed point for every
+        string ``s`` the grammar accepts).
 
         Raises ``ValueError`` if the spec holds keyword parameters the
         string grammar cannot carry.
@@ -395,12 +409,13 @@ def _parse_modifiers(
     return params
 
 
-#: Default parameter values the canonical form omits.
+#: Default parameter values the canonical form omits.  The stack
+#: (``backend``, ``playout``) has no entry: its default depends on the
+#: game (:func:`repro.core.backend.default_stack`), so a spec spells
+#: exactly the stack modifiers it carries.
 _CANONICAL_DEFAULTS = {
-    "backend": DEFAULT_BACKEND,
     "mode": "vloss",
     "vote": "sum",
-    "playout": DEFAULT_PLAYOUT,
 }
 
 
@@ -447,24 +462,25 @@ def _resolve_params(params: Mapping[str, object]) -> dict:
 
 
 def with_stack(
-    spec: "EngineSpec | str | Mapping", backend: str, playout: str
+    spec: "EngineSpec | str | Mapping",
+    backend: str | None,
+    playout: str | None,
 ) -> "EngineSpec | str | Mapping":
-    """Apply a default tree backend and playout executor to ``spec``;
-    a backend or playout the spec names itself wins, and ``"node"`` /
-    ``"numpy"`` (the global defaults) apply nothing.  When nothing
-    applies, ``spec`` itself comes back -- a string stays that very
-    string, so printed names and request strings keep their spelling;
-    otherwise a new :class:`EngineSpec`."""
-    validate_backend(backend)
-    validate_playout(playout)
-    if backend == DEFAULT_BACKEND and playout == DEFAULT_PLAYOUT:
+    """Apply a tree backend and playout executor to ``spec``; a backend
+    or playout the spec names itself wins, and ``None`` applies nothing
+    (the engine resolves it for its game).  When nothing applies,
+    ``spec`` itself comes back -- a string stays that very string, so
+    printed names and request strings keep their spelling; otherwise a
+    new :class:`EngineSpec`."""
+    stack = {}
+    if backend is not None:
+        stack["backend"] = validate_backend(backend)
+    if playout is not None:
+        stack["playout"] = validate_playout(playout)
+    if not stack:
         return spec
     parsed = EngineSpec.coerce(spec)
-    params = dict(parsed.params)
-    if backend != DEFAULT_BACKEND:
-        params.setdefault("backend", backend)
-    if playout != DEFAULT_PLAYOUT:
-        params.setdefault("playout", playout)
+    params = {**stack, **parsed.params}
     if len(params) == len(parsed.params):
         return spec
     return EngineSpec(parsed.kind, params)

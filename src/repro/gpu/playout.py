@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.executors import DEFAULT_PLAYOUT, block_launcher
+from repro.core.backend import default_stack
+from repro.core.executors import block_launcher
 from repro.games import make_batch_game
 from repro.games.batch import Positions
 from repro.gpu.device import DeviceSpec
@@ -75,13 +76,13 @@ class VirtualGpu:
         game_name: str,
         seed: int,
         kernel: KernelSpec | None = None,
-        playout: str = DEFAULT_PLAYOUT,
+        playout: str | None = None,
     ) -> None:
         self.spec = spec
         self.clock = clock
         self.game_name = game_name
-        self.playout = playout
-        self._launch_block = block_launcher(playout)
+        self.playout = default_stack(game_name, playout=playout)[1]
+        self._launch_block = block_launcher(self.playout)
         self.kernel = kernel or playout_kernel_spec(game_name)
         self.batch_game = make_batch_game(game_name)
         self.stream = Stream(clock)

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 
 from repro.arena.cohort import play_matchups
 from repro.core import make_engine
-from repro.core.executors import DEFAULT_PLAYOUT
 from repro.core.policy import MAX_RATIO, MAX_VISITS, MAX_WINS
 from repro.core.results import SearchResult
 from repro.games import Reversi, make_game
@@ -342,9 +341,11 @@ class BackendConfig:
     game: str = "tictactoe"
     seed: int = 85_2011
     #: The stacks to time, baseline first, each ``backend`` or
-    #: ``backend+playout`` (a bare backend runs the default executor);
-    #: the default is ``abl_tree_backend``'s pair.
-    cells: tuple[str, ...] = ("node", "arena")
+    #: ``backend+playout`` (a bare backend runs its default executor,
+    #: as ``@arena`` does in a spec); the default is
+    #: ``abl_tree_backend``'s pair, both on NumPy playouts so the tree
+    #: backend is all that differs.
+    cells: tuple[str, ...] = ("node+numpy", "arena+numpy")
 
     @staticmethod
     def for_tier(tier: str | None = None) -> "BackendConfig":
@@ -439,7 +440,7 @@ def run_backend_ablation(
                 "threads_per_block": cfg.tpb,
                 "max_iterations": cfg.iterations,
                 "backend": backend,
-                "playout": playout or DEFAULT_PLAYOUT,
+                "playout": playout or None,
             },
             game,
             cfg.seed,

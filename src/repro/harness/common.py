@@ -11,8 +11,11 @@ The tier is chosen per-call or via the ``REPRO_TIER`` environment
 variable.
 
 Every engine, player and cohort executor an experiment runs is built
-here (:func:`engine`, :func:`mcts_player`, :func:`cohort_executor`), so
-this module is the one place that names the stack the figures run on.
+with no stack spelled, so the figures run the default stack
+(:func:`repro.core.backend.default_stack`): arena + compiled wherever
+the C kernels exist, node + numpy elsewhere.  The two play the same
+games seed for seed (``tests/harness/test_golden_tables.py``), so which
+one ran changes how long a figure takes, never what it shows.
 """
 
 from __future__ import annotations
@@ -21,11 +24,8 @@ import os
 from dataclasses import dataclass
 
 from repro.arena.tournament import PlayerFactory
-from repro.compiled import COMPILED_GAMES, compiled_available
-from repro.core.backend import DEFAULT_BACKEND
-from repro.core.base import BatchExecutor, Engine
-from repro.core.executors import DEFAULT_PLAYOUT
-from repro.core.spec import make_engine, with_stack
+from repro.core.base import BatchExecutor
+from repro.core.spec import make_engine
 from repro.games.base import Game
 from repro.players import MctsPlayer
 
@@ -97,25 +97,6 @@ PAPER_MULTIGPU_BLOCKS = 112
 PAPER_MULTIGPU_TPB = 64
 
 
-def _stack(game: Game) -> tuple[str, str]:
-    """``(tree backend, playout executor)`` for ``game``: the stack the
-    benchmark of record measures wherever its C kernels exist, the
-    reference stack elsewhere.  The two play the same games seed for
-    seed (``tests/harness/test_golden_tables.py``), so which one ran
-    changes how long a figure takes, never what it shows."""
-    if compiled_available() and game.name in COMPILED_GAMES:
-        return "arena", "compiled"
-    return DEFAULT_BACKEND, DEFAULT_PLAYOUT
-
-
-def engine(game: Game, spec, seed: int, **engine_kwargs) -> Engine:
-    """``make_engine`` on the harness stack; a backend or playout the
-    spec spells itself wins."""
-    return make_engine(
-        with_stack(spec, *_stack(game)), game, seed, **engine_kwargs
-    )
-
-
 def mcts_player(
     game: Game,
     spec,
@@ -124,11 +105,11 @@ def mcts_player(
     **engine_kwargs,
 ) -> PlayerFactory:
     """The arena's ``seed -> player`` factory for a player that
-    searches ``budget_s`` virtual seconds per move on :func:`engine`'s
+    searches ``budget_s`` virtual seconds per move on ``spec``'s
     engine."""
 
     def build(seed: int) -> MctsPlayer:
-        subject = engine(game, spec, seed, **engine_kwargs)
+        subject = make_engine(spec, game, seed, **engine_kwargs)
         return MctsPlayer(game, subject, budget_s, name=name)
 
     return build
@@ -136,4 +117,4 @@ def mcts_player(
 
 def cohort_executor(game: Game, seed: int) -> BatchExecutor:
     """The merged-playout executor of one cohort of ``game`` matches."""
-    return BatchExecutor(game.name, seed, playout=_stack(game)[1])
+    return BatchExecutor(game.name, seed)

@@ -13,13 +13,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.core.spec import make_engine
 from repro.games import Reversi
 from repro.gpu import TESLA_C2050, DeviceSpec
 from repro.harness.common import (
     PAPER_SCHEMES,
     PAPER_THREAD_SWEEP,
     Scheme,
-    engine,
     resolve_tier,
 )
 from repro.util.seeding import derive_seed
@@ -67,9 +67,9 @@ class Fig5Result:
 
 def _engine_for(scheme: Scheme, threads: int, cfg: Fig5Config):
     blocks, tpb = scheme.grid_for(threads)
-    return engine(
-        Reversi(),
+    return make_engine(
         f"{scheme.kind}:{blocks}x{tpb}",
+        Reversi(),
         derive_seed(cfg.seed, scheme.label, threads),
         device=cfg.device,
         max_iterations=cfg.iterations_per_point,

@@ -15,11 +15,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.arena.cohort import play_matchups
+from repro.core.spec import make_engine
 from repro.games import Reversi
 from repro.gpu import TESLA_C2050, DeviceSpec
 from repro.harness.common import (
     cohort_executor,
-    engine,
     mcts_player,
     resolve_tier,
 )
@@ -96,9 +96,9 @@ def _spec(n_gpus: int, cfg: Fig9Config) -> str:
 
 def measure_throughput(n_gpus: int, cfg: Fig9Config) -> float:
     game = Reversi()
-    subject = engine(
-        game,
+    subject = make_engine(
         _spec(n_gpus, cfg),
+        game,
         derive_seed(cfg.seed, "thr", n_gpus),
         device=cfg.device,
         network=cfg.network,

@@ -31,7 +31,8 @@ from dataclasses import dataclass
 from typing import Hashable, Mapping, Sequence
 
 from repro.core.base import PlayoutResults
-from repro.core.executors import DEFAULT_PLAYOUT, playout_launcher
+from repro.core.backend import default_stack
+from repro.core.executors import Launch, playout_launcher, validate_playout
 from repro.games import make_batch_game
 from repro.gpu.kernel import (
     KernelSpec,
@@ -179,7 +180,7 @@ class LaneBatcher:
         seed: int,
         launcher: ResilientLauncher | None = None,
         integrity: IntegrityState | None = None,
-        playout: str = DEFAULT_PLAYOUT,
+        playout: str | None = None,
     ) -> None:
         self.pool = pool
         self.seed = derive_seed(seed, "lane_batcher")
@@ -193,11 +194,14 @@ class LaneBatcher:
         #: injector's decision and validated; rejects retry through the
         #: resilient launcher.
         self.integrity = integrity
+        if playout is not None:
+            validate_playout(playout)
         #: Playout executor ("numpy" or "compiled") running the merged
-        #: batches; bit-identical by contract, so this never changes
+        #: batches, or None: each game's default, resolved at its first
+        #: launch.  Bit-identical by contract, so this never changes
         #: which results tenants see.
         self.playout = playout
-        self._launch = playout_launcher(playout)
+        self._launchers: dict[str, Launch] = {}
         self.launch_count = 0
         self.lanes_total = 0
         #: Lanes whose launch chain exhausted its retries (results
@@ -223,6 +227,15 @@ class LaneBatcher:
             bg = make_batch_game(game)
             self._batch_games[game] = bg
         return bg
+
+    def _launch(self, game: str) -> Launch:
+        """The launch body of ``game``'s merged batches."""
+        launch = self._launchers.get(game)
+        if launch is None:
+            launch = self._launchers[game] = playout_launcher(
+                default_stack(game, playout=self.playout)[1]
+            )
+        return launch
 
     def _round_seed(self, game: str) -> int:
         """Advance ``game``'s round counter and derive the round's lane
@@ -380,7 +393,7 @@ class LaneBatcher:
             # Geometry-independent streams: chunk lane j is merged lane
             # lo + j, and always gets that lane's stream of this
             # round's family regardless of the chunking.
-            winners, finish_steps = self._launch(
+            winners, finish_steps = self._launch(game)(
                 bg, states[lo:hi], round_seed, lo
             )
             answers.extend(zip(winners.tolist(), finish_steps.tolist()))
@@ -508,7 +521,7 @@ class FusedBatcher(LaneBatcher):
         seed: int,
         launcher: ResilientLauncher | None = None,
         integrity: IntegrityState | None = None,
-        playout: str = DEFAULT_PLAYOUT,
+        playout: str | None = None,
     ) -> None:
         super().__init__(
             pool,
@@ -653,7 +666,7 @@ class FusedBatcher(LaneBatcher):
         answers_by_game: dict[str, list] = {}
         maxima_by_game: dict[str, list] = {}
         for game, states in demand.items():
-            winners, finish_steps = self._launch(
+            winners, finish_steps = self._launch(game)(
                 self._batch_game(game), states, self._round_seed(game)
             )
             maxima_by_game[game] = block_maxima(

@@ -49,9 +49,9 @@ from dataclasses import dataclass
 
 from pathlib import Path
 
-from repro.core.backend import DEFAULT_BACKEND, validate_backend
+from repro.core.backend import validate_backend
 from repro.core.base import Engine
-from repro.core.executors import DEFAULT_PLAYOUT, validate_playout
+from repro.core.executors import validate_playout
 from repro.core.checkpoint import (
     CheckpointError,
     EngineSnapshot,
@@ -161,8 +161,8 @@ class SearchService:
         tracer: Tracer | None = None,
         enforce_deadlines: bool = True,
         faults: FaultPlan | str | None = None,
-        backend: str = DEFAULT_BACKEND,
-        playout: str = DEFAULT_PLAYOUT,
+        backend: str | None = None,
+        playout: str | None = None,
         fusion: bool = True,
         journal: "str | Path | JournalWriter | None" = None,
         checkpoint_every: int = 50,
@@ -182,8 +182,10 @@ class SearchService:
             raise ValueError(
                 f"checkpoint_every cannot be negative: {checkpoint_every}"
             )
-        validate_backend(backend)
-        validate_playout(playout)
+        if backend is not None:
+            validate_backend(backend)
+        if playout is not None:
+            validate_playout(playout)
         self.clock = Clock()
         self.tracer = tracer if tracer is not None else Tracer()
         self.pool = DevicePool(
@@ -315,12 +317,13 @@ class SearchService:
             self.batcher = LaneBatcher(
                 self.pool, batcher_seed, **batcher_kwargs
             )
-        #: Default tree backend for requests whose spec does not pick
-        #: one explicitly (an ``@backend`` suffix always wins).
+        #: Tree backend for requests whose spec does not pick one (an
+        #: ``@node`` / ``@arena`` suffix always wins); None leaves it to
+        #: each request's game (``repro.core.backend.default_stack``).
         self.backend = backend
-        #: Default playout executor for requests whose spec does not
-        #: pick one (an ``@compiled`` suffix always wins); also the
-        #: executor the merged-tick batcher runs.
+        #: Playout executor for requests whose spec does not pick one
+        #: (an ``@numpy`` / ``@compiled`` suffix always wins), and the
+        #: one the merged-tick batcher runs; None: each game's default.
         self.playout = playout
         self.max_active = max_active
         self.max_queue = max_queue
@@ -449,13 +452,18 @@ class SearchService:
             # (screening, audit, quarantine) run under this policy.
             overrides["injector"] = self.injector
             overrides["integrity"] = self.integrity
+        resume_from = self._resume_snapshots.pop(req.request_id, None)
+        if resume_from is not None:
+            # A snapshot restores only onto the tree backend that wrote
+            # it, which need not be this host's default (the journal may
+            # come from a host where the C library loads).
+            overrides["backend"] = resume_from.backend
         engine = make_engine(
             spec, game, req.seed, clock=Clock(), **overrides
         )
         self._install_iteration_hook(req.request_id, engine)
         slot = _Active(record=record, engine=engine)
         self._active[req.request_id] = slot
-        resume_from = self._resume_snapshots.pop(req.request_id, None)
         if resume_from is not None:
             engine.restore(resume_from)
         if engine.gpu is None and engine.round_policy is not None:

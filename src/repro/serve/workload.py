@@ -11,8 +11,6 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass
 
-from repro.core.backend import DEFAULT_BACKEND
-from repro.core.executors import DEFAULT_PLAYOUT
 from repro.core.spec import with_stack
 from repro.serve.request import SearchRequest
 from repro.util.seeding import derive_seed
@@ -52,12 +50,13 @@ class WorkloadConfig:
     #: Relative completion deadline on the service clock (None = no
     #: deadline).
     deadline_s: float | None = 2.0
-    #: Tree backend suffixed onto every engine spec (``@arena``);
-    #: ``"node"`` leaves the spec strings untouched.
-    backend: str = DEFAULT_BACKEND
-    #: Playout executor suffixed onto every engine spec
-    #: (``@compiled``); ``"numpy"`` leaves the spec strings untouched.
-    playout: str = DEFAULT_PLAYOUT
+    #: Tree backend suffixed onto every engine spec (``@node`` /
+    #: ``@arena``); None leaves the spec strings untouched, and each
+    #: request runs its game's default stack.
+    backend: str | None = None
+    #: Playout executor suffixed onto every engine spec (``@numpy`` /
+    #: ``@compiled``); None leaves the spec strings untouched.
+    playout: str | None = None
     #: Zipf exponent for duplicate-position traffic.  ``0.0`` with no
     #: :attr:`position_pool` keeps the legacy workload (every request
     #: searches its game's initial position).  With a pool, request
@@ -94,8 +93,10 @@ class WorkloadConfig:
                 f"position_pool cannot be negative: "
                 f"{self.position_pool}"
             )
-        validate_backend(self.backend)
-        validate_playout(self.playout)
+        if self.backend is not None:
+            validate_backend(self.backend)
+        if self.playout is not None:
+            validate_playout(self.playout)
 
     @property
     def effective_position_pool(self) -> int:
@@ -152,9 +153,8 @@ def _zipf_cdf(pool: int, skew: float) -> list[float]:
 
 def _shaped_engines(config: WorkloadConfig) -> tuple:
     """``config.engines`` with the workload's backend / playout applied,
-    each entry rewritten once (an explicit @node/@arena/@compiled in
-    the spec wins -- and is kept verbatim so request strings stay
-    stable)."""
+    each entry rewritten once (a stack modifier the spec spells itself
+    wins -- and is kept verbatim so request strings stay stable)."""
     engines = []
     for engine in config.engines:
         rewritten = with_stack(engine, config.backend, config.playout)

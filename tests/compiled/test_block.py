@@ -361,12 +361,12 @@ def test_compiled_body_takes_the_kernel(monkeypatch):
     assert_same(got, rng, want, want_rng)
 
 
-def test_falls_back_without_a_library(monkeypatch):
+def test_falls_back_without_a_library(monkeypatch, compiled_env):
     bg = make_batch_game("reversi")
     states = root_pool("reversi")[:8]
     want_rng = BatchXorShift128Plus(16, 2)
     want = block_compiled(bg, Positions(states), 2, want_rng)
-    monkeypatch.setenv("REPRO_COMPILED", "0")
+    compiled_env("0")
 
     def unusable(*args):
         raise AssertionError("REPRO_COMPILED=0 reached the kernel lookup")
@@ -435,12 +435,12 @@ def test_positions_hold_either_form(game_name):
 
 @pytest.mark.parametrize("disabled", [False, True], ids=["kernel", "numpy"])
 @pytest.mark.parametrize("game_name", GAMES)
-def test_launch_entry_takes_positions_too(game_name, disabled, monkeypatch):
+def test_launch_entry_takes_positions_too(game_name, disabled, compiled_env):
     """The fresh-family entry reads a ``Positions``' own columns where
     it would stage a sequence of states: same answers, on the kernel
     and on the fallback."""
     if disabled:
-        monkeypatch.setenv("REPRO_COMPILED", "0")
+        compiled_env("0")
     bg = make_batch_game(game_name)
     states = root_pool(game_name)
     want = launch_compiled(bg, states, 31, 5)

@@ -93,8 +93,8 @@ def test_the_pin_holds_for_its_block_and_restores_the_pick():
     assert kernel_body() == picked
 
 
-def test_a_body_the_host_cannot_run_is_refused(monkeypatch):
-    monkeypatch.setenv("REPRO_COMPILED", "0")
+def test_a_body_the_host_cannot_run_is_refused(compiled_env):
+    compiled_env("0")
     assert kernel_body() is None and kernel_bodies() == ()
     with pytest.raises(LookupError, match="cannot run"):
         with pinned_kernel_body(KERNEL_BODIES[0]):

@@ -386,9 +386,9 @@ def test_fused_tick_takes_the_compiled_entry(monkeypatch):
     assert _tick("compiled", _demand()) == want
 
 
-def test_fused_tick_falls_back_without_a_library(monkeypatch):
+def test_fused_tick_falls_back_without_a_library(monkeypatch, compiled_env):
     want = _tick("numpy", _demand())
-    monkeypatch.setenv("REPRO_COMPILED", "0")
+    compiled_env("0")
 
     def unusable(*args):
         raise AssertionError("REPRO_COMPILED=0 reached the kernel lookup")

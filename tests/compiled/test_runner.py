@@ -295,8 +295,8 @@ def test_unsupported_game_falls_back(monkeypatch):
         )
 
 
-def test_disabled_env_reports_unavailable(monkeypatch):
-    monkeypatch.setenv("REPRO_COMPILED", "never")
+def test_disabled_env_reports_unavailable(compiled_env):
+    compiled_env("never")
     assert not compiled_available()
     assert unavailable_reason() is not None
 

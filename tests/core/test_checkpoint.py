@@ -32,17 +32,26 @@ from tests.core.test_differential import BUDGET_S, SEED, SMALL_SPECS
 CRASH_AT = {"multigpu": 1}
 DEFAULT_CRASH_AT = 3
 
+#: Every kind on both stores, each spec naming its backend (a spec that
+#: names none runs its game's default stack).
 ALL_SPECS = (
-    sorted(SMALL_SPECS.values())
+    sorted(f"{spec}@node" for spec in SMALL_SPECS.values())
     + sorted(f"{spec}@arena" for spec in SMALL_SPECS.values())
     # WU-UCT variants of the shared-tree engines on both backends.
     + [
-        "tree:2@wuct",
+        "tree:2@wuct@node",
         "tree:2@wuct@arena",
-        "pipeline:2@wuct",
+        "pipeline:2@wuct@node",
         "pipeline:2@wuct@arena",
     ]
 )
+
+
+def case_id(spec: str) -> str:
+    """A case's test id: ``spec`` without ``@node``, the spelling the
+    cases (and the payload golden's keys) had while node was every
+    engine's default."""
+    return spec.replace("@node", "")
 
 
 class Boom(RuntimeError):
@@ -88,7 +97,7 @@ def _assert_same_result(resumed, base):
 
 
 @pytest.mark.faults
-@pytest.mark.parametrize("spec", ALL_SPECS)
+@pytest.mark.parametrize("spec", ALL_SPECS, ids=case_id)
 def test_crash_restore_resume_is_bit_identical(spec):
     game = make_game("tictactoe")
     base = _uninterrupted(spec, game)
@@ -132,7 +141,7 @@ def test_snapshot_outside_session_rejected():
 class TestCheckpointFile:
     def _snapshot(self):
         game = make_game("tictactoe")
-        return _crashed_snapshot("sequential", game, DEFAULT_CRASH_AT)
+        return _crashed_snapshot("sequential@node", game, DEFAULT_CRASH_AT)
 
     def test_file_round_trip(self, tmp_path):
         snap = self._snapshot()
@@ -142,10 +151,10 @@ class TestCheckpointFile:
         assert loaded == snap
 
         game = make_game("tictactoe")
-        fresh = _engine("sequential", game)
+        fresh = _engine("sequential@node", game)
         fresh.restore(loaded)
         _assert_same_result(
-            fresh.resume(), _uninterrupted("sequential", game)
+            fresh.resume(), _uninterrupted("sequential@node", game)
         )
 
     def test_foreign_file_rejected(self, tmp_path):
@@ -167,10 +176,10 @@ class TestCheckpointFile:
         with pytest.raises(CheckpointError, match="kind"):
             _engine("tree:2", game).restore(snap)
         with pytest.raises(CheckpointError, match="seed"):
-            make_engine("sequential", game, SEED + 1).restore(snap)
+            make_engine("sequential@node", game, SEED + 1).restore(snap)
         with pytest.raises(CheckpointError, match="game"):
             _engine(
-                "sequential", make_game("connect4")
+                "sequential@node", make_game("connect4")
             ).restore(snap)
         with pytest.raises(CheckpointError, match="backend"):
             _engine("sequential@arena", game).restore(snap)

@@ -9,6 +9,9 @@ is stopped at its crash iteration and both the payload -- one digest
 per session key -- and the resumed ``SearchResult`` are compared with
 a checked-in golden.  Equal payload digests across two commits mean a
 checkpoint (or journal record) written by one restores on the other.
+Every spec names its backend (``@node`` / ``@arena``); a case is keyed
+by its test id, which leaves ``@node`` out -- the spelling the golden
+was cut under, when node was every engine's default.
 
 To intentionally update the golden after a deliberate format change
 (which also needs a ``CHECKPOINT_FORMAT_VERSION`` bump)::
@@ -30,7 +33,7 @@ import pytest
 from repro.core.spec import make_engine
 from repro.faults import FaultInjector, FaultPlan
 from repro.games import make_game
-from tests.core.test_checkpoint import ALL_SPECS, Boom, _crash_at
+from tests.core.test_checkpoint import ALL_SPECS, Boom, _crash_at, case_id
 from tests.core.test_differential import BUDGET_S, SEED
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "checkpoint_payloads.json"
@@ -47,7 +50,7 @@ GUARDED_SPECS = [
         "root:2",
         "tree:2",
     )
-    for backend in ("", "@arena")
+    for backend in ("@node", "@arena")
 ]
 
 CASES = [(spec, False) for spec in ALL_SPECS] + [
@@ -146,7 +149,7 @@ def project(spec: str, guarded: bool) -> dict:
 
 
 def _case_id(spec: str, guarded: bool) -> str:
-    return f"{spec}+faults" if guarded else spec
+    return f"{case_id(spec)}+faults" if guarded else case_id(spec)
 
 
 @pytest.mark.faults

@@ -19,8 +19,6 @@ Three oracles:
   back to NumPy.
 """
 
-import os
-
 import pytest
 
 from repro.core.spec import engine_kinds, make_engine
@@ -164,18 +162,16 @@ def test_compiled_playout_matches_numpy_other_games(game_name):
 
 
 @pytest.mark.compiled
-def test_compiled_disabled_env_forces_identical_fallback(monkeypatch):
+def test_compiled_disabled_env_forces_identical_fallback(compiled_env):
     """``REPRO_COMPILED=0`` must flip an ``@compiled`` engine onto the
     NumPy path without changing a single bit of its search."""
     enabled = _run("block:2x8@compiled", "reversi")
-    monkeypatch.setenv("REPRO_COMPILED", "0")
+    compiled_env("0")
     from repro.compiled import compiled_available
 
     assert not compiled_available()
     disabled = _run("block:2x8@compiled", "reversi")
     _assert_identical(disabled, enabled)
-    monkeypatch.delenv("REPRO_COMPILED")
-    assert os.environ.get("REPRO_COMPILED") is None
 
 
 @pytest.mark.parametrize("n_trees", [2, 4])

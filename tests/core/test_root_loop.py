@@ -189,10 +189,12 @@ def check(
     # The same search on pointer trees.
     assert without_refs(kernel[0]) == without_refs(node[0])
     assert outcome(kernel[2]) == outcome(node[2])
-    if kernel[3] and (hook or guard is not None):
-        # A guard or hook sees every sub-round: one per kernel call
-        # (none in the last, which finds no tree with budget left).
-        assert set(kernel[3][:-1]) <= {1} and kernel[3][-1] in (0, 1)
+    # Every kernel call finds a tree with budget left: ``wants`` reads
+    # the budget off the session's lists before it calls.
+    assert 0 not in kernel[3]
+    if hook or guard is not None:
+        # A guard or hook sees every sub-round: one per kernel call.
+        assert set(kernel[3]) <= {1}
     return kernel
 
 
@@ -270,6 +272,38 @@ def test_a_solved_root_ends_in_one_call(game_name, budget_s, cap):
         assert result.simulations == result.iterations > 0
         if compiled_available() and (cap is None or cap > 1):
             assert len(calls) == 1 and calls[0] > 0
+
+
+@pytest.mark.skipif(not compiled_available(), reason="no compiled kernels")
+@pytest.mark.parametrize(
+    "game_name,plies,budget_s", [("connect4", 6, 3e-4), ("tictactoe", 3, 5e-4)]
+)
+def test_a_session_spent_settling_makes_no_last_select_call(
+    game_name, plies, budget_s
+):
+    """A session whose clocks run out in ``settle`` -- its last round's
+    playouts charged -- is over without one more select call, which
+    would find no tree with budget left: every kernel call of the loop
+    runs sub-rounds, and the last one hands back playout rows."""
+    game = make_game(game_name)
+    root = near_end(game, plies, 5)
+    engine = session("kernel", game, root, 3, 7, budget_s, None, False, None)
+    rnd = engine.open_round()
+    store, calls = rnd.store, []
+
+    def spy(trees, loop):
+        answer = TreeArena.select_loop(store, trees, loop)
+        calls.append((loop.sub_rounds, len(answer[0])))
+        return answer
+
+    store.select_loop = spy
+    rounds = 0
+    while rnd.select():
+        rnd.deliver([answer(game, s, rounds) for s in rnd.requests])
+        rounds += 1
+    # The loop took over, and the session ran out settling a round.
+    assert calls and calls[-1][1] > 0
+    assert all(sub_rounds > 0 and rows > 0 for sub_rounds, rows in calls)
 
 
 @pytest.mark.parametrize("game_name", GAMES)

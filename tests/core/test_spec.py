@@ -167,31 +167,49 @@ class TestBackendSuffix:
         for text in ("block:2x8@arena", "sequential@arena"):
             assert EngineSpec.parse(text).canonical() == text
 
-    def test_node_backend_is_default_and_not_emitted(self):
+    def test_node_backend_is_emitted(self):
+        """No backend is the default of every game, so the canonical
+        form keeps the one a spec names -- and names none when the spec
+        carries none."""
         spec = EngineSpec.parse("block:2x8@node")
         assert spec.params["backend"] == "node"
-        assert spec.canonical() == "block:2x8"
+        assert spec.canonical() == "block:2x8@node"
+        assert EngineSpec.parse("block:2x8").canonical() == "block:2x8"
 
     def test_with_stack_helper(self):
         assert (
             with_stack("root:4", "arena", "compiled").canonical()
             == "root:4@arena@compiled"
         )
-        # The spec's own explicit backend wins over the default.
+        assert (
+            with_stack("root:4", "node", "numpy").canonical()
+            == "root:4@node@numpy"
+        )
+        # The spec's own explicit backend wins over the one applied.
         kept = with_stack("root:4@node", "arena", "compiled")
         assert kept.params["backend"] == "node"
-        assert kept.canonical() == "root:4@compiled"
+        assert kept.canonical() == "root:4@node@compiled"
         # Nothing applies: the very same object comes back.
+        assert with_stack("root:4", None, None) == "root:4"
         for spec in ("root:4", "root:4@node@compiled"):
-            assert with_stack(spec, "node", "numpy") is spec
+            assert with_stack(spec, None, None) is spec
+        assert with_stack("root:4@node@compiled", "node", "numpy") == (
+            "root:4@node@compiled"
+        )
         spelled = "tree:2@arena@wuct"
-        assert with_stack(spelled, "arena", "numpy") is spelled
+        assert with_stack(spelled, "arena", None) is spelled
 
     def test_built_engine_carries_backend(self):
+        from repro.core.backend import default_stack
+
         game = TicTacToe()
         engine = make_engine("block:2x8@arena", game, 1)
         assert engine.backend == "arena"
-        assert make_engine("block:2x8", game, 1).backend == "node"
+        assert make_engine("block:2x8@node", game, 1).backend == "node"
+        assert (
+            make_engine("block:2x8", game, 1).backend
+            == default_stack(game.name)[0]
+        )
 
 
 class TestMalformedSpecs:
@@ -348,21 +366,31 @@ class TestSpecGrammarLint:
                 text = f"{example}@{mod.name}"
             # Canonical form is a fixed point: parsing it and
             # re-canonicalising changes nothing (defaults such as
-            # @vloss or @node may be dropped on the first pass).
+            # @vloss may be dropped on the first pass).
             canonical = EngineSpec.parse(text).canonical()
             assert EngineSpec.parse(canonical).canonical() == canonical
+        # The four stack cells: spelled in table order, each keeps both
+        # modifiers, whether parsed or applied with ``with_stack``.
+        for backend in ("node", "arena"):
+            for playout in ("numpy", "compiled"):
+                text = f"{example}@{backend}@{playout}"
+                assert EngineSpec.parse(text).canonical() == text
+                cell = with_stack(example, backend, playout)
+                assert cell.canonical() == text
+                assert EngineSpec.parse(text) == cell
 
 
 def test_the_default_stack_is_named_once():
     """Every constructor, config and CLI flag that takes a backend or a
-    playout executor defaults to the two constants, so flipping the
-    product's stack is an edit to them alone."""
+    playout executor defaults to None, and what a game's engine and
+    executors are built on is ``default_stack``'s answer: the one place
+    a default stack is chosen."""
     import inspect
 
     from repro.cli import build_parser
-    from repro.core.backend import DEFAULT_BACKEND
+    from repro.core.backend import default_stack
     from repro.core.base import BatchExecutor, Engine
-    from repro.core.executors import DEFAULT_PLAYOUT
+    from repro.games import make_game
     from repro.gpu import VirtualGpu
     from repro.serve import (
         FusedBatcher,
@@ -371,7 +399,6 @@ def test_the_default_stack_is_named_once():
         WorkloadConfig,
     )
 
-    want = {"backend": DEFAULT_BACKEND, "playout": DEFAULT_PLAYOUT}
     for owner in (
         Engine,
         BatchExecutor,
@@ -382,12 +409,18 @@ def test_the_default_stack_is_named_once():
         WorkloadConfig,
     ):
         params = inspect.signature(owner).parameters
-        taken = want.keys() & params.keys()
+        taken = {"backend", "playout"} & params.keys()
         assert taken, owner
         for name in taken:
-            assert params[name].default == want[name], (owner, name)
+            assert params[name].default is None, (owner, name)
     for command in (["play"], ["serve-bench"]):
         args = build_parser().parse_args(command)
-        assert (args.backend, args.playout) == tuple(want.values())
-    spec = {"kind": "block", "blocks": 2, "threads_per_block": 2, **want}
+        assert (args.backend, args.playout) == (None, None)
+    for name in ("reversi", "tictactoe", "breakthrough"):
+        backend, playout = default_stack(name)
+        engine = make_engine("block:2x2", make_game(name), 1)
+        assert (engine.backend, engine.playout) == (backend, playout)
+        assert engine.gpu.playout == playout
+        assert BatchExecutor(name, 1).playout == playout
+    spec = {"kind": "block", "blocks": 2, "threads_per_block": 2}
     assert EngineSpec.coerce(spec).canonical() == "block:2x2"

@@ -286,7 +286,7 @@ ROUND_BODIES = [
     ids=str,
 )
 def test_repeated_tree_index_is_rejected_before_any_write(
-    backend, body, rows, monkeypatch
+    backend, body, rows, compiled_env
 ):
     """A tree walked twice in one round used to overrun its root's
     reserved span on the Python body (and commit half a round on the
@@ -295,7 +295,7 @@ def test_repeated_tree_index_is_rejected_before_any_write(
     Every body of both stores now refuses the call with the store
     unchanged (the arena byte-identical), and the search goes on."""
     if body == "python":
-        monkeypatch.setenv("REPRO_COMPILED", "0")
+        compiled_env("0")
     store = forest(backend, 3)
     if body == "python" and backend == "arena":
         assert store._compiled() is None
@@ -319,12 +319,12 @@ def test_repeated_tree_index_is_rejected_before_any_write(
 
 
 @pytest.mark.parametrize("body", ["default", "python"])
-def test_positions_of_refuses_a_ref_that_holds_no_position(body, monkeypatch):
+def test_positions_of_refuses_a_ref_that_holds_no_position(body, compiled_env):
     """Outside the allocation, negative (NumPy would wrap it to the
     arena's tail) or reserved but not yet filled: a ``ValueError``, the
     arena byte-identical."""
     if body == "python":
-        monkeypatch.setenv("REPRO_COMPILED", "0")
+        compiled_env("0")
     arena = forest("arena", 3)
     leaves, _ = arena.select_expand_all()
     # The root's child span is reserved whole and filled one by one.
@@ -353,13 +353,13 @@ def test_positions_of_refuses_a_ref_that_holds_no_position(body, monkeypatch):
 @pytest.mark.parametrize("body", ["default", "python"])
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_winners_must_answer_the_leaves_one_for_one(
-    backend, body, monkeypatch
+    backend, body, compiled_env
 ):
     """Both stores refuse winners that do not match the leaves in
     number, changing nothing -- not one winner broadcast to every leaf
     (NumPy assignment), not the round cut short (``zip``)."""
     if body == "python":
-        monkeypatch.setenv("REPRO_COMPILED", "0")
+        compiled_env("0")
     store = forest(backend, 3)
     for r in range(4):
         leaves, *_ = store.select_round()

@@ -5,15 +5,11 @@ import warnings
 import pytest
 
 from repro.compiled import compiled_available
+from repro.core.backend import default_stack
 from repro.core.executors import playout_active
 from repro.games import make_game
 from repro.harness import EXPERIMENTS, PAPER_THREAD_SWEEP, Scheme, run_experiment
-from repro.harness.common import (
-    cohort_executor,
-    engine,
-    mcts_player,
-    resolve_tier,
-)
+from repro.harness.common import cohort_executor, mcts_player, resolve_tier
 
 
 class TestScheme:
@@ -81,40 +77,40 @@ class TestRegistry:
 
 
 class TestStack:
-    """Which tree backend and playout executor the figures run on is
-    read off what the factory built, not chosen by an option."""
+    """The harness spells no stack: every engine, player and cohort
+    executor a figure runs is on ``default_stack``'s answer for its
+    game, read off what was built."""
 
     @pytest.mark.skipif(not compiled_available(), reason="no C toolchain")
     @pytest.mark.parametrize("name", ["reversi", "connect4", "tictactoe"])
     def test_kernel_games_run_the_measured_stack(self, name):
         game = make_game(name)
-        built = [
-            engine(game, "block:2x32", 1),
-            mcts_player(game, "sequential", 0.01)(1).engine,
-        ]
-        for subject in built:
+        assert default_stack(name) == ("arena", "compiled")
+        for spec in ("block:2x32", "sequential"):
+            subject = mcts_player(game, spec, 0.01)(1).engine
             assert subject.backend == "arena"
             assert playout_active(subject.playout) == "compiled"
         assert cohort_executor(game, 1).playout == "compiled"
 
     def test_spec_spelling_its_own_backend_wins(self):
         game = make_game("tictactoe")
-        assert engine(game, "block:2x32@node", 1).backend == "node"
+        subject = mcts_player(game, "block:2x32@node", 0.01)(1).engine
+        assert (subject.backend, subject.playout) == ("node", "numpy")
 
     def test_game_without_kernels_stays_on_the_reference_stack(self):
         game = make_game("breakthrough")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            subject = engine(game, "block:2x32", 1)
+            subject = mcts_player(game, "block:2x32", 0.01)(1).engine
             subject.search(game.initial_state(), 0.002)
             executor = cohort_executor(game, 1)
             executor([game.initial_state()] * executor.SCALAR_CUTOFF)
         assert (subject.backend, subject.playout) == ("node", "numpy")
         assert executor.playout == "numpy"
 
-    def test_without_a_toolchain_every_game_does(self, monkeypatch):
-        monkeypatch.setenv("REPRO_COMPILED", "0")
+    def test_without_a_toolchain_every_game_does(self, compiled_env):
+        compiled_env("0")
         game = make_game("reversi")
-        subject = engine(game, "block:2x32", 1)
+        subject = mcts_player(game, "block:2x32", 0.01)(1).engine
         assert (subject.backend, subject.playout) == ("node", "numpy")
         assert cohort_executor(game, 1).playout == "numpy"

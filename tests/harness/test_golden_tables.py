@@ -146,8 +146,8 @@ def test_table_matches_golden(name):
     assert table == read_golden()[name]
 
 
-def test_fallback_stack_renders_the_same_table(monkeypatch):
+def test_fallback_stack_renders_the_same_table(compiled_env):
     """Without a toolchain the harness runs the reference stack
     (pointer trees, NumPy playouts); the figure does not move."""
-    monkeypatch.setenv("REPRO_COMPILED", "0")
+    compiled_env("0")
     assert render("fig8_hybrid") == read_golden()["fig8_hybrid"]

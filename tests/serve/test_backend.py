@@ -1,11 +1,11 @@
 """Tree-backend selection through the serving layer.
 
 The backend threads through two doors: ``WorkloadConfig.backend``
-suffixes ``@arena`` onto every generated engine spec, and
-``SearchService(backend=...)`` applies a default to requests whose
-spec did not pick one.  Because the backends are bit-identical by
-contract, an all-arena run must reproduce the node run's results
-exactly.
+suffixes ``@node`` / ``@arena`` onto every generated engine spec, and
+``SearchService(backend=...)`` applies one to requests whose spec did
+not pick one; with neither, each request runs its game's default
+stack.  Because the backends are bit-identical by contract, every one
+of those runs must reproduce the node run's results exactly.
 """
 
 import pytest
@@ -40,7 +40,7 @@ def test_service_rejects_unknown_backend():
         SearchService(backend="cuda")
 
 
-def _run(workload_backend: str, service_backend: str):
+def _run(workload_backend: str | None, service_backend: str | None):
     requests = make_workload(
         WorkloadConfig(
             n_requests=6, budget_scale=0.25, backend=workload_backend
@@ -63,6 +63,7 @@ def _run(workload_backend: str, service_backend: str):
 def test_arena_service_reproduces_node_results():
     node = _run("node", "node")
     via_workload = _run("arena", "node")
-    via_service_default = _run("node", "arena")
+    via_service_default = _run(None, "arena")
     assert via_workload == node
     assert via_service_default == node
+    assert _run(None, None) == node

@@ -74,6 +74,9 @@ def test_spec_canonicalisation_shares_entries(game, state):
     assert key_of(game, state, spec="tree:2@vloss") == key_of(
         game, state, spec="tree:2"
     )
+    # A key spells exactly the stack modifiers its spec carries.
+    for text in ("tree:2", "tree:2@node", "tree:2@arena@numpy"):
+        assert key_of(game, state, spec=text).spec == text
 
 
 def test_spec_spellings_share_a_key_cold_and_warm(game, state):

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.compiled import compiled_available
 from repro.serve import (
     COMPLETED,
     JournalError,
@@ -173,6 +174,33 @@ class TestCrashRecovery:
             pre_crash
         )
         assert "resumed from checkpoint" in report.render()
+
+    @pytest.mark.skipif(
+        not compiled_available(), reason="no compiled kernels"
+    )
+    def test_a_checkpoint_resumes_on_the_backend_that_wrote_it(
+        self, tmp_path, compiled_env
+    ):
+        """A journal written where the default stack is the arena
+        recovers where it is node (no C library): each engine resumes on
+        its snapshot's backend, with the results of a recovery on the
+        writing host."""
+        path = tmp_path / "journal.jsonl"
+        crash_run(path, faults="crash=tick:20")
+        elsewhere = tmp_path / "elsewhere.jsonl"
+        elsewhere.write_bytes(path.read_bytes())
+
+        def recovered(journal):
+            service = SearchService.recover(
+                journal, seed=5, n_devices=2, checkpoint_every=5
+            )
+            records = service.run()
+            assert service.report().resumed > 0
+            return {r.request.request_id: r.result for r in records}
+
+        here = recovered(path)
+        compiled_env("0")
+        assert recovered(elsewhere) == here
 
     def test_late_crash_resumes_from_checkpoints(self, tmp_path):
         """With checkpoints journalled before the crash, recovery must

@@ -132,7 +132,7 @@ class TestPositionSkew:
         assert len(calls) == len(engines)
         assert [r.engine for r in reqs[:3]] == [
             "sequential@arena@compiled",
-            "root:2@compiled",
+            "root:2@node@compiled",
             "block:2x4@arena@compiled",
         ]
         assert [r.engine for r in reqs] == [r.engine for r in reqs[:3]] * 20

@@ -32,7 +32,7 @@ class TestCommands:
         assert "tesla_c2050" in out
         assert "14 SMs" in out
 
-    def test_devices_ends_with_the_host_line(self, capsys, monkeypatch):
+    def test_devices_ends_with_the_host_line(self, capsys, compiled_env):
         from repro.compiled import block_workers, kernel_body
 
         assert main(["devices"]) == 0
@@ -44,7 +44,7 @@ class TestCommands:
                 f"host: kernel body {kernel_body()}, "
                 f"{block_workers()} block workers"
             )
-        monkeypatch.setenv("REPRO_COMPILED", "0")
+        compiled_env("0")
         assert main(["devices"]) == 0
         last = capsys.readouterr().out.splitlines()[-1]
         assert last == (
