@@ -295,16 +295,6 @@ def _cmd_serve_bench_cluster(args) -> int:
 
 
 def _cmd_serve_bench(args) -> int:
-    """``serve-bench``; a flag value a serving config refuses -- its
-    ``ValueError``, from building the config or the trace -- is a usage
-    error (exit 2 with the usage line), not a traceback."""
-    try:
-        return _serve_bench(args)
-    except ValueError as exc:
-        args.usage_error(str(exc))
-
-
-def _serve_bench(args) -> int:
     from repro.gpu.trace import Tracer
     from repro.serve import SearchService, ServiceCrash, make_workload, serve
 
@@ -766,13 +756,24 @@ def build_parser() -> argparse.ArgumentParser:
             "up to N devices (0 = fixed fleet)"
         ),
     )
-    bench.set_defaults(func=_cmd_serve_bench, usage_error=bench.error)
+    bench.set_defaults(func=_cmd_serve_bench)
+    for command in sub.choices.values():
+        command.set_defaults(usage_error=command.error)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command.  A value the command refuses -- a
+    ``ValueError`` or ``PoolError`` from building its game, engines,
+    experiment or service -- is a usage error (exit 2 with the
+    command's usage line), not a traceback."""
+    from repro.gpu.lease import PoolError
+
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, PoolError) as exc:
+        args.usage_error(str(exc))
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -1,4 +1,8 @@
-"""Cluster-wide Zobrist-keyed transposition/result cache.
+"""The cluster router's Zobrist-keyed result cache.
+
+This is the one result cache: :class:`~repro.serve.cluster.ClusterRouter`
+consults it at arrival, and a single node that wants caching runs as a
+one-shard router (``ClusterRouter(n_shards=1, cache=True)``).
 
 Skewed traffic from millions of users asks for the *same positions*
 over and over (the Zipfian tail of openings and famous middlegames).
@@ -6,7 +10,10 @@ The :class:`ResultCache` answers a duplicate request without running a
 search: entries are keyed by the request's **canonical position key**
 (the game's Zobrist hash, :meth:`repro.games.base.Game.zobrist_key`)
 together with the engine spec and budget that produced the result, so
-a hit is exactly "the same search of the same position".
+a hit is exactly "the same search of the same position".  The spec is
+keyed without its stack (``@node`` / ``@arena`` / ``@numpy`` /
+``@compiled``): every stack returns the bit-identical result, so
+``tree:2``, ``tree:2@node`` and ``tree:2@arena@numpy`` share one line.
 
 Semantics (all deterministic, on the cluster's virtual arrival
 timeline -- see docs/cluster.md):
@@ -32,6 +39,7 @@ differential pin does exactly that).
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -44,9 +52,7 @@ from repro.games.base import Game, GameState
 from repro.util.coerce import coerce_optional
 
 #: Virtual cost of answering a request from the result cache (lookup
-#: + response serialisation; no search, no device time).  Shared by
-#: the cluster router and the single-service cache path so a hit
-#: costs the same wherever it is served.
+#: + response serialisation; no search, no device time).
 CACHE_HIT_COST_S = 2e-5
 #: Entries one cache holds; inserting past it evicts the least
 #: recently used key.
@@ -62,10 +68,23 @@ class CacheKey(NamedTuple):
     budget_s: float
 
 
+@functools.lru_cache(maxsize=256)
+def _unstacked(canonical: str) -> str:
+    """A canonical spec string without its stack modifiers."""
+    spec = EngineSpec.parse(canonical)
+    params = {
+        k: v
+        for k, v in spec.params.items()
+        if k not in ("backend", "playout")
+    }
+    return EngineSpec(spec.kind, params).canonical()
+
+
 def cache_key_for(
     game: Game, state: GameState, engine, budget_s: float
 ) -> CacheKey:
-    """The cache/routing key of one request against ``game``."""
+    """The cache key of one request against ``game``: the canonical
+    spec without its stack, which does not change the result."""
     if isinstance(engine, str):
         spec = canonical_spec(engine)
     else:
@@ -73,7 +92,7 @@ def cache_key_for(
     return CacheKey(
         game=game.name,
         zobrist=game.zobrist_key(state),
-        spec=spec,
+        spec=_unstacked(spec),
         budget_s=float(budget_s),
     )
 
@@ -150,19 +169,6 @@ class ResultCache:
             game = make_game(name)
             self._games[name] = game
         return game
-
-    def key_for(self, request) -> CacheKey:
-        """The cache key of a :class:`~repro.serve.request.SearchRequest`
-        (``state=None`` means the game's initial position)."""
-        game = self._game(request.game)
-        state = (
-            request.state
-            if request.state is not None
-            else game.initial_state()
-        )
-        return cache_key_for(
-            game, state, request.engine, request.budget_s
-        )
 
     def lookup(self, key: CacheKey, now_s: float) -> CacheEntry | None:
         """The live entry under ``key`` at virtual time ``now_s``.

@@ -287,15 +287,6 @@ class ServiceReport:
     #: token vs refused at the front door.
     budget_granted: int = 0
     budget_rejected: int = 0
-    #: Per-tenant in-class fairness-cap evictions.
-    fairness_evictions: int = 0
-    #: Single-service result-cache accounting (the cluster's cache
-    #: reports through ClusterReport instead).
-    cache_hits: int = 0
-    cache_misses: int = 0
-    cache_evictions: int = 0
-    cache_expirations: int = 0
-    cache_sweeps: int = 0
 
     @property
     def requests_per_s(self) -> float:
@@ -417,18 +408,6 @@ class ServiceReport:
         if self.budget_granted or self.budget_rejected:
             rows["retry budget granted"] = str(self.budget_granted)
             rows["retry budget rejected"] = str(self.budget_rejected)
-        if self.fairness_evictions:
-            rows["fairness evictions"] = str(self.fairness_evictions)
-        if self.cache_hits or self.cache_misses:
-            lookups = self.cache_hits + self.cache_misses
-            rows["cache hits"] = (
-                f"{self.cache_hits} "
-                f"({self.cache_hits / lookups * 100:.0f}%)"
-            )
-            rows["cache misses"] = str(self.cache_misses)
-            rows["cache evictions"] = str(self.cache_evictions)
-            rows["cache expirations"] = str(self.cache_expirations)
-            rows["cache sweeps"] = str(self.cache_sweeps)
         if self.recovered or self.resumed or self.restarted:
             rows["recovered (adopted)"] = str(self.recovered)
             rows["resumed from checkpoint"] = str(self.resumed)

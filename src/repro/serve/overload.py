@@ -105,7 +105,9 @@ class FlashCrowd:
 
 #: Share of arrivals in each priority class, as ``(class, weight)``.
 CLASS_MIX = (("interactive", 0.2), ("standard", 0.5), ("batch", 0.3))
-#: Zipf exponent of the tenant draw (rank 0 hottest).
+#: Tenants a trace draws from, and the Zipf exponent of the draw
+#: (rank 0 hottest).
+N_TENANTS = 16
 TENANT_SKEW = 1.1
 #: Hard cap on generated arrivals (a runaway-intensity guard):
 #: :func:`make_trace` refuses a trace that would pass it.
@@ -119,7 +121,7 @@ class TraceConfig:
     ``class_deadline_s`` is a tuple of ``(class, deadline)`` pairs
     (kept immutable so configs hash and compare); each request's
     class is drawn from :data:`CLASS_MIX` and its tenant from a
-    Zipfian over ``n_tenants``, encoded into the request id as
+    Zipfian over :data:`N_TENANTS`, encoded into the request id as
     ``t<tenant>-`` so routing and journals see it.  Request shape
     comes from :attr:`workload` -- its own ``n_requests`` /
     ``deadline_s`` are ignored (the trace owns arrivals and
@@ -135,7 +137,6 @@ class TraceConfig:
         ("standard", 0.25),
         ("batch", 1.0),
     )
-    n_tenants: int = 16
     workload: WorkloadConfig = field(default_factory=WorkloadConfig)
 
     def __post_init__(self) -> None:
@@ -146,10 +147,6 @@ class TraceConfig:
         if self.horizon_s <= 0:
             raise ValueError(
                 f"horizon_s must be positive: {self.horizon_s}"
-            )
-        if self.n_tenants <= 0:
-            raise ValueError(
-                f"n_tenants must be positive: {self.n_tenants}"
             )
         for name, deadline in self.class_deadline_s:
             if name not in CLASS_RANK:
@@ -227,7 +224,7 @@ def make_trace(config: TraceConfig) -> list[SearchRequest]:
     wl = config.workload
     tables = shape_tables(wl)
     names, mix_cdf = _mix_cdf(CLASS_MIX)
-    tenant_cdf = _zipf_cdf(config.n_tenants, TENANT_SKEW)
+    tenant_cdf = _zipf_cdf(N_TENANTS, TENANT_SKEW)
     requests = []
     for j, arrival in enumerate(arrivals):
         game, engine, budget, state = shape_request(wl, j, *tables)
@@ -297,14 +294,6 @@ class OverloadPolicy:
     max_level: int = 4
     #: Sliding-window size (completions) for the headroom p99.
     window: int = 64
-    #: Per-tenant in-class fairness cap: no tenant may occupy more
-    #: than this fraction of one class's wait queue (``max_queue``
-    #: scaled).  When a tenant is over its cap, its worst-deadline
-    #: queued request is shed (explicitly, with
-    #: ``extras["fairness_evicted"]``) to make room -- one hot tenant
-    #: cannot monopolise a class and starve its neighbours.  ``None``
-    #: disables the cap.
-    tenant_queue_frac: float | None = None
 
     def __post_init__(self) -> None:
         if not 0 <= self.release < 1.0:
@@ -323,13 +312,6 @@ class OverloadPolicy:
         if self.window <= 0:
             raise ValueError(
                 f"window must be positive: {self.window}"
-            )
-        if self.tenant_queue_frac is not None and not (
-            0.0 < self.tenant_queue_frac <= 1.0
-        ):
-            raise ValueError(
-                f"tenant_queue_frac must be in (0, 1]: "
-                f"{self.tenant_queue_frac}"
             )
 
     coerce = classmethod(coerce_optional)

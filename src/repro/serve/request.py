@@ -74,8 +74,8 @@ def retry_id(request_id: str, attempt: int) -> str:
 def tenant_of(request_id: str) -> str | None:
     """The tenant prefix of a trace-style request id
     (``"t03-mix0042"`` -> ``"t03"``), or ``None`` when the id does
-    not carry one.  Tenant identity is what the per-tenant fairness
-    cap and the closed-loop client population key on."""
+    not carry one.  Tenant identity is what the closed-loop client
+    population keys on."""
     root = lineage_root(request_id)
     if not root.startswith("t"):
         return None

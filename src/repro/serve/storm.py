@@ -99,8 +99,6 @@ class StormConfig:
     retry_budget: "RetryBudget | dict | bool | None" = None
     #: Post-crowd metastability analysis (``None`` -> no verdict).
     detector: "MetastabilityDetector | dict | bool | None" = None
-    #: Extra ``SearchService`` kwargs as ``(key, value)`` pairs.
-    service_kwargs: tuple = ()
 
     def crowd_clear_s(self) -> float:
         """When the trace's last flash crowd ends (0.0 with none) --
@@ -153,7 +151,9 @@ def run_storm(config: StormConfig) -> StormOutcome:
     """Fire one storm at a single service node, recovering a planned
     mid-storm crash from the journal exactly once."""
     requests = make_trace(config.trace)
-    kwargs = dict(
+    served = serve(
+        requests,
+        journal=config.journal,
         n_devices=config.n_devices,
         max_active=config.max_active,
         max_queue=config.max_queue,
@@ -164,8 +164,6 @@ def run_storm(config: StormConfig) -> StormOutcome:
         clients=config.clients,
         retry_budget=config.retry_budget,
     )
-    kwargs.update(dict(config.service_kwargs))
-    served = serve(requests, journal=config.journal, **kwargs)
     records, report = served
     recoveries = int(served.crashed is not None)
     assert_explicit_outcomes(records)

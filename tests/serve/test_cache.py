@@ -7,6 +7,7 @@ from repro.core.results import SearchResult
 from repro.core.spec import EngineSpec
 from repro.games import make_game
 from repro.serve import cache as cache_module
+from repro.serve import ClusterRouter
 from repro.serve.cache import (
     CacheKey,
     ResultCache,
@@ -58,15 +59,21 @@ def test_cache_key_is_positional_not_textual(game, state):
 
 
 def test_key_for_defaults_to_initial_state(game, state):
+    # The router keys a ``state=None`` request as the initial position.
     cache = ResultCache()
-    request = SearchRequest(
-        request_id="r0",
-        game="tictactoe",
-        engine="sequential",
-        budget_s=0.002,
-        seed=1,
+    router = ClusterRouter(n_shards=1, seed=1, cache=cache)
+    router.submit(
+        SearchRequest(
+            request_id="r0",
+            game="tictactoe",
+            engine="sequential",
+            budget_s=0.002,
+            seed=1,
+        )
     )
-    assert cache.key_for(request) == key_of(game, state)
+    (record,) = router.run()
+    entry = cache.lookup(key_of(game, state), record.finish_s)
+    assert entry is not None and entry.result is record.result
 
 
 def test_spec_canonicalisation_shares_entries(game, state):
@@ -74,9 +81,9 @@ def test_spec_canonicalisation_shares_entries(game, state):
     assert key_of(game, state, spec="tree:2@vloss") == key_of(
         game, state, spec="tree:2"
     )
-    # A key spells exactly the stack modifiers its spec carries.
+    # The stack does not change the result, so a key leaves it out.
     for text in ("tree:2", "tree:2@node", "tree:2@arena@numpy"):
-        assert key_of(game, state, spec=text).spec == text
+        assert key_of(game, state, spec=text).spec == "tree:2"
 
 
 def test_spec_spellings_share_a_key_cold_and_warm(game, state):
@@ -90,7 +97,7 @@ def test_spec_spellings_share_a_key_cold_and_warm(game, state):
     warm = [key_of(game, state, spec=s) for s in spellings]
     assert spec.canonical_spec.cache_info().hits == 2
     assert len(set(cold + warm)) == 1
-    assert cold[0].spec == "block:4x32@arena@compiled"
+    assert cold[0].spec == "block:4x32"
     assert key_of(game, state, spec=EngineSpec.parse(spellings[0])) == cold[0]
     as_dict = {
         "kind": "block", "blocks": 4, "threads_per_block": 32,

@@ -274,6 +274,23 @@ class TestClusterCache:
         cluster.run()
         assert cluster.report().cache_misses == 1
 
+    def test_stack_spellings_of_one_search_run_once(self):
+        # Every stack returns the bit-identical result, so two stack
+        # spellings of one search share a cache line: one search.
+        cluster = ClusterRouter(n_shards=1, seed=1, cache=True)
+        cluster.submit_all(
+            [
+                request(0, engine="root:2@node"),
+                request(1, engine="root:2@arena@numpy", seed=600),
+            ]
+        )
+        leader, follower = cluster.run()
+        report = cluster.report()
+        assert (report.cache_misses, report.cache_hits) == (1, 1)
+        assert report.shard_reports[0].offered == 1
+        assert follower.extras.get("cache_hit") is True
+        assert follower.result is leader.result
+
     def test_cache_off_never_hits(self):
         cluster = ClusterRouter(n_shards=2, seed=1, cache=None)
         cluster.submit_all(duplicate_position_requests(6))

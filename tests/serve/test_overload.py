@@ -28,7 +28,7 @@ from repro.serve import (
     run_storm,
 )
 from repro.serve import overload
-from repro.serve.overload import ESCALATE_AFTER, _mix_cdf
+from repro.serve.overload import ESCALATE_AFTER, N_TENANTS, _mix_cdf
 from repro.serve.storm import SilentOutcomeError
 
 
@@ -94,7 +94,7 @@ class TestTrace:
             assert r.deadline_s == deadlines[r.priority]
             assert r.request_id.startswith("t")
             tenant = int(r.request_id[1:3])
-            assert 0 <= tenant < cfg.n_tenants
+            assert 0 <= tenant < N_TENANTS
         # Seeds differ per request (independent searches).
         seeds = [r.seed for r in trace]
         assert len(set(seeds)) == len(seeds)

@@ -7,13 +7,11 @@ from repro.serve import (
     MISSED,
     QUEUED,
     REJECTED,
-    SHED,
     SearchRequest,
     SearchService,
     ServiceError,
     serve,
 )
-from repro.serve import overload
 
 BUDGET = 0.002
 
@@ -188,168 +186,3 @@ class TestConcurrencySpeedup:
         )
         assert concurrent.completed == serial.completed == 8
         assert concurrent.requests_per_s > serial.requests_per_s
-
-
-class TestResultCache:
-    """Satellite: the single-service result cache path -- duplicate
-    positions answered from cache and periodic sweep age-outs."""
-
-    def test_duplicate_position_served_from_cache(self):
-        # Same game/engine/budget and no explicit state -> same cache
-        # key; the second arrival lands after the first completes.
-        reqs = [
-            request(0),
-            request(1, arrival_s=0.5),
-        ]
-        records, report = serve(reqs, n_devices=1, cache=True)
-        assert [r.status for r in records] == [COMPLETED] * 2
-        assert not records[0].extras.get("cache_hit")
-        assert records[1].extras.get("cache_hit") is True
-        assert report.cache_hits == 1
-        assert report.cache_misses == 1
-        # The cached answer is the original search's result, and it
-        # comes back far faster than a real search.
-        assert records[1].result is records[0].result
-        assert records[1].latency_s < records[0].latency_s
-
-    def test_sweep_ages_out_entries(self):
-        # Two *different* positions (distinct budgets -> distinct
-        # keys).  The second never looks up the first's key, so the
-        # only thing that can expire it is the periodic sweep.
-        service = SearchService(
-            n_devices=1, cache=dict(ttl_s=0.05)
-        )
-        service.submit(request(0))
-        service.submit(request(1, budget_s=0.003, arrival_s=0.5))
-        records = service.run()
-        report = service.report()
-        assert [r.status for r in records] == [COMPLETED] * 2
-        assert service.cache_sweeps >= 1
-        assert report.cache_sweeps >= 1
-        # The first entry aged out via sweep: an expiration that is
-        # *not* also a lookup miss (both lookups missed only because
-        # the keys were cold).
-        assert report.cache_expirations == 1
-        assert report.cache_misses == 2
-        assert report.cache_hits == 0
-        # Only the second (fresh) entry survives the final sweep.
-        assert len(service.cache) == 1
-
-
-
-class TestTenantFairness:
-    """Satellite: the per-tenant in-class queue fairness cap
-    (``tenant_queue_frac``)."""
-
-    POLICY = dict(tenant_queue_frac=0.125)
-
-    @pytest.fixture(autouse=True)
-    def ladder_never_moves(self, monkeypatch):
-        # An escalation streak too long to complete pins the ladder:
-        # these tests isolate the fairness cap from shedding/degrading.
-        monkeypatch.setattr(overload, "ESCALATE_AFTER", 100000)
-
-    @staticmethod
-    def tenant_request(tenant, i, arrival_s, deadline_s):
-        return request(
-            i,
-            request_id=f"{tenant}-r{i}",
-            arrival_s=arrival_s,
-            deadline_s=deadline_s,
-        )
-
-    def test_over_cap_tenant_sheds_latest_deadline_member(self):
-        # max_queue=16, frac=0.125 -> cap of 2 queued per tenant.
-        # A long blocker pins the single slot; t01 then queues three
-        # requests whose deadlines *shrink* with arrival order, so
-        # the fairness victim is the earliest arrival (r1: latest
-        # deadline), not the arriving record.
-        blocker = request(0, request_id="t00-r0", budget_s=0.05)
-        reqs = [
-            blocker,
-            self.tenant_request("t01", 1, 0.001, 1.0),
-            self.tenant_request("t01", 2, 0.002, 0.9),
-            self.tenant_request("t01", 3, 0.003, 0.8),
-        ]
-        records, report = serve(
-            reqs,
-            n_devices=1,
-            max_active=1,
-            max_queue=16,
-            overload=self.POLICY,
-        )
-        by_id = {r.request.request_id: r for r in records}
-        victim = by_id["t01-r1"]
-        assert victim.status == SHED
-        assert victim.extras.get("fairness_evicted") is True
-        assert report.fairness_evictions == 1
-        for rid in ("t00-r0", "t01-r2", "t01-r3"):
-            assert by_id[rid].status == COMPLETED
-            assert not by_id[rid].extras.get("fairness_evicted")
-
-    def test_arrival_itself_shed_when_worst(self):
-        # The arriving record carries the latest deadline of the
-        # tenant's queued set, so the cap sheds *it* on arrival.
-        blocker = request(0, request_id="t00-r0", budget_s=0.05)
-        reqs = [
-            blocker,
-            self.tenant_request("t01", 1, 0.001, 0.8),
-            self.tenant_request("t01", 2, 0.002, 0.9),
-            self.tenant_request("t01", 3, 0.003, 1.0),
-        ]
-        records, report = serve(
-            reqs,
-            n_devices=1,
-            max_active=1,
-            max_queue=16,
-            overload=self.POLICY,
-        )
-        by_id = {r.request.request_id: r for r in records}
-        assert by_id["t01-r3"].status == SHED
-        assert by_id["t01-r3"].extras.get("fairness_evicted") is True
-        assert by_id["t01-r1"].status == COMPLETED
-        assert by_id["t01-r2"].status == COMPLETED
-        assert report.fairness_evictions == 1
-
-    def test_other_tenants_unaffected_by_hot_tenant(self):
-        # t01 floods past its cap; t02's lone request rides out the
-        # same queue untouched.
-        blocker = request(0, request_id="t00-r0", budget_s=0.05)
-        reqs = [
-            blocker,
-            self.tenant_request("t01", 1, 0.001, 1.0),
-            self.tenant_request("t01", 2, 0.002, 0.9),
-            self.tenant_request("t01", 3, 0.003, 0.8),
-            self.tenant_request("t02", 4, 0.004, 2.0),
-        ]
-        records, report = serve(
-            reqs,
-            n_devices=1,
-            max_active=1,
-            max_queue=16,
-            overload=self.POLICY,
-        )
-        by_id = {r.request.request_id: r for r in records}
-        assert by_id["t02-r4"].status == COMPLETED
-        assert not by_id["t02-r4"].extras.get("fairness_evicted")
-        assert report.fairness_evictions == 1
-        shed = [
-            r
-            for r in records
-            if r.extras.get("fairness_evicted")
-        ]
-        assert len(shed) == 1
-        assert shed[0].request.request_id == "t01-r1"
-
-    def test_no_policy_means_no_cap(self):
-        # Same flood without tenant_queue_frac: nobody is evicted.
-        blocker = request(0, request_id="t00-r0", budget_s=0.05)
-        reqs = [blocker] + [
-            self.tenant_request("t01", i, 0.001 * i, 1.0)
-            for i in range(1, 5)
-        ]
-        records, report = serve(
-            reqs, n_devices=1, max_active=1, max_queue=16
-        )
-        assert report.fairness_evictions == 0
-        assert all(r.status == COMPLETED for r in records)

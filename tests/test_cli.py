@@ -8,6 +8,20 @@ from repro.cli import build_parser, main
 from repro.serve import run_storm, scenarios
 
 
+def usage_error(argv, capsys) -> str:
+    """Run ``argv``, which must end as a usage error -- exit 2, the
+    command's usage line on stderr, no traceback -- and return the
+    error text."""
+    with pytest.raises(SystemExit) as exited:
+        main(argv)
+    assert exited.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"usage: repro {argv[0]} ")
+    prefix = f"repro {argv[0]}: error: "
+    assert prefix in captured.err
+    return captured.err.split(prefix, 1)[1]
+
+
 class TestParser:
     def test_requires_command(self):
         with pytest.raises(SystemExit):
@@ -51,9 +65,9 @@ class TestCommands:
             "host: no compiled kernels (disabled via REPRO_COMPILED)"
         )
 
-    def test_run_unknown_experiment(self):
-        with pytest.raises(ValueError, match="unknown experiment"):
-            main(["run", "fig42"])
+    def test_run_unknown_experiment(self, capsys):
+        err = usage_error(["run", "fig42"], capsys)
+        assert err.startswith("unknown experiment 'fig42'")
 
     def test_run_cheap_experiment(self, capsys):
         assert main(["run", "abl_sequential_part"]) == 0
@@ -134,17 +148,44 @@ class TestCommands:
         for engine in built:
             assert (engine.backend, engine.playout) == ("arena", "compiled")
 
-    def test_play_rejects_bad_engine_spec(self):
-        with pytest.raises(ValueError, match="warp_drive"):
-            main(
-                [
-                    "play",
-                    "--game",
-                    "tictactoe",
-                    "--engine",
-                    "warp_drive",
-                ]
-            )
+    def test_play_rejects_bad_engine_spec(self, capsys):
+        argv = ["play", "--game", "tictactoe", "--engine", "warp_drive"]
+        assert "warp_drive" in usage_error(argv, capsys)
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (
+                ("play", "--game", "tictactoe", "--budget", "0"),
+                "move budget must be positive",
+            ),
+            (
+                ("play", "--game", "tictactoe", "--blocks", "0"),
+                "blocks must be positive",
+            ),
+            (
+                ("play", "--game", "tictactoe", "--engine", "foo:1"),
+                "unknown engine kind 'foo'",
+            ),
+            (("play", "--game", "chess"), "unknown game 'chess'"),
+            (
+                ("serve-bench", "--devices", "0", "--loads", "2"),
+                "device pool needs at least one device",
+            ),
+        ],
+        ids=[
+            "zero_budget",
+            "zero_blocks",
+            "unknown_kind",
+            "unknown_game",
+            "no_devices",
+        ],
+    )
+    def test_refused_value_is_a_usage_error(self, argv, message, capsys):
+        """A value the game, engine or service refuses -- including the
+        pool's ``PoolError`` -- exits 2, not 1 (which ``play`` returns
+        when the opponent wins)."""
+        assert message in usage_error(list(argv), capsys)
 
     def test_serve_bench_small_load(self, capsys, tmp_path):
         trace = tmp_path / "trace.json"
