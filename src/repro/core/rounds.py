@@ -44,7 +44,7 @@ requests per round, until each session is out of budget.  An engine's
 ``search()`` / ``resume()`` is ``run_rounds`` over a set of one, the
 arena cohort runs it over every CPU mover of a move, and the search
 service's tick calls ``advance_rounds`` itself, all tenants' requests
-riding one launch per tick (docs/serving.md, step 8).
+riding one launch per tick (docs/serving.md, step 7).
 
 A policy keeps nothing a checkpoint needs: the session lives in the
 engine's ``_live`` dict, which the policy reads and writes, so a
