@@ -426,7 +426,8 @@ def run_backend_ablation(
     config: BackendConfig | None = None,
 ) -> BackendResult:
     """Time one block spec on every cell of ``config.cells`` -- the one
-    stack-grid loop outside ``perfbench/``."""
+    stack-grid loop outside ``perfbench/``, run by the ``backends`` and
+    ``executors`` gates of ``tests/gates/test_micro.py``."""
     cfg = config or BackendConfig.for_tier()
     game = make_game(cfg.game)
     state = game.initial_state()

@@ -2,7 +2,7 @@
 
 Every experiment comes in three tiers:
 
-* ``quick``   -- seconds; used by the pytest-benchmark targets and CI.
+* ``quick``   -- seconds; used by the gates under ``tests/gates/`` and CI.
 * ``default`` -- minutes; enough samples for the figure *shapes*.
 * ``full``    -- the closest laptop-feasible approximation of the
   paper's sweep ranges (hours); documented in EXPERIMENTS.md.

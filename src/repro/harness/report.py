@@ -89,9 +89,10 @@ PAPER_CLAIMS = {
         "Paper sec. III (the CPU sequential part): walking every "
         "block's tree is the scalable bottleneck; the vectorised "
         "array arena must reproduce the pointer tree bit for bit "
-        "while raising block-parallel iterations/s (>=1.5x at 256 "
-        "trees; benchmarks/bench_micro.py --backends gates this "
-        "table's row, benchmarks/REPORT_arena.md has the sweep)."
+        "while raising block-parallel iterations/s (the backends gate "
+        "of tests/gates/test_micro.py asserts speedup > 1.0 over the "
+        "pointer tree on this table's row; benchmarks/REPORT_arena.md "
+        "has the sweep)."
     ),
 }
 

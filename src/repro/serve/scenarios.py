@@ -3,8 +3,8 @@
 Every serving number in the docs and ``benchmarks/REPORT_*.md`` was
 measured at one of these four rows (table: docs/serving.md,
 "Scenarios").  A row is a plain function of its seed returning the
-config objects the stack already takes, so ``serve-bench``,
-``benchmarks/`` and the tests run the same point by construction and
+config objects the stack already takes, so ``serve-bench``, the
+gates and the tests run the same point by construction and
 move off it with :func:`dataclasses.replace` (tiers, CLI flags).
 """
 

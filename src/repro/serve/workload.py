@@ -3,7 +3,7 @@
 Builds mixed workloads -- several games, several engine specs, varied
 budgets -- from a single seed, so benchmark runs are exactly
 reproducible.  Used by ``python -m repro serve-bench`` and
-``benchmarks/bench_serve.py``.
+``tests/gates/test_serve.py``.
 """
 
 from __future__ import annotations

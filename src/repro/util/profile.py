@@ -10,7 +10,8 @@ one attribute check per phase.
 
 Used by ``python -m repro serve-bench --profile`` and the stack-grid
 runner (``repro.harness.ablations.run_backend_ablation``, printed by
-``benchmarks/bench_micro.py --backends``) so future performance PRs
+the ``backends`` gate of ``tests/gates/test_micro.py``) so future
+performance PRs
 have baseline phase breakdowns to compare against.
 """
 

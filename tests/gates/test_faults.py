@@ -1,4 +1,4 @@
-"""Fault-injection bench: resilient serving under a fault-rate sweep.
+"""Fault-injection gates: resilient serving under a fault-rate sweep.
 
 The resilience layer's acceptance claims, measured end-to-end on the
 64-request mixed workload (no deadlines -- resilience, not deadline
@@ -19,14 +19,12 @@ recovered, and MTTR (the recovered run's virtual time to finish the
 interrupted work) is reported against the checkpoint interval --
 denser checkpoints salvage more iterations and shrink MTTR.
 
-``python benchmarks/bench_faults.py`` runs this file's tests through
-pytest (``--smoke``: the quick tier, the seconds-scale CI gate -- also
-pytest's own default here; REPRO_TIER=default restores full budgets).
-The serving runs are the ``mixed`` row of ``repro.serve.scenarios`` at
-bench_serve.py's tier budgets.
+The gates run at the quick tier, the seconds-scale CI gate
+(REPRO_TIER=default restores full budgets).  The serving runs are the
+``mixed`` row of ``repro.serve.scenarios`` at test_serve.py's tier
+budgets.
 """
 
-import sys
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
@@ -35,11 +33,8 @@ import pytest
 
 from repro.faults import FaultPlan
 from repro.harness.common import resolve_tier
-
-try:
-    from benchmarks.bench_serve import fingerprint, main, run_mixed
-except ImportError:  # standalone `python benchmarks/bench_faults.py`
-    from bench_serve import fingerprint, main, run_mixed
+from repro.util.tables import format_series
+from tests.gates.test_serve import fingerprint, run_mixed
 
 #: The canonical 10% per-launch fault mix: failed launches dominate,
 #: with lost results and absorbed latency spikes riding along.
@@ -74,8 +69,6 @@ def run_fault_sweep():
 
 
 def render_sweep(reports) -> str:
-    from repro.util.tables import format_series
-
     scales = sorted(reports)
     return format_series(
         "fault scale",
@@ -176,8 +169,6 @@ def run_mttr_sweep(cfg: CrashBenchConfig):
 
 
 def render_mttr_sweep(outcomes) -> str:
-    from repro.util.tables import format_series
-
     intervals = sorted(outcomes, key=lambda k: (k == 0, k))
     return format_series(
         "checkpoint every",
@@ -254,8 +245,6 @@ def run_corrupt_sweep(cfg: CorruptBenchConfig):
 
 
 def render_corrupt_sweep(reports) -> str:
-    from repro.util.tables import format_series
-
     rates = sorted(reports)
     return format_series(
         "corrupt rate",
@@ -414,8 +403,6 @@ def run_move_differential(
 def render_differential(
     cfg: DifferentialConfig, outcome: DifferentialOutcome
 ) -> str:
-    from repro.util.tables import format_series
-
     return format_series(
         "search",
         ["defended", "undefended"],
@@ -436,8 +423,8 @@ def render_differential(
     )
 
 
-def test_ten_percent_faults_complete_without_errors(run_once):
-    _, report = run_once(run_with_faults)
+def test_ten_percent_faults_complete_without_errors():
+    _, report = run_with_faults()
     print()
     print("10% per-launch fault mix:")
     print(report.render())
@@ -449,23 +436,17 @@ def test_ten_percent_faults_complete_without_errors(run_once):
     assert report.retries > 0
 
 
-def test_zero_fault_rate_is_a_noop(run_once):
-    def compare():
-        baseline = run_with_faults(plan=None)
-        zero_rate = run_with_faults(FAULT_MIX.scaled(0.0))
-        return baseline, zero_rate
-
-    (base_records, base_report), (zero_records, zero_report) = (
-        run_once(compare)
-    )
+def test_zero_fault_rate_is_a_noop():
+    base_records, base_report = run_with_faults(plan=None)
+    zero_records, zero_report = run_with_faults(FAULT_MIX.scaled(0.0))
     assert fingerprint(base_records) == fingerprint(zero_records)
     assert base_report == zero_report
     assert zero_report.faults_injected == {}
     assert zero_report.retries == 0
 
 
-def test_fault_injection_deterministic(run_once):
-    records, report = run_once(run_with_faults)
+def test_fault_injection_deterministic():
+    records, report = run_with_faults()
     again, report2 = run_with_faults()
     assert fingerprint(records) == fingerprint(again)
     assert report == report2
@@ -475,8 +456,8 @@ def test_fault_injection_deterministic(run_once):
     assert [r.degraded for r in records] == [r.degraded for r in again]
 
 
-def test_fault_sweep_degrades_gracefully(run_once):
-    reports = run_once(run_fault_sweep)
+def test_fault_sweep_degrades_gracefully():
+    reports = run_fault_sweep()
     print()
     print(render_sweep(reports))
     assert set(reports) == set(fault_scales())
@@ -492,9 +473,9 @@ def test_fault_sweep_degrades_gracefully(run_once):
 
 
 @pytest.mark.integrity
-def test_corrupt_bitflips_always_detected(run_once, headline):
+def test_corrupt_bitflips_always_detected(headline):
     cfg = CorruptBenchConfig.for_tier()
-    reports = run_once(run_corrupt_sweep, cfg)
+    reports = run_corrupt_sweep(cfg)
     print()
     print(render_corrupt_sweep(reports))
     for rate, report in reports.items():
@@ -512,20 +493,18 @@ def test_corrupt_bitflips_always_detected(run_once, headline):
 
 
 @pytest.mark.integrity
-def test_defenses_off_lets_corruption_escape(run_once):
+def test_defenses_off_lets_corruption_escape():
     cfg = CorruptBenchConfig.for_tier()
-    _, report = run_once(
-        run_with_corruption, cfg, 0.2, defenses=False
-    )
+    _, report = run_with_corruption(cfg, 0.2, defenses=False)
     assert report.corrupt_detected == 0
     assert report.rejected_results == 0
     assert report.corrupt_escaped > 0
 
 
 @pytest.mark.integrity
-def test_move_differential_defends_the_vote(run_once):
+def test_move_differential_defends_the_vote():
     cfg = DifferentialConfig.for_tier()
-    outcome = run_once(run_move_differential, cfg)
+    outcome = run_move_differential(cfg)
     print()
     print(render_differential(cfg, outcome))
     assert outcome.defended_rate >= cfg.match_floor
@@ -533,11 +512,9 @@ def test_move_differential_defends_the_vote(run_once):
     assert outcome.quarantines > 0
 
 
-def test_crash_recovery_completes_every_request(run_once, tmp_path):
+def test_crash_recovery_completes_every_request(tmp_path):
     cfg = CrashBenchConfig.for_tier()
-    outcome = run_once(
-        run_crash_recovery, cfg, 5, journal_dir=tmp_path
-    )
+    outcome = run_crash_recovery(cfg, 5, journal_dir=tmp_path)
     assert outcome.completed == cfg.n_requests
     assert outcome.adopted + outcome.resumed + outcome.restarted == (
         cfg.n_requests
@@ -546,9 +523,9 @@ def test_crash_recovery_completes_every_request(run_once, tmp_path):
     assert outcome.iterations_salvaged > 0
 
 
-def test_denser_checkpoints_salvage_no_less_work(run_once, headline):
+def test_denser_checkpoints_salvage_no_less_work(headline):
     cfg = CrashBenchConfig.for_tier()
-    outcomes = run_once(run_mttr_sweep, cfg)
+    outcomes = run_mttr_sweep(cfg)
     print()
     print(render_mttr_sweep(outcomes))
     for outcome in outcomes.values():
@@ -563,6 +540,3 @@ def test_denser_checkpoints_salvage_no_less_work(run_once, headline):
     )
     headline.append("crash recovery completed every request")
 
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main(__file__, sys.argv[1:]))

@@ -1,22 +1,20 @@
-"""Microbenchmarks of the substrates the figures stand on.
+"""Gates on the kernels, the tree stores and the serving stack.
 
-These use pytest-benchmark's statistics properly (many rounds): batched
-playout throughput, the scalar playout fast path, tree operations (on
-both the pointer-tree and arena backends), the RNG, and simulated-MPI
-collectives.
+The tree-store and block-launch gates (``-k "tree or forest or
+block_launch"``): the batched service tick against the per-tenant loop,
+one launch from an arena's leaf columns against the list-of-states
+launch, the two kernel bodies, every block worker against the caller
+alone, and a launch on a host that took the helpers' cores away.
 
-The three stack gates at the end are the CI benchmark-smoke gates,
-each written once as a test; ``python benchmarks/bench_micro.py
-[--backends | --executors | --fused] [--smoke]`` runs one through
-pytest (bench_serve.py's ``main``: ``--smoke`` pins the quick tier, no
-flag means ``--backends``) and ends with a ``headline:`` line of what
-it measured.  ``--backends``: block-parallel iterations/s, ``arena``
-faster than ``node``.  ``--executors``: the full backend x playout
-grid, compiled faster than NumPy.  ``--fused``: the combined serving
-stack -- fused cross-tenant launches + compiled playouts -- against
-the unfused NumPy baseline.  Every gate asserts bit-identical answers
-before any speed; without a C toolchain the compiled cells run the
-NumPy fallback, identity is still asserted and the speed halves skip.
+The three stack gates at the end (``-k backends`` / ``executors`` /
+``fused``) each end in a ``headline:`` entry of what they measured.
+``backends``: block-parallel iterations/s, ``arena`` faster than
+``node``.  ``executors``: the full backend x playout grid, compiled
+faster than NumPy.  ``fused``: the combined serving stack -- fused
+cross-tenant launches + compiled playouts -- against the unfused NumPy
+baseline.  Every gate asserts bit-identical answers before any speed;
+without a C toolchain the compiled cells run the NumPy fallback,
+identity is still asserted and the speed halves skip.
 """
 
 import os
@@ -25,7 +23,6 @@ import sys
 import time
 from functools import partial
 
-import numpy as np
 import pytest
 
 from repro.compiled import (
@@ -41,23 +38,15 @@ from repro.compiled.build import (
     pinned_kernel_body,
 )
 from repro.core.arena import backprop_winners_many, select_round_many
-from repro.core.backend import make_forest, make_tree
-from repro.core.tree import SearchTree
-from repro.games import BatchReversi, Reversi, make_batch_game, make_game
-from repro.games.batch import run_playouts_tracked, select_random_bit
+from repro.core.backend import make_forest
+from repro.games import make_batch_game, make_game
 from repro.gpu import TESLA_C2050, DevicePool, LaunchConfig, VirtualGpu
 from repro.harness.ablations import BackendConfig, run_backend_ablation
 from repro.harness.common import resolve_tier
-from repro.mpi import MpiCluster, TSUBAME_IB
 from repro.rng import BatchXorShift128Plus, XorShift64Star
 from repro.serve import FusedBatcher, LaneBatcher
 from repro.util.clock import Clock
 from repro.util.tables import format_table
-
-try:
-    from benchmarks.bench_serve import main
-except ImportError:  # standalone `python benchmarks/bench_micro.py`
-    from bench_serve import main
 
 #: node+compiled must clear this multiple of node+numpy's iterations/s.
 EXECUTORS_THRESHOLD = 1.5
@@ -85,106 +74,6 @@ LOST_CORE_LIMIT = 1.15
 #: of each of ``FUSED_GAMES``.
 TICK_THRESHOLD = 1.3
 TICK_TENANTS = 50
-
-
-def test_micro_batch_playout_1024(benchmark):
-    game = Reversi()
-    bg = BatchReversi()
-    state = game.initial_state()
-
-    def run():
-        rng = BatchXorShift128Plus(1024, 7)
-        batch = bg.make_batch([state], 1024)
-        return run_playouts_tracked(bg, batch, rng)
-
-    tracked = benchmark.pedantic(run, iterations=1, rounds=3)
-    assert tracked.winners.shape == (1024,)
-
-
-def test_micro_scalar_playout(benchmark):
-    game = Reversi()
-    state = game.initial_state()
-    rng = XorShift64Star(3)
-
-    winner, plies = benchmark(game.playout, state, rng)
-    assert winner in (-1, 0, 1)
-    assert plies > 0
-
-
-def test_micro_tree_iteration(benchmark):
-    game = Reversi()
-
-    def thousand_iterations():
-        tree = SearchTree(
-            game, game.initial_state(), XorShift64Star(5), 1.0
-        )
-        for _ in range(1000):
-            node, _ = tree.select_expand()
-            tree.backprop_winner(node, 1)
-        return tree
-
-    tree = benchmark.pedantic(
-        thousand_iterations, iterations=1, rounds=3
-    )
-    assert tree.node_count == 1001
-
-
-def test_micro_arena_tree_iteration(benchmark):
-    game = Reversi()
-
-    def thousand_iterations():
-        tree = make_tree(
-            "arena", game, game.initial_state(), XorShift64Star(5), 1.0
-        )
-        for _ in range(1000):
-            node, _ = tree.select_expand()
-            tree.backprop_winner(node, 1)
-        return tree
-
-    tree = benchmark.pedantic(
-        thousand_iterations, iterations=1, rounds=3
-    )
-    assert tree.node_count == 1001
-
-
-def test_micro_arena_forest_lockstep(benchmark):
-    game = make_game("connect4")
-
-    def lockstep_rounds():
-        rngs = [XorShift64Star(b) for b in range(64)]
-        forest = make_forest(
-            "arena", game, game.initial_state(), rngs, 1.0
-        )
-        for _ in range(100):
-            leaves, _ = forest.select_expand_all()
-            for leaf in leaves:
-                forest.backprop_winner(leaf, 1)
-        return forest
-
-    forest = benchmark.pedantic(lockstep_rounds, iterations=1, rounds=3)
-    assert forest.node_count == 64 * 101
-
-
-def test_micro_arena_forest_root_round(benchmark):
-    """The two store calls of a ``root:8`` round, on plain data."""
-    game = make_game("connect4")
-
-    def root_rounds():
-        rngs = [XorShift64Star(b) for b in range(8)]
-        forest = make_forest("arena", game, game.initial_state(), rngs, 1.0)
-        trees = list(range(8))
-        for r in range(200):
-            refs, depths, states, terminal = forest.select_round(trees)
-            forest.backprop_winners(refs, [(r + t) % 3 - 1 for t in trees])
-        return forest, (refs, depths, states, terminal)
-
-    forest, round_ = benchmark.pedantic(root_rounds, iterations=1, rounds=3)
-    assert forest.node_count == 8 * 201
-    refs, depths, states, terminal = round_
-    assert all(type(column) is list for column in round_)
-    assert {type(x) for x in refs + depths} == {int}
-    assert {type(x) for x in terminal} == {bool}
-    assert states == [forest.state_of(ref) for ref in refs]
 
 
 def tenant_forests(seed):
@@ -261,7 +150,7 @@ def arena_leaves(blocks):
 
 
 @pytest.mark.parametrize("blocks,tpb", [(256, 1), (112, 64)])
-def test_micro_gpu_block_launch(benchmark, blocks, tpb):
+def test_micro_gpu_block_launch(blocks, tpb):
     """One kernel launch from an arena's leaves -- columns in, no state
     built -- at ``search_tree``'s and ``search_block``'s shapes; equal to
     the list-of-states launch on a twin device."""
@@ -271,14 +160,8 @@ def test_micro_gpu_block_launch(benchmark, blocks, tpb):
         VirtualGpu(TESLA_C2050, Clock(), "reversi", 3, playout="compiled")
         for _ in range(2)
     )
-
-    def launch():
-        return gpu.run_playouts(forest.positions_of(leaves), config)
-
-    result = benchmark.pedantic(launch, iterations=1, rounds=5)
-    states = [forest.state_of(leaf) for leaf in leaves]
-    for _ in range(gpu.stats.kernels_launched):
-        want = twin.run_playouts(states, config)
+    result = gpu.run_playouts(forest.positions_of(leaves), config)
+    want = twin.run_playouts([forest.state_of(leaf) for leaf in leaves], config)
     assert result.winners.tolist() == want.winners.tolist()
     assert result.scores.tolist() == want.scores.tolist()
     assert result.block_steps.tolist() == want.block_steps.tolist()
@@ -439,32 +322,8 @@ def test_micro_gpu_block_launch_lost_core(headline):
     assert cost <= LOST_CORE_LIMIT
 
 
-def test_micro_rng_batch(benchmark):
-    rng = BatchXorShift128Plus(4096, 9)
-    out = benchmark(rng.next_u64)
-    assert out.shape == (4096,)
-
-
-def test_micro_select_random_bit(benchmark):
-    rng = BatchXorShift128Plus(4096, 9)
-    masks = BatchXorShift128Plus(4096, 11).next_u64()
-
-    out = benchmark(select_random_bit, masks, rng)
-    assert out.shape == (4096,)
-
-
-def test_micro_mpi_allreduce(benchmark):
-    def allreduce_round():
-        cluster = MpiCluster(16, TSUBAME_IB)
-        values = [np.ones(65)] * 16
-        return cluster.allreduce(values, op="sum")
-
-    out = benchmark.pedantic(allreduce_round, iterations=1, rounds=5)
-    assert float(out[0][0]) == 16.0
-
-
 # --------------------------------------------------------------------
-# Stack gates (CI benchmark-smoke): identity first, speed second.
+# Stack gates: identity first, speed second.
 # --------------------------------------------------------------------
 
 
@@ -558,8 +417,3 @@ def test_fused_compiled_stack_faster_than_unfused_numpy(headline):
     headline.append(f"fused+compiled/unfused+numpy {speedup:.2f}x")
     assert speedup >= FUSED_THRESHOLD
 
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(
-        main(__file__, sys.argv[1:], ("fused", "executors", "backends"))
-    )

@@ -1,4 +1,4 @@
-"""Serving bench: batched multi-tenant search vs back-to-back searches.
+"""Serving gates: batched multi-tenant search vs back-to-back searches.
 
 The tentpole claim of the serving layer, measured end-to-end: a
 64-request mixed workload (three games, six engine specs, varied
@@ -13,32 +13,29 @@ budgets) served concurrently over a shared 4-GPU pool must complete
 A load sweep (offered loads 1..256) reports requests/s and p50/p95
 latency at each point.  Every operating point is a row of
 ``repro.serve.scenarios`` (docs/serving.md, "Scenarios"); this file
-lays the tiers over the rows and holds the gates, each written once as
-a test.  ``python benchmarks/bench_serve.py [--cluster | --storm |
---retry-storm] [--smoke]`` runs a group of them through pytest
-(``--smoke`` pins the quick tier, which pytest defaults to as well;
-REPRO_TIER=default restores the full budgets) and ends with one
-``headline:`` line of what they measured.
+lays the tiers over the rows and holds the gates, one group per prefix:
+``-k test_serve_`` (the closed workload above), ``-k test_cluster_``,
+``-k test_storm_`` and ``-k test_retry_storm_``.  They run at the quick
+tier; REPRO_TIER=default restores the full budgets.
 
-The cluster tier (``--cluster``, CI gate ``--cluster --smoke``)
-measures the sharded stack from docs/cluster.md: shard-count
-throughput scaling on independent traffic (>= 3x at 4 shards), the
+The cluster group measures the sharded stack from docs/cluster.md:
+shard-count throughput scaling on independent traffic (>= 3x at 4
+shards), the
 result cache's p50 collapse on Zipf-skewed duplicate traffic (hit
 rate > 0, measured collapse recorded in
 ``benchmarks/REPORT_cluster.md``), and a mid-run shard kill that must
 recover exactly-once through the journal.
 
-The storm tier (``--storm``, CI gate ``--storm --smoke``) measures
-the overload-survival layer from docs/overload.md: a 4x flash crowd
-over a 2-device node must hold interactive SLO attainment >= 95%
+The storm group measures the overload-survival layer from
+docs/overload.md: a 4x flash crowd over a 2-device node must hold
+interactive SLO attainment >= 95%
 with the degradation ladder and autoscaler engaged, versus < 50%
 undefended; seeded storms must replay bit-identically; a two-shard
 cluster whose shard crashes mid-storm must still serve every request
 exactly once.  Measured numbers are recorded in
 ``benchmarks/REPORT_overload.md``.
 
-The retry-storm tier (``--retry-storm``, CI gate ``--retry-storm
---smoke``) measures the closed-loop client layer from
+The retry-storm group measures the closed-loop client layer from
 repro.serve.clients: the same seeded flash crowd with retrying
 clients must leave the *undefended* node metastably trapped (offered
 load stays above goodput long after the crowd clears) while the
@@ -49,12 +46,8 @@ bit-identically.  Measured numbers are recorded in
 ``benchmarks/REPORT_retrystorm.md``.
 """
 
-import os
-import sys
 import tempfile
 from dataclasses import replace
-
-import pytest
 
 from repro.harness.common import resolve_tier
 from repro.serve import (
@@ -66,9 +59,10 @@ from repro.serve import (
     scenarios,
     serve,
 )
+from repro.util.tables import format_series
 
 #: Tier -> (budget scale, offered loads of the sweep) laid over the
-#: ``mixed`` row by :func:`run_mixed`, which bench_faults.py serves too.
+#: ``mixed`` row by :func:`run_mixed`, which test_faults.py serves too.
 MIXED_TIERS = {
     "quick": (0.25, (1, 16, 64, 256)),
     "default": (1.0, (1, 4, 16, 64, 256)),
@@ -136,8 +130,6 @@ def run_shard_kill():
 
 
 def render_scaling_sweep(reports) -> str:
-    from repro.util.tables import format_series
-
     counts = sorted(reports)
     base = reports[counts[0]].requests_per_s
     return format_series(
@@ -167,8 +159,6 @@ def render_scaling_sweep(reports) -> str:
 
 
 def render_skew_comparison(off, on) -> str:
-    from repro.util.tables import format_series
-
     return format_series(
         "metric",
         [
@@ -246,8 +236,6 @@ def run_storm_cluster_kill():
 
 
 def render_storm_comparison(defended, undefended) -> str:
-    from repro.util.tables import format_series
-
     classes = ["interactive", "standard", "batch"]
 
     def column(out):
@@ -281,8 +269,6 @@ def render_storm_comparison(defended, undefended) -> str:
 
 
 def render_retry_storm(healthy, undefended, defended) -> str:
-    from repro.util.tables import format_series
-
     def column(out):
         rep = out.report
         verdict = out.metastability
@@ -343,7 +329,7 @@ def run_mixed(
     its service plus ``service_overrides``.  ``deadlines=False`` drops
     them (from the requests and from the service): for runs that
     squeeze the node -- the serial baseline, the one-device fusion
-    pool -- or, in bench_faults.py, test resilience rather than
+    pool -- or, in test_faults.py, test resilience rather than
     deadline pressure, so nothing is cut short while it queues."""
     workload, service = scenarios.mixed()
     scale, _ = MIXED_TIERS[resolve_tier()]
@@ -388,8 +374,6 @@ def run_fusion_sweep(loads=(8, 16, 32)):
 
 
 def render_fusion_sweep(results) -> str:
-    from repro.util.tables import format_series
-
     loads = sorted(results)
     rows = {
         "p50 unfused (ms)": [],
@@ -422,8 +406,6 @@ def render_fusion_sweep(results) -> str:
 
 
 def render_sweep(reports) -> str:
-    from repro.util.tables import format_series
-
     loads = sorted(reports)
     return format_series(
         "offered load",
@@ -444,8 +426,8 @@ def render_sweep(reports) -> str:
     )
 
 
-def test_serve_64_deterministic_no_misses(run_once):
-    records, report = run_once(run_mixed)
+def test_serve_64_deterministic_no_misses():
+    records, report = run_mixed()
     again, _ = run_mixed()
     assert fingerprint(records) == fingerprint(again)
     assert report.completed == 64
@@ -453,13 +435,9 @@ def test_serve_64_deterministic_no_misses(run_once):
     assert report.rejected == 0
 
 
-def test_serve_speedup_vs_serial_baseline(run_once):
-    def compare():
-        concurrent = run_mixed()
-        serial = run_mixed(deadlines=False, n_devices=1, max_active=1)
-        return concurrent.report, serial.report
-
-    concurrent, serial = run_once(compare)
+def test_serve_speedup_vs_serial_baseline():
+    concurrent = run_mixed().report
+    serial = run_mixed(deadlines=False, n_devices=1, max_active=1).report
     print()
     print("concurrent (4 devices, 64 active slots):")
     print(concurrent.render())
@@ -473,7 +451,7 @@ def test_serve_speedup_vs_serial_baseline(run_once):
     assert speedup >= 2.0
 
 
-def test_serve_fusion_p50_win_on_contended_pool(run_once):
+def test_serve_fusion_p50_win_on_contended_pool():
     """The fusion tentpole's serving claim: at 8+ concurrent tenants
     on a contended single-device pool, fused launches cut p50 latency
     (launch + readback latency paid once per tick, not once per game)
@@ -487,7 +465,7 @@ def test_serve_fusion_p50_win_on_contended_pool(run_once):
             for rid, status, _, move, sims in fingerprint(records)
         ]
 
-    results = run_once(run_fusion_sweep)
+    results = run_fusion_sweep()
     print()
     print(render_fusion_sweep(results))
     for n, ((plain_recs, plain), (fused_recs, fused)) in (
@@ -499,8 +477,8 @@ def test_serve_fusion_p50_win_on_contended_pool(run_once):
         assert fused.p50_latency_s < plain.p50_latency_s
 
 
-def test_serve_load_sweep(run_once):
-    reports = run_once(run_load_sweep)
+def test_serve_load_sweep():
+    reports = run_load_sweep()
     print()
     print(render_sweep(reports))
     assert set(reports) == set(MIXED_TIERS[resolve_tier()][1])
@@ -511,8 +489,8 @@ def test_serve_load_sweep(run_once):
         assert report.p95_latency_s >= report.p50_latency_s
 
 
-def test_cluster_throughput_scales_with_shards(run_once, headline):
-    reports = run_once(run_scaling_sweep)
+def test_cluster_throughput_scales_with_shards(headline):
+    reports = run_scaling_sweep()
     print()
     print(render_scaling_sweep(reports))
     counts = sorted(reports)
@@ -529,8 +507,8 @@ def test_cluster_throughput_scales_with_shards(run_once, headline):
     headline.append(f"4-shard scaling {scaling:.2f}x")
 
 
-def test_cluster_cache_collapses_skewed_p50(run_once, headline):
-    off, on = run_once(run_skew_comparison)
+def test_cluster_cache_collapses_skewed_p50(headline):
+    off, on = run_skew_comparison()
     print()
     print(render_skew_comparison(off, on))
     n_requests = cluster_row(skewed=True)[0].n_requests
@@ -545,8 +523,8 @@ def test_cluster_cache_collapses_skewed_p50(run_once, headline):
     )
 
 
-def test_cluster_shard_kill_recovers_exactly_once(run_once, headline):
-    records, report = run_once(run_shard_kill)
+def test_cluster_shard_kill_recovers_exactly_once(headline):
+    records, report = run_shard_kill()
     print(
         f"\nshard kill: {report.completed}/{report.offered} completed, "
         f"{report.shard_crashes} crash, MTTR {report.mean_mttr_s:.4f}s"
@@ -568,19 +546,14 @@ def assert_outcomes_partition(outcome):
         )
 
 
-def test_storm_interactive_slo_defended_vs_undefended(run_once, headline):
+def test_storm_interactive_slo_defended_vs_undefended(headline):
     """The overload tentpole's headline: under a 4x flash crowd the
     defense ladder keeps the interactive SLO while the undefended
     node collapses -- and every request ends in an explicit
     terminal outcome either way."""
 
-    def compare():
-        return (
-            run_storm(scenarios.storm()),
-            run_storm(scenarios.storm(defended=False)),
-        )
-
-    defended, undefended = run_once(compare)
+    defended = run_storm(scenarios.storm())
+    undefended = run_storm(scenarios.storm(defended=False))
     print()
     print(render_storm_comparison(defended, undefended))
     d_int = defended.attainment("interactive")
@@ -602,23 +575,19 @@ def test_storm_interactive_slo_defended_vs_undefended(run_once, headline):
     )
 
 
-def test_storm_replay_bit_identical(run_once, headline):
+def test_storm_replay_bit_identical(headline):
     """Identical seeds give identical arrivals and identical
     per-request outcomes across two full storm replays."""
-
-    def replay():
-        return tuple(run_storm(scenarios.storm()) for _ in range(2))
-
-    first, second = run_once(replay)
+    first, second = (run_storm(scenarios.storm()) for _ in range(2))
     assert storm_fingerprint(first) == storm_fingerprint(second)
     headline.append("replay bit-identical")
 
 
-def test_storm_cluster_shard_crash_exactly_once(run_once, headline):
+def test_storm_cluster_shard_crash_exactly_once(headline):
     """A shard crash mid-storm is recovered from its journal; no
     request is lost, none is served twice, and every one ends in an
     explicit terminal outcome."""
-    requests, records, report = run_once(run_storm_cluster_kill)
+    requests, records, report = run_storm_cluster_kill()
     print(
         f"\ncluster storm: {len(records)} requests over "
         f"{report.n_shards} shards, {report.shard_crashes} crash, "
@@ -633,21 +602,16 @@ def test_storm_cluster_shard_crash_exactly_once(run_once, headline):
     headline.append("mid-storm shard crash recovered exactly-once")
 
 
-def test_retry_storm_metastable_differential(run_once, headline):
+def test_retry_storm_metastable_differential(headline):
     """The closed-loop tentpole's headline: with retrying clients the
     undefended node stays trapped after the crowd clears, while the
     defended stack recovers post-crowd interactive attainment -- and
     the base load alone is provably healthy, so the trap is
     metastability, not plain overload."""
 
-    def compare():
-        return (
-            run_storm(scenarios.retry_storm(defended=False, crowd=False)),
-            run_storm(scenarios.retry_storm(defended=False)),
-            run_storm(scenarios.retry_storm()),
-        )
-
-    healthy, undefended, defended = run_once(compare)
+    healthy = run_storm(scenarios.retry_storm(defended=False, crowd=False))
+    undefended = run_storm(scenarios.retry_storm(defended=False))
+    defended = run_storm(scenarios.retry_storm())
     print()
     print(render_retry_storm(healthy, undefended, defended))
     # The healthy equilibrium exists: base load alone meets every SLO
@@ -682,48 +646,16 @@ def test_retry_storm_metastable_differential(run_once, headline):
     )
 
 
-def test_retry_storm_replay_bit_identical(run_once, headline):
+def test_retry_storm_replay_bit_identical(headline):
     """Closed-loop storms -- retries, breakers, jitter and all --
     replay bit-identically from one seed, on both sides of the
     differential."""
-
-    def replay():
-        return tuple(
-            run_storm(scenarios.retry_storm(defended=defended))
-            for defended in (False, False, True, True)
-        )
-
-    u1, u2, d1, d2 = run_once(replay)
+    u1, u2, d1, d2 = (
+        run_storm(scenarios.retry_storm(defended=defended))
+        for defended in (False, False, True, True)
+    )
     assert storm_fingerprint(u1) == storm_fingerprint(u2)
     assert storm_fingerprint(d1) == storm_fingerprint(d2)
     assert storm_fingerprint(u1) != storm_fingerprint(d1)
     headline.append("replay bit-identical")
 
-
-def main(path: str, argv: list[str], modes: tuple[str, ...] = ()) -> int:
-    """Run ``path``'s gates as pytest runs them -- every gate is
-    written once, as a test.  The first of ``modes`` flagged in
-    ``argv`` (``--retry-storm`` -> ``test_retry_storm_*``) picks the
-    group, the last is the default; ``--smoke`` pins the quick tier
-    (the CI gates), otherwise ``REPRO_TIER`` or the default tier."""
-    if "--smoke" in argv:
-        os.environ["REPRO_TIER"] = "quick"
-    os.environ.setdefault("REPRO_TIER", "default")
-    args = [path, "--benchmark-disable", "-s"]
-    if modes:
-        mode = next(
-            (m for m in modes if "--" + m.replace("_", "-") in argv),
-            modes[-1],
-        )
-        args += ["-k", f"test_{mode}_"]
-    return pytest.main(args)
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(
-        main(
-            __file__,
-            sys.argv[1:],
-            ("retry_storm", "storm", "cluster", "serve"),
-        )
-    )

@@ -88,7 +88,7 @@ def test_retry_storm_base_load_is_the_healthy_equilibrium():
     """No crowd, no defenses: every class met, nothing retried, not
     trapped -- so what the crowd leaves behind is metastability, not
     plain overload.  (A third of the horizon keeps this in tier 1; the
-    full-length run is benchmarks/bench_serve.py's gate.)"""
+    full-length run is tests/gates/test_serve.py's gate.)"""
     row = scenarios.retry_storm(defended=False, crowd=False)
     assert row.trace.components == ()
     outcome = run_storm(
