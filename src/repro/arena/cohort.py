@@ -12,7 +12,7 @@ engine still charges its own clock -- and outcomes are deterministic
 given the full cohort configuration.
 
 Every engine kind but multi-GPU is a round policy, but only the CPU
-kinds join the merge (``engine.gpu is None``).  The GPU kinds
+kinds join the merge (``Engine.joins_merged_rounds``).  The GPU kinds
 (leaf/block/hybrid) run their rounds alone on their own virtual
 device, and multi-GPU runs its rank loop; their playouts already run
 as wide kernels, and they search when their game's turn comes, so
@@ -71,8 +71,7 @@ def play_games_cohort(
             # engines, non-MCTS players) move on their own below.
             if (
                 isinstance(player, MctsPlayer)
-                and player.engine.gpu is None
-                and player.engine.round_policy is not None
+                and player.engine.joins_merged_rounds
             ):
                 engine = player.engine
                 engine._begin_session(

@@ -169,24 +169,26 @@ def _cmd_serve_bench_storm(args, mode: str) -> int:
             position_pool=args.position_pool,
         ),
     )
-    row = replace(
-        _set(row, n_devices=args.devices, max_active=args.max_active),
-        trace=trace,
-        overload=None if args.no_overload else row.overload,
-        autoscale=(
-            # The storm row's autoscaler, under the flag's ceiling.
-            dict(scenarios.storm().autoscale, max_devices=args.autoscale_max)
-            if args.autoscale_max
-            else None
-        ),
-        faults=args.faults,
-        journal=args.journal,
+    service = _set(
+        row.service, n_devices=args.devices, max_active=args.max_active
     )
+    if args.no_overload:
+        service["overload"] = None
+    # The storm row's autoscaler, under the flag's ceiling.
+    service["autoscale"] = (
+        dict(
+            scenarios.storm().service["autoscale"],
+            max_devices=args.autoscale_max,
+        )
+        if args.autoscale_max
+        else None
+    )
+    service["faults"] = args.faults
     if closed_loop:
-        clients = dict(
-            row.clients,
+        clients = service["clients"] = dict(
+            service["clients"],
             retry=dict(
-                row.clients["retry"],
+                service["clients"]["retry"],
                 kind=args.retry_kind,
                 base_s=args.retry_base,
                 cap_s=args.retry_base * 8,
@@ -199,12 +201,11 @@ def _cmd_serve_bench_storm(args, mode: str) -> int:
             del clients["breaker"]
         if args.no_throttle:
             del clients["throttle"]
-        row = replace(
-            row,
-            clients=clients,
-            retry_budget=None if args.no_budget else row.retry_budget,
-        )
-    outcome = run_storm(row)
+        if args.no_budget:
+            service["retry_budget"] = None
+    outcome = run_storm(
+        replace(row, trace=trace, service=service, journal=args.journal)
+    )
     report = outcome.report
     title = "retry storm" if closed_loop else "storm"
     table = "retry storm" if closed_loop else "storm run"

@@ -129,6 +129,15 @@ class Engine:
         #: first iteration and the final result; ``None`` when idle.
         self._live: dict | None = None
 
+    @property
+    def joins_merged_rounds(self) -> bool:
+        """Whether a driver (the arena cohort, the search service's
+        tick) advances this engine's rounds merged with others': a
+        round-policy kind with no private device.  The GPU kinds run
+        their rounds on their own device; multigpu has no round
+        policy."""
+        return self.gpu is None and self.round_policy is not None
+
     def search(self, state: GameState, budget_s: float) -> SearchResult:
         """Run an anytime search for ``budget_s`` *virtual* seconds:
         the round policy over the engine's own executor."""

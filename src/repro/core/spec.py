@@ -347,7 +347,8 @@ def canonical_spec(text: str) -> str:
     """``EngineSpec.parse(text).canonical()``, remembered per string: a
     stream of requests spells a handful of specs thousands of times
     (the cache and routing key of each carries the canonical form).
-    Registering an engine kind or a modifier forgets every answer."""
+    The kind and modifier tables are fixed, so an answer never goes
+    stale."""
     return EngineSpec.parse(text).canonical()
 
 

@@ -20,9 +20,6 @@ timeline -- see docs/cluster.md):
 
 * **Bounded LRU.**  At most ``CACHE_CAPACITY`` entries; inserting past the
   bound evicts the least-recently *used* key (hits refresh recency).
-* **TTL.**  An entry older than ``ttl_s`` virtual seconds at lookup
-  time is expired and removed -- replicas re-search stale positions
-  instead of serving them forever.
 * **Integrity screening on insert.**  A result only enters the cache
   if it passes the position-aware screen in :func:`screen_result`
   (chosen move legal in the position, statistics well-formed).  A
@@ -68,6 +65,10 @@ class CacheKey(NamedTuple):
     budget_s: float
 
 
+#: Spec params that pick the stack, which does not change the result.
+_STACK_PARAMS = ("backend", "playout")
+
+
 @functools.lru_cache(maxsize=256)
 def _unstacked(canonical: str) -> str:
     """A canonical spec string without its stack modifiers."""
@@ -75,9 +76,29 @@ def _unstacked(canonical: str) -> str:
     params = {
         k: v
         for k, v in spec.params.items()
-        if k not in ("backend", "playout")
+        if k not in _STACK_PARAMS
     }
     return EngineSpec(spec.kind, params).canonical()
+
+
+def _spec_key(engine) -> str:
+    """The spec part of a cache key: the canonical spec without its
+    stack.  A dict spec with keyword parameters the string grammar
+    cannot carry (``{"kind": "sequential", "ucb_c": 2.0}``) keys on its
+    kind plus its sorted non-stack params."""
+    if isinstance(engine, str):
+        return _unstacked(canonical_spec(engine))
+    spec = EngineSpec.coerce(engine)
+    try:
+        canonical = spec.canonical()
+    except ValueError:
+        params = sorted(
+            (k, v)
+            for k, v in spec.params.items()
+            if k not in _STACK_PARAMS
+        )
+        return f"{spec.kind}{params}"
+    return _unstacked(canonical)
 
 
 def cache_key_for(
@@ -85,14 +106,10 @@ def cache_key_for(
 ) -> CacheKey:
     """The cache key of one request against ``game``: the canonical
     spec without its stack, which does not change the result."""
-    if isinstance(engine, str):
-        spec = canonical_spec(engine)
-    else:
-        spec = EngineSpec.coerce(engine).canonical()
     return CacheKey(
         game=game.name,
         zobrist=game.zobrist_key(state),
-        spec=_unstacked(spec),
+        spec=_spec_key(engine),
         budget_s=float(budget_s),
     )
 
@@ -130,35 +147,28 @@ class CacheEntry:
     """One cached search outcome."""
 
     result: SearchResult
-    #: Virtual time the producing search completed (TTL anchor).
+    #: Virtual time the producing search completed.
     inserted_s: float
     hits: int = 0
 
 
 @dataclass
 class ResultCache:
-    """Bounded-LRU, TTL'd, screened result cache.
+    """Bounded-LRU, screened result cache.
 
-    ``ttl_s = None`` disables expiry.  All counters are cumulative
-    over the cache's lifetime so a cluster run can report hit rates
-    and screening refusals.
+    All counters are cumulative over the cache's lifetime so a cluster
+    run can report hit rates and screening refusals.
     """
 
-    ttl_s: float | None = None
     hits: int = 0
     misses: int = 0
     evictions: int = 0
-    expirations: int = 0
     #: Results refused by the integrity screen at insert.
     screened_out: int = 0
     _entries: "OrderedDict[CacheKey, CacheEntry]" = field(
         default_factory=OrderedDict, repr=False
     )
     _games: dict[str, Game] = field(default_factory=dict, repr=False)
-
-    def __post_init__(self) -> None:
-        if self.ttl_s is not None and self.ttl_s <= 0:
-            raise ValueError(f"ttl_s must be positive: {self.ttl_s}")
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -171,46 +181,17 @@ class ResultCache:
         return game
 
     def lookup(self, key: CacheKey, now_s: float) -> CacheEntry | None:
-        """The live entry under ``key`` at virtual time ``now_s``.
-
-        A hit refreshes LRU recency and counts; an entry past its TTL
-        is removed, counted as an expiration *and* a miss.
-        """
+        """The entry under ``key``, or ``None`` (a miss).  A hit
+        refreshes LRU recency and counts.  ``now_s``, the virtual time
+        of the look-up, changes nothing: entries do not expire."""
         entry = self._entries.get(key)
         if entry is None:
-            self.misses += 1
-            return None
-        if (
-            self.ttl_s is not None
-            and now_s - entry.inserted_s > self.ttl_s
-        ):
-            del self._entries[key]
-            self.expirations += 1
             self.misses += 1
             return None
         self._entries.move_to_end(key)
         self.hits += 1
         entry.hits += 1
         return entry
-
-    def sweep(self, now_s: float) -> int:
-        """Proactively age out every entry past its TTL at virtual
-        time ``now_s`` (no lookup needed -- the cluster sweeps at
-        wave boundaries so a diurnal lull actually empties the
-        cache instead of leaving corpses to expire lazily).  Returns
-        how many entries were removed; each counts as an expiration
-        but -- unlike a lazy expiry at lookup -- not as a miss."""
-        if self.ttl_s is None:
-            return 0
-        dead = [
-            key
-            for key, entry in self._entries.items()
-            if now_s - entry.inserted_s > self.ttl_s
-        ]
-        for key in dead:
-            del self._entries[key]
-        self.expirations += len(dead)
-        return len(dead)
 
     def insert(
         self,

@@ -293,7 +293,6 @@ class ClusterReport:
     cache_hits: int = 0
     cache_misses: int = 0
     cache_evictions: int = 0
-    cache_expirations: int = 0
     cache_screened_out: int = 0
     cache_hit_rate: float = 0.0
     #: Followers that waited on an in-flight leader (arrival before
@@ -354,7 +353,6 @@ class ClusterReport:
             )
             rows["cache coalesced"] = str(self.coalesced)
             rows["cache evictions"] = str(self.cache_evictions)
-            rows["cache expirations"] = str(self.cache_expirations)
             rows["cache screened out"] = str(
                 self.cache_screened_out
             )
@@ -716,12 +714,6 @@ class ClusterRouter:
                 self._final[follower.request_id] = (
                     self._hit_record(follower, entry, t_eff)
                 )
-        # Proactive TTL sweep at the wave boundary: a diurnal lull
-        # empties the cache instead of leaving dead entries to expire
-        # lazily one lookup at a time.  Swept at the wave's last
-        # arrival, which never postdates any entry the wave inserted.
-        if self.cache is not None and requests:
-            self.cache.sweep(max(r.arrival_s for r in requests))
         return next_wave
 
     # -- reporting ---------------------------------------------------------
@@ -767,9 +759,6 @@ class ClusterRouter:
             cache_misses=self.cache.misses if self.cache else 0,
             cache_evictions=(
                 self.cache.evictions if self.cache else 0
-            ),
-            cache_expirations=(
-                self.cache.expirations if self.cache else 0
             ),
             cache_screened_out=(
                 self.cache.screened_out if self.cache else 0

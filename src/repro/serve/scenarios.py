@@ -3,9 +3,10 @@
 Every serving number in the docs and ``benchmarks/REPORT_*.md`` was
 measured at one of these four rows (table: docs/serving.md,
 "Scenarios").  A row is a plain function of its seed returning the
-config objects the stack already takes, so ``serve-bench``, the
-gates and the tests run the same point by construction and
-move off it with :func:`dataclasses.replace` (tiers, CLI flags).
+config objects the stack already takes (every row's service settings
+are one kwargs dict), so ``serve-bench``, the gates and the tests run
+the same point by construction and move off it with
+:func:`dataclasses.replace` (tiers, CLI flags).
 """
 
 from __future__ import annotations
@@ -81,12 +82,14 @@ def storm(seed: int = 11, defended: bool = True) -> StormConfig:
             crowd=crowd,
             deadlines=(0.1, 0.3, 1.0),
         ),
-        n_devices=2,
-        max_active=32,
-        max_queue=128,
-        seed=seed,
-        overload=True if defended else None,
-        autoscale=autoscale if defended else None,
+        service=dict(
+            n_devices=2,
+            max_active=32,
+            max_queue=128,
+            seed=seed,
+            overload=True if defended else None,
+            autoscale=autoscale if defended else None,
+        ),
     )
 
 
@@ -134,13 +137,15 @@ def retry_storm(
             crowd=flash if crowd else None,
             deadlines=(0.1, 0.2, 0.4),
         ),
-        n_devices=2,
-        max_active=16,
-        max_queue=64,
-        seed=seed,
-        overload=overload,
-        clients=clients,
-        retry_budget=retry_budget,
+        service=dict(
+            n_devices=2,
+            max_active=16,
+            max_queue=64,
+            seed=seed,
+            overload=overload,
+            clients=clients,
+            retry_budget=retry_budget,
+        ),
         detector=dict(
             bin_s=0.05, settle_s=0.1, goodput_frac=0.5, min_offered_rate=40.0
         ),

@@ -317,7 +317,6 @@ class LaneBatcher:
 
     def _launch_group(
         self,
-        holder: str,
         label: str,
         game: str,
         duration_for,
@@ -340,7 +339,7 @@ class LaneBatcher:
         lanes = sum(hi - lo for _, lo, hi in segments)
         screen, cell = self._make_screen(slices, answers_by_game)
         outcome = self.launcher.launch(
-            holder,
+            "merged",
             duration_for,
             label=label,
             screen=screen,
@@ -372,7 +371,7 @@ class LaneBatcher:
         )
 
     def execute(
-        self, game: str, states: Sequence, holder: str = "merged"
+        self, game: str, states: Sequence
     ) -> tuple[PlayoutResults, list[LaunchRecord]]:
         """Run one game's merged lane batch; one playout per state.
 
@@ -400,7 +399,6 @@ class LaneBatcher:
             chunk_span = ((game, lo, hi),)
             records.append(
                 self._launch_group(
-                    holder,
                     f"{game}_playouts",
                     game,
                     self._duration_for(game, finish_steps, lanes),
@@ -415,7 +413,6 @@ class LaneBatcher:
         self,
         demand: Mapping[str, Sequence],
         spans: Mapping[Hashable, tuple[str, int, int]] | None = None,
-        holder: str = "merged",
     ) -> tuple[dict[str, PlayoutResults], list[LaunchRecord]]:
         """Run one tick's full merged demand (game -> states).
 
@@ -429,7 +426,7 @@ class LaneBatcher:
         answers_by_game: dict[str, PlayoutResults] = {}
         records: list[LaunchRecord] = []
         for game, states in demand.items():
-            answers, launches = self.execute(game, states, holder)
+            answers, launches = self.execute(game, states)
             answers_by_game[game] = answers
             records.extend(launches)
         return answers_by_game, records
@@ -489,21 +486,16 @@ def _fused_kernel_spec(games: tuple[str, ...]) -> KernelSpec:
     )
 
 
-#: Real-lane capacity of one fused launch; wider demand rolls over
-#: into additional fused launches.
-MAX_FUSED_LANES = 1 << 16
-
-
 class FusedBatcher(LaneBatcher):
     """Cross-tenant kernel fusion: one padded megakernel per tick.
 
     Packs every game's merged lane demand into a single virtual launch
-    per tick: per-game block-aligned segments are concatenated and the
-    grid is padded up to a power-of-two thread count (pad blocks carry
-    zero steps, so they cost no compute -- only the wasted lanes the
-    fusion metrics report).  The kernel-launch and readback latencies
-    are paid once per tick instead of once per game, which is where
-    the p50 win at high tenant counts comes from.
+    per tick, at any width: per-game block-aligned segments are
+    concatenated and the grid is padded up to a power-of-two block
+    count (pad blocks carry zero steps, so they cost no compute -- only
+    the wasted lanes the fusion metrics report).  The kernel-launch and
+    readback latencies are paid once per tick instead of once per
+    game, which is where the p50 win at high tenant counts comes from.
 
     The identity contract of :class:`LaneBatcher` is preserved
     exactly: lane ``i`` of game ``g``'s merged demand draws from the
@@ -515,91 +507,24 @@ class FusedBatcher(LaneBatcher):
     #: sweet spot; keeps pad granularity and occupancy predictable).
     FUSED_TPB = 128
 
-    def __init__(
-        self,
-        pool: DevicePool,
-        seed: int,
-        launcher: ResilientLauncher | None = None,
-        integrity: IntegrityState | None = None,
-        playout: str | None = None,
-    ) -> None:
-        super().__init__(
-            pool,
-            seed,
-            launcher=launcher,
-            integrity=integrity,
-            playout=playout,
-        )
-
-    # -- packing -----------------------------------------------------------
-
-    def _segments(
-        self, lane_counts: Mapping[str, int]
-    ) -> list[list[tuple[str, int, int]]]:
-        """Group per-game lane demand into fused launch groups.
-
-        Each game is cut into block-capacity pieces, then pieces are
-        packed greedily (in game insertion order) into groups of at
-        most ``MAX_FUSED_LANES`` real lanes -- one group per fused
-        launch.
-        """
-        cap = (MAX_FUSED_LANES // self.FUSED_TPB) * self.FUSED_TPB
-        pieces: list[tuple[str, int, int]] = []
-        for game, n in lane_counts.items():
-            lo = 0
-            while lo < n:
-                hi = min(n, lo + cap)
-                pieces.append((game, lo, hi))
-                lo = hi
-        groups: list[list[tuple[str, int, int]]] = []
-        current: list[tuple[str, int, int]] = []
-        current_lanes = 0
-        for piece in pieces:
-            lanes = piece[2] - piece[1]
-            if current and current_lanes + lanes > MAX_FUSED_LANES:
-                groups.append(current)
-                current = []
-                current_lanes = 0
-            current.append(piece)
-            current_lanes += lanes
-        if current:
-            groups.append(current)
-        return groups
-
-    def _group_geometry(
-        self, segments: list[tuple[str, int, int]]
-    ) -> tuple[int, int, int]:
-        """``(real_blocks, padded_blocks, real_lanes)`` of one group:
-        each segment occupies whole blocks, and the block count is
-        padded to the next power of two."""
-        tpb = self.FUSED_TPB
-        real_blocks = sum(
-            -(-(hi - lo) // tpb) for _, lo, hi in segments
-        )
-        real_lanes = sum(hi - lo for _, lo, hi in segments)
-        return real_blocks, _next_pow2(real_blocks), real_lanes
-
     def _fused_duration(
-        self,
-        segments: list[tuple[str, int, int]],
-        maxima_by_game: Mapping[str, list],
+        self, maxima_by_game: Mapping[str, list], real_lanes: int
     ):
         """Closure mapping a device spec to the fused launch's modelled
         kernel time (re-placement may land on any pooled device).
 
         ``maxima_by_game`` holds each game's :func:`block_maxima` at
-        :attr:`FUSED_TPB`; a segment starts on a block boundary (what
-        :meth:`_segments` cuts), so its blocks are a slice of its
-        game's, and the pad blocks cost zero steps.  The grid, the
-        kernel spec and the block list are built once per launch."""
-        tpb = self.FUSED_TPB
-        _, padded_blocks, real_lanes = self._group_geometry(segments)
-        config = LaunchConfig(blocks=padded_blocks, threads_per_block=tpb)
-        kernel = fused_kernel_spec([g for g, _, _ in segments])
-        block_steps: list = []
-        for game, lo, hi in segments:
-            block_steps += maxima_by_game[game][lo // tpb : -(-hi // tpb)]
+        :attr:`FUSED_TPB`, in launch order: each game's lanes start on
+        a block boundary, and the pad blocks cost zero steps.  The
+        grid, the kernel spec and the block list are built once per
+        launch."""
+        block_steps = [m for maxima in maxima_by_game.values() for m in maxima]
+        padded_blocks = _next_pow2(len(block_steps))
         block_steps += [0] * (padded_blocks - len(block_steps))
+        config = LaunchConfig(
+            blocks=padded_blocks, threads_per_block=self.FUSED_TPB
+        )
+        kernel = fused_kernel_spec(list(maxima_by_game))
 
         def duration(spec) -> float:
             return kernel_time(
@@ -612,53 +537,20 @@ class FusedBatcher(LaneBatcher):
 
         return duration
 
-    # -- tenant-sliced integrity screening ---------------------------------
-
-    def _tenant_slices(
-        self,
-        segments: list[tuple[str, int, int]],
-        spans: Mapping[Hashable, tuple[str, int, int]] | None,
-    ) -> list[tuple[str, int, int]]:
-        """The per-tenant ``(game, lo, hi)`` slices of one fused
-        launch's readback, in tenant submission order.
-
-        Each tenant whose lanes fall inside the launch gets exactly
-        one slice per launch -- the unit the integrity screen
-        validates.  Without tenant spans (direct batcher use) each
-        whole segment is one slice.
-        """
-        if spans is None:
-            return list(segments)
-        # One game's pieces inside one group are consecutive and
-        # contiguous (`_segments` cuts [0, cap), [cap, 2 cap), ... and
-        # packs in order), so they cover one lane range per game.
-        covered: dict[str, tuple[int, int]] = {}
-        for game, lo, hi in segments:
-            first_lo, _ = covered.get(game, (lo, hi))
-            covered[game] = (first_lo, hi)
-        slices = []
-        for game, lo, hi in spans.values():
-            glo, ghi = covered.get(game, (0, 0))
-            olo, ohi = max(lo, glo), min(hi, ghi)
-            if ohi > olo:
-                slices.append((game, olo, ohi))
-        return slices
-
-    # -- execution ---------------------------------------------------------
-
     def execute_demand(
         self,
         demand: Mapping[str, Sequence],
         spans: Mapping[Hashable, tuple[str, int, int]] | None = None,
-        holder: str = "merged",
     ) -> tuple[dict[str, PlayoutResults], list[LaunchRecord]]:
-        """Run one tick's full merged demand as fused launches.
+        """Run one tick's full merged demand as one fused launch.
 
         The playouts themselves run per game (the vectorised batch
         games share no state layout), with the identical per-(game,
         round) lane streams the unfused path uses; what fuses is the
         *launch*: all games' lanes ride one padded grid whose launch
-        and readback latencies are paid once.
+        and readback latencies are paid once.  The integrity screen
+        validates one slice per tenant of ``spans`` (each game's whole
+        batch without them).
         """
         demand = {g: s for g, s in demand.items() if s}
         if not demand:
@@ -676,29 +568,32 @@ class FusedBatcher(LaneBatcher):
                 zip(winners.tolist(), finish_steps.tolist())
             )
 
-        records: list[LaunchRecord] = []
-        lane_counts = {g: len(s) for g, s in demand.items()}
-        for segments in self._segments(lane_counts):
-            _, padded_blocks, real_lanes = self._group_geometry(
-                segments
-            )
-            self.launch_count += 1
-            self.fused_launches += 1
-            self.lanes_total += real_lanes
-            self.pad_lanes += padded_blocks * self.FUSED_TPB - real_lanes
-            tenant_slices = self._tenant_slices(segments, spans)
-            self.tenant_slices += len(tenant_slices)
-            games_label = "+".join(dict.fromkeys(g for g, _, _ in segments))
-            records.append(
-                self._launch_group(
-                    holder,
-                    f"fused_{games_label}_playouts",
-                    games_label,
-                    self._fused_duration(segments, maxima_by_game),
-                    segments,
-                    tenant_slices,
-                    answers_by_game,
-                    fused_tenants=len(tenant_slices),
-                )
-            )
-        return answers_by_game, records
+        segments = [(g, 0, len(s)) for g, s in demand.items()]
+        real_lanes = sum(len(s) for s in demand.values())
+        padded_blocks = _next_pow2(
+            sum(len(m) for m in maxima_by_game.values())
+        )
+        if spans is None:
+            tenant_slices = segments
+        else:
+            tenant_slices = [
+                (g, lo, hi)
+                for g, lo, hi in spans.values()
+                if hi > lo and g in demand
+            ]
+        self.launch_count += 1
+        self.fused_launches += 1
+        self.lanes_total += real_lanes
+        self.pad_lanes += padded_blocks * self.FUSED_TPB - real_lanes
+        self.tenant_slices += len(tenant_slices)
+        games_label = "+".join(demand)
+        record = self._launch_group(
+            f"fused_{games_label}_playouts",
+            games_label,
+            self._fused_duration(maxima_by_game, real_lanes),
+            segments,
+            tenant_slices,
+            answers_by_game,
+            fused_tenants=len(tenant_slices),
+        )
+        return answers_by_game, [record]

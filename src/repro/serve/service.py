@@ -27,8 +27,8 @@ flat sequence of step methods, listed in order in docs/serving.md):
 * **Direct engines.**  GPU engines (block / leaf / hybrid / multigpu)
   run whole searches pinned to one pooled device.  Block, leaf and
   hybrid have round policies, but each owns a device
-  (``engine.gpu``), so it does not join the fused tick; multigpu has
-  no round policy.  The search executes against the request's private
+  (``engine.gpu``), so it does not join the fused tick
+  (``Engine.joins_merged_rounds``); multigpu has no round policy.  The search executes against the request's private
   clock and occupies the device's in-order stream for its full
   elapsed time.
 * **Deadlines.**  A request's relative deadline converts to an
@@ -424,7 +424,7 @@ class SearchService:
         self._active[req.request_id] = slot
         if resume_from is not None:
             engine.restore(resume_from)
-        if engine.gpu is None and engine.round_policy is not None:
+        if engine.joins_merged_rounds:
             before = engine.clock.now
             if resume_from is None:
                 engine._begin_session(state, budget_s, None)

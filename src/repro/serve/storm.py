@@ -23,31 +23,23 @@ recovers its crashed shards itself.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.faults import FaultPlan
-from repro.serve.autoscale import AutoscalerConfig
 from repro.serve.clients import (
-    ClientPopulation,
     MetastabilityDetector,
     MetastabilityVerdict,
-    RetryBudget,
     post_crowd_attainment,
 )
 from repro.serve.metrics import ClassStats, ServiceReport
-from repro.serve.overload import (
-    FlashCrowd,
-    OverloadPolicy,
-    TraceConfig,
-    make_trace,
-)
+from repro.serve.overload import FlashCrowd, TraceConfig, make_trace
 from repro.serve.request import (
     RequestRecord,
     SearchRequest,
     TERMINAL_STATUSES,
 )
-from repro.serve.service import serve
+from repro.serve.service import SearchService, serve
 
 
 class SilentOutcomeError(AssertionError):
@@ -75,30 +67,28 @@ def assert_explicit_outcomes(
 
 @dataclass(frozen=True)
 class StormConfig:
-    """One single-node storm: trace + defenses + faults."""
+    """One single-node storm: trace + the node's service settings +
+    journal + detector."""
 
     trace: TraceConfig = field(default_factory=TraceConfig)
-    n_devices: int = 2
-    max_active: int = 32
-    max_queue: int = 128
-    seed: int = 0
-    #: Overload policy (``True`` -> defaults, ``None`` -> undefended).
-    overload: "OverloadPolicy | dict | bool | None" = True
-    #: Device-fleet autoscaler (``None`` -> fixed fleet).
-    autoscale: "AutoscalerConfig | dict | bool | None" = None
-    #: Fault plan string striking mid-storm (``crash=...`` needs a
-    #: ``journal`` to recover from).
-    faults: "str | FaultPlan | None" = None
+    #: Every :class:`~repro.serve.service.SearchService` setting of the
+    #: node (``n_devices``, ``max_active``, ``overload``, ``autoscale``,
+    #: ``faults``, ``clients``, ``retry_budget``, ...), passed to
+    #: :func:`~repro.serve.service.serve`; what it leaves out takes the
+    #: service's default.
+    service: dict = field(default_factory=dict)
+    #: Write-ahead journal a planned ``crash=...`` in
+    #: ``service["faults"]`` recovers from.
     journal: "str | Path | None" = None
-    #: Closed-loop client population (repro.serve.clients): retries
-    #: feed back into offered load (``None`` -> open-loop, the
-    #: legacy storm).
-    clients: "ClientPopulation | dict | bool | None" = None
-    #: Server-side retry budget (``None`` -> retries admitted like
-    #: first-tries).
-    retry_budget: "RetryBudget | dict | bool | None" = None
     #: Post-crowd metastability analysis (``None`` -> no verdict).
     detector: "MetastabilityDetector | dict | bool | None" = None
+
+    def __post_init__(self) -> None:
+        # A setting the service does not take fails here, not when the
+        # storm runs.
+        inspect.signature(SearchService).bind_partial(
+            journal=self.journal, **self.service
+        )
 
     def crowd_clear_s(self) -> float:
         """When the trace's last flash crowd ends (0.0 with none) --
@@ -151,19 +141,7 @@ def run_storm(config: StormConfig) -> StormOutcome:
     """Fire one storm at a single service node, recovering a planned
     mid-storm crash from the journal exactly once."""
     requests = make_trace(config.trace)
-    served = serve(
-        requests,
-        journal=config.journal,
-        n_devices=config.n_devices,
-        max_active=config.max_active,
-        max_queue=config.max_queue,
-        seed=config.seed,
-        overload=config.overload,
-        autoscale=config.autoscale,
-        faults=config.faults,
-        clients=config.clients,
-        retry_budget=config.retry_budget,
-    )
+    served = serve(requests, journal=config.journal, **config.service)
     records, report = served
     recoveries = int(served.crashed is not None)
     assert_explicit_outcomes(records)

@@ -568,7 +568,10 @@ def test_storm_interactive_slo_defended_vs_undefended(headline):
     interactive = defended.per_class["interactive"]
     assert interactive.shed == 0
     assert defended.report.shed > 0
-    assert defended.report.peak_devices > scenarios.storm().n_devices
+    assert (
+        defended.report.peak_devices
+        > scenarios.storm().service["n_devices"]
+    )
     headline.append(
         f"interactive attainment {d_int:.0%} defended vs "
         f"{u_int:.0%} undefended"

@@ -22,7 +22,6 @@ from repro.gpu import (
     sm_step_time,
 )
 from repro.serve import FusedBatcher, LaneBatcher, fused_kernel_spec
-from repro.serve import scheduler
 from repro.serve.scheduler import block_maxima
 from repro.util.clock import Clock
 from tests.gpu.reference_timing import (
@@ -237,43 +236,38 @@ class TestReferenceIdentity:
 
 @st.composite
 def fused_demands(draw):
-    """``(lane cap, finish steps by game)``: one to three games' lane
-    demand, wide enough that some games split at the cap."""
+    """Finish steps by game: one to three games' lane demand, up to
+    several blocks each, in one fused launch."""
     tpb = FusedBatcher.FUSED_TPB
-    cap = draw(st.integers(tpb, 6 * tpb))
     games = draw(
         st.lists(st.sampled_from(GAMES), min_size=1, max_size=3, unique=True)
     )
-    steps = {
+    return {
         game: np.array(
             draw(
-                st.lists(st.integers(0, 120), min_size=1, max_size=3 * cap)
+                st.lists(st.integers(0, 120), min_size=1, max_size=6 * tpb)
             ),
             dtype=np.int32,
         )
         for game in games
     }
-    return cap, steps
 
 
 class TestFusedDuration:
     @settings(max_examples=150, deadline=None)
     @given(fused_demands(), st.sampled_from(list_devices()))
-    def test_per_block_maxima_equal_the_padded_grid(self, demand, spec):
-        cap, steps = demand
+    def test_per_block_maxima_equal_the_padded_grid(self, steps, spec):
         tpb = FusedBatcher.FUSED_TPB
         batcher = FusedBatcher(DevicePool((TESLA_C2050,), Clock()), 5)
         maxima = {game: block_maxima(s, tpb) for game, s in steps.items()}
-        # Rollover at test size: a cap of a few blocks, not 65 536.
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(scheduler, "MAX_FUSED_LANES", cap)
-            groups = batcher._segments({g: len(s) for g, s in steps.items()})
-        for segments in groups:
-            kernel = fused_kernel_spec([g for g, _, _ in segments])
-            want = reference_fused_seconds(spec, kernel, segments, steps, tpb)
-            duration = batcher._fused_duration(segments, maxima)
-            assert duration(spec) == want
-            assert duration(spec) == want  # a retried attempt
+        segments = [(game, 0, len(s)) for game, s in steps.items()]
+        kernel = fused_kernel_spec(list(steps))
+        want = reference_fused_seconds(spec, kernel, segments, steps, tpb)
+        duration = batcher._fused_duration(
+            maxima, sum(len(s) for s in steps.values())
+        )
+        assert duration(spec) == want
+        assert duration(spec) == want  # a retried attempt
 
     @settings(max_examples=100, deadline=None)
     @given(

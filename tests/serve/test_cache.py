@@ -1,4 +1,4 @@
-"""The Zobrist-keyed result cache: LRU bound, TTL, screening."""
+"""The Zobrist-keyed result cache: keys, LRU bound, screening."""
 
 import pytest
 
@@ -108,6 +108,39 @@ def test_spec_spellings_share_a_key_cold_and_warm(game, state):
         key_of(game, state, spec="nonesuch:2")
 
 
+def test_dict_spec_with_a_keyword_parameter_is_cached(game, state):
+    """A dict spec the string grammar cannot carry (a keyword
+    parameter) keys on its kind plus its sorted non-stack params: sent
+    twice through a one-shard cached router, it runs one search and
+    the duplicate is a hit."""
+    engine = {"kind": "sequential", "ucb_c": 2.0, "backend": "node"}
+    key = key_of(game, state, spec=engine)
+    assert key.spec == "sequential[('ucb_c', 2.0)]"
+    assert key != key_of(game, state, spec="sequential")
+    assert key == key_of(game, state, spec=dict(engine, backend="arena"))
+    router = ClusterRouter(n_shards=1, seed=1, cache=True)
+    router.submit_all(
+        [
+            SearchRequest(
+                request_id=f"r{i}",
+                game="tictactoe",
+                engine=engine,
+                budget_s=0.002,
+                seed=1 + i,
+                arrival_s=0.01 * i,
+            )
+            for i in range(2)
+        ]
+    )
+    first, second = router.run()
+    report = router.report()
+    assert report.shard_reports[0].offered == 1  # one search
+    assert (report.cache_hits, report.cache_misses) == (1, 1)
+    assert "cache_hit" not in first.extras
+    assert second.extras["cache_hit"]
+    assert second.result is first.result
+
+
 def test_hit_miss_and_lru_eviction(game, state, monkeypatch):
     # Eviction at test size: a two-entry bound instead of 4 096.
     monkeypatch.setattr(cache_module, "CACHE_CAPACITY", 2)
@@ -125,16 +158,6 @@ def test_hit_miss_and_lru_eviction(game, state, monkeypatch):
     assert cache.lookup(keys[0], 1.0) is not None
     assert cache.evictions == 1
     assert cache.hits == 2 and cache.misses == 1
-
-
-def test_ttl_expiry(game, state):
-    cache = ResultCache(ttl_s=1.0)
-    key = key_of(game, state)
-    cache.insert(key, state, result_for(game, state), now_s=0.0)
-    assert cache.lookup(key, 0.5) is not None
-    assert cache.lookup(key, 1.6) is None  # expired and removed
-    assert cache.expirations == 1
-    assert len(cache) == 0
 
 
 def test_screening_refuses_corrupt_results(game, state):
@@ -182,27 +205,10 @@ def test_hit_rate_and_coerce(game, state):
     assert ResultCache.coerce(None) is None
     assert ResultCache.coerce(False) is None
     assert isinstance(ResultCache.coerce(True), ResultCache)
-    assert ResultCache.coerce({"ttl_s": 7.0}).ttl_s == 7.0
+    assert isinstance(ResultCache.coerce({}), ResultCache)
     assert ResultCache.coerce(cache) is cache
     with pytest.raises(TypeError):
         ResultCache.coerce(3.14)
-    with pytest.raises(ValueError):
-        ResultCache(ttl_s=0.0)
-
-
-def test_sweep_ages_out_without_counting_misses(game, state):
-    cache = ResultCache(ttl_s=1.0)
-    other = game.apply(state, 4)
-    cache.insert(key_of(game, state), state, result_for(game, state), now_s=0.0)
-    cache.insert(
-        key_of(game, other), other, result_for(game, other), now_s=0.8
-    )
-    assert len(cache) == 2
-    # At t=1.5 only the t=0.0 entry is past its TTL.
-    assert cache.sweep(1.5) == 1
-    assert len(cache) == 1
-    assert cache.expirations == 1
-    assert cache.misses == 0  # sweep is not a lookup
-    assert cache.lookup(key_of(game, other), 1.5) is not None
-    # No TTL -> sweep is a no-op.
-    assert ResultCache().sweep(100.0) == 0
+    # Entries do not expire: there is no TTL to set.
+    with pytest.raises(TypeError):
+        ResultCache.coerce({"ttl_s": 7.0})

@@ -612,8 +612,7 @@ def storm_config(**overrides) -> StormConfig:
             seed=42, engines=("sequential",), budget_scale=0.25
         ),
     )
-    defaults = dict(
-        trace=trace,
+    service = dict(
         n_devices=1,
         max_active=8,
         max_queue=8,
@@ -630,8 +629,8 @@ def storm_config(**overrides) -> StormConfig:
             seed=42,
         ),
     )
-    defaults.update(overrides)
-    return StormConfig(**defaults)
+    service.update(overrides)
+    return StormConfig(trace=trace, service=service)
 
 
 class TestClosedLoopStorm:
@@ -771,8 +770,7 @@ class TestClosedLoopStorm:
 
         assert (
             StormConfig(
-                trace=replace(trace, components=()),
-                clients=None,
+                trace=replace(trace, components=())
             ).crowd_clear_s()
             == 0.0
         )

@@ -12,11 +12,9 @@ Fusion is a *launch geometry* optimisation, never a results change:
 * crash -> recover with fused compiled runs completes exactly once.
 """
 
-from contextlib import contextmanager
-
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.faults import FaultInjector, FaultPlan
@@ -38,7 +36,6 @@ from repro.serve import (
     make_workload,
     read_journal,
 )
-from repro.serve import scheduler
 from repro.util.clock import Clock
 
 SEED = 17
@@ -46,15 +43,6 @@ SEED = 17
 
 def make_pool(n_devices=2):
     return DevicePool((TESLA_C2050,) * n_devices, Clock())
-
-
-@contextmanager
-def lane_cap(cap):
-    """Rollover at test size: the fused-launch lane cap set to
-    ``cap`` instead of 65 536 for the ``with`` block."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(scheduler, "MAX_FUSED_LANES", cap)
-        yield
 
 
 def states_for(game_name, n):
@@ -156,48 +144,35 @@ def build_demand(tenants):
 
 class TestFusionPackingProperties:
     @settings(max_examples=25, deadline=None)
-    @given(
-        tenants=tenants_strategy,
-        cap=st.sampled_from([128, 256, 1 << 16]),
-    )
-    def test_pack_fuse_scatter_round_trips(
-        self, tenants, cap
-    ):
+    @given(tenants=tenants_strategy)
+    def test_pack_fuse_scatter_round_trips(self, tenants):
         """Arbitrary tenant interleavings: fused answers equal the
         unfused batcher's bit for bit (no cross-tenant leakage, no
-        dropped or duplicated lanes), every launch respects the lane
-        cap, and the pool drains after synchronising every lease."""
+        dropped or duplicated lanes), the tick is one launch, and the
+        pool drains after synchronising its lease."""
         demand, spans = build_demand(tenants)
         pool = make_pool()
         fused = FusedBatcher(pool, SEED)
-        with lane_cap(cap):
-            got, records = fused.execute_demand(
-                {g: list(s) for g, s in demand.items()}, spans
-            )
+        got, records = fused.execute_demand(
+            {g: list(s) for g, s in demand.items()}, spans
+        )
         ref, _ = LaneBatcher(make_pool(), SEED).execute_demand(
             {g: list(s) for g, s in demand.items()}
         )
         assert got == ref
-        # Lane conservation, per game and per launch.
+        # Lane conservation, per game and in the launch.
         for game, merged in demand.items():
             assert len(got[game]) == len(merged)
-        total = sum(len(s) for s in demand.values())
-        assert sum(r.lanes for r in records) == total
-        for r in records:
-            assert 0 < r.lanes <= cap
-            covered = sum(hi - lo for _, lo, hi in r.segments)
-            assert covered == r.lanes
-        # Every tenant's span is covered by exactly one launch's
-        # segments (lanes appear once across all launches).
+        (record,) = records
+        assert record.lanes == sum(len(s) for s in demand.values())
+        # Every lane rides the launch exactly once.
         for game, merged in demand.items():
             seen = np.zeros(len(merged), dtype=np.int64)
-            for r in records:
-                for sgame, lo, hi in r.segments:
-                    if sgame == game:
-                        seen[lo:hi] += 1
+            for sgame, lo, hi in record.segments:
+                if sgame == game:
+                    seen[lo:hi] += 1
             assert (seen == 1).all()
-        for r in records:
-            pool.synchronize(r.lease)
+        pool.synchronize(record.lease)
         pool.assert_drained()
 
     @settings(max_examples=25, deadline=None)
@@ -233,21 +208,6 @@ class TestFusedGeometry:
         # 300 lanes -> 3 blocks of 128 -> padded to 4 blocks.
         assert batcher.pad_lanes == 4 * 128 - 300
 
-    def test_lane_cap_splits_into_multiple_fused_launches(self):
-        demand = {
-            "tictactoe": states_for("tictactoe", 300),
-            "connect4": states_for("connect4", 100),
-        }
-        capped = FusedBatcher(make_pool(), SEED)
-        with lane_cap(128):
-            got, records = capped.execute_demand(
-                {g: list(s) for g, s in demand.items()}
-            )
-        assert len(records) == 4  # 128 + 128 + 44 | 100 lanes
-        assert all(r.lanes <= 128 for r in records)
-        ref, _ = LaneBatcher(make_pool(), SEED).execute_demand(demand)
-        assert got == ref
-
     def test_fused_kernel_spec_single_game_is_exact(self):
         assert fused_kernel_spec(["reversi"]) == playout_kernel_spec(
             "reversi"
@@ -269,8 +229,8 @@ class TestFusedGeometry:
 
 
 def reference_tenant_slices(segments, spans):
-    """`_tenant_slices` as it was written first: every span against
-    every segment of the group."""
+    """The per-tenant slices of one launch as they were written first:
+    every span against every segment of the launch."""
     slices = []
     for game, lo, hi in spans.values():
         overlap = [
@@ -285,56 +245,56 @@ def reference_tenant_slices(segments, spans):
     return slices
 
 
+def screened_slices(demand, spans=None):
+    """The ``(game, lo, hi)`` slices the integrity screen of one fused
+    tick is built over."""
+    batcher = FusedBatcher(make_pool(), SEED)
+    seen = []
+    make_screen = batcher._make_screen
+
+    def recording(slices, answers_by_game):
+        seen.append(list(slices))
+        return make_screen(slices, answers_by_game)
+
+    batcher._make_screen = recording
+    batcher.execute_demand(demand, spans)
+    (slices,) = seen
+    return slices
+
+
 class TestTenantSlices:
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=50, deadline=None)
     @given(
-        lane_counts=st.lists(st.integers(1, 700), min_size=1, max_size=4),
-        cuts=st.lists(st.integers(0, 700), max_size=12),
-        # 300: pieces are cut at 256, so two of them can share a group.
-        cap=st.sampled_from([128, 300, 512, 1 << 16]),
+        lane_counts=st.lists(st.integers(0, 60), min_size=1, max_size=2),
+        cuts=st.lists(st.integers(0, 60), max_size=8),
     )
-    def test_matches_reference_on_generated_layouts(
-        self, lane_counts, cuts, cap
-    ):
-        """Several games, demand rolling over into further groups,
-        tenant spans straddling piece and group boundaries, spans of
-        games outside the group: same slices in the same tenant order
-        as the all-pairs reference."""
-        games = ["tictactoe", "connect4", "reversi", "breakthrough"]
-        lane_counts = dict(zip(games, lane_counts))
-        # Tenants: each game's lanes cut at the drawn points.
+    def test_matches_reference_on_generated_layouts(self, lane_counts, cuts):
+        """Several games, tenant spans cut at drawn points, spans of
+        games with no demand this tick: the same slices in the same
+        tenant order as the all-pairs reference over the launch's
+        whole-game segments."""
+        lane_counts = dict(zip(PROP_GAMES, lane_counts))
         spans = {}
         for game, n in lane_counts.items():
             bounds = sorted({0, n, *(c for c in cuts if c < n)})
             for lo, hi in zip(bounds, bounds[1:]):
                 spans[game, lo] = (game, lo, hi)
-        batcher = FusedBatcher(make_pool(), SEED)
-        with lane_cap(cap):
-            groups = batcher._segments(lane_counts)
-        if cap < max(lane_counts.values()):
-            assert len(groups) > 1
-        for segments in groups:
-            assert batcher._tenant_slices(
-                segments, spans
-            ) == reference_tenant_slices(segments, spans)
-
-    def test_span_straddling_two_pieces_of_one_group(self):
-        # Pieces are cut at 256 lanes, groups hold 300: reversi's
-        # [0, 256) and [256, 290) share one, and the tenant on
-        # [250, 270) gets one slice across them.
-        batcher = FusedBatcher(make_pool(), SEED)
-        with lane_cap(300):
-            (segments,) = batcher._segments({"reversi": 290})
-        assert len(segments) == 2
-        spans = {"a": ("reversi", 0, 250), "b": ("reversi", 250, 270)}
-        assert batcher._tenant_slices(segments, spans) == [
-            ("reversi", 0, 250), ("reversi", 250, 270)
-        ]
+        spans["absent"] = ("reversi", 0, 3)
+        assume(any(lane_counts.values()))
+        demand = {g: states_for(g, n) for g, n in lane_counts.items()}
+        segments = [(g, 0, n) for g, n in lane_counts.items() if n]
+        assert screened_slices(demand, spans) == reference_tenant_slices(
+            segments, spans
+        )
 
     def test_without_spans_each_segment_is_a_slice(self):
-        batcher = FusedBatcher(make_pool(), SEED)
-        segments = [("tictactoe", 0, 5), ("connect4", 0, 3)]
-        assert batcher._tenant_slices(segments, None) == segments
+        demand = {
+            "tictactoe": states_for("tictactoe", 5),
+            "connect4": states_for("connect4", 3),
+        }
+        assert screened_slices(demand) == [
+            ("tictactoe", 0, 5), ("connect4", 0, 3)
+        ]
 
 
 # ---------------------------------------------------------------------------

@@ -55,32 +55,34 @@ def run_defended_storm(journal: Path):
                     position_pool=8,
                 ),
             ),
-            n_devices=2,
-            max_active=8,
-            max_queue=16,
-            seed=12,
-            overload=dict(
-                max_level=3,
-                window=16,
-                release=0.6,
-                deescalate_after=3,
-            ),
-            clients=dict(
-                retry=dict(
-                    kind="exponential",
-                    base_s=0.02,
-                    cap_s=0.16,
-                    jitter=0.3,
-                    max_attempts=4,
-                ),
+            service=dict(
+                n_devices=2,
+                max_active=8,
+                max_queue=16,
                 seed=12,
-                breaker=dict(failure_threshold=5, reset_timeout_s=0.1),
-                throttle=dict(k=1.5, window=64),
+                overload=dict(
+                    max_level=3,
+                    window=16,
+                    release=0.6,
+                    deescalate_after=3,
+                ),
+                clients=dict(
+                    retry=dict(
+                        kind="exponential",
+                        base_s=0.02,
+                        cap_s=0.16,
+                        jitter=0.3,
+                        max_attempts=4,
+                    ),
+                    seed=12,
+                    breaker=dict(failure_threshold=5, reset_timeout_s=0.1),
+                    throttle=dict(k=1.5, window=64),
+                ),
+                retry_budget=dict(
+                    fill_per_first_try=0.1, cap=10.0, initial=2.0
+                ),
+                faults="crash=tick:40",
             ),
-            retry_budget=dict(
-                fill_per_first_try=0.1, cap=10.0, initial=2.0
-            ),
-            faults="crash=tick:40",
             journal=journal,
         )
     )

@@ -529,9 +529,9 @@ class TestStormHarness:
     def test_storm_replays_bit_identically(self):
         cfg = StormConfig(
             trace=small_trace(),
-            n_devices=1,
-            max_active=4,
-            overload=True,
+            service=dict(
+                n_devices=1, max_active=4, max_queue=128, overload=True
+            ),
         )
 
         def fingerprint(outcome):
@@ -554,9 +554,9 @@ class TestStormHarness:
         outcome = run_storm(
             StormConfig(
                 trace=small_trace(base_rate=300.0),
-                n_devices=1,
-                max_active=4,
-                overload=True,
+                service=dict(
+                    n_devices=1, max_active=4, max_queue=128, overload=True
+                ),
             )
         )
         assert len(outcome.records) == len(outcome.requests)
@@ -568,6 +568,16 @@ class TestStormHarness:
             for s in outcome.per_class.values()
         )
         assert total == len(outcome.requests)
+
+    def test_a_setting_the_service_does_not_take_fails_at_construction(
+        self,
+    ):
+        with pytest.raises(TypeError, match="n_device"):
+            StormConfig(service=dict(n_device=2))
+        # The journal is the storm's own field: the recovery path
+        # needs it beside the service settings, not inside them.
+        with pytest.raises(TypeError, match="journal"):
+            StormConfig(service=dict(journal="j.jsonl"))
 
     def test_silent_outcome_raises(self):
         from repro.serve import RequestRecord

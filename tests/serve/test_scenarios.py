@@ -69,18 +69,24 @@ class TestRowsArePureFunctionsOfTheirSeed:
 
     def test_undefended_rows_keep_traffic_and_node(self):
         """The differential's two sides differ in defenses only."""
+        defenses = ("overload", "autoscale", "clients", "retry_budget")
         for row in (scenarios.storm, scenarios.retry_storm):
             defended, undefended = row(), row(defended=False)
-            assert defended.overload and undefended.overload is None
+            service = defended.service
+            assert service["overload"]
+            assert undefended.service["overload"] is None
             assert replace(
                 undefended,
-                overload=defended.overload,
-                autoscale=defended.autoscale,
-                clients=defended.clients,
-                retry_budget=defended.retry_budget,
+                service=dict(
+                    undefended.service,
+                    **{k: service[k] for k in defenses if k in service},
+                ),
             ) == defended
-        clients = scenarios.retry_storm(defended=False).clients
-        assert clients["retry"] == scenarios.retry_storm().clients["retry"]
+        clients = scenarios.retry_storm(defended=False).service["clients"]
+        assert (
+            clients["retry"]
+            == scenarios.retry_storm().service["clients"]["retry"]
+        )
         assert "breaker" not in clients and "throttle" not in clients
 
 

@@ -7,7 +7,9 @@ benchmarks/REPORT_*.md and the CLI module's docstring (a trailing
 that starts with ``--``), plus every line of tools/census_flows.txt.
 Only the parser runs, so this is cheap; running the flows is
 tools/census.py's job.  The paths are read from the same documents,
-the CLI module aside.
+the CLI module aside, and from EXPERIMENTS.md, the verify skill's notes
+(.claude/skills/verify/SKILL.md), every module under src/repro and
+every example: a path rots where nothing reads it.
 """
 
 import re
@@ -26,6 +28,13 @@ DOCS = [
     *sorted((ROOT / "benchmarks").glob("REPORT_*.md")),
 ]
 SOURCES = [*DOCS, ROOT / "src" / "repro" / "cli.py"]
+PATH_SOURCES = [
+    *DOCS,
+    ROOT / "EXPERIMENTS.md",
+    ROOT / ".claude" / "skills" / "verify" / "SKILL.md",
+    *sorted((ROOT / "src" / "repro").rglob("*.py")),
+    *sorted((ROOT / "examples").glob("*.py")),
+]
 COMMAND = re.compile(r"python -m repro ((?:[^`\n]|\n(?=\s*--))+)")
 #: A repository path: a top-level directory, then anything up to a
 #: space, quote, bracket, ``::`` or list punctuation; a glob (``*``) or
@@ -89,7 +98,7 @@ def test_wrapped_command_is_read_whole():
 def documented_paths() -> list[tuple[str, str]]:
     return [
         (str(path.relative_to(ROOT)), match.group(0).rstrip("./"))
-        for path in DOCS
+        for path in PATH_SOURCES
         for match in REPO_PATH.finditer(path.read_text())
     ]
 
