@@ -476,8 +476,12 @@ class BatchExecutor:
     counter plus the scalar-fallback RNG state resume the stream.
     """
 
-    #: Below this many lanes the NumPy lockstep overhead loses to the
-    #: inlined scalar playout (measured crossover ~10 lanes on Reversi).
+    #: Below this many lanes a call plays on the scalar fallback's
+    #: generator instead of per-call lane streams.  Speed no longer
+    #: argues for it: on the compiled stack a one-state launch is ~39x
+    #: a Python ``fast_playout`` (ROADMAP item 3).  It stays because it
+    #: fixes which stream a small batch draws from; moving it changes
+    #: every result below ten lanes and regenerates every golden.
     SCALAR_CUTOFF = 10
 
     def __init__(

@@ -19,7 +19,11 @@ independent node with its own :class:`~repro.util.clock.Clock`; all
 shards replay the same arrival timeline (exactly what physically
 distinct machines do), so the cluster's elapsed time is the *maximum*
 over shards, not the sum -- which is what makes throughput scale
-nearly linearly on independent traffic.
+nearly linearly on independent traffic.  Sharing nothing within a
+wave, a wave's shards also play on every CPU of the affinity mask:
+one group in the router's process, the others in forked workers, all
+booked in shard order so placement never shows (``_play_wave``;
+docs/cluster.md "Where shards run").
 
 Contract (pinned by ``tests/serve/test_cluster.py``): a cluster of
 **one shard, one replica, cache off** is *bit-identical* to a bare
@@ -48,7 +52,13 @@ that shard's MTTR.
 from __future__ import annotations
 
 import bisect
+import gc
 import inspect
+import multiprocessing
+import os
+import pickle
+import traceback
+import warnings
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -62,6 +72,7 @@ from repro.core.results import SearchResult
 from repro.faults import FaultPlan
 from repro.games import make_game
 from repro.games.base import Game
+from repro.gpu.trace import TraceEvent, Tracer
 from repro.serve.cache import (
     CACHE_HIT_COST_S,
     CacheKey,
@@ -154,16 +165,37 @@ class HashRing:
         return self.shards_for(key, 1)[0]
 
 
+@dataclass(frozen=True)
+class ShardWave:
+    """What one shard hands back for one wave: everything
+    :meth:`ShardHandle.absorb` needs, and nothing that cannot cross a
+    pipe from a forked worker."""
+
+    records: "list[RequestRecord]"
+    report: ServiceReport
+    #: Virtual time from the wave's first arrival to a planned crash
+    #: (``None`` when none fired).
+    crash_s: "float | None" = None
+    foreign_records: int = 0
+    #: Spans the shard's services recorded, when the shard has a
+    #: ``tracer`` (its services record into a fresh one per wave).
+    events: "list[TraceEvent]" = field(default_factory=list)
+
+
 class ShardHandle:
     """One simulated cluster node: a service factory + its journal.
 
     The handle owns the shard's construction kwargs and (optionally)
-    its write-ahead journal path, runs each wave of requests on a
-    fresh :class:`SearchService` incarnation, and absorbs a planned
-    :class:`~repro.serve.service.ServiceCrash` by recovering from
-    its own journal (:func:`~repro.serve.service.serve`) --
-    scoped to its own request ids via ``rid_filter`` so a journal
-    polluted with another shard's records recovers cleanly.
+    its write-ahead journal path.  A wave is two steps:
+    :meth:`play` serves the wave on a fresh :class:`SearchService`
+    incarnation -- surviving a planned
+    :class:`~repro.serve.service.ServiceCrash` by recovering from its
+    own journal (:func:`~repro.serve.service.serve`), scoped to its
+    own request ids via ``rid_filter`` so a journal polluted with
+    another shard's records recovers cleanly -- and returns a
+    :class:`ShardWave` without touching the handle, so it may run in a
+    forked worker; :meth:`absorb`, always in the router's process,
+    books that wave onto the handle.
 
     ``elapsed_s`` accumulates the shard's wall time on its own virtual
     clock across incarnations (waves run back to back on one node);
@@ -190,43 +222,189 @@ class ShardHandle:
         self.reports: list[ServiceReport] = []
         self._waves = 0
 
-    def run(
-        self, requests: "list[SearchRequest]"
-    ) -> "dict[str, RequestRecord]":
-        """Serve one wave of requests, recovering a planned crash."""
-        if not requests:
-            return {}
-        self._waves += 1
+    def play(self, requests: "list[SearchRequest]") -> ShardWave:
+        """Serve the handle's next wave of ``requests``; the handle
+        itself is left as it was."""
         kwargs = dict(self.service_kwargs)
-        journal = (
-            self.journal_path if self._waves == 1 else None
-        )
-        if self._waves > 1:
+        journal = self.journal_path if self._waves == 0 else None
+        if self._waves > 0:
             # The scheduled crash belongs to the first incarnation;
             # later waves on the same node must not re-fire it (and
             # have no journal to recover from).
             plan = FaultPlan.coerce(kwargs.get("faults"))
             if plan is not None:
                 kwargs["faults"] = plan.without_crash()
+        tracer = None
+        if kwargs.get("tracer") is not None:
+            # Device utilisation is read off the tracer, so a shard
+            # must not see spans of the shards that ran before it.
+            tracer = kwargs["tracer"] = Tracer()
         served = serve(
             requests,
             journal,
             rid_filter={r.request_id for r in requests}.__contains__,
             **kwargs,
         )
-        records, report = served
+        crash_s = None
         if served.crashed is not None:
+            first_arrival = min(r.arrival_s for r in requests)
+            crash_s = max(0.0, served.crashed.clock.now - first_arrival)
+        return ShardWave(
+            records=served.records,
+            report=served.report,
+            crash_s=crash_s,
+            foreign_records=(
+                served.service.foreign_records if crash_s is not None else 0
+            ),
+            events=tracer.events if tracer is not None else [],
+        )
+
+    def absorb(self, wave: ShardWave) -> "dict[str, RequestRecord]":
+        """Book a played wave onto the handle; its records by id."""
+        self._waves += 1
+        if wave.crash_s is not None:
             self.crashes += 1
             self.recoveries += 1
-            first_arrival = min(r.arrival_s for r in requests)
-            self.elapsed_s += max(
-                0.0, served.crashed.clock.now - first_arrival
+            self.elapsed_s += wave.crash_s
+            self.foreign_records += wave.foreign_records
+            self.mttr_s.append(wave.report.elapsed_s)
+        self.reports.append(wave.report)
+        self.elapsed_s += max(0.0, wave.report.elapsed_s)
+        tracer = self.service_kwargs.get("tracer")
+        for event in wave.events:
+            tracer.record(
+                event.name,
+                event.track,
+                event.start_s,
+                event.end_s,
+                **event.args,
             )
-            self.foreign_records += served.service.foreign_records
-            self.mttr_s.append(report.elapsed_s)
-        self.reports.append(report)
-        self.elapsed_s += max(0.0, report.elapsed_s)
-        return {r.request.request_id: r for r in records}
+        return {r.request.request_id: r for r in wave.records}
+
+
+def _cpus() -> int:
+    """Worker processes a wave may use: one per CPU of the affinity
+    mask, or one (the router's own) where the platform has no mask
+    or no ``fork``."""
+    if not hasattr(os, "sched_getaffinity") or (
+        "fork" not in multiprocessing.get_all_start_methods()
+    ):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _groups(
+    by_shard: "dict[int, list[SearchRequest]]", n: int
+) -> "list[list[int]]":
+    """``by_shard``'s ids in ``n`` groups balanced by request count:
+    largest shard first, each onto the lightest group so far; every
+    group in shard order."""
+    groups: "list[list[int]]" = [[] for _ in range(n)]
+    loads = [0] * n
+    for shard_id in sorted(by_shard, key=lambda s: (-len(by_shard[s]), s)):
+        lightest = loads.index(min(loads))
+        groups[lightest].append(shard_id)
+        loads[lightest] += len(by_shard[shard_id])
+    return [sorted(group) for group in groups]
+
+
+def _play_group(shards, by_shard, group) -> "dict[int, object]":
+    """Play a group's shards in shard order: each shard id maps to its
+    :class:`ShardWave`, or to the exception it raised -- the group
+    stops there, as the serial loop would."""
+    played: "dict[int, object]" = {}
+    for shard_id in group:
+        try:
+            played[shard_id] = shards[shard_id].play(by_shard[shard_id])
+        except Exception as exc:  # handed to the router, raised there
+            played[shard_id] = exc
+            break
+    return played
+
+
+def _worker(sender, shards, by_shard, group) -> None:
+    """A forked worker's entry: play ``group`` and send the outcomes
+    back pickled, a raised exception with the worker's traceback as a
+    note.  The process then leaves through multiprocessing's
+    ``os._exit``, so no buffer it inherited is flushed twice."""
+    played = _play_group(shards, by_shard, group)
+    for outcome in played.values():
+        if isinstance(outcome, Exception) and hasattr(outcome, "add_note"):
+            outcome.add_note(
+                "raised in a cluster worker:\n"
+                + "".join(traceback.format_exception(outcome))
+            )
+    sender.send_bytes(pickle.dumps(played, pickle.HIGHEST_PROTOCOL))
+    sender.close()
+
+
+def _play_wave(shards, by_shard) -> "dict[int, object]":
+    """Play a wave's shards: one group per worker process, the first
+    in this process; outcomes by shard id (see :func:`_play_group`).
+
+    Every worker is joined before this returns or raises."""
+    groups = _groups(by_shard, min(_cpus(), len(by_shard)))
+    if len(groups) == 1:
+        return _play_group(shards, by_shard, groups[0])
+    context = multiprocessing.get_context("fork")
+    workers = []
+    local = groups[:1]
+    try:
+        # Frozen objects are skipped by a child's collector, which
+        # would otherwise write to (and so copy) every inherited page.
+        gc.freeze()
+        try:
+            for group in groups[1:]:
+                receiver, sender = context.Pipe(duplex=False)
+                worker = context.Process(
+                    target=_worker,
+                    args=(sender, shards, by_shard, group),
+                    daemon=True,
+                )
+                try:
+                    with warnings.catch_warnings():
+                        # Python 3.12 warns on fork with threads
+                        # running; the only ones are the block pool's,
+                        # which playout.c's pthread_atfork handlers
+                        # leave out of the child.
+                        warnings.filterwarnings(
+                            "ignore",
+                            message=".*use of fork",
+                            category=DeprecationWarning,
+                        )
+                        worker.start()
+                except OSError:  # no process to be had: play it here
+                    local.append(group)
+                    receiver.close()
+                else:
+                    workers.append((worker, receiver, group))
+                finally:
+                    # Closed at once, so a later worker does not
+                    # inherit it and a dead worker reads as EOF.
+                    sender.close()
+        finally:
+            gc.unfreeze()
+        played = {}
+        for group in local:
+            played.update(_play_group(shards, by_shard, group))
+        for worker, receiver, group in workers:
+            try:
+                played.update(pickle.loads(receiver.recv_bytes()))
+            except EOFError:
+                worker.join()
+                played[group[0]] = ServiceError(
+                    f"cluster worker for shards {group} exited with "
+                    f"code {worker.exitcode}"
+                )
+        return played
+    except BaseException:
+        for worker, _, _ in workers:
+            worker.terminate()
+        raise
+    finally:
+        for worker, receiver, _ in workers:
+            receiver.close()
+            worker.join()
 
 
 #: Request counts a per-shard report sums over every wave the shard
@@ -457,6 +635,8 @@ class ClusterRouter:
         self._request_ids: set[str] = set()
         self._final: "dict[str, RequestRecord]" = {}
         self._games: "dict[str, Game]" = {}
+        self._cache_keys: "dict[tuple, CacheKey]" = {}
+        self._route_keys: "dict[tuple, int]" = {}
         self._ran = False
 
     # -- submission --------------------------------------------------------
@@ -493,17 +673,38 @@ class ClusterRouter:
         )
 
     def _cache_key(self, request: SearchRequest) -> CacheKey:
-        game, state = self._state_of(request)
-        return cache_key_for(
-            game, state, request.engine, request.budget_s
+        """The request's cache key, made once per distinct search."""
+        memo = (
+            request.game,
+            request.state,
+            request.engine,
+            request.budget_s,
         )
+        try:
+            return self._cache_keys[memo]
+        except KeyError:
+            pass
+        except TypeError:  # an unhashable (dict) engine spec
+            memo = None
+        game, state = self._state_of(request)
+        key = cache_key_for(game, state, request.engine, request.budget_s)
+        if memo is not None:
+            self._cache_keys[memo] = key
+        return key
 
     def _route_key(self, request: SearchRequest) -> int:
         """Ring position of a request: its canonical position key
         (Zobrist hash of the searched position), salted by game so
-        distinct games spread independently."""
-        game, state = self._state_of(request)
-        return derive_seed(game.zobrist_key(state), request.game)
+        distinct games spread independently; made once per
+        position."""
+        memo = (request.game, request.state)
+        key = self._route_keys.get(memo)
+        if key is None:
+            game, state = self._state_of(request)
+            key = self._route_keys[memo] = derive_seed(
+                game.zobrist_key(state), request.game
+            )
+        return key
 
     def _hit_record(
         self, request: SearchRequest, entry, t_eff: float
@@ -668,11 +869,16 @@ class ClusterRouter:
                 by_shard.setdefault(shard_id, []).append(clone)
                 rids.append(clone.request_id)
             replica_rids[request.request_id] = rids
+        # Shards share nothing within a wave, so they play in worker
+        # processes; their outcomes are booked in shard order, and the
+        # lowest shard that raised raises here, as a serial loop would.
         shard_records: "dict[str, RequestRecord]" = {}
-        for shard_id in sorted(by_shard):
-            shard_records.update(
-                self.shards[shard_id].run(by_shard[shard_id])
-            )
+        played = _play_wave(self.shards, by_shard)
+        for shard_id in sorted(played):
+            outcome = played[shard_id]
+            if isinstance(outcome, Exception):
+                raise outcome
+            shard_records.update(self.shards[shard_id].absorb(outcome))
         for request in dispatch:
             self._final[request.request_id] = self._aggregate(
                 request,
