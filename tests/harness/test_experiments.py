@@ -1,41 +1,17 @@
 """Integration tests: each experiment runs end-to-end on a tiny config
 and its output satisfies the paper's *structural* expectations (shape,
-labels, monotonicity where cheap to check)."""
+labels, monotonicity where cheap to check).  A config of ``CASES``
+(``conftest.py``) is read through the :func:`tiny` fixture, so these
+checks and ``test_golden_tables.py``'s golden compare read one run."""
 
-import numpy as np
-import pytest
-
-from repro.harness import (
-    Fig5Config,
-    Fig6Config,
-    Fig7Config,
-    Fig8Config,
-    Fig9Config,
-    Scheme,
-    run_fig5,
-    run_fig6,
-    run_fig7,
-    run_fig8,
-    run_fig9,
-)
-from repro.harness.ablations import (
-    BlockSizeConfig,
-    UcbConfig,
-    VotePolicyConfig,
-    run_block_size_ablation,
-    run_seq_part_ablation,
-    run_ucb_ablation,
-    run_vote_policy_ablation,
-)
+from repro.harness import Fig5Config, Scheme, run_fig5
+from repro.harness.ablations import run_seq_part_ablation
 
 
 class TestFig5:
-    def test_tiny_run(self):
-        cfg = Fig5Config(
-            thread_counts=(32, 256), iterations_per_point=2
-        )
-        res = run_fig5(cfg)
-        assert set(res.series) == {s.label for s in cfg.schemes}
+    def test_tiny_run(self, tiny):
+        res = tiny("fig5_speed")
+        assert set(res.series) == {s.label for s in res.config.schemes}
         for values in res.series.values():
             assert len(values) == 2
             assert all(v > 0 for v in values)
@@ -56,17 +32,9 @@ class TestFig5:
         assert "threads" in out and "leaf(bs=64)" in out
 
 
-TINY_STRENGTH = dict(games_per_point=2, move_budget_s=0.004)
-
-
 class TestFig6:
-    def test_tiny_run(self):
-        cfg = Fig6Config(
-            thread_counts=(32,),
-            schemes=(Scheme("block", 32),),
-            **TINY_STRENGTH,
-        )
-        res = run_fig6(cfg)
+    def test_tiny_run(self, tiny):
+        res = tiny("fig6_winratio")
         ratios = res.win_ratio["block(bs=32)"]
         assert len(ratios) == 1
         assert 0.0 <= ratios[0] <= 1.0
@@ -76,15 +44,8 @@ class TestFig6:
 
 
 class TestFig7:
-    def test_tiny_run(self):
-        cfg = Fig7Config(
-            cpu_counts=(2,),
-            gpu_blocks=2,
-            gpu_tpb=32,
-            games_per_point=2,
-            move_budget_s=0.004,
-        )
-        res = run_fig7(cfg)
+    def test_tiny_run(self, tiny):
+        res = tiny("fig7_gpu_vs_cpus")
         assert set(res.series) == {"2 cpus", "1 GPU"}
         for series in res.series.values():
             assert series.shape == (60,)
@@ -94,11 +55,8 @@ class TestFig7:
 
 
 class TestFig8:
-    def test_tiny_run(self):
-        cfg = Fig8Config(
-            blocks=2, tpb=32, games_per_series=2, move_budget_s=0.004
-        )
-        res = run_fig8(cfg)
+    def test_tiny_run(self, tiny):
+        res = tiny("fig8_hybrid")
         assert set(res.points) == {"GPU", "GPU + CPU"}
         assert set(res.depth) == {"GPU", "GPU + CPU"}
         # hybrid must reach at least the GPU-only depth on average
@@ -109,36 +67,16 @@ class TestFig8:
 
 
 class TestFig9:
-    def test_tiny_run(self):
-        cfg = Fig9Config(
-            gpu_counts=(1, 2),
-            blocks=2,
-            tpb=32,
-            games_per_point=2,
-            move_budget_s=0.004,
-            throughput_iterations=2,
-        )
-        res = run_fig9(cfg)
+    def test_tiny_run(self, tiny):
+        res = tiny("fig9_multigpu")
         assert res.throughput[2] > res.throughput[1]
         assert set(res.point_difference) == {1, 2}
         assert "Figure 9" in res.render()
 
 
 class TestGeneralization:
-    def test_tiny_run(self):
-        from repro.harness.generalization import (
-            GeneralizationConfig,
-            run_generalization,
-        )
-
-        cfg = GeneralizationConfig(
-            games=("tictactoe",),
-            blocks=2,
-            tpb=32,
-            games_per_point=2,
-            move_budget_s=0.003,
-        )
-        res = run_generalization(cfg)
+    def test_tiny_run(self, tiny):
+        res = tiny("exp_generalization")
         assert set(res.win_ratio) == {
             ("tictactoe", "block"),
             ("tictactoe", "leaf"),
@@ -147,14 +85,8 @@ class TestGeneralization:
 
 
 class TestAblations:
-    def test_block_size(self):
-        cfg = BlockSizeConfig(
-            total_threads=64,
-            block_sizes=(32, 64),
-            games_per_point=2,
-            move_budget_s=0.004,
-        )
-        res = run_block_size_ablation(cfg)
+    def test_block_size(self, tiny):
+        res = tiny("abl_block_size")
         assert set(res.win_ratio) == {32, 64}
         assert "block size" in res.render()
 
@@ -164,20 +96,10 @@ class TestAblations:
         assert res.seq_fraction[1] <= res.seq_fraction[2] + 1e-9
         assert "sequential" in res.render()
 
-    def test_vote_policy(self):
-        cfg = VotePolicyConfig(
-            policies=("max_visits",),
-            blocks=2,
-            tpb=32,
-            games_per_point=2,
-            move_budget_s=0.004,
-        )
-        res = run_vote_policy_ablation(cfg)
+    def test_vote_policy(self, tiny):
+        res = tiny("abl_vote_policy")
         assert set(res.win_ratio) == {"max_visits"}
 
-    def test_ucb(self):
-        cfg = UcbConfig(
-            c_values=(1.0,), games_per_point=2, move_budget_s=0.004
-        )
-        res = run_ucb_ablation(cfg)
+    def test_ucb(self, tiny):
+        res = tiny("abl_ucb_c")
         assert set(res.win_ratio) == {1.0}

@@ -1,9 +1,11 @@
 """Tests for the command-line interface."""
 
 import re
+from dataclasses import replace
 
 import pytest
 
+from repro import serve
 from repro.cli import build_parser, main
 from repro.serve import run_storm, scenarios
 
@@ -397,16 +399,32 @@ CALIBRATED = [
 ]
 
 
+def unset_dropped(config):
+    """``config`` without the service keys set to ``None``: ``None`` is
+    :class:`~repro.serve.SearchService`'s default for each of them."""
+    service = {k: v for k, v in config.service.items() if v is not None}
+    return replace(config, service=service)
+
+
 @pytest.mark.parametrize("argv,row,title,promised", CALIBRATED)
 def test_serve_bench_storm_modes_run_the_calibrated_rows(
-    argv, row, title, promised, capsys
+    argv, row, title, promised, capsys, monkeypatch
 ):
     """The documented commands print the documented numbers: with no
     flag moving it, a storm mode *is* its ``repro.serve.scenarios``
     row (the --storm defaults were once a guessed copy that printed 2%
     where README and REPORT_overload.md promise 100%)."""
+    storms = []
+
+    def spy(config):
+        storms.append((config, run_storm(config)))
+        return storms[-1][1]
+
+    monkeypatch.setattr(serve, "run_storm", spy)
     assert main(["serve-bench", *argv, "--seed", "11"]) == 0
     out = capsys.readouterr().out
-    assert run_storm(row(11)).report.render(title) in out
+    ((config, outcome),) = storms
+    assert unset_dropped(config) == unset_dropped(row(11))
+    assert outcome.report.render(title) in out
     attained = re.search(r"interactive: attainment +([0-9.]+)%", out)
     assert promised(float(attained.group(1)))
