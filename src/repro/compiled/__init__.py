@@ -4,7 +4,7 @@ Public surface:
 
 * :func:`compiled_available` -- is the toolchain-built library usable?
 * :func:`kernel_body` -- which body of the playout exports it runs
-  (``"portable"`` or ``"popcnt+bmi2"``, picked when it loads).
+  (``"portable"`` or ``"avx2+bmi2"``, picked when it loads).
 * :func:`block_workers` -- how many host threads a block launch plays
   its blocks on (one per CPU of the process's affinity mask).
 * :func:`block_compiled` -- the virtual GPU's entry: positions x lanes

@@ -7,7 +7,7 @@ when no toolchain is available (or ``REPRO_COMPILED=0``), loading
 reports unavailable and callers fall back to the pure-NumPy path.
 A cold build takes ≈ 2.8 s (GCC 12 on an Intel Xeon; ≈ 1.4 s when the
 playout exports had one body -- ``playout.c`` now compiles them twice,
-portable and popcnt + BMI2).  The flags carry no ``-m`` option: the
+portable and AVX2 + BMI2).  The flags carry no ``-m`` option: the
 library picks its body on the CPU that loads it (:func:`kernel_body`),
 so one cache can serve different hosts.
 
@@ -275,7 +275,7 @@ def unavailable_reason() -> str | None:
 
 #: The two bodies of the playout exports (``playout.c``, "The two
 #: bodies"), in the library's order: a CPU runs the first, or both.
-KERNEL_BODIES = ("portable", "popcnt+bmi2")
+KERNEL_BODIES = ("portable", "avx2+bmi2")
 
 
 def kernel_body() -> str | None:

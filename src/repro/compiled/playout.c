@@ -2,7 +2,8 @@
  * and the tree arena's kernels: expansion, descent + expansion, a
  * `root:N` session's select loop, and backprop (the last four sections).
  *
- * Each game has one move loop (`<game>_lane`) behind three exports.
+ * Each game has one move loop (`<game>_ply`, played by `play_lane`)
+ * behind three exports.
  * `repro_<game>_launch` takes absolute planes and a lane-seed range (the
  * serving batchers' and `BatchExecutor`'s launches); `repro_<game>_block`
  * takes absolute planes, a lane count per position and the caller's
@@ -19,7 +20,9 @@
  * lane at a time: xorshift128+ draws in the same order, the same
  * multiply-shift `randbelow` reduction, the same n-th-set-bit move
  * pick.  A lane's outcome depends only on its private RNG stream, so
- * sequential replication is bit-identical to the lockstep kernel.
+ * sequential replication is bit-identical to the lockstep kernel -- and
+ * so is the Reversi launch and block exports' interleaving of two lanes'
+ * plies (`play_pair`), which hides the move generator's latency.
  *
  * Same results, different algorithm: the Reversi move generator is a
  * parallel-prefix (Kogge-Stone) fill, three doubling steps per
@@ -28,12 +31,13 @@
  * the kernels generate moves").
  *
  * The nine playout exports have two bodies, the same move loops
- * compiled twice: portable C, and one under a `popcnt,bmi,bmi2` target
- * attribute with `POPCOUNT` one instruction and the n-th-set-bit pick
- * one `pdep` (section "The two bodies").  A constructor picks one when
- * the library loads, from the CPU that loads it, so the build flags
- * carry no `-m` option and a library from a cache shared between hosts
- * runs on each of them.  The tree kernels have one body.
+ * compiled twice: portable C, and one under a `popcnt,bmi,bmi2,avx2`
+ * target attribute with `POPCOUNT` one instruction, the n-th-set-bit
+ * pick one `pdep`, and Reversi's fills four directions to a 256-bit
+ * vector (section "The two bodies").  A constructor picks one when the
+ * library loads, from the CPU that loads it, so the build flags carry
+ * no `-m` option and a library from a cache shared between hosts runs
+ * on each of them.  The tree kernels have one body.
  *
  * RNG side-effect contract: the NumPy driver (`run_playouts_tracked`)
  * advances the *caller's* generator in lockstep until the batch first
@@ -63,14 +67,14 @@
 #include <immintrin.h>
 /* The second body of the playout exports exists on x86-64 only. */
 #define FAST_BODY 1
-#define FAST_TARGET __attribute__((target("popcnt,bmi,bmi2")))
+#define FAST_TARGET __attribute__((target("popcnt,bmi,bmi2,avx2")))
 #endif
 
 /* One `popcnt` inside the fast body; a libgcc call in the portable one. */
 #define POPCOUNT(x) ((int64_t)__builtin_popcountll(x))
 /* The move generator has several call sites each (the playout loop,
- * the expansion kernel and a test helper), which stops -O2 inlining it
- * on its own; out of line it costs the playout loop 5-8%. */
+ * the expansion kernel and the test helpers), which stops -O2 inlining
+ * it on its own; out of line it costs the playout loop 5-8%. */
 #define FORCE_INLINE static inline __attribute__((always_inline))
 
 /* -- xorshift128+ (must match repro/rng/batch.py) ----------------------- */
@@ -109,10 +113,15 @@ FAST_TARGET static inline uint64_t nth_bit_pdep(uint64_t m, uint64_t k)
 }
 #endif
 
-/* A body's n-th-set-bit pick, handed down the FORCE_INLINE chain to the
- * move loops (as `entry_fn` / `from_fn` are) so each body inlines its
- * own. */
-typedef uint64_t (*nth_fn)(uint64_t m, uint64_t k);
+/* What a body computes its own way -- the n-th-set-bit pick, and
+ * Reversi's move generator: the moves open to `own`, and the discs
+ * `move` flips -- handed down the FORCE_INLINE chain to the move loops
+ * as a constant, so each body inlines its own. */
+typedef struct {
+    uint64_t (*nth)(uint64_t m, uint64_t k);
+    uint64_t (*mobility)(uint64_t own, uint64_t opp);
+    uint64_t (*flips)(uint64_t own, uint64_t opp, uint64_t move);
+} kit_t;
 
 static inline int8_t sign_of(int score)
 {
@@ -222,20 +231,87 @@ static uint64_t *copy_u64(const uint64_t *src, int64_t n)
 /* -- entries from absolute positions ------------------------------------ */
 
 /* What a game's playouts from one absolute position (p1, p2, side to
- * move) start from: the two boards as its `*_lane` takes them --
+ * move) start from: the two boards as its move loop takes them --
  * Reversi's from the mover's perspective -- and whether the game is over
  * before the first ply, as the game's `make_batch` decides it.
- * `<game>_entry` derives it, once per position; `<game>_from` plays one
- * lane from it.  `passed` (Reversi: the last ply was a pass) is only
- * ever set by a batch object's lane. */
+ * `<game>_entry` derives it, once per position.  `passed` (Reversi: the
+ * last ply was a pass) is only ever set by a batch object's lane. */
 typedef struct {
     uint64_t a, b;
     int over, passed;
 } entry_t;
 
-typedef entry_t (*entry_fn)(uint64_t p1, uint64_t p2, int tm);
-typedef int64_t (*from_fn)(entry_t e, int tm, uint64_t s0, uint64_t s1,
-                           int64_t max_steps, int *score, nth_fn nth);
+/* One lane in flight: its entry's boards and flags as the plies so far
+ * left them, its generator, the side to move and the plies played. */
+typedef struct {
+    uint64_t a, b, s0, s1;
+    int tm, over, passed;
+    int64_t steps;
+} lane_t;
+
+/* A game's move loop in pieces: `entry` as above; `ply` plays one ply
+ * of a lane that is not over and says whether the game ended on it;
+ * `score` is an ended lane's score (the winner, or Reversi's black
+ * discs minus white's).  `paired`: its launch and block exports play
+ * two lanes in flight (`play_pair`). */
+typedef struct {
+    entry_t (*entry)(uint64_t p1, uint64_t p2, int tm);
+    int (*ply)(lane_t *l, const kit_t *kit);
+    int (*score)(const lane_t *l);
+    int paired;
+} game_t;
+
+FORCE_INLINE lane_t lane_at(entry_t e, int tm, uint64_t s0, uint64_t s1)
+{
+    lane_t l = {e.a, e.b, s0, s1, tm, e.over, e.passed, 0};
+    return l;
+}
+
+/* Lane l played on to the end: its finish step (0 when over at entry),
+ * or -1 past `max_steps`; *score gets its score. */
+FORCE_INLINE int64_t play_lane(lane_t l, int64_t max_steps, int *score,
+                               const game_t *g, const kit_t *kit)
+{
+    while (!l.over) {
+        if (l.steps >= max_steps)
+            return -1;
+        l.over = g->ply(&l, kit);
+    }
+    *score = g->score(&l);
+    return l.steps;
+}
+
+/* Lanes x and y played to the end with their plies interleaved, so one
+ * lane's move generation runs while the other's waits on its latency.
+ * Each lane draws, moves and finishes exactly as `play_lane` plays it
+ * alone: steps[h] and score[h] are the same.  Returns 0, or -1 when
+ * either lane runs past `max_steps`. */
+FORCE_INLINE int play_pair(lane_t x, lane_t y, int64_t max_steps,
+                           int64_t steps[2], int score[2], const game_t *g,
+                           const kit_t *kit)
+{
+    while (!x.over && !y.over) {
+        /* Both have played every ply so far: the same count. */
+        if (x.steps >= max_steps)
+            return -1;
+        x.over = g->ply(&x, kit);
+        y.over = g->ply(&y, kit);
+    }
+    steps[0] = play_lane(x, max_steps, &score[0], g, kit);
+    steps[1] = play_lane(y, max_steps, &score[1], g, kit);
+    return steps[0] < 0 || steps[1] < 0 ? -1 : 0;
+}
+
+/* Lane i of a launch, from position i on lane lo + i of the family
+ * `base`. */
+FORCE_INLINE lane_t launch_lane(const uint64_t *p1, const uint64_t *p2,
+                                const int8_t *to_move, uint64_t base,
+                                int64_t lo, int64_t i, const game_t *g)
+{
+    uint64_t s0, s1;
+    lane_state(base, (uint64_t)lo + (uint64_t)i, &s0, &s1);
+    return lane_at(g->entry(p1[i], p2[i], to_move[i]), to_move[i], s0, s1);
+}
 
 /* The launch entry (must match repro/core/executors.py::launch_numpy):
  * one playout per position (p1[i], p2[i], to_move[i]) on lane lo + i of
@@ -245,17 +321,26 @@ FORCE_INLINE int launch_lanes(int64_t n, const uint64_t *p1,
                               const uint64_t *p2, const int8_t *to_move,
                               uint64_t base, int64_t lo, int8_t *winners,
                               int64_t *finish, int64_t max_steps,
-                              entry_fn entry, from_fn from, nth_fn nth)
+                              const game_t *g, const kit_t *kit)
 {
-    for (int64_t i = 0; i < n; i++) {
-        uint64_t s0, s1;
-        lane_state(base, (uint64_t)lo + (uint64_t)i, &s0, &s1);
-        int score;
-        finish[i] = from(entry(p1[i], p2[i], to_move[i]), to_move[i], s0,
-                         s1, max_steps, &score, nth);
+    int64_t i = 0, steps[2];
+    int score[2] = {0, 0};
+    for (; g->paired && i + 1 < n; i += 2) {
+        if (play_pair(launch_lane(p1, p2, to_move, base, lo, i, g),
+                      launch_lane(p1, p2, to_move, base, lo, i + 1, g),
+                      max_steps, steps, score, g, kit))
+            return -1;
+        for (int h = 0; h < 2; h++) {
+            finish[i + h] = steps[h];
+            winners[i + h] = sign_of(score[h]);
+        }
+    }
+    for (; i < n; i++) {
+        finish[i] = play_lane(launch_lane(p1, p2, to_move, base, lo, i, g),
+                              max_steps, &score[0], g, kit);
         if (finish[i] < 0)
             return -1;
-        winners[i] = sign_of(score);
+        winners[i] = sign_of(score[0]);
     }
     return 0;
 }
@@ -286,20 +371,37 @@ struct block_job {
     int (*play)(const block_job_t *job, int64_t i);
 };
 
+/* Lane j of `job`'s outputs. */
+FORCE_INLINE void put_lane(const block_job_t *job, int64_t j, int64_t steps,
+                           int score)
+{
+    job->finish[j] = steps;
+    job->scores[j] = (int16_t)score;
+    job->winners[j] = sign_of(score);
+}
+
 /* Block i of `job`.  Returns 0, or -1 when a lane exceeds `max_steps`. */
 FORCE_INLINE int play_block(const block_job_t *job, int64_t i,
-                            entry_fn entry, from_fn from, nth_fn nth)
+                            const game_t *g, const kit_t *kit)
 {
-    entry_t e = entry(job->p1[i], job->p2[i], job->to_move[i]);
-    for (int64_t j = i * job->lanes; j < (i + 1) * job->lanes; j++) {
-        int score;
-        int64_t steps = from(e, job->to_move[i], job->s0[j], job->s1[j],
-                             job->max_steps, &score, nth);
-        if (steps < 0)
+    int tm = job->to_move[i];
+    entry_t e = g->entry(job->p1[i], job->p2[i], tm);
+    int64_t j = i * job->lanes, end = j + job->lanes, steps[2];
+    int score[2] = {0, 0};
+    for (; g->paired && j + 1 < end; j += 2) {
+        if (play_pair(lane_at(e, tm, job->s0[j], job->s1[j]),
+                      lane_at(e, tm, job->s0[j + 1], job->s1[j + 1]),
+                      job->max_steps, steps, score, g, kit))
             return -1;
-        job->finish[j] = steps;
-        job->scores[j] = (int16_t)score;
-        job->winners[j] = sign_of(score);
+        put_lane(job, j, steps[0], score[0]);
+        put_lane(job, j + 1, steps[1], score[1]);
+    }
+    for (; j < end; j++) {
+        steps[0] = play_lane(lane_at(e, tm, job->s0[j], job->s1[j]),
+                             job->max_steps, &score[0], g, kit);
+        if (steps[0] < 0)
+            return -1;
+        put_lane(job, j, steps[0], score[0]);
     }
     return 0;
 }
@@ -542,7 +644,7 @@ static int block_lanes(int64_t k, const uint64_t *p1, const uint64_t *p2,
 
 /* The batch-object entry (must match repro/games/batch.py::
  * run_playouts_tracked): lane i of a batch the game's `make_batch`
- * already derived -- boards (a[i], b[i]) as its `*_lane` takes them,
+ * already derived -- boards (a[i], b[i]) as its move loop takes them,
  * `done[i]`, and Reversi's `passed[i]` (NULL for the other games) -- on
  * the caller's generator.  Writes and returns as `block_lanes`. */
 FORCE_INLINE int batch_lanes(int64_t n, const uint64_t *a, const uint64_t *b,
@@ -550,8 +652,8 @@ FORCE_INLINE int batch_lanes(int64_t n, const uint64_t *a, const uint64_t *b,
                              const uint8_t *done, uint64_t *s0, uint64_t *s1,
                              int8_t *winners, int16_t *scores,
                              int64_t *finish, int64_t max_steps,
-                             int64_t min_compact, double thr, from_fn from,
-                             nth_fn nth)
+                             int64_t min_compact, double thr,
+                             const game_t *g, const kit_t *kit)
 {
     uint64_t *init_s0 = copy_u64(s0, n), *init_s1 = copy_u64(s1, n);
     if (!init_s0 || !init_s1) {
@@ -563,8 +665,8 @@ FORCE_INLINE int batch_lanes(int64_t n, const uint64_t *a, const uint64_t *b,
     for (int64_t i = 0; i < n; i++) {
         entry_t e = {a[i], b[i], done[i] != 0, passed && passed[i] != 0};
         int score;
-        int64_t steps = from(e, to_move[i], s0[i], s1[i], max_steps, &score,
-                             nth);
+        int64_t steps = play_lane(lane_at(e, to_move[i], s0[i], s1[i]),
+                                  max_steps, &score, g, kit);
         if (steps < 0) {
             err = 1;
             break;
@@ -645,39 +747,104 @@ FORCE_INLINE uint64_t rev_flips(uint64_t own, uint64_t opp, uint64_t move)
          | bracketed_up(own, move, opp, 8) | bracketed_down(own, move, opp, 8);
 }
 
-/* One lane played to the end from the mover's perspective: the finish
- * step (0 when `over` at entry), or -1 past `max_steps`; *score gets
- * black's discs minus white's. */
-FORCE_INLINE int64_t rev_lane(uint64_t ow, uint64_t op, int tm, int pa,
-                              int over, uint64_t a, uint64_t b,
-                              int64_t max_steps, int *score, nth_fn nth)
+#ifdef FAST_BODY
+/* The fast body's generator: the same fills over the same edge-masked
+ * board, four directions to a 256-bit vector -- lane by lane, shifts of
+ * 1 (along a row), 7 and 9 (the diagonals) over the opponent board less
+ * its edge columns, and 8 (along a column) over all of it -- so it
+ * yields the same bitboards as `rev_mobility` / `rev_flips`.  Every
+ * helper that takes or returns a vector carries FAST_TARGET. */
+#define DIRS4 _mm256_setr_epi64x(1, 7, 9, 8)
+
+/* A left (up) or right shift of each lane by its count. */
+FAST_TARGET FORCE_INLINE __m256i shift4(__m256i x, __m256i s, int up)
 {
-    int64_t steps = 0;
-    if (!over) {
-        for (;;) {
-            if (steps >= max_steps)
-                return -1;
-            uint64_t moves = rev_mobility(ow, op);
-            int64_t pop = POPCOUNT(moves);
-            uint64_t pick = draw_below(&a, &b, pop);
-            uint64_t move = pop ? nth(moves, pick) : 0;
-            steps++;
-            uint64_t fl = move ? rev_flips(ow, op, move) : 0;
-            uint64_t new_own = ow | move | fl;
-            uint64_t new_opp = op & ~fl;
-            ow = new_opp;
-            op = new_own;
-            tm = -tm;
-            int pass_now = move == 0;
-            if (pass_now && pa)
-                break;
-            pa = pass_now;
-        }
-    }
-    uint64_t black = tm == 1 ? ow : op;
-    uint64_t white = tm == 1 ? op : ow;
-    *score = (int)(POPCOUNT(black) - POPCOUNT(white));
-    return steps;
+    return up ? _mm256_sllv_epi64(x, s) : _mm256_srlv_epi64(x, s);
+}
+
+/* `fill_up` (up) or `fill_down`, in each direction at once. */
+FAST_TARGET FORCE_INLINE __m256i fill4(__m256i p, __m256i o, __m256i s,
+                                       int up)
+{
+    __m256i s2 = _mm256_add_epi64(s, s);
+    __m256i x = _mm256_and_si256(o, shift4(p, s, up));
+    x = _mm256_or_si256(x, _mm256_and_si256(o, shift4(x, s, up)));
+    __m256i pre = _mm256_and_si256(o, shift4(o, s, up));
+    x = _mm256_or_si256(x, _mm256_and_si256(pre, shift4(x, s2, up)));
+    x = _mm256_or_si256(x, _mm256_and_si256(pre, shift4(x, s2, up)));
+    return x;
+}
+
+/* The opponent discs a run in each direction of DIRS4 may pass. */
+FAST_TARGET FORCE_INLINE __m256i runs4(uint64_t opp)
+{
+    const long long inner = (long long)INNER_COLS;
+    return _mm256_and_si256(_mm256_set1_epi64x((long long)opp),
+                            _mm256_setr_epi64x(inner, inner, inner, -1));
+}
+
+FAST_TARGET FORCE_INLINE uint64_t or_lanes(__m256i v)
+{
+    __m128i h = _mm_or_si128(_mm256_castsi256_si128(v),
+                             _mm256_extracti128_si256(v, 1));
+    return (uint64_t)_mm_cvtsi128_si64(
+        _mm_or_si128(h, _mm_unpackhi_epi64(h, h)));
+}
+
+FAST_TARGET FORCE_INLINE uint64_t rev_mobility4(uint64_t own, uint64_t opp)
+{
+    __m256i s = DIRS4, p = _mm256_set1_epi64x((long long)own);
+    __m256i o = runs4(opp);
+    __m256i moves = _mm256_or_si256(shift4(fill4(p, o, s, 1), s, 1),
+                                    shift4(fill4(p, o, s, 0), s, 0));
+    return or_lanes(moves) & ~(own | opp);
+}
+
+/* `bracketed_up` (up) or `bracketed_down`, in each direction at once. */
+FAST_TARGET FORCE_INLINE __m256i bracketed4(__m256i own, __m256i move,
+                                            __m256i o, __m256i s, int up)
+{
+    __m256i x = fill4(move, o, s, up);
+    __m256i open = _mm256_cmpeq_epi64(
+        _mm256_and_si256(shift4(x, s, up), own), _mm256_setzero_si256());
+    return _mm256_andnot_si256(open, x);
+}
+
+FAST_TARGET FORCE_INLINE uint64_t rev_flips4(uint64_t own, uint64_t opp,
+                                             uint64_t move)
+{
+    __m256i s = DIRS4, w = _mm256_set1_epi64x((long long)own);
+    __m256i m = _mm256_set1_epi64x((long long)move), o = runs4(opp);
+    return or_lanes(_mm256_or_si256(bracketed4(w, m, o, s, 1),
+                                    bracketed4(w, m, o, s, 0)));
+}
+#endif
+
+/* One ply of a lane from the mover's perspective.  With no move the
+ * pick is 0 and `nth` yields 0: a pass.  The game ends on a second pass
+ * in a row. */
+FORCE_INLINE int rev_ply(lane_t *l, const kit_t *kit)
+{
+    uint64_t moves = kit->mobility(l->a, l->b);
+    uint64_t move = kit->nth(moves, draw_below(&l->s0, &l->s1,
+                                               POPCOUNT(moves)));
+    uint64_t fl = move ? kit->flips(l->a, l->b, move) : 0;
+    uint64_t own = l->a | move | fl;
+    l->a = l->b & ~fl;
+    l->b = own;
+    l->tm = -l->tm;
+    l->steps++;
+    int pass = move == 0, ended = pass && l->passed;
+    l->passed = pass;
+    return ended;
+}
+
+/* Black's discs minus white's. */
+FORCE_INLINE int rev_score(const lane_t *l)
+{
+    uint64_t black = l->tm == 1 ? l->a : l->b;
+    uint64_t white = l->tm == 1 ? l->b : l->a;
+    return (int)(POPCOUNT(black) - POPCOUNT(white));
 }
 
 /* The mover's perspective; over at entry when neither side has a move
@@ -690,12 +857,7 @@ static inline entry_t rev_entry(uint64_t black, uint64_t white, int tm)
     return e;
 }
 
-FORCE_INLINE int64_t rev_from(entry_t e, int tm, uint64_t s0, uint64_t s1,
-                              int64_t max_steps, int *score, nth_fn nth)
-{
-    return rev_lane(e.a, e.b, tm, e.passed, e.over, s0, s1, max_steps, score,
-                    nth);
-}
+static const game_t reversi_game = {rev_entry, rev_ply, rev_score, 1};
 
 /* -- TicTacToe (must match repro/games/tictactoe_batch.py) -------------- */
 
@@ -718,33 +880,25 @@ static inline int ttt_over(uint64_t x, uint64_t o)
     return ttt_has_line(x) || ttt_has_line(o) || (x | o) == TTT_FULL;
 }
 
-/* One lane played to the end: the finish step (0 when `over` at
- * entry), or -1 past `max_steps`; *score gets the winner. */
-FORCE_INLINE int64_t ttt_lane(uint64_t bx, uint64_t bo, int tm, int over,
-                              uint64_t a, uint64_t b, int64_t max_steps,
-                              int *score, nth_fn nth)
+/* One ply: a random empty square for the side to move. */
+FORCE_INLINE int ttt_ply(lane_t *l, const kit_t *kit)
 {
-    int64_t steps = 0;
-    if (!over) {
-        for (;;) {
-            if (steps >= max_steps)
-                return -1;
-            uint64_t empty = ~(bx | bo) & TTT_FULL;
-            int64_t pop = POPCOUNT(empty);
-            uint64_t pick = draw_below(&a, &b, pop);
-            uint64_t bit = pop ? nth(empty, pick) : 0;
-            steps++;
-            if (tm == 1)
-                bx |= bit;
-            else
-                bo |= bit;
-            tm = -tm;
-            if (ttt_over(bx, bo))
-                break;
-        }
-    }
-    *score = ttt_has_line(bo) ? -1 : ttt_has_line(bx);
-    return steps;
+    uint64_t empty = ~(l->a | l->b) & TTT_FULL;
+    int64_t pop = POPCOUNT(empty);
+    uint64_t pick = draw_below(&l->s0, &l->s1, pop);
+    uint64_t bit = pop ? kit->nth(empty, pick) : 0;
+    l->steps++;
+    if (l->tm == 1)
+        l->a |= bit;
+    else
+        l->b |= bit;
+    l->tm = -l->tm;
+    return ttt_over(l->a, l->b);
+}
+
+FORCE_INLINE int ttt_score(const lane_t *l)
+{
+    return ttt_has_line(l->b) ? -1 : ttt_has_line(l->a);
 }
 
 static inline entry_t ttt_entry(uint64_t x, uint64_t o, int tm)
@@ -754,11 +908,7 @@ static inline entry_t ttt_entry(uint64_t x, uint64_t o, int tm)
     return e;
 }
 
-FORCE_INLINE int64_t ttt_from(entry_t e, int tm, uint64_t s0, uint64_t s1,
-                              int64_t max_steps, int *score, nth_fn nth)
-{
-    return ttt_lane(e.a, e.b, tm, e.over, s0, s1, max_steps, score, nth);
-}
+static const game_t tictactoe_game = {ttt_entry, ttt_ply, ttt_score, 0};
 
 /* -- Connect-4 (must match repro/games/connect4_batch.py) --------------- */
 
@@ -783,34 +933,26 @@ static inline int c4_over(uint64_t p1, uint64_t p2)
     return c4_has_four(p1) || c4_has_four(p2) || (p1 | p2) == C4_BOARD;
 }
 
-/* One lane played to the end: the finish step (0 when `over` at
- * entry), or -1 past `max_steps`; *score gets the winner. */
-FORCE_INLINE int64_t c4_lane(uint64_t b1, uint64_t b2, int tm, int over,
-                             uint64_t a, uint64_t b, int64_t max_steps,
-                             int *score, nth_fn nth)
+/* One ply: a disc dropped into a random open column. */
+FORCE_INLINE int c4_ply(lane_t *l, const kit_t *kit)
 {
-    int64_t steps = 0;
-    if (!over) {
-        for (;;) {
-            if (steps >= max_steps)
-                return -1;
-            uint64_t mask = b1 | b2;
-            uint64_t landings = (mask + C4_BOTTOM) & ~mask & C4_BOARD;
-            int64_t pop = POPCOUNT(landings);
-            uint64_t pick = draw_below(&a, &b, pop);
-            uint64_t bit = pop ? nth(landings, pick) : 0;
-            steps++;
-            if (tm == 1)
-                b1 |= bit;
-            else
-                b2 |= bit;
-            tm = -tm;
-            if (c4_over(b1, b2))
-                break;
-        }
-    }
-    *score = c4_has_four(b2) ? -1 : c4_has_four(b1);
-    return steps;
+    uint64_t mask = l->a | l->b;
+    uint64_t landings = (mask + C4_BOTTOM) & ~mask & C4_BOARD;
+    int64_t pop = POPCOUNT(landings);
+    uint64_t pick = draw_below(&l->s0, &l->s1, pop);
+    uint64_t bit = pop ? kit->nth(landings, pick) : 0;
+    l->steps++;
+    if (l->tm == 1)
+        l->a |= bit;
+    else
+        l->b |= bit;
+    l->tm = -l->tm;
+    return c4_over(l->a, l->b);
+}
+
+FORCE_INLINE int c4_score(const lane_t *l)
+{
+    return c4_has_four(l->b) ? -1 : c4_has_four(l->a);
 }
 
 static inline entry_t c4_entry(uint64_t p1, uint64_t p2, int tm)
@@ -820,21 +962,24 @@ static inline entry_t c4_entry(uint64_t p1, uint64_t p2, int tm)
     return e;
 }
 
-FORCE_INLINE int64_t c4_from(entry_t e, int tm, uint64_t s0, uint64_t s1,
-                             int64_t max_steps, int *score, nth_fn nth)
-{
-    return c4_lane(e.a, e.b, tm, e.over, s0, s1, max_steps, score, nth);
-}
+static const game_t connect4_game = {c4_entry, c4_ply, c4_score, 0};
 
 /* -- The two bodies ------------------------------------------------------ */
 
 /* Every export above the tree kernels is the FORCE_INLINE chain
- * entry -> `*_from` -> `*_lane` under one of two bodies: `portable`, and
- * on x86-64 `fast`, compiled under FAST_TARGET.  Inlined there, the move
- * loops pick up the target's ISA -- `POPCOUNT` is one `popcnt` -- and
- * take `nth_bit_pdep` for their pick; nothing else differs, so both
+ * `*_lanes` / `play_block` -> `play_pair` / `play_lane` -> `<game>_ply`
+ * under one of two bodies: `portable`, and on x86-64 `fast`, compiled
+ * under FAST_TARGET.  Inlined there, the move loops pick up the target's
+ * ISA -- `POPCOUNT` is one `popcnt` -- and the body's kit: `nth_bit_pdep`
+ * for their pick and the four-direction vector generator for Reversi's
+ * moves.  Both generators fill alike and both picks pick alike, so both
  * bodies play every lane alike, draw for draw.  `body` is picked once,
  * when the library loads (`pick_body`); the exports call through it. */
+
+static const kit_t portable_kit = {nth_bit, rev_mobility, rev_flips};
+#ifdef FAST_BODY
+static const kit_t fast_kit = {nth_bit_pdep, rev_mobility4, rev_flips4};
+#endif
 
 #define REV_PLAYOUTS_PARAMS                                                  \
     int64_t n, uint64_t *own, uint64_t *opp, int8_t *to_move,                \
@@ -867,6 +1012,13 @@ FORCE_INLINE int64_t c4_from(entry_t e, int tm, uint64_t s0, uint64_t s1,
 #define NTH_PARAMS                                                           \
     int64_t n, const uint64_t *masks, const uint64_t *ranks, uint64_t *out
 #define NTH_ARGS n, masks, ranks, out
+#define MOBILITY_PARAMS                                                      \
+    int64_t n, const uint64_t *own, const uint64_t *opp, uint64_t *out
+#define MOBILITY_ARGS n, own, opp, out
+#define FLIPS_PARAMS                                                         \
+    int64_t n, const uint64_t *own, const uint64_t *opp,                     \
+        const uint64_t *move, uint64_t *out
+#define FLIPS_ARGS n, own, opp, move, out
 
 typedef struct {
     const char *name;
@@ -880,76 +1032,89 @@ typedef struct {
     int (*tictactoe_block)(BLOCK_PARAMS);
     int (*connect4_block)(BLOCK_PARAMS);
     void (*nth_bits)(NTH_PARAMS);
+    void (*reversi_mobility)(MOBILITY_PARAMS);
+    void (*reversi_flips)(FLIPS_PARAMS);
 } body_t;
 
 /* One game's launch and block exports in body B. */
-#define GAME_BODY(B, TARGET, NTH, GAME, ENTRY, FROM)                         \
+#define GAME_BODY(B, TARGET, GAME)                                           \
     TARGET static int B##_##GAME##_launch(LAUNCH_PARAMS)                     \
     {                                                                        \
-        return launch_lanes(LAUNCH_ARGS, ENTRY, FROM, NTH);                  \
+        return launch_lanes(LAUNCH_ARGS, &GAME##_game, &B##_kit);            \
     }                                                                        \
     TARGET static int B##_##GAME##_play(const block_job_t *job, int64_t i)   \
     {                                                                        \
-        return play_block(job, i, ENTRY, FROM, NTH);                         \
+        return play_block(job, i, &GAME##_game, &B##_kit);                   \
     }                                                                        \
     static int B##_##GAME##_block(BLOCK_PARAMS)                              \
     {                                                                        \
         return block_lanes(BLOCK_ARGS, B##_##GAME##_play);                   \
     }
 
-/* Body B, named NAME: the nine playout exports, and the pick alone on
- * (mask, rank) rows for its tests, compiled with TARGET and picking
- * moves with NTH. */
-#define BODY(B, NAME, TARGET, NTH)                                           \
-    GAME_BODY(B, TARGET, NTH, reversi, rev_entry, rev_from)                  \
-    GAME_BODY(B, TARGET, NTH, tictactoe, ttt_entry, ttt_from)                \
-    GAME_BODY(B, TARGET, NTH, connect4, c4_entry, c4_from)                   \
+/* Body B, named NAME, compiled with TARGET and playing with the kit
+ * B_kit: the nine playout exports, and for their tests the pick alone
+ * on (mask, rank) rows and Reversi's generator on board pairs. */
+#define BODY(B, NAME, TARGET)                                                \
+    GAME_BODY(B, TARGET, reversi)                                            \
+    GAME_BODY(B, TARGET, tictactoe)                                          \
+    GAME_BODY(B, TARGET, connect4)                                           \
     TARGET static int B##_reversi_playouts(REV_PLAYOUTS_PARAMS)              \
     {                                                                        \
         return batch_lanes(n, own, opp, to_move, passed, done, s0, s1,       \
                            winners, scores, finish, max_steps, min_compact,  \
-                           thr, rev_from, NTH);                              \
+                           thr, &reversi_game, &B##_kit);                    \
     }                                                                        \
     TARGET static int B##_tictactoe_playouts(PLAYOUTS_PARAMS)                \
     {                                                                        \
         return batch_lanes(n, p1, p2, to_move, NULL, done, s0, s1, winners,  \
                            scores, finish, max_steps, min_compact, thr,      \
-                           ttt_from, NTH);                                   \
+                           &tictactoe_game, &B##_kit);                       \
     }                                                                        \
     TARGET static int B##_connect4_playouts(PLAYOUTS_PARAMS)                 \
     {                                                                        \
         return batch_lanes(n, p1, p2, to_move, NULL, done, s0, s1, winners,  \
                            scores, finish, max_steps, min_compact, thr,      \
-                           c4_from, NTH);                                    \
+                           &connect4_game, &B##_kit);                        \
     }                                                                        \
     TARGET static void B##_nth_bits(NTH_PARAMS)                              \
     {                                                                        \
         for (int64_t i = 0; i < n; i++)                                      \
-            out[i] = NTH(masks[i], ranks[i]);                                \
+            out[i] = B##_kit.nth(masks[i], ranks[i]);                        \
+    }                                                                        \
+    TARGET static void B##_reversi_mobility(MOBILITY_PARAMS)                 \
+    {                                                                        \
+        for (int64_t i = 0; i < n; i++)                                      \
+            out[i] = B##_kit.mobility(own[i], opp[i]);                       \
+    }                                                                        \
+    TARGET static void B##_reversi_flips(FLIPS_PARAMS)                       \
+    {                                                                        \
+        for (int64_t i = 0; i < n; i++)                                      \
+            out[i] = B##_kit.flips(own[i], opp[i], move[i]);                 \
     }                                                                        \
     static const body_t B##_body = {                                         \
         NAME,                                                                \
         B##_reversi_playouts, B##_tictactoe_playouts, B##_connect4_playouts, \
         B##_reversi_launch, B##_tictactoe_launch, B##_connect4_launch,       \
         B##_reversi_block, B##_tictactoe_block, B##_connect4_block,          \
-        B##_nth_bits,                                                        \
+        B##_nth_bits, B##_reversi_mobility, B##_reversi_flips,               \
     };
 
-BODY(portable, "portable", , nth_bit)
+BODY(portable, "portable", )
 #ifdef FAST_BODY
-BODY(fast, "popcnt+bmi2", FAST_TARGET, nth_bit_pdep)
+BODY(fast, "avx2+bmi2", FAST_TARGET)
 #endif
 
 static const body_t *body = &portable_body;
 
-/* Can this CPU run the fast body?  BMI1 as well as popcnt and BMI2:
- * under FAST_TARGET the compiler may emit `blsr` / `tzcnt`. */
+/* Can this CPU run the fast body?  AVX2 for the vector generator, and
+ * BMI1 as well as popcnt and BMI2: under FAST_TARGET the compiler may
+ * emit `blsr` / `tzcnt`. */
 static int can_run_fast(void)
 {
 #ifdef FAST_BODY
     __builtin_cpu_init();
     return __builtin_cpu_supports("popcnt") && __builtin_cpu_supports("bmi")
-        && __builtin_cpu_supports("bmi2");
+        && __builtin_cpu_supports("bmi2") && __builtin_cpu_supports("avx2");
 #else
     return 0;
 #endif
@@ -1899,17 +2064,14 @@ void repro_lane_states(int64_t n, uint64_t base, int64_t lo, uint64_t *s0,
         lane_state(base, (uint64_t)lo + (uint64_t)i, &s0[i], &s1[i]);
 }
 
-/* Test helpers: the Reversi move generator on arbitrary board pairs. */
-void repro_reversi_mobility(int64_t n, const uint64_t *own,
-                            const uint64_t *opp, uint64_t *out)
+/* Test helpers: the body's Reversi move generator on arbitrary board
+ * pairs. */
+void repro_reversi_mobility(MOBILITY_PARAMS)
 {
-    for (int64_t i = 0; i < n; i++)
-        out[i] = rev_mobility(own[i], opp[i]);
+    body->reversi_mobility(MOBILITY_ARGS);
 }
 
-void repro_reversi_flips(int64_t n, const uint64_t *own, const uint64_t *opp,
-                         const uint64_t *move, uint64_t *out)
+void repro_reversi_flips(FLIPS_PARAMS)
 {
-    for (int64_t i = 0; i < n; i++)
-        out[i] = rev_flips(own[i], opp[i], move[i]);
+    body->reversi_flips(FLIPS_ARGS);
 }

@@ -66,6 +66,7 @@ from repro.core.arena import (
     select_round_many,
 )
 from repro.integrity.audit import MAX_RESULT_RETRIES
+from repro.util.clock import ClockError
 from repro.util.profile import NULL_PROFILER
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -812,15 +813,25 @@ class BlockRound(Round):
         return False
 
     def _charge_control(self, depths) -> None:
-        times, advance = self._control_times, self.engine.clock.advance
+        """Each tree's control time, added to the clock in tree order:
+        the same float additions one ``Clock.advance`` per tree makes,
+        summed locally and set once."""
+        times, clock = self._control_times, self.engine.clock
         # Plain ints: an ``np.int64`` key costs the look-up 3-4x.
         if isinstance(depths, np.ndarray):
             depths = depths.tolist()
+        now = clock.now
         for depth in depths:
             t = times.get(depth)
             if t is None:
-                t = times[depth] = self.cost.tree_control_time(depth)
-            advance(t)
+                t = self.cost.tree_control_time(depth)
+                if not t >= 0.0:
+                    raise ClockError(
+                        f"cannot advance by a negative duration: {t}"
+                    )
+                times[depth] = t
+            now += t
+        clock.advance_to(now)
 
     def _answered(self) -> bool:
         """Whether the selected leaves were answered without a launch

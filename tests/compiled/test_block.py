@@ -43,7 +43,7 @@ from repro.games.tictactoe import TicTacToeState
 from repro.gpu import TESLA_C2050, LaunchConfig, VirtualGpu
 from repro.rng import BatchXorShift128Plus, XorShift64Star
 from repro.util.clock import Clock
-from tests.compiled.test_launch import _special_roots, root_pool
+from tests.compiled.test_launch import _special_roots, _walk, root_pool
 from tests.core.test_differential import _assert_identical
 from tests.compiled.test_runner import (
     _TTT_HOLES,
@@ -177,6 +177,66 @@ def test_random_walk_positions(game_name, walks, lanes, seed):
             state = game.apply(state, moves[pick % len(moves)])
         states.append(state)
     check(game_name, states, lanes, seed)
+
+
+# -- (a2) lanes in pairs -----------------------------------------------------
+#
+# Reversi blocks play their lanes two in flight (``play_pair`` in
+# ``playout.c``), an odd last lane alone: every lane must come out as
+# it does alone.
+
+
+@pytest.mark.parametrize("lanes", [1, 3, 63])
+@pytest.mark.parametrize("k", [1, 3])
+def test_reversi_odd_lane_counts(lanes, k):
+    """Blocks of 1, 3 and 63 lanes from every pool root -- over at
+    entry, a forced pass that ends on a double pass, mid-game -- so
+    each block ends on a lone lane."""
+    pool = root_pool("reversi")
+    for first in range(0, len(pool), k):
+        states = [pool[(first + i) % len(pool)] for i in range(k)]
+        check("reversi", states, lanes, first)
+
+
+def uneven_pair():
+    """A late Reversi position and, for each slot of a two-lane block,
+    a generator seed under which that slot's lane finishes last:
+    ``(state, {slot: (seed, the other lane's finish step)})``."""
+    bg = make_batch_game("reversi")
+    state = _walk(make_game("reversi"), 47, 11)
+    seeds = {}
+    for seed in range(200):
+        finish = launch_block_numpy(
+            bg, [state], 2, BatchXorShift128Plus(2, seed)
+        ).finish_steps.tolist()
+        if finish[0] != finish[1]:
+            longer = int(finish[1] > finish[0])
+            seeds.setdefault(longer, (seed, min(finish)))
+        if len(seeds) == 2:
+            return state, seeds
+    raise AssertionError("no seed splits the pair's finish steps")
+
+
+@pytest.mark.parametrize("slot", [0, 1])
+def test_reversi_lane_past_max_steps_in_either_slot(slot):
+    """One lane of a pair runs past ``max_game_length``, its partner
+    does not: the block is refused and the kernel leaves the generator
+    untouched (the NumPy fallback raises too, after stepping it) -- and
+    with the longer lane's length allowed, both lanes match the
+    references."""
+    state, seeds = uneven_pair()
+    seed, shorter = seeds[slot]
+    bg = make_batch_game("reversi")
+    bg.max_game_length = shorter
+    rng = BatchXorShift128Plus(2, seed)
+    with pytest.raises(
+        RuntimeError, match=f"exceeded max_game_length={shorter}; engine bug"
+    ):
+        block_compiled(bg, Positions([state]), 2, rng)
+    if compiled_available():
+        assert_same_generator(rng, BatchXorShift128Plus(2, seed))
+    want = check("reversi", [state], 2, seed)
+    assert want.finish_steps[slot] > want.finish_steps[1 - slot] == shorter
 
 
 # -- (b) the caller's generator ----------------------------------------------

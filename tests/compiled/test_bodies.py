@@ -1,9 +1,12 @@
 """The two bodies of the playout exports (``playout.c``, "The two
 bodies"): which one the library picks, the pin the walls use to run the
-other, and the one thing the bodies compute differently -- the n-th set
-bit of a move mask, ``pdep`` against the loop -- held to a third,
-independent implementation, the NumPy byte table the lockstep driver
-uses.  Whole playouts are held equal body against body by the
+other, and one of the two things the bodies compute differently -- the
+n-th set bit of a move mask, ``pdep`` against the loop -- held to a
+third, independent implementation, the NumPy byte table the lockstep
+driver uses.  The other, Reversi's move generator (a vector of four
+directions against one direction at a time), is held to the scalar and
+NumPy generators on each body by ``tests/games/test_reversi_movegen.py``.
+Whole playouts are held equal body against body by the
 ``*_other_body.py`` twins of the differential walls."""
 
 import platform
@@ -114,19 +117,19 @@ def _first_cpu():
 
 @needs_kernel
 def test_a_cpu_with_the_isa_gets_the_fast_body():
-    """Where the CPU has popcnt, BMI1 and BMI2 and is not AMD Zen 1 /
-    Zen 2 (family 23, microcoded ``pdep``), the library must have bound
+    """Where the CPU has popcnt, BMI1, BMI2 and AVX2 and is not AMD Zen 1
+    / Zen 2 (family 23, microcoded ``pdep``), the library must have bound
     the fast body: a dispatch that silently stays portable fails here,
     not only in the benchmark."""
     cpu = _first_cpu()
     if platform.machine() not in ("x86_64", "AMD64") or not cpu:
         pytest.skip("not an x86-64 host with /proc/cpuinfo")
+    fast = KERNEL_BODIES[-1]
+    isa = {"popcnt", "bmi1", "bmi2", "avx2"}
     flags = set(cpu.get("flags", "").split())
-    assert ("popcnt+bmi2" in kernel_bodies()) == (
-        {"popcnt", "bmi1", "bmi2"} <= flags
-    )
-    if not {"popcnt", "bmi1", "bmi2"} <= flags:
-        pytest.skip("this CPU lacks popcnt / BMI1 / BMI2")
+    assert (fast in kernel_bodies()) == (isa <= flags)
+    if not isa <= flags:
+        pytest.skip("this CPU lacks popcnt / BMI1 / BMI2 / AVX2")
     if cpu.get("vendor_id") == "AuthenticAMD" and cpu.get("cpu family") == "23":
         pytest.skip("AMD Zen 1 / Zen 2 keep the portable body")
-    assert kernel_body() == "popcnt+bmi2"
+    assert kernel_body() == fast

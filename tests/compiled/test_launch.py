@@ -208,6 +208,70 @@ def test_launch_is_geometry_independent(game_name, k):
     assert_same([np.concatenate(pair) for pair in zip(head, tail)], whole)
 
 
+# -- (b2) lanes in pairs -----------------------------------------------------
+#
+# The Reversi exports play two lanes in flight (``play_pair`` in
+# ``playout.c``): lanes 2i and 2i + 1 together, an odd last lane alone.
+# A lane's outcome must not depend on its partner, its slot, or being
+# the odd one out -- nor may a partner that is over at entry, ends on a
+# double pass with squares empty, or runs past ``max_steps``.
+
+
+def _reversi_roots():
+    game = make_game("reversi")
+    return {"initial": game.initial_state(), **_special_roots("reversi")}
+
+
+@pytest.mark.parametrize(
+    "labels",
+    [
+        ("initial",),
+        ("no-move-black",),
+        ("forced-pass",),
+        ("initial", "no-move-white"),
+        ("no-move-black", "initial", "forced-pass"),
+        ("initial", "forced-pass", "no-move-white"),
+        ("forced-pass", "full-board", "initial"),
+        ("forced-pass", "forced-pass", "initial"),
+    ],
+)
+def test_reversi_pairs_of_every_kind_of_lane(labels):
+    """Launches of 1 and 3 states (and one of 2): over-at-entry,
+    double-pass and full-length lanes in each slot of a pair and as the
+    lone last lane, at even and odd lane offsets."""
+    bg = make_batch_game("reversi")
+    roots = _reversi_roots()
+    states = [roots[label] for label in labels]
+    for lo in (0, 1):
+        assert_same(
+            launch_compiled(bg, states, 11, lo),
+            composition(bg, states, 11, lo),
+        )
+
+
+@pytest.mark.parametrize(
+    "labels",
+    [
+        ("initial", "forced-pass"),
+        ("forced-pass", "initial"),
+        ("forced-pass", "forced-pass", "initial"),
+    ],
+)
+def test_reversi_lane_past_max_steps_in_either_slot_raises(labels):
+    """The forced-pass root ends at step 4 and the initial one far past
+    10: with ``max_game_length`` 10 the launch is refused, whichever
+    slot of a pair (or the lone last lane) runs long."""
+    bg = make_batch_game("reversi")
+    bg.max_game_length = 10  # shadows the class attribute on this instance
+    roots = _reversi_roots()
+    short = [roots["forced-pass"]] * 3
+    assert_same(launch_compiled(bg, short, 5), composition(bg, short, 5))
+    with pytest.raises(
+        RuntimeError, match="exceeded max_game_length=10; engine bug"
+    ):
+        launch_compiled(bg, [roots[label] for label in labels], 5)
+
+
 # -- (c) lane seeding --------------------------------------------------------
 
 _U64 = st.integers(min_value=0, max_value=2**64 - 1)

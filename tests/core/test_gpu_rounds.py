@@ -20,8 +20,10 @@ from hypothesis import strategies as st
 
 from repro.core import snapshot_bytes, snapshot_from_bytes
 from repro.core.spec import make_engine
+from repro.cpu.costmodel import CpuCostModel
 from repro.faults import FaultInjector, FaultPlan
 from repro.games import make_game
+from repro.util.clock import ClockError
 from repro.util.profile import Profiler
 from tests.core.reference_gpu_loops import reference_resume, reference_search
 from tests.core.test_checkpoint import Boom
@@ -209,3 +211,21 @@ def test_crash_restore_resume_matches(kind):
     seen = product(case)
     assert seen["crashed"]
     assert seen == reference(case)
+
+
+@pytest.mark.parametrize("stack", STACKS)
+def test_block_refuses_a_negative_control_time(stack):
+    """The block round sums its trees' control times and sets the clock
+    once; a negative one is still refused, as ``Clock.advance`` would."""
+
+    class Backwards(CpuCostModel):
+        def tree_control_time(self, depth):
+            return -1e-6
+
+    game = make_game("tictactoe")
+    engine = make_engine(
+        f"block:2x4{stack}", game, seed=1, cost_model=Backwards(name="back")
+    )
+    with pytest.raises(ClockError, match="negative"):
+        engine.search(game.initial_state(), 1e-3)
+    assert engine.clock.now == 0.0

@@ -57,7 +57,7 @@ FUSED_THRESHOLD = 5.0
 FUSED_GAMES = ("reversi", "connect4", "tictactoe")
 FUSED_LANES = 128
 FUSED_SEED = 85_2011
-#: The popcnt + BMI2 kernel body must clear this multiple of the
+#: The AVX2 + BMI2 kernel body must clear this multiple of the
 #: portable one's speed on ``search_block``'s launch.
 BODIES_THRESHOLD = 1.3
 #: Every block worker must clear this multiple of the caller alone's
@@ -196,7 +196,7 @@ def time_search_block_launch(pins, rounds):
 
 def test_micro_gpu_block_launch_bodies(headline):
     """``search_block``'s launch on each kernel body in turn:
-    byte-identical, and the popcnt + BMI2 body at least
+    byte-identical, and the AVX2 + BMI2 body at least
     ``BODIES_THRESHOLD`` times the portable one's speed.  Skips where
     the loading CPU does not pick the fast body."""
     portable, fast = KERNEL_BODIES
