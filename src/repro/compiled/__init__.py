@@ -12,6 +12,8 @@ Public surface:
   steps out.
 * :func:`launch_compiled` -- the one-call launch entry: states and a
   lane-seed range in, winners / finish steps out.
+* :func:`makespan_compiled` -- the virtual GPU's grid makespan
+  (:func:`repro.gpu.scheduler.greedy_makespan`) with its heap in C.
 * :func:`run_playouts_tracked_compiled` -- bit-identical drop-in for
   :func:`repro.games.batch.run_playouts_tracked` (benchmark ladder and
   tests).
@@ -54,6 +56,7 @@ from repro.compiled.runner import (
     expand_compiled,
     expand_kernel,
     launch_compiled,
+    makespan_compiled,
     run_playouts_tracked_compiled,
     select_expand_compiled,
     select_expand_many_compiled,
@@ -79,6 +82,7 @@ __all__ = [
     "kernel_body",
     "launch_compiled",
     "load_library",
+    "makespan_compiled",
     "reset_cache",
     "run_playouts_tracked_compiled",
     "select_expand_compiled",

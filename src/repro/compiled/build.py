@@ -229,6 +229,11 @@ _LAZY_SIGNATURES = {
     "block_workers": (ctypes.c_int64, []),
     # (at most this many workers, or -1: all of them) -> 0 | -1
     "pin_block_workers": (ctypes.c_int, [ctypes.c_int64]),
+    # (n, times, 0 < slots < n) -> the makespan | -1 (a negative time) |
+    #  -2 (allocation) | -3 (slots out of range)
+    "greedy_makespan": (
+        ctypes.c_double, [ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64]
+    ),
 }
 
 

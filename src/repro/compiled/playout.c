@@ -8,10 +8,10 @@
  * serving batchers' and `BatchExecutor`'s launches); `repro_<game>_block`
  * takes absolute planes, a lane count per position and the caller's
  * generator (the virtual GPU's launches: block b plays from position b),
- * and plays its blocks on every CPU of the affinity mask (section "Block
- * workers"); everything else runs on the calling thread.  Both derive
- * what a playout starts from -- the mover's perspective, over at entry
- * -- here, once per position (`<game>_entry`).
+ * and plays and settles its lanes on every CPU of the affinity mask
+ * (section "Block workers"); everything else runs on the calling
+ * thread.  Both derive what a playout starts from -- the mover's
+ * perspective, over at entry -- here, once per position (`<game>_entry`).
  * `repro_<game>_playouts` takes a NumPy batch object's fields, already
  * derived, and the caller's generator (benchmark ladder and tests).
  *
@@ -43,11 +43,13 @@
  * advances the *caller's* generator in lockstep until the batch first
  * compacts (after which a selected child generator advances instead).
  * The `*_block` and `*_playouts` exports reproduce that observable
- * state: after playing, every lane's (s0, s1) is rewritten to its
- * initial state advanced by the step at which the first compaction
- * would have fired (or by the full playout length when no compaction
- * triggers).  The `*_launch` exports seed their own lanes and have no
- * caller generator to settle.
+ * state: each lane's generator draws one value a ply, so every lane
+ * records where its own plies left it, and once every lane has finished
+ * its (s0, s1) is rewritten to its initial state advanced by the step at
+ * which the first compaction would have fired (or by the full playout
+ * length when no compaction triggers) -- stepping on from the lane's
+ * end state when it finished by that step (`settle_lane`).  The `*_launch` exports seed
+ * their own lanes and have no caller generator to settle.
  *
  * Built at runtime by repro.compiled.build via the system C compiler;
  * absence of a toolchain falls back to the NumPy path.
@@ -187,45 +189,26 @@ static int64_t first_compact_step(int64_t n, const int64_t *finish,
     return steps;
 }
 
-/* Rewrite (s0, s1) to the initial states advanced `steps` times. */
-static void settle_rng(int64_t n, uint64_t *s0, uint64_t *s1,
-                       const uint64_t *init_s0, const uint64_t *init_s1,
-                       int64_t steps)
+/* Rewrite lane i's (s0, s1) from its initial state to that state
+ * advanced `steps` times, where the lockstep driver leaves it.  A lane
+ * draws one value a ply, so its end state (e0, e1) -- where its own
+ * finish[i] plies left it -- is that state already advanced finish[i]
+ * times: when finish[i] <= steps only the rest is stepped. */
+static inline void settle_lane(int64_t i, uint64_t *s0, uint64_t *s1,
+                               const uint64_t *e0, const uint64_t *e1,
+                               const int64_t *finish, int64_t steps)
 {
-    for (int64_t i = 0; i < n; i++) {
-        uint64_t a = init_s0[i], b = init_s1[i];
-        for (int64_t k = 0; k < steps; k++)
-            next_u64(&a, &b);
-        s0[i] = a;
-        s1[i] = b;
+    uint64_t a = s0[i], b = s1[i];
+    int64_t left = steps;
+    if (finish[i] <= steps) {
+        a = e0[i];
+        b = e1[i];
+        left = steps - finish[i];
     }
-}
-
-static int finalize(int64_t n, uint64_t *s0, uint64_t *s1,
-                    uint64_t *init_s0, uint64_t *init_s1,
-                    const int64_t *finish, int64_t min_compact,
-                    double thr, int err)
-{
-    int rc = err ? -1 : 0;
-    if (!err) {
-        int64_t steps = first_compact_step(n, finish, min_compact, thr);
-        if (steps < 0)
-            rc = -2;
-        else
-            settle_rng(n, s0, s1, init_s0, init_s1, steps);
-    }
-    free(init_s0);
-    free(init_s1);
-    return rc;
-}
-
-static uint64_t *copy_u64(const uint64_t *src, int64_t n)
-{
-    uint64_t *out = malloc((size_t)n * sizeof(uint64_t));
-    if (out)
-        for (int64_t i = 0; i < n; i++)
-            out[i] = src[i];
-    return out;
+    for (; left > 0; left--)
+        next_u64(&a, &b);
+    s0[i] = a;
+    s1[i] = b;
 }
 
 /* -- entries from absolute positions ------------------------------------ */
@@ -267,35 +250,36 @@ FORCE_INLINE lane_t lane_at(entry_t e, int tm, uint64_t s0, uint64_t s1)
     return l;
 }
 
-/* Lane l played on to the end: its finish step (0 when over at entry),
- * or -1 past `max_steps`; *score gets its score. */
-FORCE_INLINE int64_t play_lane(lane_t l, int64_t max_steps, int *score,
+/* Lane *l played on to the end, in place: its finish step (0 when over
+ * at entry), or -1 past `max_steps`; *score gets its score, and l's
+ * generator is left where its last ply left it. */
+FORCE_INLINE int64_t play_lane(lane_t *l, int64_t max_steps, int *score,
                                const game_t *g, const kit_t *kit)
 {
-    while (!l.over) {
-        if (l.steps >= max_steps)
+    while (!l->over) {
+        if (l->steps >= max_steps)
             return -1;
-        l.over = g->ply(&l, kit);
+        l->over = g->ply(l, kit);
     }
-    *score = g->score(&l);
-    return l.steps;
+    *score = g->score(l);
+    return l->steps;
 }
 
-/* Lanes x and y played to the end with their plies interleaved, so one
+/* Lanes *x and *y played to the end with their plies interleaved, so one
  * lane's move generation runs while the other's waits on its latency.
  * Each lane draws, moves and finishes exactly as `play_lane` plays it
- * alone: steps[h] and score[h] are the same.  Returns 0, or -1 when
- * either lane runs past `max_steps`. */
-FORCE_INLINE int play_pair(lane_t x, lane_t y, int64_t max_steps,
+ * alone: steps[h], score[h] and its generator are the same.  Returns 0,
+ * or -1 when either lane runs past `max_steps`. */
+FORCE_INLINE int play_pair(lane_t *x, lane_t *y, int64_t max_steps,
                            int64_t steps[2], int score[2], const game_t *g,
                            const kit_t *kit)
 {
-    while (!x.over && !y.over) {
+    while (!x->over && !y->over) {
         /* Both have played every ply so far: the same count. */
-        if (x.steps >= max_steps)
+        if (x->steps >= max_steps)
             return -1;
-        x.over = g->ply(&x, kit);
-        y.over = g->ply(&y, kit);
+        x->over = g->ply(x, kit);
+        y->over = g->ply(y, kit);
     }
     steps[0] = play_lane(x, max_steps, &score[0], g, kit);
     steps[1] = play_lane(y, max_steps, &score[1], g, kit);
@@ -326,9 +310,9 @@ FORCE_INLINE int launch_lanes(int64_t n, const uint64_t *p1,
     int64_t i = 0, steps[2];
     int score[2] = {0, 0};
     for (; g->paired && i + 1 < n; i += 2) {
-        if (play_pair(launch_lane(p1, p2, to_move, base, lo, i, g),
-                      launch_lane(p1, p2, to_move, base, lo, i + 1, g),
-                      max_steps, steps, score, g, kit))
+        lane_t x = launch_lane(p1, p2, to_move, base, lo, i, g);
+        lane_t y = launch_lane(p1, p2, to_move, base, lo, i + 1, g);
+        if (play_pair(&x, &y, max_steps, steps, score, g, kit))
             return -1;
         for (int h = 0; h < 2; h++) {
             finish[i + h] = steps[h];
@@ -336,8 +320,8 @@ FORCE_INLINE int launch_lanes(int64_t n, const uint64_t *p1,
         }
     }
     for (; i < n; i++) {
-        finish[i] = play_lane(launch_lane(p1, p2, to_move, base, lo, i, g),
-                              max_steps, &score[0], g, kit);
+        lane_t x = launch_lane(p1, p2, to_move, base, lo, i, g);
+        finish[i] = play_lane(&x, max_steps, &score[0], g, kit);
         if (finish[i] < 0)
             return -1;
         winners[i] = sign_of(score[0]);
@@ -347,62 +331,110 @@ FORCE_INLINE int launch_lanes(int64_t n, const uint64_t *p1,
 
 /* The block entry (must match
  * repro/core/executors.py::launch_block_numpy): `lanes` playouts per
- * position, lanes [i * lanes, (i + 1) * lanes) of the caller's k * lanes
- * wide generator (s0, s1) playing from position i -- a kernel launch in
- * which block i's threads play from tree i's leaf.  Blocks are
- * independent until the generator is settled, so they are played on the
- * block workers (next section), each written straight into its own lanes
- * of winners / scores / finish; `finalize` then runs once, on the
- * caller, after every block has landed.  What a block writes depends
- * only on its position and its lanes' generator states, and `finalize`
- * reads only the finish steps, so outputs and generator are the same
- * bytes for any worker count (docs/block_parallelism.md). */
+ * position, lanes [b * lanes, (b + 1) * lanes) of the caller's n = k *
+ * lanes wide generator (s0, s1) playing from position b -- a kernel
+ * launch in which block b's threads play from tree b's leaf.  Lanes are
+ * independent until the generator is settled, so the whole launch runs
+ * on the block workers (next section) in two passes over chunks of
+ * lanes, each chunk claimed by one worker:
+ *
+ *   play    PLAY_CHUNK lanes a claim (a block, where blocks are wider),
+ *           two in flight for Reversi -- so an odd-width block's last
+ *           lane pairs with the next block's first -- each written
+ *           straight into its own lane of winners / scores / finish and
+ *           of the end-state arrays (e0, e1);
+ *   settle  once every lane has landed and the caller has found the
+ *           first-compaction step from the finish steps, SETTLE_CHUNK
+ *           lanes a claim, each rewritten by `settle_lane`.
+ *
+ * What a lane writes depends only on its position and its own generator
+ * state, so outputs and generator are the same bytes for any worker
+ * count (docs/block_parallelism.md); (s0, s1) is read, never written,
+ * until the settle pass, which runs only when every lane finished. */
+#define PLAY_CHUNK 16
+#define SETTLE_CHUNK 1024
+
 typedef struct block_job block_job_t;
 struct block_job {
     const uint64_t *p1, *p2;
     const int8_t *to_move;
-    int64_t lanes;
-    const uint64_t *s0, *s1;
+    int64_t lanes, n, chunk; /* chunk: lanes a play claim takes, even */
+    uint64_t *s0, *s1;
+    uint64_t *e0, *e1;
     int8_t *winners;
     int16_t *scores;
     int64_t *finish;
-    int64_t max_steps;
-    /* Plays block i of this launch (one per body and game). */
-    int (*play)(const block_job_t *job, int64_t i);
+    int64_t max_steps, steps; /* steps: the first-compaction step */
 };
 
-/* Lane j of `job`'s outputs. */
+/* The block of the last lane a claim built, and that block's entry:
+ * derived once per block and claim, not once per lane. */
+typedef struct {
+    int64_t block, end; /* lanes [.., end) are `block`'s */
+    entry_t e;
+    int tm;
+} cursor_t;
+
+/* Lane j of `job`, lanes visited in increasing order through `at`. */
+FORCE_INLINE lane_t block_lane(const block_job_t *job, int64_t j,
+                               cursor_t *at, const game_t *g)
+{
+    if (j >= at->end) {
+        at->block = j / job->lanes;
+        at->end = (at->block + 1) * job->lanes;
+        at->tm = job->to_move[at->block];
+        at->e = g->entry(job->p1[at->block], job->p2[at->block], at->tm);
+    }
+    return lane_at(at->e, at->tm, job->s0[j], job->s1[j]);
+}
+
+/* Lane j of `job`'s outputs, and where its generator ended. */
 FORCE_INLINE void put_lane(const block_job_t *job, int64_t j, int64_t steps,
-                           int score)
+                           int score, const lane_t *l)
 {
     job->finish[j] = steps;
     job->scores[j] = (int16_t)score;
     job->winners[j] = sign_of(score);
+    job->e0[j] = l->s0;
+    job->e1[j] = l->s1;
 }
 
-/* Block i of `job`.  Returns 0, or -1 when a lane exceeds `max_steps`. */
-FORCE_INLINE int play_block(const block_job_t *job, int64_t i,
+/* Chunk c of `job`.  Returns 0, or -1 when a lane exceeds `max_steps`. */
+FORCE_INLINE int play_chunk(const block_job_t *job, int64_t c,
                             const game_t *g, const kit_t *kit)
 {
-    int tm = job->to_move[i];
-    entry_t e = g->entry(job->p1[i], job->p2[i], tm);
-    int64_t j = i * job->lanes, end = j + job->lanes, steps[2];
+    int64_t j = c * job->chunk, end = j + job->chunk, steps[2];
+    cursor_t at = {-1, 0, {0, 0, 0, 0}, 0};
     int score[2] = {0, 0};
+    if (end > job->n)
+        end = job->n;
     for (; g->paired && j + 1 < end; j += 2) {
-        if (play_pair(lane_at(e, tm, job->s0[j], job->s1[j]),
-                      lane_at(e, tm, job->s0[j + 1], job->s1[j + 1]),
-                      job->max_steps, steps, score, g, kit))
+        lane_t x = block_lane(job, j, &at, g);
+        lane_t y = block_lane(job, j + 1, &at, g);
+        if (play_pair(&x, &y, job->max_steps, steps, score, g, kit))
             return -1;
-        put_lane(job, j, steps[0], score[0]);
-        put_lane(job, j + 1, steps[1], score[1]);
+        put_lane(job, j, steps[0], score[0], &x);
+        put_lane(job, j + 1, steps[1], score[1], &y);
     }
     for (; j < end; j++) {
-        steps[0] = play_lane(lane_at(e, tm, job->s0[j], job->s1[j]),
-                             job->max_steps, &score[0], g, kit);
+        lane_t x = block_lane(job, j, &at, g);
+        steps[0] = play_lane(&x, job->max_steps, &score[0], g, kit);
         if (steps[0] < 0)
             return -1;
-        put_lane(job, j, steps[0], score[0]);
+        put_lane(job, j, steps[0], score[0], &x);
     }
+    return 0;
+}
+
+/* Settle chunk c of `job` (never fails). */
+static int settle_chunk(const block_job_t *job, int64_t c)
+{
+    int64_t end = (c + 1) * SETTLE_CHUNK;
+    if (end > job->n)
+        end = job->n;
+    for (int64_t i = c * SETTLE_CHUNK; i < end; i++)
+        settle_lane(i, job->s0, job->s1, job->e0, job->e1, job->finish,
+                    job->steps);
     return 0;
 }
 
@@ -410,41 +442,43 @@ FORCE_INLINE int play_block(const block_job_t *job, int64_t i,
 
 /* The host's stand-in for a GPU's streaming multiprocessors: the caller
  * of a block export and one persistent helper thread per further CPU
- * of the process's affinity mask, started on first use.  A launch of
- * k >= 2 blocks wakes the helpers once; then every worker, the caller
- * first, claims the next unplayed block from one shared word and plays
- * it, until none is left (docs/block_parallelism.md).
+ * of the process's affinity mask, started on first use.  A pass of
+ * c >= 2 tasks (a block launch's play or settle chunks) wakes the
+ * helpers once; then every worker, the caller first, claims the next
+ * unrun task from one shared word and runs it, until none is left
+ * (docs/block_parallelism.md).
  *
- * The word packs the open launch's number (high half) and its next
- * unclaimed block (low half); a claim is one compare-and-swap that
- * checks both, so a helper that wakes after its launch closed claims
- * nothing and touches nothing of it.  The caller closes the launch by
- * swapping the low half to CLOSED, which returns how many blocks were
- * claimed, and then waits only for claimed blocks to land: a helper
- * that holds no block is never waited on, and one whose core is taken
- * away costs at most the block it holds.  One caller at a time uses the
- * pool; a second concurrent caller, a launch of one block, and a forked
- * child play alone. */
+ * The word packs the open pass's number (high half) and its next
+ * unclaimed task (low half); a claim is one compare-and-swap that
+ * checks both, so a helper that wakes after its pass closed claims
+ * nothing and touches nothing of it.  The caller closes the pass by
+ * swapping the low half to CLOSED, which returns how many tasks were
+ * claimed, and then waits only for claimed tasks to land: a helper
+ * that holds no task is never waited on, and one whose core is taken
+ * away costs at most the task it holds.  One caller at a time uses the
+ * pool; a second concurrent caller, a pass of one task, and a forked
+ * child run alone. */
 
 #define CLOSED 0xFFFFFFFFULL
 
 static struct {
     pthread_mutex_t mu;
-    pthread_cond_t wake;    /* helpers: a launch opened */
-    pthread_cond_t landed;  /* the caller: a helper's block landed */
-    /* Under mu: launches opened, the open one's job, the workers it
-     * may use (caller included) and the blocks helpers have landed; is
-     * the caller asleep on `landed`? */
+    pthread_cond_t wake;    /* helpers: a pass opened */
+    pthread_cond_t landed;  /* the caller: a helper's task landed */
+    /* Under mu: passes opened, the open one's job and task, the workers
+     * it may use (caller included) and the tasks helpers have landed;
+     * is the caller asleep on `landed`? */
     uint64_t opened;
     const block_job_t *job;
-    int64_t cap, landed_blocks;
+    int (*task)(const block_job_t *job, int64_t i);
+    int64_t cap, landed_tasks;
     int waiting;
     /* Set once, by start_pool (or by a fork, to 0). */
     int64_t helpers;
-    _Atomic uint64_t word;     /* (launch << 32) | next unclaimed block */
-    _Atomic int64_t limit;     /* blocks in the open launch */
-    _Atomic int failed;        /* a lane of the open launch ran too long */
-    _Atomic int64_t pinned;    /* workers a launch may use; < 1: all */
+    _Atomic uint64_t word;     /* (pass << 32) | next unclaimed task */
+    _Atomic int64_t limit;     /* tasks in the open pass */
+    _Atomic int failed;        /* a task of the open pass failed */
+    _Atomic int64_t pinned;    /* workers a pass may use; < 1: all */
     atomic_flag busy;          /* a caller holds the pool */
 } pool = {
     .mu = PTHREAD_MUTEX_INITIALIZER,
@@ -455,16 +489,16 @@ static struct {
 
 static pthread_once_t pool_once = PTHREAD_ONCE_INIT;
 
-/* The next block of launch `launch`, or -1 once that launch is fully
- * claimed, has failed, is closed, or is no longer the open one.  A
- * successful claim keeps the launch -- and `pool.job` -- alive until
- * the block lands. */
-static int64_t claim(uint32_t launch)
+/* The next task of pass `pass`, or -1 once that pass is fully claimed,
+ * has failed, is closed, or is no longer the open one.  A successful
+ * claim keeps the pass -- and `pool.job` -- alive until the task
+ * lands. */
+static int64_t claim(uint32_t pass)
 {
     uint64_t w = atomic_load_explicit(&pool.word, memory_order_acquire);
     for (;;) {
         uint64_t next = w & CLOSED;
-        if ((uint32_t)(w >> 32) != launch
+        if ((uint32_t)(w >> 32) != pass
             || (int64_t)next
                    >= atomic_load_explicit(&pool.limit, memory_order_relaxed)
             || atomic_load_explicit(&pool.failed, memory_order_relaxed))
@@ -476,11 +510,10 @@ static int64_t claim(uint32_t launch)
     }
 }
 
-/* Play one claimed block of the open launch. */
-static void play_claimed(int64_t i)
+/* Run one claimed task of the open pass. */
+static void run_claimed(int64_t i)
 {
-    const block_job_t *job = pool.job;
-    if (job->play(job, i))
+    if (pool.task(pool.job, i))
         atomic_store_explicit(&pool.failed, 1, memory_order_relaxed);
 }
 
@@ -493,13 +526,13 @@ static void *helper_main(void *arg)
         while (pool.opened == seen)
             pthread_cond_wait(&pool.wake, &pool.mu);
         seen = pool.opened;
-        int plays = index < pool.cap;
+        int runs = index < pool.cap;
         pthread_mutex_unlock(&pool.mu);
         int64_t i;
-        while (plays && (i = claim((uint32_t)seen)) >= 0) {
-            play_claimed(i);
+        while (runs && (i = claim((uint32_t)seen)) >= 0) {
+            run_claimed(i);
             pthread_mutex_lock(&pool.mu);
-            pool.landed_blocks++;
+            pool.landed_tasks++;
             if (pool.waiting)
                 pthread_cond_signal(&pool.landed);
             pthread_mutex_unlock(&pool.mu);
@@ -562,7 +595,7 @@ static void start_pool(void)
     pthread_atfork(before_fork, after_fork_in_parent, after_fork_in_child);
 }
 
-/* Workers a launch uses, the caller included. */
+/* Workers a pass uses, the caller included. */
 static int64_t launch_workers(void)
 {
     pthread_once(&pool_once, start_pool);
@@ -571,43 +604,46 @@ static int64_t launch_workers(void)
     return pin >= 1 && pin < all ? pin : all;
 }
 
-/* Play blocks [0, k) of `job` on the block workers.  Returns 0, or 1
- * when a lane ran past `max_steps` (blocks after it may be skipped). */
-static int run_blocks(const block_job_t *job, int64_t k)
+/* Run tasks [0, c) of `job` on the block workers.  Returns 0, or 1 when
+ * a task failed (tasks after it may be skipped). */
+static int run_tasks(const block_job_t *job,
+                     int (*task)(const block_job_t *job, int64_t i),
+                     int64_t c)
 {
-    int64_t cap = k >= 2 && k < (int64_t)CLOSED ? launch_workers() : 1;
+    int64_t cap = c >= 2 && c < (int64_t)CLOSED ? launch_workers() : 1;
     if (cap < 2
         || atomic_flag_test_and_set_explicit(&pool.busy,
                                              memory_order_acquire)) {
-        for (int64_t i = 0; i < k; i++)
-            if (job->play(job, i))
+        for (int64_t i = 0; i < c; i++)
+            if (task(job, i))
                 return 1;
         return 0;
     }
     pthread_mutex_lock(&pool.mu);
-    uint32_t launch = (uint32_t)++pool.opened;
+    uint32_t pass = (uint32_t)++pool.opened;
     pool.job = job;
+    pool.task = task;
     pool.cap = cap;
-    pool.landed_blocks = 0;
+    pool.landed_tasks = 0;
     atomic_store_explicit(&pool.failed, 0, memory_order_relaxed);
-    atomic_store_explicit(&pool.limit, k, memory_order_relaxed);
-    atomic_store_explicit(&pool.word, (uint64_t)launch << 32,
+    atomic_store_explicit(&pool.limit, c, memory_order_relaxed);
+    atomic_store_explicit(&pool.word, (uint64_t)pass << 32,
                           memory_order_release);
     pthread_cond_broadcast(&pool.wake);
     pthread_mutex_unlock(&pool.mu);
 
     int64_t mine = 0, i;
-    while ((i = claim(launch)) >= 0) {
-        play_claimed(i);
+    while ((i = claim(pass)) >= 0) {
+        run_claimed(i);
         mine++;
     }
     uint64_t last = atomic_exchange_explicit(
-        &pool.word, ((uint64_t)launch << 32) | CLOSED, memory_order_acq_rel);
+        &pool.word, ((uint64_t)pass << 32) | CLOSED, memory_order_acq_rel);
     int64_t claimed = (int64_t)(last & CLOSED);
     if (claimed > mine) {
         pthread_mutex_lock(&pool.mu);
         pool.waiting = 1;
-        while (pool.landed_blocks < claimed - mine)
+        while (pool.landed_tasks < claimed - mine)
             pthread_cond_wait(&pool.landed, &pool.mu);
         pool.waiting = 0;
         pthread_mutex_unlock(&pool.mu);
@@ -615,6 +651,12 @@ static int run_blocks(const block_job_t *job, int64_t k)
     int failed = atomic_load_explicit(&pool.failed, memory_order_relaxed);
     atomic_flag_clear_explicit(&pool.busy, memory_order_release);
     return failed;
+}
+
+/* Tasks of `size` lanes over n lanes. */
+static inline int64_t chunks(int64_t n, int64_t size)
+{
+    return (n + size - 1) / size;
 }
 
 /* Every lane of winners / scores / finish, and the generator settled
@@ -629,24 +671,34 @@ static int block_lanes(int64_t k, const uint64_t *p1, const uint64_t *p2,
                        int (*play)(const block_job_t *, int64_t))
 {
     int64_t n = k * lanes;
-    uint64_t *init_s0 = copy_u64(s0, n), *init_s1 = copy_u64(s1, n);
-    if (!init_s0 || !init_s1) {
-        free(init_s0);
-        free(init_s1);
+    if (n <= 0)
+        return 0;
+    uint64_t *end = malloc(2 * (size_t)n * sizeof(uint64_t));
+    if (!end)
         return -2;
+    block_job_t job = {p1, p2, to_move, lanes, n,
+                       lanes > PLAY_CHUNK ? lanes + (lanes & 1) : PLAY_CHUNK,
+                       s0, s1, end, end + n, winners, scores, finish,
+                       max_steps, 0};
+    int rc = -1;
+    if (!run_tasks(&job, play, chunks(n, job.chunk))) {
+        job.steps = first_compact_step(n, finish, min_compact, thr);
+        rc = -2;
+        if (job.steps >= 0) {
+            run_tasks(&job, settle_chunk, chunks(n, SETTLE_CHUNK));
+            rc = 0;
+        }
     }
-    block_job_t job = {p1,      p2,     to_move, lanes,     s0,  s1,
-                       winners, scores, finish,  max_steps, play};
-    int err = run_blocks(&job, k);
-    return finalize(n, s0, s1, init_s0, init_s1, finish, min_compact, thr,
-                    err);
+    free(end);
+    return rc;
 }
 
 /* The batch-object entry (must match repro/games/batch.py::
  * run_playouts_tracked): lane i of a batch the game's `make_batch`
  * already derived -- boards (a[i], b[i]) as its move loop takes them,
  * `done[i]`, and Reversi's `passed[i]` (NULL for the other games) -- on
- * the caller's generator.  Writes and returns as `block_lanes`. */
+ * the caller's generator, on the calling thread.  Writes and returns as
+ * `block_lanes`. */
 FORCE_INLINE int batch_lanes(int64_t n, const uint64_t *a, const uint64_t *b,
                              const int8_t *to_move, const uint8_t *passed,
                              const uint8_t *done, uint64_t *s0, uint64_t *s1,
@@ -655,28 +707,32 @@ FORCE_INLINE int batch_lanes(int64_t n, const uint64_t *a, const uint64_t *b,
                              int64_t min_compact, double thr,
                              const game_t *g, const kit_t *kit)
 {
-    uint64_t *init_s0 = copy_u64(s0, n), *init_s1 = copy_u64(s1, n);
-    if (!init_s0 || !init_s1) {
-        free(init_s0);
-        free(init_s1);
+    if (n <= 0)
+        return 0;
+    uint64_t *e0 = malloc(2 * (size_t)n * sizeof(uint64_t));
+    if (!e0)
         return -2;
-    }
-    int err = 0;
-    for (int64_t i = 0; i < n; i++) {
+    uint64_t *e1 = e0 + n;
+    int rc = 0;
+    for (int64_t i = 0; i < n && !rc; i++) {
         entry_t e = {a[i], b[i], done[i] != 0, passed && passed[i] != 0};
-        int score;
-        int64_t steps = play_lane(lane_at(e, to_move[i], s0[i], s1[i]),
-                                  max_steps, &score, g, kit);
-        if (steps < 0) {
-            err = 1;
-            break;
-        }
-        finish[i] = steps;
+        lane_t l = lane_at(e, to_move[i], s0[i], s1[i]);
+        int score = 0;
+        finish[i] = play_lane(&l, max_steps, &score, g, kit);
+        rc = finish[i] < 0 ? -1 : 0;
         scores[i] = (int16_t)score;
         winners[i] = sign_of(score);
+        e0[i] = l.s0;
+        e1[i] = l.s1;
     }
-    return finalize(n, s0, s1, init_s0, init_s1, finish, min_compact,
-                    thr, err);
+    if (!rc) {
+        int64_t steps = first_compact_step(n, finish, min_compact, thr);
+        rc = steps < 0 ? -2 : 0;
+        for (int64_t i = 0; i < n && !rc; i++)
+            settle_lane(i, s0, s1, e0, e1, finish, steps);
+    }
+    free(e0);
+    return rc;
 }
 
 /* -- Reversi (must match repro/games/reversi_batch.py) ------------------ */
@@ -967,7 +1023,7 @@ static const game_t connect4_game = {c4_entry, c4_ply, c4_score, 0};
 /* -- The two bodies ------------------------------------------------------ */
 
 /* Every export above the tree kernels is the FORCE_INLINE chain
- * `*_lanes` / `play_block` -> `play_pair` / `play_lane` -> `<game>_ply`
+ * `*_lanes` / `play_chunk` -> `play_pair` / `play_lane` -> `<game>_ply`
  * under one of two bodies: `portable`, and on x86-64 `fast`, compiled
  * under FAST_TARGET.  Inlined there, the move loops pick up the target's
  * ISA -- `POPCOUNT` is one `popcnt` -- and the body's kit: `nth_bit_pdep`
@@ -1042,9 +1098,9 @@ typedef struct {
     {                                                                        \
         return launch_lanes(LAUNCH_ARGS, &GAME##_game, &B##_kit);            \
     }                                                                        \
-    TARGET static int B##_##GAME##_play(const block_job_t *job, int64_t i)   \
+    TARGET static int B##_##GAME##_play(const block_job_t *job, int64_t c)   \
     {                                                                        \
-        return play_block(job, i, &GAME##_game, &B##_kit);                   \
+        return play_chunk(job, c, &GAME##_game, &B##_kit);                   \
     }                                                                        \
     static int B##_##GAME##_block(BLOCK_PARAMS)                              \
     {                                                                        \
@@ -2034,6 +2090,64 @@ int repro_backprop_winners_many(int64_t n, const arena_t *const *arenas,
     }
     *at = n;
     return 0;
+}
+
+/* -- Grid makespan (must match repro/gpu/scheduler.py::greedy_makespan) - */
+
+/* heapq's `_siftup` from `pos` over heap[0 .. len): the smaller child
+ * moves up until a leaf is reached, then `item` sifts back down. */
+static void sift_up(double *heap, int64_t len, int64_t pos)
+{
+    int64_t start = pos, child = 2 * pos + 1;
+    double item = heap[pos];
+    while (child < len) {
+        int64_t right = child + 1;
+        if (right < len && !(heap[child] < heap[right]))
+            child = right;
+        heap[pos] = heap[child];
+        pos = child;
+        child = 2 * pos + 1;
+    }
+    while (pos > start) {
+        int64_t parent = (pos - 1) >> 1;
+        if (!(item < heap[parent]))
+            break;
+        heap[pos] = heap[parent];
+        pos = parent;
+    }
+    heap[pos] = item;
+}
+
+/* Completion time of `n` blocks of times[i] on 0 < `slots` < n slots,
+ * dispatched in index order as slots free up: Python's `heapify` of the
+ * first `slots` times, one `heapreplace(heap, heap[0] + t)` per later
+ * block and `max(heap)` -- the same comparisons in the same order, so
+ * the same double.  -1 when a time is negative, -2 when the heap cannot
+ * be allocated, -3 for a slot count outside (0, n). */
+double repro_greedy_makespan(int64_t n, const double *times, int64_t slots)
+{
+    if (slots < 1 || slots >= n)
+        return -3;
+    for (int64_t i = 0; i < n; i++)
+        if (times[i] < 0)
+            return -1;
+    double *heap = malloc((size_t)slots * sizeof(double));
+    if (!heap)
+        return -2;
+    for (int64_t i = 0; i < slots; i++)
+        heap[i] = times[i];
+    for (int64_t i = slots / 2 - 1; i >= 0; i--)
+        sift_up(heap, slots, i);
+    for (int64_t i = slots; i < n; i++) {
+        heap[0] += times[i];
+        sift_up(heap, slots, 0);
+    }
+    double top = heap[0];
+    for (int64_t i = 1; i < slots; i++)
+        if (heap[i] > top)
+            top = heap[i];
+    free(heap);
+    return top;
 }
 
 /* Test helper: libm's `log`, to pin it against `math.log`. */

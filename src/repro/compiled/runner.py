@@ -383,6 +383,31 @@ def block_compiled(
     )
 
 
+def makespan_compiled(block_times, slots: int) -> float:
+    """:func:`repro.gpu.scheduler.greedy_makespan` of ``block_times`` on
+    ``slots`` slots, its heap run in C (``repro_greedy_makespan``) for a
+    grid wider than the slots: the same double.  The Python body runs
+    everything else -- no library, a grid that fits the slots, a refused
+    slot count -- and is the oracle."""
+    times = np.ascontiguousarray(block_times, dtype=np.float64)
+    n = times.size
+    lib = load_library()
+    if lib is None or not 0 < slots < n:
+        # Imported here: ``repro.gpu`` imports ``repro.core``, which
+        # imports this module.
+        from repro.gpu.scheduler import greedy_makespan
+
+        return greedy_makespan(times, slots)
+    makespan = lazy_export(lib, "greedy_makespan")(
+        n, _address(times, False), slots
+    )
+    if makespan == -1:
+        raise ValueError("block times must be non-negative")
+    if makespan < 0:
+        raise MemoryError("compiled makespan allocation failed")
+    return makespan
+
+
 def _tree_library(game_name: str):
     """The library when it holds tree kernels for ``game_name``, else
     ``None`` (never warns: compiled tree work is not something a spec

@@ -68,10 +68,17 @@ def launch_block_numpy(
     """``lanes_per_state`` playouts per position, lanes ``[i *
     lanes_per_state, (i + 1) * lanes_per_state)`` of ``rng`` playing
     position ``i``; ``rng`` ends advanced as far as the lockstep loop
-    ran before its first compaction.  The NumPy body of
-    :func:`block_launcher` and the oracle of the compiled one."""
+    ran before its first compaction -- or untouched, as the compiled
+    body leaves it, when a lane runs past ``max_game_length`` and the
+    launch raises.  The NumPy body of :func:`block_launcher` and the
+    oracle of the compiled one."""
     batch = bg.make_batch(list(positions), lanes_per_state)
-    return run_playouts_tracked(bg, batch, rng)
+    before = rng.getstate()
+    try:
+        return run_playouts_tracked(bg, batch, rng)
+    except RuntimeError:
+        rng.setstate(before)
+        raise
 
 
 def block_launcher(playout: str) -> LaunchBlock:

@@ -24,10 +24,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.compiled import makespan_compiled
 from repro.gpu.device import DeviceSpec
 from repro.gpu.kernel import KernelSpec, LaunchConfig
 from repro.gpu.occupancy import occupancy
-from repro.gpu.scheduler import greedy_makespan
 
 
 def sm_step_time(
@@ -118,7 +118,8 @@ def kernel_time(
         )
     slots, t_step = _launch_shape(spec, kernel, config)
     # A block's slot is busy for (its steps) x (the SM step time);
-    # greedy reuse of freed slots gives the grid makespan.  A grid
+    # greedy reuse of freed slots gives the grid makespan (its heap in
+    # C where the library loads: the same doubles).  A grid
     # that fits the slots at once takes as long as its slowest block:
     # ``max(steps) * t_step`` is the same double as the largest
     # product (rounding is monotone), on Python numbers.
@@ -128,7 +129,7 @@ def kernel_time(
             raise ValueError("block times must be non-negative")
         compute = max(values) * t_step
     else:
-        compute = greedy_makespan(steps * t_step, slots)
+        compute = makespan_compiled(steps * t_step, slots)
     transfer = 0.0
     if transfer_bytes > 0:
         transfer = (

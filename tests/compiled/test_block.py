@@ -65,6 +65,11 @@ LANES = [1, 2, 64]
 needs_kernel = pytest.mark.skipif(
     not compiled_available(), reason="no compiled kernel library on this host"
 )
+#: The block seam's two bodies.
+BODIES = [
+    pytest.param(block_launcher(playout), id=playout)
+    for playout in executors.PLAYOUT_EXECUTORS
+]
 
 
 def references(bg, states, lanes, seed):
@@ -181,9 +186,11 @@ def test_random_walk_positions(game_name, walks, lanes, seed):
 
 # -- (a2) lanes in pairs -----------------------------------------------------
 #
-# Reversi blocks play their lanes two in flight (``play_pair`` in
-# ``playout.c``), an odd last lane alone: every lane must come out as
-# it does alone.
+# A Reversi launch plays its lanes two in flight (``play_pair`` in
+# ``playout.c``) -- lanes 2i and 2i + 1 of the whole launch, so an
+# odd-width block's last lane pairs with the next block's first, and
+# only an odd launch's last lane plays alone: every lane must come out
+# as it does alone.
 
 
 @pytest.mark.parametrize("lanes", [1, 3, 63])
@@ -191,7 +198,8 @@ def test_random_walk_positions(game_name, walks, lanes, seed):
 def test_reversi_odd_lane_counts(lanes, k):
     """Blocks of 1, 3 and 63 lanes from every pool root -- over at
     entry, a forced pass that ends on a double pass, mid-game -- so
-    each block ends on a lone lane."""
+    with three blocks pairs straddle two blocks' positions, and a
+    one-block or odd launch ends on a lone lane."""
     pool = root_pool("reversi")
     for first in range(0, len(pool), k):
         states = [pool[(first + i) % len(pool)] for i in range(k)]
@@ -220,10 +228,9 @@ def uneven_pair():
 @pytest.mark.parametrize("slot", [0, 1])
 def test_reversi_lane_past_max_steps_in_either_slot(slot):
     """One lane of a pair runs past ``max_game_length``, its partner
-    does not: the block is refused and the kernel leaves the generator
-    untouched (the NumPy fallback raises too, after stepping it) -- and
-    with the longer lane's length allowed, both lanes match the
-    references."""
+    does not: the block is refused and the generator is left untouched,
+    on the kernel and on the NumPy fallback alike -- and with the longer
+    lane's length allowed, both lanes match the references."""
     state, seeds = uneven_pair()
     seed, shorter = seeds[slot]
     bg = make_batch_game("reversi")
@@ -233,10 +240,54 @@ def test_reversi_lane_past_max_steps_in_either_slot(slot):
         RuntimeError, match=f"exceeded max_game_length={shorter}; engine bug"
     ):
         block_compiled(bg, Positions([state]), 2, rng)
-    if compiled_available():
-        assert_same_generator(rng, BatchXorShift128Plus(2, seed))
+    assert_same_generator(rng, BatchXorShift128Plus(2, seed))
     want = check("reversi", [state], 2, seed)
     assert want.finish_steps[slot] > want.finish_steps[1 - slot] == shorter
+
+
+def straddling_launch(lanes, slot):
+    """Three late Reversi positions, one per block of ``lanes`` lanes,
+    and a generator seed under which exactly one lane runs longest: the
+    ``slot`` lane of the first pair that straddles two blocks (lanes 0
+    and 1 for one-lane blocks, 2 and 3 for three-lane ones).  Returns
+    ``(states, seed, that lane, the longest other finish step)``."""
+    game, bg = make_game("reversi"), make_batch_game("reversi")
+    states = [_walk(game, 47, seed) for seed in (11, 12, 13)]
+    first = lanes - 1 if lanes % 2 else lanes  # the straddling pair's
+    lane = first + slot
+    for seed in range(500):
+        finish = launch_block_numpy(
+            bg, states, lanes, BatchXorShift128Plus(3 * lanes, seed)
+        ).finish_steps.tolist()
+        others = max(finish[:lane] + finish[lane + 1 :])
+        if finish[lane] > others:
+            return states, seed, lane, others
+    raise AssertionError("no seed makes the straddling lane run longest")
+
+
+@pytest.mark.parametrize("launch", BODIES)
+@pytest.mark.parametrize("slot", [0, 1])
+@pytest.mark.parametrize("lanes", [1, 3])
+def test_a_pair_across_two_blocks_refused_in_either_slot(
+    launch, lanes, slot
+):
+    """Odd-width blocks: the launch's pair straddling blocks 0 and 1 has
+    one lane past ``max_game_length`` and every other lane of the launch
+    within it -- the launch is refused and the generator untouched, on
+    either body -- and with that lane's length allowed the launch
+    matches the references."""
+    states, seed, lane, others = straddling_launch(lanes, slot)
+    assert lane // lanes != (lane ^ 1) // lanes  # the pair straddles
+    bg = make_batch_game("reversi")
+    bg.max_game_length = others
+    rng = BatchXorShift128Plus(3 * lanes, seed)
+    with pytest.raises(
+        RuntimeError, match=f"exceeded max_game_length={others}; engine bug"
+    ):
+        launch(bg, Positions(states), lanes, rng)
+    assert_same_generator(rng, BatchXorShift128Plus(3 * lanes, seed))
+    want = check("reversi", states, lanes, seed)
+    assert want.finish_steps[lane] > others
 
 
 # -- (b) the caller's generator ----------------------------------------------
@@ -369,12 +420,6 @@ def test_block_columns_reads_read_only_columns():
         column.setflags(write=False)
     got = runner.block_columns(kernel, bg, *columns, 2, got_rng)
     assert_same(got, got_rng, want, want_rng)
-
-
-BODIES = [
-    pytest.param(block_launcher(playout), id=playout)
-    for playout in executors.PLAYOUT_EXECUTORS
-]
 
 
 @pytest.mark.parametrize("launch", BODIES)

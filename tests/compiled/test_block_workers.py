@@ -1,11 +1,12 @@
-"""The block workers behind ``repro_<game>_block``: a launch's blocks are
-claimed one at a time by the calling thread and the pool's helpers, and
-the generator is settled once, after every block has landed
-(docs/block_parallelism.md).  So a launch must write the same bytes --
-winners, scores, finish steps and generator -- whatever number of
-workers plays it.  Each test here holds a launch on every worker to the
-same launch pinned to the caller alone (:func:`pinned_block_workers`),
-on both kernel bodies, and the pin is lifted after the module.
+"""The block workers behind ``repro_<game>_block``: a launch's lanes are
+claimed a chunk at a time by the calling thread and the pool's helpers,
+and once every lane has landed the generator is settled the same way,
+a chunk of lanes a claim (docs/block_parallelism.md).  So a launch must
+write the same bytes -- winners, scores, finish steps and generator --
+whatever number of workers plays it.  Each test here holds a launch on
+every worker to the same launch pinned to the caller alone
+(:func:`pinned_block_workers`), on both kernel bodies, and the pin is
+lifted after the module.
 """
 
 import hashlib
@@ -33,10 +34,13 @@ from repro.compiled.build import (
     pinned_block_workers,
     pinned_kernel_body,
 )
+from repro.core.executors import launch_block_numpy
 from repro.games import make_batch_game, make_game
-from repro.games.batch import Positions
+from repro.games.batch import MIN_COMPACT_SIZE, Positions
 from repro.rng import BatchXorShift128Plus
+from tests.compiled.test_block import _finishing_at
 from tests.compiled.test_launch import root_pool
+from tests.compiled.test_runner import _caller_steps
 
 pytestmark = [
     pytest.mark.compiled,
@@ -125,6 +129,46 @@ def test_every_worker_count_writes_the_same_bytes(
     with pinned_kernel_body(body):
         alone, on_all = alone_and_on_all(game_name, states, lanes, seed)
     assert on_all == alone
+
+
+#: Finish steps of a TicTacToe launch, position by position in turn:
+#: a launch of at least ``MIN_COMPACT_SIZE`` lanes first compacts after
+#: step 2 (7 of 10 lanes alive after step 1, 4 after step 2), so its
+#: lanes finish before, at and after the step the generator is settled
+#: to; a narrower one settles to its last finish step, 3.
+PLIES = (0, 1, 1, 2, 2, 2, 3, 3, 3, 3)
+
+
+@pytest.mark.parametrize("body", kernel_bodies())
+@pytest.mark.parametrize(
+    "k,lanes",
+    [
+        pytest.param(40, 1, id="40-under-min-compact"),
+        pytest.param(13, 3, id="39-under-min-compact"),
+        pytest.param(50, 4, id="200-over-min-compact"),
+        pytest.param(833, 3, id="2499-over-two-settle-chunks"),
+        pytest.param(2500, 1, id="2500-over-two-settle-chunks"),
+    ],
+)
+def test_finish_steps_around_the_first_compaction(k, lanes, body):
+    """On one worker and on all, the bytes of ``launch_block_numpy``:
+    end states stepped on to the settle step, initial states stepped
+    from the start, over one settle chunk and several."""
+    states = [_finishing_at(PLIES[i % len(PLIES)]) for i in range(k)]
+    n = k * lanes
+    per_lane = [PLIES[(j // lanes) % len(PLIES)] for j in range(n)]
+    settled = _caller_steps(per_lane, MIN_COMPACT_SIZE, 0.5)
+    assert settled == (2 if n >= MIN_COMPACT_SIZE else 3)
+    rng = BatchXorShift128Plus(n, 21)
+    want = launch_block_numpy(make_batch_game("tictactoe"), states, lanes, rng)
+    assert want.finish_steps.tolist() == per_lane
+    _, s0, s1 = rng.getstate()
+    columns = (want.winners, want.scores, want.finish_steps, s0, s1)
+    want_bytes = [column.tobytes() for column in columns]
+    with pinned_kernel_body(body):
+        alone, on_all = alone_and_on_all("tictactoe", states, lanes, 21)
+    assert alone == want_bytes
+    assert on_all == want_bytes
 
 
 @pytest.mark.parametrize("body", kernel_bodies())

@@ -272,3 +272,75 @@ def test_terminal_and_open_leaves_keep_their_own_rows():
             for arena in pair:
                 arena.backprop_winners(refs, winners)
     assert seen == {True, False}
+
+
+#: The batched tick gate's tenants (``tests/gates/test_micro.py``,
+#: ``test_micro_tenant_forest_tick_batched``): ``TICK_TENANTS``
+#: ``root:8`` arenas of each game, from the opening.
+TICK_TENANTS = 50
+
+
+@pytest.mark.skipif(not compiled_available(), reason="no compiled library")
+def test_the_batched_tick_makes_one_kernel_call_per_game_and_sub_round(
+    monkeypatch,
+):
+    """The structural half of the batched tick gate, counted: over 150
+    ``root:8`` tenants of three games, each sub-round is one
+    ``*_select_expand_many`` call per game -- and one more from each
+    tenant that had to grow, resuming the call from it -- and one
+    ``repro_backprop_winners_many`` call, where the per-tenant loop
+    makes a ``select_round`` and a ``backprop_winners`` per tenant; no
+    tenant runs a round of its own."""
+    from repro.core import arena as arena_module
+
+    calls = {"select": 0, "credit": 0, "grow": 0, "own": 0}
+
+    def counting(key, fn):
+        def counted(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+
+        return counted
+
+    monkeypatch.setattr(
+        arena_module,
+        "select_expand_many_compiled",
+        counting("select", select_expand_many_compiled),
+    )
+    monkeypatch.setattr(
+        arena_module,
+        "backprop_winners_many_compiled",
+        counting("credit", backprop_winners_many_compiled),
+    )
+    monkeypatch.setattr(
+        TreeArena, "_grow", counting("grow", TreeArena._grow)
+    )
+    for method in ("select_round", "backprop_winner", "backprop_winners"):
+        monkeypatch.setattr(
+            TreeArena, method, counting("own", getattr(TreeArena, method))
+        )
+    games = ["reversi", "connect4", "tictactoe"]
+    forests = [
+        TreeArena(
+            game,
+            game.initial_state(),
+            [XorShift64Star(1 + 8 * j + t) for t in range(8)],
+            1.0,
+        )
+        for game in map(make_game, games)
+        for j in range(TICK_TENANTS)
+    ]
+    trees = list(range(8))
+    for r in range(30):
+        before = dict(calls)
+        answers = select_round_many(forests, [trees] * len(forests))
+        backprop_winners_many(
+            forests,
+            [refs for refs, *_ in answers],
+            [[(r + t) % 3 - 1 for t in trees]] * len(forests),
+        )
+        grown = calls["grow"] - before["grow"]
+        assert calls["select"] - before["select"] == len(games) + grown
+        assert calls["credit"] - before["credit"] == 1
+    assert calls["own"] == 0
+    assert 0 < calls["grow"] < calls["select"]
