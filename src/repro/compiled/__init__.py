@@ -25,9 +25,12 @@ Public surface:
   :class:`TenantRows` / :func:`select_expand_many_compiled` /
   :func:`backprop_winners_many_compiled` -- the same over many arenas
   in one call (``repro.core.arena.select_round_many`` /
-  ``backprop_winners_many``); :class:`RootLoop` -- a ``root:N``
-  session's select loop, which either select kernel runs to the
-  session's next playout demand (``TreeArena.select_loop``);
+  ``backprop_winners_many``); :class:`RootLoop` -- a ``root:N`` or
+  ``sequential`` session's select loop, which either select kernel
+  delivers the session's answers to and runs to its next playout demand
+  (``TreeArena.select_loop``, ``repro.core.arena.select_loops``), and
+  :func:`loop_positions` gathers loops' playout rows into launch
+  columns;
   :func:`expand_kernel` / :func:`expand_compiled` -- the expansion step
   alone, for its differential tests.
 """
@@ -42,6 +45,7 @@ from repro.compiled.build import (
     unavailable_reason,
 )
 from repro.compiled.runner import (
+    BAD_PLIES,
     COMPILED_GAMES,
     ArenaColumns,
     RootLoop,
@@ -56,6 +60,7 @@ from repro.compiled.runner import (
     expand_compiled,
     expand_kernel,
     launch_compiled,
+    loop_positions,
     makespan_compiled,
     run_playouts_tracked_compiled,
     select_expand_compiled,
@@ -64,6 +69,7 @@ from repro.compiled.runner import (
 
 __all__ = [
     "ArenaColumns",
+    "BAD_PLIES",
     "COMPILED_GAMES",
     "RootLoop",
     "TenantRows",
@@ -82,6 +88,7 @@ __all__ = [
     "kernel_body",
     "launch_compiled",
     "load_library",
+    "loop_positions",
     "makespan_compiled",
     "reset_cache",
     "run_playouts_tracked_compiled",

@@ -192,7 +192,7 @@ _LAZY_SIGNATURES = {
     # (k, rows, arena_t*)
     "expand": (ctypes.c_int, [ctypes.c_int64] + [ctypes.c_void_p] * 2),
     # (k, trees, arena_t*, leaves, depths, root_loop_t* or NULL) -> 0 |
-    #  capacity needed | error
+    #  capacity needed | error | BAD_PLIES
     "select_expand": (
         ctypes.c_int64, [ctypes.c_int64] + [ctypes.c_void_p] * 5
     ),
@@ -207,10 +207,17 @@ _LAZY_SIGNATURES = {
         ctypes.c_int, [ctypes.c_int64] + [ctypes.c_void_p] * 3
     ),
     # (n, arena_t**, bounds, trees, leaves, depths, plane1, plane2,
-    #  to_move, terminal, root_loop_t** (entries may be NULL), at) -> 0 |
-    #  capacity needed | error; *at the first tenant not done
+    #  to_move, terminal, root_loop_t** (entries may be NULL), winners,
+    #  plies, answer_at (NULL: no answers), at) -> 0 | capacity needed |
+    #  error | BAD_PLIES; *at the first tenant not done
     "select_expand_many": (
-        ctypes.c_int64, [ctypes.c_int64] + [ctypes.c_void_p] * 11
+        ctypes.c_int64, [ctypes.c_int64] + [ctypes.c_void_p] * 14
+    ),
+    # (n, root_loop_t**, at, lanes, plane1, plane2, to_move) -> 0 | -1
+    "loop_positions": (
+        ctypes.c_int,
+        [ctypes.c_int64] + [ctypes.c_void_p] * 2 + [ctypes.c_int64]
+        + [ctypes.c_void_p] * 3,
     ),
     # (n, arena_t**, bounds, leaves, winners, at) -> 0 | -2; *at the
     #  first tenant not done

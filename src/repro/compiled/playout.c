@@ -1741,7 +1741,20 @@ FORCE_INLINE int64_t select_expand_rows(
     return 0;
 }
 
-/* -- The root select loop (`RootRound` in repro/core/rounds.py) --------- */
+/* -- The select loop (`LoopRound` in repro/core/rounds.py) -------------- */
+
+/* Do the k leaves lie inside the allocation?  (Negative ones are rows
+ * with nothing to add.) */
+static inline int leaves_inside(const arena_t *a, int64_t k,
+                                const int64_t *leaves)
+{
+    if (a->allocated < 0 || a->allocated > a->capacity)
+        return 0;
+    for (int64_t i = 0; i < k; i++)
+        if (leaves[i] >= a->allocated)
+            return 0;
+    return 1;
+}
 
 /* `TreeArena.backprop` along the path from `leaf` to its root: `sims`
  * visits per node, `black` or `white` wins by the node's mover.
@@ -1761,60 +1774,126 @@ static inline int credit_path(const arena_t *a, int64_t leaf, double sims,
     return 0;
 }
 
-/* A `root:N` session's select loop, handed to a select kernel so that one
- * call runs the session to its next playout demand.  repro.compiled.runner
+/* One playout's outcome credited along the path from `leaf`: a visit,
+ * a win for the winner's side, half a win each for a draw (0).
+ * Anything else -- NaN, a bit-flipped byte -- compares false three
+ * times: a visit and no win, as the Python body credits it. */
+static inline int credit_winner(const arena_t *a, int64_t leaf, double w)
+{
+    double half = 0.5 * (w == 0.0);
+    return credit_path(a, leaf, 1.0, (w == 1.0) + half, (w == -1.0) + half);
+}
+
+/* A `root:N` or `sequential` session's select loop, handed to a select
+ * kernel so that one call delivers the session's last playout answers
+ * and runs it to its next playout demand.  repro.compiled.runner
  * .RootLoop mirrors this struct field for field. */
 typedef struct {
-    double *clock;               /* the trees' core clocks, n_trees */
+    double *clock;               /* the trees' clocks, n_trees */
     int64_t *iters;              /* the trees' iteration counts, n_trees */
-    int64_t n_trees;             /* rows of clock and iters */
-    const double *terminal_time; /* `iteration_time(d, 0)` at row d */
-    int64_t depths;              /* rows of terminal_time */
-    double budget, cap;          /* a tree selects while clock < budget
-                                  * and iters < cap */
-    int64_t once;                /* stop after one sub-round */
+    int64_t n_trees;             /* rows of every per-tree column */
+    const double *times;         /* `iteration_time(d, p)` at
+                                  * times[d * plies + p] */
+    int64_t depths, plies;       /* rows and columns of times */
+    double start, budget, cap;   /* a tree selects while clock - start
+                                  * < budget and iters < cap */
+    int64_t once;                /* stop after a delivery or one
+                                  * sub-round */
     int64_t sub_rounds, iterations; /* added to by every call */
-    int64_t rows;                /* the call's playout rows */
+    int64_t rows;                /* the pending playout rows */
+    /* Row i of the pending rows (the rest: a sub-round's working rows):
+     * its tree, leaf, depth, leaf position and terminal flag. */
+    int64_t *trees, *leaves, *row_depths;
+    uint64_t *plane1, *plane2;
+    int8_t *to_move;
+    uint8_t *terminal;
+    /* The pending rows' answers, row i's at [i], or NULL: none yet. */
+    const double *winners;
+    const int64_t *answer_plies;
 } root_loop_t;
 
-/* `RootRound.select` on arena `a`, rows [0, room) its room: sub-rounds of
- * `select_expand_rows` over the trees with budget left, in tree order,
- * each selected tree's iteration counted; a terminal leaf is its own
- * answer -- credited its winner, its tree's clock charged
- * `iteration_time(depth, 0)` -- and the other rows go on to a playout.
- * Repeats while every leaf was terminal and `once` is not set.  The
- * playout rows end compacted to the front, in row order, trees[] naming
- * their trees, and r->rows counts them.
- *
- * Returns 0 (no tree left with budget: no rows); else the code of the
- * sub-round that stopped, the ones before it done and counted: a
- * positive one is the capacity it needs -- grow the arena, call again,
- * and the loop resumes where it stopped, as it reads its trees from the
- * clocks and counts; -2 also when the loop's trees are not the arena's,
- * when more trees have budget left than there is room or a tree could
- * grow past the table's depths. */
-FORCE_INLINE int64_t root_loop(int64_t room, int64_t *trees, arena_t *a,
-                               int64_t *leaves, int64_t *depths,
-                               const leaf_rows_t *out, root_loop_t *r,
-                               play_fn play)
+/* `root_loop`'s answer to a pending row whose ply count lies outside the
+ * table -- a corrupted answer.  No row number i makes -3 - i reach it,
+ * nor does BAD_TREES. */
+#define BAD_PLIES (INT64_MIN + 1)
+
+/* Credit each pending row's winner and charge its tree's clock the
+ * row's `iteration_time(depth, plies)`; the rows are gone after.
+ * Every row is checked first, nothing written on a refusal: -2 when
+ * there are more rows than trees or a row's tree, leaf or depth lies
+ * outside the arena or the table, BAD_PLIES when its ply count lies
+ * outside the table. */
+static inline int64_t deliver(const arena_t *a, root_loop_t *r)
 {
+    const double *w = r->winners;
+    const int64_t *p = r->answer_plies;
+    if (r->rows < 0 || r->rows > r->n_trees
+        || !leaves_inside(a, r->rows, r->leaves))
+        return -2;
+    for (int64_t i = 0; i < r->rows; i++) {
+        if (r->trees[i] < 0 || r->trees[i] >= r->n_trees || r->leaves[i] < 0
+            || r->row_depths[i] < 0 || r->row_depths[i] >= r->depths)
+            return -2;
+        if (p[i] < 0 || p[i] >= r->plies)
+            return BAD_PLIES;
+    }
+    for (int64_t i = 0; i < r->rows; i++) {
+        if (credit_winner(a, r->leaves[i], w[i]))
+            return -2;
+        r->clock[r->trees[i]] += r->times[r->row_depths[i] * r->plies + p[i]];
+    }
+    r->winners = NULL;
+    r->answer_plies = NULL;
     r->rows = 0;
+    return 0;
+}
+
+/* `LoopRound.select` on arena `a`: the pending rows' answers delivered
+ * (`deliver`), then sub-rounds of `select_expand_rows` over the trees
+ * with budget left, in tree order, each selected tree's iteration
+ * counted; a terminal leaf is its own answer -- credited its winner,
+ * its tree's clock charged `iteration_time(depth, 0)` -- and the other
+ * rows go on to a playout.  Repeats while every leaf was terminal and
+ * `once` is not set; with `once`, a delivery also ends the call.  The
+ * playout rows end compacted to the front of the loop's rows, in row
+ * order, and r->rows counts them.
+ *
+ * Returns 0 (no rows: a boundary, or no tree left with budget); else
+ * the code that stopped it, the sub-rounds before it done and counted:
+ * `deliver`'s, or a sub-round's -- a positive one is the capacity it
+ * needs: grow the arena, call again, and the loop resumes where it
+ * stopped, as it reads its trees from the clocks and counts; -2 also
+ * when the loop's trees are not the arena's or a tree could grow past
+ * the table's depths. */
+FORCE_INLINE int64_t root_loop(arena_t *a, root_loop_t *r, play_fn play)
+{
     if (r->n_trees != a->n_trees)
         return -2;
+    leaf_rows_t out = {r->plane1, r->plane2, r->to_move, r->terminal};
+    int64_t *trees = r->trees, *leaves = r->leaves, *depths = r->row_depths;
+    if (r->winners) {
+        int64_t rc = deliver(a, r);
+        if (rc)
+            return rc;
+        if (r->once)
+            return 0;
+    }
+    r->rows = 0;
     for (;;) {
         /* `RootRound.wants`.  A leaf lies at most one level below its
          * tree's deepest node. */
         int64_t k = 0;
         for (int64_t t = 0; t < a->n_trees; t++) {
-            if (!(r->clock[t] < r->budget && (double)r->iters[t] < r->cap))
+            if (!(r->clock[t] - r->start < r->budget
+                  && (double)r->iters[t] < r->cap))
                 continue;
-            if (k == room || a->tree_max_depth[t] + 1 >= r->depths)
+            if (a->tree_max_depth[t] + 1 >= r->depths)
                 return -2;
             trees[k++] = t;
         }
         if (!k)
             return 0;
-        int64_t rc = select_expand_rows(k, trees, a, leaves, depths, out,
+        int64_t rc = select_expand_rows(k, trees, a, leaves, depths, &out,
                                         play);
         if (rc)
             return rc;
@@ -1825,22 +1904,19 @@ FORCE_INLINE int64_t root_loop(int64_t room, int64_t *trees, arena_t *a,
         for (int64_t i = 0; i < k; i++) {
             int64_t t = trees[i], leaf = leaves[i];
             r->iters[t]++;
-            if (out->terminal[i]) {
-                int w = a->winner[leaf];
-                double half = 0.5 * (w == 0);
-                if (credit_path(a, leaf, 1.0, (w == 1) + half,
-                                (w == -1) + half))
+            if (out.terminal[i]) {
+                if (credit_winner(a, leaf, a->winner[leaf]))
                     return -2;
-                r->clock[t] += r->terminal_time[depths[i]];
+                r->clock[t] += r->times[depths[i] * r->plies];
                 continue;
             }
             trees[m] = t;
             leaves[m] = leaf;
             depths[m] = depths[i];
-            out->plane1[m] = out->plane1[i];
-            out->plane2[m] = out->plane2[i];
-            out->to_move[m] = out->to_move[i];
-            out->terminal[m] = 0;
+            out.plane1[m] = out.plane1[i];
+            out.plane2[m] = out.plane2[i];
+            out.to_move[m] = out.to_move[i];
+            out.terminal[m] = 0;
             m++;
         }
         if (m || r->once) {
@@ -1850,22 +1926,35 @@ FORCE_INLINE int64_t root_loop(int64_t room, int64_t *trees, arena_t *a,
     }
 }
 
-/* A tenant's round: `root_loop` when it has a loop, else one sub-round. */
-FORCE_INLINE int64_t select_tenant(int64_t k, int64_t *trees, arena_t *a,
-                                   int64_t *leaves, int64_t *depths,
-                                   const leaf_rows_t *out, root_loop_t *r,
-                                   play_fn play)
+/* The launch columns of n loops' pending rows: loop j's rows' positions
+ * to lanes [at[j], at[j] + rows) of plane1 / plane2 / to_move, `lanes`
+ * long.  Returns 0; -1 (nothing written) when a loop is missing, has
+ * more rows than trees or its lanes do not fit the columns. */
+int repro_loop_positions(int64_t n, root_loop_t *const *loops,
+                         const int64_t *at, int64_t lanes, uint64_t *plane1,
+                         uint64_t *plane2, int8_t *to_move)
 {
-    if (r)
-        return root_loop(k, trees, a, leaves, depths, out, r, play);
-    return select_expand_rows(k, trees, a, leaves, depths, out, play);
+    for (int64_t j = 0; j < n; j++)
+        if (!loops[j] || at[j] < 0 || loops[j]->rows < 0
+            || loops[j]->rows > loops[j]->n_trees
+            || loops[j]->rows > lanes - at[j])
+            return -1;
+    for (int64_t j = 0; j < n; j++) {
+        const root_loop_t *r = loops[j];
+        for (int64_t i = 0; i < r->rows; i++) {
+            plane1[at[j] + i] = r->plane1[i];
+            plane2[at[j] + i] = r->plane2[i];
+            to_move[at[j] + i] = r->to_move[i];
+        }
+    }
+    return 0;
 }
 
-/* One arena's round into its own per-call rows: `select_tenant` after the
- * checks, which answer -1 / -2 as check_arena and BAD_TREES when a tree
- * is repeated or not one of the arena's (nothing at all written).  With
- * a loop, trees[0 .. k) are only its room: each sub-round writes its
- * trees there. */
+/* One arena's round into its own per-call rows, after the checks, which
+ * answer -1 / -2 as check_arena and BAD_TREES when a tree is repeated or
+ * not one of the arena's (nothing at all written) -- or, given a loop,
+ * `root_loop` in the loop's own rows (k, trees, leaves and depths are
+ * not read then). */
 FORCE_INLINE int64_t select_expand_own(
     int64_t k, int64_t *trees, arena_t *a, int64_t *leaves,
     int64_t *depths, root_loop_t *loop, int num_moves, play_fn play)
@@ -1873,11 +1962,13 @@ FORCE_INLINE int64_t select_expand_own(
     int64_t rc = check_arena(a, num_moves);
     if (rc)
         return rc;
-    if (!loop && !distinct_trees(a, k, trees))
+    if (loop)
+        return root_loop(a, loop, play);
+    if (!distinct_trees(a, k, trees))
         return BAD_TREES;
     leaf_rows_t out = {a->leaf_plane1, a->leaf_plane2, a->leaf_to_move,
                        a->leaf_terminal};
-    return select_tenant(k, trees, a, leaves, depths, &out, loop, play);
+    return select_expand_rows(k, trees, a, leaves, depths, &out, play);
 }
 
 #define SELECT_PARAMS                                                        \
@@ -1906,8 +1997,8 @@ int64_t repro_connect4_select_expand(SELECT_PARAMS)
  * the arena arenas[j].  Are the bounds ascending, every arena there and
  * fit for a round, and every row's tree a distinct tree of its arena --
  * across tenants too, so an arena listed twice cannot walk one tree
- * twice?  (A tenant with a loop has rows only as room, and no trees to
- * check.)  Returns 0; else *at is the first tenant that fails and the
+ * twice?  (A tenant with a loop runs in the loop's own rows: it has no
+ * trees to check.)  Returns 0; else *at is the first tenant that fails and the
  * code says why: -2 for a bound or a missing arena, check_arena's code,
  * BAD_TREES for a tree.  Marks `seen` and clears it again: nothing the
  * caller can read changes. */
@@ -1942,16 +2033,19 @@ clear:
 }
 
 /* `*_select_expand` over n tenants' arenas in one call: tenant j's round
- * walks trees[bounds[j] .. bounds[j + 1]) of arenas[j] -- or, when
- * loops[j] is set, runs that select loop in those rows (`root_loop`) --
- * and row i's leaf, depth, position and terminal flag land in row i of
- * the caller's columns.  Tenants run in order.  Returns 0 with *at = n
+ * walks trees[bounds[j] .. bounds[j + 1]) of arenas[j], and row i's leaf,
+ * depth, position and terminal flag land in row i of the caller's
+ * columns -- or, when loops[j] is set, runs that select loop in its own
+ * rows (`root_loop`), first pointed at its answers, winners[answer_at[j]
+ * ..] and answer_plies[answer_at[j] ..], unless answer_at is NULL or
+ * answer_at[j] negative.  Tenants run in order.  Returns 0 with *at = n
  * when every round is done.  Otherwise *at = j, the first tenant that
  * stopped, and the code is `*_select_expand`'s for its round (-3 - i
- * names its own row i): tenants before j are done and tenants after it
- * untouched -- a positive code is the capacity arenas[j] needs, with
- * tenant j untouched too (or its loop stopped between sub-rounds), so
- * the caller grows that arena and calls again from tenant j.  A bad
+ * names its own row i, or its loop's): tenants before j are done and
+ * tenants after it untouched -- a positive code is the capacity
+ * arenas[j] needs, with tenant j untouched too (or its loop stopped
+ * between sub-rounds, its answers delivered), so the caller grows that
+ * arena and calls again from tenant j, with no answers for it.  A bad
  * bound or arena and rows that are not distinct trees of their arenas
  * are refused for every tenant before anything is written
  * (check_tenants). */
@@ -1959,18 +2053,30 @@ FORCE_INLINE int64_t select_expand_many(
     int64_t n, arena_t *const *arenas, const int64_t *bounds,
     int64_t *trees, int64_t *leaves, int64_t *depths, uint64_t *plane1,
     uint64_t *plane2, int8_t *to_move, uint8_t *terminal,
-    root_loop_t *const *loops, int64_t *at, int num_moves, play_fn play)
+    root_loop_t *const *loops, const double *winners,
+    const int64_t *answer_plies, const int64_t *answer_at, int64_t *at,
+    int num_moves, play_fn play)
 {
     int64_t rc =
         check_tenants(n, arenas, bounds, trees, loops, num_moves, at);
     if (rc)
         return rc;
     for (int64_t j = 0; j < n; j++) {
-        int64_t lo = bounds[j];
-        leaf_rows_t out = {plane1 + lo, plane2 + lo, to_move + lo,
-                           terminal + lo};
-        rc = select_tenant(bounds[j + 1] - lo, trees + lo, arenas[j],
-                           leaves + lo, depths + lo, &out, loops[j], play);
+        root_loop_t *r = loops[j];
+        if (r) {
+            if (answer_at && answer_at[j] >= 0) {
+                r->winners = winners + answer_at[j];
+                r->answer_plies = answer_plies + answer_at[j];
+            }
+            rc = root_loop(arenas[j], r, play);
+        } else {
+            int64_t lo = bounds[j];
+            leaf_rows_t out = {plane1 + lo, plane2 + lo, to_move + lo,
+                               terminal + lo};
+            rc = select_expand_rows(bounds[j + 1] - lo, trees + lo,
+                                    arenas[j], leaves + lo, depths + lo,
+                                    &out, play);
+        }
         if (rc) {
             *at = j;
             return rc;
@@ -1984,10 +2090,11 @@ FORCE_INLINE int64_t select_expand_many(
     int64_t n, arena_t *const *arenas, const int64_t *bounds,                \
         int64_t *trees, int64_t *leaves, int64_t *depths, uint64_t *plane1,  \
         uint64_t *plane2, int8_t *to_move, uint8_t *terminal,                \
-        root_loop_t *const *loops, int64_t *at
+        root_loop_t *const *loops, const double *winners,                    \
+        const int64_t *answer_plies, const int64_t *answer_at, int64_t *at
 #define SELECT_MANY_ARGS                                                     \
     n, arenas, bounds, trees, leaves, depths, plane1, plane2, to_move,       \
-        terminal, loops, at
+        terminal, loops, winners, answer_plies, answer_at, at
 
 int64_t repro_reversi_select_expand_many(SELECT_MANY_PARAMS)
 {
@@ -2002,19 +2109,6 @@ int64_t repro_tictactoe_select_expand_many(SELECT_MANY_PARAMS)
 int64_t repro_connect4_select_expand_many(SELECT_MANY_PARAMS)
 {
     return select_expand_many(SELECT_MANY_ARGS, 7, c4_play);
-}
-
-/* Do the k leaves lie inside the allocation?  (Negative ones are rows
- * with nothing to add.) */
-static inline int leaves_inside(const arena_t *a, int64_t k,
-                                const int64_t *leaves)
-{
-    if (a->allocated < 0 || a->allocated > a->capacity)
-        return 0;
-    for (int64_t i = 0; i < k; i++)
-        if (leaves[i] >= a->allocated)
-            return 0;
-    return 1;
 }
 
 /* `TreeArena.backprop_many`: for k leaves of distinct trees, `sims`
@@ -2037,19 +2131,13 @@ int repro_backprop(int64_t k, const int64_t *leaves, double sims,
 }
 
 /* `TreeArena.backprop_winners`: one playout per leaf, winners[i] its
- * outcome -- a visit along the path, a win for the winner's side, half
- * a win each for a draw (0).  Anything else -- NaN, a bit-flipped byte
- * -- compares false three times: a visit and no win, as the Python
- * body credits it.  Returns as `repro_backprop`. */
+ * outcome (`credit_winner`).  Returns as `repro_backprop`. */
 static inline int credit_winners(int64_t k, const int64_t *leaves,
                                  const double *winners, const arena_t *a)
 {
-    for (int64_t i = 0; i < k; i++) {
-        double w = winners[i], half = 0.5 * (w == 0.0);
-        if (credit_path(a, leaves[i], 1.0, (w == 1.0) + half,
-                        (w == -1.0) + half))
+    for (int64_t i = 0; i < k; i++)
+        if (credit_winner(a, leaves[i], winners[i]))
             return -2;
-    }
     return 0;
 }
 

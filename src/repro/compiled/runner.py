@@ -333,12 +333,13 @@ def block_columns(
         raise ValueError(
             f"{k} positions x {lanes_per_state} lanes do not fit int64"
         )
-    n_rng, s0, s1 = rng.getstate()
-    if n_rng != n:
+    if rng.n != n:
         raise ValueError(
-            f"rng has {n_rng} lanes for a {k} x {lanes_per_state}-lane "
+            f"rng has {rng.n} lanes for a {k} x {lanes_per_state}-lane "
             f"launch"
         )
+    # The kernel steps a copy: a refused launch leaves ``rng`` as it was.
+    s0, s1 = rng.state_words()
     # The kernel writes every lane of the three outputs.
     winners = np.empty(n, dtype=np.int8)
     scores = np.empty(n, dtype=np.int16)
@@ -354,7 +355,7 @@ def block_columns(
         raise _too_long(game)
     if rc != 0:
         raise MemoryError("compiled playout kernel allocation failed")
-    rng.setstate((n, s0, s1))
+    rng.adopt(s0, s1)
     return TrackedPlayouts(
         winners=winners, scores=scores, finish_steps=finish
     )
@@ -639,73 +640,152 @@ def select_expand_compiled(
     nothing written.
 
     Given a ``loop``, the call runs that select loop instead
-    (``root_loop`` in ``playout.c``), ``k`` rows its room: 0 leaves its
-    ``loop.rows`` playout rows first in ``cols.trees`` / ``leaves`` /
-    ``depths`` / ``leaf_*``; a capacity need leaves the sub-rounds before
-    it done, and the same call after growing resumes the loop."""
-    _check_rows(cols, k)
+    (``root_loop`` in ``playout.c``) in the loop's own rows, ``k`` not
+    read: 0 leaves its ``loop.rows`` playout rows first in them; a
+    capacity need leaves the delivery and the sub-rounds before it done,
+    and the same call after growing resumes the loop; :data:`BAD_PLIES`
+    is returned as it is, nothing written (:meth:`RootLoop.answer`)."""
+    if loop is None:
+        _check_rows(cols, k)
     rc = cols.select_expand(
         k, cols.trees_at, cols._at, cols.leaves_at, cols.depths_at,
         None if loop is None else loop._at,
     )
     if rc == _BAD_TREES:
         raise distinct_trees_error(cols.trees[:k], cols.n_trees)
-    return _checked(rc)
+    return rc if rc == BAD_PLIES else _checked(rc)
+
+
+#: ``BAD_PLIES`` of ``playout.c``: a select loop refused its answers, a
+#: ply count outside its time table among them.
+BAD_PLIES = -(2**63) + 1
 
 
 class RootLoop(ctypes.Structure):
-    """``root_loop_t`` of ``playout.c``: a ``root:N`` session's select
-    loop, which a select kernel runs to the session's next playout
-    demand (``RootRound`` in :mod:`repro.core.rounds` is its Python
-    body).  It owns the trees' core clocks and iteration counts as
-    columns (``clock``, ``iters``) and holds the table of
-    ``iteration_time(depth, 0)`` a terminal leaf is charged, by depth
-    (``terminal_time``), each beside its address ``<name>_at``.
-    The caller sets ``once`` and zeroes ``sub_rounds`` / ``iterations``;
-    the kernel adds to them and sets ``rows``."""
+    """``root_loop_t`` of ``playout.c``: a ``root:N`` or ``sequential``
+    session's select loop, which a select kernel delivers the session's
+    playout answers to and runs to its next playout demand
+    (``LoopRound`` in :mod:`repro.core.rounds` drives it; ``RootRound``
+    and ``SequentialRound`` are its Python bodies).
+
+    It owns the trees' clocks and iteration counts (``clock``,
+    ``iters``) and its pending playout rows -- per row its tree, leaf,
+    depth and leaf position (``trees``, ``leaves``, ``row_depths``,
+    ``plane1``, ``plane2``, ``to_move``; ``terminal`` is a sub-round's
+    working column) -- as columns, one row per tree, each beside its address
+    ``<name>_at``; and it reads the table of ``iteration_time(depth,
+    plies)`` (``times``, float64 ``[depth][plies]``) it charges from.
+    A tree selects while ``clock - start < budget`` and ``iters < cap``.
+    The caller sets ``once``; the kernel adds to ``sub_rounds`` /
+    ``iterations`` and sets ``rows``.
+
+    The loop is the session's playout requests too: its length is
+    ``rows`` and it iterates the rows' positions as states."""
 
     _fields_ = (
         ("clock_at", ctypes.c_void_p),
         ("iters_at", ctypes.c_void_p),
         ("n_trees", ctypes.c_int64),
-        ("terminal_time_at", ctypes.c_void_p),
+        ("times_at", ctypes.c_void_p),
         ("depths", ctypes.c_int64),
+        ("plies", ctypes.c_int64),
+        ("start", ctypes.c_double),
         ("budget", ctypes.c_double),
         ("cap", ctypes.c_double),
         ("once", ctypes.c_int64),
         ("sub_rounds", ctypes.c_int64),
         ("iterations", ctypes.c_int64),
         ("rows", ctypes.c_int64),
+        ("trees_at", ctypes.c_void_p),
+        ("leaves_at", ctypes.c_void_p),
+        ("row_depths_at", ctypes.c_void_p),
+        ("plane1_at", ctypes.c_void_p),
+        ("plane2_at", ctypes.c_void_p),
+        ("to_move_at", ctypes.c_void_p),
+        ("terminal_at", ctypes.c_void_p),
+        ("winners_at", ctypes.c_void_p),
+        ("answer_plies_at", ctypes.c_void_p),
+    )
+    #: ``(attribute, dtype)`` of the per-tree columns, in field order.
+    _COLUMNS = (
+        ("clock", np.float64),
+        ("iters", np.int64),
+        ("trees", np.int64),
+        ("leaves", np.int64),
+        ("row_depths", np.int64),
+        ("plane1", np.uint64),
+        ("plane2", np.uint64),
+        ("to_move", np.int8),
+        ("terminal", np.bool_),
     )
 
     @classmethod
     def of(
         cls,
+        game,
         n_trees: int,
+        start: float,
         budget: float,
         cap: float,
-        terminal_time: np.ndarray,
+        times: np.ndarray,
     ) -> "RootLoop":
         if (
-            terminal_time.dtype != np.float64
-            or terminal_time.ndim != 1
-            or not terminal_time.flags.c_contiguous
+            times.dtype != np.float64
+            or times.ndim != 2
+            or not times.flags.c_contiguous
         ):
-            raise TypeError("the terminal-time table must be float64 rows")
+            raise TypeError(
+                "the iteration-time table must be a contiguous float64 "
+                "[depth][plies] matrix"
+            )
         loop = cls()
-        loop.clock = np.zeros(n_trees, dtype=np.float64)
-        loop.iters = np.zeros(n_trees, dtype=np.int64)
+        for name, dtype in cls._COLUMNS:
+            column = np.zeros(n_trees, dtype=dtype)
+            setattr(loop, name, column)
+            setattr(loop, name + "_at", _address(column))
         # The struct holds bare addresses: keep the arrays alive with it.
-        loop.terminal_time = terminal_time
-        loop.clock_at = _address(loop.clock)
-        loop.iters_at = _address(loop.iters)
+        loop.times = times
+        loop.times_at = times.ctypes.data
+        loop.depths, loop.plies = times.shape
         loop.n_trees = n_trees
-        loop.terminal_time_at = terminal_time.ctypes.data
-        loop.depths = len(terminal_time)
+        loop.start = start
         loop.budget = budget
         loop.cap = cap
+        loop.game = game
+        loop.answers = None
         loop._at = ctypes.addressof(loop)
         return loop
+
+    def answer(self, winners: np.ndarray, plies: np.ndarray) -> None:
+        """Point the pending rows at their answers, row ``i``'s at
+        ``winners[i]`` (float64) / ``plies[i]`` (int64): the next call
+        delivers them (and drops the pointers)."""
+        if (
+            winners.dtype != np.float64
+            or plies.dtype != np.int64
+            or len(winners) < self.rows
+            or len(plies) < self.rows
+            or not (winners.flags.c_contiguous and plies.flags.c_contiguous)
+        ):
+            raise TypeError(
+                f"{self.rows} rows take contiguous float64 winners and "
+                f"int64 plies"
+            )
+        self.answers = winners, plies
+        self.winners_at = winners.ctypes.data
+        self.answer_plies_at = plies.ctypes.data
+
+    def __len__(self) -> int:
+        return self.rows
+
+    def __iter__(self):
+        m = self.rows
+        return map(
+            self.game.state_from_planes,
+            self.plane1[:m].tolist(),
+            self.plane2[:m].tolist(),
+            self.to_move[:m].tolist(),
+        )
 
 
 def backprop_compiled(cols: ArenaColumns, k: int, simulations: float) -> None:
@@ -738,9 +818,10 @@ class TenantRows:
     """The rows of the many-arena tree kernels
     (``repro_<game>_select_expand_many``, ``repro_backprop_winners_many``):
     per tenant its arena's ``arena_t`` address, its first row
-    (``bounds``, one entry more than tenants) and its select loop's
-    ``root_loop_t`` address (``loops``, 0 for none), per row its tree, leaf,
-    depth, leaf position, terminal flag and winner.  Grown
+    (``bounds``, one entry more than tenants), its select loop's
+    ``root_loop_t`` address (``loops``, 0 for none) and the loop's first
+    answer (``answer_at``, -1 for none), per row its tree, leaf, depth,
+    leaf position, terminal flag and winner.  Grown
     geometrically and reused -- a call allocates nothing -- with every
     address taken when (re)allocated, beside it as ``<name>_at``."""
 
@@ -748,6 +829,7 @@ class TenantRows:
         ("arenas", np.uint64),
         ("bounds", np.int64),
         ("loops", np.uint64),
+        ("answer_at", np.int64),
     )
     _ROWS = (
         ("trees", np.int64),
@@ -786,13 +868,16 @@ class TenantRows:
 
 
 def select_expand_many_compiled(
-    kernel, rows: TenantRows, first: int, n: int
+    kernel, rows: TenantRows, first: int, n: int, answers=None
 ) -> tuple[int, int]:
     """``*_select_expand_many`` over tenants ``[first, n)`` of ``rows``:
     tenant ``j``'s round walks ``rows.trees[bounds[j]:bounds[j + 1]]`` of
     the arena at ``rows.arenas[j]``, each arena's ``allocated`` set --
-    or runs the select loop at ``rows.loops[j]`` in those rows, as
-    :func:`select_expand_compiled` runs one.
+    or runs the select loop at ``rows.loops[j]`` in its own rows, as
+    :func:`select_expand_compiled` runs one, the loop's answers first
+    pointed at row ``rows.answer_at[j]`` of ``answers`` (``(winners
+    float64, plies int64)``; with none, or a negative offset, no loop is
+    pointed anywhere).
     Returns ``(code, at)``: ``(0, n)`` with every tenant's leaf, depth,
     leaf position and terminal flag in its rows; otherwise tenants before
     ``at`` are done and the code is ``select_expand_compiled``'s for
@@ -800,6 +885,7 @@ def select_expand_many_compiled(
     from ``at``).  Bad bounds or arenas, or rows that are not distinct
     trees of their arenas, refuse every tenant from ``first`` on before
     anything is written."""
+    winners, plies = (None, None) if answers is None else answers
     rc = kernel(
         n - first,
         rows.arenas_at + 8 * first,
@@ -812,9 +898,36 @@ def select_expand_many_compiled(
         rows.to_move_at,
         rows.terminal_at,
         rows.loops_at + 8 * first,
+        None if winners is None else winners.ctypes.data,
+        None if plies is None else plies.ctypes.data,
+        None if answers is None else rows.answer_at_at + 8 * first,
         rows.at_at,
     )
     return rc, first + rows.at.item(0)
+
+
+def loop_positions(
+    rows: TenantRows, n: int, lanes: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The launch columns of ``lanes`` positions, ``(plane1, plane2,
+    to_move)`` -- fresh arrays -- with the pending rows' positions of
+    the ``n`` loops at ``rows.loops`` written to lanes ``rows.answer_at[j]``
+    on (``repro_loop_positions``); the caller writes the other lanes."""
+    plane1 = np.empty(lanes, dtype=np.uint64)
+    plane2 = np.empty(lanes, dtype=np.uint64)
+    to_move = np.empty(lanes, dtype=np.int8)
+    rc = lazy_export(load_library(), "loop_positions")(
+        n,
+        rows.loops_at,
+        rows.answer_at_at,
+        lanes,
+        _address(plane1),
+        _address(plane2),
+        _address(to_move),
+    )
+    if rc:
+        raise ValueError("a loop's rows do not fit the launch columns")
+    return plane1, plane2, to_move
 
 
 def backprop_winners_many_compiled(rows: TenantRows, n: int) -> None:

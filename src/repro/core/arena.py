@@ -68,6 +68,7 @@ from itertools import accumulate, chain
 import numpy as np
 
 from repro.compiled import (
+    BAD_PLIES,
     ArenaColumns,
     RootLoop,
     TenantRows,
@@ -76,6 +77,7 @@ from repro.compiled import (
     backprop_winners_many_compiled,
     distinct_trees,
     distinct_trees_error,
+    loop_positions,
     select_expand_compiled,
     select_expand_many_compiled,
 )
@@ -410,7 +412,7 @@ class TreeArena:
         cols = self._compiled()
         if cols is None:
             return self._select_round_python(indices)
-        cols, k = self._select_round_compiled(cols, indices)
+        k = self._select_round_compiled(cols, indices)
         return (
             cols.leaves[:k].tolist(),
             cols.depths[:k].tolist(),
@@ -423,34 +425,31 @@ class TreeArena:
             cols.leaf_terminal[:k].tolist(),
         )
 
-    def select_loop(
-        self, indices, loop: RootLoop
-    ) -> tuple[list[int], list[int], list[GameState], list[int]]:
-        """A ``root:N`` session's select loop in one compiled call
-        (``root_loop`` in ``playout.c``): sub-rounds of
+    def select_loop(self, loop: RootLoop) -> int:
+        """A ``root:N`` or ``sequential`` session's select loop in one
+        compiled call (``root_loop`` in ``playout.c``): the loop's
+        pending rows credited the answers :meth:`RootLoop.answer` pointed
+        them at, and their trees' clocks charged; then sub-rounds of
         :meth:`select_round` over the trees ``loop``'s clocks and counts
         leave budget, each terminal leaf credited its winner and its
-        tree's clock charged there, until one selects a leaf that needs a
-        playout (or, ``loop.once`` set, after one).  ``indices`` only
-        size the call -- one row per tree that may select: the kernel
-        reads off the loop which trees have budget left.  Returns
-        ``(refs, depths, states, trees)`` of the playout rows alone -- no
-        state is built for a terminal leaf; ``loop.sub_rounds`` /
-        ``loop.iterations``, zeroed by the caller, count what the call
-        ran.  Compiled arenas only (:func:`compiled_arena`)."""
-        cols, _ = self._select_round_compiled(self._compiled(), indices, loop)
-        m = loop.rows
-        return (
-            cols.leaves[:m].tolist(),
-            cols.depths[:m].tolist(),
-            _leaf_states(
-                self.game,
-                cols.leaf_plane1[:m],
-                cols.leaf_plane2[:m],
-                cols.leaf_to_move[:m],
-            ),
-            cols.trees[:m].tolist(),
-        )
+        tree's clock charged there, until one selects a leaf that needs
+        a playout -- or, ``loop.once`` set, after a delivery or one
+        sub-round.  The playout rows are the loop's own, ``loop.rows`` of
+        them; ``loop.sub_rounds`` / ``loop.iterations`` count on.
+        Returns 0; or :data:`~repro.compiled.BAD_PLIES` when a ply count
+        lies outside the loop's table, nothing written.  Compiled arenas
+        only (:func:`compiled_arena`)."""
+        cols = self._compiled()
+        while True:
+            cols.allocated = self._allocated
+            rc = select_expand_compiled(cols, 0, loop)
+            self._allocated = cols.allocated
+            if rc <= 0:
+                break
+            self._grow(rc)
+        if -(2**62) < rc < 0:
+            self._rejected(~loop.leaves.item(-3 - rc))
+        return rc
 
     def select_expand_all(
         self, indices: "np.ndarray | list[int] | None" = None
@@ -465,7 +464,7 @@ class TreeArena:
                 np.array(leaves, dtype=np.int64),
                 np.array(depths, dtype=np.int64),
             )
-        cols, k = self._select_round_compiled(cols, indices)
+        k = self._select_round_compiled(cols, indices)
         return cols.leaves[:k].copy(), cols.depths[:k].copy()
 
     def _select_round_python(self, indices):
@@ -491,12 +490,10 @@ class TreeArena:
             [self.terminal_of(leaf) for leaf in leaves],
         )
 
-    def _select_round_compiled(
-        self, cols: ArenaColumns, indices, loop: "RootLoop | None" = None
-    ) -> tuple[ArenaColumns, int]:
-        """The compiled round over ``indices`` (or ``loop`` in as many
-        rows): their number, and the columns -- rebound if the arena
-        grew -- whose per-call rows hold the answers."""
+    def _select_round_compiled(self, cols: ArenaColumns, indices) -> int:
+        """The compiled round over ``indices``: their number, the
+        answers in the per-call rows of ``cols`` (which a growth keeps
+        bound)."""
         if indices is None:
             k = self.n_trees
             cols.trees[:] = np.arange(k)
@@ -504,25 +501,18 @@ class TreeArena:
             k = len(indices)
             if k > self.n_trees:  # more rows than trees: one repeats
                 raise distinct_trees_error(indices, self.n_trees)
-            if loop is None:  # a loop writes its own trees
-                cols.trees[:k] = indices
-        need = self._select_expand_compiled(cols, k, loop)
-        if need:
+            cols.trees[:k] = indices
+        while need := self._select_expand_compiled(cols, k):
             self._grow(need)
-            return self._select_round_compiled(
-                self._compiled(), indices, loop
-            )
-        return cols, k
+        return k
 
-    def _select_expand_compiled(
-        self, cols: ArenaColumns, k: int, loop: "RootLoop | None" = None
-    ) -> int:
+    def _select_expand_compiled(self, cols: ArenaColumns, k: int) -> int:
         """The compiled round over ``cols.trees[:k]``.  Returns 0 with
         the answers in ``cols.leaves`` / ``cols.depths``, or the
-        capacity the round needs -- nothing has changed then (a loop
-        keeps the sub-rounds it finished); grow and ask again."""
+        capacity the round needs -- nothing has changed then; grow and
+        ask again."""
         cols.allocated = self._allocated
-        rc = select_expand_compiled(cols, k, loop)
+        rc = select_expand_compiled(cols, k)
         self._allocated = cols.allocated
         if rc > 0:
             return rc
@@ -1108,20 +1098,14 @@ def _leaf_states(game: Game, plane1, plane2, to_move) -> list[GameState]:
     )
 
 
-def select_round_many(
-    stores, indices, loops=None
-) -> list[tuple[list, list, list, list]]:
+def select_round_many(stores, indices) -> list[tuple[list, list, list, list]]:
     """:meth:`TreeArena.select_round` of every ``stores[j]`` over
-    ``indices[j]`` -- :meth:`TreeArena.select_loop` where ``loops[j]``
-    is set -- their answers, in order.  The stores are distinct and
+    ``indices[j]``, their answers, in order.  The stores are distinct and
     share no node, so each tree changes exactly as its own round would
     change it.  Arenas of one game on the compiled bodies go in one
     kernel call (``*_select_expand_many``); every other store -- a
     pointer forest, an arena on its Python bodies, an arena of a game
-    with fewer than :data:`MANY_SELECT_MIN` -- runs its own round.  A
-    loop needs a compiled arena."""
-    if loops is None:
-        loops = [None] * len(stores)
+    with fewer than :data:`MANY_SELECT_MIN` -- runs its own round."""
     answers: list = [None] * len(stores)
     groups: dict[str, list[int]] = {}
     for j, store in enumerate(stores):
@@ -1132,34 +1116,28 @@ def select_round_many(
     for js in groups.values():
         if len(js) < MANY_SELECT_MIN:
             for j in js:
-                answers[j] = (
-                    stores[j].select_round(indices[j])
-                    if loops[j] is None
-                    else stores[j].select_loop(indices[j], loops[j])
-                )
+                answers[j] = stores[j].select_round(indices[j])
             continue
         group = _select_group(
-            [stores[j] for j in js],
-            [indices[j] for j in js],
-            [loops[j] for j in js],
+            [stores[j] for j in js], [indices[j] for j in js]
         )
         for j, answer in zip(js, group):
             answers[j] = answer
     return answers
 
 
-def _select_group(arenas: "list[TreeArena]", indices, loops) -> list:
-    """One ``*_select_expand_many`` round over compiled arenas of one
-    game, growing an arena and calling again from it when it runs out
-    of room -- a tenant's loop resuming from its own clocks."""
+def _select_many(
+    arenas, rows: TenantRows, loops=None, answers=None, mend=None
+) -> None:
+    """One ``*_select_expand_many`` over the ``len(arenas)`` tenants of
+    ``rows`` -- compiled arenas of one game, tenant ``j`` running
+    ``loops[j]`` when there are loops -- calling again from the
+    tenant that stopped: an arena that ran out of room grown (its loop,
+    if it has one, resumes from its own clocks), a loop whose answers
+    the kernel refused (:data:`~repro.compiled.BAD_PLIES`) handed to
+    ``mend(j)``, which delivers them; either tenant runs on with no
+    answers to deliver."""
     n = len(arenas)
-    counts = [len(trees) for trees in indices]
-    k = sum(counts)
-    rows = _tenant_rows(n, k)
-    rows.trees[:k] = list(chain.from_iterable(indices))
-    rows.bounds[0] = 0
-    rows.bounds[1 : n + 1] = bounds = list(accumulate(counts))
-    rows.loops[:n] = [0 if loop is None else loop._at for loop in loops]
     kernel = arenas[0]._compiled().select_expand_many
     first = 0
     while True:
@@ -1167,45 +1145,104 @@ def _select_group(arenas: "list[TreeArena]", indices, loops) -> list:
         for arena, cols in zip(arenas[first:], columns):
             cols.allocated = arena._allocated
         rows.arenas[first:n] = [cols._at for cols in columns]
-        rc, at = select_expand_many_compiled(kernel, rows, first, n)
+        rc, at = select_expand_many_compiled(kernel, rows, first, n, answers)
         # Tenants the call did not reach left their cursor as it was.
         for arena, cols in zip(arenas[first:], columns):
             arena._allocated = cols.allocated
         if rc == 0:
-            break
+            return
         if rc > 0:
             arenas[at]._grow(rc)
-            first = at
-            continue
-        if rc == -(2**63):
-            raise distinct_trees_error(indices[at], arenas[at].n_trees)
-        if rc <= -3:
-            arenas[at]._rejected(~rows.leaves.item(rows.bounds[at] - 3 - rc))
-        raise ValueError(
-            "arena row widths do not fit the game's moves"
-            if rc == -1
-            else "an arena's allocation cursor lies outside it"
-        )
-    leaves, depths, trees, terminal = (
+        elif rc == BAD_PLIES and mend is not None:
+            mend(at)
+        else:
+            if rc == -(2**63):
+                lo, hi = rows.bounds[at], rows.bounds[at + 1]
+                raise distinct_trees_error(
+                    rows.trees[lo:hi], arenas[at].n_trees
+                )
+            if rc <= -3:
+                leaves = (
+                    rows.leaves[rows.bounds[at]:]
+                    if loops is None
+                    else loops[at].leaves
+                )
+                arenas[at]._rejected(~leaves.item(-3 - rc))
+            raise ValueError(
+                "arena row widths do not fit the game's moves"
+                if rc == -1
+                else "an arena's allocation cursor lies outside it"
+            )
+        rows.answer_at[at] = -1
+        first = at
+
+
+def _select_group(arenas: "list[TreeArena]", indices) -> list:
+    """One ``*_select_expand_many`` round over compiled arenas of one
+    game (:func:`_select_many`)."""
+    n = len(arenas)
+    counts = [len(trees) for trees in indices]
+    k = sum(counts)
+    rows = _tenant_rows(n, k)
+    rows.trees[:k] = list(chain.from_iterable(indices))
+    rows.bounds[0] = 0
+    rows.bounds[1 : n + 1] = bounds = list(accumulate(counts))
+    rows.loops[:n] = 0
+    _select_many(arenas, rows)
+    leaves, depths, terminal = (
         column[:k].tolist()
-        for column in (rows.leaves, rows.depths, rows.trees, rows.terminal)
+        for column in (rows.leaves, rows.depths, rows.terminal)
     )
-    # One map over every row, stale ones included -- the rows behind a
-    # loop's playout rows, which held its terminal leaves or trees out
-    # of budget: cheaper than one map per tenant.
     states = _leaf_states(
         arenas[0].game, rows.plane1[:k], rows.plane2[:k], rows.to_move[:k]
     )
-    answers = []
-    for lo, hi, loop in zip([0, *bounds], bounds, loops):
-        if loop is None:
-            last = terminal[lo:hi]
-        else:
-            # A loop hands back its playout rows alone, and their trees.
-            hi = lo + loop.rows
-            last = trees[lo:hi]
-        answers.append((leaves[lo:hi], depths[lo:hi], states[lo:hi], last))
-    return answers
+    return [
+        (leaves[lo:hi], depths[lo:hi], states[lo:hi], terminal[lo:hi])
+        for lo, hi in zip([0, *bounds], bounds)
+    ]
+
+
+def select_loops(arenas, loops, answers=None, lanes=None, mend=None) -> None:
+    """:meth:`TreeArena.select_loop` of every ``arenas[j]`` with
+    ``loops[j]``, in one ``*_select_expand_many`` call: compiled arenas
+    of one game, distinct.  With ``answers`` -- ``(winners float64,
+    plies int64)`` columns -- loop ``j``'s pending rows are answered by
+    rows ``lanes[j]`` on of them, ``lanes[j] < 0`` meaning none; a loop
+    whose answers hold a ply count outside its table is handed to
+    ``mend(j)``, which must deliver them, and run on."""
+    n = len(arenas)
+    rows = _tenant_rows(n, 0)
+    rows.bounds[: n + 1] = 0
+    rows.loops[:n] = [loop._at for loop in loops]
+    if answers is not None:
+        rows.answer_at[:n] = lanes
+    _select_many(arenas, rows, loops, answers, mend)
+
+
+def launch_positions(game: Game, parts, lanes: int) -> Positions:
+    """The columns of one launch of ``lanes`` positions, one per
+    playout request, from ``parts`` -- ``(lo, requests)`` in lane order,
+    ``requests`` taking lanes ``lo`` on: a :class:`RootLoop`'s pending
+    rows are gathered in one kernel call over every loop, the other
+    requests (states) written in one pass.  No state is built."""
+    loops = [(lo, reqs) for lo, reqs in parts if isinstance(reqs, RootLoop)]
+    n = len(loops)
+    rows = _tenant_rows(n, 0)
+    rows.loops[:n] = [loop._at for _, loop in loops]
+    rows.answer_at[:n] = [lo for lo, _ in loops]
+    plane1, plane2, to_move = loop_positions(rows, n, lanes)
+    if n < len(parts):
+        lanes_of, states = [], []
+        for lo, reqs in parts:
+            if not isinstance(reqs, RootLoop):
+                lanes_of.extend(range(lo, lo + len(reqs)))
+                states.extend(reqs)
+        if states:
+            # A compiled game's state *is* its (plane1, plane2, to_move).
+            plane1[lanes_of], plane2[lanes_of], to_move[lanes_of] = zip(
+                *states
+            )
+    return Positions.from_columns(game, plane1, plane2, to_move)
 
 
 def backprop_winners_many(stores, leaves, winners) -> None:

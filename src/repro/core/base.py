@@ -167,7 +167,7 @@ class Engine:
         """The live session's round policy, for a driver that advances
         it (:mod:`repro.core.rounds`)."""
         self._require_session()
-        return self.round_policy(self)
+        return self.round_policy.open(self)
 
     # -- checkpoint / resume -------------------------------------------------
 

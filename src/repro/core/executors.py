@@ -122,6 +122,72 @@ def launch_numpy(
     return tracked.winners, tracked.finish_steps
 
 
+class Answers:
+    """One launch's playout answers, lane for lane, in whichever of two
+    forms its readers hold them: the ``(winners, plies)`` columns a
+    launch wrote, or ``(winner, plies)`` pairs.  The select loop reads
+    the columns (:meth:`columns`, float64 winners so that a corrupted
+    one stays what it is), a round's Python body and the integrity
+    screen the pairs (indexing, slicing, iterating); each form is built
+    from the other on demand, once.  Assigning pairs to a slice (a
+    screened readback adopted, a lost launch's neutral answers) makes
+    the pairs the truth again."""
+
+    __slots__ = ("_launched", "_pairs", "_columns")
+
+    def __init__(self, winners: np.ndarray, plies: np.ndarray) -> None:
+        self._launched = winners, plies
+        self._pairs: "list | None" = None
+        self._columns: "tuple[np.ndarray, np.ndarray] | None" = None
+
+    @classmethod
+    def of_pairs(cls, pairs) -> "Answers":
+        answers = cls(None, None)
+        answers._launched = None
+        answers._pairs = list(pairs)
+        return answers
+
+    def pairs(self) -> list:
+        """The answers as a list of ``(winner, plies)`` pairs."""
+        if self._pairs is None:
+            winners, plies = self._launched
+            self._pairs = list(zip(winners.tolist(), plies.tolist()))
+        return self._pairs
+
+    def columns(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(winners float64, plies int64)``, one row per lane."""
+        if self._columns is None:
+            if self._launched is not None:
+                winners, plies = self._launched
+            else:
+                pairs = self._pairs
+                winners = [winner for winner, _ in pairs]
+                plies = [n for _, n in pairs]
+            self._columns = (
+                np.asarray(winners, dtype=np.float64),
+                np.asarray(plies, dtype=np.int64),
+            )
+        return self._columns
+
+    def __len__(self) -> int:
+        if self._pairs is None:
+            return len(self._launched[1])
+        return len(self._pairs)
+
+    def __getitem__(self, index):
+        return self.pairs()[index]
+
+    def __setitem__(self, index: slice, pairs) -> None:
+        self.pairs()[index] = pairs
+        self._launched = self._columns = None
+
+    def __iter__(self):
+        return iter(self.pairs())
+
+    def __eq__(self, other) -> bool:
+        return self.pairs() == list(other)
+
+
 def playout_launcher(playout: str) -> Launch:
     """The ``launch(bg, states, family_seed, lo=0)`` body for
     ``playout``.  Like :func:`block_launcher`, ``"compiled"`` consults
@@ -150,6 +216,7 @@ def playout_active(playout: str) -> str:
 
 __all__ = [
     "PLAYOUT_EXECUTORS",
+    "Answers",
     "block_launcher",
     "launch_block_numpy",
     "launch_numpy",

@@ -20,35 +20,47 @@ Every kind but ``multigpu`` is a policy here.  A CPU kind is answered
 :class:`LeafRound`, :class:`HybridRound`) requests position columns
 and is answered by its own device: one row of lane winners per leaf.
 
-Selecting is itself a loop of *sub-rounds*, each one
-``select_round`` on the session's store: :meth:`Round.wants` names
-the trees of the next one (``None``: none left -- the round is
-selected, or the session is over) and :meth:`Round.took` reads its
-answer.  A root round is one sub-round over its trees with budget
-left; a ``tree:N`` or ``pipeline:N`` round is ``N`` one-row sub-rounds
-on the shared tree, each path marked in flight before the next; a
-terminal leaf that needs no playout starts another.  Splitting the
-select this way lets :func:`select_rounds` run the sub-rounds of many
-sessions together: one ``select_round_many`` per sub-round, which
-walks every compiled arena of a game in one kernel call.  A root round
-on a compiled arena hands the kernel its whole loop instead, once its
-session has met a terminal leaf (:attr:`Round.loop`): one call runs it
-to the next playout demand.  (A GPU round selects in one
+A ``root:N`` or ``sequential`` session on a compiled arena is a
+:class:`LoopRound`: the select kernel runs its whole loop
+(:class:`~repro.compiled.RootLoop`, ``root_loop`` in ``playout.c``) --
+one call delivers the last round's answers, charges the trees' clocks
+from a table of the cost model's own doubles and selects on to the next
+playout demand, with the requests left in the loop's columns.  Python
+runs for such a session only at a boundary: its end, an iteration hook
+or integrity guard (which see every delivery and sub-round), a ply
+count the table does not hold.  :class:`RootRound` and
+:class:`SequentialRound` are the same policies in Python -- on pointer
+forests and on arenas without the kernels -- and the oracle the loop
+is held to.
+
+Every other policy selects in *sub-rounds*, each one ``select_round``
+on the session's store: :meth:`Round.wants` names the trees of the
+next one (``None``: none left -- the round is selected, or the session
+is over) and :meth:`Round.took` reads its answer.  A root round is one
+sub-round over its trees with budget left; a ``tree:N`` or
+``pipeline:N`` round is ``N`` one-row sub-rounds on the shared tree,
+each path marked in flight before the next; a terminal leaf that needs
+no playout starts another.  Splitting the select this way lets
+:func:`select_rounds` run the sub-rounds of many sessions together:
+one ``select_round_many`` per sub-round, which walks every compiled
+arena of a game in one kernel call.  (A GPU round selects in one
 ``select_expand_all``, and alone.)
 
 One driver runs every policy.  :func:`advance_rounds` delivers a
-tick's answers to many rounds at once -- one credit call, each round
-settled in order, the next rounds selected together -- and
-:func:`run_rounds` loops it: one executor call over every session's
-requests per round, until each session is out of budget.  An engine's
-``search()`` / ``resume()`` is ``run_rounds`` over a set of one, the
-arena cohort runs it over every CPU mover of a move, and the search
-service's tick calls ``advance_rounds`` itself, all tenants' requests
-riding one launch per tick (docs/serving.md, step 7).
+tick's answers to many rounds at once -- the loops of a game in one
+kernel call, the other rounds credited in one call and settled in
+order, their next rounds selected together -- and :func:`run_rounds`
+loops it: one executor call over every session's requests per round,
+until each session is out of budget.  An engine's ``search()`` /
+``resume()`` is ``run_rounds`` over a set of one, the arena cohort runs
+it over every CPU mover of a move, and the search service's tick calls
+``advance_rounds`` itself, all tenants' requests riding one launch per
+tick (docs/serving.md, step 7).
 
 A policy keeps nothing a checkpoint needs: the session lives in the
-engine's ``_live`` dict, which the policy reads and writes, so a
-snapshot taken at any iteration hook restores into a fresh policy.
+engine's ``_live`` dict, which the policy reads and writes (a loop at
+every boundary), so a snapshot taken at any iteration hook restores
+into a fresh policy.
 """
 
 from __future__ import annotations
@@ -58,13 +70,15 @@ from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
-from repro.compiled import RootLoop
+from repro.compiled import BAD_PLIES, RootLoop
 from repro.core.arena import (
     MANY_SELECT_MIN,
     backprop_winners_many,
     compiled_arena,
+    select_loops,
     select_round_many,
 )
+from repro.core.executors import Answers
 from repro.integrity.audit import MAX_RESULT_RETRIES
 from repro.util.clock import ClockError
 from repro.util.profile import NULL_PROFILER
@@ -79,11 +93,11 @@ if TYPE_CHECKING:  # pragma: no cover
 _TREE0 = (0,)
 
 #: ``[model, iteration_time by (depth, plies), tree_control_time by
-#: depth, iteration_time(depth, 0) as float64 rows by depth]`` memos per
+#: depth, iteration_time as a float64 [depth][plies] table]`` memos per
 #: ``CpuCostModel``.  Pure functions: the memo hands back the very floats
 #: they would compute, so every clock sum is unchanged, across a
 #: checkpoint / restore too, and in the C select loop, which reads the
-#: rows.  Held by ``id`` beside the model itself -- hashing the frozen
+#: table.  Held by ``id`` beside the model itself -- hashing the frozen
 #: dataclass costs more than the memo saves on a short search.
 _COST_MEMOS: dict = {}
 #: Keys one cost model's iteration-time memo holds at most (corrupted
@@ -95,28 +109,67 @@ MANY_CREDIT_MIN = 4
 
 
 def select_rounds(rounds: "Sequence[Round]") -> None:
-    """:meth:`Round.select` of every round in ``rounds``, their
-    sub-rounds run together: each tree changes exactly as its own
-    ``select`` would change it (sessions share no tree), so a caller
-    that needs no order between the sessions' side effects -- no
-    iteration hook among them -- may select them all at once."""
+    """:meth:`Round.select` of every round in ``rounds``, run together:
+    each tree changes exactly as its own ``select`` would change it
+    (sessions share no tree), so a caller that needs no order between
+    the sessions' side effects -- no iteration hook among them -- may
+    select them all at once.  The loops of a game go in one kernel
+    call; the other rounds' sub-rounds in one ``select_round_many``
+    each."""
+    _run_loops(
+        [(rnd, None, 0) for rnd in rounds if rnd.loop is not None], {}
+    )
+    rounds = [rnd for rnd in rounds if rnd.loop is None]
     if len(rounds) < MANY_SELECT_MIN:
         for rnd in rounds:
             rnd.select()
         return
     for rnd in rounds:
         rnd.requests = ()
-    asking = list(rounds)
+    asking = rounds
     while asking:
         trees = [rnd.wants() for rnd in asking]
         asking = [rnd for rnd, ts in zip(asking, trees) if ts is not None]
         answers = select_round_many(
             [rnd.store for rnd in asking],
             [ts for ts in trees if ts is not None],
-            [rnd.loop for rnd in asking],
         )
         for rnd, answer in zip(asking, answers):
             rnd.took(*answer)
+
+
+def _run_loops(entries, answers) -> None:
+    """Deliver and select every :class:`LoopRound` of ``entries`` --
+    ``(round, answer key, lane)``, the round's answers lanes ``lane`` on
+    of ``answers[key]`` (key ``None``: no answers) -- the loops of a
+    game, answered from one key, in one kernel call
+    (:func:`~repro.core.arena.select_loops`); fewer than
+    :data:`MANY_SELECT_MIN` of them in one call each."""
+    groups: dict = {}
+    for rnd, key, lane in entries:
+        group = groups.get((rnd.game_name, key))
+        if group is None:
+            group = groups[rnd.game_name, key] = ([], [])
+        group[0].append(rnd)
+        group[1].append(lane)
+    for (_, key), (rnds, lanes) in groups.items():
+        columns = None if key is None else answers[key].columns()
+        if len(rnds) < MANY_SELECT_MIN:
+            for rnd, lane in zip(rnds, lanes):
+                rnd.run(columns, lane)
+            continue
+
+        def mend(j, rnds=rnds, lanes=lanes, columns=columns):
+            winners, plies = columns
+            rnds[j].mend(winners[lanes[j] :], plies[lanes[j] :])
+
+        select_loops(
+            [rnd.store for rnd in rnds],
+            [rnd.loop for rnd in rnds],
+            columns,
+            lanes,
+            mend,
+        )
 
 
 def credit_rounds(rounds: "Sequence[Round]", answers) -> None:
@@ -144,22 +197,42 @@ def credit_rounds(rounds: "Sequence[Round]", answers) -> None:
     )
 
 
-def advance_rounds(rounds: "Sequence[Round]", answers) -> None:
-    """Deliver ``answers[j]`` to round ``j`` and select every round's
-    next: all their leaves credited in one call, then each round
-    settled, in order.  A round whose engine has an iteration hook
-    (journal checkpoints, a planned crash) selects at its turn, so
-    hooks fire in the order one round after the other would fire
+def advance_rounds(rounds: "Sequence[Round]", answers, spans) -> None:
+    """Deliver round ``j`` its answers -- rows ``lo`` to ``hi`` of
+    ``answers[key]`` (an :class:`~repro.core.executors.Answers`) for
+    ``spans[j] = (key, lo, hi)`` -- and select every round's next.
+    The loops of a game take their answers and select in one kernel
+    call; the other rounds' leaves are credited in one call, then each
+    round settles, in order.  A round that must see every iteration
+    boundary (an iteration hook -- journal checkpoints, a planned crash
+    -- or a loop's integrity guard) delivers and selects at its turn,
+    so hooks fire in the order one round after the other would fire
     them; the rest select together after the loop -- no other round
     can see when they do."""
-    credit_rounds(rounds, answers)
-    together = []
-    for rnd, answer in zip(rounds, answers):
-        rnd.settle(answer)
-        if rnd.engine.iteration_hook is None:
-            together.append(rnd)
+    loops, others, slices, turns = [], [], [], []
+    for rnd, span in zip(rounds, spans):
+        if rnd.loop is None:
+            key, lo, hi = span
+            others.append(rnd)
+            slices.append(answers[key][lo:hi])
+            turns.append((rnd, None))
+        elif rnd.must_step:
+            turns.append((rnd, span))
         else:
-            rnd.select()
+            loops.append((rnd, span[0], span[1]))
+    credit_rounds(others, slices)
+    together = []
+    slices = iter(slices)
+    for rnd, span in turns:
+        if span is None:
+            rnd.settle(next(slices))
+            if not rnd.must_step:
+                together.append(rnd)
+                continue
+        else:
+            rnd.answer(answers[span[0]].columns(), span[1])
+        rnd.select()
+    _run_loops(loops, answers)
     select_rounds(together)
 
 
@@ -174,11 +247,9 @@ def run_rounds(
     executor its requests as they are (a GPU round's are position
     columns)."""
     for rnd in rounds:
-        if rnd.engine.iteration_hook is not None:
+        if rnd.must_step:
             rnd.select()
-    select_rounds(
-        [rnd for rnd in rounds if rnd.engine.iteration_hook is None]
-    )
+    select_rounds([rnd for rnd in rounds if not rnd.must_step])
     results: list = [None] * len(rounds)
     running = list(enumerate(rounds))
     while True:
@@ -195,15 +266,29 @@ def run_rounds(
             else [state for rnd in asking for state in rnd.requests]
         )
         answers = _checked(flat, executor(flat))
-        per_round, lo = [], 0
+        if asking[0].loop is None and len(asking) == 1:
+            # A lone round's answers as they came: a GPU round's are
+            # one row of lane winners per leaf.
+            asking[0].deliver(
+                answers
+                if asking[0].screen is None
+                else _screen_results(
+                    asking[0], answers, asking[0].screen, executor
+                )
+            )
+            asking[0].select()
+            continue
+        answers = Answers.of_pairs(answers)
+        spans, lo = [], 0
         for rnd in asking:
             hi = lo + len(rnd.requests)
-            answer = answers[lo:hi]
             if rnd.screen is not None:
-                answer = _screen_results(rnd, answer, rnd.screen, executor)
-            per_round.append(answer)
+                answers[lo:hi] = _screen_results(
+                    rnd, answers[lo:hi], rnd.screen, executor
+                )
+            spans.append((0, lo, hi))
             lo = hi
-        advance_rounds(asking, per_round)
+        advance_rounds(asking, {0: answers}, spans)
 
 
 def _checked(requests, answers):
@@ -237,9 +322,14 @@ def _screen_results(rnd, answers, guard, executor):
 class Round:
     """The round logic of one live engine session (base class)."""
 
-    #: The select loop a kernel runs in one call (:class:`RootLoop`),
-    #: or None: the store runs one sub-round per :meth:`wants`.
+    #: The select loop a kernel runs the session in (a
+    #: :class:`LoopRound`'s :class:`~repro.compiled.RootLoop`), or None.
     loop: "RootLoop | None" = None
+
+    @classmethod
+    def open(cls, engine: "Engine") -> "Round":
+        """The policy of ``engine``'s live session."""
+        return cls(engine)
 
     def __init__(self, engine: "Engine", store) -> None:
         self.engine = engine
@@ -268,6 +358,16 @@ class Round:
         self._memo = entry
         _, self._times, self._control_times, _ = entry
 
+    @property
+    def must_step(self) -> bool:
+        """Must the session select at its own turn?  (An iteration hook
+        sees the order.)"""
+        return self.engine.iteration_hook is not None
+
+    def now(self) -> float:
+        """The engine clock, as far as the session has moved it."""
+        return self.engine.clock.now
+
     def _iteration_time(self, depth: int, plies: int) -> float:
         """``cost.iteration_time(depth, plies)``, memoised."""
         times = self._times
@@ -278,14 +378,19 @@ class Round:
                 times[depth, plies] = t
         return t
 
-    def _terminal_times(self, depths: int) -> np.ndarray:
-        """``iteration_time(d, 0)`` for every ``d < depths`` (at least),
-        as float64 rows -- the memo's own floats, built once per cost
-        model and again only to grow."""
+    def _iteration_times(self, plies: int) -> np.ndarray:
+        """``iteration_time(d, p)`` at ``[d, p]`` for every ``d < plies
+        + 2`` and ``p <= plies`` (at least), as a float64 table -- the
+        cost model's own floats, built once per model and again only to
+        grow."""
         table = self._memo[3]
-        if table is None or len(table) < depths:
+        if table is None or table.shape[1] <= plies:
+            iteration_time = self.cost.iteration_time
             table = self._memo[3] = np.array(
-                [self._iteration_time(d, 0) for d in range(depths)],
+                [
+                    [iteration_time(d, p) for p in range(plies + 1)]
+                    for d in range(plies + 2)
+                ],
                 dtype=np.float64,
             )
         return table
@@ -296,15 +401,7 @@ class Round:
         self.requests = ()
         store = self.store
         while (trees := self.wants()) is not None:
-            # A sub-round can hand the rest to a loop (RootRound).
-            loop = self.loop
-            self.took(
-                *(
-                    store.select_round(trees)
-                    if loop is None
-                    else store.select_loop(trees, loop)
-                )
-            )
+            self.took(*store.select_round(trees))
         return bool(self.requests)
 
     def wants(self) -> "Sequence[int] | None":
@@ -313,8 +410,7 @@ class Round:
         raise NotImplementedError
 
     def took(self, refs, depths, states, terminal) -> None:
-        """Read one sub-round's answer: ``select_round``'s four lists
-        (``select_loop``'s, with a :attr:`loop`)."""
+        """Read one sub-round's answer: ``select_round``'s four lists."""
         raise NotImplementedError
 
     def deliver(self, answers: "PlayoutResults") -> None:
@@ -353,9 +449,154 @@ class Round:
         raise NotImplementedError
 
 
+class LoopRound(Round):
+    """A ``root:N`` or ``sequential`` session on a compiled arena, run
+    by the select kernel from its first select to its end: the session's
+    trees are the rows of a :class:`~repro.compiled.RootLoop`, which
+    owns their clocks and iteration counts and the pending playout rows,
+    and is the round's :attr:`requests`.  One kernel call credits the
+    rows' answers, charges each tree's clock ``iteration_time(depth,
+    plies)`` from the cost model's table -- the very doubles the Python
+    body adds -- and runs the loop on to its next playout demand
+    (:meth:`~repro.core.arena.TreeArena.select_loop`, many loops in one
+    call through :func:`advance_rounds`).  A delivery reaches the trees
+    in the next kernel call, which :meth:`select` makes.
+
+    The session's lists and counters (``_live``) are written back from
+    the loop's columns at every boundary that reads them -- the end, a
+    hook, a guard, a call of :meth:`select` -- and a tick reads the
+    clock through :meth:`now`.  A guard or an iteration hook must see
+    every delivery and sub-round: with either (:attr:`must_step`), the
+    kernel stops after each one (the loop's ``once``) and Python calls
+    the hook between."""
+
+    #: Does an iteration count only once its playout is delivered (the
+    #: sequential count), not as it is selected (the root count)?
+    counts_delivered = False
+
+    def __init__(self, engine: "Engine", store, clocks, iters, start) -> None:
+        super().__init__(engine, store)
+        live = self.live
+        self.guarded = live.get("integrity") is not None
+        self.game_name = engine.game.name
+        # No tree is deeper than the game is long, nor a playout longer.
+        self.loop = loop = RootLoop.of(
+            engine.game,
+            store.n_trees,
+            start,
+            live["budget_s"],
+            self.cap,
+            self._iteration_times(engine.game.max_game_length),
+        )
+        loop.clock[:] = clocks
+        loop.iters[:] = iters
+        self.requests = loop
+        #: The loop's iterations already counted in ``_live``.
+        self._counted = 0
+
+    @property
+    def must_step(self) -> bool:
+        """Must the session select at its own turn, and stop at every
+        delivery and sub-round?"""
+        return self.guarded or self.engine.iteration_hook is not None
+
+    def answer(self, columns, lane: int) -> None:
+        """Point the pending rows at their answers, rows ``lane`` on of
+        ``columns``, ``(winners, plies)``: the next kernel call
+        delivers them."""
+        self.loop.answer(columns[0][lane:], columns[1][lane:])
+
+    def deliver(self, answers) -> None:
+        """Hand the loop one ``(winner, plies)`` answer per request; the
+        next :meth:`select` credits and charges them."""
+        self.answer(Answers.of_pairs(answers).columns(), 0)
+
+    def select(self) -> bool:
+        loop = self.loop
+        loop.once = once = self.must_step
+        while True:
+            delivered = loop.answers is not None
+            sub_rounds = loop.sub_rounds
+            self._step()
+            self.sync()
+            if loop.rows:
+                return True
+            if not once or (not delivered and loop.sub_rounds == sub_rounds):
+                # No tree has budget left.
+                return False
+            # A delivery, or a sub-round of terminal leaves alone: the
+            # boundary a hook or guard must see.
+            self._boundary()
+
+    def run(self, columns, lane: int) -> None:
+        """Deliver the pending rows their answers -- rows ``lane`` on of
+        ``columns``, ``(winners, plies)``, or none when it is None --
+        and run the loop on to its next playout demand: one kernel
+        call."""
+        if columns is not None:
+            self.answer(columns, lane)
+        self._step()
+
+    def _step(self) -> None:
+        """One kernel call; a delivery the kernel refuses is mended
+        (:meth:`mend`) and the loop run on."""
+        loop = self.loop
+        if self.store.select_loop(loop) == BAD_PLIES:
+            self.mend(*loop.answers)
+            if not loop.once:
+                self.store.select_loop(loop)
+        loop.answers = None
+
+    def mend(self, winners, plies) -> None:
+        """Deliver the pending rows' answers, ``winners[i]`` /
+        ``plies[i]`` row ``i``'s, in Python: those the kernel refuses, a
+        ply count outside the loop's table among them (a corrupted
+        answer the screen let through).  Each row's tree is charged
+        ``iteration_time`` itself, on the loop's clock."""
+        loop = self.loop
+        m = loop.rows
+        self.store.backprop_winners(
+            loop.leaves[:m].tolist(), winners[:m].tolist()
+        )
+        clock = loop.clock
+        for t, depth, n in zip(
+            loop.trees[:m].tolist(),
+            loop.row_depths[:m].tolist(),
+            plies[:m].tolist(),
+        ):
+            clock[t] += self._iteration_time(depth, n)
+        loop.winners_at = loop.answer_plies_at = None
+        loop.answers = None
+        loop.rows = 0
+
+    def sync(self) -> None:
+        """Write the loop's counts and clocks back to the session."""
+        loop, live = self.loop, self.live
+        done = loop.iterations
+        if self.counts_delivered:
+            done -= loop.rows
+        live["iterations"] += done - self._counted
+        live["simulations"] += done - self._counted
+        self._counted = done
+        self._sync_clocks()
+
+    def _sync_clocks(self) -> None:
+        raise NotImplementedError
+
+    def _boundary(self) -> None:
+        """The iteration boundary after a delivery or a sub-round."""
+        raise NotImplementedError
+
+
 class SequentialRound(Round):
     """``sequential``: one select / playout / backprop per iteration,
     the engine clock charged per iteration."""
+
+    @classmethod
+    def open(cls, engine: "Engine") -> Round:
+        if compiled_arena(engine._live["tree"]):
+            return SequentialLoop(engine)
+        return cls(engine)
 
     def __init__(self, engine: "Engine") -> None:
         super().__init__(engine, engine._live["tree"])
@@ -402,25 +643,51 @@ class SequentialRound(Round):
         )
 
 
+class SequentialLoop(LoopRound):
+    """``sequential`` as a one-tree loop: its clock is the engine
+    clock, a tree selecting while ``clock - start_s < budget``."""
+
+    counts_delivered = True
+
+    def __init__(self, engine: "Engine") -> None:
+        live = engine._live
+        super().__init__(
+            engine,
+            live["tree"],
+            [engine.clock.now],
+            [live["iterations"]],
+            live["start_s"],
+        )
+
+    def now(self) -> float:
+        return self.loop.clock.item(0)
+
+    def _sync_clocks(self) -> None:
+        # The loop's clock only ever grows from the engine's.
+        self.engine.clock.advance_to(self.loop.clock.item(0))
+
+    def _boundary(self) -> None:
+        self.engine._after_iteration(self.live["iterations"])
+
+    def finish(self) -> "SearchResult":
+        self.sync()
+        engine = self.engine
+        return engine._finish(
+            self.store, engine.clock.now - self.live["start_s"]
+        )
+
+
 class RootRound(Round):
     """``root:N``: every tree with budget left selects in one lockstep
     sub-round; each tree's core clock is charged its own iterations,
-    and the search takes as long as the slowest core.
+    and the search takes as long as the slowest core.  The Python body
+    (pointer forests, arenas without kernels) of :class:`RootLoop`."""
 
-    On a compiled arena, from the first terminal leaf on, the select
-    kernel runs the loop of sub-rounds (:attr:`loop`, ``root_loop`` in
-    ``playout.c``): it picks the trees with budget left itself, credits
-    and charges terminal leaves in C with the same doubles, and hands
-    back only the rows that need a playout.  (Until a tree is solved
-    every sub-round's rows all go to a playout, and the Python round
-    costs less than the loop's column copies.)  The loop's columns hold
-    the trees' iteration counts; the clocks go in before each call
-    (``settle`` charges the session's list) and both come back to the
-    session's lists after it, so a hook or a snapshot reads them
-    current.  A guard or an iteration hook must see every sub-round, so
-    with either the kernel stops after each one.  :meth:`wants` /
-    :meth:`took` are the Python body: everywhere else, and before the
-    loop."""
+    @classmethod
+    def open(cls, engine: "Engine") -> Round:
+        if compiled_arena(engine._live["forest"]):
+            return RootLoopRound(engine)
+        return cls(engine)
 
     def __init__(self, engine: "Engine") -> None:
         live = engine._live
@@ -429,22 +696,6 @@ class RootRound(Round):
         self.per_tree_iters = live["per_tree_iters"]
         self.budget_s = live["budget_s"]
         self.trees = range(engine.n_trees)
-        #: Can the select kernel take the loop over?
-        self.loopable = compiled_arena(self.store)
-
-    def _start_loop(self) -> None:
-        """Hand the select loop to the kernel for the rest of the
-        session."""
-        engine = self.engine
-        self.guarded = self.live.get("integrity") is not None
-        # No tree is deeper than the game is long.
-        self.loop = loop = RootLoop.of(
-            engine.n_trees,
-            self.budget_s,
-            self.cap,
-            self._terminal_times(engine.game.max_game_length + 2),
-        )
-        loop.iters[:] = self.per_tree_iters
 
     def wants(self) -> "Sequence[int] | None":
         if self.requests:
@@ -457,25 +708,11 @@ class RootRound(Round):
             if core_time[i] < budget_s and per_tree_iters[i] < cap
         ]
         if not active:
-            # The session is over: no kernel call to find that out.
             return None
-        loop = self.loop
-        if loop is None:
-            self.active = active
-            return active
-        loop.clock[:] = core_time
-        loop.sub_rounds = loop.iterations = 0
-        loop.once = self.guarded or self.engine.iteration_hook is not None
-        # Room for every tree: the kernel reads off the loop which ones
-        # have budget left.
-        return self.trees
+        self.active = active
+        return active
 
     def took(self, refs, depths, states, terminal) -> None:
-        if self.loop is not None:
-            # ``select_loop``'s answer: the fourth list holds the rows'
-            # trees.
-            self._looped(refs, depths, states, terminal)
-            return
         # Independent trees: selecting them all first, then resolving
         # terminals, is identical to the interleaved order (no tree
         # ever observes another's statistics).
@@ -497,33 +734,11 @@ class RootRound(Round):
                 [x for x, over in zip(column, terminal) if not over]
                 for column in (active, refs, depths, states)
             )
-            if self.loopable:
-                self._start_loop()
         if states:
             self.active, self.refs, self.depths = active, refs, depths
             self.requests = states
         else:
             self.engine._after_iteration(live["iterations"], forest)
-
-    def _looped(self, refs, depths, states, trees) -> None:
-        """:meth:`took` of the kernel's loop: the sub-rounds it ran are
-        counted, credited and charged already; only the playout rows
-        are here."""
-        live, loop = self.live, self.loop
-        self.per_tree_iters[:] = loop.iters.tolist()
-        iterations = loop.iterations
-        if iterations != len(states):
-            # Terminal leaves were charged.
-            self.core_time[:] = loop.clock.tolist()
-        live["iterations"] += iterations
-        live["simulations"] += iterations
-        if states:
-            self.active, self.refs, self.depths = trees, refs, depths
-            self.requests = states
-            return
-        # An all-terminal sub-round under a guard or hook -- the
-        # boundary it must see -- or the loop ran the budget out.
-        self.engine._after_iteration(live["iterations"], self.store)
 
     def credits(self, answers: "PlayoutResults") -> tuple[list, list]:
         return self.refs, [winner for winner, _ in answers]
@@ -540,6 +755,39 @@ class RootRound(Round):
         self.engine._after_iteration(self.live["iterations"], self.store)
 
     def finish(self) -> "SearchResult":
+        # Wall time of the parallel search = the slowest core.
+        elapsed = max(self.core_time)
+        self.engine.clock.advance(elapsed)
+        return self.engine._finish(self.store, elapsed)
+
+
+class RootLoopRound(LoopRound):
+    """``root:N`` as a loop: one clock per tree (its core clock), a tree
+    selecting while its clock is under budget (``start`` 0.0: ``clock -
+    0.0`` is the clock's own double)."""
+
+    def __init__(self, engine: "Engine") -> None:
+        live = engine._live
+        self.core_time = live["core_time"]
+        self.per_tree_iters = live["per_tree_iters"]
+        super().__init__(
+            engine,
+            live["forest"],
+            self.core_time,
+            self.per_tree_iters,
+            0.0,
+        )
+
+    def _sync_clocks(self) -> None:
+        loop = self.loop
+        self.core_time[:] = loop.clock.tolist()
+        self.per_tree_iters[:] = loop.iters.tolist()
+
+    def _boundary(self) -> None:
+        self.engine._after_iteration(self.live["iterations"], self.store)
+
+    def finish(self) -> "SearchResult":
+        self.sync()
         # Wall time of the parallel search = the slowest core.
         elapsed = max(self.core_time)
         self.engine.clock.advance(elapsed)

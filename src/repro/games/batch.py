@@ -138,6 +138,14 @@ class Positions:
             )
         return iter(self._states)
 
+    def rows(self, lo: int, hi: int) -> "Positions":
+        """Rows ``lo`` to ``hi``, in the form this value holds."""
+        if self._states is not None:
+            return Positions(self._states[lo:hi])
+        return Positions.from_columns(
+            self._game, *(column[lo:hi] for column in self._columns)
+        )
+
     def columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(plane1, plane2, to_move)``, contiguous.  Every game's
         state *is* that triple (what ``Game.state_from_planes``

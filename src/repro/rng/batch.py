@@ -159,6 +159,23 @@ class BatchXorShift128Plus:
         self._s0 = s0.copy()
         self._s1 = s1.copy()
 
+    def state_words(self) -> tuple[np.ndarray, np.ndarray]:
+        """One copy of ``(s0, s1)``, for a kernel to step in place and
+        :meth:`adopt` back."""
+        return self._s0.copy(), self._s1.copy()
+
+    def adopt(self, s0: np.ndarray, s1: np.ndarray) -> None:
+        """Take ``(s0, s1)`` -- this generator's width of ``uint64``
+        words, which nothing else keeps -- as the lanes' state, without
+        a copy."""
+        if s0.dtype != U64 or s1.dtype != U64 or not (
+            s0.shape == s1.shape == (self._n,)
+        ):
+            raise ValueError(
+                f"invalid xorshift128+ state words for {self._n} lanes"
+            )
+        self._s0, self._s1 = s0, s1
+
     @classmethod
     def from_state(
         cls, state: tuple[int, np.ndarray, np.ndarray]

@@ -32,8 +32,14 @@ from typing import Hashable, Mapping, Sequence
 
 from repro.core.base import PlayoutResults
 from repro.core.backend import default_stack
-from repro.core.executors import Launch, playout_launcher, validate_playout
+from repro.core.executors import (
+    Answers,
+    Launch,
+    playout_launcher,
+    validate_playout,
+)
 from repro.games import make_batch_game
+from repro.games.batch import Positions
 from repro.gpu.kernel import (
     KernelSpec,
     LaunchConfig,
@@ -371,31 +377,37 @@ class LaneBatcher:
         )
 
     def execute(
-        self, game: str, states: Sequence
+        self, game: str, states: "Sequence | Positions"
     ) -> tuple[PlayoutResults, list[LaunchRecord]]:
-        """Run one game's merged lane batch; one playout per state.
+        """Run one game's merged lane batch; one playout per state (or
+        row of a :class:`Positions`).
 
-        Returns per-lane ``(winner, plies)`` aligned with ``states``
-        and the launch records (wait on their ``ready_s`` / leases to
-        charge the kernel time to the clock).
+        Returns per-lane ``(winner, plies)`` aligned with ``states`` --
+        an :class:`~repro.core.executors.Answers` -- and the launch
+        records (wait on their ``ready_s`` / leases to charge the
+        kernel time to the clock).
         """
-        if not states:
+        if not len(states):
             return [], []
         bg = self._batch_game(game)
         round_seed = self._round_seed(game)
-        answers: list[tuple[int, int]] = []
-        records: list[LaunchRecord] = []
-        for lo, hi in self._chunks(len(states)):
-            lanes = hi - lo
-            self.launch_count += 1
-            self.lanes_total += lanes
+        chunks = self._chunks(len(states))
+        launched = []
+        for lo, hi in chunks:
             # Geometry-independent streams: chunk lane j is merged lane
             # lo + j, and always gets that lane's stream of this
             # round's family regardless of the chunking.
-            winners, finish_steps = self._launch(game)(
-                bg, states[lo:hi], round_seed, lo
+            launched.append(
+                self._launch(game)(bg, _rows(states, lo, hi), round_seed, lo)
             )
-            answers.extend(zip(winners.tolist(), finish_steps.tolist()))
+        answers = Answers(
+            *(np.concatenate(column) for column in zip(*launched))
+        )
+        records: list[LaunchRecord] = []
+        for (lo, hi), (_, finish_steps) in zip(chunks, launched):
+            lanes = hi - lo
+            self.launch_count += 1
+            self.lanes_total += lanes
             chunk_span = ((game, lo, hi),)
             records.append(
                 self._launch_group(
@@ -443,6 +455,13 @@ class LaneBatcher:
         if self.fused_launches == 0:
             return 0.0
         return self.tenant_slices / self.fused_launches
+
+
+def _rows(states: "Sequence | Positions", lo: int, hi: int):
+    """Rows ``lo`` to ``hi`` of a merged batch, in its own form."""
+    if isinstance(states, Positions):
+        return states.rows(lo, hi)
+    return states[lo:hi]
 
 
 def _next_pow2(n: int) -> int:
@@ -552,7 +571,7 @@ class FusedBatcher(LaneBatcher):
         validates one slice per tenant of ``spans`` (each game's whole
         batch without them).
         """
-        demand = {g: s for g, s in demand.items() if s}
+        demand = {g: s for g, s in demand.items() if len(s)}
         if not demand:
             return {}, []
         answers_by_game: dict[str, list] = {}
@@ -564,9 +583,7 @@ class FusedBatcher(LaneBatcher):
             maxima_by_game[game] = block_maxima(
                 finish_steps, self.FUSED_TPB
             )
-            answers_by_game[game] = list(
-                zip(winners.tolist(), finish_steps.tolist())
-            )
+            answers_by_game[game] = Answers(winners, finish_steps)
 
         segments = [(g, 0, len(s)) for g, s in demand.items()]
         real_lanes = sum(len(s) for s in demand.values())

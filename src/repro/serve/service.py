@@ -52,6 +52,8 @@ from dataclasses import dataclass
 
 from pathlib import Path
 
+from repro.compiled import RootLoop
+from repro.core.arena import launch_positions
 from repro.core.backend import validate_backend
 from repro.core.base import Engine
 from repro.core.executors import validate_playout
@@ -103,6 +105,18 @@ from repro.util.seeding import derive_seed
 #: Fixed host cost of one scheduler tick (virtual seconds), charged on
 #: top of the slowest tenant's CPU time.
 TICK_OVERHEAD_S = 2e-6
+
+
+def _merged_requests(game: Game, parts: list):
+    """One game's merged playout requests from ``[lanes, (lo,
+    requests), ...]``: the states in lane order -- or, with a select
+    loop among the tenants, the launch's position columns, the loops'
+    rows gathered without building a state
+    (:func:`~repro.core.arena.launch_positions`)."""
+    lanes, *parts = parts
+    if not any(isinstance(reqs, RootLoop) for _, reqs in parts):
+        return [state for _, reqs in parts for state in reqs]
+    return launch_positions(game, parts, lanes)
 
 
 def _deadline_key(record: RequestRecord) -> tuple[float, float]:
@@ -821,14 +835,8 @@ class SearchService:
         # tell.
         active = self._active
         rounds = [tenants[rid] for rid in spans]
-        before = [rnd.engine.clock.now for rnd in rounds]
-        advance_rounds(
-            rounds,
-            [
-                answers_by_game[game_name][lo:hi]
-                for game_name, lo, hi in spans.values()
-            ],
-        )
+        before = [rnd.now() for rnd in rounds]
+        advance_rounds(rounds, answers_by_game, spans.values())
         # Tenants' tree work runs on private cores, so the tick charges
         # the slowest one.
         cpu_s = 0.0
@@ -837,7 +845,7 @@ class SearchService:
             if not rnd.requests:
                 del tenants[rid]
                 slot.result = rnd.finish()
-            delta = rnd.engine.clock.now - start
+            delta = rnd.now() - start
             cpu_s = max(cpu_s, slot.pending_cpu_s + delta)
             slot.pending_cpu_s = 0.0
         self._end_tick(cpu_s)
@@ -856,16 +864,27 @@ class SearchService:
             raise ServiceCrash(
                 f"planned crash at service tick {self.ticks}"
             )
-        per_game_states: dict[str, list] = {}
+        # Each game's lanes in admission order: a tenant's requests take
+        # the lanes after the tenant before it.
+        per_game: dict[str, list] = {}
         spans: dict[str, tuple[str, int, int]] = {}
         for rid, reqs in demand:
             record = active[rid].record
-            states = per_game_states.setdefault(record.request.game, [])
-            lo = len(states)
-            states.extend(reqs)
-            spans[rid] = (record.request.game, lo, len(states))
+            game = record.request.game
+            parts = per_game.get(game)
+            if parts is None:
+                parts = per_game[game] = [0]
+            lo = parts[0]
+            n = len(reqs)
+            parts[0] = hi = lo + n
+            parts.append((lo, reqs))
+            spans[rid] = (game, lo, hi)
             record.ticks += 1
-            record.lanes += len(reqs)
+            record.lanes += n
+        per_game_states = {
+            game: _merged_requests(self._game(game), parts)
+            for game, parts in per_game.items()
+        }
 
         # Merged launches, one lane per leaf (one fused padded launch
         # for the whole tick under fusion); the tick waits for every

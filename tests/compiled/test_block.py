@@ -15,6 +15,7 @@ toolchain the entry falls back to the NumPy body and the comparisons
 hold trivially; the tests that need the kernel itself skip.
 """
 
+import ctypes
 import warnings
 
 import numpy as np
@@ -407,6 +408,53 @@ def test_block_columns_refuses_before_the_kernel_runs():
         ValueError, "rng has 16 lanes for a 0 x 2-lane",
         planes[0, :0], planes[1, :0], to_move[:0],
     )
+
+
+def test_a_refused_launch_leaves_the_generator_and_its_saved_state():
+    """The kernel steps one copy of the generator's words: when it fails
+    after stepping them (here, a game too long for its bound), neither
+    the generator nor a state saved from it before the launch moves."""
+    bg = make_batch_game("tictactoe")
+    columns = Positions(root_pool("tictactoe")[:4]).columns()
+    rng = BatchXorShift128Plus(8, 3)
+    saved = rng.getstate()
+    kept = tuple(np.copy(word) for word in saved[1:])
+    words = []
+
+    def scribbling(k, p1, p2, side, lanes, s0, s1, *rest):
+        for address in (s0, s1):
+            word = np.ctypeslib.as_array(
+                (ctypes.c_uint64 * 8).from_address(address)
+            )
+            word[:] = 12345
+            words.append(word)
+        return -1
+
+    with pytest.raises(RuntimeError, match="exceeded max_game_length"):
+        runner.block_columns(scribbling, bg, *columns, 2, rng)
+    assert words and all((word == 12345).all() for word in words)
+    assert_same_generator(rng, BatchXorShift128Plus.from_state(saved))
+    for word, copy in zip(saved[1:], kept):
+        np.testing.assert_array_equal(word, copy)
+
+
+@needs_kernel
+@pytest.mark.parametrize("game_name", GAMES)
+def test_a_launch_leaves_the_generator_where_the_numpy_body_does(game_name):
+    """One successful launch: the caller's generator ends where
+    ``launch_block_numpy`` leaves it, and a state saved before it is
+    still the state it was."""
+    bg = make_batch_game(game_name)
+    positions = Positions(root_pool(game_name)[:5])
+    got_rng, want_rng = (BatchXorShift128Plus(15, 21) for _ in range(2))
+    saved = got_rng.getstate()
+    kept = tuple(np.copy(word) for word in saved[1:])
+    kernel = lazy_export(load_library(), "block", game_name)
+    got = runner.block_columns(kernel, bg, *positions.columns(), 3, got_rng)
+    want = launch_block_numpy(bg, positions, 3, want_rng)
+    assert_same(got, got_rng, want, want_rng)
+    for word, copy in zip(saved[1:], kept):
+        np.testing.assert_array_equal(word, copy)
 
 
 @needs_kernel
