@@ -74,9 +74,7 @@ def play_games_cohort(
                 and player.engine.joins_merged_rounds
             ):
                 engine = player.engine
-                engine._begin_session(
-                    states[i], player.move_budget_s, None
-                )
+                engine._begin_session(states[i], player.move_budget_s)
                 rounds[i] = engine.open_round()
         merged = dict(
             zip(rounds, run_rounds(list(rounds.values()), executor))

@@ -36,7 +36,6 @@ from repro.core.backend import (
 from repro.core.base import (
     BatchExecutor,
     Engine,
-    ScalarExecutor,
     tally,
 )
 from repro.core.checkpoint import (
@@ -127,7 +126,6 @@ __all__ = [
     "TreeParallelMcts",
     "PipelineMcts",
     "MultiGpuMcts",
-    "ScalarExecutor",
     "BatchExecutor",
     "tally",
     "ArenaInvariantError",

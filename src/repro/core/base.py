@@ -6,12 +6,18 @@ selects the leaves whose playouts it needs, an *executor* answers
 them, and the round backs the answers up.  That seam lets
 
 * ``search()`` / ``resume()`` run standalone (``run_rounds`` over the
-  one session): a CPU kind on a local playout executor, a GPU kind
+  one session): a CPU kind on a :class:`BatchExecutor`, a GPU kind
   (:class:`GpuEngine`) on its own ``VirtualGpu``; and
 * the arena and the search service advance many CPU engines' rounds
   in lockstep (:meth:`Engine.open_round`), merging their playout
-  requests into one vectorised batch (how a 1-core-per-player
-  tournament stays tractable on one machine).
+  requests into one call (how a 1-core-per-player tournament stays
+  tractable on one machine).
+
+A CPU playout draws from its session's stream and from nothing else:
+call ``k`` of a session plays lanes ``0..n-1`` of
+``SeedLadder(playout_seed, "playout").seed(k)``, the session seed
+coming from the engine seed and its session count.  Where the call
+runs, and what it is merged with, never shows in its answers.
 """
 
 from __future__ import annotations
@@ -28,7 +34,8 @@ from repro.core.backend import (
     restore_forest,
     snapshot_forest,
 )
-from repro.core.executors import playout_launcher
+from repro.compiled import COMPILED_GAMES
+from repro.core.executors import playout_active, playout_launcher
 from repro.core.checkpoint import (
     CHECKPOINT_FORMAT_VERSION,
     CheckpointError,
@@ -45,7 +52,7 @@ from repro.core.tree import (
 from repro.games import make_batch_game
 from repro.gpu import TESLA_C2050, LaunchConfig, VirtualGpu
 from repro.integrity.engine import IntegrityState
-from repro.rng import XorShift64Star
+from repro.rng import XorShift128PlusLane, XorShift64Star
 from repro.util.clock import Clock
 from repro.util.profile import NULL_PROFILER, Profiler
 from repro.util.seeding import derive_seed
@@ -54,6 +61,9 @@ from repro.util.seeding import derive_seed
 PlayoutBatch = Sequence[GameState]
 #: What it is answered: per-state ``(absolute winner, plies)``.
 PlayoutResults = Sequence[tuple[int, int]]
+#: What an executor is asked: one ``(family seed, states)`` segment per
+#: session, lane ``i`` of the family playing ``states[i]``.
+Segments = Sequence[tuple[int, PlayoutBatch]]
 
 #: Root-vote modes of the multi-tree engines (``vote=`` / ``@vote=``).
 VOTE_MODES = ("sum", "majority", "trimmed")
@@ -128,6 +138,9 @@ class Engine:
         #: Live search session (engine-specific dict) between the
         #: first iteration and the final result; ``None`` when idle.
         self._live: dict | None = None
+        #: Sessions begun, the one live included: a session's playout
+        #: seed is derived from the engine seed and this count.
+        self.sessions = 0
 
     @property
     def joins_merged_rounds(self) -> bool:
@@ -140,28 +153,25 @@ class Engine:
 
     def search(self, state: GameState, budget_s: float) -> SearchResult:
         """Run an anytime search for ``budget_s`` *virtual* seconds:
-        the round policy over the engine's own executor."""
-        # Executor before session setup: an executor that forks the
-        # engine RNG draws before the session's trees do.
-        self._begin_session(state, budget_s, self._own_executor())
+        the round policy over a :class:`BatchExecutor`."""
+        self._begin_session(state, budget_s)
         return self.resume()
 
-    def _own_executor(self):
-        """The executor ``search()`` answers the session with: one
-        vectorised lane per request, on the engine's own seed."""
-        return BatchExecutor(
-            self.game.name,
-            derive_seed(self.seed, "exec"),
-            playout=self.playout,
-        )
-
-    def _begin_session(
-        self, state: GameState, budget_s: float, executor
-    ) -> None:
-        """Engine-specific: set up ``self._live`` for a new search,
-        answered by ``executor`` (None: the driver answers it --
-        the arena cohort, the search service; a GPU kind's own device)."""
+    def _begin_session(self, state: GameState, budget_s: float) -> None:
+        """Engine-specific: set up ``self._live`` for a new search --
+        run by ``search()``, or by a driver that answers it (the arena
+        cohort, the search service)."""
         raise NotImplementedError
+
+    def _playout_stream(self) -> dict:
+        """A new session's ``_live`` keys of its playout stream: its
+        seed, from the engine seed and the session count, and the calls
+        it has made."""
+        self.sessions += 1
+        return {
+            "playout_seed": derive_seed(self.seed, "session", self.sessions),
+            "playout_calls": 0,
+        }
 
     def open_round(self) -> "Round":
         """The live session's round policy, for a driver that advances
@@ -182,6 +192,7 @@ class Engine:
             )
         payload = self._snapshot_payload()
         payload["engine_rng"] = self.rng.getstate()
+        payload["sessions"] = self.sessions
         return EngineSnapshot(
             format_version=CHECKPOINT_FORMAT_VERSION,
             kind=self.name,
@@ -225,17 +236,13 @@ class Engine:
                 )
         self.clock.reset(snap.clock_s)
         self.rng.setstate(snap.payload["engine_rng"])
+        self.sessions = snap.payload["sessions"]
         self._live = self._restore_payload(snap.payload)
 
     def resume(self) -> SearchResult:
         """Run a restored (or interrupted) session to completion."""
         rnd = self.open_round()
-        if rnd.executor is None:
-            raise CheckpointError(
-                f"{self.name}: session was driven externally; advance "
-                "its open_round() with your executor instead"
-            )
-        return run_rounds([rnd], rnd.executor)[0]
+        return run_rounds([rnd], BatchExecutor(self.game, self.playout))[0]
 
     def _require_session(self) -> dict:
         if self._live is None:
@@ -256,9 +263,8 @@ class Engine:
                 continue
             if key in ("tree", "forest"):
                 value = snapshot_forest(value, key)
-            elif key in ("executor", "integrity", "playout_rng"):
-                # A None executor (session driven externally) stays None.
-                value = value.getstate() if value is not None else None
+            elif key == "integrity":
+                value = value.getstate()
             elif isinstance(value, list):
                 value = list(value)
             payload[key] = value
@@ -272,17 +278,13 @@ class Engine:
         then adopts the stored counters."""
         live = {}
         for key, value in payload.items():
-            if key in ("engine_rng", "integrity"):
+            if key in ("engine_rng", "sessions", "integrity"):
                 continue
             if key == "gpu":
                 self.gpu.setstate(value)
                 continue
             if key in ("tree", "forest"):
                 value = restore_forest(self.game, value, key)
-            elif key == "executor":
-                value = self._restore_executor(value)
-            elif key == "playout_rng":
-                value = XorShift64Star.from_state(value)
             elif isinstance(value, list):
                 value = list(value)
             live[key] = value
@@ -377,23 +379,6 @@ class Engine:
         if hook is not None:
             hook(self, iterations)
 
-    def _restore_executor(self, state: "dict | None"):
-        if state is None:
-            return None
-        if state["kind"] == "scalar":
-            return ScalarExecutor(
-                self.game, XorShift64Star.from_state(state["rng"])
-            )
-        if state["kind"] == "batch":
-            executor = BatchExecutor(
-                self.game.name, state["seed"], playout=self.playout
-            )
-            executor.setstate(state)
-            return executor
-        raise CheckpointError(
-            f"unknown executor state kind: {state.get('kind')!r}"
-        )
-
     def _make_forest(
         self, state: GameState, rngs, parallel_mode: str = "vloss"
     ):
@@ -421,7 +406,7 @@ class Engine:
 class GpuEngine(Engine):
     """An engine with a private virtual device on its clock (``leaf``,
     ``block``, ``hybrid``): its round launches one kernel per round
-    there, so a session keeps no executor."""
+    there (``hybrid``'s CPU overlap plays on the executor)."""
 
     def __init__(
         self,
@@ -443,85 +428,41 @@ class GpuEngine(Engine):
             playout=self.playout,
         )
 
-    def _own_executor(self) -> None:
-        return None
-
-
-class ScalarExecutor:
-    """Playouts via the game's (fast) scalar path -- the real sequential
-    CPU behaviour, one playout at a time.  Checkpointable: the only
-    state is the playout RNG."""
-
-    def __init__(self, game: Game, rng: XorShift64Star) -> None:
-        self.game = game
-        self.rng = rng
-
-    def __call__(self, states: PlayoutBatch) -> PlayoutResults:
-        return [self.game.playout(s, self.rng) for s in states]
-
-    def getstate(self) -> dict:
-        return {"kind": "scalar", "rng": self.rng.getstate()}
-
-    def setstate(self, state: dict) -> None:
-        self.rng.setstate(state["rng"])
-
 
 class BatchExecutor:
-    """Playouts via the vectorised engine, one lane per requested state.
+    """The stateless CPU playout executor: sessions' segments played on
+    the game's stack, one ``(winner, plies)`` answer per state, lane
+    ``i`` of a segment's family playing its state ``i``.  The compiled
+    stack launches each segment.  The NumPy stack launches a segment
+    of at least :attr:`SCALAR_CUTOFF` states and plays a shorter one
+    lane by lane in Python (``Game.playout`` on a
+    :class:`~repro.rng.XorShift128PlusLane`): every body plays a lane
+    alike, draw for draw."""
 
-    Used by multi-tree engines and the arena's cohort driver; results
-    are statistically identical to the scalar path (both play uniform
-    random moves), just computed in lockstep.  Checkpointable: the
-    per-call lane RNGs derive from ``(seed, call_count)``, so the call
-    counter plus the scalar-fallback RNG state resume the stream.
-    """
-
-    #: Below this many lanes a call plays on the scalar fallback's
-    #: generator instead of per-call lane streams.  Speed no longer
-    #: argues for it: on the compiled stack a one-state launch is ~39x
-    #: a Python ``fast_playout`` (ROADMAP item 3).  It stays because it
-    #: fixes which stream a small batch draws from; moving it changes
-    #: every result below ten lanes and regenerates every golden.
     SCALAR_CUTOFF = 10
 
-    def __init__(
-        self, game_name: str, seed: int, playout: str | None = None
-    ) -> None:
-        from repro.games import make_game
+    def __init__(self, game: Game, playout: str | None = None) -> None:
+        self.game = game
+        self.playout = default_stack(game.name, playout=playout)[1]
+        self.bg = make_batch_game(game.name)
 
-        self.game_name = game_name
-        self.seed = seed
-        self.playout = default_stack(game_name, playout=playout)[1]
-        self.bg = make_batch_game(game_name)
-        self.game = make_game(game_name)
-        self.ladder_seed = derive_seed(seed, "batch_executor")
-        self.scalar_rng = XorShift64Star(
-            derive_seed(seed, "scalar_fallback")
+    def __call__(self, segments: Segments) -> PlayoutResults:
+        launch = playout_launcher(self.playout)
+        lanes = playout_active(self.playout) != "compiled" or (
+            self.game.name not in COMPILED_GAMES
         )
-        self.call_count = 0
-
-    def __call__(self, states: PlayoutBatch) -> PlayoutResults:
-        if not states:
-            return []
-        if len(states) < self.SCALAR_CUTOFF:
-            return [self.game.playout(s, self.scalar_rng) for s in states]
-        self.call_count += 1
-        winners, finish_steps = playout_launcher(self.playout)(
-            self.bg, states, derive_seed(self.ladder_seed, self.call_count)
-        )
-        return list(zip(winners.tolist(), finish_steps.tolist()))
-
-    def getstate(self) -> dict:
-        return {
-            "kind": "batch",
-            "seed": self.seed,
-            "call_count": self.call_count,
-            "scalar_rng": self.scalar_rng.getstate(),
-        }
-
-    def setstate(self, state: dict) -> None:
-        self.call_count = state["call_count"]
-        self.scalar_rng.setstate(state["scalar_rng"])
+        answers: list = []
+        for seed, states in segments:
+            if lanes and len(states) < self.SCALAR_CUTOFF:
+                playout = self.game.playout
+                answers += [
+                    playout(state, XorShift128PlusLane(seed, i))
+                    for i, state in enumerate(states)
+                ]
+            else:
+                winners, plies = launch(self.bg, states, seed)
+                answers += zip(winners.tolist(), plies.tolist())
+        return answers
 
 
 def tally(winners: np.ndarray) -> tuple[int, int, int]:

@@ -49,9 +49,7 @@ class BlockParallelMcts(GpuEngine):
         self.injector = injector
         self.integrity = integrity
 
-    def _begin_session(
-        self, state: GameState, budget_s: float, executor
-    ) -> None:
+    def _begin_session(self, state: GameState, budget_s: float) -> None:
         self._check_budget(budget_s, state)
         blocks = self.config.blocks
         self._live = {

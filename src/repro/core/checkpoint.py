@@ -37,7 +37,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 #: Bump on any incompatible change to snapshot payload layout.
-CHECKPOINT_FORMAT_VERSION = 1
+#: Version 2: a session's playout stream is its seed and call count.
+CHECKPOINT_FORMAT_VERSION = 2
 
 #: Bump on any incompatible change to the on-disk envelope shape.
 #: Version 2 nests the snapshot pickle as checksummed bytes.
@@ -70,7 +71,7 @@ class EngineSnapshot:
     """One engine's live search state, frozen mid-iteration.
 
     ``payload`` is the engine-kind-specific session dict (trees,
-    counters, executor state, device state); the surrounding fields
+    counters, playout stream, device state); the surrounding fields
     identify what may restore it.
     """
 

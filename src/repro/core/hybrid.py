@@ -23,16 +23,14 @@ class HybridMcts(GpuEngine):
     name = "hybrid"
     round_policy = HybridRound
 
-    def _begin_session(
-        self, state: GameState, budget_s: float, executor
-    ) -> None:
+    def _begin_session(self, state: GameState, budget_s: float) -> None:
         self._check_budget(budget_s, state)
         blocks = self.config.blocks
         self._live = {
             "forest": self._make_forest(
                 state, [self.rng.fork("tree", b) for b in range(blocks)]
             ),
-            "playout_rng": self.rng.fork("cpu_playout"),
+            **self._playout_stream(),
             "start_s": self.clock.now,
             "budget_s": budget_s,
             "next_tree": 0,

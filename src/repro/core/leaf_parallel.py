@@ -23,9 +23,7 @@ class LeafParallelMcts(GpuEngine):
     name = "leaf_parallel"
     round_policy = LeafRound
 
-    def _begin_session(
-        self, state: GameState, budget_s: float, executor
-    ) -> None:
+    def _begin_session(self, state: GameState, budget_s: float) -> None:
         self._check_budget(budget_s, state)
         self._live = {
             "tree": self._make_forest(state, [self.rng.fork("tree")]),

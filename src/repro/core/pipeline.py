@@ -68,9 +68,7 @@ class PipelineMcts(Engine):
         self.injector = injector
         self.integrity = integrity
 
-    def _begin_session(
-        self, state: GameState, budget_s: float, executor
-    ) -> None:
+    def _begin_session(self, state: GameState, budget_s: float) -> None:
         self._check_budget(budget_s, state)
         self._live = {
             "mode": self.mode,
@@ -88,7 +86,7 @@ class PipelineMcts(Engine):
             "budget_s": budget_s,
             "iterations": 0,
             "simulations": 0,
-            "executor": executor,
+            **self._playout_stream(),
             "integrity": self._make_guard(1),
         }
 

@@ -45,9 +45,7 @@ class RootParallelMcts(Engine):
         self.injector = injector
         self.integrity = integrity
 
-    def _begin_session(
-        self, state: GameState, budget_s: float, executor
-    ) -> None:
+    def _begin_session(self, state: GameState, budget_s: float) -> None:
         self._check_budget(budget_s, state)
         self._live = {
             "forest": self._make_forest(
@@ -59,7 +57,7 @@ class RootParallelMcts(Engine):
             "budget_s": budget_s,
             "iterations": 0,
             "simulations": 0,
-            "executor": executor,
+            **self._playout_stream(),
             "integrity": self._make_guard(self.n_trees),
         }
 

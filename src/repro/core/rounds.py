@@ -50,8 +50,9 @@ One driver runs every policy.  :func:`advance_rounds` delivers a
 tick's answers to many rounds at once -- the loops of a game in one
 kernel call, the other rounds credited in one call and settled in
 order, their next rounds selected together -- and :func:`run_rounds`
-loops it: one executor call over every session's requests per round,
-until each session is out of budget.  An engine's ``search()`` /
+loops it: one executor call over every session's requests per round
+(one segment a session, on the session's own stream:
+:meth:`Round.segment`), until each session is out of budget.  An engine's ``search()`` /
 ``resume()`` is ``run_rounds`` over a set of one, the arena cohort runs
 it over every CPU mover of a move, and the search service's tick calls
 ``advance_rounds`` itself, all tenants' requests riding one launch per
@@ -79,15 +80,17 @@ from repro.core.arena import (
     select_round_many,
 )
 from repro.core.executors import Answers
+from repro.games.batch import Positions
 from repro.integrity.audit import MAX_RESULT_RETRIES
 from repro.util.clock import ClockError
 from repro.util.profile import NULL_PROFILER
+from repro.util.seeding import SeedLadder
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.core.base import Engine, PlayoutBatch, PlayoutResults
+    from repro.core.base import Engine, PlayoutResults, Segments
     from repro.core.results import SearchResult
 
-    Executor = Callable[[PlayoutBatch], PlayoutResults]
+    Executor = Callable[[Segments], PlayoutResults]
 
 #: The one-row sub-round of a single-tree session.
 _TREE0 = (0,)
@@ -239,13 +242,13 @@ def advance_rounds(rounds: "Sequence[Round]", answers, spans) -> None:
 def run_rounds(
     rounds: "Sequence[Round]", executor: "Executor"
 ) -> "list[SearchResult]":
-    """Run every round's session to its end, ``executor`` answering
-    all their requests in one call per round; each session's result,
-    in order.  A session finishes once it selects no requests.  A
-    self-driven round (:attr:`Round.screen` set) has its answers
-    screened before they are delivered.  A set of one hands the
-    executor its requests as they are (a GPU round's are position
-    columns)."""
+    """Run every round's session to its end, ``executor`` (a
+    :class:`~repro.core.base.BatchExecutor`) answering all their
+    requests in one call per round, a segment per session; each
+    session's result, in order.  A session finishes once it selects no
+    requests.  A guarded round (:attr:`Round.screen` set) has its
+    answers screened before they are delivered.  A lone round plays
+    its own way (:meth:`Round.play`: a GPU round on its device)."""
     for rnd in rounds:
         if rnd.must_step:
             rnd.select()
@@ -260,61 +263,59 @@ def run_rounds(
         if not running:
             return results
         asking = [rnd for _, rnd in running]
-        flat = (
-            asking[0].requests
-            if len(asking) == 1
-            else [state for rnd in asking for state in rnd.requests]
-        )
-        answers = _checked(flat, executor(flat))
         if asking[0].loop is None and len(asking) == 1:
             # A lone round's answers as they came: a GPU round's are
             # one row of lane winners per leaf.
-            asking[0].deliver(
-                answers
-                if asking[0].screen is None
-                else _screen_results(
-                    asking[0], answers, asking[0].screen, executor
+            rnd = asking[0]
+            answers = rnd.play(executor)
+            if rnd.screen is not None:
+                answers = _screen_results(
+                    rnd, answers, rnd.screen, lambda: rnd.play(executor)
                 )
-            )
-            asking[0].select()
+            rnd.deliver(answers)
+            rnd.select()
             continue
-        answers = Answers.of_pairs(answers)
+        answers = Answers.of_pairs(
+            _checked(
+                sum(len(rnd.requests) for rnd in asking),
+                executor([rnd.segment() for rnd in asking]),
+            )
+        )
         spans, lo = [], 0
         for rnd in asking:
             hi = lo + len(rnd.requests)
             if rnd.screen is not None:
                 answers[lo:hi] = _screen_results(
-                    rnd, answers[lo:hi], rnd.screen, executor
+                    rnd,
+                    answers[lo:hi],
+                    rnd.screen,
+                    lambda rnd=rnd: rnd.play(executor),
                 )
             spans.append((0, lo, hi))
             lo = hi
         advance_rounds(asking, {0: answers}, spans)
 
 
-def _checked(requests, answers):
-    """``answers``, once they answer ``requests`` one for one: a
+def _checked(n: int, answers):
+    """``answers``, once they answer ``n`` requests one for one: a
     short or long list is refused before any round is credited."""
-    if len(answers) != len(requests):
-        raise ValueError(
-            f"{len(answers)} playout answers for "
-            f"{len(requests)} requests"
-        )
+    if len(answers) != n:
+        raise ValueError(f"{len(answers)} playout answers for {n} requests")
     return answers
 
 
-def _screen_results(rnd, answers, guard, executor):
+def _screen_results(rnd, answers, guard, again):
     """Screen one batch of ``rnd``'s playout answers with ``guard``
-    (:meth:`Round.screen_answers`); a rejected batch is asked of
-    ``executor`` again (fresh draws) up to the policy's retry budget,
-    then degraded to the round's neutral answers
-    (:meth:`Round.neutral`) -- the dropped-playout-batch model."""
-    requests = rnd.requests
+    (:meth:`Round.screen_answers`); a rejected batch is asked ``again()``
+    (fresh draws) up to the policy's retry budget, then degraded to the
+    round's neutral answers (:meth:`Round.neutral`) -- the
+    dropped-playout-batch model."""
     for attempt in range(MAX_RESULT_RETRIES + 1):
         answers, ok = rnd.screen_answers(guard, answers)
         if ok:
             return answers
         if attempt < MAX_RESULT_RETRIES:
-            answers = _checked(requests, executor(requests))
+            answers = again()
     guard.give_up()
     return rnd.neutral()
 
@@ -338,18 +339,15 @@ class Round:
         self.store = store
         self.cost = engine.cost
         self.cap = engine._iteration_cap()
-        #: The executor ``search()`` / ``resume()`` answers the session
-        #: with; None when a driver answers it (the arena cohort, the
-        #: search service).
-        self.executor = live.get("executor")
-        #: The integrity guard that screens this session's answers:
-        #: only when the engine drives its own executor.  Externally
-        #: driven sessions (the service) are screened once at the
-        #: merged-launch readback -- screening here too would
-        #: double-draw corruption.
-        self.screen = (
-            live.get("integrity") if self.executor is not None else None
-        )
+        #: The integrity guard that screens this session's answers in
+        #: :func:`run_rounds`.  The service's tick never runs that
+        #: screen: it screens its merged launch's readback once.
+        self.screen = live.get("integrity")
+        seed = live.get("playout_seed")
+        #: The session's playout stream: call ``k`` draws the lanes of
+        #: ``ladder.seed(k)`` (:meth:`segment`); None without one (the
+        #: GPU kinds play on their device's generator).
+        self.ladder = None if seed is None else SeedLadder(seed, "playout")
         #: The positions whose playouts the selected round waits for.
         self.requests: Sequence = ()
         entry = _COST_MEMOS.get(id(self.cost))
@@ -385,15 +383,28 @@ class Round:
         grow."""
         table = self._memo[3]
         if table is None or table.shape[1] <= plies:
-            iteration_time = self.cost.iteration_time
-            table = self._memo[3] = np.array(
-                [
-                    [iteration_time(d, p) for p in range(plies + 1)]
-                    for d in range(plies + 2)
-                ],
-                dtype=np.float64,
+            table = self._memo[3] = self.cost.iteration_sum(
+                np.arange(plies + 2.0)[:, None], np.arange(plies + 1.0)
             )
         return table
+
+    def next_seed(self) -> int:
+        """The family seed of the session's next playout call (and the
+        call counted): call ``k`` draws ``ladder.seed(k)``'s lanes."""
+        live = self.live
+        k = live["playout_calls"]
+        live["playout_calls"] = k + 1
+        return self.ladder.seed(k)
+
+    def segment(self) -> tuple:
+        """The session's next executor segment: ``(family seed,
+        requests)``."""
+        return self.next_seed(), self.requests
+
+    def play(self, executor: "Executor") -> "PlayoutResults":
+        """The requests' answers, ``executor`` playing the session's
+        next segment alone."""
+        return _checked(len(self.requests), executor([self.segment()]))
 
     def select(self) -> bool:
         """Run the session to its next playout demand; False when the
@@ -499,6 +510,13 @@ class LoopRound(Round):
         """Must the session select at its own turn, and stop at every
         delivery and sub-round?"""
         return self.guarded or self.engine.iteration_hook is not None
+
+    def segment(self) -> tuple:
+        """The next segment, its positions the loop's own columns."""
+        loop, m = self.loop, self.loop.rows
+        return self.next_seed(), Positions.from_columns(
+            loop.game, loop.plane1[:m], loop.plane2[:m], loop.to_move[:m]
+        )
 
     def answer(self, columns, lane: int) -> None:
         """Point the pending rows at their answers, rows ``lane`` on of
@@ -1040,9 +1058,9 @@ class BlockRound(Round):
         self.lanes = self.config.total_threads // self.store.n_trees
         self.prof = engine.profiler
         self.guard = self.live.get("integrity")
-        # The engine's own device answers; ``screen`` stays None, as
-        # :meth:`launch` screens inside its one ``playout`` phase.
-        self.executor = self.launch
+        # The engine's own device answers, and :meth:`play` screens
+        # inside its one ``playout`` phase.
+        self.screen = None
 
     def select(self) -> bool:
         live, store, clock = self.live, self.store, self.engine.clock
@@ -1086,19 +1104,20 @@ class BlockRound(Round):
         (never here: the kernel plays terminal leaves out too)."""
         return False
 
-    def launch(self, positions) -> np.ndarray:
-        """The session's executor: one kernel from ``positions`` on the
-        engine's device, one row of lane winners per position.  Every
-        attempt is charged; a guarded readback is screened here."""
+    def play(self, executor) -> np.ndarray:
+        """One kernel from the requested positions on the engine's
+        device, one row of lane winners per position.  Every attempt is
+        charged; a guarded readback is screened here."""
         with self.prof.phase("playout"):
-            answers = self._kernel(positions)
+            answers = self._kernel()
             if self.guard is not None:
                 answers = _screen_results(
                     self, answers, self.guard, self._kernel
                 )
         return answers
 
-    def _kernel(self, positions) -> np.ndarray:
+    def _kernel(self) -> np.ndarray:
+        positions = self.requests
         result = self.engine.gpu.run_playouts(positions, self.config)
         self.live["simulations"] += result.playouts
         return result.winners.reshape(len(positions), self.lanes)
@@ -1162,14 +1181,14 @@ class LeafRound(BlockRound):
 class HybridRound(BlockRound):
     """``hybrid:BxT`` (the paper's Figure 4): the block round with its
     kernel launched asynchronously.  While it flies, the CPU runs plain
-    sequential iterations over the same trees, round-robin on the
-    shared playout RNG, each charged to the engine clock."""
+    sequential iterations over the same trees, round-robin, each
+    playout one call of the executor on the session's stream and each
+    iteration charged to the engine clock."""
 
-    def launch(self, positions) -> np.ndarray:
+    def play(self, executor) -> np.ndarray:
         engine, live, store = self.engine, self.live, self.store
-        gpu = engine.gpu
+        gpu, positions = engine.gpu, self.requests
         event = gpu.launch_async(positions, self.config)
-        playout, playout_rng = engine.game.playout, live["playout_rng"]
         iteration_time = self._iteration_time
         advance = engine.clock.advance
         t, done = live["next_tree"], 0
@@ -1181,7 +1200,9 @@ class HybridRound(BlockRound):
                     store.backprop_winner(node, store.winner_of(node))
                     plies = 0
                 else:
-                    winner, plies = playout(store.state_of(node), playout_rng)
+                    ((winner, plies),) = executor(
+                        [(self.next_seed(), [store.state_of(node)])]
+                    )
                     store.backprop_winner(node, winner)
                 advance(iteration_time(depth, plies))
                 done += 1

@@ -8,7 +8,7 @@ in the paper's Figures 6 and 7.
 
 from __future__ import annotations
 
-from repro.core.base import Engine, ScalarExecutor
+from repro.core.base import Engine
 from repro.core.results import register_extra_keys
 from repro.core.rounds import SequentialRound
 from repro.games.base import GameState
@@ -20,14 +20,7 @@ class SequentialMcts(Engine):
     name = "sequential"
     round_policy = SequentialRound
 
-    def _own_executor(self) -> ScalarExecutor:
-        # Drawn before the session's tree: fork("playout") comes
-        # before fork("tree").
-        return ScalarExecutor(self.game, self.rng.fork("playout"))
-
-    def _begin_session(
-        self, state: GameState, budget_s: float, executor
-    ) -> None:
+    def _begin_session(self, state: GameState, budget_s: float) -> None:
         self._check_budget(budget_s, state)
         self._live = {
             "tree": self._make_forest(state, [self.rng.fork("tree")]),
@@ -35,7 +28,7 @@ class SequentialMcts(Engine):
             "budget_s": budget_s,
             "iterations": 0,
             "simulations": 0,
-            "executor": executor,
+            **self._playout_stream(),
         }
 
 

@@ -100,9 +100,7 @@ class TreeParallelMcts(Engine):
         self.injector = injector
         self.integrity = integrity
 
-    def _begin_session(
-        self, state: GameState, budget_s: float, executor
-    ) -> None:
+    def _begin_session(self, state: GameState, budget_s: float) -> None:
         self._check_budget(budget_s, state)
         self._live = {
             "mode": self.mode,
@@ -113,7 +111,7 @@ class TreeParallelMcts(Engine):
             "budget_s": budget_s,
             "iterations": 0,
             "simulations": 0,
-            "executor": executor,
+            **self._playout_stream(),
             "integrity": self._make_guard(1),
         }
 

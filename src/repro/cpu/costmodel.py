@@ -63,12 +63,17 @@ class CpuCostModel:
         :meth:`selection_time` + expansion + :meth:`playout_time` +
         :meth:`backprop_time`, written out in that order (the same
         floats; every round engine charges it once per playout)."""
-        levels = max(depth, 0)
+        return self.iteration_sum(max(depth, 0), max(playout_plies, 0))
+
+    def iteration_sum(self, levels, plies):
+        """:meth:`iteration_time` on clamped ``levels`` and ``plies``:
+        ints, or float64 arrays that broadcast (a depth column and a
+        ply row make the whole table, each cell the scalar's double)."""
         return (
             self.fixed_per_iteration_s
             + self.select_per_node_s * levels
             + self.expand_s
-            + self.playout_per_ply_s * max(playout_plies, 0)
+            + self.playout_per_ply_s * plies
             + self.backprop_per_node_s * levels
         )
 

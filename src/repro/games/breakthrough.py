@@ -59,11 +59,18 @@ def _forward_shift(bit: int, player: int, direction: int) -> int:
 
 def fast_playout(state: BreakthroughState, rng) -> tuple[int, int]:
     """Inlined uniformly-random playout (same contract as
-    ``random_playout``; cross-checked statistically in the tests).
+    ``random_playout``).
 
     Works on raw bitboards with the three direction target masks,
-    drawing the move uniformly across their combined population.
+    drawing the move uniformly across their combined population, one
+    draw a ply: on a :class:`~repro.rng.XorShift128PlusLane` it is that
+    lane of the batched playout, draw for draw (a position over at
+    entry takes no ply).
     """
+    if state.p1 & P1_GOAL or not state.p2:
+        return 1, 0
+    if state.p2 & P2_GOAL or not state.p1:
+        return -1, 0
     if state.to_move == 1:
         own, opp = state.p1, state.p2
     else:

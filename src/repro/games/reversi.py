@@ -98,14 +98,14 @@ def flips_for_move(own: int, opp: int, move_bit: int) -> int:
 
 
 def fast_playout(state: ReversiState, rng) -> tuple[int, int]:
-    """Uniformly random playout, heavily inlined for the CPU engines.
+    """Uniformly random playout, heavily inlined for the CPU engines:
+    no state objects, :func:`mobility` and :func:`flips_for_move`
+    inlined (their per-direction loop bodies, verbatim), random set-bit
+    extraction via ``lsb``-stripping.  Returns ``(winner, plies)`` with
+    the winner absolute (+1 black / -1 white / 0 draw).
 
-    Semantically identical to ``random_playout(Reversi(), state, rng)``
-    (cross-checked in the tests) but several times faster: no state
-    objects, :func:`mobility` and :func:`flips_for_move` inlined (their
-    per-direction loop bodies, verbatim), random set-bit extraction via
-    ``lsb``-stripping.  Returns ``(winner, plies)`` with the winner
-    absolute (+1 black / -1 white / 0 draw).
+    A lane's steps: one draw a ply, a pass included, and the game over
+    on the second pass in a row, a ply too (none when over at entry).
     """
     if state.to_move == 1:
         own, opp = state.black, state.white
@@ -136,12 +136,13 @@ def fast_playout(state: ReversiState, rng) -> tuple[int, int]:
         mob &= ~(own | opp) & FULL_MASK
 
         if not mob:
+            rng.next_u64()  # a lane draws on a pass too
+            plies += 1
             if passed:
                 break  # two passes in a row: game over
             passed = True
             own, opp = opp, own
             sign = -sign
-            plies += 1
             continue
         passed = False
 
@@ -176,7 +177,8 @@ def fast_playout(state: ReversiState, rng) -> tuple[int, int]:
     black = own if sign == 1 else opp
     white = opp if sign == 1 else own
     diff = black.bit_count() - white.bit_count()
-    return (diff > 0) - (diff < 0), plies
+    # Two passes first: over at entry, which a lane plays in no step.
+    return (diff > 0) - (diff < 0), plies if plies > 2 else 0
 
 
 class Reversi(Game):

@@ -100,7 +100,7 @@ def run_block_size_ablation(
         mcts_player(game, "sequential", cfg.move_budget_s),
         cfg.games_per_point,
         lambda bs, g, role: derive_seed(cfg.seed, bs, g, role[0]),
-        cohort_executor(game, derive_seed(cfg.seed, "x")),
+        cohort_executor(game),
     )
     out = BlockSizeResult(config=cfg)
     for bs, result in results.items():
@@ -304,7 +304,7 @@ def run_vote_policy_ablation(
         mcts_player(game, "sequential", cfg.move_budget_s),
         cfg.games_per_point,
         lambda policy, g, role: derive_seed(cfg.seed, policy, g, role[0]),
-        cohort_executor(game, derive_seed(cfg.seed, "x")),
+        cohort_executor(game),
     )
     out = VotePolicyResult(config=cfg)
     for policy, result in results.items():
@@ -513,7 +513,7 @@ def run_ucb_ablation(config: UcbConfig | None = None) -> UcbResult:
         mcts_player(game, "sequential", cfg.move_budget_s, ucb_c=1.0),
         cfg.games_per_point,
         lambda c, g, role: derive_seed(cfg.seed, str(c), g, role[0]),
-        cohort_executor(game, derive_seed(cfg.seed, "x")),
+        cohort_executor(game),
     )
     out = UcbResult(config=cfg)
     for c, result in results.items():

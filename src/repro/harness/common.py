@@ -115,6 +115,7 @@ def mcts_player(
     return build
 
 
-def cohort_executor(game: Game, seed: int) -> BatchExecutor:
-    """The merged-playout executor of one cohort of ``game`` matches."""
-    return BatchExecutor(game.name, seed)
+def cohort_executor(game: Game) -> BatchExecutor:
+    """The merged-playout executor of one cohort of ``game`` matches
+    (each session's playouts draw from its own stream)."""
+    return BatchExecutor(game)

@@ -112,7 +112,7 @@ def run_fig6(config: Fig6Config | None = None) -> Fig6Result:
         lambda key, g, role: derive_seed(
             cfg.seed, *key, g, "gpu" if role == "subject" else "cpu"
         ),
-        cohort_executor(game, derive_seed(cfg.seed, "executor")),
+        cohort_executor(game),
     )
 
     out = Fig6Result(config=cfg)

@@ -148,7 +148,7 @@ def run_fig7(config: Fig7Config | None = None) -> Fig7Result:
         mcts_player(game, "sequential", cfg.move_budget_s),
         cfg.games_per_point,
         lambda label, g, role: derive_seed(cfg.seed, label, g, role),
-        cohort_executor(game, derive_seed(cfg.seed, "executor")),
+        cohort_executor(game),
     )
 
     out = Fig7Result(config=cfg)

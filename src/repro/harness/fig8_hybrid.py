@@ -101,7 +101,7 @@ def run_fig8(config: Fig8Config | None = None) -> Fig8Result:
         mcts_player(game, "sequential", cfg.move_budget_s),
         cfg.games_per_series,
         lambda kind, g, role: derive_seed(cfg.seed, kind, g, role[0]),
-        cohort_executor(game, derive_seed(cfg.seed, "executor")),
+        cohort_executor(game),
     )
 
     out = Fig8Result(config=cfg)

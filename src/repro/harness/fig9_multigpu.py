@@ -132,7 +132,7 @@ def run_fig9(config: Fig9Config | None = None) -> Fig9Result:
         mcts_player(game, "sequential", cfg.move_budget_s),
         cfg.games_per_point,
         lambda n, g, role: derive_seed(cfg.seed, "game", n, g, role[0]),
-        cohort_executor(game, derive_seed(cfg.seed, "executor")),
+        cohort_executor(game),
     )
     for n, result in results.items():
         out.point_difference[n] = result.mean_final_score

@@ -98,7 +98,7 @@ def run_generalization(
             lambda scheme, g, role: derive_seed(
                 cfg.seed, game_name, scheme, g, role[0]
             ),
-            cohort_executor(game, derive_seed(cfg.seed, game_name, "x")),
+            cohort_executor(game),
         )
         for scheme, result in results.items():
             out.win_ratio[(game_name, scheme)] = result.win_ratio

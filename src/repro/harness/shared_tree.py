@@ -154,9 +154,7 @@ def run_shootout(config: ShootoutConfig | None = None) -> ShootoutResult:
             lambda key, g, role: derive_seed(
                 cfg.seed, game_name, *key, g, role
             ),
-            cohort_executor(
-                game, derive_seed(cfg.seed, game_name, "executor")
-            ),
+            cohort_executor(game),
             max_plies=cfg.max_plies,
         )
         for label in cfg.contenders:

@@ -8,10 +8,12 @@ Two generators, mirroring what the paper's CUDA kernel needs:
   with one independent state per SIMT lane, used by the batched playout
   kernels.  Each lane's stream is seeded via splitmix64 so lanes are
   decorrelated, the standard per-thread-stream construction in GPU
-  Monte Carlo codes.
+  Monte Carlo codes.  :class:`~repro.rng.batch.XorShift128PlusLane` is
+  one of those lanes stepped in plain Python, for a playout played
+  alone.
 """
 
-from repro.rng.batch import BatchXorShift128Plus
+from repro.rng.batch import BatchXorShift128Plus, XorShift128PlusLane
 from repro.rng.scalar import XorShift64Star
 
-__all__ = ["BatchXorShift128Plus", "XorShift64Star"]
+__all__ = ["BatchXorShift128Plus", "XorShift128PlusLane", "XorShift64Star"]

@@ -11,7 +11,10 @@ from __future__ import annotations
 import numpy as np
 
 from repro.util.bitops import U64
-from repro.util.seeding import derive_seed
+from repro.util.seeding import derive_seed, splitmix64
+
+_MASK = 0xFFFF_FFFF_FFFF_FFFF
+_GOLDEN = 0x9E37_79B9_7F4A_7C15
 
 _S23 = U64(23)
 _S17 = U64(17)
@@ -41,7 +44,7 @@ def _lane_states(
     # xorshift128+ must never start at the all-zero state.
     dead = (s0 == 0) & (s1 == 0)
     if dead.any():
-        s1[dead] = U64(0x9E37_79B9_7F4A_7C15)
+        s1[dead] = U64(_GOLDEN)
     return s0, s1
 
 
@@ -191,3 +194,33 @@ class BatchXorShift128Plus:
             (np.bitwise_xor.reduce(self._s0) << np.uint64(1))
             ^ np.bitwise_xor.reduce(self._s1)
         )
+
+
+class XorShift128PlusLane:
+    """Lane ``lane`` of ``seed``'s stream family (as
+    :meth:`BatchXorShift128Plus.for_lanes` seeds it) stepped in plain
+    Python.  :meth:`randrange` picks as ``randbelow`` does, one step
+    for any bound, ``0`` included: ``Game.playout`` on this lane plays
+    that lane of a launch, draw for draw."""
+
+    __slots__ = ("_s0", "_s1")
+
+    def __init__(self, seed: int, lane: int) -> None:
+        base = derive_seed(seed) + 2 * lane
+        s0 = splitmix64(base & _MASK)
+        s1 = splitmix64((base + 1) & _MASK)
+        # As in ``_lane_states``: never the all-zero state.
+        self._s0, self._s1 = s0, s1 if s0 or s1 else _GOLDEN
+
+    def next_u64(self) -> int:
+        """The lane's next raw 64-bit output."""
+        s1, s0 = self._s0, self._s1
+        self._s0 = s0
+        x = s1 ^ ((s1 << 23) & _MASK)
+        self._s1 = x ^ s0 ^ (x >> 17) ^ (s0 >> 26)
+        return (s0 + s1) & _MASK
+
+    def randrange(self, n: int) -> int:
+        """Uniform in ``[0, n)`` by multiply-shift on the high 32 bits;
+        ``0`` for ``n == 0``."""
+        return ((self.next_u64() >> 32) * n) >> 32

@@ -441,7 +441,7 @@ class SearchService:
         if engine.joins_merged_rounds:
             before = engine.clock.now
             if resume_from is None:
-                engine._begin_session(state, budget_s, None)
+                engine._begin_session(state, budget_s)
             result = self._open_tenant(req.request_id, engine)
             slot.pending_cpu_s = engine.clock.now - before
             if result is not None:

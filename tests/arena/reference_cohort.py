@@ -3,9 +3,10 @@
 The arena cohort once advanced every CPU mover of a move by stepping
 its engine's search generator (:func:`tests.round_steps.round_steps`):
 prime each generator in game order, then, while any is searching, one
-executor call over all their requests, each generator sent its slice
-in game order -- it backs the slice up and runs on to its next request
-before the next is resumed.  :func:`reference_cohort` keeps that loop;
+executor call over all their requests -- one segment a session, on the
+session's next playout seed -- each generator sent its slice in game
+order -- it backs the slice up and runs on to its next request before
+the next is resumed.  :func:`reference_cohort` keeps that loop;
 ``play_games_cohort`` runs the movers through
 ``repro.core.rounds.run_rounds`` instead, and
 ``test_cohort_differential.py`` holds every move it plays equal to
@@ -16,11 +17,12 @@ from __future__ import annotations
 
 from repro.arena.match import GameRecord, MoveRecord
 from repro.players.mcts import MctsPlayer
-from tests.round_steps import round_steps
+from tests.round_steps import next_seed, round_steps
 
 
-def _step_all(gens, executor):
-    """Each generator's search result, their requests merged per call."""
+def _step_all(gens, lives, executor):
+    """Each generator's search result, their requests merged per call,
+    session ``i``'s drawn from its live session ``lives[i]``."""
     results, requests = {}, {}
 
     def advance(i, send):
@@ -34,8 +36,10 @@ def _step_all(gens, executor):
         advance(i, gen.__next__)
     while requests:
         keys = list(requests)
-        flat = [state for i in keys for state in requests[i]]
-        answers, lo = executor(flat), 0
+        answers, lo = (
+            executor([(next_seed(lives[i]), requests[i]) for i in keys]),
+            0,
+        )
         for i in keys:
             hi = lo + len(requests[i])
             advance(i, lambda: gens[i].send(answers[lo:hi]))
@@ -51,7 +55,7 @@ def reference_cohort(game, matchups, executor):
     records = [GameRecord(winner=0, final_score=0) for _ in range(n)]
     alive = list(range(n))
     while alive:
-        movers, gens = {}, {}
+        movers, gens, lives = {}, {}, {}
         for i in alive:
             black, white = matchups[i]
             player = black if game.to_move(states[i]) == 1 else white
@@ -62,10 +66,11 @@ def reference_cohort(game, matchups, executor):
                 and player.engine.round_policy is not None
             ):
                 player.engine._begin_session(
-                    states[i], player.move_budget_s, None
+                    states[i], player.move_budget_s
                 )
+                lives[i] = player.engine._live
                 gens[i] = round_steps(player.engine)
-        searched = _step_all(gens, executor)
+        searched = _step_all(gens, lives, executor)
         still_alive = []
         for i in alive:
             if i in searched:

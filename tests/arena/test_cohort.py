@@ -5,9 +5,10 @@ import pytest
 from repro.arena import play_game
 from repro.arena.cohort import play_games_cohort, play_matchups
 from repro.arena.tournament import MatchupResult
+from repro.compiled import compiled_available, runner
 from repro.core import BlockParallelMcts, SequentialMcts, make_engine
 from repro.core.base import BatchExecutor
-from repro.games import TicTacToe
+from repro.games import Game, Reversi, TicTacToe, reversi
 from repro.players import MctsPlayer, RandomPlayer
 from repro.util.seeding import derive_seed
 
@@ -28,7 +29,7 @@ def gpu_player(seed, budget=0.002):
 
 @pytest.fixture
 def executor():
-    return BatchExecutor("tictactoe", seed=99)
+    return BatchExecutor(GAME)
 
 
 class TestPlayGamesCohort:
@@ -77,7 +78,7 @@ class TestPlayGamesCohort:
         matchups = [
             (black, seq_player(10 + i)) for i, black in enumerate(blacks)
         ]
-        inner = BatchExecutor("tictactoe", seed=99)
+        inner = BatchExecutor(GAME)
         seen = []
 
         def roots():
@@ -88,9 +89,9 @@ class TestPlayGamesCohort:
                 for p in blacks
             ]
 
-        def faulty(requests):
-            answers = inner(requests)
-            seen.append((len(requests), roots()))
+        def faulty(segments):
+            answers = inner(segments)
+            seen.append((sum(len(s) for _, s in segments), roots()))
             if len(seen) <= 2:  # two good rounds first
                 return answers
             return answers[:delta] if delta < 0 else answers + answers[:1]
@@ -133,6 +134,42 @@ class TestPlayGamesCohort:
         assert rec_direct.winner in (-1, 0, 1)
 
 
+@pytest.mark.skipif(not compiled_available(), reason="no C toolchain")
+def test_a_merged_round_is_one_call_and_one_launch_a_session(monkeypatch):
+    """On the compiled stack a cohort round of M CPU movers is one
+    executor call of M segments, each one ``repro_<game>_launch`` call,
+    and no playout runs in Python."""
+    m = 4
+    launches, python, calls = [], [], []
+    launch_columns = runner.launch_columns
+
+    def counted(*args):
+        launches.append(1)
+        return launch_columns(*args)
+
+    def refused(*args):
+        python.append(1)
+        raise AssertionError("a playout ran in Python")
+
+    monkeypatch.setattr(runner, "launch_columns", counted)
+    for owner, name in ((Game, "playout"), (Reversi, "playout"),
+                        (reversi, "fast_playout")):
+        monkeypatch.setattr(owner, name, refused)
+    executor = BatchExecutor(GAME)
+
+    def spy(segments):
+        before = len(launches)
+        answers = executor(segments)
+        calls.append((len(segments), len(launches) - before))
+        return answers
+
+    matchups = [(seq_player(2 * i), seq_player(2 * i + 1)) for i in range(m)]
+    play_games_cohort(GAME, matchups, spy)
+    assert calls[0] == (m, m)
+    assert all(segments == launched for segments, launched in calls)
+    assert python == []
+
+
 class TestPlayMatchups:
     SUBJECTS = {"gpu": gpu_player, "cpu": seq_player}
 
@@ -155,7 +192,7 @@ class TestPlayMatchups:
                     (subj, opp) if colours[-1] == 1 else (opp, subj)
                 )
         records = play_games_cohort(
-            GAME, matchups, BatchExecutor("tictactoe", seed=99)
+            GAME, matchups, BatchExecutor(GAME)
         )
         by_hand = {"gpu": MatchupResult(), "cpu": MatchupResult()}
         for i, (record, colour) in enumerate(zip(records, colours)):

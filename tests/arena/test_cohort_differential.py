@@ -33,9 +33,9 @@ BUDGETS = {"tictactoe": 2e-3, "connect4": 6e-4}
 
 @st.composite
 def cohorts(draw):
-    """``(game, player specs and seeds per game, executor seed)``: the
-    first three games all on compiled arenas, so a move's batched
-    select takes the many-arena kernel; one GPU player somewhere."""
+    """``(game, player specs and seeds per game)``: the first three
+    games all on compiled arenas, so a move's batched select takes the
+    many-arena kernel; one GPU player somewhere."""
     game = draw(st.sampled_from(sorted(BUDGETS)))
     n = draw(st.integers(3, 8))
 
@@ -53,11 +53,11 @@ def cohorts(draw):
     seeds = [
         [draw(st.integers(0, 2**16)) for _ in range(2)] for _ in range(n)
     ]
-    return game, list(zip(pairs, seeds)), draw(st.integers(0, 2**16))
+    return game, list(zip(pairs, seeds))
 
 
 def play(driver, cohort):
-    name, games, executor_seed = cohort
+    name, games = cohort
     game = make_game(name)
     matchups = [
         tuple(
@@ -71,7 +71,7 @@ def play(driver, cohort):
     return driver(
         game,
         matchups,
-        BatchExecutor(name, executor_seed, playout="compiled"),
+        BatchExecutor(game, playout="compiled"),
     )
 
 

@@ -12,7 +12,10 @@ device state and profiler count they produce equal to the product's.
 The loops read and write the engine's ``_live`` dict exactly as the
 product does, so a session restored from either side's snapshot runs
 on either.  :func:`reference_search` also sets the session up itself,
-as the old ``search()`` overrides did, RNG forks in their order.
+as the old ``search()`` overrides did, RNG forks in their order.  The
+hybrid's CPU playouts play the session's stream in Python
+(``Game.playout`` on an ``XorShift128PlusLane``), where the product
+asks the executor.
 """
 
 from __future__ import annotations
@@ -21,6 +24,9 @@ import numpy as np
 
 from repro.core.base import tally
 from repro.integrity.audit import MAX_RESULT_RETRIES
+from repro.rng import XorShift128PlusLane
+from repro.util.seeding import derive_seed
+from tests.round_steps import next_seed
 
 
 def reference_search(engine, state, budget_s):
@@ -47,11 +53,15 @@ def reference_search(engine, state, budget_s):
             "integrity": engine._make_guard(blocks),
         }
     else:
+        engine.sessions += 1
         engine._live = {
             "forest": engine._make_forest(
                 state, [engine.rng.fork("tree", b) for b in range(blocks)]
             ),
-            "playout_rng": engine.rng.fork("cpu_playout"),
+            "playout_seed": derive_seed(
+                engine.seed, "session", engine.sessions
+            ),
+            "playout_calls": 0,
             "start_s": engine.clock.now,
             "budget_s": budget_s,
             "next_tree": 0,
@@ -166,7 +176,6 @@ def _screened_winners(engine, positions, live, guard):
 def _hybrid_run(engine):
     live = engine._live
     forest = live["forest"]
-    playout_rng = live["playout_rng"]
     budget_s = live["budget_s"]
     blocks = engine.config.blocks
     tpb = engine.config.threads_per_block
@@ -195,7 +204,8 @@ def _hybrid_run(engine):
                     plies = 0
                 else:
                     winner, plies = engine.game.playout(
-                        forest.state_of(node), playout_rng
+                        forest.state_of(node),
+                        XorShift128PlusLane(next_seed(live), 0),
                     )
                     forest.backprop_winner(node, winner)
                 engine.clock.advance(engine.cost.iteration_time(depth, plies))

@@ -129,6 +129,20 @@ def test_snapshot_mid_search_does_not_perturb_the_run():
     )
 
 
+def test_a_version_1_snapshot_is_refused():
+    """Version 2 keys a session's playouts by its seed and call count;
+    a version-1 snapshot (executor and playout generator states) is
+    refused by name, both versions in the message."""
+    game = make_game("tictactoe")
+    snap = _crashed_snapshot("sequential", game, 2)
+    old = dataclasses.replace(snap, format_version=1)
+    with pytest.raises(
+        CheckpointError,
+        match=r"snapshot format 1 unsupported \(this build reads 2\)",
+    ):
+        _engine("sequential", game).restore(old)
+
+
 def test_snapshot_outside_session_rejected():
     game = make_game("tictactoe")
     engine = _engine("sequential", game)

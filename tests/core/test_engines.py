@@ -197,11 +197,11 @@ def test_answers_must_match_the_requests_one_for_one(spec, backend):
     instead of ``zip``-ped short."""
     for answers in ([(1, 5), (0, 5)], [(1, 5)] * 4, []):
         engine = make_engine(f"{spec}@{backend}", TTT, 5)
-        engine._begin_session(TTT.initial_state(), 1e-3, None)
+        engine._begin_session(TTT.initial_state(), 1e-3)
         asked = []
 
-        def executor(requests):
-            asked.append(len(requests))
+        def executor(segments):
+            asked.append(sum(len(states) for _, states in segments))
             return answers
 
         with pytest.raises(

@@ -1,43 +1,66 @@
-"""Tests for the playout executors behind the round seam."""
+"""Tests for the CPU playout executor behind the round seam.
 
-from repro.core.base import BatchExecutor, ScalarExecutor, tally
-from repro.games import Reversi, TicTacToe
-from repro.rng import XorShift64Star
+``BatchExecutor`` plays sessions' segments, ``(family seed, states)``,
+lane ``i`` of the family playing state ``i``: on the compiled stack one
+launch a segment, on the NumPy stack one NumPy launch a segment of at
+least ``SCALAR_CUTOFF`` states and the Python lane
+(``Game.playout`` on an ``XorShift128PlusLane``) below it.  Every body
+plays a lane alike, draw for draw, so where a segment runs never shows.
+"""
 
 import numpy as np
+import pytest
+
+from repro.compiled import COMPILED_GAMES, launch_compiled
+from repro.compiled.build import kernel_bodies, pinned_kernel_body
+from repro.core.base import BatchExecutor, tally
+from repro.core.executors import launch_numpy
+from repro.games import Reversi, make_batch_game, make_game
+from repro.games.reversi import ReversiState
+from repro.rng import XorShift128PlusLane, XorShift64Star
 
 
-class TestScalarExecutor:
-    def test_one_result_per_state(self):
-        game = TicTacToe()
-        run = ScalarExecutor(game, XorShift64Star(1))
-        states = [game.initial_state()] * 5
-        results = run(states)
-        assert len(results) == 5
-        for winner, plies in results:
-            assert winner in (-1, 0, 1)
-            assert 5 <= plies <= 9
-
-    def test_empty(self):
-        game = TicTacToe()
-        run = ScalarExecutor(game, XorShift64Star(1))
-        assert run([]) == []
+def positions(game, count=24, seed=3):
+    """Positions from the start to the last plies, terminal ones
+    included (a Reversi board over at entry among them)."""
+    rng = XorShift64Star(seed)
+    out = [game.initial_state()]
+    for t in range(1, count):
+        state = game.initial_state()
+        for _ in range(t * game.max_game_length // count):
+            if game.is_terminal(state):
+                break
+            moves = game.legal_moves(state)
+            state = game.apply(state, moves[rng.randrange(len(moves))])
+        out.append(state)
+    if game.name == "reversi":
+        out.append(ReversiState(0xFFFF_FFFF_0000_0000, 0xFFFF_FFFF, 1))
+    return out
 
 
 class TestBatchExecutor:
-    def test_small_batches_use_scalar_fallback(self):
-        run = BatchExecutor("reversi", seed=3)
+    def test_small_segments_play_lane_by_lane(self, compiled_env):
+        """On the NumPy stack a segment under the cutoff plays each lane
+        through ``Game.playout``, and answers as the launch would."""
+        compiled_env("0")
         game = Reversi()
-        results = run([game.initial_state()] * 3)
-        assert len(results) == 3
-        for winner, plies in results:
-            assert winner in (-1, 0, 1)
-            assert plies > 0
+        states = [game.initial_state()] * 3
+        played = []
+
+        class Spied(Reversi):
+            def playout(self, state, rng):
+                played.append(type(rng))
+                return super().playout(state, rng)
+
+        answers = BatchExecutor(Spied())([(7, states)])
+        winners, plies = launch_numpy(make_batch_game("reversi"), states, 7)
+        assert played == [XorShift128PlusLane] * 3
+        assert answers == list(zip(winners.tolist(), plies.tolist()))
 
     def test_large_batches_go_vectorised(self):
-        run = BatchExecutor("reversi", seed=3)
+        run = BatchExecutor(Reversi())
         game = Reversi()
-        results = run([game.initial_state()] * 64)
+        results = run([(3, [game.initial_state()] * 64)])
         assert len(results) == 64
         winners = np.array([w for w, _ in results])
         b, w, d = tally(winners)
@@ -46,39 +69,54 @@ class TestBatchExecutor:
         assert 10 < b < 54
 
     def test_deterministic_per_call_sequence(self):
-        a = BatchExecutor("reversi", seed=9)
-        b = BatchExecutor("reversi", seed=9)
+        """A segment's answers are its seed's: the same from any
+        executor, alone or after other segments."""
         game = Reversi()
-        states = [game.initial_state()] * 32
-        assert a(states) == b(states)
-        assert a(states) == b(states)  # second call also aligned
+        short = [game.initial_state()] * 3
+        wide = [game.initial_state()] * 32
+        a, b = BatchExecutor(game), BatchExecutor(game)
+        assert a([(9, wide)]) == b([(9, wide)])
+        assert a([(1, short), (9, wide)])[3:] == b([(9, wide)])
 
     def test_seed_changes_results(self):
         game = Reversi()
         states = [game.initial_state()] * 32
-        a = BatchExecutor("reversi", seed=1)(states)
-        b = BatchExecutor("reversi", seed=2)(states)
-        assert a != b
+        run = BatchExecutor(game)
+        assert run([(1, states)]) != run([(2, states)])
 
     def test_empty(self):
-        run = BatchExecutor("tictactoe", seed=1)
+        run = BatchExecutor(make_game("tictactoe"))
         assert run([]) == []
+        assert run([(1, [])]) == []
 
 
-class TestStatisticalAgreement:
-    def test_scalar_and_batch_paths_agree_on_win_rate(self):
-        """Both executors sample the same uniform-playout distribution;
-        their black-win rates must agree within noise."""
-        game = Reversi()
-        state = game.initial_state()
-        scalar = ScalarExecutor(game, XorShift64Star(5))
-        batch = BatchExecutor("reversi", seed=5)
-        n = 300
-        s_wins = sum(
-            1 for w, _ in scalar([state] * n) if w == 1
-        )
-        b_wins = sum(1 for w, _ in batch([state] * n) if w == 1)
-        assert abs(s_wins - b_wins) / n < 0.15
+@pytest.mark.parametrize("name", sorted(COMPILED_GAMES) + ["breakthrough"])
+def test_the_bodies_agree_lane_for_lane(name):
+    """A one-state call: the Python lane, the NumPy lane and the C lane
+    on every kernel body this host runs answer alike, position for
+    position and seed for seed (breakthrough has no kernel)."""
+    game, bg = make_game(name), make_batch_game(name)
+    bodies = kernel_bodies() if name in COMPILED_GAMES else ()
+    for i, state in enumerate(positions(game)):
+        seed = 1000 + i
+        lane = game.playout(state, XorShift128PlusLane(seed, 0))
+        winners, plies = launch_numpy(bg, [state], seed)
+        assert lane == (winners.item(), plies.item()), (name, i)
+        for body in bodies:
+            with pinned_kernel_body(body):
+                winners, plies = launch_compiled(bg, [state], seed)
+            assert lane == (winners.item(), plies.item()), (name, i, body)
+
+
+def test_a_lane_of_a_wide_launch_is_the_python_lane():
+    """Lane ``i`` of a launch is ``XorShift128PlusLane(seed, i)``."""
+    game = make_game("connect4")
+    states = positions(game, count=12)
+    winners, plies = launch_numpy(make_batch_game("connect4"), states, 5)
+    assert list(zip(winners.tolist(), plies.tolist())) == [
+        game.playout(state, XorShift128PlusLane(5, i))
+        for i, state in enumerate(states)
+    ]
 
 
 class TestTally:

@@ -110,7 +110,7 @@ def session(
     )
     if start:
         engine.clock.advance(start)
-    engine._begin_session(root, budget_s, None)
+    engine._begin_session(root, budget_s)
     forest = store_of(engine)
     if store != "node":
         if tiny:
@@ -553,8 +553,10 @@ def together_matches_alone(game_name, corrupt):
         ]
     ]
 
-    def executor(states):
-        return [answer(game, s, 0, corrupt) for s in states]
+    def executor(segments):
+        return [
+            answer(game, s, 0, corrupt) for _, states in segments for s in states
+        ]
 
     def run(store, together):
         engines = [

@@ -421,6 +421,6 @@ def test_the_default_stack_is_named_once():
         engine = make_engine("block:2x2", make_game(name), 1)
         assert (engine.backend, engine.playout) == (backend, playout)
         assert engine.gpu.playout == playout
-        assert BatchExecutor(name, 1).playout == playout
+        assert BatchExecutor(make_game(name)).playout == playout
     spec = {"kind": "block", "blocks": 2, "threads_per_block": 2}
     assert EngineSpec.coerce(spec).canonical() == "block:2x2"

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import SequentialMcts
-from repro.core.base import ScalarExecutor
+from repro.core.base import BatchExecutor
 from repro.core.rounds import run_rounds
 from repro.cpu.costmodel import FREE_CPU
 from repro.games import TicTacToe
@@ -21,12 +21,8 @@ def run_search(seed, iterations):
     engine = SequentialMcts(
         GAME, seed=seed, cost_model=FREE_CPU, max_iterations=iterations
     )
-    engine._begin_session(GAME.initial_state(), 1e9, None)
-    # Drive the session on a playout stream of the test's own (stats
-    # suffice for the invariants).
-    (result,) = run_rounds(
-        [engine.open_round()], ScalarExecutor(GAME, XorShift64Star(seed))
-    )
+    engine._begin_session(GAME.initial_state(), 1e9)
+    (result,) = run_rounds([engine.open_round()], BatchExecutor(GAME))
     return result
 
 

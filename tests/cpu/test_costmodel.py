@@ -1,5 +1,6 @@
 """Tests for the virtual CPU cost model."""
 
+import numpy as np
 import pytest
 
 from repro.cpu import XEON_X5670, CpuCostModel, cpu_cost_model
@@ -46,6 +47,33 @@ class TestCosts:
                     + m.playout_time(plies)
                     + m.backprop_time(depth)
                 )
+
+    @pytest.mark.parametrize(
+        "model",
+        [
+            XEON_X5670,
+            CpuCostModel(
+                name="odd",
+                select_per_node_s=0.37e-6,
+                expand_s=1.13e-6,
+                playout_per_ply_s=1.29e-6,
+                backprop_per_node_s=0.21e-6,
+                fixed_per_iteration_s=3.07e-6,
+            ),
+        ],
+    )
+    def test_the_iteration_table_is_the_scalar_to_the_last_bit(self, model):
+        """The select loop charges from this table; every cell must be
+        ``iteration_time``'s double."""
+        table = model.iteration_sum(
+            np.arange(130.0)[:, None], np.arange(129.0)
+        )
+        assert table.shape == (130, 129) and table.dtype == "float64"
+        assert all(
+            table[d, p] == model.iteration_time(d, p)
+            for d in range(130)
+            for p in range(129)
+        )
 
     def test_negative_depth_clamped(self):
         assert XEON_X5670.selection_time(-5) == 0.0

@@ -24,7 +24,7 @@ from repro.compiled import launch_compiled
 from repro.compiled.build import kernel_bodies, pinned_kernel_body
 from repro.core.executors import launch_numpy
 from repro.games import make_batch_game, make_game
-from repro.rng import XorShift64Star
+from repro.rng import XorShift128PlusLane, XorShift64Star
 from repro.util.seeding import derive_seed
 
 GOLDEN = Path(__file__).parent.parent / "golden" / "playout_law.json"
@@ -40,14 +40,15 @@ MIN_EXPECTED = 5.0
 
 
 def _python(game, state, seed):
-    """The scalar body: ``Game.playout`` on one generator.  Its Reversi
-    playout stops at the second pass in a row without counting it,
-    where a lane counts it: one step added."""
+    """The scalar body: ``Game.playout`` on one generator."""
     rng = XorShift64Star(seed)
-    extra = 1 if game.name == "reversi" else 0
+    return [game.playout(state, rng) for _ in range(N)]
+
+
+def _lane(game, state, seed):
+    """The Python lane: ``Game.playout`` on lane ``i`` of the family."""
     return [
-        (winner, plies + extra)
-        for winner, plies in (game.playout(state, rng) for _ in range(N))
+        game.playout(state, XorShift128PlusLane(seed, i)) for i in range(N)
     ]
 
 
@@ -71,6 +72,7 @@ def _kernel(body):
 
 BODIES = {
     "python": _python,
+    "lane": _lane,
     "numpy": _launch(launch_numpy),
     **{body: _kernel(body) for body in kernel_bodies()},
 }

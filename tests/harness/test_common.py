@@ -90,7 +90,7 @@ class TestStack:
             subject = mcts_player(game, spec, 0.01)(1).engine
             assert subject.backend == "arena"
             assert playout_active(subject.playout) == "compiled"
-        assert cohort_executor(game, 1).playout == "compiled"
+        assert cohort_executor(game).playout == "compiled"
 
     def test_spec_spelling_its_own_backend_wins(self):
         game = make_game("tictactoe")
@@ -103,8 +103,8 @@ class TestStack:
             warnings.simplefilter("error")
             subject = mcts_player(game, "block:2x32", 0.01)(1).engine
             subject.search(game.initial_state(), 0.002)
-            executor = cohort_executor(game, 1)
-            executor([game.initial_state()] * executor.SCALAR_CUTOFF)
+            executor = cohort_executor(game)
+            executor([(1, [game.initial_state()] * executor.SCALAR_CUTOFF)])
         assert (subject.backend, subject.playout) == ("node", "numpy")
         assert executor.playout == "numpy"
 
@@ -113,4 +113,4 @@ class TestStack:
         game = make_game("reversi")
         subject = mcts_player(game, "block:2x32", 0.01)(1).engine
         assert (subject.backend, subject.playout) == ("node", "numpy")
-        assert cohort_executor(game, 1).playout == "numpy"
+        assert cohort_executor(game).playout == "numpy"

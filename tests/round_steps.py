@@ -12,13 +12,24 @@ where the product runs its select loop in the kernel.
 
 from __future__ import annotations
 
+from repro.util.seeding import SeedLadder
+
+
+def next_seed(live):
+    """The family seed of a session's next playout call, its call
+    counted: call ``k`` draws ``SeedLadder(playout_seed,
+    "playout").seed(k)``."""
+    k = live["playout_calls"]
+    live["playout_calls"] = k + 1
+    return SeedLadder(live["playout_seed"], "playout").seed(k)
+
 
 def round_steps(engine):
     """``engine``'s live session as a generator: one yield per playout
     demand, the answers delivered as they come back; returns the
-    search result.  Externally driven sessions only (no screening)."""
+    search result.  The driver screens what it launches: nothing is
+    screened here, as the service's tick screens nothing per round."""
     rnd = engine.round_policy(engine)
-    assert rnd.screen is None
     while rnd.select():
         answers = yield rnd.requests
         if len(answers) != len(rnd.requests):
