@@ -66,6 +66,7 @@ into a fresh policy.
 
 from __future__ import annotations
 
+from functools import partial
 from itertools import chain, repeat
 from typing import TYPE_CHECKING, Callable, Sequence
 
@@ -270,7 +271,7 @@ def run_rounds(
             answers = rnd.play(executor)
             if rnd.screen is not None:
                 answers = _screen_results(
-                    rnd, answers, rnd.screen, lambda: rnd.play(executor)
+                    rnd, answers, rnd.screen, partial(rnd.play, executor)
                 )
             rnd.deliver(answers)
             rnd.select()
@@ -286,10 +287,7 @@ def run_rounds(
             hi = lo + len(rnd.requests)
             if rnd.screen is not None:
                 answers[lo:hi] = _screen_results(
-                    rnd,
-                    answers[lo:hi],
-                    rnd.screen,
-                    lambda rnd=rnd: rnd.play(executor),
+                    rnd, answers[lo:hi], rnd.screen, partial(rnd.play, executor)
                 )
             spans.append((0, lo, hi))
             lo = hi
@@ -343,11 +341,9 @@ class Round:
         #: :func:`run_rounds`.  The service's tick never runs that
         #: screen: it screens its merged launch's readback once.
         self.screen = live.get("integrity")
-        seed = live.get("playout_seed")
-        #: The session's playout stream: call ``k`` draws the lanes of
-        #: ``ladder.seed(k)`` (:meth:`segment`); None without one (the
-        #: GPU kinds play on their device's generator).
-        self.ladder = None if seed is None else SeedLadder(seed, "playout")
+        #: The session's playout stream, built at its first call
+        #: (:meth:`next_seed`): a service tenant never makes one.
+        self.ladder: "SeedLadder | None" = None
         #: The positions whose playouts the selected round waits for.
         self.requests: Sequence = ()
         entry = _COST_MEMOS.get(id(self.cost))
@@ -394,6 +390,8 @@ class Round:
         live = self.live
         k = live["playout_calls"]
         live["playout_calls"] = k + 1
+        if self.ladder is None:
+            self.ladder = SeedLadder(live["playout_seed"], "playout")
         return self.ladder.seed(k)
 
     def segment(self) -> tuple:
