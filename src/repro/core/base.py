@@ -439,6 +439,8 @@ class BatchExecutor:
     :class:`~repro.rng.XorShift128PlusLane`): every body plays a lane
     alike, draw for draw."""
 
+    #: Below it a NumPy launch costs more than the Python lanes it
+    #: replaces (one state: 7.3 ms against 0.55 ms for Reversi).
     SCALAR_CUTOFF = 10
 
     def __init__(self, game: Game, playout: str | None = None) -> None:
