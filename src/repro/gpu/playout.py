@@ -35,7 +35,8 @@ class PlayoutResult:
     """Outcome of one playout kernel execution.
 
     ``winners``/``scores`` are absolute (player +1's perspective), one
-    entry per lane; lanes are grouped by block:
+    entry per lane, as is ``finish_steps`` (the ply each lane's game
+    ended on); lanes are grouped by block:
     ``winners.reshape(config.blocks, config.threads_per_block)`` puts
     block ``b``'s lanes in row ``b``.
     """
@@ -43,6 +44,7 @@ class PlayoutResult:
     config: LaunchConfig
     winners: np.ndarray  # int8 (total_threads,)
     scores: np.ndarray  # int16 (total_threads,)
+    finish_steps: np.ndarray  # int64 (total_threads,)
     block_steps: np.ndarray  # int64 (blocks,)
     timing: KernelTiming
 
@@ -179,6 +181,7 @@ class VirtualGpu:
             config=config,
             winners=tracked.winners,
             scores=tracked.scores,
+            finish_steps=tracked.finish_steps,
             block_steps=block_steps,
             timing=timing,
         )

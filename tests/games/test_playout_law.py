@@ -6,13 +6,16 @@ folded modulo ``n``) passes all of them.  ``tests/golden/playout_law.json``
 (``python tools/playout_law.py``) holds, per position, the exact
 probability of every ``(winner, finish step)`` pair of a uniformly
 random playout.  Each body that loads plays :data:`N` seeded playouts
-from each position, and a chi-square test at level :data:`ALPHA`
+from each position -- on its own, and for the launch bodies also as a
+virtual GPU's launches (``device-*``), several blocks of many lanes
+each from the position -- and a chi-square test at level :data:`ALPHA`
 compares their counts with the law; an outcome the law gives no
 probability fails at once.  The seeds are fixed, so the verdict is
 deterministic.  Run with ``-s`` to see the p-values.
 """
 
 import json
+from contextlib import nullcontext
 from fractions import Fraction
 from pathlib import Path
 
@@ -24,7 +27,9 @@ from repro.compiled import launch_compiled
 from repro.compiled.build import kernel_bodies, pinned_kernel_body
 from repro.core.executors import launch_numpy
 from repro.games import make_batch_game, make_game
+from repro.gpu import TESLA_C2050, LaunchConfig, VirtualGpu
 from repro.rng import XorShift128PlusLane, XorShift64Star
+from repro.util.clock import Clock
 from repro.util.seeding import derive_seed
 
 GOLDEN = Path(__file__).parent.parent / "golden" / "playout_law.json"
@@ -70,11 +75,41 @@ def _kernel(body):
     return play
 
 
+#: A device launch: blocks, and lanes per block, all from the position;
+#: :data:`N` playouts take ``N / 1000`` launches of one device.
+DEVICE_GRID = LaunchConfig(10, 100)
+
+
+def _device(playout, body=None):
+    """A ``VirtualGpu``'s launches, each block from the position."""
+
+    def play(game, state, seed):
+        gpu = VirtualGpu(
+            TESLA_C2050, Clock(), game.name, seed, playout=playout
+        )
+        states = [state] * DEVICE_GRID.blocks
+        outcomes = []
+        with pinned_kernel_body(body) if body else nullcontext():
+            for _ in range(N // DEVICE_GRID.total_threads):
+                result = gpu.run_playouts(states, DEVICE_GRID)
+                outcomes += zip(
+                    result.winners.tolist(), result.finish_steps.tolist()
+                )
+        return outcomes
+
+    return play
+
+
 BODIES = {
     "python": _python,
     "lane": _lane,
     "numpy": _launch(launch_numpy),
     **{body: _kernel(body) for body in kernel_bodies()},
+    "device-numpy": _device("numpy"),
+    **{
+        f"device-{body}": _device("compiled", body)
+        for body in kernel_bodies()
+    },
 }
 
 
