@@ -7,11 +7,9 @@ Public surface:
   (``"portable"`` or ``"avx2+bmi2"``, picked when it loads).
 * :func:`block_workers` -- how many host threads a block launch plays
   its blocks on (one per CPU of the process's affinity mask).
-* :func:`block_compiled` -- the virtual GPU's entry: positions x lanes
-  per position on the caller's generator, winners / scores / finish
-  steps out.
-* :func:`launch_compiled` -- the one-call launch entry: states and a
-  lane-seed range in, winners / finish steps out.
+* :func:`launch_compiled` -- the launch entry: positions x lanes per
+  position and a lane-seed range in, winners / finish steps out; on the
+  block workers for the virtual GPU (``workers=True``).
 * :func:`makespan_compiled` -- the virtual GPU's grid makespan
   (:func:`repro.gpu.scheduler.greedy_makespan`) with its heap in C.
 * :func:`run_playouts_tracked_compiled` -- bit-identical drop-in for
@@ -53,7 +51,6 @@ from repro.compiled.runner import (
     backprop_compiled,
     backprop_winners_compiled,
     backprop_winners_many_compiled,
-    block_compiled,
     compiled_available,
     distinct_trees,
     distinct_trees_error,
@@ -76,7 +73,6 @@ __all__ = [
     "backprop_compiled",
     "backprop_winners_compiled",
     "backprop_winners_many_compiled",
-    "block_compiled",
     "block_workers",
     "build_library",
     "compiled_available",

@@ -143,15 +143,12 @@ def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
     # argument costs more than a small launch's playouts.
     ptr = ctypes.c_void_p
     i64 = ctypes.c_int64
-    f64 = ctypes.c_double
     lib.repro_reversi_playouts.restype = ctypes.c_int
-    lib.repro_reversi_playouts.argtypes = [i64] + [ptr] * 10 + [i64, i64, f64]
+    lib.repro_reversi_playouts.argtypes = [i64] + [ptr] * 10 + [i64]
     for name in ("repro_tictactoe_playouts", "repro_connect4_playouts"):
         fn = getattr(lib, name)
         fn.restype = ctypes.c_int
-        fn.argtypes = [i64] + [ptr] * 9 + [i64, i64, f64]
-    lib.repro_rng_advance.restype = None
-    lib.repro_rng_advance.argtypes = [i64, ptr, ptr, i64]
+        fn.argtypes = [i64] + [ptr] * 9 + [i64]
     lib.repro_reversi_mobility.restype = None
     lib.repro_reversi_mobility.argtypes = [i64, ptr, ptr, ptr]
     lib.repro_reversi_flips.restype = None
@@ -161,28 +158,23 @@ def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
     return lib
 
 
+#: The launch entry's signature, on the calling thread or the workers.
+_LAUNCH = (
+    ctypes.c_int,
+    [ctypes.c_int64]
+    + [ctypes.c_void_p] * 3
+    + [ctypes.c_int64, ctypes.c_uint64, ctypes.c_int64]
+    + [ctypes.c_void_p] * 2
+    + [ctypes.c_int64],
+)
+
 #: Signatures declared on first use, by kind: ``(restype, argtypes)``;
 #: arrays cross as raw addresses, as in :func:`_bind`.
 _LAZY_SIGNATURES = {
-    # (n, p1, p2, to_move, base, lo, winners, finish, max_steps)
-    "launch": (
-        ctypes.c_int,
-        [ctypes.c_int64]
-        + [ctypes.c_void_p] * 3
-        + [ctypes.c_uint64, ctypes.c_int64]
-        + [ctypes.c_void_p] * 2
-        + [ctypes.c_int64],
-    ),
-    # (k, p1, p2, to_move, lanes, s0, s1, winners, scores, finish,
-    #  max_steps, min_compact, thr)
-    "block": (
-        ctypes.c_int,
-        [ctypes.c_int64]
-        + [ctypes.c_void_p] * 3
-        + [ctypes.c_int64]
-        + [ctypes.c_void_p] * 5
-        + [ctypes.c_int64, ctypes.c_int64, ctypes.c_double],
-    ),
+    # (k, p1, p2, to_move, lanes, base, lo, winners, finish, max_steps)
+    "launch": _LAUNCH,
+    # the same, its chunks on the block workers
+    "block": _LAUNCH,
     # (n, base, lo, s0, s1)
     "lane_states": (
         None,

@@ -4,13 +4,15 @@
  *
  * Each game has one move loop (`<game>_ply`, played by `play_lane`)
  * behind three exports.
- * `repro_<game>_launch` takes absolute planes and a lane-seed range (the
- * serving batchers' and `BatchExecutor`'s launches); `repro_<game>_block`
- * takes absolute planes, a lane count per position and the caller's
- * generator (the virtual GPU's launches: block b plays from position b),
- * and plays and settles its lanes on every CPU of the affinity mask
- * (section "Block workers"); everything else runs on the calling
- * thread.  Both derive what a playout starts from -- the mover's
+ * `repro_<game>_launch` and `repro_<game>_block` are one launch entry:
+ * absolute planes, a lane count per position and a lane range of a
+ * stream family in, lane lo + j playing from position j / lanes.  They
+ * share one job and one chunk body (`play_chunk`) and differ only in
+ * where the chunks run: `*_block` (the virtual GPU's launches: block b
+ * plays from position b) spreads them over every CPU of the affinity
+ * mask (section "Block workers"), `*_launch` (the serving batchers' and
+ * `BatchExecutor`'s launches) and everything else run on the calling
+ * thread.  The entry derives what a playout starts from -- the mover's
  * perspective, over at entry -- here, once per position (`<game>_entry`).
  * `repro_<game>_playouts` takes a NumPy batch object's fields, already
  * derived, and the caller's generator (benchmark ladder and tests).
@@ -39,17 +41,14 @@
  * no `-m` option and a library from a cache shared between hosts runs
  * on each of them.  The tree kernels have one body.
  *
- * RNG side-effect contract: the NumPy driver (`run_playouts_tracked`)
- * advances the *caller's* generator in lockstep until the batch first
- * compacts (after which a selected child generator advances instead).
- * The `*_block` and `*_playouts` exports reproduce that observable
- * state: each lane's generator draws one value a ply, so every lane
- * records where its own plies left it, and once every lane has finished
- * its (s0, s1) is rewritten to its initial state advanced by the step at
- * which the first compaction would have fired (or by the full playout
- * length when no compaction triggers) -- stepping on from the lane's
- * end state when it finished by that step (`settle_lane`).  The `*_launch` exports seed
- * their own lanes and have no caller generator to settle.
+ * RNG contract: a lane's draws are keyed by its stream family and its
+ * lane index, and by nothing else.  The launch entry seeds lane lo + j
+ * of the family `base` in C (`lane_state`), so any chunking, worker
+ * count or split of a launch's lane range plays the same lanes.  The
+ * `*_playouts` exports read the caller's (s0, s1) and step copies.  No
+ * export writes a generator back: the NumPy driver
+ * (`run_playouts_tracked`) leaves the caller's untouched too, and where
+ * it compacts is a pure performance move.
  *
  * Built at runtime by repro.compiled.build via the system C compiler;
  * absence of a toolchain falls back to the NumPy path.
@@ -156,61 +155,6 @@ static inline void lane_state(uint64_t base, uint64_t lane, uint64_t *s0,
         *s1 = GOLDEN;
 }
 
-/* -- first-compaction step (must match run_playouts_tracked) ------------ */
-
-/* The lockstep driver compacts after step k when the live count A_k
- * (= lanes with finish_step > k) first satisfies 0 < A_k < thr * n for
- * an n >= min_compact batch; the caller's generator stops advancing
- * there.  Returns the number of steps the caller's generator ran, or
- * -1 when the finish-step histogram cannot be allocated. */
-static int64_t first_compact_step(int64_t n, const int64_t *finish,
-                                  int64_t min_compact, double thr)
-{
-    int64_t K = 0;
-    for (int64_t i = 0; i < n; i++)
-        if (finish[i] > K)
-            K = finish[i];
-    if (K == 0 || n < min_compact)
-        return K;
-    int64_t *ended = calloc((size_t)K + 1, sizeof(int64_t));
-    if (!ended)
-        return -1;
-    for (int64_t i = 0; i < n; i++)
-        ended[finish[i]]++;
-    int64_t alive = n - ended[0], steps = K;
-    for (int64_t k = 1; k < K; k++) {
-        alive -= ended[k];
-        if (alive > 0 && (double)alive < thr * (double)n) {
-            steps = k;
-            break;
-        }
-    }
-    free(ended);
-    return steps;
-}
-
-/* Rewrite lane i's (s0, s1) from its initial state to that state
- * advanced `steps` times, where the lockstep driver leaves it.  A lane
- * draws one value a ply, so its end state (e0, e1) -- where its own
- * finish[i] plies left it -- is that state already advanced finish[i]
- * times: when finish[i] <= steps only the rest is stepped. */
-static inline void settle_lane(int64_t i, uint64_t *s0, uint64_t *s1,
-                               const uint64_t *e0, const uint64_t *e1,
-                               const int64_t *finish, int64_t steps)
-{
-    uint64_t a = s0[i], b = s1[i];
-    int64_t left = steps;
-    if (finish[i] <= steps) {
-        a = e0[i];
-        b = e1[i];
-        left = steps - finish[i];
-    }
-    for (; left > 0; left--)
-        next_u64(&a, &b);
-    s0[i] = a;
-    s1[i] = b;
-}
-
 /* -- entries from absolute positions ------------------------------------ */
 
 /* What a game's playouts from one absolute position (p1, p2, side to
@@ -235,8 +179,8 @@ typedef struct {
 /* A game's move loop in pieces: `entry` as above; `ply` plays one ply
  * of a lane that is not over and says whether the game ended on it;
  * `score` is an ended lane's score (the winner, or Reversi's black
- * discs minus white's).  `paired`: its launch and block exports play
- * two lanes in flight (`play_pair`). */
+ * discs minus white's).  `paired`: its launch entry plays two lanes in
+ * flight (`play_pair`). */
 typedef struct {
     entry_t (*entry)(uint64_t p1, uint64_t p2, int tm);
     int (*ply)(lane_t *l, const kit_t *kit);
@@ -286,85 +230,30 @@ FORCE_INLINE int play_pair(lane_t *x, lane_t *y, int64_t max_steps,
     return steps[0] < 0 || steps[1] < 0 ? -1 : 0;
 }
 
-/* Lane i of a launch, from position i on lane lo + i of the family
- * `base`. */
-FORCE_INLINE lane_t launch_lane(const uint64_t *p1, const uint64_t *p2,
-                                const int8_t *to_move, uint64_t base,
-                                int64_t lo, int64_t i, const game_t *g)
-{
-    uint64_t s0, s1;
-    lane_state(base, (uint64_t)lo + (uint64_t)i, &s0, &s1);
-    return lane_at(g->entry(p1[i], p2[i], to_move[i]), to_move[i], s0, s1);
-}
-
 /* The launch entry (must match repro/core/executors.py::launch_numpy):
- * one playout per position (p1[i], p2[i], to_move[i]) on lane lo + i of
- * the family `base`; writes winners[i] and finish[i], allocates
- * nothing.  Returns 0, or -1 when a lane exceeds `max_steps`. */
-FORCE_INLINE int launch_lanes(int64_t n, const uint64_t *p1,
-                              const uint64_t *p2, const int8_t *to_move,
-                              uint64_t base, int64_t lo, int8_t *winners,
-                              int64_t *finish, int64_t max_steps,
-                              const game_t *g, const kit_t *kit)
-{
-    int64_t i = 0, steps[2];
-    int score[2] = {0, 0};
-    for (; g->paired && i + 1 < n; i += 2) {
-        lane_t x = launch_lane(p1, p2, to_move, base, lo, i, g);
-        lane_t y = launch_lane(p1, p2, to_move, base, lo, i + 1, g);
-        if (play_pair(&x, &y, max_steps, steps, score, g, kit))
-            return -1;
-        for (int h = 0; h < 2; h++) {
-            finish[i + h] = steps[h];
-            winners[i + h] = sign_of(score[h]);
-        }
-    }
-    for (; i < n; i++) {
-        lane_t x = launch_lane(p1, p2, to_move, base, lo, i, g);
-        finish[i] = play_lane(&x, max_steps, &score[0], g, kit);
-        if (finish[i] < 0)
-            return -1;
-        winners[i] = sign_of(score[0]);
-    }
-    return 0;
-}
-
-/* The block entry (must match
- * repro/core/executors.py::launch_block_numpy): `lanes` playouts per
- * position, lanes [b * lanes, (b + 1) * lanes) of the caller's n = k *
- * lanes wide generator (s0, s1) playing from position b -- a kernel
- * launch in which block b's threads play from tree b's leaf.  Lanes are
- * independent until the generator is settled, so the whole launch runs
- * on the block workers (next section) in two passes over chunks of
- * lanes, each chunk claimed by one worker:
- *
- *   play    PLAY_CHUNK lanes a claim (a block, where blocks are wider),
- *           two in flight for Reversi -- so an odd-width block's last
- *           lane pairs with the next block's first -- each written
- *           straight into its own lane of winners / scores / finish and
- *           of the end-state arrays (e0, e1);
- *   settle  once every lane has landed and the caller has found the
- *           first-compaction step from the finish steps, SETTLE_CHUNK
- *           lanes a claim, each rewritten by `settle_lane`.
- *
- * What a lane writes depends only on its position and its own generator
- * state, so outputs and generator are the same bytes for any worker
- * count (docs/block_parallelism.md); (s0, s1) is read, never written,
- * until the settle pass, which runs only when every lane finished. */
+ * `lanes` playouts per position, lane lo + j of the stream family `base`
+ * playing from position j / lanes -- a kernel launch in which block b's
+ * threads play from tree b's leaf.  Lanes are independent, so a launch
+ * is chunks of lanes, each claimed by one worker (on the block workers,
+ * next section, or all on the calling thread): PLAY_CHUNK lanes a claim
+ * (a block, where blocks are wider), two in flight for Reversi -- so an
+ * odd-width block's last lane pairs with the next block's first -- each
+ * written straight into its own lane of winners / finish.  What a lane
+ * writes depends only on its position and its lane index, so the
+ * outputs are the same bytes for any worker count
+ * (docs/block_parallelism.md). */
 #define PLAY_CHUNK 16
-#define SETTLE_CHUNK 1024
 
-typedef struct block_job block_job_t;
-struct block_job {
+typedef struct launch_job launch_job_t;
+struct launch_job {
     const uint64_t *p1, *p2;
     const int8_t *to_move;
-    int64_t lanes, n, chunk; /* chunk: lanes a play claim takes, even */
-    uint64_t *s0, *s1;
-    uint64_t *e0, *e1;
+    int64_t lanes, n, chunk; /* chunk: lanes a claim takes, even */
+    uint64_t base;
+    int64_t lo;
     int8_t *winners;
-    int16_t *scores;
     int64_t *finish;
-    int64_t max_steps, steps; /* steps: the first-compaction step */
+    int64_t max_steps;
 };
 
 /* The block of the last lane a claim built, and that block's entry:
@@ -376,31 +265,30 @@ typedef struct {
 } cursor_t;
 
 /* Lane j of `job`, lanes visited in increasing order through `at`. */
-FORCE_INLINE lane_t block_lane(const block_job_t *job, int64_t j,
-                               cursor_t *at, const game_t *g)
+FORCE_INLINE lane_t job_lane(const launch_job_t *job, int64_t j,
+                             cursor_t *at, const game_t *g)
 {
+    uint64_t s0, s1;
     if (j >= at->end) {
         at->block = j / job->lanes;
         at->end = (at->block + 1) * job->lanes;
         at->tm = job->to_move[at->block];
         at->e = g->entry(job->p1[at->block], job->p2[at->block], at->tm);
     }
-    return lane_at(at->e, at->tm, job->s0[j], job->s1[j]);
+    lane_state(job->base, (uint64_t)job->lo + (uint64_t)j, &s0, &s1);
+    return lane_at(at->e, at->tm, s0, s1);
 }
 
-/* Lane j of `job`'s outputs, and where its generator ended. */
-FORCE_INLINE void put_lane(const block_job_t *job, int64_t j, int64_t steps,
-                           int score, const lane_t *l)
+/* Lane j of `job`'s outputs. */
+FORCE_INLINE void put_lane(const launch_job_t *job, int64_t j, int64_t steps,
+                           int score)
 {
     job->finish[j] = steps;
-    job->scores[j] = (int16_t)score;
     job->winners[j] = sign_of(score);
-    job->e0[j] = l->s0;
-    job->e1[j] = l->s1;
 }
 
 /* Chunk c of `job`.  Returns 0, or -1 when a lane exceeds `max_steps`. */
-FORCE_INLINE int play_chunk(const block_job_t *job, int64_t c,
+FORCE_INLINE int play_chunk(const launch_job_t *job, int64_t c,
                             const game_t *g, const kit_t *kit)
 {
     int64_t j = c * job->chunk, end = j + job->chunk, steps[2];
@@ -409,32 +297,20 @@ FORCE_INLINE int play_chunk(const block_job_t *job, int64_t c,
     if (end > job->n)
         end = job->n;
     for (; g->paired && j + 1 < end; j += 2) {
-        lane_t x = block_lane(job, j, &at, g);
-        lane_t y = block_lane(job, j + 1, &at, g);
+        lane_t x = job_lane(job, j, &at, g);
+        lane_t y = job_lane(job, j + 1, &at, g);
         if (play_pair(&x, &y, job->max_steps, steps, score, g, kit))
             return -1;
-        put_lane(job, j, steps[0], score[0], &x);
-        put_lane(job, j + 1, steps[1], score[1], &y);
+        put_lane(job, j, steps[0], score[0]);
+        put_lane(job, j + 1, steps[1], score[1]);
     }
     for (; j < end; j++) {
-        lane_t x = block_lane(job, j, &at, g);
+        lane_t x = job_lane(job, j, &at, g);
         steps[0] = play_lane(&x, job->max_steps, &score[0], g, kit);
         if (steps[0] < 0)
             return -1;
-        put_lane(job, j, steps[0], score[0], &x);
+        put_lane(job, j, steps[0], score[0]);
     }
-    return 0;
-}
-
-/* Settle chunk c of `job` (never fails). */
-static int settle_chunk(const block_job_t *job, int64_t c)
-{
-    int64_t end = (c + 1) * SETTLE_CHUNK;
-    if (end > job->n)
-        end = job->n;
-    for (int64_t i = c * SETTLE_CHUNK; i < end; i++)
-        settle_lane(i, job->s0, job->s1, job->e0, job->e1, job->finish,
-                    job->steps);
     return 0;
 }
 
@@ -443,9 +319,9 @@ static int settle_chunk(const block_job_t *job, int64_t c)
 /* The host's stand-in for a GPU's streaming multiprocessors: the caller
  * of a block export and one persistent helper thread per further CPU
  * of the process's affinity mask, started on first use.  A pass of
- * c >= 2 tasks (a block launch's play or settle chunks) wakes the
- * helpers once; then every worker, the caller first, claims the next
- * unrun task from one shared word and runs it, until none is left
+ * c >= 2 tasks (a block launch's chunks) wakes the helpers once; then
+ * every worker, the caller first, claims the next unrun task from one
+ * shared word and runs it, until none is left
  * (docs/block_parallelism.md).
  *
  * The word packs the open pass's number (high half) and its next
@@ -469,8 +345,8 @@ static struct {
      * it may use (caller included) and the tasks helpers have landed;
      * is the caller asleep on `landed`? */
     uint64_t opened;
-    const block_job_t *job;
-    int (*task)(const block_job_t *job, int64_t i);
+    const launch_job_t *job;
+    int (*task)(const launch_job_t *job, int64_t i);
     int64_t cap, landed_tasks;
     int waiting;
     /* Set once, by start_pool (or by a fork, to 0). */
@@ -604,13 +480,15 @@ static int64_t launch_workers(void)
     return pin >= 1 && pin < all ? pin : all;
 }
 
-/* Run tasks [0, c) of `job` on the block workers.  Returns 0, or 1 when
- * a task failed (tasks after it may be skipped). */
-static int run_tasks(const block_job_t *job,
-                     int (*task)(const block_job_t *job, int64_t i),
-                     int64_t c)
+/* Run tasks [0, c) of `job` -- on the block workers when `spread`, else
+ * on the calling thread.  Returns 0, or 1 when a task failed (tasks
+ * after it may be skipped). */
+static int run_tasks(const launch_job_t *job,
+                     int (*task)(const launch_job_t *job, int64_t i),
+                     int64_t c, int spread)
 {
-    int64_t cap = c >= 2 && c < (int64_t)CLOSED ? launch_workers() : 1;
+    int64_t cap =
+        spread && c >= 2 && c < (int64_t)CLOSED ? launch_workers() : 1;
     if (cap < 2
         || atomic_flag_test_and_set_explicit(&pool.busy,
                                              memory_order_acquire)) {
@@ -653,86 +531,52 @@ static int run_tasks(const block_job_t *job,
     return failed;
 }
 
-/* Tasks of `size` lanes over n lanes. */
-static inline int64_t chunks(int64_t n, int64_t size)
-{
-    return (n + size - 1) / size;
-}
-
-/* Every lane of winners / scores / finish, and the generator settled
- * where the lockstep driver would leave it.  Returns 0; -1 when a lane
- * exceeds `max_steps`; -2 when an allocation fails (generator untouched
- * either way). */
-static int block_lanes(int64_t k, const uint64_t *p1, const uint64_t *p2,
-                       const int8_t *to_move, int64_t lanes, uint64_t *s0,
-                       uint64_t *s1, int8_t *winners, int16_t *scores,
-                       int64_t *finish, int64_t max_steps,
-                       int64_t min_compact, double thr,
-                       int (*play)(const block_job_t *, int64_t))
+/* Every lane of winners / finish, its chunks played by `play` (spread
+ * over the block workers or not).  Returns 0, or -1 when a lane exceeds
+ * `max_steps`. */
+static int launch_lanes(int64_t k, const uint64_t *p1, const uint64_t *p2,
+                        const int8_t *to_move, int64_t lanes, uint64_t base,
+                        int64_t lo, int8_t *winners, int64_t *finish,
+                        int64_t max_steps,
+                        int (*play)(const launch_job_t *, int64_t),
+                        int spread)
 {
     int64_t n = k * lanes;
     if (n <= 0)
         return 0;
-    uint64_t *end = malloc(2 * (size_t)n * sizeof(uint64_t));
-    if (!end)
-        return -2;
-    block_job_t job = {p1, p2, to_move, lanes, n,
-                       lanes > PLAY_CHUNK ? lanes + (lanes & 1) : PLAY_CHUNK,
-                       s0, s1, end, end + n, winners, scores, finish,
-                       max_steps, 0};
-    int rc = -1;
-    if (!run_tasks(&job, play, chunks(n, job.chunk))) {
-        job.steps = first_compact_step(n, finish, min_compact, thr);
-        rc = -2;
-        if (job.steps >= 0) {
-            run_tasks(&job, settle_chunk, chunks(n, SETTLE_CHUNK));
-            rc = 0;
-        }
-    }
-    free(end);
-    return rc;
+    launch_job_t job = {p1, p2, to_move, lanes, n,
+                        lanes > PLAY_CHUNK ? lanes + (lanes & 1) : PLAY_CHUNK,
+                        base, lo, winners, finish, max_steps};
+    return run_tasks(&job, play, (n + job.chunk - 1) / job.chunk, spread)
+               ? -1
+               : 0;
 }
 
 /* The batch-object entry (must match repro/games/batch.py::
  * run_playouts_tracked): lane i of a batch the game's `make_batch`
  * already derived -- boards (a[i], b[i]) as its move loop takes them,
  * `done[i]`, and Reversi's `passed[i]` (NULL for the other games) -- on
- * the caller's generator, on the calling thread.  Writes and returns as
- * `block_lanes`. */
+ * a copy of lane i of the caller's generator, on the calling thread.
+ * Returns 0, or -1 when a lane exceeds `max_steps`. */
 FORCE_INLINE int batch_lanes(int64_t n, const uint64_t *a, const uint64_t *b,
                              const int8_t *to_move, const uint8_t *passed,
-                             const uint8_t *done, uint64_t *s0, uint64_t *s1,
-                             int8_t *winners, int16_t *scores,
-                             int64_t *finish, int64_t max_steps,
-                             int64_t min_compact, double thr,
-                             const game_t *g, const kit_t *kit)
+                             const uint8_t *done, const uint64_t *s0,
+                             const uint64_t *s1, int8_t *winners,
+                             int16_t *scores, int64_t *finish,
+                             int64_t max_steps, const game_t *g,
+                             const kit_t *kit)
 {
-    if (n <= 0)
-        return 0;
-    uint64_t *e0 = malloc(2 * (size_t)n * sizeof(uint64_t));
-    if (!e0)
-        return -2;
-    uint64_t *e1 = e0 + n;
-    int rc = 0;
-    for (int64_t i = 0; i < n && !rc; i++) {
+    for (int64_t i = 0; i < n; i++) {
         entry_t e = {a[i], b[i], done[i] != 0, passed && passed[i] != 0};
         lane_t l = lane_at(e, to_move[i], s0[i], s1[i]);
         int score = 0;
         finish[i] = play_lane(&l, max_steps, &score, g, kit);
-        rc = finish[i] < 0 ? -1 : 0;
+        if (finish[i] < 0)
+            return -1;
         scores[i] = (int16_t)score;
         winners[i] = sign_of(score);
-        e0[i] = l.s0;
-        e1[i] = l.s1;
     }
-    if (!rc) {
-        int64_t steps = first_compact_step(n, finish, min_compact, thr);
-        rc = steps < 0 ? -2 : 0;
-        for (int64_t i = 0; i < n && !rc; i++)
-            settle_lane(i, s0, s1, e0, e1, finish, steps);
-    }
-    free(e0);
-    return rc;
+    return 0;
 }
 
 /* -- Reversi (must match repro/games/reversi_batch.py) ------------------ */
@@ -1023,7 +867,7 @@ static const game_t connect4_game = {c4_entry, c4_ply, c4_score, 0};
 /* -- The two bodies ------------------------------------------------------ */
 
 /* Every export above the tree kernels is the FORCE_INLINE chain
- * `*_lanes` / `play_chunk` -> `play_pair` / `play_lane` -> `<game>_ply`
+ * `batch_lanes` / `play_chunk` -> `play_pair` / `play_lane` -> `<game>_ply`
  * under one of two bodies: `portable`, and on x86-64 `fast`, compiled
  * under FAST_TARGET.  Inlined there, the move loops pick up the target's
  * ISA -- `POPCOUNT` is one `popcnt` -- and the body's kit: `nth_bit_pdep`
@@ -1038,33 +882,26 @@ static const kit_t fast_kit = {nth_bit_pdep, rev_mobility4, rev_flips4};
 #endif
 
 #define REV_PLAYOUTS_PARAMS                                                  \
-    int64_t n, uint64_t *own, uint64_t *opp, int8_t *to_move,                \
-        uint8_t *passed, uint8_t *done, uint64_t *s0, uint64_t *s1,          \
-        int8_t *winners, int16_t *scores, int64_t *finish,                   \
-        int64_t max_steps, int64_t min_compact, double thr
+    int64_t n, const uint64_t *own, const uint64_t *opp,                     \
+        const int8_t *to_move, const uint8_t *passed, const uint8_t *done,   \
+        const uint64_t *s0, const uint64_t *s1, int8_t *winners,             \
+        int16_t *scores, int64_t *finish, int64_t max_steps
 #define REV_PLAYOUTS_ARGS                                                    \
     n, own, opp, to_move, passed, done, s0, s1, winners, scores, finish,     \
-        max_steps, min_compact, thr
+        max_steps
 #define PLAYOUTS_PARAMS                                                      \
-    int64_t n, uint64_t *p1, uint64_t *p2, int8_t *to_move, uint8_t *done,   \
-        uint64_t *s0, uint64_t *s1, int8_t *winners, int16_t *scores,        \
-        int64_t *finish, int64_t max_steps, int64_t min_compact, double thr
-#define PLAYOUTS_ARGS                                                        \
-    n, p1, p2, to_move, done, s0, s1, winners, scores, finish, max_steps,    \
-        min_compact, thr
-#define LAUNCH_PARAMS                                                        \
     int64_t n, const uint64_t *p1, const uint64_t *p2,                       \
-        const int8_t *to_move, uint64_t base, int64_t lo, int8_t *winners,   \
+        const int8_t *to_move, const uint8_t *done, const uint64_t *s0,      \
+        const uint64_t *s1, int8_t *winners, int16_t *scores,                \
         int64_t *finish, int64_t max_steps
-#define LAUNCH_ARGS n, p1, p2, to_move, base, lo, winners, finish, max_steps
-#define BLOCK_PARAMS                                                         \
+#define PLAYOUTS_ARGS                                                        \
+    n, p1, p2, to_move, done, s0, s1, winners, scores, finish, max_steps
+#define LAUNCH_PARAMS                                                        \
     int64_t k, const uint64_t *p1, const uint64_t *p2,                       \
-        const int8_t *to_move, int64_t lanes, uint64_t *s0, uint64_t *s1,    \
-        int8_t *winners, int16_t *scores, int64_t *finish,                   \
-        int64_t max_steps, int64_t min_compact, double thr
-#define BLOCK_ARGS                                                           \
-    k, p1, p2, to_move, lanes, s0, s1, winners, scores, finish, max_steps,   \
-        min_compact, thr
+        const int8_t *to_move, int64_t lanes, uint64_t base, int64_t lo,     \
+        int8_t *winners, int64_t *finish, int64_t max_steps
+#define LAUNCH_ARGS                                                          \
+    k, p1, p2, to_move, lanes, base, lo, winners, finish, max_steps
 #define NTH_PARAMS                                                           \
     int64_t n, const uint64_t *masks, const uint64_t *ranks, uint64_t *out
 #define NTH_ARGS n, masks, ranks, out
@@ -1081,35 +918,25 @@ typedef struct {
     int (*reversi_playouts)(REV_PLAYOUTS_PARAMS);
     int (*tictactoe_playouts)(PLAYOUTS_PARAMS);
     int (*connect4_playouts)(PLAYOUTS_PARAMS);
-    int (*reversi_launch)(LAUNCH_PARAMS);
-    int (*tictactoe_launch)(LAUNCH_PARAMS);
-    int (*connect4_launch)(LAUNCH_PARAMS);
-    int (*reversi_block)(BLOCK_PARAMS);
-    int (*tictactoe_block)(BLOCK_PARAMS);
-    int (*connect4_block)(BLOCK_PARAMS);
+    int (*reversi_play)(const launch_job_t *job, int64_t c);
+    int (*tictactoe_play)(const launch_job_t *job, int64_t c);
+    int (*connect4_play)(const launch_job_t *job, int64_t c);
     void (*nth_bits)(NTH_PARAMS);
     void (*reversi_mobility)(MOBILITY_PARAMS);
     void (*reversi_flips)(FLIPS_PARAMS);
 } body_t;
 
-/* One game's launch and block exports in body B. */
+/* One game's launch chunk in body B. */
 #define GAME_BODY(B, TARGET, GAME)                                           \
-    TARGET static int B##_##GAME##_launch(LAUNCH_PARAMS)                     \
-    {                                                                        \
-        return launch_lanes(LAUNCH_ARGS, &GAME##_game, &B##_kit);            \
-    }                                                                        \
-    TARGET static int B##_##GAME##_play(const block_job_t *job, int64_t c)   \
+    TARGET static int B##_##GAME##_play(const launch_job_t *job, int64_t c)  \
     {                                                                        \
         return play_chunk(job, c, &GAME##_game, &B##_kit);                   \
-    }                                                                        \
-    static int B##_##GAME##_block(BLOCK_PARAMS)                              \
-    {                                                                        \
-        return block_lanes(BLOCK_ARGS, B##_##GAME##_play);                   \
     }
 
 /* Body B, named NAME, compiled with TARGET and playing with the kit
- * B_kit: the nine playout exports, and for their tests the pick alone
- * on (mask, rank) rows and Reversi's generator on board pairs. */
+ * B_kit: the launch chunks and batch-object entries of the nine playout
+ * exports, and for their tests the pick alone on (mask, rank) rows and
+ * Reversi's generator on board pairs. */
 #define BODY(B, NAME, TARGET)                                                \
     GAME_BODY(B, TARGET, reversi)                                            \
     GAME_BODY(B, TARGET, tictactoe)                                          \
@@ -1117,20 +944,20 @@ typedef struct {
     TARGET static int B##_reversi_playouts(REV_PLAYOUTS_PARAMS)              \
     {                                                                        \
         return batch_lanes(n, own, opp, to_move, passed, done, s0, s1,       \
-                           winners, scores, finish, max_steps, min_compact,  \
-                           thr, &reversi_game, &B##_kit);                    \
+                           winners, scores, finish, max_steps,               \
+                           &reversi_game, &B##_kit);                         \
     }                                                                        \
     TARGET static int B##_tictactoe_playouts(PLAYOUTS_PARAMS)                \
     {                                                                        \
         return batch_lanes(n, p1, p2, to_move, NULL, done, s0, s1, winners,  \
-                           scores, finish, max_steps, min_compact, thr,      \
-                           &tictactoe_game, &B##_kit);                       \
+                           scores, finish, max_steps, &tictactoe_game,       \
+                           &B##_kit);                                        \
     }                                                                        \
     TARGET static int B##_connect4_playouts(PLAYOUTS_PARAMS)                 \
     {                                                                        \
         return batch_lanes(n, p1, p2, to_move, NULL, done, s0, s1, winners,  \
-                           scores, finish, max_steps, min_compact, thr,      \
-                           &connect4_game, &B##_kit);                        \
+                           scores, finish, max_steps, &connect4_game,        \
+                           &B##_kit);                                        \
     }                                                                        \
     TARGET static void B##_nth_bits(NTH_PARAMS)                              \
     {                                                                        \
@@ -1150,8 +977,7 @@ typedef struct {
     static const body_t B##_body = {                                         \
         NAME,                                                                \
         B##_reversi_playouts, B##_tictactoe_playouts, B##_connect4_playouts, \
-        B##_reversi_launch, B##_tictactoe_launch, B##_connect4_launch,       \
-        B##_reversi_block, B##_tictactoe_block, B##_connect4_block,          \
+        B##_reversi_play, B##_tictactoe_play, B##_connect4_play,             \
         B##_nth_bits, B##_reversi_mobility, B##_reversi_flips,               \
     };
 
@@ -1209,35 +1035,21 @@ int repro_connect4_playouts(PLAYOUTS_PARAMS)
     return body->connect4_playouts(PLAYOUTS_ARGS);
 }
 
-int repro_reversi_launch(LAUNCH_PARAMS)
-{
-    return body->reversi_launch(LAUNCH_ARGS);
-}
+/* A game's launch entry: `*_launch` on the calling thread, `*_block`
+ * on the block workers. */
+#define LAUNCH_EXPORTS(GAME)                                                 \
+    int repro_##GAME##_launch(LAUNCH_PARAMS)                                 \
+    {                                                                        \
+        return launch_lanes(LAUNCH_ARGS, body->GAME##_play, 0);              \
+    }                                                                        \
+    int repro_##GAME##_block(LAUNCH_PARAMS)                                  \
+    {                                                                        \
+        return launch_lanes(LAUNCH_ARGS, body->GAME##_play, 1);              \
+    }
 
-int repro_tictactoe_launch(LAUNCH_PARAMS)
-{
-    return body->tictactoe_launch(LAUNCH_ARGS);
-}
-
-int repro_connect4_launch(LAUNCH_PARAMS)
-{
-    return body->connect4_launch(LAUNCH_ARGS);
-}
-
-int repro_reversi_block(BLOCK_PARAMS)
-{
-    return body->reversi_block(BLOCK_ARGS);
-}
-
-int repro_tictactoe_block(BLOCK_PARAMS)
-{
-    return body->tictactoe_block(BLOCK_ARGS);
-}
-
-int repro_connect4_block(BLOCK_PARAMS)
-{
-    return body->connect4_block(BLOCK_ARGS);
-}
+LAUNCH_EXPORTS(reversi)
+LAUNCH_EXPORTS(tictactoe)
+LAUNCH_EXPORTS(connect4)
 
 /* Diagnostic: the name of the body the playout exports run. */
 const char *repro_kernel_body(void)
@@ -2243,19 +2055,6 @@ void repro_log(int64_t n, const double *x, double *out)
 {
     for (int64_t i = 0; i < n; i++)
         out[i] = log(x[i]);
-}
-
-/* Advance each lane's generator `steps` times in place (shared helper
- * for tests and for replaying lockstep RNG consumption). */
-void repro_rng_advance(int64_t n, uint64_t *s0, uint64_t *s1, int64_t steps)
-{
-    for (int64_t i = 0; i < n; i++) {
-        uint64_t a = s0[i], b = s1[i];
-        for (int64_t k = 0; k < steps; k++)
-            next_u64(&a, &b);
-        s0[i] = a;
-        s1[i] = b;
-    }
 }
 
 /* Test helper: the initial states `*_launch` gives lanes lo .. lo + n. */

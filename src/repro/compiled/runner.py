@@ -1,20 +1,15 @@
-"""The compiled playout executor's three entries (docs/fusion.md,
+"""The compiled playout executor's two entries (docs/fusion.md,
 "Launch entry"), and the tree arena's kernels.
 
-:func:`block_compiled` is the virtual GPU's entry: ``k`` positions x
-``lanes_per_state`` lanes each on the *caller's* generator -- winners,
-scores and finish steps out, and the same side effect on the caller's
-:class:`BatchXorShift128Plus` as the NumPy lockstep driver has (its
-lanes end advanced exactly as far as the lockstep loop would have
-advanced them before the first compaction) -- with the perspective swap
-and the terminal-at-entry test done in C, once per position.  The NumPy
-composition (:func:`repro.core.executors.launch_block_numpy`) is its
-oracle.
-
-:func:`launch_compiled` is the one-call entry for a *fresh* lane family
-over a list of states: positions and a lane-seed range in, winners and
-finish steps out, with the lane seeding done in C as well.  Its oracle
-is :func:`repro.core.executors.launch_numpy`.
+:func:`launch_compiled` is the launch entry: ``k`` positions x
+``lanes_per_state`` lanes each on a lane range of a stream family --
+positions and a lane-seed range in, winners and finish steps out, with
+the perspective swap and the terminal-at-entry test done in C, once per
+position, and the lanes seeded in C as well.  The virtual GPU launches
+with ``workers=True`` (the ``repro_<game>_block`` export: the chunks on
+the block workers), the serving batchers and ``BatchExecutor`` without
+(``repro_<game>_launch``, on the calling thread).  Its oracle is
+:func:`repro.core.executors.launch_numpy`.
 
 :func:`run_playouts_tracked_compiled` is the bit-identical drop-in for
 :func:`repro.games.batch.run_playouts_tracked` on an already built
@@ -126,7 +121,9 @@ def run_playouts_tracked_compiled(
     compact_threshold: float = COMPACT_THRESHOLD,
     min_compact_size: int = MIN_COMPACT_SIZE,
 ) -> TrackedPlayouts:
-    """Drive a batch to completion through the compiled kernel.
+    """Drive a batch to completion through the compiled kernel, lane
+    ``i`` on a copy of ``rng``'s lane ``i``: ``rng`` is left untouched,
+    as :func:`run_playouts_tracked` leaves it.
 
     Falls back to :func:`run_playouts_tracked` (identical results by
     contract) when the library is unavailable or the game has no
@@ -158,14 +155,12 @@ def run_playouts_tracked_compiled(
     # Arrays cross as raw addresses (argtypes are c_void_p); the locals
     # above and below keep every converted copy alive across the call.
     common = (
-        _address(s0),
-        _address(s1),
+        _address(s0, False),
+        _address(s1, False),
         _address(winners),
         _address(scores),
         _address(finish),
         game.max_game_length,
-        min_compact_size,
-        compact_threshold,
     )
     if game.name == "reversi":
         kernel = lib.repro_reversi_playouts
@@ -192,12 +187,8 @@ def run_playouts_tracked_compiled(
             to_move,
             done,
         )
-    rc = kernel(n, *(_address(field, False) for field in fields), *common)
-    if rc == -1:
+    if kernel(n, *(_address(field, False) for field in fields), *common):
         raise _too_long(game)
-    if rc != 0:
-        raise MemoryError("compiled playout kernel allocation failed")
-    rng.setstate((n, s0, s1))
     return TrackedPlayouts(
         winners=winners, scores=scores, finish_steps=finish
     )
@@ -232,6 +223,23 @@ def _position_count(
     return n
 
 
+def lane_range(k: int, lanes_per_state: int, lo: int) -> int:
+    """The lanes of a launch of ``k`` positions x ``lanes_per_state``
+    lanes from lane ``lo``, after the checks both launch bodies make:
+    a positive lane count per position, and lane indices and a lane
+    count that fit the ``int64`` they cross into C as."""
+    if lanes_per_state <= 0:
+        raise ValueError(
+            f"lanes_per_state must be positive, got {lanes_per_state}"
+        )
+    n = k * lanes_per_state
+    if lo < 0 or lo + n > 2**63 or n == 2**63:
+        raise ValueError(
+            f"need a lane range inside [0, 2**63), got [{lo}, {lo + n})"
+        )
+    return n
+
+
 def launch_columns(
     kernel,
     game: BatchGame,
@@ -240,27 +248,26 @@ def launch_columns(
     to_move: np.ndarray,
     family_seed: int,
     lo: int = 0,
+    lanes_per_state: int = 1,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The kernel half of :func:`launch_compiled`: one playout per
-    position ``(plane1[i], plane2[i], to_move[i])`` (absolute colours,
-    as the tree arena's columns hold them) on lane ``lo + i`` of
-    ``family_seed``'s stream family, through ``kernel``, the game's
-    ``repro_<game>_launch`` export.  The two outputs are fresh arrays."""
-    n = _position_count(plane1, plane2, to_move)
-    # Lane indices cross into C as ``int64``: refuse what would wrap.
-    if lo < 0 or lo + n > 2**63:
-        raise ValueError(
-            f"need a lane range inside [0, 2**63), got [{lo}, {lo + n})"
-        )
+    """The kernel half of :func:`launch_compiled`: ``lanes_per_state``
+    playouts per position ``(plane1[i], plane2[i], to_move[i])``
+    (absolute colours, as the tree arena's columns hold them), lane
+    ``lo + j`` of ``family_seed``'s stream family playing position ``j
+    // lanes_per_state``, through ``kernel``, the game's
+    ``repro_<game>_launch`` or ``repro_<game>_block`` export.  The two
+    outputs are fresh arrays."""
+    k = _position_count(plane1, plane2, to_move)
+    n = lane_range(k, lanes_per_state, lo)
     # The kernel writes every lane of both outputs.
     winners = np.empty(n, dtype=np.int8)
     finish = np.empty(n, dtype=np.int64)
     if n == 0:
         return winners, finish
     rc = kernel(
-        n, _address(plane1, False), _address(plane2, False),
-        _address(to_move, False), derive_seed(family_seed), lo,
-        _address(winners), _address(finish), game.max_game_length,
+        k, _address(plane1, False), _address(plane2, False),
+        _address(to_move, False), lanes_per_state, derive_seed(family_seed),
+        lo, _address(winners), _address(finish), game.max_game_length,
     )
     if rc:
         raise _too_long(game)
@@ -268,13 +275,21 @@ def launch_columns(
 
 
 def launch_compiled(
-    game: BatchGame, states, family_seed: int, lo: int = 0
+    game: BatchGame,
+    states,
+    family_seed: int,
+    lo: int = 0,
+    lanes_per_state: int = 1,
+    workers: bool = False,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One playout per state on lanes ``[lo, lo + len(states))`` of
-    ``family_seed``'s stream family: ``(winners, finish_steps)``, equal
-    lane for lane to :func:`repro.core.executors.launch_numpy` -- which
-    also runs when there is nothing to launch, no library or no kernel
-    for the game.
+    """``lanes_per_state`` playouts per state, lane ``lo + j`` of
+    ``family_seed``'s stream family playing state ``j //
+    lanes_per_state``: ``(winners, finish_steps)``, equal lane for lane
+    to :func:`repro.core.executors.launch_numpy` -- which also runs when
+    there is nothing to launch, no library or no kernel for the game.
+    With ``workers`` the chunks of lanes run on the block workers (the
+    virtual GPU's launches), else on the calling thread: the same bytes
+    either way.
 
     ``states`` is a sequence of states or a :class:`Positions`.  The
     three compiled games' states *are* their ``(plane1, plane2,
@@ -289,7 +304,7 @@ def launch_compiled(
         # Imported here: ``repro.core`` imports this module.
         from repro.core.executors import launch_numpy
 
-        return launch_numpy(game, states, family_seed, lo)
+        return launch_numpy(game, states, family_seed, lo, lanes_per_state)
     if isinstance(states, Positions):
         plane1, plane2, to_move = states.columns()
     else:
@@ -300,87 +315,10 @@ def launch_compiled(
         plane1, plane2 = _staged_planes[:, :n]
         to_move = _staged_to_move[:n]
         plane1[:], plane2[:], to_move[:] = zip(*states)
-    kernel = lazy_export(lib, "launch", game.name)
+    kernel = lazy_export(lib, "block" if workers else "launch", game.name)
     return launch_columns(
-        kernel, game, plane1, plane2, to_move, family_seed, lo
-    )
-
-
-def block_columns(
-    kernel,
-    game: BatchGame,
-    plane1: np.ndarray,
-    plane2: np.ndarray,
-    to_move: np.ndarray,
-    lanes_per_state: int,
-    rng: BatchXorShift128Plus,
-) -> TrackedPlayouts:
-    """The kernel half of :func:`block_compiled`: ``lanes_per_state``
-    playouts per position ``(plane1[i], plane2[i], to_move[i])``
-    (absolute colours), lanes ``[i * lanes_per_state, (i + 1) *
-    lanes_per_state)`` of ``rng`` playing position ``i``, through
-    ``kernel``, the game's ``repro_<game>_block`` export.  ``rng`` is
-    left where :func:`run_playouts_tracked` would leave it -- or
-    untouched, when the launch is refused or fails."""
-    k = _position_count(plane1, plane2, to_move)
-    if lanes_per_state <= 0:
-        raise ValueError(
-            f"lanes_per_state must be positive, got {lanes_per_state}"
-        )
-    # Lane counts cross into C as ``int64``: refuse what would wrap.
-    n = k * lanes_per_state
-    if n >= 2**63:
-        raise ValueError(
-            f"{k} positions x {lanes_per_state} lanes do not fit int64"
-        )
-    if rng.n != n:
-        raise ValueError(
-            f"rng has {rng.n} lanes for a {k} x {lanes_per_state}-lane "
-            f"launch"
-        )
-    # The kernel steps a copy: a refused launch leaves ``rng`` as it was.
-    s0, s1 = rng.state_words()
-    # The kernel writes every lane of the three outputs.
-    winners = np.empty(n, dtype=np.int8)
-    scores = np.empty(n, dtype=np.int16)
-    finish = np.empty(n, dtype=np.int64)
-    rc = kernel(
-        k, _address(plane1, False), _address(plane2, False),
-        _address(to_move, False), lanes_per_state, _address(s0),
-        _address(s1), _address(winners), _address(scores),
-        _address(finish), game.max_game_length, MIN_COMPACT_SIZE,
-        COMPACT_THRESHOLD,
-    )
-    if rc == -1:
-        raise _too_long(game)
-    if rc != 0:
-        raise MemoryError("compiled playout kernel allocation failed")
-    rng.adopt(s0, s1)
-    return TrackedPlayouts(
-        winners=winners, scores=scores, finish_steps=finish
-    )
-
-
-def block_compiled(
-    game: BatchGame,
-    positions: Positions,
-    lanes_per_state: int,
-    rng: BatchXorShift128Plus,
-) -> TrackedPlayouts:
-    """``lanes_per_state`` playouts per position on the caller's
-    ``len(positions) * lanes_per_state`` wide generator: outcomes and
-    generator state equal lane for lane to
-    :func:`repro.core.executors.launch_block_numpy` -- which also runs
-    when there is no library or no kernel for the game."""
-    lib = _playout_library(game.name)
-    if lib is None:
-        # Imported here: ``repro.core`` imports this module.
-        from repro.core.executors import launch_block_numpy
-
-        return launch_block_numpy(game, positions, lanes_per_state, rng)
-    kernel = lazy_export(lib, "block", game.name)
-    return block_columns(
-        kernel, game, *positions.columns(), lanes_per_state, rng
+        kernel, game, plane1, plane2, to_move, family_seed, lo,
+        lanes_per_state,
     )
 
 

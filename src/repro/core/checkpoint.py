@@ -38,7 +38,8 @@ from pathlib import Path
 
 #: Bump on any incompatible change to snapshot payload layout.
 #: Version 2: a session's playout stream is its seed and call count.
-CHECKPOINT_FORMAT_VERSION = 2
+#: Version 3: a device's launch count keys its lanes (no ``gpu.rngs``).
+CHECKPOINT_FORMAT_VERSION = 3
 
 #: Bump on any incompatible change to the on-disk envelope shape.
 #: Version 2 nests the snapshot pickle as checksummed bytes.

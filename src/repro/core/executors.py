@@ -3,49 +3,38 @@
 One constructor argument (or the ``@compiled`` / ``@numpy`` spec
 modifier) picks the executor; left unnamed, it is the one
 :func:`repro.core.backend.default_stack` picks -- the compiled kernels
-on an arena for a game that has them.  Either way it runs through two
-seams:
+on an arena for a game that has them.  Either way it runs through one
+seam, :func:`playout_launcher`: ``launch(bg, states, family_seed, lo=0,
+lanes_per_state=1) -> (winners, finish_steps)``, lane ``lo + j`` of
+``family_seed``'s stream family playing state ``j // lanes_per_state``.
+A lane's draws depend on its family and its index only, so any
+chunking or split of a launch gives the same answers.  The virtual GPU
+launches this way -- launch ``j`` of a device on its own family, block
+``b``'s lanes from position ``b`` -- and so do the serving batchers and
+:class:`~repro.core.base.BatchExecutor`.
 
-* :func:`block_launcher` -- ``lanes_per_state`` playouts per position
-  on the *caller's* generator: ``launch_block(bg, positions,
-  lanes_per_state, rng) -> TrackedPlayouts``.  The virtual GPU launches
-  this way -- block ``b``'s lanes play from position ``b`` -- and its
-  per-width generator persists across launches, so where a launch
-  leaves it is observable.
-* :func:`playout_launcher` -- one playout per state on a *fresh* lane
-  family: ``launch(bg, states, family_seed, lo=0) -> (winners,
-  finish_steps)``.  The serving batchers and
-  :class:`~repro.core.base.BatchExecutor` launch this way; their
-  generators never outlive the call, so the compiled body seeds the
-  lanes in C.
-
-The compiled bodies take positions (:class:`~repro.games.batch.Positions`
-columns), not a batch object.  Both pairs of bodies are bit-identical
-by contract (same winners and finish steps; for the block seam also
-scores and RNG side effects), which the differential walls pin
-(``tests/compiled/test_block.py``, ``tests/compiled/test_launch.py``);
-``"compiled"`` degrades gracefully to the NumPy bodies when no C
-toolchain is present.
+The compiled body takes positions (:class:`~repro.games.batch.Positions`
+columns), not a batch object, and seeds the lanes in C.  The two bodies
+are bit-identical by contract (same winners and finish steps), which
+the differential walls pin (``tests/compiled/test_block.py``,
+``tests/compiled/test_launch.py``); ``"compiled"`` degrades gracefully
+to the NumPy body when no C toolchain is present.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.games.batch import (
-    BatchGame,
-    Positions,
-    TrackedPlayouts,
-    run_playouts_tracked,
-)
+from repro.compiled.runner import lane_range
+from repro.games.batch import BatchGame, run_playouts_tracked
 from repro.rng import BatchXorShift128Plus
 
 #: Registered playout executors, in canonical order.
 PLAYOUT_EXECUTORS = ("numpy", "compiled")
 
-LaunchBlock = Callable[..., TrackedPlayouts]
 Launch = Callable[..., tuple[np.ndarray, np.ndarray]]
 
 
@@ -59,65 +48,26 @@ def validate_playout(playout: str) -> str:
     return playout
 
 
-def launch_block_numpy(
-    bg: BatchGame,
-    positions: Positions | Sequence,
-    lanes_per_state: int,
-    rng: BatchXorShift128Plus,
-) -> TrackedPlayouts:
-    """``lanes_per_state`` playouts per position, lanes ``[i *
-    lanes_per_state, (i + 1) * lanes_per_state)`` of ``rng`` playing
-    position ``i``; ``rng`` ends advanced as far as the lockstep loop
-    ran before its first compaction -- or untouched, as the compiled
-    body leaves it, when a lane runs past ``max_game_length`` and the
-    launch raises.  The NumPy body of :func:`block_launcher` and the
-    oracle of the compiled one."""
-    batch = bg.make_batch(list(positions), lanes_per_state)
-    before = rng.getstate()
-    try:
-        return run_playouts_tracked(bg, batch, rng)
-    except RuntimeError:
-        rng.setstate(before)
-        raise
-
-
-def block_launcher(playout: str) -> LaunchBlock:
-    """The ``launch_block(bg, positions, lanes_per_state, rng)`` body
-    for ``playout``.
-
-    ``"compiled"`` consults the library on every launch, so a
-    :func:`repro.compiled.reset_cache` takes effect at the next one,
-    and falls back to :func:`launch_block_numpy` by itself.
-    """
-    validate_playout(playout)
-    if playout == "compiled":
-        from repro.compiled import block_compiled
-
-        return block_compiled
-    return launch_block_numpy
-
-
 def launch_numpy(
-    bg: BatchGame, states: Sequence, family_seed: int, lo: int = 0
+    bg: BatchGame,
+    states: Sequence,
+    family_seed: int,
+    lo: int = 0,
+    lanes_per_state: int = 1,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One playout per state on lanes ``[lo, lo + len(states))`` of
-    ``family_seed``'s stream family: ``(winners int8[n], finish_steps
-    int64[n])``.  Lane ``lo + i`` draws what it draws in a full-width
-    generator, so any chunking of a batch gives the same answers.  The
-    NumPy body of :func:`playout_launcher` and the oracle of the
-    compiled one.
+    """``lanes_per_state`` playouts per state on lanes ``[lo, lo + n)``
+    of ``family_seed``'s stream family, ``n = len(states) *
+    lanes_per_state``, lane ``lo + j`` playing state ``j //
+    lanes_per_state``: ``(winners int8[n], finish_steps int64[n])``.
+    Lane ``lo + j`` draws what it draws in a full-width generator, so
+    any chunking of a launch gives the same answers.  The NumPy body of
+    :func:`playout_launcher` and the oracle of the compiled one.
     """
-    n = len(states)
-    # Past 2**63 the compiled body's ``int64`` lane argument would wrap;
-    # both bodies refuse, so they stay interchangeable.
-    if lo < 0 or lo + n > 2**63:
-        raise ValueError(
-            f"need a lane range inside [0, 2**63), got [{lo}, {lo + n})"
-        )
+    n = lane_range(len(states), lanes_per_state, lo)
     if n == 0:
         return np.empty(0, dtype=np.int8), np.empty(0, dtype=np.int64)
     rng = BatchXorShift128Plus.for_lanes(family_seed, lo, lo + n)
-    batch = bg.make_batch(list(states), 1)
+    batch = bg.make_batch(list(states), lanes_per_state)
     tracked = run_playouts_tracked(bg, batch, rng)
     return tracked.winners, tracked.finish_steps
 
@@ -188,16 +138,20 @@ class Answers:
         return self.pairs() == list(other)
 
 
-def playout_launcher(playout: str) -> Launch:
-    """The ``launch(bg, states, family_seed, lo=0)`` body for
-    ``playout``.  Like :func:`block_launcher`, ``"compiled"`` consults
-    the library on every launch and falls back to :func:`launch_numpy`
-    by itself."""
+def playout_launcher(playout: str, workers: bool = False) -> Launch:
+    """The ``launch(bg, states, family_seed, lo=0, lanes_per_state=1)``
+    body for ``playout``.  ``"compiled"`` consults the library on every
+    launch, so a :func:`repro.compiled.reset_cache` takes effect at the
+    next one, and falls back to :func:`launch_numpy` by itself; with
+    ``workers`` (the virtual GPU's launches) it plays the chunks of
+    lanes on the block workers."""
     validate_playout(playout)
     if playout == "compiled":
         from repro.compiled import launch_compiled
 
-        return launch_compiled
+        return partial(launch_compiled, workers=True) if workers else (
+            launch_compiled
+        )
     return launch_numpy
 
 
@@ -217,8 +171,6 @@ def playout_active(playout: str) -> str:
 __all__ = [
     "PLAYOUT_EXECUTORS",
     "Answers",
-    "block_launcher",
-    "launch_block_numpy",
     "launch_numpy",
     "playout_launcher",
     "playout_active",

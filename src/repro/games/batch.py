@@ -10,6 +10,7 @@ which is also faithful: a SIMT warp cannot retire individual lanes.
 from __future__ import annotations
 
 import abc
+import copy
 import dataclasses
 from typing import Iterator, Sequence
 
@@ -246,9 +247,9 @@ class TrackedPlayouts:
 
 #: When the lockstep driver compacts finished lanes away: a batch of at
 #: least ``MIN_COMPACT_SIZE`` lanes whose active fraction drops below
-#: ``COMPACT_THRESHOLD``.  Where the first compaction fires decides how
-#: far the *caller's* generator advances, so the compiled entries play
-#: by the same two numbers.
+#: ``COMPACT_THRESHOLD``.  A pure performance move: the driver steps its
+#: own copy of the caller's generator, so no lane's draws and nothing
+#: the caller sees depend on where a compaction fires.
 COMPACT_THRESHOLD = 0.5
 MIN_COMPACT_SIZE = 64
 
@@ -261,6 +262,8 @@ def run_playouts_tracked(
     min_compact_size: int = MIN_COMPACT_SIZE,
 ) -> TrackedPlayouts:
     """Drive a batch to completion, recording each lane's finish step.
+    Lane ``i`` plays on a copy of ``rng``'s lane ``i``: ``rng`` is left
+    untouched.
 
     Finished lanes are *compacted away* once the active fraction drops
     below ``compact_threshold`` -- a pure performance move (in the real
@@ -268,6 +271,9 @@ def run_playouts_tracked(
     extra to model because the timing charge uses the recorded finish
     steps, not the Python loop).
     """
+    # ``next_u64`` and ``select`` rebind the lanes' words and never
+    # write them, so a shallow copy is the caller's generator, copied.
+    rng = copy.copy(rng)
     n = len(batch)
     winners = np.zeros(n, dtype=np.int8)
     scores = np.zeros(n, dtype=np.int16)

@@ -14,14 +14,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.backend import default_stack
-from repro.core.executors import block_launcher
+from repro.core.executors import playout_launcher
 from repro.games import make_batch_game
 from repro.games.batch import Positions
 from repro.gpu.device import DeviceSpec
 from repro.gpu.kernel import KernelSpec, LaunchConfig, playout_kernel_spec
 from repro.gpu.stream import Event, Stream
 from repro.gpu.timing import KernelTiming, kernel_time
-from repro.rng import BatchXorShift128Plus
 from repro.util.clock import Clock
 from repro.util.seeding import derive_seed
 
@@ -34,16 +33,15 @@ class DeviceMemoryError(RuntimeError):
 class PlayoutResult:
     """Outcome of one playout kernel execution.
 
-    ``winners``/``scores`` are absolute (player +1's perspective), one
-    entry per lane, as is ``finish_steps`` (the ply each lane's game
-    ended on); lanes are grouped by block:
+    ``winners`` are absolute (player +1's perspective), one entry per
+    lane, as is ``finish_steps`` (the ply each lane's game ended on);
+    lanes are grouped by block:
     ``winners.reshape(config.blocks, config.threads_per_block)`` puts
     block ``b``'s lanes in row ``b``.
     """
 
     config: LaunchConfig
     winners: np.ndarray  # int8 (total_threads,)
-    scores: np.ndarray  # int16 (total_threads,)
     finish_steps: np.ndarray  # int64 (total_threads,)
     block_steps: np.ndarray  # int64 (blocks,)
     timing: KernelTiming
@@ -63,7 +61,13 @@ class GpuStats:
 
 
 class VirtualGpu:
-    """One simulated GPU: device spec + stream + RNG lanes."""
+    """One simulated GPU: device spec + stream + RNG lanes.
+
+    Launch ``j`` (``stats.kernels_launched`` before it) plays lanes
+    ``0..n-1`` of the stream family ``derive_seed(device seed, j)``,
+    lane ``b * T + t`` from position ``b`` -- each CUDA thread its own
+    generator -- so nothing but the launch's index decides its draws:
+    no earlier width, compaction threshold or worker count."""
 
     #: Bytes per lane copied back after a kernel (win flag + score).
     RESULT_BYTES_PER_LANE = 4
@@ -84,35 +88,21 @@ class VirtualGpu:
         self.clock = clock
         self.game_name = game_name
         self.playout = default_stack(game_name, playout=playout)[1]
-        self._launch_block = block_launcher(self.playout)
+        self._launch = playout_launcher(self.playout, workers=True)
         self.kernel = kernel or playout_kernel_spec(game_name)
         self.batch_game = make_batch_game(game_name)
         self.stream = Stream(clock)
         self.stats = GpuStats()
         self._seed = derive_seed(seed, "gpu", spec.name)
-        self._rng_cache: dict[int, BatchXorShift128Plus] = {}
-
-    def _rng(self, lanes: int) -> BatchXorShift128Plus:
-        """Per-width generator, persistent across launches (each CUDA
-        thread keeps its RNG state in global memory between kernels)."""
-        rng = self._rng_cache.get(lanes)
-        if rng is None:
-            rng = BatchXorShift128Plus(lanes, self._seed)
-            self._rng_cache[lanes] = rng
-        return rng
 
     # -- checkpointing -----------------------------------------------------
 
     def getstate(self) -> dict:
         """Everything a resumed search needs to replay this device's
-        randomness and accounting exactly: the persistent per-width
-        lane RNG states (each CUDA thread's global-memory generator),
-        the cumulative stats, and the stream timeline."""
+        randomness and accounting exactly: the cumulative stats (the
+        launch count keys the next launch's lanes) and the stream
+        timeline."""
         return {
-            "rngs": {
-                lanes: rng.getstate()
-                for lanes, rng in self._rng_cache.items()
-            },
             "stats": (
                 self.stats.kernels_launched,
                 self.stats.playouts_completed,
@@ -122,10 +112,6 @@ class VirtualGpu:
         }
 
     def setstate(self, state: dict) -> None:
-        self._rng_cache = {
-            int(lanes): BatchXorShift128Plus.from_state(s)
-            for lanes, s in state["rngs"].items()
-        }
         kernels, playouts, busy = state["stats"]
         self.stats = GpuStats(
             kernels_launched=int(kernels),
@@ -160,10 +146,14 @@ class VirtualGpu:
                 f"out of device memory: {n} lanes need {nbytes} bytes, "
                 f"{self.spec.name} has {self.spec.global_mem_bytes}"
             )
-        tracked = self._launch_block(
-            self.batch_game, states, n // len(states), self._rng(n)
+        winners, finish_steps = self._launch(
+            self.batch_game,
+            states,
+            derive_seed(self._seed, self.stats.kernels_launched),
+            0,
+            n // len(states),
         )
-        block_steps = tracked.finish_steps.reshape(
+        block_steps = finish_steps.reshape(
             config.blocks, config.threads_per_block
         ).max(axis=1)
         result_bytes = n * self.RESULT_BYTES_PER_LANE
@@ -179,9 +169,8 @@ class VirtualGpu:
         self.stats.busy_seconds += timing.total_s
         return PlayoutResult(
             config=config,
-            winners=tracked.winners,
-            scores=tracked.scores,
-            finish_steps=tracked.finish_steps,
+            winners=winners,
+            finish_steps=finish_steps,
             block_steps=block_steps,
             timing=timing,
         )

@@ -139,54 +139,10 @@ class BatchXorShift128Plus:
         child._s1 = self._s1[mask]
         return child
 
-    # -- checkpointing -------------------------------------------------------
-
     def getstate(self) -> tuple[int, np.ndarray, np.ndarray]:
-        """``(n, s0, s1)`` with copied state arrays; feed to
-        :meth:`setstate`/:meth:`from_state` to resume every lane's
-        stream exactly where it left off."""
+        """``(n, s0, s1)`` with copied state arrays: every lane's
+        stream where it stands."""
         return (self._n, self._s0.copy(), self._s1.copy())
-
-    def setstate(
-        self, state: tuple[int, np.ndarray, np.ndarray]
-    ) -> None:
-        n, s0, s1 = state
-        s0 = np.asarray(s0, dtype=U64)
-        s1 = np.asarray(s1, dtype=U64)
-        if n <= 0 or s0.shape != (n,) or s1.shape != (n,):
-            raise ValueError(
-                f"invalid xorshift128+ state: n={n}, "
-                f"shapes {s0.shape}/{s1.shape}"
-            )
-        self._n = int(n)
-        self._s0 = s0.copy()
-        self._s1 = s1.copy()
-
-    def state_words(self) -> tuple[np.ndarray, np.ndarray]:
-        """One copy of ``(s0, s1)``, for a kernel to step in place and
-        :meth:`adopt` back."""
-        return self._s0.copy(), self._s1.copy()
-
-    def adopt(self, s0: np.ndarray, s1: np.ndarray) -> None:
-        """Take ``(s0, s1)`` -- this generator's width of ``uint64``
-        words, which nothing else keeps -- as the lanes' state, without
-        a copy."""
-        if s0.dtype != U64 or s1.dtype != U64 or not (
-            s0.shape == s1.shape == (self._n,)
-        ):
-            raise ValueError(
-                f"invalid xorshift128+ state words for {self._n} lanes"
-            )
-        self._s0, self._s1 = s0, s1
-
-    @classmethod
-    def from_state(
-        cls, state: tuple[int, np.ndarray, np.ndarray]
-    ) -> "BatchXorShift128Plus":
-        """A generator resumed from a :meth:`getstate` triple."""
-        rng = object.__new__(cls)
-        rng.setstate(state)
-        return rng
 
     def state_digest(self) -> int:
         """A cheap checksum of all lane states (for regression tests)."""

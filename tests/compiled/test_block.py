@@ -1,21 +1,22 @@
-"""Differential wall for the block-shaped launch entry
-(``repro_<game>_block`` behind :func:`repro.compiled.block_compiled`).
+"""Differential wall for the virtual GPU's launches: the launch entry
+with its chunks on the block workers (``repro_<game>_block``, behind
+``playout_launcher("compiled", workers=True)``).
 
-The entry takes ``k`` positions, a lane count per position and the
-*caller's* generator, and does in C what the NumPy composition does in
-two calls -- ``make_batch`` (repeat each position over its lanes,
-perspective swap, terminal-at-entry) and ``run_playouts_tracked`` (the
-move loop, and where the first compaction leaves the caller's
-generator).  Two references hold it, lane for lane: that composition
-(:func:`repro.core.executors.launch_block_numpy`), and the same batch
-through the batch-object export (``run_playouts_tracked_compiled``).
-Winners, scores, finish steps *and the generator's state afterwards*
-must agree for every game, shape and position mix.  Without a C
+The entry takes ``k`` positions, a lane count per position and a lane
+range of a stream family, and does in C what the NumPy oracle
+(:func:`repro.core.executors.launch_numpy`) does in three calls --
+``for_lanes`` (lane seeding), ``make_batch`` (repeat each position over
+its lanes, perspective swap, terminal-at-entry) and
+``run_playouts_tracked`` (the move loop).  Three references hold it,
+lane for lane: that oracle, the same batch through the batch-object
+export (``run_playouts_tracked_compiled``), and the launch entry on the
+calling thread (``repro_<game>_launch``).  Winners and finish steps
+must agree for every game, shape and position mix, and a ``VirtualGpu``
+launch must be its launch index's lanes and nothing else.  Without a C
 toolchain the entry falls back to the NumPy body and the comparisons
 hold trivially; the tests that need the kernel itself skip.
 """
 
-import ctypes
 import warnings
 
 import numpy as np
@@ -25,7 +26,6 @@ from hypothesis import strategies as st
 
 from repro.compiled import (
     COMPILED_GAMES,
-    block_compiled,
     compiled_available,
     launch_compiled,
     load_library,
@@ -36,14 +36,16 @@ from repro.compiled.build import lazy_export
 from repro.core import executors
 from repro.core.backend import make_forest
 from repro.core.checkpoint import snapshot_bytes, snapshot_from_bytes
-from repro.core.executors import block_launcher, launch_block_numpy
+from repro.core.executors import launch_numpy, playout_launcher
 from repro.core.spec import make_engine
+from repro.games import batch as batch_module
 from repro.games import make_batch_game, make_game
 from repro.games.batch import Positions, run_playouts_tracked
 from repro.games.tictactoe import TicTacToeState
 from repro.gpu import TESLA_C2050, LaunchConfig, VirtualGpu
 from repro.rng import BatchXorShift128Plus, XorShift64Star
 from repro.util.clock import Clock
+from repro.util.seeding import derive_seed
 from tests.compiled.test_launch import _special_roots, _walk, root_pool
 from tests.core.test_differential import _assert_identical
 from tests.compiled.test_runner import (
@@ -51,6 +53,8 @@ from tests.compiled.test_runner import (
     _TTT_O,
     _TTT_X,
     _caller_steps,
+    assert_untouched,
+    full_width_steps,
 )
 
 pytestmark = pytest.mark.compiled
@@ -66,56 +70,54 @@ LANES = [1, 2, 64]
 needs_kernel = pytest.mark.skipif(
     not compiled_available(), reason="no compiled kernel library on this host"
 )
-#: The block seam's two bodies.
+#: The device seam's two bodies: ``launch(bg, positions, family_seed,
+#: lo, lanes_per_state)``.
 BODIES = [
-    pytest.param(block_launcher(playout), id=playout)
+    pytest.param(playout_launcher(playout, workers=True), id=playout)
     for playout in executors.PLAYOUT_EXECUTORS
 ]
+#: The compiled body of the device seam.
+DEVICE = playout_launcher("compiled", workers=True)
 
 
 def references(bg, states, lanes, seed):
-    """``make_batch`` through both drivers of the batch object; each
-    returns its outcomes and the generator it left behind."""
-    out = []
-    for driver in (run_playouts_tracked, run_playouts_tracked_compiled):
-        rng = BatchXorShift128Plus(len(states) * lanes, seed)
-        out.append((driver(bg, bg.make_batch(list(states), lanes), rng), rng))
-    return out
+    """The NumPy oracle, the same batch through the batch-object export
+    on the same lanes, and the launch entry on the calling thread:
+    ``(winners, finish_steps)`` each."""
+    rng = BatchXorShift128Plus.for_lanes(seed, 0, len(states) * lanes)
+    batch_object = run_playouts_tracked_compiled(
+        bg, bg.make_batch(list(states), lanes), rng
+    )
+    return [
+        launch_numpy(bg, states, seed, 0, lanes),
+        (batch_object.winners, batch_object.finish_steps),
+        launch_compiled(bg, states, seed, 0, lanes),
+    ]
 
 
-def assert_same(got, got_rng, want, want_rng):
-    for name in ("winners", "scores", "finish_steps"):
-        got_column, want_column = getattr(got, name), getattr(want, name)
+def assert_same(got, want):
+    for name, got_column, want_column in zip(
+        ("winners", "finish_steps"), got, want
+    ):
         assert got_column.dtype == want_column.dtype, name
         np.testing.assert_array_equal(got_column, want_column, err_msg=name)
-    assert_same_generator(got_rng, want_rng)
-
-
-def assert_same_generator(got_rng, want_rng):
-    got_n, *got_state = got_rng.getstate()
-    want_n, *want_state = want_rng.getstate()
-    assert got_n == want_n
-    for got_s, want_s in zip(got_state, want_state):
-        np.testing.assert_array_equal(got_s, want_s)
 
 
 def check(game_name, states, lanes, seed):
     """The entry over ``states`` -- handed over as states and as columns
-    -- against both references; returns the NumPy one."""
+    -- against the references; returns the NumPy oracle's ``(winners,
+    finish_steps)``."""
     bg = make_batch_game(game_name)
     game = make_game(game_name)
-    (want, want_rng), (batch_object, batch_object_rng) = references(
-        bg, states, lanes, seed
-    )
-    assert_same(batch_object, batch_object_rng, want, want_rng)
+    want, *others = references(bg, states, lanes, seed)
+    for other in others:
+        assert_same(other, want)
     columns = Positions(states).columns()
     for positions in (
         Positions(states),
         Positions.from_columns(game, *columns),
     ):
-        rng = BatchXorShift128Plus(len(states) * lanes, seed)
-        got = block_compiled(bg, positions, lanes, rng)
-        assert_same(got, rng, want, want_rng)
+        assert_same(DEVICE(bg, positions, seed, 0, lanes), want)
     return want
 
 
@@ -146,17 +148,16 @@ def test_every_pool_root_alone(game_name, lanes):
         if label != "forced-pass"
     }
     for i, state in enumerate(root_pool(game_name)):
-        want = check(game_name, [state], lanes, 100 + i)
+        winners, finish = check(game_name, [state], lanes, 100 + i)
         if state in over_at_entry:
-            assert want.finish_steps.tolist() == [0] * lanes
-            assert want.winners.tolist() == [game.winner(state)] * lanes
-            assert want.scores.tolist() == [game.score(state)] * lanes
+            assert finish.tolist() == [0] * lanes
+            assert winners.tolist() == [game.winner(state)] * lanes
 
 
 def test_reversi_forced_pass_at_entry_plays_on():
     state = _special_roots("reversi")["forced-pass"]
-    want = check("reversi", [state] * 2, 2, 3)
-    assert want.finish_steps.tolist() == [4] * 4  # pass, c1, pass, pass
+    _, finish = check("reversi", [state] * 2, 2, 3)
+    assert finish.tolist() == [4] * 4  # pass, c1, pass, pass
 
 
 @settings(max_examples=40, deadline=None)
@@ -209,15 +210,13 @@ def test_reversi_odd_lane_counts(lanes, k):
 
 def uneven_pair():
     """A late Reversi position and, for each slot of a two-lane block,
-    a generator seed under which that slot's lane finishes last:
+    a family seed under which that slot's lane finishes last:
     ``(state, {slot: (seed, the other lane's finish step)})``."""
     bg = make_batch_game("reversi")
     state = _walk(make_game("reversi"), 47, 11)
     seeds = {}
     for seed in range(200):
-        finish = launch_block_numpy(
-            bg, [state], 2, BatchXorShift128Plus(2, seed)
-        ).finish_steps.tolist()
+        finish = launch_numpy(bg, [state], seed, 0, 2)[1].tolist()
         if finish[0] != finish[1]:
             longer = int(finish[1] > finish[0])
             seeds.setdefault(longer, (seed, min(finish)))
@@ -229,21 +228,19 @@ def uneven_pair():
 @pytest.mark.parametrize("slot", [0, 1])
 def test_reversi_lane_past_max_steps_in_either_slot(slot):
     """One lane of a pair runs past ``max_game_length``, its partner
-    does not: the block is refused and the generator is left untouched,
-    on the kernel and on the NumPy fallback alike -- and with the longer
-    lane's length allowed, both lanes match the references."""
+    does not: the block is refused, on the kernel and on the NumPy
+    fallback alike -- and with the longer lane's length allowed, both
+    lanes match the references."""
     state, seeds = uneven_pair()
     seed, shorter = seeds[slot]
     bg = make_batch_game("reversi")
     bg.max_game_length = shorter
-    rng = BatchXorShift128Plus(2, seed)
     with pytest.raises(
         RuntimeError, match=f"exceeded max_game_length={shorter}; engine bug"
     ):
-        block_compiled(bg, Positions([state]), 2, rng)
-    assert_same_generator(rng, BatchXorShift128Plus(2, seed))
-    want = check("reversi", [state], 2, seed)
-    assert want.finish_steps[slot] > want.finish_steps[1 - slot] == shorter
+        DEVICE(bg, Positions([state]), seed, 0, 2)
+    _, finish = check("reversi", [state], 2, seed)
+    assert finish[slot] > finish[1 - slot] == shorter
 
 
 def straddling_launch(lanes, slot):
@@ -257,9 +254,7 @@ def straddling_launch(lanes, slot):
     first = lanes - 1 if lanes % 2 else lanes  # the straddling pair's
     lane = first + slot
     for seed in range(500):
-        finish = launch_block_numpy(
-            bg, states, lanes, BatchXorShift128Plus(3 * lanes, seed)
-        ).finish_steps.tolist()
+        finish = launch_numpy(bg, states, seed, 0, lanes)[1].tolist()
         others = max(finish[:lane] + finish[lane + 1 :])
         if finish[lane] > others:
             return states, seed, lane, others
@@ -274,42 +269,38 @@ def test_a_pair_across_two_blocks_refused_in_either_slot(
 ):
     """Odd-width blocks: the launch's pair straddling blocks 0 and 1 has
     one lane past ``max_game_length`` and every other lane of the launch
-    within it -- the launch is refused and the generator untouched, on
-    either body -- and with that lane's length allowed the launch
-    matches the references."""
+    within it -- the launch is refused, on either body -- and with that
+    lane's length allowed the launch matches the references."""
     states, seed, lane, others = straddling_launch(lanes, slot)
     assert lane // lanes != (lane ^ 1) // lanes  # the pair straddles
     bg = make_batch_game("reversi")
     bg.max_game_length = others
-    rng = BatchXorShift128Plus(3 * lanes, seed)
     with pytest.raises(
         RuntimeError, match=f"exceeded max_game_length={others}; engine bug"
     ):
-        launch(bg, Positions(states), lanes, rng)
-    assert_same_generator(rng, BatchXorShift128Plus(3 * lanes, seed))
-    want = check("reversi", states, lanes, seed)
-    assert want.finish_steps[lane] > others
+        launch(bg, Positions(states), seed, 0, lanes)
+    _, finish = check("reversi", states, lanes, seed)
+    assert finish[lane] > others
 
 
-# -- (b) the caller's generator ----------------------------------------------
+# -- (b) one stream family, any split ----------------------------------------
 
 
 @pytest.mark.parametrize("game_name", GAMES)
 @pytest.mark.parametrize("k,lanes", [(5, 1), (3, 21), (8, 16), (2, 64)])
 def test_two_launches_share_one_generator(game_name, k, lanes):
-    """``VirtualGpu`` keeps one generator per width across launches: the
-    second launch starts where the first left it, on either body."""
+    """Two launches on one stream family, the second from the lane the
+    first ends on, play what one launch of both plays: a lane's draws
+    are its family's and its index's, on either body."""
     bg = make_batch_game(game_name)
     pool = root_pool(game_name)
-    rounds = [
-        [pool[(3 * r + 5 * i) % len(pool)] for i in range(k)] for r in (0, 1)
-    ]
-    want_rng = BatchXorShift128Plus(k * lanes, 17)
-    got_rng = BatchXorShift128Plus(k * lanes, 17)
-    for states in rounds:
-        want = launch_block_numpy(bg, states, lanes, want_rng)
-        got = block_compiled(bg, Positions(states), lanes, got_rng)
-        assert_same(got, got_rng, want, want_rng)
+    states = [pool[(3 + 5 * i) % len(pool)] for i in range(k)]
+    want = launch_numpy(bg, states, 17, 0, lanes)
+    split = k // 2
+    head = DEVICE(bg, Positions(states[:split]), 17, 0, lanes)
+    tail = DEVICE(bg, Positions(states[split:]), 17, split * lanes, lanes)
+    assert_same([np.concatenate(pair) for pair in zip(head, tail)], want)
+    assert_same(DEVICE(bg, Positions(states), 17, 0, lanes), want)
 
 
 def _finishing_at(plies):
@@ -336,23 +327,28 @@ def _finishing_at(plies):
         pytest.param([3] + [1] * 12, 5, id="five-lanes-65-wide"),
     ],
 )
-def test_generator_stops_at_the_first_compaction(finish, lanes):
-    """Finish-step vectors on each edge of the compaction rule (64
-    lanes, half of them alive): the caller's generator ends advanced by
-    exactly the lockstep driver's step count."""
+def test_generator_stops_at_the_first_compaction(finish, lanes, monkeypatch):
+    """Finish-step vectors on each edge of the NumPy oracle's compaction
+    rule (64 lanes, half of them alive): its full-width generator steps
+    until the first compaction and no further, and that moves no lane --
+    the oracle with compaction off and the device launch play the same
+    bytes."""
     states = [_finishing_at(plies) for plies in finish]
-    want = check("tictactoe", states, lanes, 9)
     per_lane = np.repeat(finish, lanes).tolist()
-    assert want.finish_steps.tolist() == per_lane
-    n = len(per_lane)
-    rng = BatchXorShift128Plus(n, 9)
-    block_compiled(
-        make_batch_game("tictactoe"), Positions(states), lanes, rng
+    winners, steps = check("tictactoe", states, lanes, 9)
+    assert steps.tolist() == per_lane
+    with full_width_steps(len(per_lane)) as stepped:
+        launch_numpy(make_batch_game("tictactoe"), states, 9, 0, lanes)
+    assert stepped == [_caller_steps(per_lane, min_compact=64, thr=0.5)]
+    monkeypatch.setattr(
+        batch_module.run_playouts_tracked, "__defaults__", (0.5, 10**9)
     )
-    advanced = BatchXorShift128Plus(n, 9)
-    for _ in range(_caller_steps(per_lane, min_compact=64, thr=0.5)):
-        advanced.next_u64()
-    assert_same_generator(rng, advanced)
+    with full_width_steps(len(per_lane)) as stepped:
+        uncompacted = launch_numpy(
+            make_batch_game("tictactoe"), states, 9, 0, lanes
+        )
+    assert stepped == [max(finish)]
+    assert_same(uncompacted, (winners, steps))
 
 
 # -- (c) what the column runner refuses --------------------------------------
@@ -363,16 +359,17 @@ def _never(*args):
 
 
 def test_block_columns_refuses_before_the_kernel_runs():
+    """The block launch's columns, lane count and lane range are
+    checked before the kernel is called."""
     bg = make_batch_game("tictactoe")
     planes = np.zeros((2, 8), dtype=np.uint64)
     to_move = np.ones(8, dtype=np.int8)
-    rng = BatchXorShift128Plus(16, 4)
-    before = rng.getstate()
 
-    def refused(error, match, plane1, plane2, side, lanes=2, rng=rng):
+    def refused(error, match, plane1, plane2, side, lanes=2, lo=0):
         with pytest.raises(error, match=match):
-            runner.block_columns(_never, bg, plane1, plane2, side, lanes, rng)
-        assert_same_generator(rng, BatchXorShift128Plus.from_state(before))
+            runner.launch_columns(
+                _never, bg, plane1, plane2, side, 4, lo, lanes
+            )
 
     column = "launch column"
     refused(TypeError, column, planes[0].astype(np.int64), planes[1], to_move)
@@ -389,72 +386,50 @@ def test_block_columns_refuses_before_the_kernel_runs():
             ValueError, "lanes_per_state must be positive",
             planes[0], planes[1], to_move, lanes=lanes,
         )
-    # The generator is as wide as the launch, not one lane short or long
-    # (the kernel would write past it), nor merely as wide as a block.
-    for lanes in (1, 3):
-        refused(
-            ValueError, f"rng has 16 lanes for a 8 x {lanes}-lane",
-            planes[0], planes[1], to_move, lanes=lanes,
-        )
+    # Lane indices cross into C as int64: 8 x 2**60 lanes do not fit,
+    # nor does a range that starts below 0 or ends past 2**63.
     refused(
-        ValueError, "rng has 16 lanes for a 7 x 2-lane",
-        planes[0, :7], planes[1, :7], to_move[:7],
+        ValueError, "lane range", planes[0], planes[1], to_move, lanes=2**60
     )
+    refused(ValueError, "lane range", planes[0], planes[1], to_move, lo=-1)
     refused(
-        ValueError, "do not fit int64",
-        planes[0], planes[1], to_move, lanes=2**60,
-    )
-    refused(
-        ValueError, "rng has 16 lanes for a 0 x 2-lane",
-        planes[0, :0], planes[1, :0], to_move[:0],
+        ValueError, "lane range", planes[0], planes[1], to_move,
+        lo=2**63 - 15,
     )
 
 
 def test_a_refused_launch_leaves_the_generator_and_its_saved_state():
-    """The kernel steps one copy of the generator's words: when it fails
-    after stepping them (here, a game too long for its bound), neither
-    the generator nor a state saved from it before the launch moves."""
+    """The batch-object export reads the caller's generator and steps
+    copies: when it fails (here, a game too long for its bound), neither
+    the generator nor a state saved from it before the call moves."""
     bg = make_batch_game("tictactoe")
-    columns = Positions(root_pool("tictactoe")[:4]).columns()
+    bg.max_game_length = 3  # shadows the class attribute on this instance
     rng = BatchXorShift128Plus(8, 3)
     saved = rng.getstate()
-    kept = tuple(np.copy(word) for word in saved[1:])
-    words = []
-
-    def scribbling(k, p1, p2, side, lanes, s0, s1, *rest):
-        for address in (s0, s1):
-            word = np.ctypeslib.as_array(
-                (ctypes.c_uint64 * 8).from_address(address)
-            )
-            word[:] = 12345
-            words.append(word)
-        return -1
-
     with pytest.raises(RuntimeError, match="exceeded max_game_length"):
-        runner.block_columns(scribbling, bg, *columns, 2, rng)
-    assert words and all((word == 12345).all() for word in words)
-    assert_same_generator(rng, BatchXorShift128Plus.from_state(saved))
-    for word, copy in zip(saved[1:], kept):
-        np.testing.assert_array_equal(word, copy)
+        run_playouts_tracked_compiled(
+            bg, bg.make_batch(root_pool("tictactoe")[:4], 2), rng
+        )
+    assert_untouched(rng, saved)
 
 
-@needs_kernel
 @pytest.mark.parametrize("game_name", GAMES)
 def test_a_launch_leaves_the_generator_where_the_numpy_body_does(game_name):
-    """One successful launch: the caller's generator ends where
-    ``launch_block_numpy`` leaves it, and a state saved before it is
-    still the state it was."""
+    """One successful batch-object call: the caller's generator ends
+    where ``run_playouts_tracked`` leaves it -- where it stood -- and
+    the two play the same lanes."""
     bg = make_batch_game(game_name)
-    positions = Positions(root_pool(game_name)[:5])
+    states = root_pool(game_name)[:5]
     got_rng, want_rng = (BatchXorShift128Plus(15, 21) for _ in range(2))
     saved = got_rng.getstate()
-    kept = tuple(np.copy(word) for word in saved[1:])
-    kernel = lazy_export(load_library(), "block", game_name)
-    got = runner.block_columns(kernel, bg, *positions.columns(), 3, got_rng)
-    want = launch_block_numpy(bg, positions, 3, want_rng)
-    assert_same(got, got_rng, want, want_rng)
-    for word, copy in zip(saved[1:], kept):
-        np.testing.assert_array_equal(word, copy)
+    got = run_playouts_tracked_compiled(
+        bg, bg.make_batch(states, 3), got_rng
+    )
+    want = run_playouts_tracked(bg, bg.make_batch(states, 3), want_rng)
+    for name in ("winners", "scores", "finish_steps"):
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+    assert_untouched(got_rng, saved)
+    assert_untouched(want_rng, saved)
 
 
 @needs_kernel
@@ -462,12 +437,10 @@ def test_block_columns_reads_read_only_columns():
     bg = make_batch_game("connect4")
     kernel = lazy_export(load_library(), "block", "connect4")
     columns = Positions(root_pool("connect4")[:6]).columns()
-    want_rng, got_rng = (BatchXorShift128Plus(12, 8) for _ in range(2))
-    want = runner.block_columns(kernel, bg, *columns, 2, want_rng)
+    want = runner.launch_columns(kernel, bg, *columns, 8, 0, 2)
     for column in columns:
         column.setflags(write=False)
-    got = runner.block_columns(kernel, bg, *columns, 2, got_rng)
-    assert_same(got, got_rng, want, want_rng)
+    assert_same(runner.launch_columns(kernel, bg, *columns, 8, 0, 2), want)
 
 
 @pytest.mark.parametrize("launch", BODIES)
@@ -479,7 +452,7 @@ def test_game_longer_than_max_game_length_raises(launch, game_name):
     with pytest.raises(
         RuntimeError, match="exceeded max_game_length=3; engine bug"
     ):
-        launch(bg, Positions(states), 2, BatchXorShift128Plus(4, 1))
+        launch(bg, Positions(states), 1, 0, 2)
 
 
 @pytest.mark.parametrize("launch", BODIES)
@@ -488,7 +461,7 @@ def test_lanes_per_state_must_be_positive(launch):
     positions = Positions([make_game("reversi").initial_state()])
     for lanes in (0, -1):
         with pytest.raises(ValueError, match="lanes_per_state must be pos"):
-            launch(bg, positions, lanes, BatchXorShift128Plus(1, 1))
+            launch(bg, positions, 1, 0, lanes)
 
 
 # -- (d) fallbacks -----------------------------------------------------------
@@ -500,8 +473,7 @@ def test_compiled_body_takes_the_kernel(monkeypatch):
     block entry really ran, no silent fallback."""
     bg = make_batch_game("reversi")
     states = root_pool("reversi")[:8]
-    want_rng = BatchXorShift128Plus(16, 2)
-    want = launch_block_numpy(bg, states, 2, want_rng)
+    want = launch_numpy(bg, states, 2, 0, 2)
 
     def unusable(*args, **kwargs):
         raise AssertionError("the NumPy driver ran under playout='compiled'")
@@ -509,25 +481,20 @@ def test_compiled_body_takes_the_kernel(monkeypatch):
     monkeypatch.setattr(executors, "run_playouts_tracked", unusable)
     monkeypatch.setattr(runner, "run_playouts_tracked", unusable)
     monkeypatch.setattr(bg, "make_batch", unusable)
-    rng = BatchXorShift128Plus(16, 2)
-    got = block_launcher("compiled")(bg, Positions(states), 2, rng)
-    assert_same(got, rng, want, want_rng)
+    assert_same(DEVICE(bg, Positions(states), 2, 0, 2), want)
 
 
 def test_falls_back_without_a_library(monkeypatch, compiled_env):
     bg = make_batch_game("reversi")
     states = root_pool("reversi")[:8]
-    want_rng = BatchXorShift128Plus(16, 2)
-    want = block_compiled(bg, Positions(states), 2, want_rng)
+    want = DEVICE(bg, Positions(states), 2, 0, 2)
     compiled_env("0")
 
     def unusable(*args):
         raise AssertionError("REPRO_COMPILED=0 reached the kernel lookup")
 
     monkeypatch.setattr(runner, "lazy_export", unusable)
-    rng = BatchXorShift128Plus(16, 2)
-    got = block_compiled(bg, Positions(states), 2, rng)
-    assert_same(got, rng, want, want_rng)
+    assert_same(DEVICE(bg, Positions(states), 2, 0, 2), want)
 
 
 def test_breakthrough_falls_back_and_warns_once(monkeypatch):
@@ -535,13 +502,11 @@ def test_breakthrough_falls_back_and_warns_once(monkeypatch):
     game = make_game("breakthrough")
     bg = make_batch_game("breakthrough")
     states = [game.initial_state()] * 3
-    want_rng = BatchXorShift128Plus(12, 4)
-    want = launch_block_numpy(bg, states, 4, want_rng)
-    rng = BatchXorShift128Plus(12, 4)
+    want = launch_numpy(bg, states, 4, 0, 4)
     with pytest.warns(RuntimeWarning, match="breakthrough") as caught:
-        got = block_compiled(bg, Positions(states), 4, rng)
+        got = DEVICE(bg, Positions(states), 4, 0, 4)
     assert len(caught) == 1
-    assert_same(got, rng, want, want_rng)
+    assert_same(got, want)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         # From an arena's columns too: the fallback builds the states.
@@ -549,9 +514,7 @@ def test_breakthrough_falls_back_and_warns_once(monkeypatch):
             "arena", game, game.initial_state(), [XorShift64Star(1)]
         )
         leaves, _ = arena.select_expand_all()
-        block_compiled(
-            bg, arena.positions_of(leaves), 4, BatchXorShift128Plus(4, 4)
-        )
+        DEVICE(bg, arena.positions_of(leaves), 4, 0, 4)
 
 
 # -- (e) the positions of a launch -------------------------------------------
@@ -621,7 +584,7 @@ def _twin_gpus(playout, game_name="reversi"):
 @pytest.mark.parametrize("blocks,tpb", [(6, 1), (6, 32), (1, 64)])
 def test_gpu_takes_positions_or_states(playout, blocks, tpb):
     """A ``Positions`` of columns and the list of states it stands for
-    are one launch: same outcomes, same timing, same generator after."""
+    are one launch: same outcomes, same timing, same device state after."""
     game = make_game("reversi")
     config = LaunchConfig(blocks, tpb)
     by_states, by_columns = _twin_gpus(playout)
@@ -635,7 +598,7 @@ def test_gpu_takes_positions_or_states(playout, blocks, tpb):
             Positions.from_columns(game, *columns), config
         )
         np.testing.assert_array_equal(got.winners, want.winners)
-        np.testing.assert_array_equal(got.scores, want.scores)
+        np.testing.assert_array_equal(got.finish_steps, want.finish_steps)
         np.testing.assert_array_equal(got.block_steps, want.block_steps)
         assert got.timing == want.timing
     assert by_columns.clock.now == by_states.clock.now
@@ -645,8 +608,8 @@ def test_gpu_takes_positions_or_states(playout, blocks, tpb):
 @pytest.mark.parametrize("playout", executors.PLAYOUT_EXECUTORS)
 def test_failed_launch_frees_device_memory(playout):
     """A launch that is refused or fails leaves nothing allocated on the
-    device and counts no kernel; a refused one also leaves the device's
-    generator where it stood."""
+    device and counts no kernel, so the next launch plays the lanes the
+    refused one would have."""
     game = make_game("tictactoe")
     gpu, _ = _twin_gpus(playout, "tictactoe")
     config = LaunchConfig(4, 2)
@@ -669,6 +632,40 @@ def test_failed_launch_frees_device_memory(playout):
     with pytest.raises(RuntimeError, match="exceeded max_game_length=3"):
         gpu.run_playouts(states, config)
     assert gpu.stats.kernels_launched == 1
+
+
+@pytest.mark.parametrize("playout", executors.PLAYOUT_EXECUTORS)
+def test_launch_j_plays_lanes_of_its_own_family(playout, monkeypatch):
+    """Launch ``j`` of a device plays lanes ``0..n-1`` of
+    ``derive_seed(device seed, j)``, block ``b`` from position ``b``,
+    and nothing else decides its bytes: not the widths of the launches
+    before it, nor where the NumPy driver compacts."""
+    game = make_game("connect4")
+    pool = root_pool("connect4")
+    shapes = [(4, 8), (1, 64), (16, 1), (4, 8), (3, 5)]
+
+    def launches(widths):
+        gpu = VirtualGpu(TESLA_C2050, Clock(), "connect4", 5, playout=playout)
+        device_seed = derive_seed(5, "gpu", TESLA_C2050.name)
+        out = []
+        for j, (blocks, tpb) in enumerate(widths):
+            states = [pool[(j + 2 * b) % len(pool)] for b in range(blocks)]
+            result = gpu.run_playouts(states, LaunchConfig(blocks, tpb))
+            out.append((result.winners, result.finish_steps))
+            want = launch_numpy(
+                gpu.batch_game, states, derive_seed(device_seed, j), 0, tpb
+            )
+            assert_same(out[-1], want)
+        return out
+
+    whole = launches(shapes)
+    # Launch 4 after other widths than before.
+    assert_same(launches([(2, 2)] * 4 + shapes[4:])[4], whole[4])
+    monkeypatch.setattr(
+        batch_module.run_playouts_tracked, "__defaults__", (0.5, 10**9)
+    )
+    for got, want in zip(launches(shapes), whole):
+        assert_same(got, want)
 
 
 # -- (g) engines through the new path ----------------------------------------

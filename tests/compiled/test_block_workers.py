@@ -1,10 +1,10 @@
 """The block workers behind ``repro_<game>_block``: a launch's lanes are
-claimed a chunk at a time by the calling thread and the pool's helpers,
-and once every lane has landed the generator is settled the same way,
-a chunk of lanes a claim (docs/block_parallelism.md).  So a launch must
-write the same bytes -- winners, scores, finish steps and generator --
-whatever number of workers plays it.  Each test here holds a launch on
-every worker to the same launch pinned to the caller alone
+claimed a chunk at a time by the calling thread and the pool's helpers
+(docs/block_parallelism.md), each lane seeded by its index.  So a
+launch must write the same bytes -- winners and finish steps -- whatever
+number of workers plays it, and the same as the calling-thread export
+``repro_<game>_launch``.  Each test here holds a launch on every worker
+to the same launch pinned to the caller alone
 (:func:`pinned_block_workers`), on both kernel bodies, and the pin is
 lifted after the module.
 """
@@ -23,9 +23,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.compiled import (
-    block_compiled,
     block_workers,
     compiled_available,
+    launch_compiled,
     load_library,
 )
 from repro.compiled.build import (
@@ -34,10 +34,11 @@ from repro.compiled.build import (
     pinned_block_workers,
     pinned_kernel_body,
 )
-from repro.core.executors import launch_block_numpy
+from repro.core.executors import launch_numpy
 from repro.games import make_batch_game, make_game
 from repro.games.batch import MIN_COMPACT_SIZE, Positions
-from repro.rng import BatchXorShift128Plus
+from repro.gpu import TESLA_C2050, LaunchConfig, VirtualGpu
+from repro.util.clock import Clock
 from tests.compiled.test_block import _finishing_at
 from tests.compiled.test_launch import root_pool
 from tests.compiled.test_runner import _caller_steps
@@ -61,14 +62,13 @@ def all_workers_after_the_module():
 
 
 def launch_bytes(game_name, states, lanes, seed):
-    """One launch of ``lanes`` playouts per state on a fresh generator:
-    the bytes of its three outputs and of the generator after it."""
-    rng = BatchXorShift128Plus(len(states) * lanes, seed)
+    """One block launch of ``lanes`` playouts per state on lanes
+    ``0..n-1`` of ``seed``'s family: the bytes of its two outputs."""
     bg = make_batch_game(game_name)
-    out = block_compiled(bg, Positions(states), lanes, rng)
-    _, s0, s1 = rng.getstate()
-    columns = (out.winners, out.scores, out.finish_steps, s0, s1)
-    return [column.tobytes() for column in columns]
+    out = launch_compiled(
+        bg, Positions(states), seed, 0, lanes, workers=True
+    )
+    return [column.tobytes() for column in out]
 
 
 def alone_and_on_all(game_name, states, lanes, seed):
@@ -128,14 +128,18 @@ def test_every_worker_count_writes_the_same_bytes(
     states = walked(game_name, walks, k, seed)
     with pinned_kernel_body(body):
         alone, on_all = alone_and_on_all(game_name, states, lanes, seed)
+        calling_thread = launch_compiled(
+            make_batch_game(game_name), Positions(states), seed, 0, lanes
+        )
     assert on_all == alone
+    assert [column.tobytes() for column in calling_thread] == alone
 
 
 #: Finish steps of a TicTacToe launch, position by position in turn:
-#: a launch of at least ``MIN_COMPACT_SIZE`` lanes first compacts after
-#: step 2 (7 of 10 lanes alive after step 1, 4 after step 2), so its
-#: lanes finish before, at and after the step the generator is settled
-#: to; a narrower one settles to its last finish step, 3.
+#: the NumPy oracle first compacts a launch of at least
+#: ``MIN_COMPACT_SIZE`` lanes after step 2 (7 of 10 lanes alive after
+#: step 1, 4 after step 2), so its lanes finish before, at and after
+#: that step; a narrower one runs to its last finish step, 3.
 PLIES = (0, 1, 1, 2, 2, 2, 3, 3, 3, 3)
 
 
@@ -146,25 +150,22 @@ PLIES = (0, 1, 1, 2, 2, 2, 3, 3, 3, 3)
         pytest.param(40, 1, id="40-under-min-compact"),
         pytest.param(13, 3, id="39-under-min-compact"),
         pytest.param(50, 4, id="200-over-min-compact"),
-        pytest.param(833, 3, id="2499-over-two-settle-chunks"),
-        pytest.param(2500, 1, id="2500-over-two-settle-chunks"),
+        pytest.param(833, 3, id="2499-over-many-chunks"),
+        pytest.param(2500, 1, id="2500-over-many-chunks"),
     ],
 )
 def test_finish_steps_around_the_first_compaction(k, lanes, body):
-    """On one worker and on all, the bytes of ``launch_block_numpy``:
-    end states stepped on to the settle step, initial states stepped
-    from the start, over one settle chunk and several."""
+    """On one worker and on all, the bytes of ``launch_numpy``, whether
+    or not (and wherever) the oracle compacts, over one chunk of lanes
+    and many."""
     states = [_finishing_at(PLIES[i % len(PLIES)]) for i in range(k)]
     n = k * lanes
     per_lane = [PLIES[(j // lanes) % len(PLIES)] for j in range(n)]
-    settled = _caller_steps(per_lane, MIN_COMPACT_SIZE, 0.5)
-    assert settled == (2 if n >= MIN_COMPACT_SIZE else 3)
-    rng = BatchXorShift128Plus(n, 21)
-    want = launch_block_numpy(make_batch_game("tictactoe"), states, lanes, rng)
-    assert want.finish_steps.tolist() == per_lane
-    _, s0, s1 = rng.getstate()
-    columns = (want.winners, want.scores, want.finish_steps, s0, s1)
-    want_bytes = [column.tobytes() for column in columns]
+    compacts = _caller_steps(per_lane, MIN_COMPACT_SIZE, 0.5)
+    assert compacts == (2 if n >= MIN_COMPACT_SIZE else 3)
+    want = launch_numpy(make_batch_game("tictactoe"), states, 21, 0, lanes)
+    assert want[1].tolist() == per_lane
+    want_bytes = [column.tobytes() for column in want]
     with pinned_kernel_body(body):
         alone, on_all = alone_and_on_all("tictactoe", states, lanes, 21)
     assert alone == want_bytes
@@ -177,19 +178,22 @@ def test_a_lane_past_max_steps_raises_and_leaves_the_generator(
     game_name, body
 ):
     """The failing lane's block stops its claims; the launch raises the
-    single worker's error and the generator is untouched either way."""
-    bg = make_batch_game(game_name)
-    bg.max_game_length = 3  # shadows the class attribute on this instance
+    single worker's error, and the device counts no launch either way,
+    so its next launch draws the family the failed one would have."""
     states = root_pool(game_name) * 4
+    config = LaunchConfig(len(states), 2)
     for workers in (1, block_workers()):
-        rng = BatchXorShift128Plus(len(states) * 2, 5)
-        before = [column.tobytes() for column in rng.getstate()[1:]]
+        gpu = VirtualGpu(
+            TESLA_C2050, Clock(), game_name, 5, playout="compiled"
+        )
+        before = repr(gpu.getstate())
+        gpu.batch_game.max_game_length = 3  # shadows the class attribute
         with pinned_kernel_body(body), pinned_block_workers(workers):
             with pytest.raises(
                 RuntimeError, match="exceeded max_game_length=3; engine bug"
             ):
-                block_compiled(bg, Positions(states), 2, rng)
-        assert [column.tobytes() for column in rng.getstate()[1:]] == before
+                gpu.run_playouts(states, config)
+        assert repr(gpu.getstate()) == before
 
 
 @pytest.mark.parametrize("body", kernel_bodies())

@@ -1,14 +1,16 @@
-"""Differential wall for the one-call launch entry
+"""Differential wall for the launch entry on the calling thread
 (``repro_<game>_launch`` behind :func:`repro.compiled.launch_compiled`).
 
-The entry takes states and a lane-seed range and does in C what the
-NumPy composition does in three calls -- ``for_lanes`` (lane seeding),
-``make_batch`` (perspective swap, terminal-at-entry) and
-``run_playouts_tracked`` (the move loop).  That composition, spelled out
-below, is the oracle: winners and finish steps must agree lane by lane
-for every game, width, lane offset and root mix.  Without a C toolchain
-the entry falls back to the NumPy body and the comparisons hold
-trivially; the tests that need the kernel itself skip.
+The entry takes states, a lane count per state and a lane-seed range
+and does in C what the NumPy composition does in three calls --
+``for_lanes`` (lane seeding), ``make_batch`` (perspective swap,
+terminal-at-entry) and ``run_playouts_tracked`` (the move loop).  That
+composition, spelled out below, is the oracle: winners and finish steps
+must agree lane by lane for every game, width, lane offset and root
+mix, and a launch of ``k`` states x ``L`` lanes is the launch of each
+state repeated ``L`` times, split anywhere.  Without a C toolchain the
+entry falls back to the NumPy body and the comparisons hold trivially;
+the tests that need the kernel itself skip.
 """
 
 import warnings
@@ -206,6 +208,41 @@ def test_launch_is_geometry_independent(game_name, k):
     head = launch_compiled(bg, states[:k], 77, 0)
     tail = launch_compiled(bg, states[k:], 77, k)
     assert_same([np.concatenate(pair) for pair in zip(head, tail)], whole)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    game_name=st.sampled_from(GAMES),
+    picks=st.lists(st.integers(0, 2**16), min_size=1, max_size=12),
+    lanes=st.integers(1, 9),
+    lo=st.one_of(st.integers(0, 64), st.integers(0, 2**62)),
+    cut=st.integers(0, 12),
+    seed=st.integers(0, 2**63 - 1),
+    workers=st.booleans(),
+)
+def test_a_k_by_l_launch_is_the_oracle_split_anywhere(
+    game_name, picks, lanes, lo, cut, seed, workers
+):
+    """``k`` states x ``L`` lanes from lane ``lo``, on the calling
+    thread or the block workers: lane ``lo + j`` plays state ``j // L``
+    -- the NumPy oracle, and the one-lane launch of each state repeated
+    ``L`` times -- and two launches split after any state, the second
+    from the lane the first ends on, play the same lanes."""
+    bg = make_batch_game(game_name)
+    pool = root_pool(game_name)
+    states = [pool[pick % len(pool)] for pick in picks]
+    want = launch_numpy(bg, states, seed, lo, lanes)
+    repeated = [state for state in states for _ in range(lanes)]
+    assert_same(composition(bg, repeated, seed, lo), want)
+
+    def launch(part, first):
+        return launch_compiled(bg, part, seed, first, lanes, workers=workers)
+
+    assert_same(launch(states, lo), want)
+    cut = min(cut, len(states))
+    head = launch(states[:cut], lo)
+    tail = launch(states[cut:], lo + cut * lanes)
+    assert_same([np.concatenate(pair) for pair in zip(head, tail)], want)
 
 
 # -- (b2) lanes in pairs -----------------------------------------------------

@@ -1,13 +1,16 @@
-"""Bit-identity wall for the compiled playout executor.
+"""Bit-identity wall for the compiled batch-object export.
 
 The compiled C kernels must be indistinguishable from the NumPy
 reference at the playout-call level: identical winners, scores and
-finish steps for every lane, *and* identical RNG side effects (the
-caller's generator must advance by exactly the same per-lane streams,
-including the compaction k* rule), across games, widths and starting
-states.  When no C toolchain is available every test still passes --
+finish steps for every lane, across games, widths and starting states,
+and the same (absent) side effect: both step copies of the caller's
+generator and leave it where it stood, wherever the NumPy driver
+compacts.  When no C toolchain is available every test still passes --
 the runner falls back to the NumPy path, which is trivially identical.
 """
+
+import contextlib
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,7 +18,6 @@ import pytest
 from repro.compiled import (
     COMPILED_GAMES,
     compiled_available,
-    load_library,
     run_playouts_tracked_compiled,
     unavailable_reason,
 )
@@ -54,16 +56,45 @@ def test_initial_state_identical(game_name, n):
     _run_both_state(game_name, state, n, seed=11)
 
 
+def assert_untouched(rng, saved):
+    """``rng`` is where ``saved`` (a ``getstate()`` of it) says it was,
+    and ``saved`` itself has not moved."""
+    got_n, *got_words = rng.getstate()
+    want_n, *want_words = saved
+    assert got_n == want_n
+    for got, want in zip(got_words, want_words):
+        np.testing.assert_array_equal(got, want)
+
+
+@contextlib.contextmanager
+def full_width_steps(n):
+    """Count the steps generators ``n`` lanes wide take inside the
+    block: the list yielded holds their sum afterwards.  The lockstep
+    driver steps its full-width copy until its first compaction, and a
+    narrower one after it."""
+    steps = [0]
+    step = BatchXorShift128Plus.next_u64
+
+    def counting(self):
+        if self.n == n:
+            steps[0] += 1
+        return step(self)
+
+    with mock.patch.object(BatchXorShift128Plus, "next_u64", counting):
+        yield steps
+
+
 def _run_both(game_name, make_batch, seed, **compaction):
     """Play ``make_batch()`` (called twice: the drivers mutate it)
-    through both drivers; every lane's outcome and the caller's
-    generator afterwards, lane by lane, must be equal.  Returns the
-    NumPy result and the generator it left behind."""
+    through both drivers; every lane's outcome must be equal, and each
+    leaves the caller's generator where it stood.  Returns the NumPy
+    result."""
     bg = make_batch_game(game_name)
     ref_batch = make_batch()
     n = len(ref_batch)
     ref_rng = BatchXorShift128Plus(n, seed)
     cmp_rng = BatchXorShift128Plus(n, seed)
+    saved = ref_rng.getstate()
     ref = run_playouts_tracked(bg, ref_batch, ref_rng, **compaction)
     got = run_playouts_tracked_compiled(
         bg, make_batch(), cmp_rng, **compaction
@@ -71,9 +102,9 @@ def _run_both(game_name, make_batch, seed, **compaction):
     np.testing.assert_array_equal(got.winners, ref.winners)
     np.testing.assert_array_equal(got.scores, ref.scores)
     np.testing.assert_array_equal(got.finish_steps, ref.finish_steps)
-    for got_s, ref_s in zip(cmp_rng.getstate()[1:], ref_rng.getstate()[1:]):
-        np.testing.assert_array_equal(got_s, ref_s)
-    return ref, ref_rng
+    assert_untouched(ref_rng, saved)
+    assert_untouched(cmp_rng, saved)
+    return ref
 
 
 def _run_both_state(game_name, state, n, seed):
@@ -164,7 +195,7 @@ def test_reversi_passes_and_entry_flags():
         forced_pass, double_pass, entered_passed, opening_passed,
         entered_done,
     ] * 4
-    ref, _ = _run_both("reversi", _reversi_lanes(lanes), seed=3)
+    ref = _run_both("reversi", _reversi_lanes(lanes), seed=3)
     steps = ref.finish_steps[:5]
     assert steps[0] == 4  # pass, c1, pass, pass
     assert steps[1] == 2 and steps[2] == 1
@@ -193,9 +224,10 @@ def _tictactoe_lanes(plies_per_lane):
 
 
 def _caller_steps(finish, min_compact, thr):
-    """How far the lockstep driver advances the caller's generator:
-    the first step k whose live count A_k satisfies 0 < A_k < thr * n
-    (batches of at least ``min_compact`` lanes), else the last step."""
+    """How far the lockstep driver steps its full-width copy of the
+    caller's generator: the first step k whose live count A_k satisfies
+    0 < A_k < thr * n (batches of at least ``min_compact`` lanes), else
+    the last step."""
     n, last = len(finish), max(finish)
     if n >= min_compact:
         for k in range(1, last):
@@ -219,39 +251,33 @@ def _caller_steps(finish, min_compact, thr):
     ],
 )
 def test_first_compaction_step(finish):
-    """The caller's generator stops where the first compaction fires;
-    finish-step vectors built to sit on each edge of that rule."""
-    ref, ref_rng = _run_both(
-        "tictactoe", _tictactoe_lanes(finish), seed=9,
-        compact_threshold=0.5, min_compact_size=64,
-    )
+    """Finish-step vectors built to sit on each edge of the compaction
+    rule: the lockstep driver's full-width copy stops where the first
+    compaction fires, and neither driver moves the caller's generator
+    or a lane for it -- with compaction off the lanes are the same."""
+    with full_width_steps(len(finish)) as stepped:
+        ref = _run_both(
+            "tictactoe", _tictactoe_lanes(finish), seed=9,
+            compact_threshold=0.5, min_compact_size=64,
+        )
     assert ref.finish_steps.tolist() == finish
-    n = len(finish)
-    steps = _caller_steps(finish, min_compact=64, thr=0.5)
-    want = BatchXorShift128Plus(n, 9)
-    for _ in range(steps):
-        want.next_u64()
-    _, want_s0, want_s1 = want.getstate()
-    _, ref_s0, ref_s1 = ref_rng.getstate()
-    np.testing.assert_array_equal(ref_s0, want_s0)
-    np.testing.assert_array_equal(ref_s1, want_s1)
-    lib = load_library()
-    if lib is not None:
-        _, s0, s1 = BatchXorShift128Plus(n, 9).getstate()
-        lib.repro_rng_advance(n, s0.ctypes.data, s1.ctypes.data, steps)
-        np.testing.assert_array_equal(s0, want_s0)
-        np.testing.assert_array_equal(s1, want_s1)
+    assert stepped == [_caller_steps(finish, min_compact=64, thr=0.5)]
+    uncompacted = _run_both(
+        "tictactoe", _tictactoe_lanes(finish), seed=9, compact_threshold=0.0
+    )
+    np.testing.assert_array_equal(uncompacted.winners, ref.winners)
+    np.testing.assert_array_equal(uncompacted.finish_steps, finish)
 
 
 @pytest.mark.parametrize("game_name", GAMES)
 def test_repeated_calls_share_rng_stream(game_name):
-    """Two consecutive calls on the same generator stay aligned: the
-    compiled path's k* advance rule must leave the generator exactly
-    where the NumPy path leaves it, or call two diverges."""
+    """Consecutive calls on one generator replay one stream: neither
+    driver moves it, so every call plays the first call's lanes."""
     bg = make_batch_game(game_name)
     state = make_game(game_name).initial_state()
     ref_rng = BatchXorShift128Plus(256, 5)
     cmp_rng = BatchXorShift128Plus(256, 5)
+    first = run_playouts_tracked(bg, bg.make_batch([state], 256), ref_rng)
     for _ in range(3):
         ref = run_playouts_tracked(
             bg, bg.make_batch([state], 256), ref_rng
@@ -259,7 +285,9 @@ def test_repeated_calls_share_rng_stream(game_name):
         got = run_playouts_tracked_compiled(
             bg, bg.make_batch([state], 256), cmp_rng
         )
-        np.testing.assert_array_equal(got.winners, ref.winners)
+        np.testing.assert_array_equal(ref.winners, first.winners)
+        np.testing.assert_array_equal(got.winners, first.winners)
+        np.testing.assert_array_equal(got.finish_steps, first.finish_steps)
         assert cmp_rng.state_digest() == ref_rng.state_digest()
 
 

@@ -138,9 +138,23 @@ def test_a_version_1_snapshot_is_refused():
     old = dataclasses.replace(snap, format_version=1)
     with pytest.raises(
         CheckpointError,
-        match=r"snapshot format 1 unsupported \(this build reads 2\)",
+        match=r"snapshot format 1 unsupported \(this build reads 3\)",
     ):
         _engine("sequential", game).restore(old)
+
+
+def test_a_version_2_snapshot_is_refused():
+    """Version 3 keys a device's launches by its launch count; a
+    version-2 snapshot (the device's per-width generators) is refused by
+    name, both versions in the message."""
+    game = make_game("tictactoe")
+    snap = _crashed_snapshot("block:2x8", game, 2)
+    old = dataclasses.replace(snap, format_version=2)
+    with pytest.raises(
+        CheckpointError,
+        match=r"snapshot format 2 unsupported \(this build reads 3\)",
+    ):
+        _engine("block:2x8", game).restore(old)
 
 
 def test_snapshot_outside_session_rejected():

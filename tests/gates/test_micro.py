@@ -26,10 +26,10 @@ from functools import partial
 import pytest
 
 from repro.compiled import (
-    block_compiled,
     block_workers,
     compiled_available,
     kernel_body,
+    launch_compiled,
     unavailable_reason,
 )
 from repro.compiled.build import (
@@ -43,7 +43,7 @@ from repro.games import make_batch_game, make_game
 from repro.gpu import TESLA_C2050, DevicePool, LaunchConfig, VirtualGpu
 from repro.harness.ablations import BackendConfig, run_backend_ablation
 from repro.harness.common import resolve_tier
-from repro.rng import BatchXorShift128Plus, XorShift64Star
+from repro.rng import XorShift64Star
 from repro.serve import FusedBatcher, LaneBatcher
 from repro.util.clock import Clock
 from repro.util.tables import format_table
@@ -163,7 +163,7 @@ def test_micro_gpu_block_launch(blocks, tpb):
     result = gpu.run_playouts(forest.positions_of(leaves), config)
     want = twin.run_playouts([forest.state_of(leaf) for leaf in leaves], config)
     assert result.winners.tolist() == want.winners.tolist()
-    assert result.scores.tolist() == want.scores.tolist()
+    assert result.finish_steps.tolist() == want.finish_steps.tolist()
     assert result.block_steps.tolist() == want.block_steps.tolist()
     assert result.timing == want.timing and gpu.clock.now == twin.clock.now
 
@@ -172,8 +172,8 @@ def time_search_block_launch(pins, rounds):
     """``search_block``'s launch -- Reversi 112 x 64 from an arena's
     leaves -- under each of ``pins`` (label -> context manager factory)
     in turn, interleaved: the fastest launch of each in ms (a shared
-    host only ever adds time).  Every launch writes the same winners,
-    scores, finish steps and generator bytes."""
+    host only ever adds time).  Every launch writes the same winners and
+    finish steps."""
     forest, leaves = arena_leaves(112)
     positions = forest.positions_of(leaves)
     bg = make_batch_game("reversi")
@@ -182,14 +182,13 @@ def time_search_block_launch(pins, rounds):
     for r in range(rounds):
         outputs = []
         for label in labels if r % 2 else labels[::-1]:
-            rng = BatchXorShift128Plus(112 * 64, r)
             with pins[label]():
                 t0 = time.perf_counter()
-                out = block_compiled(bg, positions, 64, rng)
+                out = launch_compiled(
+                    bg, positions, r, 0, 64, workers=True
+                )
                 seconds[label].append(time.perf_counter() - t0)
-            _, s0, s1 = rng.getstate()
-            columns = (out.winners, out.scores, out.finish_steps, s0, s1)
-            outputs.append([column.tobytes() for column in columns])
+            outputs.append([column.tobytes() for column in out])
         assert outputs.count(outputs[0]) == len(labels), f"{labels} disagree"
     return {label: 1e3 * min(v) for label, v in seconds.items()}
 
