@@ -149,9 +149,9 @@ def playout_launcher(playout: str, workers: bool = False) -> Launch:
     if playout == "compiled":
         from repro.compiled import launch_compiled
 
-        return partial(launch_compiled, workers=True) if workers else (
-            launch_compiled
-        )
+        if workers:
+            return partial(launch_compiled, workers=True)
+        return launch_compiled
     return launch_numpy
 
 

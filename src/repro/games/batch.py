@@ -271,8 +271,8 @@ def run_playouts_tracked(
     extra to model because the timing charge uses the recorded finish
     steps, not the Python loop).
     """
-    # ``next_u64`` and ``select`` rebind the lanes' words and never
-    # write them, so a shallow copy is the caller's generator, copied.
+    # ``next_u64`` and ``select`` rebind the lanes' words, never write
+    # them in place: stepping a shallow copy leaves ``rng`` as it was.
     rng = copy.copy(rng)
     n = len(batch)
     winners = np.zeros(n, dtype=np.int8)
